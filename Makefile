@@ -10,9 +10,9 @@ STATICCHECK = honnef.co/go/tools/cmd/staticcheck@2024.1.1
 GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.3
 
 .PHONY: ci fmt-check vet vet-invariants lint staticcheck govulncheck \
-	build test race bench bench-smoke chaos experiments
+	build test race bench bench-smoke bench-e2e-smoke chaos experiments
 
-ci: fmt-check vet vet-invariants build race chaos lint bench-smoke staticcheck govulncheck
+ci: fmt-check vet vet-invariants build race chaos lint bench-smoke bench-e2e-smoke staticcheck govulncheck
 
 # Custom invariant passes (tools/analyzers): compiled programs are
 # immutable after construction, serve/rest never store a
@@ -20,8 +20,10 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-smoke staticcheck g
 # per-document index maps / raw cache slots (always behind the version
 # stamp), the optimizer/closure-compiler never mutate shared AST
 # nodes (rewrites must copy), the store's raw shard state is only
-# touched by shard.go's lock-upholding methods, and DOM mutation in the
-# query/serving layers only happens through the pending-update list.
+# touched by shard.go's lock-upholding methods, DOM mutation in the
+# query/serving layers only happens through the pending-update list,
+# and no function of internal/ rebuilds a replacer or a regexp from
+# constant arguments on every call.
 # Stdlib-only stand-ins for the `go vet -vettool` analyzers, which
 # would need golang.org/x/tools.
 vet-invariants:
@@ -37,6 +39,7 @@ vet-invariants:
 		internal/xquery/analysis internal/xquery/funclib internal/xquery/parser \
 		internal/xquery/ast internal/xquery/lexer
 	$(GO) run ./tools/analyzers -check recovercheck $(shell $(GO) list -f '{{.Dir}}' ./...)
+	$(GO) run ./tools/analyzers -check hotconst $(shell $(GO) list -f '{{.Dir}}' ./internal/...)
 
 # Static analysis of the shipped example programs: every embedded
 # XQuery script block must lint clean, warnings included.
@@ -116,6 +119,15 @@ bench-smoke:
 	$(GO) run ./cmd/benchpul -smoke -out BENCH_pul.json
 	$(GO) run ./cmd/benchft -smoke -out BENCH_ft.json
 	$(GO) run ./cmd/benchfed -smoke -out BENCH_fed.json
+
+# The repository's benchmark (cmd/bench, BENCHMARK.json) is a Go module
+# of its own, so `go build ./...` and `go test ./...` at the root never
+# compile it: an API change in markup, rest or dom could break it
+# unseen. Build it, run every workload for a second with its output
+# checks on, and run its unit tests.
+bench-e2e-smoke:
+	bash cmd/bench/run.sh -smoke
+	cd cmd/bench && $(GO) test ./...
 
 experiments:
 	$(GO) run ./cmd/experiments

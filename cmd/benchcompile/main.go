@@ -151,8 +151,8 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("%s walked: %w", sc.name, err))
 		}
-		got := xquery.FormatSequence(compiled.Value, markup.Serialize)
-		want := xquery.FormatSequence(walked.Value, markup.Serialize)
+		got := xquery.FormatSequence(compiled.Value, markup.AppendXML)
+		want := xquery.FormatSequence(walked.Value, markup.AppendXML)
 		if got != want {
 			fatal(fmt.Errorf("%s: compiled result %q differs from walker %q", sc.name, clip(got), clip(want)))
 		}

@@ -134,7 +134,7 @@ func main() {
 		return p.Run(xquery.RunConfig{ContextItem: item, DisableIndexes: disable})
 	}
 	format := func(r *xquery.Result) string {
-		return xquery.FormatSequence(r.Value, markup.Serialize)
+		return xquery.FormatSequence(r.Value, markup.AppendXML)
 	}
 
 	// Correctness gate before any timing: every program must produce

@@ -75,7 +75,9 @@ func main() {
 	if *indent {
 		serialize = markup.SerializeIndent
 	}
-	out := xquery.FormatSequence(res.Value, serialize)
+	out := xquery.FormatSequence(res.Value, func(dst []byte, n *dom.Node) []byte {
+		return append(dst, serialize(n)...)
+	})
 	if out != "" {
 		fmt.Println(out)
 	}

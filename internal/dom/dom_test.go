@@ -522,3 +522,47 @@ func TestNodeTypeString(t *testing.T) {
 		t.Error("unknown NodeType must still render")
 	}
 }
+
+// The bulk-construction path installs whole lists: parents, order and
+// lookups as if built one AppendChild/SetAttr at a time, one version
+// bump per list, and a refusal to take a node that is already in a tree.
+func TestAdoptChildrenAndAttrs(t *testing.T) {
+	doc := NewDocument()
+	root := NewElement(Name("root"))
+	a, b, text := NewElement(Name("a")), NewElement(Name("b")), NewText("t")
+	root.AdoptAttrs([]AttrSpec{{Name("id"), "r"}, {NameNS("urn:x", "k"), "v"}})
+	root.AdoptChildren([]*Node{a, text, b})
+	doc.AdoptChildren([]*Node{root})
+
+	if kids := root.Children(); len(kids) != 3 || kids[0] != a || kids[1] != text || kids[2] != b {
+		t.Fatalf("children = %v", kids)
+	}
+	for _, k := range root.Children() {
+		if k.Parent() != root || k.Document() != doc {
+			t.Errorf("%s: parent %v, document %v", k.Type, k.Parent(), k.Document())
+		}
+	}
+	if root.AttrValue("id") != "r" || len(root.Attrs()) != 2 || root.Attrs()[1].Parent() != root {
+		t.Errorf("attrs = %v", root.Attrs())
+	}
+	if v, ok := root.Attr(NameNS("urn:x", "k")); !ok || v != "v" {
+		t.Errorf("namespaced attribute = %q, %v", v, ok)
+	}
+	if CompareOrder(a, b) >= 0 || CompareOrder(root.Attrs()[0], a) >= 0 {
+		t.Error("document order of adopted nodes is wrong")
+	}
+
+	v := doc.Version()
+	extra := NewElement(Name("c"))
+	root.AdoptChildren([]*Node{extra, NewComment("x")})
+	if doc.Version() != v+1 || root.LastChild().Type != CommentNode || CompareOrder(b, extra) >= 0 {
+		t.Errorf("second list: version %d -> %d, last child %s", v, doc.Version(), root.LastChild().Type)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("adopting an attached node must panic")
+		}
+	}()
+	NewElement(Name("thief")).AdoptChildren([]*Node{a})
+}

@@ -114,10 +114,62 @@ func TestParseErrors(t *testing.T) {
 		`text<a/>`,            // text before root
 		`<a x="1 <b></b></a>`, // unterminated attribute
 		`<a><!--never closed </a>`,
+		`<a x="1" x="2"/>`, // duplicate attribute
+		`<a xmlns:p="u" xmlns:q="u" p:x="1" q:x="2"/>`, // ... by expanded name
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q): expected error", src)
+		}
+	}
+}
+
+// A duplicate attribute is an error in XML mode, positioned at and
+// naming the second occurrence; HTML mode keeps the first's place and
+// the last's value.
+func TestParseDuplicateAttribute(t *testing.T) {
+	_, err := Parse("<a>\n<b x=\"1\" y=\"2\" x=\"3\"/></a>")
+	pe, ok := err.(*ParseError)
+	if !ok || pe.Msg != "duplicate attribute x" || pe.Line != 2 || pe.Offset != 19 {
+		t.Errorf("Parse: %#v, want duplicate attribute x at line 2, offset 19", err)
+	}
+	doc := mustParseHTML(t, `<b x="1" y="2" X="3">`)
+	if got := Serialize(doc); got != `<b x="3" y="2"/>` {
+		t.Errorf("ParseHTML kept %s", got)
+	}
+}
+
+// Numeric character references are decoded strictly: digits only, and a
+// value XML allows. XML mode rejects the rest at the '&'; HTML mode
+// substitutes U+FFFD.
+func TestCharacterReferences(t *testing.T) {
+	for _, c := range []struct {
+		ref, want string // want "" = rejected in XML mode, U+FFFD in HTML mode
+	}{
+		{"&#65;", "A"}, {"&#x41;", "A"}, {"&#X41;", "A"}, {"&#x10FFFF;", "\U0010FFFF"}, {"&#xe9;", "é"},
+		{"&#x41zz;", ""}, {"&#65 ;", ""}, {"&#+65;", ""}, {"&#-5;", ""},
+		{"&#1114112;", ""}, {"&#xD800;", ""}, {"&#0;", ""},
+		{"&#;", ""}, {"&#x;", ""}, {"&#99999999999999999999;", ""},
+	} {
+		src := "<a>\n" + c.ref + "</a>"
+		doc, err := Parse(src)
+		switch pe, _ := err.(*ParseError); {
+		case c.want != "" && (err != nil || doc.StringValue() != "\n"+c.want):
+			t.Errorf("Parse(%q) = %v, %v; want %q", src, doc, err, c.want)
+		case c.want == "" && (pe == nil || pe.Offset != 4 || pe.Line != 2 || !strings.Contains(pe.Msg, "character reference")):
+			t.Errorf("Parse(%q): error %#v, want a character-reference error at offset 4, line 2", src, err)
+		}
+		want := c.want
+		if want == "" {
+			want = "\ufffd"
+		}
+		if doc, err := ParseHTML(src); err != nil || doc.StringValue() != "\n"+want {
+			t.Errorf("ParseHTML(%q) = %v, %v; want %q", src, doc, err, want)
+		}
+		if doc, err := Parse(`<a x="` + c.ref + `"/>`); c.want != "" && (err != nil || doc.DocumentElement().AttrValue("x") != c.want) {
+			t.Errorf("attribute value %q: %v, %v", c.ref, doc, err)
+		} else if c.want == "" && err == nil {
+			t.Errorf("attribute value %q accepted in XML mode", c.ref)
 		}
 	}
 }
@@ -269,22 +321,46 @@ func TestSerializeIndent(t *testing.T) {
 	}
 }
 
-// randomXMLTree builds a random element tree for round-trip properties.
+// randomXMLTree builds a random tree for the round-trip and differential
+// properties: plain, prefixed and default-namespaced elements, HTML void
+// and raw-text element names, attributes that need escaping, namespace
+// declarations, text, comments and processing instructions.
 func randomXMLTree(r *rand.Rand, depth int) *dom.Node {
-	names := []string{"a", "b", "c", "item", "p"}
-	e := dom.NewElement(dom.Name(names[r.Intn(len(names))]))
+	names := []dom.QName{
+		dom.Name("a"), dom.Name("b"), dom.Name("item"), dom.Name("p"), dom.Name("div"),
+		dom.Name("br"), dom.Name("img"), dom.Name("input"), // void in HTML
+		dom.Name("script"), dom.Name("style"), // raw text in HTML
+		{Space: "urn:p", Prefix: "p", Local: "item"},
+		{Space: "urn:d", Local: "d"},
+	}
+	e := dom.NewElement(names[r.Intn(len(names))])
+	if e.Name.Prefix != "" {
+		e.SetAttr(dom.QName{Space: XMLNSNamespace, Prefix: "xmlns", Local: e.Name.Prefix}, e.Name.Space)
+	} else if e.Name.Space != "" {
+		e.SetAttr(dom.QName{Space: XMLNSNamespace, Local: "xmlns"}, e.Name.Space)
+	}
 	if r.Intn(2) == 0 {
-		e.SetAttr(dom.Name("k"), `v"<&`)
+		e.SetAttr(dom.Name("k"), `v"<&>'`)
+	}
+	if r.Intn(4) == 0 {
+		e.SetAttr(dom.QName{Space: XMLNamespace, Prefix: "xml", Local: "lang"}, "en")
+	}
+	if r.Intn(4) == 0 {
+		e.SetAttr(dom.Name("id"), "plain")
 	}
 	n := r.Intn(4)
 	for i := 0; i < n; i++ {
-		switch {
-		case depth > 0 && r.Intn(2) == 0:
+		switch k := r.Intn(8); {
+		case depth > 0 && k < 4:
 			_ = e.AppendChild(randomXMLTree(r, depth-1))
-		case r.Intn(2) == 0:
-			_ = e.AppendChild(dom.NewText("t<&x "))
-		default:
+		case k < 5:
+			_ = e.AppendChild(dom.NewText("t<&x> "))
+		case k < 6:
+			_ = e.AppendChild(dom.NewText(" \n "))
+		case k < 7:
 			_ = e.AppendChild(dom.NewComment("note"))
+		default:
+			_ = e.AppendChild(dom.NewPI("target", "some data"))
 		}
 	}
 	return e

@@ -13,7 +13,9 @@ package markup
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/dom"
 )
@@ -24,16 +26,19 @@ const XMLNamespace = "http://www.w3.org/XML/1998/namespace"
 // XMLNSNamespace is the reserved namespace URI of xmlns declarations.
 const XMLNSNamespace = "http://www.w3.org/2000/xmlns/"
 
-// voidElements are HTML elements that never have content.
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
+// isVoidElement reports whether an HTML element never has content.
+func isVoidElement(local string) bool {
+	switch local {
+	case "area", "base", "br", "col", "embed", "hr", "img", "input",
+		"link", "meta", "param", "source", "track", "wbr":
+		return true
+	}
+	return false
 }
 
-// rawTextElements have character-data content that must not be parsed
-// as markup in HTML mode.
-var rawTextElements = map[string]bool{"script": true, "style": true}
+// isRawTextElement reports whether an element has character-data content
+// that must not be parsed as markup in HTML mode.
+func isRawTextElement(local string) bool { return local == "script" || local == "style" }
 
 // Mode selects the parsing dialect.
 type Mode int
@@ -56,6 +61,10 @@ func (e *ParseError) Error() string {
 }
 
 // Parse parses src as strict XML and returns its document node.
+//
+// Names, text and attribute values of the result are substrings of src
+// wherever no entity reference or CDATA section had to be spliced in, so
+// the tree keeps src reachable for as long as any of its nodes lives.
 func Parse(src string) (*dom.Node, error) { return parse(src, XML) }
 
 // ParseHTML parses src as lenient HTML/XHTML.
@@ -76,42 +85,70 @@ func parseFrag(src string, mode Mode) ([]*dom.Node, error) {
 	}
 	wrapper := doc.DocumentElement()
 	kids := append([]*dom.Node(nil), wrapper.Children()...)
-	for _, k := range kids {
-		k.Detach()
-	}
+	wrapper.RemoveChildren()
 	return kids, nil
 }
 
+// nsBinding is one in-scope namespace declaration.
+type nsBinding struct{ prefix, uri string }
+
+// rawAttr is an attribute as written in a start tag, before its name is
+// resolved against the namespace declarations of the same tag.
+type rawAttr struct {
+	name, value string
+	pos         int // offset of the name, for error positions
+}
+
+// parser is the one parser. It builds the tree bottom-up: the finished
+// children of every open element wait on the kids stack and an element
+// takes its own off the top when it closes (dom.AdoptChildren), so no
+// node is attached through the checked, root-walking dom mutators.
 type parser struct {
 	src  string
 	pos  int
 	mode Mode
-	// namespace scopes: stack of prefix->URI maps
-	nsStack []map[string]string
+
+	// ns is the namespace bindings in scope, innermost last; an element
+	// appends only what its own start tag declares and truncates back
+	// when it closes.
+	ns []nsBinding
+	// open is the local names of the open elements, innermost last
+	// (HTML end-tag recovery looks for a match among them).
+	open []string
+	kids []*dom.Node
+
+	// Scratch for the start tag being read.
+	attrs []rawAttr
+	specs []dom.AttrSpec
+
+	// Pending character data of one text node or attribute value: a
+	// single run of the source stays a substring of it (run); only when
+	// an entity or a second run is spliced in is it copied (buf). At
+	// most one of the two is non-empty.
+	run string
+	buf []byte
 }
 
 func parse(src string, mode Mode) (*dom.Node, error) {
-	p := &parser{src: src, mode: mode,
-		nsStack: []map[string]string{{"xml": XMLNamespace}}}
-	doc := dom.NewDocument()
-	if err := p.parseContent(doc, ""); err != nil {
+	p := &parser{src: src, mode: mode, ns: []nsBinding{{"xml", XMLNamespace}}}
+	if err := p.parseContent(""); err != nil {
 		return nil, err
 	}
 	if mode == XML {
-		if doc.DocumentElement() == nil {
-			return nil, p.errorf("no root element")
-		}
 		// Strict XML: exactly one root element, no text outside it
 		// (whitespace ok).
 		elements := 0
-		for _, c := range doc.Children() {
-			switch c.Type {
-			case dom.ElementNode:
+		for _, c := range p.kids {
+			if c.Type == dom.ElementNode {
 				elements++
-			case dom.TextNode:
-				if strings.TrimSpace(c.Data) != "" {
-					return nil, p.errorf("text outside root element")
-				}
+			}
+		}
+		if elements == 0 {
+			return nil, p.errorf("no root element")
+		}
+		for _, c := range p.kids {
+			if c.Type == dom.TextNode && strings.TrimSpace(c.Data) != "" {
+				return nil, p.errorf("text outside root element")
 			}
 		}
 		if elements > 1 {
@@ -119,15 +156,14 @@ func parse(src string, mode Mode) (*dom.Node, error) {
 		}
 	}
 	// Drop pure-whitespace text at the document level.
-	var drop []*dom.Node
-	for _, c := range doc.Children() {
-		if c.Type == dom.TextNode && strings.TrimSpace(c.Data) == "" {
-			drop = append(drop, c)
+	top := p.kids[:0]
+	for _, c := range p.kids {
+		if c.Type != dom.TextNode || strings.TrimSpace(c.Data) != "" {
+			top = append(top, c)
 		}
 	}
-	for _, c := range drop {
-		c.Detach()
-	}
+	doc := dom.NewDocument()
+	doc.AdoptChildren(top)
 	return doc, nil
 }
 
@@ -147,21 +183,11 @@ func (p *parser) peek() byte {
 
 func (p *parser) hasPrefix(s string) bool { return strings.HasPrefix(p.src[p.pos:], s) }
 
-func (p *parser) hasPrefixFold(s string) bool {
-	if p.pos+len(s) > len(p.src) {
-		return false
-	}
-	return strings.EqualFold(p.src[p.pos:p.pos+len(s)], s)
-}
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 func (p *parser) skipSpace() {
-	for !p.eof() {
-		switch p.src[p.pos] {
-		case ' ', '\t', '\r', '\n':
-			p.pos++
-		default:
-			return
-		}
+	for !p.eof() && isSpace(p.src[p.pos]) {
+		p.pos++
 	}
 }
 
@@ -184,19 +210,47 @@ func (p *parser) readName() (string, error) {
 	return p.src[start:p.pos], nil
 }
 
-// parseContent parses children into parent until the matching end tag of
-// closeName (or EOF for the document level, closeName == "").
-func (p *parser) parseContent(parent *dom.Node, closeName string) error {
-	var text strings.Builder
-	flush := func() {
-		if text.Len() > 0 {
-			_ = parent.AppendChild(dom.NewText(text.String()))
-			text.Reset()
-		}
+// addRun appends a stretch of the source to the pending character data.
+func (p *parser) addRun(s string) {
+	switch {
+	case s == "":
+	case p.run == "" && len(p.buf) == 0:
+		p.run = s
+	default:
+		p.buf = append(append(p.buf, p.run...), s...)
+		p.run = ""
 	}
+}
+
+// addRune appends a decoded entity to the pending character data.
+func (p *parser) addRune(r rune) {
+	p.buf = utf8.AppendRune(append(p.buf, p.run...), r)
+	p.run = ""
+}
+
+// take returns the pending character data and clears it.
+func (p *parser) take() string {
+	s := p.run
+	if len(p.buf) > 0 {
+		s = string(p.buf)
+	}
+	p.run, p.buf = "", p.buf[:0]
+	return s
+}
+
+// flushText turns pending character data into a text node.
+func (p *parser) flushText() {
+	if s := p.take(); s != "" {
+		p.kids = append(p.kids, dom.NewText(s))
+	}
+}
+
+// parseContent parses children onto the kids stack until the matching
+// end tag of closeName (or EOF for the document level, closeName == "").
+func (p *parser) parseContent(closeName string) error {
 	for {
 		if p.eof() {
-			flush()
+			p.flushText()
 			if closeName == "" {
 				return nil
 			}
@@ -205,25 +259,21 @@ func (p *parser) parseContent(parent *dom.Node, closeName string) error {
 			}
 			return p.errorf("unexpected EOF: unclosed <%s>", closeName)
 		}
-		c := p.src[p.pos]
-		if c != '<' {
-			if c == '&' {
-				r, err := p.readEntity()
-				if err != nil {
-					return err
-				}
-				text.WriteString(r)
-				continue
+		switch c := p.src[p.pos]; {
+		case c == '&':
+			r, err := p.readEntity()
+			if err != nil {
+				return err
 			}
-			text.WriteByte(c)
-			p.pos++
-			continue
-		}
-		// Markup.
-		switch {
+			p.addRune(r)
+		case c != '<':
+			start := p.pos
+			for p.pos++; !p.eof() && p.src[p.pos] != '<' && p.src[p.pos] != '&'; p.pos++ {
+			}
+			p.addRun(p.src[start:p.pos])
 		case p.hasPrefix("<!--"):
-			flush()
-			if err := p.parseComment(parent); err != nil {
+			p.flushText()
+			if err := p.parseComment(); err != nil {
 				return err
 			}
 		case p.hasPrefix("<![CDATA["):
@@ -232,7 +282,7 @@ func (p *parser) parseContent(parent *dom.Node, closeName string) error {
 			if end < 0 {
 				return p.errorf("unterminated CDATA section")
 			}
-			text.WriteString(p.src[p.pos : p.pos+end])
+			p.addRun(p.src[p.pos : p.pos+end])
 			p.pos += end + 3
 		case p.hasPrefix("<!"):
 			// DOCTYPE or other declaration: skip to '>'.
@@ -242,12 +292,12 @@ func (p *parser) parseContent(parent *dom.Node, closeName string) error {
 			}
 			p.pos += end + 1
 		case p.hasPrefix("<?"):
-			flush()
-			if err := p.parsePI(parent); err != nil {
+			p.flushText()
+			if err := p.parsePI(); err != nil {
 				return err
 			}
 		case p.hasPrefix("</"):
-			flush()
+			p.flushText()
 			save := p.pos
 			p.pos += 2
 			name, err := p.readName()
@@ -265,50 +315,49 @@ func (p *parser) parseContent(parent *dom.Node, closeName string) error {
 			if name == closeName {
 				return nil
 			}
-			if p.mode == HTML {
-				// Mismatched end tag: if an ancestor matches, imply the
-				// close of the current element by rewinding so the
-				// ancestor's parseContent re-reads this end tag.
-				if closeName != "" && p.openAncestorMatches(parent, name) {
-					p.pos = save
-					return nil
-				}
-				// Otherwise ignore the stray end tag.
-				continue
+			if p.mode != HTML {
+				return p.errorf("mismatched end tag </%s>, expected </%s>", name, closeName)
 			}
-			return p.errorf("mismatched end tag </%s>, expected </%s>", name, closeName)
+			// Mismatched end tag: if an open element matches, imply the
+			// close of the current element by rewinding so the parent's
+			// parseContent re-reads this end tag. Otherwise ignore the
+			// stray end tag.
+			if closeName != "" && p.isOpen(name) {
+				p.pos = save
+				return nil
+			}
 		default:
-			flush()
-			if err := p.parseElement(parent); err != nil {
+			p.flushText()
+			if err := p.parseElement(); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// openAncestorMatches reports whether parent or one of its ancestors is
-// an element with the given (lower-cased) local name.
-func (p *parser) openAncestorMatches(parent *dom.Node, name string) bool {
-	for a := parent; a != nil; a = a.Parent() {
-		if a.Type == dom.ElementNode && a.Name.Local == name {
+// isOpen reports whether an open element has the given (lower-cased)
+// local name.
+func (p *parser) isOpen(name string) bool {
+	for _, o := range p.open {
+		if o == name {
 			return true
 		}
 	}
 	return false
 }
 
-func (p *parser) parseComment(parent *dom.Node) error {
+func (p *parser) parseComment() error {
 	p.pos += len("<!--")
 	end := strings.Index(p.src[p.pos:], "-->")
 	if end < 0 {
 		return p.errorf("unterminated comment")
 	}
-	_ = parent.AppendChild(dom.NewComment(p.src[p.pos : p.pos+end]))
+	p.kids = append(p.kids, dom.NewComment(p.src[p.pos:p.pos+end]))
 	p.pos += end + 3
 	return nil
 }
 
-func (p *parser) parsePI(parent *dom.Node) error {
+func (p *parser) parsePI() error {
 	p.pos += 2
 	target, err := p.readName()
 	if err != nil {
@@ -323,11 +372,11 @@ func (p *parser) parsePI(parent *dom.Node) error {
 	if strings.EqualFold(target, "xml") {
 		return nil // XML declaration: ignore
 	}
-	_ = parent.AppendChild(dom.NewPI(target, data))
+	p.kids = append(p.kids, dom.NewPI(target, data))
 	return nil
 }
 
-func (p *parser) parseElement(parent *dom.Node) error {
+func (p *parser) parseElement() error {
 	p.pos++ // '<'
 	rawName, err := p.readName()
 	if err != nil {
@@ -337,11 +386,7 @@ func (p *parser) parseElement(parent *dom.Node) error {
 		rawName = strings.ToLower(rawName)
 	}
 
-	type attr struct {
-		name  string
-		value string
-	}
-	var attrs []attr
+	p.attrs = p.attrs[:0]
 	selfClose := false
 	for {
 		p.skipSpace()
@@ -357,6 +402,7 @@ func (p *parser) parseElement(parent *dom.Node) error {
 			p.pos++
 			break
 		}
+		apos := p.pos
 		aname, err := p.readName()
 		if err != nil {
 			return err
@@ -376,106 +422,132 @@ func (p *parser) parseElement(parent *dom.Node) error {
 		} else if p.mode == XML {
 			return p.errorf("attribute %s missing value", aname)
 		}
-		attrs = append(attrs, attr{aname, aval})
+		p.attrs = append(p.attrs, rawAttr{aname, aval, apos})
 	}
 
-	// Push a namespace scope and collect declarations.
-	scope := map[string]string{}
-	for k, v := range p.nsStack[len(p.nsStack)-1] {
-		scope[k] = v
-	}
-	for _, a := range attrs {
+	// The tag's own declarations are in scope for its own names.
+	nsMark := len(p.ns)
+	for _, a := range p.attrs {
 		if a.name == "xmlns" {
-			scope[""] = a.value
+			p.ns = append(p.ns, nsBinding{"", a.value})
 		} else if strings.HasPrefix(a.name, "xmlns:") {
-			scope[a.name[6:]] = a.value
+			p.ns = append(p.ns, nsBinding{a.name[6:], a.value})
 		}
 	}
-	p.nsStack = append(p.nsStack, scope)
-	defer func() { p.nsStack = p.nsStack[:len(p.nsStack)-1] }()
 
 	el := dom.NewElement(p.resolveName(rawName, true))
-	for _, a := range attrs {
-		if a.name == "xmlns" {
+	p.specs = p.specs[:0]
+	for _, a := range p.attrs {
+		var name dom.QName
+		switch {
+		case a.name == "xmlns":
 			// Keep declarations as attributes for faithful reserialization.
-			el.SetAttr(dom.QName{Space: XMLNSNamespace, Local: "xmlns"}, a.value)
+			name = dom.QName{Space: XMLNSNamespace, Local: "xmlns"}
+		case strings.HasPrefix(a.name, "xmlns:"):
+			name = dom.QName{Space: XMLNSNamespace, Prefix: "xmlns", Local: a.name[6:]}
+		default:
+			name = p.resolveName(a.name, false)
+		}
+		if dup := p.specNamed(name); dup != nil {
+			if p.mode == XML {
+				p.pos = a.pos
+				return p.errorf("duplicate attribute %s", a.name)
+			}
+			dup.Value = a.value // HTML: the last value wins, in the first's place
 			continue
 		}
-		if strings.HasPrefix(a.name, "xmlns:") {
-			el.SetAttr(dom.QName{Space: XMLNSNamespace, Prefix: "xmlns",
-				Local: a.name[6:]}, a.value)
-			continue
+		p.specs = append(p.specs, dom.AttrSpec{Name: name, Value: a.value})
+	}
+	el.AdoptAttrs(p.specs)
+	p.kids = append(p.kids, el)
+
+	if !selfClose && !(p.mode == HTML && isVoidElement(el.Name.Local)) {
+		mark := len(p.kids)
+		if p.mode == HTML && isRawTextElement(el.Name.Local) {
+			p.parseRawText(el.Name.Local)
+		} else {
+			p.open = append(p.open, el.Name.Local)
+			// End tags match on the lexical (possibly prefixed) name.
+			err = p.parseContent(rawName)
+			p.open = p.open[:len(p.open)-1]
 		}
-		el.SetAttr(p.resolveName(a.name, false), a.value)
+		el.AdoptChildren(p.kids[mark:])
+		p.kids = p.kids[:mark]
 	}
-	if err := parent.AppendChild(el); err != nil {
-		return err
-	}
-	if selfClose {
-		return nil
-	}
-	if p.mode == HTML {
-		if voidElements[el.Name.Local] {
-			return nil
+	p.ns = p.ns[:nsMark]
+	return err
+}
+
+// specNamed returns the attribute already collected for the start tag
+// under the same expanded name, if any.
+func (p *parser) specNamed(name dom.QName) *dom.AttrSpec {
+	for i := range p.specs {
+		if p.specs[i].Name.Matches(name) {
+			return &p.specs[i]
 		}
-		if rawTextElements[el.Name.Local] {
-			return p.parseRawText(el)
-		}
 	}
-	// End tags match on the lexical (possibly prefixed) name.
-	return p.parseContent(el, rawName)
+	return nil
 }
 
 // parseRawText consumes character data until the matching end tag,
 // without interpreting markup (HTML <script>/<style> content model).
-func (p *parser) parseRawText(el *dom.Node) error {
-	closing := "</" + el.Name.Local
-	var data strings.Builder
+func (p *parser) parseRawText(local string) {
+	start, end := p.pos, len(p.src) // EOF is an implied close
 	for {
-		if p.eof() {
-			break // implied close
+		i := strings.IndexByte(p.src[p.pos:], '<')
+		if i < 0 {
+			p.pos = len(p.src)
+			break
 		}
-		if p.hasPrefixFold(closing) {
-			after := p.pos + len(closing)
-			// Must be followed by whitespace or '>'.
-			if after < len(p.src) && (p.src[after] == '>' || p.src[after] == ' ' ||
-				p.src[after] == '\t' || p.src[after] == '\n' || p.src[after] == '\r') {
-				p.pos = after
-				for !p.eof() && p.peek() != '>' {
-					p.pos++
-				}
-				if !p.eof() {
-					p.pos++
-				}
-				break
+		p.pos += i
+		// "</" + local in any case, followed by whitespace or '>'.
+		after := p.pos + 2 + len(local)
+		if after < len(p.src) && p.src[p.pos+1] == '/' &&
+			strings.EqualFold(p.src[p.pos+2:after], local) &&
+			(p.src[after] == '>' || isSpace(p.src[after])) {
+			end = p.pos
+			p.pos = after
+			for !p.eof() && p.peek() != '>' {
+				p.pos++
 			}
+			if !p.eof() {
+				p.pos++
+			}
+			break
 		}
-		data.WriteByte(p.src[p.pos])
 		p.pos++
 	}
-	text := data.String()
+	text := p.src[start:end]
 	// Strip a CDATA wrapper if the page author used one (XHTML habit).
 	trimmed := strings.TrimSpace(text)
 	if strings.HasPrefix(trimmed, "<![CDATA[") && strings.HasSuffix(trimmed, "]]>") {
 		text = strings.TrimSuffix(strings.TrimPrefix(trimmed, "<![CDATA["), "]]>")
 	}
 	if text != "" {
-		_ = el.AppendChild(dom.NewText(text))
+		p.kids = append(p.kids, dom.NewText(text))
 	}
-	return nil
+}
+
+// lookupNS returns the URI bound to prefix ("" for the default
+// namespace), or "" if it is not declared.
+func (p *parser) lookupNS(prefix string) string {
+	for i := len(p.ns) - 1; i >= 0; i-- {
+		if p.ns[i].prefix == prefix {
+			return p.ns[i].uri
+		}
+	}
+	return ""
 }
 
 // resolveName maps a lexical name to an expanded QName using the current
 // namespace scope. Elements use the default namespace; attributes do not.
 func (p *parser) resolveName(lexical string, element bool) dom.QName {
-	scope := p.nsStack[len(p.nsStack)-1]
 	if i := strings.IndexByte(lexical, ':'); i > 0 {
 		prefix, local := lexical[:i], lexical[i+1:]
-		uri := scope[prefix]
-		return dom.QName{Space: uri, Prefix: prefix, Local: local}
+		return dom.QName{Space: p.lookupNS(prefix), Prefix: prefix, Local: local}
 	}
 	if element {
-		return dom.QName{Space: scope[""], Local: lexical}
+		return dom.QName{Space: p.lookupNS(""), Local: lexical}
 	}
 	return dom.QName{Local: lexical}
 }
@@ -487,26 +559,24 @@ func (p *parser) readAttrValue() (string, error) {
 	q := p.peek()
 	if q == '"' || q == '\'' {
 		p.pos++
-		var b strings.Builder
 		for {
+			start := p.pos
+			for !p.eof() && p.src[p.pos] != q && p.src[p.pos] != '&' {
+				p.pos++
+			}
+			p.addRun(p.src[start:p.pos])
 			if p.eof() {
 				return "", p.errorf("unterminated attribute value")
 			}
-			c := p.src[p.pos]
-			if c == q {
+			if p.src[p.pos] == q {
 				p.pos++
-				return b.String(), nil
+				return p.take(), nil
 			}
-			if c == '&' {
-				r, err := p.readEntity()
-				if err != nil {
-					return "", err
-				}
-				b.WriteString(r)
-				continue
+			r, err := p.readEntity()
+			if err != nil {
+				return "", err
 			}
-			b.WriteByte(c)
-			p.pos++
+			p.addRune(r)
 		}
 	}
 	if p.mode == HTML {
@@ -514,7 +584,7 @@ func (p *parser) readAttrValue() (string, error) {
 		start := p.pos
 		for !p.eof() {
 			c := p.peek()
-			if c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '>' {
+			if isSpace(c) || c == '>' {
 				break
 			}
 			if c == '/' && p.hasPrefix("/>") {
@@ -527,52 +597,68 @@ func (p *parser) readAttrValue() (string, error) {
 	return "", p.errorf("attribute value must be quoted")
 }
 
-func (p *parser) readEntity() (string, error) {
-	// p.src[p.pos] == '&'
+// maxEntityLen bounds the name of an entity reference: an '&' with no
+// ';' within it is not a reference.
+const maxEntityLen = 32
+
+// readEntity decodes the entity reference at p.pos (an '&').
+func (p *parser) readEntity() (rune, error) {
 	rest := p.src[p.pos:]
-	semi := strings.IndexByte(rest, ';')
-	if semi < 0 || semi > 32 {
+	semi := strings.IndexByte(rest[:min(len(rest), maxEntityLen+1)], ';')
+	if semi < 0 {
 		if p.mode == HTML {
 			p.pos++
-			return "&", nil // bare ampersand tolerated
+			return '&', nil // bare ampersand tolerated
 		}
-		return "", p.errorf("unterminated entity reference")
+		return 0, p.errorf("unterminated entity reference")
 	}
 	ent := rest[1:semi]
-	adv := semi + 1
-	var out string
+	var out rune
 	switch {
 	case ent == "lt":
-		out = "<"
+		out = '<'
 	case ent == "gt":
-		out = ">"
+		out = '>'
 	case ent == "amp":
-		out = "&"
+		out = '&'
 	case ent == "quot":
-		out = `"`
+		out = '"'
 	case ent == "apos":
-		out = "'"
+		out = '\''
 	case ent == "nbsp" && p.mode == HTML:
-		out = " "
-	case strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X"):
-		var n int
-		if _, err := fmt.Sscanf(ent[2:], "%x", &n); err != nil {
-			return "", p.errorf("bad character reference &%s;", ent)
-		}
-		out = string(rune(n))
+		out = '\u00a0'
 	case strings.HasPrefix(ent, "#"):
-		var n int
-		if _, err := fmt.Sscanf(ent[1:], "%d", &n); err != nil {
-			return "", p.errorf("bad character reference &%s;", ent)
+		r, ok := charRef(ent[1:])
+		if !ok {
+			if p.mode == XML {
+				return 0, p.errorf("bad character reference &%s;", ent)
+			}
+			r = utf8.RuneError
 		}
-		out = string(rune(n))
+		out = r
 	default:
 		if p.mode == HTML {
 			p.pos++
-			return "&", nil
+			return '&', nil
 		}
-		return "", p.errorf("unknown entity &%s;", ent)
+		return 0, p.errorf("unknown entity &%s;", ent)
 	}
-	p.pos += adv
+	p.pos += semi + 1
 	return out, nil
+}
+
+// charRef decodes the body of a numeric character reference (what stands
+// between "&#" and ";"): decimal digits, or x/X and hexadecimal digits,
+// and nothing else — no sign, no blank, no trailing bytes. It reports
+// false for those, for 0, for surrogates and for values above U+10FFFF.
+func charRef(body string) (rune, bool) {
+	base := 10
+	if strings.HasPrefix(body, "x") || strings.HasPrefix(body, "X") {
+		body, base = body[1:], 16
+	}
+	n, err := strconv.ParseUint(body, base, 32)
+	if err != nil || n == 0 || !utf8.ValidRune(rune(n)) {
+		return 0, false
+	}
+	return rune(n), true
 }

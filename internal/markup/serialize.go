@@ -1,156 +1,287 @@
 package markup
 
 import (
+	"io"
 	"strings"
 
 	"repro/internal/dom"
 )
 
 // Serialize renders a node (and its subtree) as XML.
-func Serialize(n *dom.Node) string {
-	var b strings.Builder
-	writeNode(&b, n, XML)
-	return b.String()
-}
+func Serialize(n *dom.Node) string { return string(AppendXML(nil, n)) }
 
 // SerializeHTML renders a node as HTML: void elements are written
 // without end tags and raw-text elements without escaping.
-func SerializeHTML(n *dom.Node) string {
-	var b strings.Builder
-	writeNode(&b, n, HTML)
-	return b.String()
-}
+func SerializeHTML(n *dom.Node) string { return string(AppendHTML(nil, n)) }
 
 // SerializeIndent renders a node as XML with two-space indentation,
 // for human-facing dumps (cmd/xqib, examples). Text nodes containing
 // non-whitespace suppress indentation inside their parent.
 func SerializeIndent(n *dom.Node) string {
-	var b strings.Builder
-	writeIndent(&b, n, 0)
-	return b.String()
+	w := writer{buf: make([]byte, 0, sizeHint(n)), mode: XML}
+	w.walk(n, 0)
+	return string(w.buf)
 }
 
-func writeNode(b *strings.Builder, n *dom.Node, mode Mode) {
+// AppendXML appends the XML serialization of n to dst and returns the
+// extended buffer. With enough spare capacity in dst it allocates
+// nothing.
+func AppendXML(dst []byte, n *dom.Node) []byte { return appendNode(dst, n, XML) }
+
+// AppendHTML is AppendXML with SerializeHTML's rules.
+func AppendHTML(dst []byte, n *dom.Node) []byte { return appendNode(dst, n, HTML) }
+
+func appendNode(dst []byte, n *dom.Node, mode Mode) []byte {
+	w := writer{buf: reserve(dst, sizeHint(n)), mode: mode}
+	w.walk(n, inline)
+	return w.buf
+}
+
+// writeChunk is how much Write buffers before it hands bytes to the
+// io.Writer: large enough that a typical page or stored document goes
+// out in one call, small enough that a large one never sits in memory
+// whole.
+const writeChunk = 32 << 10
+
+// Write streams the serialization of n to out and returns the number of
+// bytes written and the first error out returned.
+func Write(out io.Writer, n *dom.Node, mode Mode) (int64, error) {
+	w := writer{buf: make([]byte, 0, min(sizeHint(n), writeChunk)), mode: mode, out: out}
+	w.walk(n, inline)
+	w.flush()
+	return w.n, w.err
+}
+
+// sizeHint estimates the serialized size of n from lengths alone: exact
+// when nothing needs escaping and every element has content, a little
+// high for empty elements, low by the entity references otherwise. A
+// buffer reserved from it is allocated once instead of grown a dozen
+// times; the one walk that inspects content is writer.walk.
+func sizeHint(n *dom.Node) int {
+	size := 0
 	switch n.Type {
-	case dom.DocumentNode:
-		for _, c := range n.Children() {
-			writeNode(b, c, mode)
-		}
 	case dom.ElementNode:
-		writeElement(b, n, mode)
+		size = 2*nameLen(n.Name) + len("<></>")
+		for _, a := range n.Attrs() {
+			size += sizeHint(a)
+		}
 	case dom.TextNode:
-		b.WriteString(EscapeText(n.Data))
-	case dom.CommentNode:
-		b.WriteString("<!--")
-		b.WriteString(n.Data)
-		b.WriteString("-->")
-	case dom.ProcessingInstructionNode:
-		b.WriteString("<?")
-		b.WriteString(n.Name.Local)
-		if n.Data != "" {
-			b.WriteString(" ")
-			b.WriteString(n.Data)
-		}
-		b.WriteString("?>")
+		size = len(n.Data)
 	case dom.AttributeNode:
-		writeAttr(b, n)
+		size = nameLen(n.Name) + len(n.Data) + len(` =""`)
+	case dom.CommentNode:
+		size = len(n.Data) + len("<!---->")
+	case dom.ProcessingInstructionNode:
+		size = len(n.Name.Local) + len(n.Data) + len("<? ?>")
 	}
+	for _, c := range n.Children() {
+		size += sizeHint(c)
+	}
+	return size
 }
 
-func attrLexical(a *dom.Node) string {
-	if a.Name.Space == XMLNSNamespace {
-		if a.Name.Local == "xmlns" {
-			return "xmlns"
+func nameLen(q dom.QName) int {
+	if q.Prefix != "" {
+		return len(q.Prefix) + 1 + len(q.Local)
+	}
+	return len(q.Local)
+}
+
+// reserve returns dst with room for at least n more bytes, doubling the
+// capacity when it has to grow so that appending many nodes to one
+// buffer (a wire envelope) copies each byte a constant number of times.
+func reserve(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	grown := make([]byte, len(dst), max(2*cap(dst), len(dst)+n))
+	copy(grown, dst)
+	return grown
+}
+
+// inline is the depth of a node written without indentation.
+const inline = -1
+
+// writer is the one serializer: an iterative walk that appends to buf
+// and, when out is set, drains buf to it a chunk at a time.
+type writer struct {
+	buf  []byte
+	mode Mode
+	out  io.Writer
+	n    int64
+	err  error
+}
+
+// frame is an element or document whose children are being written.
+type frame struct {
+	node       *dom.Node
+	next       int // index of the next child to write
+	depth      int // indentation depth of node itself, or inline
+	childDepth int
+}
+
+// walk writes root at the given indentation depth (inline for none).
+func (w *writer) walk(root *dom.Node, depth int) {
+	var fixed [32]frame // deeper trees spill to the heap
+	stack := fixed[:0]
+	n := root
+	for {
+		b, childDepth, descend := appendOpen(w.buf, n, w.mode, depth)
+		w.buf = b
+		if descend {
+			stack = append(stack, frame{node: n, depth: depth, childDepth: childDepth})
 		}
-		return "xmlns:" + a.Name.Local
-	}
-	return a.Name.String()
-}
-
-func writeAttr(b *strings.Builder, a *dom.Node) {
-	b.WriteString(attrLexical(a))
-	b.WriteString(`="`)
-	b.WriteString(EscapeAttr(a.Data))
-	b.WriteString(`"`)
-}
-
-func writeElement(b *strings.Builder, n *dom.Node, mode Mode) {
-	b.WriteByte('<')
-	b.WriteString(n.Name.String())
-	for _, a := range n.Attrs() {
-		b.WriteByte(' ')
-		writeAttr(b, a)
-	}
-	kids := n.Children()
-	if mode == HTML {
-		if voidElements[n.Name.Local] {
-			b.WriteString("/>")
-			return
-		}
-		if rawTextElements[n.Name.Local] {
-			b.WriteByte('>')
-			for _, c := range kids {
-				if c.Type == dom.TextNode {
-					b.WriteString(c.Data) // raw, unescaped
-				}
+		if w.out != nil && len(w.buf) >= writeChunk {
+			if w.flush(); w.err != nil {
+				return
 			}
-			b.WriteString("</" + n.Name.String() + ">")
-			return
+		}
+		for {
+			if len(stack) == 0 {
+				return
+			}
+			f := &stack[len(stack)-1]
+			if kids := f.node.Children(); f.next < len(kids) {
+				n, depth = kids[f.next], f.childDepth
+				f.next++
+				break
+			}
+			w.buf = appendClose(w.buf, f)
+			stack = stack[:len(stack)-1]
 		}
 	}
-	if len(kids) == 0 {
-		b.WriteString("/>")
+}
+
+func (w *writer) flush() {
+	if w.out == nil || w.err != nil || len(w.buf) == 0 {
 		return
 	}
-	b.WriteByte('>')
-	for _, c := range kids {
-		writeNode(b, c, mode)
-	}
-	b.WriteString("</" + n.Name.String() + ">")
+	k, err := w.out.Write(w.buf)
+	w.n += int64(k)
+	w.err = err
+	w.buf = w.buf[:0]
 }
 
-func writeIndent(b *strings.Builder, n *dom.Node, depth int) {
-	ind := strings.Repeat("  ", depth)
+// appendOpen appends everything of n that precedes its children and
+// reports whether the walk must descend into them, and at which depth.
+func appendOpen(b []byte, n *dom.Node, mode Mode, depth int) (_ []byte, childDepth int, descend bool) {
 	switch n.Type {
 	case dom.DocumentNode:
-		for _, c := range n.Children() {
-			writeIndent(b, c, depth)
-		}
+		return b, depth, true
 	case dom.ElementNode:
-		b.WriteString(ind)
-		b.WriteByte('<')
-		b.WriteString(n.Name.String())
+		b = appendIndent(b, depth)
+		b = append(b, '<')
+		b = appendName(b, n.Name)
 		for _, a := range n.Attrs() {
-			b.WriteByte(' ')
-			writeAttr(b, a)
+			b = append(b, ' ')
+			b = appendAttr(b, a)
 		}
 		kids := n.Children()
-		if len(kids) == 0 {
-			b.WriteString("/>\n")
-			return
-		}
-		if mixed(n) {
-			b.WriteByte('>')
+		switch {
+		case mode == HTML && isVoidElement(n.Name.Local):
+			b = append(b, "/>"...)
+		case mode == HTML && isRawTextElement(n.Name.Local):
+			b = append(b, '>')
 			for _, c := range kids {
-				writeNode(b, c, XML)
+				if c.Type == dom.TextNode {
+					b = append(b, c.Data...) // raw, unescaped
+				}
 			}
-			b.WriteString("</" + n.Name.String() + ">\n")
-			return
+			b = appendEndTag(b, n.Name)
+		case len(kids) == 0:
+			b = append(b, "/>"...)
+		case depth == inline || mixed(n):
+			b = append(b, '>')
+			return b, inline, true
+		default:
+			b = append(b, ">\n"...)
+			return b, depth + 1, true
 		}
-		b.WriteString(">\n")
-		for _, c := range kids {
-			writeIndent(b, c, depth+1)
-		}
-		b.WriteString(ind + "</" + n.Name.String() + ">\n")
 	case dom.TextNode:
-		if strings.TrimSpace(n.Data) != "" {
-			b.WriteString(ind + EscapeText(strings.TrimSpace(n.Data)) + "\n")
+		if depth == inline {
+			return appendEscaped(b, n.Data, false), 0, false
 		}
+		text := strings.TrimSpace(n.Data)
+		if text == "" {
+			return b, 0, false
+		}
+		b = appendIndent(b, depth)
+		b = appendEscaped(b, text, false)
+	case dom.CommentNode:
+		b = appendIndent(b, depth)
+		b = append(b, "<!--"...)
+		b = append(b, n.Data...)
+		b = append(b, "-->"...)
+	case dom.ProcessingInstructionNode:
+		b = appendIndent(b, depth)
+		b = append(b, "<?"...)
+		b = append(b, n.Name.Local...)
+		if n.Data != "" {
+			b = append(b, ' ')
+			b = append(b, n.Data...)
+		}
+		b = append(b, "?>"...)
+	case dom.AttributeNode:
+		b = appendIndent(b, depth)
+		b = appendAttr(b, n)
 	default:
-		b.WriteString(ind)
-		writeNode(b, n, XML)
-		b.WriteByte('\n')
+		return b, 0, false
 	}
+	if depth != inline {
+		b = append(b, '\n')
+	}
+	return b, 0, false
+}
+
+// appendClose appends what follows the children of an opened node.
+func appendClose(b []byte, f *frame) []byte {
+	if f.node.Type != dom.ElementNode {
+		return b
+	}
+	if f.childDepth != inline {
+		b = appendIndent(b, f.depth)
+	}
+	b = appendEndTag(b, f.node.Name)
+	if f.depth != inline {
+		b = append(b, '\n')
+	}
+	return b
+}
+
+func appendIndent(b []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+func appendName(b []byte, q dom.QName) []byte {
+	if q.Prefix != "" {
+		b = append(b, q.Prefix...)
+		b = append(b, ':')
+	}
+	return append(b, q.Local...)
+}
+
+func appendEndTag(b []byte, q dom.QName) []byte {
+	b = append(b, "</"...)
+	b = appendName(b, q)
+	return append(b, '>')
+}
+
+func appendAttr(b []byte, a *dom.Node) []byte {
+	switch {
+	case a.Name.Space != XMLNSNamespace:
+		b = appendName(b, a.Name)
+	case a.Name.Local == "xmlns":
+		b = append(b, "xmlns"...)
+	default:
+		b = append(b, "xmlns:"...)
+		b = append(b, a.Name.Local...)
+	}
+	b = append(b, `="`...)
+	b = appendEscaped(b, a.Data, true)
+	return append(b, '"')
 }
 
 // mixed reports whether an element has meaningful text content mixed
@@ -164,14 +295,51 @@ func mixed(n *dom.Node) bool {
 	return false
 }
 
+// appendEscaped appends s with the markup characters of character data
+// (& < >) or of a double-quoted attribute value (& < ") replaced by
+// entity references: it scans for the next such byte and copies the run
+// before it.
+func appendEscaped(b []byte, s string, attr bool) []byte {
+	run := 0
+	for i := 0; i < len(s); i++ {
+		var ref string
+		switch s[i] {
+		case '&':
+			ref = "&amp;"
+		case '<':
+			ref = "&lt;"
+		case '>':
+			if attr {
+				continue
+			}
+			ref = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ref = "&quot;"
+		default:
+			continue
+		}
+		b = append(b, s[run:i]...)
+		b = append(b, ref...)
+		run = i + 1
+	}
+	return append(b, s[run:]...)
+}
+
 // EscapeText escapes character data for XML output.
 func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+	if !strings.ContainsAny(s, "&<>") {
+		return s
+	}
+	return string(appendEscaped(make([]byte, 0, len(s)+16), s, false))
 }
 
 // EscapeAttr escapes an attribute value for double-quoted XML output.
 func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
+	if !strings.ContainsAny(s, `&<"`) {
+		return s
+	}
+	return string(appendEscaped(make([]byte, 0, len(s)+16), s, true))
 }

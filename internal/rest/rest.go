@@ -193,14 +193,14 @@ func (s *ModuleServer) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		out, err := s.CallContext(r.Context(), name, string(body))
+		out, err := s.call(r.Context(), name, string(body))
 		if err != nil {
 			s.Stats.count(0, true)
 			http.Error(w, err.Error(), statusFor(err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/xml")
-		n, _ := io.WriteString(w, out)
+		n, _ := w.Write(out)
 		s.Stats.count(n, true)
 	})
 	return mux
@@ -232,11 +232,18 @@ func (s *ModuleServer) Call(name, argsXML string) (string, error) {
 // time) and is bounded by the server's MaxSteps/Timeout budget. It is
 // a panic-isolation boundary: a panicking service function comes back
 // as an error matching xqerr.ErrInternal, never as a crashed server.
-func (s *ModuleServer) CallContext(reqCtx context.Context, name, argsXML string) (out string, err error) {
+func (s *ModuleServer) CallContext(reqCtx context.Context, name, argsXML string) (string, error) {
+	out, err := s.call(reqCtx, name, argsXML)
+	return string(out), err
+}
+
+// call is CallContext returning the <result> envelope as the bytes it
+// was encoded into, which the HTTP handler writes without a copy.
+func (s *ModuleServer) call(reqCtx context.Context, name, argsXML string) (out []byte, err error) {
 	defer xqerr.RecoverInto(&err, "rest.CallContext")
 	args, err := DecodeArgs(argsXML)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	ctx := s.prog.NewContext(xquery.RunConfig{
 		Context:         reqCtx,
@@ -248,13 +255,13 @@ func (s *ModuleServer) CallContext(reqCtx context.Context, name, argsXML string)
 		Timeout:         s.Timeout,
 	})
 	if err := ctx.InitGlobals(); err != nil {
-		return "", err
+		return nil, err
 	}
 	res, err := ctx.CallFunction(dom.QName{Space: s.uri, Local: name}, args)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return EncodeSequence(res), nil
+	return appendSequence(nil, res), nil
 }
 
 // --- sequence wire format ----------------------------------------------------------
@@ -264,25 +271,36 @@ func (s *ModuleServer) CallContext(reqCtx context.Context, name, argsXML string)
 // Document nodes additionally record their base URI in a uri
 // attribute, so the document identity (and the federation layer's
 // URI-ordered merge key) survives the wire.
-func EncodeSequence(s xdm.Sequence) string {
-	var b strings.Builder
-	b.WriteString("<result>")
+func EncodeSequence(s xdm.Sequence) string { return string(appendSequence(nil, s)) }
+
+func appendSequence(b []byte, s xdm.Sequence) []byte {
+	b = append(b, "<result>"...)
+	b = appendItems(b, s)
+	return append(b, "</result>"...)
+}
+
+// appendItems appends one <item> per item of s to the envelope being
+// built in b; node payloads are serialized straight into it.
+func appendItems(b []byte, s xdm.Sequence) []byte {
 	for _, it := range s {
 		if n, ok := xdm.IsNode(it); ok {
+			b = append(b, `<item kind="node"`...)
 			if n.Type == dom.DocumentNode && n.BaseURI != "" {
-				fmt.Fprintf(&b, `<item kind="node" uri="%s">`, markup.EscapeAttr(n.BaseURI))
-			} else {
-				b.WriteString(`<item kind="node">`)
+				b = append(b, ` uri="`...)
+				b = append(b, markup.EscapeAttr(n.BaseURI)...)
+				b = append(b, '"')
 			}
-			b.WriteString(markup.Serialize(n))
-			b.WriteString(`</item>`)
-			continue
+			b = append(b, '>')
+			b = markup.AppendXML(b, n)
+		} else {
+			b = append(b, `<item type="`...)
+			b = append(b, markup.EscapeAttr(it.Type().String())...)
+			b = append(b, `">`...)
+			b = append(b, markup.EscapeText(it.String())...)
 		}
-		fmt.Fprintf(&b, `<item type="%s">%s</item>`,
-			markup.EscapeAttr(it.Type().String()), markup.EscapeText(it.String()))
+		b = append(b, "</item>"...)
 	}
-	b.WriteString("</result>")
-	return b.String()
+	return b
 }
 
 // DecodeSequence parses the wire format back into a sequence.
@@ -320,16 +338,19 @@ func DecodeSequenceKeyed(src string) (xdm.Sequence, []string, error) {
 	return out, keys, nil
 }
 
+// decodeItem turns one <item> of a freshly parsed envelope into an XDM
+// item. A node payload is cut out of the envelope, not copied: nothing
+// else holds the envelope, and the item must not see it as its parent.
 func decodeItem(item *dom.Node) (xdm.Item, error) {
 	if item.AttrValue("kind") == "node" {
 		uri := item.AttrValue("uri")
 		for _, c := range item.Children() {
 			if c.Type == dom.ElementNode {
-				cp := c.Clone()
+				c.Detach()
 				if uri != "" {
-					return xdm.NewNode(dom.NewDocumentOf(uri, cp)), nil
+					return xdm.NewNode(dom.NewDocumentOf(uri, c)), nil
 				}
-				return xdm.NewNode(cp), nil
+				return xdm.NewNode(c), nil
 			}
 		}
 		return xdm.NewNode(dom.NewText(item.StringValue())), nil
@@ -350,15 +371,13 @@ func decodeItem(item *dom.Node) (xdm.Item, error) {
 
 // EncodeArgs serializes a call's arguments.
 func EncodeArgs(args []xdm.Sequence) string {
-	var b strings.Builder
-	b.WriteString("<args>")
+	b := []byte("<args>")
 	for _, a := range args {
-		b.WriteString("<arg>")
-		b.WriteString(strings.TrimSuffix(strings.TrimPrefix(EncodeSequence(a), "<result>"), "</result>"))
-		b.WriteString("</arg>")
+		b = append(b, "<arg>"...)
+		b = appendItems(b, a)
+		b = append(b, "</arg>"...)
 	}
-	b.WriteString("</args>")
-	return b.String()
+	return string(append(b, "</args>"...))
 }
 
 // DecodeArgs parses an <args> payload.

@@ -146,6 +146,43 @@ func TestWireRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodedNodeIsDetached: a decoded node item is cut out of the
+// <result> envelope it travelled in — an element has no parent and no
+// document, a document item is a fresh document node carrying the
+// encoded URI — and cutting one item out leaves its neighbours intact.
+func TestDecodedNodeIsDetached(t *testing.T) {
+	doc, err := markup.Parse(`<d id="1"><k>text &amp; more</k></d>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.BaseURI = "urn:doc-1"
+	seq := xdm.Sequence{xdm.NewNode(doc.DocumentElement()), xdm.NewNode(doc), xdm.NewNode(doc.DocumentElement())}
+	back, keys, err := DecodeSequenceKeyed(EncodeSequence(seq))
+	if err != nil || len(back) != 3 {
+		t.Fatalf("decode: %v, %d items", err, len(back))
+	}
+	for i, it := range back {
+		n, ok := xdm.IsNode(it)
+		if !ok {
+			t.Fatalf("item %d is not a node", i)
+		}
+		if n.Parent() != nil {
+			t.Errorf("item %d still hangs off <%s>", i, n.Parent().Name)
+		}
+		if got, want := markup.Serialize(n), markup.Serialize(doc); got != want {
+			t.Errorf("item %d = %s, want %s", i, got, want)
+		}
+		if i == 1 {
+			if n.Type != dom.DocumentNode || n.BaseURI != "urn:doc-1" || n.DocumentElement().Parent() != n ||
+				n.DocumentElement().Base() != "urn:doc-1" || keys[i] != "urn:doc-1" {
+				t.Errorf("document item: type %s, base %q, key %q", n.Type, n.BaseURI, keys[i])
+			}
+		} else if n.Type != dom.ElementNode || n.Document() != nil || n.Base() != "" || keys[i] != "" {
+			t.Errorf("element item %d: type %s, document %v, base %q, key %q", i, n.Type, n.Document(), n.Base(), keys[i])
+		}
+	}
+}
+
 // TestArgsRoundTrip covers the <args> framing around the item format.
 func TestArgsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -208,8 +208,8 @@ func TestDifferentialShardedVsNaive(t *testing.T) {
 					if gotErr != nil {
 						continue
 					}
-					got := xquery.FormatSequence(gotSeq, markup.Serialize)
-					want := xquery.FormatSequence(wantSeq, markup.Serialize)
+					got := xquery.FormatSequence(gotSeq, markup.AppendXML)
+					want := xquery.FormatSequence(wantSeq, markup.AppendXML)
 					if got != want {
 						t.Fatalf("seed %d step %d: %s:\n sharded %q\n  oracle %q", seed, step, q, got, want)
 					}
@@ -225,8 +225,8 @@ func TestDifferentialShardedVsNaive(t *testing.T) {
 				if gotErr != nil {
 					continue
 				}
-				got := xquery.FormatSequence(gotSeq, markup.Serialize)
-				want := xquery.FormatSequence(wantSeq, markup.Serialize)
+				got := xquery.FormatSequence(gotSeq, markup.AppendXML)
+				want := xquery.FormatSequence(wantSeq, markup.AppendXML)
 				if got != want {
 					t.Fatalf("seed %d step %d: %s: %q vs oracle %q", seed, step, q, got, want)
 				}

@@ -20,7 +20,7 @@ import (
 func (s *Store) PutDoc(uri string, doc *dom.Node) error {
 	doc.BaseURI = uri
 	col := collectionOf(uri)
-	data := []byte(markup.Serialize(doc))
+	data := markup.AppendXML(nil, doc)
 	err := s.commit(wal.Put, uri, data,
 		func() error {
 			if !s.cols.exists(col) {

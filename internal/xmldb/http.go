@@ -32,8 +32,8 @@ func (s *Store) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/xml")
-		n, _ := io.WriteString(w, markup.Serialize(doc))
-		s.count(n, true)
+		n, _ := markup.Write(w, doc, markup.XML)
+		s.count(int(n), true)
 	})
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
 		uri := r.URL.Query().Get("uri")

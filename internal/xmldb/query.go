@@ -29,7 +29,7 @@ func (s *Store) run(prog *xquery.Program, doc *dom.Node) (string, error) {
 		return "", err
 	}
 	s.Stats.queriesEvaluated.Add(1)
-	return xquery.FormatSequence(res.Value, markup.Serialize), nil
+	return xquery.FormatSequence(res.Value, markup.AppendXML), nil
 }
 
 // Query evaluates an XQuery expression with the stored document as the
@@ -77,7 +77,7 @@ func (s *Store) update(uri string, base *docRev, prog *xquery.Program) (string, 
 	if err != nil {
 		return "", err
 	}
-	data := []byte(markup.Serialize(clone))
+	data := markup.AppendXML(nil, clone)
 	err = s.commit(wal.Put, uri, data,
 		func() error {
 			cur, ok := s.shardFor(uri).get(uri)

@@ -311,7 +311,7 @@ func (s *Store) snapshotRecords() []wal.Record {
 		recs = append(recs, wal.Record{
 			Kind: wal.Put,
 			Path: e.uri,
-			Data: []byte(markup.Serialize(e.rev.root)),
+			Data: markup.AppendXML(nil, e.rev.root),
 		})
 	}
 	return recs

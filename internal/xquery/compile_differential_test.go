@@ -141,7 +141,7 @@ func runBothBackends(t *testing.T, e *Engine, src string) (compiled, walked stri
 		if err != nil {
 			return "", 0, err
 		}
-		return FormatSequence(res.Value, markup.Serialize), res.Updates, nil
+		return FormatSequence(res.Value, markup.AppendXML), res.Updates, nil
 	}
 	compiled, cUpd, cErr = run(false)
 	walked, wUpd, wErr = run(true)
@@ -198,7 +198,7 @@ func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q cfg %d: %v", src, i, err)
 			}
-			got := FormatSequence(res.Value, markup.Serialize)
+			got := FormatSequence(res.Value, markup.AppendXML)
 			if i == 0 {
 				want = got
 			} else if got != want {
@@ -242,7 +242,7 @@ func FuzzCompileDifferential(f *testing.F) {
 			if err != nil {
 				return "", 0, err
 			}
-			return FormatSequence(res.Value, markup.Serialize), res.Updates, nil
+			return FormatSequence(res.Value, markup.AppendXML), res.Updates, nil
 		}
 		compiled, cUpd, cErr := run(false)
 		walked, wUpd, wErr := run(true)

@@ -115,7 +115,7 @@ func TestHashJoinCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q (disable=%v): %v", tt.src, disable, err)
 			}
-			if got := FormatSequence(res.Value, markup.Serialize); got != tt.want {
+			if got := FormatSequence(res.Value, markup.AppendXML); got != tt.want {
 				t.Errorf("%q (disable=%v): got %q, want %q", tt.src, disable, got, tt.want)
 			}
 		}
@@ -212,7 +212,7 @@ func TestCompiledFunctionSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := FormatSequence(res.Value, markup.Serialize); got != "610" {
+		if got := FormatSequence(res.Value, markup.AppendXML); got != "610" {
 			t.Errorf("fib(15) disable=%v: got %s", disable, got)
 		}
 	}

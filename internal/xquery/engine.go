@@ -603,28 +603,21 @@ func (e *Engine) EvalQueryContext(ctx context.Context, src string, contextDoc *d
 
 // FormatSequence renders a sequence the way cmd/xq prints results:
 // nodes serialized as XML, atomics by their lexical form, separated by
-// spaces.
-func FormatSequence(s xdm.Sequence, serialize func(*dom.Node) string) string {
-	parts := make([]string, len(s))
+// spaces. appendNode appends one node's serialization to the buffer the
+// whole result is built in (markup.AppendXML).
+func FormatSequence(s xdm.Sequence, appendNode func(dst []byte, n *dom.Node) []byte) string {
+	var buf []byte
 	for i, it := range s {
-		if n, ok := xdm.IsNode(it); ok {
-			parts[i] = serialize(n)
-		} else {
-			parts[i] = it.String()
-		}
-	}
-	return joinNonEmpty(parts)
-}
-
-func joinNonEmpty(parts []string) string {
-	out := ""
-	for i, p := range parts {
 		if i > 0 {
-			out += " "
+			buf = append(buf, ' ')
 		}
-		out += p
+		if n, ok := xdm.IsNode(it); ok {
+			buf = appendNode(buf, n)
+		} else {
+			buf = append(buf, it.String()...)
+		}
 	}
-	return out
+	return string(buf)
 }
 
 // Err formats an error chain for user display.

@@ -383,7 +383,7 @@ func TestResultSerializationShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatSequence(seq, markup.Serialize)
+	out := FormatSequence(seq, markup.AppendXML)
 	if !strings.Contains(out, "<a/>") || !strings.Contains(out, `x="v"`) {
 		t.Errorf("formatted = %q", out)
 	}

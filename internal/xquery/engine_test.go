@@ -19,7 +19,7 @@ func evalStr(t *testing.T, src string, doc *dom.Node) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return FormatSequence(seq, markup.Serialize), nil
+	return FormatSequence(seq, markup.AppendXML), nil
 }
 
 func mustEval(t *testing.T, src string, doc *dom.Node) string {

@@ -162,7 +162,7 @@ func TestFTIndexLazyRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := FormatSequence(res.Value, markup.Serialize); got != want {
+		if got := FormatSequence(res.Value, markup.AppendXML); got != want {
 			t.Fatalf("count = %s, want %s", got, want)
 		}
 	}
@@ -271,7 +271,7 @@ func FuzzFTIndexDifferential(f *testing.F) {
 			if err != nil {
 				return "", err
 			}
-			return FormatSequence(res.Value, markup.Serialize), nil
+			return FormatSequence(res.Value, markup.AppendXML), nil
 		}
 		indexed, ierr := run(false)
 		scanned, serr := run(true)

@@ -60,7 +60,7 @@ func FuzzStreamingDifferential(f *testing.F) {
 			if err != nil {
 				return "", err
 			}
-			return FormatSequence(res.Value, markup.Serialize), nil
+			return FormatSequence(res.Value, markup.AppendXML), nil
 		}
 		lazy, lerr := run(false)
 		eager, eerr := run(true)

@@ -72,7 +72,7 @@ func runModes(t *testing.T, p *Program, doc xdm.Item) map[string]string {
 			out[m.name] = "error: " + err.Error()
 			continue
 		}
-		out[m.name] = FormatSequence(res.Value, markup.Serialize)
+		out[m.name] = FormatSequence(res.Value, markup.AppendXML)
 	}
 	return out
 }
@@ -167,7 +167,7 @@ func TestPathIndexLazyRebuildAcrossUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := FormatSequence(res.Value, markup.Serialize); got != want {
+		if got := FormatSequence(res.Value, markup.AppendXML); got != want {
 			t.Fatalf("count(//book) = %s, want %s", got, want)
 		}
 	}
@@ -271,7 +271,7 @@ func FuzzIndexDifferential(f *testing.F) {
 			if err != nil {
 				return "", err
 			}
-			return FormatSequence(res.Value, markup.Serialize), nil
+			return FormatSequence(res.Value, markup.AppendXML), nil
 		}
 		indexed, ierr := run(false)
 		scanned, serr := run(true)

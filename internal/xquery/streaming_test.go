@@ -33,7 +33,7 @@ func evalLazy(t *testing.T, src string, doc string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return FormatSequence(res.Value, markup.Serialize), nil
+	return FormatSequence(res.Value, markup.AppendXML), nil
 }
 
 func mustLazy(t *testing.T, src, doc string) string {
@@ -151,7 +151,7 @@ func TestStreamingMatchesEagerBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q (noStream=%v): %v", q, noStream, err)
 			}
-			return FormatSequence(res.Value, markup.Serialize)
+			return FormatSequence(res.Value, markup.AppendXML)
 		}
 		if lazy, eager := run(false), run(true); lazy != eager {
 			t.Errorf("%s: streaming %q != eager %q", q, lazy, eager)
@@ -176,7 +176,7 @@ func TestUpdateSnapshotSemanticsUnderStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := FormatSequence(res.Value, markup.Serialize); got != "0" {
+	if got := FormatSequence(res.Value, markup.AppendXML); got != "0" {
 		t.Errorf("count(//new) during the run = %q, want 0 (snapshot)", got)
 	}
 	if res.Updates != 1 {

@@ -39,7 +39,7 @@ func TestUpdateDifferentialSerialParallel(t *testing.T) {
 			if err != nil {
 				return "", after, 0, err
 			}
-			return FormatSequence(res.Value, markup.Serialize), after, res.Updates, nil
+			return FormatSequence(res.Value, markup.AppendXML), after, res.Updates, nil
 		}
 		sRes, sDoc, sUpd, sErr := run(true)
 		pRes, pDoc, pUpd, pErr := run(false)

@@ -57,7 +57,18 @@
 //	            atomic, and the version stamp the parallel partitioner's
 //	            index spans rely on. DOM-owning hosts (core, browser,
 //	            jsruntime, markup) build trees before queries see them
-//	            and are not scanned.
+//	            and are not scanned. One call in a scanned package is
+//	            exempt by name: rest.decodeItem detaches a node payload
+//	            from the wire envelope it was just parsed in, a tree no
+//	            query has seen either.
+//
+//	hotconst    a strings.NewReplacer, regexp.MustCompile or
+//	            regexp.Compile whose arguments are all constants builds
+//	            the same value on every call; inside a function body it
+//	            is rebuilt per call (a replacer is a 6 KB table: built
+//	            per text node, it was 43 % of a page visit). The fix is
+//	            a package-level var. Patterns computed at run time are
+//	            not flagged, nor is func init, which runs once.
 //
 //	recovercheck  panic recovery only happens at sanctioned boundaries:
 //	            naked recover() calls are forbidden everywhere except
@@ -98,10 +109,10 @@ type finding struct {
 }
 
 func main() {
-	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, ftversion, planpure, storesync, recovercheck or pulapply")
+	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, ftversion, planpure, storesync, recovercheck, pulapply or hotconst")
 	flag.Parse()
 	if *check == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|ftversion|planpure|storesync|recovercheck|pulapply} dir...")
+		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|ftversion|planpure|storesync|recovercheck|pulapply|hotconst} dir...")
 		os.Exit(2)
 	}
 
@@ -131,6 +142,8 @@ func main() {
 				findings = append(findings, recoverCheck(fset, f)...)
 			case "pulapply":
 				findings = append(findings, pulApply(fset, f)...)
+			case "hotconst":
+				findings = append(findings, hotConst(fset, f)...)
 			default:
 				fmt.Fprintf(os.Stderr, "analyzers: unknown check %q\n", *check)
 				os.Exit(2)
@@ -757,6 +770,15 @@ var domMutators = map[string]bool{
 	"SetData":               true,
 	"ReplaceElementContent": true,
 	"RemoveChildren":        true,
+	"AdoptChildren":         true,
+	"AdoptAttrs":            true,
+}
+
+// pulApplyExempt names, as package.function, the functions allowed one
+// mutator on a tree they have just parsed themselves and not yet handed
+// to anyone.
+var pulApplyExempt = map[string]string{
+	"rest.decodeItem": "Detach",
 }
 
 // pulApply reports calls to child/attr-mutating dom methods outside the
@@ -780,24 +802,131 @@ func pulApply(fset *token.FileSet, file *ast.File) []finding {
 		imported[name] = true
 	}
 	var out []finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	for _, decl := range file.Decls {
+		exempt := ""
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+			exempt = pulApplyExempt[pkg+"."+fd.Name.Name]
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !domMutators[sel.Sel.Name] || sel.Sel.Name == exempt {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && imported[id.Name] {
+				return true // package-qualified function, not a node method
+			}
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: fmt.Sprintf("pulapply: direct DOM mutation %s in package %s; route the write through a pending-update list (internal/xquery/update) so it stays atomic, undoable and version-stamped",
+					sel.Sel.Name, pkg),
+			})
 			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !domMutators[sel.Sel.Name] {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && imported[id.Name] {
-			return true // package-qualified function, not a node method
-		}
-		out = append(out, finding{
-			pos: fset.Position(call.Pos()),
-			msg: fmt.Sprintf("pulapply: direct DOM mutation %s in package %s; route the write through a pending-update list (internal/xquery/update) so it stays atomic, undoable and version-stamped",
-				sel.Sel.Name, pkg),
 		})
+	}
+	return out
+}
+
+// --- hotconst -------------------------------------------------------------------
+
+// hotConstructors are the constructors whose result depends only on
+// their arguments and is costly enough to build once.
+var hotConstructors = map[string]map[string]bool{
+	"strings": {"NewReplacer": true},
+	"regexp":  {"MustCompile": true, "Compile": true},
+}
+
+// hotConst reports calls to a hot constructor with all-constant
+// arguments inside a function body (function literals included, func
+// init excepted). Constants are literals, the file's own named
+// constants, and concatenations of those.
+func hotConst(fset *token.FileSet, file *ast.File) []finding {
+	pkgOf := map[string]string{} // local import name -> path, for the packages of interest
+	for _, imp := range file.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		if hotConstructors[path] == nil {
+			continue
+		}
+		name := path
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		pkgOf[name] = path
+	}
+	if len(pkgOf) == 0 {
+		return nil
+	}
+	consts := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if gd, ok := n.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					consts[name.Name] = true
+				}
+			}
+		}
 		return true
 	})
+	var isConst func(ast.Expr) bool
+	isConst = func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.BasicLit:
+			return true
+		case *ast.Ident:
+			return consts[e.Name]
+		case *ast.ParenExpr:
+			return isConst(e.X)
+		case *ast.BinaryExpr:
+			return e.Op == token.ADD && isConst(e.X) && isConst(e.Y)
+		}
+		return false
+	}
+	var out []finding
+	check := func(body ast.Node) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 || call.Ellipsis.IsValid() {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			id, ok := sel.X.(*ast.Ident)
+			if !ok || !hotConstructors[pkgOf[id.Name]][sel.Sel.Name] {
+				return true
+			}
+			for _, arg := range call.Args {
+				if !isConst(arg) {
+					return true
+				}
+			}
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: fmt.Sprintf("hotconst: %s.%s with constant arguments is rebuilt on every call of the enclosing function; hoist it into a package-level var",
+					id.Name, sel.Sel.Name),
+			})
+			return true
+		})
+	}
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Body != nil && !(d.Recv == nil && d.Name.Name == "init") {
+				check(d.Body)
+			}
+		case *ast.GenDecl:
+			ast.Inspect(d, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					check(lit.Body)
+					return false
+				}
+				return true
+			})
+		}
+	}
 	return out
 }

@@ -337,3 +337,62 @@ func ok() {
 		t.Fatalf("findings = %v, want none", got)
 	}
 }
+
+func TestPulApplyExemptsWireDecoderDetach(t *testing.T) {
+	src := `package rest
+import "repro/internal/dom"
+func decodeItem(item *dom.Node) {
+	c := item.Children()[0]
+	c.Detach()
+	c.SetData("x")
+}
+func other(c *dom.Node) { c.Detach() }
+`
+	got := analyze(t, src, pulApply)
+	if len(got) != 2 {
+		t.Fatalf("findings = %v, want 2 (SetData in decodeItem, Detach elsewhere)", got)
+	}
+}
+
+func TestHotConstFlagsPerCallConstruction(t *testing.T) {
+	src := `package markup
+import (
+	"regexp"
+	re2 "regexp"
+	"strings"
+)
+const amp = "&"
+func EscapeText(s string) string {
+	r := strings.NewReplacer(amp, "&amp;", "<", "&"+"lt;")
+	return r.Replace(s)
+}
+func match(s string) bool { return regexp.MustCompile("^a+$").MatchString(s) }
+func alias(s string) bool { re, _ := re2.Compile(` + "`x`" + `); return re.MatchString(s) }
+var lazy = func() *regexp.Regexp { return regexp.MustCompile("b") }
+func (p *parser) m() { go func() { _ = strings.NewReplacer("a", "b") }() }
+type parser struct{}
+`
+	got := analyze(t, src, hotConst)
+	if len(got) != 5 {
+		t.Fatalf("findings = %v, want 5", got)
+	}
+}
+
+func TestHotConstAllowsHoistedAndDynamic(t *testing.T) {
+	src := `package funclib
+import (
+	"regexp"
+	"strings"
+)
+var textEscaper = strings.NewReplacer("&", "&amp;")
+var word = regexp.MustCompile("[a-z]+")
+var table map[string]*regexp.Regexp
+func init() { table = map[string]*regexp.Regexp{"w": regexp.MustCompile("w")} }
+func matches(pattern, flags string) (*regexp.Regexp, error) { return regexp.Compile(flags + pattern) }
+func wildcard(src string) *regexp.Regexp { return regexp.MustCompile(src) }
+func pairs(oldnew []string) *strings.Replacer { return strings.NewReplacer(oldnew...) }
+`
+	if got := analyze(t, src, hotConst); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+}

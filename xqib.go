@@ -510,5 +510,5 @@ func WithFederation(x *Federation) Option {
 // FormatSequence renders a sequence for display: nodes as XML, atomics
 // by their lexical form, separated by spaces.
 func FormatSequence(s Sequence) string {
-	return xquery.FormatSequence(s, markup.Serialize)
+	return xquery.FormatSequence(s, markup.AppendXML)
 }
