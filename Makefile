@@ -14,8 +14,10 @@ GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.3
 
 ci: fmt-check vet vet-invariants build race chaos lint bench-smoke bench-e2e-smoke staticcheck govulncheck
 
-# Custom invariant passes (tools/analyzers): compiled programs are
-# immutable after construction, serve/rest never store a
+# Custom invariant passes (tools/analyzers): compiled programs, the
+# compilation engines of one shape share and the function registry
+# layers are immutable after construction (a registry is written by
+# Register and Freeze only), serve/rest never store a
 # context.Context in a struct, only internal/dom/index reads the
 # per-document index maps / raw cache slots (always behind the version
 # stamp), the optimizer/closure-compiler never mutate shared AST

@@ -90,7 +90,7 @@ func ExampleProgram_Run() {
 
 // The concurrent serving layer: a bounded session pool sharing one
 // engine and one compiled-program cache. Loading the same page twice
-// parses its script once, and repeated queries skip compilation.
+// compiles its script once, and repeated queries skip compilation.
 func ExamplePool() {
 	pool := xqib.NewPool(xqib.PoolConfig{MaxSessions: 8})
 	ctx := context.Background()
@@ -119,14 +119,15 @@ func ExamplePool() {
 		}
 	}
 
-	// Two sessions + three evals, but the page script parsed once
-	// (the second session shared the module) and the query compiled
-	// once (evals two and three hit the program cache).
+	// Two sessions + three evals, but the page script compiled once
+	// (the second session bound its own browser: functions to the
+	// first one's program) and so did the query (evals two and three
+	// hit the program cache).
 	m := pool.Metrics()
-	fmt.Printf("sessions=%d parses=%d module-hits=%d program-hits=%d\n",
-		m.SessionsLoaded, m.Cache.Parses, m.Cache.ModuleHits, m.Cache.ProgramHits)
+	fmt.Printf("sessions=%d parses=%d compiles=%d program-hits=%d\n",
+		m.SessionsLoaded, m.Cache.Parses, m.Cache.Compiles, m.Cache.ProgramHits)
 	_ = pool.Shutdown(ctx)
-	// Output: sessions=2 parses=2 module-hits=1 program-hits=2
+	// Output: sessions=2 parses=2 compiles=2 program-hits=3
 }
 
 // Local library modules: factoring shared XQuery (§6.1's application

@@ -95,9 +95,10 @@ func WithBrowserSetup(setup func(*browser.Browser)) Option {
 }
 
 // WithProgramCache compiles the page's scripts through a shared
-// program cache, so sessions loading the same page skip the parse (and,
-// on the same engine, the compile). The serving layer installs the
-// pool-wide cache here.
+// program cache, so sessions loading the same page skip parse and
+// compile: their engines have one shape, and each binds its own
+// browser: functions to the program the first of them compiled. The
+// serving layer installs the pool-wide cache here.
 func WithProgramCache(c *xquery.Cache) Option {
 	return func(h *Host) { h.cache = c }
 }
@@ -277,7 +278,8 @@ func (h *Host) LoadFrame(name, pageSrc, href string) (*browser.Window, error) {
 	h.Window.AddFrame(frame)
 
 	// The frame's scripts execute with the frame as self and the frame
-	// document as (ambient) context item.
+	// document as (ambient) context item: an engine of the page's shape
+	// whose browser: functions close over the frame's window.
 	frameEngine := xquery.New(h.engineOptions(frame)...)
 	for _, src := range ExtractScripts(page) {
 		prog, err := h.compile(frameEngine, src)
@@ -312,7 +314,12 @@ func ExtractScripts(page *dom.Node) []string {
 }
 
 // engineOptions builds the engine configuration for a page or frame
-// window. Without a bound store the §4.2.1 browser profile applies
+// window: the host layer — browser: functions closed over this window,
+// the HOF event API, the caller's extras — and the resolvers. A page, its
+// frames and every other session configured the same way register the
+// same signatures, so they share compiled programs (xquery.Cache) and
+// differ only in what the closures act on. Without a bound store the
+// §4.2.1 browser profile applies
 // (fn:doc / fn:put blocked); with one, fn:doc and fn:collection route
 // to the store's resolvers instead — trusted storage replaces the
 // blocked open-network fetch, while fn:put stays blocked in funclib

@@ -5,13 +5,18 @@
 // north star asks for.
 //
 // The architecture is compile-once/run-many (after Tout-XML-style
-// mediation): one engine and one program cache are shared by every
-// request, so repeated queries skip parse/compile; every session keeps
-// its own DOM, browser state and update application, so evaluation is
-// shared while side effects stay transactional per session (FLUX-style
-// separation). A bounded session pool gives backpressure, per-session
-// event dispatch keeps each page's event loop single-threaded, and
-// everything honors context cancellation end to end.
+// mediation): one program cache is shared by every request, and what
+// it holds is independent of any host, so a repeated query and a
+// revisited page both skip parse/compile — Eval runs everything on the
+// pool's one engine, and every session builds a thin engine of its own
+// (its browser: functions close over its page) that binds to the
+// programs the application's other sessions already compiled. Every
+// session keeps its own DOM, browser state and update application, so
+// evaluation is shared while side effects stay transactional per
+// session (FLUX-style separation). A bounded session pool gives
+// backpressure, per-session event dispatch keeps each page's event
+// loop single-threaded, and everything honors context cancellation end
+// to end.
 package serve
 
 import (

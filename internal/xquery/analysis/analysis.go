@@ -104,19 +104,13 @@ func BudgetDiagnostic(estimated, maxSteps int64) (Diagnostic, bool) {
 	}, true
 }
 
-// defaultRegistry is the shared funclib-only signature source for nil
-// Config.Registry. Built lazily once; read-only afterwards.
-var defaultRegistry *runtime.Registry
-
+// defaultReg is the funclib-only signature source for a nil
+// Config.Registry: the process-wide library layer.
 func defaultReg() *runtime.Registry {
-	if defaultRegistry == nil {
-		r := runtime.NewRegistry()
-		// Analysis only reads signatures; a stream-attachment failure
-		// does not change them, so the error is ignorable here.
-		_ = funclib.Register(r)
-		defaultRegistry = r
-	}
-	return defaultRegistry
+	// Analysis only reads signatures; a stream-attachment failure does
+	// not change them, so the error is ignorable here.
+	r, _ := funclib.Library()
+	return r
 }
 
 // Analyze runs all passes over a parsed module and returns the

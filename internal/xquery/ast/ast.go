@@ -664,6 +664,16 @@ type Module struct {
 // pass the AST stays read-only after parse.
 func (m *Module) EnsurePlanned(f func()) { m.planOnce.Do(f) }
 
+// Imports reports whether the prolog imports the module namespace uri.
+func (m *Module) Imports(uri string) bool {
+	for _, imp := range m.Prolog.Imports {
+		if imp.URI == uri {
+			return true
+		}
+	}
+	return false
+}
+
 func (StringLit) exprNode()       {}
 func (IntLit) exprNode()          {}
 func (DecimalLit) exprNode()      {}

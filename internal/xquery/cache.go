@@ -16,16 +16,17 @@ import (
 // CacheStats is a point-in-time snapshot of cache activity. All
 // counters are cumulative since the cache was created.
 type CacheStats struct {
-	// Compiles counts real compilations performed (program-level misses
-	// that ran runtime.Compile).
+	// Compiles counts real compilations performed (program-level
+	// misses). Binding a cached program to another engine is not one.
 	Compiles int64 `json:"compiles"`
 	// Parses counts real parses performed (module-level misses).
 	Parses int64 `json:"parses"`
 	// ProgramHits counts lookups served a ready compiled program.
 	ProgramHits int64 `json:"program_hits"`
 	// ModuleHits counts compilations that skipped parsing because the
-	// parsed module was shared (a different engine compiled the same
-	// source earlier — the cross-session page-script case).
+	// parsed module was shared (an engine of a different shape compiled
+	// the same source earlier, or the program was evicted and the module
+	// was not).
 	ModuleHits int64 `json:"module_hits"`
 	// Coalesced counts lookups that joined an in-flight compilation of
 	// the same key instead of duplicating it (singleflight).
@@ -54,30 +55,31 @@ var ErrQuarantined = errors.New("xquery: program quarantined")
 // key are deduplicated singleflight-style. It is safe for concurrent
 // use by any number of goroutines and engines.
 //
-// Keying has two levels, because compiled programs capture their
-// engine's static context (registered built-ins are closures that may
-// hold per-host state):
+// What is cached is the host-independent part of a compilation (the
+// planned module, its compiled functions and closures); Compile hands
+// it out bound to the engine that asked, and the binding — the
+// engine's own host functions, its imports, its document resolvers —
+// is never cached. Keying has two levels:
 //
-//   - programs are keyed on (engine fingerprint, source): a hit is only
-//     possible on the same engine, which is the shared-engine serving
-//     path (one engine, many requests);
+//   - compiled programs are keyed on (engine fingerprint, source), the
+//     fingerprint being the engine's shape: every engine of one
+//     application has the same one, so the sessions of a page compile
+//     its scripts once between them, and one engine serving many
+//     requests hits as before;
 //   - parsed modules are keyed on source alone — parsing is independent
-//     of the static context — so per-page host engines compiling the
-//     same page script still share the parse.
+//     of the static context — so engines of different shapes compiling
+//     the same source still share the parse.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	programs map[string]*list.Element // key → *cacheEntry element
-	modules  map[string]*list.Element
-	progLRU  *list.List
-	modLRU   *list.List
-	flights  map[string]*flight
+	programs level[progKey, *progEntry]
+	modules  level[string, *ast.Module]
 
 	// panicStreak tracks consecutive internal errors per program key;
 	// reaching QuarantineThreshold quarantines the key until any
 	// non-internal outcome (never, unless the program is re-admitted by
 	// a cache restart). Guarded by mu; bounded at capacity entries.
-	panicStreak map[string]int
+	panicStreak map[progKey]int
 
 	compiles    atomic.Int64
 	parses      atomic.Int64
@@ -88,27 +90,89 @@ type Cache struct {
 	quarantined atomic.Int64
 }
 
-type cacheEntry struct {
-	key  string
-	prog *Program
-	mod  *ast.Module
+// progKey identifies a compiled program: a comparable struct, so a
+// lookup hashes the source in place instead of copying a multi-KB page
+// script into a concatenated key.
+type progKey struct {
+	shape uint64 // Engine.Fingerprint
+	src   string
+}
+
+// progEntry is one cached compilation.
+type progEntry struct {
+	shared *sharedProgram
 
 	// Static-analysis results, filled lazily on the first Strict access
-	// to this entry: the analysis is a pure function of (engine,
+	// to this entry: the analysis is a pure function of (engine shape,
 	// module), so it is computed at most once per cached program. The
 	// stored diagnostics exclude budget warnings (those depend on the
-	// per-run MaxSteps and derive from est).
+	// per-run MaxSteps and derive from est). Guarded by Cache.mu.
 	analyzed bool
 	diags    []analysis.Diagnostic
 	est      int64
 }
 
-// flight is one in-progress compile shared by concurrent callers.
-type flight struct {
+// level is one LRU-bounded, singleflight-filled map of the cache;
+// Cache.mu guards all of it.
+type level[K comparable, V any] struct {
+	idx     map[K]*list.Element // → *item[K, V]
+	lru     *list.List
+	flights map[K]*flight[V]
+}
+
+type item[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// flight is one in-progress build shared by concurrent callers.
+type flight[V any] struct {
 	done chan struct{}
-	prog *Program
-	mod  *ast.Module
+	val  V
 	err  error
+}
+
+func newLevel[K comparable, V any]() level[K, V] {
+	return level[K, V]{idx: map[K]*list.Element{}, lru: list.New(), flights: map[K]*flight[V]{}}
+}
+
+// load returns the value cached under key, building and caching it on
+// a miss. A hit counts in hits; a caller that joins another's build of
+// the same key counts in Coalesced. Errors are not cached.
+func load[K comparable, V any](c *Cache, l *level[K, V], key K, hits *atomic.Int64, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if el, ok := l.idx[key]; ok {
+		l.lru.MoveToFront(el)
+		val := el.Value.(*item[K, V]).val
+		c.mu.Unlock()
+		hits.Add(1)
+		return val, nil
+	}
+	if f, ok := l.flights[key]; ok {
+		c.mu.Unlock()
+		c.coalesced.Add(1)
+		<-f.done
+		return f.val, f.err
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	l.flights[key] = f
+	c.mu.Unlock()
+
+	f.val, f.err = build()
+	c.mu.Lock()
+	delete(l.flights, key)
+	if f.err == nil {
+		l.idx[key] = l.lru.PushFront(&item[K, V]{key: key, val: f.val})
+		for l.lru.Len() > c.capacity {
+			el := l.lru.Back()
+			l.lru.Remove(el)
+			delete(l.idx, el.Value.(*item[K, V]).key)
+			c.evictions.Add(1)
+		}
+	}
+	c.mu.Unlock()
+	close(f.done)
+	return f.val, f.err
 }
 
 // DefaultCacheCapacity bounds each cache level when NewCache is given a
@@ -124,12 +188,9 @@ func NewCache(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity:    capacity,
-		programs:    map[string]*list.Element{},
-		modules:     map[string]*list.Element{},
-		progLRU:     list.New(),
-		modLRU:      list.New(),
-		flights:     map[string]*flight{},
-		panicStreak: map[string]int{},
+		programs:    newLevel[progKey, *progEntry](),
+		modules:     newLevel[string, *ast.Module](),
+		panicStreak: map[progKey]int{},
 	}
 }
 
@@ -148,7 +209,7 @@ func (c *Cache) Stats() CacheStats {
 
 // checkQuarantine refuses keys whose panic streak crossed the
 // threshold.
-func (c *Cache) checkQuarantine(key string) error {
+func (c *Cache) checkQuarantine(key progKey) error {
 	c.mu.Lock()
 	streak := c.panicStreak[key]
 	c.mu.Unlock()
@@ -162,7 +223,7 @@ func (c *Cache) checkQuarantine(key string) error {
 // noteOutcome updates a key's panic streak from a run outcome: an
 // internal error (recovered panic) extends the streak, anything else
 // clears it.
-func (c *Cache) noteOutcome(key string, err error) {
+func (c *Cache) noteOutcome(key progKey, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil && errors.Is(err, xqerr.ErrInternal) {
@@ -184,106 +245,48 @@ func (c *Cache) noteOutcome(key string, err error) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.progLRU.Len()
+	return c.programs.lru.Len()
 }
 
-// Compile returns the compiled program for src on engine e, consulting
-// and populating the cache. Errors are not cached: a failing source is
-// recompiled (and its error returned) on every call, though concurrent
-// callers of the same failing key share one attempt.
+// Compile returns the compiled program for src bound to engine e,
+// consulting and populating the cache: the compilation is shared with
+// every engine of e's shape, the binding is e's own (and costs a few
+// small allocations, or none when e already holds it). Errors are not
+// cached: a failing source is recompiled (and its error returned) on
+// every call, though concurrent callers of the same failing key share
+// one attempt. What can fail per engine — a module import, an external
+// function without implementation — fails the binding, not the entry.
 func (c *Cache) Compile(e *Engine, src string) (*Program, error) {
-	key := e.Fingerprint() + "\x00" + src
-
-	c.mu.Lock()
-	if el, ok := c.programs[key]; ok {
-		c.progLRU.MoveToFront(el)
-		c.mu.Unlock()
-		c.progHits.Add(1)
-		return el.Value.(*cacheEntry).prog, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		return f.prog, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	f.prog, f.err = c.compileMiss(e, src)
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.insert(c.programs, c.progLRU, &cacheEntry{key: key, prog: f.prog})
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.prog, f.err
-}
-
-// compileMiss does the real work of a program-level miss: fetch or
-// parse the module, then compile it on e.
-func (c *Cache) compileMiss(e *Engine, src string) (*Program, error) {
-	m, err := c.parse(src)
+	ent, err := c.entry(e, progKey{e.Fingerprint(), src})
 	if err != nil {
 		return nil, err
 	}
-	c.compiles.Add(1)
-	return e.CompileModule(m)
+	return e.bind(ent.shared)
+}
+
+// entry returns the cached compilation under key, compiling on e on a
+// miss: fetch or parse the module, then compile it.
+func (c *Cache) entry(e *Engine, key progKey) (*progEntry, error) {
+	if e.initErr != nil {
+		return nil, e.initErr
+	}
+	return load(c, &c.programs, key, &c.progHits, func() (*progEntry, error) {
+		m, err := c.parse(key.src)
+		if err != nil {
+			return nil, err
+		}
+		c.compiles.Add(1)
+		return &progEntry{shared: e.compileShared(m)}, nil
+	})
 }
 
 // parse returns the parsed module for src, sharing parses across
 // engines (module-level singleflight + LRU).
 func (c *Cache) parse(src string) (*ast.Module, error) {
-	c.mu.Lock()
-	if el, ok := c.modules[src]; ok {
-		c.modLRU.MoveToFront(el)
-		c.mu.Unlock()
-		c.modHits.Add(1)
-		return el.Value.(*cacheEntry).mod, nil
-	}
-	mkey := "m\x00" + src
-	if f, ok := c.flights[mkey]; ok {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		<-f.done
-		return f.mod, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[mkey] = f
-	c.mu.Unlock()
-
-	c.parses.Add(1)
-	f.mod, f.err = parser.ParseModule(src)
-	c.mu.Lock()
-	delete(c.flights, mkey)
-	if f.err == nil {
-		c.insert(c.modules, c.modLRU, &cacheEntry{key: src, mod: f.mod})
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.mod, f.err
-}
-
-// insert adds an entry at the LRU front and evicts the tail past
-// capacity. Callers hold c.mu.
-func (c *Cache) insert(idx map[string]*list.Element, lru *list.List, e *cacheEntry) {
-	if el, ok := idx[e.key]; ok { // lost a benign race; refresh
-		el.Value = e
-		lru.MoveToFront(el)
-		return
-	}
-	idx[e.key] = lru.PushFront(e)
-	for lru.Len() > c.capacity {
-		el := lru.Back()
-		lru.Remove(el)
-		delete(idx, el.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
+	return load(c, &c.modules, src, &c.modHits, func() (*ast.Module, error) {
+		c.parses.Add(1)
+		return parser.ParseModule(src)
+	})
 }
 
 // CompileStrict is Compile gated by the static analyzer: programs with
@@ -293,62 +296,53 @@ func (c *Cache) insert(idx map[string]*list.Element, lru *list.List, e *cacheEnt
 // On success the analysis result (warnings + step estimate) is returned
 // alongside the program and memoised with the cache entry.
 func (c *Cache) CompileStrict(e *Engine, src string) (*Program, *analysis.Result, error) {
-	key := e.Fingerprint() + "\x00" + src
+	key := progKey{e.Fingerprint(), src}
 
 	c.mu.Lock()
-	if el, ok := c.programs[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.progLRU.MoveToFront(el)
-		if ent.analyzed {
-			prog, res := ent.prog, &analysis.Result{Diagnostics: ent.diags, EstimatedSteps: ent.est}
-			c.mu.Unlock()
-			c.progHits.Add(1)
-			if res.HasErrors() {
-				return nil, res, &AnalysisError{Diagnostics: res.Diagnostics}
-			}
-			return prog, res, nil
-		}
-		prog := ent.prog
-		c.mu.Unlock()
-		c.progHits.Add(1)
-		// Analyze outside the lock; concurrent first strict accesses may
-		// duplicate the work but converge on the same result.
-		res := e.AnalyzeModule(prog.Module())
-		c.mu.Lock()
-		if el, ok := c.programs[key]; ok {
-			ent := el.Value.(*cacheEntry)
-			ent.analyzed, ent.diags, ent.est = true, res.Diagnostics, res.EstimatedSteps
-		}
-		c.mu.Unlock()
-		if res.HasErrors() {
-			// The program entered the cache through the non-strict path;
-			// strict callers still refuse to run it.
-			return nil, res, &AnalysisError{Diagnostics: res.Diagnostics}
-		}
-		return prog, res, nil
-	}
+	_, cached := c.programs.idx[key]
 	c.mu.Unlock()
-
-	m, err := c.parse(src)
-	if err != nil {
-		return nil, nil, err
+	var fresh *analysis.Result
+	if !cached {
+		// Analyze before compiling, so a rejected program never enters
+		// the program cache.
+		m, err := c.parse(src)
+		if err != nil {
+			return nil, nil, err
+		}
+		if fresh = e.AnalyzeModule(m); fresh.HasErrors() {
+			return nil, fresh, &AnalysisError{Diagnostics: fresh.Diagnostics}
+		}
 	}
-	res := e.AnalyzeModule(m)
+	ent, err := c.entry(e, key)
+	if err != nil {
+		return nil, fresh, err
+	}
+	c.mu.Lock()
+	if fresh != nil && !ent.analyzed {
+		ent.analyzed, ent.diags, ent.est = true, fresh.Diagnostics, fresh.EstimatedSteps
+	}
+	analyzed, diags, est := ent.analyzed, ent.diags, ent.est
+	c.mu.Unlock()
+	if !analyzed {
+		// The entry came in through the non-strict path. Analyze outside
+		// the lock; concurrent first strict accesses may duplicate the
+		// work but converge on the same result.
+		late := e.AnalyzeModule(ent.shared.mod)
+		diags, est = late.Diagnostics, late.EstimatedSteps
+		c.mu.Lock()
+		ent.analyzed, ent.diags, ent.est = true, diags, est
+		c.mu.Unlock()
+	}
+	res := &analysis.Result{Diagnostics: diags, EstimatedSteps: est}
 	if res.HasErrors() {
+		// The program entered the cache through the non-strict path;
+		// strict callers still refuse to run it.
 		return nil, res, &AnalysisError{Diagnostics: res.Diagnostics}
 	}
-	prog, err := c.Compile(e, src)
+	prog, err := e.bind(ent.shared)
 	if err != nil {
 		return nil, res, err
 	}
-	c.mu.Lock()
-	if el, ok := c.programs[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		if !ent.analyzed {
-			ent.analyzed, ent.diags, ent.est = true, res.Diagnostics, res.EstimatedSteps
-		}
-	}
-	c.mu.Unlock()
 	return prog, res, nil
 }
 
@@ -367,7 +361,7 @@ func (c *Cache) CompileStrict(e *Engine, src string) (*Program, *analysis.Result
 // burning evaluation budget. Any non-internal outcome resets its
 // streak.
 func (c *Cache) EvalQuery(e *Engine, src string, cfg RunConfig) (*Result, error) {
-	key := e.Fingerprint() + "\x00" + src
+	key := progKey{e.Fingerprint(), src}
 	if err := c.checkQuarantine(key); err != nil {
 		return nil, err
 	}

@@ -36,25 +36,47 @@ func TestCacheProgramHit(t *testing.T) {
 	}
 }
 
-func TestCacheSharesParseAcrossEngines(t *testing.T) {
+// TestCacheSharesProgramsAcrossEngines pins the keying contract: engines
+// of one shape share the compilation and get a binding each; an engine
+// of another shape compiles for itself and shares the parse only.
+func TestCacheSharesProgramsAcrossEngines(t *testing.T) {
 	c := NewCache(8)
 	src := `1 + 1`
 	e1, e2 := New(), New()
-	if e1.Fingerprint() == e2.Fingerprint() {
-		t.Fatal("distinct engines must have distinct fingerprints")
+	if e1.Fingerprint() != e2.Fingerprint() {
+		t.Fatal("engines built the same way must have the same fingerprint")
 	}
-	if _, err := c.Compile(e1, src); err != nil {
+	p1, err := c.Compile(e1, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compile(e2, src); err != nil {
+	p2, err := c.Compile(e2, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Compiles != 2 {
-		t.Errorf("compiles = %d, want 2 (programs are engine-specific)", st.Compiles)
+	if p1 == p2 || p1.engine != e1 || p2.engine != e2 {
+		t.Error("each engine must get a binding of its own")
 	}
-	if st.Parses != 1 || st.ModuleHits != 1 {
-		t.Errorf("parses = %d moduleHits = %d, want 1 and 1 (parse shared)", st.Parses, st.ModuleHits)
+	if p1.shared != p2.shared {
+		t.Error("engines of one shape must share the compilation")
+	}
+	if st := c.Stats(); st.Compiles != 1 || st.Parses != 1 || st.ProgramHits != 1 || st.ModuleHits != 0 {
+		t.Errorf("stats = %+v, want 1 compile / 1 parse / 1 program hit / 0 module hits", st)
+	}
+
+	e3 := New(WithBrowserProfile())
+	if e3.Fingerprint() == e1.Fingerprint() {
+		t.Fatal("the browser profile is part of the fingerprint")
+	}
+	p3, err := c.Compile(e3, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p3.shared == p1.shared {
+		t.Error("engines of different shapes must not share a compilation")
+	}
+	if st := c.Stats(); st.Compiles != 2 || st.Parses != 1 || st.ModuleHits != 1 {
+		t.Errorf("stats = %+v, want 2 compiles / 1 parse / 1 module hit (parse shared)", st)
 	}
 }
 

@@ -5,6 +5,15 @@
 // function targets and index plans once at compile time instead of on
 // every evaluation.
 //
+// A compiled module is host-independent: it is built once per
+// (module, engine shape) and run by every engine of that shape (see
+// xquery.Cache). Calls to the module's own functions and to the frozen
+// built-in library are bound here, at compile time; a call to a name in
+// the engine's host layer (browser:, WithFunctions extras) is compiled
+// against the signature only and finds its function in the running
+// context's registry, and a call into an imported namespace bridges to
+// the walker, because what an import defines is known per binding.
+//
 // The backend compiles the hot core natively — literals, variable
 // reads, sequence/if/FLWOR/comparison/arithmetic/range shapes, and
 // calls between compiled user functions — and bridges everything else
@@ -121,21 +130,43 @@ func (cc *Compiled) Run(ctx *runtime.Context) (xdm.Sequence, error) {
 	return res, err
 }
 
-// moduleCompiler holds cross-unit state: the compiled-function table
-// that lets compiled call sites jump straight to compiled bodies.
+// moduleCompiler holds cross-unit state: the registries calls resolve
+// in and the compiled-function table that lets compiled call sites jump
+// straight to compiled bodies.
 type moduleCompiler struct {
-	prog  *runtime.Program
+	mod   *ast.Module
+	user  *runtime.Registry // the module's own functions
+	env   *runtime.Registry // the compiling engine's host layer above the library
 	units map[*runtime.Function]*unit
 	stats *plan.Stats
 }
 
-// Compile lowers a runtime-compiled program to closures. It cannot
-// fail: anything it does not understand becomes a bridge into the
-// walker, and a module body using scripting state is left to the
-// walker entirely (a single whole-body bridge).
-func Compile(p *runtime.Program) *Compiled {
-	mc := &moduleCompiler{prog: p, units: map[*runtime.Function]*unit{}, stats: &plan.Stats{}}
-	m := p.Module
+// resolve classifies a static call. late == false: f is the target in
+// every binding (a user function or a library built-in), or nil when no
+// engine of this shape can resolve the call. late == true: the target
+// belongs to the binding — f is the compiling engine's host function,
+// good for its signature only, or nil for a name in an imported
+// namespace, about which nothing is known before a binding resolves the
+// import.
+func (mc *moduleCompiler) resolve(name dom.QName, arity int) (f *runtime.Function, late bool) {
+	if f := mc.user.Lookup(name, arity); f != nil {
+		return f, false
+	}
+	if mc.mod.Imports(name.Space) {
+		return nil, true
+	}
+	f, frozen := mc.env.Resolve(name, arity)
+	return f, f != nil && !frozen
+}
+
+// Compile lowers a module to closures: m with its compiled functions
+// user (runtime.CompileFunctions) against env, the compiling engine's
+// function chain. It cannot fail: anything it does not understand
+// becomes a bridge into the walker, and a module body using scripting
+// state is left to the walker entirely (a single whole-body bridge).
+func Compile(m *ast.Module, user, env *runtime.Registry) *Compiled {
+	mc := &moduleCompiler{mod: m, user: user, env: env,
+		units: map[*runtime.Function]*unit{}, stats: &plan.Stats{}}
 
 	// Pass 1: shells, so mutually recursive compiled functions can
 	// resolve each other before any body exists.
@@ -149,7 +180,7 @@ func Compile(p *runtime.Program) *Compiled {
 		if d.External || d.Body == nil || poisoned(d.Body) {
 			continue
 		}
-		f := p.Reg.Lookup(d.Name, len(d.Params))
+		f := user.Lookup(d.Name, len(d.Params))
 		if f == nil {
 			continue
 		}
@@ -596,16 +627,21 @@ func (u *unitCompiler) compile(e ast.Expr) (Closure, string) {
 	}
 }
 
-// call compiles a static function call. Three shapes: a compiled user
+// call compiles a static function call. Four shapes: a compiled user
 // function gets a direct closure call with the walker's conversion and
 // error contract; an Invoke-only built-in is called natively with
-// eagerly compiled arguments; a streaming-capable built-in bridges so
-// the walker's lazy-argument machinery keeps working.
+// eagerly compiled arguments — bound now when it is a library function,
+// looked up in the running program's registry when it is a host
+// function; a streaming-capable built-in bridges so the walker's
+// lazy-argument machinery keeps working; and so does a call into an
+// imported namespace, which the walker resolves per binding.
 func (u *unitCompiler) call(x ast.FuncCall) (Closure, string) {
-	f := u.mc.prog.Reg.Lookup(x.Name, len(x.Args))
+	f, late := u.mc.resolve(x.Name, len(x.Args))
+	name, n := x.Name, len(x.Args)
 	if f == nil {
-		name := x.Name
-		n := len(x.Args)
+		if late {
+			return u.bridge(x), ""
+		}
 		return func(*Ctx) (xdm.Sequence, error) {
 			return nil, fmt.Errorf("%w %s/%d", runtime.ErrUnknownFunction, name, n)
 		}, "FuncCall"
@@ -638,10 +674,18 @@ func (u *unitCompiler) call(x ast.FuncCall) (Closure, string) {
 		args[i] = u.expr(a)
 	}
 	scope := u.snapshot()
-	fn := f
 	return func(c *Ctx) (xdm.Sequence, error) {
 		if err := c.R.Budget.Step(); err != nil {
 			return nil, err
+		}
+		fn := f
+		if late {
+			// The engine running this program has a function of this
+			// signature (same shape), but its own: a closure over its
+			// page, not the compiling engine's.
+			if fn = c.R.Prog.Reg.Lookup(name, n); fn == nil {
+				return nil, fmt.Errorf("%w %s/%d", runtime.ErrUnknownFunction, name, n)
+			}
 		}
 		argv := make([]xdm.Sequence, len(args))
 		for i, a := range args {
@@ -838,9 +882,9 @@ func (u *unitCompiler) ebv(e ast.Expr) ebvClosure {
 		ast.VarRef, ast.ContextItem, ast.FLWOR, ast.Range:
 		return u.eagerEBV(e)
 	case ast.FuncCall:
-		f := u.mc.prog.Reg.Lookup(x.Name, len(x.Args))
-		if f != nil && f.Stream != nil && u.mc.units[f] == nil {
-			return u.bridgeEBV(e)
+		f, late := u.mc.resolve(x.Name, len(x.Args))
+		if f == nil && late || f != nil && f.Stream != nil && u.mc.units[f] == nil {
+			return u.bridgeEBV(e) // where call bridges
 		}
 		return u.eagerEBV(e)
 	default:

@@ -182,7 +182,7 @@ func TestCacheReusesCompiledProgram(t *testing.T) {
 	if p1 != p2 {
 		t.Error("cache miss on identical source: compiled closures rebuilt")
 	}
-	if p1.compiled == nil || p1.compiled != p2.compiled {
+	if p1.shared.compiled == nil || p1.shared != p2.shared {
 		t.Error("cached programs do not share the compiled form")
 	}
 	if p1.RewriteStats().Joins != 1 {

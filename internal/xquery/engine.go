@@ -25,19 +25,28 @@ import (
 	"repro/internal/xquery/update"
 )
 
-// Engine compiles XQuery programs against a shared static environment.
+// Engine is one host's binding of the query language: its own
+// functions (the host layer: browser:, the HOF event API,
+// WithFunctions extras) stacked on the process-wide fn:/xs:/ft:
+// library, plus the module resolver and the default document
+// resolvers. What a compilation produces does not depend on any of
+// the closures in there, only on the engine's shape (see Fingerprint),
+// so engines are cheap to build — one per page — and share compiled
+// programs through a Cache.
 //
 // An Engine is immutable after New returns (options apply only during
 // construction), so one engine may be shared by any number of
 // goroutines calling Compile, EvalQuery and Program.Run concurrently:
-// each compilation clones the registry and each run gets its own
-// dynamic Context. The concurrent serving layer (internal/serve) relies
-// on this to share one engine across all sessions.
+// each compilation adds layers above the engine's registry, never
+// entries to it, and each run gets its own dynamic Context. The
+// concurrent serving layer (internal/serve) relies on this to share
+// one engine across all requests.
 type Engine struct {
-	base            *runtime.Registry
+	// host is the engine's own registry layer; its parent is
+	// funclib.Library().
+	host            *runtime.Registry
 	resolver        runtime.ModuleResolver
 	blockDoc        bool
-	fp              string
 	resolverRetries int
 	resolverBackoff time.Duration
 	// Engine-level default doc/collection resolvers (a bound document
@@ -50,11 +59,11 @@ type Engine struct {
 	// every Compile on this engine refuses with it instead of running
 	// programs against a half-built registry.
 	initErr error
+	// last memoises the engine's most recent binding, so asking for the
+	// program it already holds (one query evaluated again and again)
+	// allocates nothing.
+	last atomic.Pointer[Program]
 }
-
-// engineSeq numbers engines so each gets a distinct static-context
-// fingerprint.
-var engineSeq atomic.Int64
 
 // Option configures an Engine.
 type Option func(*Engine)
@@ -111,48 +120,71 @@ func WithCollectionIterResolver(r runtime.CollectionIterResolver) Option {
 	return func(e *Engine) { e.collectionsIter = r }
 }
 
-// WithFunctions registers extra built-in functions (the browser: library
-// uses this).
+// WithFunctions registers extra built-in functions on the engine's host
+// layer (the browser: library uses this). A registration shadows a
+// library function of the same name and arity for this engine only.
 func WithFunctions(register func(*runtime.Registry)) Option {
-	return func(e *Engine) { register(e.base) }
+	return func(e *Engine) { register(e.host) }
 }
 
-// New builds an engine with the full fn: library installed.
+// New builds an engine: an empty host layer above the shared fn:
+// library, then the options.
 func New(opts ...Option) *Engine {
-	e := &Engine{base: runtime.NewRegistry()}
-	e.initErr = funclib.Register(e.base)
+	lib, err := funclib.Library()
+	e := &Engine{host: lib.Layer(), initErr: err}
 	for _, o := range opts {
 		o(e)
 	}
-	blocked := 'o'
-	if e.blockDoc {
-		blocked = 'b'
-	}
-	e.fp = fmt.Sprintf("e%d/%c%d", engineSeq.Add(1), blocked, e.base.Names())
 	return e
 }
 
-// Registry exposes the engine's base registry for host extensions.
-func (e *Engine) Registry() *runtime.Registry { return e.base }
+// Registry exposes the engine's registry (its host layer, answering
+// for the library below it too) for host extensions.
+func (e *Engine) Registry() *runtime.Registry { return e.host }
 
-// Fingerprint identifies this engine's static context (built-in
-// functions, resolver, browser profile) for program-cache keying. Two
-// engines never share a fingerprint: registered built-ins are closures
-// that may capture per-host state (the browser: library captures its
-// page), so compiled programs are only reusable on the engine that
-// compiled them. Cross-engine sharing happens one level down, at the
-// parsed-module layer, which is static-context independent (see Cache).
-func (e *Engine) Fingerprint() string { return e.fp }
+// Fingerprint identifies the shape of this engine's static context for
+// program-cache keying: the browser profile plus an order-independent
+// hash of the host layer's signatures (name, arity range, Updating,
+// Sequential, whether it streams). Everything a compilation reads of
+// an engine is in there, and nothing else is: not the closures behind
+// the signatures, not the module resolver, not the document resolvers
+// — those belong to a binding (see Program). So two engines built the
+// same way — every page engine of one application, each with browser:
+// functions closed over its own window — have one fingerprint and
+// share one compiled program, while an engine that adds, drops or
+// re-declares a host function, or differs in the browser profile, gets
+// a different one.
+func (e *Engine) Fingerprint() uint64 {
+	fp := e.host.Shape()
+	if e.blockDoc {
+		fp ^= 0x9e3779b97f4a7c15
+	}
+	return fp
+}
 
-// Program is a compiled, runnable XQuery program. Compilation is the
-// full three-stage pipeline: plan (path access methods) → optimize
-// (algebraic FLWOR rewrites) → compile (Go closures); the original
-// tree-walking evaluator remains available per run via
-// RunConfig.DisableCompile, as baseline and as differential oracle.
-type Program struct {
-	engine   *Engine
-	prog     *runtime.Program
+// sharedProgram is the host-independent part of a compilation, built
+// once per (module, engine shape) and immutable afterwards: every
+// engine of that shape binds to it, concurrently, without locks.
+type sharedProgram struct {
+	mod *ast.Module
+	// user is the frozen layer of the module's own functions.
+	user     *runtime.Registry
 	compiled *compile.Compiled
+}
+
+// Program is a compiled, runnable XQuery program: a shared compilation
+// bound to one engine. Compilation is the full three-stage pipeline:
+// plan (path access methods) → optimize (algebraic FLWOR rewrites) →
+// compile (Go closures); the original tree-walking evaluator remains
+// available per run via RunConfig.DisableCompile, as baseline and as
+// differential oracle. The binding is the cheap part — the registry
+// chain user functions → this engine's imports → its host layer →
+// library, and the engine whose resolvers a run defaults to — and the
+// only part that refers to a host.
+type Program struct {
+	engine *Engine
+	shared *sharedProgram
+	prog   *runtime.Program
 }
 
 // Compile parses and compiles a main or library module.
@@ -167,13 +199,34 @@ func (e *Engine) Compile(src string) (*Program, error) {
 // CompileModule compiles an already-parsed module. The AST is read-only
 // to both compilation and evaluation, so one parsed module may be
 // compiled by many engines concurrently — the program cache uses this
-// to share parse work across per-page host engines.
+// to share parse work across engines of different shapes.
 func (e *Engine) CompileModule(m *ast.Module) (*Program, error) {
 	if e.initErr != nil {
 		return nil, e.initErr
 	}
-	p, err := runtime.Compile(m, runtime.CompileConfig{
-		Registry:        e.base,
+	return e.bind(e.compileShared(m))
+}
+
+// compileShared does the host-independent work: the module's functions
+// and its lowering to closures, once per program — cached programs (see
+// Cache) never recompile. It cannot fail: anything the closure compiler
+// does not understand bridges back into the walker, and what can fail
+// (imports, external functions) is checked per binding.
+func (e *Engine) compileShared(m *ast.Module) *sharedProgram {
+	user := runtime.CompileFunctions(m)
+	return &sharedProgram{mod: m, user: user, compiled: compile.Compile(m, user, e.host)}
+}
+
+// bind attaches a shared compilation — this engine's own or one
+// compiled by another engine of the same shape — to this engine:
+// imports resolve through its resolver, host functions are its own.
+func (e *Engine) bind(sh *sharedProgram) (*Program, error) {
+	last := e.last.Load()
+	if last != nil && last.shared == sh {
+		return last, nil
+	}
+	rp, err := runtime.Bind(sh.mod, sh.user, runtime.CompileConfig{
+		Registry:        e.host,
 		Resolver:        e.resolver,
 		BlockDoc:        e.blockDoc,
 		ResolverRetries: e.resolverRetries,
@@ -182,17 +235,21 @@ func (e *Engine) CompileModule(m *ast.Module) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Lower to closures once per program: the compiled form (and the
-	// optimizer work behind it) is memoized here, so cached programs
-	// (see Cache) never recompile. Compile cannot fail — anything it
-	// does not understand bridges back into the walker.
-	return &Program{engine: e, prog: p, compiled: compile.Compile(p)}, nil
+	p := &Program{engine: e, shared: sh, prog: rp}
+	if !e.last.CompareAndSwap(last, p) {
+		// Lost a race; if it was to a binding of the same program, hand
+		// out that one so concurrent callers agree.
+		if cur := e.last.Load(); cur != nil && cur.shared == sh {
+			return cur, nil
+		}
+	}
+	return p, nil
 }
 
 // RewriteStats returns the optimizer's rewrite counts for this
 // program: how many constant folds, predicate pushdowns, loop
 // hoistings and hash-join detections shaped the compiled plan.
-func (p *Program) RewriteStats() plan.Stats { return p.compiled.Stats() }
+func (p *Program) RewriteStats() plan.Stats { return p.shared.compiled.Stats() }
 
 // Diagnostic and Severity are the static analyzer's finding types,
 // re-exported so facade users need not import the analysis package.
@@ -248,9 +305,10 @@ func (e *AnalysisError) Unwrap() error { return ErrAnalysisFailed }
 
 // analysisConfig derives the analyzer configuration matching this
 // engine's static context: its registry (so host extensions like
-// browser: resolve) and its browser profile.
+// browser: resolve) and its browser profile. The analyzer reads
+// signatures only, so its result is a function of (Fingerprint, module).
 func (e *Engine) analysisConfig(maxSteps int64) analysis.Config {
-	return analysis.Config{Registry: e.base, BrowserProfile: e.blockDoc, MaxSteps: maxSteps}
+	return analysis.Config{Registry: e.host, BrowserProfile: e.blockDoc, MaxSteps: maxSteps}
 }
 
 // Analyze parses src and runs the static analyzer without compiling or
@@ -443,8 +501,8 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	ctx.Docs = cfg.Docs
 	ctx.Collections = cfg.Collections
 	ctx.CollectionsIter = cfg.CollectionsIter
-	// Engine-level defaults (a bound store) fill whatever the run left
-	// unset.
+	// The binding engine's defaults (a bound store) fill whatever the
+	// run left unset.
 	if ctx.Docs == nil {
 		ctx.Docs = p.engine.docs
 	}
@@ -482,8 +540,8 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 	}
 	ctx := p.NewContext(cfg)
 	eval := func() (xdm.Sequence, error) { return ctx.Run() }
-	if !cfg.DisableCompile && p.compiled != nil {
-		cc := p.compiled
+	if !cfg.DisableCompile {
+		cc := p.shared.compiled
 		eval = func() (xdm.Sequence, error) {
 			// Globals initialise through the walker (prolog variable
 			// semantics are shared), then the body runs compiled.

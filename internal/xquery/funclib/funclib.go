@@ -1,20 +1,42 @@
 // Package funclib implements the fn: function and operator library
 // (paper §3.1: "a whole function library in this namespace, e.g. sum,
 // distinct-values"). Register installs roughly ninety built-ins into a
-// runtime registry; the engine façade wires them up for every compiled
-// program.
+// runtime registry; Library is the one frozen registry layer every
+// engine of the process stacks its own functions on.
 package funclib
 
 import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/dom"
 	"repro/internal/xdm"
 	"repro/internal/xquery/parser"
 	"repro/internal/xquery/runtime"
 )
+
+var (
+	libOnce sync.Once
+	lib     *runtime.Registry
+	libErr  error
+)
+
+// Library returns the process-wide built-in layer: the whole fn:/xs:/ft:
+// library, registered once and frozen, so engines share it instead of
+// re-registering ~350 closures each. No built-in keeps state between
+// calls, which is what makes one copy safe for every engine and
+// goroutine. Because it is frozen, Register on it fails; host functions
+// go on a layer above it (Registry.Layer). The error is Register's.
+func Library() (*runtime.Registry, error) {
+	libOnce.Do(func() {
+		lib = runtime.NewRegistry()
+		libErr = Register(lib)
+		lib.Freeze()
+	})
+	return lib, libErr
+}
 
 // Register installs the built-in function library. The returned error
 // is non-nil only when the library is internally inconsistent (a

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/dom"
-	"repro/internal/xquery/runtime"
 )
 
 // Signature describes one built-in function's callable shape — the
@@ -23,8 +22,8 @@ type Signature struct {
 // sorted by namespace then local name then MinArgs. The table is
 // rebuilt on every call; callers that care should cache it.
 func Signatures() []Signature {
-	reg := runtime.NewRegistry()
-	Register(reg)
+	// Signatures do not depend on the stream wiring Library reports on.
+	reg, _ := Library()
 	var out []Signature
 	for _, f := range reg.All() {
 		out = append(out, Signature{

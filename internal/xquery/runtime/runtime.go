@@ -88,78 +88,19 @@ type Function struct {
 	Stream func(ctx *Context, args []xdm.Iter) (xdm.Iter, error)
 }
 
-// Registry maps function names to implementations.
-type Registry struct {
-	funcs map[string][]*Function
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry { return &Registry{funcs: map[string][]*Function{}} }
-
-func fkey(n dom.QName) string { return n.Space + "#" + n.Local }
-
-// Register adds a function. A function with an overlapping name and
-// arity range replaces the earlier registration (imports may shadow).
-func (r *Registry) Register(f *Function) {
-	key := fkey(f.Name)
-	list := r.funcs[key]
-	for i, g := range list {
-		if g.MinArgs == f.MinArgs && g.MaxArgs == f.MaxArgs {
-			list[i] = f
-			return
-		}
-	}
-	r.funcs[key] = append(list, f)
-}
-
-// Lookup finds the function accepting the given arity, or nil.
-func (r *Registry) Lookup(name dom.QName, arity int) *Function {
-	for _, f := range r.funcs[fkey(name)] {
-		if arity >= f.MinArgs && (f.MaxArgs < 0 || arity <= f.MaxArgs) {
-			return f
-		}
-	}
-	return nil
-}
-
-// Names returns the number of distinct registered function names.
-func (r *Registry) Names() int { return len(r.funcs) }
-
-// Overloads returns every function registered under name, regardless of
-// arity (the static analyzer uses this to distinguish "unknown
-// function" from "wrong number of arguments").
-func (r *Registry) Overloads(name dom.QName) []*Function {
-	return r.funcs[fkey(name)]
-}
-
-// All returns every registered function in unspecified order (the
-// funclib signature table is derived from this).
-func (r *Registry) All() []*Function {
-	var out []*Function
-	for _, list := range r.funcs {
-		out = append(out, list...)
-	}
-	return out
-}
-
-// Clone copies the registry so a program's own declarations do not leak
-// into the shared built-in table.
-func (r *Registry) Clone() *Registry {
-	c := NewRegistry()
-	for k, v := range r.funcs {
-		c.funcs[k] = append([]*Function(nil), v...)
-	}
-	return c
-}
-
 // ModuleResolver materialises a module import by registering its
-// functions (and possibly global variables) into the registry. The REST
-// substrate registers web-service proxies here (paper §3.4).
+// functions into reg, the importing program's import layer. The REST
+// substrate registers web-service proxies here (paper §3.4). A resolver
+// may only define functions in the imported module's namespace: calls
+// into that namespace are the ones compiled code looks up per binding.
 type ModuleResolver func(imp ast.ModuleImport, reg *Registry) error
 
-// CompileConfig parameterises compilation.
+// CompileConfig parameterises the host half of compilation: what a
+// module is bound against.
 type CompileConfig struct {
-	// Registry provides the built-in functions; it is cloned.
+	// Registry is the binding engine's function chain (host layer above
+	// the library). It is never written: imports and the module's own
+	// functions go into layers above it.
 	Registry *Registry
 	// Resolver handles module imports; nil rejects imports.
 	Resolver ModuleResolver
@@ -178,7 +119,10 @@ type CompileConfig struct {
 	ResolverBackoff time.Duration
 }
 
-// Program is a compiled module ready for evaluation.
+// Program is a module bound to one engine's functions, ready for
+// evaluation. Reg is the whole chain the evaluator resolves calls in:
+// user functions, then this binding's imports, then the engine's host
+// layer, then the library.
 type Program struct {
 	Module   *ast.Module
 	Reg      *Registry
@@ -217,46 +161,73 @@ func resolveWithRetry(cfg CompileConfig, imp ast.ModuleImport, reg *Registry) er
 	return err
 }
 
-// Compile resolves imports and user function declarations of a parsed
-// module against the given configuration. It also runs the path
-// planner (once per module, however many engines compile it): step
-// access-method annotations must be in place before any evaluation
-// reads them.
+// Compile is CompileFunctions followed by Bind: the whole compilation
+// of a module for one engine.
 func Compile(m *ast.Module, cfg CompileConfig) (*Program, error) {
+	return Bind(m, CompileFunctions(m), cfg)
+}
+
+// CompileFunctions is the host-independent half of compilation: it
+// runs the path planner (once per module, however often it is
+// compiled: step access-method annotations must be in place before any
+// evaluation reads them) and compiles the prolog's function
+// declarations into a frozen layer of their own. Nothing in the result
+// refers to an engine, so every binding of the module shares it.
+func CompileFunctions(m *ast.Module) *Registry {
 	m.EnsurePlanned(func() { plan.Annotate(m) })
-	reg := cfg.Registry
-	if reg == nil {
-		reg = NewRegistry()
+	user := NewRegistry()
+	for i := range m.Prolog.Functions {
+		if decl := &m.Prolog.Functions[i]; !decl.External {
+			// A fresh unfrozen layer accepts every registration.
+			_ = user.Register(userFunction(decl))
+		}
 	}
-	reg = reg.Clone()
-	p := &Program{Module: m, Reg: reg, BlockDoc: cfg.BlockDoc}
-	for _, imp := range m.Prolog.Imports {
+	user.Freeze()
+	return user
+}
+
+// Bind is the per-engine half: it resolves the module's imports
+// through cfg.Resolver into an import layer of this binding's own,
+// stacks the shared user layer (from CompileFunctions) on top, and
+// checks that every external function declaration has an
+// implementation somewhere in the chain. Imports bind here and not in
+// the shared half because a resolver's proxies close over its session
+// (its HTTP client, its context).
+func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
+	reg := cfg.Registry
+	if len(m.Prolog.Imports) > 0 {
 		if cfg.Resolver == nil {
-			return nil, fmt.Errorf("%w for import of %q", ErrNoResolver, imp.URI)
+			return nil, fmt.Errorf("%w for import of %q", ErrNoResolver, m.Prolog.Imports[0].URI)
 		}
-		if err := resolveWithRetry(cfg, imp, reg); err != nil {
-			return nil, fmt.Errorf("xquery: importing %q: %w", imp.URI, err)
+		reg = reg.Layer()
+		for _, imp := range m.Prolog.Imports {
+			if err := resolveWithRetry(cfg, imp, reg); err != nil {
+				return nil, fmt.Errorf("xquery: importing %q: %w", imp.URI, err)
+			}
 		}
+		for key := range reg.funcs {
+			if !m.Imports(key.Space) {
+				return nil, fmt.Errorf("xquery: a module resolver defined {%s}%s, outside the imported namespaces",
+					key.Space, key.Local)
+			}
+		}
+	}
+	if len(user.funcs) > 0 || reg == nil {
+		reg = user.over(reg)
 	}
 	for i := range m.Prolog.Functions {
 		decl := &m.Prolog.Functions[i]
-		if decl.External {
-			if reg.Lookup(decl.Name, len(decl.Params)) == nil {
-				return nil, fmt.Errorf("xquery: external function %s/%d has no implementation",
-					decl.Name, len(decl.Params))
-			}
-			continue
+		if decl.External && reg.Lookup(decl.Name, len(decl.Params)) == nil {
+			return nil, fmt.Errorf("xquery: external function %s/%d has no implementation",
+				decl.Name, len(decl.Params))
 		}
-		f, err := p.compileUserFunction(decl)
-		if err != nil {
-			return nil, err
-		}
-		reg.Register(f)
 	}
-	return p, nil
+	return &Program{Module: m, Reg: reg, BlockDoc: cfg.BlockDoc}, nil
 }
 
-func (p *Program) compileUserFunction(decl *ast.FuncDecl) (*Function, error) {
+// userFunction compiles one prolog function declaration: a walker call
+// of the declared body in whatever context invokes it.
+func userFunction(decl *ast.FuncDecl) *Function {
 	d := decl
 	return &Function{
 		Name:       d.Name,
@@ -308,7 +279,7 @@ func (p *Program) compileUserFunction(decl *ast.FuncDecl) (*Function, error) {
 			}
 			return res, nil
 		},
-	}, nil
+	}
 }
 
 // --- environments ------------------------------------------------------------

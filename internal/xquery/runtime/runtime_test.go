@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/dom"
 	"repro/internal/xdm"
+	"repro/internal/xqerr"
 	"repro/internal/xquery/ast"
 	"repro/internal/xquery/parser"
 )
@@ -36,18 +38,146 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	}
 }
 
-func TestRegistryCloneIsolation(t *testing.T) {
-	r := NewRegistry()
-	n1 := dom.QName{Space: "u", Local: "a"}
-	r.Register(&Function{Name: n1, MinArgs: 0, MaxArgs: 0})
-	c := r.Clone()
-	n2 := dom.QName{Space: "u", Local: "b"}
-	c.Register(&Function{Name: n2, MinArgs: 0, MaxArgs: 0})
-	if r.Lookup(n2, 0) != nil {
-		t.Error("clone leaked into original")
+func TestRegistryLayers(t *testing.T) {
+	base := NewRegistry()
+	a := dom.QName{Space: "u", Local: "a"}
+	b := dom.QName{Space: "u", Local: "b"}
+	baseA := &Function{Name: a, MinArgs: 0, MaxArgs: 1}
+	base.Register(baseA)
+	base.Freeze()
+
+	top := base.Layer()
+	topB := &Function{Name: b, MinArgs: 0, MaxArgs: 0}
+	top.Register(topB)
+	if base.Lookup(b, 0) != nil {
+		t.Error("a layer leaked into its parent")
 	}
-	if c.Lookup(n1, 0) == nil {
-		t.Error("clone lost original entries")
+	if top.Lookup(a, 0) != baseA {
+		t.Error("a layer must answer from its parent")
+	}
+	if f, frozen := top.Resolve(a, 0); f != baseA || !frozen {
+		t.Errorf("Resolve(a) = %v frozen=%v, want the frozen parent's entry", f, frozen)
+	}
+	if f, frozen := top.Resolve(b, 0); f != topB || frozen {
+		t.Errorf("Resolve(b) = %v frozen=%v, want the writable layer's entry", f, frozen)
+	}
+
+	// The overlay shadows where its arity range matches and falls
+	// through where it does not.
+	topA := &Function{Name: a, MinArgs: 1, MaxArgs: 1}
+	top.Register(topA)
+	if top.Lookup(a, 1) != topA || top.Lookup(a, 0) != baseA {
+		t.Error("overlay-first lookup with fall-through by arity failed")
+	}
+	if got := top.Overloads(a); len(got) != 2 || got[0] != topA || got[1] != baseA {
+		t.Errorf("Overloads across layers = %v", got)
+	}
+	if got := top.Overloads(b); len(got) != 1 || got[0] != topB {
+		t.Errorf("Overloads in one layer = %v", got)
+	}
+	if n := top.Names(); n != 2 {
+		t.Errorf("Names = %d, want 2 distinct", n)
+	}
+	if n := len(top.All()); n != 3 {
+		t.Errorf("All = %d functions, want 3", n)
+	}
+	if base.Lookup(a, 1) != baseA || len(base.All()) != 1 {
+		t.Error("registering on a layer changed its parent")
+	}
+}
+
+func TestRegistryFrozenRejectsRegister(t *testing.T) {
+	r := NewRegistry()
+	n := dom.QName{Space: "u", Local: "a"}
+	if err := r.Register(&Function{Name: n}); err != nil {
+		t.Fatal(err)
+	}
+	r.Freeze()
+	shape := r.Shape()
+	err := r.Register(&Function{Name: dom.QName{Space: "u", Local: "b"}})
+	if !errors.Is(err, xqerr.ErrMisconfigured) {
+		t.Fatalf("Register on a frozen layer: err = %v, want ErrMisconfigured", err)
+	}
+	if r.Names() != 1 || r.Shape() != shape {
+		t.Error("a refused registration changed the layer")
+	}
+}
+
+func TestRegistryShape(t *testing.T) {
+	fs := []*Function{
+		{Name: dom.QName{Space: "u", Local: "a"}, MinArgs: 0, MaxArgs: 1},
+		{Name: dom.QName{Space: "u", Local: "b"}, MinArgs: 2, MaxArgs: -1},
+		{Name: dom.QName{Space: "v", Local: "a"}, MinArgs: 0, MaxArgs: 1, Updating: true},
+	}
+	shape := func(fs ...*Function) uint64 {
+		r := NewRegistry()
+		for _, f := range fs {
+			r.Register(f)
+		}
+		return r.Shape()
+	}
+	want := shape(fs[0], fs[1], fs[2])
+	if got := shape(fs[2], fs[0], fs[1]); got != want {
+		t.Error("shape depends on registration order")
+	}
+	// Different closures, same signatures: same shape. A replaced
+	// registration counts once.
+	cp := *fs[0]
+	cp.Invoke = func(*Context, []xdm.Sequence) (xdm.Sequence, error) { return nil, nil }
+	if got := shape(fs[0], fs[1], fs[2], &cp); got != want {
+		t.Error("shape depends on the implementation or double-counts a replacement")
+	}
+	// Every signature field is in the shape.
+	for name, mut := range map[string]func(*Function){
+		"local":      func(f *Function) { f.Name.Local = "z" },
+		"space":      func(f *Function) { f.Name.Space = "z" },
+		"min":        func(f *Function) { f.MinArgs = 1 },
+		"max":        func(f *Function) { f.MaxArgs = 2 },
+		"updating":   func(f *Function) { f.Updating = true },
+		"sequential": func(f *Function) { f.Sequential = true },
+		"stream":     func(f *Function) { f.Stream = func(*Context, []xdm.Iter) (xdm.Iter, error) { return nil, nil } },
+	} {
+		cp := *fs[0]
+		mut(&cp)
+		if shape(&cp, fs[1], fs[2]) == want {
+			t.Errorf("shape ignores %s", name)
+		}
+	}
+	if shape(fs[0], fs[1]) == want || shape() == want {
+		t.Error("shape ignores a missing function")
+	}
+}
+
+func TestRegistryLookupAllocs(t *testing.T) {
+	lib := NewRegistry()
+	n := dom.QName{Space: "http://www.w3.org/2005/xpath-functions", Prefix: "fn", Local: "count"}
+	lib.Register(&Function{Name: n, MinArgs: 1, MaxArgs: 1})
+	lib.Freeze()
+	host := lib.Layer()
+	host.Register(&Function{Name: dom.QName{Space: "urn:h", Local: "alert"}, MinArgs: 1, MaxArgs: 1})
+	user := host.Layer()
+	user.Register(&Function{Name: dom.QName{Space: "urn:l", Local: "f"}, MinArgs: 0, MaxArgs: 0})
+	var f *Function
+	if a := testing.AllocsPerRun(100, func() { f = user.Lookup(n, 1) }); a != 0 {
+		t.Errorf("Lookup through three layers allocates %.0f times, want 0", a)
+	}
+	if f == nil {
+		t.Fatal("lookup through three layers failed")
+	}
+}
+
+func TestBindKeepsResolversInTheirNamespace(t *testing.T) {
+	m, err := parser.ParseModule(`import module namespace x = "urn:x" at "hint"; 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Compile(m, CompileConfig{
+		Resolver: func(imp ast.ModuleImport, reg *Registry) error {
+			return reg.Register(&Function{Name: dom.QName{Space: "urn:other", Local: "f"}})
+		},
+	})
+	if err == nil {
+		t.Error("a resolver defining a function outside the imported namespace must fail the bind")
 	}
 }
 

@@ -1,0 +1,409 @@
+package xquery
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/dom"
+	"repro/internal/markup"
+	"repro/internal/xdm"
+	"repro/internal/xqerr"
+	"repro/internal/xquery/ast"
+	"repro/internal/xquery/funclib"
+	"repro/internal/xquery/parser"
+	"repro/internal/xquery/runtime"
+)
+
+// These tests pin the split between a compilation (shared by every
+// engine of one shape) and a binding (one engine's own): what is
+// shared, what is not, and that nothing of one host shows through a
+// program another host compiled.
+
+const hostNS = "urn:test:host"
+const hostProlog = `declare namespace h = "urn:test:host"; `
+
+// taggedEngine builds an engine whose host layer has h:tag() — returning
+// the given tag, so a call tells which engine's function ran — and
+// h:join($a, $b).
+func taggedEngine(tag string, extra ...Option) *Engine {
+	opts := append([]Option{WithFunctions(func(reg *runtime.Registry) {
+		reg.Register(&runtime.Function{
+			Name: dom.QName{Space: hostNS, Local: "tag"},
+			Invoke: func(*runtime.Context, []xdm.Sequence) (xdm.Sequence, error) {
+				return xdm.Singleton(xdm.String(tag)), nil
+			},
+		})
+		reg.Register(&runtime.Function{
+			Name: dom.QName{Space: hostNS, Local: "join"}, MinArgs: 2, MaxArgs: 2,
+			Invoke: func(_ *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
+				return xdm.Singleton(xdm.String(tag + ":" + args[0][0].String() + "+" + args[1][0].String())), nil
+			},
+		})
+	})}, extra...)
+	return New(opts...)
+}
+
+func runOn(t *testing.T, p *Program, cfg RunConfig) string {
+	t.Helper()
+	res, err := p.Run(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return FormatSequence(res.Value, markup.AppendXML)
+}
+
+func TestSharedProgramCallsTheBindingEnginesHostFunctions(t *testing.T) {
+	c := NewCache(8)
+	a, b := taggedEngine("A"), taggedEngine("B")
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatal("same signatures behind different closures must be one shape")
+	}
+	for _, src := range []string{
+		hostProlog + `h:tag()`,
+		hostProlog + `for $i in 1 to 2 return h:join($i, h:tag())`,
+		hostProlog + `if (h:tag() = ("A", "B")) then h:tag() else "neither"`,
+		hostProlog + `declare function local:who() { concat("<", h:tag(), ">") }; local:who()`,
+	} {
+		pa, err := c.Compile(a, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := c.Compile(b, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa.shared != pb.shared {
+			t.Fatalf("%q: not shared", src)
+		}
+		for _, walk := range []bool{false, true} {
+			gotA := runOn(t, pa, RunConfig{DisableCompile: walk})
+			gotB := runOn(t, pb, RunConfig{DisableCompile: walk})
+			if !strings.Contains(gotA, "A") || strings.Contains(gotA, "B") ||
+				!strings.Contains(gotB, "B") || strings.Contains(gotB, "A") {
+				t.Errorf("%q (walker=%v): engine A got %q, engine B got %q", src, walk, gotA, gotB)
+			}
+		}
+	}
+	if st := c.Stats(); st.Compiles != 4 || st.ProgramHits != 4 {
+		t.Errorf("stats = %+v, want 4 compiles and 4 hits", st)
+	}
+}
+
+func TestShapeSeparatesDifferentStaticContexts(t *testing.T) {
+	base := taggedEngine("A")
+	fnCount := dom.QName{Space: parser.FnNamespace, Local: "count"}
+	others := map[string]*Engine{
+		"no host functions": New(),
+		"browser profile":   taggedEngine("A", WithBrowserProfile()),
+		"one more function": taggedEngine("A", WithFunctions(func(reg *runtime.Registry) {
+			reg.Register(&runtime.Function{Name: dom.QName{Space: hostNS, Local: "more"}})
+		})),
+		"another arity": taggedEngine("A", WithFunctions(func(reg *runtime.Registry) {
+			reg.Register(&runtime.Function{Name: dom.QName{Space: hostNS, Local: "tag"}, MinArgs: 0, MaxArgs: 1,
+				Invoke: func(*runtime.Context, []xdm.Sequence) (xdm.Sequence, error) { return nil, nil }})
+		})),
+		"updating flag": taggedEngine("A", WithFunctions(func(reg *runtime.Registry) {
+			reg.Register(&runtime.Function{Name: dom.QName{Space: hostNS, Local: "tag"}, Updating: true})
+		})),
+		"shadowed built-in": taggedEngine("A", WithFunctions(func(reg *runtime.Registry) {
+			reg.Register(&runtime.Function{Name: fnCount, MinArgs: 1, MaxArgs: 1,
+				Invoke: func(*runtime.Context, []xdm.Sequence) (xdm.Sequence, error) {
+					return xdm.Singleton(xdm.Integer(-1)), nil
+				}})
+		})),
+	}
+	c := NewCache(16)
+	src := hostProlog + `count((1, 2, 3))`
+	want, err := c.Compile(base, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range others {
+		if e.Fingerprint() == base.Fingerprint() {
+			t.Errorf("%s: same fingerprint as the base engine", name)
+		}
+		p, err := c.Compile(e, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.shared == want.shared {
+			t.Errorf("%s: shares the base engine's compilation", name)
+		}
+	}
+	// The shadow is the engine's own: it answers compiled and walked
+	// runs there, and the library's fn:count answers everywhere else.
+	shadow, _ := c.Compile(others["shadowed built-in"], src)
+	for _, walk := range []bool{false, true} {
+		if got := runOn(t, shadow, RunConfig{DisableCompile: walk}); got != "-1" {
+			t.Errorf("shadowed fn:count (walker=%v) = %q, want -1", walk, got)
+		}
+		if got := runOn(t, want, RunConfig{DisableCompile: walk}); got != "3" {
+			t.Errorf("library fn:count (walker=%v) = %q, want 3", walk, got)
+		}
+	}
+	lib, _ := funclib.Library()
+	if lib.Lookup(fnCount, 1) == others["shadowed built-in"].Registry().Lookup(fnCount, 1) {
+		t.Error("the shadow must not replace the library's function")
+	}
+}
+
+// TestImportsBindPerEngine: a module imported through two resolvers —
+// two sessions' clients — compiles once and calls each binding's own
+// proxy; the resolver runs per binding, never for the shared part.
+func TestImportsBindPerEngine(t *testing.T) {
+	resolver := func(tag string, calls *int) runtime.ModuleResolver {
+		return func(imp ast.ModuleImport, reg *runtime.Registry) error {
+			*calls++
+			return reg.Register(&runtime.Function{
+				Name: dom.QName{Space: imp.URI, Local: "who"},
+				Invoke: func(*runtime.Context, []xdm.Sequence) (xdm.Sequence, error) {
+					return xdm.Singleton(xdm.String(tag)), nil
+				},
+			})
+		}
+	}
+	var callsA, callsB int
+	a := New(WithModuleResolver(resolver("svc-A", &callsA)))
+	b := New(WithModuleResolver(resolver("svc-B", &callsB)))
+	c := NewCache(8)
+	src := `import module namespace s = "urn:svc" at "http://svc/wsdl";
+	        for $i in 1 to 2 return concat(s:who(), "#", $i)`
+	pa, err := c.Compile(a, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := c.Compile(b, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.shared != pb.shared || c.Stats().Compiles != 1 {
+		t.Errorf("the import-using module must compile once: %+v", c.Stats())
+	}
+	if callsA != 1 || callsB != 1 {
+		t.Errorf("resolver calls = %d and %d, want one per binding", callsA, callsB)
+	}
+	for _, walk := range []bool{false, true} {
+		if got := runOn(t, pa, RunConfig{DisableCompile: walk}); got != "svc-A#1 svc-A#2" {
+			t.Errorf("engine A (walker=%v) called %q", walk, got)
+		}
+		if got := runOn(t, pb, RunConfig{DisableCompile: walk}); got != "svc-B#1 svc-B#2" {
+			t.Errorf("engine B (walker=%v) called %q", walk, got)
+		}
+	}
+	// A binding that cannot resolve the import fails on its own; the
+	// shared compilation stays cached for those that can.
+	if _, err := c.Compile(New(), src); !errors.Is(err, ErrNoResolver) {
+		t.Errorf("engine without resolver: err = %v, want ErrNoResolver", err)
+	}
+	if _, err := c.Compile(a, src); err != nil || c.Stats().Compiles != 1 {
+		t.Errorf("after a failed binding: err = %v, stats %+v", err, c.Stats())
+	}
+}
+
+func TestResolverDefaultsComeFromTheBindingEngine(t *testing.T) {
+	docs := func(title string) runtime.DocResolver {
+		return func(uri string) (*dom.Node, error) {
+			return markup.Parse(`<doc uri="` + uri + `">` + title + `</doc>`)
+		}
+	}
+	a := New(WithDocResolver(docs("store A")))
+	b := New(WithDocResolver(docs("store B")))
+	c := NewCache(8)
+	src := `string(doc("x.xml")/doc)`
+	pa, _ := c.Compile(a, src)
+	pb, err := c.Compile(b, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.shared != pb.shared {
+		t.Fatal("document resolvers are not part of the shape")
+	}
+	if got := runOn(t, pa, RunConfig{}); got != "store A" {
+		t.Errorf("engine A read %q", got)
+	}
+	if got := runOn(t, pb, RunConfig{}); got != "store B" {
+		t.Errorf("engine B read %q, want its own store (not the compiling engine's)", got)
+	}
+}
+
+func TestConcurrentEnginesOfOneShapeCompileOnce(t *testing.T) {
+	c := NewCache(8)
+	src := hostProlog + `for $i in 1 to 3 return h:join($i, h:tag())`
+	const workers = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tag := fmt.Sprintf("w%d", i)
+			p, err := c.Compile(taggedEngine(tag), src)
+			if err != nil {
+				errs <- err
+				return
+			}
+			res, err := p.Run(RunConfig{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			if got, want := FormatSequence(res.Value, nil), fmt.Sprintf("%[1]s:1+%[1]s %[1]s:2+%[1]s %[1]s:3+%[1]s", tag); got != want {
+				errs <- fmt.Errorf("worker %d got %q, want %q", i, got, want)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := c.Stats()
+	if st.Compiles != 1 || st.Parses != 1 {
+		t.Errorf("32 engines of one shape: %+v, want one compile and one parse", st)
+	}
+	if st.ProgramHits+st.Coalesced != workers-1 {
+		t.Errorf("hits(%d) + coalesced(%d) must cover the other %d workers", st.ProgramHits, st.Coalesced, workers-1)
+	}
+}
+
+// TestSharedProgramDifferential is the cross-engine oracle: over the
+// two-backend corpus plus host-calling queries, a program compiled by
+// engine A and run bound to engine B must be indistinguishable from one
+// B compiled itself — same result, same applied updates, same document
+// afterwards, same error.
+func TestSharedProgramDifferential(t *testing.T) {
+	corpus := append([]string{
+		hostProlog + `h:tag()`,
+		hostProlog + `for $b in //book order by $b/@id return h:join($b/@id, h:tag())`,
+		hostProlog + `for $b in //book where h:tag() = "B" return $b/title/string()`,
+		hostProlog + `declare function local:f($b) { h:join(h:tag(), $b/@id) }; for $b in //book return local:f($b)`,
+		hostProlog + `for $b in //book where $b/price > 100 return rename node $b as h:tag()`,
+		hostProlog + `h:join(1, (2, 3)[4])`, // fails inside the host function
+		hostProlog + `h:nosuch()`,
+	}, compileDifferentialCorpus...)
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	run := func(p *Program) (string, string, int, error) {
+		doc, err := markup.Parse(libraryXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(RunConfig{
+			ContextItem: xdm.NewNode(doc),
+			MaxSteps:    500_000,
+			Timeout:     5 * time.Second,
+			Now:         now,
+		})
+		if err != nil {
+			return "", "", 0, err
+		}
+		return FormatSequence(res.Value, markup.AppendXML), markup.Serialize(doc), res.Updates, nil
+	}
+	c := NewCache(len(corpus))
+	a, b := taggedEngine("A"), taggedEngine("B")
+	for _, src := range corpus {
+		if _, err := c.Compile(a, src); err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		reused, err := c.Compile(b, src)
+		if err != nil {
+			t.Fatalf("bind %q: %v", src, err)
+		}
+		own, err := b.Compile(src)
+		if err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		if reused.shared == own.shared {
+			t.Fatalf("%q: the oracle must be a compilation of B's own", src)
+		}
+		gotVal, gotDoc, gotUpd, gotErr := run(reused)
+		wantVal, wantDoc, wantUpd, wantErr := run(own)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Errorf("%q: reused err=%v, own err=%v", src, gotErr, wantErr)
+			continue
+		}
+		if gotVal != wantVal || gotDoc != wantDoc || gotUpd != wantUpd {
+			t.Errorf("%q: reused (%q, %d updates) != own (%q, %d updates)", src, gotVal, gotUpd, wantVal, wantUpd)
+		}
+	}
+	if st := c.Stats(); st.Compiles != int64(len(corpus)) || st.ProgramHits != int64(len(corpus)) {
+		t.Errorf("stats = %+v, want %d compiles (engine A) and as many hits (engine B)", st, len(corpus))
+	}
+}
+
+func TestLibraryLayerIsFrozen(t *testing.T) {
+	lib, err := funclib.Library()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, shape := lib.Names(), lib.Shape()
+	err = lib.Register(&runtime.Function{Name: dom.QName{Space: parser.FnNamespace, Local: "count"}, MinArgs: 1, MaxArgs: 1})
+	if !errors.Is(err, xqerr.ErrMisconfigured) {
+		t.Fatalf("Register on the shared library: err = %v, want ErrMisconfigured", err)
+	}
+	if lib.Names() != names || lib.Shape() != shape {
+		t.Error("a refused registration changed the library every engine shares")
+	}
+	if got, err := New().EvalQuery(`count((1, 2, 3))`, nil); err != nil || got[0].String() != "3" {
+		t.Errorf("fn:count after the refused registration: %v %v", got, err)
+	}
+}
+
+func TestAllocationPins(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { _ = New() }); a > 8 {
+		t.Errorf("New() allocates %.0f times, want <= 8 (the library is built once per process)", a)
+	}
+	e, c := New(), NewCache(8)
+	src := strings.Repeat(" ", 4096) + `1 + 1` // a page-script-sized source
+	if _, err := c.Compile(e, src); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := c.Compile(e, src); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("a warm Cache.Compile hit allocates %.0f times, want 0 (no key copy, no rebinding)", a)
+	}
+	// Another engine of the same shape pays for its binding, not for a
+	// copy of the source or of the registry.
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := c.Compile(New(), src); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 8 {
+		t.Errorf("engine + binding on a warm cache allocate %.0f times, want <= 8", a)
+	}
+}
+
+var sinkEngine *Engine
+
+// BenchmarkEngineNew is what a page or frame pays for an engine of its
+// own: a host layer above the shared library, bare and with a
+// browser-sized set of host functions.
+func BenchmarkEngineNew(b *testing.B) {
+	b.Run("bare", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkEngine = New()
+		}
+	})
+	b.Run("host20", func(b *testing.B) {
+		names := make([]dom.QName, 20)
+		for i := range names {
+			names[i] = dom.QName{Space: hostNS, Local: fmt.Sprintf("f%d", i)}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkEngine = New(WithBrowserProfile(), WithFunctions(func(reg *runtime.Registry) {
+				for _, n := range names {
+					reg.Register(&runtime.Function{Name: n, MaxArgs: 1})
+				}
+			}))
+		}
+	})
+}

@@ -3,10 +3,16 @@
 // established:
 //
 //	progmutate  compiled programs (xquery.Program / xquery.Engine /
-//	            runtime.Program) are immutable after construction: once
-//	            a program is in the shared cache it is read concurrently
-//	            without locks, so field writes are only legal inside
-//	            constructor-shaped functions (New*/Compile*/With*/init).
+//	            runtime.Program, and the compilation every engine of one
+//	            shape shares, xquery.sharedProgram) are immutable after
+//	            construction: once a program is in the shared cache it is
+//	            read concurrently without locks, so field writes are only
+//	            legal inside constructor-shaped functions
+//	            (New*/Compile*/With*/init). The same goes for the
+//	            function registry layers programs resolve calls in
+//	            (runtime.Registry): its fields, map entries included, are
+//	            written by its constructors and by Register and Freeze,
+//	            nowhere else.
 //
 //	ctxstruct   context.Context is never stored in a struct field in the
 //	            serve/rest layers; contexts flow through call parameters
@@ -184,9 +190,16 @@ func loadDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 // guardedTypes are the compiled-program types whose fields are frozen
 // after construction.
 var guardedTypes = map[string]bool{
-	"Program": true,
-	"Engine":  true,
+	"Program":       true,
+	"Engine":        true,
+	"sharedProgram": true,
+	"Registry":      true,
 }
+
+// registryWriters are the Registry methods that may write a registry's
+// fields besides its constructors: they check (Register) or set
+// (Freeze) the frozen flag that makes a layer safe to share.
+var registryWriters = map[string]bool{"Register": true, "Freeze": true}
 
 // constructorName matches functions allowed to write guarded fields:
 // constructors, compilers, option builders (whose closures configure a
@@ -301,8 +314,15 @@ func literalTypeName(rhs ast.Expr) (string, bool) {
 }
 
 // flagWrite reports lhs when it is a field selector on a guarded
-// identifier.
+// identifier, or an element of such a field (r.funcs[k] = v).
 func flagWrite(fset *token.FileSet, lhs ast.Expr, guarded map[string]string, fn string) []finding {
+	for {
+		ix, ok := lhs.(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		lhs = ix.X
+	}
 	sel, ok := lhs.(*ast.SelectorExpr)
 	if !ok {
 		return nil
@@ -312,7 +332,7 @@ func flagWrite(fset *token.FileSet, lhs ast.Expr, guarded map[string]string, fn 
 		return nil
 	}
 	tn, ok := guarded[id.Name]
-	if !ok {
+	if !ok || tn == "Registry" && registryWriters[fn] {
 		return nil
 	}
 	return []finding{{

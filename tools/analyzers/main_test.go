@@ -61,6 +61,40 @@ func (s *Session) Bump() { s.n++ }
 	}
 }
 
+func TestProgMutateGuardsSharedProgramAndRegistry(t *testing.T) {
+	src := `package p
+type sharedProgram struct{ compiled *int }
+type Registry struct {
+	funcs  map[string][]int
+	shape  uint64
+	frozen bool
+}
+func NewRegistry() *Registry { r := &Registry{}; r.funcs = map[string][]int{}; return r }
+func (r *Registry) Register(k string) { r.funcs[k] = append(r.funcs[k], 1); r.shape++ }
+func (r *Registry) Freeze() { r.frozen = true }
+func (r *Registry) Layer() *Registry { return &Registry{} }
+`
+	if got := analyze(t, src, progMutate); len(got) != 0 {
+		t.Fatalf("constructors, Register and Freeze: findings = %v, want none", got)
+	}
+	bad := `package p
+type sharedProgram struct{ compiled *int }
+type Registry struct {
+	funcs  map[string][]int
+	frozen bool
+}
+type Engine struct{ host *Registry }
+func (r *Registry) Thaw() { r.frozen = false }
+func (r *Registry) Drop(k string) { r.funcs[k] = nil }
+func patch(r *Registry, k string) { r.funcs[k][0] = 2 }
+func (e *Engine) bind(sh *sharedProgram) { sh.compiled = nil }
+func (e *Engine) Register(sh *sharedProgram) { sh.compiled = nil }
+`
+	if got := analyze(t, bad, progMutate); len(got) != 5 {
+		t.Fatalf("late writes: findings = %v, want 5", got)
+	}
+}
+
 func TestIdxVersionFlagsUncheckedMapRead(t *testing.T) {
 	src := `package index
 type Doc struct{ names map[string][]int }

@@ -156,8 +156,8 @@ func WithQueryBudget(maxSteps int64, timeout time.Duration) Option {
 }
 
 // WithProgramCache compiles a page's scripts through a shared program
-// cache so sessions loading the same page skip the parse (a Pool
-// installs its cache automatically).
+// cache so sessions loading the same page skip parse and compile (a
+// Pool installs its cache automatically).
 func WithProgramCache(c *Cache) Option {
 	return Option{host: []core.Option{core.WithProgramCache(c)}}
 }
