@@ -250,8 +250,9 @@ func (c *Cache) Len() int {
 
 // Compile returns the compiled program for src bound to engine e,
 // consulting and populating the cache: the compilation is shared with
-// every engine of e's shape, the binding is e's own (and costs a few
-// small allocations, or none when e already holds it). Errors are not
+// every engine of e's shape, the binding is e's own, made on e's first
+// lookup of the program (imports resolve then, once) and kept by e, so
+// a warm hit allocates nothing. Errors are not
 // cached: a failing source is recompiled (and its error returned) on
 // every call, though concurrent callers of the same failing key share
 // one attempt. What can fail per engine — a module import, an external
@@ -261,7 +262,7 @@ func (c *Cache) Compile(e *Engine, src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.bind(ent.shared)
+	return e.bindCached(ent.shared)
 }
 
 // entry returns the cached compilation under key, compiling on e on a
@@ -339,7 +340,7 @@ func (c *Cache) CompileStrict(e *Engine, src string) (*Program, *analysis.Result
 		// strict callers still refuse to run it.
 		return nil, res, &AnalysisError{Diagnostics: res.Diagnostics}
 	}
-	prog, err := e.bind(ent.shared)
+	prog, err := e.bindCached(ent.shared)
 	if err != nil {
 		return nil, res, err
 	}

@@ -9,7 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/dom"
@@ -34,13 +34,15 @@ import (
 // so engines are cheap to build — one per page — and share compiled
 // programs through a Cache.
 //
-// An Engine is immutable after New returns (options apply only during
-// construction), so one engine may be shared by any number of
-// goroutines calling Compile, EvalQuery and Program.Run concurrently:
-// each compilation adds layers above the engine's registry, never
-// entries to it, and each run gets its own dynamic Context. The
-// concurrent serving layer (internal/serve) relies on this to share
-// one engine across all requests.
+// An Engine's configuration is immutable after New returns (options
+// apply only during construction), so one engine may be shared by any
+// number of goroutines calling Compile, EvalQuery and Program.Run
+// concurrently: each compilation adds layers above the engine's
+// registry, never entries to it, and each run gets its own dynamic
+// Context. The one thing that changes afterwards is the memo of the
+// engine's bindings of cached programs (bound), which synchronises
+// itself. The concurrent serving layer (internal/serve) relies on this
+// to share one engine across all requests.
 type Engine struct {
 	// host is the engine's own registry layer; its parent is
 	// funclib.Library().
@@ -59,10 +61,8 @@ type Engine struct {
 	// every Compile on this engine refuses with it instead of running
 	// programs against a half-built registry.
 	initErr error
-	// last memoises the engine's most recent binding, so asking for the
-	// program it already holds (one query evaluated again and again)
-	// allocates nothing.
-	last atomic.Pointer[Program]
+	// bound memoises the engine's bindings of cached programs.
+	bound bindings
 }
 
 // Option configures an Engine.
@@ -221,10 +221,6 @@ func (e *Engine) compileShared(m *ast.Module) *sharedProgram {
 // compiled by another engine of the same shape — to this engine:
 // imports resolve through its resolver, host functions are its own.
 func (e *Engine) bind(sh *sharedProgram) (*Program, error) {
-	last := e.last.Load()
-	if last != nil && last.shared == sh {
-		return last, nil
-	}
 	rp, err := runtime.Bind(sh.mod, sh.user, runtime.CompileConfig{
 		Registry:        e.host,
 		Resolver:        e.resolver,
@@ -235,15 +231,82 @@ func (e *Engine) bind(sh *sharedProgram) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{engine: e, shared: sh, prog: rp}
-	if !e.last.CompareAndSwap(last, p) {
-		// Lost a race; if it was to a binding of the same program, hand
-		// out that one so concurrent callers agree.
-		if cur := e.last.Load(); cur != nil && cur.shared == sh {
-			return cur, nil
-		}
+	return &Program{engine: e, shared: sh, prog: rp}, nil
+}
+
+// bindCached is bind for a compilation that lives in a Cache: the
+// engine binds each such program once and hands the same binding to
+// every later lookup, so a warm cache hit allocates nothing and — what
+// matters more — resolves the program's imports once per engine, not
+// once per lookup (a rest.Client resolver fetches a service description
+// over HTTP). Concurrent first lookups of one program share one bind,
+// and with it one round of resolver calls. A failed bind is not
+// remembered: the next lookup tries again.
+func (e *Engine) bindCached(sh *sharedProgram) (*Program, error) {
+	b := e.bound.slot(sh)
+	b.once.Do(func() {
+		b.err = errBindAborted // what waiters see if bind panics
+		b.prog, b.err = e.bind(sh)
+	})
+	if b.err != nil {
+		e.bound.drop(sh, b)
 	}
-	return p, nil
+	return b.prog, b.err
+}
+
+var errBindAborted = fmt.Errorf("%w: xquery: binding a cached program panicked", xqerr.ErrInternal)
+
+// maxBindings bounds an engine's binding memo. A page engine binds the
+// handful of scripts of its page; an engine shared by a serving pool
+// sees every source the pool does, so the memo is bounded like the
+// program cache it mirrors.
+const maxBindings = DefaultCacheCapacity
+
+// bindings is an engine's memo of its bindings, keyed by the shared
+// compilation bound: the Engine state that changes after New, behind a
+// lock of its own.
+type bindings struct {
+	mu sync.Mutex
+	m  map[*sharedProgram]*binding
+}
+
+// binding is one memoised bind; once guards prog and err.
+type binding struct {
+	once sync.Once
+	prog *Program
+	err  error
+}
+
+// slot returns the memo slot for sh, creating it (and, at capacity,
+// dropping an arbitrary other one: a dropped program is bound again
+// when it is next asked for) on first use.
+func (bs *bindings) slot(sh *sharedProgram) *binding {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	b := bs.m[sh]
+	if b == nil {
+		if bs.m == nil {
+			bs.m = map[*sharedProgram]*binding{}
+		}
+		if len(bs.m) >= maxBindings {
+			for k := range bs.m {
+				delete(bs.m, k)
+				break
+			}
+		}
+		b = &binding{}
+		bs.m[sh] = b
+	}
+	return b
+}
+
+// drop forgets b if it still is sh's slot.
+func (bs *bindings) drop(sh *sharedProgram, b *binding) {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	if bs.m[sh] == b {
+		delete(bs.m, sh)
+	}
 }
 
 // RewriteStats returns the optimizer's rewrite counts for this
@@ -540,7 +603,9 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 	}
 	ctx := p.NewContext(cfg)
 	eval := func() (xdm.Sequence, error) { return ctx.Run() }
-	if !cfg.DisableCompile {
+	// A binding whose imports reach outside their namespaces runs walked:
+	// the shared closures were compiled without knowing what it shadows.
+	if !cfg.DisableCompile && !p.prog.StrayImports {
 		cc := p.shared.compiled
 		eval = func() (xdm.Sequence, error) {
 			// Globals initialise through the walker (prolog variable

@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
@@ -21,7 +22,38 @@ import (
 // importer's).
 func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleResolver {
 	engine := New(opts...)
+	// One resolver serves every engine it is installed on, from whatever
+	// goroutines those bind programs on.
+	var mu sync.Mutex
 	compiled := map[string]*Program{}
+	load := func(uri, src string) (*Program, error) {
+		mu.Lock()
+		p, ok := compiled[uri]
+		mu.Unlock()
+		if ok {
+			return p, nil
+		}
+		// Compiled outside the lock: a library importing a library comes
+		// back in here. Racing first imports agree on whoever stores first.
+		p, err := engine.Compile(src)
+		if err != nil {
+			return nil, fmt.Errorf("xquery: compiling module %q: %w", uri, err)
+		}
+		m := p.Module()
+		if !m.IsLibrary {
+			return nil, fmt.Errorf("xquery: %q is not a library module", uri)
+		}
+		if m.URI != uri {
+			return nil, fmt.Errorf("xquery: module namespace %q does not match import %q", m.URI, uri)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if first, ok := compiled[uri]; ok {
+			return first, nil
+		}
+		compiled[uri] = p
+		return p, nil
+	}
 	return func(imp ast.ModuleImport, reg *runtime.Registry) error {
 		src, ok := sources[imp.URI]
 		if !ok {
@@ -35,21 +67,9 @@ func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleR
 		if !ok {
 			return fmt.Errorf("xquery: no module source for %q", imp.URI)
 		}
-		prog, ok := compiled[imp.URI]
-		if !ok {
-			p, err := engine.Compile(src)
-			if err != nil {
-				return fmt.Errorf("xquery: compiling module %q: %w", imp.URI, err)
-			}
-			m := p.Module()
-			if !m.IsLibrary {
-				return fmt.Errorf("xquery: %q is not a library module", imp.URI)
-			}
-			if m.URI != imp.URI {
-				return fmt.Errorf("xquery: module namespace %q does not match import %q", m.URI, imp.URI)
-			}
-			compiled[imp.URI] = p
-			prog = p
+		prog, err := load(imp.URI, src)
+		if err != nil {
+			return err
 		}
 		for i := range prog.Module().Prolog.Functions {
 			decl := &prog.Module().Prolog.Functions[i]

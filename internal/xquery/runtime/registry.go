@@ -184,18 +184,3 @@ func (r *Registry) All() []*Function {
 	}
 	return out
 }
-
-// Names returns the number of distinct function names registered across
-// the layers.
-func (r *Registry) Names() int {
-	if r.parent == nil {
-		return len(r.funcs)
-	}
-	seen := map[fnKey]struct{}{}
-	for l := r; l != nil; l = l.parent {
-		for k := range l.funcs {
-			seen[k] = struct{}{}
-		}
-	}
-	return len(seen)
-}

@@ -91,8 +91,12 @@ type Function struct {
 // ModuleResolver materialises a module import by registering its
 // functions into reg, the importing program's import layer. The REST
 // substrate registers web-service proxies here (paper §3.4). A resolver
-// may only define functions in the imported module's namespace: calls
-// into that namespace are the ones compiled code looks up per binding.
+// may register any function, and whatever it registers shadows the
+// host and library functions of the same name for the importing program
+// ("imports may shadow"); one that stays inside the imported module's
+// namespace keeps the program on its compiled closures, one that does
+// not makes that binding evaluate through the walker (see
+// Program.StrayImports).
 type ModuleResolver func(imp ast.ModuleImport, reg *Registry) error
 
 // CompileConfig parameterises the host half of compilation: what a
@@ -127,6 +131,13 @@ type Program struct {
 	Module   *ast.Module
 	Reg      *Registry
 	BlockDoc bool
+	// StrayImports reports that a module resolver registered a function
+	// outside the namespaces the module imports. Closures compiled for
+	// the module (once, for every binding) resolved calls outside those
+	// namespaces without this binding's import layer, so they may call a
+	// function the import shadows; the walker resolves every call in Reg
+	// and is the evaluator to use for this binding.
+	StrayImports bool
 }
 
 // resolverRetries counts module-resolver load attempts retried after a
@@ -194,7 +205,7 @@ func CompileFunctions(m *ast.Module) *Registry {
 // the shared half because a resolver's proxies close over its session
 // (its HTTP client, its context).
 func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
-	reg := cfg.Registry
+	reg, stray := cfg.Registry, false
 	if len(m.Prolog.Imports) > 0 {
 		if cfg.Resolver == nil {
 			return nil, fmt.Errorf("%w for import of %q", ErrNoResolver, m.Prolog.Imports[0].URI)
@@ -206,10 +217,7 @@ func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
 			}
 		}
 		for key := range reg.funcs {
-			if !m.Imports(key.Space) {
-				return nil, fmt.Errorf("xquery: a module resolver defined {%s}%s, outside the imported namespaces",
-					key.Space, key.Local)
-			}
+			stray = stray || !m.Imports(key.Space)
 		}
 	}
 	if len(user.funcs) > 0 || reg == nil {
@@ -222,7 +230,7 @@ func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
 				decl.Name, len(decl.Params))
 		}
 	}
-	return &Program{Module: m, Reg: reg, BlockDoc: cfg.BlockDoc}, nil
+	return &Program{Module: m, Reg: reg, BlockDoc: cfg.BlockDoc, StrayImports: stray}, nil
 }
 
 // userFunction compiles one prolog function declaration: a walker call

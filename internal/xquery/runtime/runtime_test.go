@@ -75,9 +75,6 @@ func TestRegistryLayers(t *testing.T) {
 	if got := top.Overloads(b); len(got) != 1 || got[0] != topB {
 		t.Errorf("Overloads in one layer = %v", got)
 	}
-	if n := top.Names(); n != 2 {
-		t.Errorf("Names = %d, want 2 distinct", n)
-	}
 	if n := len(top.All()); n != 3 {
 		t.Errorf("All = %d functions, want 3", n)
 	}
@@ -98,7 +95,7 @@ func TestRegistryFrozenRejectsRegister(t *testing.T) {
 	if !errors.Is(err, xqerr.ErrMisconfigured) {
 		t.Fatalf("Register on a frozen layer: err = %v, want ErrMisconfigured", err)
 	}
-	if r.Names() != 1 || r.Shape() != shape {
+	if len(r.All()) != 1 || r.Shape() != shape {
 		t.Error("a refused registration changed the layer")
 	}
 }
@@ -166,18 +163,25 @@ func TestRegistryLookupAllocs(t *testing.T) {
 	}
 }
 
-func TestBindKeepsResolversInTheirNamespace(t *testing.T) {
+func TestBindFlagsImportsOutsideTheirNamespace(t *testing.T) {
 	m, err := parser.ParseModule(`import module namespace x = "urn:x" at "hint"; 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Compile(m, CompileConfig{
-		Resolver: func(imp ast.ModuleImport, reg *Registry) error {
-			return reg.Register(&Function{Name: dom.QName{Space: "urn:other", Local: "f"}})
-		},
-	})
-	if err == nil {
-		t.Error("a resolver defining a function outside the imported namespace must fail the bind")
+	for _, space := range []string{"urn:x", "urn:other"} {
+		helper := &Function{Name: dom.QName{Space: space, Local: "f"}}
+		p, err := Compile(m, CompileConfig{
+			Resolver: func(imp ast.ModuleImport, reg *Registry) error { return reg.Register(helper) },
+		})
+		if err != nil {
+			t.Fatalf("resolver registering {%s}f: %v", space, err)
+		}
+		if p.Reg.Lookup(helper.Name, 0) != helper {
+			t.Errorf("{%s}f is not callable from the importing program", space)
+		}
+		if want := space != "urn:x"; p.StrayImports != want {
+			t.Errorf("resolver registering {%s}f: StrayImports = %v, want %v", space, p.StrayImports, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,6 +205,171 @@ func TestImportsBindPerEngine(t *testing.T) {
 	}
 }
 
+// countingResolver wraps the local resolver over one library module and
+// counts its calls.
+func countingResolver(calls *atomic.Int64) runtime.ModuleResolver {
+	local := NewLocalResolver(map[string]string{"urn:math": mathModule})
+	return func(imp ast.ModuleImport, reg *runtime.Registry) error {
+		calls.Add(1)
+		return local(imp, reg)
+	}
+}
+
+const importMath = `import module namespace m = "urn:math"; `
+
+// TestImportsResolveOncePerEngine: an engine keeps its bindings, so the
+// resolver runs once per (engine, cached program) — not per lookup, and
+// not once per goroutine that coalesced on the program's first compile.
+// Run with -race: the local resolver and the binding memo are shared.
+func TestImportsResolveOncePerEngine(t *testing.T) {
+	var calls atomic.Int64
+	e, c := New(WithModuleResolver(countingResolver(&calls))), NewCache(8)
+
+	const goroutines = 16
+	var wg sync.WaitGroup
+	progs := make([]*Program, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			res, err := c.EvalQuery(e, importMath+`m:square(7)`, RunConfig{})
+			if err != nil || res.Value[0].String() != "49" {
+				t.Errorf("goroutine %d: %v %v", g, res, err)
+			}
+			progs[g], _ = c.Compile(e, importMath+`m:square(7)`)
+		}(g)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d goroutines on one engine and one importing source made %d resolver calls, want 1", goroutines, n)
+	}
+	for g := 1; g < goroutines; g++ {
+		if progs[g] != progs[0] {
+			t.Fatalf("goroutine %d got a binding of its own", g)
+		}
+	}
+
+	// Alternating between importing sources keeps both bindings.
+	calls.Store(0)
+	for i := 0; i < 320; i++ {
+		src := importMath + `m:square(2)`
+		if i%2 == 1 {
+			src = importMath + `m:square(3)`
+		}
+		if _, err := c.EvalQuery(e, src, RunConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("320 evals alternating between two importing sources made %d resolver calls, want 2", n)
+	}
+	if st := c.Stats(); st.Compiles != 3 {
+		t.Errorf("stats = %+v, want 3 compiles", st)
+	}
+}
+
+// TestFailedBindingIsRetried: an import that fails to resolve fails the
+// lookup, not the engine's memo — the next lookup resolves again.
+func TestFailedBindingIsRetried(t *testing.T) {
+	var calls atomic.Int64
+	ok := countingResolver(&calls)
+	e := New(WithModuleResolver(func(imp ast.ModuleImport, reg *runtime.Registry) error {
+		if calls.Load() == 0 {
+			calls.Add(1)
+			return errors.New("service description unavailable")
+		}
+		return ok(imp, reg)
+	}))
+	c := NewCache(8)
+	src := importMath + `m:square(4)`
+	if _, err := c.EvalQuery(e, src, RunConfig{}); err == nil {
+		t.Fatal("the failing resolver's error was swallowed")
+	}
+	res, err := c.EvalQuery(e, src, RunConfig{})
+	if err != nil || res.Value[0].String() != "16" {
+		t.Fatalf("second attempt: %v %v", res, err)
+	}
+	if _, err := c.EvalQuery(e, src, RunConfig{}); err != nil || calls.Load() != 2 {
+		t.Errorf("after the retry: err = %v, resolver calls = %d, want 2", err, calls.Load())
+	}
+	if st := c.Stats(); st.Compiles != 1 {
+		t.Errorf("stats = %+v: the failed binding must not cost a recompile", st)
+	}
+}
+
+// TestBindingMemoIsBounded: an engine shared by a pool sees unboundedly
+// many sources; its memo holds at most maxBindings of them.
+func TestBindingMemoIsBounded(t *testing.T) {
+	e, c := New(), NewCache(maxBindings+64)
+	for i := 0; i < maxBindings+50; i++ {
+		if _, err := c.Compile(e, fmt.Sprintf("%d + 1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(e.bound.m); n != maxBindings {
+		t.Errorf("memo holds %d bindings, want %d", n, maxBindings)
+	}
+	// Uncached compiles have nothing to share and stay out of it.
+	fresh := New()
+	fresh.MustCompile(`1`)
+	if len(fresh.bound.m) != 0 {
+		t.Error("Engine.Compile memoised a one-off program")
+	}
+}
+
+// TestStrayImportsShadowLikeTheWalker: a resolver may register outside
+// the namespace it was asked for, and what it registers shadows host and
+// library functions in the importing program. The shared closures were
+// compiled without that knowledge, so such a binding runs walked, while
+// another binding of the same compilation keeps its closures.
+func TestStrayImportsShadowLikeTheWalker(t *testing.T) {
+	stray := func(imp ast.ModuleImport, reg *runtime.Registry) error {
+		for _, n := range []dom.QName{
+			{Space: parser.FnNamespace, Local: "count"}, // shadows the library
+			{Space: "urn:helper", Local: "count"},       // known to no engine
+		} {
+			reg.Register(&runtime.Function{Name: n, MinArgs: 1, MaxArgs: 1,
+				Invoke: func(*runtime.Context, []xdm.Sequence) (xdm.Sequence, error) {
+					return xdm.Singleton(xdm.Integer(42)), nil
+				}})
+		}
+		return nil
+	}
+	tidy := func(ast.ModuleImport, *runtime.Registry) error { return nil }
+	et, es := New(WithModuleResolver(tidy)), New(WithModuleResolver(stray))
+	c := NewCache(8)
+	prolog := `import module namespace s = "urn:svc"; declare namespace h = "urn:helper"; `
+	for _, tc := range []struct{ body, tidy, stray string }{
+		{`count((1, 2))`, "2", "42"},
+		{`h:count(())`, "", "42"}, // unknown to the tidy binding
+	} {
+		// The tidy engine compiles; the stray one reuses its closures.
+		pt, err := c.Compile(et, prolog+tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := c.Compile(es, prolog+tc.body)
+		if err != nil {
+			t.Fatalf("a resolver registering outside its namespace must still bind: %v", err)
+		}
+		if pt.shared != ps.shared {
+			t.Fatal("resolvers are not part of the shape")
+		}
+		for _, walk := range []bool{false, true} {
+			if got := runOn(t, ps, RunConfig{DisableCompile: walk}); got != tc.stray {
+				t.Errorf("%s: stray binding (walker=%v) = %q, want its shadow's %s", tc.body, walk, got, tc.stray)
+			}
+			res, err := pt.Run(RunConfig{DisableCompile: walk})
+			switch {
+			case tc.tidy == "" && !errors.Is(err, ErrUnknownFunction):
+				t.Errorf("%s: tidy binding (walker=%v): err = %v, want ErrUnknownFunction", tc.body, walk, err)
+			case tc.tidy != "" && (err != nil || res.Value[0].String() != tc.tidy):
+				t.Errorf("%s: tidy binding (walker=%v) = %v %v, want %s", tc.body, walk, res, err, tc.tidy)
+			}
+		}
+	}
+}
+
 func TestResolverDefaultsComeFromTheBindingEngine(t *testing.T) {
 	docs := func(title string) runtime.DocResolver {
 		return func(uri string) (*dom.Node, error) {
@@ -339,12 +505,12 @@ func TestLibraryLayerIsFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, shape := lib.Names(), lib.Shape()
+	names, shape := len(lib.All()), lib.Shape()
 	err = lib.Register(&runtime.Function{Name: dom.QName{Space: parser.FnNamespace, Local: "count"}, MinArgs: 1, MaxArgs: 1})
 	if !errors.Is(err, xqerr.ErrMisconfigured) {
 		t.Fatalf("Register on the shared library: err = %v, want ErrMisconfigured", err)
 	}
-	if lib.Names() != names || lib.Shape() != shape {
+	if len(lib.All()) != names || lib.Shape() != shape {
 		t.Error("a refused registration changed the library every engine shares")
 	}
 	if got, err := New().EvalQuery(`count((1, 2, 3))`, nil); err != nil || got[0].String() != "3" {

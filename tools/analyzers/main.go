@@ -8,7 +8,10 @@
 //	            construction: once a program is in the shared cache it is
 //	            read concurrently without locks, so field writes are only
 //	            legal inside constructor-shaped functions
-//	            (New*/Compile*/With*/init). The same goes for the
+//	            (New*/Compile*/With*/init). An engine's memo of its
+//	            bindings is a type of its own (xquery.bindings) behind
+//	            its own mutex, so Engine's fields stay unwritten too.
+//	            The same goes for the
 //	            function registry layers programs resolve calls in
 //	            (runtime.Registry): its fields, map entries included, are
 //	            written by its constructors and by Register and Freeze,

@@ -52,8 +52,9 @@ import (
 )
 
 // Engine compiles and runs XQuery programs (the role Zorba plays in the
-// paper's plug-in). An Engine is immutable after construction and safe
-// for concurrent Compile/EvalQuery from any number of goroutines.
+// paper's plug-in). An Engine's configuration is immutable after
+// construction and it is safe for concurrent Compile/EvalQuery from any
+// number of goroutines.
 type Engine = xquery.Engine
 
 // Program is a compiled XQuery program; immutable, so one compiled
