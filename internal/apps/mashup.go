@@ -65,11 +65,9 @@ func NewMashupServices() *MashupServices {
 		s.bump("weather-de")
 		loc := r.URL.Query().Get("loc")
 		temp, cond := syntheticWeather(loc)
-		german := map[string]string{"sunny": "sonnig", "cloudy": "bewölkt",
-			"rain": "Regen", "snow": "Schnee"}
 		w.Header().Set("Content-Type", "application/xml")
 		fmt.Fprintf(w, `<wetter ort="%s"><temperatur>%d</temperatur><lage>%s</lage></wetter>`,
-			markup.EscapeAttr(loc), temp, german[cond])
+			markup.EscapeAttr(loc), temp, germanCondition[cond])
 	}))
 	s.Webcams = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.bump("webcams")
@@ -104,6 +102,11 @@ func (s *MashupServices) Close() {
 	s.WeatherDE.Close()
 	s.Webcams.Close()
 }
+
+// germanCondition is the German weather service's word for each
+// condition syntheticWeather reports.
+var germanCondition = map[string]string{"sunny": "sonnig", "cloudy": "bewölkt",
+	"rain": "Regen", "snow": "Schnee"}
 
 // syntheticWeather derives a stable temperature and condition from the
 // location name.
@@ -271,9 +274,7 @@ func ExpectedWeatherText(loc string) string {
 // ExpectedWeatherTextDE computes the German service's line.
 func ExpectedWeatherTextDE(loc string) string {
 	temp, cond := syntheticWeather(loc)
-	german := map[string]string{"sunny": "sonnig", "cloudy": "bewölkt",
-		"rain": "Regen", "snow": "Schnee"}
-	return fmt.Sprintf("%s bei %d Grad", german[cond], temp)
+	return fmt.Sprintf("%s bei %d Grad", germanCondition[cond], temp)
 }
 
 // Close releases the services.

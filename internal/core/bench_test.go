@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/dom"
 	"repro/internal/xmldb"
 	"repro/internal/xquery"
 )
@@ -64,5 +67,127 @@ func BenchmarkLoadPage(b *testing.B) {
 				b.Errorf("compiles = %d over %d loads, want 1", st.Compiles, b.N)
 			}
 		})
+	}
+}
+
+// BenchmarkListenerTurn is one browser event on a long-lived page —
+// event, listener, pending updates — on the three interactive pages of
+// cmd/bench's event_loop workload at its sizes: a Buy click on the
+// 300-product cart (emptied every 32 buys, as a checkout would), a
+// Reference 2.0 navigation over a 512-article catalog with the
+// documents in the client's cache, and regenerating the 12×12
+// multiplication table. Every turn mutates its page, so every turn's
+// //elem[@id = K] lookups scan.
+func BenchmarkListenerTurn(b *testing.B) {
+	b.Run("cart", func(b *testing.B) {
+		h, err := core.LoadPage(cartPage(b, 300), "http://shop.example.com/cart")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cart := h.Page.ElementByID("shoppingcart")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := h.Click(fmt.Sprintf("product-%03d", i%300)); err != nil {
+				b.Fatal(err)
+			}
+			if i%32 == 31 {
+				b.StopTimer()
+				if len(cart.Children()) != 32 {
+					b.Fatalf("cart holds %d items after 32 buys", len(cart.Children()))
+				}
+				cart.RemoveChildren()
+				b.StartTimer()
+			}
+		}
+	})
+	b.Run("nav", func(b *testing.B) {
+		r, err := apps.NewReference20(apps.CorpusConfig{Journals: 4, Volumes: 4, Issues: 4, Articles: 8, RefsPerArticle: 40, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer r.Close()
+		app, err := apps.NewClientSideApp(r, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		session := r.Session(48, 1) // few enough documents for the client's cache
+		for _, it := range session {
+			if err := app.Do(it); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := app.Do(session[i%len(session)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if app.ContentHTML() == "" {
+			b.Fatal("navigation rendered nothing")
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		h, err := core.LoadPage(apps.MultiplicationPage(), "http://example.com/mult.html")
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Page.ElementByID("size").SetAttr(dom.Name("value"), "12")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := h.Click("generate"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if n := len(h.Page.ElementByID("out").Elements("td")); n != 144 {
+			b.Fatalf("table has %d cells, want 144", n)
+		}
+	})
+}
+
+// TestListenerLookupAllocsIndependentOfPageSize pins what the planned
+// [@id = K] predicate buys a listener: on a page the previous event
+// mutated, //div[@id="k"] scans, and the scan allocates the same
+// whether it rejects 100 candidates or 2,000 — no focus, iterator or
+// comparison result per candidate, no walker stack that grows with the
+// fan-out.
+func TestListenerLookupAllocsIndependentOfPageSize(t *testing.T) {
+	turn := func(candidates int) float64 {
+		var b strings.Builder
+		b.WriteString(`<html><head><script type="text/xqueryp">
+declare updating function local:touch($evt, $obj) {
+  replace value of node //div[@id="k"]/@n with string($obj/@id)
+};
+on event "click" at //input[@id="go"] attach listener local:touch
+</script></head><body><input id="go" type="button"/>`)
+		for i := 0; i < candidates; i++ {
+			b.WriteString(`<div id="d` + strconv.Itoa(i) + `"/>`)
+		}
+		b.WriteString(`<div id="k" n=""/></body></html>`)
+		h, err := core.LoadPage(b.String(), "http://example.com/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		click := func() {
+			if err := h.Click("go"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		click() // the load-time index dies here; from now on every turn scans
+		allocs := testing.AllocsPerRun(20, click)
+		if got := h.Page.ElementByID("k").AttrValue("n"); got != "go" {
+			t.Fatalf("listener wrote %q", got)
+		}
+		return allocs
+	}
+	// Equal, up to the allocation or two that sync.Pool's randomised
+	// misses under the race detector move between runs; one allocation
+	// per candidate would be 1,900 apart, the old walker stack was 5.
+	if small, large := turn(100), turn(2000); math.Abs(small-large) > 2 {
+		t.Errorf("a turn allocates %v times with 100 candidates and %v with 2,000", small, large)
 	}
 }

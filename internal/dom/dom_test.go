@@ -109,6 +109,27 @@ func TestDocumentOrderAfterMutation(t *testing.T) {
 	}
 }
 
+// TestCompareOrderAcrossTrees: nodes of different trees order by an
+// arbitrary but stable, antisymmetric tie-break, and deciding it
+// allocates nothing — it runs inside every document-order sort over a
+// collection().
+func TestCompareOrderAcrossTrees(t *testing.T) {
+	_, _, a, _, _ := buildSample(t)
+	_, _, _, b, _ := buildSample(t)
+	first := CompareOrder(a, b)
+	if first == 0 || CompareOrder(b, a) != -first {
+		t.Fatalf("CompareOrder(a,b) = %d, CompareOrder(b,a) = %d", first, CompareOrder(b, a))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if CompareOrder(a, b) != first {
+			t.Error("inter-tree order is not stable")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cross-tree CompareOrder allocates %v times, want 0", allocs)
+	}
+}
+
 func TestInsertBeforeAfter(t *testing.T) {
 	_, root, a, b, _ := buildSample(t)
 	x := NewElement(Name("x"))

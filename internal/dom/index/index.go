@@ -40,14 +40,19 @@ func init() {
 	// would let an index built during the rolled-back window read as
 	// fresh once the counter climbs back to the build version (ABA).
 	// Overwrite the slot with a permanently stale marker — atomic.Value
-	// cannot store nil, and version ^0 never matches a live counter, so
+	// cannot store nil, and neverFresh never matches a live counter, so
 	// every accessor sees "stale" and the next probe rebuilds.
 	dom.OnVersionRestore(func(root *dom.Node) {
 		if _, ok := root.LoadIndexCache().(*Doc); ok {
-			root.StoreIndexCache(&Doc{root: root, version: ^uint64(0)})
+			root.StoreIndexCache(&Doc{root: root, version: neverFresh})
 		}
 	})
 }
+
+// neverFresh is the build version of a Doc that holds no maps, only
+// Probe's counters: no tree's counter reaches it, so such a Doc is
+// stale for good, whichever way the counter moves.
+const neverFresh = ^uint64(0)
 
 // span is a node's position in the pre-order numbering: the node's own
 // number and the largest number in its subtree (attributes included).
@@ -142,6 +147,15 @@ func Probe(n *dom.Node) *Doc {
 	v := root.Version()
 	if d.version == v {
 		return d
+	}
+	if d.version != neverFresh {
+		// The index is dead, and on a page that keeps mutating nothing
+		// would replace it: keep the probe counters, let the maps go.
+		// A Doc someone still holds stays what it was — stale — and
+		// neverFresh (not the old version) is what keeps a rewound
+		// counter from reviving the slot.
+		d = &Doc{root: root, version: neverFresh}
+		root.StoreIndexCache(d)
 	}
 	if d.probeV.Load() != v {
 		d.probeV.Store(v)

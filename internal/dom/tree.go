@@ -1,6 +1,9 @@
 package dom
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Mutation primitives. These are the only sanctioned ways to restructure
 // a tree; they keep parent links and the document-order cache coherent.
@@ -308,8 +311,9 @@ func CompareOrder(a, b *Node) int {
 	}
 	ra, rb := a.Root(), b.Root()
 	if ra != rb {
-		// Stable arbitrary inter-tree order.
-		if fmt.Sprintf("%p", ra) < fmt.Sprintf("%p", rb) {
+		// Stable arbitrary inter-tree order: the roots' addresses (Go's
+		// collector does not move heap objects).
+		if uintptr(unsafe.Pointer(ra)) < uintptr(unsafe.Pointer(rb)) {
 			return -1
 		}
 		return 1

@@ -162,8 +162,7 @@ func toRat(i Item) *big.Rat {
 // untypedAtomic coerced to the other operand's type (or double against
 // numbers) per XPath 2.0.
 func GeneralCompare(op string, a, b Sequence) (bool, error) {
-	vop := map[string]string{"=": "eq", "!=": "ne", "<": "lt",
-		"<=": "le", ">": "gt", ">=": "ge"}[op]
+	vop := valueOp(op)
 	if vop == "" {
 		return false, fmt.Errorf("xdm: unknown general comparison %q", op)
 	}
@@ -183,6 +182,26 @@ func GeneralCompare(op string, a, b Sequence) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// valueOp returns the value comparison a general comparison applies to
+// each pair of items, or "" for an unknown operator.
+func valueOp(op string) string {
+	switch op {
+	case "=":
+		return "eq"
+	case "!=":
+		return "ne"
+	case "<":
+		return "lt"
+	case "<=":
+		return "le"
+	case ">":
+		return "gt"
+	case ">=":
+		return "ge"
+	}
+	return ""
 }
 
 // coerceGeneralPair applies the untypedAtomic coercion rules of general

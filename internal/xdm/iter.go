@@ -149,8 +149,7 @@ func EffectiveBooleanValueIter(it Iter) (bool, error) {
 // implementation-ordered, so errors hidden behind an early match may not
 // surface.
 func GeneralCompareStream(op string, a Iter, b Sequence) (bool, error) {
-	vop := map[string]string{"=": "eq", "!=": "ne", "<": "lt",
-		"<=": "le", ">": "gt", ">=": "ge"}[op]
+	vop := valueOp(op)
 	if vop == "" {
 		return false, fmt.Errorf("xdm: unknown general comparison %q", op)
 	}

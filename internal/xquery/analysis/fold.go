@@ -178,15 +178,14 @@ func (c *checker) estimate(e ast.Expr) int64 {
 	case ast.Path:
 		t := int64(1)
 		card := int64(1)
-		// Cost the steps the evaluator will actually run: the `//`
-		// rewrite merges descendant-or-self::node()/child::X pairs,
-		// and the planner's access annotation decides whether a
-		// descendant step is an index probe (O(matches), costed at
-		// unknownCard like any other step) or a subtree scan
-		// (O(tree), costed at the larger descScanCard) — so XQ0301
-		// charges indexed descendant steps for their matches, not
-		// the tree.
-		for _, st := range plan.RewriteDescendantSteps(x.Steps) {
+		// These are the steps the evaluator runs: the planner has
+		// merged descendant-or-self::node()/child::X pairs, and its
+		// access annotation decides whether a descendant step is an
+		// index probe (O(matches), costed at unknownCard like any
+		// other step) or a subtree scan (O(tree), costed at the larger
+		// descScanCard) — so XQ0301 charges indexed descendant steps
+		// for their matches, not the tree.
+		for _, st := range x.Steps {
 			if st.Primary != nil {
 				t = satAdd(t, satMul(card, c.estimate(st.Primary)))
 				card = satMul(card, c.cardOf(st.Primary))
@@ -219,8 +218,8 @@ func (c *checker) estimate(e ast.Expr) int64 {
 			if card > cardCap {
 				card = cardCap
 			}
-			preds := st.Preds
-			if st.Access == ast.AccessFT && len(preds) > 0 {
+			first := 0
+			if st.Access == ast.AccessFT && len(st.Preds) > 0 {
 				// The planned ftcontains re-applies to the candidates
 				// through the index's token windows — one step per
 				// candidate, not the tokenize-the-subtree cost the
@@ -228,10 +227,16 @@ func (c *checker) estimate(e ast.Expr) int64 {
 				// selection. Without this the probe's own predicate
 				// made XQ0301 fire on indexed full-text pages.
 				t = satAdd(t, card)
-				preds = preds[1:]
+				first = 1
 			}
-			for _, pr := range preds {
-				t = satAdd(t, satMul(card, c.estimate(pr)))
+			for i := first; i < len(st.Preds); i++ {
+				if st.PredPlan(i).Kind == ast.PredAttrCmp {
+					// Tested natively: the candidate's own step, not
+					// what interpreting the comparison would cost.
+					t = satAdd(t, card)
+					continue
+				}
+				t = satAdd(t, satMul(card, c.estimate(st.Preds[i])))
 			}
 		}
 		return t

@@ -344,8 +344,9 @@ const (
 	// list instead of a full subtree walk.
 	AccessIndexName
 	// AccessIndexID probes the per-document "id" attribute index: the
-	// step's first predicate pins @id to the string literal recorded
-	// in AccessID.
+	// step's first predicate is an attribute comparison (PredAttrCmp)
+	// on the no-namespace id attribute whose key is a non-empty string
+	// literal, over a descendant axis.
 	AccessIndexID
 	// AccessFT probes the per-document full-text index: the step's
 	// first predicate is an ftcontains over the context item with
@@ -368,6 +369,42 @@ func (a AccessMethod) String() string {
 	}
 }
 
+// PredKind is the path planner's classification of one step predicate:
+// what the predicate's stage has to do for it, decided once per module
+// instead of on every evaluation.
+type PredKind uint8
+
+// Predicate kinds.
+const (
+	// PredSized: the predicate may call last(), so its stage
+	// materializes its input to know the size. The zero value: a
+	// predicate nobody planned is evaluated this way, which is correct
+	// for every predicate.
+	PredSized PredKind = iota
+	// PredStream: the predicate never reads the size; candidates are
+	// tested one at a time as they stream by.
+	PredStream
+	// PredBounded: a PredStream predicate that accepts no candidate
+	// past position Bound ([N], [position() le N]); the stage stops
+	// pulling input there.
+	PredBounded
+	// PredAttrCmp: the predicate is @a = K or @a eq K (either operand
+	// order) with @a a predicate-free attribute step on a concrete name
+	// and K a string literal or a reference to a variable nothing in
+	// the module assigns. The runtime tests such a predicate natively
+	// when K turns out to be strings (see runtime.attrCmpIter).
+	PredAttrCmp
+)
+
+// PredPlan is the planner's annotation for one predicate of a step.
+type PredPlan struct {
+	Kind  PredKind
+	Bound int64     // PredBounded: the last position that can match
+	Attr  dom.QName // PredAttrCmp: the attribute's expanded name
+	Key   Expr      // PredAttrCmp: K, a StringLit or a VarRef
+	Value bool      // PredAttrCmp: a value comparison (eq), so K must be exactly one item
+}
+
 // Step is one step of a relative path: either an axis step or a primary
 // ("filter") expression, each with trailing predicates.
 type Step struct {
@@ -380,12 +417,22 @@ type Step struct {
 
 	Preds []Expr
 
-	// Access is the planner's access-path annotation for this step,
-	// written exactly once per module by Module.EnsurePlanned before
-	// the module is shared; evaluation only reads it. AccessID holds
-	// the literal id value for AccessIndexID.
-	Access   AccessMethod
-	AccessID string
+	// Access and PredPlans are the planner's annotations: the step's
+	// access path and one plan per predicate, index-aligned with Preds.
+	// The planner (plan.Annotate, under Module.EnsurePlanned) writes
+	// them on the steps it builds before the module is shared;
+	// evaluation only reads them.
+	Access    AccessMethod
+	PredPlans []PredPlan
+}
+
+// PredPlan returns the plan of predicate i, or the zero plan (PredSized,
+// always correct) on a step the planner never saw.
+func (s *Step) PredPlan(i int) PredPlan {
+	if i < len(s.PredPlans) {
+		return s.PredPlans[i]
+	}
+	return PredPlan{}
 }
 
 // Path is a path expression. Absolute paths start at the root of the
@@ -657,11 +704,11 @@ type Module struct {
 }
 
 // EnsurePlanned runs f exactly once over the module's lifetime — the
-// hook the path planner uses to annotate Step.Access in place. Parsed
-// modules are shared across engines by the program cache and compiled
-// concurrently, so the annotation pass needs a happens-before edge to
-// every reader; sync.Once provides it. Apart from this single guarded
-// pass the AST stays read-only after parse.
+// hook the path planner uses to replace the module's expressions with
+// their planned forms. Parsed modules are shared across engines by the
+// program cache and compiled concurrently, so the planning pass needs a
+// happens-before edge to every reader; sync.Once provides it. Apart
+// from this single guarded pass the AST stays read-only after parse.
 func (m *Module) EnsurePlanned(f func()) { m.planOnce.Do(f) }
 
 // Imports reports whether the prolog imports the module namespace uri.

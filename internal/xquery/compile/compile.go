@@ -616,13 +616,9 @@ func (u *unitCompiler) compile(e ast.Expr) (Closure, string) {
 		}, "Range"
 	case ast.FuncCall:
 		return u.call(x)
-	case ast.Path:
-		// Bridged, but with the //-rewrite and step planning resolved
-		// now: the walker's per-eval rewrite of the pre-rewritten steps
-		// is an identity scan.
-		steps := plan.RewriteDescendantSteps(x.Steps)
-		return u.bridge(ast.Path{Absolute: x.Absolute, Steps: steps}), ""
 	default:
+		// Paths among them: the bridge hands the walker the steps as the
+		// planner left them, // merged and predicates classified.
 		return u.bridge(e), ""
 	}
 }

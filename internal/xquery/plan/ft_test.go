@@ -7,8 +7,8 @@ import (
 	"repro/internal/xquery/parser"
 )
 
-// ftPlanned parses a single-path query, runs the //-rewrite the
-// evaluator runs, and returns the merged steps' access annotations.
+// ftPlanned parses and plans a single-path query and returns the steps
+// the evaluator will run.
 func ftPlanned(t *testing.T, src string) []ast.Step {
 	t.Helper()
 	m, err := parser.ParseModule(src)
@@ -20,7 +20,7 @@ func ftPlanned(t *testing.T, src string) []ast.Step {
 	if !ok {
 		t.Fatalf("body of %q is %T, want Path", src, m.Body)
 	}
-	return RewriteDescendantSteps(p.Steps)
+	return p.Steps
 }
 
 func TestPlanStepFTProbe(t *testing.T) {

@@ -51,7 +51,7 @@ type optimizer struct {
 
 // expr rewrites children first, then tries node-local rewrites.
 func (o *optimizer) expr(e ast.Expr) ast.Expr {
-	e = o.children(e)
+	e = mapChildren(e, o.expr)
 	if lit, ok := o.foldToLiteral(e); ok {
 		o.st.Folds++
 		return lit
@@ -319,16 +319,28 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 		return conj, clauses
 	}
 	// Copy the spine: fresh steps slice, fresh last step with the new
-	// predicates appended, re-planned (an [@id = ...] predicate can
-	// upgrade the step to an id probe).
+	// predicates and their plans appended and its access method chosen
+	// again (an [@id = "v"] predicate can upgrade the step to an id
+	// probe). The predicates the step already had keep the plans the
+	// module's planner gave them.
 	steps := make([]ast.Step, len(p.Steps))
 	copy(steps, p.Steps)
 	lastStep := steps[len(steps)-1]
 	preds := make([]ast.Expr, 0, len(lastStep.Preds)+len(pushed))
 	preds = append(preds, lastStep.Preds...)
-	preds = append(preds, pushed...)
-	lastStep.Preds = preds
-	PlanStep(&lastStep)
+	plans := make([]ast.PredPlan, len(lastStep.Preds), cap(preds))
+	copy(plans, lastStep.PredPlans)
+	for _, pr := range pushed {
+		pp := classifyPred(pr)
+		if _, isVar := pp.Key.(ast.VarRef); isVar {
+			// The optimizer sees one unit, not the module, so it cannot
+			// rule out that something assigns the variable.
+			pp = ast.PredPlan{Kind: ast.PredStream}
+		}
+		preds, plans = append(preds, pr), append(plans, pp)
+	}
+	lastStep.Preds, lastStep.PredPlans = preds, plans
+	lastStep.Access = chooseAccess(&lastStep)
 	steps[len(steps)-1] = lastStep
 	out := make([]ast.Clause, len(clauses))
 	copy(out, clauses)
@@ -488,7 +500,7 @@ func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
 	case ast.FTContains:
 		// `$v ftcontains S` becomes `. ftcontains S` over the candidate
 		// node. Rewriting matters beyond generality: the planned
-		// predicate is exactly the shape PlanStep upgrades to an
+		// predicate is exactly the shape chooseAccess upgrades to an
 		// AccessFT posting-list probe when the sources are literals.
 		cx, ok := rewriteForPushdown(x.X, v)
 		if !ok {
@@ -883,44 +895,47 @@ func mentionsVars(e ast.Expr, vars map[string]bool) bool {
 
 // --- copy-based child rewriting ---------------------------------------------
 
-// children rebuilds e with optimized children. Node kinds the
-// optimizer does not rewrite inside (constructors, updates, scripting,
-// events, full text) are still descended into, because a FLWOR worth
-// optimizing can hide anywhere; each case constructs a fresh node.
-func (o *optimizer) children(e ast.Expr) ast.Expr {
+// mapChildren rebuilds e with f applied to every child expression: the
+// copying walk the planner and the optimizer share. Every node kind
+// with children is descended into — a path worth planning or a FLWOR
+// worth optimizing can hide anywhere — and each case constructs a fresh
+// node, steps and predicate lists included, so the caller may write to
+// what it gets back. Word sources of a full-text selection are not
+// children here (the planner maps them itself, see planner.ftSel).
+func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
 	case ast.SeqExpr:
 		items := make([]ast.Expr, len(x.Items))
 		for i, it := range x.Items {
-			items[i] = o.expr(it)
+			items[i] = f(it)
 		}
 		return ast.SeqExpr{Items: items}
 	case ast.Ordered:
-		return ast.Ordered{X: o.expr(x.X)}
+		return ast.Ordered{X: f(x.X)}
 	case ast.FuncCall:
 		args := make([]ast.Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = o.expr(a)
+			args[i] = f(a)
 		}
 		return ast.FuncCall{Name: x.Name, Args: args, At: x.At}
 	case ast.If:
-		return ast.If{Cond: o.expr(x.Cond), Then: o.expr(x.Then), Else: o.expr(x.Else), At: x.At}
+		return ast.If{Cond: f(x.Cond), Then: f(x.Then), Else: f(x.Else), At: x.At}
 	case ast.FLWOR:
 		clauses := make([]ast.Clause, len(x.Clauses))
 		copy(clauses, x.Clauses)
 		for i := range clauses {
-			clauses[i].In = o.expr(clauses[i].In)
+			clauses[i].In = f(clauses[i].In)
 		}
 		orderBy := make([]ast.OrderSpec, len(x.OrderBy))
 		copy(orderBy, x.OrderBy)
 		for i := range orderBy {
-			orderBy[i].Key = o.expr(orderBy[i].Key)
+			orderBy[i].Key = f(orderBy[i].Key)
 		}
-		out := ast.FLWOR{Clauses: clauses, OrderBy: orderBy, Return: o.expr(x.Return)}
+		out := ast.FLWOR{Clauses: clauses, OrderBy: orderBy, Return: f(x.Return)}
 		if x.Where != nil {
-			out.Where = o.expr(x.Where)
+			out.Where = f(x.Where)
 		}
 		if len(out.OrderBy) == 0 {
 			out.OrderBy = nil
@@ -930,42 +945,42 @@ func (o *optimizer) children(e ast.Expr) ast.Expr {
 		vars := make([]ast.Clause, len(x.Vars))
 		copy(vars, x.Vars)
 		for i := range vars {
-			vars[i].In = o.expr(vars[i].In)
+			vars[i].In = f(vars[i].In)
 		}
-		return ast.Quantified{Every: x.Every, Vars: vars, Satisfies: o.expr(x.Satisfies)}
+		return ast.Quantified{Every: x.Every, Vars: vars, Satisfies: f(x.Satisfies)}
 	case ast.Typeswitch:
 		cases := make([]ast.TypeswitchCase, len(x.Cases))
 		copy(cases, x.Cases)
 		for i := range cases {
-			cases[i].Body = o.expr(cases[i].Body)
+			cases[i].Body = f(cases[i].Body)
 		}
-		return ast.Typeswitch{Operand: o.expr(x.Operand), Cases: cases,
-			DefaultVar: x.DefaultVar, Default: o.expr(x.Default), At: x.At}
+		return ast.Typeswitch{Operand: f(x.Operand), Cases: cases,
+			DefaultVar: x.DefaultVar, Default: f(x.Default), At: x.At}
 	case ast.Binary:
-		return ast.Binary{Op: x.Op, L: o.expr(x.L), R: o.expr(x.R)}
+		return ast.Binary{Op: x.Op, L: f(x.L), R: f(x.R)}
 	case ast.Compare:
-		return ast.Compare{Op: x.Op, Kind: x.Kind, L: o.expr(x.L), R: o.expr(x.R)}
+		return ast.Compare{Op: x.Op, Kind: x.Kind, L: f(x.L), R: f(x.R)}
 	case ast.Unary:
-		return ast.Unary{Neg: x.Neg, X: o.expr(x.X)}
+		return ast.Unary{Neg: x.Neg, X: f(x.X)}
 	case ast.Range:
-		return ast.Range{L: o.expr(x.L), R: o.expr(x.R)}
+		return ast.Range{L: f(x.L), R: f(x.R)}
 	case ast.InstanceOf:
-		return ast.InstanceOf{X: o.expr(x.X), Type: x.Type}
+		return ast.InstanceOf{X: f(x.X), Type: x.Type}
 	case ast.TreatAs:
-		return ast.TreatAs{X: o.expr(x.X), Type: x.Type}
+		return ast.TreatAs{X: f(x.X), Type: x.Type}
 	case ast.CastAs:
-		return ast.CastAs{X: o.expr(x.X), Type: x.Type, Optional: x.Optional, Castable: x.Castable}
+		return ast.CastAs{X: f(x.X), Type: x.Type, Optional: x.Optional, Castable: x.Castable}
 	case ast.Path:
 		steps := make([]ast.Step, len(x.Steps))
 		copy(steps, x.Steps)
 		for i := range steps {
 			if steps[i].Primary != nil {
-				steps[i].Primary = o.expr(steps[i].Primary)
+				steps[i].Primary = f(steps[i].Primary)
 			}
 			if len(steps[i].Preds) > 0 {
 				preds := make([]ast.Expr, len(steps[i].Preds))
 				for k, pr := range steps[i].Preds {
-					preds[k] = o.expr(pr)
+					preds[k] = f(pr)
 				}
 				steps[i].Preds = preds
 			}
@@ -977,61 +992,61 @@ func (o *optimizer) children(e ast.Expr) ast.Expr {
 		for i := range attrs {
 			pieces := make([]ast.Expr, len(attrs[i].Pieces))
 			for k, p := range attrs[i].Pieces {
-				pieces[k] = o.expr(p)
+				pieces[k] = f(p)
 			}
 			attrs[i].Pieces = pieces
 		}
 		content := make([]ast.Expr, len(x.Content))
 		for i, c := range x.Content {
-			content[i] = o.expr(c)
+			content[i] = f(c)
 		}
 		return ast.DirElem{Name: x.Name, Attrs: attrs, Content: content}
 	case ast.CompConstructor:
 		return ast.CompConstructor{Kind: x.Kind, Name: x.Name,
-			NameExpr: o.expr(x.NameExpr), Content: o.expr(x.Content)}
+			NameExpr: f(x.NameExpr), Content: f(x.Content)}
 	case ast.Insert:
-		return ast.Insert{Source: o.expr(x.Source), Target: o.expr(x.Target), Pos: x.Pos, At: x.At}
+		return ast.Insert{Source: f(x.Source), Target: f(x.Target), Pos: x.Pos, At: x.At}
 	case ast.Delete:
-		return ast.Delete{Target: o.expr(x.Target), At: x.At}
+		return ast.Delete{Target: f(x.Target), At: x.At}
 	case ast.Replace:
-		return ast.Replace{ValueOf: x.ValueOf, Target: o.expr(x.Target), With: o.expr(x.With), At: x.At}
+		return ast.Replace{ValueOf: x.ValueOf, Target: f(x.Target), With: f(x.With), At: x.At}
 	case ast.Rename:
-		return ast.Rename{Target: o.expr(x.Target), NewName: o.expr(x.NewName), At: x.At}
+		return ast.Rename{Target: f(x.Target), NewName: f(x.NewName), At: x.At}
 	case ast.Transform:
 		bindings := make([]ast.Clause, len(x.Bindings))
 		copy(bindings, x.Bindings)
 		for i := range bindings {
-			bindings[i].In = o.expr(bindings[i].In)
+			bindings[i].In = f(bindings[i].In)
 		}
-		return ast.Transform{Bindings: bindings, Modify: o.expr(x.Modify), Return: o.expr(x.Return), At: x.At}
+		return ast.Transform{Bindings: bindings, Modify: f(x.Modify), Return: f(x.Return), At: x.At}
 	case ast.Block:
 		stmts := make([]ast.Expr, len(x.Stmts))
 		for i, s := range x.Stmts {
-			stmts[i] = o.expr(s)
+			stmts[i] = f(s)
 		}
 		return ast.Block{Stmts: stmts}
 	case ast.BlockDecl:
-		return ast.BlockDecl{Var: x.Var, Type: x.Type, Init: o.expr(x.Init), At: x.At}
+		return ast.BlockDecl{Var: x.Var, Type: x.Type, Init: f(x.Init), At: x.At}
 	case ast.Assign:
-		return ast.Assign{Var: x.Var, Val: o.expr(x.Val), At: x.At}
+		return ast.Assign{Var: x.Var, Val: f(x.Val), At: x.At}
 	case ast.While:
-		return ast.While{Cond: o.expr(x.Cond), Body: o.expr(x.Body), At: x.At}
+		return ast.While{Cond: f(x.Cond), Body: f(x.Body), At: x.At}
 	case ast.Exit:
-		return ast.Exit{With: o.expr(x.With), At: x.At}
+		return ast.Exit{With: f(x.With), At: x.At}
 	case ast.EventAttach:
-		return ast.EventAttach{Event: o.expr(x.Event), Target: o.expr(x.Target),
+		return ast.EventAttach{Event: f(x.Event), Target: f(x.Target),
 			Behind: x.Behind, Listener: x.Listener, At: x.At}
 	case ast.EventDetach:
-		return ast.EventDetach{Event: o.expr(x.Event), Target: o.expr(x.Target),
+		return ast.EventDetach{Event: f(x.Event), Target: f(x.Target),
 			Listener: x.Listener, At: x.At}
 	case ast.EventTrigger:
-		return ast.EventTrigger{Event: o.expr(x.Event), Target: o.expr(x.Target), At: x.At}
+		return ast.EventTrigger{Event: f(x.Event), Target: f(x.Target), At: x.At}
 	case ast.SetStyle:
-		return ast.SetStyle{Prop: o.expr(x.Prop), Target: o.expr(x.Target), Value: o.expr(x.Value), At: x.At}
+		return ast.SetStyle{Prop: f(x.Prop), Target: f(x.Target), Value: f(x.Value), At: x.At}
 	case ast.GetStyle:
-		return ast.GetStyle{Prop: o.expr(x.Prop), Target: o.expr(x.Target), At: x.At}
+		return ast.GetStyle{Prop: f(x.Prop), Target: f(x.Target), At: x.At}
 	case ast.FTContains:
-		return ast.FTContains{X: o.expr(x.X), Sel: x.Sel}
+		return ast.FTContains{X: f(x.X), Sel: x.Sel}
 	default:
 		// Literals, VarRef, ContextItem, Break, Continue, Hoisted (not
 		// produced by parsers) and anything future: leave untouched.

@@ -1,31 +1,44 @@
 // Package plan is the compile-time path planner: the pass between
-// parsing and evaluation that decides, per axis step, how the runtime
-// should produce the step's candidates. It annotates ast.Step.Access
-// in place:
+// parsing and evaluation that makes every static decision about a path
+// step, so the evaluators decide nothing per evaluation. Annotate
+// replaces a module's expressions with their planned forms, in which
 //
-//   - descendant::x / descendant-or-self::x with a concrete element
-//     name → AccessIndexName (probe the per-document element-name
-//     index, see internal/dom/index);
-//   - the same axes whose first predicate pins @id to a non-empty
-//     string literal → AccessIndexID (probe the id index);
-//   - everything else → AccessScan (walk the axis as before).
+//   - the parser's expansion of "//" — descendant-or-self::node()/
+//     child::X — is one descendant::X step wherever X's predicates are
+//     statically position-free (mergeDescendantSteps);
+//   - every step predicate carries an ast.PredPlan: it needs the input
+//     size (mentions last()), it streams, it streams and stops at a
+//     static positional bound, or it is the attribute comparison
+//     @a = K / @a eq K the runtime can test natively (classifyPred);
+//   - every axis step carries its access method: descendant::x /
+//     descendant-or-self::x with a concrete element name →
+//     AccessIndexName (probe the per-document element-name index, see
+//     internal/dom/index); the same axes whose first predicate is an
+//     attribute comparison of @id with a non-empty string literal →
+//     AccessIndexID (probe the id index); a first predicate that is a
+//     literal ". ftcontains" selection → AccessFT; everything else →
+//     AccessScan (walk the axis).
 //
-// The annotation is advisory: the evaluator re-applies the node test
-// and every predicate to the probed candidates, and falls back to
-// scanning whenever an index cannot answer, so a wrong plan can cost
-// time but never correctness. Both evaluators consult it — the eager
-// per-step machinery and the streaming iterators — and the static
-// analyzer's cost model reads it to price indexed steps at O(matches)
-// instead of O(tree).
+// Access methods and the attribute-comparison kind are advisory: the
+// evaluator re-applies the node test and every predicate to probed
+// candidates, falls back to scanning whenever an index cannot answer,
+// and hands a predicate whose key is not strings to the generic
+// predicate stage, so a wrong plan can cost time but never correctness.
+// PredSized is not advisory — it is what gives last() its value — which
+// is why it is the zero value: a predicate nobody planned is evaluated
+// the always-correct way. Both evaluators read the annotations, and
+// the static analyzer's cost model reads them to price indexed steps at
+// O(matches) instead of O(tree).
 //
-// Planning mutates the shared AST, which the program cache hands to
-// many engines concurrently; Module.EnsurePlanned guards the pass with
-// a sync.Once so it runs exactly once, before any reader.
+// Planning replaces expressions of the shared module, which the
+// program cache hands to many engines concurrently;
+// Module.EnsurePlanned guards the pass with a sync.Once so it runs
+// exactly once, before any reader.
 //
-// The package also owns the //-rewrite and the conservative static
-// predicates (ExprMentions, BooleanValuedPred) the rewrite and the
-// streaming runtime share; it sits below runtime and analysis and
-// imports only the AST.
+// The package also owns the conservative static predicates
+// (ExprMentions, BooleanValuedPred) the merge, the classifier and the
+// optimizer share; it sits below runtime and analysis and imports only
+// the AST.
 package plan
 
 import (
@@ -37,43 +50,125 @@ import (
 // to it).
 const fnSpace = "http://www.w3.org/2005/xpath-functions"
 
-// Annotate plans every path step in the module: the prolog's global
-// initialisers, every function body, and the module body. Call it
-// through Module.EnsurePlanned.
+// Annotate plans the module: the prolog's global initialisers, every
+// function body and the module body are replaced by their planned
+// forms. Planning a planned module changes nothing. Call it through
+// Module.EnsurePlanned.
 func Annotate(m *ast.Module) {
+	p := &planner{assigned: map[string]bool{}}
 	for i := range m.Prolog.Vars {
-		annotateExpr(m.Prolog.Vars[i].Init)
+		m.Prolog.Vars[i].Init = p.expr(m.Prolog.Vars[i].Init)
 	}
 	for i := range m.Prolog.Functions {
-		annotateExpr(m.Prolog.Functions[i].Body)
+		m.Prolog.Functions[i].Body = p.expr(m.Prolog.Functions[i].Body)
 	}
-	annotateExpr(m.Body)
+	m.Body = p.expr(m.Body)
+	// A variable key is read once per step evaluation, so it is only
+	// as good as a per-candidate read while nothing can assign the
+	// variable in between; which variables are assigned is known only
+	// now, after the whole module has been seen.
+	for _, pp := range p.varKeyed {
+		if p.assigned[vkey(pp.Key.(ast.VarRef).Name)] {
+			*pp = ast.PredPlan{Kind: ast.PredStream}
+		}
+	}
 }
 
-// PlanStep chooses the access method for one step and writes the
-// annotation. Exported so the //-rewrite can plan the merged steps it
-// synthesises at evaluation time (they never pass through Annotate).
-func PlanStep(s *ast.Step) {
-	s.Access, s.AccessID = ast.AccessScan, ""
+// planner is one Annotate pass over a module.
+type planner struct {
+	assigned map[string]bool // vkey of every variable some Assign targets
+	varKeyed []*ast.PredPlan // attribute comparisons keyed by a variable
+}
+
+// expr returns the planned form of e: children first (mapChildren
+// copies, so the steps planned below are the planner's own), then the
+// node itself.
+func (p *planner) expr(e ast.Expr) ast.Expr {
+	switch x := e.(type) {
+	case ast.Assign:
+		p.assigned[vkey(x.Var)] = true
+	case ast.FTContains:
+		return ast.FTContains{X: p.expr(x.X), Sel: p.ftSel(x.Sel)}
+	}
+	e = mapChildren(e, p.expr)
+	if x, ok := e.(ast.Path); ok {
+		x.Steps = mergeDescendantSteps(x.Steps)
+		for i := range x.Steps {
+			p.step(&x.Steps[i])
+		}
+		return x
+	}
+	return e
+}
+
+// ftSel plans the word sources of a full-text selection.
+func (p *planner) ftSel(sel ast.FTSelection) ast.FTSelection {
+	switch s := sel.(type) {
+	case ast.FTWords:
+		s.Source = p.expr(s.Source)
+		return s
+	case ast.FTAnd:
+		return ast.FTAnd{L: p.ftSel(s.L), R: p.ftSel(s.R)}
+	case ast.FTOr:
+		return ast.FTOr{L: p.ftSel(s.L), R: p.ftSel(s.R)}
+	case ast.FTNot:
+		return ast.FTNot{X: p.ftSel(s.X)}
+	}
+	return sel
+}
+
+// step plans one step of the planner's own copy of a path: it
+// classifies the predicates, chooses the access method and writes both
+// annotations in place.
+func (p *planner) step(s *ast.Step) {
+	var plans []ast.PredPlan
+	if len(s.Preds) > 0 {
+		plans = make([]ast.PredPlan, len(s.Preds))
+		for i, pr := range s.Preds {
+			plans[i] = classifyPred(pr)
+			if _, isVar := plans[i].Key.(ast.VarRef); isVar {
+				p.varKeyed = append(p.varKeyed, &plans[i])
+			}
+		}
+	}
+	s.PredPlans = plans
+	s.Access = chooseAccess(s)
+}
+
+// chooseAccess picks the access method of a step whose predicates are
+// already classified.
+func chooseAccess(s *ast.Step) ast.AccessMethod {
 	if s.Primary != nil {
-		return
+		return ast.AccessScan
 	}
 	if s.Axis != ast.AxisDescendant && s.Axis != ast.AxisDescendantOrSelf {
-		return
+		return ast.AccessScan
 	}
 	if len(s.Preds) > 0 {
-		if id, ok := idPredLiteral(s.Preds[0]); ok {
-			s.Access, s.AccessID = ast.AccessIndexID, id
-			return
+		if _, ok := IDProbeKey(s); ok {
+			return ast.AccessIndexID
 		}
 		if sel, ok := ftProbePred(s.Preds[0]); ok && ftSelAnswerable(sel) && ftProbeTestOK(s.Test) {
-			s.Access = ast.AccessFT
-			return
+			return ast.AccessFT
 		}
 	}
 	if _, _, ok := ProbeName(s.Test); ok {
-		s.Access = ast.AccessIndexName
+		return ast.AccessIndexName
 	}
+	return ast.AccessScan
+}
+
+// IDProbeKey returns the id an AccessIndexID step probes for: its
+// first predicate is an attribute comparison of the no-namespace id
+// attribute with a non-empty string literal (the id index does not
+// record empty id attributes). ok is false for every other step.
+func IDProbeKey(s *ast.Step) (id string, ok bool) {
+	pp := s.PredPlan(0)
+	if pp.Kind != ast.PredAttrCmp || pp.Attr.Space != "" || pp.Attr.Local != "id" {
+		return "", false
+	}
+	lit, ok := pp.Key.(ast.StringLit)
+	return lit.Val, ok && lit.Val != ""
 }
 
 // ProbeName extracts the concrete expanded element name an index probe
@@ -100,196 +195,111 @@ func ProbeName(t ast.NodeTest) (space, local string, ok bool) {
 	}
 }
 
-// idPredLiteral recognises the id-pinning predicate shapes
-// [@id = "v"] and [@id eq "v"] (either operand order) with a non-empty
-// string literal. Only these are safe to turn into an id probe: the
-// comparison is string-vs-untypedAtomic in both comparison families,
-// the predicate can never be positional, and the id index does not
-// record empty id attributes.
-func idPredLiteral(p ast.Expr) (string, bool) {
-	c, ok := p.(ast.Compare)
+// classifyPred decides how a predicate's stage evaluates it (see
+// ast.PredKind). A variable key is accepted here; whether anything
+// assigns the variable is the caller's to check.
+func classifyPred(pred ast.Expr) ast.PredPlan {
+	if ExprMentions(pred, "last") {
+		return ast.PredPlan{Kind: ast.PredSized}
+	}
+	if bound, ok := positionalBound(pred); ok {
+		return ast.PredPlan{Kind: ast.PredBounded, Bound: bound}
+	}
+	if pp, ok := attrComparison(pred); ok {
+		return pp
+	}
+	return ast.PredPlan{Kind: ast.PredStream}
+}
+
+// attrComparison recognises @a = K and @a eq K in either operand order.
+// Only these are safe to test natively and to turn into an id probe:
+// against a string or untypedAtomic key the comparison is string
+// equality in both comparison families, it never raises and it never
+// reads the focus position.
+func attrComparison(pred ast.Expr) (ast.PredPlan, bool) {
+	c, ok := pred.(ast.Compare)
 	if !ok {
-		return "", false
+		return ast.PredPlan{}, false
 	}
 	switch {
 	case c.Kind == ast.GeneralComp && c.Op == "=":
 	case c.Kind == ast.ValueComp && c.Op == "eq":
 	default:
-		return "", false
+		return ast.PredPlan{}, false
 	}
-	if lit, ok := c.R.(ast.StringLit); ok && isIDAttrPath(c.L) && lit.Val != "" {
-		return lit.Val, true
+	attr, key := c.L, c.R
+	if !isAttrCmpKey(key) {
+		attr, key = c.R, c.L
 	}
-	if lit, ok := c.L.(ast.StringLit); ok && isIDAttrPath(c.R) && lit.Val != "" {
-		return lit.Val, true
-	}
-	return "", false
-}
-
-// isIDAttrPath matches the expression @id: a relative single-step path
-// on the attribute axis naming the no-namespace "id" attribute, with
-// no predicates.
-func isIDAttrPath(e ast.Expr) bool {
-	p, ok := e.(ast.Path)
-	if !ok || p.Absolute || len(p.Steps) != 1 {
-		return false
+	p, ok := attr.(ast.Path)
+	if !ok || p.Absolute || len(p.Steps) != 1 || !isAttrCmpKey(key) {
+		return ast.PredPlan{}, false
 	}
 	s := p.Steps[0]
-	return s.Primary == nil && s.Axis == ast.AxisAttribute &&
-		s.Test.IsName && !s.Test.AnySpace && len(s.Preds) == 0 &&
-		s.Test.Name.Space == "" && s.Test.Name.Local == "id"
-}
-
-// annotatePath plans a path's steps in place. Path values are copied
-// freely through Expr interfaces, but Steps is a slice, so writing
-// through the element pointer reaches the one shared backing array.
-func annotatePath(p ast.Path) {
-	for i := range p.Steps {
-		PlanStep(&p.Steps[i])
-		annotateExpr(p.Steps[i].Primary)
-		for _, pr := range p.Steps[i].Preds {
-			annotateExpr(pr)
-		}
+	if s.Primary != nil || s.Axis != ast.AxisAttribute || len(s.Preds) != 0 ||
+		!s.Test.IsName || s.Test.AnySpace || s.Test.Name.Local == "*" {
+		return ast.PredPlan{}, false
 	}
+	return ast.PredPlan{Kind: ast.PredAttrCmp, Attr: s.Test.Name, Key: key,
+		Value: c.Kind == ast.ValueComp}, true
 }
 
-// annotateExpr walks an expression tree planning every path it
-// contains. Unknown node kinds are simply not descended into — their
-// paths stay AccessScan, which is always correct.
-func annotateExpr(e ast.Expr) {
-	switch x := e.(type) {
-	case nil:
-		return
-	case ast.Path:
-		annotatePath(x)
-	case ast.SeqExpr:
-		for _, it := range x.Items {
-			annotateExpr(it)
+// isAttrCmpKey reports whether e can be the key of an attribute
+// comparison: its value cannot depend on the candidate, and reading it
+// cannot have an effect.
+func isAttrCmpKey(e ast.Expr) bool {
+	switch e.(type) {
+	case ast.StringLit, ast.VarRef:
+		return true
+	}
+	return false
+}
+
+// positionalBound statically bounds the input positions a predicate can
+// accept: [N] and [position() < N] shapes never accept an item past the
+// bound, letting predicate stages stop pulling. ok=false is unbounded.
+func positionalBound(pred ast.Expr) (int64, bool) {
+	switch x := pred.(type) {
+	case ast.IntLit:
+		if x.Val < 1 {
+			return 0, true // [0]: no position matches
 		}
-	case ast.FuncCall:
-		for _, a := range x.Args {
-			annotateExpr(a)
-		}
-	case ast.Ordered:
-		annotateExpr(x.X)
-	case ast.Hoisted:
-		annotateExpr(x.X)
-	case ast.If:
-		annotateExpr(x.Cond)
-		annotateExpr(x.Then)
-		annotateExpr(x.Else)
-	case ast.FLWOR:
-		for _, c := range x.Clauses {
-			annotateExpr(c.In)
-		}
-		annotateExpr(x.Where)
-		for _, o := range x.OrderBy {
-			annotateExpr(o.Key)
-		}
-		annotateExpr(x.Return)
-	case ast.Quantified:
-		for _, c := range x.Vars {
-			annotateExpr(c.In)
-		}
-		annotateExpr(x.Satisfies)
-	case ast.Typeswitch:
-		annotateExpr(x.Operand)
-		for _, c := range x.Cases {
-			annotateExpr(c.Body)
-		}
-		annotateExpr(x.Default)
-	case ast.Binary:
-		annotateExpr(x.L)
-		annotateExpr(x.R)
+		return x.Val, true
 	case ast.Compare:
-		annotateExpr(x.L)
-		annotateExpr(x.R)
-	case ast.Unary:
-		annotateExpr(x.X)
-	case ast.Range:
-		annotateExpr(x.L)
-		annotateExpr(x.R)
-	case ast.InstanceOf:
-		annotateExpr(x.X)
-	case ast.TreatAs:
-		annotateExpr(x.X)
-	case ast.CastAs:
-		annotateExpr(x.X)
-	case ast.DirElem:
-		for _, a := range x.Attrs {
-			for _, p := range a.Pieces {
-				annotateExpr(p)
+		if n, ok := intLitVal(x.R); ok && isPositionCall(x.L) {
+			switch x.Op {
+			case "<", "lt":
+				return clampBound(n - 1), true
+			case "<=", "le", "=", "eq":
+				return clampBound(n), true
 			}
 		}
-		for _, c := range x.Content {
-			annotateExpr(c)
+		if n, ok := intLitVal(x.L); ok && isPositionCall(x.R) {
+			switch x.Op {
+			case ">", "gt":
+				return clampBound(n - 1), true
+			case ">=", "ge", "=", "eq":
+				return clampBound(n), true
+			}
 		}
-	case ast.CompConstructor:
-		annotateExpr(x.NameExpr)
-		annotateExpr(x.Content)
-	case ast.Insert:
-		annotateExpr(x.Source)
-		annotateExpr(x.Target)
-	case ast.Delete:
-		annotateExpr(x.Target)
-	case ast.Replace:
-		annotateExpr(x.Target)
-		annotateExpr(x.With)
-	case ast.Rename:
-		annotateExpr(x.Target)
-		annotateExpr(x.NewName)
-	case ast.Transform:
-		for _, b := range x.Bindings {
-			annotateExpr(b.In)
-		}
-		annotateExpr(x.Modify)
-		annotateExpr(x.Return)
-	case ast.Block:
-		for _, s := range x.Stmts {
-			annotateExpr(s)
-		}
-	case ast.BlockDecl:
-		annotateExpr(x.Init)
-	case ast.Assign:
-		annotateExpr(x.Val)
-	case ast.While:
-		annotateExpr(x.Cond)
-		annotateExpr(x.Body)
-	case ast.Exit:
-		annotateExpr(x.With)
-	case ast.EventAttach:
-		annotateExpr(x.Event)
-		annotateExpr(x.Target)
-	case ast.EventDetach:
-		annotateExpr(x.Event)
-		annotateExpr(x.Target)
-	case ast.EventTrigger:
-		annotateExpr(x.Event)
-		annotateExpr(x.Target)
-	case ast.SetStyle:
-		annotateExpr(x.Prop)
-		annotateExpr(x.Target)
-		annotateExpr(x.Value)
-	case ast.GetStyle:
-		annotateExpr(x.Prop)
-		annotateExpr(x.Target)
-	case ast.FTContains:
-		annotateExpr(x.X)
-		annotateFT(x.Sel)
 	}
+	return 0, false
 }
 
-func annotateFT(sel ast.FTSelection) {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		annotateExpr(s.Source)
-	case ast.FTAnd:
-		annotateFT(s.L)
-		annotateFT(s.R)
-	case ast.FTOr:
-		annotateFT(s.L)
-		annotateFT(s.R)
-	case ast.FTNot:
-		annotateFT(s.X)
+func clampBound(n int64) int64 {
+	if n < 0 {
+		return 0
 	}
+	return n
+}
+
+func isPositionCall(e ast.Expr) bool {
+	f, ok := e.(ast.FuncCall)
+	return ok && len(f.Args) == 0 && f.Name.Local == "position" &&
+		(f.Name.Space == fnSpace || f.Name.Space == "")
+}
+
+func intLitVal(e ast.Expr) (int64, bool) {
+	l, ok := e.(ast.IntLit)
+	return l.Val, ok
 }

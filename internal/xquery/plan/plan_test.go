@@ -1,0 +1,265 @@
+package plan
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/dom"
+	"repro/internal/xquery/ast"
+	"repro/internal/xquery/parser"
+)
+
+// plannedBody parses and plans src and returns its body.
+func plannedBody(t *testing.T, src string) (*ast.Module, ast.Expr) {
+	t.Helper()
+	m, err := parser.ParseModule(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	m.EnsurePlanned(func() { Annotate(m) })
+	return m, m.Body
+}
+
+// lastStepOf returns the last step of the first path found in e,
+// looking through the wrappers the test queries use.
+func lastStepOf(t *testing.T, e ast.Expr) ast.Step {
+	t.Helper()
+	switch x := e.(type) {
+	case ast.Path:
+		return x.Steps[len(x.Steps)-1]
+	case ast.FuncCall:
+		return lastStepOf(t, x.Args[0])
+	case ast.FLWOR:
+		return lastStepOf(t, x.Return)
+	case ast.Block:
+		return lastStepOf(t, x.Stmts[len(x.Stmts)-1])
+	}
+	t.Fatalf("no path in %T", e)
+	return ast.Step{}
+}
+
+func TestClassifyPredicates(t *testing.T) {
+	a, pa := dom.Name("a"), dom.QName{Space: "urn:p", Prefix: "p", Local: "a"}
+	str := func(v string) ast.Expr { return ast.StringLit{Val: v} }
+	cmp := func(attr dom.QName, key ast.Expr, value bool) ast.PredPlan {
+		return ast.PredPlan{Kind: ast.PredAttrCmp, Attr: attr, Key: key, Value: value}
+	}
+	stream, sized := ast.PredPlan{Kind: ast.PredStream}, ast.PredPlan{Kind: ast.PredSized}
+	bounded := func(n int64) ast.PredPlan { return ast.PredPlan{Kind: ast.PredBounded, Bound: n} }
+	const prolog = `declare namespace p = "urn:p"; declare variable $v external; `
+	for _, c := range []struct {
+		src  string
+		want []ast.PredPlan
+	}{
+		// The attribute comparison, all four spellings, both key kinds.
+		{`x[@a = "k"]`, []ast.PredPlan{cmp(a, str("k"), false)}},
+		{`x["k" = @a]`, []ast.PredPlan{cmp(a, str("k"), false)}},
+		{`x[@a eq "k"]`, []ast.PredPlan{cmp(a, str("k"), true)}},
+		{`x["k" eq @a]`, []ast.PredPlan{cmp(a, str("k"), true)}},
+		{`x[@a = ""]`, []ast.PredPlan{cmp(a, str(""), false)}},
+		{`x[@p:a = $v]`, []ast.PredPlan{cmp(pa, ast.VarRef{Name: dom.Name("v")}, false)}},
+		{`x[$v eq @a]`, []ast.PredPlan{cmp(a, ast.VarRef{Name: dom.Name("v")}, true)}},
+		// Everything else about the comparison's shape stays generic.
+		{`x[@a != "k"]`, []ast.PredPlan{stream}},
+		{`x[@a < "k"]`, []ast.PredPlan{stream}},
+		{`x[@a = 1]`, []ast.PredPlan{stream}},
+		{`x[@a = ("k", "l")]`, []ast.PredPlan{stream}},
+		{`x[@a = concat("k", "")]`, []ast.PredPlan{stream}},
+		{`x[@* = "k"]`, []ast.PredPlan{stream}},
+		{`x[@*:a = "k"]`, []ast.PredPlan{stream}},
+		{`x[@a[1] = "k"]`, []ast.PredPlan{stream}},
+		{`x[./@a = "k"]`, []ast.PredPlan{stream}},
+		{`x[y/@a = "k"]`, []ast.PredPlan{stream}},
+		{`x[a = "k"]`, []ast.PredPlan{stream}},
+		{`x[@a = @b]`, []ast.PredPlan{stream}},
+		{`x[$v = $v]`, []ast.PredPlan{stream}},
+		{`x[@a = "k" and @b]`, []ast.PredPlan{stream}},
+		{`x[@a]`, []ast.PredPlan{stream}},
+		// Positions and sizes.
+		{`x[1]`, []ast.PredPlan{bounded(1)}},
+		{`x[0]`, []ast.PredPlan{bounded(0)}},
+		{`x[position() < 4]`, []ast.PredPlan{bounded(3)}},
+		{`x[position() le 4]`, []ast.PredPlan{bounded(4)}},
+		{`x[4 >= position()]`, []ast.PredPlan{bounded(4)}},
+		{`x[position() = 2]`, []ast.PredPlan{bounded(2)}},
+		{`x[position() > 2]`, []ast.PredPlan{stream}},
+		{`x[$v]`, []ast.PredPlan{stream}},
+		{`x[last()]`, []ast.PredPlan{sized}},
+		{`x[position() = last() - 1]`, []ast.PredPlan{sized}},
+		{`x[@a = "k"][last()][2]`, []ast.PredPlan{cmp(a, str("k"), false), sized, bounded(2)}},
+		// Filter steps are classified like axis steps.
+		{`(x, y)[@a = "k"][1]`, []ast.PredPlan{cmp(a, str("k"), false), bounded(1)}},
+	} {
+		_, body := plannedBody(t, prolog+c.src)
+		got := lastStepOf(t, body).PredPlans
+		for i := range got {
+			if v, ok := got[i].Key.(ast.VarRef); ok {
+				got[i].Key = ast.VarRef{Name: v.Name} // without the source position
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: plans = %+v, want %+v", c.src, got, c.want)
+		}
+	}
+}
+
+// TestAssignedVariableKeysStayGeneric: the kernel reads a variable key
+// once per step evaluation, which equals reading it per candidate only
+// while nothing can assign the variable — and an assignment anywhere in
+// the module, before or after the predicate, in this unit or another,
+// might.
+func TestAssignedVariableKeysStayGeneric(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want ast.PredKind
+	}{
+		{`declare variable $k := "1"; { //x[@a = $k]; }`, ast.PredAttrCmp},
+		{`declare variable $k := "1"; { set $k := "2"; //x[@a = $k]; }`, ast.PredStream},
+		{`declare variable $k := "1"; { declare variable $r := //x[@a = $k]; set $k := "2"; //x[@a = $k]; }`, ast.PredStream},
+		{`declare variable $k := "1";
+		  declare sequential function local:f() { set $k := "2"; };
+		  { //x[@a = $k]; }`, ast.PredStream},
+		{`declare variable $k := "1"; declare variable $j := "1"; { set $j := "2"; //x[@a = $k]; }`, ast.PredAttrCmp},
+		{`declare variable $k := "1"; { set $k := "2"; //x[@a = "lit"]; }`, ast.PredAttrCmp},
+	} {
+		_, body := plannedBody(t, c.src)
+		step := lastStepOf(t, body)
+		if got := step.PredPlan(0).Kind; got != c.want {
+			t.Errorf("%s: kind = %d, want %d", c.src, got, c.want)
+		}
+	}
+}
+
+func stepShape(steps []ast.Step) []string {
+	var out []string
+	for _, s := range steps {
+		switch {
+		case s.Primary != nil:
+			out = append(out, "primary")
+		case s.Test.AnyNode:
+			out = append(out, s.Axis.String()+"::node()")
+		default:
+			out = append(out, s.Axis.String()+"::"+s.Test.Name.Local)
+		}
+	}
+	return out
+}
+
+// TestMergeAtPlanTime: the planned module holds the steps the
+// evaluator runs — "//" is one descendant step where X's predicates
+// are position-free and the parser's two steps where they are not —
+// with the access method chosen on the merged step.
+func TestMergeAtPlanTime(t *testing.T) {
+	for _, c := range []struct {
+		src    string
+		steps  []string
+		access ast.AccessMethod
+	}{
+		{`//div`, []string{"descendant::div"}, ast.AccessIndexName},
+		{`//div[@id]`, []string{"descendant::div"}, ast.AccessIndexName},
+		{`//div[@id = "k"]`, []string{"descendant::div"}, ast.AccessIndexID},
+		{`//div["k" eq @id]`, []string{"descendant::div"}, ast.AccessIndexID},
+		{`//div[@id = ""]`, []string{"descendant::div"}, ast.AccessIndexName},
+		{`//div[@class = "k"]`, []string{"descendant::div"}, ast.AccessIndexName},
+		{`//*[@id = "k"]`, []string{"descendant::*"}, ast.AccessIndexID},
+		{`//div[1]`, []string{"descendant-or-self::node()", "child::div"}, ast.AccessScan},
+		{`//div[last()]`, []string{"descendant-or-self::node()", "child::div"}, ast.AccessScan},
+		{`//div[@id = "k"][1]`, []string{"descendant-or-self::node()", "child::div"}, ast.AccessScan},
+		{`//div[position() < 3]`, []string{"descendant-or-self::node()", "child::div"}, ast.AccessScan},
+		{`/html//div/p//a[@href]`, []string{"child::html", "descendant::div", "child::p", "descendant::a"}, ast.AccessIndexName},
+		{`$v//issue[@id = $v]`, []string{"primary", "descendant::issue"}, ast.AccessIndexName},
+		{`//@id`, []string{"descendant-or-self::node()", "attribute::id"}, ast.AccessScan},
+		{`child::div[@id = "k"]`, []string{"child::div"}, ast.AccessScan},
+	} {
+		_, body := plannedBody(t, `declare variable $v external; `+c.src)
+		p := body.(ast.Path)
+		if got := stepShape(p.Steps); !reflect.DeepEqual(got, c.steps) {
+			t.Errorf("%s: steps = %v, want %v", c.src, got, c.steps)
+		}
+		if got := p.Steps[len(p.Steps)-1].Access; got != c.access {
+			t.Errorf("%s: access = %v, want %v", c.src, got, c.access)
+		}
+	}
+}
+
+// TestAnnotateReachesEveryPath: paths are planned wherever they sit —
+// prolog initialisers, function bodies, predicates of other paths,
+// constructors, updates, full-text word sources.
+func TestAnnotateReachesEveryPath(t *testing.T) {
+	m, _ := plannedBody(t, `
+declare variable $g := //a[@id = "g"];
+declare updating function local:f($x) { delete nodes //b[@id = $x] };
+(<e k="{//c[@id = "c"]}">{//d[@id = "d"]}</e>,
+ //e[.//f[@id = "f"]],
+ //h[. ftcontains {//i[@id = "i"]/string()} any])`)
+	var ids []string
+	var visit func(e ast.Expr) ast.Expr
+	visit = func(e ast.Expr) ast.Expr {
+		if ft, ok := e.(ast.FTContains); ok {
+			visit(ft.Sel.(ast.FTWords).Source)
+		}
+		if p, ok := e.(ast.Path); ok {
+			for i := range p.Steps {
+				if pp := p.Steps[i].PredPlan(0); pp.Kind == ast.PredAttrCmp && p.Steps[i].Axis == ast.AxisDescendant {
+					ids = append(ids, p.Steps[i].Test.Name.Local)
+				}
+			}
+		}
+		return mapChildren(e, visit)
+	}
+	visit(m.Prolog.Vars[0].Init)
+	visit(m.Prolog.Functions[0].Body)
+	visit(m.Body)
+	if want := []string{"a", "b", "c", "d", "f", "i"}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("merged, kernel-planned steps = %v, want %v", ids, want)
+	}
+}
+
+// TestAnnotateIdempotent: planning a planned module — the harness
+// calls Annotate on modules of its own more than once — changes
+// nothing, and EnsurePlanned runs the planner once.
+func TestAnnotateIdempotent(t *testing.T) {
+	const src = `declare variable $v external;
+for $a in $v//issue[@id = $v]/article[1] where $a/@year = "2008" return //div[@id = "k"][last()]//p[2]`
+	m, once := plannedBody(t, src)
+	runs := 0
+	m.EnsurePlanned(func() { runs++ })
+	if runs != 0 {
+		t.Fatal("EnsurePlanned planned a planned module again")
+	}
+	Annotate(m)
+	if !reflect.DeepEqual(m.Body, once) {
+		t.Errorf("second Annotate changed the module:\n%+v\nwas\n%+v", m.Body, once)
+	}
+}
+
+// TestPushdownPlansThePushedPredicate: a where conjunct the optimizer
+// moves into a path is classified there, the step's access method is
+// chosen again, and the predicates the planner had already classified
+// keep their plans.
+func TestPushdownPlansThePushedPredicate(t *testing.T) {
+	_, body := plannedBody(t, `declare variable $v external;
+for $b in //book[@year = $v] where $b/@id = "b2" return $b`)
+	opt := Optimize(body, nil).(ast.FLWOR)
+	step := lastStepOf(t, opt.Clauses[0].In)
+	if len(step.Preds) != 2 || step.PredPlan(0).Kind != ast.PredAttrCmp || step.PredPlan(1).Kind != ast.PredAttrCmp {
+		t.Fatalf("pushed step: %d predicates, plans %+v", len(step.Preds), step.PredPlans)
+	}
+	if _, isVar := step.PredPlan(0).Key.(ast.VarRef); !isVar {
+		t.Errorf("the planner's variable-keyed plan did not survive the pushdown: %+v", step.PredPlan(0))
+	}
+
+	// Pushed first, an id comparison upgrades the step to an id probe.
+	_, body = plannedBody(t, `for $b in //book where $b/@id = "b2" return $b`)
+	step = lastStepOf(t, Optimize(body, nil).(ast.FLWOR).Clauses[0].In)
+	if id, ok := IDProbeKey(&step); step.Access != ast.AccessIndexID || !ok || id != "b2" {
+		t.Errorf("access = %v, id probe key = %q (%v)", step.Access, id, ok)
+	}
+
+	// A pushed variable key stays generic: the optimizer sees one unit.
+	_, body = plannedBody(t, `declare variable $v external; for $b in //book where $b/@id = $v return $b`)
+	step = lastStepOf(t, Optimize(body, nil).(ast.FLWOR).Clauses[0].In)
+	if len(step.Preds) != 1 || step.PredPlan(0).Kind != ast.PredStream {
+		t.Errorf("pushed variable key: plans %+v", step.PredPlans)
+	}
+}

@@ -2,36 +2,21 @@ package plan
 
 import "repro/internal/xquery/ast"
 
-// RewriteDescendantSteps merges the parser's expansion of "//" —
+// mergeDescendantSteps merges the parser's expansion of "//" —
 // descendant-or-self::node()/child::X — into a single descendant::X
-// step. The rewrite regroups candidates from per-parent child lists
-// into one global walk, which changes predicate positions, so it only
-// applies when X's predicates are statically position-free
-// (//div[1] keeps the two-step form; //div[@id] merges). Merged steps
-// are planned on the spot: they are synthesised after Annotate ran
-// over the module, and descendant::X is exactly the shape the
-// name/id indexes serve, which is how //x becomes an index probe in
-// both evaluators.
-func RewriteDescendantSteps(steps []ast.Step) []ast.Step {
-	rewritten := false
-	for i := 0; i+1 < len(steps); i++ {
-		if isAnyDescOrSelf(steps[i]) && isPositionFreeChildStep(steps[i+1]) {
-			rewritten = true
-			break
-		}
-	}
-	if !rewritten {
-		return steps
-	}
-	out := make([]ast.Step, 0, len(steps))
+// step. The merge regroups candidates from per-parent child lists into
+// one global walk, which changes predicate positions, so it only
+// applies when X's predicates are statically position-free (//div[1]
+// keeps the two-step form; //div[@id] merges). descendant::X is exactly
+// the shape the name/id indexes serve, which is how //x becomes an
+// index probe. steps is the planner's own copy and is compacted in
+// place.
+func mergeDescendantSteps(steps []ast.Step) []ast.Step {
+	out := steps[:0]
 	for i := 0; i < len(steps); i++ {
 		if i+1 < len(steps) && isAnyDescOrSelf(steps[i]) && isPositionFreeChildStep(steps[i+1]) {
-			next := steps[i+1]
-			merged := ast.Step{Axis: ast.AxisDescendant, Test: next.Test, Preds: next.Preds}
-			PlanStep(&merged)
-			out = append(out, merged)
 			i++
-			continue
+			steps[i].Axis = ast.AxisDescendant
 		}
 		out = append(out, steps[i])
 	}

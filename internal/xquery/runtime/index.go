@@ -48,7 +48,11 @@ func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step) ([]*dom.Node, bool) 
 		}
 		cand, ok = idx.DescendantsByName(n, space, local, orSelf)
 	case ast.AccessIndexID:
-		cand, ok = idx.DescendantsByID(n, step.AccessID, orSelf)
+		id, okID := plan.IDProbeKey(step)
+		if !okID {
+			return nil, false
+		}
+		cand, ok = idx.DescendantsByID(n, id, orSelf)
 	default:
 		return nil, false
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dom"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
-	"repro/internal/xquery/plan"
 )
 
 // This file is the lazy half of the evaluator: EvalIter produces a
@@ -17,11 +16,6 @@ import (
 // streaming benefit fall back to a deferred Eval. Setting
 // Context.NoStream forces the deferred-Eval fallback everywhere, which
 // is the eager baseline the benchmarks compare against.
-
-// fnSpace is the XPath functions namespace; the parser resolves
-// unprefixed function names to it unless the prolog overrides the
-// default function namespace.
-const fnSpace = "http://www.w3.org/2005/xpath-functions"
 
 // EvalIter evaluates an expression lazily. Errors are deferred to the
 // first Next call, so building an iterator never fails. The result is
@@ -245,7 +239,7 @@ func (ctx *Context) rangeIter(x ast.Range) xdm.Iter {
 // The second return value reports whether the result is statically
 // known to be an ordered node stream.
 func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
-	steps := plan.RewriteDescendantSteps(p.Steps)
+	steps := p.Steps
 	var cur xdm.Iter
 	ord, disjoint := true, true
 	start := 0
@@ -262,7 +256,7 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 		if len(steps) == 0 {
 			return xdm.ErrIter(fmt.Errorf("xquery: empty path")), false
 		}
-		if first := steps[0]; first.Primary != nil {
+		if first := &steps[0]; first.Primary != nil {
 			last := len(steps) == 1
 			cur, ord = ctx.filterStepIter(first, last)
 			disjoint = false
@@ -275,7 +269,7 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 		}
 	}
 	for si := start; si < len(steps); si++ {
-		step := steps[si]
+		step := &steps[si]
 		if step.Primary != nil || !ord || !axisStreamable(step.Axis, disjoint) {
 			// Barrier: materialize the focus so far, then run the rest
 			// of the path eagerly (sorted and deduplicated per step).
@@ -294,7 +288,7 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 				return xdm.FromSlice(out), nil
 			}), lastIsAxis
 		}
-		cur = &stepStream{ctx: ctx, step: step, input: cur}
+		cur = &stepStream{ctx: ctx, step: step, input: cur, keys: ctx.newStepKeys(step)}
 		ord, disjoint = true, axisOutDisjoint(step.Axis, disjoint)
 	}
 	return cur, ord
@@ -334,12 +328,13 @@ func axisOutDisjoint(a ast.Axis, inDisjoint bool) bool {
 // sort at all; anything else materializes only the (post-predicate)
 // survivors for finishStep's sort/dedup/mixing rules. Predicates that
 // mention last() need the primary's size and take the eager route.
-func (ctx *Context) filterStepIter(step ast.Step, last bool) (xdm.Iter, bool) {
+func (ctx *Context) filterStepIter(step *ast.Step, last bool) (xdm.Iter, bool) {
 	prim := ctx.EvalIter(step.Primary)
-	if !plan.AnyExprMentions(step.Preds, "last") {
+	if !anyPredSized(step) {
 		cur := xdm.Iter(prim)
-		for _, pred := range step.Preds {
-			cur = ctx.predStage(cur, pred)
+		keys := ctx.newStepKeys(step)
+		for i := range step.Preds {
+			cur = ctx.predStage(cur, step, i, keys)
 		}
 		if isOrdered(prim) {
 			return cur, true
@@ -357,7 +352,7 @@ func (ctx *Context) filterStepIter(step ast.Step, last bool) (xdm.Iter, bool) {
 		}), false
 	}
 	return deferredIter(func() (xdm.Iter, error) {
-		res, err := ctx.evalStep(step, ctx.Item, ctx.Pos, ctx.Size)
+		res, err := ctx.evalStep(step, ctx.Item, ctx.Pos, ctx.Size, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -369,13 +364,25 @@ func (ctx *Context) filterStepIter(step ast.Step, last bool) (xdm.Iter, bool) {
 	}), false
 }
 
+// anyPredSized reports whether some predicate of the step needs its
+// input's size (the planner found a last() in it, or never saw it).
+func anyPredSized(step *ast.Step) bool {
+	for i := range step.Preds {
+		if step.PredPlan(i).Kind == ast.PredSized {
+			return true
+		}
+	}
+	return false
+}
+
 // stepStream maps an ordered focus stream through one axis step,
 // yielding each focus node's candidates lazily.
 type stepStream struct {
 	ctx   *Context
-	step  ast.Step
+	step  *ast.Step
 	input xdm.Iter
 	cur   xdm.Iter
+	keys  stepKeys
 }
 
 func (s *stepStream) Next() (xdm.Item, bool, error) {
@@ -401,7 +408,7 @@ func (s *stepStream) Next() (xdm.Item, bool, error) {
 		if !isNode {
 			return nil, false, fmt.Errorf("xquery: axis step applied to an atomic value")
 		}
-		s.cur = s.ctx.stepCandidates(n, s.step)
+		s.cur = s.ctx.stepCandidates(n, s.step, s.keys)
 	}
 }
 
@@ -409,14 +416,16 @@ func (s *stepStream) Next() (xdm.Item, bool, error) {
 // axis walk → node test → predicate stages. Every candidate pulled
 // consumes one budget step, which is what bounds pure tree walks that
 // never re-enter Eval. Both evaluators route every axis step through
-// here, which makes it the single place the planner's access-method
-// annotation is consulted: an indexed step replaces the axis walk with
-// the (much smaller) probed candidate list, and the node test plus all
+// here, which makes it the single place the planner's annotations are
+// consulted: an indexed step replaces the axis walk with the (much
+// smaller) probed candidate list, and the node test plus all
 // predicates still re-apply, so a probe can never change a result —
-// only skip the nodes a scan would have visited and rejected.
-func (ctx *Context) stepCandidates(n *dom.Node, step ast.Step) xdm.Iter {
+// only skip the nodes a scan would have visited and rejected. keys are
+// the key slots of this evaluation of the step (newStepKeys), shared by
+// all its focus nodes.
+func (ctx *Context) stepCandidates(n *dom.Node, step *ast.Step, keys stepKeys) xdm.Iter {
 	var it xdm.Iter
-	if cand, ok := ctx.probeIndex(n, &step); ok {
+	if cand, ok := ctx.probeIndex(n, step); ok {
 		i := 0
 		it = xdm.IterFunc(func() (xdm.Item, bool, error) {
 			for i < len(cand) {
@@ -448,18 +457,23 @@ func (ctx *Context) stepCandidates(n *dom.Node, step ast.Step) xdm.Iter {
 			}
 		})
 	}
-	for _, pred := range step.Preds {
-		it = ctx.predStage(it, pred)
+	for i := range step.Preds {
+		it = ctx.predStage(it, step, i, keys)
 	}
 	return it
 }
 
-// predStage filters a stream through one predicate. Predicates that
-// mention last() need the input size, so that stage materializes its
-// input; everything else streams, and statically bounded positional
-// predicates ([1], [position() le 3]) stop pulling input at the bound.
-func (ctx *Context) predStage(in xdm.Iter, pred ast.Expr) xdm.Iter {
-	if plan.ExprMentions(pred, "last") {
+// predStage filters a stream through predicate i of step, the way the
+// planner classified it: a predicate that may call last() needs the
+// input size, so its stage materializes its input; an attribute
+// comparison runs natively while keys has a slot for it; everything
+// else streams through the generic predIter, and statically bounded
+// positional predicates ([1], [position() le 3]) stop pulling input at
+// the bound.
+func (ctx *Context) predStage(in xdm.Iter, step *ast.Step, i int, keys stepKeys) xdm.Iter {
+	pred, pp := step.Preds[i], step.PredPlan(i)
+	switch {
+	case pp.Kind == ast.PredSized:
 		return deferredIter(func() (xdm.Iter, error) {
 			items, err := xdm.Materialize(in)
 			if err != nil {
@@ -471,9 +485,10 @@ func (ctx *Context) predStage(in xdm.Iter, pred ast.Expr) xdm.Iter {
 			}
 			return xdm.FromSlice(kept), nil
 		})
+	case pp.Kind == ast.PredAttrCmp && keys != nil:
+		return &attrCmpIter{ctx: ctx, in: in, pred: pred, plan: &step.PredPlans[i], key: &keys[i]}
 	}
-	bound, bounded := positionalBound(pred)
-	return &predIter{ctx: ctx, in: in, pred: pred, bound: bound, bounded: bounded}
+	return &predIter{ctx: ctx, in: in, pred: pred, bound: pp.Bound, bounded: pp.Kind == ast.PredBounded}
 }
 
 type predIter struct {
@@ -538,10 +553,10 @@ func newAxisWalker(n *dom.Node, axis ast.Axis) axisWalker {
 		return &sliceWalker{nodes: []*dom.Node{n}}
 	case ast.AxisDescendant:
 		w := &treeWalker{}
-		w.pushChildren(n)
+		w.descend(n)
 		return w
 	case ast.AxisDescendantOrSelf:
-		return &treeWalker{stack: []*dom.Node{n}}
+		return &treeWalker{root: n}
 	case ast.AxisFollowing:
 		return newFollowingWalker(n)
 	default:
@@ -563,28 +578,46 @@ func (w *sliceWalker) next() (*dom.Node, bool) {
 	return n, true
 }
 
-// treeWalker streams a subtree in document order with an explicit
-// stack, visiting each node exactly once without materializing the
-// descendant list.
+// treeWalker streams a subtree in document order, visiting each node
+// exactly once without materializing the descendant list. Its stack
+// holds one cursor per open ancestor — a child list and a position in
+// it — so it is as deep as the tree, not as wide: walking past 2,000
+// siblings costs what walking past two does.
 type treeWalker struct {
-	stack []*dom.Node
+	root  *dom.Node // a subtree root still to visit, before the stack
+	stack []walkCursor
 }
 
-func (w *treeWalker) pushChildren(n *dom.Node) {
-	ch := n.Children()
-	for i := len(ch) - 1; i >= 0; i-- {
-		w.stack = append(w.stack, ch[i])
+type walkCursor struct {
+	nodes []*dom.Node
+	i     int
+}
+
+// descend queues n's children to be walked next.
+func (w *treeWalker) descend(n *dom.Node) {
+	if ch := n.Children(); len(ch) > 0 {
+		w.stack = append(w.stack, walkCursor{nodes: ch})
 	}
 }
 
 func (w *treeWalker) next() (*dom.Node, bool) {
-	if len(w.stack) == 0 {
-		return nil, false
+	if n := w.root; n != nil {
+		w.root = nil
+		w.descend(n)
+		return n, true
 	}
-	n := w.stack[len(w.stack)-1]
-	w.stack = w.stack[:len(w.stack)-1]
-	w.pushChildren(n)
-	return n, true
+	for len(w.stack) > 0 {
+		top := &w.stack[len(w.stack)-1]
+		if top.i == len(top.nodes) {
+			w.stack = w.stack[:len(w.stack)-1]
+			continue
+		}
+		n := top.nodes[top.i]
+		top.i++
+		w.descend(n)
+		return n, true
+	}
+	return nil, false
 }
 
 // followingWalker streams the following axis lazily: for every
@@ -620,64 +653,7 @@ func (w *followingWalker) next() (*dom.Node, bool) {
 			w.sib = w.anc.NextSibling()
 			continue
 		}
-		w.tw.stack = append(w.tw.stack, w.sib)
+		w.tw.root = w.sib
 		w.sib = w.sib.NextSibling()
 	}
-}
-
-// --- static analysis ---------------------------------------------------------
-//
-// The //-rewrite and the conservative expression predicates
-// (ExprMentions, BooleanValuedPred) moved to internal/xquery/plan,
-// where the path planner and the analyzer's cost model share them.
-// What remains here is streaming-specific: the positional-bound
-// detection that lets predicate stages stop pulling input.
-
-// positionalBound statically bounds the input positions a predicate can
-// accept: [N] and [position() < N] shapes never accept an item past the
-// bound, letting predicate stages stop pulling. ok=false is unbounded.
-func positionalBound(pred ast.Expr) (int64, bool) {
-	switch x := pred.(type) {
-	case ast.IntLit:
-		if x.Val < 1 {
-			return 0, true // [0]: no position matches
-		}
-		return x.Val, true
-	case ast.Compare:
-		if n, ok := intLitVal(x.R); ok && isPositionCall(x.L) {
-			switch x.Op {
-			case "<", "lt":
-				return clampBound(n - 1), true
-			case "<=", "le", "=", "eq":
-				return clampBound(n), true
-			}
-		}
-		if n, ok := intLitVal(x.L); ok && isPositionCall(x.R) {
-			switch x.Op {
-			case ">", "gt":
-				return clampBound(n - 1), true
-			case ">=", "ge", "=", "eq":
-				return clampBound(n), true
-			}
-		}
-	}
-	return 0, false
-}
-
-func clampBound(n int64) int64 {
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-func isPositionCall(e ast.Expr) bool {
-	f, ok := e.(ast.FuncCall)
-	return ok && len(f.Args) == 0 && f.Name.Local == "position" &&
-		(f.Name.Space == fnSpace || f.Name.Space == "")
-}
-
-func intLitVal(e ast.Expr) (int64, bool) {
-	l, ok := e.(ast.IntLit)
-	return l.Val, ok
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dom"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
-	"repro/internal/xquery/plan"
 )
 
 // evalPath evaluates a path expression. Each step maps every item of the
@@ -26,11 +25,7 @@ func (ctx *Context) evalPath(p ast.Path) (xdm.Sequence, error) {
 }
 
 func (ctx *Context) evalPathEager(p ast.Path) (xdm.Sequence, error) {
-	// The //-rewrite applies here too: the merged descendant::X step is
-	// position-safe by construction and is the shape the planner's
-	// name/id indexes serve, so //x is an index probe in both
-	// evaluators (and one step instead of two even when scanning).
-	steps := plan.RewriteDescendantSteps(p.Steps)
+	steps := p.Steps
 	var current xdm.Sequence
 	if p.Absolute {
 		n, ok := xdm.IsNode(ctx.Item)
@@ -46,7 +41,7 @@ func (ctx *Context) evalPathEager(p ast.Path) (xdm.Sequence, error) {
 			return nil, fmt.Errorf("xquery: empty path")
 		}
 		// The first step evaluates against the current focus directly.
-		first, err := ctx.evalStep(steps[0], ctx.Item, ctx.Pos, ctx.Size)
+		first, err := ctx.evalStep(&steps[0], ctx.Item, ctx.Pos, ctx.Size, ctx.newStepKeys(&steps[0]))
 		if err != nil {
 			return nil, err
 		}
@@ -60,11 +55,13 @@ func (ctx *Context) evalPathEager(p ast.Path) (xdm.Sequence, error) {
 }
 
 func (ctx *Context) continueSteps(current xdm.Sequence, steps []ast.Step) (xdm.Sequence, error) {
-	for si, step := range steps {
+	for si := range steps {
+		step := &steps[si]
 		var results xdm.Sequence
 		size := len(current)
+		keys := ctx.newStepKeys(step)
 		for i, item := range current {
-			r, err := ctx.evalStep(step, item, i+1, size)
+			r, err := ctx.evalStep(step, item, i+1, size, keys)
 			if err != nil {
 				return nil, err
 			}
@@ -104,8 +101,9 @@ func (ctx *Context) finishStep(results xdm.Sequence, last bool) (xdm.Sequence, e
 	}
 }
 
-// evalStep evaluates one step for one focus item.
-func (ctx *Context) evalStep(step ast.Step, item xdm.Item, pos, size int) (xdm.Sequence, error) {
+// evalStep evaluates one step for one focus item. keys are the key
+// slots of the step evaluation the item belongs to (newStepKeys).
+func (ctx *Context) evalStep(step *ast.Step, item xdm.Item, pos, size int, keys stepKeys) (xdm.Sequence, error) {
 	if step.Primary != nil {
 		c := ctx.withFocus(item, pos, size)
 		res, err := c.Eval(step.Primary)
@@ -128,7 +126,7 @@ func (ctx *Context) evalStep(step ast.Step, item xdm.Item, pos, size int) (xdm.S
 	// the walk at their bound; predicates that mention last() are
 	// materialized inside their stage. Document order is restored by
 	// finishStep.
-	return xdm.Materialize(ctx.stepCandidates(n, step))
+	return xdm.Materialize(ctx.stepCandidates(n, step, keys))
 }
 
 // applyPredicates filters a sequence through predicates.

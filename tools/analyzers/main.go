@@ -43,11 +43,14 @@
 //	            shared AST: a parsed module is cached and compiled once
 //	            but read by every run, so plan/compile rewrites must
 //	            build fresh nodes (copy-then-modify by value) instead of
-//	            writing through *ast.Node pointers. The one sanctioned
-//	            in-place write is the planner's step annotation
-//	            (Access/AccessID on *ast.Step in PlanStep), which is
-//	            idempotent and published through Module.EnsurePlanned's
-//	            sync.Once before any concurrent read.
+//	            writing through *ast.Node pointers. The sanctioned
+//	            in-place writes are the planner's: the step annotations
+//	            (Access/PredPlans on *ast.Step) it puts on the steps it
+//	            builds, and plan.Annotate replacing a module's
+//	            expression roots (the body, function bodies, global
+//	            initialisers) with their planned forms — idempotent,
+//	            and published through Module.EnsurePlanned's sync.Once
+//	            before any concurrent read.
 //
 //	storesync   the shard lock discipline of the document store
 //	            (internal/xmldb): the raw shard state — the docs
@@ -75,9 +78,12 @@
 //	            regexp.Compile whose arguments are all constants builds
 //	            the same value on every call; inside a function body it
 //	            is rebuilt per call (a replacer is a 6 KB table: built
-//	            per text node, it was 43 % of a page visit). The fix is
-//	            a package-level var. Patterns computed at run time are
-//	            not flagged, nor is func init, which runs once.
+//	            per text node, it was 43 % of a page visit). So is a map
+//	            literal whose keys and values are all constants (the
+//	            six-entry operator table of xdm.GeneralCompare, built
+//	            per comparison, was 7 % of an event turn). The fix is a
+//	            package-level var, or a switch. Values computed at run
+//	            time are not flagged, nor is func init, which runs once.
 //
 //	recovercheck  panic recovery only happens at sanctioned boundaries:
 //	            naked recover() calls are forbidden everywhere except
@@ -563,13 +569,20 @@ func isContextContext(t ast.Expr) bool {
 
 // --- planpure -------------------------------------------------------------------
 
-// planAnnotationFields are the step fields PlanStep writes in place:
-// the access-method annotation is idempotent and published through
-// Module.EnsurePlanned's sync.Once, so it is the one legal pointer
-// write into the shared tree.
+// planAnnotationFields are the step fields the planner writes in place,
+// on steps it has just built. planRootFields are the module's
+// expression roots, which plan.Annotate — and nothing else — replaces
+// with their planned forms. Both are idempotent and published through
+// Module.EnsurePlanned's sync.Once, so they are the legal pointer
+// writes into the shared tree.
 var planAnnotationFields = map[string]bool{
-	"Access":   true,
-	"AccessID": true,
+	"Access":    true,
+	"PredPlans": true,
+}
+
+var planRootFields = map[string]bool{
+	"Body": true, // Module.Body, FuncDecl.Body
+	"Init": true, // VarDecl.Init
 }
 
 // planPure reports field assignments that reach the shared AST through
@@ -577,8 +590,8 @@ var planAnnotationFields = map[string]bool{
 // parameter, declared local, or closure parameter) aliases a node of
 // the cached parsed module, which concurrent runs read without locks —
 // rewrites must copy the node by value and modify the copy. Writes to
-// the planner's annotation fields on *ast.Step are exempt (see
-// planAnnotationFields).
+// the planner's annotation fields on *ast.Step, and Annotate's to the
+// roots of its *ast.Module, are exempt (see planAnnotationFields).
 func planPure(fset *token.FileSet, file *ast.File) []finding {
 	var out []finding
 	for _, decl := range file.Decls {
@@ -685,6 +698,9 @@ done:
 	}
 	if tn == "Step" && depth == 1 && planAnnotationFields[field] {
 		return nil // the planner's sanctioned step annotation
+	}
+	if tn == "Module" && fn == "Annotate" && planRootFields[field] {
+		return nil // the planner installing a planned root
 	}
 	return []finding{{
 		pos: fset.Position(lhs.Pos()),
@@ -855,6 +871,42 @@ func pulApply(fset *token.FileSet, file *ast.File) []finding {
 
 // --- hotconst -------------------------------------------------------------------
 
+// onlyIndexed reports whether every use of the local def in body, its
+// definition aside, is a lookup def[k]: the map is never written,
+// ranged over, passed on or stored, so building it once would do. A
+// same-named variable in a nested scope counts as a use of def, which
+// errs towards not reporting.
+func onlyIndexed(body ast.Node, def *ast.Ident) bool {
+	lookups := map[*ast.Ident]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				if ix, ok := lhs.(*ast.IndexExpr); ok {
+					if id, ok := ix.X.(*ast.Ident); ok {
+						lookups[id] = false // a write
+					}
+				}
+			}
+		case *ast.IndexExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if _, written := lookups[id]; !written {
+					lookups[id] = true
+				}
+			}
+		}
+		return true
+	})
+	only := true
+	ast.Inspect(body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id != def && id.Name == def.Name && !lookups[id] {
+			only = false
+		}
+		return only
+	})
+	return only
+}
+
 // hotConstructors are the constructors whose result depends only on
 // their arguments and is costly enough to build once.
 var hotConstructors = map[string]map[string]bool{
@@ -863,9 +915,10 @@ var hotConstructors = map[string]map[string]bool{
 }
 
 // hotConst reports calls to a hot constructor with all-constant
-// arguments inside a function body (function literals included, func
-// init excepted). Constants are literals, the file's own named
-// constants, and concatenations of those.
+// arguments, and non-empty map literals with all-constant keys and
+// values, inside a function body (function literals included, func
+// init excepted). Constants are literals, true/false/nil, the file's
+// own named constants, and concatenations of those.
 func hotConst(fset *token.FileSet, file *ast.File) []finding {
 	pkgOf := map[string]string{} // local import name -> path, for the packages of interest
 	for _, imp := range file.Imports {
@@ -879,10 +932,7 @@ func hotConst(fset *token.FileSet, file *ast.File) []finding {
 		}
 		pkgOf[name] = path
 	}
-	if len(pkgOf) == 0 {
-		return nil
-	}
-	consts := map[string]bool{}
+	consts := map[string]bool{"true": true, "false": true, "nil": true}
 	ast.Inspect(file, func(n ast.Node) bool {
 		if gd, ok := n.(*ast.GenDecl); ok && gd.Tok == token.CONST {
 			for _, spec := range gd.Specs {
@@ -907,9 +957,42 @@ func hotConst(fset *token.FileSet, file *ast.File) []finding {
 		}
 		return false
 	}
+	constMap := func(lit *ast.CompositeLit) bool {
+		if _, ok := lit.Type.(*ast.MapType); !ok || len(lit.Elts) == 0 {
+			return false
+		}
+		for _, el := range lit.Elts {
+			kv, ok := el.(*ast.KeyValueExpr)
+			if !ok || !isConst(kv.Key) || !isConst(kv.Value) {
+				return false
+			}
+		}
+		return true
+	}
 	var out []finding
+	flagMap := func(lit ast.Expr) {
+		out = append(out, finding{
+			pos: fset.Position(lit.Pos()),
+			msg: "hotconst: a map literal of constants that is only read is rebuilt on every call of the enclosing function; hoist it into a package-level var or use a switch",
+		})
+	}
 	check := func(body ast.Node) {
 		ast.Inspect(body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.IndexExpr:
+				if lit, ok := x.X.(*ast.CompositeLit); ok && constMap(lit) {
+					flagMap(lit) // map[K]V{...}[k]
+				}
+			case *ast.AssignStmt:
+				if x.Tok != token.DEFINE || len(x.Lhs) != 1 || len(x.Rhs) != 1 {
+					break
+				}
+				id, isID := x.Lhs[0].(*ast.Ident)
+				lit, isLit := x.Rhs[0].(*ast.CompositeLit)
+				if isID && isLit && constMap(lit) && onlyIndexed(body, id) {
+					flagMap(lit) // m := map[K]V{...}; ... m[k] ...
+				}
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 || call.Ellipsis.IsValid() {
 				return true

@@ -197,7 +197,12 @@ func rewrite(f *ast.FLWOR, s *ast.Step) {
 func TestPlanPureAllowsCopyAndAnnotation(t *testing.T) {
 	src := `package plan
 import "repro/internal/xquery/ast"
-func PlanStep(s *ast.Step) { s.Access, s.AccessID = 0, "" }
+func (p *planner) step(s *ast.Step) { s.Access, s.PredPlans = 0, nil }
+func Annotate(m *ast.Module) {
+	m.Body = nil
+	m.Prolog.Functions[0].Body = nil
+	m.Prolog.Vars[0].Init = nil
+}
 func optimize(f ast.FLWOR) ast.FLWOR {
 	g := f          // copy-then-modify by value is the sanctioned idiom
 	g.Where = nil
@@ -216,9 +221,11 @@ func TestPlanPureFlagsNonAnnotationStepWrite(t *testing.T) {
 	src := `package plan
 import "repro/internal/xquery/ast"
 func bad(s *ast.Step) { s.Axis = 0 }
+func Annotate(m *ast.Module) { m.IsLibrary = true } // not an expression root
+func replan(m *ast.Module)   { m.Body = nil }       // a root, but not the planner
 `
-	if got := analyze(t, src, planPure); len(got) != 1 {
-		t.Fatalf("findings = %v, want 1", got)
+	if got := analyze(t, src, planPure); len(got) != 3 {
+		t.Fatalf("findings = %v, want 3", got)
 	}
 }
 
@@ -409,6 +416,47 @@ type parser struct{}
 	got := analyze(t, src, hotConst)
 	if len(got) != 5 {
 		t.Fatalf("findings = %v, want 5", got)
+	}
+}
+
+func TestHotConstFlagsPerCallConstMap(t *testing.T) {
+	src := `package xdm
+const eq = "eq"
+func valueOp(op string) string {
+	return map[string]string{"=": eq, "!=": "ne"}[op] // built to be indexed once
+}
+func german(cond string) string {
+	words := map[string]string{"sunny": "sonnig", "rain": "Regen"}
+	if w := words[cond]; w != "" {
+		return w
+	}
+	return words["sunny"]
+}
+`
+	if got := analyze(t, src, hotConst); len(got) != 2 {
+		t.Fatalf("findings = %v, want 2", got)
+	}
+}
+
+func TestHotConstAllowsMapsThatAreNotLookupTables(t *testing.T) {
+	src := `package parser
+var ops = map[string]string{"=": "eq"}
+var table map[string]string
+func init() { table = map[string]string{"a": "b"} }
+type Parser struct{ ns map[string]string }
+func newParser() *Parser { return &Parser{ns: map[string]string{"xs": "http://x"}} } // each parser's own, declarations are added
+func seeded(k string) map[string]int {
+	m := map[string]int{"a": 1}
+	m[k] = 2 // written: a fresh map per call is the point
+	return m
+}
+func passed() int { m := map[string]int{"a": 1}; return count(m) }
+func dynamic(v string) string { return map[string]string{"k": v}["k"] }
+func empty() map[string]bool { return map[string]bool{} }
+func count(m map[string]int) int { return len(m) }
+`
+	if got := analyze(t, src, hotConst); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
 	}
 }
 
