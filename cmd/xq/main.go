@@ -4,10 +4,17 @@
 //	xq -f query.xq -ctx data.xml
 //	echo '1+1' | xq
 //
-// Documents referenced with fn:doc(uri) resolve against the filesystem.
+// Documents referenced with fn:doc(uri) resolve against the filesystem;
+// with -fed, fn:collection scatter-gathers over federated shard
+// backends (and -profile shows, as fed:shipped, how many expressions
+// went to the shards instead of the documents coming here):
+//
+//	xq -fed 'http://a|http://a2,http://b' -profile \
+//	   -q 'count(collection("/db/articles/j3")//ref[@year = "1990"])'
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -15,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/dom"
+	"repro/internal/fed"
 	"repro/internal/markup"
 	"repro/internal/xdm"
 	"repro/internal/xquery"
@@ -27,6 +35,7 @@ func main() {
 	ctxFile := flag.String("ctx", "", "XML file bound as the context item")
 	indent := flag.Bool("indent", false, "pretty-print node results")
 	profile := flag.Bool("profile", false, "print per-expression profiling statistics")
+	fedSpec := flag.String("fed", "", `federated shard backends for fn:collection: comma-separated shard groups, "|"-separated replicas within a group (e.g. "http://a|http://a2,http://b")`)
 	var vars varFlags
 	flag.Var(&vars, "var", "bind an external variable, name=value (repeatable)")
 	flag.Parse()
@@ -60,6 +69,15 @@ func main() {
 		Sequential:  true,
 		Docs:        fileResolver,
 		Variables:   vars.bindings(),
+	}
+	if *fedSpec != "" {
+		x, err := fed.New(fed.Config{Shards: fed.ParseShards(*fedSpec)})
+		if err != nil {
+			fatal(err)
+		}
+		bg := context.Background()
+		cfg.Collections, cfg.CollectionsIter, cfg.CollectionsShip =
+			x.CollectionResolver(bg), x.CollectionIterResolver(bg), x.CollectionShipResolver(bg)
 	}
 	if *profile {
 		cfg.Profiler = runtime.NewProfiler()

@@ -73,7 +73,7 @@ func main() {
 	var fx *fed.Executor
 	if *fedSpec != "" {
 		fx, err = fed.New(fed.Config{
-			Shards:         parseFedSpec(*fedSpec),
+			Shards:         fed.ParseShards(*fedSpec),
 			PartialResults: *fedPartial,
 			DisableHedge:   *fedNoHedge,
 		})
@@ -91,10 +91,10 @@ func main() {
 		opts = append(opts, core.WithQueryBudget(*budget, *timeout))
 	}
 	if st != nil {
-		opts = append(opts, core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver()))
+		opts = append(opts, core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver(), nil))
 	} else if fx != nil {
 		ctx := context.Background()
-		opts = append(opts, core.WithStoreResolvers(nil, fx.CollectionResolver(ctx), fx.CollectionIterResolver(ctx)))
+		opts = append(opts, core.WithStoreResolvers(nil, fx.CollectionResolver(ctx), fx.CollectionIterResolver(ctx), fx.CollectionShipResolver(ctx)))
 	}
 	h, err := core.LoadPage(string(data), *href, opts...)
 	if err != nil {
@@ -210,28 +210,6 @@ func servePool(page, href, script string, n, maxSessions int, budget int64, time
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// parseFedSpec splits a -fed value into shard groups: commas separate
-// shards, "|" separates replica endpoints within a shard.
-func parseFedSpec(spec string) [][]string {
-	var shards [][]string
-	for _, group := range strings.Split(spec, ",") {
-		group = strings.TrimSpace(group)
-		if group == "" {
-			continue
-		}
-		var eps []string
-		for _, ep := range strings.Split(group, "|") {
-			if ep = strings.TrimSpace(ep); ep != "" {
-				eps = append(eps, ep)
-			}
-		}
-		if len(eps) > 0 {
-			shards = append(shards, eps)
-		}
-	}
-	return shards
 }
 
 func apply(h *core.Host, step string) error {

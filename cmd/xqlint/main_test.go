@@ -195,3 +195,18 @@ func TestUpdateIndependenceCodes(t *testing.T) {
 		t.Errorf("note under -werror: exit = %d, want 0", code)
 	}
 }
+
+// The planner's shipping annotation shows as a note on the annotated
+// node, with the text a source would be sent, and never fails a run.
+func TestShippedAdvisory(t *testing.T) {
+	q := writeFile(t, "shipped.xq",
+		"for $a in collection('/db/j3')/article where $a/@year = '1990' return string($a/@id)")
+	code, out := runLint(t, "-werror", q)
+	if code != 0 || !strings.Contains(out, `1:5: note XQ0501: evaluated per document at the collection's source: for $a in child::article`) {
+		t.Errorf("shipped: exit = %d, output = %q", code, out)
+	}
+	nodes := writeFile(t, "nodes.xq", "for $a in collection('/db/j3')/article return $a/title")
+	if code, out := runLint(t, nodes); code != 0 || strings.Contains(out, "XQ0501") {
+		t.Errorf("node-valued return: exit = %d, output = %q; want no advisory", code, out)
+	}
+}

@@ -122,12 +122,14 @@ func WithQueryBudget(maxSteps int64, timeout time.Duration) Option {
 // the §4.2.1 browser profile (which blocks those functions against
 // arbitrary network fetch) is not applied — a host-provided store is
 // trusted storage, not the open network. fn:put stays blocked
-// unconditionally. The xqib facade's WithStore wires a *xmldb.Store
-// through this.
+// unconditionally. colsShip is the shipping form of the collection
+// resolvers, which only a federation has (nil otherwise). The xqib
+// facade's WithStore and WithFederation wire a *xmldb.Store and a
+// *fed.Executor through this.
 func WithStoreResolvers(docs runtime.DocResolver, cols runtime.CollectionResolver,
-	colsIter runtime.CollectionIterResolver) Option {
+	colsIter runtime.CollectionIterResolver, colsShip runtime.CollectionShipResolver) Option {
 	return func(h *Host) {
-		h.storeDocs, h.storeCols, h.storeColsIter = docs, cols, colsIter
+		h.storeDocs, h.storeCols, h.storeColsIter, h.storeColsShip = docs, cols, colsIter, colsShip
 	}
 }
 
@@ -150,6 +152,7 @@ type Host struct {
 	storeDocs     runtime.DocResolver
 	storeCols     runtime.CollectionResolver
 	storeColsIter runtime.CollectionIterResolver
+	storeColsShip runtime.CollectionShipResolver
 	cache         *xquery.Cache
 	ctx           context.Context
 	maxQuerySteps int64
@@ -344,6 +347,9 @@ func (h *Host) engineOptions(win *browser.Window) []xquery.Option {
 		}
 		if h.storeColsIter != nil {
 			opts = append(opts, xquery.WithCollectionIterResolver(h.storeColsIter))
+		}
+		if h.storeColsShip != nil {
+			opts = append(opts, xquery.WithCollectionShipResolver(h.storeColsShip))
 		}
 	}
 	for _, reg := range h.extraFns {

@@ -108,11 +108,56 @@ type keyedItem struct {
 	item xdm.Item
 }
 
+// decodeItems is the decode step of a call that answers items: each
+// keyed by the document URI it was encoded with.
+func decodeItems(body string) ([]keyedItem, error) {
+	seq, keys, err := rest.DecodeSequenceKeyed(body)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]keyedItem, len(seq))
+	for i, it := range seq {
+		items[i] = keyedItem{key: keys[i], item: it}
+	}
+	return items, nil
+}
+
+// decodeRuns is the decode step of shard:map, which answers runs
+// (document URI, n, v₁ … vₙ)*: it expands them into the n values, each
+// keyed by its document's URI. A run that does not add up — or carries
+// a node where only atomic values travel — is a malformed payload like
+// any other.
+func decodeRuns(body string) ([]keyedItem, error) {
+	seq, err := rest.DecodeSequence(body)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]keyedItem, 0, len(seq))
+	for len(seq) > 0 {
+		if len(seq) < 2 {
+			return nil, fmt.Errorf("%w: torn run header", rest.ErrMalformedPayload)
+		}
+		uri, isString := seq[0].(xdm.String)
+		n, isInt := seq[1].(xdm.Integer)
+		if !isString || !isInt || n < 0 || int64(n) > int64(len(seq)-2) {
+			return nil, fmt.Errorf("%w: torn run of %s", rest.ErrMalformedPayload, seq[0])
+		}
+		for _, v := range seq[2 : 2+n] {
+			if _, isNode := xdm.IsNode(v); isNode {
+				return nil, fmt.Errorf("%w: a node in the run of %s", rest.ErrMalformedPayload, uri)
+			}
+			items = append(items, keyedItem{key: string(uri), item: v})
+		}
+		seq = seq[2+n:]
+	}
+	return items, nil
+}
+
 // doCall issues one HTTP sub-request under a per-attempt timeout and
-// decodes the keyed result sequence. Decoding happens here, inside the
-// attempt, so a torn payload classifies as a transient attempt failure
-// the retry and hedging machinery can act on.
-func (x *Executor) doCall(ctx context.Context, ep, fn, argsXML string) ([]keyedItem, error) {
+// decodes the answer with the call's decode step. Decoding happens
+// here, inside the attempt, so a torn payload classifies as a transient
+// attempt failure the retry and hedging machinery can act on.
+func (x *Executor) doCall(ctx context.Context, ep string, c subCall) ([]keyedItem, error) {
 	if err := faultpoint.Hit(faultpoint.PointFedCall); err != nil {
 		return nil, err
 	}
@@ -121,8 +166,8 @@ func (x *Executor) doCall(ctx context.Context, ep, fn, argsXML string) ([]keyedI
 		ctx, cancel = context.WithTimeout(ctx, x.cfg.AttemptTimeout)
 		defer cancel()
 	}
-	callURL := strings.TrimSuffix(ep, "/") + "/call/" + fn
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, callURL, strings.NewReader(argsXML))
+	callURL := strings.TrimSuffix(ep, "/") + "/call/" + c.fn
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, callURL, strings.NewReader(c.argsXML))
 	if err != nil {
 		return nil, fmt.Errorf("fed: %s: %w", callURL, err)
 	}
@@ -140,15 +185,7 @@ func (x *Executor) doCall(ctx context.Context, ep, fn, argsXML string) ([]keyedI
 	if resp.StatusCode != http.StatusOK {
 		return nil, &rest.StatusError{URL: callURL, Status: resp.StatusCode, Msg: strings.TrimSpace(string(body))}
 	}
-	seq, keys, err := rest.DecodeSequenceKeyed(string(body))
-	if err != nil {
-		return nil, err
-	}
-	items := make([]keyedItem, len(seq))
-	for i, it := range seq {
-		items[i] = keyedItem{key: keys[i], item: it}
-	}
-	return items, nil
+	return c.decode(string(body))
 }
 
 type attemptResult struct {
@@ -163,9 +200,9 @@ type attemptResult struct {
 // buffered channel. The breaker bookkeeping lives here — not in the
 // round's receive loop — so every Allow()==true reservation resolves
 // even when the round returns early on a sibling's success.
-func (x *Executor) attempt(rctx context.Context, ep string, idx int, hedged bool, fn, argsXML string, out chan<- attemptResult) {
+func (x *Executor) attempt(rctx context.Context, ep string, idx int, hedged bool, c subCall, out chan<- attemptResult) {
 	start := time.Now()
-	items, err := x.doCall(rctx, ep, fn, argsXML)
+	items, err := x.doCall(rctx, ep, c)
 	br := x.breakerFor(ep)
 	switch {
 	case err == nil:
@@ -191,14 +228,14 @@ func (x *Executor) attempt(rctx context.Context, ep string, idx int, hedged bool
 // primary pick through the breakers, hedged second attempt when the
 // primary outlives its p95, immediate failover to the next replica on
 // failure, first success wins and cancels the losers.
-func (x *Executor) round(ctx context.Context, shard int, eps []string, fn, argsXML string, idempotent bool) ([]keyedItem, error) {
+func (x *Executor) round(ctx context.Context, shard int, eps []string, c subCall) ([]keyedItem, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Buffered to the replica count: attempt goroutines can always
 	// deliver and exit, even after the round has returned.
 	results := make(chan attemptResult, len(eps))
 	maxAttempts := len(eps)
-	if !idempotent {
+	if !c.idempotent {
 		// A call with effects must not race two executions: one
 		// replica, no hedge, no failover.
 		maxAttempts = 1
@@ -220,7 +257,7 @@ func (x *Executor) round(ctx context.Context, shard int, eps []string, fn, argsX
 				cBreakerSkips.Add(1)
 				continue
 			}
-			go x.attempt(rctx, ep, launched, hedged, fn, argsXML, results)
+			go x.attempt(rctx, ep, launched, hedged, c, results)
 			launched++
 			return ep
 		}
@@ -232,7 +269,7 @@ func (x *Executor) round(ctx context.Context, shard int, eps []string, fn, argsX
 	}
 
 	var hedgeC <-chan time.Time
-	if !x.cfg.DisableHedge && idempotent && len(eps) > 1 {
+	if !x.cfg.DisableHedge && c.idempotent && len(eps) > 1 {
 		t := time.NewTimer(x.hedgeDelayFor(primary))
 		defer t.Stop()
 		hedgeC = t.C
@@ -277,15 +314,15 @@ func (x *Executor) round(ctx context.Context, shard int, eps []string, fn, argsX
 // exponential backoff across rounds. Only idempotent calls retry;
 // non-idempotent module calls get exactly one attempt against one
 // replica (round disables hedging and failover for them too).
-func (x *Executor) callShard(ctx context.Context, shard int, eps []string, fn, argsXML string, idempotent bool) ([]keyedItem, error) {
+func (x *Executor) callShard(ctx context.Context, shard int, eps []string, c subCall) ([]keyedItem, error) {
 	retries := x.cfg.MaxRetries
-	if !idempotent {
+	if !c.idempotent {
 		retries = 0
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
 		var items []keyedItem
-		items, err = x.round(ctx, shard, eps, fn, argsXML, idempotent)
+		items, err = x.round(ctx, shard, eps, c)
 		if err == nil {
 			return items, nil
 		}

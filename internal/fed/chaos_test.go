@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultpoint"
 	"repro/internal/xdm"
+	"repro/internal/xquery"
 )
 
 // checkGoroutines waits for the goroutine count to settle back near
@@ -35,14 +36,72 @@ func checkGoroutines(t *testing.T, before int) {
 	}
 }
 
+// chaosProbe is what the fault matrix evaluates over the federation:
+// the collection itself, or a query whose expression is shipped to the
+// shards. Both go through the one scatter / hedge / retry / breaker /
+// gather path, so both must come out of every fault the same way.
+type chaosProbe struct {
+	eval    func(x *Executor) (xdm.Sequence, error)
+	want    func(t *testing.T, sets []map[string]string) string
+	partial []string // what a gather degraded by shard 1 must still show
+}
+
+var collectionProbe = chaosProbe{
+	eval:    func(x *Executor) (xdm.Sequence, error) { return x.Collection(context.Background(), "/") },
+	want:    oracle,
+	partial: []string{`<fed:incomplete`, `shards="1"`, `n="00"`, `n="02"`, `n="03"`, `n="09"`},
+}
+
+// shippedProbe asks for every document's number and, through the
+// second column, for the children of whatever else the collection
+// holds — which is how the fed:incomplete element of a degraded gather
+// shows in a shipped query's values.
+var shippedProbe = chaosProbe{
+	eval: func(x *Executor) (xdm.Sequence, error) {
+		p, err := xquery.New().Compile(`for $d in fn:collection("/")/* return (string($d/@n), name($d))`)
+		if err != nil {
+			return nil, err
+		}
+		ctx := context.Background()
+		before := Snapshot().Shipped
+		res, err := p.Run(xquery.RunConfig{
+			Collections:     x.CollectionResolver(ctx),
+			CollectionsIter: x.CollectionIterResolver(ctx),
+			CollectionsShip: x.CollectionShipResolver(ctx),
+			Sequential:      true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if Snapshot().Shipped == before {
+			return nil, errors.New("the probe query was not shipped")
+		}
+		return res.Value, nil
+	},
+	want: func(t *testing.T, sets []map[string]string) string {
+		var b strings.Builder
+		for i := 0; i < 10; i++ {
+			fmt.Fprintf(&b, "%02d\nd\n", i)
+		}
+		return b.String()
+	},
+	partial: []string{"00\nd\n02\nd\n03\nd\n04\nd\n", "09\nd\n\nfed:shard\n"},
+}
+
 // TestChaosFederationMatrix drives the scatter-gather pipeline through
 // the fault matrix: for every fault and both degradation policies the
 // result must be byte-identical to the oracle or a typed error —
 // never a hang, panic, or goroutine leak.
-func TestChaosFederationMatrix(t *testing.T) {
+func TestChaosFederationMatrix(t *testing.T) { chaosMatrix(t, collectionProbe) }
+
+// TestChaosShippedMatrix is the same matrix over a query whose
+// expression travels to the shards (Executor.Ship).
+func TestChaosShippedMatrix(t *testing.T) { chaosMatrix(t, shippedProbe) }
+
+func chaosMatrix(t *testing.T, probe chaosProbe) {
 	defer faultpoint.Reset()
 	sets := shardDocs()
-	want := oracle(t, sets)
+	want := probe.want(t, sets)
 
 	// build starts a fresh 4-shard federation; shard 1 gets the
 	// fault middleware, which also receives a stop channel. closeAll
@@ -85,7 +144,7 @@ func TestChaosFederationMatrix(t *testing.T) {
 		var err error
 		go func() {
 			defer close(donech)
-			seq, err = x.Collection(context.Background(), "/")
+			seq, err = probe.eval(x)
 		}()
 		select {
 		case <-donech:
@@ -210,12 +269,9 @@ func TestChaosFederationMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("partial policy must degrade, not fail: %v", err)
 					}
-					if !strings.Contains(got, `<fed:incomplete`) || !strings.Contains(got, `shards="1"`) {
-						t.Errorf("want fed:incomplete diagnostic for shard 1, got:\n%s", got)
-					}
-					for _, healthy := range []string{`n="00"`, `n="02"`, `n="03"`, `n="09"`} {
-						if !strings.Contains(got, healthy) {
-							t.Errorf("partial result missing healthy doc %s", healthy)
+					for _, part := range probe.partial {
+						if !strings.Contains(got, part) {
+							t.Errorf("partial result lacks %q (the healthy shards' share and the diagnostic for shard 1):\n%s", part, got)
 						}
 					}
 				}

@@ -21,6 +21,13 @@
 //
 // Fault points fed.call / fed.merge / fed.hedge (internal/faultpoint)
 // thread through the pipeline for the chaos suite.
+//
+// What is scattered is either the collection (every shard answers its
+// documents) or, for a query the planner found to be a map over the
+// documents with atomic results, the query's per-document expression
+// (Ship: every shard answers what it yields on its documents) — the
+// same stack under both, and a federation whose shard module predates
+// shard:map simply never ships.
 package fed
 
 import (
@@ -30,6 +37,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dom"
@@ -60,15 +68,26 @@ const EndpointsHint = "fed:endpoints"
 // exposes the backend's share of the document space ("" selects the
 // default collection) through the web-service machinery of
 // internal/rest. Wire a store shard into the ModuleServer's
-// Collections/CollectionsIter and serve this source.
+// Collections/CollectionsIter and serve this source. Its two functions
+// are the federation protocol: shard:collection answers the share's
+// documents, shard:map answers what a shipped per-document expression
+// yields on them (rest:map) — a module that does not declare it is
+// still a backend, one that ships documents only.
 const ShardModule = `module namespace shard = "` + ShardNamespace + `";
+declare namespace rest = "` + rest.Namespace + `";
 declare option fn:webservice "true";
 declare function shard:collection($uri) {
   if ($uri = "") then fn:collection() else fn:collection($uri)
+};
+declare function shard:map($uri, $expr) {
+  rest:map(shard:collection($uri), $expr)
 };`
 
-// DefaultCollectionFn is the shard-module function Collection calls.
-const DefaultCollectionFn = "collection"
+// The shard-module functions the executor calls.
+const (
+	collectionFn = "collection"
+	mapFn        = "map"
+)
 
 // Defaults for the zero Config fields.
 const (
@@ -96,10 +115,6 @@ type Config struct {
 
 	// HTTP is the transport (nil: http.DefaultClient).
 	HTTP *http.Client
-
-	// CollectionFn is the shard-module function Collection invokes
-	// ("" = DefaultCollectionFn).
-	CollectionFn string
 
 	// AttemptTimeout bounds each individual sub-request (0 =
 	// DefaultAttemptTimeout, negative = unbounded). This is what cuts
@@ -144,7 +159,7 @@ type Config struct {
 	MaxBody int64
 
 	// Idempotent marks module functions safe to retry and hedge (reads
-	// with no effects). The collection function is always idempotent.
+	// with no effects). The two functions of ShardModule always are.
 	Idempotent map[string]bool
 }
 
@@ -158,6 +173,12 @@ type Executor struct {
 	mu       sync.Mutex
 	breakers map[string]*breaker
 	lats     map[string]*latWindow
+
+	// ships is what the backends' service description says about
+	// shard:map: 0 while nobody has an answer, then 1 (declared) or -1
+	// (not declared). shipProbe is held by the one call asking.
+	ships     atomic.Int32
+	shipProbe sync.Mutex
 }
 
 // New builds an executor, filling Config defaults.
@@ -169,9 +190,6 @@ func New(cfg Config) (*Executor, error) {
 		if len(eps) == 0 {
 			return nil, fmt.Errorf("fed: shard %d has no endpoints", i)
 		}
-	}
-	if cfg.CollectionFn == "" {
-		cfg.CollectionFn = DefaultCollectionFn
 	}
 	if cfg.AttemptTimeout == 0 {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
@@ -200,6 +218,19 @@ func New(cfg Config) (*Executor, error) {
 	}, nil
 }
 
+// ParseShards reads the command-line form of Config.Shards (the -fed
+// flag of cmd/xq and cmd/xqib): commas separate shards, "|" separates
+// the replica endpoints of one, e.g. "http://a|http://a2,http://b".
+func ParseShards(spec string) [][]string {
+	var shards [][]string
+	for _, group := range strings.Split(spec, ",") {
+		if eps := strings.FieldsFunc(group, func(r rune) bool { return r == '|' || r == ' ' }); len(eps) > 0 {
+			shards = append(shards, eps)
+		}
+	}
+	return shards
+}
+
 // Shards reports the configured shard count.
 func (x *Executor) Shards() int { return len(x.cfg.Shards) }
 
@@ -210,10 +241,20 @@ type shardOut struct {
 	err   error
 }
 
+// subCall is what one scatter sends every shard: a function of the
+// shard module with its encoded arguments, whether it may be retried,
+// hedged and failed over, and how an attempt turns a 200 body into
+// keyed items.
+type subCall struct {
+	fn, argsXML string
+	idempotent  bool
+	decode      func(body string) ([]keyedItem, error)
+}
+
 // scatter fans the call out to every shard concurrently and waits for
 // all of them (each bounded by its own retry/timeout budget, so the
 // wait is bounded too).
-func (x *Executor) scatter(ctx context.Context, fn, argsXML string, idempotent bool) []shardOut {
+func (x *Executor) scatter(ctx context.Context, c subCall) []shardOut {
 	cScatters.Add(1)
 	outs := make([]shardOut, len(x.cfg.Shards))
 	var wg sync.WaitGroup
@@ -221,7 +262,7 @@ func (x *Executor) scatter(ctx context.Context, fn, argsXML string, idempotent b
 		wg.Add(1)
 		go func(i int, eps []string) {
 			defer wg.Done()
-			items, err := x.callShard(ctx, i, eps, fn, argsXML, idempotent)
+			items, err := x.callShard(ctx, i, eps, c)
 			outs[i] = shardOut{idx: i, items: items, err: err}
 		}(i, eps)
 	}
@@ -229,13 +270,13 @@ func (x *Executor) scatter(ctx context.Context, fn, argsXML string, idempotent b
 	return outs
 }
 
-// gather turns the shard outputs into one merged stream, applying the
-// degradation policy: strict mode propagates the first failure as a
+// gather turns the shard outputs into the parts of one merge, applying
+// the degradation policy: strict mode propagates the first failure as a
 // typed error; PartialResults returns the available shards plus a
-// <fed:incomplete> diagnostic — unless every shard failed, which is an
-// error under either policy.
-func (x *Executor) gather(outs []shardOut) (xdm.Iter, error) {
-	parts := make([][]keyedItem, 0, len(outs))
+// <fed:incomplete> diagnostic to put behind them — unless every shard
+// failed, which is an error under either policy.
+func (x *Executor) gather(outs []shardOut) (parts [][]keyedItem, diagnostic xdm.Sequence, err error) {
+	parts = make([][]keyedItem, 0, len(outs))
 	var failed []int
 	var errs []error
 	for _, o := range outs {
@@ -247,13 +288,23 @@ func (x *Executor) gather(outs []shardOut) (xdm.Iter, error) {
 		parts = append(parts, o.items)
 	}
 	if len(failed) == 0 {
-		return newMerger(parts, nil), nil
+		return parts, nil, nil
 	}
 	if !x.cfg.PartialResults || len(failed) == len(outs) {
-		return nil, wrapShardErr(failed[0], errs[0])
+		return nil, nil, wrapShardErr(failed[0], errs[0])
 	}
 	cPartials.Add(1)
-	return newMerger(parts, xdm.Sequence{incompleteDiagnostic(failed, errs)}), nil
+	return parts, xdm.Sequence{incompleteDiagnostic(failed, errs)}, nil
+}
+
+// call scatters c and merges what the shards answer into one stream,
+// the diagnostic of a degraded gather last.
+func (x *Executor) call(ctx context.Context, c subCall) (xdm.Iter, error) {
+	parts, diagnostic, err := x.gather(x.scatter(ctx, c))
+	if err != nil {
+		return nil, err
+	}
+	return newMerger(parts, diagnostic), nil
 }
 
 // wrapShardErr types a shard failure: availability-class failures
@@ -275,7 +326,7 @@ func wrapShardErr(i int, err error) error {
 // order, streamed through the returned iterator.
 func (x *Executor) CollectionIter(ctx context.Context, uri string) (xdm.Iter, error) {
 	argsXML := rest.EncodeArgs([]xdm.Sequence{xdm.Singleton(xdm.String(uri))})
-	return x.gather(x.scatter(ctx, x.cfg.CollectionFn, argsXML, true))
+	return x.call(ctx, subCall{fn: collectionFn, argsXML: argsXML, idempotent: true, decode: decodeItems})
 }
 
 // Collection is CollectionIter materialized.
@@ -314,14 +365,85 @@ func (x *Executor) CollectionIterResolver(ctx context.Context) runtime.Collectio
 	}
 }
 
+// Ship evaluates a per-document expression where the documents are
+// (see ast.ShipPlan): every shard runs src — XQuery text — on each
+// document of its share of fn:collection(uri) through shard:map and
+// answers the values, which come back as vals in document-URI order,
+// in each document's own order within it. The call is one scatter like
+// CollectionIter's, under the same retry, hedging, breaker and
+// degradation rules; the <fed:incomplete> diagnostic of a degraded
+// gather comes back in unevaluated, for the caller to run the
+// expression on as it would have on that item of the collection. ok is
+// false — and nothing was sent — while the backends are not known to
+// serve shard:map: until their service description has been read
+// (once per executor, by the first call to get here), and for good when
+// it does not declare the function. A dynamic error of src on any
+// document fails the call with that shard's 400.
+func (x *Executor) Ship(ctx context.Context, uri, src string) (vals, unevaluated xdm.Sequence, ok bool, err error) {
+	if !x.canShip(ctx) {
+		return nil, nil, false, nil
+	}
+	cShipped.Add(1)
+	argsXML := rest.EncodeArgs([]xdm.Sequence{xdm.Singleton(xdm.String(uri)), xdm.Singleton(xdm.String(src))})
+	parts, diagnostic, err := x.gather(x.scatter(ctx, subCall{fn: mapFn, argsXML: argsXML, idempotent: true, decode: decodeRuns}))
+	if err != nil {
+		return nil, nil, true, err
+	}
+	vals, err = xdm.Materialize(newMerger(parts, nil))
+	return vals, diagnostic, true, err
+}
+
+// CollectionShipResolver adapts Ship to the engine's shipping
+// collection hook, under ctx like the other two resolvers.
+func (x *Executor) CollectionShipResolver(ctx context.Context) runtime.CollectionShipResolver {
+	return func(uri, src string) (vals, unevaluated xdm.Sequence, ok bool, err error) {
+		return x.Ship(ctx, uri, src)
+	}
+}
+
+// canShip reports whether the backends declare shard:map/2, asking the
+// first time: one call fetches the service description (through the
+// breakers, within one attempt timeout) while the others go on
+// unshipped, and a fetch nobody answered is tried again by the next
+// call. Like Resolver it takes one backend's word for all of them.
+func (x *Executor) canShip(ctx context.Context) bool {
+	if s := x.ships.Load(); s != 0 {
+		return s > 0
+	}
+	if !x.shipProbe.TryLock() {
+		return false
+	}
+	defer x.shipProbe.Unlock()
+	if s := x.ships.Load(); s != 0 {
+		return s > 0
+	}
+	if x.cfg.AttemptTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, x.cfg.AttemptTimeout)
+		defer cancel()
+	}
+	_, fns, err := x.fetchDescription(ctx)
+	if err != nil {
+		return false
+	}
+	s := int32(-1)
+	for _, f := range fns {
+		if f.Name == mapFn && f.Arity == 2 {
+			s = 1
+		}
+	}
+	x.ships.Store(s)
+	return s > 0
+}
+
 // Call scatter-gathers a module function across every shard and
 // concatenates the results in shard order (URI order when all results
-// are documents). Only functions marked Idempotent (or the collection
-// function) retry, hedge and fail over; anything else gets exactly one
-// attempt against one replica, because re-executing a call with
-// effects could double-apply them.
+// are documents). Only functions marked Idempotent (or the shard
+// module's own two) retry, hedge and fail over; anything else gets
+// exactly one attempt against one replica, because re-executing a call
+// with effects could double-apply them.
 func (x *Executor) Call(ctx context.Context, fn string, args []xdm.Sequence) (xdm.Sequence, error) {
-	it, err := x.gather(x.scatter(ctx, fn, rest.EncodeArgs(args), x.idempotent(fn)))
+	it, err := x.call(ctx, subCall{fn: fn, argsXML: rest.EncodeArgs(args), idempotent: x.idempotent(fn), decode: decodeItems})
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +451,7 @@ func (x *Executor) Call(ctx context.Context, fn string, args []xdm.Sequence) (xd
 }
 
 func (x *Executor) idempotent(fn string) bool {
-	return fn == x.cfg.CollectionFn || x.cfg.Idempotent[fn]
+	return fn == collectionFn || fn == mapFn || x.cfg.Idempotent[fn]
 }
 
 // Resolver materialises `import module namespace p = "uri" at

@@ -22,6 +22,12 @@ import (
 // fault injection.
 func startShard(t *testing.T, docs map[string]string, mw func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
+	return startShardServing(t, ShardModule, docs, mw)
+}
+
+// startShardServing is startShard for a shard module of the caller's.
+func startShardServing(t *testing.T, module string, docs map[string]string, mw func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
 	var nodes []*dom.Node
 	for uri, src := range docs {
 		d, err := markup.Parse(src)
@@ -32,7 +38,7 @@ func startShard(t *testing.T, docs map[string]string, mw func(http.Handler) http
 		nodes = append(nodes, d)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].BaseURI < nodes[j].BaseURI })
-	srv, err := rest.NewModuleServer(ShardModule, nil)
+	srv, err := rest.NewModuleServer(module, nil)
 	if err != nil {
 		t.Fatalf("shard module: %v", err)
 	}

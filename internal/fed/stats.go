@@ -16,6 +16,7 @@ var (
 	cBreakerOpens atomic.Int64 // breaker transitions into the open state
 	cBreakerSkips atomic.Int64 // attempts skipped because a breaker was open
 	cPartials     atomic.Int64 // gathers degraded to partial results
+	cShipped      atomic.Int64 // scatters that carried a per-document expression (Ship)
 )
 
 // Stats is a point-in-time snapshot of the federation counters.
@@ -28,6 +29,7 @@ type Stats struct {
 	BreakerOpens int64 `json:"breaker_opens"`
 	BreakerSkips int64 `json:"breaker_skips"`
 	Partials     int64 `json:"partials"`
+	Shipped      int64 `json:"shipped"`
 }
 
 // Snapshot returns the current counter values.
@@ -41,6 +43,7 @@ func Snapshot() Stats {
 		BreakerOpens: cBreakerOpens.Load(),
 		BreakerSkips: cBreakerSkips.Load(),
 		Partials:     cPartials.Load(),
+		Shipped:      cShipped.Load(),
 	}
 }
 
@@ -54,4 +57,5 @@ func ResetStats() {
 	cBreakerOpens.Store(0)
 	cBreakerSkips.Store(0)
 	cPartials.Store(0)
+	cShipped.Store(0)
 }

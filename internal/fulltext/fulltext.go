@@ -60,10 +60,18 @@ func scanTokens(text string, emit func(start, end int)) {
 	}
 }
 
+// tokensIn is how many tokens the tokenizers make room for up front: a
+// token of prose and the separator behind it take five to six bytes,
+// so a quarter of the text's length holds them with room to spare and
+// the output is allocated once instead of doubled into place (seven
+// times for an abstract of forty words). Text of shorter tokens still
+// grows, and still comes out right.
+func tokensIn(text string) int { return len(text)/4 + 1 }
+
 // Tokenize splits text into word tokens. Each token is a substring of
 // text (zero-copy); only the slice header array is allocated.
 func Tokenize(text string) []string {
-	var tokens []string
+	tokens := make([]string, 0, tokensIn(text))
 	scanTokens(text, func(s, e int) { tokens = append(tokens, text[s:e]) })
 	return tokens
 }
@@ -71,7 +79,7 @@ func Tokenize(text string) []string {
 // TokenizeSpans is Tokenize returning byte ranges instead of
 // substrings — the form the full-text index builder consumes.
 func TokenizeSpans(text string) []Span {
-	var spans []Span
+	spans := make([]Span, 0, tokensIn(text))
 	scanTokens(text, func(s, e int) { spans = append(spans, Span{Start: s, End: e}) })
 	return spans
 }

@@ -265,6 +265,25 @@ func TestTokenizeAllocs(t *testing.T) {
 	}
 }
 
+// TestTokenizeSizesItsOutputOnce: the two tokenizers make room for
+// their tokens before scanning, so prose costs one allocation, not one
+// per doubling.
+func TestTokenizeSizesItsOutputOnce(t *testing.T) {
+	for _, text := range []string{
+		strings.Repeat("the quick brown fox jumps over the lazy dog ", 8),
+		"summary0 babeki note0 of1 dokuza note1 of1 fimopa note2 of1",
+		"a",
+		"",
+	} {
+		if avg := testing.AllocsPerRun(100, func() { Tokenize(text) }); avg > 1 {
+			t.Errorf("Tokenize(%q) allocates %.1f times per run, want 1", text, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { TokenizeSpans(text) }); avg > 1 {
+			t.Errorf("TokenizeSpans(%q) allocates %.1f times per run, want 1", text, avg)
+		}
+	}
+}
+
 func BenchmarkTokenize(b *testing.B) {
 	text := strings.Repeat("the quick brown fox jumps over the lazy dog ", 32)
 	b.ReportAllocs()

@@ -93,3 +93,33 @@ func BenchmarkDecodeSequence(b *testing.B) {
 	b.Run("cart", func(b *testing.B) { benchDecode(b, cartSequence(b)) })
 	b.Run("articles", func(b *testing.B) { benchDecode(b, articleSequence(b)) })
 }
+
+// TestDecodeSequenceSizesItsOutputOnce: the decoded items and their
+// keys are made room for once, from the envelope's child count, so the
+// cost of a payload is linear in its items — no doubling step on the
+// way past 128 — and nothing is left over.
+func TestDecodeSequenceSizesItsOutputOnce(t *testing.T) {
+	wire := func(n int) string {
+		seq := make(xdm.Sequence, n)
+		for i := range seq {
+			seq[i] = xdm.Integer(i)
+		}
+		return rest.EncodeSequence(seq)
+	}
+	allocs := func(n int) float64 {
+		w := wire(n)
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := rest.DecodeSequenceKeyed(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	below, across := allocs(127)-allocs(119), allocs(135)-allocs(127)
+	if across != below {
+		t.Errorf("eight more items cost %.0f allocations below 128 items and %.0f across: a slice is growing by doubling", below, across)
+	}
+	seq, keys, err := rest.DecodeSequenceKeyed(wire(100))
+	if err != nil || len(seq) != 100 || cap(seq) != 100 || len(keys) != 100 || cap(keys) != 100 {
+		t.Errorf("100 items decode into len %d cap %d, keys len %d cap %d (%v)", len(seq), cap(seq), len(keys), cap(keys), err)
+	}
+}

@@ -104,9 +104,11 @@ type ModuleServer struct {
 }
 
 // NewModuleServer compiles a library module for serving. The module
-// must declare `option fn:webservice "true"` (paper §3.4).
+// must declare `option fn:webservice "true"` (paper §3.4). Its engine
+// carries the server-side rest: functions (RegisterServerFunctions)
+// beside whatever opts add.
 func NewModuleServer(src string, docs runtime.DocResolver, opts ...xquery.Option) (*ModuleServer, error) {
-	e := xquery.New(opts...)
+	e := xquery.New(append([]xquery.Option{xquery.WithFunctions(RegisterServerFunctions)}, opts...)...)
 	prog, err := e.Compile(src)
 	if err != nil {
 		return nil, err
@@ -116,7 +118,10 @@ func NewModuleServer(src string, docs runtime.DocResolver, opts ...xquery.Option
 
 // NewModuleServerCached is NewModuleServer compiling through a shared
 // program cache on a shared engine — the serving-layer path, where many
-// services (and redeploys of the same module) skip parse/compile.
+// services (and redeploys of the same module) skip parse/compile. The
+// engine is the caller's: a module that calls the server-side rest:
+// functions needs one built with
+// xquery.WithFunctions(rest.RegisterServerFunctions).
 func NewModuleServerCached(e *xquery.Engine, c *xquery.Cache, src string, docs runtime.DocResolver) (*ModuleServer, error) {
 	prog, err := c.Compile(e, src)
 	if err != nil {
@@ -264,6 +269,62 @@ func (s *ModuleServer) call(reqCtx context.Context, name, argsXML string) (out [
 	return appendSequence(nil, res), nil
 }
 
+// --- shipped expressions ---------------------------------------------------------------
+
+// Expressions shipped to rest:map compile on one engine through one
+// bounded program cache per process, whatever number of module servers
+// the process runs (as funclib.Library() is one library per process):
+// a federation sends every server the same texts. The engine runs the
+// browser profile and has no host functions — a shipped expression
+// reaches the documents it is handed and nothing else.
+var (
+	shipEngine = xquery.New(xquery.WithBrowserProfile())
+	shipCache  = xquery.NewCache(0)
+)
+
+// RegisterServerFunctions installs the rest: functions of the serving
+// side:
+//
+//	rest:map($docs, $expr) — evaluates the XQuery text $expr once per
+//	    node of $docs, each as the context item, and answers one run
+//	    (document URI, n, v₁ … vₙ) per document on which it yields
+//	    values: what a federation ships instead of fetching $docs
+//	    (ast.ShipPlan).
+//
+// A service module decides which documents shipped expressions see by
+// what it passes as $docs (fed.ShardModule passes the shard's share of
+// a collection). What $expr may do is not the module's to get wrong:
+// xquery.Cache.EvalPerDocument admits effect-free, closed, atomic-valued
+// expressions only, under the calling request's one budget, and every
+// refusal is an ordinary call error (HTTP 400: terminal, never retried,
+// no mark against the backend's health).
+func RegisterServerFunctions(reg *runtime.Registry) {
+	reg.Register(&runtime.Function{
+		Name:    dom.QName{Space: Namespace, Prefix: "rest", Local: "map"},
+		MinArgs: 2, MaxArgs: 2,
+		Invoke: func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
+			expr, err := xdm.AtomizeSequence(args[1]).One()
+			if err != nil {
+				return nil, err
+			}
+			var runs xdm.Sequence
+			err = shipCache.EvalPerDocument(shipEngine, expr.String(), ctx, args[0],
+				func(doc *dom.Node, vals xdm.Sequence) error {
+					if len(vals) == 0 {
+						return nil
+					}
+					uri := ""
+					if doc.Type == dom.DocumentNode {
+						uri = doc.BaseURI
+					}
+					runs = append(append(runs, xdm.String(uri), xdm.Integer(len(vals))), vals...)
+					return nil
+				})
+			return runs, err
+		},
+	})
+}
+
 // --- sequence wire format ----------------------------------------------------------
 
 // EncodeSequence serializes an XDM sequence for transport: each item is
@@ -322,9 +383,12 @@ func DecodeSequenceKeyed(src string) (xdm.Sequence, []string, error) {
 	if root == nil || root.Name.Local != "result" {
 		return nil, nil, fmt.Errorf("%w: unexpected result payload", ErrMalformedPayload)
 	}
-	var out xdm.Sequence
-	var keys []string
-	for _, item := range root.Children() {
+	// The envelope's children are the items: room for all of them at
+	// once, instead of two slices doubled into place per payload.
+	children := root.Children()
+	out := make(xdm.Sequence, 0, len(children))
+	keys := make([]string, 0, len(children))
+	for _, item := range children {
 		if item.Type != dom.ElementNode || item.Name.Local != "item" {
 			continue
 		}

@@ -141,12 +141,15 @@ type FailureStats struct {
 	// (internal/fed): sub-requests retried after transient failures,
 	// hedged attempts launched, circuit breakers opened, attempts
 	// skipped on open breakers, and gathers degraded to partial
-	// results.
+	// results. FedShipped is not a failure but sits with its kin: the
+	// scatters that carried a per-document expression to the shards
+	// instead of fetching a collection's documents.
 	FedRetries      int64 `json:"fed_retries"`
 	FedHedges       int64 `json:"fed_hedges"`
 	FedBreakerOpens int64 `json:"fed_breaker_opens"`
 	FedBreakerSkips int64 `json:"fed_breaker_skips"`
 	FedPartials     int64 `json:"fed_partials"`
+	FedShipped      int64 `json:"fed_shipped"`
 }
 
 // UpdateStats mirrors update.Stats with JSON tags: Eliminated counts

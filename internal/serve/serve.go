@@ -100,7 +100,9 @@ type Config struct {
 	Store *xmldb.Store
 	// Fed, when non-nil, is the pool's federated document source:
 	// fn:collection scatter-gathers over its backends in every session
-	// script and Eval call, and its counters join Metrics.Failures. A
+	// script and Eval call (a per-document FLWOR or count over a
+	// collection is shipped to them: fed.Executor.Ship), and its
+	// counters join Metrics.Failures. A
 	// local Store wins over Fed for the resolvers both provide (fn:doc
 	// is always store-or-default: the federation serves collections,
 	// not single-document fetches).
@@ -205,12 +207,13 @@ func (p *Pool) Load(ctx context.Context, pageSrc, href string, opts ...core.Opti
 	}
 	if st := p.cfg.Store; st != nil {
 		hostOpts = append(hostOpts,
-			core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver()))
+			core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver(), nil))
 	} else if fx := p.cfg.Fed; fx != nil {
 		// Collections resolve over the federation, bounded by the
 		// session's lifetime context.
 		hostOpts = append(hostOpts,
-			core.WithStoreResolvers(nil, fx.CollectionResolver(sctx), fx.CollectionIterResolver(sctx)))
+			core.WithStoreResolvers(nil, fx.CollectionResolver(sctx), fx.CollectionIterResolver(sctx),
+				fx.CollectionShipResolver(sctx)))
 	}
 	hostOpts = append(hostOpts, p.cfg.HostOptions...)
 	hostOpts = append(hostOpts, opts...)
@@ -373,6 +376,7 @@ func (p *Pool) Eval(ctx context.Context, src string, contextDoc *dom.Node) (seq 
 	} else if fx := p.cfg.Fed; fx != nil {
 		cfg.Collections = fx.CollectionResolver(ctx)
 		cfg.CollectionsIter = fx.CollectionIterResolver(ctx)
+		cfg.CollectionsShip = fx.CollectionShipResolver(ctx)
 	}
 	if contextDoc != nil {
 		cfg.ContextItem = xdm.NewNode(contextDoc)
@@ -467,6 +471,7 @@ func failureStats(p *Pool, cache xquery.CacheStats) FailureStats {
 		FedBreakerOpens: fs.BreakerOpens,
 		FedBreakerSkips: fs.BreakerSkips,
 		FedPartials:     fs.Partials,
+		FedShipped:      fs.Shipped,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dom"
 	"repro/internal/fed"
 	"repro/internal/markup"
@@ -96,5 +97,56 @@ func TestPoolMetricsReflectFederation(t *testing.T) {
 	m := p.Metrics()
 	if m.Failures.FedPartials == 0 {
 		t.Errorf("metrics missed the partial gather: %+v", m.Failures)
+	}
+}
+
+// TestPoolShipsOverFederation: Eval and page sessions hand the
+// federation's shipping resolver to their runs, so a per-document query
+// is evaluated by the shards — counted in Metrics beside the other
+// federation counters — while a query that needs the documents still
+// fetches them.
+func TestPoolShipsOverFederation(t *testing.T) {
+	fed.ResetStats()
+	a := startFedShard(t, map[string]string{"a1": `<d n="1"><r/></d>`, "a3": `<d n="3"><r/><r/></d>`})
+	b := startFedShard(t, map[string]string{"b2": `<d n="2"/>`})
+	x, err := fed.New(fed.Config{Shards: [][]string{{a.URL}, {b.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(Config{Fed: x})
+	defer p.Shutdown(context.Background())
+	ctx := context.Background()
+
+	seq, err := p.Eval(ctx, `for $d in fn:collection("/")/d where $d/r return fn:string($d/@n)`, nil)
+	if err != nil || len(seq) != 2 || seq[0].String() != "1" || seq[1].String() != "3" {
+		t.Fatalf("shipped FLWOR: %v, %v; want (1, 3)", seq, err)
+	}
+	if got := p.Metrics().Failures.FedShipped; got != 1 {
+		t.Errorf("after a shipped Eval: FedShipped = %d, want 1", got)
+	}
+	// A node-valued query is not shipped.
+	if seq, err = p.Eval(ctx, `fn:collection("/")/d/r`, nil); err != nil || len(seq) != 3 {
+		t.Fatalf("node-valued query: %d items, %v; want 3", len(seq), err)
+	}
+	if got := p.Metrics().Failures.FedShipped; got != 1 {
+		t.Errorf("after a node-valued Eval: FedShipped = %d, want still 1", got)
+	}
+	// A page script's count goes the same way.
+	s, err := p.Load(ctx, `<html><head><script type="text/xquery">
+		insert node <p id="n">{fn:count(fn:collection("/")//r)}</p> into //body
+	</script></head><body/></html>`, "http://example.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var shown string
+	if err := s.Do(ctx, func(h *core.Host) error {
+		shown = h.Page.ElementByID("n").StringValue()
+		return nil
+	}); err != nil || shown != "3" {
+		t.Errorf("page count = %q, %v; want 3", shown, err)
+	}
+	if got := p.Metrics().Failures.FedShipped; got != 2 {
+		t.Errorf("after the page load: FedShipped = %d, want 2", got)
 	}
 }

@@ -33,7 +33,9 @@ func collectionOf(uri string) string {
 }
 
 // inCollection reports whether a document URI lives in col or any of
-// its sub-collections (col is normalized).
+// its sub-collections (col is normalized). It works the document's
+// collection out from the URI; scans match by the collection recorded
+// at publish instead (inCollectionMatch), and agree with it.
 func inCollection(col, uri string) bool {
 	c := collectionOf(uri)
 	return c == col || col == "/" || strings.HasPrefix(c, col+"/")

@@ -61,7 +61,7 @@ func (s *Store) colEntries(p string) ([][]docEntry, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoCollection, col)
 	}
 	s.Stats.scans.Add(1)
-	return scanShards(s.shards, func(uri string) bool { return inCollection(col, uri) }), nil
+	return scanShards(s.shards, inCollectionMatch(col)), nil
 }
 
 // Collection returns the documents of a hierarchical collection (its
@@ -110,7 +110,7 @@ func (s *Store) ScanCollection(p string, fn func(uri string, doc *dom.Node) erro
 		return fmt.Errorf("%w: %s", ErrNoCollection, col)
 	}
 	s.Stats.scans.Add(1)
-	match := func(uri string) bool { return inCollection(col, uri) }
+	match := inCollectionMatch(col)
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -148,7 +148,7 @@ func (s *Store) CollectionResolver() runtime.CollectionResolver {
 			return s.Collection(uri)
 		default:
 			s.Stats.scans.Add(1)
-			entries := mergeEntries(scanShards(s.shards, func(u string) bool {
+			entries := mergeEntries(scanShards(s.shards, func(u string, _ *docRev) bool {
 				return strings.HasPrefix(u, uri)
 			}))
 			docs := make([]*dom.Node, len(entries))

@@ -2,7 +2,8 @@ package xmldb
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dom"
@@ -32,6 +33,7 @@ type docRev struct {
 	root *dom.Node
 	rev  uint64 // per-document revision number, 1-based
 	domV uint64 // root.Version() at publish: published trees are immutable
+	col  string // collectionOf(uri), worked out once, at publish
 }
 
 // mutated reports whether someone wrote to the published tree in place
@@ -56,13 +58,12 @@ func (sh *shard) get(uri string) (*docRev, bool) {
 
 // publish installs root as the next revision of uri and returns it.
 func (sh *shard) publish(uri string, root *dom.Node) *docRev {
+	d := &docRev{root: root, rev: 1, domV: root.Version(), col: collectionOf(uri)}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rev := uint64(1)
 	if cur, ok := sh.docs[uri]; ok {
-		rev = cur.rev + 1
+		d.rev = cur.rev + 1
 	}
-	d := &docRev{root: root, rev: rev, domV: root.Version()}
 	sh.docs[uri] = d
 	return d
 }
@@ -104,20 +105,47 @@ type docEntry struct {
 	rev *docRev
 }
 
+// docMatch filters a scan: by URI, or by what is recorded beside the
+// revision.
+type docMatch func(uri string, d *docRev) bool
+
+// inCollectionMatch matches the documents of the normalized collection
+// col and of its sub-collections by the collection recorded beside
+// each revision: two string comparisons per document, nothing worked
+// out and nothing allocated. nil (everything) for the root.
+func inCollectionMatch(col string) docMatch {
+	if col == "/" {
+		return nil
+	}
+	below := col + "/"
+	return func(_ string, d *docRev) bool { return d.col == col || strings.HasPrefix(d.col, below) }
+}
+
 // snapshotSorted collects the shard's documents matching the filter
 // (nil matches all), sorted by URI. The returned entries are a
 // point-in-time snapshot: later commits to the shard do not affect
-// them, and their trees are immutable revisions.
-func (sh *shard) snapshotSorted(match func(uri string) bool) []docEntry {
+// them, and their trees are immutable revisions. The result is sized
+// for what matches, not for the shard, so a scan's cost in memory is
+// that of its collection.
+func (sh *shard) snapshotSorted(match docMatch) []docEntry {
 	sh.mu.RLock()
-	out := make([]docEntry, 0, len(sh.docs))
+	n := len(sh.docs)
+	if match != nil {
+		n = 0
+		for uri, d := range sh.docs {
+			if match(uri, d) {
+				n++
+			}
+		}
+	}
+	out := make([]docEntry, 0, n)
 	for uri, d := range sh.docs {
-		if match == nil || match(uri) {
+		if match == nil || match(uri, d) {
 			out = append(out, docEntry{uri: uri, rev: d})
 		}
 	}
 	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].uri < out[j].uri })
+	slices.SortFunc(out, func(a, b docEntry) int { return strings.Compare(a.uri, b.uri) })
 	return out
 }
 
@@ -148,7 +176,7 @@ func shardIndex(uri string, n int) int {
 // scanShards snapshots every shard concurrently (one goroutine per
 // shard — the parallel collection scan) and returns the per-shard
 // sorted entry lists, ready for merging.
-func scanShards(shards []*shard, match func(uri string) bool) [][]docEntry {
+func scanShards(shards []*shard, match docMatch) [][]docEntry {
 	parts := make([][]docEntry, len(shards))
 	if len(shards) == 1 {
 		parts[0] = shards[0].snapshotSorted(match)

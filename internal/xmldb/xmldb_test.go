@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -171,5 +172,55 @@ func TestCollectionResolver(t *testing.T) {
 	out, err = s.Query("books.xml", `count(collection("nope/"))`)
 	if err != nil || out != "0" {
 		t.Errorf("empty collection = %q, %v", out, err)
+	}
+}
+
+// TestCollectionScanCostIsTheCollections: what a collection scan
+// allocates depends on the collection, not on what else the store
+// holds — documents outside it are passed over by comparing the
+// collection recorded at publish, and the result is sized for what
+// matches.
+func TestCollectionScanCostIsTheCollections(t *testing.T) {
+	scanAllocs := func(outside int) float64 {
+		s, err := Open("", WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, col := range []string{"/db/in", "/db/in/sub", "/db/out"} {
+			if err := s.CreateCollection(col); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put := func(uri string) {
+			if err := s.PutXML(uri, `<d/>`); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 12; i++ {
+			put("/db/in/d" + strconv.Itoa(i) + ".xml")
+		}
+		for i := 0; i < 4; i++ {
+			put("/db/in/sub/d" + strconv.Itoa(i) + ".xml")
+		}
+		for i := 0; i < outside; i++ {
+			put("/db/out/d" + strconv.Itoa(i) + ".xml")
+		}
+		docs, err := s.Collection("/db/in")
+		if err != nil || len(docs) != 16 {
+			t.Fatalf("collection with %d outside: %d docs, %v", outside, len(docs), err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := s.Collection("/db/in"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := scanAllocs(16), scanAllocs(1600)
+	if few != many {
+		t.Errorf("scanning 16 documents allocates %.0f times beside 16 others and %.0f beside 1,600", few, many)
+	}
+	if few > 8 {
+		t.Errorf("scanning one collection of 16 allocates %.0f times, want a handful", few)
 	}
 }

@@ -57,7 +57,8 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 
 // Diagnostic codes. The numbering is stable across releases: semantic
 // checks are XQ00xx, update-placement checks XQ01xx, browser-policy
-// checks XQ02xx and cost/budget checks XQ03xx. XQ0000 is reserved for
+// checks XQ02xx, cost/budget checks XQ03xx, update-independence checks
+// XQ04xx and plan advisories XQ05xx. XQ0000 is reserved for
 // the parse error itself (xqlint reports syntax errors under it so one
 // stream carries everything).
 const (
@@ -87,6 +88,10 @@ const (
 	CodeDeadDelete     = "XQ0402" // delete of a target already replaced/deleted in the same snapshot
 	CodeUpdateConflict = "XQ0403" // guaranteed-conflicting updates on one target path
 	CodeUpdateGroups   = "XQ0404" // advisory: number of independent update groups
+
+	// Plan advisories (XQ05xx): what the planner decided about an
+	// expression, for the author to know. Notes, like XQ0404.
+	CodeShipped = "XQ0501" // advisory: a per-document map over a collection, shippable to its source
 )
 
 // Diagnostic is one analyzer finding, tied to a source position.

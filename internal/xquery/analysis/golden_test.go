@@ -86,6 +86,7 @@ func TestGoldenCoversAllCodes(t *testing.T) {
 		analysis.CodeCostBudget,
 		analysis.CodeDeadUpdate, analysis.CodeDeadDelete,
 		analysis.CodeUpdateConflict, analysis.CodeUpdateGroups,
+		analysis.CodeShipped,
 	}
 	files, _ := filepath.Glob(filepath.Join("testdata", "*.diag"))
 	seen := map[string]bool{}

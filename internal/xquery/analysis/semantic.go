@@ -75,6 +75,7 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		c.walk(x.Else, sc, upd)
 
 	case ast.FLWOR:
+		c.noteShipped(x.Ship, ast.PosOf(x))
 		fs := &scope{parent: sc}
 		seen := map[dom.QName]bool{}
 		for _, cl := range x.Clauses {
@@ -288,6 +289,7 @@ func (c *checker) updatingExpr(at ast.Pos, what string, upd updCtx) {
 // at analysis time). Calls to updating functions are themselves
 // updating expressions and go through the placement check.
 func (c *checker) checkCall(fc ast.FuncCall, sc *scope, upd updCtx) {
+	c.noteShipped(fc.Ship, fc.At)
 	arity := len(fc.Args)
 	defer func() {
 		for _, a := range fc.Args {
@@ -328,6 +330,17 @@ func (c *checker) checkCall(fc ast.FuncCall, sc *scope, upd updCtx) {
 	}
 	c.report(CodeUnknownFunc, SevError, fc.At,
 		"unknown function %s#%d", fnDisplay(fc.Name), arity)
+}
+
+// noteShipped reports the planner's shipping annotation (XQ0501): the
+// node is a map over a collection's documents with atomic results, so
+// a run whose collections come from a source that takes expressions (a
+// federation) has the source evaluate it and moves the values, not the
+// documents. Advisory: nothing is wrong with a node that has none.
+func (c *checker) noteShipped(p *ast.ShipPlan, at ast.Pos) {
+	if p != nil {
+		c.report(CodeShipped, SevNote, at, "evaluated per document at the collection's source: %s", p.Src)
+	}
 }
 
 // checkListener verifies that an attached/detached listener names a

@@ -120,6 +120,30 @@ type FuncCall struct {
 	Name dom.QName
 	Args []Expr
 	At   Pos
+
+	// Ship, when non-nil, is the planner's per-document annotation on a
+	// fn:count over a collection path (see ShipPlan).
+	Ship *ShipPlan
+}
+
+// ShipPlan is the planner's annotation on an expression that is a map
+// over the documents of fn:collection(URI) with atomic results (see
+// plan.Annotate): evaluating Src with each document as the context
+// item and concatenating the values in collection order — or, with Sum,
+// adding the per-document counts up — gives the expression's value. An
+// evaluator whose run has a shipping collection resolver hands URI and
+// Src to it, so the holder of the documents evaluates Src and only the
+// values travel; an evaluator that ignores the annotation is still
+// right. Like Step.Access, only the planner writes it, under
+// Module.EnsurePlanned, and evaluation only reads it.
+type ShipPlan struct {
+	URI string // the collection's URI; "" is the default collection
+	Src string // the per-document expression as XQuery text (ast.Unparse)
+	// Expr is what Src is the text of, planned: the evaluator runs it
+	// itself on whatever a shipping resolver hands back unevaluated (the
+	// diagnostic element of a degraded federated gather).
+	Expr Expr
+	Sum  bool // the per-document values are counts to add up
 }
 
 // Ordered is ordered{...} / unordered{...}; we always evaluate in order,
@@ -150,6 +174,10 @@ type FLWOR struct {
 	// optimizer (internal/xquery/plan) writes this field, and only on
 	// its own copies of the tree — parsed modules never carry it.
 	Join *JoinPlan
+
+	// Ship, when non-nil, is the planner's per-document annotation on a
+	// FLWOR ranging over a collection path (see ShipPlan).
+	Ship *ShipPlan
 }
 
 // JoinPlan annotates a FLWOR with a detected equality join (see

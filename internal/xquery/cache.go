@@ -110,6 +110,10 @@ type progEntry struct {
 	analyzed bool
 	diags    []analysis.Diagnostic
 	est      int64
+
+	// perDocument records that the program passed the per-document
+	// admission check (see EvalPerDocument). Guarded by Cache.mu.
+	perDocument bool
 }
 
 // level is one LRU-bounded, singleflight-filled map of the cache;

@@ -96,8 +96,18 @@ func (u *unitCompiler) flwor(f ast.FLWOR) Closure {
 
 	u.popTo(mark)
 	hoistHi := u.nHoist
+	ship := f.Ship
 
 	return func(c *Ctx) (xdm.Sequence, error) {
+		// A FLWOR the planner annotated as a per-document map over a
+		// collection is answered by the run's shipping resolver when
+		// there is one (an annotated fn:count streams, so it reaches the
+		// walker's identical check through its bridge).
+		if ship != nil {
+			if s, ok, err := c.R.EvalShipped(ship); ok {
+				return s, err
+			}
+		}
 		// A fresh entry invalidates the hoist memos of this FLWOR's
 		// subtree: invariance holds within one entry, not across
 		// entries (the hoisted expression may read outer variables).

@@ -57,6 +57,7 @@ type Engine struct {
 	docs            runtime.DocResolver
 	collections     runtime.CollectionResolver
 	collectionsIter runtime.CollectionIterResolver
+	collectionsShip runtime.CollectionShipResolver
 	// initErr records a function-library wiring failure from New;
 	// every Compile on this engine refuses with it instead of running
 	// programs against a half-built registry.
@@ -118,6 +119,15 @@ func WithCollectionResolver(r runtime.CollectionResolver) Option {
 // scan). Runs may still override it via RunConfig.CollectionsIter.
 func WithCollectionIterResolver(r runtime.CollectionIterResolver) Option {
 	return func(e *Engine) { e.collectionsIter = r }
+}
+
+// WithCollectionShipResolver installs an engine-level default shipping
+// collection resolver (a federation's): expressions the planner
+// annotated as per-document maps over a collection are answered through
+// it instead of through the documents (runtime.Context.EvalShipped).
+// Runs may still override it via RunConfig.CollectionsShip.
+func WithCollectionShipResolver(r runtime.CollectionShipResolver) Option {
+	return func(e *Engine) { e.collectionsShip = r }
 }
 
 // WithFunctions registers extra built-in functions on the engine's host
@@ -435,6 +445,15 @@ type RunConfig struct {
 	// by the streaming evaluator when set). Nil falls back to the
 	// engine's WithCollectionIterResolver default.
 	CollectionsIter runtime.CollectionIterResolver
+	// CollectionsShip is the shipping fn:collection source: a FLWOR or
+	// fn:count the planner annotated as a per-document map over a
+	// collection (ast.ShipPlan) is answered by handing it the
+	// per-document expression, so the holder of the documents evaluates
+	// it and only values come back. Only a federation provides one
+	// (fed.Executor.CollectionShipResolver); DisableIndexes switches its
+	// use off. Nil falls back to the engine's
+	// WithCollectionShipResolver default.
+	CollectionsShip runtime.CollectionShipResolver
 	// Hooks provides the browser extension points.
 	Hooks runtime.Hooks
 	// Variables are external variable bindings.
@@ -463,8 +482,10 @@ type RunConfig struct {
 	DisableStreaming bool
 	// DisableIndexes turns off the per-document indexes for this run:
 	// planned path steps scan the axis, fn:id walks the tree and
-	// document-order sorts use the comparison path. It is the scan
-	// baseline in benchmarks and the oracle side of the index
+	// document-order sorts use the comparison path — and nothing is
+	// shipped to a collection's source (CollectionsShip): the run
+	// ignores every annotation of the planner. It is the scan baseline
+	// in benchmarks and the oracle side of the index and shipping
 	// differential tests.
 	DisableIndexes bool
 	// Strict runs the static analyzer before evaluation: error-severity
@@ -564,6 +585,7 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	ctx.Docs = cfg.Docs
 	ctx.Collections = cfg.Collections
 	ctx.CollectionsIter = cfg.CollectionsIter
+	ctx.CollectionsShip = cfg.CollectionsShip
 	// The binding engine's defaults (a bound store) fill whatever the
 	// run left unset.
 	if ctx.Docs == nil {
@@ -574,6 +596,12 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	}
 	if ctx.CollectionsIter == nil {
 		ctx.CollectionsIter = p.engine.collectionsIter
+	}
+	// The shipping default speaks for the engine's collections only: a
+	// run that brought collection resolvers of its own is not answered
+	// from somewhere else.
+	if ctx.CollectionsShip == nil && cfg.Collections == nil && cfg.CollectionsIter == nil {
+		ctx.CollectionsShip = p.engine.collectionsShip
 	}
 	ctx.Hooks = cfg.Hooks
 	if !cfg.Now.IsZero() {

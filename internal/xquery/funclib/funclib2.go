@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/dom"
-	"repro/internal/dom/index"
 	"repro/internal/xdm"
 	"repro/internal/xquery/runtime"
 )
@@ -381,7 +380,7 @@ func registerNodes(reg *runtime.Registry) {
 		// rebuild heuristic) and a stale index all fall back to the
 		// full walk.
 		if !ctx.NoIndex {
-			if idx := index.Probe(root); idx != nil {
+			if idx := ctx.PathIndex(root); idx != nil {
 				var nodes []*dom.Node
 				usable := true
 				for id := range want {

@@ -150,10 +150,13 @@ func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
 // identical between the nested and the flat form, so the rewrite is
 // unconditional as long as neither level sorts (order by changes when
 // tuples are collected) and the outer level has no filter of its own.
+// A level the planner annotated for shipping stays a FLWOR of its own:
+// its plan speaks for exactly its clauses, so it can neither move onto
+// the merged FLWOR nor be dropped with the level.
 func (o *optimizer) flatten(f ast.FLWOR) ast.FLWOR {
-	for f.Where == nil && len(f.OrderBy) == 0 && f.Join == nil {
+	for f.Where == nil && len(f.OrderBy) == 0 && f.Join == nil && f.Ship == nil {
 		inner, ok := f.Return.(ast.FLWOR)
-		if !ok || len(inner.OrderBy) != 0 || inner.Join != nil {
+		if !ok || len(inner.OrderBy) != 0 || inner.Join != nil || inner.Ship != nil {
 			break
 		}
 		clauses := make([]ast.Clause, 0, len(f.Clauses)+len(inner.Clauses))
@@ -900,8 +903,10 @@ func mentionsVars(e ast.Expr, vars map[string]bool) bool {
 // with children is descended into — a path worth planning or a FLWOR
 // worth optimizing can hide anywhere — and each case constructs a fresh
 // node, steps and predicate lists included, so the caller may write to
-// what it gets back. Word sources of a full-text selection are not
-// children here (the planner maps them itself, see planner.ftSel).
+// what it gets back; a FLWOR's or call's shipping plan stays on the
+// copy (it is text, good for whatever f makes of the children). Word
+// sources of a full-text selection are not children here (the planner
+// maps them itself, see planner.ftSel).
 func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 	switch x := e.(type) {
 	case nil:
@@ -919,7 +924,7 @@ func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 		for i, a := range x.Args {
 			args[i] = f(a)
 		}
-		return ast.FuncCall{Name: x.Name, Args: args, At: x.At}
+		return ast.FuncCall{Name: x.Name, Args: args, At: x.At, Ship: x.Ship}
 	case ast.If:
 		return ast.If{Cond: f(x.Cond), Then: f(x.Then), Else: f(x.Else), At: x.At}
 	case ast.FLWOR:
@@ -933,7 +938,7 @@ func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 		for i := range orderBy {
 			orderBy[i].Key = f(orderBy[i].Key)
 		}
-		out := ast.FLWOR{Clauses: clauses, OrderBy: orderBy, Return: f(x.Return)}
+		out := ast.FLWOR{Clauses: clauses, OrderBy: orderBy, Return: f(x.Return), Ship: x.Ship}
 		if x.Where != nil {
 			out.Where = f(x.Where)
 		}

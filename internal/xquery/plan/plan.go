@@ -17,7 +17,11 @@
 //     attribute comparison of @id with a non-empty string literal →
 //     AccessIndexID (probe the id index); a first predicate that is a
 //     literal ". ftcontains" selection → AccessFT; everything else →
-//     AccessScan (walk the axis).
+//     AccessScan (walk the axis);
+//   - a FLWOR or fn:count over fn:collection(…) that is a map over the
+//     collection's documents with atomic results carries an
+//     ast.ShipPlan: the per-document expression as text, which a source
+//     holding the documents can evaluate in the caller's place (ship.go).
 //
 // Access methods and the attribute-comparison kind are advisory: the
 // evaluator re-applies the node test and every predicate to probed
@@ -55,7 +59,7 @@ const fnSpace = "http://www.w3.org/2005/xpath-functions"
 // forms. Planning a planned module changes nothing. Call it through
 // Module.EnsurePlanned.
 func Annotate(m *ast.Module) {
-	p := &planner{assigned: map[string]bool{}}
+	p := &planner{assigned: map[string]bool{}, ships: !declaresFn(m)}
 	for i := range m.Prolog.Vars {
 		m.Prolog.Vars[i].Init = p.expr(m.Prolog.Vars[i].Init)
 	}
@@ -78,6 +82,7 @@ func Annotate(m *ast.Module) {
 type planner struct {
 	assigned map[string]bool // vkey of every variable some Assign targets
 	varKeyed []*ast.PredPlan // attribute comparisons keyed by a variable
+	ships    bool            // per-document shapes get an ast.ShipPlan (see ship.go)
 }
 
 // expr returns the planned form of e: children first (mapChildren
@@ -90,15 +95,26 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 	case ast.FTContains:
 		return ast.FTContains{X: p.expr(x.X), Sel: p.ftSel(x.Sel)}
 	}
-	e = mapChildren(e, p.expr)
-	if x, ok := e.(ast.Path); ok {
+	switch x := mapChildren(e, p.expr).(type) {
+	case ast.Path:
 		x.Steps = mergeDescendantSteps(x.Steps)
 		for i := range x.Steps {
 			p.step(&x.Steps[i])
 		}
 		return x
+	case ast.FLWOR:
+		if p.ships {
+			x.Ship = shipFLWOR(x)
+		}
+		return x
+	case ast.FuncCall:
+		if p.ships {
+			x.Ship = shipCount(x)
+		}
+		return x
+	default:
+		return x
 	}
-	return e
 }
 
 // ftSel plans the word sources of a full-text selection.

@@ -194,6 +194,11 @@ func (ctx *Context) evalString(e ast.Expr) (string, error) {
 }
 
 func (ctx *Context) evalCall(x ast.FuncCall) (xdm.Sequence, error) {
+	if x.Ship != nil {
+		if s, ok, err := ctx.EvalShipped(x.Ship); ok {
+			return s, err
+		}
+	}
 	f := ctx.Prog.Reg.Lookup(x.Name, len(x.Args))
 	if f == nil {
 		return nil, fmt.Errorf("%w %s/%d", ErrUnknownFunction, x.Name, len(x.Args))
@@ -221,6 +226,11 @@ func (ctx *Context) evalCall(x ast.FuncCall) (xdm.Sequence, error) {
 }
 
 func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
+	if f.Ship != nil {
+		if s, ok, err := ctx.EvalShipped(f.Ship); ok {
+			return s, err
+		}
+	}
 	var out xdm.Sequence
 	type tuple struct {
 		c    *Context

@@ -16,6 +16,24 @@ import (
 // sorting. Context.NoIndex turns all of it off, which is both the
 // benchmark baseline and the differential-test oracle.
 
+// PathIndex and ftIndex return the per-document index a probe of the
+// tree containing n may read, or nil when the caller should scan: the
+// packages' amortised Probe, or — under NoIndexBuild — only an index
+// that is already there. (PathIndex is exported for fn:id.)
+func (ctx *Context) PathIndex(n *dom.Node) *index.Doc {
+	if ctx.NoIndexBuild {
+		return index.Fresh(n)
+	}
+	return index.Probe(n)
+}
+
+func (ctx *Context) ftIndex(n *dom.Node) (d *ftindex.Doc, built bool) {
+	if ctx.NoIndexBuild {
+		return ftindex.Fresh(n), false
+	}
+	return ftindex.Probe(n)
+}
+
 // probeIndex answers an indexed step's candidate list from the
 // per-document index: the name-list slice of the focus node's subtree
 // for AccessIndexName, the id-pinned elements inside the subtree for
@@ -34,7 +52,7 @@ func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step) ([]*dom.Node, bool) 
 	if step.Access == ast.AccessFT {
 		return ctx.probeFTIndex(n, step, orSelf)
 	}
-	idx := index.Probe(n)
+	idx := ctx.PathIndex(n)
 	if idx == nil {
 		return nil, false
 	}
@@ -87,7 +105,7 @@ func (ctx *Context) probeFTIndex(n *dom.Node, step *ast.Step, orSelf bool) ([]*d
 		// "cannot answer" and let the scan surface it.
 		return nil, false
 	}
-	idx, built := ftindex.Probe(n)
+	idx, built := ctx.ftIndex(n)
 	if built && ctx.Profiler != nil {
 		ctx.Profiler.AddFT("builds", 1)
 	}

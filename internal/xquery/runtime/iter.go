@@ -76,7 +76,8 @@ func (ctx *Context) evalIter(e ast.Expr) (xdm.Iter, bool) {
 		return ctx.pathIter(x)
 	case ast.FuncCall:
 		f := ctx.Prog.Reg.Lookup(x.Name, len(x.Args))
-		if f == nil || f.Stream == nil {
+		if f == nil || f.Stream == nil || x.Ship != nil {
+			// An annotated call goes where its plan is consulted (evalCall).
 			return ctx.lazyEval(e), false
 		}
 		return deferredIter(func() (xdm.Iter, error) {

@@ -20,6 +20,7 @@ type Profiler struct {
 	rewrites map[string]int64
 	updates  map[string]int64
 	ft       map[string]int64
+	fed      map[string]int64
 }
 
 // ProfileEntry accumulates one expression kind's statistics. Items
@@ -156,6 +157,30 @@ func (p *Profiler) FTFor(kind string) int64 {
 	return p.ft[kind]
 }
 
+// AddFed adds to a named federation counter. The evaluator credits
+// "shipped" for every annotated node (ast.ShipPlan) it answered through
+// the run's shipping collection resolver instead of fetching the
+// collection, so a profile shows whether a federated query moved its
+// answer or its documents.
+func (p *Profiler) AddFed(kind string, n int64) {
+	if n == 0 {
+		return
+	}
+	p.mu.Lock()
+	if p.fed == nil {
+		p.fed = map[string]int64{}
+	}
+	p.fed[kind] += n
+	p.mu.Unlock()
+}
+
+// FedFor returns a named federation counter (see AddFed).
+func (p *Profiler) FedFor(kind string) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fed[kind]
+}
+
 // recordItems adds to the items-pulled counter of an expression kind.
 func (p *Profiler) recordItems(kind string, n int64) {
 	p.mu.Lock()
@@ -238,36 +263,23 @@ func (p *Profiler) Format() string {
 		fmt.Fprintf(&b, "%-20s %10d %10d %10d %10d %14s\n",
 			e.Kind, e.Count, e.Compiled, e.Items, e.IndexHits, e.Time)
 	}
-	p.mu.Lock()
-	kinds := make([]string, 0, len(p.rewrites))
-	for k := range p.rewrites {
-		kinds = append(kinds, k)
+	// The named counters, each family under its prefix.
+	counters := func(prefix string, m map[string]int64) {
+		p.mu.Lock()
+		kinds := make([]string, 0, len(m))
+		for k := range m {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		for _, k := range kinds {
+			fmt.Fprintf(&b, "%-20s %10d\n", prefix+k, m[k])
+		}
+		p.mu.Unlock()
 	}
-	p.mu.Unlock()
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "rewrite:%-12s %10d\n", k, p.RewritesFor(k))
-	}
-	p.mu.Lock()
-	ukinds := make([]string, 0, len(p.updates))
-	for k := range p.updates {
-		ukinds = append(ukinds, k)
-	}
-	p.mu.Unlock()
-	sort.Strings(ukinds)
-	for _, k := range ukinds {
-		fmt.Fprintf(&b, "update:%-13s %10d\n", k, p.UpdatesFor(k))
-	}
-	p.mu.Lock()
-	fkinds := make([]string, 0, len(p.ft))
-	for k := range p.ft {
-		fkinds = append(fkinds, k)
-	}
-	p.mu.Unlock()
-	sort.Strings(fkinds)
-	for _, k := range fkinds {
-		fmt.Fprintf(&b, "ft:%-17s %10d\n", k, p.FTFor(k))
-	}
+	counters("rewrite:", p.rewrites)
+	counters("update:", p.updates)
+	counters("ft:", p.ft)
+	counters("fed:", p.fed)
 	return b.String()
 }
 

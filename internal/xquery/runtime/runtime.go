@@ -337,9 +337,12 @@ type Context struct {
 	// External interfaces. CollectionsIter, when set, is the streaming
 	// source fn:collection pulls from; Collections stays the eager
 	// fallback (and the form the NoStream evaluator uses).
+	// CollectionsShip, when set, answers the nodes the planner annotated
+	// as per-document maps over a collection (see EvalShipped).
 	Docs            DocResolver
 	Collections     CollectionResolver
 	CollectionsIter CollectionIterResolver
+	CollectionsShip CollectionShipResolver
 	Hooks           Hooks
 	Now             time.Time
 
@@ -379,6 +382,20 @@ type Context struct {
 	// the oracle side of the index differential tests.
 	NoIndex bool
 
+	// NoIndexBuild lets the evaluation read a per-document index that is
+	// already built and fresh but never build one: index probes that
+	// find none scan instead. It is set for expressions evaluated on
+	// behalf of a remote caller (xquery.Cache.EvalPerDocument), who may
+	// use what the owner of the documents has built and must not make
+	// the owner's memory grow.
+	NoIndexBuild bool
+
+	// depth counts user-function frames (bounded by maxCallDepth). It
+	// sits here, in the word the flags leave empty: a Context is copied
+	// on every focus change and binding, and 208 bytes is exactly an
+	// allocator size class.
+	depth int32
+
 	// ft carries full-text scoring state (the scores ftcontains
 	// recorded, the scan side's per-document statistics cache). A
 	// pointer so every context copy shares one state per query
@@ -387,7 +404,6 @@ type Context struct {
 
 	env     *env
 	globals *env
-	depth   int
 }
 
 // NewContext builds a root context for the program.

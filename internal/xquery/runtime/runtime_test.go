@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dom"
 	"repro/internal/xdm"
@@ -411,5 +412,15 @@ func TestCallFunctionByName(t *testing.T) {
 	}
 	if _, err := ctx.CallFunction(dom.Name("nosuch"), nil); err == nil {
 		t.Error("unknown function must fail")
+	}
+}
+
+// A Context is copied on every focus change and variable binding, so
+// its size is an allocation cost of every path step and FLWOR tuple:
+// 208 bytes is exactly an allocator size class, one more word costs
+// every copy sixteen.
+func TestContextFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Context{}); got > 208 {
+		t.Errorf("runtime.Context is %d bytes, over the 208-byte size class it fitted", got)
 	}
 }

@@ -1,0 +1,63 @@
+package runtime
+
+import (
+	"fmt"
+
+	"repro/internal/xdm"
+	"repro/internal/xquery/ast"
+)
+
+// CollectionShipResolver is the shipping form of a collection resolver.
+// Instead of the documents of fn:collection(uri) it answers what the
+// per-document expression src (ast.ShipPlan.Src) yields on them: the
+// holder of the documents evaluates src with each document as the
+// context item and vals is the concatenation of the values in
+// collection order. unevaluated holds whatever items of the collection
+// the resolver could not have src evaluated on (the fed:incomplete
+// element of a degraded federated gather); the evaluator runs the
+// expression on those itself. ok is false when the resolver cannot ship
+// at the moment — the node is then evaluated the ordinary way, through
+// the run's other collection resolvers.
+type CollectionShipResolver func(uri, src string) (vals, unevaluated xdm.Sequence, ok bool, err error)
+
+// EvalShipped answers a node the planner annotated with p through the
+// run's shipping collection resolver. ok is false when the node has to
+// be evaluated the ordinary way: the run has no shipping resolver or
+// has the planner's annotations switched off (NoIndex), fn:collection
+// is blocked anyway, or the resolver cannot ship right now. Evaluators
+// call it for annotated nodes only; a node without a plan costs them a
+// nil check.
+func (ctx *Context) EvalShipped(p *ast.ShipPlan) (val xdm.Sequence, ok bool, err error) {
+	if ctx.CollectionsShip == nil || ctx.NoIndex || ctx.Prog.BlockDoc {
+		return nil, false, nil
+	}
+	vals, unevaluated, ok, err := ctx.CollectionsShip(p.URI, p.Src)
+	if err != nil {
+		return nil, true, fmt.Errorf("fn:collection(%q): %w", p.URI, err)
+	}
+	if !ok {
+		return nil, false, nil
+	}
+	if ctx.Profiler != nil {
+		ctx.Profiler.AddFed("shipped", 1)
+	}
+	for _, it := range unevaluated {
+		more, err := ctx.withFocus(it, 1, 1).Eval(p.Expr)
+		if err != nil {
+			return nil, true, err
+		}
+		vals = append(vals, more...)
+	}
+	if !p.Sum {
+		return vals, true, nil
+	}
+	var total xdm.Integer
+	for _, v := range vals {
+		n, isInt := v.(xdm.Integer)
+		if !isInt {
+			return nil, true, fmt.Errorf("fn:collection(%q): a per-document count came back as %s", p.URI, v.Type())
+		}
+		total += n
+	}
+	return xdm.Singleton(total), true, nil
+}

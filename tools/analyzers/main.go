@@ -50,7 +50,12 @@
 //	            expression roots (the body, function bodies, global
 //	            initialisers) with their planned forms — idempotent,
 //	            and published through Module.EnsurePlanned's sync.Once
-//	            before any concurrent read.
+//	            before any concurrent read. The Ship annotation of a
+//	            FLWOR or call (ast.ShipPlan) is the planner's too, on
+//	            values rather than through pointers: only a method of
+//	            the planner may set it to a plan; everyone else may
+//	            carry an existing one onto a copy (x.Ship = y.Ship,
+//	            Ship: y.Ship) and nothing more.
 //
 //	storesync   the shard lock discipline of the document store
 //	            (internal/xmldb): the raw shard state — the docs
@@ -592,12 +597,27 @@ var planRootFields = map[string]bool{
 // rewrites must copy the node by value and modify the copy. Writes to
 // the planner's annotation fields on *ast.Step, and Annotate's to the
 // roots of its *ast.Module, are exempt (see planAnnotationFields).
+//
+// It also reports writes of the Ship annotation that are not the
+// planner's: a node's shipping plan describes the node as the planner
+// saw it, so outside the planner's methods the only legal value for a
+// Ship field is another node's Ship (a copy keeping its plan).
 func planPure(fset *token.FileSet, file *ast.File) []finding {
 	var out []finding
 	for _, decl := range file.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
+		}
+		flagShip := func(at token.Pos, val ast.Expr) {
+			if sel, carried := val.(*ast.SelectorExpr); recvIsPlanner(fd) || carried && sel.Sel.Name == "Ship" {
+				return
+			}
+			out = append(out, finding{
+				pos: fset.Position(at),
+				msg: fmt.Sprintf("planpure: Ship annotation written in %s; only the planner's pass (plan.Annotate) makes shipping plans — a rewrite may carry an existing one onto its copy (Ship: x.Ship)",
+					fd.Name.Name),
+			})
 		}
 		guarded := map[string]string{} // ident name -> ast node type name
 		bind := func(names []*ast.Ident, typ ast.Expr) {
@@ -633,8 +653,19 @@ func planPure(fset *token.FileSet, file *ast.File) []finding {
 				if x.Tok == token.DEFINE {
 					return true
 				}
-				for _, lhs := range x.Lhs {
+				for i, lhs := range x.Lhs {
 					out = append(out, flagASTWrite(fset, lhs, guarded, fd.Name.Name)...)
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Ship" && len(x.Rhs) == len(x.Lhs) {
+						flagShip(lhs.Pos(), x.Rhs[i])
+					}
+				}
+			case *ast.CompositeLit:
+				for _, el := range x.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Ship" {
+							flagShip(kv.Pos(), kv.Value)
+						}
+					}
 				}
 			case *ast.IncDecStmt:
 				out = append(out, flagASTWrite(fset, x.X, guarded, fd.Name.Name)...)
@@ -643,6 +674,20 @@ func planPure(fset *token.FileSet, file *ast.File) []finding {
 		})
 	}
 	return out
+}
+
+// recvIsPlanner reports whether fd is a method of *planner, the type
+// of plan.Annotate's pass.
+func recvIsPlanner(fd *ast.FuncDecl) bool {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return false
+	}
+	st, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	id, ok := st.X.(*ast.Ident)
+	return ok && id.Name == "planner"
 }
 
 // astPtrType reports T for a *ast.T type expression, where ast is the

@@ -217,6 +217,38 @@ func optimize(f ast.FLWOR) ast.FLWOR {
 	}
 }
 
+func TestPlanPureShipIsThePlanners(t *testing.T) {
+	ok := `package plan
+import "repro/internal/xquery/ast"
+func (p *planner) expr(x ast.FLWOR, c ast.FuncCall) (ast.FLWOR, ast.FuncCall) {
+	x.Ship = shipFLWOR(x) // the planner annotating its own copy
+	c.Ship = shipCount(c)
+	return x, c
+}
+func mapChildren(x ast.FLWOR, c ast.FuncCall) (ast.FLWOR, ast.FuncCall) {
+	out := ast.FLWOR{Return: x.Return, Ship: x.Ship} // a copy keeps its plan
+	d := ast.FuncCall{Name: c.Name}
+	d.Ship = c.Ship
+	return out, d
+}
+`
+	if got := analyze(t, ok, planPure); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+	bad := `package plan
+import "repro/internal/xquery/ast"
+func (o *optimizer) flatten(f, inner ast.FLWOR) ast.FLWOR {
+	f.Ship = &ast.ShipPlan{Src: "made up"}                         // a plan from outside the planner
+	g := ast.FLWOR{Clauses: f.Clauses, Ship: shipFLWOR(inner)}     // the same, in a literal
+	g.Ship = nil                                                   // dropping one silently
+	return g
+}
+`
+	if got := analyze(t, bad, planPure); len(got) != 3 {
+		t.Fatalf("findings = %v, want 3", got)
+	}
+}
+
 func TestPlanPureFlagsNonAnnotationStepWrite(t *testing.T) {
 	src := `package plan
 import "repro/internal/xquery/ast"

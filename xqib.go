@@ -447,7 +447,7 @@ func WithStore(st *Store) Option {
 			xquery.WithCollectionIterResolver(st.CollectionIterResolver()),
 		},
 		host: []core.Option{
-			core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver()),
+			core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver(), nil),
 		},
 	}
 }
@@ -488,8 +488,11 @@ const FedShardModule = fed.ShardModule
 
 // WithFederation binds a federation to the facade constructors: on an
 // engine (or every script engine of a loaded page) it routes
-// fn:collection through the scatter-gather executor and resolves
-// "fed:endpoints" module imports to federated remote proxies. The
+// fn:collection through the scatter-gather executor — a FLWOR or
+// fn:count over a collection that maps its documents to atomic values
+// is evaluated by the shards, so the values travel instead of the
+// documents — and resolves "fed:endpoints" module imports to federated
+// remote proxies. The
 // resolvers are bound to the background context — per-attempt
 // timeouts, retry budgets and breakers still bound each call; for
 // caller-scoped cancellation use the serving layer (PoolConfig.Fed),
@@ -500,10 +503,11 @@ func WithFederation(x *Federation) Option {
 		engine: []xquery.Option{
 			xquery.WithCollectionResolver(x.CollectionResolver(bg)),
 			xquery.WithCollectionIterResolver(x.CollectionIterResolver(bg)),
+			xquery.WithCollectionShipResolver(x.CollectionShipResolver(bg)),
 			xquery.WithModuleResolver(x.Resolver(bg)),
 		},
 		host: []core.Option{
-			core.WithStoreResolvers(nil, x.CollectionResolver(bg), x.CollectionIterResolver(bg)),
+			core.WithStoreResolvers(nil, x.CollectionResolver(bg), x.CollectionIterResolver(bg), x.CollectionShipResolver(bg)),
 		},
 	}
 }
