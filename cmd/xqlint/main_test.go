@@ -210,3 +210,18 @@ func TestShippedAdvisory(t *testing.T) {
 		t.Errorf("node-valued return: exit = %d, output = %q; want no advisory", code, out)
 	}
 }
+
+// A constructed node that is copied only because other references read
+// its variable too shows as a note naming the variable; the same shape
+// read once is adopted and says nothing.
+func TestCopiedLetAdvisory(t *testing.T) {
+	q := writeFile(t, "copied.xq", "let $row := <tr/> return (insert node $row into /t, count($row))")
+	code, out := runLint(t, "-werror", q)
+	if code != 0 || !strings.Contains(out, `1:39: note XQ0502: the constructed value of $row is copied here: 2 references read the variable`) {
+		t.Errorf("copied: exit = %d, output = %q", code, out)
+	}
+	once := writeFile(t, "once.xq", "let $row := <tr/> return insert node $row into /t")
+	if code, out := runLint(t, once); code != 0 || strings.Contains(out, "XQ0502") {
+		t.Errorf("single reference: exit = %d, output = %q; want no advisory", code, out)
+	}
+}

@@ -2,9 +2,10 @@ package dom
 
 // Bulk construction. The mutators in tree.go guard a tree other code can
 // already see: each one checks for cycles and bumps the root's version,
-// which walks to the root twice per call. A parser assembling a tree
-// bottom-up that nobody else holds a pointer to needs neither, so it
-// installs whole child and attribute lists here in one step — the direct
+// which walks to the root twice per call. Whoever assembles a tree
+// bottom-up that nobody else holds a pointer to — a parser, an XQuery
+// element constructor installing its attributes — needs neither, so it
+// installs whole child and attribute lists here in one step: the direct
 // construction Clone uses, for callers outside the package.
 
 // AttrSpec is one attribute of an element under construction.

@@ -106,14 +106,15 @@ type Node struct {
 	version atomic.Uint64
 
 	// indexCache holds the version-stamped index of the tree rooted at
-	// this node (see internal/dom/index); meaningful on roots only.
-	indexCache atomic.Value
+	// this node (see internal/dom/index); meaningful on roots only, so
+	// every other node pays one nil word for it, not an interface's two.
+	indexCache atomic.Pointer[any]
 
 	// ftCache holds the version-stamped full-text index of the tree
 	// rooted at this node (see internal/fulltext/index); meaningful on
 	// roots only. A separate slot from indexCache so the two indexes
 	// build and invalidate independently.
-	ftCache atomic.Value
+	ftCache atomic.Pointer[any]
 }
 
 // NewDocument creates an empty document node.
@@ -352,14 +353,30 @@ func (n *Node) ElementByID(id string) *Node {
 // Clone deep-copies the node and its subtree (and attributes). The copy
 // is detached and carries no event listeners, matching XQuery copy
 // semantics for constructed/inserted content.
-func (n *Node) Clone() *Node {
+func (n *Node) Clone() *Node { return n.clone(false) }
+
+// CloneNormalized is Clone followed by NormalizeText on the copy, in one
+// walk: at every level of the copy adjacent text children are one node
+// and empty ones are gone — the form constructed XQuery content has.
+func (n *Node) CloneNormalized() *Node { return n.clone(true) }
+
+func (n *Node) clone(normalize bool) *Node {
 	c := &Node{Type: n.Type, Name: n.Name, Data: n.Data, BaseURI: n.BaseURI}
 	for _, a := range n.attrs {
 		ac := &Node{Type: AttributeNode, Name: a.Name, Data: a.Data, parent: c}
 		c.attrs = append(c.attrs, ac)
 	}
 	for _, k := range n.children {
-		kc := k.Clone()
+		if normalize && k.Type == TextNode {
+			if k.Data == "" {
+				continue
+			}
+			if last := c.LastChild(); last != nil && last.Type == TextNode {
+				last.Data += k.Data
+				continue
+			}
+		}
+		kc := k.clone(normalize)
 		kc.parent = c
 		c.children = append(c.children, kc)
 	}

@@ -1,5 +1,7 @@
 package dom
 
+import "sync/atomic"
+
 // Version returns the mutation counter of the tree containing n. Every
 // mutator in tree.go bumps the counter on the tree's root, so a cached
 // derivation of the tree (the document-order stamps here, the
@@ -41,19 +43,26 @@ func (n *Node) RestoreVersion(v uint64) {
 // package may interpret the value, and only on root nodes. It is a
 // plain field on the node (not a global registry) so an index dies
 // with its document and never outlives it.
-func (n *Node) LoadIndexCache() any { return n.indexCache.Load() }
+func (n *Node) LoadIndexCache() any { return loadSlot(&n.indexCache) }
 
 // StoreIndexCache publishes a freshly built index for the tree rooted
 // at n. See LoadIndexCache for the ownership contract.
-func (n *Node) StoreIndexCache(v any) { n.indexCache.Store(v) }
+func (n *Node) StoreIndexCache(v any) { n.indexCache.Store(&v) }
 
 // LoadFTIndexCache returns the opaque per-document full-text index
 // slot stored on this node, or nil. The slot belongs to
 // internal/fulltext/index under the same ownership contract as
 // LoadIndexCache: only that package interprets the value, and only on
 // root nodes.
-func (n *Node) LoadFTIndexCache() any { return n.ftCache.Load() }
+func (n *Node) LoadFTIndexCache() any { return loadSlot(&n.ftCache) }
 
 // StoreFTIndexCache publishes a freshly built full-text index for the
 // tree rooted at n. See LoadFTIndexCache for the ownership contract.
-func (n *Node) StoreFTIndexCache(v any) { n.ftCache.Store(v) }
+func (n *Node) StoreFTIndexCache(v any) { n.ftCache.Store(&v) }
+
+func loadSlot(slot *atomic.Pointer[any]) any {
+	if v := slot.Load(); v != nil {
+		return *v
+	}
+	return nil
+}

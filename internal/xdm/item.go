@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 	"strings"
 	"time"
 
@@ -101,7 +102,7 @@ type Integer int64
 // Type implements Item.
 func (Integer) Type() Type { return TInteger }
 
-func (v Integer) String() string { return fmt.Sprintf("%d", int64(v)) }
+func (v Integer) String() string { return strconv.FormatInt(int64(v), 10) }
 
 // Double is xs:double (xs:float is widened to it).
 type Double float64
@@ -121,7 +122,7 @@ func formatDouble(f float64) string {
 	case math.IsInf(f, -1):
 		return "-INF"
 	case f == math.Trunc(f) && math.Abs(f) < 1e15:
-		return fmt.Sprintf("%d", int64(f))
+		return strconv.FormatInt(int64(f), 10)
 	default:
 		s := fmt.Sprintf("%g", f)
 		return strings.Replace(s, "e+0", "E", 1)

@@ -191,6 +191,7 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 		c.checkUpdateSnapshots(m.Body)
 	}
 	c.reportUnused(globals)
+	c.noteCopiedLets(m)
 
 	if d, ok := BudgetDiagnostic(est, cfg.MaxSteps); ok {
 		c.diags = append(c.diags, d)

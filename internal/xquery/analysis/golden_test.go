@@ -86,7 +86,7 @@ func TestGoldenCoversAllCodes(t *testing.T) {
 		analysis.CodeCostBudget,
 		analysis.CodeDeadUpdate, analysis.CodeDeadDelete,
 		analysis.CodeUpdateConflict, analysis.CodeUpdateGroups,
-		analysis.CodeShipped,
+		analysis.CodeShipped, analysis.CodeCopiedLet,
 	}
 	files, _ := filepath.Glob(filepath.Join("testdata", "*.diag"))
 	seen := map[string]bool{}

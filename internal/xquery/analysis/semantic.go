@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/xquery/ast"
+	"repro/internal/xquery/plan"
 )
 
 // updCtx says whether an updating expression may appear at the current
@@ -340,6 +341,19 @@ func (c *checker) checkCall(fc ast.FuncCall, sc *scope, upd updCtx) {
 func (c *checker) noteShipped(p *ast.ShipPlan, at ast.Pos) {
 	if p != nil {
 		c.report(CodeShipped, SevNote, at, "evaluated per document at the collection's source: %s", p.Src)
+	}
+}
+
+// noteCopiedLets reports where the planner still copies a node some
+// constructor has just built (XQ0502): a constructor, insert or replace
+// takes the value of a let variable that other references read too, so
+// the node cannot change hands. Advisory — the copy is what keeps the
+// other references right; read once, the node is adopted instead.
+func (c *checker) noteCopiedLets(m *ast.Module) {
+	for _, cl := range plan.CopiedLets(m) {
+		c.report(CodeCopiedLet, SevNote, cl.At,
+			"the constructed value of $%s is copied here: %d references read the variable (read once, it is taken as it is)",
+			varDisplay(cl.Var), cl.Refs)
 	}
 }
 

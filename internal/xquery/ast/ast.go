@@ -479,7 +479,23 @@ type DirElem struct {
 	Name    dom.QName
 	Attrs   []DirAttr
 	Content []Expr // StringLit text runs, nested constructors, enclosed exprs
+
+	// Adopt, index-aligned with Content, is the planner's freshness
+	// annotation (see plan.Annotate): Adopt[i] says every node Content[i]
+	// yields was built by a constructor for that very evaluation and is
+	// reachable from nothing else, so the element may take the node
+	// itself as a child where it otherwise copies it. The zero value —
+	// nil, or a shorter list — means copy, which is right for every
+	// expression. Like Step.Access, only the planner writes it and
+	// evaluation only reads it; the same goes for the Adopt flag of
+	// CompConstructor (its Content), Insert (its Source) and Replace (its
+	// With).
+	Adopt []bool
 }
+
+// AdoptContent reports whether the planner marked content expression i
+// as fresh (see Adopt); false on a constructor the planner never saw.
+func (e *DirElem) AdoptContent(i int) bool { return i < len(e.Adopt) && e.Adopt[i] }
 
 // DirAttr is an attribute of a direct element constructor.
 type DirAttr struct {
@@ -494,6 +510,7 @@ type CompConstructor struct {
 	Name     dom.QName
 	NameExpr Expr
 	Content  Expr // nil for empty
+	Adopt    bool // the planner's: Content is fresh (see DirElem.Adopt)
 }
 
 // --- Update Facility ---------------------------------------------------------
@@ -516,6 +533,7 @@ type Insert struct {
 	Target Expr
 	Pos    InsertPos
 	At     Pos
+	Adopt  bool // the planner's: Source is fresh (see DirElem.Adopt)
 }
 
 // Delete is "delete node(s) Target".
@@ -530,6 +548,7 @@ type Replace struct {
 	Target  Expr
 	With    Expr
 	At      Pos
+	Adopt   bool // the planner's: With is fresh (see DirElem.Adopt)
 }
 
 // Rename is "rename node Target as NewName".

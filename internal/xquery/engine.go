@@ -484,9 +484,10 @@ type RunConfig struct {
 	// planned path steps scan the axis, fn:id walks the tree and
 	// document-order sorts use the comparison path — and nothing is
 	// shipped to a collection's source (CollectionsShip): the run
-	// ignores every annotation of the planner. It is the scan baseline
-	// in benchmarks and the oracle side of the index and shipping
-	// differential tests.
+	// ignores the planner's access and shipping annotations (not its
+	// adoption marks, which use no index: their oracle is the unplanned
+	// tree). It is the scan baseline in benchmarks and the oracle side
+	// of the index and shipping differential tests.
 	DisableIndexes bool
 	// Strict runs the static analyzer before evaluation: error-severity
 	// diagnostics abort the run with an *AnalysisError (matching

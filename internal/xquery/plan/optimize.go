@@ -904,9 +904,13 @@ func mentionsVars(e ast.Expr, vars map[string]bool) bool {
 // worth optimizing can hide anywhere — and each case constructs a fresh
 // node, steps and predicate lists included, so the caller may write to
 // what it gets back; a FLWOR's or call's shipping plan stays on the
-// copy (it is text, good for whatever f makes of the children). Word
-// sources of a full-text selection are not children here (the planner
-// maps them itself, see planner.ftSel).
+// copy (it is text, good for whatever f makes of the children), and so
+// do the adoption marks of constructors, insert and replace (no rewrite
+// of a fresh operand — a fold to a literal, a branch chosen at compile
+// time — makes it less fresh; a DirElem copy shares the Adopt list, so
+// write to a new one). Children are mapped in evaluation order, a
+// FLWOR's clauses first. Word sources of a full-text selection are not
+// children here (the planner maps them itself, see planner.ftSel).
 func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 	switch x := e.(type) {
 	case nil:
@@ -1005,16 +1009,16 @@ func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 		for i, c := range x.Content {
 			content[i] = f(c)
 		}
-		return ast.DirElem{Name: x.Name, Attrs: attrs, Content: content}
+		return ast.DirElem{Name: x.Name, Attrs: attrs, Content: content, Adopt: x.Adopt}
 	case ast.CompConstructor:
 		return ast.CompConstructor{Kind: x.Kind, Name: x.Name,
-			NameExpr: f(x.NameExpr), Content: f(x.Content)}
+			NameExpr: f(x.NameExpr), Content: f(x.Content), Adopt: x.Adopt}
 	case ast.Insert:
-		return ast.Insert{Source: f(x.Source), Target: f(x.Target), Pos: x.Pos, At: x.At}
+		return ast.Insert{Source: f(x.Source), Target: f(x.Target), Pos: x.Pos, At: x.At, Adopt: x.Adopt}
 	case ast.Delete:
 		return ast.Delete{Target: f(x.Target), At: x.At}
 	case ast.Replace:
-		return ast.Replace{ValueOf: x.ValueOf, Target: f(x.Target), With: f(x.With), At: x.At}
+		return ast.Replace{ValueOf: x.ValueOf, Target: f(x.Target), With: f(x.With), At: x.At, Adopt: x.Adopt}
 	case ast.Rename:
 		return ast.Rename{Target: f(x.Target), NewName: f(x.NewName), At: x.At}
 	case ast.Transform:

@@ -21,7 +21,11 @@
 //   - a FLWOR or fn:count over fn:collection(…) that is a map over the
 //     collection's documents with atomic results carries an
 //     ast.ShipPlan: the per-document expression as text, which a source
-//     holding the documents can evaluate in the caller's place (ship.go).
+//     holding the documents can evaluate in the caller's place (ship.go);
+//   - every enclosed expression of a constructor and every insert or
+//     replace source that is fresh — its nodes were built for that very
+//     evaluation and nothing else can reach them — is marked for
+//     adoption, so the node is taken instead of copied (fresh.go).
 //
 // Access methods and the attribute-comparison kind are advisory: the
 // evaluator re-applies the node test and every predicate to probed
@@ -59,7 +63,7 @@ const fnSpace = "http://www.w3.org/2005/xpath-functions"
 // forms. Planning a planned module changes nothing. Call it through
 // Module.EnsurePlanned.
 func Annotate(m *ast.Module) {
-	p := &planner{assigned: map[string]bool{}, ships: !declaresFn(m)}
+	p := newPlanner(m)
 	for i := range m.Prolog.Vars {
 		m.Prolog.Vars[i].Init = p.expr(m.Prolog.Vars[i].Init)
 	}
@@ -83,6 +87,13 @@ type planner struct {
 	assigned map[string]bool // vkey of every variable some Assign targets
 	varKeyed []*ast.PredPlan // attribute comparisons keyed by a variable
 	ships    bool            // per-document shapes get an ast.ShipPlan (see ship.go)
+	fresh    freshness       // which expressions yield fresh nodes (see fresh.go)
+	lets     []letVar        // the fresh-valued let variables in scope, innermost last
+	copied   []CopiedLet     // what CopiedLets reports
+}
+
+func newPlanner(m *ast.Module) *planner {
+	return &planner{assigned: map[string]bool{}, ships: !declaresFn(m), fresh: freshFuncs(m)}
 }
 
 // expr returns the planned form of e: children first (mapChildren
@@ -94,6 +105,8 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 		p.assigned[vkey(x.Var)] = true
 	case ast.FTContains:
 		return ast.FTContains{X: p.expr(x.X), Sel: p.ftSel(x.Sel)}
+	case ast.FLWOR:
+		return p.flwor(x)
 	}
 	switch x := mapChildren(e, p.expr).(type) {
 	case ast.Path:
@@ -102,19 +115,70 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 			p.step(&x.Steps[i])
 		}
 		return x
-	case ast.FLWOR:
-		if p.ships {
-			x.Ship = shipFLWOR(x)
-		}
-		return x
 	case ast.FuncCall:
 		if p.ships {
 			x.Ship = shipCount(x)
 		}
 		return x
+	case ast.DirElem:
+		var adopt []bool // a list of the planner's own: the copy shares its original's
+		for i, c := range x.Content {
+			if _, text := c.(ast.StringLit); !text && p.adopts(c) {
+				if adopt == nil {
+					adopt = make([]bool, len(x.Content))
+				}
+				adopt[i] = true
+			}
+		}
+		x.Adopt = adopt
+		return x
+	case ast.CompConstructor:
+		x.Adopt = x.Content != nil && p.adopts(x.Content)
+		return x
+	case ast.Insert:
+		x.Adopt = p.adopts(x.Source)
+		return x
+	case ast.Replace:
+		x.Adopt = !x.ValueOf && p.adopts(x.With)
+		return x
 	default:
 		return x
 	}
+}
+
+// flwor plans a FLWOR clause by clause, so that what follows a let
+// clause whose value is fresh is planned with the variable in scope.
+func (p *planner) flwor(f ast.FLWOR) ast.Expr {
+	mark, i := len(p.lets), 0
+	x := mapChildren(f, func(c ast.Expr) ast.Expr {
+		c = p.expr(c)
+		if i < len(f.Clauses) { // mapChildren maps the clauses first, in order
+			p.lets = p.fresh.bindLet(f, i, p.lets)
+		}
+		i++
+		return c
+	}).(ast.FLWOR)
+	p.lets = p.lets[:mark]
+	if p.ships {
+		x.Ship = shipFLWOR(x)
+	}
+	return x
+}
+
+// adopts reports whether a constructor, insert or replace may take the
+// nodes of its operand e as they are (see fresh.go). A reference to a
+// let variable that would be fresh were it the only one is noted for
+// xqlint.
+func (p *planner) adopts(e ast.Expr) bool {
+	if p.fresh.expr(e, p.lets) {
+		return true
+	}
+	if v, ok := e.(ast.VarRef); ok {
+		if l := lookupLet(p.lets, v.Name); l != nil {
+			p.copied = append(p.copied, CopiedLet{Var: v.Name, At: v.At, Refs: l.refs})
+		}
+	}
+	return false
 }
 
 // ftSel plans the word sources of a full-text selection.

@@ -21,6 +21,7 @@ type Profiler struct {
 	updates  map[string]int64
 	ft       map[string]int64
 	fed      map[string]int64
+	content  map[string]int64
 }
 
 // ProfileEntry accumulates one expression kind's statistics. Items
@@ -86,100 +87,77 @@ func (p *Profiler) CompiledFor(kind string) int64 {
 	return 0
 }
 
-// AddRewrites adds to a named optimizer-rewrite counter. The engine
-// credits the per-program rewrite statistics ("pushdown", "hoist",
-// "join", "fold") here once per run, so a profile reports which
-// algebraic rewrites shaped the plan it measured.
-func (p *Profiler) AddRewrites(kind string, n int64) {
+// add adds to a counter of one of the named families below.
+func (p *Profiler) add(family *map[string]int64, kind string, n int64) {
 	if n == 0 {
 		return
 	}
 	p.mu.Lock()
-	if p.rewrites == nil {
-		p.rewrites = map[string]int64{}
+	if *family == nil {
+		*family = map[string]int64{}
 	}
-	p.rewrites[kind] += n
+	(*family)[kind] += n
 	p.mu.Unlock()
 }
 
-// RewritesFor returns a named optimizer-rewrite counter (see
-// AddRewrites).
-func (p *Profiler) RewritesFor(kind string) int64 {
+// get reads a counter of one of the named families below.
+func (p *Profiler) get(family *map[string]int64, kind string) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.rewrites[kind]
+	return (*family)[kind]
 }
+
+// AddRewrites adds to a named optimizer-rewrite counter. The engine
+// credits the per-program rewrite statistics ("pushdown", "hoist",
+// "join", "fold") here once per run, so a profile reports which
+// algebraic rewrites shaped the plan it measured.
+func (p *Profiler) AddRewrites(kind string, n int64) { p.add(&p.rewrites, kind, n) }
+
+// RewritesFor returns a named optimizer-rewrite counter (see
+// AddRewrites).
+func (p *Profiler) RewritesFor(kind string) int64 { return p.get(&p.rewrites, kind) }
 
 // AddUpdates adds to a named update-partition counter. The engine
 // credits each run's PUL partition outcome ("groups", "eliminated",
 // "parallel") here, so a profile reports how the update-independence
 // analysis split and pruned the run's pending updates.
-func (p *Profiler) AddUpdates(kind string, n int64) {
-	if n == 0 {
-		return
-	}
-	p.mu.Lock()
-	if p.updates == nil {
-		p.updates = map[string]int64{}
-	}
-	p.updates[kind] += n
-	p.mu.Unlock()
-}
+func (p *Profiler) AddUpdates(kind string, n int64) { p.add(&p.updates, kind, n) }
 
 // UpdatesFor returns a named update-partition counter (see AddUpdates).
-func (p *Profiler) UpdatesFor(kind string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.updates[kind]
-}
+func (p *Profiler) UpdatesFor(kind string) int64 { return p.get(&p.updates, kind) }
 
 // AddFT adds to a named full-text counter. The evaluator credits
 // "probes" for ftcontains selections answered from a full-text index
 // and "builds" for index constructions its probes triggered, so a
 // profile shows whether a full-text workload ran indexed or kept
 // falling back to scans.
-func (p *Profiler) AddFT(kind string, n int64) {
-	if n == 0 {
-		return
-	}
-	p.mu.Lock()
-	if p.ft == nil {
-		p.ft = map[string]int64{}
-	}
-	p.ft[kind] += n
-	p.mu.Unlock()
-}
+func (p *Profiler) AddFT(kind string, n int64) { p.add(&p.ft, kind, n) }
 
 // FTFor returns a named full-text counter (see AddFT).
-func (p *Profiler) FTFor(kind string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ft[kind]
-}
+func (p *Profiler) FTFor(kind string) int64 { return p.get(&p.ft, kind) }
 
 // AddFed adds to a named federation counter. The evaluator credits
 // "shipped" for every annotated node (ast.ShipPlan) it answered through
 // the run's shipping collection resolver instead of fetching the
 // collection, so a profile shows whether a federated query moved its
 // answer or its documents.
-func (p *Profiler) AddFed(kind string, n int64) {
-	if n == 0 {
-		return
-	}
-	p.mu.Lock()
-	if p.fed == nil {
-		p.fed = map[string]int64{}
-	}
-	p.fed[kind] += n
-	p.mu.Unlock()
-}
+func (p *Profiler) AddFed(kind string, n int64) { p.add(&p.fed, kind, n) }
 
 // FedFor returns a named federation counter (see AddFed).
-func (p *Profiler) FedFor(kind string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fed[kind]
-}
+func (p *Profiler) FedFor(kind string) int64 { return p.get(&p.fed, kind) }
+
+// AddContent adds to a named content counter. The constructors and the
+// insert and replace expressions credit "<Kind>.adopted" for every tree
+// node they took as content as it was (the planner proved the content
+// expression fresh, see ast.DirElem.Adopt) and "<Kind>.copied" for every
+// one they deep-copied, Kind being DirElem, CompConstructor, Insert or
+// Replace; text and attributes go in by value and are not counted. A
+// profile so shows whether constructed content was built once or copied
+// at every level it passed through.
+func (p *Profiler) AddContent(kind string, n int64) { p.add(&p.content, kind, n) }
+
+// ContentFor returns a named content counter (see AddContent).
+func (p *Profiler) ContentFor(kind string) int64 { return p.get(&p.content, kind) }
 
 // recordItems adds to the items-pulled counter of an expression kind.
 func (p *Profiler) recordItems(kind string, n int64) {
@@ -280,6 +258,7 @@ func (p *Profiler) Format() string {
 	counters("update:", p.updates)
 	counters("ft:", p.ft)
 	counters("fed:", p.fed)
+	counters("content:", p.content)
 	return b.String()
 }
 

@@ -25,7 +25,7 @@ func (ctx *Context) evalInsert(x ast.Insert) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	content, err := ctx.evalContentNodes(x.Source)
+	content, err := ctx.evalContentNodes(x.Source, x.Adopt, "Insert")
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func (ctx *Context) evalReplace(x ast.Replace) (xdm.Sequence, error) {
 	if target.Parent() == nil {
 		return nil, fmt.Errorf("xquery: replace target has no parent")
 	}
-	content, err := ctx.evalContentNodes(x.With)
+	content, err := ctx.evalContentNodes(x.With, x.Adopt, "Replace")
 	if err != nil {
 		return nil, err
 	}
@@ -178,27 +178,20 @@ func (ctx *Context) evalTransform(x ast.Transform) (xdm.Sequence, error) {
 }
 
 // evalContentNodes evaluates an insert/replace source into a content
-// node list: nodes are copied, atomics become a text node.
-func (ctx *Context) evalContentNodes(e ast.Expr) ([]*dom.Node, error) {
+// node list, attributes first, every node detached: a fresh source's
+// trees go to the pending update list as they are, the others are
+// copied, atomics become text (see content).
+func (ctx *Context) evalContentNodes(e ast.Expr, fresh bool, kind string) ([]*dom.Node, error) {
 	s, err := ctx.Eval(e)
 	if err != nil {
 		return nil, err
 	}
-	scratch := dom.NewElement(dom.Name("x"))
-	if err := appendContent(scratch, s); err != nil {
+	var c content
+	if err := c.add(s, fresh); err != nil {
 		return nil, err
 	}
-	scratch.NormalizeText()
-	var out []*dom.Node
-	for _, a := range append([]*dom.Node(nil), scratch.Attrs()...) {
-		a.Detach()
-		out = append(out, a)
-	}
-	for _, c := range append([]*dom.Node(nil), scratch.Children()...) {
-		c.Detach()
-		out = append(out, c)
-	}
-	return out, nil
+	c.count(ctx.Profiler, kind)
+	return c.list, nil
 }
 
 func (ctx *Context) evalSingleNode(e ast.Expr, what string) (*dom.Node, error) {

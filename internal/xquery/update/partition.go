@@ -307,9 +307,10 @@ func partition(prims []Primitive, eliminate bool, minPrims int) primPlan {
 		deleted[pr.Target] = true
 	}
 
-	// Content aliasing guard: parallel safety assumes content nodes
-	// are fresh detached copies (the runtime's evalContentNodes
-	// guarantees it). A hand-built list may attach a tree that other
+	// Content aliasing guard: parallel safety assumes every content
+	// node is a detached tree nothing else references — a copy, or an
+	// adopted fresh construction (the runtime's evalContentNodes hands
+	// over nothing else). A hand-built list may attach a tree that other
 	// primitives target, or re-insert an attached node; both force the
 	// fully serial single group.
 	targetRoots := map[*dom.Node]bool{}

@@ -43,11 +43,15 @@ func (k Kind) String() string {
 
 // Primitive is one pending update.
 type Primitive struct {
-	Kind    Kind
-	Target  *dom.Node
-	Content []*dom.Node // inserted/replacement nodes (already copies)
-	Value   string      // ReplaceValue
-	Name    dom.QName   // Rename
+	Kind   Kind
+	Target *dom.Node
+	// Content is the inserted/replacement nodes: detached trees nothing
+	// else references — copies, or fresh constructions the evaluator
+	// adopted as they were (ast.Insert.Adopt). Apply attaches them
+	// without copying again.
+	Content []*dom.Node
+	Value   string    // ReplaceValue
+	Name    dom.QName // Rename
 }
 
 // PUL is a pending update list.
@@ -222,7 +226,9 @@ func orderedPrims(prims []Primitive) []Primitive {
 
 // snapshotVersions records each target tree's version counter before
 // the first mutation. Content trees need no entry: nothing caches on a
-// freshly constructed copy, and inserts bump the target tree.
+// tree that was copied or constructed a moment ago and that no
+// expression has been evaluated against, and inserts bump the target
+// tree.
 func snapshotVersions(prims []Primitive) map[*dom.Node]uint64 {
 	versions := map[*dom.Node]uint64{}
 	for _, pr := range prims {

@@ -51,11 +51,13 @@
 //	            initialisers) with their planned forms — idempotent,
 //	            and published through Module.EnsurePlanned's sync.Once
 //	            before any concurrent read. The Ship annotation of a
-//	            FLWOR or call (ast.ShipPlan) is the planner's too, on
-//	            values rather than through pointers: only a method of
-//	            the planner may set it to a plan; everyone else may
-//	            carry an existing one onto a copy (x.Ship = y.Ship,
-//	            Ship: y.Ship) and nothing more.
+//	            FLWOR or call (ast.ShipPlan) and the Adopt marks of
+//	            constructors, insert and replace (fresh content, taken
+//	            instead of copied) are the planner's too, on values
+//	            rather than through pointers: only a method of the
+//	            planner may decide one; everyone else may carry an
+//	            existing one onto a copy (x.Ship = y.Ship,
+//	            Adopt: y.Adopt) and nothing more.
 //
 //	storesync   the shard lock discipline of the document store
 //	            (internal/xmldb): the raw shard state — the docs
@@ -585,6 +587,14 @@ var planAnnotationFields = map[string]bool{
 	"PredPlans": true,
 }
 
+// plannerValueFields are the annotations the planner puts on node
+// values (not through pointers): an ast.ShipPlan on a FLWOR or call,
+// the adoption marks of a constructor, insert or replace.
+var plannerValueFields = map[string]bool{
+	"Ship":  true,
+	"Adopt": true,
+}
+
 var planRootFields = map[string]bool{
 	"Body": true, // Module.Body, FuncDecl.Body
 	"Init": true, // VarDecl.Init
@@ -598,10 +608,12 @@ var planRootFields = map[string]bool{
 // the planner's annotation fields on *ast.Step, and Annotate's to the
 // roots of its *ast.Module, are exempt (see planAnnotationFields).
 //
-// It also reports writes of the Ship annotation that are not the
-// planner's: a node's shipping plan describes the node as the planner
-// saw it, so outside the planner's methods the only legal value for a
-// Ship field is another node's Ship (a copy keeping its plan).
+// It also reports writes of the Ship and Adopt annotations that are not
+// the planner's (plannerValueFields): such an annotation describes the
+// node as the planner saw it — and a wrong Adopt hands out a node two
+// places can reach — so outside the planner's methods the only legal
+// value for the field is another node's same field (a copy keeping its
+// annotation).
 func planPure(fset *token.FileSet, file *ast.File) []finding {
 	var out []finding
 	for _, decl := range file.Decls {
@@ -609,14 +621,14 @@ func planPure(fset *token.FileSet, file *ast.File) []finding {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		flagShip := func(at token.Pos, val ast.Expr) {
-			if sel, carried := val.(*ast.SelectorExpr); recvIsPlanner(fd) || carried && sel.Sel.Name == "Ship" {
+		flagAnnotation := func(at token.Pos, field string, val ast.Expr) {
+			if sel, carried := val.(*ast.SelectorExpr); recvIsPlanner(fd) || carried && sel.Sel.Name == field {
 				return
 			}
 			out = append(out, finding{
 				pos: fset.Position(at),
-				msg: fmt.Sprintf("planpure: Ship annotation written in %s; only the planner's pass (plan.Annotate) makes shipping plans — a rewrite may carry an existing one onto its copy (Ship: x.Ship)",
-					fd.Name.Name),
+				msg: fmt.Sprintf("planpure: %s annotation written in %s; only the planner's pass (plan.Annotate) decides it — a rewrite may carry an existing one onto its copy (%s: x.%s)",
+					field, fd.Name.Name, field, field),
 			})
 		}
 		guarded := map[string]string{} // ident name -> ast node type name
@@ -655,15 +667,19 @@ func planPure(fset *token.FileSet, file *ast.File) []finding {
 				}
 				for i, lhs := range x.Lhs {
 					out = append(out, flagASTWrite(fset, lhs, guarded, fd.Name.Name)...)
-					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Ship" && len(x.Rhs) == len(x.Lhs) {
-						flagShip(lhs.Pos(), x.Rhs[i])
+					field := lhs
+					if ix, ok := lhs.(*ast.IndexExpr); ok {
+						field = ix.X // x.Adopt[i] = …: a write to the list is a write to the mark
+					}
+					if sel, ok := field.(*ast.SelectorExpr); ok && plannerValueFields[sel.Sel.Name] && len(x.Rhs) == len(x.Lhs) {
+						flagAnnotation(lhs.Pos(), sel.Sel.Name, x.Rhs[i])
 					}
 				}
 			case *ast.CompositeLit:
 				for _, el := range x.Elts {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Ship" {
-							flagShip(kv.Pos(), kv.Value)
+						if key, ok := kv.Key.(*ast.Ident); ok && plannerValueFields[key.Name] {
+							flagAnnotation(kv.Pos(), key.Name, kv.Value)
 						}
 					}
 				}

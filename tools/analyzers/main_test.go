@@ -249,6 +249,34 @@ func (o *optimizer) flatten(f, inner ast.FLWOR) ast.FLWOR {
 	}
 }
 
+func TestPlanPureAdoptIsThePlanners(t *testing.T) {
+	ok := `package plan
+import "repro/internal/xquery/ast"
+func (p *planner) expr(x ast.Insert, d ast.DirElem) (ast.Insert, ast.DirElem) {
+	x.Adopt = p.adopts(x.Source) // the planner marking its own copy
+	d.Adopt = []bool{true}
+	return x, d
+}
+func mapChildren(x ast.Replace, d ast.DirElem) (ast.Replace, ast.DirElem) {
+	return ast.Replace{With: x.With, Adopt: x.Adopt}, ast.DirElem{Content: d.Content, Adopt: d.Adopt}
+}
+`
+	if got := analyze(t, ok, planPure); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+	bad := `package compile
+import "repro/internal/xquery/ast"
+func (u *unitCompiler) compile(x ast.Insert, d ast.DirElem) ast.Expr {
+	x.Adopt = true                                             // a mark from outside the planner
+	d.Adopt[0] = true                                          // the same, into the list a copy shares
+	return ast.CompConstructor{Content: x.Source, Adopt: true} // the same, in a literal
+}
+`
+	if got := analyze(t, bad, planPure); len(got) != 3 {
+		t.Fatalf("findings = %v, want 3", got)
+	}
+}
+
 func TestPlanPureFlagsNonAnnotationStepWrite(t *testing.T) {
 	src := `package plan
 import "repro/internal/xquery/ast"
