@@ -244,55 +244,6 @@ func BenchmarkE5_EarlyExitSome(b *testing.B) {
 	benchEarlyExit(b, `some $d in //div satisfies $d/@id = "d3"`)
 }
 
-// --- E5 addendum: path indexes ------------------------------------------------
-//
-// The version-stamped per-document index (internal/dom/index) answers
-// planned //x steps from the element-name index instead of walking the
-// whole subtree. Indexed vs scan over the same wide page is the
-// speedup the path-planner PR claims; cmd/benchpath asserts the ratio
-// in CI.
-
-// pathIndexDoc builds a wide page of n nodes, a fraction of which are
-// the <item> elements the queries look for.
-func pathIndexDoc(tb testing.TB, n int) *dom.Node {
-	tb.Helper()
-	var sb strings.Builder
-	sb.WriteString("<root>")
-	for i := 0; i < n/2; i++ {
-		if i%10 == 0 {
-			fmt.Fprintf(&sb, `<item id="i%d">v%d</item>`, i, i)
-		} else {
-			fmt.Fprintf(&sb, `<div id="d%d">c%d</div>`, i, i)
-		}
-	}
-	sb.WriteString("</root>")
-	d, err := markup.Parse(sb.String())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return d
-}
-
-func benchDescendant(b *testing.B, disableIndexes bool) {
-	e := xquery.New()
-	p := e.MustCompile(`count(//item)`)
-	item := xdm.NewNode(pathIndexDoc(b, 10_000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(xquery.RunConfig{
-			ContextItem:    item,
-			DisableIndexes: disableIndexes,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDescendantIndexed(b *testing.B) { benchDescendant(b, false) }
-
-func BenchmarkDescendantScan(b *testing.B) { benchDescendant(b, true) }
-
 // --- E6: asynchronous behind-calls --------------------------------------------------
 
 func BenchmarkE6_AsyncSuggest(b *testing.B) {

@@ -241,7 +241,7 @@ func TestInsertAllocatesLinearlyInItems(t *testing.T) {
 		h, err := core.LoadPage(`<html><head><script type="text/xqueryp">
 declare updating function local:fill($evt, $obj) {
   (delete node //ul[@id="l"]/li,
-   insert node (for $i in 1 to `+strconv.Itoa(n)+` return <li n="{$i}"/>) into //ul[@id="l"])
+   insert node (for $i in 1001 to `+strconv.Itoa(1000+n)+` return <li n="{$i}"/>) into //ul[@id="l"])
 };
 on event "click" at //input[@id="go"] attach listener local:fill
 </script></head><body><input id="go" type="button"/><ul id="l"/></body></html>`, "http://example.com/")
@@ -260,7 +260,10 @@ on event "click" at //input[@id="go"] attach listener local:fill
 	}
 	// The fixed cost of a turn is spread over more items at 2,000, so
 	// the larger turn is the cheaper one per item unless something grows
-	// faster than the list. An item costs 12 objects (its element, its
+	// faster than the list. (The items count from 1001 so that every
+	// @n costs its string: strconv hands out 0-99 for free, which made
+	// the first 99 of 100 items an object cheaper than the 2,000's.)
+	// An item costs 12 objects (its element, its
 	// attribute, the loop's binding, its update primitives); copying it
 	// into the pending list made that 18.
 	if small, large := perItem(100), perItem(2000); large > small || large > 13 {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The named fault points threaded through the runtime. Constants so
@@ -208,18 +207,6 @@ func Seeded(seed uint64, rate float64) Trigger {
 		x *= 0x94d049bb133111eb
 		x ^= x >> 31
 		return float64(x>>11)/float64(1<<53) < rate
-	})
-}
-
-// Delay never fires; it sleeps d on every hit instead. It models a
-// slow dependency (layout, paint, a remote shard) behind a point, so
-// benchmarks can measure how much of a stalled serial path parallel
-// application overlaps — the sleep happens outside the package mutex,
-// so concurrent hitters stall independently.
-func Delay(d time.Duration) Trigger {
-	return triggerFunc(func() bool {
-		time.Sleep(d)
-		return false
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/rest"
 	"repro/internal/xmldb"
@@ -127,4 +128,105 @@ type countingWriter struct {
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n.Add(int64(len(p)))
 	return w.ResponseWriter.Write(p)
+}
+
+// stragglerTopology serves shardDocs from four shards of a primary and
+// a replica each; shard 0's primary answers only after stall — the
+// stalled backend hedging exists for, not a modelled cost. It returns
+// the same federation twice, without and with hedging.
+func stragglerTopology(tb testing.TB, stall time.Duration) (unhedged, hedged *Executor) {
+	tb.Helper()
+	straggle := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-time.After(stall):
+			case <-r.Context().Done():
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	var groups [][]string
+	for k, docs := range shardDocs() {
+		mw := straggle
+		if k != 0 {
+			mw = nil
+		}
+		groups = append(groups, []string{startShard(tb, docs, mw).URL, startShard(tb, docs, nil).URL})
+	}
+	return newFed(tb, Config{Shards: groups, DisableHedge: true}),
+		newFed(tb, Config{Shards: groups, HedgeDelay: 3 * time.Millisecond})
+}
+
+// TestHedgedRequestBeatsStalledPrimary: with one primary of four stalled,
+// the unhedged federation waits the stall out and the hedged one does
+// not, every hedged call fires a hedge that wins, and both merge the
+// byte-identical URI-ordered collection. Each hedged call has to finish
+// in half the stall — the 2x floor under the 8.6x EXPERIMENTS.md E5f
+// records at p99 (BenchmarkHedging is the pair behind that number).
+func TestHedgedRequestBeatsStalledPrimary(t *testing.T) {
+	const stall, calls = 200 * time.Millisecond, 10
+	unhedged, hedged := stragglerTopology(t, stall)
+	ctx := context.Background()
+	want := oracle(t, shardDocs())
+
+	start := time.Now()
+	seq, err := unhedged.Collection(ctx, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flatten(t, seq); got != want {
+		t.Fatalf("unhedged merge:\n%s\nwant\n%s", got, want)
+	}
+	if d := time.Since(start); d < stall {
+		t.Fatalf("the unhedged call took %v: the %v straggler was not on its path", d, stall)
+	}
+
+	ResetStats()
+	for i := 0; i < calls; i++ {
+		start := time.Now()
+		seq, err := hedged.Collection(ctx, "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > stall/2 {
+			t.Errorf("hedged call %d took %v, want under half the %v stall", i, d, stall)
+		}
+		if got := flatten(t, seq); got != want {
+			t.Fatalf("hedged merge:\n%s\nwant\n%s", got, want)
+		}
+	}
+	// The straggler's hedge fires and wins on every call; a healthy
+	// shard that takes longer than the hedge delay may add its own.
+	if s := Snapshot(); s.Hedges < calls || s.HedgeWins < calls || s.BreakerOpens != 0 {
+		t.Errorf("%d hedges, %d wins, %d breaker opens over %d calls, want a winning hedge per call at least and no open breaker",
+			s.Hedges, s.HedgeWins, s.BreakerOpens, calls)
+	}
+}
+
+// BenchmarkHedging is the pair behind E5f: collection("/") over the
+// straggler topology (40 ms stall, 3 ms hedge delay), unhedged and
+// hedged, with the p99 beside the mean.
+//
+//	go test ./internal/fed -run '^$' -bench Hedging -benchtime 100x
+func BenchmarkHedging(b *testing.B) {
+	unhedged, hedged := stragglerTopology(b, 40*time.Millisecond)
+	ctx := context.Background()
+	for _, side := range []struct {
+		name string
+		x    *Executor
+	}{{"unhedged", unhedged}, {"hedged", hedged}} {
+		b.Run(side.name, func(b *testing.B) {
+			lat := make([]time.Duration, b.N)
+			for i := range lat {
+				start := time.Now()
+				if _, err := side.x.Collection(ctx, "/"); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = time.Since(start)
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			b.ReportMetric(float64(lat[(len(lat)*99+99)/100-1].Microseconds()), "p99-us")
+		})
+	}
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/xquery"
 )
 
-// benchSrc mirrors cmd/benchserve: a heavy prolog the cache amortises
-// plus a cheap body executed per request.
+// benchSrc is a heavy prolog the cache amortises plus a cheap body
+// executed per request.
 func benchSrc() string {
 	var b strings.Builder
 	for i := 0; i < 40; i++ {

@@ -100,10 +100,9 @@ type Metrics struct {
 	// FullText is the per-document full-text-index layer's counters
 	// (process-wide, like Index).
 	FullText FullTextStats `json:"fulltext"`
-	// Updates is the update-independence partitioner's counters
-	// (process-wide, like Index): how many dead primitives were
-	// eliminated, how many independent groups applied, and how many
-	// applies ran groups concurrently.
+	// Updates is the pending-update pruning counter (process-wide,
+	// like Index): how many no-op and dead primitives were dropped
+	// before apply.
 	Updates UpdateStats `json:"updates"`
 	// Failures is the resilience layer's snapshot: every degraded-mode
 	// mechanism reports here, so "is the pool absorbing faults" is one
@@ -152,15 +151,11 @@ type FailureStats struct {
 	FedShipped      int64 `json:"fed_shipped"`
 }
 
-// UpdateStats mirrors update.Stats with JSON tags: Eliminated counts
-// dead update primitives dropped before apply, Groups counts
-// independent groups applied (Groups over total applies is the mean
-// partition width), and ParallelApplies counts PUL applications that
-// ran at least two groups concurrently.
+// UpdateStats is the update layer's counter with a JSON tag:
+// Eliminated counts update primitives dropped before apply (exact
+// no-ops, and dead updates where nothing could observe them).
 type UpdateStats struct {
-	Eliminated      int64 `json:"eliminated"`
-	Groups          int64 `json:"groups"`
-	ParallelApplies int64 `json:"parallel_applies"`
+	Eliminated int64 `json:"eliminated"`
 }
 
 // IndexStats mirrors index.Stats with JSON tags: Builds counts index

@@ -78,11 +78,6 @@ type Config struct {
 	// xquery.ErrAnalysisFailed, never enter the shared program cache,
 	// and are counted in Metrics.QueriesRejected.
 	Strict bool
-	// SerialUpdates applies every query's pending update list strictly
-	// serially, bypassing the update-independence partitioner — the
-	// differential/debugging escape hatch of RunConfig.SerialUpdates,
-	// pool-wide.
-	SerialUpdates bool
 	// MaxQueue bounds each session's event-loop queue: a Do (or
 	// Click/Keyup/Dispatch) arriving while MaxQueue turns are already
 	// running or waiting on that session is shed immediately with
@@ -362,12 +357,11 @@ func (p *Pool) Eval(ctx context.Context, src string, contextDoc *dom.Node) (seq 
 	default:
 	}
 	cfg := xquery.RunConfig{
-		Context:       ctx,
-		Sequential:    true,
-		MaxSteps:      p.cfg.MaxSteps,
-		Timeout:       p.cfg.Timeout,
-		Strict:        p.cfg.Strict,
-		SerialUpdates: p.cfg.SerialUpdates,
+		Context:    ctx,
+		Sequential: true,
+		MaxSteps:   p.cfg.MaxSteps,
+		Timeout:    p.cfg.Timeout,
+		Strict:     p.cfg.Strict,
 	}
 	if st := p.cfg.Store; st != nil {
 		cfg.Docs = st.Resolver()
@@ -487,12 +481,7 @@ func fullTextStats() FullTextStats {
 	return FullTextStats{Builds: s.Builds, Hits: s.Hits, Loads: s.Loads}
 }
 
-// updateStats snapshots the process-wide update-partition counters.
+// updateStats snapshots the process-wide update-pruning counter.
 func updateStats() UpdateStats {
-	s := update.Snapshot()
-	return UpdateStats{
-		Eliminated:      s.Eliminated,
-		Groups:          s.Groups,
-		ParallelApplies: s.ParallelApplies,
-	}
+	return UpdateStats{Eliminated: update.Snapshot().Eliminated}
 }

@@ -36,15 +36,6 @@ func (s *Store) PutDoc(uri string, doc *dom.Node) error {
 	return nil
 }
 
-// Put stores a document under a URI.
-//
-// Deprecated: use PutDoc, which reports collection and durability
-// errors instead of discarding them. Put is kept for the pre-persistence
-// callers, whose flat URIs cannot fail the collection check.
-func (s *Store) Put(uri string, doc *dom.Node) {
-	_ = s.PutDoc(uri, doc)
-}
-
 // PutXML parses and stores a document.
 func (s *Store) PutXML(uri, src string) error {
 	doc, err := markup.Parse(src)
@@ -88,14 +79,6 @@ func (s *Store) Remove(uri string) error {
 	}
 	s.Stats.deletes.Add(1)
 	return nil
-}
-
-// Delete removes a document; removing an absent URI is a no-op.
-//
-// Deprecated: use Remove, which reports absent documents and durability
-// errors.
-func (s *Store) Delete(uri string) {
-	_ = s.Remove(uri)
 }
 
 // List returns every stored URI, sorted: the shards scan in parallel

@@ -164,18 +164,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// NewStore creates an ephemeral in-memory store.
-//
-// Deprecated: use Open("") — or xqib.OpenStore for the public facade —
-// which exposes the persistence and sharding options.
-func NewStore() *Store {
-	s, err := Open("")
-	if err != nil { // unreachable: ephemeral Open cannot fail
-		panic(err)
-	}
-	return s
-}
-
 // recover rebuilds in-memory state from the snapshot and the redo-log
 // tail. Every record replayed passes the store.replay fault point, so
 // the chaos suite can abort recovery at any chosen record.

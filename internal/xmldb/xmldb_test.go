@@ -12,7 +12,10 @@ import (
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
-	s := NewStore()
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.PutXML("books.xml", `<books><book id="1"><title>A</title></book><book id="2"><title>B</title></book></books>`); err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +36,11 @@ func TestStoreCRUD(t *testing.T) {
 	if uris := s.List(); len(uris) != 2 || uris[0] != "authors.xml" {
 		t.Errorf("List = %v", uris)
 	}
-	s.Delete("authors.xml")
+	if err := s.Remove("authors.xml"); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := s.Get("authors.xml"); ok {
-		t.Error("Delete failed")
+		t.Error("Remove failed")
 	}
 	if err := s.PutXML("bad.xml", "<unclosed"); err == nil {
 		t.Error("malformed XML must fail")

@@ -58,9 +58,8 @@ type Result struct {
 	// the largest number of provably independent update groups any one
 	// snapshot's straight-line updating sequence splits into (0 when no
 	// sequence was summarisable, 1 when no independence was provable).
-	// It feeds the cost picture next to EstimatedSteps: the runtime's
-	// parallel PUL apply overlaps per-primitive stalls across this many
-	// groups (see internal/xquery/update's partitioner).
+	// It says how independent the program's updates are, nothing about
+	// how they are applied.
 	UpdateGroups int
 }
 

@@ -1,5 +1,5 @@
-// effects.go is the static half of the FLUX-style update-independence
-// analysis (Cheney; the dynamic half is the PUL partitioner in
+// effects.go is the static half of the FLUX-style update effect
+// analysis (Cheney; the dynamic half is the pruning pre-pass in
 // internal/xquery/update): it computes, per updating expression, a
 // conservative target-path summary, and over each snapshot's
 // straight-line updating sequence reports dead updates (XQ0401),
@@ -18,7 +18,7 @@
 //     the sequence is a summarisable update — one unknown expression
 //     could overlap any group.
 //
-// The region of an effect mirrors the dynamic partitioner exactly: the
+// The region of an effect mirrors the dynamic pre-pass exactly: the
 // target path for self-contained kinds (insert into, replace value,
 // rename), the target's parent path for sibling-list kinds (insert
 // before/after, delete, replace node).
@@ -72,7 +72,7 @@ func (c *checker) checkUpdateSequence(e ast.Expr) {
 		return
 	}
 
-	// XQ0402 — no-op deletes, mirroring the partitioner's unconditional
+	// XQ0402 — no-op deletes, mirroring the pre-pass's unconditional
 	// rules: a delete of a replace-node target finds it already
 	// detached in phase 4; a duplicate delete finds it detached by the
 	// first.
@@ -152,8 +152,8 @@ func (c *checker) checkUpdateSequence(e ast.Expr) {
 	}
 }
 
-// countRegionGroups merges the surviving effects' regions the same way
-// the dynamic partitioner merges subtree spans: sorted, a region that
+// countRegionGroups merges the surviving effects' regions the way
+// subtree spans nest: sorted, a region that
 // is a descendant-or-self of the running group's root joins it; a
 // disjoint region starts a new group. Absolute stable paths sort so
 // that a subtree's descendants are contiguous right after it ('/'

@@ -439,7 +439,13 @@ type RunConfig struct {
 	// WithDocResolver default (if any).
 	Docs runtime.DocResolver
 	// Collections resolves fn:collection calls. Nil falls back to the
-	// engine's WithCollectionResolver default.
+	// engine's WithCollectionResolver default. (Collections,
+	// CollectionsIter and CollectionsShip are one source with optional
+	// capabilities and are meant to collapse into one CollectionSource;
+	// that waits for the ROADMAP benchmark item, because
+	// cmd/bench/w_fed.go sets rest.ModuleServer.Collections and
+	// CollectionsIter directly and BENCHMARK.json freezes that
+	// directory.)
 	Collections runtime.CollectionResolver
 	// CollectionsIter is the streaming fn:collection source (preferred
 	// by the streaming evaluator when set). Nil falls back to the
@@ -502,45 +508,17 @@ type RunConfig struct {
 	// tests. Walked runs evaluate the original (unoptimized) module
 	// AST, so this flag also bypasses the algebraic optimizer.
 	DisableCompile bool
-	// NonAtomicUpdates applies pending update lists without the undo
-	// log: a mid-list failure leaves earlier primitives in place
-	// instead of rolling the documents back. Escape hatch for hosts
-	// that relied on the pre-rollback behaviour; see PUL.ApplyNonAtomic.
-	NonAtomicUpdates bool
-	// SerialUpdates applies pending update lists strictly serially,
-	// bypassing the update-independence partitioner (PUL.ApplyParallel).
-	// The serial path is the differential oracle for the parallel one;
-	// results are byte-identical either way, so this is a debugging and
-	// benchmarking escape hatch, not a correctness switch.
-	SerialUpdates bool
 }
 
-// applyPUL applies a pending update list honouring the run's atomicity
-// and parallelism settings.
-func (cfg *RunConfig) applyPUL(pul *update.PUL, onChange func(update.Primitive)) error {
-	return cfg.applyPULEliminate(pul, onChange, false)
-}
-
-// applyPULEliminate is applyPUL with the observability-gated
-// dead-update elimination switched by the caller: only the final apply
-// of a fresh, non-sequential Run whose result and external variables
-// carry no node items may set eliminate (see finishRun), because
-// elimination changes the state of detached subtrees.
-func (cfg *RunConfig) applyPULEliminate(pul *update.PUL, onChange func(update.Primitive), eliminate bool) error {
-	switch {
-	case cfg.NonAtomicUpdates:
-		return pul.ApplyNonAtomic(onChange)
-	case cfg.SerialUpdates:
-		return pul.Apply(onChange)
-	}
-	var stats update.ApplyStats
-	err := pul.ApplyParallel(onChange, update.ParallelConfig{Eliminate: eliminate, Stats: &stats})
+// applyPUL applies a pending update list through the one apply path
+// (update.ApplyPruned). unobserved switches the dead-update rule on:
+// only the final apply of a non-sequential Run whose result and
+// external variables carry no node items may set it (see finishRun),
+// because that rule changes the state of detached subtrees.
+func (cfg *RunConfig) applyPUL(pul *update.PUL, onChange func(update.Primitive), unobserved bool) error {
+	eliminated, err := pul.ApplyPruned(onChange, unobserved)
 	if cfg.Profiler != nil {
-		cfg.Profiler.AddUpdates("groups", int64(stats.Groups))
-		cfg.Profiler.AddUpdates("eliminated", int64(stats.Eliminated))
-		if stats.Parallel {
-			cfg.Profiler.AddUpdates("parallel", 1)
-		}
+		cfg.Profiler.AddUpdates("eliminated", int64(eliminated))
 	}
 	return err
 }
@@ -613,7 +591,7 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	}
 	if cfg.Sequential {
 		ctx.SnapshotApply = func(pul *update.PUL) error {
-			return cfg.applyPUL(pul, cfg.OnUpdate)
+			return cfg.applyPUL(pul, cfg.OnUpdate, false)
 		}
 	}
 	return ctx
@@ -652,7 +630,7 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 			cfg.Profiler.AddRewrites("join", int64(st.Joins))
 		}
 	}
-	res, err := finishRun(ctx, cfg, eval, true)
+	res, err := finishRun(ctx, cfg, eval)
 	if err != nil {
 		return nil, err
 	}
@@ -660,21 +638,11 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// RunWith evaluates using a prepared context (listener dispatch path).
-// The context is reused across calls, so dead-update elimination stays
-// off: earlier calls may have handed out node references the host
-// still holds.
-func RunWith(ctx *runtime.Context, cfg RunConfig, name dom.QName, args []xdm.Sequence) (*Result, error) {
-	return finishRun(ctx, cfg, func() (xdm.Sequence, error) {
-		return ctx.CallFunction(name, args)
-	}, false)
-}
-
 // finishRun evaluates and applies pending updates behind the engine's
 // panic-isolation boundary: a panic anywhere in evaluation or PUL
 // application recovers into an error matching xqerr.ErrInternal
 // instead of unwinding into the host.
-func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, error), fresh bool) (res *Result, err error) {
+func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, error)) (res *Result, err error) {
 	defer xqerr.RecoverInto(&err, "xquery.Run")
 	applied := 0
 	count := func(pr update.Primitive) {
@@ -684,7 +652,7 @@ func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, e
 		}
 	}
 	if cfg.Sequential {
-		ctx.SnapshotApply = func(pul *update.PUL) error { return cfg.applyPUL(pul, count) }
+		ctx.SnapshotApply = func(pul *update.PUL) error { return cfg.applyPUL(pul, count, false) }
 	}
 	val, err := eval()
 	if err != nil {
@@ -693,12 +661,13 @@ func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, e
 	if ctx.PUL != nil && !ctx.PUL.Empty() {
 		// Dead-update elimination only changes the state of detached
 		// subtrees, so it is gated on nothing observing them after the
-		// run: a fresh (non-reused) context, snapshot semantics off,
-		// and no node items escaping through the result value or in via
+		// run: Run's context is its own (a host that reuses one applies
+		// for itself and never vouches), snapshot semantics off, and no
+		// node items escaping through the result value or in via
 		// external variable bindings.
-		eliminate := fresh && !cfg.Sequential &&
+		unobserved := !cfg.Sequential &&
 			!seqHasNodes(val) && !varsHaveNodes(cfg.Variables)
-		if err := cfg.applyPULEliminate(ctx.PUL, count, eliminate); err != nil {
+		if err := cfg.applyPUL(ctx.PUL, count, unobserved); err != nil {
 			return nil, err
 		}
 	}

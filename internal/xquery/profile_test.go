@@ -80,31 +80,31 @@ func TestFnID(t *testing.T) {
 }
 
 // TestProfilerUpdatePartitionCounters drives an updating run with a
-// profiler attached and checks the engine wires the partitioner's
-// statistics through: group counts accumulate and Format renders the
-// update: lines.
+// profiler attached and checks the engine wires the pruning pre-pass's
+// count through: the eliminated primitives accumulate, Format renders
+// the update: line, and a run that drops nothing prints none.
 func TestProfilerUpdatePartitionCounters(t *testing.T) {
 	e := New()
-	prog := e.MustCompile(`insert node <x/> into (//library)[1],
-		rename node (//book)[1] as "tome"`)
+	prog := e.MustCompile(`replace node (//book)[1] with <tome/>,
+		delete node (//book)[1]`)
 	prof := runtime.NewProfiler()
-	if _, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: prof}); err != nil {
+	res, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: prof})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prof.UpdatesFor("groups"); got < 1 {
-		t.Errorf("UpdatesFor(groups) = %d, want >= 1", got)
+	if got := prof.UpdatesFor("eliminated"); got != 1 || res.Updates != 1 {
+		t.Errorf("UpdatesFor(eliminated) = %d, applied %d, want 1 and 1 (the delete of a replaced node is a no-op)", got, res.Updates)
 	}
-	out := prof.Format()
-	if !strings.Contains(out, "update:groups") {
-		t.Errorf("Format output missing update:groups lines:\n%s", out)
+	if out := prof.Format(); !strings.Contains(out, "update:eliminated") {
+		t.Errorf("Format output missing the update:eliminated line:\n%s", out)
 	}
-	// The serial escape hatch bypasses the partitioner, so its counters
-	// must stay untouched.
-	serial := runtime.NewProfiler()
-	if _, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: serial, SerialUpdates: true}); err != nil {
+	quiet := runtime.NewProfiler()
+	prog = e.MustCompile(`insert node <x/> into (//library)[1],
+		rename node (//book)[1] as "tome"`)
+	if _, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: quiet}); err != nil {
 		t.Fatal(err)
 	}
-	if got := serial.UpdatesFor("groups"); got != 0 {
-		t.Errorf("serial UpdatesFor(groups) = %d, want 0", got)
+	if out := quiet.Format(); strings.Contains(out, "update:") {
+		t.Errorf("a run that dropped nothing printed an update: line:\n%s", out)
 	}
 }

@@ -117,13 +117,13 @@ func (p *Profiler) AddRewrites(kind string, n int64) { p.add(&p.rewrites, kind, 
 // AddRewrites).
 func (p *Profiler) RewritesFor(kind string) int64 { return p.get(&p.rewrites, kind) }
 
-// AddUpdates adds to a named update-partition counter. The engine
-// credits each run's PUL partition outcome ("groups", "eliminated",
-// "parallel") here, so a profile reports how the update-independence
-// analysis split and pruned the run's pending updates.
+// AddUpdates adds to a named update counter. The engine credits the
+// primitives each apply's pre-pass dropped ("eliminated") here, so a
+// profile reports how many of the run's pending updates never had to
+// apply.
 func (p *Profiler) AddUpdates(kind string, n int64) { p.add(&p.updates, kind, n) }
 
-// UpdatesFor returns a named update-partition counter (see AddUpdates).
+// UpdatesFor returns a named update counter (see AddUpdates).
 func (p *Profiler) UpdatesFor(kind string) int64 { return p.get(&p.updates, kind) }
 
 // AddFT adds to a named full-text counter. The evaluator credits

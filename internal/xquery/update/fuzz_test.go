@@ -1,64 +1,91 @@
 package update
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/dom"
 	"repro/internal/dom/index"
+	"repro/internal/faultpoint"
 	"repro/internal/markup"
 )
 
-// FuzzPULPartition drives the partitioner against the serial oracle:
+// FuzzPULPartition drives the pruning pre-pass against the reference:
 // an arbitrary byte string is decoded into a pending update list, the
-// same list is built against two parses of one document, and the
-// serial Apply and ApplyParallel results must agree — same error
-// presence, byte-identical live documents (after rollback too).
-// Elimination is exercised from the input's first byte; eliminable()
-// guarantees it never changes failure behaviour, so comparing error
-// presence stays valid with it on.
+// same list is built against two parses of one document, and Apply and
+// ApplyPruned must agree — same error presence, byte-identical live
+// documents (after rollback too), and an onChange sequence that is the
+// reference's minus the eliminated primitives. The input's first byte
+// switches the dead-update rule (bit 0; eliminable() guarantees it
+// never changes failure behaviour, so comparing error presence stays
+// valid with it on) and arms an update.apply fault in front of the
+// pruned apply (bits 1-3: the Nth primitive, 0 for none), which has to
+// leave bytes, version and pending list untouched before the retry is
+// compared.
 func FuzzPULPartition(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})
 	f.Add([]byte{1, 7, 0, 7, 2, 7, 9, 3})
 	f.Add([]byte{0, 8, 1, 8, 10, 4, 10, 4})
 	f.Add([]byte{1, 0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 5, 10, 6})
+	f.Add([]byte{1 | 2<<1, 0, 5, 6, 5, 6, 2, 1, 9, 3})
+	f.Add([]byte{0 | 1<<1, 6, 2, 6, 2, 7, 2, 0, 8})
+	f.Add([]byte{1 | 3<<1, 0, 0}) // the fault is armed past the list's end
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer faultpoint.Reset()
 		const src = `<r><a>one</a><b k="v"><b1/><b2>two</b2></b><c/><d><d1/></d></r>`
-		docS, err := markup.Parse(src)
-		if err != nil {
-			t.Fatal(err)
+		unobserved, faultAt := false, int64(0)
+		if len(data) > 0 {
+			unobserved, faultAt = data[0]&1 == 1, int64(data[0]>>1&7)
 		}
-		docP, _ := markup.Parse(src)
-		nodesS, nodesP := collectNodes(docS), collectNodes(docP)
-		if len(nodesS) != len(nodesP) {
-			t.Fatal("clone node counts differ")
-		}
-
-		eliminate := len(data) > 0 && data[0]&1 == 1
 		if len(data) > 1 {
 			data = data[1:]
 		}
-		ps, pp := &PUL{}, &PUL{}
-		for i := 0; i+1 < len(data) && i < 24; i += 2 {
-			kind := Kind(data[i]%10) + 1
-			ni := int(data[i+1]) % len(nodesS)
-			prS := fuzzPrim(kind, nodesS[ni], i)
-			prP := fuzzPrim(kind, nodesP[ni], i)
-			errS, errP := ps.Add(prS), pp.Add(prP)
-			if (errS == nil) != (errP == nil) {
-				t.Fatalf("Add diverged: %v vs %v", errS, errP)
+		// build decodes the list against a parse of its own, with the
+		// document-order index the dead-update rule reads in place.
+		build := func() (*dom.Node, *PUL) {
+			doc, err := markup.Parse(src)
+			if err != nil {
+				t.Fatal(err)
 			}
+			nodes := collectNodes(doc)
+			p := &PUL{}
+			for i := 0; i+1 < len(data) && i < 24; i += 2 {
+				_ = p.Add(fuzzPrim(Kind(data[i]%10)+1, nodes[int(data[i+1])%len(nodes)], i))
+			}
+			index.For(doc)
+			return doc, p
+		}
+		docR, ref := build()
+		docP, pruned := build()
+		if ref.Len() != pruned.Len() {
+			t.Fatalf("Add diverged: %d vs %d primitives", ref.Len(), pruned.Len())
 		}
 
-		index.For(docS)
-		index.For(docP)
-		errS := ps.Apply(nil)
-		errP := pp.ApplyParallel(nil, ParallelConfig{MinPrims: 1, Eliminate: eliminate})
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("apply error mismatch: serial %v, parallel %v", errS, errP)
+		if faultAt > 0 {
+			docF, faulted := build()
+			pending, v0 := faulted.Len(), docF.Version()
+			faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(faultAt))
+			reported := 0
+			_, err := faulted.ApplyPruned(func(Primitive) { reported++ }, unobserved)
+			faultpoint.Reset()
+			// A list that is shorter than faultAt, or fails on its own
+			// first, injects nothing; the untouched pair is compared.
+			if errors.Is(err, faultpoint.ErrInjected) {
+				if got := markup.Serialize(docF); got != src {
+					t.Fatalf("faulted apply left %s", got)
+				}
+				if docF.Version() != v0 || faulted.Len() != pending || reported != 0 {
+					t.Fatalf("faulted apply left version %d (was %d), %d pending (was %d), and reported %d primitives",
+						docF.Version(), v0, faulted.Len(), pending, reported)
+				}
+				index.For(docF)
+				docP, pruned = docF, faulted // the retry is what gets compared
+			}
 		}
-		s, p := markup.Serialize(docS), markup.Serialize(docP)
-		if s != p {
-			t.Fatalf("documents diverged (err=%v):\n serial   %s\n parallel %s", errS, s, p)
+		if _, err := checkPrunedAgainstApply(t, docR, docP, ref, pruned, unobserved); err != nil {
+			if got := markup.Serialize(docP); got != src {
+				t.Fatalf("failed apply left %s", got)
+			}
 		}
 	})
 }

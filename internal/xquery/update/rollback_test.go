@@ -239,28 +239,3 @@ func TestRollbackKeepsDocumentOrderFresh(t *testing.T) {
 		t.Error("b should follow a after rollback")
 	}
 }
-
-// TestApplyNonAtomicLeavesPartialState pins the escape hatch: without
-// the undo log, primitives applied before the failure stay applied and
-// are reported to onChange as they land.
-func TestApplyNonAtomicLeavesPartialState(t *testing.T) {
-	doc := tree(t, `<r>hello</r>`)
-	r := el(t, doc, "r")
-	p := &PUL{}
-	_ = p.Add(Primitive{Kind: InsertInto, Target: r, Content: []*dom.Node{dom.NewElement(dom.Name("ok"))}})
-	_ = p.Add(Primitive{Kind: Rename, Target: textChild(t, r), Name: dom.Name("x")})
-	rb0 := Rollbacks()
-	calls := 0
-	if err := p.ApplyNonAtomic(func(Primitive) { calls++ }); err == nil {
-		t.Fatal("apply unexpectedly succeeded")
-	}
-	if calls != 1 {
-		t.Fatalf("onChange calls = %d, want 1 (the applied insert)", calls)
-	}
-	if got := markup.Serialize(doc); got != `<r>hello<ok/></r>` {
-		t.Fatalf("partial state not preserved: %s", got)
-	}
-	if Rollbacks() != rb0 {
-		t.Fatal("non-atomic apply must not count a rollback")
-	}
-}

@@ -129,12 +129,25 @@ func (p *PUL) TargetsWithin(roots []*dom.Node) error {
 	return nil
 }
 
-// applyOrder is the Update Facility's application order.
-var applyOrder = [][]Kind{
-	{InsertInto, InsertAttributes, ReplaceValue, Rename},
-	{InsertBefore, InsertAfter, InsertIntoFirst, InsertIntoLast},
-	{ReplaceNode},
-	{Delete},
+// phaseOf is the Update Facility's application order: a primitive's
+// phase by kind. Phases apply in ascending order, list order within a
+// phase; noPhase (no kind, or one this table does not know) sorts last,
+// where applyOne rejects it.
+var phaseOf = [...]uint8{
+	0:          noPhase,
+	InsertInto: 0, InsertAttributes: 0, ReplaceValue: 0, Rename: 0,
+	InsertBefore: 1, InsertAfter: 1, InsertIntoFirst: 1, InsertIntoLast: 1,
+	ReplaceNode: 2,
+	Delete:      3,
+}
+
+const noPhase = 4
+
+func phase(k Kind) uint8 {
+	if uint(k) < uint(len(phaseOf)) {
+		return phaseOf[k]
+	}
+	return noPhase
 }
 
 // rollbacks counts PUL applications that failed mid-way and were
@@ -151,124 +164,133 @@ func Rollbacks() int64 { return rollbacks.Load() }
 // counter is rewound to its pre-apply value (re-stamping document
 // order and dropping any index built in the rolled-back window, once
 // per tree), and the original error returns with the documents
-// serialisation-identical to their pre-apply state. That makes the
-// Update Facility's all-or-nothing contract hold against the live DOM,
-// not just the evaluation snapshot.
+// serialisation-identical to their pre-apply state and the list intact.
+// That makes the Update Facility's all-or-nothing contract hold against
+// the live DOM, not just the evaluation snapshot.
 //
 // If onChange is non-nil it is called once per applied primitive (the
 // plug-in host uses this to count DOM mutations and schedule
 // re-rendering) — but only after the whole list has applied, so
 // observers never see a primitive that is later rolled back.
+//
+// Apply is the reference: ApplyPruned (prune.go) is what the hosts
+// call, and the fuzz target compares the two.
 func (p *PUL) Apply(onChange func(Primitive)) error {
-	return p.apply(onChange, true)
-}
-
-// ApplyNonAtomic performs the pending updates without undo logging:
-// primitives apply (and report to onChange) one by one, and a mid-list
-// failure leaves the earlier mutations in place. This is the
-// RunConfig.NonAtomicUpdates escape hatch for hosts that relied on the
-// pre-rollback behaviour or cannot afford the undo log.
-func (p *PUL) ApplyNonAtomic(onChange func(Primitive)) error {
-	return p.apply(onChange, false)
-}
-
-func (p *PUL) apply(onChange func(Primitive), atomically bool) error {
-	var u *undoLog
-	var versions map[*dom.Node]uint64
-	if atomically {
-		u = &undoLog{}
-		versions = snapshotVersions(p.prims)
-	}
-	fail := func(err error) error {
-		if !atomically {
-			return err
-		}
-		rollbacks.Add(1)
-		return rollback(err, []*undoLog{u}, versions)
-	}
-	var applied []Primitive
-	for _, pr := range orderedPrims(p.prims) {
-		if err := faultpoint.Hit(faultpoint.PointUpdateApply); err != nil {
-			return fail(err)
-		}
-		if err := applyOne(pr, u); err != nil {
-			return fail(err)
-		}
-		if atomically {
-			applied = append(applied, pr)
-		} else if onChange != nil {
-			onChange(pr)
-		}
-	}
-	if onChange != nil {
-		for _, pr := range applied {
-			onChange(pr)
-		}
+	if err := applyAtomic(p.prims, onChange); err != nil {
+		return err
 	}
 	p.Reset()
 	return nil
 }
 
-// orderedPrims returns the primitives in the Update Facility's
-// application order: phase by phase, original list order within a
-// phase.
-func orderedPrims(prims []Primitive) []Primitive {
-	out := make([]Primitive, 0, len(prims))
-	for _, phase := range applyOrder {
-		for _, pr := range prims {
-			if kindIn(pr.Kind, phase) {
-				out = append(out, pr)
-			}
+// applyAtomic applies prims all-or-nothing and then reports them, in
+// application order, to onChange.
+func applyAtomic(prims []Primitive, onChange func(Primitive)) error {
+	versions := snapshotVersions(prims)
+	ordered := orderedPrims(prims)
+	u := undoLog{steps: make([]func() error, 0, len(ordered))}
+	for i := range ordered {
+		err := faultpoint.Hit(faultpoint.PointUpdateApply)
+		if err == nil {
+			err = applyOne(ordered[i], &u)
 		}
+		if err != nil {
+			rollbacks.Add(1)
+			return rollback(err, &u, versions)
+		}
+	}
+	if onChange != nil {
+		for _, pr := range ordered {
+			onChange(pr)
+		}
+	}
+	return nil
+}
+
+// orderedPrims returns the primitives in the Update Facility's
+// application order — phase by phase, original list order within a
+// phase — in one stable counting pass.
+func orderedPrims(prims []Primitive) []Primitive {
+	var next [noPhase + 1]int
+	for i := range prims {
+		next[phase(prims[i].Kind)]++
+	}
+	at := 0
+	for ph, n := range next {
+		next[ph] = at
+		at += n
+	}
+	out := make([]Primitive, len(prims))
+	for i := range prims {
+		ph := phase(prims[i].Kind)
+		out[next[ph]] = prims[i]
+		next[ph]++
 	}
 	return out
 }
 
-// snapshotVersions records each target tree's version counter before
-// the first mutation. Content trees need no entry: nothing caches on a
-// tree that was copied or constructed a moment ago and that no
-// expression has been evaluated against, and inserts bump the target
-// tree.
-func snapshotVersions(prims []Primitive) map[*dom.Node]uint64 {
-	versions := map[*dom.Node]uint64{}
-	for _, pr := range prims {
-		if r := pr.Target.Root(); r != nil {
-			if _, ok := versions[r]; !ok {
-				versions[r] = r.Version()
-			}
-		}
-	}
-	return versions
+// treeVersions records each target tree's version counter before the
+// first mutation. Content trees need no entry: nothing caches on a tree
+// that was copied or constructed a moment ago and that no expression
+// has been evaluated against, and inserts bump the target tree. A list
+// nearly always targets one tree, which is held inline; the map exists
+// only once a second tree shows up.
+type treeVersions struct {
+	root    *dom.Node
+	version uint64
+	more    map[*dom.Node]uint64
 }
 
-// rollback unwinds a failed apply: the undo logs run back to front
-// (last log first, each log in strict reverse), every touched tree's
-// version counter is rewound, and the original error returns — joined
-// with an undo failure if the rollback itself broke. With one log this
-// is exactly the serial rollback; with per-group logs the groups touch
-// disjoint subtrees, so their inverses commute and the reverse
-// group-index order yields the identical (pre-apply) document state.
-func rollback(err error, logs []*undoLog, versions map[*dom.Node]uint64) error {
-	var undoErrs []error
-	for i := len(logs) - 1; i >= 0; i-- {
-		if undoErr := logs[i].undo(); undoErr != nil {
-			undoErrs = append(undoErrs, undoErr)
+func snapshotVersions(prims []Primitive) treeVersions {
+	var tv treeVersions
+	for i := range prims {
+		r := prims[i].Target.Root()
+		if r == tv.root {
+			continue
+		}
+		if tv.root == nil {
+			tv.root, tv.version = r, r.Version()
+			continue
+		}
+		if _, ok := tv.more[r]; !ok {
+			if tv.more == nil {
+				tv.more = map[*dom.Node]uint64{}
+			}
+			tv.more[r] = r.Version()
 		}
 	}
-	for root, v := range versions {
+	return tv
+}
+
+// restore rewinds the trees a failed apply touched; it failed on some
+// primitive, so there is a first tree.
+func (tv treeVersions) restore() {
+	rewind := func(root *dom.Node, v uint64) {
 		if root.Version() != v {
 			root.RestoreVersion(v)
 		}
 	}
-	if len(undoErrs) > 0 {
-		return errors.Join(err, fmt.Errorf("update: rollback failed: %w", errors.Join(undoErrs...)))
+	rewind(tv.root, tv.version)
+	for root, v := range tv.more {
+		rewind(root, v)
+	}
+}
+
+// rollback unwinds a failed apply: the undo log runs in strict reverse,
+// every touched tree's version counter is rewound, and the original
+// error returns — joined with an undo failure if the rollback itself
+// broke.
+func rollback(err error, u *undoLog, versions treeVersions) error {
+	undoErr := u.undo()
+	versions.restore()
+	if undoErr != nil {
+		return errors.Join(err, fmt.Errorf("update: rollback failed: %w", undoErr))
 	}
 	return err
 }
 
-// undoLog records, during an atomic apply, the exact inverse of every
-// mutation in application order. A nil *undoLog discards records, so
-// the same apply code serves both modes. Inverses are positional
+// undoLog records, during an apply, the exact inverse of every
+// mutation in application order. Inverses are positional
 // (RestoreChildAt/RestoreAttrAt) rather than sibling-relative: by the
 // time the log unwinds, the sibling that anchored an operation may
 // itself be detached, but unwinding in strict reverse order means each
@@ -279,16 +301,10 @@ type undoLog struct {
 }
 
 func (u *undoLog) add(f func() error) {
-	if u == nil {
-		return
-	}
 	u.steps = append(u.steps, f)
 }
 
 func (u *undoLog) undo() error {
-	if u == nil {
-		return nil
-	}
 	var errs []error
 	for i := len(u.steps) - 1; i >= 0; i-- {
 		if err := u.steps[i](); err != nil {
@@ -296,15 +312,6 @@ func (u *undoLog) undo() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-func kindIn(k Kind, ks []Kind) bool {
-	for _, x := range ks {
-		if x == k {
-			return true
-		}
-	}
-	return false
 }
 
 func applyOne(pr Primitive, u *undoLog) error {
@@ -493,9 +500,5 @@ func insertChildOrAttr(target, c *dom.Node, u *undoLog, insert func(*dom.Node) e
 		setAttr(target, c.Name, c.Data, u)
 		return nil
 	}
-	if err := insert(c); err != nil {
-		return err
-	}
-	u.add(func() error { c.Detach(); return nil })
-	return nil
+	return insertChild(c, u, func() error { return insert(c) })
 }

@@ -1,63 +1,131 @@
 package xquery
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/markup"
 	"repro/internal/xdm"
+	"repro/internal/xquery/runtime"
+	"repro/internal/xquery/update"
 )
 
-// TestUpdateDifferentialSerialParallel is the serial-oracle check for
-// the parallel PUL apply: every corpus query runs twice — once with
-// RunConfig.SerialUpdates (the PR 5 single-goroutine path) and once
-// through the default partitioned apply — and the rendered results,
-// applied-update counts, error presence and the post-run document must
-// all be byte-identical. Run under -race this also exercises the
-// partitioner's concurrency on real query-produced PULs.
-func TestUpdateDifferentialSerialParallel(t *testing.T) {
+// TestUpdateDifferentialPrunedVsApply is the reference check for the
+// apply path every run takes: each corpus query runs through
+// Program.Run — the pruning pre-pass with the dead-update rule wherever
+// finishRun allows it — and once more with its pending list handed to
+// the raw update.Apply, and the rendered results, error presence and
+// post-run document must be byte-identical; the primitives reported to
+// OnUpdate must be the reference's, in its order, minus exactly those
+// the pre-pass eliminated. The reference evaluates through the walker,
+// so Run is compared walked (the apply path alone differs) and in its
+// default configuration.
+func TestUpdateDifferentialPrunedVsApply(t *testing.T) {
 	e := New()
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for _, src := range compileDifferentialCorpus {
+	eliminated := 0
+	for _, src := range append(prunedUpdateQueries, compileDifferentialCorpus...) {
 		p, err := e.Compile(src)
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)
 		}
-		run := func(serial bool) (string, string, int, error) {
+		type outcome struct {
+			res, doc   string
+			applied    []string
+			eliminated int
+			err        error
+		}
+		run := func(reference, walked bool) (o outcome) {
 			doc, err := markup.Parse(libraryXML)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.Run(RunConfig{
-				ContextItem:   xdm.NewNode(doc),
-				SerialUpdates: serial,
-				MaxSteps:      500_000,
-				Timeout:       5 * time.Second,
-				Now:           now,
-			})
-			after := markup.Serialize(doc)
-			if err != nil {
-				return "", after, 0, err
+			prof := runtime.NewProfiler()
+			cfg := RunConfig{
+				ContextItem:    xdm.NewNode(doc),
+				DisableCompile: walked,
+				MaxSteps:       500_000,
+				Timeout:        5 * time.Second,
+				Now:            now,
+				Profiler:       prof,
+				OnUpdate: func(pr update.Primitive) {
+					o.applied = append(o.applied, fmt.Sprintf("%s %s", pr.Kind, nodePath(pr.Target)))
+				},
 			}
-			return FormatSequence(res.Value, markup.AppendXML), after, res.Updates, nil
+			var val xdm.Sequence
+			if reference {
+				ctx := p.NewContext(cfg)
+				if val, o.err = ctx.Run(); o.err == nil && ctx.PUL != nil {
+					o.err = ctx.PUL.Apply(cfg.OnUpdate)
+				}
+			} else {
+				var res *Result
+				if res, o.err = p.Run(cfg); o.err == nil {
+					val = res.Value
+					if res.Updates != len(o.applied) {
+						t.Errorf("%q: Result.Updates = %d, OnUpdate saw %d", src, res.Updates, len(o.applied))
+					}
+				}
+			}
+			o.doc = markup.Serialize(doc)
+			o.eliminated = int(prof.UpdatesFor("eliminated"))
+			if o.err == nil {
+				o.res = FormatSequence(val, markup.AppendXML)
+			}
+			return o
 		}
-		sRes, sDoc, sUpd, sErr := run(true)
-		pRes, pDoc, pUpd, pErr := run(false)
-		if (sErr == nil) != (pErr == nil) {
-			t.Errorf("%q: serial err=%v, parallel err=%v", src, sErr, pErr)
-			continue
-		}
-		if sDoc != pDoc {
-			t.Errorf("%q: post-run documents diverge:\nserial:   %s\nparallel: %s", src, sDoc, pDoc)
-		}
-		if sErr != nil {
-			continue
-		}
-		if sRes != pRes {
-			t.Errorf("%q: serial result %q != parallel %q", src, sRes, pRes)
-		}
-		if sUpd != pUpd {
-			t.Errorf("%q: serial applied %d updates, parallel %d", src, sUpd, pUpd)
+		ref := run(true, true)
+		for _, walked := range []bool{true, false} {
+			got := run(false, walked)
+			if (ref.err == nil) != (got.err == nil) {
+				t.Errorf("%q: Apply err=%v, Run err=%v", src, ref.err, got.err)
+				continue
+			}
+			if ref.doc != got.doc {
+				t.Errorf("%q: post-run documents diverge:\nApply: %s\nRun:   %s", src, ref.doc, got.doc)
+			}
+			if ref.err != nil {
+				continue
+			}
+			if ref.res != got.res {
+				t.Errorf("%q: Apply result %q != Run result %q", src, ref.res, got.res)
+			}
+			if len(ref.applied)-len(got.applied) != got.eliminated || !subsequence(got.applied, ref.applied) {
+				t.Errorf("%q: Run applied %v (eliminated %d), Apply applied %v",
+					src, got.applied, got.eliminated, ref.applied)
+			}
+			eliminated += got.eliminated
 		}
 	}
+	// Two no-ops and two dead updates, each seen by both Run modes.
+	if eliminated < 8 {
+		t.Errorf("the pre-pass eliminated %d primitives over the corpus, want the 8 of prunedUpdateQueries at least", eliminated)
+	}
+}
+
+// prunedUpdateQueries are the lists the pre-pass has something to drop
+// from: one no-op delete; two dead updates under a deleted book (four
+// primitives on the tree, so the rule builds its index); and the same
+// dead updates kept because the result hands out a node; a dead update
+// next to a failing one.
+var prunedUpdateQueries = []string{
+	`replace node (//book)[1] with <tome/>, delete node (//book)[1], delete node (//book)[2], delete node (//book)[2]`,
+	`insert node <note/> into (//book)[1]/title, replace value of node (//book)[1]/@id with "x",
+	 delete node (//book)[1], rename node (//book)[2] as "tome"`,
+	`insert node <note/> into (//book)[1]/title, replace value of node (//book)[1]/@id with "x",
+	 delete node (//book)[1], rename node (//book)[2] as "tome", (//book)[1]`,
+	`insert node <note/> into (//book)[1]/title, rename node (//book)[1]/title/text() as "t",
+	 delete node (//book)[1], rename node (//book)[2] as "tome"`,
+}
+
+// subsequence reports whether sub is ref with some elements left out.
+func subsequence(sub, ref []string) bool {
+	i := 0
+	for _, r := range ref {
+		if i < len(sub) && sub[i] == r {
+			i++
+		}
+	}
+	return i == len(sub)
 }

@@ -73,8 +73,8 @@
 //	            child/attribute-mutating dom.Node methods (AppendChild,
 //	            Detach, SetAttr, Rename, ...). A direct call bypasses
 //	            snapshot semantics, the undo log that makes applies
-//	            atomic, and the version stamp the parallel partitioner's
-//	            index spans rely on. DOM-owning hosts (core, browser,
+//	            atomic, and the version stamp every index probe and the
+//	            update pre-pass's spans rely on. DOM-owning hosts (core, browser,
 //	            jsruntime, markup) build trees before queries see them
 //	            and are not scanned. One call in a scanned package is
 //	            exempt by name: rest.decodeItem detaches a node payload

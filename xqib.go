@@ -74,9 +74,7 @@ type ModuleResolver = xquery.ModuleResolver
 // Option configures the facade constructors. One option vocabulary
 // serves both NewEngine and LoadPage: each option carries an engine
 // part, a host part, or both, and each constructor applies the parts
-// that concern it (the rest are inert). This replaces the former split
-// between engine options and host options — and the WithHostResolver /
-// WithModuleResolver naming collision that split caused.
+// that concern it (the rest are inert).
 type Option struct {
 	engine []xquery.Option
 	host   []core.Option
@@ -109,13 +107,6 @@ func WithModuleResolver(r ModuleResolver) Option {
 	}
 }
 
-// WithHostResolver is the pre-unification name for installing a
-// resolver on LoadPage.
-//
-// Deprecated: use WithModuleResolver — the same option now applies to
-// engines and hosts alike.
-var WithHostResolver = WithModuleResolver
-
 // WithResolverRetry retries failed module-resolver loads up to retries
 // additional times per import, waiting backoff before the first retry
 // and doubling it each further attempt — bounded degradation for
@@ -140,12 +131,6 @@ func WithFunctions(register func(*Registry)) Option {
 		host:   []core.Option{core.WithExtraFunctions(register)},
 	}
 }
-
-// WithExtraFunctions is the pre-unification host-side name.
-//
-// Deprecated: use WithFunctions — the same option now applies to
-// engines and hosts alike.
-var WithExtraFunctions = WithFunctions
 
 // WithQueryBudget bounds every query evaluation on a loaded page:
 // maxSteps evaluation steps and timeout wall-clock time per script or
@@ -416,11 +401,6 @@ type (
 	StoreStats  = xmldb.StatsSnapshot
 )
 
-// XMLStore is the pre-redesign name for the document store.
-//
-// Deprecated: use Store — the same type, under the storage-API name.
-type XMLStore = xmldb.Store
-
 // OpenStore opens (or creates) a document store rooted at dir,
 // recovering state from the snapshot and redo log if present. An empty
 // dir opens an ephemeral in-memory store with no durability.
@@ -451,12 +431,6 @@ func WithStore(st *Store) Option {
 		},
 	}
 }
-
-// NewXMLStore creates an empty in-memory store.
-//
-// Deprecated: use OpenStore — OpenStore("") is the in-memory
-// equivalent, and a directory argument adds durability.
-var NewXMLStore = xmldb.NewStore
 
 // --- federation -----------------------------------------------------------------
 

@@ -40,25 +40,6 @@ func TestUnifiedOptionBothConstructors(t *testing.T) {
 	}
 }
 
-// The deprecated pre-unification names remain as aliases.
-func TestDeprecatedOptionAliases(t *testing.T) {
-	resolver := xqib.NewLocalResolver(map[string]string{
-		"urn:one": `module namespace o = "urn:one";
-			declare function o:one() { 1 };`,
-	})
-	h, err := xqib.LoadPage(`<html><head><script type="text/xquery">
-		import module namespace o = "urn:one";
-		browser:alert(string(o:one()))
-	</script></head><body/></html>`, "http://example.com/",
-		xqib.WithHostResolver(resolver))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a := h.Alerts(); len(a) != 1 || a[0] != "1" {
-		t.Errorf("alerts = %v", a)
-	}
-}
-
 // Every re-exported sentinel is reachable with errors.Is through the
 // facade, without importing internal packages.
 func TestSentinelErrorsThroughFacade(t *testing.T) {
