@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("parsing %s: %w", *ctxFile, err))
 		}
-		doc.BaseURI = *ctxFile
+		doc.SetBaseURI(*ctxFile)
 		ctxItem = xdm.NewNode(doc)
 	}
 
@@ -129,7 +129,7 @@ func fileResolver(uri string) (*dom.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc.BaseURI = uri
+	doc.SetBaseURI(uri)
 	return doc, nil
 }
 

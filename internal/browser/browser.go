@@ -214,7 +214,7 @@ func New(href string, doc *dom.Node) (*Browser, error) {
 		history:      []string{href},
 	}
 	if doc != nil {
-		doc.BaseURI = href
+		doc.SetBaseURI(href)
 	}
 	return b, nil
 }
@@ -256,7 +256,7 @@ func (b *Browser) Navigate(w *Window, href string) error {
 	} else {
 		doc = dom.NewDocument()
 	}
-	doc.BaseURI = href
+	doc.SetBaseURI(href)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	w.Location = loc
@@ -292,7 +292,7 @@ func (b *Browser) HistoryGo(w *Window, delta int) error {
 	} else {
 		doc = dom.NewDocument()
 	}
-	doc.BaseURI = href
+	doc.SetBaseURI(href)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	w.histPos = pos

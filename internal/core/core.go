@@ -281,7 +281,7 @@ func (h *Host) LoadFrame(name, pageSrc, href string) (*browser.Window, error) {
 		return nil, err
 	}
 	frame := &browser.Window{Name: name, Location: loc, Document: page}
-	page.BaseURI = href
+	page.SetBaseURI(href)
 	h.Window.AddFrame(frame)
 
 	// The frame's scripts execute with the frame as self and the frame

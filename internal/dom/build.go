@@ -23,15 +23,16 @@ func (n *Node) AdoptChildren(kids []*Node) {
 	if len(kids) == 0 {
 		return
 	}
-	if n.children == nil {
-		n.children = make([]*Node, 0, len(kids))
+	e := n.el
+	if e.children == nil {
+		e.children = make([]*Node, 0, len(kids))
 	}
 	for _, k := range kids {
 		if k.parent != nil || k.Type == AttributeNode || k.Type == DocumentNode {
 			panic("dom: AdoptChildren: child is attached or cannot be a child")
 		}
 		k.parent = n
-		n.children = append(n.children, k)
+		e.children = append(e.children, k)
 	}
 	n.bumpVersion()
 }
@@ -43,14 +44,24 @@ func (n *Node) AdoptAttrs(specs []AttrSpec) {
 	if len(specs) == 0 {
 		return
 	}
-	nodes := make([]Node, len(specs))
-	if n.attrs == nil {
-		n.attrs = make([]*Node, 0, len(specs))
-	}
+	slab := n.attrSlab(len(specs))
 	for i, s := range specs {
-		a := &nodes[i]
-		a.Type, a.Name, a.Data, a.parent = AttributeNode, s.Name, s.Value, n
-		n.attrs = append(n.attrs, a)
+		slab[i].Name, slab[i].Data = s.Name, s.Value
 	}
 	n.bumpVersion()
+}
+
+// attrSlab appends k attribute nodes to element n, carved from one
+// allocation, and returns them for the caller to name and fill.
+func (n *Node) attrSlab(k int) []Node {
+	slab := make([]Node, k)
+	e := n.el
+	if e.attrs == nil {
+		e.attrs = make([]*Node, 0, k)
+	}
+	for i := range slab {
+		slab[i].Type, slab[i].parent = AttributeNode, n
+		e.attrs = append(e.attrs, &slab[i])
+	}
+	return slab
 }

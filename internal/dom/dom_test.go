@@ -498,11 +498,11 @@ func TestWalkEarlyStop(t *testing.T) {
 
 func TestBaseURIInheritance(t *testing.T) {
 	doc, _, a, _, c := buildSample(t)
-	doc.BaseURI = "http://example.com/doc.xml"
-	if a.Base() != "http://example.com/doc.xml" || c.Base() != doc.BaseURI {
+	doc.SetBaseURI("http://example.com/doc.xml")
+	if a.Base() != "http://example.com/doc.xml" || c.Base() != doc.BaseURI() {
 		t.Error("Base() must inherit from the document")
 	}
-	a.BaseURI = "http://other/base"
+	a.SetBaseURI("http://other/base")
 	if a.FirstChild().Base() != "http://other/base" {
 		t.Error("nearer BaseURI must win")
 	}

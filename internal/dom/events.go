@@ -66,10 +66,30 @@ func (e *Event) DefaultPrevented() bool { return e.defaultPrevented }
 type Listener func(*Event)
 
 type listener struct {
-	typ     string
+	typ string
+	fn  Listener
+	id  any // identity token for removal (e.g. an XQuery QName)
+	// seq numbers the registrations on one node, from 1: list order is
+	// seq order, and a dispatch names a registration by it (see invoke).
+	seq     uint64
 	capture bool
-	fn      Listener
-	id      any // identity token for removal (e.g. an XQuery QName)
+}
+
+// The listeners of a node are side.first followed by side.more; both
+// helpers accept the nil side of a node that never had one.
+
+func (s *nodeSide) listenerCount() int {
+	if s == nil || s.first.seq == 0 {
+		return 0
+	}
+	return 1 + len(s.more)
+}
+
+func (s *nodeSide) listenerAt(i int) *listener {
+	if i == 0 {
+		return &s.first
+	}
+	return &s.more[i-1]
 }
 
 // AddEventListener registers fn for events of the given type on n.
@@ -77,33 +97,56 @@ type listener struct {
 // registering the same (type, capture, id) twice is a no-op when id is
 // non-nil, matching addEventListener's duplicate suppression.
 func (n *Node) AddEventListener(typ string, capture bool, id any, fn Listener) {
+	s := n.ensureSide()
+	k := s.listenerCount()
 	if id != nil {
-		for _, l := range n.listeners {
-			if l.typ == typ && l.capture == capture && l.id == id {
+		for i := 0; i < k; i++ {
+			if l := s.listenerAt(i); l.typ == typ && l.capture == capture && l.id == id {
 				return
 			}
 		}
 	}
-	n.listeners = append(n.listeners, &listener{typ: typ, capture: capture, fn: fn, id: id})
+	s.seq++
+	l := listener{typ: typ, fn: fn, id: id, seq: s.seq, capture: capture}
+	if k == 0 {
+		s.first = l
+	} else {
+		s.more = append(s.more, l)
+	}
 }
 
 // RemoveEventListener removes the registration with the matching
 // (type, capture, id).
 func (n *Node) RemoveEventListener(typ string, capture bool, id any) {
-	for i, l := range n.listeners {
-		if l.typ == typ && l.capture == capture && l.id == id {
-			n.listeners = append(n.listeners[:i], n.listeners[i+1:]...)
-			return
+	s := n.side.Load()
+	for i, k := 0, s.listenerCount(); i < k; i++ {
+		if l := s.listenerAt(i); l.typ != typ || l.capture != capture || l.id != id {
+			continue
 		}
+		// Close the gap, keeping registration order; the vacated last
+		// slot is zeroed so it does not pin the listener's closure.
+		if i == 0 {
+			if len(s.more) == 0 {
+				s.first = listener{}
+				return
+			}
+			s.first, i = s.more[0], 1
+		}
+		last := len(s.more) - 1
+		copy(s.more[i-1:], s.more[i:])
+		s.more[last] = listener{}
+		s.more = s.more[:last]
+		return
 	}
 }
 
 // ListenerCount returns the number of listeners of the given type
 // registered directly on n (both phases).
 func (n *Node) ListenerCount(typ string) int {
+	s := n.side.Load()
 	c := 0
-	for _, l := range n.listeners {
-		if l.typ == typ {
+	for i, k := 0, s.listenerCount(); i < k; i++ {
+		if s.listenerAt(i).typ == typ {
 			c++
 		}
 	}
@@ -143,28 +186,38 @@ func (n *Node) DispatchEvent(ev *Event) bool {
 
 func (n *Node) invoke(ev *Event, capture bool) {
 	ev.CurrentTarget = n
-	// Snapshot: listeners added during dispatch do not fire for this
-	// event; removed ones are skipped via the live check below.
-	snapshot := append([]*listener(nil), n.listeners...)
-	for _, l := range snapshot {
-		if ev.stopped {
+	s := n.side.Load()
+	if s == nil {
+		return
+	}
+	// A listener may add and remove listeners of this node while it
+	// runs: those added during the dispatch (seq above limit) do not
+	// fire for this event, removed ones are skipped. The list can shift
+	// under the loop, so it keeps a registration number, not a position,
+	// and looks up the next live registration after it each time.
+	limit, done := s.seq, uint64(0)
+	for !ev.stopped {
+		l := s.nextListener(done, limit)
+		if l == nil {
 			return
 		}
-		if l.typ != ev.Type || l.capture != capture {
-			continue
+		done = l.seq
+		if l.typ == ev.Type && l.capture == capture {
+			l.fn(ev)
 		}
-		if !n.hasListener(l) {
-			continue
-		}
-		l.fn(ev)
 	}
 }
 
-func (n *Node) hasListener(l *listener) bool {
-	for _, x := range n.listeners {
-		if x == l {
-			return true
+// nextListener returns the first registration numbered above done and
+// at most limit, or nil.
+func (s *nodeSide) nextListener(done, limit uint64) *listener {
+	for i, k := 0, s.listenerCount(); i < k; i++ {
+		if l := s.listenerAt(i); l.seq > done {
+			if l.seq > limit {
+				return nil
+			}
+			return l
 		}
 	}
-	return false
+	return nil
 }

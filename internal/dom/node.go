@@ -79,35 +79,75 @@ func (q QName) IsZero() bool { return q.Space == "" && q.Prefix == "" && q.Local
 // that do not apply to a kind are zero. Nodes must only be mutated
 // through the methods of this package so that parent/sibling links and
 // the document-order cache stay consistent.
+//
+// The struct holds what every node of a tree needs and nothing else: a
+// text, comment, PI or attribute node is exactly this (120 bytes, the
+// 128-byte allocator class). The child and attribute lists live in an
+// elemPart that elements and documents allocate together with the node,
+// and what only a root or a listened-to node has lives in a nodeSide
+// (DESIGN.md §5q). So elements and documents come from NewElement,
+// NewDocument and Clone only — a Node literal is a leaf — and the
+// mutators that take children or attributes are for those two kinds.
 type Node struct {
 	Type NodeType
 	Name QName  // element, attribute, PI (Local = target) names
 	Data string // text/comment content, attribute value, PI data
 
-	// BaseURI is set on document nodes (fn:doc identity, same-origin
-	// checks) and inherited by descendants.
-	BaseURI string
+	parent *Node
 
-	parent   *Node
-	children []*Node
-	attrs    []*Node // attribute nodes; their parent is this element
+	// el points at the lists of an element or a document — into the same
+	// allocation as the node (see elemNode) — and is nil on every other
+	// kind.
+	el *elemPart
 
-	listeners []*listener
+	// side is nil on ordinary nodes. A document is constructed with one;
+	// any other node gets one (ensureSide) when it is given a base URI or
+	// a listener, or when it is the root of a tree being indexed.
+	side atomic.Pointer[nodeSide]
 
 	// order cache: stamp valid while the owning document's version
 	// matches stampVersion.
 	stamp        uint64
 	stampVersion uint64
 	// version is the root node's mutation counter, bumped on every
-	// mutation of its tree. It is atomic so independent update groups
-	// (internal/xquery/update's parallel apply) may mutate disjoint
-	// subtrees of one tree concurrently: the counter is the only field
-	// those groups share.
-	version atomic.Uint64
+	// mutation of its tree. It is a plain word: whoever mutates a tree
+	// has it to itself — the child and attribute lists never allowed
+	// anything else — and the goroutines that share an immutable tree
+	// only read it. It stays in the node, not in the side struct: a
+	// detached constructed root is bumped on every AdoptChildren and
+	// must not allocate for it.
+	version uint64
+}
+
+// elemPart is the state only a node with content has: the lists of an
+// element or a document.
+type elemPart struct {
+	children []*Node
+	attrs    []*Node // attribute nodes; their parent is this element
+}
+
+// nodeSide is the state only a root or a listened-to node has. It is
+// reached through Node.side and published race-free: a document's is
+// part of the document's own allocation and installed before the node
+// is returned, any other node's is installed by compare-and-swap, so
+// concurrent readers of a shared immutable tree (which may build and
+// store its indexes) agree on one. The fields other than the two cache
+// slots are written under the exclusive access every mutation needs.
+type nodeSide struct {
+	// baseURI is set on document nodes (fn:doc identity, same-origin
+	// checks) and inherited by descendants; see Base.
+	baseURI string
+
+	// Event listeners in registration order: the first inline, so that
+	// a node with one listener — the common case — allocates the side
+	// struct and nothing else. first.seq == 0 means there are none.
+	first listener
+	more  []listener
+	seq   uint64 // the last registration number handed out
 
 	// indexCache holds the version-stamped index of the tree rooted at
-	// this node (see internal/dom/index); meaningful on roots only, so
-	// every other node pays one nil word for it, not an interface's two.
+	// this node (see internal/dom/index); meaningful on roots only. One
+	// pointer word, not an interface's two.
 	indexCache atomic.Pointer[any]
 
 	// ftCache holds the version-stamped full-text index of the tree
@@ -117,15 +157,49 @@ type Node struct {
 	ftCache atomic.Pointer[any]
 }
 
+// elemNode is how an element is allocated: the node and its lists in
+// one object, 168 bytes (the 176-byte class). The node's el points at
+// part, and that interior pointer keeps the whole object alive.
+type elemNode struct {
+	node Node
+	part elemPart
+}
+
+// docNode is how a document is allocated: as an element, plus the side
+// struct every document needs for its base URI and its indexes.
+type docNode struct {
+	node Node
+	part elemPart
+	side nodeSide
+}
+
+// ensureSide returns n's side struct, installing an empty one if n has
+// none. Racing callers all get the one that won.
+func (n *Node) ensureSide() *nodeSide {
+	if s := n.side.Load(); s != nil {
+		return s
+	}
+	if s := new(nodeSide); n.side.CompareAndSwap(nil, s) {
+		return s
+	}
+	return n.side.Load()
+}
+
 // NewDocument creates an empty document node.
-func NewDocument() *Node { return &Node{Type: DocumentNode} }
+func NewDocument() *Node {
+	d := new(docNode)
+	d.node.Type, d.node.el = DocumentNode, &d.part
+	d.node.side.Store(&d.side)
+	return &d.node
+}
 
 // NewDocumentOf creates a document node with the given base URI and
 // adopts the (detached) children into it — the constructor transport
 // layers use to rebuild a document identity around a deserialized
 // root element.
 func NewDocumentOf(baseURI string, children ...*Node) *Node {
-	d := &Node{Type: DocumentNode, BaseURI: baseURI}
+	d := NewDocument()
+	d.SetBaseURI(baseURI)
 	for _, c := range children {
 		_ = d.AppendChild(c)
 	}
@@ -133,7 +207,11 @@ func NewDocumentOf(baseURI string, children ...*Node) *Node {
 }
 
 // NewElement creates a detached element node.
-func NewElement(name QName) *Node { return &Node{Type: ElementNode, Name: name} }
+func NewElement(name QName) *Node {
+	e := new(elemNode)
+	e.node.Type, e.node.Name, e.node.el = ElementNode, name, &e.part
+	return &e.node
+}
 
 // NewText creates a detached text node.
 func NewText(data string) *Node { return &Node{Type: TextNode, Data: data} }
@@ -156,11 +234,21 @@ func NewPI(target, data string) *Node {
 func (n *Node) Parent() *Node { return n.parent }
 
 // Children returns the child list. Callers must not mutate the slice.
-func (n *Node) Children() []*Node { return n.children }
+func (n *Node) Children() []*Node {
+	if n.el == nil {
+		return nil
+	}
+	return n.el.children
+}
 
 // Attrs returns the attribute nodes of an element in insertion order.
 // Callers must not mutate the slice.
-func (n *Node) Attrs() []*Node { return n.attrs }
+func (n *Node) Attrs() []*Node {
+	if n.el == nil {
+		return nil
+	}
+	return n.el.attrs
+}
 
 // Root walks to the topmost ancestor (the document, for attached nodes).
 func (n *Node) Root() *Node {
@@ -182,7 +270,7 @@ func (n *Node) Document() *Node {
 
 // DocumentElement returns the first element child of a document.
 func (n *Node) DocumentElement() *Node {
-	for _, c := range n.children {
+	for _, c := range n.Children() {
 		if c.Type == ElementNode {
 			return c
 		}
@@ -190,12 +278,31 @@ func (n *Node) DocumentElement() *Node {
 	return nil
 }
 
+// BaseURI returns the base URI set on this node itself ("" when none
+// is): a document's identity for fn:doc and same-origin checks. Base is
+// the inherited lookup.
+func (n *Node) BaseURI() string {
+	if s := n.side.Load(); s != nil {
+		return s.baseURI
+	}
+	return ""
+}
+
+// SetBaseURI sets the base URI of this node, which its descendants
+// inherit (see Base).
+func (n *Node) SetBaseURI(uri string) {
+	if uri == "" && n.side.Load() == nil {
+		return
+	}
+	n.ensureSide().baseURI = uri
+}
+
 // Base returns the effective base URI: the nearest ancestor-or-self
 // BaseURI that is set.
 func (n *Node) Base() string {
 	for a := n; a != nil; a = a.parent {
-		if a.BaseURI != "" {
-			return a.BaseURI
+		if b := a.BaseURI(); b != "" {
+			return b
 		}
 	}
 	return ""
@@ -215,7 +322,7 @@ func (n *Node) StringValue() string {
 }
 
 func (n *Node) appendText(b *strings.Builder) {
-	for _, c := range n.children {
+	for _, c := range n.Children() {
 		switch c.Type {
 		case TextNode:
 			b.WriteString(c.Data)
@@ -227,7 +334,7 @@ func (n *Node) appendText(b *strings.Builder) {
 
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name QName) (string, bool) {
-	for _, a := range n.attrs {
+	for _, a := range n.Attrs() {
 		if a.Name.Matches(name) {
 			return a.Data, true
 		}
@@ -243,7 +350,7 @@ func (n *Node) AttrValue(local string) string {
 
 // AttrNode returns the attribute node with the given name, or nil.
 func (n *Node) AttrNode(name QName) *Node {
-	for _, a := range n.attrs {
+	for _, a := range n.Attrs() {
 		if a.Name.Matches(name) {
 			return a
 		}
@@ -253,18 +360,18 @@ func (n *Node) AttrNode(name QName) *Node {
 
 // FirstChild returns the first child or nil.
 func (n *Node) FirstChild() *Node {
-	if len(n.children) == 0 {
-		return nil
+	if kids := n.Children(); len(kids) > 0 {
+		return kids[0]
 	}
-	return n.children[0]
+	return nil
 }
 
 // LastChild returns the last child or nil.
 func (n *Node) LastChild() *Node {
-	if len(n.children) == 0 {
-		return nil
+	if kids := n.Children(); len(kids) > 0 {
+		return kids[len(kids)-1]
 	}
-	return n.children[len(n.children)-1]
+	return nil
 }
 
 // childIndex returns n's position in its parent's child list, -1 if
@@ -273,7 +380,7 @@ func (n *Node) childIndex() int {
 	if n.parent == nil || n.Type == AttributeNode {
 		return -1
 	}
-	for i, c := range n.parent.children {
+	for i, c := range n.parent.el.children {
 		if c == n {
 			return i
 		}
@@ -284,10 +391,10 @@ func (n *Node) childIndex() int {
 // NextSibling returns the following sibling or nil.
 func (n *Node) NextSibling() *Node {
 	i := n.childIndex()
-	if i < 0 || i+1 >= len(n.parent.children) {
+	if i < 0 || i+1 >= len(n.parent.el.children) {
 		return nil
 	}
-	return n.parent.children[i+1]
+	return n.parent.el.children[i+1]
 }
 
 // PrevSibling returns the preceding sibling or nil.
@@ -296,7 +403,7 @@ func (n *Node) PrevSibling() *Node {
 	if i <= 0 {
 		return nil
 	}
-	return n.parent.children[i-1]
+	return n.parent.el.children[i-1]
 }
 
 // IsAncestorOf reports whether n is a proper ancestor of d.
@@ -315,7 +422,7 @@ func (n *Node) Walk(f func(*Node) bool) bool {
 	if !f(n) {
 		return false
 	}
-	for _, c := range n.children {
+	for _, c := range n.Children() {
 		if !c.Walk(f) {
 			return false
 		}
@@ -361,24 +468,44 @@ func (n *Node) Clone() *Node { return n.clone(false) }
 func (n *Node) CloneNormalized() *Node { return n.clone(true) }
 
 func (n *Node) clone(normalize bool) *Node {
-	c := &Node{Type: n.Type, Name: n.Name, Data: n.Data, BaseURI: n.BaseURI}
-	for _, a := range n.attrs {
-		ac := &Node{Type: AttributeNode, Name: a.Name, Data: a.Data, parent: c}
-		c.attrs = append(c.attrs, ac)
+	var c *Node
+	switch n.Type {
+	case DocumentNode:
+		c = NewDocument()
+	case ElementNode:
+		c = NewElement(n.Name)
+	default:
+		c = &Node{Type: n.Type}
 	}
-	for _, k := range n.children {
+	c.Name, c.Data = n.Name, n.Data
+	c.SetBaseURI(n.BaseURI())
+	// Each list is sized once, to its source's length: a clone that is
+	// published (xmldb.update's new revision) keeps no append slack.
+	if attrs := n.Attrs(); len(attrs) > 0 {
+		slab := c.attrSlab(len(attrs))
+		for i, a := range attrs {
+			slab[i].Name, slab[i].Data = a.Name, a.Data
+		}
+	}
+	kids := n.Children()
+	if len(kids) == 0 {
+		return c
+	}
+	out := make([]*Node, 0, len(kids))
+	for _, k := range kids {
 		if normalize && k.Type == TextNode {
 			if k.Data == "" {
 				continue
 			}
-			if last := c.LastChild(); last != nil && last.Type == TextNode {
-				last.Data += k.Data
+			if len(out) > 0 && out[len(out)-1].Type == TextNode {
+				out[len(out)-1].Data += k.Data
 				continue
 			}
 		}
 		kc := k.clone(normalize)
 		kc.parent = c
-		c.children = append(c.children, kc)
+		out = append(out, kc)
 	}
+	c.el.children = out
 	return c
 }

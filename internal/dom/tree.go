@@ -12,7 +12,7 @@ import (
 
 func (n *Node) bumpVersion() {
 	if r := n.Root(); r != nil {
-		r.version.Add(1)
+		r.version++
 	}
 }
 
@@ -39,7 +39,7 @@ func (n *Node) AppendChild(c *Node) error {
 	}
 	c.Detach()
 	c.parent = n
-	n.children = append(n.children, c)
+	n.el.children = append(n.el.children, c)
 	n.bumpVersion()
 	return nil
 }
@@ -51,7 +51,7 @@ func (n *Node) PrependChild(c *Node) error {
 	}
 	c.Detach()
 	c.parent = n
-	n.children = append([]*Node{c}, n.children...)
+	n.el.children = append([]*Node{c}, n.el.children...)
 	n.bumpVersion()
 	return nil
 }
@@ -71,9 +71,7 @@ func (n *Node) InsertBefore(c, ref *Node) error {
 		return fmt.Errorf("dom: reference node is not a child")
 	}
 	c.parent = n
-	n.children = append(n.children, nil)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
+	n.el.children = insertAt(n.el.children, i, c)
 	n.bumpVersion()
 	return nil
 }
@@ -93,11 +91,17 @@ func (n *Node) InsertAfter(c, ref *Node) error {
 		return fmt.Errorf("dom: reference node is not a child")
 	}
 	c.parent = n
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = c
+	n.el.children = insertAt(n.el.children, i+1, c)
 	n.bumpVersion()
 	return nil
+}
+
+// insertAt returns list with c inserted at position i.
+func insertAt(list []*Node, i int, c *Node) []*Node {
+	list = append(list, nil)
+	copy(list[i+1:], list[i:])
+	list[i] = c
+	return list
 }
 
 // Detach removes n from its parent (child list or attribute list). It is
@@ -109,16 +113,16 @@ func (n *Node) Detach() {
 	}
 	n.bumpVersion()
 	if n.Type == AttributeNode {
-		for i, a := range p.attrs {
+		for i, a := range p.el.attrs {
 			if a == n {
-				p.attrs = append(p.attrs[:i], p.attrs[i+1:]...)
+				p.el.attrs = append(p.el.attrs[:i], p.el.attrs[i+1:]...)
 				break
 			}
 		}
 	} else {
-		for i, c := range p.children {
+		for i, c := range p.el.children {
 			if c == n {
-				p.children = append(p.children[:i], p.children[i+1:]...)
+				p.el.children = append(p.el.children[:i], p.el.children[i+1:]...)
 				break
 			}
 		}
@@ -138,7 +142,7 @@ func (n *Node) ReplaceChild(c, old *Node) error {
 	c.Detach()
 	old.parent = nil
 	c.parent = n
-	n.children[i] = c
+	n.el.children[i] = c
 	n.bumpVersion()
 	return nil
 }
@@ -153,7 +157,7 @@ func (n *Node) SetAttr(name QName, value string) *Node {
 	}
 	a := NewAttr(name, value)
 	a.parent = n
-	n.attrs = append(n.attrs, a)
+	n.el.attrs = append(n.el.attrs, a)
 	n.bumpVersion()
 	return a
 }
@@ -172,7 +176,7 @@ func (n *Node) AddAttrNode(a *Node) error {
 	}
 	a.Detach()
 	a.parent = n
-	n.attrs = append(n.attrs, a)
+	n.el.attrs = append(n.el.attrs, a)
 	n.bumpVersion()
 	return nil
 }
@@ -190,13 +194,11 @@ func (n *Node) RestoreChildAt(c *Node, i int) error {
 	if c.parent != nil {
 		return fmt.Errorf("dom: restored node is still attached")
 	}
-	if i < 0 || i > len(n.children) {
+	if i < 0 || i > len(n.el.children) {
 		return fmt.Errorf("dom: restore position %d out of range", i)
 	}
 	c.parent = n
-	n.children = append(n.children, nil)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
+	n.el.children = insertAt(n.el.children, i, c)
 	n.bumpVersion()
 	return nil
 }
@@ -217,13 +219,11 @@ func (n *Node) RestoreAttrAt(a *Node, i int) error {
 	if n.AttrNode(a.Name) != nil {
 		return fmt.Errorf("dom: duplicate attribute %s", a.Name)
 	}
-	if i < 0 || i > len(n.attrs) {
+	if i < 0 || i > len(n.el.attrs) {
 		return fmt.Errorf("dom: restore position %d out of range", i)
 	}
 	a.parent = n
-	n.attrs = append(n.attrs, nil)
-	copy(n.attrs[i+1:], n.attrs[i:])
-	n.attrs[i] = a
+	n.el.attrs = insertAt(n.el.attrs, i, a)
 	n.bumpVersion()
 	return nil
 }
@@ -252,32 +252,35 @@ func (n *Node) SetData(data string) {
 // non-empty, installs a single text child. This is the Update Facility's
 // "replace value of node" on elements.
 func (n *Node) ReplaceElementContent(text string) {
-	for _, c := range n.children {
+	e := n.el
+	for _, c := range e.children {
 		c.parent = nil
 	}
-	n.children = n.children[:0]
+	e.children = e.children[:0]
 	if text != "" {
 		t := NewText(text)
 		t.parent = n
-		n.children = append(n.children, t)
+		e.children = append(e.children, t)
 	}
 	n.bumpVersion()
 }
 
 // RemoveChildren detaches every child of n.
 func (n *Node) RemoveChildren() {
-	for _, c := range n.children {
+	e := n.el
+	for _, c := range e.children {
 		c.parent = nil
 	}
-	n.children = n.children[:0]
+	e.children = e.children[:0]
 	n.bumpVersion()
 }
 
 // NormalizeText merges adjacent text child nodes and drops empty ones,
 // recursively. Constructed XQuery content requires this normal form.
 func (n *Node) NormalizeText() {
-	out := n.children[:0]
-	for _, c := range n.children {
+	e := n.el
+	out := e.children[:0]
+	for _, c := range e.children {
 		if c.Type == TextNode {
 			if c.Data == "" {
 				c.parent = nil
@@ -291,8 +294,8 @@ func (n *Node) NormalizeText() {
 		}
 		out = append(out, c)
 	}
-	n.children = out
-	for _, c := range n.children {
+	e.children = out
+	for _, c := range out {
 		if c.Type == ElementNode {
 			c.NormalizeText()
 		}
@@ -320,7 +323,7 @@ func CompareOrder(a, b *Node) int {
 	}
 	// Same tree: lazily stamp the tree in document order; stamps are
 	// cached until the next mutation.
-	if v := ra.version.Load() + 1; a.stampVersion != v || b.stampVersion != v {
+	if v := ra.version + 1; a.stampVersion != v || b.stampVersion != v {
 		stampTree(ra)
 	}
 	switch {
@@ -334,17 +337,17 @@ func CompareOrder(a, b *Node) int {
 }
 
 func stampTree(root *Node) {
-	v := root.version.Load() + 1
+	v := root.version + 1
 	var n uint64
 	var visit func(*Node)
 	visit = func(x *Node) {
 		n++
 		x.stamp, x.stampVersion = n, v
-		for _, a := range x.attrs {
+		for _, a := range x.Attrs() {
 			n++
 			a.stamp, a.stampVersion = n, v
 		}
-		for _, c := range x.children {
+		for _, c := range x.Children() {
 			visit(c)
 		}
 	}

@@ -7,7 +7,7 @@ import "sync/atomic"
 // derivation of the tree (the document-order stamps here, the
 // per-document indexes in internal/dom/index) is valid exactly while
 // the version it was built at still matches.
-func (n *Node) Version() uint64 { return n.Root().version.Load() }
+func (n *Node) Version() uint64 { return n.Root().version }
 
 // versionRestoreHooks run whenever RestoreVersion rewinds a tree's
 // counter. Registered at init time only (internal/dom/index installs
@@ -31,7 +31,7 @@ func OnVersionRestore(f func(root *Node)) {
 // index built during the rolled-back window.
 func (n *Node) RestoreVersion(v uint64) {
 	root := n.Root()
-	root.version.Store(v)
+	root.version = v
 	stampTree(root)
 	for _, f := range versionRestoreHooks {
 		f(root)
@@ -40,25 +40,35 @@ func (n *Node) RestoreVersion(v uint64) {
 
 // LoadIndexCache returns the opaque per-document index slot stored on
 // this node, or nil. The slot belongs to internal/dom/index: only that
-// package may interpret the value, and only on root nodes. It is a
-// plain field on the node (not a global registry) so an index dies
+// package may interpret the value, and only on root nodes. It hangs off
+// the node (its side struct), not a global registry, so an index dies
 // with its document and never outlives it.
-func (n *Node) LoadIndexCache() any { return loadSlot(&n.indexCache) }
+func (n *Node) LoadIndexCache() any {
+	if s := n.side.Load(); s != nil {
+		return loadSlot(&s.indexCache)
+	}
+	return nil
+}
 
 // StoreIndexCache publishes a freshly built index for the tree rooted
 // at n. See LoadIndexCache for the ownership contract.
-func (n *Node) StoreIndexCache(v any) { n.indexCache.Store(&v) }
+func (n *Node) StoreIndexCache(v any) { n.ensureSide().indexCache.Store(&v) }
 
 // LoadFTIndexCache returns the opaque per-document full-text index
 // slot stored on this node, or nil. The slot belongs to
 // internal/fulltext/index under the same ownership contract as
 // LoadIndexCache: only that package interprets the value, and only on
 // root nodes.
-func (n *Node) LoadFTIndexCache() any { return loadSlot(&n.ftCache) }
+func (n *Node) LoadFTIndexCache() any {
+	if s := n.side.Load(); s != nil {
+		return loadSlot(&s.ftCache)
+	}
+	return nil
+}
 
 // StoreFTIndexCache publishes a freshly built full-text index for the
 // tree rooted at n. See LoadFTIndexCache for the ownership contract.
-func (n *Node) StoreFTIndexCache(v any) { n.ftCache.Store(&v) }
+func (n *Node) StoreFTIndexCache(v any) { n.ensureSide().ftCache.Store(&v) }
 
 func loadSlot(slot *atomic.Pointer[any]) any {
 	if v := slot.Load(); v != nil {

@@ -34,10 +34,10 @@ func startShardServing(t testing.TB, module string, docs map[string]string, mw f
 		if err != nil {
 			t.Fatalf("parse %s: %v", uri, err)
 		}
-		d.BaseURI = uri
+		d.SetBaseURI(uri)
 		nodes = append(nodes, d)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].BaseURI < nodes[j].BaseURI })
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].BaseURI() < nodes[j].BaseURI() })
 	srv, err := rest.NewModuleServer(module, nil)
 	if err != nil {
 		t.Fatalf("shard module: %v", err)
@@ -133,7 +133,7 @@ func TestFederatedCollectionMergesInURIOrder(t *testing.T) {
 	// node carrying its base URI.
 	for i, it := range seq {
 		n, ok := xdm.IsNode(it)
-		if !ok || n.Type != dom.DocumentNode || n.BaseURI == "" {
+		if !ok || n.Type != dom.DocumentNode || n.BaseURI() == "" {
 			t.Fatalf("item %d: want document node with base URI, got %v", i, it)
 		}
 	}
@@ -205,7 +205,7 @@ func TestPartialResultsDegradation(t *testing.T) {
 		var uris []string
 		for _, it := range seq[:len(seq)-1] {
 			d, _ := xdm.IsNode(it)
-			uris = append(uris, d.BaseURI)
+			uris = append(uris, d.BaseURI())
 		}
 		want := []string{"doc-00", "doc-02", "doc-03", "doc-04", "doc-06", "doc-07", "doc-08", "doc-09"}
 		if strings.Join(uris, " ") != strings.Join(want, " ") {

@@ -155,7 +155,7 @@ func parseDoc(t *testing.T, uri, src string) *dom.Node {
 	if err != nil {
 		t.Fatalf("%s: %v", uri, err)
 	}
-	d.BaseURI = uri
+	d.SetBaseURI(uri)
 	return d
 }
 
@@ -200,7 +200,7 @@ func shipOracle(t *testing.T, q string, agg bool, docs map[string]string, extra 
 	for _, d := range all {
 		seq, err := evalLocal(t, q, []*dom.Node{d})
 		if err != nil {
-			t.Fatalf("oracle %s on %s: %v", q, d.BaseURI, err)
+			t.Fatalf("oracle %s on %s: %v", q, d.BaseURI(), err)
 		}
 		out = append(out, typed(seq)...)
 	}

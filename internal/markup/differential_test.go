@@ -14,7 +14,7 @@ import (
 // kinds, expanded names and prefixes, data, attribute order, child
 // boundaries and parent links.
 func sameTree(got, want *dom.Node) error {
-	if got.Type != want.Type || got.Name != want.Name || got.Data != want.Data || got.BaseURI != want.BaseURI {
+	if got.Type != want.Type || got.Name != want.Name || got.Data != want.Data || got.BaseURI() != want.BaseURI() {
 		return fmt.Errorf("node %s %+v %q, want %s %+v %q", got.Type, got.Name, got.Data, want.Type, want.Name, want.Data)
 	}
 	if len(got.Attrs()) != len(want.Attrs()) {

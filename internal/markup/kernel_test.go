@@ -2,6 +2,7 @@ package markup
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,22 +61,41 @@ func TestSerializeAllocs(t *testing.T) {
 // allocations, 1.58 per node; the pin is k = 1.75 per node, attributes
 // counted as nodes, plus a constant for the parser and the growth of
 // its scratch stacks. The seed's parser made 3.7 per node.
+//
+// The bytes are pinned beside the count: the row's 5 elements, 3 texts
+// and 4 attributes cost 176, 128 and 120 bytes each (dom.Node's size
+// classes, DESIGN.md §5q) plus their lists, 157 bytes per node where the
+// 208-byte node made it 218; the pin is 170 per node plus 4 KB for the
+// parser.
 func TestParseAllocs(t *testing.T) {
 	const maxAllocsPerNode, parserAllocs = 1.75, 40
+	const maxBytesPerNode, parserBytes = 170, 4 << 10
 	for _, rows := range []int{10, 1000} {
 		src := listing(rows)
 		nodes := countNodes(mustParse(t, src))
 		for name, parse := range map[string]func(string) (*dom.Node, error){"Parse": Parse, "ParseHTML": ParseHTML} {
-			avg := testing.AllocsPerRun(10, func() {
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			avg := testing.AllocsPerRun(runs, func() {
 				if _, err := parse(src); err != nil {
 					t.Fatal(err)
 				}
 			})
+			runtime.ReadMemStats(&after)
+			// AllocsPerRun makes one warm-up run of its own.
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 			if limit := maxAllocsPerNode*float64(nodes) + parserAllocs; avg > limit {
 				t.Errorf("%s of %d nodes allocates %.0f times, want <= %.0f (%.2f per node + %d)",
 					name, nodes, avg, limit, maxAllocsPerNode, parserAllocs)
 			} else {
 				t.Logf("%s of %d nodes: %.0f allocations (%.2f per node)", name, nodes, avg, avg/float64(nodes))
+			}
+			if limit := maxBytesPerNode*float64(nodes) + parserBytes; bytes > limit {
+				t.Errorf("%s of %d nodes allocates %.0f bytes, want <= %.0f (%d per node + %d)",
+					name, nodes, bytes, limit, maxBytesPerNode, parserBytes)
+			} else {
+				t.Logf("%s of %d nodes: %.0f bytes (%.1f per node)", name, nodes, bytes, bytes/float64(nodes))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package markup_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,6 +78,35 @@ func TestDifferentialAppPages(t *testing.T) {
 		})
 	}
 	markup.DiffSerialize(t, client.Host.Page) // a live page, after its scripts ran
+}
+
+// TestParseBytesOfAppPages pins what a parse of the benchmark's two
+// document shapes allocates (BenchmarkParseXML reports the same numbers):
+// the cart page took 137.8 KB and the article 29.1 KB when every node
+// was 208 bytes; the allocation counts did not move with the node's
+// size (DESIGN.md §5q).
+func TestParseBytesOfAppPages(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		src   string
+		maxKB float64
+	}{
+		{"cart", cartPage(t), 100},
+		{"article", article(t), 21.5},
+	} {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := markup.Parse(c.src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024; kb > c.maxKB {
+			t.Errorf("parsing the %s allocates %.1f KB, want at most %.1f", c.name, kb, c.maxKB)
+		}
+	}
 }
 
 func benchSerialize(b *testing.B, src string, appendTo func([]byte, *dom.Node) []byte) {

@@ -259,7 +259,7 @@ func (c *Client) GetContext(ctx context.Context, uri string) (*dom.Node, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%w: GET %s: parsing body: %w", ErrMalformedPayload, uri, err)
 	}
-	doc.BaseURI = uri
+	doc.SetBaseURI(uri)
 	c.cachePut(uri, doc)
 	return doc, nil
 }

@@ -315,7 +315,7 @@ func RegisterServerFunctions(reg *runtime.Registry) {
 					}
 					uri := ""
 					if doc.Type == dom.DocumentNode {
-						uri = doc.BaseURI
+						uri = doc.BaseURI()
 					}
 					runs = append(append(runs, xdm.String(uri), xdm.Integer(len(vals))), vals...)
 					return nil
@@ -346,9 +346,9 @@ func appendItems(b []byte, s xdm.Sequence) []byte {
 	for _, it := range s {
 		if n, ok := xdm.IsNode(it); ok {
 			b = append(b, `<item kind="node"`...)
-			if n.Type == dom.DocumentNode && n.BaseURI != "" {
+			if n.Type == dom.DocumentNode && n.BaseURI() != "" {
 				b = append(b, ` uri="`...)
-				b = append(b, markup.EscapeAttr(n.BaseURI)...)
+				b = append(b, markup.EscapeAttr(n.BaseURI())...)
 				b = append(b, '"')
 			}
 			b = append(b, '>')

@@ -71,7 +71,7 @@ func randomNode(t *testing.T, rng *rand.Rand) xdm.Item {
 		t.Fatal(err)
 	}
 	if rng.Intn(2) == 0 {
-		doc.BaseURI = "urn:doc-" + string(rune('a'+rng.Intn(26)))
+		doc.SetBaseURI("urn:doc-" + string(rune('a'+rng.Intn(26))))
 		return xdm.NewNode(doc)
 	}
 	return xdm.NewNode(doc.DocumentElement())
@@ -91,8 +91,8 @@ func itemEq(t *testing.T, orig, got xdm.Item) bool {
 		if markup.Serialize(on) != markup.Serialize(gn) {
 			return false
 		}
-		if on.Type == dom.DocumentNode && on.BaseURI != "" {
-			return gn.Type == dom.DocumentNode && gn.BaseURI == on.BaseURI
+		if on.Type == dom.DocumentNode && on.BaseURI() != "" {
+			return gn.Type == dom.DocumentNode && gn.BaseURI() == on.BaseURI()
 		}
 		return true
 	}
@@ -137,7 +137,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 		for i := range seq {
 			wantKey := ""
 			if n, ok := xdm.IsNode(seq[i]); ok && n.Type == dom.DocumentNode {
-				wantKey = n.BaseURI
+				wantKey = n.BaseURI()
 			}
 			if keys[i] != wantKey {
 				t.Fatalf("trial %d item %d: key %q, want %q", trial, i, keys[i], wantKey)
@@ -155,7 +155,7 @@ func TestDecodedNodeIsDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.BaseURI = "urn:doc-1"
+	doc.SetBaseURI("urn:doc-1")
 	seq := xdm.Sequence{xdm.NewNode(doc.DocumentElement()), xdm.NewNode(doc), xdm.NewNode(doc.DocumentElement())}
 	back, keys, err := DecodeSequenceKeyed(EncodeSequence(seq))
 	if err != nil || len(back) != 3 {
@@ -173,9 +173,9 @@ func TestDecodedNodeIsDetached(t *testing.T) {
 			t.Errorf("item %d = %s, want %s", i, got, want)
 		}
 		if i == 1 {
-			if n.Type != dom.DocumentNode || n.BaseURI != "urn:doc-1" || n.DocumentElement().Parent() != n ||
+			if n.Type != dom.DocumentNode || n.BaseURI() != "urn:doc-1" || n.DocumentElement().Parent() != n ||
 				n.DocumentElement().Base() != "urn:doc-1" || keys[i] != "urn:doc-1" {
-				t.Errorf("document item: type %s, base %q, key %q", n.Type, n.BaseURI, keys[i])
+				t.Errorf("document item: type %s, base %q, key %q", n.Type, n.BaseURI(), keys[i])
 			}
 		} else if n.Type != dom.ElementNode || n.Document() != nil || n.Base() != "" || keys[i] != "" {
 			t.Errorf("element item %d: type %s, document %v, base %q, key %q", i, n.Type, n.Document(), n.Base(), keys[i])

@@ -22,10 +22,10 @@ func startFedShard(t *testing.T, docs map[string]string) *httptest.Server {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.BaseURI = uri
+		d.SetBaseURI(uri)
 		nodes = append(nodes, d)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].BaseURI < nodes[j].BaseURI })
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].BaseURI() < nodes[j].BaseURI() })
 	srv, err := rest.NewModuleServer(fed.ShardModule, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func (n *naiveStore) node(t *testing.T, uri string) *dom.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.BaseURI = uri
+	d.SetBaseURI(uri)
 	return d
 }
 
@@ -318,7 +318,7 @@ func TestShardMergeDocumentOrderProperty(t *testing.T) {
 				if !ok {
 					break
 				}
-				streamed = append(streamed, it.(xdm.Node).N.BaseURI)
+				streamed = append(streamed, it.(xdm.Node).N.BaseURI())
 			}
 			if fmt.Sprint(streamed) != fmt.Sprint(want) {
 				t.Fatalf("seed %d shards=%d: streamed order %v, want %v", seed, shards, streamed, want)

@@ -18,7 +18,7 @@ import (
 // (ErrNoCollection otherwise — create it first, eXist-style); flat
 // legacy URIs land in the root collection.
 func (s *Store) PutDoc(uri string, doc *dom.Node) error {
-	doc.BaseURI = uri
+	doc.SetBaseURI(uri)
 	col := collectionOf(uri)
 	data := markup.AppendXML(nil, doc)
 	err := s.commit(wal.Put, uri, data,

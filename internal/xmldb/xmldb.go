@@ -205,7 +205,7 @@ func (s *Store) applyRecord(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("xmldb: replay seq %d (%s): %w", r.Seq, r.Path, err)
 		}
-		doc.BaseURI = r.Path
+		doc.SetBaseURI(r.Path)
 		s.cols.create(collectionOf(r.Path))
 		s.shardFor(r.Path).publish(r.Path, doc)
 	case wal.Delete:

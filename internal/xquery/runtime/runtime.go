@@ -296,20 +296,23 @@ func userFunction(decl *ast.FuncDecl) *Function {
 // assignment statement).
 type Box struct{ Val xdm.Sequence }
 
+// env is one frame of the variable chain. The box is held by value — a
+// binding is one allocation — and handed out by address, so a closure or
+// an assignment statement that keeps the *Box keeps its frame alive.
 type env struct {
 	parent *env
 	name   dom.QName
-	box    *Box
+	box    Box
 }
 
 func (e *env) bind(name dom.QName, val xdm.Sequence) *env {
-	return &env{parent: e, name: name, box: &Box{Val: val}}
+	return &env{parent: e, name: name, box: Box{Val: val}}
 }
 
 func (e *env) lookup(name dom.QName) *Box {
 	for f := e; f != nil; f = f.parent {
 		if f.name.Matches(name) {
-			return f.box
+			return &f.box
 		}
 	}
 	return nil
@@ -434,7 +437,7 @@ func (ctx *Context) Bind(name dom.QName, val xdm.Sequence) *Box {
 	if ctx.globals == nil {
 		ctx.globals = ctx.env
 	}
-	return ctx.env.box
+	return &ctx.env.box
 }
 
 // Var returns the current value of a variable, if bound.

@@ -27,7 +27,8 @@
 //	            consult the version stamp (call fresh() or compare
 //	            version) unless it is the builder itself; outside the
 //	            package, nobody calls the raw cache accessors
-//	            Node.LoadIndexCache/StoreIndexCache — all access goes
+//	            Node.LoadIndexCache/StoreIndexCache or names the
+//	            indexCache field behind them — all access goes
 //	            through index.For/index.Fresh, which are the only
 //	            places allowed to compare the stamp.
 //
@@ -36,8 +37,9 @@
 //	            reading the posting/trigram/range maps (post, stemPost,
 //	            gram, rng) must consult fresh()/version unless they are
 //	            the builder; outside, nobody calls the raw slot
-//	            accessors Node.LoadFTIndexCache/StoreFTIndexCache —
-//	            access goes through index.For/Probe/Fresh/Attach.
+//	            accessors Node.LoadFTIndexCache/StoreFTIndexCache or
+//	            names the ftCache field behind them — access goes
+//	            through index.For/Probe/Fresh/Attach.
 //
 //	planpure    the optimizer and the closure compiler never mutate the
 //	            shared AST: a parsed module is cached and compiled once
@@ -408,9 +410,10 @@ var idxBuilderName = regexp.MustCompile(`^(build|new|New|init$)`)
 // selector named names/ids/order must also mention the freshness guard
 // (a fresh() call or a version comparison) somewhere in that body. For
 // files in any other package, any call to LoadIndexCache or
-// StoreIndexCache is flagged: those raw slots bypass the stamp check
-// that index.For/index.Fresh perform, so only package index may touch
-// them.
+// StoreIndexCache is flagged, and so is any mention of the indexCache
+// field they wrap outside those two methods: the raw slot bypasses the
+// stamp check that index.For/index.Fresh perform, so only package index
+// may touch it.
 func idxVersion(fset *token.FileSet, file *ast.File) []finding {
 	if file.Name.Name == "index" {
 		return idxVersionInside(fset, file)
@@ -456,25 +459,39 @@ func idxVersionInside(fset *token.FileSet, file *ast.File) []finding {
 }
 
 func idxVersionOutside(fset *token.FileSet, file *ast.File) []finding {
+	return rawSlotUse(fset, file, "idxversion", "indexCache", "LoadIndexCache", "StoreIndexCache",
+		"outside internal/dom/index; use index.For/index.Fresh, which check the version stamp")
+}
+
+// rawSlotUse flags, in a file outside the package that owns one of the
+// per-document cache slots, every use of the slot's accessors load and
+// store, and every mention of the slot's field (dom's side struct holds
+// it) anywhere but in those two methods' own bodies.
+func rawSlotUse(fset *token.FileSet, file *ast.File, pass, field, load, store, advice string) []finding {
 	var out []finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		accessor := ok && fd.Recv != nil && (fd.Name.Name == load || fd.Name.Name == store)
+		ast.Inspect(decl, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch name := sel.Sel.Name; {
+			case name == load || name == store:
+				out = append(out, finding{
+					pos: fset.Position(sel.Pos()),
+					msg: fmt.Sprintf("%s: %s called %s", pass, name, advice),
+				})
+			case name == field && !accessor:
+				out = append(out, finding{
+					pos: fset.Position(sel.Pos()),
+					msg: fmt.Sprintf("%s: raw slot %s touched outside its accessors %s/%s", pass, field, load, store),
+				})
+			}
 			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if sel.Sel.Name == "LoadIndexCache" || sel.Sel.Name == "StoreIndexCache" {
-			out = append(out, finding{
-				pos: fset.Position(call.Pos()),
-				msg: fmt.Sprintf("idxversion: %s called outside internal/dom/index; use index.For/index.Fresh, which check the version stamp",
-					sel.Sel.Name),
-			})
-		}
-		return true
-	})
+		})
+	}
 	return out
 }
 
@@ -495,8 +512,8 @@ var ftIndexMaps = map[string]bool{
 // (internal/fulltext/index). Inside the package, every non-builder
 // function reading a posting/range map must mention the freshness guard
 // in its body; outside, calls to the raw dom cache slot accessors
-// LoadFTIndexCache/StoreFTIndexCache are flagged — all access goes
-// through index.For/index.Probe/index.Fresh/index.Attach, which own the
+// LoadFTIndexCache/StoreFTIndexCache and mentions of the ftCache field
+// they wrap are flagged — all access goes through index.For/index.Probe/index.Fresh/index.Attach, which own the
 // version-stamp comparison.
 func ftVersion(fset *token.FileSet, file *ast.File) []finding {
 	if file.Name.Name == "index" {
@@ -543,26 +560,8 @@ func ftVersionInside(fset *token.FileSet, file *ast.File) []finding {
 }
 
 func ftVersionOutside(fset *token.FileSet, file *ast.File) []finding {
-	var out []finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if sel.Sel.Name == "LoadFTIndexCache" || sel.Sel.Name == "StoreFTIndexCache" {
-			out = append(out, finding{
-				pos: fset.Position(call.Pos()),
-				msg: fmt.Sprintf("ftversion: %s called outside internal/fulltext/index; use index.For/index.Probe/index.Fresh, which check the version stamp",
-					sel.Sel.Name),
-			})
-		}
-		return true
-	})
-	return out
+	return rawSlotUse(fset, file, "ftversion", "ftCache", "LoadFTIndexCache", "StoreFTIndexCache",
+		"outside internal/fulltext/index; use index.For/index.Probe/index.Fresh, which check the version stamp")
 }
 
 func isContextContext(t ast.Expr) bool {

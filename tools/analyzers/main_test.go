@@ -137,6 +137,24 @@ func (n *Node) StoreIndexCache(v any) {}
 	}
 }
 
+// The slot's field is as raw as its accessors: package dom may name it
+// in the two accessors and nowhere else.
+func TestIdxVersionFlagsRawSlotFieldOutsideAccessors(t *testing.T) {
+	src := `package dom
+type side struct{ indexCache, ftCache *any }
+type Node struct{ side *side }
+func (n *Node) LoadIndexCache() any { return *n.side.indexCache }
+func (n *Node) StoreIndexCache(v any) { n.side.indexCache = &v }
+func (n *Node) clone() *Node { c := &Node{side: &side{}}; c.side.ftCache = n.side.indexCache; return c }
+`
+	if got := analyze(t, src, idxVersion); len(got) != 1 || got[0].pos.Line != 6 {
+		t.Fatalf("idxversion findings = %v, want 1 (clone's read of indexCache)", got)
+	}
+	if got := analyze(t, src, ftVersion); len(got) != 1 || got[0].pos.Line != 6 {
+		t.Fatalf("ftversion findings = %v, want 1 (clone's write of ftCache)", got)
+	}
+}
+
 func TestFTVersionFlagsUncheckedPostingRead(t *testing.T) {
 	src := `package index
 type Doc struct{ post map[string][]int32; rng map[int]int }

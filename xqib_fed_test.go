@@ -26,10 +26,10 @@ func startShardBackendSeeing(t *testing.T, docs map[string]string, seen func(pat
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.BaseURI = uri
+		d.SetBaseURI(uri)
 		nodes = append(nodes, d)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].BaseURI < nodes[j].BaseURI })
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].BaseURI() < nodes[j].BaseURI() })
 	srv, err := xqib.NewModuleServer(xqib.FedShardModule, nil)
 	if err != nil {
 		t.Fatal(err)
