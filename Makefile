@@ -20,7 +20,7 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke staticche
 # Register and Freeze only), serve/rest never store a
 # context.Context in a struct, only internal/dom/index reads the
 # per-document index maps / raw cache slots (always behind the version
-# stamp), the optimizer/closure-compiler never mutate shared AST
+# stamp), the planner and the optimizer never mutate shared AST
 # nodes (rewrites must copy), the store's raw shard state is only
 # touched by shard.go's lock-upholding methods, DOM mutation in the
 # query/serving layers only happens through the pending-update list,
@@ -33,11 +33,11 @@ vet-invariants:
 	$(GO) run ./tools/analyzers -check ctxstruct internal/serve internal/rest internal/fed
 	$(GO) run ./tools/analyzers -check idxversion internal/dom/index internal/dom internal/xquery/runtime internal/xquery/funclib internal/serve
 	$(GO) run ./tools/analyzers -check ftversion internal/fulltext/index internal/dom internal/xquery/runtime internal/xquery/funclib internal/xmldb internal/serve
-	$(GO) run ./tools/analyzers -check planpure internal/xquery/plan internal/xquery/compile
+	$(GO) run ./tools/analyzers -check planpure internal/xquery/plan
 	$(GO) run ./tools/analyzers -check storesync internal/xmldb
 	$(GO) run ./tools/analyzers -check pulapply internal/serve internal/rest internal/fed \
 		internal/fulltext internal/xmldb internal/dom/index internal/xdm \
-		internal/xquery internal/xquery/plan internal/xquery/compile \
+		internal/xquery internal/xquery/plan \
 		internal/xquery/analysis internal/xquery/funclib internal/xquery/parser \
 		internal/xquery/ast internal/xquery/lexer
 	$(GO) run ./tools/analyzers -check recovercheck $(shell $(GO) list -f '{{.Dir}}' ./...)

@@ -391,13 +391,8 @@ func (h *Host) runMain(pp *pageProgram) error {
 	if err := pp.ctx.InitGlobals(); err != nil {
 		return err
 	}
-	body := pp.prog.Module().Body
-	if body != nil {
-		if _, err := h.finish(pp.ctx, func() (xdm.Sequence, error) {
-			return pp.ctx.Eval(body)
-		}); err != nil {
-			return fmt.Errorf("core: running page script: %w", err)
-		}
+	if _, err := h.finish(pp.ctx, pp.ctx.RunBody); err != nil {
+		return fmt.Errorf("core: running page script: %w", err)
 	}
 	// §5.1: "the code executed when the page is loaded is put in a
 	// function local:main()".

@@ -208,11 +208,11 @@ func shipOracle(t *testing.T, q string, agg bool, docs map[string]string, extra 
 }
 
 type fedMode struct {
-	walker, unshipped, pure bool
+	unshipped, pure bool
 }
 
 func (m fedMode) String() string {
-	return fmt.Sprintf("walker=%v unshipped=%v pure=%v", m.walker, m.unshipped, m.pure)
+	return fmt.Sprintf("unshipped=%v pure=%v", m.unshipped, m.pure)
 }
 
 // evalFed runs q over the federation.
@@ -228,7 +228,6 @@ func evalFed(t *testing.T, x *Executor, q string, m fedMode) (xdm.Sequence, erro
 		CollectionsIter: x.CollectionIterResolver(ctx),
 		CollectionsShip: x.CollectionShipResolver(ctx),
 		Sequential:      !m.pure,
-		DisableCompile:  m.walker,
 		DisableIndexes:  m.unshipped,
 	})
 	if err != nil {
@@ -253,8 +252,7 @@ func TestShippedMatchesUnshipped(t *testing.T) {
 			for _, c := range shipQueries {
 				want := shipOracle(t, c.q, c.agg, docs)
 				for _, m := range []fedMode{
-					{}, {walker: true}, {pure: true}, {walker: true, pure: true},
-					{unshipped: true}, {walker: true, unshipped: true},
+					{}, {pure: true}, {unshipped: true},
 				} {
 					label := fmt.Sprintf("%d docs, %d shards, %s\n  %s", n, k, m, c.q)
 					shippedBefore := Snapshot().Shipped
@@ -313,7 +311,7 @@ func TestShippedDegradesLikeUnshipped(t *testing.T) {
 
 	strict := build(false)
 	for _, c := range shipQueries {
-		for _, m := range []fedMode{{}, {walker: true}, {unshipped: true}} {
+		for _, m := range []fedMode{{}, {unshipped: true}} {
 			if _, err := evalFed(t, strict, c.q, m); !errors.Is(err, ErrBackendDown) {
 				t.Errorf("strict, %s\n  %s\n  want ErrBackendDown, got %v", m, c.q, err)
 			}
@@ -326,7 +324,7 @@ func TestShippedDegradesLikeUnshipped(t *testing.T) {
 	for _, c := range shipQueries {
 		want := shipOracle(t, c.q, c.agg, live, diagnostic)
 		sawDiagnostic = sawDiagnostic || !sameMultiset(want, shipOracle(t, c.q, c.agg, live))
-		for _, m := range []fedMode{{}, {walker: true}, {pure: true}, {unshipped: true}} {
+		for _, m := range []fedMode{{}, {pure: true}, {unshipped: true}} {
 			ResetStats()
 			seq, err := evalFed(t, partial, c.q, m)
 			if err != nil {

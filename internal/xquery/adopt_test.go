@@ -1,7 +1,6 @@
 package xquery
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -47,58 +46,22 @@ func compileAdopt(t *testing.T, src string) (planned, unplanned *Program) {
 	return planned, unplanned
 }
 
-// nodePath locates a node for a PUL dump: names and sibling positions
-// up to its root.
-func nodePath(n *dom.Node) string {
-	if n.Parent() == nil {
-		return n.Type.String() + ":" + n.Name.String()
-	}
-	pos := 0
-	for i, c := range n.Parent().Children() {
-		if c == n {
-			pos = i + 1
-		}
-	}
-	return fmt.Sprintf("%s/%s[%d]", nodePath(n.Parent()), n.Name, pos)
-}
-
 // runAdoptOnce runs p on a document of its own and renders everything a
-// caller can see of the run: value, applied primitives, final document.
+// caller can see of the run (runOutcome), with the run's profile.
 func runAdoptOnce(t *testing.T, p *Program, cfg RunConfig) (string, *runtime.Profiler) {
 	t.Helper()
-	doc, err := markup.Parse(adoptDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pul strings.Builder
-	cfg.ContextItem = xdm.NewNode(doc)
 	cfg.Profiler = runtime.NewProfiler()
-	cfg.OnUpdate = func(pr update.Primitive) {
-		fmt.Fprintf(&pul, "%s %s", pr.Kind, nodePath(pr.Target))
-		for _, c := range pr.Content {
-			if c.Type == dom.AttributeNode {
-				fmt.Fprintf(&pul, " @%s=%q", c.Name, c.Data)
-			} else {
-				fmt.Fprintf(&pul, " %s", markup.Serialize(c))
-			}
-		}
-		fmt.Fprintf(&pul, " %q %s; ", pr.Value, pr.Name)
-	}
-	res, err := p.Run(cfg)
-	if err != nil {
-		return "error: " + err.Error() + " | " + markup.Serialize(doc), cfg.Profiler
-	}
-	return FormatSequence(res.Value, markup.AppendXML) + " | " + pul.String() + "| " + markup.Serialize(doc), cfg.Profiler
+	return runOutcome(t, p, adoptDoc, cfg), cfg.Profiler
 }
 
 // runAdopt runs src planned and unplanned under every evaluator
-// configuration, fails where any run differs from the unplanned walked
+// configuration, fails where any run differs from the unplanned eager
 // one, and returns the outcome with the profile of the planned default
 // run.
 func runAdopt(t *testing.T, src string, sequential bool) (string, *runtime.Profiler) {
 	t.Helper()
 	planned, unplanned := compileAdopt(t, src)
-	want, _ := runAdoptOnce(t, unplanned, RunConfig{Sequential: sequential, DisableCompile: true, DisableStreaming: true})
+	want, _ := runAdoptOnce(t, unplanned, RunConfig{Sequential: sequential, DisableStreaming: true})
 	var prof *runtime.Profiler
 	for _, m := range []struct {
 		name string
@@ -106,8 +69,6 @@ func runAdopt(t *testing.T, src string, sequential bool) (string, *runtime.Profi
 	}{
 		{"default", RunConfig{}},
 		{"DisableStreaming", RunConfig{DisableStreaming: true}},
-		{"DisableCompile", RunConfig{DisableCompile: true}},
-		{"DisableStreaming+DisableCompile", RunConfig{DisableStreaming: true, DisableCompile: true}},
 	} {
 		m.cfg.Sequential = sequential
 		got, p := runAdoptOnce(t, planned, m.cfg)

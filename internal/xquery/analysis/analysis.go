@@ -114,12 +114,15 @@ func defaultReg() *runtime.Registry {
 
 // Analyze runs all passes over a parsed module and returns the
 // diagnostics plus the cost estimate. Its only mutation of the module
-// is the Once-guarded path-planning pass (plan.Annotate via
+// is the Once-guarded planning pass (plan.Prepare via
 // Module.EnsurePlanned) — the same pass runtime.Compile applies — so
 // the cost estimator sees the access methods the evaluator will use,
 // and one parsed AST may still be analyzed and evaluated concurrently.
+// The passes read the planned roots (Module.Body, FuncDecl.Body), never
+// the optimized ones, so what they report does not depend on whether
+// the module was compiled first.
 func Analyze(m *ast.Module, cfg Config) *Result {
-	m.EnsurePlanned(func() { plan.Annotate(m) })
+	m.EnsurePlanned(func() { plan.Prepare(m) })
 	reg := cfg.Registry
 	if reg == nil {
 		reg = defaultReg()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/browser"
 	"repro/internal/xquery/analysis"
+	"repro/internal/xquery/ast"
 	"repro/internal/xquery/funclib"
 	"repro/internal/xquery/parser"
 	"repro/internal/xquery/runtime"
@@ -70,6 +71,52 @@ func TestGolden(t *testing.T) {
 				t.Errorf("diagnostics mismatch for %s:\n--- got ---\n%s--- want ---\n%s", f, got, want)
 			}
 		})
+	}
+}
+
+// TestGoldenIsOrderIndependent: compiling a module installs optimized
+// roots beside the planned ones, and the analyzer reads the planned
+// ones — so xqlint says the same thing, at the same positions, whether
+// the module was compiled first or analysed first. XQ0006 is the case
+// with teeth: the optimizer folds `if (1 = 1)` away.
+func TestGoldenIsOrderIndependent(t *testing.T) {
+	files, _ := filepath.Glob(filepath.Join("testdata", "*.xq"))
+	cfg := goldenConfig()
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(strings.TrimSuffix(f, ".xq") + ".diag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		parse := func() *ast.Module {
+			m, err := parser.ParseModule(string(src))
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			return m
+		}
+		compiledFirst := parse()
+		runtime.CompileFunctions(compiledFirst)
+		if got := renderDiags(analysis.Analyze(compiledFirst, cfg)); got != string(want) {
+			t.Errorf("%s, compiled first:\n--- got ---\n%s--- want ---\n%s", f, got, want)
+		}
+		analysedFirst := parse()
+		analysis.Analyze(analysedFirst, cfg)
+		runtime.CompileFunctions(analysedFirst)
+		if got := renderDiags(analysis.Analyze(analysedFirst, cfg)); got != string(want) {
+			t.Errorf("%s, analysed, compiled, analysed again:\n--- got ---\n%s--- want ---\n%s", f, got, want)
+		}
+		if strings.Contains(f, "XQ0006") {
+			if compiledFirst.Rewrites.Folds == 0 || analysedFirst.Rewrites.Folds == 0 {
+				t.Errorf("%s: the optimizer folded nothing, so this test shows nothing", f)
+			}
+			if !strings.Contains(string(want), analysis.CodeConstCond) {
+				t.Errorf("%s: golden file has no %s", f, analysis.CodeConstCond)
+			}
+		}
 	}
 }
 

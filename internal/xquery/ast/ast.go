@@ -166,11 +166,12 @@ type FLWOR struct {
 	Return  Expr
 
 	// Join, when non-nil, is the optimizer's equality-join annotation:
-	// the clause at Join.Clause can be executed as the build side of a
-	// hash join instead of a nested loop. The annotated predicate is
-	// removed from Where and kept in Join.Pred, so an evaluator that
-	// ignores the annotation (the tree walker) must apply Join.Pred as
-	// the leading where conjunct to preserve semantics. Only the
+	// the clause at Join.Clause — always the last one — can be executed
+	// as the build side of a hash join instead of a nested loop. The
+	// annotated predicate is removed from Where and kept in Join.Pred:
+	// the evaluator either hashes or, where it may not (scripting
+	// snapshots, keys outside the string class), applies Join.Pred to
+	// every tuple in the place the conjunct had, first. Only the
 	// optimizer (internal/xquery/plan) writes this field, and only on
 	// its own copies of the tree — parsed modules never carry it.
 	Join *JoinPlan
@@ -194,12 +195,17 @@ type JoinPlan struct {
 	Pred      Expr // the original predicate, for non-hash evaluation
 }
 
-// Hoisted marks a loop-invariant subexpression the optimizer lifted
-// out of a FLWOR iteration: the compiled backend evaluates it at most
-// once per FLWOR entry (memoised at first use, so a zero-iteration
-// loop never evaluates it). To every other evaluator it is a
-// transparent wrapper, like Ordered. Only the optimizer constructs it.
-type Hoisted struct{ X Expr }
+// Hoisted marks a loop-invariant let value or where conjunct of a
+// FLWOR: the evaluator computes it at most once per entry of that FLWOR
+// (memoised at first use, so a zero-iteration loop never evaluates it)
+// unless scripting snapshots are on. Anywhere else it is a transparent
+// wrapper, like Ordered. Only the optimizer constructs it, and only in
+// those two places; Slot numbers the hoisted expressions of one FLWOR
+// from 0, which is how the entry finds each one's memo.
+type Hoisted struct {
+	X    Expr
+	Slot int
+}
 
 // Clause is a for or let clause of a FLWOR.
 type Clause struct {
@@ -703,6 +709,9 @@ type FuncDecl struct {
 	Params     []Param
 	ReturnType *xdm.SeqType
 	Body       Expr // nil for external
+	// Optimized is Body after the algebraic optimizer, or nil where the
+	// optimizer left the body alone (see Module.Optimized).
+	Optimized  Expr
 	Updating   bool
 	Sequential bool
 	External   bool
@@ -747,12 +756,31 @@ type Module struct {
 	Prolog Prolog
 	Body   Expr // nil for library modules
 
+	// Optimized is Body after the algebraic optimizer (plan.Optimize),
+	// FuncDecl.Optimized the same for a function body, and Rewrites what
+	// the optimizer did to get there. They are a second set of roots, not
+	// a replacement: Body stays the planned, source-shaped tree the
+	// static analyzer reports positions from, and evaluation runs
+	// Optimized where there is one — nil means "run Body": a unit with
+	// scripting constructs, or a module nobody optimized. Written once,
+	// by plan.Prepare under EnsurePlanned, and only read afterwards.
+	Optimized Expr
+	Rewrites  RewriteStats
+
 	planOnce sync.Once
+}
+
+// RewriteStats counts what the optimizer did to a module.
+type RewriteStats struct {
+	Folds     int // subtrees replaced by literals
+	Pushdowns int // where conjuncts moved into path predicates
+	Hoists    int // loop-invariant lets/conjuncts marked Hoisted
+	Joins     int // FLWORs annotated with a JoinPlan
 }
 
 // EnsurePlanned runs f exactly once over the module's lifetime — the
 // hook the path planner uses to replace the module's expressions with
-// their planned forms. Parsed modules are shared across engines by the
+// their planned forms and to install the optimized roots beside them. Parsed modules are shared across engines by the
 // program cache and compiled concurrently, so the planning pass needs a
 // happens-before edge to every reader; sync.Once provides it. Apart
 // from this single guarded pass the AST stays read-only after parse.

@@ -15,7 +15,8 @@ import (
 // The A/B scenarios behind the index, full-text and optimizer speedups
 // EXPERIMENTS.md quotes (E5b, E5d, E5e). Each is the same program run
 // twice over the same document — with the feature and with its oracle
-// switch — and is held to three things: byte-identical results with the
+// switch, or for an optimizer rewrite as the annotate-only oracle
+// program (compileOracle) — and is held to three things: byte-identical results with the
 // counters showing the feature did the work (TestABScenarios), a floor
 // on the ratio well under the recorded one (TestABScenarioFloors), and
 // a Benchmark pair for the number itself:
@@ -27,6 +28,9 @@ type abScenario struct {
 	doc   func(testing.TB) xdm.Item
 	// slow is the oracle's switch; the fast side runs the zero config.
 	slow RunConfig
+	// unoptimized makes the oracle the same query compiled from a module
+	// nobody optimized: the optimizer rewrites have no run-time switch.
+	unoptimized bool
 	// did names the counter that must show the feature at work: "index"
 	// or "ft" (one build over the immutable tree, a hit per run),
 	// "join", "hoist" or "pushdown" (the rewrite fired exactly once).
@@ -49,21 +53,18 @@ var abScenarios = []abScenario{
 		order by ft:score($a) descending
 		return string($a/@id))[1]`, doc: articlePage,
 		slow: RunConfig{DisableIndexes: true}, did: "ft"},
-	// O(n+m) hash join against the walker's O(n*m) nested loop.
+	// O(n+m) hash join against the O(n*m) nested loop.
 	{name: "join", query: `for $o in //order for $i in //item where $o/@ref eq $i/@id
 		return concat($o/@n, ":", $i/@n)`, doc: shopPage,
-		slow: RunConfig{DisableCompile: true}, did: "join", floor: 2}, // 64x
-	// A loop-invariant let, recomputed per tuple by the walker.
+		unoptimized: true, did: "join", floor: 2}, // 64x
+	// A loop-invariant let, recomputed per tuple when nobody hoists it.
 	{name: "hoist", query: `for $i in //item
 		let $total := sum(for $o in //order return string-length(string($o/@ref)))
 		where $total > 0 return concat($i/@n, "/", $total)`, doc: shopPage,
-		slow: RunConfig{DisableCompile: true}, did: "hoist", floor: 2}, // 46x
+		unoptimized: true, did: "hoist", floor: 2}, // 46x
 	// A where conjunct pushed into the domain path becomes an id probe.
 	{name: "pushdown", query: `for $d in //div where $d/@id = "d71" return string($d)`, doc: shopPage,
-		slow: RunConfig{DisableCompile: true}, did: "pushdown", floor: 2}, // 1100x
-	// Closures alone, no rewrite: 2.1x, held to no floor.
-	{name: "core", query: `for $i in 1 to 2000 return $i * 3 + 1`, doc: shopPage,
-		slow: RunConfig{DisableCompile: true}},
+		unoptimized: true, did: "pushdown", floor: 2}, // 1100x
 }
 
 func parsePage(tb testing.TB, src string) xdm.Item {
@@ -152,8 +153,14 @@ func (sc abScenario) sides(tb testing.TB) (p *Program, fast, slow func() string)
 	if err != nil {
 		tb.Fatalf("%s: %v", sc.name, err)
 	}
+	oracle := p
+	if sc.unoptimized {
+		if oracle, err = compileOracle(tb, New(), sc.query); err != nil {
+			tb.Fatalf("%s: %v", sc.name, err)
+		}
+	}
 	doc := sc.doc(tb)
-	run := func(cfg RunConfig) func() string {
+	run := func(p *Program, cfg RunConfig) func() string {
 		cfg.ContextItem = doc
 		return func() string {
 			res, err := p.Run(cfg)
@@ -163,7 +170,7 @@ func (sc abScenario) sides(tb testing.TB) (p *Program, fast, slow func() string)
 			return FormatSequence(res.Value, markup.AppendXML)
 		}
 	}
-	return p, run(RunConfig{}), run(sc.slow)
+	return p, run(p, RunConfig{}), run(oracle, sc.slow)
 }
 
 func TestABScenarios(t *testing.T) {

@@ -56,7 +56,7 @@ var ErrQuarantined = errors.New("xquery: program quarantined")
 // use by any number of goroutines and engines.
 //
 // What is cached is the host-independent part of a compilation (the
-// planned module, its compiled functions and closures); Compile hands
+// planned and optimized module and its compiled functions); Compile hands
 // it out bound to the engine that asked, and the binding — the
 // engine's own host functions, its imports, its document resolvers —
 // is never cached. Keying has two levels:

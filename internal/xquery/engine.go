@@ -17,7 +17,6 @@ import (
 	"repro/internal/xqerr"
 	"repro/internal/xquery/analysis"
 	"repro/internal/xquery/ast"
-	"repro/internal/xquery/compile"
 	"repro/internal/xquery/funclib"
 	"repro/internal/xquery/parser"
 	"repro/internal/xquery/plan"
@@ -176,21 +175,20 @@ func (e *Engine) Fingerprint() uint64 {
 // once per (module, engine shape) and immutable afterwards: every
 // engine of that shape binds to it, concurrently, without locks.
 type sharedProgram struct {
+	// mod is the module, planned and optimized (plan.Prepare).
 	mod *ast.Module
 	// user is the frozen layer of the module's own functions.
-	user     *runtime.Registry
-	compiled *compile.Compiled
+	user *runtime.Registry
 }
 
 // Program is a compiled, runnable XQuery program: a shared compilation
-// bound to one engine. Compilation is the full three-stage pipeline:
-// plan (path access methods) → optimize (algebraic FLWOR rewrites) →
-// compile (Go closures); the original tree-walking evaluator remains
-// available per run via RunConfig.DisableCompile, as baseline and as
-// differential oracle. The binding is the cheap part — the registry
-// chain user functions → this engine's imports → its host layer →
-// library, and the engine whose resolvers a run defaults to — and the
-// only part that refers to a host.
+// bound to one engine. Compilation is parse → plan (path access
+// methods, adoption and shipping marks) → optimize (algebraic FLWOR
+// rewrites, installed as the module's second set of roots); one
+// evaluator, the tree walker in runtime, runs the result. The binding
+// is the cheap part — the registry chain user functions → this engine's
+// imports → its host layer → library, and the engine whose resolvers a
+// run defaults to — and the only part that refers to a host.
 type Program struct {
 	engine *Engine
 	shared *sharedProgram
@@ -217,14 +215,12 @@ func (e *Engine) CompileModule(m *ast.Module) (*Program, error) {
 	return e.bind(e.compileShared(m))
 }
 
-// compileShared does the host-independent work: the module's functions
-// and its lowering to closures, once per program — cached programs (see
-// Cache) never recompile. It cannot fail: anything the closure compiler
-// does not understand bridges back into the walker, and what can fail
-// (imports, external functions) is checked per binding.
+// compileShared does the host-independent work: planning, optimizing
+// and the module's functions, once per program — cached programs (see
+// Cache) never recompile. It cannot fail: what can (imports, external
+// functions) is checked per binding.
 func (e *Engine) compileShared(m *ast.Module) *sharedProgram {
-	user := runtime.CompileFunctions(m)
-	return &sharedProgram{mod: m, user: user, compiled: compile.Compile(m, user, e.host)}
+	return &sharedProgram{mod: m, user: runtime.CompileFunctions(m)}
 }
 
 // bind attaches a shared compilation — this engine's own or one
@@ -321,8 +317,8 @@ func (bs *bindings) drop(sh *sharedProgram, b *binding) {
 
 // RewriteStats returns the optimizer's rewrite counts for this
 // program: how many constant folds, predicate pushdowns, loop
-// hoistings and hash-join detections shaped the compiled plan.
-func (p *Program) RewriteStats() plan.Stats { return p.shared.compiled.Stats() }
+// hoistings and hash-join detections shaped the optimized roots.
+func (p *Program) RewriteStats() plan.Stats { return p.shared.mod.Rewrites }
 
 // Diagnostic and Severity are the static analyzer's finding types,
 // re-exported so facade users need not import the analysis package.
@@ -502,12 +498,6 @@ type RunConfig struct {
 	// Cache.EvalQuery, Strict additionally keeps rejected programs out
 	// of the program cache.
 	Strict bool
-	// DisableCompile evaluates through the tree walker instead of the
-	// compiled closures: the pre-compilation behaviour, kept as a
-	// benchmark baseline and as the oracle side of the differential
-	// tests. Walked runs evaluate the original (unoptimized) module
-	// AST, so this flag also bypasses the algebraic optimizer.
-	DisableCompile bool
 }
 
 // applyPUL applies a pending update list through the one apply path
@@ -609,28 +599,16 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 		diags = ares.Diagnostics
 	}
 	ctx := p.NewContext(cfg)
-	eval := func() (xdm.Sequence, error) { return ctx.Run() }
-	// A binding whose imports reach outside their namespaces runs walked:
-	// the shared closures were compiled without knowing what it shadows.
-	if !cfg.DisableCompile && !p.prog.StrayImports {
-		cc := p.shared.compiled
-		eval = func() (xdm.Sequence, error) {
-			// Globals initialise through the walker (prolog variable
-			// semantics are shared), then the body runs compiled.
-			if err := ctx.InitGlobals(); err != nil {
-				return nil, err
-			}
-			return cc.Run(ctx)
-		}
-		if cfg.Profiler != nil {
-			st := cc.Stats()
-			cfg.Profiler.AddRewrites("fold", int64(st.Folds))
-			cfg.Profiler.AddRewrites("pushdown", int64(st.Pushdowns))
-			cfg.Profiler.AddRewrites("hoist", int64(st.Hoists))
-			cfg.Profiler.AddRewrites("join", int64(st.Joins))
-		}
+	// A binding whose imports reach outside their namespaces evaluates
+	// the planned roots, so no rewrite shaped what it runs.
+	if cfg.Profiler != nil && !p.prog.StrayImports {
+		st := p.RewriteStats()
+		cfg.Profiler.AddRewrites("fold", int64(st.Folds))
+		cfg.Profiler.AddRewrites("pushdown", int64(st.Pushdowns))
+		cfg.Profiler.AddRewrites("hoist", int64(st.Hoists))
+		cfg.Profiler.AddRewrites("join", int64(st.Joins))
 	}
-	res, err := finishRun(ctx, cfg, eval)
+	res, err := finishRun(ctx, cfg, ctx.Run)
 	if err != nil {
 		return nil, err
 	}

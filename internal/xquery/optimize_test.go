@@ -28,7 +28,7 @@ func TestOptimizerRewriteStats(t *testing.T) {
 		{`for $a in //book for $b in //book where $a/@year = $b/@year return $a`, 0, 0, 0, 1},
 		// Join wins over pushdown for the leading conjunct; the residual
 		// conjunct stays in the where clause (no pushdown after a join —
-		// domain iteration order must keep matching the walker).
+		// domain iteration order must keep matching the nested loop).
 		{`for $a in //book for $b in //book where $a/@id eq $b/@id and $b/price > 5 return $b`, 0, 0, 0, 1},
 		// A conjunct over the outer variable still pushes into the last
 		// clause's path (it evaluates once per candidate node either
@@ -55,8 +55,10 @@ func TestOptimizerRewriteStats(t *testing.T) {
 	}
 }
 
-// joinDoc gives the hash join empty key groups (book b4 has no ref),
-// duplicate build keys (two items with cat "a") and probe misses.
+// joinXML gives the hash join empty key groups (order o4 has no ref),
+// duplicate build keys (two items with cat "a"), probe misses, and two
+// orders whose attributes, taken together, hit items out of domain
+// order (o5: b, then a) and one item twice (o6: a, a).
 var joinXML = `<shop>
   <item cat="a" n="i1"/>
   <item cat="b" n="i2"/>
@@ -65,42 +67,64 @@ var joinXML = `<shop>
   <order ref="c" n="o2"/>
   <order ref="b" n="o3"/>
   <order n="o4"/>
+  <order ref="b" x="a" n="o5"/>
+  <order ref="a" x="a" n="o6"/>
 </shop>`
 
 // TestHashJoinCorrectness pins the join's observable semantics:
 // output tuple order (outer order major, document order of the build
-// side minor), empty and duplicate key groups, and the fallback when
-// keys leave the string comparison class.
+// side minor), empty and duplicate key groups, the fallback when keys
+// leave the string comparison class, and which error surfaces first —
+// in every run mode, and against the nested loop of the annotate-only
+// oracle.
 func TestHashJoinCorrectness(t *testing.T) {
-	doc, err := markup.Parse(joinXML)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := New()
 	tests := []struct {
-		src, want string
+		src, want string // want is the value, or with fails a part of the error text
 		joins     int
+		fails     bool
 	}{
 		// o1 matches i1,i3 (duplicate group, document order); o2 matches
 		// nothing (empty probe group); o3 matches i2; o4 has an empty
 		// key, which eq never matches.
 		{`for $o in //order for $i in //item where $o/@ref eq $i/@cat
 		  return concat($o/@n, ":", $i/@n)`,
-			"o1:i1 o1:i3 o3:i2", 1},
+			"o1:i1 o1:i3 o3:i2 o5:i2 o6:i1 o6:i3", 1, false},
 		// General = over the same data agrees here (singleton keys).
 		{`for $o in //order for $i in //item where $o/@ref = $i/@cat
 		  return concat($o/@n, ":", $i/@n)`,
-			"o1:i1 o1:i3 o3:i2", 1},
+			"o1:i1 o1:i3 o3:i2 o5:i2 o6:i1 o6:i3", 1, false},
+		// Keys of several atoms: every attribute of an order is tried
+		// against every attribute of an item; an item two atoms hit comes
+		// out once (o6), and the matches come out in domain order, not
+		// probe order (o5).
+		{`for $o in //order for $i in //item where $o/@* = $i/@*
+		  return concat($o/@n, ":", $i/@n)`,
+			"o1:i1 o1:i3 o3:i2 o5:i1 o5:i2 o5:i3 o6:i1 o6:i3", 1, false},
 		// Non-string keys: detected as a join, served by the predicate
-		// fallback, same answer as the walker.
+		// fallback, same answer as the nested loop.
 		{`for $x in (1,2,3) for $y in (2,3,4) where $x eq $y return 10*$x + $y`,
-			"22 33", 1},
+			"22 33", 1, false},
 		{`for $x in (1,2,3) for $y in (2,3,4) where $x = $y return 10*$x + $y`,
-			"22 33", 1},
+			"22 33", 1, false},
+		// A non-string probe key among string build keys: that tuple
+		// alone walks the predicate (and 1 eq "a" is a type error).
+		{`for $x in ("a", 1) for $i in //item where $i/@cat eq $x return string($i/@n)`,
+			"cannot compare", 1, true},
 		// The equality must be the leading conjunct of the last clause
 		// to hash; a predicate over both variables that is not an
 		// equality never detects.
-		{`for $o in //order for $i in //item where $o/@ref != $i/@cat return 1`, strings.TrimSpace(strings.Repeat("1 ", 6)), 0},
+		{`for $o in //order for $i in //item where $o/@ref != $i/@cat return 1`, strings.TrimSpace(strings.Repeat("1 ", 9)), 0, false},
+		// Error order: the nested loop evaluates the predicate first on
+		// the first pair, left operand first for eq — so of two failing
+		// keys it is the left one's error that surfaces.
+		{`for $o in (1, 2) for $i in (3, 4) where $i/x eq ("z" cast as xs:integer) return 1`,
+			"atomic values", 1, true},
+		{`for $o in (1, 2) for $i in (3, 4) where ("z" cast as xs:integer) eq $i/x return 1`,
+			"invalid lexical form", 1, true},
+		// An empty build side never evaluates the outer key.
+		{`for $o in //order for $i in //nothing where ("z" cast as xs:integer) eq $i/@cat return 1`,
+			"", 1, false},
 	}
 	for _, tt := range tests {
 		p, err := e.Compile(tt.src)
@@ -110,22 +134,27 @@ func TestHashJoinCorrectness(t *testing.T) {
 		if got := p.RewriteStats().Joins; got != tt.joins {
 			t.Errorf("%q: %d joins detected, want %d", tt.src, got, tt.joins)
 		}
-		for _, disable := range []bool{false, true} {
-			res, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), DisableCompile: disable})
-			if err != nil {
-				t.Fatalf("%q (disable=%v): %v", tt.src, disable, err)
+		oracle, err := compileOracle(t, e, tt.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range optimizerRunModes {
+			got, want := runOutcome(t, p, joinXML, m.cfg), runOutcome(t, oracle, joinXML, m.cfg)
+			if got != want {
+				t.Errorf("%q, %s: got %q, the nested loop %q", tt.src, m.name, got, want)
 			}
-			if got := FormatSequence(res.Value, markup.AppendXML); got != tt.want {
-				t.Errorf("%q (disable=%v): got %q, want %q", tt.src, disable, got, tt.want)
+			value, _, _ := strings.Cut(got, " | ")
+			if failed := strings.HasPrefix(value, "error: "); failed != tt.fails ||
+				failed && !strings.Contains(value, tt.want) || !failed && value != tt.want {
+				t.Errorf("%q, %s: got %q, want %q (fails: %v)", tt.src, m.name, value, tt.want, tt.fails)
 			}
 		}
 	}
 }
 
-// TestProfilerCompiledColumn checks the profiler's compiled counters:
-// native closures report under the walker's kind names, rewrite
-// counters surface per run, and the walker-only path reports none.
-func TestProfilerCompiledColumn(t *testing.T) {
+// TestProfilerRewriteCounters: the optimizer's rewrite counters surface
+// per run, and a run of a module nobody optimized reports none.
+func TestProfilerRewriteCounters(t *testing.T) {
 	e := New()
 	doc := libraryDoc(t)
 	src := `for $a in //book for $b in //book where $a/@id eq $b/@id and count(//author) > 1 return 1 + 2`
@@ -134,39 +163,36 @@ func TestProfilerCompiledColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prof := newRunProfiler()
+	prof := runtime.NewProfiler()
 	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: prof}); err != nil {
 		t.Fatal(err)
 	}
-	if n := prof.CompiledFor("FLWOR"); n == 0 {
-		t.Error("compiled run: no compiled FLWOR evaluations recorded")
-	}
 	if n := prof.RewritesFor("join"); n != 1 {
-		t.Errorf("compiled run: join rewrites = %d, want 1", n)
+		t.Errorf("join rewrites = %d, want 1", n)
 	}
 	if n := prof.RewritesFor("hoist"); n == 0 {
-		t.Error("compiled run: no hoist rewrites recorded")
+		t.Error("no hoist rewrites recorded")
 	}
-	out := prof.Format()
-	if !strings.Contains(out, "compiled") || !strings.Contains(out, "rewrite:join") {
-		t.Errorf("profile report missing compiled column or rewrite lines:\n%s", out)
+	if out := prof.Format(); !strings.Contains(out, "rewrite:join") {
+		t.Errorf("profile report missing the rewrite lines:\n%s", out)
 	}
 
-	walk := newRunProfiler()
-	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: walk, DisableCompile: true}); err != nil {
+	oracle, err := compileOracle(t, e, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := walk.CompiledFor("FLWOR"); n != 0 {
-		t.Errorf("walker run recorded %d compiled FLWOR evaluations", n)
+	plain := runtime.NewProfiler()
+	if _, err := oracle.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: plain}); err != nil {
+		t.Fatal(err)
 	}
-	if n := walk.RewritesFor("join"); n != 0 {
-		t.Errorf("walker run recorded %d join rewrites", n)
+	if n := plain.RewritesFor("join"); n != 0 {
+		t.Errorf("unoptimized run recorded %d join rewrites", n)
 	}
 }
 
 // TestCacheReusesCompiledProgram: a program-cache hit returns the same
-// Program, so the closure compilation (and the optimizer work behind
-// it) is memoized alongside it.
+// Program, so the planner's and the optimizer's work is memoized
+// alongside it.
 func TestCacheReusesCompiledProgram(t *testing.T) {
 	e := New()
 	c := NewCache(8)
@@ -180,19 +206,17 @@ func TestCacheReusesCompiledProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
-		t.Error("cache miss on identical source: compiled closures rebuilt")
-	}
-	if p1.shared.compiled == nil || p1.shared != p2.shared {
-		t.Error("cached programs do not share the compiled form")
+		t.Error("cache miss on identical source: compiled again")
 	}
 	if p1.RewriteStats().Joins != 1 {
 		t.Errorf("cached program lost its rewrite stats: %+v", p1.RewriteStats())
 	}
 }
 
-// TestCompiledFunctionSemantics pins the compiled user-function calling
-// convention against walker behaviours with teeth: recursion depth
-// limit, argument/result conversion errors, exit-with unwinding.
+// TestCompiledFunctionSemantics pins the user-function calling
+// convention where it has teeth: recursion depth limit, argument/result
+// conversion errors, and an optimized body (the fold of 2 - 1) called
+// recursively.
 func TestCompiledFunctionSemantics(t *testing.T) {
 	e := New()
 
@@ -206,17 +230,18 @@ func TestCompiledFunctionSemantics(t *testing.T) {
 		t.Errorf("result conversion: got %v", err)
 	}
 
-	p := e.MustCompile(`declare function local:fib($n) { if ($n lt 2) then $n else local:fib($n - 1) + local:fib($n - 2) }; local:fib(15)`)
-	for _, disable := range []bool{false, true} {
-		res, err := p.Run(RunConfig{DisableCompile: disable})
+	const fib = `declare function local:fib($n) { if ($n lt 2) then $n else local:fib($n - (2 - 1)) + local:fib($n - 2) }; local:fib(15)`
+	oracle, err := compileOracle(t, e, fib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []*Program{e.MustCompile(fib), oracle} {
+		res, err := p.Run(RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := FormatSequence(res.Value, markup.AppendXML); got != "610" {
-			t.Errorf("fib(15) disable=%v: got %s", disable, got)
+			t.Errorf("fib(15), program %d: got %s", i, got)
 		}
 	}
 }
-
-// newRunProfiler is a tiny indirection so the test reads clearly.
-func newRunProfiler() *runtime.Profiler { return runtime.NewProfiler() }

@@ -64,7 +64,7 @@ func (c *Cache) EvalPerDocument(e *Engine, src string, parent *runtime.Context, 
 			return fmt.Errorf("%w: evaluated on documents, not on %s", ErrNotShippable, it.Type())
 		}
 		ctx.Item = it
-		vals, err := p.shared.compiled.Run(ctx)
+		vals, err := ctx.RunBody()
 		if err != nil {
 			return err
 		}
@@ -95,7 +95,7 @@ func (c *Cache) compilePerDocument(e *Engine, key progKey) (*Program, error) {
 		// The parsed module is shared, and a concurrent compile may be
 		// planning it: read it behind the planner's once, like every
 		// reader.
-		m.EnsurePlanned(func() { plan.Annotate(m) })
+		m.EnsurePlanned(func() { plan.Prepare(m) })
 		if err := perDocumentPolicy(m); err != nil {
 			return nil, err
 		}

@@ -5,8 +5,8 @@ import (
 	"repro/internal/xquery/ast"
 )
 
-// Optimize is the algebraic rewrite stage between path planning and
-// closure compilation: it rebuilds an expression tree with
+// The algebraic optimizer is the stage between path planning and
+// evaluation: it rebuilds an expression tree with
 //
 //   - constant subtrees folded to literals (sharing plan.Fold with the
 //     static analyzer, so the two passes agree on what is constant);
@@ -16,41 +16,97 @@ import (
 //     path as ordinary predicates — the shape the path planner then
 //     turns into index probes;
 //   - loop-invariant let bindings and where conjuncts wrapped in
-//     ast.Hoisted, which the compiled backend memoises per FLWOR entry;
+//     ast.Hoisted, which the evaluator memoises per FLWOR entry;
 //   - equality predicates between the last for clause and an earlier
 //     one annotated as ast.JoinPlan for hash-join execution.
 //
-// Every rewrite copies: Optimize never mutates its input, because the
-// input is the shared, cache-resident parsed module (the `planpure`
-// vet pass in tools/analyzers enforces the discipline syntactically).
-// Rewrites are conservative about effects, per FLUX: a subexpression
-// is only moved or memoised when pureExpr proves it free of updates,
-// scripting state, browser effects and node construction, so no
-// rewrite reorders across an updating expression and PUL snapshot
-// semantics survive unchanged.
-type Stats struct {
-	Folds     int // subtrees replaced by literals
-	Pushdowns int // where conjuncts moved into path predicates
-	Hoists    int // loop-invariant lets/conjuncts marked Hoisted
-	Joins     int // FLWORs annotated with a JoinPlan
-}
+// Every rewrite copies: the optimizer never mutates its input, because
+// the input is the planned tree the static analyzer and a stray-import
+// binding keep reading (the `planpure` vet pass in tools/analyzers
+// enforces the discipline syntactically). Prepare installs the result
+// as a second set of roots on the module (ast.Module.Optimized).
+//
+// Rewrites are conservative about effects, per FLUX, and the conditions
+// are stated here once because there is one evaluator to hold them:
+//
+//   - a subexpression is only moved or memoised when pureExpr proves it
+//     free of updates, scripting state, browser effects and node
+//     construction, so no rewrite reorders across an updating
+//     expression and PUL snapshot semantics survive unchanged;
+//   - a unit (module body or function body) that contains a scripting
+//     construct is not optimized at all (hasScripting): its variables
+//     are assignable and its statements apply pending updates as they
+//     go, so nothing in it is invariant;
+//   - a FLWOR is flattened but gets no pushdown, hoist or join when
+//     evaluating any part of it — clauses, where, order by, return — can
+//     reach something that changes the documents before the loop ends
+//     (changesMidLoop): a scripting construct or an event or style
+//     statement, directly or in a function it calls, closed over the
+//     module's call graph; and a call of a `sequential` or external
+//     function, or of a name neither the module nor the fn:/xs:/ft:
+//     library declares (a host or imported function, whose effects only
+//     a binding knows). Pushdown moves a conjunct from "tested per
+//     tuple" to "tested when the domain is computed"; under scripting
+//     snapshots the domain is computed before the first tuple, so an
+//     update the body applied mid-loop would no longer be seen;
+//   - beside that static rule, the evaluator switches the hoist memo and
+//     the hash join off in a run with scripting snapshots on.
+
+// Stats counts the optimizer's rewrites.
+type Stats = ast.RewriteStats
 
 // Optimize rewrites e bottom-up, accumulating rewrite counts into st
-// (which may be nil).
+// (which may be nil). It knows no module, so every call outside the
+// library counts as one that may change the documents mid-loop.
 func Optimize(e ast.Expr, st *Stats) ast.Expr {
 	if st == nil {
 		st = &Stats{}
 	}
-	o := &optimizer{st: st}
+	o := &optimizer{st: st, calls: unknownCalls}
 	return o.expr(e)
 }
 
-type optimizer struct {
-	st *Stats
+// Prepare is the module's one planning pass, run through
+// Module.EnsurePlanned: Annotate, then the optimizer over the module
+// body and every function body, installed as the module's second set of
+// roots. A unit containing scripting constructs keeps its planned tree
+// only (Optimized stays nil).
+func Prepare(m *ast.Module) {
+	Annotate(m)
+	o := &optimizer{st: &m.Rewrites, calls: moduleCalls(m)}
+	for i := range m.Prolog.Functions {
+		if body := m.Prolog.Functions[i].Body; body != nil && !hasScripting(body) {
+			m.Prolog.Functions[i].Optimized = o.expr(body)
+		}
+	}
+	if m.Body != nil && !hasScripting(m.Body) {
+		m.Optimized = o.expr(m.Body)
+	}
 }
 
-// expr rewrites children first, then tries node-local rewrites.
+type optimizer struct {
+	st       *Stats
+	flattens int // FLWOR levels merged: the one rewrite Stats does not count
+	// calls reports whether a call can change the documents before it
+	// returns (see changesMidLoop).
+	calls func(ast.FuncCall) bool
+}
+
+// expr returns e optimized — e itself where no rewrite fired under it,
+// so the optimized roots share with the planned ones every subtree the
+// optimizer left alone (a cached module holds one tree and a few
+// differences, not two trees).
 func (o *optimizer) expr(e ast.Expr) ast.Expr {
+	st, flattens := *o.st, o.flattens
+	out := o.rewrite(e)
+	if *o.st == st && o.flattens == flattens {
+		return e
+	}
+	return out
+}
+
+// rewrite rewrites children first, then tries node-local rewrites.
+func (o *optimizer) rewrite(e ast.Expr) ast.Expr {
 	e = mapChildren(e, o.expr)
 	if lit, ok := o.foldToLiteral(e); ok {
 		o.st.Folds++
@@ -132,6 +188,9 @@ func (o *optimizer) foldToLiteral(e ast.Expr) (ast.Expr, bool) {
 
 func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
 	f = o.flatten(f)
+	if changesMidLoop(f, o.calls) {
+		return f
+	}
 	conj := andConjuncts(f.Where)
 	conj, f.Join = o.detectJoin(f, conj)
 	if f.Join != nil {
@@ -139,8 +198,9 @@ func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
 	} else {
 		conj, f.Clauses = o.pushdown(f.Clauses, conj)
 	}
-	f.Clauses = o.hoistLets(f.Clauses)
-	conj = o.hoistConjuncts(f.Clauses, conj)
+	slots := 0 // of the FLWOR's ast.Hoisted, lets first
+	f.Clauses = o.hoistLets(f.Clauses, &slots)
+	conj = o.hoistConjuncts(f.Clauses, conj, &slots)
 	f.Where = andChain(conj)
 	return f
 }
@@ -152,7 +212,10 @@ func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
 // tuples are collected) and the outer level has no filter of its own.
 // A level the planner annotated for shipping stays a FLWOR of its own:
 // its plan speaks for exactly its clauses, so it can neither move onto
-// the merged FLWOR nor be dropped with the level.
+// the merged FLWOR nor be dropped with the level. The inner level was
+// optimized first (bottom-up), and what it hoisted was invariant across
+// its own tuples only — of the merged FLWOR's entry it may be anything —
+// so its marks come off and the merged FLWOR decides afresh.
 func (o *optimizer) flatten(f ast.FLWOR) ast.FLWOR {
 	for f.Where == nil && len(f.OrderBy) == 0 && f.Join == nil && f.Ship == nil {
 		inner, ok := f.Return.(ast.FLWOR)
@@ -161,10 +224,27 @@ func (o *optimizer) flatten(f ast.FLWOR) ast.FLWOR {
 		}
 		clauses := make([]ast.Clause, 0, len(f.Clauses)+len(inner.Clauses))
 		clauses = append(clauses, f.Clauses...)
-		clauses = append(clauses, inner.Clauses...)
-		f = ast.FLWOR{Clauses: clauses, Where: inner.Where, Return: inner.Return}
+		for _, cl := range inner.Clauses {
+			cl.In = o.unhoist(cl.In)
+			clauses = append(clauses, cl)
+		}
+		conj := andConjuncts(inner.Where)
+		for i := range conj {
+			conj[i] = o.unhoist(conj[i])
+		}
+		f = ast.FLWOR{Clauses: clauses, Where: andChain(conj), Return: inner.Return}
+		o.flattens++
 	}
 	return f
+}
+
+// unhoist takes a hoist mark, and its count, back.
+func (o *optimizer) unhoist(e ast.Expr) ast.Expr {
+	if h, ok := e.(ast.Hoisted); ok {
+		o.st.Hoists--
+		return h.X
+	}
+	return e
 }
 
 // andConjuncts splits a where expression on top-level `and` into its
@@ -556,7 +636,7 @@ func rewriteFTForPushdown(sel ast.FTSelection, v dom.QName) (ast.FTSelection, bo
 // hoistLets wraps loop-invariant let bindings (pure, independent of
 // every iteration-variant variable bound earlier, with at least one
 // for clause in front) in ast.Hoisted.
-func (o *optimizer) hoistLets(clauses []ast.Clause) []ast.Clause {
+func (o *optimizer) hoistLets(clauses []ast.Clause, slots *int) []ast.Clause {
 	variant := map[string]bool{}
 	sawFor := false
 	var out []ast.Clause
@@ -575,7 +655,8 @@ func (o *optimizer) hoistLets(clauses []ast.Clause) []ast.Clause {
 				out = make([]ast.Clause, len(clauses))
 				copy(out, clauses)
 			}
-			out[i].In = ast.Hoisted{X: cl.In}
+			out[i].In = ast.Hoisted{X: cl.In, Slot: *slots}
+			*slots++
 			o.st.Hoists++
 			continue
 		}
@@ -590,9 +671,9 @@ func (o *optimizer) hoistLets(clauses []ast.Clause) []ast.Clause {
 }
 
 // hoistConjuncts wraps loop-invariant where conjuncts in ast.Hoisted;
-// the compiled backend memoises their EBV at first use, so a
-// zero-iteration loop still never evaluates them.
-func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr) []ast.Expr {
+// the evaluator memoises their EBV at first use, so a zero-iteration
+// loop still never evaluates them.
+func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr, slots *int) []ast.Expr {
 	hasFor := false
 	for _, cl := range clauses {
 		if cl.For {
@@ -611,7 +692,8 @@ func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr) []ast.
 				out = make([]ast.Expr, len(conj))
 				copy(out, conj)
 			}
-			out[i] = ast.Hoisted{X: c}
+			out[i] = ast.Hoisted{X: c, Slot: *slots}
+			*slots++
 			o.st.Hoists++
 		}
 	}
@@ -798,102 +880,13 @@ func pureExpr(e ast.Expr) bool {
 }
 
 // mentionsVars reports whether e references any variable in vars.
-// Shadowing is ignored (a shadowed mention still answers true) and
-// unknown shapes answer true: both errors are on the safe side — the
-// optimizer merely skips a rewrite.
+// Shadowing is ignored (a shadowed mention still answers true), which
+// errs on the safe side: the optimizer merely skips a rewrite.
 func mentionsVars(e ast.Expr, vars map[string]bool) bool {
-	if len(vars) == 0 {
-		return false
-	}
-	switch x := e.(type) {
-	case nil:
-		return false
-	case ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit, ast.ContextItem:
-		return false
-	case ast.VarRef:
-		return vars[vkey(x.Name)]
-	case ast.SeqExpr:
-		for _, it := range x.Items {
-			if mentionsVars(it, vars) {
-				return true
-			}
-		}
-		return false
-	case ast.Ordered:
-		return mentionsVars(x.X, vars)
-	case ast.Hoisted:
-		return mentionsVars(x.X, vars)
-	case ast.FuncCall:
-		for _, a := range x.Args {
-			if mentionsVars(a, vars) {
-				return true
-			}
-		}
-		return false
-	case ast.If:
-		return mentionsVars(x.Cond, vars) || mentionsVars(x.Then, vars) || mentionsVars(x.Else, vars)
-	case ast.FLWOR:
-		for _, cl := range x.Clauses {
-			if mentionsVars(cl.In, vars) {
-				return true
-			}
-		}
-		if x.Join != nil &&
-			(mentionsVars(x.Join.OuterKey, vars) || mentionsVars(x.Join.InnerKey, vars)) {
-			return true
-		}
-		for _, os := range x.OrderBy {
-			if mentionsVars(os.Key, vars) {
-				return true
-			}
-		}
-		return mentionsVars(x.Where, vars) || mentionsVars(x.Return, vars)
-	case ast.Quantified:
-		for _, cl := range x.Vars {
-			if mentionsVars(cl.In, vars) {
-				return true
-			}
-		}
-		return mentionsVars(x.Satisfies, vars)
-	case ast.Typeswitch:
-		if mentionsVars(x.Operand, vars) || mentionsVars(x.Default, vars) {
-			return true
-		}
-		for _, c := range x.Cases {
-			if mentionsVars(c.Body, vars) {
-				return true
-			}
-		}
-		return false
-	case ast.Binary:
-		return mentionsVars(x.L, vars) || mentionsVars(x.R, vars)
-	case ast.Compare:
-		return mentionsVars(x.L, vars) || mentionsVars(x.R, vars)
-	case ast.Unary:
-		return mentionsVars(x.X, vars)
-	case ast.Range:
-		return mentionsVars(x.L, vars) || mentionsVars(x.R, vars)
-	case ast.InstanceOf:
-		return mentionsVars(x.X, vars)
-	case ast.TreatAs:
-		return mentionsVars(x.X, vars)
-	case ast.CastAs:
-		return mentionsVars(x.X, vars)
-	case ast.Path:
-		for _, s := range x.Steps {
-			if s.Primary != nil && mentionsVars(s.Primary, vars) {
-				return true
-			}
-			for _, pr := range s.Preds {
-				if mentionsVars(pr, vars) {
-					return true
-				}
-			}
-		}
-		return false
-	default:
-		return true
-	}
+	return len(vars) > 0 && contains(e, func(x ast.Expr) bool {
+		v, ok := x.(ast.VarRef)
+		return ok && vars[vkey(v.Name)]
+	})
 }
 
 // --- copy-based child rewriting ---------------------------------------------

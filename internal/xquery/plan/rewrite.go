@@ -60,117 +60,11 @@ func BooleanValuedPred(e ast.Expr) bool {
 	}
 }
 
-// AnyExprMentions reports whether any expression in the list mentions
-// a call to the given function (see ExprMentions).
-func AnyExprMentions(es []ast.Expr, local string) bool {
-	for _, e := range es {
-		if ExprMentions(e, local) {
-			return true
-		}
-	}
-	return false
-}
-
 // ExprMentions reports whether an expression tree contains a function
-// call with the given local name. It is deliberately conservative:
-// unknown expression kinds answer true, so a caller relying on a false
-// answer (to stream, to rewrite) can never be wrong.
+// call with the given local name, in any namespace.
 func ExprMentions(e ast.Expr, local string) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit,
-		ast.VarRef, ast.ContextItem:
-		return false
-	case ast.SeqExpr:
-		return AnyExprMentions(x.Items, local)
-	case ast.Ordered:
-		return ExprMentions(x.X, local)
-	case ast.FuncCall:
-		if x.Name.Local == local {
-			return true
-		}
-		return AnyExprMentions(x.Args, local)
-	case ast.If:
-		return ExprMentions(x.Cond, local) || ExprMentions(x.Then, local) ||
-			ExprMentions(x.Else, local)
-	case ast.FLWOR:
-		for _, c := range x.Clauses {
-			if ExprMentions(c.In, local) {
-				return true
-			}
-		}
-		for _, o := range x.OrderBy {
-			if ExprMentions(o.Key, local) {
-				return true
-			}
-		}
-		return ExprMentions(x.Where, local) || ExprMentions(x.Return, local)
-	case ast.Quantified:
-		for _, c := range x.Vars {
-			if ExprMentions(c.In, local) {
-				return true
-			}
-		}
-		return ExprMentions(x.Satisfies, local)
-	case ast.Typeswitch:
-		if ExprMentions(x.Operand, local) || ExprMentions(x.Default, local) {
-			return true
-		}
-		for _, c := range x.Cases {
-			if ExprMentions(c.Body, local) {
-				return true
-			}
-		}
-		return false
-	case ast.Binary:
-		return ExprMentions(x.L, local) || ExprMentions(x.R, local)
-	case ast.Compare:
-		return ExprMentions(x.L, local) || ExprMentions(x.R, local)
-	case ast.Range:
-		return ExprMentions(x.L, local) || ExprMentions(x.R, local)
-	case ast.Unary:
-		return ExprMentions(x.X, local)
-	case ast.InstanceOf:
-		return ExprMentions(x.X, local)
-	case ast.TreatAs:
-		return ExprMentions(x.X, local)
-	case ast.CastAs:
-		return ExprMentions(x.X, local)
-	case ast.Path:
-		for _, s := range x.Steps {
-			if ExprMentions(s.Primary, local) || AnyExprMentions(s.Preds, local) {
-				return true
-			}
-		}
-		return false
-	case ast.DirElem:
-		for _, a := range x.Attrs {
-			if AnyExprMentions(a.Pieces, local) {
-				return true
-			}
-		}
-		return AnyExprMentions(x.Content, local)
-	case ast.CompConstructor:
-		return ExprMentions(x.NameExpr, local) || ExprMentions(x.Content, local)
-	case ast.FTContains:
-		return ExprMentions(x.X, local) || ftMentions(x.Sel, local)
-	default:
-		return true
-	}
-}
-
-func ftMentions(sel ast.FTSelection, local string) bool {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		return ExprMentions(s.Source, local)
-	case ast.FTAnd:
-		return ftMentions(s.L, local) || ftMentions(s.R, local)
-	case ast.FTOr:
-		return ftMentions(s.L, local) || ftMentions(s.R, local)
-	case ast.FTNot:
-		return ftMentions(s.X, local)
-	default:
-		return true
-	}
+	return contains(e, func(x ast.Expr) bool {
+		c, ok := x.(ast.FuncCall)
+		return ok && c.Name.Local == local
+	})
 }

@@ -55,9 +55,8 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 	case ast.Ordered:
 		return ctx.Eval(x.X)
 	case ast.Hoisted:
-		// The walker does not memoise hoisted subexpressions; it only
-		// has to evaluate them transparently (the compiled backend is
-		// where hoisting pays off).
+		// Memoised where the FLWOR it belongs to evaluates it (see
+		// flworEntry); transparent anywhere else.
 		return ctx.Eval(x.X)
 	case ast.FuncCall:
 		return ctx.evalCall(x)
@@ -231,119 +230,18 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 			return s, err
 		}
 	}
-	var out xdm.Sequence
-	type tuple struct {
-		c    *Context
-		keys []xdm.Item // nil marks an empty key
-	}
-	var tuples []tuple
-	ordered := len(f.OrderBy) > 0
-
-	var rec func(c *Context, i int) error
-	rec = func(c *Context, i int) error {
-		if i == len(f.Clauses) {
-			if f.Join != nil {
-				// The optimizer moved this predicate out of Where into
-				// the join annotation; the walker evaluates it in its
-				// original place (leading conjunct) instead of hashing.
-				keep, err := c.evalEBV(f.Join.Pred)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					return nil
-				}
-			}
-			if f.Where != nil {
-				keep, err := c.evalEBV(f.Where)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					return nil
-				}
-			}
-			if ordered {
-				t := tuple{c: c}
-				for _, spec := range f.OrderBy {
-					k, err := c.evalAtomizedOne(spec.Key)
-					if err != nil {
-						return err
-					}
-					t.keys = append(t.keys, k)
-				}
-				tuples = append(tuples, t)
-				return nil
-			}
-			res, err := c.Eval(f.Return)
-			if err != nil {
-				return err
-			}
-			out = append(out, res...)
-			return nil
-		}
-		cl := f.Clauses[i]
-		if !cl.For {
-			val, err := c.Eval(cl.In)
-			if err != nil {
-				return err
-			}
-			if cl.Type != nil {
-				if val, err = ConvertValue(val, *cl.Type); err != nil {
-					return fmt.Errorf("xquery: let $%s: %w", cl.Var.Local, err)
-				}
-			}
-			return rec(c.withBinding(cl.Var, val), i+1)
-		}
-		// The binding sequence of a for clause streams: the return
-		// clause runs as items arrive, so a consumer that stops early
-		// (EBV, a positional filter on the FLWOR) stops the walk too.
-		// Sequential (scripting) mode keeps the eager snapshot: the
-		// body may apply updates between iterations, and the domain
-		// must be fixed before the first one.
-		var domain xdm.Iter
-		if c.SnapshotApply != nil {
-			val, err := c.Eval(cl.In)
-			if err != nil {
-				return err
-			}
-			domain = xdm.FromSlice(val)
-		} else {
-			domain = c.EvalIter(cl.In)
-		}
-		pos := 0
-		for {
-			item, ok, err := domain.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			pos++
-			one := xdm.Singleton(item)
-			if cl.Type != nil {
-				if one, err = ConvertValue(one, *cl.Type); err != nil {
-					return fmt.Errorf("xquery: for $%s: %w", cl.Var.Local, err)
-				}
-			}
-			c2 := c.withBinding(cl.Var, one)
-			if !cl.PosVar.IsZero() {
-				c2 = c2.withBinding(cl.PosVar, xdm.Singleton(xdm.Integer(pos)))
-			}
-			if err := rec(c2, i+1); err != nil {
-				return err
-			}
-		}
-	}
-	if err := rec(ctx, 0); err != nil {
+	// Under scripting snapshots the body may apply updates between two
+	// tuples, so nothing is invariant across them: no memo, no hash table.
+	en := flworEntry{f: f, stable: ctx.SnapshotApply == nil}
+	if err := en.clause(ctx, 0); err != nil {
 		return nil, err
 	}
-	if !ordered {
-		return out, nil
+	if len(f.OrderBy) == 0 {
+		return en.out, nil
 	}
 
 	// Stable sort on the collected keys. Default empty order: least.
+	tuples := en.tuples
 	var sortErr error
 	sort.SliceStable(tuples, func(a, b int) bool {
 		if sortErr != nil {
@@ -370,9 +268,192 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, res...)
+		en.out = append(en.out, res...)
 	}
-	return out, nil
+	return en.out, nil
+}
+
+// flworEntry is one evaluation of a FLWOR: the tuples and results so
+// far, and what the optimizer's annotations let the entry keep beside
+// them — the first-use memo of its hoisted lets and where conjuncts
+// (ast.Hoisted) and the hash table of its join (ast.JoinPlan, join.go).
+// Both live here, for exactly one entry, because what they hold is
+// invariant within an entry and not across entries.
+type flworEntry struct {
+	f      ast.FLWOR
+	stable bool // no scripting snapshots: the memo and the hash join are on
+	memo   []hoistCell
+	join   *hashJoin
+	out    xdm.Sequence
+	tuples []flworTuple // collected for order by
+}
+
+type flworTuple struct {
+	c    *Context
+	keys []xdm.Item // nil marks an empty key
+}
+
+// hoistCell memoises one ast.Hoisted: a let value or a conjunct's EBV.
+type hoistCell struct {
+	done bool
+	seq  xdm.Sequence
+	ebv  bool
+}
+
+func (en *flworEntry) cell(slot int) *hoistCell {
+	for len(en.memo) <= slot {
+		en.memo = append(en.memo, hoistCell{})
+	}
+	return &en.memo[slot]
+}
+
+// clause binds clause i and everything after it in c, then runs the
+// tuple.
+func (en *flworEntry) clause(c *Context, i int) error {
+	f := &en.f
+	if i == len(f.Clauses) {
+		return en.tuple(c)
+	}
+	cl := &f.Clauses[i]
+	if !cl.For {
+		val, err := en.letValue(c, cl.In)
+		if err != nil {
+			return err
+		}
+		if cl.Type != nil {
+			if val, err = ConvertValue(val, *cl.Type); err != nil {
+				return fmt.Errorf("xquery: let $%s: %w", cl.Var.Local, err)
+			}
+		}
+		return en.clause(c.withBinding(cl.Var, val), i+1)
+	}
+	joined := f.Join != nil && f.Join.Clause == i
+	if joined && en.stable {
+		return en.joinClause(c, i)
+	}
+	// The binding sequence of a for clause streams: the return
+	// clause runs as items arrive, so a consumer that stops early
+	// (EBV, a positional filter on the FLWOR) stops the walk too.
+	// Sequential (scripting) mode keeps the eager snapshot: the
+	// body may apply updates between iterations, and the domain
+	// must be fixed before the first one.
+	var domain xdm.Iter
+	if c.SnapshotApply != nil {
+		val, err := c.Eval(cl.In)
+		if err != nil {
+			return err
+		}
+		domain = xdm.FromSlice(val)
+	} else {
+		domain = c.EvalIter(cl.In)
+	}
+	pos := 0
+	for {
+		item, ok, err := domain.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+		pos++
+		one := xdm.Singleton(item)
+		if cl.Type != nil {
+			if one, err = ConvertValue(one, *cl.Type); err != nil {
+				return fmt.Errorf("xquery: for $%s: %w", cl.Var.Local, err)
+			}
+		}
+		c2 := c.withBinding(cl.Var, one)
+		if !cl.PosVar.IsZero() {
+			c2 = c2.withBinding(cl.PosVar, xdm.Singleton(xdm.Integer(pos)))
+		}
+		if joined {
+			err = en.joinTuple(c2, i)
+		} else {
+			err = en.clause(c2, i+1)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// tuple runs one fully bound tuple: where, then order keys or return.
+func (en *flworEntry) tuple(c *Context) error {
+	f := &en.f
+	if f.Where != nil {
+		keep, err := en.holds(c, f.Where)
+		if err != nil || !keep {
+			return err
+		}
+	}
+	if len(f.OrderBy) > 0 {
+		t := flworTuple{c: c}
+		for _, spec := range f.OrderBy {
+			k, err := c.evalAtomizedOne(spec.Key)
+			if err != nil {
+				return err
+			}
+			t.keys = append(t.keys, k)
+		}
+		en.tuples = append(en.tuples, t)
+		return nil
+	}
+	res, err := c.Eval(f.Return)
+	if err != nil {
+		return err
+	}
+	en.out = append(en.out, res...)
+	return nil
+}
+
+// letValue evaluates a let clause's value, a hoisted one at most once
+// per entry.
+func (en *flworEntry) letValue(c *Context, e ast.Expr) (xdm.Sequence, error) {
+	h, hoisted := e.(ast.Hoisted)
+	if !hoisted || !en.stable {
+		return c.Eval(e)
+	}
+	m := en.cell(h.Slot)
+	if !m.done {
+		seq, err := c.Eval(h.X)
+		if err != nil {
+			return nil, err
+		}
+		*m = hoistCell{done: true, seq: seq}
+	}
+	return m.seq, nil
+}
+
+// holds computes the EBV of a where clause conjunct by conjunct, left
+// to right with `and`'s short circuit, a hoisted conjunct at most once
+// per entry — at its first use, so a loop that never gets to it never
+// evaluates it.
+func (en *flworEntry) holds(c *Context, e ast.Expr) (bool, error) {
+	switch x := e.(type) {
+	case ast.Binary:
+		if x.Op == "and" {
+			l, err := en.holds(c, x.L)
+			if err != nil || !l {
+				return false, err
+			}
+			return en.holds(c, x.R)
+		}
+	case ast.Hoisted:
+		if !en.stable {
+			break
+		}
+		m := en.cell(x.Slot)
+		if !m.done {
+			b, err := c.evalEBV(x.X)
+			if err != nil {
+				return false, err
+			}
+			*m = hoistCell{done: true, ebv: b}
+		}
+		return m.ebv, nil
+	}
+	return c.evalEBV(e)
 }
 
 func compareOrderKeys(a, b xdm.Item, spec ast.OrderSpec) (int, error) {

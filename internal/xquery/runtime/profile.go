@@ -35,7 +35,6 @@ type Profiler struct {
 type ProfileEntry struct {
 	Kind      string
 	Count     int64
-	Compiled  int64 // evaluations served by a compiled closure
 	Items     int64
 	IndexHits int64
 	Time      time.Duration
@@ -56,35 +55,6 @@ func (p *Profiler) record(kind string, d time.Duration) {
 	e.Count++
 	e.Time += d
 	p.mu.Unlock()
-}
-
-// RecordCompiled counts one evaluation of an expression kind performed
-// by a compiled closure (internal/xquery/compile): it contributes to
-// Count like a walked evaluation and additionally to Compiled, so a
-// profile shows how much of a query ran natively versus bridged to the
-// walker. Compiled closures do not time themselves — per-node clock
-// reads are most of what compilation removes.
-func (p *Profiler) RecordCompiled(kind string) {
-	p.mu.Lock()
-	e := p.entries[kind]
-	if e == nil {
-		e = &ProfileEntry{Kind: kind}
-		p.entries[kind] = e
-	}
-	e.Count++
-	e.Compiled++
-	p.mu.Unlock()
-}
-
-// CompiledFor returns the compiled-evaluation count for one expression
-// kind.
-func (p *Profiler) CompiledFor(kind string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e := p.entries[kind]; e != nil {
-		return e.Compiled
-	}
-	return 0
 }
 
 // add adds to a counter of one of the named families below.
@@ -229,17 +199,16 @@ func (p *Profiler) Total() int64 {
 }
 
 // Format renders a report (cmd/xq -profile). Column legend: count is
-// evaluations (walked or compiled), compiled is the subset served by a
-// compiled closure, items is items pulled through streaming iterators,
+// evaluations, items is items pulled through streaming iterators,
 // idxhits is path steps answered from a per-document index instead of
 // an axis walk. Optimizer rewrite counters follow when any is nonzero.
 func (p *Profiler) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %10s %10s %10s %10s %14s\n",
-		"expression", "count", "compiled", "items", "idxhits", "time")
+	fmt.Fprintf(&b, "%-20s %10s %10s %10s %14s\n",
+		"expression", "count", "items", "idxhits", "time")
 	for _, e := range p.Entries() {
-		fmt.Fprintf(&b, "%-20s %10d %10d %10d %10d %14s\n",
-			e.Kind, e.Count, e.Compiled, e.Items, e.IndexHits, e.Time)
+		fmt.Fprintf(&b, "%-20s %10d %10d %10d %14s\n",
+			e.Kind, e.Count, e.Items, e.IndexHits, e.Time)
 	}
 	// The named counters, each family under its prefix.
 	counters := func(prefix string, m map[string]int64) {

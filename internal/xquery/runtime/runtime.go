@@ -94,8 +94,8 @@ type Function struct {
 // may register any function, and whatever it registers shadows the
 // host and library functions of the same name for the importing program
 // ("imports may shadow"); one that stays inside the imported module's
-// namespace keeps the program on its compiled closures, one that does
-// not makes that binding evaluate through the walker (see
+// namespace keeps the program on its optimized roots, one that does not
+// makes that binding evaluate the planned ones (see
 // Program.StrayImports).
 type ModuleResolver func(imp ast.ModuleImport, reg *Registry) error
 
@@ -132,12 +132,21 @@ type Program struct {
 	Reg      *Registry
 	BlockDoc bool
 	// StrayImports reports that a module resolver registered a function
-	// outside the namespaces the module imports. Closures compiled for
-	// the module (once, for every binding) resolved calls outside those
-	// namespaces without this binding's import layer, so they may call a
-	// function the import shadows; the walker resolves every call in Reg
-	// and is the evaluator to use for this binding.
+	// outside the namespaces the module imports. The optimizer worked on
+	// the module once, for every binding, taking the library's names for
+	// the library's functions (it folds fn:concat, hoists fn:count), and
+	// this binding may shadow one of them: it evaluates the planned roots,
+	// which assume nothing about any function.
 	StrayImports bool
+}
+
+// root chooses which of a unit's two roots this binding evaluates: the
+// optimized one where the module has it and nothing is shadowed.
+func (p *Program) root(planned, optimized ast.Expr) ast.Expr {
+	if optimized == nil || p.StrayImports {
+		return planned
+	}
+	return optimized
 }
 
 // resolverRetries counts module-resolver load attempts retried after a
@@ -179,13 +188,13 @@ func Compile(m *ast.Module, cfg CompileConfig) (*Program, error) {
 }
 
 // CompileFunctions is the host-independent half of compilation: it
-// runs the path planner (once per module, however often it is
-// compiled: step access-method annotations must be in place before any
-// evaluation reads them) and compiles the prolog's function
+// runs the planner and the optimizer (once per module, however often it
+// is compiled: the annotations and the optimized roots must be in place
+// before any evaluation reads them) and compiles the prolog's function
 // declarations into a frozen layer of their own. Nothing in the result
 // refers to an engine, so every binding of the module shares it.
 func CompileFunctions(m *ast.Module) *Registry {
-	m.EnsurePlanned(func() { plan.Annotate(m) })
+	m.EnsurePlanned(func() { plan.Prepare(m) })
 	user := NewRegistry()
 	for i := range m.Prolog.Functions {
 		if decl := &m.Prolog.Functions[i]; !decl.External {
@@ -233,7 +242,7 @@ func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
 	return &Program{Module: m, Reg: reg, BlockDoc: cfg.BlockDoc, StrayImports: stray}, nil
 }
 
-// userFunction compiles one prolog function declaration: a walker call
+// userFunction compiles one prolog function declaration: an evaluation
 // of the declared body in whatever context invokes it.
 func userFunction(decl *ast.FuncDecl) *Function {
 	d := decl
@@ -268,7 +277,7 @@ func userFunction(decl *ast.FuncDecl) *Function {
 				}
 				callee.env = callee.env.bind(prm.Name, v)
 			}
-			res, err := callee.Eval(d.Body)
+			res, err := callee.Eval(ctx.Prog.root(d.Body, d.Optimized))
 			if ex, ok := err.(*exitError); ok {
 				res, err = ex.val, nil
 			}
@@ -486,10 +495,18 @@ func (ctx *Context) Run() (xdm.Sequence, error) {
 	if err := ctx.InitGlobals(); err != nil {
 		return nil, err
 	}
-	if ctx.Prog.Module.Body == nil {
+	return ctx.RunBody()
+}
+
+// RunBody evaluates the module body (nothing, for a library module) in
+// a context whose globals are initialised: the second half of Run, for
+// a host that does the first on its own.
+func (ctx *Context) RunBody() (xdm.Sequence, error) {
+	m := ctx.Prog.Module
+	if m.Body == nil {
 		return nil, nil
 	}
-	res, err := ctx.Eval(ctx.Prog.Module.Body)
+	res, err := ctx.Eval(ctx.Prog.root(m.Body, m.Optimized))
 	if ex, ok := err.(*exitError); ok {
 		return ex.val, nil
 	}

@@ -80,13 +80,10 @@ func TestSharedProgramCallsTheBindingEnginesHostFunctions(t *testing.T) {
 		if pa.shared != pb.shared {
 			t.Fatalf("%q: not shared", src)
 		}
-		for _, walk := range []bool{false, true} {
-			gotA := runOn(t, pa, RunConfig{DisableCompile: walk})
-			gotB := runOn(t, pb, RunConfig{DisableCompile: walk})
-			if !strings.Contains(gotA, "A") || strings.Contains(gotA, "B") ||
-				!strings.Contains(gotB, "B") || strings.Contains(gotB, "A") {
-				t.Errorf("%q (walker=%v): engine A got %q, engine B got %q", src, walk, gotA, gotB)
-			}
+		gotA, gotB := runOn(t, pa, RunConfig{}), runOn(t, pb, RunConfig{})
+		if !strings.Contains(gotA, "A") || strings.Contains(gotA, "B") ||
+			!strings.Contains(gotB, "B") || strings.Contains(gotB, "A") {
+			t.Errorf("%q: engine A got %q, engine B got %q", src, gotA, gotB)
 		}
 	}
 	if st := c.Stats(); st.Compiles != 4 || st.ProgramHits != 4 {
@@ -135,16 +132,14 @@ func TestShapeSeparatesDifferentStaticContexts(t *testing.T) {
 			t.Errorf("%s: shares the base engine's compilation", name)
 		}
 	}
-	// The shadow is the engine's own: it answers compiled and walked
-	// runs there, and the library's fn:count answers everywhere else.
+	// The shadow is the engine's own: it answers there, and the
+	// library's fn:count answers everywhere else.
 	shadow, _ := c.Compile(others["shadowed built-in"], src)
-	for _, walk := range []bool{false, true} {
-		if got := runOn(t, shadow, RunConfig{DisableCompile: walk}); got != "-1" {
-			t.Errorf("shadowed fn:count (walker=%v) = %q, want -1", walk, got)
-		}
-		if got := runOn(t, want, RunConfig{DisableCompile: walk}); got != "3" {
-			t.Errorf("library fn:count (walker=%v) = %q, want 3", walk, got)
-		}
+	if got := runOn(t, shadow, RunConfig{}); got != "-1" {
+		t.Errorf("shadowed fn:count = %q, want -1", got)
+	}
+	if got := runOn(t, want, RunConfig{}); got != "3" {
+		t.Errorf("library fn:count = %q, want 3", got)
 	}
 	lib, _ := funclib.Library()
 	if lib.Lookup(fnCount, 1) == others["shadowed built-in"].Registry().Lookup(fnCount, 1) {
@@ -187,13 +182,11 @@ func TestImportsBindPerEngine(t *testing.T) {
 	if callsA != 1 || callsB != 1 {
 		t.Errorf("resolver calls = %d and %d, want one per binding", callsA, callsB)
 	}
-	for _, walk := range []bool{false, true} {
-		if got := runOn(t, pa, RunConfig{DisableCompile: walk}); got != "svc-A#1 svc-A#2" {
-			t.Errorf("engine A (walker=%v) called %q", walk, got)
-		}
-		if got := runOn(t, pb, RunConfig{DisableCompile: walk}); got != "svc-B#1 svc-B#2" {
-			t.Errorf("engine B (walker=%v) called %q", walk, got)
-		}
+	if got := runOn(t, pa, RunConfig{}); got != "svc-A#1 svc-A#2" {
+		t.Errorf("engine A called %q", got)
+	}
+	if got := runOn(t, pb, RunConfig{}); got != "svc-B#1 svc-B#2" {
+		t.Errorf("engine B called %q", got)
 	}
 	// A binding that cannot resolve the import fails on its own; the
 	// shared compilation stays cached for those that can.
@@ -319,9 +312,10 @@ func TestBindingMemoIsBounded(t *testing.T) {
 
 // TestStrayImportsShadowLikeTheWalker: a resolver may register outside
 // the namespace it was asked for, and what it registers shadows host and
-// library functions in the importing program. The shared closures were
-// compiled without that knowledge, so such a binding runs walked, while
-// another binding of the same compilation keeps its closures.
+// library functions in the importing program. The module was optimized
+// without that knowledge — count((1, 2)) is folded to 2 — so such a
+// binding evaluates the planned roots, while another binding of the same
+// compilation keeps the optimized ones.
 func TestStrayImportsShadowLikeTheWalker(t *testing.T) {
 	stray := func(imp ast.ModuleImport, reg *runtime.Registry) error {
 		for _, n := range []dom.QName{
@@ -343,7 +337,7 @@ func TestStrayImportsShadowLikeTheWalker(t *testing.T) {
 		{`count((1, 2))`, "2", "42"},
 		{`h:count(())`, "", "42"}, // unknown to the tidy binding
 	} {
-		// The tidy engine compiles; the stray one reuses its closures.
+		// The tidy engine compiles; the stray one binds the same module.
 		pt, err := c.Compile(et, prolog+tc.body)
 		if err != nil {
 			t.Fatal(err)
@@ -355,17 +349,15 @@ func TestStrayImportsShadowLikeTheWalker(t *testing.T) {
 		if pt.shared != ps.shared {
 			t.Fatal("resolvers are not part of the shape")
 		}
-		for _, walk := range []bool{false, true} {
-			if got := runOn(t, ps, RunConfig{DisableCompile: walk}); got != tc.stray {
-				t.Errorf("%s: stray binding (walker=%v) = %q, want its shadow's %s", tc.body, walk, got, tc.stray)
-			}
-			res, err := pt.Run(RunConfig{DisableCompile: walk})
-			switch {
-			case tc.tidy == "" && !errors.Is(err, ErrUnknownFunction):
-				t.Errorf("%s: tidy binding (walker=%v): err = %v, want ErrUnknownFunction", tc.body, walk, err)
-			case tc.tidy != "" && (err != nil || res.Value[0].String() != tc.tidy):
-				t.Errorf("%s: tidy binding (walker=%v) = %v %v, want %s", tc.body, walk, res, err, tc.tidy)
-			}
+		if got := runOn(t, ps, RunConfig{}); got != tc.stray {
+			t.Errorf("%s: stray binding = %q, want its shadow's %s", tc.body, got, tc.stray)
+		}
+		res, err := pt.Run(RunConfig{})
+		switch {
+		case tc.tidy == "" && !errors.Is(err, ErrUnknownFunction):
+			t.Errorf("%s: tidy binding: err = %v, want ErrUnknownFunction", tc.body, err)
+		case tc.tidy != "" && (err != nil || res.Value[0].String() != tc.tidy):
+			t.Errorf("%s: tidy binding = %v %v, want %s", tc.body, res, err, tc.tidy)
 		}
 	}
 }

@@ -59,15 +59,15 @@ func stepPredDoc(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
-// runStepPred runs p planned and unplanned in each evaluator × backend
-// combination, each run on a document of its own parsed from src
+// runStepPred runs p planned and unplanned, streamed and eager, each
+// run on a document of its own parsed from src
 // (updates mutate it), and fails where the two differ. Evaluators are
 // not compared with each other: a streaming run may stop before the
 // candidate an eager run fails on. It returns the outcome of the
 // planned default run.
 func runStepPred(t *testing.T, label string, p *Program, src string, vars func(doc *dom.Node) map[dom.QName]xdm.Sequence, sequential bool) string {
 	t.Helper()
-	run := func(noIndex, noStream, noCompile bool) string {
+	run := func(noIndex, noStream bool) string {
 		doc, err := markup.Parse(src)
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +77,6 @@ func runStepPred(t *testing.T, label string, p *Program, src string, vars func(d
 			Sequential:       sequential,
 			DisableIndexes:   noIndex,
 			DisableStreaming: noStream,
-			DisableCompile:   noCompile,
 		}
 		if vars != nil {
 			cfg.Variables = vars(doc)
@@ -91,18 +90,10 @@ func runStepPred(t *testing.T, label string, p *Program, src string, vars func(d
 		return FormatSequence(res.Value, markup.AppendXML) + " | " + markup.Serialize(doc)
 	}
 	var first string
-	for _, m := range []struct {
-		name                string
-		noStream, noCompile bool
-	}{
-		{"stream+compiled", false, false},
-		{"stream+walked", false, true},
-		{"eager+compiled", true, false},
-		{"eager+walked", true, true},
-	} {
-		planned, scan := run(false, m.noStream, m.noCompile), run(true, m.noStream, m.noCompile)
+	for _, noStream := range []bool{false, true} {
+		planned, scan := run(false, noStream), run(true, noStream)
 		if planned != scan {
-			t.Errorf("%s: %s: planned =\n  %.300s\nscan =\n  %.300s", label, m.name, planned, scan)
+			t.Errorf("%s: DisableStreaming %v: planned =\n  %.300s\nscan =\n  %.300s", label, noStream, planned, scan)
 		}
 		if first == "" {
 			first = planned

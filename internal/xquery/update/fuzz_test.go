@@ -21,7 +21,9 @@ import (
 // valid with it on) and arms an update.apply fault in front of the
 // pruned apply (bits 1-3: the Nth primitive, 0 for none), which has to
 // leave bytes, version and pending list untouched before the retry is
-// compared.
+// compared. (Nothing is partitioned any more; the name stays because the
+// committed corpus under testdata/fuzz and the tier-1 floor list are
+// keyed by it.)
 func FuzzPULPartition(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})
 	f.Add([]byte{1, 7, 0, 7, 2, 7, 9, 3})

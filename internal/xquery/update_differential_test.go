@@ -26,9 +26,13 @@ func TestUpdateDifferentialPrunedVsApply(t *testing.T) {
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	eliminated := 0
 	for _, src := range append(prunedUpdateQueries, compileDifferentialCorpus...) {
-		p, err := e.Compile(src)
+		opt, err := e.Compile(src)
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)
+		}
+		oracle, err := compileOracle(t, e, src)
+		if err != nil {
+			t.Fatal(err)
 		}
 		type outcome struct {
 			res, doc   string
@@ -36,19 +40,18 @@ func TestUpdateDifferentialPrunedVsApply(t *testing.T) {
 			eliminated int
 			err        error
 		}
-		run := func(reference, walked bool) (o outcome) {
+		run := func(p *Program, reference bool) (o outcome) {
 			doc, err := markup.Parse(libraryXML)
 			if err != nil {
 				t.Fatal(err)
 			}
 			prof := runtime.NewProfiler()
 			cfg := RunConfig{
-				ContextItem:    xdm.NewNode(doc),
-				DisableCompile: walked,
-				MaxSteps:       500_000,
-				Timeout:        5 * time.Second,
-				Now:            now,
-				Profiler:       prof,
+				ContextItem: xdm.NewNode(doc),
+				MaxSteps:    500_000,
+				Timeout:     5 * time.Second,
+				Now:         now,
+				Profiler:    prof,
 				OnUpdate: func(pr update.Primitive) {
 					o.applied = append(o.applied, fmt.Sprintf("%s %s", pr.Kind, nodePath(pr.Target)))
 				},
@@ -75,9 +78,9 @@ func TestUpdateDifferentialPrunedVsApply(t *testing.T) {
 			}
 			return o
 		}
-		ref := run(true, true)
-		for _, walked := range []bool{true, false} {
-			got := run(false, walked)
+		ref := run(oracle, true)
+		for _, p := range []*Program{oracle, opt} {
+			got := run(p, false)
 			if (ref.err == nil) != (got.err == nil) {
 				t.Errorf("%q: Apply err=%v, Run err=%v", src, ref.err, got.err)
 				continue
@@ -98,7 +101,7 @@ func TestUpdateDifferentialPrunedVsApply(t *testing.T) {
 			eliminated += got.eliminated
 		}
 	}
-	// Two no-ops and two dead updates, each seen by both Run modes.
+	// Two no-ops and two dead updates, each seen by both programs.
 	if eliminated < 8 {
 		t.Errorf("the pre-pass eliminated %d primitives over the corpus, want the 8 of prunedUpdateQueries at least", eliminated)
 	}

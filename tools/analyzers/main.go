@@ -41,18 +41,21 @@
 //	            names the ftCache field behind them — access goes
 //	            through index.For/Probe/Fresh/Attach.
 //
-//	planpure    the optimizer and the closure compiler never mutate the
-//	            shared AST: a parsed module is cached and compiled once
-//	            but read by every run, so plan/compile rewrites must
-//	            build fresh nodes (copy-then-modify by value) instead of
-//	            writing through *ast.Node pointers. The sanctioned
-//	            in-place writes are the planner's: the step annotations
-//	            (Access/PredPlans on *ast.Step) it puts on the steps it
-//	            builds, and plan.Annotate replacing a module's
-//	            expression roots (the body, function bodies, global
-//	            initialisers) with their planned forms — idempotent,
-//	            and published through Module.EnsurePlanned's sync.Once
-//	            before any concurrent read. The Ship annotation of a
+//	planpure    the planner and the optimizer never mutate the shared
+//	            AST: a parsed module is cached and compiled once but
+//	            read by every run, so rewrites must build fresh nodes
+//	            (copy-then-modify by value) instead of writing through
+//	            *ast.Node pointers. The sanctioned in-place writes are
+//	            the planner's: the step annotations (Access/PredPlans
+//	            on *ast.Step) it puts on the steps it builds,
+//	            plan.Annotate replacing a module's expression roots
+//	            (the body, function bodies, global initialisers) with
+//	            their planned forms, and plan.Prepare — the one
+//	            installer — putting the optimized roots beside them
+//	            (Module.Optimized, FuncDecl.Optimized): idempotent or
+//	            write-once, and published through
+//	            Module.EnsurePlanned's sync.Once before any concurrent
+//	            read. The Ship annotation of a
 //	            FLWOR or call (ast.ShipPlan) and the Adopt marks of
 //	            constructors, insert and replace (fresh content, taken
 //	            instead of copied) are the planner's too, on values
@@ -578,7 +581,9 @@ func isContextContext(t ast.Expr) bool {
 // planAnnotationFields are the step fields the planner writes in place,
 // on steps it has just built. planRootFields are the module's
 // expression roots, which plan.Annotate — and nothing else — replaces
-// with their planned forms. Both are idempotent and published through
+// with their planned forms; planOptimizedField is the second set of
+// roots, which plan.Prepare — and nothing else — installs. All are
+// idempotent or write-once and published through
 // Module.EnsurePlanned's sync.Once, so they are the legal pointer
 // writes into the shared tree.
 var planAnnotationFields = map[string]bool{
@@ -599,13 +604,16 @@ var planRootFields = map[string]bool{
 	"Init": true, // VarDecl.Init
 }
 
+const planOptimizedField = "Optimized" // Module.Optimized, FuncDecl.Optimized
+
 // planPure reports field assignments that reach the shared AST through
-// a pointer. In plan/compile, an identifier typed *ast.X (receiver,
+// a pointer. In plan, an identifier typed *ast.X (receiver,
 // parameter, declared local, or closure parameter) aliases a node of
 // the cached parsed module, which concurrent runs read without locks —
 // rewrites must copy the node by value and modify the copy. Writes to
-// the planner's annotation fields on *ast.Step, and Annotate's to the
-// roots of its *ast.Module, are exempt (see planAnnotationFields).
+// the planner's annotation fields on *ast.Step, Annotate's to the roots
+// of its *ast.Module and Prepare's to the optimized roots are exempt
+// (see planAnnotationFields).
 //
 // It also reports writes of the Ship and Adopt annotations that are not
 // the planner's (plannerValueFields): such an annotation describes the
@@ -761,6 +769,9 @@ done:
 	}
 	if tn == "Module" && fn == "Annotate" && planRootFields[field] {
 		return nil // the planner installing a planned root
+	}
+	if tn == "Module" && fn == "Prepare" && field == planOptimizedField {
+		return nil // the one installer of the optimized roots
 	}
 	return []finding{{
 		pos: fset.Position(lhs.Pos()),

@@ -63,12 +63,13 @@ func (s *Session) Bump() { s.n++ }
 
 func TestProgMutateGuardsSharedProgramAndRegistry(t *testing.T) {
 	src := `package p
-type sharedProgram struct{ compiled *int }
+type sharedProgram struct{ mod, user *int }
 type Registry struct {
 	funcs  map[string][]int
 	shape  uint64
 	frozen bool
 }
+func (e *Engine) compileShared(m *int) *sharedProgram { return &sharedProgram{mod: m, user: m} }
 func NewRegistry() *Registry { r := &Registry{}; r.funcs = map[string][]int{}; return r }
 func (r *Registry) Register(k string) { r.funcs[k] = append(r.funcs[k], 1); r.shape++ }
 func (r *Registry) Freeze() { r.frozen = true }
@@ -78,7 +79,7 @@ func (r *Registry) Layer() *Registry { return &Registry{} }
 		t.Fatalf("constructors, Register and Freeze: findings = %v, want none", got)
 	}
 	bad := `package p
-type sharedProgram struct{ compiled *int }
+type sharedProgram struct{ mod, user *int }
 type Registry struct {
 	funcs  map[string][]int
 	frozen bool
@@ -87,8 +88,8 @@ type Engine struct{ host *Registry }
 func (r *Registry) Thaw() { r.frozen = false }
 func (r *Registry) Drop(k string) { r.funcs[k] = nil }
 func patch(r *Registry, k string) { r.funcs[k][0] = 2 }
-func (e *Engine) bind(sh *sharedProgram) { sh.compiled = nil }
-func (e *Engine) Register(sh *sharedProgram) { sh.compiled = nil }
+func (e *Engine) bind(sh *sharedProgram) { sh.user = nil }
+func (e *Engine) Register(sh *sharedProgram) { sh.mod = nil }
 `
 	if got := analyze(t, bad, progMutate); len(got) != 5 {
 		t.Fatalf("late writes: findings = %v, want 5", got)
@@ -232,6 +233,30 @@ func optimize(f ast.FLWOR) ast.FLWOR {
 `
 	if got := analyze(t, src, planPure); len(got) != 0 {
 		t.Fatalf("findings = %v, want none", got)
+	}
+}
+
+// The optimized roots are written by plan.Prepare and nobody else, not
+// even Annotate; and Prepare may write nothing else of the module.
+func TestPlanPureOptimizedRootsHaveOneInstaller(t *testing.T) {
+	ok := `package plan
+import "repro/internal/xquery/ast"
+func Prepare(m *ast.Module) {
+	m.Prolog.Functions[0].Optimized = nil
+	m.Optimized = nil
+}
+`
+	if got := analyze(t, ok, planPure); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+	bad := `package plan
+import "repro/internal/xquery/ast"
+func Annotate(m *ast.Module) { m.Optimized = nil }
+func Prepare(m *ast.Module) { m.Body = nil }
+func (o *optimizer) flwor(m *ast.Module, d *ast.FuncDecl) { m.Optimized = nil; d.Optimized = nil }
+`
+	if got := analyze(t, bad, planPure); len(got) != 4 {
+		t.Fatalf("findings = %v, want 4", got)
 	}
 }
 
