@@ -8,13 +8,24 @@ import (
 	"repro/internal/xdm"
 	"repro/internal/xmldb/wal"
 	"repro/internal/xquery"
+	"repro/internal/xquery/ast"
 )
 
 // Query evaluation against stored documents, with the MVCC split:
-// queries the static detector proves pure run directly on the published
-// immutable revision (no copy, no lock); anything that could mutate the
-// context document runs on a private clone that commits as the next
-// revision — or loses a first-committer-wins race with ErrConflict.
+// queries whose effect summary proves them reads run directly on the
+// published immutable revision (no copy, no lock); anything that could
+// mutate the context document runs on a private clone that commits as
+// the next revision — or loses a first-committer-wins race with
+// ErrConflict.
+
+// mutating is the store's column of the planner's effect summary
+// (ast.Module.Effects): an update, fn:put, an event or style statement,
+// a call of a sequential function, or a call nobody in the module can
+// answer for (a host, imported, external or undeclared function). A
+// false positive only costs a clone; a false negative would let a query
+// scribble on a published revision, which is why the opaque call counts.
+const mutating = ast.EffUpdates | ast.EffWrites | ast.EffActsAtOnce |
+	ast.EffSequentialCall | ast.EffOpaqueCall
 
 // run evaluates a compiled program with doc as the context item and the
 // store as doc/collection resolver.
@@ -45,7 +56,7 @@ func (s *Store) Query(uri, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if moduleUpdates(prog.Module()) {
+	if prog.Module().Effects&mutating != 0 { // the engine's compile recorded the summary
 		return s.update(uri, rev, prog)
 	}
 	return s.run(prog, rev.root)

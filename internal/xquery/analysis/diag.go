@@ -91,7 +91,7 @@ const (
 
 	// Plan advisories (XQ05xx): what the planner decided about an
 	// expression, for the author to know. Notes, like XQ0404.
-	CodeShipped   = "XQ0501" // advisory: a per-document map over a collection, shippable to its source
+	CodeShipped   = "XQ0501" // advisory: a per-document map over a collection, which can ship to its source
 	CodeCopiedLet = "XQ0502" // advisory: a constructed node copied because other references read its variable too
 )
 

@@ -767,8 +767,61 @@ type Module struct {
 	Optimized Expr
 	Rewrites  RewriteStats
 
+	// Effects is what running the module can do — the union over its
+	// body and its global initialisers, calls answered from the declared
+	// functions' bodies (plan/props.go). Written once, by plan.Prepare
+	// under EnsurePlanned; a module nobody prepared records none.
+	Effects Effects
+
 	planOnce sync.Once
 }
+
+// Effects is the effect half of the static properties the planner
+// infers for an expression (plan/props.go), one bit each. Bits are
+// conservative: set means "can", clear means "cannot".
+type Effects uint16
+
+// The effect bits. Each consumer reads its own mask of them (DESIGN.md
+// §5r has the table).
+const (
+	// EffUpdates: an update primitive, or a call to an updating function.
+	// A copy … modify absorbs its modify clause's: they target copies.
+	EffUpdates Effects = 1 << iota
+	// EffWrites: fn:put.
+	EffWrites
+	// EffScripting: a scripting construct — block, declaration,
+	// assignment, while, break, continue, exit — in the expression itself.
+	EffScripting
+	// EffScriptedCall: a call to a declared function whose body holds a
+	// scripting construct, directly or through its own calls.
+	EffScriptedCall
+	// EffSequentialCall: a call to a function declared sequential.
+	EffSequentialCall
+	// EffActsAtOnce: an event or style statement, whose effect does not
+	// wait in the pending update list.
+	EffActsAtOnce
+	// EffOpaqueCall: a call of a host, imported, external or undeclared
+	// function: what it does only a binding knows.
+	EffOpaqueCall
+	// EffModuleCall: a call of a function the module declares.
+	EffModuleCall
+	// EffImpure: a library call off the pure list (fn:doc, fn:trace,
+	// fn:error, fn:current-dateTime, ft:score, …) or a style read
+	// through the browser host.
+	EffImpure
+	// EffScores: an ftcontains, which records the scores ft:score reads.
+	EffScores
+	// EffConstructs: builds nodes — a constructor, a copy … modify.
+	EffConstructs
+	// EffReadsFocus: reads the focus outside one a path step sets: the
+	// context item, a leading axis step or "/", a built-in that defaults
+	// an omitted argument to the context item.
+	EffReadsFocus
+	// EffReadsPosition and EffReadsLast: a call named position or last
+	// anywhere under the expression, predicates of its own included.
+	EffReadsPosition
+	EffReadsLast
+)
 
 // RewriteStats counts what the optimizer did to a module.
 type RewriteStats struct {
@@ -780,7 +833,8 @@ type RewriteStats struct {
 
 // EnsurePlanned runs f exactly once over the module's lifetime — the
 // hook the path planner uses to replace the module's expressions with
-// their planned forms and to install the optimized roots beside them. Parsed modules are shared across engines by the
+// their planned forms and to install the optimized roots and the effect
+// summary beside them. Parsed modules are shared across engines by the
 // program cache and compiled concurrently, so the planning pass needs a
 // happens-before edge to every reader; sync.Once provides it. Apart
 // from this single guarded pass the AST stays read-only after parse.

@@ -14,6 +14,7 @@ import (
 // of ast.Hoisted, the three expressions of a join annotation and the
 // word source of a full-text selection.
 func TestHasScripting(t *testing.T) {
+	hasScripting := func(e ast.Expr) bool { return (&inference{}).infer(e).eff&ast.EffScripting != 0 }
 	one := ast.IntLit{Val: 1}
 	v := dom.QName{Local: "v"}
 	scripting := map[string]ast.Expr{
@@ -95,6 +96,8 @@ func TestOptimizerLeavesLoopsThatChangeTheDocuments(t *testing.T) {
 		{"a library function", ``, `for $x in //item where $x/@s = "new" return xs:integer($x/@id) + count($x/*)`, 1},
 		{"a full-text function", ``,
 			`for $x in //item where $x/@s = "new" order by ft:score($x) return string($x/@id)`, 1},
+		{"a keyword-in-context function", ``,
+			`for $x in //item where $x/@s = "new" return kwic:summarize($x, "a")`, 1},
 		{"an event statement", ``, `for $x in //item where $x/@s = "new" return trigger event "click" at $x`, 0},
 		{"a style statement", ``, `for $x in //item where $x/@s = "new" return set style "color" of $x to "red"`, 0},
 		{"in the where clause", `declare sequential function local:f($x) { 1 };`,

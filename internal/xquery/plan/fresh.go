@@ -28,7 +28,8 @@ import (
 //   - a block is fresh when its last statement is: that is its value;
 //   - a call to a function the module itself declares is fresh when the
 //     function's body is, and so is the operand of every exit returning
-//     in it (freshFuncs);
+//     in it: the fresh column of the function's record, which the
+//     module's fixpoint computes with the others (props.go);
 //   - a reference to a let variable is fresh when the variable's value
 //     is and this reference is all that ever reads it (bindLet);
 //   - everything else is not: a path, the context item, a for,
@@ -40,17 +41,6 @@ import (
 // The answer is only ever used to skip a copy, and "not fresh" is right
 // for every expression, so unknown shapes answer false.
 
-// fnArity identifies a declared function.
-type fnArity struct {
-	name  string // vkey of the expanded name
-	arity int
-}
-
-// freshness classifies the expressions of one module.
-type freshness struct {
-	funcs map[fnArity]bool // the module's own functions that only return fresh nodes
-}
-
 // letVar is a let variable in scope whose value is fresh.
 type letVar struct {
 	name dom.QName
@@ -60,83 +50,54 @@ type letVar struct {
 	refs int
 }
 
-// freshFuncs finds the module's functions whose result is always fresh:
-// the least fixpoint, so a function that needs its own freshness to
-// prove it (recursion) is not fresh. An overloaded name/arity, which
-// the registry resolves to the last declaration, is left out.
-func freshFuncs(m *ast.Module) freshness {
-	if len(m.Prolog.Functions) == 0 {
-		return freshness{} // most ad-hoc queries: nothing to look up, nothing to allocate
-	}
-	fr := freshness{funcs: map[fnArity]bool{}}
-	declared := map[fnArity]int{}
-	key := func(d *ast.FuncDecl) fnArity { return fnArity{vkey(d.Name), len(d.Params)} }
-	for i := range m.Prolog.Functions {
-		declared[key(&m.Prolog.Functions[i])]++
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range m.Prolog.Functions {
-			d := &m.Prolog.Functions[i]
-			k := key(d)
-			if fr.funcs[k] || d.Body == nil || declared[k] != 1 {
-				continue
-			}
-			if fr.expr(d.Body, nil) && fr.exitsFresh(d.Body) {
-				fr.funcs[k], changed = true, true
-			}
-		}
-	}
-	return fr
-}
-
 // exitsFresh reports whether every exit returning under e — wherever it
 // stands, it unwinds to the function e is the body of and becomes its
 // result — has a fresh operand. The operand is judged without the let
 // variables around it, which errs towards copying.
-func (fr *freshness) exitsFresh(e ast.Expr) bool {
-	if x, ok := e.(ast.Exit); ok && !fr.expr(x.With, nil) {
+func (in *inference) exitsFresh(e ast.Expr) bool {
+	if x, ok := e.(ast.Exit); ok && !in.fresh(x.With, nil) {
 		return false
 	}
 	fresh := true
-	eachChild(e, func(c ast.Expr) { fresh = fresh && fr.exitsFresh(c) })
+	eachChild(e, func(c ast.Expr) { fresh = fresh && in.exitsFresh(c) })
 	return fresh
 }
 
-// expr reports whether e is fresh, lets being the let variables with a
+// fresh reports whether e is fresh, lets being the let variables with a
 // fresh value in whose scope e stands.
-func (fr *freshness) expr(e ast.Expr, lets []letVar) bool {
+func (in *inference) fresh(e ast.Expr, lets []letVar) bool {
 	switch x := e.(type) {
 	case ast.DirElem, ast.CompConstructor,
 		ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit:
 		return true
 	case ast.SeqExpr:
 		for _, it := range x.Items {
-			if !fr.expr(it, lets) {
+			if !in.fresh(it, lets) {
 				return false
 			}
 		}
 		return true
 	case ast.Ordered:
-		return fr.expr(x.X, lets)
+		return in.fresh(x.X, lets)
 	case ast.If:
-		return fr.expr(x.Then, lets) && fr.expr(x.Else, lets)
+		return in.fresh(x.Then, lets) && in.fresh(x.Else, lets)
 	case ast.Typeswitch:
 		for _, c := range x.Cases {
-			if !fr.expr(c.Body, lets) {
+			if !in.fresh(c.Body, lets) {
 				return false
 			}
 		}
-		return fr.expr(x.Default, lets)
+		return in.fresh(x.Default, lets)
 	case ast.FLWOR:
 		for i := range x.Clauses {
-			lets = fr.bindLet(x, i, lets)
+			lets = in.bindLet(x, i, lets)
 		}
-		return fr.expr(x.Return, lets)
+		return in.fresh(x.Return, lets)
 	case ast.Block:
-		return len(x.Stmts) > 0 && fr.expr(x.Stmts[len(x.Stmts)-1], lets)
+		return len(x.Stmts) > 0 && in.fresh(x.Stmts[len(x.Stmts)-1], lets)
 	case ast.FuncCall:
-		return len(fr.funcs) > 0 && fr.funcs[fnArity{vkey(x.Name), len(x.Args)}]
+		f := in.function(x)
+		return f != nil && f.fresh
 	case ast.VarRef:
 		l := lookupLet(lets, x.Name)
 		return l != nil && l.refs == 1
@@ -165,9 +126,9 @@ func lookupLet(lets []letVar, name dom.QName) *letVar {
 // would read one node many times), with nothing assigning the variable
 // and nothing rebinding its name. How many such references there are
 // is recorded; only a sole reference is fresh.
-func (fr *freshness) bindLet(f ast.FLWOR, i int, lets []letVar) []letVar {
+func (in *inference) bindLet(f ast.FLWOR, i int, lets []letVar) []letVar {
 	cl := f.Clauses[i]
-	if cl.For || !fr.expr(cl.In, lets) {
+	if cl.For || !in.fresh(cl.In, lets) {
 		return lets
 	}
 	u := letUse{name: cl.Var}
@@ -277,7 +238,10 @@ func (u *letUse) scan(e ast.Expr, once bool) {
 // (TestEachChildSeesWhatMapChildrenMaps holds the two together), plus
 // what it leaves alone — the word sources of a full-text selection, the
 // operand of ast.Hoisted and a join annotation's copies of a where
-// conjunct.
+// conjunct. It is the one traversal of the static-properties pass, which
+// reads some children by position: an if's condition, then and else, a
+// FLWOR's return last, a path's leading primary first, a copy …
+// modify's modify clause right after its bindings.
 func eachChild(e ast.Expr, f func(ast.Expr)) {
 	each := func(es ...ast.Expr) {
 		for _, c := range es {
@@ -307,10 +271,11 @@ func eachChild(e ast.Expr, f func(ast.Expr)) {
 		if j := x.Join; j != nil {
 			each(j.OuterKey, j.InnerKey, j.Pred)
 		}
+		each(x.Where)
 		for _, o := range x.OrderBy {
 			each(o.Key)
 		}
-		each(x.Return, x.Where)
+		each(x.Return)
 	case ast.Quantified:
 		clauses(x.Vars)
 		each(x.Satisfies)
@@ -411,7 +376,7 @@ type CopiedLet struct {
 // the module's expressions over again without installing anything, so
 // it works on a planned module as on a parsed one.
 func CopiedLets(m *ast.Module) []CopiedLet {
-	p := newPlanner(m)
+	p := &planner{assigned: map[string]bool{}, in: newInference(m)}
 	for i := range m.Prolog.Vars {
 		p.expr(m.Prolog.Vars[i].Init)
 	}

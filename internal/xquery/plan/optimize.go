@@ -27,28 +27,33 @@ import (
 // as a second set of roots on the module (ast.Module.Optimized).
 //
 // Rewrites are conservative about effects, per FLUX, and the conditions
-// are stated here once because there is one evaluator to hold them:
+// are stated here once because there is one evaluator to hold them.
+// Each is a mask over the static properties of props.go:
 //
-//   - a subexpression is only moved or memoised when pureExpr proves it
-//     free of updates, scripting state, browser effects and node
-//     construction, so no rewrite reorders across an updating
+//   - a subexpression is only moved or memoised when it is pure — clear
+//     of the unmovable column: no update, write, scripting construct,
+//     browser statement, node construction or recorded score, and no
+//     call but to the library's pure list (not even to a function of the
+//     module's own) — so no rewrite reorders across an updating
 //     expression and PUL snapshot semantics survive unchanged;
-//   - a unit (module body or function body) that contains a scripting
-//     construct is not optimized at all (hasScripting): its variables
-//     are assignable and its statements apply pending updates as they
-//     go, so nothing in it is invariant;
+//   - a unit (module body or function body) with a scripting construct
+//     in it (EffScripting) is not optimized at all: its variables are
+//     assignable and its statements apply pending updates as they go, so
+//     nothing in it is invariant;
 //   - a FLWOR is flattened but gets no pushdown, hoist or join when
 //     evaluating any part of it — clauses, where, order by, return — can
 //     reach something that changes the documents before the loop ends
-//     (changesMidLoop): a scripting construct or an event or style
-//     statement, directly or in a function it calls, closed over the
-//     module's call graph; and a call of a `sequential` or external
-//     function, or of a name neither the module nor the fn:/xs:/ft:
-//     library declares (a host or imported function, whose effects only
-//     a binding knows). Pushdown moves a conjunct from "tested per
-//     tuple" to "tested when the domain is computed"; under scripting
-//     snapshots the domain is computed before the first tuple, so an
-//     update the body applied mid-loop would no longer be seen;
+//     (the midLoop column): a scripting construct or an event or style
+//     statement, directly or in a function it calls, over the module's
+//     call graph; and a call of a `sequential` or external function, or
+//     of a name neither the module nor the library table declares (a
+//     host or imported function, whose effects only a binding knows).
+//     Pushdown moves a conjunct from "tested per tuple" to "tested when
+//     the domain is computed"; under scripting snapshots the domain is
+//     computed before the first tuple, so an update the body applied
+//     mid-loop would no longer be seen;
+//   - a conjunct that reads the surrounding focus (EffReadsFocus) is not
+//     pushed down: in a predicate the focus is each candidate;
 //   - beside that static rule, the evaluator switches the hoist memo and
 //     the hash join off in a run with scripting snapshots on.
 
@@ -62,34 +67,40 @@ func Optimize(e ast.Expr, st *Stats) ast.Expr {
 	if st == nil {
 		st = &Stats{}
 	}
-	o := &optimizer{st: st, calls: unknownCalls}
+	o := &optimizer{st: st, in: &inference{}}
 	return o.expr(e)
 }
 
 // Prepare is the module's one planning pass, run through
-// Module.EnsurePlanned: Annotate, then the optimizer over the module
-// body and every function body, installed as the module's second set of
-// roots. A unit containing scripting constructs keeps its planned tree
-// only (Optimized stays nil).
+// Module.EnsurePlanned: the static properties of the module's functions
+// (props.go), Annotate, then the optimizer over the module body and
+// every function body, installed as the module's second set of roots,
+// and the module's effect summary. A unit containing scripting
+// constructs keeps its planned tree only (Optimized stays nil).
 func Prepare(m *ast.Module) {
-	Annotate(m)
-	o := &optimizer{st: &m.Rewrites, calls: moduleCalls(m)}
+	in := newInference(m)
+	in.solveAll()
+	annotate(m, in)
+	o := &optimizer{st: &m.Rewrites, in: in}
 	for i := range m.Prolog.Functions {
-		if body := m.Prolog.Functions[i].Body; body != nil && !hasScripting(body) {
+		if body := m.Prolog.Functions[i].Body; body != nil && in.recs[i].body&ast.EffScripting == 0 {
 			m.Prolog.Functions[i].Optimized = o.expr(body)
 		}
 	}
-	if m.Body != nil && !hasScripting(m.Body) {
+	body := in.infer(m.Body).eff
+	if m.Body != nil && body&ast.EffScripting == 0 {
 		m.Optimized = o.expr(m.Body)
 	}
+	for _, v := range m.Prolog.Vars {
+		body |= in.infer(v.Init).eff
+	}
+	m.Effects = body
 }
 
 type optimizer struct {
 	st       *Stats
-	flattens int // FLWOR levels merged: the one rewrite Stats does not count
-	// calls reports whether a call can change the documents before it
-	// returns (see changesMidLoop).
-	calls func(ast.FuncCall) bool
+	flattens int        // FLWOR levels merged: the one rewrite Stats does not count
+	in       *inference // the static properties of the unit's expressions
 }
 
 // expr returns e optimized — e itself where no rewrite fired under it,
@@ -188,7 +199,7 @@ func (o *optimizer) foldToLiteral(e ast.Expr) (ast.Expr, bool) {
 
 func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
 	f = o.flatten(f)
-	if changesMidLoop(f, o.calls) {
+	if o.in.infer(f).eff&midLoop != 0 {
 		return f
 	}
 	conj := andConjuncts(f.Where)
@@ -299,7 +310,7 @@ func (o *optimizer) detectJoin(f ast.FLWOR, conj []ast.Expr) ([]ast.Expr, *ast.J
 		return conj, nil
 	}
 	earlier := boundVarSet(f.Clauses[:j])
-	if !pureExpr(cl.In) || mentionsVars(cl.In, earlier) {
+	if !o.in.pure(cl.In) || mentionsVars(cl.In, earlier) {
 		return conj, nil
 	}
 	cmp, ok := conj[0].(ast.Compare)
@@ -313,7 +324,7 @@ func (o *optimizer) detectJoin(f ast.FLWOR, conj []ast.Expr) ([]ast.Expr, *ast.J
 		// eq: the inner side must be a bare key path over the clause
 		// variable; the outer side may be any pure expression over
 		// earlier scope.
-		outerOK := func(e ast.Expr) bool { return pureExpr(e) && !mentionsVars(e, inner) }
+		outerOK := func(e ast.Expr) bool { return o.in.pure(e) && !mentionsVars(e, inner) }
 		if isVarKey(cmp.L, cl.Var) && outerOK(cmp.R) {
 			plan = &ast.JoinPlan{Clause: j, OuterKey: cmp.R, InnerKey: cmp.L, ValueEq: true, Pred: cmp}
 		} else if isVarKey(cmp.R, cl.Var) && outerOK(cmp.L) {
@@ -390,8 +401,11 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 	}
 	var pushed []ast.Expr
 	for len(conj) > 0 {
+		if o.in.infer(conj[0]).eff&ast.EffReadsFocus != 0 {
+			break // in a predicate the focus is each candidate
+		}
 		pred, ok := rewriteForPushdown(conj[0], cl.Var)
-		if !ok || !BooleanValuedPred(pred) {
+		if !ok || !o.in.infer(pred).boolean {
 			break
 		}
 		pushed = append(pushed, pred)
@@ -414,7 +428,7 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 	plans := make([]ast.PredPlan, len(lastStep.Preds), cap(preds))
 	copy(plans, lastStep.PredPlans)
 	for _, pr := range pushed {
-		pp := classifyPred(pr)
+		pp := o.in.classifyPred(pr)
 		if _, isVar := pp.Key.(ast.VarRef); isVar {
 			// The optimizer sees one unit, not the module, so it cannot
 			// rule out that something assigns the variable.
@@ -433,11 +447,11 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 
 // rewriteForPushdown rewrites a where conjunct over $v into a path
 // predicate over the candidate node: $v becomes `.` (a context-item
-// path root). ok is false when the conjunct cannot move — it mentions
-// the surrounding focus (., position(), last(), or a builtin call that
-// defaults an omitted argument to the context item), contains a
-// relative or absolute path not rooted at a variable, binds variables
-// of its own, or has a shape the rewriter does not understand.
+// path root). The caller has refused a conjunct that reads the
+// surrounding focus; ok is false when the conjunct cannot move for
+// another reason — it calls position() or last(), contains a path not
+// rooted at a variable, binds variables of its own, or has a shape the
+// rewriter does not understand.
 func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
 	switch x := e.(type) {
 	case nil:
@@ -449,8 +463,6 @@ func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
 			return ast.ContextItem{}, true
 		}
 		return e, true
-	case ast.ContextItem:
-		return nil, false // outer-focus reference: cannot move
 	case ast.SeqExpr:
 		items := make([]ast.Expr, len(x.Items))
 		for i, it := range x.Items {
@@ -464,9 +476,6 @@ func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
 	case ast.FuncCall:
 		if x.Name.Local == "position" || x.Name.Local == "last" {
 			return nil, false
-		}
-		if n, defaults := contextFnMinArgs[x.Name.Local]; defaults && len(x.Args) < n {
-			return nil, false // implicit context item: outer-focus reference
 		}
 		args := make([]ast.Expr, len(x.Args))
 		for i, a := range x.Args {
@@ -531,16 +540,10 @@ func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
 		}
 		return ast.CastAs{X: r, Type: x.Type, Optional: x.Optional, Castable: x.Castable}, true
 	case ast.Path:
-		if x.Absolute {
-			return nil, false // rooted at the focus node's tree
-		}
-		if len(x.Steps) == 0 {
-			return nil, false
+		if x.Absolute || len(x.Steps) == 0 || x.Steps[0].Primary == nil {
+			return nil, false // rooted at the outer focus
 		}
 		first := x.Steps[0]
-		if first.Primary == nil {
-			return nil, false // relative to the outer focus
-		}
 		steps := make([]ast.Step, len(x.Steps))
 		copy(steps, x.Steps)
 		switch prim := first.Primary.(type) {
@@ -649,8 +652,8 @@ func (o *optimizer) hoistLets(clauses []ast.Clause, slots *int) []ast.Clause {
 			}
 			continue
 		}
-		invariant := sawFor && pureExpr(cl.In) && !mentionsVars(cl.In, variant)
-		if invariant {
+		pure := o.in.pure(cl.In)
+		if sawFor && pure && !mentionsVars(cl.In, variant) {
 			if out == nil {
 				out = make([]ast.Clause, len(clauses))
 				copy(out, clauses)
@@ -660,7 +663,7 @@ func (o *optimizer) hoistLets(clauses []ast.Clause, slots *int) []ast.Clause {
 			o.st.Hoists++
 			continue
 		}
-		if !pureExpr(cl.In) || mentionsVars(cl.In, variant) {
+		if !pure || mentionsVars(cl.In, variant) {
 			variant[vkey(cl.Var)] = true
 		}
 	}
@@ -687,7 +690,7 @@ func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr, slots 
 	bound := boundVarSet(clauses)
 	var out []ast.Expr
 	for i, c := range conj {
-		if pureExpr(c) && !mentionsVars(c, bound) {
+		if o.in.pure(c) && !mentionsVars(c, bound) {
 			if out == nil {
 				out = make([]ast.Expr, len(conj))
 				copy(out, conj)
@@ -716,169 +719,6 @@ func boundVarSet(clauses []ast.Clause) map[string]bool {
 
 func vkey(n dom.QName) string { return n.Space + "#" + n.Local }
 
-// --- conservative predicates -------------------------------------------------
-
-// contextFnMinArgs maps builtins whose funclib implementation defaults
-// an omitted argument to the context item (argOrContext / ctx.Item) to
-// the argument count that makes the context explicit. A shorter call
-// reads the focus implicitly, so rewriteForPushdown must reject it:
-// pushdown re-focuses the conjunct from the outer FLWOR tuple onto
-// each candidate node, which would silently rebind the implicit
-// context (`where local-name() = "book"` must keep seeing the outer
-// focus, not each candidate). Standard context-defaulting builtins the
-// library does not register yet are listed too, so registering one
-// later cannot re-open the hole. Matched by local name regardless of
-// namespace, like the position()/last() check above: a false positive
-// only skips a rewrite.
-var contextFnMinArgs = map[string]int{
-	"string": 1, "string-length": 1, "length": 1, "normalize-space": 1,
-	"number": 1, "data": 1, "name": 1, "local-name": 1,
-	"namespace-uri": 1, "node-name": 1, "root": 1, "base-uri": 1,
-	"document-uri": 1, "generate-id": 1, "path": 1, "has-children": 1,
-	"lang": 2, "id": 2, "idref": 2, "element-with-id": 2,
-}
-
-// pureFn is the allowlist of fn:-namespace builtins the optimizer may
-// move, memoise or join-build: side-effect free and stable under
-// re-evaluation within one FLWOR entry. Context-defaulting builtins
-// qualify — pureExpr rewrites never change the focus, and the focus is
-// invariant across the iterations of the FLWOR they move within (only
-// pushdown re-focuses, and it has its own guard above). Anything
-// absent answers impure, the conservative default-false style used
-// elsewhere in this file, so a future or host-registered builtin is
-// never silently hoisted: notably fn:doc / fn:doc-available /
-// fn:collection (resolver-backed, observe external state), fn:put
-// (updates), fn:trace (side channel), fn:error (raising must stay
-// where the author put it), fn:current-* (read the clock), and
-// fn:position / fn:last (focus-dependent beyond the item).
-var pureFn = map[string]bool{}
-
-func init() {
-	for _, n := range []string{
-		// strings
-		"string", "concat", "string-join", "substring", "string-length",
-		"length", "normalize-space", "upper-case", "lower-case",
-		"translate", "contains", "starts-with", "ends-with",
-		"substring-before", "substring-after", "compare",
-		"encode-for-uri", "codepoints-to-string", "string-to-codepoints",
-		// regex
-		"matches", "replace", "tokenize",
-		// numeric
-		"number", "abs", "floor", "ceiling", "round", "round-half-to-even",
-		// boolean
-		"true", "false", "not", "boolean",
-		// sequences
-		"empty", "exists", "head", "tail", "count", "reverse",
-		"insert-before", "remove", "subsequence", "index-of",
-		"distinct-values", "deep-equal", "data",
-		"zero-or-one", "one-or-more", "exactly-one",
-		// aggregates
-		"sum", "avg", "min", "max",
-		// nodes (reads, not constructors; fresh-identity makers are
-		// handled by the expression cases, not this list)
-		"name", "local-name", "namespace-uri", "node-name", "root",
-		"base-uri", "id",
-		// date/time component accessors (current-* excluded above)
-		"year-from-dateTime", "month-from-dateTime", "day-from-dateTime",
-		"hours-from-dateTime", "minutes-from-dateTime", "seconds-from-dateTime",
-		"year-from-date", "month-from-date", "day-from-date",
-		"hours-from-time", "minutes-from-time", "seconds-from-time",
-		"years-from-duration", "months-from-duration", "days-from-duration",
-		"hours-from-duration", "minutes-from-duration", "seconds-from-duration",
-	} {
-		pureFn[n] = true
-	}
-}
-
-// pureExpr reports whether evaluating e is free of side effects and
-// yields the same value however often it runs in one FLWOR entry.
-// Node constructors are impure here: each evaluation creates a fresh
-// node identity. Conservative: unknown shapes answer false.
-func pureExpr(e ast.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit,
-		ast.VarRef, ast.ContextItem:
-		return true
-	case ast.SeqExpr:
-		for _, it := range x.Items {
-			if !pureExpr(it) {
-				return false
-			}
-		}
-		return true
-	case ast.Ordered:
-		return pureExpr(x.X)
-	case ast.Hoisted:
-		return pureExpr(x.X)
-	case ast.FuncCall:
-		if x.Name.Space != fnSpace || !pureFn[x.Name.Local] {
-			return false
-		}
-		for _, a := range x.Args {
-			if !pureExpr(a) {
-				return false
-			}
-		}
-		return true
-	case ast.If:
-		return pureExpr(x.Cond) && pureExpr(x.Then) && pureExpr(x.Else)
-	case ast.FLWOR:
-		if x.Join != nil {
-			// Join annotations carry their own evaluation schedule;
-			// treat as opaque.
-			return false
-		}
-		for _, cl := range x.Clauses {
-			if !pureExpr(cl.In) {
-				return false
-			}
-		}
-		for _, os := range x.OrderBy {
-			if !pureExpr(os.Key) {
-				return false
-			}
-		}
-		return pureExpr(x.Where) && pureExpr(x.Return)
-	case ast.Quantified:
-		for _, cl := range x.Vars {
-			if !pureExpr(cl.In) {
-				return false
-			}
-		}
-		return pureExpr(x.Satisfies)
-	case ast.Binary:
-		return pureExpr(x.L) && pureExpr(x.R)
-	case ast.Compare:
-		return pureExpr(x.L) && pureExpr(x.R)
-	case ast.Unary:
-		return pureExpr(x.X)
-	case ast.Range:
-		return pureExpr(x.L) && pureExpr(x.R)
-	case ast.InstanceOf:
-		return pureExpr(x.X)
-	case ast.TreatAs:
-		return pureExpr(x.X)
-	case ast.CastAs:
-		return pureExpr(x.X)
-	case ast.Path:
-		for _, s := range x.Steps {
-			if s.Primary != nil && !pureExpr(s.Primary) {
-				return false
-			}
-			for _, pr := range s.Preds {
-				if !pureExpr(pr) {
-					return false
-				}
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // mentionsVars reports whether e references any variable in vars.
 // Shadowing is ignored (a shadowed mention still answers true), which
 // errs on the safe side: the optimizer merely skips a rewrite.
@@ -887,6 +727,21 @@ func mentionsVars(e ast.Expr, vars map[string]bool) bool {
 		v, ok := x.(ast.VarRef)
 		return ok && vars[vkey(v.Name)]
 	})
+}
+
+// contains reports whether is holds for e or for anything under it,
+// word sources of full-text selections, hoisted operands and join
+// annotations included (eachChild).
+func contains(e ast.Expr, is func(ast.Expr) bool) bool {
+	if e == nil {
+		return false
+	}
+	if is(e) {
+		return true
+	}
+	found := false
+	eachChild(e, func(c ast.Expr) { found = found || contains(c, is) })
+	return found
 }
 
 // --- copy-based child rewriting ---------------------------------------------

@@ -43,10 +43,12 @@
 // Module.EnsurePlanned guards the pass with a sync.Once so it runs
 // exactly once, before any reader.
 //
-// The package also owns the conservative static predicates
-// (ExprMentions, BooleanValuedPred) the merge, the classifier and the
-// optimizer share; it sits below runtime and analysis and imports only
-// the AST.
+// Every decision above that depends on what an expression can do or
+// yield — may a "//" merge, is a predicate positional, is a shipped
+// expression closed and effect-free, is an operand fresh — reads one
+// record of static properties (props.go), and so do the optimizer's
+// rewrites and the store's routing (ast.Module.Effects). The package
+// sits below runtime and analysis and imports only the AST.
 package plan
 
 import (
@@ -62,8 +64,10 @@ const fnSpace = "http://www.w3.org/2005/xpath-functions"
 // function body and the module body are replaced by their planned
 // forms. Planning a planned module changes nothing. Call it through
 // Module.EnsurePlanned.
-func Annotate(m *ast.Module) {
-	p := newPlanner(m)
+func Annotate(m *ast.Module) { annotate(m, newInference(m)) }
+
+func annotate(m *ast.Module, in *inference) {
+	p := &planner{assigned: map[string]bool{}, in: in}
 	for i := range m.Prolog.Vars {
 		m.Prolog.Vars[i].Init = p.expr(m.Prolog.Vars[i].Init)
 	}
@@ -86,14 +90,9 @@ func Annotate(m *ast.Module) {
 type planner struct {
 	assigned map[string]bool // vkey of every variable some Assign targets
 	varKeyed []*ast.PredPlan // attribute comparisons keyed by a variable
-	ships    bool            // per-document shapes get an ast.ShipPlan (see ship.go)
-	fresh    freshness       // which expressions yield fresh nodes (see fresh.go)
+	in       *inference      // the static properties of the module's expressions (props.go)
 	lets     []letVar        // the fresh-valued let variables in scope, innermost last
 	copied   []CopiedLet     // what CopiedLets reports
-}
-
-func newPlanner(m *ast.Module) *planner {
-	return &planner{assigned: map[string]bool{}, ships: !declaresFn(m), fresh: freshFuncs(m)}
 }
 
 // expr returns the planned form of e: children first (mapChildren
@@ -110,15 +109,13 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 	}
 	switch x := mapChildren(e, p.expr).(type) {
 	case ast.Path:
-		x.Steps = mergeDescendantSteps(x.Steps)
+		x.Steps = p.in.mergeDescendantSteps(x.Steps)
 		for i := range x.Steps {
 			p.step(&x.Steps[i])
 		}
 		return x
 	case ast.FuncCall:
-		if p.ships {
-			x.Ship = shipCount(x)
-		}
+		x.Ship = p.in.shipCount(x)
 		return x
 	case ast.DirElem:
 		var adopt []bool // a list of the planner's own: the copy shares its original's
@@ -153,15 +150,13 @@ func (p *planner) flwor(f ast.FLWOR) ast.Expr {
 	x := mapChildren(f, func(c ast.Expr) ast.Expr {
 		c = p.expr(c)
 		if i < len(f.Clauses) { // mapChildren maps the clauses first, in order
-			p.lets = p.fresh.bindLet(f, i, p.lets)
+			p.lets = p.in.bindLet(f, i, p.lets)
 		}
 		i++
 		return c
 	}).(ast.FLWOR)
 	p.lets = p.lets[:mark]
-	if p.ships {
-		x.Ship = shipFLWOR(x)
-	}
+	x.Ship = p.in.shipFLWOR(x)
 	return x
 }
 
@@ -170,7 +165,7 @@ func (p *planner) flwor(f ast.FLWOR) ast.Expr {
 // let variable that would be fresh were it the only one is noted for
 // xqlint.
 func (p *planner) adopts(e ast.Expr) bool {
-	if p.fresh.expr(e, p.lets) {
+	if p.in.fresh(e, p.lets) {
 		return true
 	}
 	if v, ok := e.(ast.VarRef); ok {
@@ -205,7 +200,7 @@ func (p *planner) step(s *ast.Step) {
 	if len(s.Preds) > 0 {
 		plans = make([]ast.PredPlan, len(s.Preds))
 		for i, pr := range s.Preds {
-			plans[i] = classifyPred(pr)
+			plans[i] = p.in.classifyPred(pr)
 			if _, isVar := plans[i].Key.(ast.VarRef); isVar {
 				p.varKeyed = append(p.varKeyed, &plans[i])
 			}
@@ -278,8 +273,8 @@ func ProbeName(t ast.NodeTest) (space, local string, ok bool) {
 // classifyPred decides how a predicate's stage evaluates it (see
 // ast.PredKind). A variable key is accepted here; whether anything
 // assigns the variable is the caller's to check.
-func classifyPred(pred ast.Expr) ast.PredPlan {
-	if ExprMentions(pred, "last") {
+func (in *inference) classifyPred(pred ast.Expr) ast.PredPlan {
+	if in.infer(pred).eff&ast.EffReadsLast != 0 {
 		return ast.PredPlan{Kind: ast.PredSized}
 	}
 	if bound, ok := positionalBound(pred); ok {

@@ -99,8 +99,14 @@ func TestShipClassifier(t *testing.T) {
 		{src: `for $a in collection("c")/a return current-dateTime()`},
 		{src: `declare function local:f($x) { string($x) }; for $a in collection("c")/a return local:f($a)`},
 		{src: `for $a in collection("c")/a[position() < 3] return string($a)`},
-		// A module that re-declares a fn: name ships nothing.
+		// A module's own fn: function is the module's: a call to it is not
+		// shipped, nor is a count or collection of its own; the library's
+		// are, whatever else the module declares.
 		{src: `declare function fn:string($x) { "mine" }; for $a in collection("c")/a return string($a)`},
+		{src: `declare function fn:count($x) { 0 }; count(collection("c")//r)`},
+		{src: `declare function fn:collection($u) { () }; count(collection("c")//r)`},
+		{src: `declare function fn:mine() { 1 }; count(collection("c")//r)`,
+			uri: "c", per: `fn:count(descendant::r)`, sum: true},
 	} {
 		got := shipOf(t, c.src)
 		if c.per == "" {

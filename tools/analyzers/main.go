@@ -48,11 +48,13 @@
 //	            *ast.Node pointers. The sanctioned in-place writes are
 //	            the planner's: the step annotations (Access/PredPlans
 //	            on *ast.Step) it puts on the steps it builds,
-//	            plan.Annotate replacing a module's expression roots
+//	            plan.Annotate (and annotate, the pass it shares with
+//	            plan.Prepare) replacing a module's expression roots
 //	            (the body, function bodies, global initialisers) with
 //	            their planned forms, and plan.Prepare — the one
-//	            installer — putting the optimized roots beside them
-//	            (Module.Optimized, FuncDecl.Optimized): idempotent or
+//	            installer — putting the optimized roots and the effect
+//	            summary beside them (Module.Optimized,
+//	            FuncDecl.Optimized, Module.Effects): idempotent or
 //	            write-once, and published through
 //	            Module.EnsurePlanned's sync.Once before any concurrent
 //	            read. The Ship annotation of a
@@ -580,9 +582,11 @@ func isContextContext(t ast.Expr) bool {
 
 // planAnnotationFields are the step fields the planner writes in place,
 // on steps it has just built. planRootFields are the module's
-// expression roots, which plan.Annotate — and nothing else — replaces
-// with their planned forms; planOptimizedField is the second set of
-// roots, which plan.Prepare — and nothing else — installs. All are
+// expression roots, which plan.Annotate — and nothing else but annotate,
+// the pass Annotate and Prepare share — replaces with their planned
+// forms; planPreparedFields are the second set of roots and the
+// module's effect summary, which plan.Prepare — and nothing else —
+// installs. All are
 // idempotent or write-once and published through
 // Module.EnsurePlanned's sync.Once, so they are the legal pointer
 // writes into the shared tree.
@@ -604,16 +608,20 @@ var planRootFields = map[string]bool{
 	"Init": true, // VarDecl.Init
 }
 
-const planOptimizedField = "Optimized" // Module.Optimized, FuncDecl.Optimized
+var planPreparedFields = map[string]bool{
+	"Optimized": true, // Module.Optimized, FuncDecl.Optimized
+	"Effects":   true, // Module.Effects
+}
 
 // planPure reports field assignments that reach the shared AST through
 // a pointer. In plan, an identifier typed *ast.X (receiver,
 // parameter, declared local, or closure parameter) aliases a node of
 // the cached parsed module, which concurrent runs read without locks —
 // rewrites must copy the node by value and modify the copy. Writes to
-// the planner's annotation fields on *ast.Step, Annotate's to the roots
-// of its *ast.Module and Prepare's to the optimized roots are exempt
-// (see planAnnotationFields).
+// the planner's annotation fields on *ast.Step, Annotate's (and
+// annotate's) to the roots of its *ast.Module and Prepare's to the
+// optimized roots and the effect summary are exempt (see
+// planAnnotationFields).
 //
 // It also reports writes of the Ship and Adopt annotations that are not
 // the planner's (plannerValueFields): such an annotation describes the
@@ -767,11 +775,11 @@ done:
 	if tn == "Step" && depth == 1 && planAnnotationFields[field] {
 		return nil // the planner's sanctioned step annotation
 	}
-	if tn == "Module" && fn == "Annotate" && planRootFields[field] {
+	if tn == "Module" && (fn == "Annotate" || fn == "annotate") && planRootFields[field] {
 		return nil // the planner installing a planned root
 	}
-	if tn == "Module" && fn == "Prepare" && field == planOptimizedField {
-		return nil // the one installer of the optimized roots
+	if tn == "Module" && fn == "Prepare" && planPreparedFields[field] {
+		return nil // the one installer of the optimized roots and the summary
 	}
 	return []finding{{
 		pos: fset.Position(lhs.Pos()),

@@ -245,6 +245,7 @@ func Prepare(m *ast.Module) {
 	m.Prolog.Functions[0].Optimized = nil
 	m.Optimized = nil
 }
+func annotate(m *ast.Module) { m.Body = nil } // the pass Annotate and Prepare share
 `
 	if got := analyze(t, ok, planPure); len(got) != 0 {
 		t.Fatalf("findings = %v, want none", got)
@@ -257,6 +258,24 @@ func (o *optimizer) flwor(m *ast.Module, d *ast.FuncDecl) { m.Optimized = nil; d
 `
 	if got := analyze(t, bad, planPure); len(got) != 4 {
 		t.Fatalf("findings = %v, want 4", got)
+	}
+}
+
+// The module's effect summary has one writer too: Prepare.
+func TestPlanPureEffectsHaveOneInstaller(t *testing.T) {
+	ok := `package plan
+import "repro/internal/xquery/ast"
+func Prepare(m *ast.Module) { m.Effects = ast.EffUpdates }
+`
+	if got := analyze(t, ok, planPure); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+	bad := `package plan
+import "repro/internal/xquery/ast"
+func annotate(m *ast.Module, in *inference) { m.Effects = in.infer(m.Body).eff }
+`
+	if got := analyze(t, bad, planPure); len(got) != 1 {
+		t.Fatalf("findings = %v, want 1", got)
 	}
 }
 
