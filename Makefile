@@ -24,8 +24,10 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke staticche
 # nodes (rewrites must copy), the store's raw shard state is only
 # touched by shard.go's lock-upholding methods, DOM mutation in the
 # query/serving layers only happens through the pending-update list,
-# and no function of internal/ rebuilds a replacer or a regexp from
-# constant arguments on every call.
+# no function of internal/ rebuilds a replacer or a regexp from
+# constant arguments on every call, and no loop in internal/ or cmd/
+# (cmd/bench, a module of its own, is not listed) sleeps while it
+# waits for a state change.
 # Stdlib-only stand-ins for the `go vet -vettool` analyzers, which
 # would need golang.org/x/tools.
 vet-invariants:
@@ -42,6 +44,7 @@ vet-invariants:
 		internal/xquery/ast internal/xquery/lexer
 	$(GO) run ./tools/analyzers -check recovercheck $(shell $(GO) list -f '{{.Dir}}' ./...)
 	$(GO) run ./tools/analyzers -check hotconst $(shell $(GO) list -f '{{.Dir}}' ./internal/...)
+	$(GO) run ./tools/analyzers -check sleeppoll $(shell $(GO) list -f '{{.Dir}}' ./internal/... ./cmd/...)
 
 # Static analysis of the shipped example programs: every embedded
 # XQuery script block must lint clean, warnings included.

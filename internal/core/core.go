@@ -167,6 +167,10 @@ type Host struct {
 	outstanding int
 	asyncErrs   []error
 	updateCount int
+	// wake holds at most one token: a finished behind call leaves one
+	// so a blocked WaitIdle re-checks the queue. Made by the first
+	// behind call, so a host that never makes one allocates nothing.
+	wake chan struct{}
 }
 
 type pageProgram struct {
@@ -496,10 +500,33 @@ func (h *Host) Keyup(id, key string) error {
 
 // --- asynchronous completion queue (behind-calls, §4.4) ------------------------
 
-func (h *Host) post(fn func() error) {
+// begin counts a behind call as outstanding until its complete.
+func (h *Host) begin() {
 	h.mu.Lock()
-	h.queue = append(h.queue, fn)
+	if h.wake == nil {
+		h.wake = make(chan struct{}, 1)
+	}
+	h.outstanding++
 	h.mu.Unlock()
+}
+
+// complete queues a behind call's completion (none when fn is nil),
+// retires the call and wakes a waiter, in one critical section: a
+// waiter never sees the completion queued while the call still counts
+// as outstanding. The send never blocks, so the caller's goroutine
+// always exits; a token already waiting covers this completion too.
+func (h *Host) complete(fn func() error) {
+	h.mu.Lock()
+	if fn != nil {
+		h.queue = append(h.queue, fn)
+	}
+	h.outstanding--
+	wake := h.wake
+	h.mu.Unlock()
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
 }
 
 func (h *Host) recordAsyncErr(err error) {
@@ -527,23 +554,38 @@ func (h *Host) drain() {
 }
 
 // WaitIdle blocks until all asynchronous calls have completed and their
-// completions have been delivered, or the timeout elapses. It returns
-// any asynchronous errors collected.
+// completions have been delivered, or the timeout elapses; it returns
+// the asynchronous errors collected. Completions run on the caller's
+// goroutine as they arrive: between drains it blocks on the host's
+// wake token or on one deadline timer, made only if it has to block.
+// WaitIdle(0) never blocks; a timeout is recorded as an error.
 func (h *Host) WaitIdle(timeout time.Duration) []error {
 	deadline := time.Now().Add(timeout)
+	var timer *time.Timer
 	for {
 		h.drain()
 		h.mu.Lock()
 		idle := h.outstanding == 0 && len(h.queue) == 0
+		wake := h.wake
 		h.mu.Unlock()
 		if idle {
 			break
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			h.recordAsyncErr(fmt.Errorf("core: WaitIdle timed out after %s", timeout))
 			break
 		}
-		time.Sleep(200 * time.Microsecond)
+		if timer == nil {
+			timer = time.NewTimer(left)
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+		}
+	}
+	if timer != nil {
+		timer.Stop()
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -83,23 +83,19 @@ func (hh *hostHooks) TriggerEvent(ctx *runtime.Context, event string, targets xd
 // non-blocking — "the user keeps control of the user interface".
 func (hh *hostHooks) AttachBehind(ctx *runtime.Context, event string, call func() (xdm.Sequence, error), listener dom.QName) error {
 	h := hh.h
-	h.mu.Lock()
-	h.outstanding++
-	h.mu.Unlock()
+	h.begin()
 
 	// readyState 1: the call has been initiated.
 	if err := h.invokeListener(ctx, listener, []xdm.Sequence{
 		xdm.Singleton(xdm.Integer(1)), nil,
 	}); err != nil {
-		h.mu.Lock()
-		h.outstanding--
-		h.mu.Unlock()
+		h.complete(nil)
 		return err
 	}
 
 	go func() {
 		res, err := call()
-		h.post(func() error {
+		h.complete(func() error {
 			if err != nil {
 				// readyState 4 with an empty result signals failure;
 				// the error is also surfaced to the host.
@@ -115,9 +111,6 @@ func (hh *hostHooks) AttachBehind(ctx *runtime.Context, event string, call func(
 				xdm.Singleton(xdm.Integer(4)), res,
 			})
 		})
-		h.mu.Lock()
-		h.outstanding--
-		h.mu.Unlock()
 	}()
 	return nil
 }

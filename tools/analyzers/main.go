@@ -99,6 +99,14 @@
 //	            package-level var, or a switch. Values computed at run
 //	            time are not flagged, nor is func init, which runs once.
 //
+//	sleeppoll   no time.Sleep inside a for loop: a loop that sleeps until
+//	            some state changes waits out timer slack (a 200 µs sleep
+//	            lasted close to a millisecond and set the suggest page's
+//	            latency) instead of being told; block on a channel or a
+//	            sync.Cond. Function literals start a fresh scope. A
+//	            bounded backoff between retries is not a poll and is
+//	            allow-listed by name (sleepPollExempt).
+//
 //	recovercheck  panic recovery only happens at sanctioned boundaries:
 //	            naked recover() calls are forbidden everywhere except
 //	            package xqerr (which implements RecoverInto), package
@@ -138,10 +146,10 @@ type finding struct {
 }
 
 func main() {
-	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, ftversion, planpure, storesync, recovercheck, pulapply or hotconst")
+	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, ftversion, planpure, storesync, recovercheck, pulapply, hotconst or sleeppoll")
 	flag.Parse()
 	if *check == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|ftversion|planpure|storesync|recovercheck|pulapply|hotconst} dir...")
+		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|ftversion|planpure|storesync|recovercheck|pulapply|hotconst|sleeppoll} dir...")
 		os.Exit(2)
 	}
 
@@ -173,6 +181,8 @@ func main() {
 				findings = append(findings, pulApply(fset, f)...)
 			case "hotconst":
 				findings = append(findings, hotConst(fset, f)...)
+			case "sleeppoll":
+				findings = append(findings, sleepPoll(fset, f)...)
 			default:
 				fmt.Fprintf(os.Stderr, "analyzers: unknown check %q\n", *check)
 				os.Exit(2)
@@ -1111,6 +1121,76 @@ func hotConst(fset *token.FileSet, file *ast.File) []finding {
 				}
 				return true
 			})
+		}
+	}
+	return out
+}
+
+// --- sleeppoll ------------------------------------------------------------------
+
+// sleepPollExempt names, as package.function, the functions whose loop
+// may sleep. runtime.resolveWithRetry sleeps a doubling backoff between
+// a bounded number of import retries: it waits on a remote resolver's
+// recovery, which no local event announces, and the retry count caps it.
+var sleepPollExempt = map[string]bool{
+	"runtime.resolveWithRetry": true,
+}
+
+// sleepPoll reports time.Sleep calls inside the body of a for or range
+// loop of the same function. A function literal's body is judged on
+// its own, so a goroutine started in a loop may sleep once.
+func sleepPoll(fset *token.FileSet, file *ast.File) []finding {
+	timePkg := ""
+	for _, imp := range file.Imports {
+		if strings.Trim(imp.Path.Value, `"`) == "time" {
+			timePkg = "time"
+			if imp.Name != nil {
+				timePkg = imp.Name.Name
+			}
+		}
+	}
+	if timePkg == "" {
+		return nil
+	}
+	pkg := file.Name.Name
+	var out []finding
+	var visit func(n ast.Node, fn string, inLoop bool)
+	visit = func(n ast.Node, fn string, inLoop bool) {
+		ast.Inspect(n, func(c ast.Node) bool {
+			switch x := c.(type) {
+			case *ast.FuncLit:
+				visit(x.Body, fn, false)
+				return false
+			case *ast.ForStmt:
+				visit(x.Body, fn, true)
+				return false
+			case *ast.RangeStmt:
+				visit(x.Body, fn, true)
+				return false
+			case *ast.CallExpr:
+				sel, ok := x.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Sleep" || !inLoop {
+					return true
+				}
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == timePkg {
+					out = append(out, finding{
+						pos: fset.Position(x.Pos()),
+						msg: fmt.Sprintf("sleeppoll: time.Sleep in a loop in %s.%s polls for a state change; block on a channel or a sync.Cond that the change signals",
+							pkg, fn),
+					})
+				}
+			}
+			return true
+		})
+	}
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Body != nil && !sleepPollExempt[pkg+"."+d.Name.Name] {
+				visit(d.Body, d.Name.Name, false)
+			}
+		case *ast.GenDecl:
+			visit(d, "(package var)", false)
 		}
 	}
 	return out

@@ -600,3 +600,55 @@ func pairs(oldnew []string) *strings.Replacer { return strings.NewReplacer(oldne
 		t.Fatalf("findings = %v, want none", got)
 	}
 }
+
+func TestSleepPollFlagsSleepInLoop(t *testing.T) {
+	src := `package core
+import clock "time"
+func (h *Host) WaitIdle() {
+	for !h.idle() {
+		clock.Sleep(200 * clock.Microsecond)
+	}
+}
+func drainAll(qs [][]int) {
+	for _, q := range qs {
+		if len(q) > 0 {
+			func() { clock.Sleep(clock.Millisecond) }()
+		}
+		for len(q) > 0 {
+			clock.Sleep(clock.Millisecond)
+		}
+	}
+}
+`
+	got := analyze(t, src, sleepPoll)
+	if len(got) != 2 {
+		t.Fatalf("findings = %v, want 2 (WaitIdle, the inner loop of drainAll)", got)
+	}
+}
+
+func TestSleepPollAllowsSleepOutsideLoopsAndBackoff(t *testing.T) {
+	src := `package runtime
+import "time"
+func pause() { time.Sleep(time.Millisecond) }
+func spawn(n int) {
+	for i := 0; i < n; i++ {
+		go func() { time.Sleep(time.Millisecond) }()
+	}
+}
+func resolveWithRetry(retries int) {
+	for r := 0; r < retries; r++ {
+		time.Sleep(time.Millisecond)
+	}
+}
+type clock struct{}
+func (clock) Sleep(d int) {}
+func fake(c clock) {
+	for {
+		c.Sleep(1)
+	}
+}
+`
+	if got := analyze(t, src, sleepPoll); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+}
