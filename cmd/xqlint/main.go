@@ -179,8 +179,8 @@ func parseDiag(err error) analysis.Diagnostic {
 }
 
 // hasFailure decides the exit status: errors always fail, warnings fail
-// under -werror, and notes (advisory findings like the XQ0404
-// independence count) never fail.
+// under -werror, and notes (advisory findings like XQ0502's copied
+// let) never fail.
 func hasFailure(diags []fileDiag, werror bool) bool {
 	for _, d := range diags {
 		switch d.Severity {

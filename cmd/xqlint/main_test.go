@@ -184,15 +184,10 @@ func TestUpdateIndependenceCodes(t *testing.T) {
 		t.Errorf("conflict: exit = %d, output = %q; want exit 1", code, out)
 	}
 
-	groups := writeFile(t, "groups.xq",
+	disjoint := writeFile(t, "disjoint.xq",
 		"replace value of node /app/title with 'x',\nrename node /app/menu as 'nav',\ninsert node <i/> into /app/cart")
-	code, out := runLint(t, groups)
-	if code != 0 || !strings.Contains(out, "note XQ0404: update independence: 3 independent update groups") {
-		t.Errorf("groups: exit = %d, output = %q", code, out)
-	}
-	// Advisory notes must not flip the exit status under -werror.
-	if code, _ := runLint(t, "-werror", groups); code != 0 {
-		t.Errorf("note under -werror: exit = %d, want 0", code)
+	if code, out := runLint(t, "-werror", disjoint); code != 0 || strings.Contains(out, "XQ04") {
+		t.Errorf("disjoint updates: exit = %d, output = %q; want no finding", code, out)
 	}
 }
 
@@ -216,9 +211,13 @@ func TestShippedAdvisory(t *testing.T) {
 // read once is adopted and says nothing.
 func TestCopiedLetAdvisory(t *testing.T) {
 	q := writeFile(t, "copied.xq", "let $row := <tr/> return (insert node $row into /t, count($row))")
-	code, out := runLint(t, "-werror", q)
+	code, out := runLint(t, q)
 	if code != 0 || !strings.Contains(out, `1:39: note XQ0502: the constructed value of $row is copied here: 2 references read the variable`) {
 		t.Errorf("copied: exit = %d, output = %q", code, out)
+	}
+	// Advisory notes must not flip the exit status under -werror.
+	if code, _ := runLint(t, "-werror", q); code != 0 {
+		t.Errorf("note under -werror: exit = %d, want 0", code)
 	}
 	once := writeFile(t, "once.xq", "let $row := <tr/> return insert node $row into /t")
 	if code, out := runLint(t, once); code != 0 || strings.Contains(out, "XQ0502") {

@@ -3,6 +3,8 @@ package apps
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestCountLines(t *testing.T) {
@@ -39,6 +41,20 @@ func TestMultiplicationXQuery(t *testing.T) {
 	_ = h.Click("c2x3")
 	if !strings.Contains(td.AttrValue("style"), "background-color: yellow") {
 		t.Errorf("highlight failed: %q", td.AttrValue("style"))
+	}
+}
+
+// TestMultiplicationPageRendersEmptyOut: before the first Generate the
+// page's <div id="out"> is empty, and it must render with both tags —
+// an HTML parser would read <div id="out"/> as an open div that
+// swallows the rest of the body.
+func TestMultiplicationPageRendersEmptyOut(t *testing.T) {
+	h, err := core.LoadPage(MultiplicationPage(), "http://example.com/mult.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if html := h.SerializePage(); !strings.Contains(html, `<div id="out"></div>`) {
+		t.Errorf("freshly loaded page renders without an empty out div:\n%s", html)
 	}
 }
 

@@ -416,14 +416,11 @@ func (h *Host) runMain(pp *pageProgram) error {
 // is the host's evaluation boundary: a panicking query or listener
 // recovers into an error matching xqerr.ErrInternal, and a mid-apply
 // update failure rolls the page back (the apply is atomic), so the
-// host survives both with a consistent DOM. Applies run with the
-// dead-update rule off: the host keeps long-lived references into the
-// page tree (listener targets, the window tree), so detached subtrees
-// stay exactly as the full list leaves them.
+// host survives both with a consistent DOM.
 func (h *Host) finish(ctx *runtime.Context, eval func() (xdm.Sequence, error)) (val xdm.Sequence, err error) {
 	defer xqerr.RecoverInto(&err, "core.Host.finish")
 	applyBatch := func(pul *update.PUL) error {
-		_, err := pul.ApplyPruned(h.onUpdate, false)
+		_, err := pul.ApplyPruned(h.onUpdate)
 		return err
 	}
 	ctx.SnapshotApply = applyBatch

@@ -315,7 +315,7 @@ func TestLoadFrameCrossFrameManipulation(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	out := markup.SerializeHTML(frame.Document)
-	if !strings.Contains(out, `<stamp from="parent"/>`) {
+	if !strings.Contains(out, `<stamp from="parent"></stamp>`) {
 		t.Errorf("frame document = %s", out)
 	}
 	// The parent's own body is untouched (its script text mentions

@@ -226,17 +226,6 @@ func build(root *dom.Node) *Doc {
 // mutation answers ok=false and the caller falls back to scanning.
 func (d *Doc) fresh() bool { return d.version == d.root.Version() }
 
-// Span returns a node's pre/end numbers. ok is false when the index is
-// stale or the node joined the tree after the build (impossible while
-// fresh, since joining bumps the version).
-func (d *Doc) Span(n *dom.Node) (pre, end uint64, ok bool) {
-	if !d.fresh() {
-		return 0, 0, false
-	}
-	s, ok := d.order[n]
-	return s.pre, s.end, ok
-}
-
 // IsDescendant reports whether desc is a proper descendant of anc, in
 // O(1). ok is false when the index cannot answer (stale, or a node is
 // not in this tree).

@@ -113,6 +113,10 @@ func TestIsDescendantAndSpan(t *testing.T) {
 		{a1, b2, false},
 		{b2, a2, false},
 		{a1, a1, false}, // proper descendant only
+		// The edges of a2's pre/end span: its last node (an attribute
+		// of its last descendant) is inside, the next sibling is not.
+		{a2, b2.AttrNode(dom.QName{Local: "id"}), true},
+		{a2, elem(t, doc, "c1"), false},
 	}
 	for _, c := range cases {
 		is, ok := idx.IsDescendant(c.anc, c.desc)
@@ -125,13 +129,6 @@ func TestIsDescendantAndSpan(t *testing.T) {
 	other := testDoc(t)
 	if _, ok := idx.IsDescendant(root, elem(t, other, "b2")); ok {
 		t.Error("IsDescendant answered for a foreign node")
-	}
-	pre, end, ok := idx.Span(a2)
-	if !ok || pre >= end {
-		t.Fatalf("Span(a2) = (%d, %d, %v), want pre < end", pre, end, ok)
-	}
-	if p, _, _ := idx.Span(b2); p <= pre || p > end {
-		t.Fatalf("b2 pre %d outside a2 span (%d, %d]", p, pre, end)
 	}
 }
 
@@ -272,8 +269,8 @@ func TestMutatorsInvalidate(t *testing.T) {
 			if _, ok := idx.DescendantsByName(doc, "", "a", false); ok {
 				t.Fatalf("stale index answered DescendantsByName after %s", m.name)
 			}
-			if _, _, ok := idx.Span(doc); ok {
-				t.Fatalf("stale index answered Span after %s", m.name)
+			if _, ok := idx.IsDescendant(doc, elem(t, doc, "r")); ok {
+				t.Fatalf("stale index answered IsDescendant after %s", m.name)
 			}
 			if d := index.Snapshot().Builds - base; d != 0 {
 				t.Fatalf("%s itself triggered %d rebuilds, want 0 (rebuild must be lazy)", m.name, d)

@@ -289,10 +289,17 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 func TestSerializeHTMLVoidAndScript(t *testing.T) {
-	doc := mustParseHTML(t, `<body><br><script>if (a < b) x();</script></body>`)
+	doc := mustParseHTML(t, `<body><br><script>if (a < b) x();</script><div id="out"/></body>`)
 	out := SerializeHTML(doc)
 	if !strings.Contains(out, "<br/>") {
 		t.Errorf("void serialization: %s", out)
+	}
+	// An empty non-void element keeps its end tag in HTML, not in XML.
+	if !strings.Contains(out, `<div id="out"></div>`) {
+		t.Errorf("empty element: %s", out)
+	}
+	if xml := Serialize(doc); !strings.Contains(xml, `<div id="out"/>`) {
+		t.Errorf("empty element in XML: %s", xml)
 	}
 	if !strings.Contains(out, "if (a < b) x();") {
 		t.Errorf("script must be raw: %s", out)

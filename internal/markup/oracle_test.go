@@ -526,7 +526,8 @@ func oracleSerialize(n *dom.Node) string {
 }
 
 // oracleSerializeHTML renders a node as HTML: void elements are written
-// without end tags and raw-text elements without escaping.
+// without end tags, other empty elements with both tags, and raw-text
+// elements without escaping.
 func oracleSerializeHTML(n *dom.Node) string {
 	var b strings.Builder
 	oracleWriteNode(&b, n, HTML)
@@ -607,6 +608,10 @@ func oracleWriteElement(b *strings.Builder, n *dom.Node, mode Mode) {
 				}
 			}
 			b.WriteString("</" + n.Name.String() + ">")
+			return
+		}
+		if len(kids) == 0 {
+			b.WriteString("></" + n.Name.String() + ">")
 			return
 		}
 	}

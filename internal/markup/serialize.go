@@ -11,7 +11,8 @@ import (
 func Serialize(n *dom.Node) string { return string(AppendXML(nil, n)) }
 
 // SerializeHTML renders a node as HTML: void elements are written
-// without end tags and raw-text elements without escaping.
+// without end tags, other empty elements with both tags, and raw-text
+// elements without escaping.
 func SerializeHTML(n *dom.Node) string { return string(AppendHTML(nil, n)) }
 
 // SerializeIndent renders a node as XML with two-space indentation,
@@ -187,6 +188,12 @@ func appendOpen(b []byte, n *dom.Node, mode Mode, depth int) (_ []byte, childDep
 					b = append(b, c.Data...) // raw, unescaped
 				}
 			}
+			b = appendEndTag(b, n.Name)
+		case len(kids) == 0 && mode == HTML:
+			// An HTML parser ignores the slash of <div/> and opens an
+			// element that swallows what follows; write both tags, as the
+			// WHATWG fragment serialization does.
+			b = append(b, '>')
 			b = appendEndTag(b, n.Name)
 		case len(kids) == 0:
 			b = append(b, "/>"...)

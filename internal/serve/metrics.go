@@ -152,8 +152,8 @@ type FailureStats struct {
 }
 
 // UpdateStats is the update layer's counter with a JSON tag:
-// Eliminated counts update primitives dropped before apply (exact
-// no-ops, and dead updates where nothing could observe them).
+// Eliminated counts update primitives dropped before apply: deletes of a
+// target the same list replaces or deletes already.
 type UpdateStats struct {
 	Eliminated int64 `json:"eliminated"`
 }

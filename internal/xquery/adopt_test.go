@@ -240,7 +240,7 @@ func TestAdoptedContentSurvivesRollback(t *testing.T) {
 		before[i] = markup.Serialize(c)
 	}
 	faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(3))
-	if _, err := pul.ApplyPruned(nil, false); err == nil {
+	if _, err := pul.ApplyPruned(nil); err == nil {
 		t.Fatal("apply succeeded under the armed fault")
 	}
 	if got := markup.Serialize(doc); got != adoptDoc {
@@ -264,8 +264,7 @@ func TestAdoptedContentSurvivesRollback(t *testing.T) {
 
 // TestAdoptedContentPassesTheAliasingGuard: update.Primitive.Content
 // promises detached trees nothing else references — what makes an
-// insert infallible for the dead-update rule (update/prune.go) and its
-// undo a plain detach. Adopted content has to meet that exactly like
+// insert's undo a plain detach. Adopted content has to meet that exactly like
 // copied content: a detached root no primitive targets, nothing shared
 // between primitives.
 func TestAdoptedContentPassesTheAliasingGuard(t *testing.T) {

@@ -54,13 +54,6 @@ type Result struct {
 	// runtime budget (runtime.ErrBudgetExceeded fires on MaxSteps of
 	// these).
 	EstimatedSteps int64
-	// UpdateGroups is the update-independence analysis' group count:
-	// the largest number of provably independent update groups any one
-	// snapshot's straight-line updating sequence splits into (0 when no
-	// sequence was summarisable, 1 when no independence was provable).
-	// It says how independent the program's updates are, nothing about
-	// how they are applied.
-	UpdateGroups int
 }
 
 // HasErrors reports whether any diagnostic is error-severity.
@@ -199,7 +192,7 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 		c.diags = append(c.diags, d)
 	}
 	sortDiags(c.diags)
-	return &Result{Diagnostics: c.diags, EstimatedSteps: est, UpdateGroups: c.updateGroups}
+	return &Result{Diagnostics: c.diags, EstimatedSteps: est}
 }
 
 // checker carries the state shared by the passes.
@@ -212,10 +205,6 @@ type checker struct {
 
 	estMemo map[*ast.FuncDecl]int64
 	estBusy map[*ast.FuncDecl]bool
-
-	// updateGroups is the largest independent-group count any snapshot's
-	// effect analysis proved (see effects.go / Result.UpdateGroups).
-	updateGroups int
 }
 
 func (c *checker) report(code string, sev Severity, at ast.Pos, format string, args ...any) {

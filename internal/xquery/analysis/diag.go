@@ -83,14 +83,13 @@ const (
 
 	// Update-independence checks (XQ04xx): FLUX-style effect summaries
 	// over straight-line updating sequences with statically stable
-	// target paths (see effects.go).
+	// target paths (see effects.go). XQ0404 is retired and not reused.
 	CodeDeadUpdate     = "XQ0401" // update confined to a subtree detached in the same snapshot
 	CodeDeadDelete     = "XQ0402" // delete of a target already replaced/deleted in the same snapshot
 	CodeUpdateConflict = "XQ0403" // guaranteed-conflicting updates on one target path
-	CodeUpdateGroups   = "XQ0404" // advisory: number of independent update groups
 
 	// Plan advisories (XQ05xx): what the planner decided about an
-	// expression, for the author to know. Notes, like XQ0404.
+	// expression, for the author to know. Notes.
 	CodeShipped   = "XQ0501" // advisory: a per-document map over a collection, which can ship to its source
 	CodeCopiedLet = "XQ0502" // advisory: a constructed node copied because other references read its variable too
 )

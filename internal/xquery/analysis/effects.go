@@ -1,10 +1,9 @@
-// effects.go is the static half of the FLUX-style update effect
-// analysis (Cheney; the dynamic half is the pruning pre-pass in
-// internal/xquery/update): it computes, per updating expression, a
-// conservative target-path summary, and over each snapshot's
-// straight-line updating sequence reports dead updates (XQ0401),
-// no-op deletes (XQ0402), guaranteed conflicts (XQ0403) and the number
-// of provably independent update groups (XQ0404, advisory).
+// effects.go is xqlint's update-effect lint, after the FLUX-style
+// analysis (Cheney; see PAPERS.md): it computes, per updating
+// expression, a conservative target-path summary, and over each
+// snapshot's straight-line updating sequence reports dead updates
+// (XQ0401), no-op deletes (XQ0402) and guaranteed conflicts (XQ0403).
+// Nothing but the lint reads the summaries.
 //
 // The pass is deliberately narrow so every finding is sound:
 //
@@ -14,18 +13,14 @@
 //   - Only absolute child-axis name-test paths with no predicates and
 //     no wildcards are summarised ("stable paths"): for those, textual
 //     equality implies identical target node sets within one snapshot.
-//   - The independence note (XQ0404) is only emitted when every item of
-//     the sequence is a summarisable update — one unknown expression
-//     could overlap any group.
 //
-// The region of an effect mirrors the dynamic pre-pass exactly: the
-// target path for self-contained kinds (insert into, replace value,
-// rename), the target's parent path for sibling-list kinds (insert
-// before/after, delete, replace node).
+// The region of an effect bounds its writes: the target path for
+// self-contained kinds (insert into, replace value, rename), the
+// target's parent path for sibling-list kinds (insert before/after,
+// delete, replace node).
 package analysis
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/xquery/ast"
@@ -59,21 +54,17 @@ func (c *checker) checkUpdateSnapshots(e ast.Expr) {
 // sequence and reports the XQ04xx findings.
 func (c *checker) checkUpdateSequence(e ast.Expr) {
 	var effects []updEffect
-	allSummarised := true
 	for _, item := range flattenSeq(e) {
-		eff, isUpdate, ok := summariseUpdate(item)
-		if !isUpdate || !ok {
-			allSummarised = false
-			continue
+		if eff, ok := summariseUpdate(item); ok {
+			effects = append(effects, eff)
 		}
-		effects = append(effects, eff)
 	}
 	if len(effects) < 2 {
 		return
 	}
 
-	// XQ0402 — no-op deletes, mirroring the pre-pass's unconditional
-	// rules: a delete of a replace-node target finds it already
+	// XQ0402 — no-op deletes, the pre-pass's rules (update.ApplyPruned
+	// drops them): a delete of a replace-node target finds it already
 	// detached in phase 4; a duplicate delete finds it detached by the
 	// first.
 	replacedAt := map[string]bool{}
@@ -102,9 +93,9 @@ func (c *checker) checkUpdateSequence(e ast.Expr) {
 		}
 	}
 
-	// XQ0401 — dead updates, mirroring the gated rule: a non-killer
-	// effect whose whole region lies inside a subtree some surviving
-	// killer detaches only ever changes nodes the snapshot throws away.
+	// XQ0401 — dead updates: a non-killer effect whose whole region lies
+	// inside a subtree some surviving killer detaches only ever changes
+	// nodes the snapshot throws away.
 	for i := range effects {
 		eff := &effects[i]
 		if eff.killer || eff.dead {
@@ -136,46 +127,6 @@ func (c *checker) checkUpdateSequence(e ast.Expr) {
 			seen[key] = true
 		}
 	}
-
-	// XQ0404 — independence advisory, only when the whole sequence was
-	// summarised (an unknown expression could overlap any group).
-	if !allSummarised {
-		return
-	}
-	groups := countRegionGroups(effects)
-	if groups > c.updateGroups {
-		c.updateGroups = groups
-	}
-	if groups >= 2 {
-		c.report(CodeUpdateGroups, SevNote, effects[0].at,
-			"update independence: %d independent update groups", groups)
-	}
-}
-
-// countRegionGroups merges the surviving effects' regions the way
-// subtree spans nest: sorted, a region that
-// is a descendant-or-self of the running group's root joins it; a
-// disjoint region starts a new group. Absolute stable paths sort so
-// that a subtree's descendants are contiguous right after it ('/'
-// orders before every name character), which is exactly the laminar
-// property the span merge relies on.
-func countRegionGroups(effects []updEffect) int {
-	var regions []string
-	for _, eff := range effects {
-		if !eff.dead {
-			regions = append(regions, eff.region)
-		}
-	}
-	sort.Strings(regions)
-	groups, cur := 0, ""
-	for _, r := range regions {
-		if groups > 0 && pathContains(cur, r) {
-			continue
-		}
-		groups++
-		cur = r
-	}
-	return groups
 }
 
 // flattenSeq returns the straight-line items of a comma sequence,
@@ -194,10 +145,10 @@ func flattenSeq(e ast.Expr) []ast.Expr {
 	return []ast.Expr{e}
 }
 
-// summariseUpdate builds the effect summary for one sequence item.
-// isUpdate reports whether the item is one of the four updating forms
-// at all; ok additionally requires a stable target path.
-func summariseUpdate(e ast.Expr) (eff updEffect, isUpdate, ok bool) {
+// summariseUpdate builds the effect summary for one sequence item; ok
+// reports whether the item is one of the four updating forms with a
+// stable target path.
+func summariseUpdate(e ast.Expr) (eff updEffect, ok bool) {
 	var target ast.Expr
 	switch x := e.(type) {
 	case ast.Insert:
@@ -209,10 +160,10 @@ func summariseUpdate(e ast.Expr) (eff updEffect, isUpdate, ok bool) {
 			// Sibling-list insert: writes land in the target's parent.
 			path, pok := stablePath(target)
 			if !pok {
-				return eff, true, false
+				return eff, false
 			}
 			eff.target, eff.region = path, parentPath(path)
-			return eff, true, true
+			return eff, true
 		default:
 			eff.kind = "insert"
 		}
@@ -235,11 +186,11 @@ func summariseUpdate(e ast.Expr) (eff updEffect, isUpdate, ok bool) {
 		eff.at = x.At
 		eff.kind = "rename"
 	default:
-		return eff, false, false
+		return eff, false
 	}
 	path, pok := stablePath(target)
 	if !pok {
-		return eff, true, false
+		return eff, false
 	}
 	eff.target = path
 	if eff.killer {
@@ -247,7 +198,7 @@ func summariseUpdate(e ast.Expr) (eff updEffect, isUpdate, ok bool) {
 	} else {
 		eff.region = path
 	}
-	return eff, true, true
+	return eff, true
 }
 
 // stablePath canonicalises a target expression when it is an absolute

@@ -132,7 +132,7 @@ func TestGoldenCoversAllCodes(t *testing.T) {
 		analysis.CodeReadOnlyWindow, analysis.CodeWindowUpdateKind,
 		analysis.CodeCostBudget,
 		analysis.CodeDeadUpdate, analysis.CodeDeadDelete,
-		analysis.CodeUpdateConflict, analysis.CodeUpdateGroups,
+		analysis.CodeUpdateConflict,
 		analysis.CodeShipped, analysis.CodeCopiedLet,
 	}
 	files, _ := filepath.Glob(filepath.Join("testdata", "*.diag"))

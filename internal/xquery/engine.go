@@ -338,7 +338,6 @@ const (
 	CodeDeadUpdate     = analysis.CodeDeadUpdate
 	CodeDeadDelete     = analysis.CodeDeadDelete
 	CodeUpdateConflict = analysis.CodeUpdateConflict
-	CodeUpdateGroups   = analysis.CodeUpdateGroups
 )
 
 // ErrAnalysisFailed matches (via errors.Is) every *AnalysisError: a
@@ -501,12 +500,9 @@ type RunConfig struct {
 }
 
 // applyPUL applies a pending update list through the one apply path
-// (update.ApplyPruned). unobserved switches the dead-update rule on:
-// only the final apply of a non-sequential Run whose result and
-// external variables carry no node items may set it (see finishRun),
-// because that rule changes the state of detached subtrees.
-func (cfg *RunConfig) applyPUL(pul *update.PUL, onChange func(update.Primitive), unobserved bool) error {
-	eliminated, err := pul.ApplyPruned(onChange, unobserved)
+// (update.ApplyPruned).
+func (cfg *RunConfig) applyPUL(pul *update.PUL, onChange func(update.Primitive)) error {
+	eliminated, err := pul.ApplyPruned(onChange)
 	if cfg.Profiler != nil {
 		cfg.Profiler.AddUpdates("eliminated", int64(eliminated))
 	}
@@ -581,7 +577,7 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	}
 	if cfg.Sequential {
 		ctx.SnapshotApply = func(pul *update.PUL) error {
-			return cfg.applyPUL(pul, cfg.OnUpdate, false)
+			return cfg.applyPUL(pul, cfg.OnUpdate)
 		}
 	}
 	return ctx
@@ -630,22 +626,14 @@ func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, e
 		}
 	}
 	if cfg.Sequential {
-		ctx.SnapshotApply = func(pul *update.PUL) error { return cfg.applyPUL(pul, count, false) }
+		ctx.SnapshotApply = func(pul *update.PUL) error { return cfg.applyPUL(pul, count) }
 	}
 	val, err := eval()
 	if err != nil {
 		return nil, err
 	}
 	if ctx.PUL != nil && !ctx.PUL.Empty() {
-		// Dead-update elimination only changes the state of detached
-		// subtrees, so it is gated on nothing observing them after the
-		// run: Run's context is its own (a host that reuses one applies
-		// for itself and never vouches), snapshot semantics off, and no
-		// node items escaping through the result value or in via
-		// external variable bindings.
-		unobserved := !cfg.Sequential &&
-			!seqHasNodes(val) && !varsHaveNodes(cfg.Variables)
-		if err := cfg.applyPUL(ctx.PUL, count, unobserved); err != nil {
+		if err := cfg.applyPUL(ctx.PUL, count); err != nil {
 			return nil, err
 		}
 	}
@@ -656,17 +644,6 @@ func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, e
 func seqHasNodes(s xdm.Sequence) bool {
 	for _, it := range s {
 		if _, ok := xdm.IsNode(it); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// varsHaveNodes reports whether any external variable binding carries a
-// node item.
-func varsHaveNodes(vars map[dom.QName]xdm.Sequence) bool {
-	for _, s := range vars {
-		if seqHasNodes(s) {
 			return true
 		}
 	}

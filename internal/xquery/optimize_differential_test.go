@@ -146,6 +146,11 @@ var compileDifferentialCorpus = []string{
 	`for $a in //book for $b in //book where $a/price + 1 eq $b/@id return 1`,
 	`for $a in //book for $b in //book where $a/@id = $b/author return $b/@id/string()`,
 	`for $a in (1, "b2") for $b in //book where $b/@id eq $a return $b/@id/string()`,
+	// A streaming = never pulls its left operand when the right one is
+	// empty: the outer key's error stays hidden, and the first pull waits
+	// for the first build item with a key.
+	`for $A in */book for $b in */book where $B = $b/A return 0`,
+	`for $a in */book for $b in */book where $a/@id = $b/preceding-sibling::book/@id return concat($a/@id, $b/@id)`,
 }
 
 // compileOracle compiles src from a module of its own whose one

@@ -56,13 +56,23 @@ func (c *Context) joinKey(e ast.Expr, valueEq bool) (xdm.Sequence, error) {
 	return atoms, nil
 }
 
+// outerPulled reports whether the predicate the join replaces is a
+// streaming general comparison with the outer key on the left: such a
+// comparison evaluates its right operand, the inner key, first and
+// never pulls the left one when the right one is empty.
+func outerPulled(c *Context, jp *ast.JoinPlan) bool {
+	return !jp.ValueEq && !c.NoStream && jp.OuterLeft
+}
+
 // buildJoin evaluates the build domain and buckets it, in the context
 // of the first outer tuple to arrive (the domain and the build keys
 // depend on no outer variable). The nested loop this replaces would
 // first evaluate the predicate on that tuple and the first domain item,
-// one operand before the other, so one evaluation of the outer key is
-// interleaved at that very place: whichever error the nested loop would
-// have surfaced first, this surfaces first.
+// one operand before the other — or, when the outer key is pulled, on
+// the first domain item whose inner key is not empty — so one
+// evaluation of the outer key is interleaved at that very place:
+// whichever error the nested loop would have surfaced first, this
+// surfaces first.
 func (en *flworEntry) buildJoin(c *Context) error {
 	jp := en.f.Join
 	cl := &en.f.Clauses[jp.Clause]
@@ -83,7 +93,10 @@ func (en *flworEntry) buildJoin(c *Context) error {
 		// first (eagerly), then streams the left.
 		outerFirst = !jp.OuterLeft
 	}
+	pulled := outerPulled(c, jp)
+	outerDone := false
 	outerOnce := func() error {
+		outerDone = true
 		_, err := c.joinKey(jp.OuterKey, jp.ValueEq)
 		return err
 	}
@@ -107,7 +120,7 @@ func (en *flworEntry) buildJoin(c *Context) error {
 				j.table[k] = append(b, idx)
 			}
 		}
-		if idx == 0 && !outerFirst {
+		if !outerDone && (!pulled || len(atoms) > 0) {
 			if err := outerOnce(); err != nil {
 				return err
 			}
@@ -130,6 +143,11 @@ func (en *flworEntry) joinClause(c *Context, i int) error {
 	}
 	j, jp := en.join, en.f.Join
 	if len(j.domain) == 0 {
+		return nil
+	}
+	if len(j.table) == 0 && !j.fallback && outerPulled(c, jp) {
+		// No inner key had an item, so the comparison never pulls the
+		// outer key and no tuple matches.
 		return nil
 	}
 	v := en.f.Clauses[i].Var

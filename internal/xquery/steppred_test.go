@@ -85,9 +85,7 @@ func runStepPred(t *testing.T, label string, p *Program, src string, vars func(d
 		if err != nil {
 			return "error: " + err.Error()
 		}
-		// Not res.Updates: dead-update elimination needs the index, so
-		// how many primitives a run applies differs by design.
-		return FormatSequence(res.Value, markup.AppendXML) + " | " + markup.Serialize(doc)
+		return fmt.Sprintf("%s | %d applied | %s", FormatSequence(res.Value, markup.AppendXML), res.Updates, markup.Serialize(doc))
 	}
 	var first string
 	for _, noStream := range []bool{false, true} {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dom"
-	"repro/internal/dom/index"
 	"repro/internal/faultpoint"
 	"repro/internal/markup"
 )
@@ -16,14 +15,13 @@ import (
 // ApplyPruned must agree — same error presence, byte-identical live
 // documents (after rollback too), and an onChange sequence that is the
 // reference's minus the eliminated primitives. The input's first byte
-// switches the dead-update rule (bit 0; eliminable() guarantees it
-// never changes failure behaviour, so comparing error presence stays
-// valid with it on) and arms an update.apply fault in front of the
-// pruned apply (bits 1-3: the Nth primitive, 0 for none), which has to
-// leave bytes, version and pending list untouched before the retry is
-// compared. (Nothing is partitioned any more; the name stays because the
-// committed corpus under testdata/fuzz and the tier-1 floor list are
-// keyed by it.)
+// arms an update.apply fault in front of the pruned apply (bits 1-3:
+// the Nth primitive, 0 for none), which has to leave bytes, version and
+// pending list untouched before the retry is compared; bit 0 is
+// ignored (it once switched a pruning rule that no longer exists, and
+// the committed corpus still sets it). (Nothing is partitioned any more;
+// the name stays because the committed corpus under testdata/fuzz and
+// the tier-1 floor list are keyed by it.)
 func FuzzPULPartition(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})
 	f.Add([]byte{1, 7, 0, 7, 2, 7, 9, 3})
@@ -35,15 +33,14 @@ func FuzzPULPartition(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer faultpoint.Reset()
 		const src = `<r><a>one</a><b k="v"><b1/><b2>two</b2></b><c/><d><d1/></d></r>`
-		unobserved, faultAt := false, int64(0)
+		faultAt := int64(0)
 		if len(data) > 0 {
-			unobserved, faultAt = data[0]&1 == 1, int64(data[0]>>1&7)
+			faultAt = int64(data[0] >> 1 & 7)
 		}
 		if len(data) > 1 {
 			data = data[1:]
 		}
-		// build decodes the list against a parse of its own, with the
-		// document-order index the dead-update rule reads in place.
+		// build decodes the list against a parse of its own.
 		build := func() (*dom.Node, *PUL) {
 			doc, err := markup.Parse(src)
 			if err != nil {
@@ -54,7 +51,6 @@ func FuzzPULPartition(f *testing.F) {
 			for i := 0; i+1 < len(data) && i < 24; i += 2 {
 				_ = p.Add(fuzzPrim(Kind(data[i]%10)+1, nodes[int(data[i+1])%len(nodes)], i))
 			}
-			index.For(doc)
 			return doc, p
 		}
 		docR, ref := build()
@@ -68,7 +64,7 @@ func FuzzPULPartition(f *testing.F) {
 			pending, v0 := faulted.Len(), docF.Version()
 			faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(faultAt))
 			reported := 0
-			_, err := faulted.ApplyPruned(func(Primitive) { reported++ }, unobserved)
+			_, err := faulted.ApplyPruned(func(Primitive) { reported++ })
 			faultpoint.Reset()
 			// A list that is shorter than faultAt, or fails on its own
 			// first, injects nothing; the untouched pair is compared.
@@ -80,11 +76,10 @@ func FuzzPULPartition(f *testing.F) {
 					t.Fatalf("faulted apply left version %d (was %d), %d pending (was %d), and reported %d primitives",
 						docF.Version(), v0, faulted.Len(), pending, reported)
 				}
-				index.For(docF)
 				docP, pruned = docF, faulted // the retry is what gets compared
 			}
 		}
-		if _, err := checkPrunedAgainstApply(t, docR, docP, ref, pruned, unobserved); err != nil {
+		if _, err := checkPrunedAgainstApply(t, docR, docP, ref, pruned); err != nil {
 			if got := markup.Serialize(docP); got != src {
 				t.Fatalf("failed apply left %s", got)
 			}

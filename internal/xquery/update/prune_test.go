@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dom"
-	"repro/internal/dom/index"
 	"repro/internal/faultpoint"
 	"repro/internal/markup"
 )
@@ -58,12 +57,12 @@ func isSubsequence(sub, ref []string) bool {
 // one source — and asserts what the pre-pass promises: identical
 // serialisations, identical error presence, and an onChange sequence
 // that is the reference's minus exactly the eliminated primitives.
-func checkPrunedAgainstApply(t *testing.T, docR, docP *dom.Node, ref, pruned *PUL, unobserved bool) (eliminated int, err error) {
+func checkPrunedAgainstApply(t *testing.T, docR, docP *dom.Node, ref, pruned *PUL) (eliminated int, err error) {
 	t.Helper()
 	onR, seqR := reporter(docR)
 	onP, seqP := reporter(docP)
 	errR := ref.Apply(onR)
-	eliminated, errP := pruned.ApplyPruned(onP, unobserved)
+	eliminated, errP := pruned.ApplyPruned(onP)
 	if (errR == nil) != (errP == nil) {
 		t.Fatalf("error mismatch: Apply %v, ApplyPruned %v", errR, errP)
 	}
@@ -85,22 +84,21 @@ func checkPrunedAgainstApply(t *testing.T, docR, docP *dom.Node, ref, pruned *PU
 
 // runBothApplies builds the same primitive list against two parses of
 // src and checks the pruned apply of one against Apply on the other.
-func runBothApplies(t *testing.T, src string, unobserved bool, build func(t *testing.T, doc *dom.Node, p *PUL)) (eliminated int) {
+func runBothApplies(t *testing.T, src string, build func(t *testing.T, doc *dom.Node, p *PUL)) (eliminated int) {
 	t.Helper()
 	docR, docP := tree(t, src), tree(t, src)
 	ref, pruned := &PUL{}, &PUL{}
 	build(t, docR, ref)
 	build(t, docP, pruned)
-	eliminated, _ = checkPrunedAgainstApply(t, docR, docP, ref, pruned, unobserved)
+	eliminated, _ = checkPrunedAgainstApply(t, docR, docP, ref, pruned)
 	return eliminated
 }
 
-// TestUnconditionalElimination drops exact no-ops even when detached
-// subtrees may be observed: a delete of a replaced target and a
-// duplicate delete.
+// TestUnconditionalElimination drops the exact no-ops: a delete of a
+// replaced target and a duplicate delete.
 func TestUnconditionalElimination(t *testing.T) {
 	const src = `<r><a/><b/></r>`
-	eliminated := runBothApplies(t, src, false, func(t *testing.T, doc *dom.Node, p *PUL) {
+	eliminated := runBothApplies(t, src, func(t *testing.T, doc *dom.Node, p *PUL) {
 		a, b := el(t, doc, "a"), el(t, doc, "b")
 		_ = p.Add(Primitive{Kind: ReplaceNode, Target: a,
 			Content: []*dom.Node{dom.NewElement(dom.Name("a2"))}})
@@ -110,51 +108,6 @@ func TestUnconditionalElimination(t *testing.T) {
 	})
 	if eliminated != 2 {
 		t.Errorf("eliminated = %d, want 2", eliminated)
-	}
-}
-
-// TestGatedElimination drops an insert whose whole effect lands in a
-// deleted subtree — live tree identical to Apply's — but only when the
-// caller vouches nothing observes detached nodes.
-func TestGatedElimination(t *testing.T) {
-	const src = `<r><a><a1>t</a1></a><b/></r>`
-	build := func(t *testing.T, doc *dom.Node, p *PUL) {
-		_ = p.Add(Primitive{Kind: InsertInto, Target: el(t, doc, "a1"),
-			Content: []*dom.Node{dom.NewElement(dom.Name("x"))}})
-		_ = p.Add(Primitive{Kind: ReplaceValue, Target: el(t, doc, "a"), Value: "gone"})
-		_ = p.Add(Primitive{Kind: Delete, Target: el(t, doc, "a")})
-		_ = p.Add(Primitive{Kind: Rename, Target: el(t, doc, "b"), Name: dom.Name("b2")})
-	}
-	if off := runBothApplies(t, src, false, build); off != 0 {
-		t.Errorf("eliminated without the caller's word: %d", off)
-	}
-	// insertInto a1 and replaceValue a both die inside a's deleted
-	// span; the delete itself and the rename survive.
-	if on := runBothApplies(t, src, true, build); on != 2 {
-		t.Errorf("eliminated = %d, want 2", on)
-	}
-}
-
-// TestEliminationNeverDropsFailingPrimitive pins the guard: a rename
-// of a text node inside a deleted subtree fails Apply, so the pre-pass
-// must not eliminate it into a success.
-func TestEliminationNeverDropsFailingPrimitive(t *testing.T) {
-	const src = `<r><a>text</a></r>`
-	docR, docP := tree(t, src), tree(t, src)
-	build := func(doc *dom.Node, p *PUL) {
-		a := el(t, doc, "a")
-		_ = p.Add(Primitive{Kind: Rename, Target: a.FirstChild(), Name: dom.Name("x")})
-		_ = p.Add(Primitive{Kind: Delete, Target: a})
-	}
-	ref, pruned := &PUL{}, &PUL{}
-	build(docR, ref)
-	build(docP, pruned)
-	index.For(docP) // two primitives build no index of their own
-	if _, err := checkPrunedAgainstApply(t, docR, docP, ref, pruned, true); err == nil {
-		t.Fatal("renaming a text node must fail both applies")
-	}
-	if got := markup.Serialize(docP); got != src {
-		t.Fatalf("rolled-back tree = %s", got)
 	}
 }
 
@@ -180,7 +133,7 @@ func TestPrunedApplyRollback(t *testing.T) {
 
 	faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(3))
 	calls := 0
-	_, err := p.ApplyPruned(func(Primitive) { calls++ }, false)
+	_, err := p.ApplyPruned(func(Primitive) { calls++ })
 	if !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -201,7 +154,7 @@ func TestPrunedApplyRollback(t *testing.T) {
 	}
 
 	faultpoint.Reset()
-	eliminated, err := p.ApplyPruned(func(Primitive) { calls++ }, false)
+	eliminated, err := p.ApplyPruned(func(Primitive) { calls++ })
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
@@ -231,7 +184,7 @@ func TestPrunedApplyRollbackSeededFault(t *testing.T) {
 		_ = p.Add(Primitive{Kind: Delete, Target: el(t, doc, "c1")})
 		_ = p.Add(Primitive{Kind: InsertInto, Target: el(t, doc, "d"),
 			Content: []*dom.Node{dom.NewElement(dom.Name("x"))}})
-		_, err := p.ApplyPruned(nil, true)
+		_, err := p.ApplyPruned(nil)
 		if err != nil {
 			if got := markup.Serialize(doc); got != before {
 				t.Fatalf("seed %d: not restored:\n before %s\n  after %s", seed, before, got)
@@ -243,53 +196,15 @@ func TestPrunedApplyRollbackSeededFault(t *testing.T) {
 	}
 }
 
-// TestPartitionSkipsIndexForSmallLists pins the build heuristic of the
-// dead-update rule: with fewer than minPrimsForIndex primitives on a
-// tree and no cached index the pre-pass must not pay an index build;
-// with a fresh index already cached it prunes for free.
-func TestPartitionSkipsIndexForSmallLists(t *testing.T) {
-	build := func(doc *dom.Node) *PUL {
-		p := &PUL{}
-		_ = p.Add(Primitive{Kind: ReplaceValue, Target: el(t, doc, "a1"), Value: "1"})
-		_ = p.Add(Primitive{Kind: Delete, Target: el(t, doc, "a")})
-		return p
-	}
-	const src = `<r><a><a1>x</a1></a><b>y</b></r>`
-	doc := tree(t, src)
-	builds0 := index.Snapshot().Builds
-	eliminated, err := build(doc).ApplyPruned(nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := index.Snapshot().Builds; got != builds0 {
-		t.Errorf("small list built an index (%d builds)", got-builds0)
-	}
-	if eliminated != 0 {
-		t.Errorf("eliminated = %d, want 0 (no proof without an index)", eliminated)
-	}
-
-	doc = tree(t, src)
-	index.For(doc)
-	if eliminated, err = build(doc).ApplyPruned(nil, true); err != nil {
-		t.Fatal(err)
-	}
-	if eliminated != 1 {
-		t.Errorf("eliminated = %d, want 1 with a fresh index", eliminated)
-	}
-	if got := markup.Serialize(doc); got != `<r><b>y</b></r>` {
-		t.Errorf("doc = %s", got)
-	}
-}
-
-// TestPartitionAcrossDocuments runs one list over two trees: the
-// dead-update rule works tree by tree (each has its own index), and a
-// failed apply rewinds the version counter of both.
-func TestPartitionAcrossDocuments(t *testing.T) {
+// TestPrunedApplyRollbackAcrossDocuments runs one list over two trees:
+// a failed apply restores the bytes and rewinds the version counter of
+// both, and the retry applies to both.
+func TestPrunedApplyRollbackAcrossDocuments(t *testing.T) {
 	defer faultpoint.Reset()
 	doc1 := tree(t, `<r><a><a1>x</a1></a><b/><c/></r>`)
 	doc2 := tree(t, `<q><b>y</b></q>`)
 	p := &PUL{}
-	_ = p.Add(Primitive{Kind: ReplaceValue, Target: el(t, doc1, "a1"), Value: "dead"})
+	_ = p.Add(Primitive{Kind: ReplaceValue, Target: el(t, doc1, "a1"), Value: "detached"})
 	_ = p.Add(Primitive{Kind: ReplaceValue, Target: el(t, doc2, "b"), Value: "2"})
 	_ = p.Add(Primitive{Kind: Delete, Target: el(t, doc1, "a")})
 	_ = p.Add(Primitive{Kind: Rename, Target: el(t, doc1, "b"), Name: dom.Name("bb")})
@@ -299,7 +214,7 @@ func TestPartitionAcrossDocuments(t *testing.T) {
 	before1, before2 := markup.Serialize(doc1), markup.Serialize(doc2)
 	v1, v2 := doc1.Version(), doc2.Version()
 	faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(4))
-	if _, err := p.ApplyPruned(nil, true); !errors.Is(err, faultpoint.ErrInjected) {
+	if _, err := p.ApplyPruned(nil); !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
 	if markup.Serialize(doc1) != before1 || markup.Serialize(doc2) != before2 {
@@ -310,12 +225,8 @@ func TestPartitionAcrossDocuments(t *testing.T) {
 	}
 
 	faultpoint.Reset()
-	eliminated, err := p.ApplyPruned(nil, true)
-	if err != nil {
+	if _, err := p.ApplyPruned(nil); err != nil {
 		t.Fatal(err)
-	}
-	if eliminated != 1 {
-		t.Errorf("eliminated = %d, want 1 (the replaceValue under doc1's deleted <a>)", eliminated)
 	}
 	if got := markup.Serialize(doc1); got != `<r><bb/><c><x/></c></r>` {
 		t.Errorf("doc1 = %s", got)
@@ -340,7 +251,7 @@ func TestRenameDuplicateAttributeRollback(t *testing.T) {
 			Name: dom.Name("p")})
 		var err error
 		if pruned {
-			_, err = p.ApplyPruned(nil, false)
+			_, err = p.ApplyPruned(nil)
 		} else {
 			err = p.Apply(nil)
 		}
@@ -365,10 +276,10 @@ func TestSnapshotCounters(t *testing.T) {
 	b1 := el(t, doc, "b1")
 	_ = p.Add(Primitive{Kind: Delete, Target: b1})
 	_ = p.Add(Primitive{Kind: Delete, Target: b1})
-	if _, err := p.ApplyPruned(nil, false); err != nil {
+	if _, err := p.ApplyPruned(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ApplyPruned(nil, false); err != nil { // empty: counts nothing
+	if _, err := p.ApplyPruned(nil); err != nil { // empty: counts nothing
 		t.Fatal(err)
 	}
 	after := Snapshot()
@@ -401,7 +312,7 @@ func TestListenerTurnApplyAllocs(t *testing.T) {
 		p.prims = append(p.prims[:0],
 			Primitive{Kind: Delete, Target: in},
 			Primitive{Kind: InsertInto, Target: r, Content: outList})
-		if _, err := p.ApplyPruned(nil, false); err != nil {
+		if _, err := p.ApplyPruned(nil); err != nil {
 			t.Fatal(err)
 		}
 		in, out, inList, outList = out, in, outList, inList

@@ -13,8 +13,8 @@ import (
 
 // TestUpdateDifferentialPrunedVsApply is the reference check for the
 // apply path every run takes: each corpus query runs through
-// Program.Run — the pruning pre-pass with the dead-update rule wherever
-// finishRun allows it — and once more with its pending list handed to
+// Program.Run — the no-op pre-pass in front of the atomic apply — and
+// once more with its pending list handed to
 // the raw update.Apply, and the rendered results, error presence and
 // post-run document must be byte-identical; the primitives reported to
 // OnUpdate must be the reference's, in its order, minus exactly those
@@ -101,17 +101,16 @@ func TestUpdateDifferentialPrunedVsApply(t *testing.T) {
 			eliminated += got.eliminated
 		}
 	}
-	// Two no-ops and two dead updates, each seen by both programs.
-	if eliminated < 8 {
-		t.Errorf("the pre-pass eliminated %d primitives over the corpus, want the 8 of prunedUpdateQueries at least", eliminated)
+	// The two no-op deletes of the first query, seen by both programs.
+	if eliminated != 4 {
+		t.Errorf("the pre-pass eliminated %d primitives over the corpus, want the 4 no-ops of prunedUpdateQueries", eliminated)
 	}
 }
 
-// prunedUpdateQueries are the lists the pre-pass has something to drop
-// from: one no-op delete; two dead updates under a deleted book (four
-// primitives on the tree, so the rule builds its index); and the same
-// dead updates kept because the result hands out a node; a dead update
-// next to a failing one.
+// prunedUpdateQueries are the lists around the pre-pass: two no-op
+// deletes, which it drops; updates under a deleted book, which apply to
+// the detached subtree like every other primitive, with and without a
+// node in the result; the same next to a failing rename.
 var prunedUpdateQueries = []string{
 	`replace node (//book)[1] with <tome/>, delete node (//book)[1], delete node (//book)[2], delete node (//book)[2]`,
 	`insert node <note/> into (//book)[1]/title, replace value of node (//book)[1]/@id with "x",

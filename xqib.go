@@ -230,7 +230,6 @@ const (
 	CodeDeadUpdate     = xquery.CodeDeadUpdate
 	CodeDeadDelete     = xquery.CodeDeadDelete
 	CodeUpdateConflict = xquery.CodeUpdateConflict
-	CodeUpdateGroups   = xquery.CodeUpdateGroups
 )
 
 // Module resolution: local in-memory library modules and resolver
