@@ -100,7 +100,7 @@ func TestDocumentOrderAfterMutation(t *testing.T) {
 	if CompareOrder(a, b) != -1 {
 		t.Fatal("precondition")
 	}
-	// Move a after b: order must flip despite the stamp cache.
+	// Move a after b: order must flip despite the labels written above.
 	if err := root.InsertAfter(a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +109,29 @@ func TestDocumentOrderAfterMutation(t *testing.T) {
 	}
 }
 
-// TestCompareOrderAcrossTrees: nodes of different trees order by an
-// arbitrary but stable, antisymmetric tie-break, and deciding it
-// allocates nothing — it runs inside every document-order sort over a
-// collection().
+// TestCompareOrderAcrossTrees: nodes of different trees order by their
+// roots' base URIs (a collection's document-URI order), a tree without
+// one after every tree with one, and by a stable, antisymmetric
+// tie-break when the URIs are equal; deciding it allocates nothing — it
+// runs inside every document-order sort over a collection().
 func TestCompareOrderAcrossTrees(t *testing.T) {
-	_, _, a, _, _ := buildSample(t)
-	_, _, _, b, _ := buildSample(t)
+	docA, _, a, _, _ := buildSample(t)
+	docB, _, _, b, _ := buildSample(t)
+	docA.SetBaseURI("/c/b.xml")
+	docB.SetBaseURI("/c/a.xml")
+	if CompareOrder(b, a) != -1 || CompareOrder(a, b) != 1 {
+		t.Errorf("/c/a.xml vs /c/b.xml: CompareOrder(b,a) = %d, CompareOrder(a,b) = %d, want -1, 1",
+			CompareOrder(b, a), CompareOrder(a, b))
+	}
+	constructed := NewElement(Name("x"))
+	if CompareOrder(constructed, a) != 1 || CompareOrder(b, constructed) != -1 {
+		t.Error("a tree without a base URI must follow the trees with one")
+	}
+
+	docA.SetBaseURI("/c/a.xml")
 	first := CompareOrder(a, b)
 	if first == 0 || CompareOrder(b, a) != -first {
-		t.Fatalf("CompareOrder(a,b) = %d, CompareOrder(b,a) = %d", first, CompareOrder(b, a))
+		t.Fatalf("equal URIs: CompareOrder(a,b) = %d, CompareOrder(b,a) = %d", first, CompareOrder(b, a))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if CompareOrder(a, b) != first {

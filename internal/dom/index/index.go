@@ -5,10 +5,12 @@
 //   - an element-name index (expanded QName → elements in document
 //     order), probed by //x-style steps;
 //   - an "id" attribute index (value → elements in document order),
-//     probed by descendant::x[@id="..."] steps and fn:id;
-//   - document-order pre/size numbering (a span per node), giving O(1)
-//     descendant tests, O(log n) subtree slicing of the name lists, and
-//     merge-based dedup/sort of step results.
+//     probed by descendant::x[@id="..."] steps and fn:id.
+//
+// The index numbers nothing itself: a subtree is a pre/end interval of
+// the labels package dom keeps on every node (dom.Node.Label, DESIGN.md
+// §5t), so slicing a name list to one subtree is two binary searches,
+// and a build allocates nothing per node of the tree.
 //
 // Invalidation is wholesale and free for mutators: every mutator in
 // dom/tree.go already bumps the tree root's version counter, and an
@@ -54,13 +56,6 @@ func init() {
 // stale for good, whichever way the counter moves.
 const neverFresh = ^uint64(0)
 
-// span is a node's position in the pre-order numbering: the node's own
-// number and the largest number in its subtree (attributes included).
-// d is a descendant of a iff a.pre < d.pre && d.pre <= a.end.
-type span struct {
-	pre, end uint64
-}
-
 // nameKey is an expanded element name (prefixes are irrelevant).
 type nameKey struct {
 	space, local string
@@ -75,7 +70,6 @@ type Doc struct {
 
 	names map[nameKey][]*dom.Node // element-name index
 	ids   map[string][]*dom.Node  // no-namespace "id" attribute index
-	order map[*dom.Node]span      // pre/size numbering, every node
 
 	// Probe's rebuild heuristic: how many probes arrived while this
 	// index was stale, and at which tree version they were counted.
@@ -171,9 +165,8 @@ func Probe(n *dom.Node) *Doc {
 }
 
 // Fresh returns the cached index for the tree containing n only if it
-// is already built and current; it never builds. Callers with a cheap
-// fallback (the document-order sort in the runtime) use this so that
-// workloads which never probe an index never pay for building one.
+// is already built and current; it never builds (the runtime's
+// NoIndexBuild mode reads indexes through it).
 func Fresh(n *dom.Node) *Doc {
 	root := n.Root()
 	if d, ok := root.LoadIndexCache().(*Doc); ok && d.version == root.Version() {
@@ -182,9 +175,8 @@ func Fresh(n *dom.Node) *Doc {
 	return nil
 }
 
-// build walks the tree once, numbering every node (elements, text,
-// comments, PIs and attributes — the same visit order as the
-// document-order stamps in dom) and filling the name and id maps.
+// build walks the tree once, filling the name and id maps in document
+// order.
 func build(root *dom.Node) *Doc {
 	builds.Add(1)
 	d := &Doc{
@@ -192,13 +184,8 @@ func build(root *dom.Node) *Doc {
 		version: root.Version(),
 		names:   map[nameKey][]*dom.Node{},
 		ids:     map[string][]*dom.Node{},
-		order:   map[*dom.Node]span{},
 	}
-	var pre uint64
-	var visit func(n *dom.Node) uint64
-	visit = func(n *dom.Node) uint64 {
-		pre++
-		my := pre
+	root.Walk(func(n *dom.Node) bool {
 		if n.Type == dom.ElementNode {
 			k := nameKey{space: n.Name.Space, local: n.Name.Local}
 			d.names[k] = append(d.names[k], n)
@@ -206,18 +193,8 @@ func build(root *dom.Node) *Doc {
 				d.ids[id] = append(d.ids[id], n)
 			}
 		}
-		for _, a := range n.Attrs() {
-			pre++
-			d.order[a] = span{pre: pre, end: pre}
-		}
-		end := pre
-		for _, c := range n.Children() {
-			end = visit(c)
-		}
-		d.order[n] = span{pre: my, end: end}
-		return end
-	}
-	visit(root)
+		return true
+	})
 	return d
 }
 
@@ -226,41 +203,22 @@ func build(root *dom.Node) *Doc {
 // mutation answers ok=false and the caller falls back to scanning.
 func (d *Doc) fresh() bool { return d.version == d.root.Version() }
 
-// IsDescendant reports whether desc is a proper descendant of anc, in
-// O(1). ok is false when the index cannot answer (stale, or a node is
-// not in this tree).
-func (d *Doc) IsDescendant(anc, desc *dom.Node) (is, ok bool) {
-	if !d.fresh() {
-		return false, false
-	}
-	a, okA := d.order[anc]
-	x, okB := d.order[desc]
-	if !okA || !okB {
-		return false, false
-	}
-	return a.pre < x.pre && x.pre <= a.end, true
-}
-
 // DescendantsByName returns the elements with the given expanded name
 // inside n's subtree, in document order, sliced out of the name list
-// by binary search on the pre numbers (no allocation). orSelf includes
-// n itself when it carries the name. ok is false when the index is
-// stale or n is not in this tree; the caller must then scan.
+// by binary search on the elements' labels (no allocation). orSelf
+// includes n itself when it carries the name. ok is false when the
+// index is stale or n is not in this tree; the caller must then scan.
 func (d *Doc) DescendantsByName(n *dom.Node, space, local string, orSelf bool) (nodes []*dom.Node, ok bool) {
 	if !d.fresh() {
 		return nil, false
 	}
-	s, okN := d.order[n]
-	if !okN {
+	lo, hi, ok := d.subtree(n, orSelf)
+	if !ok {
 		return nil, false
 	}
 	list := d.names[nameKey{space: space, local: local}]
-	lo := s.pre + 1
-	if orSelf {
-		lo = s.pre
-	}
-	i := sort.Search(len(list), func(i int) bool { return d.order[list[i]].pre >= lo })
-	j := sort.Search(len(list), func(j int) bool { return d.order[list[j]].pre > s.end })
+	i := sort.Search(len(list), func(i int) bool { return pre(list[i]) >= lo })
+	j := sort.Search(len(list), func(j int) bool { return pre(list[j]) > hi })
 	hits.Add(1)
 	return list[i:j], true
 }
@@ -273,22 +231,37 @@ func (d *Doc) DescendantsByID(n *dom.Node, id string, orSelf bool) (nodes []*dom
 	if !d.fresh() {
 		return nil, false
 	}
-	s, okN := d.order[n]
-	if !okN {
+	lo, hi, ok := d.subtree(n, orSelf)
+	if !ok {
 		return nil, false
-	}
-	lo := s.pre + 1
-	if orSelf {
-		lo = s.pre
 	}
 	var out []*dom.Node
 	for _, e := range d.ids[id] {
-		if p := d.order[e].pre; p >= lo && p <= s.end {
+		if p := pre(e); p >= lo && p <= hi {
 			out = append(out, e)
 		}
 	}
 	hits.Add(1)
 	return out, true
+}
+
+// subtree returns the pre interval [lo, hi] of n's subtree, without n
+// itself unless orSelf. ok is false when n is not in this index's tree.
+func (d *Doc) subtree(n *dom.Node, orSelf bool) (lo, hi uint32, ok bool) {
+	p, end, root := n.Label()
+	if root != d.root {
+		return 0, 0, false
+	}
+	if !orSelf {
+		p++
+	}
+	return p, end, true
+}
+
+// pre is n's rank in document order.
+func pre(n *dom.Node) uint32 {
+	p, _, _ := n.Label()
+	return p
 }
 
 // ByID returns every element in the tree whose "id" attribute equals
@@ -299,56 +272,4 @@ func (d *Doc) ByID(id string) (nodes []*dom.Node, ok bool) {
 	}
 	hits.Add(1)
 	return d.ids[id], true
-}
-
-// SortDedup document-orders and deduplicates nodes in place using the
-// pre numbers: O(k) when the input is already sorted (the common case
-// for per-step results, which arrive in document order per focus
-// node), O(k log k) otherwise — never the O(tree) re-stamp of the
-// fallback path. ok is false when the index is stale or some node is
-// outside this tree (e.g. freshly constructed content); the caller
-// must then fall back to the comparison sort.
-func (d *Doc) SortDedup(nodes []*dom.Node) (out []*dom.Node, ok bool) {
-	if !d.fresh() {
-		return nil, false
-	}
-	pres := make([]uint64, len(nodes))
-	sorted := true
-	for i, n := range nodes {
-		s, okN := d.order[n]
-		if !okN {
-			return nil, false
-		}
-		pres[i] = s.pre
-		if i > 0 && s.pre < pres[i-1] {
-			sorted = false
-		}
-	}
-	if !sorted {
-		sort.Sort(&byPre{nodes: nodes, pres: pres})
-	}
-	// Adjacent dedup: equal pre numbers mean the same node.
-	w := 0
-	for i, n := range nodes {
-		if i > 0 && pres[i] == pres[w-1] {
-			continue
-		}
-		nodes[w], pres[w] = n, pres[i]
-		w++
-	}
-	return nodes[:w], true
-}
-
-// byPre sorts a node slice by pre number, keeping the two slices
-// aligned.
-type byPre struct {
-	nodes []*dom.Node
-	pres  []uint64
-}
-
-func (s *byPre) Len() int           { return len(s.nodes) }
-func (s *byPre) Less(i, j int) bool { return s.pres[i] < s.pres[j] }
-func (s *byPre) Swap(i, j int) {
-	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
-	s.pres[i], s.pres[j] = s.pres[j], s.pres[i]
 }

@@ -67,6 +67,16 @@ func TestDescendantsByName(t *testing.T) {
 	if miss, ok := idx.DescendantsByName(root, "", "zzz", false); !ok || len(miss) != 0 {
 		t.Fatalf("zzz under root = %d (ok=%v), want 0", len(miss), ok)
 	}
+	// A node of another tree, or of constructed content, is not inside
+	// this one: the index cannot answer for it.
+	for _, foreign := range []*dom.Node{elem(t, testDoc(t), "a2"), dom.NewElement(dom.QName{Local: "a"})} {
+		if _, ok := idx.DescendantsByName(foreign, "", "b", true); ok {
+			t.Error("DescendantsByName answered for a node of another tree")
+		}
+		if _, ok := idx.DescendantsByID(foreign, "b2", true); ok {
+			t.Error("DescendantsByID answered for a node of another tree")
+		}
+	}
 }
 
 func TestDescendantsByIDAndByID(t *testing.T) {
@@ -94,75 +104,6 @@ func TestDescendantsByIDAndByID(t *testing.T) {
 	}
 	if got, ok := idx.ByID("nope"); !ok || len(got) != 0 {
 		t.Fatalf("ByID(nope) = %v (ok=%v), want empty", got, ok)
-	}
-}
-
-func TestIsDescendantAndSpan(t *testing.T) {
-	doc := testDoc(t)
-	idx := index.For(doc)
-	root := elem(t, doc, "r")
-	a1, a2, b2 := elem(t, doc, "a1"), elem(t, doc, "a2"), elem(t, doc, "b2")
-
-	cases := []struct {
-		anc, desc *dom.Node
-		want      bool
-	}{
-		{root, a1, true},
-		{root, b2, true},
-		{a2, b2, true},
-		{a1, b2, false},
-		{b2, a2, false},
-		{a1, a1, false}, // proper descendant only
-		// The edges of a2's pre/end span: its last node (an attribute
-		// of its last descendant) is inside, the next sibling is not.
-		{a2, b2.AttrNode(dom.QName{Local: "id"}), true},
-		{a2, elem(t, doc, "c1"), false},
-	}
-	for _, c := range cases {
-		is, ok := idx.IsDescendant(c.anc, c.desc)
-		if !ok || is != c.want {
-			t.Errorf("IsDescendant(%s, %s) = %v (ok=%v), want %v",
-				c.anc.AttrValue("id"), c.desc.AttrValue("id"), is, ok, c.want)
-		}
-	}
-	// A node from another tree is unknown to this index.
-	other := testDoc(t)
-	if _, ok := idx.IsDescendant(root, elem(t, other, "b2")); ok {
-		t.Error("IsDescendant answered for a foreign node")
-	}
-}
-
-func TestSortDedup(t *testing.T) {
-	doc := testDoc(t)
-	idx := index.For(doc)
-	a1, a2, c1, b2 := elem(t, doc, "a1"), elem(t, doc, "a2"), elem(t, doc, "c1"), elem(t, doc, "b2")
-
-	got, ok := idx.SortDedup([]*dom.Node{c1, a2, b2, a1, a2, c1})
-	if !ok {
-		t.Fatal("SortDedup failed on in-tree nodes")
-	}
-	want := []*dom.Node{a1, a2, b2, c1}
-	if len(got) != len(want) {
-		t.Fatalf("SortDedup returned %d nodes, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortDedup[%d] = %s, want %s", i, got[i].AttrValue("id"), want[i].AttrValue("id"))
-		}
-	}
-	// Already-sorted input passes through unchanged.
-	sorted, ok := idx.SortDedup([]*dom.Node{a1, b2, c1})
-	if !ok || len(sorted) != 3 {
-		t.Fatalf("SortDedup(sorted) = %v (ok=%v)", sorted, ok)
-	}
-	// A node outside the tree fails the whole call, before any
-	// reordering of the input.
-	in := []*dom.Node{c1, a1, dom.NewElement(dom.QName{Local: "x"})}
-	if _, ok := idx.SortDedup(in); ok {
-		t.Fatal("SortDedup accepted a foreign node")
-	}
-	if in[0] != c1 || in[1] != a1 {
-		t.Fatal("failed SortDedup reordered its input")
 	}
 }
 
@@ -269,8 +210,8 @@ func TestMutatorsInvalidate(t *testing.T) {
 			if _, ok := idx.DescendantsByName(doc, "", "a", false); ok {
 				t.Fatalf("stale index answered DescendantsByName after %s", m.name)
 			}
-			if _, ok := idx.IsDescendant(doc, elem(t, doc, "r")); ok {
-				t.Fatalf("stale index answered IsDescendant after %s", m.name)
+			if _, ok := idx.DescendantsByID(doc, "a1", false); ok {
+				t.Fatalf("stale index answered DescendantsByID after %s", m.name)
 			}
 			if d := index.Snapshot().Builds - base; d != 0 {
 				t.Fatalf("%s itself triggered %d rebuilds, want 0 (rebuild must be lazy)", m.name, d)

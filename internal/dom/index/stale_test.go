@@ -36,7 +36,7 @@ func TestProbeDropsStaleMaps(t *testing.T) {
 	if !ok || slot == held {
 		t.Fatalf("slot still holds the stale index (%v)", ok)
 	}
-	if slot.names != nil || slot.ids != nil || slot.order != nil {
+	if slot.names != nil || slot.ids != nil {
 		t.Fatal("the Doc left in the slot holds maps")
 	}
 

@@ -8,17 +8,19 @@ import (
 
 // A node is allocated once per element, text and attribute of every
 // page, stored revision and wire payload, so its size class is a cost of
-// everything (DESIGN.md §5q): a leaf fits the 128-byte class, an element
-// with its lists the 176-byte one, a document with its side struct 288.
-// One more word in Node costs every leaf sixteen bytes.
+// everything (DESIGN.md §5q, §5t): a leaf fits the 112-byte class, an
+// element with its lists the 160-byte one, a document with its side
+// struct 320 (the side struct holds the labeling's version word and
+// lock, once per tree). One more word in Node costs every leaf sixteen
+// bytes.
 func TestNodeFitsItsSizeClass(t *testing.T) {
 	for _, c := range []struct {
 		what      string
 		got, want uintptr
 	}{
-		{"a leaf dom.Node", unsafe.Sizeof(Node{}), 128},
-		{"an element with its lists", unsafe.Sizeof(elemNode{}), 176},
-		{"a document with its lists and side struct", unsafe.Sizeof(docNode{}), 288},
+		{"a leaf dom.Node", unsafe.Sizeof(Node{}), 112},
+		{"an element with its lists", unsafe.Sizeof(elemNode{}), 160},
+		{"a document with its lists and side struct", unsafe.Sizeof(docNode{}), 320},
 	} {
 		if c.got > c.want {
 			t.Errorf("%s is %d bytes, over the %d-byte size class it fitted", c.what, c.got, c.want)

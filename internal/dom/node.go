@@ -10,6 +10,7 @@ package dom
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -78,11 +79,11 @@ func (q QName) IsZero() bool { return q.Space == "" && q.Prefix == "" && q.Local
 // Node is a node in a document tree. All kinds share this struct; fields
 // that do not apply to a kind are zero. Nodes must only be mutated
 // through the methods of this package so that parent/sibling links and
-// the document-order cache stay consistent.
+// the document-order labels stay consistent.
 //
 // The struct holds what every node of a tree needs and nothing else: a
-// text, comment, PI or attribute node is exactly this (120 bytes, the
-// 128-byte allocator class). The child and attribute lists live in an
+// text, comment, PI or attribute node is exactly this (112 bytes, the
+// 112-byte allocator class). The child and attribute lists live in an
 // elemPart that elements and documents allocate together with the node,
 // and what only a root or a listened-to node has lives in a nodeSide
 // (DESIGN.md §5q). So elements and documents come from NewElement,
@@ -102,20 +103,21 @@ type Node struct {
 
 	// side is nil on ordinary nodes. A document is constructed with one;
 	// any other node gets one (ensureSide) when it is given a base URI or
-	// a listener, or when it is the root of a tree being indexed.
+	// a listener, or when it is the root of a tree being indexed or
+	// labeled.
 	side atomic.Pointer[nodeSide]
 
-	// order cache: stamp valid while the owning document's version
-	// matches stampVersion.
-	stamp        uint64
-	stampVersion uint64
+	// label is the node's document-order pre/end pair (order.go), pre in
+	// the high half; current while its root's side struct says so.
+	label uint64
 	// version is the root node's mutation counter, bumped on every
 	// mutation of its tree. It is a plain word: whoever mutates a tree
 	// has it to itself — the child and attribute lists never allowed
 	// anything else — and the goroutines that share an immutable tree
 	// only read it. It stays in the node, not in the side struct: a
 	// detached constructed root is bumped on every AdoptChildren and
-	// must not allocate for it.
+	// must not allocate for it. A node that leaves its tree is bumped
+	// too (orphan).
 	version uint64
 }
 
@@ -131,8 +133,9 @@ type elemPart struct {
 // part of the document's own allocation and installed before the node
 // is returned, any other node's is installed by compare-and-swap, so
 // concurrent readers of a shared immutable tree (which may build and
-// store its indexes) agree on one. The fields other than the two cache
-// slots are written under the exclusive access every mutation needs.
+// store its indexes, and label it) agree on one. The fields other than
+// the two cache slots and the labeling pair are written under the
+// exclusive access every mutation needs.
 type nodeSide struct {
 	// baseURI is set on document nodes (fn:doc identity, same-origin
 	// checks) and inherited by descendants; see Base.
@@ -155,10 +158,16 @@ type nodeSide struct {
 	// roots only. A separate slot from indexCache so the two indexes
 	// build and invalidate independently.
 	ftCache atomic.Pointer[any]
+
+	// labeled is 1 + the version the labels of the tree rooted here were
+	// written at (0: not current), stored after them under labelMu
+	// (order.go). Meaningful on roots only.
+	labeled atomic.Uint64
+	labelMu sync.Mutex
 }
 
 // elemNode is how an element is allocated: the node and its lists in
-// one object, 168 bytes (the 176-byte class). The node's el points at
+// one object, 160 bytes (the 160-byte class). The node's el points at
 // part, and that interior pointer keeps the whole object alive.
 type elemNode struct {
 	node Node
@@ -166,7 +175,8 @@ type elemNode struct {
 }
 
 // docNode is how a document is allocated: as an element, plus the side
-// struct every document needs for its base URI and its indexes.
+// struct every document needs for its base URI, its indexes and its
+// labeling.
 type docNode struct {
 	node Node
 	part elemPart

@@ -1,12 +1,10 @@
 package dom
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
 // Mutation primitives. These are the only sanctioned ways to restructure
-// a tree; they keep parent links and the document-order cache coherent.
+// a tree; they keep parent links coherent and bump the version counter
+// that the document-order labels and the indexes are checked against.
 // The XQuery Update Facility's apply phase (internal/xquery/update) and
 // the HTML parser are the main callers.
 
@@ -14,6 +12,16 @@ func (n *Node) bumpVersion() {
 	if r := n.Root(); r != nil {
 		r.version++
 	}
+}
+
+// orphan clears n's parent link once the parent's list no longer holds
+// n. n is a root from here on, at a version none of its earlier times
+// as a root had: labels or an index cached at n back then describe a
+// tree that has since been part of another one, and must not read as
+// fresh.
+func (n *Node) orphan() {
+	n.parent = nil
+	n.version++
 }
 
 func (n *Node) checkChild(c *Node) error {
@@ -127,7 +135,7 @@ func (n *Node) Detach() {
 			}
 		}
 	}
-	n.parent = nil
+	n.orphan()
 }
 
 // ReplaceChild replaces old (a child of n) with c.
@@ -140,7 +148,7 @@ func (n *Node) ReplaceChild(c, old *Node) error {
 		return fmt.Errorf("dom: replaced node is not a child")
 	}
 	c.Detach()
-	old.parent = nil
+	old.orphan()
 	c.parent = n
 	n.el.children[i] = c
 	n.bumpVersion()
@@ -254,7 +262,7 @@ func (n *Node) SetData(data string) {
 func (n *Node) ReplaceElementContent(text string) {
 	e := n.el
 	for _, c := range e.children {
-		c.parent = nil
+		c.orphan()
 	}
 	e.children = e.children[:0]
 	if text != "" {
@@ -269,7 +277,7 @@ func (n *Node) ReplaceElementContent(text string) {
 func (n *Node) RemoveChildren() {
 	e := n.el
 	for _, c := range e.children {
-		c.parent = nil
+		c.orphan()
 	}
 	e.children = e.children[:0]
 	n.bumpVersion()
@@ -283,12 +291,12 @@ func (n *Node) NormalizeText() {
 	for _, c := range e.children {
 		if c.Type == TextNode {
 			if c.Data == "" {
-				c.parent = nil
+				c.orphan()
 				continue
 			}
 			if len(out) > 0 && out[len(out)-1].Type == TextNode {
 				out[len(out)-1].Data += c.Data
-				c.parent = nil
+				c.orphan()
 				continue
 			}
 		}
@@ -301,55 +309,4 @@ func (n *Node) NormalizeText() {
 		}
 	}
 	n.bumpVersion()
-}
-
-// CompareOrder returns -1, 0 or +1 as a precedes, equals or follows b in
-// document order. Nodes from different trees are ordered by an arbitrary
-// but stable tie-break (root pointer identity), as the XDM allows.
-// Attributes order after their owning element and among themselves by
-// attribute-list position.
-func CompareOrder(a, b *Node) int {
-	if a == b {
-		return 0
-	}
-	ra, rb := a.Root(), b.Root()
-	if ra != rb {
-		// Stable arbitrary inter-tree order: the roots' addresses (Go's
-		// collector does not move heap objects).
-		if uintptr(unsafe.Pointer(ra)) < uintptr(unsafe.Pointer(rb)) {
-			return -1
-		}
-		return 1
-	}
-	// Same tree: lazily stamp the tree in document order; stamps are
-	// cached until the next mutation.
-	if v := ra.version + 1; a.stampVersion != v || b.stampVersion != v {
-		stampTree(ra)
-	}
-	switch {
-	case a.stamp < b.stamp:
-		return -1
-	case a.stamp > b.stamp:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func stampTree(root *Node) {
-	v := root.version + 1
-	var n uint64
-	var visit func(*Node)
-	visit = func(x *Node) {
-		n++
-		x.stamp, x.stampVersion = n, v
-		for _, a := range x.Attrs() {
-			n++
-			a.stamp, a.stampVersion = n, v
-		}
-		for _, c := range x.Children() {
-			visit(c)
-		}
-	}
-	visit(root)
 }

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Version returns the mutation counter of the tree containing n. Every
 // mutator in tree.go bumps the counter on the tree's root, so a cached
-// derivation of the tree (the document-order stamps here, the
+// derivation of the tree (the document-order labels of order.go, the
 // per-document indexes in internal/dom/index) is valid exactly while
 // the version it was built at still matches.
 func (n *Node) Version() uint64 { return n.Root().version }
@@ -24,15 +24,18 @@ func OnVersionRestore(f func(root *Node)) {
 // RestoreVersion rewinds the version counter of the tree containing n
 // to v — the final step of rolling back a failed update, after the
 // undo log has restored the tree's structure. Rewinding alone would
-// re-arm an ABA hazard: stamps or indexes computed at a version the
+// re-arm an ABA hazard: labels or indexes computed at a version the
 // rollback skips over would read as fresh once the counter climbs back
-// there. So RestoreVersion re-stamps the (now restored) tree's
-// document order and fires the registered hooks, which drop any cached
-// index built during the rolled-back window.
+// there. So RestoreVersion marks the tree's labels as never written
+// (the next reader relabels the restored tree) and fires the
+// registered hooks, which drop any cached index built during the
+// rolled-back window.
 func (n *Node) RestoreVersion(v uint64) {
 	root := n.Root()
 	root.version = v
-	stampTree(root)
+	if s := root.side.Load(); s != nil {
+		s.labeled.Store(0)
+	}
 	for _, f := range versionRestoreHooks {
 		f(root)
 	}

@@ -27,9 +27,9 @@ import (
 // annotations" — runs the same query with the documents fetched and
 // evaluated here, which makes it the oracle's federated half; the other
 // half is the query run on each document by itself, in URI order, which
-// pins the order shipping promises (exact within a document, URI order
-// across documents) where the unshipped run only promises some
-// document order across trees.
+// pins the order both promise: exact within a document, URI order
+// across documents (shipped runs merge by URI, and document order
+// across fetched trees is their URIs' order, DESIGN.md §5t).
 
 // shipQueries are all shapes the planner ships. agg marks the ones
 // whose value is one aggregate over the collection rather than a
@@ -236,13 +236,6 @@ func evalFed(t *testing.T, x *Executor, q string, m fedMode) (xdm.Sequence, erro
 	return res.Value, nil
 }
 
-func sameMultiset(a, b []string) bool {
-	a, b = append([]string(nil), a...), append([]string(nil), b...)
-	sort.Strings(a)
-	sort.Strings(b)
-	return strings.Join(a, "\n") == strings.Join(b, "\n")
-}
-
 func TestShippedMatchesUnshipped(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, n := range []int{1, 9, 40} {
@@ -267,13 +260,6 @@ func TestShippedMatchesUnshipped(t *testing.T) {
 						t.Errorf("%s\n  DisableIndexes still shipped %d expressions", label, shipped)
 					case !m.unshipped && shipped != 1:
 						t.Errorf("%s\n  shipped %d expressions, want 1", label, shipped)
-					}
-					if m.unshipped {
-						// Cross-tree order is the evaluator's own business.
-						if !sameMultiset(got, want) {
-							t.Errorf("%s\n   got %q\n  want %q (in some order)", label, got, want)
-						}
-						continue
 					}
 					if strings.Join(got, "\n") != strings.Join(want, "\n") {
 						t.Errorf("%s\n   got %q\n  want %q", label, got, want)
@@ -323,7 +309,7 @@ func TestShippedDegradesLikeUnshipped(t *testing.T) {
 	sawDiagnostic := false
 	for _, c := range shipQueries {
 		want := shipOracle(t, c.q, c.agg, live, diagnostic)
-		sawDiagnostic = sawDiagnostic || !sameMultiset(want, shipOracle(t, c.q, c.agg, live))
+		sawDiagnostic = sawDiagnostic || strings.Join(want, "\n") != strings.Join(shipOracle(t, c.q, c.agg, live), "\n")
 		for _, m := range []fedMode{{}, {pure: true}, {unshipped: true}} {
 			ResetStats()
 			seq, err := evalFed(t, partial, c.q, m)
@@ -332,7 +318,7 @@ func TestShippedDegradesLikeUnshipped(t *testing.T) {
 				continue
 			}
 			got := typed(seq)
-			if m.unshipped && !sameMultiset(got, want) || !m.unshipped && strings.Join(got, "\n") != strings.Join(want, "\n") {
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Errorf("partial, %s\n  %s\n   got %q\n  want %q", m, c.q, got, want)
 			}
 			if s := Snapshot(); s.Partials != 1 {
@@ -362,8 +348,8 @@ declare function shard:collection($uri) {
 			t.Errorf("%s\n  %v", c.q, err)
 			continue
 		}
-		if got, want := typed(seq), shipOracle(t, c.q, c.agg, docs); !sameMultiset(got, want) {
-			t.Errorf("%s\n   got %q\n  want %q (in some order)", c.q, got, want)
+		if got, want := typed(seq), shipOracle(t, c.q, c.agg, docs); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s\n   got %q\n  want %q", c.q, got, want)
 		}
 	}
 	if s := Snapshot(); s.Shipped != 0 || s.Calls == 0 {
@@ -538,7 +524,7 @@ func TestShipConcurrentFirstCalls(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				seq, err := evalFed(t, x, q, fedMode{})
-				if err == nil && !sameMultiset(typed(seq), strings.Split(want, "\n")) {
+				if got := strings.Join(typed(seq), "\n"); err == nil && got != want {
 					err = fmt.Errorf("got %q", typed(seq))
 				}
 				errs <- err

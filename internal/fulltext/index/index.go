@@ -9,8 +9,10 @@
 //     positions) probed by word and phrase selections;
 //   - a character-trigram index over the distinct vocabulary for
 //     wildcard/substring query words;
-//   - per-node byte ranges and pre-order numbers, so any element's
-//     token window is two binary searches.
+//   - per-node byte ranges in a slice indexed by the node's
+//     document-order label (dom.Node.Label, DESIGN.md §5t; the index
+//     numbers nothing and keeps no map keyed by node), so any
+//     element's token window is two binary searches.
 //
 // The key structural fact the layout exploits: an element's XDM string
 // value is a contiguous substring of the document's text stream, so an
@@ -55,14 +57,9 @@ func init() {
 	})
 }
 
-// nodeRange is a node's slice of the document text stream plus its
-// position in the build walk's pre-order numbering (document order
-// over the indexed node kinds). preEnd is the highest pre number in
-// the node's subtree, so "inside n's subtree" is the interval test
-// pre(n) <= pre(m) <= preEnd(n).
-type nodeRange struct {
-	pre, preEnd uint64
-	start, end  int32
+// byteRange is a node's slice of the document text stream.
+type byteRange struct {
+	start, end int32
 }
 
 // Doc is one tree's full-text index, immutable after build (the two
@@ -104,17 +101,17 @@ type Doc struct {
 
 	// The candidate floor the split tokens impose, precomputed at
 	// build: every node whose byte range clips a split token (those
-	// see a fragment of it the postings never indexed), sorted by pre
-	// number. Candidate enumeration unions the in-scope stretch of
-	// this list into every answer, which keeps probed candidate sets
+	// see a fragment of it the postings never indexed), in label
+	// order. Candidate enumeration unions the in-scope stretch of this
+	// list into every answer, which keeps probed candidate sets
 	// supersets of the true result.
-	floorNodes []*dom.Node
-	floorPres  []uint64
+	floor []cand
 
-	// Node tables: byte range + pre number per document, element and
-	// text node; the text nodes themselves with their stream offsets
+	// Node tables: the byte range of every document, element and text
+	// node, at the node's pre label (the other kinds' entries are
+	// unused); the text nodes themselves with their stream offsets
 	// (textEnds[i] = textStarts[i] + len(data)).
-	rng        map[*dom.Node]nodeRange
+	ranges     []byteRange
 	textNodes  []*dom.Node
 	textStarts []int32
 	textEnds   []int32
@@ -218,11 +215,7 @@ func Fresh(n *dom.Node) *Doc {
 // and the split-token list.
 func build(root *dom.Node) *Doc {
 	builds.Add(1)
-	d := &Doc{
-		root:    root,
-		version: root.Version(),
-		rng:     map[*dom.Node]nodeRange{},
-	}
+	d := &Doc{root: root, version: root.Version()}
 	buildTree(d, root)
 	d.tokenizeStream()
 	d.buildTables()
@@ -315,29 +308,20 @@ func (d *Doc) buildTables() {
 // floor. The floor depends only on the document, so computing it here
 // keeps Candidates from re-deriving (and re-sorting) it per probe.
 func (d *Doc) buildFloor() {
-	set := map[*dom.Node]uint64{}
+	var floor []cand
 	for _, sp := range d.split {
 		p := int(sp)
 		s, e := d.tokStart[p], d.tokEnd[p]
 		for _, tn := range d.tokenTextNodes(p) {
 			for cur := tn; cur != nil; cur = cur.Parent() {
-				if r, ok := d.rng[cur]; ok && (r.start > s || r.end < e) {
-					set[cur] = r.pre
+				at := pre(cur)
+				if r := d.ranges[at]; r.start > s || r.end < e {
+					floor = append(floor, cand{pre: at, n: cur})
 				}
 			}
 		}
 	}
-	d.floorNodes = make([]*dom.Node, 0, len(set))
-	for n := range set {
-		d.floorNodes = append(d.floorNodes, n)
-	}
-	sort.Slice(d.floorNodes, func(i, j int) bool {
-		return set[d.floorNodes[i]] < set[d.floorNodes[j]]
-	})
-	d.floorPres = make([]uint64, len(d.floorNodes))
-	for i, n := range d.floorNodes {
-		d.floorPres[i] = set[n]
-	}
+	d.floor = sortCands(floor)
 }
 
 // lowerToken lower-cases a token, returning the input itself when it

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -136,14 +138,37 @@ func ScoreTokens(nodeTokens []string, total int, terms []Term, docCount func(Ter
 	return score
 }
 
+// rangeOf returns n's slice of the text stream and the label interval
+// of its subtree. ok is false when the index cannot answer for n:
+// stale, a node of another tree or of constructed content, or a kind
+// the text stream does not range (attributes, comments, PIs).
+func (d *Doc) rangeOf(n *dom.Node) (r byteRange, lo, hi uint32, ok bool) {
+	if !d.fresh() {
+		return byteRange{}, 0, 0, false
+	}
+	switch n.Type {
+	case dom.TextNode, dom.ElementNode, dom.DocumentNode:
+	default:
+		return byteRange{}, 0, 0, false
+	}
+	lo, hi, root := n.Label()
+	if root != d.root {
+		return byteRange{}, 0, 0, false
+	}
+	return d.ranges[lo], lo, hi, true
+}
+
+// pre is n's rank in document order.
+func pre(n *dom.Node) uint32 {
+	p, _, _ := n.Label()
+	return p
+}
+
 // window locates a node range's token window: [lo, hi) are the tokens
 // fully inside the range, dirty reports that a token is clipped by a
 // range edge (the node's own tokenization then differs from the
 // window and the caller must re-scan the node).
-func (d *Doc) window(r nodeRange) (lo, hi int, dirty bool) {
-	if !d.fresh() {
-		return 0, 0, true
-	}
+func (d *Doc) window(r byteRange) (lo, hi int, dirty bool) {
 	lo = sort.Search(len(d.tokStart), func(i int) bool { return d.tokStart[i] >= r.start })
 	hi = sort.Search(len(d.tokEnd), func(i int) bool { return d.tokEnd[i] > r.end })
 	if lo > 0 && d.tokEnd[lo-1] > r.start {
@@ -163,10 +188,7 @@ func (d *Doc) window(r nodeRange) (lo, hi int, dirty bool) {
 // outside the indexed set (attributes, comments, PIs), or a window
 // with a clipped edge token — and the caller must scan that node.
 func (d *Doc) Match(n *dom.Node, sel Sel) (matched, ok bool) {
-	if !d.fresh() {
-		return false, false
-	}
-	r, okR := d.rng[n]
+	r, _, _, okR := d.rangeOf(n)
 	if !okR {
 		return false, false
 	}
@@ -403,7 +425,7 @@ func (d *Doc) Candidates(scope *dom.Node, sel Sel, orSelf bool) (nodes []*dom.No
 	if !d.fresh() {
 		return nil, false
 	}
-	r, okR := d.rng[scope]
+	r, lo, hi, okR := d.rangeOf(scope)
 	if !okR {
 		return nil, false
 	}
@@ -411,57 +433,70 @@ func (d *Doc) Candidates(scope *dom.Node, sel Sel, orSelf bool) (nodes []*dom.No
 	// clipped edge tokens included (their pieces belong to descendants).
 	cl := sort.Search(len(d.tokEnd), func(i int) bool { return d.tokEnd[i] > r.start })
 	ch := sort.Search(len(d.tokStart), func(i int) bool { return d.tokStart[i] >= r.end })
-	set, known := d.candSet(scope, r, cl, ch, orSelf, sel)
+	set, known := d.candSet(scope, cl, ch, orSelf, sel)
 	if !known {
 		return nil, false
 	}
 	hits.Add(1)
-	matched := make([]*dom.Node, 0, len(set))
-	for n := range set {
-		matched = append(matched, n)
-	}
-	sort.Slice(matched, func(i, j int) bool { return d.rng[matched[i]].pre < d.rng[matched[j]].pre })
-	return d.mergeFloor(matched, scope, r, orSelf), true
+	i := sort.Search(len(d.floor), func(i int) bool { return d.floor[i].pre >= lo })
+	j := sort.Search(len(d.floor), func(j int) bool { return d.floor[j].pre > hi })
+	nodes = make([]*dom.Node, 0, len(set)+j-i)
+	mergeCands(set, d.floor[i:j], func(c cand) {
+		if c.n != scope || orSelf {
+			nodes = append(nodes, c.n)
+		}
+	})
+	return nodes, true
 }
 
-// mergeFloor merges the pre-sorted word-candidate list with the
-// in-scope stretch of the split-token floor, deduplicating.
-func (d *Doc) mergeFloor(matched []*dom.Node, scope *dom.Node, r nodeRange, orSelf bool) []*dom.Node {
-	if !d.fresh() {
-		return matched
-	}
-	lo := sort.Search(len(d.floorPres), func(i int) bool { return d.floorPres[i] >= r.pre })
-	hi := sort.Search(len(d.floorPres), func(i int) bool { return d.floorPres[i] > r.preEnd })
-	if lo == hi {
-		return matched
-	}
-	out := make([]*dom.Node, 0, len(matched)+hi-lo)
-	i, j := 0, lo
-	for i < len(matched) || j < hi {
-		var takeFloor bool
+// cand is one candidate node with its pre label. A candidate set is a
+// slice of them in label order without repeats: ftand is a binary
+// search, ftor a merge, and the answer comes out in document order.
+type cand struct {
+	pre uint32
+	n   *dom.Node
+}
+
+// sortCands puts a candidate list in label order and drops repeats.
+func sortCands(cs []cand) []cand {
+	slices.SortFunc(cs, func(a, b cand) int { return cmp.Compare(a.pre, b.pre) })
+	return slices.CompactFunc(cs, func(a, b cand) bool { return a.pre == b.pre })
+}
+
+// mergeCands calls emit with every candidate of a or b, in label
+// order, once.
+func mergeCands(a, b []cand, emit func(cand)) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
 		switch {
-		case i == len(matched):
-			takeFloor = true
-		case j == hi:
-			takeFloor = false
-		default:
-			takeFloor = d.floorPres[j] < d.rng[matched[i]].pre
-		}
-		var n *dom.Node
-		if takeFloor {
-			n = d.floorNodes[j]
-			j++
-		} else {
-			n = matched[i]
+		case j == len(b) || i < len(a) && a[i].pre < b[j].pre:
+			emit(a[i])
 			i++
+		case i == len(a) || b[j].pre < a[i].pre:
+			emit(b[j])
+			j++
+		default:
+			emit(a[i])
+			i++
+			j++
 		}
-		if n == scope && !orSelf {
-			continue
+	}
+}
+
+// unionCands returns the candidates in a or b, in a new slice.
+func unionCands(a, b []cand) []cand {
+	out := make([]cand, 0, len(a)+len(b))
+	mergeCands(a, b, func(c cand) { out = append(out, c) })
+	return out
+}
+
+// intersectCands returns the candidates in both a and b.
+func intersectCands(a, b []cand) []cand {
+	var out []cand
+	for _, c := range a {
+		if _, in := slices.BinarySearchFunc(b, c.pre, func(x cand, p uint32) int { return cmp.Compare(x.pre, p) }); in {
+			out = append(out, c)
 		}
-		if len(out) > 0 && out[len(out)-1] == n {
-			continue
-		}
-		out = append(out, n)
 	}
 	return out
 }
@@ -469,9 +504,6 @@ func (d *Doc) mergeFloor(matched []*dom.Node, scope *dom.Node, r nodeRange, orSe
 // tokenTextNodes returns the text nodes whose characters token p draws
 // from (one for ordinary tokens, several for split tokens).
 func (d *Doc) tokenTextNodes(p int) []*dom.Node {
-	if !d.fresh() {
-		return nil
-	}
 	s, e := d.tokStart[p], d.tokEnd[p]
 	// First text node covering offset s: the last entry with start <= s
 	// and end > s (empty text nodes share starts with their successor).
@@ -491,63 +523,54 @@ func (d *Doc) tokenTextNodes(p int) []*dom.Node {
 	return out
 }
 
-// ancestorsInto adds the chain from tn up to scope (tn itself
-// included, scope included only when orSelf) — but only when tn
+// ancestorsInto appends to out the chain from tn up to scope (tn
+// itself included, scope included only when orSelf) — but only when tn
 // actually sits inside scope's subtree, which clips edge-token chains
 // that start outside it.
-func (d *Doc) ancestorsInto(set map[*dom.Node]struct{}, tn, scope *dom.Node, orSelf bool) {
-	if !d.fresh() {
-		return
-	}
-	var chain []*dom.Node
+func ancestorsInto(out []cand, tn, scope *dom.Node, orSelf bool) []cand {
+	chain := len(out)
 	cur := tn
 	for cur != nil && cur != scope {
-		chain = append(chain, cur)
+		out = append(out, cand{n: cur})
 		cur = cur.Parent()
 	}
 	if cur != scope {
-		return
-	}
-	for _, n := range chain {
-		if _, okN := d.rng[n]; okN {
-			set[n] = struct{}{}
-		}
+		return out[:chain]
 	}
 	if orSelf {
-		set[scope] = struct{}{}
+		out = append(out, cand{n: scope})
 	}
+	for i := chain; i < len(out); i++ {
+		out[i].pre = pre(out[i].n)
+	}
+	return out
 }
 
-// candSet evaluates the selection to a candidate node set. known is
-// false when the set cannot be bounded (ftnot, or an unknown side of
-// an ftor).
-func (d *Doc) candSet(scope *dom.Node, r nodeRange, cl, ch int, orSelf bool, sel Sel) (map[*dom.Node]struct{}, bool) {
-	if !d.fresh() {
-		return nil, false
-	}
+// candSet evaluates the selection to a candidate set. known is false
+// when the set cannot be bounded (ftnot, or an unknown side of an
+// ftor).
+func (d *Doc) candSet(scope *dom.Node, cl, ch int, orSelf bool, sel Sel) ([]cand, bool) {
 	switch x := sel.(type) {
 	case Words:
-		if len(x.Phrases) == 0 {
-			return map[*dom.Node]struct{}{}, true
-		}
 		if x.All {
 			// Every phrase must match and each phrase needs all its
 			// words: intersect over every word of every phrase.
-			var acc map[*dom.Node]struct{}
+			var acc []cand
+			first := true
 			for _, p := range x.Phrases {
 				words := fulltext.QueryWords(p, x.Opts)
 				if len(words) == 0 {
-					return map[*dom.Node]struct{}{}, true
+					return nil, true
 				}
 				for _, w := range words {
 					s := d.wordCand(scope, cl, ch, orSelf, w, x.Opts)
-					if acc == nil {
-						acc = s
+					if first {
+						acc, first = s, false
 					} else {
-						acc = intersectSets(acc, s)
+						acc = intersectCands(acc, s)
 					}
 					if len(acc) == 0 {
-						return acc, true
+						return nil, true
 					}
 				}
 			}
@@ -555,40 +578,33 @@ func (d *Doc) candSet(scope *dom.Node, r nodeRange, cl, ch int, orSelf bool, sel
 		}
 		// Any mode: a node matching some phrase contains that phrase's
 		// first word — union the first-word sets.
-		acc := map[*dom.Node]struct{}{}
+		var acc []cand
 		for _, p := range x.Phrases {
-			words := fulltext.QueryWords(p, x.Opts)
-			if len(words) == 0 {
-				continue
-			}
-			for n := range d.wordCand(scope, cl, ch, orSelf, words[0], x.Opts) {
-				acc[n] = struct{}{}
+			if words := fulltext.QueryWords(p, x.Opts); len(words) > 0 {
+				acc = unionCands(acc, d.wordCand(scope, cl, ch, orSelf, words[0], x.Opts))
 			}
 		}
 		return acc, true
 	case And:
-		l, okL := d.candSet(scope, r, cl, ch, orSelf, x.L)
-		rr, okR := d.candSet(scope, r, cl, ch, orSelf, x.R)
+		l, okL := d.candSet(scope, cl, ch, orSelf, x.L)
+		r, okR := d.candSet(scope, cl, ch, orSelf, x.R)
 		switch {
 		case okL && okR:
-			return intersectSets(l, rr), true
+			return intersectCands(l, r), true
 		case okL:
 			return l, true
 		case okR:
-			return rr, true
+			return r, true
 		default:
 			return nil, false
 		}
 	case Or:
-		l, okL := d.candSet(scope, r, cl, ch, orSelf, x.L)
-		rr, okR := d.candSet(scope, r, cl, ch, orSelf, x.R)
+		l, okL := d.candSet(scope, cl, ch, orSelf, x.L)
+		r, okR := d.candSet(scope, cl, ch, orSelf, x.R)
 		if !okL || !okR {
 			return nil, false
 		}
-		for n := range rr {
-			l[n] = struct{}{}
-		}
-		return l, true
+		return unionCands(l, r), true
 	default: // Not
 		return nil, false
 	}
@@ -598,31 +614,15 @@ func (d *Doc) candSet(scope *dom.Node, r nodeRange, cl, ch int, orSelf bool, sel
 // w, as ancestor chains of the matching positions. The split-token
 // floor is not seeded here — Candidates unions it once over the final
 // set, which is equivalent (see the proof sketch there) and cheaper.
-func (d *Doc) wordCand(scope *dom.Node, cl, ch int, orSelf bool, w string, o fulltext.Options) map[*dom.Node]struct{} {
-	if !d.fresh() {
-		return nil
-	}
-	set := map[*dom.Node]struct{}{}
+func (d *Doc) wordCand(scope *dom.Node, cl, ch int, orSelf bool, w string, o fulltext.Options) []cand {
+	var out []cand
 	d.eachWordPos(cl, ch, w, o, func(p int) bool {
 		for _, tn := range d.tokenTextNodes(p) {
-			d.ancestorsInto(set, tn, scope, orSelf)
+			out = ancestorsInto(out, tn, scope, orSelf)
 		}
 		return false
 	})
-	return set
-}
-
-func intersectSets(a, b map[*dom.Node]struct{}) map[*dom.Node]struct{} {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	out := make(map[*dom.Node]struct{}, len(a))
-	for n := range a {
-		if _, okN := b[n]; okN {
-			out[n] = struct{}{}
-		}
-	}
-	return out
+	return sortCands(out)
 }
 
 // Score computes node n's TF-IDF score for the query terms from the
@@ -632,10 +632,7 @@ func intersectSets(a, b map[*dom.Node]struct{}) map[*dom.Node]struct{} {
 // ScoreTokens. ok is false when the index cannot answer for this node
 // at all (stale, or unindexed node kind).
 func (d *Doc) Score(n *dom.Node, terms []Term) (float64, bool) {
-	if !d.fresh() {
-		return 0, false
-	}
-	r, okR := d.rng[n]
+	r, _, _, okR := d.rangeOf(n)
 	if !okR {
 		return 0, false
 	}

@@ -48,11 +48,7 @@ func (d *Doc) Serialize() (*Serialized, bool) {
 // must be well-formed, otherwise Attach reports an error and the tree
 // just builds lazily on first probe as if nothing were persisted.
 func Attach(root *dom.Node, s *Serialized) error {
-	d := &Doc{
-		root:    root,
-		version: root.Version(),
-		rng:     map[*dom.Node]nodeRange{},
-	}
+	d := &Doc{root: root, version: root.Version()}
 	buildTree(d, root)
 	if len(d.text) != s.TextLen || textHash(d.text) != s.TextHash {
 		return fmt.Errorf("ftindex: persisted index does not match document text")
@@ -107,14 +103,14 @@ func (s *Serialized) validate() error {
 // text, the node ranges and the text-node tables. Only text and
 // element children contribute to the string value
 // (dom.Node.appendText); comments and PIs are neither indexed nor
-// ranged.
+// ranged. The ranges are stored at the nodes' labels, which span the
+// whole tree.
 func buildTree(d *Doc, root *dom.Node) {
+	_, last, _ := root.Label()
+	d.ranges = make([]byteRange, last+1)
 	var buf []byte
-	var pre uint64
 	var visit func(n *dom.Node)
 	visit = func(n *dom.Node) {
-		pre++
-		my := pre
 		start := int32(len(buf))
 		switch n.Type {
 		case dom.TextNode:
@@ -131,7 +127,7 @@ func buildTree(d *Doc, root *dom.Node) {
 		default:
 			return
 		}
-		d.rng[n] = nodeRange{pre: my, preEnd: pre, start: start, end: int32(len(buf))}
+		d.ranges[pre(n)] = byteRange{start: start, end: int32(len(buf))}
 	}
 	visit(root)
 	d.text = string(buf)

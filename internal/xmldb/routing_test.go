@@ -1,6 +1,7 @@
 package xmldb
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/xquery/parser"
@@ -70,4 +71,34 @@ func TestQueryRoutesReadsInPlace(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// TestQueryReadsInPlaceConcurrently: readers of one published revision
+// share its tree, and a union needs a document-order sort that no index
+// answers. Run under -race: the labels the sort reads are written by
+// one reader and published to the others, never written under them.
+func TestQueryReadsInPlaceConcurrently(t *testing.T) {
+	s := newStore(t)
+	defer s.Close()
+	if err := s.PutXML("a.xml", `<r><a><b/><c/></a><a><c/><b/></a></r>`); err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 50; i++ {
+				if out, err := s.Query("a.xml", `count(r/a/c/.. | r/a/b/..)`); err != nil || out != "2" {
+					t.Errorf("count(r/a/c/.. | r/a/b/..) = %q, %v; want 2", out, err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

@@ -482,13 +482,14 @@ type RunConfig struct {
 	// baseline and as an escape hatch.
 	DisableStreaming bool
 	// DisableIndexes turns off the per-document indexes for this run:
-	// planned path steps scan the axis, fn:id walks the tree and
-	// document-order sorts use the comparison path — and nothing is
-	// shipped to a collection's source (CollectionsShip): the run
-	// ignores the planner's access and shipping annotations (not its
+	// planned path steps scan the axis and fn:id walks the tree — and
+	// nothing is shipped to a collection's source (CollectionsShip): the
+	// run ignores the planner's access and shipping annotations (not its
 	// adoption marks, which use no index: their oracle is the unplanned
-	// tree). It is the scan baseline in benchmarks and the oracle side
-	// of the index and shipping differential tests.
+	// tree). It does not change how document-order sorts run: they read
+	// the labels package dom keeps, with or without it. It is the scan
+	// baseline in benchmarks and the oracle side of the index and
+	// shipping differential tests.
 	DisableIndexes bool
 	// Strict runs the static analyzer before evaluation: error-severity
 	// diagnostics abort the run with an *AnalysisError (matching

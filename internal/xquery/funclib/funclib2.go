@@ -375,8 +375,8 @@ func registerNodes(reg *runtime.Registry) {
 			}
 		}
 		// The id index answers each value in O(matches); the per-value
-		// lists merge back to document order through the runtime's
-		// index-aware sort. NoIndex, a declined Probe (the amortised
+		// lists merge back to document order through the one
+		// document-order sort. NoIndex, a declined Probe (the amortised
 		// rebuild heuristic) and a stale index all fall back to the
 		// full walk.
 		if !ctx.NoIndex {
@@ -395,7 +395,7 @@ func registerNodes(reg *runtime.Registry) {
 					nodes = append(nodes, list...)
 				}
 				if usable {
-					return ctx.SortedNodeSequence(nodes), nil
+					return runtime.SortedNodeSequence(nodes), nil
 				}
 			}
 		}

@@ -214,8 +214,9 @@ func runOutcome(tb testing.TB, p *Program, docXML string, cfg RunConfig) string 
 
 // optimizerRunModes are the evaluator configurations every optimizer
 // differential crosses: streaming on and off, scripting snapshots off
-// and on (the hoist memo and the hash join switch themselves off under
-// the latter; pushdown and folding are in the tree either way).
+// and on (the optimized tree runs as it is in all four: the static
+// midLoop rule, not the run mode, keeps rewrites off a loop that can
+// apply a snapshot).
 var optimizerRunModes = []struct {
 	name string
 	cfg  RunConfig

@@ -190,6 +190,45 @@ func TestProfilerRewriteCounters(t *testing.T) {
 	}
 }
 
+// TestHoistedLetOncePerEntry: a hoisted let is evaluated once per entry
+// of its FLWOR, not once per tuple — in a Sequential run too, the mode
+// every production caller uses. Where the memo would be wrong (a loop
+// that can apply a snapshot mid-loop) the optimizer hoists nothing, so
+// no run-time switch is needed.
+func TestHoistedLetOncePerEntry(t *testing.T) {
+	e := New()
+	doc := libraryDoc(t)
+	src := `for $i in 1 to 20 let $n := count(//book) return $n + $i`
+	p := e.MustCompile(src)
+	if st := p.RewriteStats(); st.Hoists != 1 {
+		t.Fatalf("rewrites %+v, want the let hoisted", st)
+	}
+	oracle, err := compileOracle(t, e, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := func(p *Program, sequential bool) int64 {
+		prof := runtime.NewProfiler()
+		if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: prof, Sequential: sequential}); err != nil {
+			t.Fatal(err)
+		}
+		for _, en := range prof.Entries() {
+			if en.Kind == "FuncCall" {
+				return en.Count
+			}
+		}
+		return 0
+	}
+	for _, sequential := range []bool{false, true} {
+		if got := calls(p, sequential); got != 1 {
+			t.Errorf("Sequential %v: count(//book) evaluated %d times, want once per entry", sequential, got)
+		}
+		if got := calls(oracle, sequential); got != 20 {
+			t.Errorf("Sequential %v: the unoptimized loop evaluated count(//book) %d times, want 20", sequential, got)
+		}
+	}
+}
+
 // TestCacheReusesCompiledProgram: a program-cache hit returns the same
 // Program, so the planner's and the optimizer's work is memoized
 // alongside it.

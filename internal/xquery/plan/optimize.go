@@ -53,9 +53,7 @@ import (
 //     computed before the first tuple, so an update the body applied
 //     mid-loop would no longer be seen;
 //   - a conjunct that reads the surrounding focus (EffReadsFocus) is not
-//     pushed down: in a predicate the focus is each candidate;
-//   - beside that static rule, the evaluator switches the hoist memo and
-//     the hash join off in a run with scripting snapshots on.
+//     pushed down: in a predicate the focus is each candidate.
 
 // Stats counts the optimizer's rewrites.
 type Stats = ast.RewriteStats

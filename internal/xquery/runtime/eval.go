@@ -230,9 +230,7 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 			return s, err
 		}
 	}
-	// Under scripting snapshots the body may apply updates between two
-	// tuples, so nothing is invariant across them: no memo, no hash table.
-	en := flworEntry{f: f, stable: ctx.SnapshotApply == nil}
+	en := flworEntry{f: f}
 	if err := en.clause(ctx, 0); err != nil {
 		return nil, err
 	}
@@ -281,7 +279,6 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 // invariant within an entry and not across entries.
 type flworEntry struct {
 	f      ast.FLWOR
-	stable bool // no scripting snapshots: the memo and the hash join are on
 	memo   []hoistCell
 	join   *hashJoin
 	out    xdm.Sequence
@@ -327,8 +324,7 @@ func (en *flworEntry) clause(c *Context, i int) error {
 		}
 		return en.clause(c.withBinding(cl.Var, val), i+1)
 	}
-	joined := f.Join != nil && f.Join.Clause == i
-	if joined && en.stable {
+	if f.Join != nil && f.Join.Clause == i {
 		return en.joinClause(c, i)
 	}
 	// The binding sequence of a for clause streams: the return
@@ -367,12 +363,7 @@ func (en *flworEntry) clause(c *Context, i int) error {
 		if !cl.PosVar.IsZero() {
 			c2 = c2.withBinding(cl.PosVar, xdm.Singleton(xdm.Integer(pos)))
 		}
-		if joined {
-			err = en.joinTuple(c2, i)
-		} else {
-			err = en.clause(c2, i+1)
-		}
-		if err != nil {
+		if err := en.clause(c2, i+1); err != nil {
 			return err
 		}
 	}
@@ -411,7 +402,7 @@ func (en *flworEntry) tuple(c *Context) error {
 // per entry.
 func (en *flworEntry) letValue(c *Context, e ast.Expr) (xdm.Sequence, error) {
 	h, hoisted := e.(ast.Hoisted)
-	if !hoisted || !en.stable {
+	if !hoisted {
 		return c.Eval(e)
 	}
 	m := en.cell(h.Slot)
@@ -440,9 +431,6 @@ func (en *flworEntry) holds(c *Context, e ast.Expr) (bool, error) {
 			return en.holds(c, x.R)
 		}
 	case ast.Hoisted:
-		if !en.stable {
-			break
-		}
 		m := en.cell(x.Slot)
 		if !m.done {
 			b, err := c.evalEBV(x.X)
@@ -634,7 +622,7 @@ func (ctx *Context) evalNodeSetOp(x ast.Binary) (xdm.Sequence, error) {
 			}
 		}
 	}
-	return ctx.sortedNodeSequence(nodes), nil
+	return SortedNodeSequence(nodes), nil
 }
 
 func (ctx *Context) evalNodeSeq(e ast.Expr, op string) ([]*dom.Node, error) {
@@ -651,29 +639,6 @@ func (ctx *Context) evalNodeSeq(e ast.Expr, op string) ([]*dom.Node, error) {
 		nodes = append(nodes, n)
 	}
 	return nodes, nil
-}
-
-// stampSortedNodeSequence deduplicates and document-orders a node list
-// by comparison sort over the lazily re-stamped tree — the fallback
-// when no fresh index is available (see Context.sortedNodeSequence in
-// index.go, which is the entry point everything routes through).
-func stampSortedNodeSequence(nodes []*dom.Node) xdm.Sequence {
-	seen := make(map[*dom.Node]bool, len(nodes))
-	uniq := nodes[:0]
-	for _, n := range nodes {
-		if !seen[n] {
-			seen[n] = true
-			uniq = append(uniq, n)
-		}
-	}
-	sort.SliceStable(uniq, func(i, j int) bool {
-		return dom.CompareOrder(uniq[i], uniq[j]) < 0
-	})
-	out := make(xdm.Sequence, len(uniq))
-	for i, n := range uniq {
-		out[i] = xdm.NewNode(n)
-	}
-	return out
 }
 
 func (ctx *Context) evalCompare(x ast.Compare) (xdm.Sequence, error) {

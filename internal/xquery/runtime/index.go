@@ -11,10 +11,12 @@ import (
 
 // This file is the runtime's side of the index/plan split: it turns
 // the planner's Step.Access annotations into probes of the
-// version-stamped per-document indexes (internal/dom/index), and uses
-// a fresh index's pre numbering for merge-based document-order
-// sorting. Context.NoIndex turns all of it off, which is both the
-// benchmark baseline and the differential-test oracle.
+// version-stamped per-document indexes (internal/dom/index and
+// internal/fulltext/index). Context.NoIndex turns the probes off, which
+// is both the benchmark baseline and the differential-test oracle.
+// Document order is not an index's business: every sort goes through
+// dom.SortDedup, on the labels package dom keeps (DESIGN.md §5t), with
+// indexes on or off.
 
 // PathIndex and ftIndex return the per-document index a probe of the
 // tree containing n may read, or nil when the caller should scan: the
@@ -123,33 +125,15 @@ func (ctx *Context) probeFTIndex(n *dom.Node, step *ast.Step, orSelf bool) ([]*d
 	return cand, true
 }
 
-// sortedNodeSequence deduplicates and document-orders a node list.
-// When the nodes' tree already carries a fresh index, the sort is
-// merge-based over the index's pre numbers: O(k) verification for
-// already-ordered input (the common case for step results, which
-// arrive ordered per focus node) and an integer sort otherwise —
-// never the O(tree) re-stamp of the comparison path. It deliberately
-// never builds an index (index.Fresh, not index.For): workloads that
-// never probe one — mutation-heavy event dispatch, constructed
-// content — keep the cheap stamp-and-sort.
-func (ctx *Context) sortedNodeSequence(nodes []*dom.Node) xdm.Sequence {
-	if !ctx.NoIndex && len(nodes) > 1 {
-		if idx := index.Fresh(nodes[0]); idx != nil {
-			if uniq, ok := idx.SortDedup(nodes); ok {
-				out := make(xdm.Sequence, len(uniq))
-				for i, n := range uniq {
-					out[i] = xdm.NewNode(n)
-				}
-				return out
-			}
-		}
+// SortedNodeSequence puts a node list in document order without
+// duplicates — dom.SortDedup, the one document-order sort, which
+// reorders nodes in place — and wraps it as a sequence. Path steps, the
+// set operators and fn:id go through it.
+func SortedNodeSequence(nodes []*dom.Node) xdm.Sequence {
+	nodes = dom.SortDedup(nodes)
+	out := make(xdm.Sequence, len(nodes))
+	for i, n := range nodes {
+		out[i] = xdm.NewNode(n)
 	}
-	return stampSortedNodeSequence(nodes)
-}
-
-// SortedNodeSequence exposes the index-aware document-order sort to
-// the function library: fn:id collects per-value id lists and merges
-// them back to document order through it.
-func (ctx *Context) SortedNodeSequence(nodes []*dom.Node) xdm.Sequence {
-	return ctx.sortedNodeSequence(nodes)
+	return out
 }

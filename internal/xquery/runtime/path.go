@@ -77,8 +77,7 @@ func (ctx *Context) continueSteps(current xdm.Sequence, steps []ast.Step) (xdm.S
 }
 
 // finishStep enforces the node/atomic mixing rules and orders node
-// results. It is a Context method so the document-order sort can use
-// the index's pre numbers (and honour NoIndex).
+// results.
 func (ctx *Context) finishStep(results xdm.Sequence, last bool) (xdm.Sequence, error) {
 	nodes := make([]*dom.Node, 0, len(results))
 	atomics := 0
@@ -91,7 +90,7 @@ func (ctx *Context) finishStep(results xdm.Sequence, last bool) (xdm.Sequence, e
 	}
 	switch {
 	case atomics == 0:
-		return ctx.sortedNodeSequence(nodes), nil
+		return SortedNodeSequence(nodes), nil
 	case len(nodes) > 0:
 		return nil, fmt.Errorf("xquery: path step mixes nodes and atomic values")
 	case !last:
@@ -216,28 +215,15 @@ func axisNodes(n *dom.Node, axis ast.Axis) []*dom.Node {
 		return out
 	case ast.AxisPreceding:
 		// Nodes before n excluding ancestors and attributes, in reverse
-		// document order.
+		// document order: walking the tree in document order, a node
+		// before n is an ancestor of n unless its subtree ends before n.
 		var fwd []*dom.Node
-		var anc []*dom.Node
-		for a := n; a != nil; a = a.Parent() {
-			anc = append(anc, a)
-		}
-		isAnc := func(x *dom.Node) bool {
-			for _, a := range anc {
-				if a == x {
-					return true
-				}
-			}
-			return false
-		}
-		// Walk the whole tree in document order and keep what precedes n
-		// and is not an ancestor.
-		root := n.Root()
+		pre, _, root := n.Label()
 		root.Walk(func(x *dom.Node) bool {
 			if x == n {
 				return false
 			}
-			if !isAnc(x) {
+			if _, end, _ := x.Label(); end < pre {
 				fwd = append(fwd, x)
 			}
 			return true

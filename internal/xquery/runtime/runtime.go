@@ -389,9 +389,9 @@ type Context struct {
 	NoStream bool
 
 	// NoIndex disables every use of the per-document indexes: planned
-	// steps scan, fn:id walks, and document-order sorts take the
-	// stamp-and-sort path. It is the scan baseline in benchmarks and
-	// the oracle side of the index differential tests.
+	// steps scan and fn:id walks. Document-order sorts are the same
+	// either way (dom.SortDedup). It is the scan baseline in benchmarks
+	// and the oracle side of the index differential tests.
 	NoIndex bool
 
 	// NoIndexBuild lets the evaluation read a per-document index that is

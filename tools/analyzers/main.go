@@ -23,19 +23,25 @@
 //
 //	idxversion  the version-stamp discipline of the per-document index
 //	            layer (internal/dom/index): inside package index, any
-//	            function reading the index maps (names/ids/order) must
+//	            function reading the index maps (names/ids) must
 //	            consult the version stamp (call fresh() or compare
 //	            version) unless it is the builder itself; outside the
 //	            package, nobody calls the raw cache accessors
 //	            Node.LoadIndexCache/StoreIndexCache or names the
 //	            indexCache field behind them — all access goes
 //	            through index.For/index.Fresh, which are the only
-//	            places allowed to compare the stamp.
+//	            places allowed to compare the stamp. And in package
+//	            dom, the node's document-order label word is read by
+//	            its accessor (labels) and written by its labeler
+//	            (relabel) only: everyone else goes through
+//	            Node.Label, CompareOrder or SortDedup, which make the
+//	            labels current first.
 //
 //	ftversion   the same stamp discipline for the full-text index layer
 //	            (internal/fulltext/index): inside the package, functions
-//	            reading the posting/trigram/range maps (post, stemPost,
-//	            gram, rng) must consult fresh()/version unless they are
+//	            reading the posting/trigram maps and the label-indexed
+//	            tables (post, stemPost, gram, ranges, floor) must
+//	            consult fresh()/version unless they are
 //	            the builder; outside, nobody calls the raw slot
 //	            accessors Node.LoadFTIndexCache/StoreFTIndexCache or
 //	            names the ftCache field behind them — access goes
@@ -81,7 +87,7 @@
 //	            Detach, SetAttr, Rename, ...). A direct call bypasses
 //	            snapshot semantics, the undo log that makes applies
 //	            atomic, and the version stamp every index probe and the
-//	            update pre-pass's spans rely on. DOM-owning hosts (core, browser,
+//	            document-order labels rely on. DOM-owning hosts (core, browser,
 //	            jsruntime, markup) build trees before queries see them
 //	            and are not scanned. One call in a scanned package is
 //	            exempt by name: rest.decodeItem detaches a node payload
@@ -136,6 +142,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -412,7 +419,6 @@ func ctxStruct(fset *token.FileSet, file *ast.File) []finding {
 var indexMaps = map[string]bool{
 	"names": true,
 	"ids":   true,
-	"order": true,
 }
 
 // idxBuilderName matches the functions allowed to touch the maps
@@ -422,13 +428,14 @@ var idxBuilderName = regexp.MustCompile(`^(build|new|New|init$)`)
 
 // idxVersion enforces the index layer's version-stamp discipline. For
 // files in package index, every non-builder function whose body reads a
-// selector named names/ids/order must also mention the freshness guard
-// (a fresh() call or a version comparison) somewhere in that body. For
+// selector named names/ids must also mention the freshness guard (a
+// fresh() call or a version comparison) somewhere in that body. For
 // files in any other package, any call to LoadIndexCache or
 // StoreIndexCache is flagged, and so is any mention of the indexCache
 // field they wrap outside those two methods: the raw slot bypasses the
 // stamp check that index.For/index.Fresh perform, so only package index
-// may touch it.
+// may touch it. In package dom the label word is checked besides
+// (labelWordUse).
 func idxVersion(fset *token.FileSet, file *ast.File) []finding {
 	if file.Name.Name == "index" {
 		return idxVersionInside(fset, file)
@@ -474,8 +481,16 @@ func idxVersionInside(fset *token.FileSet, file *ast.File) []finding {
 }
 
 func idxVersionOutside(fset *token.FileSet, file *ast.File) []finding {
-	return rawSlotUse(fset, file, "idxversion", "indexCache", "LoadIndexCache", "StoreIndexCache",
+	out := rawSlotUse(fset, file, "idxversion", "indexCache", "LoadIndexCache", "StoreIndexCache",
 		"outside internal/dom/index; use index.For/index.Fresh, which check the version stamp")
+	if file.Name.Name == "dom" {
+		// A raw read of the label word skips the check that the tree's
+		// labels are current; a raw write, their race-free publication.
+		out = append(out, fieldUse(fset, file, "label",
+			"idxversion: the node's label word touched outside its accessor (labels) and labeler (relabel); use Node.Label, CompareOrder or SortDedup",
+			"labels", "relabel")...)
+	}
+	return out
 }
 
 // rawSlotUse flags, in a file outside the package that owns one of the
@@ -483,26 +498,39 @@ func idxVersionOutside(fset *token.FileSet, file *ast.File) []finding {
 // store, and every mention of the slot's field (dom's side struct holds
 // it) anywhere but in those two methods' own bodies.
 func rawSlotUse(fset *token.FileSet, file *ast.File, pass, field, load, store, advice string) []finding {
+	out := fieldUse(fset, file, field,
+		fmt.Sprintf("%s: raw slot %s touched outside its accessors %s/%s", pass, field, load, store), load, store)
+	ast.Inspect(file, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == load || sel.Sel.Name == store) {
+			out = append(out, finding{
+				pos: fset.Position(sel.Pos()),
+				msg: fmt.Sprintf("%s: %s called %s", pass, sel.Sel.Name, advice),
+			})
+		}
+		return true
+	})
+	return out
+}
+
+// fieldUse reports msg at every mention of field — a selector or a
+// composite-literal key — outside the bodies of the methods named
+// owners.
+func fieldUse(fset *token.FileSet, file *ast.File, field, msg string, owners ...string) []finding {
 	var out []finding
 	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		accessor := ok && fd.Recv != nil && (fd.Name.Name == load || fd.Name.Name == store)
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && slices.Contains(owners, fd.Name.Name) {
+			continue
+		}
 		ast.Inspect(decl, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
+			var id *ast.Ident
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				id = x.Sel
+			case *ast.KeyValueExpr:
+				id, _ = x.Key.(*ast.Ident)
 			}
-			switch name := sel.Sel.Name; {
-			case name == load || name == store:
-				out = append(out, finding{
-					pos: fset.Position(sel.Pos()),
-					msg: fmt.Sprintf("%s: %s called %s", pass, name, advice),
-				})
-			case name == field && !accessor:
-				out = append(out, finding{
-					pos: fset.Position(sel.Pos()),
-					msg: fmt.Sprintf("%s: raw slot %s touched outside its accessors %s/%s", pass, field, load, store),
-				})
+			if id != nil && id.Name == field {
+				out = append(out, finding{pos: fset.Position(id.Pos()), msg: msg})
 			}
 			return true
 		})
@@ -515,18 +543,21 @@ func rawSlotUse(fset *token.FileSet, file *ast.File, pass, field, load, store, a
 // ftIndexMaps are the full-text Doc fields whose contents are only
 // meaningful for the document version the index was built at: the
 // posting maps (exact and stemmed), the trigram map backing wildcard
-// narrowing, and the per-node token-range map.
+// narrowing, and the two tables read by node label — the byte ranges
+// and the split-token floor.
 var ftIndexMaps = map[string]bool{
 	"post":     true,
 	"stemPost": true,
 	"gram":     true,
-	"rng":      true,
+	"ranges":   true,
+	"floor":    true,
 }
 
 // ftVersion is idxversion's twin for the full-text index layer
 // (internal/fulltext/index). Inside the package, every non-builder
-// function reading a posting/range map must mention the freshness guard
-// in its body; outside, calls to the raw dom cache slot accessors
+// function reading a posting map or a label-indexed table must mention
+// the freshness guard in its body; outside, calls to the raw dom cache
+// slot accessors
 // LoadFTIndexCache/StoreFTIndexCache and mentions of the ftCache field
 // they wrap are flagged — all access goes through index.For/index.Probe/index.Fresh/index.Attach, which own the
 // version-stamp comparison.

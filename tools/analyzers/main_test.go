@@ -156,15 +156,47 @@ func (n *Node) clone() *Node { c := &Node{side: &side{}}; c.side.ftCache = n.sid
 	}
 }
 
+// The label word of a dom.Node has one reader and one writer: a read
+// elsewhere in package dom skips the freshness check, a write the
+// race-free publication.
+func TestIdxVersionFlagsLabelWordOutsideAccessorAndLabeler(t *testing.T) {
+	src := `package dom
+type Node struct{ label uint64; kids []*Node }
+func (n *Node) labels() (uint32, uint32) { return uint32(n.label >> 32), uint32(n.label) }
+func (n *Node) relabel(next uint32) uint32 { n.label = uint64(next); return next + 1 }
+func CompareOrder(a, b *Node) int { if a.label < b.label { return -1 }; return 1 }
+func (n *Node) clone() *Node { return &Node{label: n.label} }
+func (n *Node) Label() (uint32, uint32) { return n.labels() }
+`
+	got := analyze(t, src, idxVersion)
+	if len(got) != 4 {
+		t.Fatalf("findings = %v, want 4 (CompareOrder's two reads, clone's key and read)", got)
+	}
+	for _, f := range got {
+		if f.pos.Line != 5 && f.pos.Line != 6 {
+			t.Errorf("finding on line %d: %s", f.pos.Line, f.msg)
+		}
+	}
+	// Other packages may have fields of that name: the word is dom's.
+	other := `package markup
+type token struct{ label string }
+func (t token) String() string { return t.label }
+`
+	if got := analyze(t, other, idxVersion); len(got) != 0 {
+		t.Fatalf("outside package dom: findings = %v, want none", got)
+	}
+}
+
 func TestFTVersionFlagsUncheckedPostingRead(t *testing.T) {
 	src := `package index
-type Doc struct{ post map[string][]int32; rng map[int]int }
+type Doc struct{ post map[string][]int32; ranges []int; floor []int }
 func (d *Doc) posting(w string) []int32 { return d.post[w] }
-func (d *Doc) rangeOf(n int) int        { return d.rng[n] }
+func (d *Doc) rangeOf(pre int) int      { return d.ranges[pre] }
+func (d *Doc) floorAt(i int) int        { return d.floor[i] }
 `
 	got := analyze(t, src, ftVersion)
-	if len(got) != 2 {
-		t.Fatalf("findings = %v, want 2", got)
+	if len(got) != 3 {
+		t.Fatalf("findings = %v, want 3", got)
 	}
 }
 
