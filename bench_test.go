@@ -189,41 +189,25 @@ func BenchmarkE5(b *testing.B) {
 // --- E5 addendum: streaming early exit ---------------------------------------
 //
 // The lazy iterator runtime decides (//div)[1], fn:exists(//div) and
-// some-satisfies after pulling O(1) items; the eager baseline
-// (DisableStreaming) materializes every div first. Run with -benchmem:
-// the allocs/op gap is the experiment.
+// some-satisfies after pulling O(1) items; each is paired with a query
+// that has to consume the whole of the same path
+// (experiments.EarlyExitPairs). Run with -benchmem: the allocs/op gap
+// is the experiment.
 
-func earlyExitDoc(b *testing.B, n int) *dom.Node {
-	b.Helper()
-	var sb strings.Builder
-	sb.WriteString("<root>")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, `<div id="d%d">content %d</div>`, i, i)
-	}
-	sb.WriteString("</root>")
-	d, err := markup.Parse(sb.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d
-}
-
-func benchEarlyExit(b *testing.B, query string) {
+func benchEarlyExit(b *testing.B, pair int) {
 	e := xquery.New()
-	p := e.MustCompile(query)
+	queries := experiments.EarlyExitPairs[pair]
 	for _, size := range []int{10_000, 100_000} {
-		item := xdm.NewNode(earlyExitDoc(b, size))
-		for _, mode := range []struct {
-			name     string
-			noStream bool
-		}{{"stream", false}, {"eager", true}} {
-			b.Run(fmt.Sprintf("n=%d/%s", size, mode.name), func(b *testing.B) {
+		item, err := experiments.EarlyExitDoc(size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range []struct{ name, src string }{{"exit", queries.Exit}, {"consume", queries.Consume}} {
+			p := e.MustCompile(q.src)
+			b.Run(fmt.Sprintf("n=%d/%s", size, q.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := p.Run(xquery.RunConfig{
-						ContextItem:      item,
-						DisableStreaming: mode.noStream,
-					}); err != nil {
+					if _, err := p.Run(xquery.RunConfig{ContextItem: item, DisableIndexes: true}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -232,17 +216,9 @@ func benchEarlyExit(b *testing.B, query string) {
 	}
 }
 
-func BenchmarkE5_EarlyExitFirst(b *testing.B) {
-	benchEarlyExit(b, `(//div)[1]`)
-}
-
-func BenchmarkE5_EarlyExitExists(b *testing.B) {
-	benchEarlyExit(b, `fn:exists(//div)`)
-}
-
-func BenchmarkE5_EarlyExitSome(b *testing.B) {
-	benchEarlyExit(b, `some $d in //div satisfies $d/@id = "d3"`)
-}
+func BenchmarkE5_EarlyExitFirst(b *testing.B)  { benchEarlyExit(b, 0) }
+func BenchmarkE5_EarlyExitExists(b *testing.B) { benchEarlyExit(b, 1) }
+func BenchmarkE5_EarlyExitSome(b *testing.B)   { benchEarlyExit(b, 2) }
 
 // --- E6: asynchronous behind-calls --------------------------------------------------
 

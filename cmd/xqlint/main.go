@@ -123,10 +123,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // browser functions are registered against nil host state — xqlint only
 // reads signatures, never calls them.
 func lintRegistry() *runtime.Registry {
-	// Linting only reads signatures; a stream-attachment failure does
-	// not change them, so the error is ignorable here.
-	lib, _ := funclib.Library()
-	reg := lib.Layer()
+	reg := funclib.Library().Layer()
 	browser.RegisterFunctions(reg, nil, nil)
 	return reg
 }

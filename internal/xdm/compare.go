@@ -157,33 +157,6 @@ func toRat(i Item) *big.Rat {
 	}
 }
 
-// GeneralCompare applies a general comparison (=, !=, <, <=, >, >=) to
-// two sequences: true iff some pair of items compares true, with
-// untypedAtomic coerced to the other operand's type (or double against
-// numbers) per XPath 2.0.
-func GeneralCompare(op string, a, b Sequence) (bool, error) {
-	vop := valueOp(op)
-	if vop == "" {
-		return false, fmt.Errorf("xdm: unknown general comparison %q", op)
-	}
-	for _, x := range AtomizeSequence(a) {
-		for _, y := range AtomizeSequence(b) {
-			xi, yi, err := coerceGeneralPair(x, y)
-			if err != nil {
-				return false, err
-			}
-			ok, err := CompareValues(vop, xi, yi)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
-}
-
 // valueOp returns the value comparison a general comparison applies to
 // each pair of items, or "" for an unknown operator.
 func valueOp(op string) string {

@@ -143,11 +143,13 @@ func EffectiveBooleanValueIter(it Iter) (bool, error) {
 	return EffectiveBooleanValue(Sequence{first})
 }
 
-// GeneralCompareStream applies a general comparison streaming the left
-// operand against a materialized right operand: it stops pulling as soon
-// as one pair compares true. Per XPath 2.0 the result is
-// implementation-ordered, so errors hidden behind an early match may not
-// surface.
+// GeneralCompareStream applies a general comparison (=, !=, <, <=, >,
+// >=) streaming the left operand against a materialized right operand:
+// true iff some pair of items compares true, with untypedAtomic coerced
+// to the other operand's type (or double against numbers) per XPath
+// 2.0. It stops pulling as soon as one pair compares true; the result
+// is implementation-ordered, so errors hidden behind an early match may
+// not surface.
 func GeneralCompareStream(op string, a Iter, b Sequence) (bool, error) {
 	vop := valueOp(op)
 	if vop == "" {

@@ -144,16 +144,16 @@ func TestDecimalCanonicalString(t *testing.T) {
 
 func TestGeneralCompareCrossTypeErrors(t *testing.T) {
 	// Comparing incompatible concrete types is an error, not false.
-	if _, err := GeneralCompare("=", Sequence{Integer(1)}, Sequence{Boolean(true)}); err == nil {
+	if _, err := GeneralCompareStream("=", FromSlice(Sequence{Integer(1)}), Sequence{Boolean(true)}); err == nil {
 		t.Error("integer vs boolean must error")
 	}
 	// But untyped coerces to either side.
-	ok, err := GeneralCompare("=", Sequence{UntypedAtomic("true")}, Sequence{Boolean(true)})
+	ok, err := GeneralCompareStream("=", FromSlice(Sequence{UntypedAtomic("true")}), Sequence{Boolean(true)})
 	if err != nil || !ok {
 		t.Errorf("untyped vs boolean: %v %v", ok, err)
 	}
 	d, _ := ParseDateTime("2008-01-01", TDate)
-	ok, err = GeneralCompare("=", Sequence{UntypedAtomic("2008-01-01")}, Sequence{d})
+	ok, err = GeneralCompareStream("=", FromSlice(Sequence{UntypedAtomic("2008-01-01")}), Sequence{d})
 	if err != nil || !ok {
 		t.Errorf("untyped vs date: %v %v", ok, err)
 	}

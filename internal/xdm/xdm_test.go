@@ -238,7 +238,7 @@ func TestGeneralCompare(t *testing.T) {
 		{"!=", Sequence{Double(math.NaN())}, Sequence{Double(1)}, true},
 	}
 	for _, tt := range tests {
-		got, err := GeneralCompare(tt.op, tt.a, tt.b)
+		got, err := GeneralCompareStream(tt.op, FromSlice(tt.a), tt.b)
 		if err != nil {
 			t.Errorf("%v %s %v: %v", tt.a, tt.op, tt.b, err)
 			continue

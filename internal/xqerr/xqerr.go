@@ -33,8 +33,8 @@ import (
 // recovered at an evaluation boundary.
 var ErrInternal = errors.New("xqerr: internal error (recovered panic)")
 
-// ErrMisconfigured matches construction-time registration failures that
-// are deferred to first use instead of panicking.
+// ErrMisconfigured matches registration failures, such as a function
+// registered on a frozen registry layer.
 var ErrMisconfigured = errors.New("xqerr: invalid configuration")
 
 // recovered counts panics recovered through this package since process

@@ -20,8 +20,7 @@ import (
 // below puts one of those in front of a place that must still copy —
 // or that may adopt. The oracle is the same program on the unplanned
 // tree, where every Adopt mark has its zero value, "copy": results,
-// update primitives and final documents must agree byte for byte, in
-// every evaluator configuration.
+// update primitives and final documents must agree byte for byte.
 
 const adoptDoc = `<r><a id="a"/><b id="b"/><c id="c"/><d id="d"/></r>`
 
@@ -54,33 +53,16 @@ func runAdoptOnce(t *testing.T, p *Program, cfg RunConfig) (string, *runtime.Pro
 	return runOutcome(t, p, adoptDoc, cfg), cfg.Profiler
 }
 
-// runAdopt runs src planned and unplanned under every evaluator
-// configuration, fails where any run differs from the unplanned eager
-// one, and returns the outcome with the profile of the planned default
-// run.
+// runAdopt runs src planned and unplanned, fails where the two
+// differ, and returns the outcome with the profile of the planned run.
 func runAdopt(t *testing.T, src string, sequential bool) (string, *runtime.Profiler) {
 	t.Helper()
 	planned, unplanned := compileAdopt(t, src)
-	want, _ := runAdoptOnce(t, unplanned, RunConfig{Sequential: sequential, DisableStreaming: true})
-	var prof *runtime.Profiler
-	for _, m := range []struct {
-		name string
-		cfg  RunConfig
-	}{
-		{"default", RunConfig{}},
-		{"DisableStreaming", RunConfig{DisableStreaming: true}},
-	} {
-		m.cfg.Sequential = sequential
-		got, p := runAdoptOnce(t, planned, m.cfg)
-		if got != want {
-			t.Errorf("%s\n%s, planned:   %s\nunplanned oracle: %s", src, m.name, got, want)
-		}
-		if prof == nil {
-			prof = p
-		}
-		if got, _ := runAdoptOnce(t, unplanned, m.cfg); got != want {
-			t.Errorf("%s\n%s, unplanned: %s\nunplanned oracle: %s", src, m.name, got, want)
-		}
+	cfg := RunConfig{Sequential: sequential}
+	want, _ := runAdoptOnce(t, unplanned, cfg)
+	got, prof := runAdoptOnce(t, planned, cfg)
+	if got != want {
+		t.Errorf("%s\nplanned:          %s\nunplanned oracle: %s", src, got, want)
 	}
 	return want, prof
 }

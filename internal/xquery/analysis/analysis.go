@@ -96,15 +96,6 @@ func BudgetDiagnostic(estimated, maxSteps int64) (Diagnostic, bool) {
 	}, true
 }
 
-// defaultReg is the funclib-only signature source for a nil
-// Config.Registry: the process-wide library layer.
-func defaultReg() *runtime.Registry {
-	// Analysis only reads signatures; a stream-attachment failure does
-	// not change them, so the error is ignorable here.
-	r, _ := funclib.Library()
-	return r
-}
-
 // Analyze runs all passes over a parsed module and returns the
 // diagnostics plus the cost estimate. Its only mutation of the module
 // is the Once-guarded planning pass (plan.Prepare via
@@ -118,7 +109,7 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 	m.EnsurePlanned(func() { plan.Prepare(m) })
 	reg := cfg.Registry
 	if reg == nil {
-		reg = defaultReg()
+		reg = funclib.Library() // signatures only: the process-wide library layer
 	}
 	c := &checker{
 		reg:     reg,

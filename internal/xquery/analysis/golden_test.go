@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite the golden .diag files")
 // budget so the cost fixture can trip XQ0301.
 func goldenConfig() analysis.Config {
 	reg := runtime.NewRegistry()
-	_ = funclib.Register(reg) // signatures only; stream wiring is irrelevant here
+	funclib.Register(reg)
 	browser.RegisterFunctions(reg, nil, nil)
 	return analysis.Config{Registry: reg, BrowserProfile: true, MaxSteps: 1000}
 }

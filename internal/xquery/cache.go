@@ -272,9 +272,6 @@ func (c *Cache) Compile(e *Engine, src string) (*Program, error) {
 // entry returns the cached compilation under key, compiling on e on a
 // miss: fetch or parse the module, then compile it.
 func (c *Cache) entry(e *Engine, key progKey) (*progEntry, error) {
-	if e.initErr != nil {
-		return nil, e.initErr
-	}
 	return load(c, &c.programs, key, &c.progHits, func() (*progEntry, error) {
 		m, err := c.parse(key.src)
 		if err != nil {

@@ -57,10 +57,6 @@ type Engine struct {
 	collections     runtime.CollectionResolver
 	collectionsIter runtime.CollectionIterResolver
 	collectionsShip runtime.CollectionShipResolver
-	// initErr records a function-library wiring failure from New;
-	// every Compile on this engine refuses with it instead of running
-	// programs against a half-built registry.
-	initErr error
 	// bound memoises the engine's bindings of cached programs.
 	bound bindings
 }
@@ -108,7 +104,7 @@ func WithDocResolver(r runtime.DocResolver) Option {
 }
 
 // WithCollectionResolver installs an engine-level default fn:collection
-// resolver, the eager counterpart of WithCollectionIterResolver.
+// resolver, the slice-valued counterpart of WithCollectionIterResolver.
 func WithCollectionResolver(r runtime.CollectionResolver) Option {
 	return func(e *Engine) { e.collections = r }
 }
@@ -139,8 +135,7 @@ func WithFunctions(register func(*runtime.Registry)) Option {
 // New builds an engine: an empty host layer above the shared fn:
 // library, then the options.
 func New(opts ...Option) *Engine {
-	lib, err := funclib.Library()
-	e := &Engine{host: lib.Layer(), initErr: err}
+	e := &Engine{host: funclib.Library().Layer()}
 	for _, o := range opts {
 		o(e)
 	}
@@ -209,9 +204,6 @@ func (e *Engine) Compile(src string) (*Program, error) {
 // compiled by many engines concurrently — the program cache uses this
 // to share parse work across engines of different shapes.
 func (e *Engine) CompileModule(m *ast.Module) (*Program, error) {
-	if e.initErr != nil {
-		return nil, e.initErr
-	}
 	return e.bind(e.compileShared(m))
 }
 
@@ -383,9 +375,6 @@ func (e *Engine) analysisConfig(maxSteps int64) analysis.Config {
 // evaluating it. Parse failures return the parser error; an analyzed
 // module always returns a result, whatever its diagnostics say.
 func (e *Engine) Analyze(src string) (*analysis.Result, error) {
-	if e.initErr != nil {
-		return nil, e.initErr
-	}
 	m, err := parser.ParseModule(src)
 	if err != nil {
 		return nil, err
@@ -443,7 +432,7 @@ type RunConfig struct {
 	// directory.)
 	Collections runtime.CollectionResolver
 	// CollectionsIter is the streaming fn:collection source (preferred
-	// by the streaming evaluator when set). Nil falls back to the
+	// over Collections when set). Nil falls back to the
 	// engine's WithCollectionIterResolver default.
 	CollectionsIter runtime.CollectionIterResolver
 	// CollectionsShip is the shipping fn:collection source: a FLWOR or
@@ -477,10 +466,6 @@ type RunConfig struct {
 	MaxSteps int64
 	// Timeout bounds the run's wall-clock time; <= 0 is unlimited.
 	Timeout time.Duration
-	// DisableStreaming forces eager materializing evaluation
-	// everywhere (the pre-iterator behaviour); used as a benchmark
-	// baseline and as an escape hatch.
-	DisableStreaming bool
 	// DisableIndexes turns off the per-document indexes for this run:
 	// planned path steps scan the axis and fn:id walks the tree — and
 	// nothing is shipped to a collection's source (CollectionsShip): the
@@ -546,7 +531,6 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	ctx.Profiler = cfg.Profiler
 	ctx.Budget = runtime.NewBudgetContext(cfg.Context, cfg.MaxSteps, cfg.Timeout)
 	ctx.IO = cfg.Context
-	ctx.NoStream = cfg.DisableStreaming
 	ctx.NoIndex = cfg.DisableIndexes
 	ctx.Docs = cfg.Docs
 	ctx.Collections = cfg.Collections

@@ -71,7 +71,7 @@ var ftIndexCorpus = []string{
 }
 
 // TestFTIndexDifferential: every corpus query must produce
-// byte-identical output across all four streaming×index modes —
+// byte-identical output with indexes on and off —
 // DisableIndexes turns the full-text probes off, making the
 // tokenize-and-scan path the oracle.
 func TestFTIndexDifferential(t *testing.T) {
@@ -83,10 +83,10 @@ func TestFTIndexDifferential(t *testing.T) {
 			t.Fatalf("%q: compile: %v", q, err)
 		}
 		got := runModes(t, p, doc)
-		want := got["eager+scan"]
+		want := got["scan"]
 		for mode, res := range got {
 			if res != want {
-				t.Errorf("%q: %s = %q, eager+scan = %q", q, mode, res, want)
+				t.Errorf("%q: %s = %q, scan = %q", q, mode, res, want)
 			}
 		}
 	}
@@ -94,9 +94,8 @@ func TestFTIndexDifferential(t *testing.T) {
 
 // TestFTIndexDifferentialAfterUpdates interleaves DOM mutations with
 // full-text reads: each update bumps the document version, so stale
-// posting lists must never answer and all four modes keep agreeing on
-// the new tree. This is the satellite "ftcontains under mutation"
-// 4-mode corpus entry.
+// posting lists must never answer and both modes keep agreeing on
+// the new tree.
 func TestFTIndexDifferentialAfterUpdates(t *testing.T) {
 	e := New()
 	doc := ftArticlesDoc(t)
@@ -123,10 +122,10 @@ func TestFTIndexDifferentialAfterUpdates(t *testing.T) {
 				t.Fatalf("%q: compile: %v", q, err)
 			}
 			got := runModes(t, p, doc)
-			want := got["eager+scan"]
+			want := got["scan"]
 			for mode, res := range got {
 				if res != want {
-					t.Errorf("%s: %q: %s = %q, eager+scan = %q", stage, q, mode, res, want)
+					t.Errorf("%s: %q: %s = %q, scan = %q", stage, q, mode, res, want)
 				}
 			}
 		}

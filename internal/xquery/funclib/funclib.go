@@ -20,7 +20,6 @@ import (
 var (
 	libOnce sync.Once
 	lib     *runtime.Registry
-	libErr  error
 )
 
 // Library returns the process-wide built-in layer: the whole fn:/xs:/ft:
@@ -28,25 +27,23 @@ var (
 // re-registering ~350 closures each. No built-in keeps state between
 // calls, which is what makes one copy safe for every engine and
 // goroutine. Because it is frozen, Register on it fails; host functions
-// go on a layer above it (Registry.Layer). The error is Register's.
-func Library() (*runtime.Registry, error) {
+// go on a layer above it (Registry.Layer).
+func Library() *runtime.Registry {
 	libOnce.Do(func() {
 		lib = runtime.NewRegistry()
-		libErr = Register(lib)
+		Register(lib)
 		lib.Freeze()
 	})
-	return lib, libErr
+	return lib
 }
 
-// Register installs the built-in function library. The returned error
-// is non-nil only when the library is internally inconsistent (a
-// streaming entry point names a function that was never registered); it
-// wraps xqerr.ErrMisconfigured and means the registry must not be used.
-func Register(reg *runtime.Registry) error {
+// Register installs the built-in function library on a writable layer.
+func Register(reg *runtime.Registry) {
 	registerStrings(reg)
 	registerNumeric(reg)
 	registerBooleans(reg)
 	registerSequences(reg)
+	registerStreaming(reg)
 	registerAggregates(reg)
 	registerNodes(reg)
 	registerDates(reg)
@@ -55,8 +52,6 @@ func Register(reg *runtime.Registry) error {
 	registerContext(reg)
 	registerConstructors(reg)
 	registerFullText(reg)
-	// Last: attaches lazy Stream entry points to the functions above.
-	return registerStreaming(reg)
 }
 
 // registerConstructors installs the xs: constructor functions
@@ -523,19 +518,5 @@ func registerBooleans(reg *runtime.Registry) {
 	})
 	simple(reg, "false", 0, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return boolean(false), nil
-	})
-	simple(reg, "not", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		b, err := xdm.EffectiveBooleanValue(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return boolean(!b), nil
-	})
-	simple(reg, "boolean", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		b, err := xdm.EffectiveBooleanValue(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return boolean(b), nil
 	})
 }

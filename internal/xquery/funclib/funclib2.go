@@ -15,15 +15,6 @@ import (
 // --- sequences ----------------------------------------------------------------
 
 func registerSequences(reg *runtime.Registry) {
-	simple(reg, "empty", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolean(len(args[0]) == 0), nil
-	})
-	simple(reg, "exists", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolean(len(args[0]) > 0), nil
-	})
-	simple(reg, "count", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return integer(int64(len(args[0]))), nil
-	})
 	simple(reg, "reverse", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		in := args[0]
 		out := make(xdm.Sequence, len(in))
@@ -79,30 +70,6 @@ func registerSequences(reg *runtime.Registry) {
 		out = append(out, in[pos:]...)
 		return out, nil
 	})
-	ranged(reg, "subsequence", 2, 3, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		in := args[0]
-		start, err := numArg(args[1])
-		if err != nil || start == nil {
-			return nil, err
-		}
-		from := math.Round(toF(start))
-		to := math.Inf(1)
-		if len(args) == 3 {
-			l, err := numArg(args[2])
-			if err != nil || l == nil {
-				return nil, err
-			}
-			to = from + math.Round(toF(l))
-		}
-		var out xdm.Sequence
-		for i, it := range in {
-			p := float64(i + 1)
-			if p >= from && p < to {
-				out = append(out, it)
-			}
-		}
-		return out, nil
-	})
 	simple(reg, "index-of", 2, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		search, err := xdm.AtomizeSequence(args[1]).One()
 		if err != nil {
@@ -116,18 +83,6 @@ func registerSequences(reg *runtime.Registry) {
 			}
 		}
 		return out, nil
-	})
-	simple(reg, "zero-or-one", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		if len(args[0]) > 1 {
-			return nil, fmt.Errorf("fn:zero-or-one: sequence has %d items", len(args[0]))
-		}
-		return args[0], nil
-	})
-	simple(reg, "one-or-more", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		if len(args[0]) == 0 {
-			return nil, fmt.Errorf("fn:one-or-more: empty sequence")
-		}
-		return args[0], nil
 	})
 	simple(reg, "exactly-one", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		if len(args[0]) != 1 {
@@ -667,42 +622,6 @@ func registerDocs(reg *runtime.Registry) {
 	})
 	simple(reg, "put", 2, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return nil, fmt.Errorf("fn:put is blocked (paper §4.2.1)")
-	})
-	ranged(reg, "collection", 0, 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		if ctx.Prog != nil && ctx.Prog.BlockDoc {
-			return nil, fmt.Errorf("fn:collection is blocked in the browser profile")
-		}
-		if ctx.Collections == nil && ctx.CollectionsIter == nil {
-			return nil, fmt.Errorf("fn:collection: no collection resolver available")
-		}
-		uri := ""
-		if len(args) == 1 {
-			var err error
-			if uri, err = stringArg(args[0]); err != nil {
-				return nil, err
-			}
-		}
-		if ctx.Collections == nil {
-			// Only the streaming resolver is installed: drain it.
-			it, err := ctx.CollectionsIter(uri)
-			if err != nil {
-				return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
-			}
-			seq, err := xdm.Materialize(it)
-			if err != nil {
-				return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
-			}
-			return seq, nil
-		}
-		docs, err := ctx.Collections(uri)
-		if err != nil {
-			return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
-		}
-		out := make(xdm.Sequence, len(docs))
-		for i, d := range docs {
-			out[i] = xdm.NewNode(d)
-		}
-		return out, nil
 	})
 }
 

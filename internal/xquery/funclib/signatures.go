@@ -22,10 +22,8 @@ type Signature struct {
 // sorted by namespace then local name then MinArgs. The table is
 // rebuilt on every call; callers that care should cache it.
 func Signatures() []Signature {
-	// Signatures do not depend on the stream wiring Library reports on.
-	reg, _ := Library()
 	var out []Signature
-	for _, f := range reg.All() {
+	for _, f := range Library().All() {
 		out = append(out, Signature{
 			Name:       f.Name,
 			MinArgs:    f.MinArgs,

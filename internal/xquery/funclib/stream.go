@@ -1,63 +1,54 @@
 package funclib
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/xdm"
-	"repro/internal/xqerr"
 	"repro/internal/xquery/runtime"
 )
 
-// This file adds the lazy entry points of the function library:
-// fn:head/fn:tail (which only make sense lazily) and Stream
-// implementations for the built-ins whose answer is decided by a prefix
-// of their argument — fn:exists pulls one item, fn:zero-or-one pulls at
-// most two, fn:subsequence stops at the end of its window. Every
-// function keeps its eager Invoke; the evaluator falls back to it when
-// Context.NoStream is set.
+// This file holds the built-ins whose answer is decided by a prefix of
+// their argument — fn:exists pulls one item, fn:zero-or-one at most two,
+// fn:subsequence stops at the end of its window — and fn:collection,
+// which hands a store's documents over one at a time. Each has one body,
+// its Stream; streamed derives from it the Invoke that callers holding
+// materialized arguments use.
 
-// registerStreaming installs fn:head/fn:tail and attaches Stream
-// implementations to already-registered sequence functions. A missing
-// base registration is a wiring bug in this package, reported as an
-// error wrapping xqerr.ErrMisconfigured rather than a panic so callers
-// at any depth can surface it.
-func registerStreaming(reg *runtime.Registry) error {
-	var errs []error
-	att := func(err error) {
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	simple(reg, "head", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		if len(args[0]) == 0 {
-			return nil, nil
-		}
-		return xdm.Singleton(args[0][0]), nil
-	})
-	simple(reg, "tail", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		if len(args[0]) <= 1 {
-			return nil, nil
-		}
-		return args[0][1:], nil
-	})
+// streamed registers an fn: function accepting min to max arguments
+// whose body is s. Its Invoke runs s over the argument slices.
+func streamed(reg *runtime.Registry, local string, min, max int,
+	s func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error)) {
+	reg.Register(&runtime.Function{Name: fnName(local), MinArgs: min, MaxArgs: max, Stream: s,
+		Invoke: func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
+			iters := make([]xdm.Iter, len(args))
+			for i, a := range args {
+				iters[i] = xdm.FromSlice(a)
+			}
+			it, err := s(ctx, iters)
+			if err != nil {
+				return nil, err
+			}
+			return xdm.Materialize(it)
+		}})
+}
 
-	att(stream(reg, "exists", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+func registerStreaming(reg *runtime.Registry) {
+	streamed(reg, "exists", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		_, ok, err := args[0].Next()
 		if err != nil {
 			return nil, err
 		}
 		return xdm.SingletonIter(xdm.Boolean(ok)), nil
-	}))
-	att(stream(reg, "empty", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "empty", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		_, ok, err := args[0].Next()
 		if err != nil {
 			return nil, err
 		}
 		return xdm.SingletonIter(xdm.Boolean(!ok)), nil
-	}))
-	att(stream(reg, "count", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "count", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		// Counting drains the stream but never stores it.
 		var n int64
 		for {
@@ -70,8 +61,8 @@ func registerStreaming(reg *runtime.Registry) error {
 			}
 			n++
 		}
-	}))
-	att(stream(reg, "head", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "head", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		first, ok, err := args[0].Next()
 		if err != nil {
 			return nil, err
@@ -80,15 +71,15 @@ func registerStreaming(reg *runtime.Registry) error {
 			return xdm.EmptyIter(), nil
 		}
 		return xdm.SingletonIter(first), nil
-	}))
-	att(stream(reg, "tail", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "tail", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		_, _, err := args[0].Next()
 		if err != nil {
 			return nil, err
 		}
 		return args[0], nil
-	}))
-	att(stream(reg, "zero-or-one", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "zero-or-one", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		s, err := xdm.MaterializeAtMost(args[0], 1)
 		if err != nil {
 			return nil, err
@@ -97,8 +88,8 @@ func registerStreaming(reg *runtime.Registry) error {
 			return nil, fmt.Errorf("fn:zero-or-one: sequence has more than one item")
 		}
 		return xdm.FromSlice(s), nil
-	}))
-	att(stream(reg, "one-or-more", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "one-or-more", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		first, ok, err := args[0].Next()
 		if err != nil {
 			return nil, err
@@ -107,29 +98,34 @@ func registerStreaming(reg *runtime.Registry) error {
 			return nil, fmt.Errorf("fn:one-or-more: empty sequence")
 		}
 		return xdm.ConcatIters(xdm.SingletonIter(first), args[0]), nil
-	}))
-	att(stream(reg, "boolean", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "boolean", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		b, err := xdm.EffectiveBooleanValueIter(args[0])
 		if err != nil {
 			return nil, err
 		}
 		return xdm.SingletonIter(xdm.Boolean(b)), nil
-	}))
-	att(stream(reg, "not", 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "not", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		b, err := xdm.EffectiveBooleanValueIter(args[0])
 		if err != nil {
 			return nil, err
 		}
 		return xdm.SingletonIter(xdm.Boolean(!b)), nil
-	}))
-	att(streamRange(reg, "subsequence", 2, 3, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+	})
+	streamed(reg, "subsequence", 2, 3, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+		// The window is the positions p with round(start) <= p <
+		// round(start) + round(length), compared as doubles.
 		startSeq, err := xdm.Materialize(args[1])
 		if err != nil {
 			return nil, err
 		}
 		start, err := numArg(startSeq)
-		if err != nil || start == nil {
+		if err != nil {
 			return nil, err
+		}
+		if start == nil {
+			return xdm.EmptyIter(), nil
 		}
 		from := math.Round(toF(start))
 		to := math.Inf(1)
@@ -139,10 +135,18 @@ func registerStreaming(reg *runtime.Registry) error {
 				return nil, err
 			}
 			l, err := numArg(lenSeq)
-			if err != nil || l == nil {
+			if err != nil {
 				return nil, err
 			}
+			if l == nil {
+				return xdm.EmptyIter(), nil
+			}
 			to = from + math.Round(toF(l))
+		}
+		if !(from < to) {
+			// An empty window, or a NaN bound (start -INF with length
+			// INF, say): no position is in it.
+			return xdm.EmptyIter(), nil
 		}
 		in := args[0]
 		p := 0.0
@@ -169,12 +173,12 @@ func registerStreaming(reg *runtime.Registry) error {
 			done = true
 			return nil, false, nil
 		}), nil
-	}))
-	att(streamRange(reg, "collection", 0, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
-		// The streaming fn:collection: with a CollectionIterResolver in
-		// the context (the sharded store's incremental shard merge), the
-		// documents flow one Next at a time, so collection($c)[1] pulls
-		// a single merge step instead of materialising the collection.
+	})
+	streamed(reg, "collection", 0, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
+		// With a CollectionIterResolver in the context (the sharded
+		// store's incremental shard merge), the documents flow one Next
+		// at a time, so collection($c)[1] pulls a single merge step
+		// instead of materialising the collection.
 		if ctx.Prog != nil && ctx.Prog.BlockDoc {
 			return nil, fmt.Errorf("fn:collection is blocked in the browser profile")
 		}
@@ -207,33 +211,5 @@ func registerStreaming(reg *runtime.Registry) error {
 			out[i] = xdm.NewNode(d)
 		}
 		return xdm.FromSlice(out), nil
-	}))
-	return errors.Join(errs...)
-}
-
-// stream attaches a Stream implementation to a registered fixed-arity
-// fn: function.
-func stream(reg *runtime.Registry, local string, arity int,
-	s func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error)) error {
-	f := reg.Lookup(fnName(local), arity)
-	if f == nil {
-		return fmt.Errorf("%w: funclib: streaming fn:%s#%d has no base registration",
-			xqerr.ErrMisconfigured, local, arity)
-	}
-	f.Stream = s
-	return nil
-}
-
-// streamRange is stream for a variable-arity registration.
-func streamRange(reg *runtime.Registry, local string, min, max int,
-	s func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error)) error {
-	for a := min; a <= max; a++ {
-		f := reg.Lookup(fnName(local), a)
-		if f == nil {
-			return fmt.Errorf("%w: funclib: streaming fn:%s#%d has no base registration",
-				xqerr.ErrMisconfigured, local, a)
-		}
-		f.Stream = s
-	}
-	return nil
+	})
 }

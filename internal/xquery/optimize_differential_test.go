@@ -213,18 +213,15 @@ func runOutcome(tb testing.TB, p *Program, docXML string, cfg RunConfig) string 
 }
 
 // optimizerRunModes are the evaluator configurations every optimizer
-// differential crosses: streaming on and off, scripting snapshots off
-// and on (the optimized tree runs as it is in all four: the static
-// midLoop rule, not the run mode, keeps rewrites off a loop that can
-// apply a snapshot).
+// differential crosses: scripting snapshots off and on (the optimized
+// tree runs as it is in both: the static midLoop rule, not the run
+// mode, keeps rewrites off a loop that can apply a snapshot).
 var optimizerRunModes = []struct {
 	name string
 	cfg  RunConfig
 }{
 	{"default", RunConfig{}},
-	{"DisableStreaming", RunConfig{DisableStreaming: true}},
 	{"Sequential", RunConfig{Sequential: true}},
-	{"Sequential+DisableStreaming", RunConfig{Sequential: true, DisableStreaming: true}},
 }
 
 // diffOptimized runs src optimized and as the oracle in every run mode
@@ -272,8 +269,9 @@ func TestCompileDifferential(t *testing.T) {
 	}
 }
 
-// TestCompileDifferentialStreamingMatrix crosses the two trees with the
-// streaming switch: four configurations, one answer.
+// TestCompileDifferentialStreamingMatrix crosses the two trees with
+// scripting snapshots off and on, which stream and snapshot the
+// domains of for clauses: four configurations, one answer.
 func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 	e := New()
 	queries := []string{
@@ -290,9 +288,9 @@ func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 		}
 		want := runOutcome(t, opt, libraryXML, RunConfig{MaxSteps: 500_000})
 		for i, p := range []*Program{opt, oracle} {
-			for _, eager := range []bool{false, true} {
-				if got := runOutcome(t, p, libraryXML, RunConfig{MaxSteps: 500_000, DisableStreaming: eager}); got != want {
-					t.Errorf("%q, program %d, DisableStreaming %v: %q != %q", src, i, eager, got, want)
+			for _, sequential := range []bool{false, true} {
+				if got := runOutcome(t, p, libraryXML, RunConfig{MaxSteps: 500_000, Sequential: sequential}); got != want {
+					t.Errorf("%q, program %d, Sequential %v: %q != %q", src, i, sequential, got, want)
 				}
 			}
 		}
@@ -339,8 +337,7 @@ func TestSequentialPushdownRepro(t *testing.T) {
 }
 
 // FuzzCompileDifferential is TestCompileDifferential over whatever the
-// fuzzer writes, the same way FuzzStreamingDifferential checks streaming
-// against eager evaluation. Runs that exceed the budget are skipped.
+// fuzzer writes. Runs that exceed the budget are skipped.
 func FuzzCompileDifferential(f *testing.F) {
 	for _, s := range compileDifferentialCorpus {
 		f.Add(s)

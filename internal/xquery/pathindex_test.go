@@ -48,26 +48,19 @@ var pathIndexCorpus = []string{
 	`//book/child::title/string()`,
 }
 
-// runModes runs one query in all four streaming×index mode
-// combinations against the same document and reports each formatted
-// result (or error).
+// runModes runs one query with indexes on and off against the same
+// document and reports each formatted result (or error).
 func runModes(t *testing.T, p *Program, doc xdm.Item) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, m := range []struct {
-		name              string
-		noStream, noIndex bool
+		name    string
+		noIndex bool
 	}{
-		{"stream+index", false, false},
-		{"stream+scan", false, true},
-		{"eager+index", true, false},
-		{"eager+scan", true, true},
+		{"index", false},
+		{"scan", true},
 	} {
-		res, err := p.Run(RunConfig{
-			ContextItem:      doc,
-			DisableStreaming: m.noStream,
-			DisableIndexes:   m.noIndex,
-		})
+		res, err := p.Run(RunConfig{ContextItem: doc, DisableIndexes: m.noIndex})
 		if err != nil {
 			out[m.name] = "error: " + err.Error()
 			continue
@@ -78,8 +71,8 @@ func runModes(t *testing.T, p *Program, doc xdm.Item) map[string]string {
 }
 
 // TestPathIndexDifferential: with indexes force-enabled and
-// force-disabled (crossed with both evaluators), every corpus query
-// over the same document must produce byte-identical output.
+// force-disabled, every corpus query over the same document must
+// produce byte-identical output.
 func TestPathIndexDifferential(t *testing.T) {
 	e := New()
 	doc := xdm.NewNode(libraryDoc(t))
@@ -89,10 +82,10 @@ func TestPathIndexDifferential(t *testing.T) {
 			t.Fatalf("%q: compile: %v", q, err)
 		}
 		got := runModes(t, p, doc)
-		want := got["eager+scan"]
+		want := got["scan"]
 		for mode, res := range got {
 			if res != want {
-				t.Errorf("%q: %s = %q, eager+scan = %q", q, mode, res, want)
+				t.Errorf("%q: %s = %q, scan = %q", q, mode, res, want)
 			}
 		}
 	}
@@ -126,10 +119,10 @@ func TestPathIndexDifferentialAfterUpdates(t *testing.T) {
 				t.Fatalf("%q: compile: %v", q, err)
 			}
 			got := runModes(t, p, doc)
-			want := got["eager+scan"]
+			want := got["scan"]
 			for mode, res := range got {
 				if res != want {
-					t.Errorf("%s: %q: %s = %q, eager+scan = %q", stage, q, mode, res, want)
+					t.Errorf("%s: %q: %s = %q, scan = %q", stage, q, mode, res, want)
 				}
 			}
 		}
@@ -238,8 +231,7 @@ func TestPathIndexProfilerAndMetrics(t *testing.T) {
 }
 
 // FuzzIndexDifferential cross-checks the index-backed path evaluator
-// against the scan baseline the same way FuzzStreamingDifferential
-// checks lazy against eager: any input that compiles and succeeds in
+// against the scan baseline: any input that compiles and succeeds in
 // both modes must agree, and the indexed mode may never introduce an
 // error the scan does not hit.
 func FuzzIndexDifferential(f *testing.F) {
@@ -322,10 +314,10 @@ func TestPathIndexWideDocAgreement(t *testing.T) {
 				t.Fatalf("%q: compile: %v", q, err)
 			}
 			got := runModes(t, p, doc)
-			want := got["eager+scan"]
+			want := got["scan"]
 			for mode, res := range got {
 				if res != want {
-					t.Errorf("round %d: %q: %s = %q, eager+scan = %q", round, q, mode, res, want)
+					t.Errorf("round %d: %q: %s = %q, scan = %q", round, q, mode, res, want)
 				}
 			}
 		}

@@ -55,7 +55,7 @@ func (c *Cache) EvalPerDocument(e *Engine, src string, parent *runtime.Context, 
 	}
 	ctx := runtime.NewContext(p.prog)
 	ctx.PUL = nil // nothing admitted updates; the evaluator would refuse it as well
-	ctx.Budget, ctx.IO, ctx.Now, ctx.NoStream = parent.Budget, parent.IO, parent.Now, parent.NoStream
+	ctx.Budget, ctx.IO, ctx.Now = parent.Budget, parent.IO, parent.Now
 	ctx.NoIndexBuild = true
 	ctx.Pos, ctx.Size = 1, 1
 	for _, it := range docs {

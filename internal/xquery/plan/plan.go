@@ -34,7 +34,7 @@
 // predicate stage, so a wrong plan can cost time but never correctness.
 // PredSized is not advisory — it is what gives last() its value — which
 // is why it is the zero value: a predicate nobody planned is evaluated
-// the always-correct way. Both evaluators read the annotations, and
+// the always-correct way. The evaluator reads the annotations, and
 // the static analyzer's cost model reads them to price indexed steps at
 // O(matches) instead of O(tree).
 //

@@ -82,7 +82,8 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 	case ast.Unary:
 		return ctx.evalUnary(x)
 	case ast.Range:
-		return ctx.evalRange(x)
+		r := rangeIter{ctx: ctx, x: x}
+		return r.materialize()
 	case ast.InstanceOf:
 		s, err := ctx.Eval(x.X)
 		if err != nil {
@@ -101,7 +102,8 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 	case ast.CastAs:
 		return ctx.evalCast(x)
 	case ast.Path:
-		return ctx.evalPath(x)
+		it, _ := ctx.pathIter(x)
+		return xdm.Materialize(it)
 	case ast.DirElem:
 		n, err := ctx.constructElement(x)
 		if err != nil {
@@ -157,18 +159,26 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 	}
 }
 
-// evalEBV computes the effective boolean value of an expression. The
-// streaming form pulls at most two items: `if (//div) then ...` over a
-// huge page inspects a single node.
+// evalEBV computes the effective boolean value of an expression. It
+// pulls at most two items: `if (//div) then ...` over a huge page
+// inspects a single node.
 func (ctx *Context) evalEBV(e ast.Expr) (bool, error) {
-	if ctx.NoStream {
-		s, err := ctx.Eval(e)
-		if err != nil {
-			return false, err
-		}
-		return xdm.EffectiveBooleanValue(s)
-	}
 	return xdm.EffectiveBooleanValueIter(ctx.EvalIter(e))
+}
+
+// domain is the binding sequence of a for clause or a quantifier. It
+// streams, except in Sequential (scripting) mode, which snapshots it:
+// the body may apply updates between iterations, and the domain must
+// be fixed before the first one.
+func (ctx *Context) domain(e ast.Expr) xdm.Iter {
+	if ctx.SnapshotApply == nil {
+		return ctx.EvalIter(e)
+	}
+	val, err := ctx.Eval(e)
+	if err != nil {
+		return xdm.ErrIter(err)
+	}
+	return xdm.FromSlice(val)
 }
 
 // evalAtomizedOne atomizes the value of e to zero-or-one atomic item.
@@ -202,7 +212,7 @@ func (ctx *Context) evalCall(x ast.FuncCall) (xdm.Sequence, error) {
 	if f == nil {
 		return nil, fmt.Errorf("%w %s/%d", ErrUnknownFunction, x.Name, len(x.Args))
 	}
-	if f.Stream != nil && !ctx.NoStream {
+	if f.Stream != nil {
 		iters := make([]xdm.Iter, len(x.Args))
 		for i, a := range x.Args {
 			iters[i] = ctx.EvalIter(a)
@@ -327,22 +337,10 @@ func (en *flworEntry) clause(c *Context, i int) error {
 	if f.Join != nil && f.Join.Clause == i {
 		return en.joinClause(c, i)
 	}
-	// The binding sequence of a for clause streams: the return
-	// clause runs as items arrive, so a consumer that stops early
-	// (EBV, a positional filter on the FLWOR) stops the walk too.
-	// Sequential (scripting) mode keeps the eager snapshot: the
-	// body may apply updates between iterations, and the domain
-	// must be fixed before the first one.
-	var domain xdm.Iter
-	if c.SnapshotApply != nil {
-		val, err := c.Eval(cl.In)
-		if err != nil {
-			return err
-		}
-		domain = xdm.FromSlice(val)
-	} else {
-		domain = c.EvalIter(cl.In)
-	}
+	// The return clause runs as domain items arrive, so a consumer
+	// that stops early (EBV, a positional filter on the FLWOR) stops
+	// the walk too.
+	domain := c.domain(cl.In)
 	pos := 0
 	for {
 		item, ok, err := domain.Next()
@@ -493,16 +491,7 @@ func (ctx *Context) evalQuantified(q ast.Quantified) (xdm.Sequence, error) {
 			return c.evalEBV(q.Satisfies)
 		}
 		cl := q.Vars[i]
-		var domain xdm.Iter
-		if c.SnapshotApply != nil {
-			val, err := c.Eval(cl.In)
-			if err != nil {
-				return false, err
-			}
-			domain = xdm.FromSlice(val)
-		} else {
-			domain = c.EvalIter(cl.In)
-		}
+		domain := c.domain(cl.In)
 		for {
 			item, more, err := domain.Next()
 			if err != nil {
@@ -647,21 +636,6 @@ func (ctx *Context) evalCompare(x ast.Compare) (xdm.Sequence, error) {
 		// General comparisons are existential: materialize the right
 		// side once, stream the left, and stop at the first pair that
 		// compares true.
-		if ctx.NoStream {
-			l, err := ctx.Eval(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := ctx.Eval(x.R)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := xdm.GeneralCompare(x.Op, l, r)
-			if err != nil {
-				return nil, err
-			}
-			return xdm.Singleton(xdm.Boolean(ok)), nil
-		}
 		r, err := ctx.Eval(x.R)
 		if err != nil {
 			return nil, err
@@ -756,40 +730,6 @@ func (ctx *Context) evalUnary(x ast.Unary) (xdm.Sequence, error) {
 		return nil, fmt.Errorf("xquery: unary + applied to %s", v.Type())
 	}
 	return xdm.Singleton(v), nil
-}
-
-func (ctx *Context) evalRange(x ast.Range) (xdm.Sequence, error) {
-	l, err := ctx.evalAtomizedOne(x.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ctx.evalAtomizedOne(x.R)
-	if err != nil {
-		return nil, err
-	}
-	if l == nil || r == nil {
-		return nil, nil
-	}
-	li, err := xdm.Cast(l, xdm.TInteger)
-	if err != nil {
-		return nil, fmt.Errorf("xquery: range start: %w", err)
-	}
-	ri, err := xdm.Cast(r, xdm.TInteger)
-	if err != nil {
-		return nil, fmt.Errorf("xquery: range end: %w", err)
-	}
-	lo, hi := int64(li.(xdm.Integer)), int64(ri.(xdm.Integer))
-	if lo > hi {
-		return nil, nil
-	}
-	if hi-lo >= 10_000_000 {
-		return nil, fmt.Errorf("xquery: range %d to %d is too large", lo, hi)
-	}
-	out := make(xdm.Sequence, 0, hi-lo+1)
-	for v := lo; v <= hi; v++ {
-		out = append(out, xdm.Integer(v))
-	}
-	return out, nil
 }
 
 func (ctx *Context) evalCast(x ast.CastAs) (xdm.Sequence, error) {

@@ -8,14 +8,12 @@ import (
 	"repro/internal/xquery/ast"
 )
 
-// This file is the lazy half of the evaluator: EvalIter produces a
-// pull-based xdm.Iter for an expression, so consumers that only need a
+// This file is the lazy entry point of the evaluator: EvalIter produces
+// a pull-based xdm.Iter for an expression, so consumers that only need a
 // prefix of the result — fn:exists, positional predicates, quantifiers,
 // general comparisons — stop pulling as soon as the answer is decided.
 // Eval remains the materializing entry point; expressions with no
-// streaming benefit fall back to a deferred Eval. Setting
-// Context.NoStream forces the deferred-Eval fallback everywhere, which
-// is the eager baseline the benchmarks compare against.
+// streaming benefit fall back to a deferred Eval.
 
 // EvalIter evaluates an expression lazily. Errors are deferred to the
 // first Next call, so building an iterator never fails. The result is
@@ -33,9 +31,6 @@ func (ctx *Context) EvalIter(e ast.Expr) xdm.Iter {
 }
 
 func (ctx *Context) evalIter(e ast.Expr) (xdm.Iter, bool) {
-	if ctx.NoStream {
-		return ctx.lazyEval(e), false
-	}
 	switch x := e.(type) {
 	case ast.StringLit:
 		return xdm.SingletonIter(xdm.String(x.Val)), false
@@ -71,7 +66,7 @@ func (ctx *Context) evalIter(e ast.Expr) (xdm.Iter, bool) {
 			return ctx.EvalIter(x.Else), nil
 		}), false
 	case ast.Range:
-		return ctx.rangeIter(x), false
+		return &rangeIter{ctx: ctx, x: x}, false
 	case ast.Path:
 		return ctx.pathIter(x)
 	case ast.FuncCall:
@@ -163,60 +158,86 @@ func (ctx *Context) seqIter(x ast.SeqExpr) xdm.Iter {
 	})
 }
 
-// rangeIter yields a range one integer at a time: (1 to 1000000)[2]
-// allocates nothing beyond the two pulled items. The size cap matches
-// the eager evalRange so behaviour is mode-independent.
-func (ctx *Context) rangeIter(x ast.Range) xdm.Iter {
-	var v, hi int64
-	opened, done := false, false
-	return xdm.IterFunc(func() (xdm.Item, bool, error) {
-		if done {
-			return nil, false, nil
-		}
-		if !opened {
-			opened = true
-			l, err := ctx.evalAtomizedOne(x.L)
-			if err != nil {
-				done = true
-				return nil, false, err
-			}
-			r, err := ctx.evalAtomizedOne(x.R)
-			if err != nil {
-				done = true
-				return nil, false, err
-			}
-			if l == nil || r == nil {
-				done = true
-				return nil, false, nil
-			}
-			li, err := xdm.Cast(l, xdm.TInteger)
-			if err != nil {
-				done = true
-				return nil, false, fmt.Errorf("xquery: range start: %w", err)
-			}
-			ri, err := xdm.Cast(r, xdm.TInteger)
-			if err != nil {
-				done = true
-				return nil, false, fmt.Errorf("xquery: range end: %w", err)
-			}
-			v, hi = int64(li.(xdm.Integer)), int64(ri.(xdm.Integer))
-			if v <= hi && hi-v >= 10_000_000 {
-				done = true
-				return nil, false, fmt.Errorf("xquery: range %d to %d is too large", v, hi)
-			}
-		}
-		if v > hi {
-			done = true
-			return nil, false, nil
-		}
-		if err := ctx.Budget.Step(); err != nil {
-			done = true
+// rangeIter yields a range one integer at a time, one budget step per
+// integer: (1 to 1000000)[2] allocates nothing beyond the two pulled
+// items. Eval materializes the same iterator, so a range costs the
+// same budget on every route.
+type rangeIter struct {
+	ctx    *Context
+	x      ast.Range
+	next   int64 // the next integer
+	left   int64 // integers still to yield
+	opened bool
+}
+
+const maxRangePresize = 4096
+
+// open evaluates the bounds.
+func (r *rangeIter) open() error {
+	r.opened = true
+	l, err := r.ctx.evalAtomizedOne(r.x.L)
+	if err != nil {
+		return err
+	}
+	h, err := r.ctx.evalAtomizedOne(r.x.R)
+	if err != nil || l == nil || h == nil {
+		return err
+	}
+	lc, err := xdm.Cast(l, xdm.TInteger)
+	if err != nil {
+		return fmt.Errorf("xquery: range start: %w", err)
+	}
+	hc, err := xdm.Cast(h, xdm.TInteger)
+	if err != nil {
+		return fmt.Errorf("xquery: range end: %w", err)
+	}
+	lo, hi := int64(lc.(xdm.Integer)), int64(hc.(xdm.Integer))
+	if lo > hi {
+		return nil
+	}
+	if uint64(hi-lo) >= 10_000_000 { // unsigned: the distance overflows int64 from MinInt64 to MaxInt64
+		return fmt.Errorf("xquery: range %d to %d is too large", lo, hi)
+	}
+	r.next, r.left = lo, hi-lo+1
+	return nil
+}
+
+func (r *rangeIter) Next() (xdm.Item, bool, error) {
+	if !r.opened {
+		if err := r.open(); err != nil {
 			return nil, false, err
 		}
-		item := xdm.Integer(v)
-		v++
-		return item, true, nil
-	})
+	}
+	if r.left == 0 {
+		return nil, false, nil
+	}
+	if err := r.ctx.Budget.Step(); err != nil {
+		r.left = 0
+		return nil, false, err
+	}
+	item := xdm.Integer(r.next)
+	r.next++
+	r.left--
+	return item, true, nil
+}
+
+// materialize drains the range into a slice sized from its bounds, up
+// to maxRangePresize: a range the budget stops early allocates little.
+func (r *rangeIter) materialize() (xdm.Sequence, error) {
+	if err := r.open(); err != nil || r.left == 0 {
+		return nil, err
+	}
+	out := make(xdm.Sequence, 0, min(r.left, maxRangePresize))
+	for {
+		item, ok, err := r.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out = append(out, item)
+	}
 }
 
 // --- streaming paths ---------------------------------------------------------
@@ -416,8 +437,9 @@ func (s *stepStream) Next() (xdm.Item, bool, error) {
 // stepCandidates returns one focus node's lazily filtered candidates:
 // axis walk → node test → predicate stages. Every candidate pulled
 // consumes one budget step, which is what bounds pure tree walks that
-// never re-enter Eval. Both evaluators route every axis step through
-// here, which makes it the single place the planner's annotations are
+// never re-enter Eval. Every axis step, streamed or past a barrier
+// (evalStep), comes through here, which makes it the single place the
+// planner's annotations are
 // consulted: an indexed step replaces the axis walk with the (much
 // smaller) probed candidate list, and the node test plus all
 // predicates still re-apply, so a probe can never change a result —

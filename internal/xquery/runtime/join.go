@@ -57,11 +57,11 @@ func (c *Context) joinKey(e ast.Expr, valueEq bool) (xdm.Sequence, error) {
 }
 
 // outerPulled reports whether the predicate the join replaces is a
-// streaming general comparison with the outer key on the left: such a
-// comparison evaluates its right operand, the inner key, first and
-// never pulls the left one when the right one is empty.
-func outerPulled(c *Context, jp *ast.JoinPlan) bool {
-	return !jp.ValueEq && !c.NoStream && jp.OuterLeft
+// general comparison with the outer key on the left: such a comparison
+// evaluates its right operand, the inner key, first and never pulls the
+// left one when the right one is empty.
+func outerPulled(jp *ast.JoinPlan) bool {
+	return !jp.ValueEq && jp.OuterLeft
 }
 
 // buildJoin evaluates the build domain and buckets it, in the context
@@ -87,13 +87,10 @@ func (en *flworEntry) buildJoin(c *Context) error {
 		// outer key is never evaluated either.
 		return nil
 	}
-	outerFirst := jp.OuterLeft
-	if !jp.ValueEq && !c.NoStream {
-		// A streaming general comparison evaluates its right operand
-		// first (eagerly), then streams the left.
-		outerFirst = !jp.OuterLeft
-	}
-	pulled := outerPulled(c, jp)
+	// A value comparison evaluates its left operand first; a general
+	// comparison its right one (whole), then streams the left.
+	outerFirst := jp.OuterLeft == jp.ValueEq
+	pulled := outerPulled(jp)
 	outerDone := false
 	outerOnce := func() error {
 		outerDone = true
@@ -145,7 +142,7 @@ func (en *flworEntry) joinClause(c *Context, i int) error {
 	if len(j.domain) == 0 {
 		return nil
 	}
-	if len(j.table) == 0 && !j.fallback && outerPulled(c, jp) {
+	if len(j.table) == 0 && !j.fallback && outerPulled(jp) {
 		// No inner key had an item, so the comparison never pulls the
 		// outer key and no tuple matches.
 		return nil

@@ -8,52 +8,15 @@ import (
 	"repro/internal/xquery/ast"
 )
 
-// evalPath evaluates a path expression. Each step maps every item of the
+// This file holds the per-step half of path evaluation: the barrier
+// route of pathIter (iter.go), where a step that cannot stream sees
+// its whole materialized focus. Each step maps every item of the
 // previous step's result through an axis or filter expression; node
 // results are deduplicated and returned in document order, atomic
 // results are only allowed from the final step.
-//
-// The default route is the streaming pipeline in iter.go (materialized
-// at the end); steps that cannot stream fall back to the eager per-step
-// machinery below, which is also the whole story under NoStream.
-func (ctx *Context) evalPath(p ast.Path) (xdm.Sequence, error) {
-	if !ctx.NoStream {
-		it, _ := ctx.pathIter(p)
-		return xdm.Materialize(it)
-	}
-	return ctx.evalPathEager(p)
-}
 
-func (ctx *Context) evalPathEager(p ast.Path) (xdm.Sequence, error) {
-	steps := p.Steps
-	var current xdm.Sequence
-	if p.Absolute {
-		n, ok := xdm.IsNode(ctx.Item)
-		if !ok {
-			return nil, fmt.Errorf("xquery: absolute path requires a node context item")
-		}
-		current = xdm.Singleton(xdm.NewNode(n.Root()))
-		if len(steps) == 0 {
-			return current, nil
-		}
-	} else {
-		if len(steps) == 0 {
-			return nil, fmt.Errorf("xquery: empty path")
-		}
-		// The first step evaluates against the current focus directly.
-		first, err := ctx.evalStep(&steps[0], ctx.Item, ctx.Pos, ctx.Size, ctx.newStepKeys(&steps[0]))
-		if err != nil {
-			return nil, err
-		}
-		res, err := ctx.finishStep(first, len(steps) == 1)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.continueSteps(res, steps[1:])
-	}
-	return ctx.continueSteps(current, steps)
-}
-
+// continueSteps runs steps over a materialized focus, one step at a
+// time.
 func (ctx *Context) continueSteps(current xdm.Sequence, steps []ast.Step) (xdm.Sequence, error) {
 	for si := range steps {
 		step := &steps[si]

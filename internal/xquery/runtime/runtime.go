@@ -80,11 +80,12 @@ type Function struct {
 	Updating   bool
 	Sequential bool
 	Invoke     func(ctx *Context, args []xdm.Sequence) (xdm.Sequence, error)
-	// Stream, when non-nil, is the lazy entry point: arguments arrive
-	// as unevaluated iterators, so a function that only needs a prefix
-	// (fn:exists, fn:head, fn:zero-or-one) decides without forcing the
-	// rest. A function with a Stream must still provide Invoke, which
-	// the evaluator uses when Context.NoStream is set.
+	// Stream, when non-nil, is the lazy entry point the evaluator calls:
+	// arguments arrive as unevaluated iterators, so a function that only
+	// needs a prefix (fn:exists, fn:head, fn:zero-or-one) decides without
+	// forcing the rest. Invoke stays the entry point for callers holding
+	// materialized arguments (CallFunction); the library's streamed
+	// built-ins derive it from Stream.
 	Stream func(ctx *Context, args []xdm.Iter) (xdm.Iter, error)
 }
 
@@ -347,10 +348,10 @@ type Context struct {
 	Ambient xdm.Item
 
 	// External interfaces. CollectionsIter, when set, is the streaming
-	// source fn:collection pulls from; Collections stays the eager
-	// fallback (and the form the NoStream evaluator uses).
-	// CollectionsShip, when set, answers the nodes the planner annotated
-	// as per-document maps over a collection (see EvalShipped).
+	// source fn:collection pulls from; Collections, the slice-valued
+	// one, answers when it is not set. CollectionsShip, when set,
+	// answers the nodes the planner annotated as per-document maps over
+	// a collection (see EvalShipped).
 	Docs            DocResolver
 	Collections     CollectionResolver
 	CollectionsIter CollectionIterResolver
@@ -381,12 +382,6 @@ type Context struct {
 	// sockets, not just the evaluation loop. Program.NewContext sets it
 	// from RunConfig.Context; hosts read it through IOContext.
 	IO context.Context
-
-	// NoStream forces the materializing evaluator everywhere: EvalIter
-	// degrades to a deferred Eval and streaming built-ins use their
-	// eager Invoke. Used as the baseline in benchmarks and as an
-	// escape hatch.
-	NoStream bool
 
 	// NoIndex disables every use of the per-document indexes: planned
 	// steps scan and fn:id walks. Document-order sorts are the same

@@ -141,8 +141,7 @@ func TestShapeSeparatesDifferentStaticContexts(t *testing.T) {
 	if got := runOn(t, want, RunConfig{}); got != "3" {
 		t.Errorf("library fn:count = %q, want 3", got)
 	}
-	lib, _ := funclib.Library()
-	if lib.Lookup(fnCount, 1) == others["shadowed built-in"].Registry().Lookup(fnCount, 1) {
+	if funclib.Library().Lookup(fnCount, 1) == others["shadowed built-in"].Registry().Lookup(fnCount, 1) {
 		t.Error("the shadow must not replace the library's function")
 	}
 }
@@ -493,12 +492,9 @@ func TestSharedProgramDifferential(t *testing.T) {
 }
 
 func TestLibraryLayerIsFrozen(t *testing.T) {
-	lib, err := funclib.Library()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := funclib.Library()
 	names, shape := len(lib.All()), lib.Shape()
-	err = lib.Register(&runtime.Function{Name: dom.QName{Space: parser.FnNamespace, Local: "count"}, MinArgs: 1, MaxArgs: 1})
+	err := lib.Register(&runtime.Function{Name: dom.QName{Space: parser.FnNamespace, Local: "count"}, MinArgs: 1, MaxArgs: 1})
 	if !errors.Is(err, xqerr.ErrMisconfigured) {
 		t.Fatalf("Register on the shared library: err = %v, want ErrMisconfigured", err)
 	}

@@ -18,7 +18,7 @@ import (
 // annotations") switches that off with the index probes, which makes
 // it the oracle here: every query × key × document below must give the
 // same bytes — results, final documents, error text — planned and
-// unplanned, in either evaluator and either backend.
+// unplanned.
 
 // stepPredDoc generates a document whose x elements carry every
 // attribute situation the kernel has to get right: @a present with a
@@ -59,24 +59,20 @@ func stepPredDoc(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
-// runStepPred runs p planned and unplanned, streamed and eager, each
-// run on a document of its own parsed from src
-// (updates mutate it), and fails where the two differ. Evaluators are
-// not compared with each other: a streaming run may stop before the
-// candidate an eager run fails on. It returns the outcome of the
-// planned default run.
+// runStepPred runs p planned and unplanned, each run on a document of
+// its own parsed from src (updates mutate it), and fails where the two
+// differ. It returns the outcome of the planned run.
 func runStepPred(t *testing.T, label string, p *Program, src string, vars func(doc *dom.Node) map[dom.QName]xdm.Sequence, sequential bool) string {
 	t.Helper()
-	run := func(noIndex, noStream bool) string {
+	run := func(noIndex bool) string {
 		doc, err := markup.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := RunConfig{
-			ContextItem:      xdm.NewNode(doc),
-			Sequential:       sequential,
-			DisableIndexes:   noIndex,
-			DisableStreaming: noStream,
+			ContextItem:    xdm.NewNode(doc),
+			Sequential:     sequential,
+			DisableIndexes: noIndex,
 		}
 		if vars != nil {
 			cfg.Variables = vars(doc)
@@ -87,17 +83,11 @@ func runStepPred(t *testing.T, label string, p *Program, src string, vars func(d
 		}
 		return fmt.Sprintf("%s | %d applied | %s", FormatSequence(res.Value, markup.AppendXML), res.Updates, markup.Serialize(doc))
 	}
-	var first string
-	for _, noStream := range []bool{false, true} {
-		planned, scan := run(false, noStream), run(true, noStream)
-		if planned != scan {
-			t.Errorf("%s: DisableStreaming %v: planned =\n  %.300s\nscan =\n  %.300s", label, noStream, planned, scan)
-		}
-		if first == "" {
-			first = planned
-		}
+	planned, scan := run(false), run(true)
+	if planned != scan {
+		t.Errorf("%s: planned =\n  %.300s\nscan =\n  %.300s", label, planned, scan)
 	}
-	return first
+	return planned
 }
 
 // stepPredKeys are the bindings of $v: the two the kernel takes

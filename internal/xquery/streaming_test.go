@@ -118,44 +118,84 @@ func TestStreamingPositionLast(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesEagerBaseline runs a mixed query battery in both
-// modes and requires identical results — the streaming pipeline is an
-// optimization, never a semantics change.
+// TestStreamingMatchesEagerBaseline pins a mixed query battery to the
+// answers a fully materializing evaluation gives: the streaming
+// pipeline is an optimization, never a semantics change.
 func TestStreamingMatchesEagerBaseline(t *testing.T) {
-	queries := []string{
-		`for $b in //book order by number($b/price) return $b/@id/string()`,
-		`//book[price > 50]/title/string()`,
-		`count(//book/author)`,
-		`(//book/title)[2]/string()`,
-		`string-join(for $a in //author return $a/string(), "|")`,
-		`//book/@year/string()`,
-		`(//book, //book)[3]/@id/string()`,
-		`//book[not(author = "Knuth")][1]/@id/string()`,
-		`sum(for $i in 1 to 100 return $i)`,
+	cases := []struct{ query, want string }{
+		{`for $b in //book order by number($b/price) return $b/@id/string()`, "b3 b2 b1"},
+		{`//book[price > 50]/title/string()`, "The Art of Computer Programming Design Patterns"},
+		{`count(//book/author)`, "4"},
+		{`(//book/title)[2]/string()`, "Design Patterns"},
+		{`string-join(for $a in //author return $a/string(), "|")`, "Knuth|Gamma|Helm|O'Sullivan"},
+		{`//book/@year/string()`, "2005 1994 2008"},
+		{`(//book, //book)[3]/@id/string()`, "b3"},
+		{`//book[not(author = "Knuth")][1]/@id/string()`, "b2"},
+		{`sum(for $i in 1 to 100 return $i)`, "5050"},
 	}
+	for _, c := range cases {
+		if got := mustLazy(t, c.query, libraryXML); got != c.want {
+			t.Errorf("%s = %q, want %q", c.query, got, c.want)
+		}
+	}
+}
+
+// TestSubsequenceWindows: fn:subsequence selects the positions p with
+// round(start) <= p < round(start) + round(length), compared as
+// doubles, so an empty start or length and a NaN bound select nothing.
+func TestSubsequenceWindows(t *testing.T) {
+	cases := []struct{ query, want string }{
+		{`subsequence((1, 2, 3), ())`, ""},
+		{`subsequence((1, 2, 3), 1, ())`, ""},
+		// The F&O example: -INF + INF is NaN, and no position is below it.
+		{`subsequence((1, 2, 3), xs:double("-INF"), xs:double("INF"))`, ""},
+		{`subsequence((1, 2, 3), xs:double("-INF"))`, "1 2 3"},
+		{`subsequence((1, 2, 3), xs:double("NaN"))`, ""},
+		{`subsequence((1, 2, 3), 2, xs:double("INF"))`, "2 3"},
+		{`subsequence((1, 2, 3, 4, 5), 0, 3)`, "1 2"},
+		{`subsequence((1, 2, 3, 4, 5), 3)`, "3 4 5"},
+		{`subsequence((1, 2, 3, 4, 5), 3, 2)`, "3 4"},
+		{`subsequence((1, 2, 3, 4, 5), 1.5, 1.4)`, "2"},
+	}
+	for _, c := range cases {
+		got, err := evalLazy(t, c.query, "")
+		if err != nil || got != c.want {
+			t.Errorf("%s = %q, %v; want %q", c.query, got, err, c.want)
+		}
+	}
+	// Through the cache, which quarantines a program after
+	// QuarantineThreshold internal errors in a row: the empty start is
+	// an answer, not a crash.
+	c, e := NewCache(8), New()
+	for i := 0; i <= QuarantineThreshold; i++ {
+		res, err := c.EvalQuery(e, cases[0].query, RunConfig{})
+		if err != nil || len(res.Value) != 0 {
+			t.Fatalf("call %d: %v, %v; want the empty sequence", i+1, res, err)
+		}
+	}
+}
+
+// TestRangeIsChargedOnEveryRoute: a range costs one budget step per
+// integer whether it is streamed, materialized for a function argument
+// or bound to a variable.
+func TestRangeIsChargedOnEveryRoute(t *testing.T) {
 	e := New()
-	d, err := markup.Parse(libraryXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		p, err := e.Compile(q)
-		if err != nil {
-			t.Fatalf("compile %q: %v", q, err)
-		}
-		run := func(noStream bool) string {
-			res, err := p.Run(RunConfig{
-				ContextItem:      xdm.NewNode(d),
-				DisableStreaming: noStream,
-			})
-			if err != nil {
-				t.Fatalf("%q (noStream=%v): %v", q, noStream, err)
+	for _, q := range []string{
+		`count(1 to 9000000)`,
+		`sum(1 to 9000000)`,
+		`let $r := 1 to 9000000 return 1`,
+		`for $i in 1 to 9000000 return 1`,
+	} {
+		p := e.MustCompile(q)
+		for _, sequential := range []bool{false, true} {
+			if _, err := p.Run(RunConfig{MaxSteps: 1000, Sequential: sequential}); !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("%s (Sequential %v): err = %v, want ErrBudgetExceeded", q, sequential, err)
 			}
-			return FormatSequence(res.Value, markup.AppendXML)
 		}
-		if lazy, eager := run(false), run(true); lazy != eager {
-			t.Errorf("%s: streaming %q != eager %q", q, lazy, eager)
-		}
+	}
+	// Inside the budget, a materialized range is whole.
+	if got := mustLazy(t, `let $r := 1 to 5 return (count($r), sum($r))`, ""); got != "5 15" {
+		t.Errorf("a bound range = %q, want 5 15", got)
 	}
 }
 

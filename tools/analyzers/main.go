@@ -100,7 +100,7 @@
 //	            is rebuilt per call (a replacer is a 6 KB table: built
 //	            per text node, it was 43 % of a page visit). So is a map
 //	            literal whose keys and values are all constants (the
-//	            six-entry operator table of xdm.GeneralCompare, built
+//	            six-entry operator table of xdm's general comparison, built
 //	            per comparison, was 7 % of an event turn). The fix is a
 //	            package-level var, or a switch. Values computed at run
 //	            time are not flagged, nor is func init, which runs once.
