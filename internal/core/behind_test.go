@@ -1,0 +1,70 @@
+package core
+
+import (
+	"slices"
+	"strings"
+	"testing"
+	"time"
+)
+
+// A behind call runs on a goroutine of its own, after the statement that
+// attached it: it evaluates over the variables as they were at attach
+// time, whatever the listener assigns afterwards, and reads nothing the
+// listener goes on writing (go test -race). The function it calls sees
+// the page's globals.
+func TestBehindCallSeesVariablesAsAttached(t *testing.T) {
+	const page = `<html><head><script type="text/xqueryp">
+	declare variable $g := "g:";
+	declare function local:echo($s) { concat($g, $s) };
+	declare sequential function local:onResult($readyState, $result) {
+		if ($readyState eq 4) then browser:alert(string($result)) else ();
+	};
+	declare sequential function local:go($evt, $obj) {
+		declare variable $x := "before";
+		on event "stateChanged" behind local:echo($x) attach listener local:onResult;
+		set $x := "after";
+	};
+	on event "click" at //input[@id="b"] attach listener local:go
+</script></head><body><input id="b"/></body></html>`
+	h, err := LoadPage(page, "http://example.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clicks = 50
+	for i := 0; i < clicks; i++ {
+		if err := h.Click("b"); err != nil {
+			t.Fatal(err)
+		}
+		if errs := h.WaitIdle(time.Second); len(errs) > 0 {
+			t.Fatalf("async errors: %v", errs)
+		}
+	}
+	if a := h.Alerts(); len(a) != clicks || slices.ContainsFunc(a, func(s string) bool { return s != "g:before" }) {
+		t.Errorf("behind calls read %v, want %d times \"g:before\"", a, clicks)
+	}
+}
+
+// A behind call attached in a loop sees its own item, not the item the
+// loop has moved on to by the time the call runs.
+func TestBehindInLoopSeesItsOwnBinding(t *testing.T) {
+	const page = `<html><head><script type="text/xqueryp">
+	declare function local:echo($s) { $s };
+	declare sequential function local:onResult($readyState, $result) {
+		if ($readyState eq 4) then browser:alert(string($result)) else ();
+	};
+	for $s in ("a", "b", "c")
+	return on event "stateChanged" behind local:echo($s) attach listener local:onResult
+</script></head><body/></html>`
+	h, err := LoadPage(page, "http://example.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := h.WaitIdle(time.Second); len(errs) > 0 {
+		t.Fatalf("async errors: %v", errs)
+	}
+	a := h.Alerts()
+	slices.Sort(a) // the calls complete in any order
+	if got := strings.Join(a, ""); got != "abc" {
+		t.Errorf("behind calls read %q, want a, b and c once each", got)
+	}
+}

@@ -212,7 +212,8 @@ func turnCost(turn func()) (allocs, kb float64) {
 // copied into its <tr>, every <tr> into the <table> and the <table>
 // into the pending update list the same turn took 5,383 objects and
 // 504 KB (EXPERIMENTS.md E5k); with 208-byte nodes and a separately
-// allocated box per loop binding, 2,437 and 178 KB (E5l).
+// allocated box per loop binding, 2,437 and 178 KB (E5l); with a
+// Context copy and a frame per loop item, 2,275 and 137 KB (E5r).
 func TestTableTurnBuildsItsContentOnce(t *testing.T) {
 	h, err := core.LoadPage(apps.MultiplicationPage(), "http://example.com/mult.html")
 	if err != nil {
@@ -227,8 +228,8 @@ func TestTableTurnBuildsItsContentOnce(t *testing.T) {
 	if n := len(h.Page.ElementByID("out").Elements("td")); n != 144 {
 		t.Fatalf("table has %d cells, want 144", n)
 	}
-	if allocs > 2400 || kb > 160 {
-		t.Errorf("a 12×12 table turn allocates %.0f objects and %.0f KB, want at most 2,400 and 160", allocs, kb)
+	if allocs > 2050 || kb > 105 {
+		t.Errorf("a 12×12 table turn allocates %.0f objects and %.0f KB, want at most 2,050 and 105", allocs, kb)
 	}
 }
 
@@ -264,10 +265,11 @@ on event "click" at //input[@id="go"] attach listener local:fill
 	// faster than the list. (The items count from 1001 so that every
 	// @n costs its string: strconv hands out 0-99 for free, which made
 	// the first 99 of 100 items an object cheaper than the 2,000's.)
-	// An item costs 12 objects (its element, its
-	// attribute, the loop's binding, its update primitives); copying it
-	// into the pending list made that 18.
-	if small, large := perItem(100), perItem(2000); large > small || large > 13 {
-		t.Errorf("a turn allocates %.2f objects per inserted item at n = 100 and %.2f at n = 2,000, want no more at 2,000 and at most 13", small, large)
+	// An item costs 9 objects (its element, its attribute, the singleton
+	// the loop binds it as, its update primitives): the loop's Context
+	// copy and frame are the entry's, not the item's. A copy and a frame
+	// per item made that 11, copying the item into the pending list 18.
+	if small, large := perItem(100), perItem(2000); large > small || large > 10 {
+		t.Errorf("a turn allocates %.2f objects per inserted item at n = 100 and %.2f at n = 2,000, want no more at 2,000 and at most 10", small, large)
 	}
 }

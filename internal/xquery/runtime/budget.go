@@ -15,26 +15,34 @@ var ErrBudgetExceeded = errors.New("xquery: execution budget exceeded")
 // Budget bounds one query evaluation: a step ceiling (expression
 // evaluations plus items pulled through streaming iterators), an
 // optional wall-clock deadline, and an optional context.Context whose
-// cancellation aborts the run cooperatively. It is safe for concurrent
-// use — a context may be shared with asynchronous behind-call
-// goroutines.
+// cancellation aborts the run cooperatively.
+//
+// A budget has one owner goroutine: Step spends an owner-local lease
+// of steps and only touches shared state when the lease runs out, once
+// every leaseSteps steps. Another goroutine that evaluates on behalf of
+// the same query (the behind thunk) steps a Fork of its own, which
+// draws its leases from the same root.
 //
 // The browser host attaches a fresh Budget to every listener
 // invocation, so a runaway listener query fails with ErrBudgetExceeded
 // instead of freezing the page (the robustness knob the paper's "as
 // fast as the hardware allows" goal implies for untrusted pages).
 type Budget struct {
-	steps    atomic.Int64
+	lease int64   // steps left in the owner's current lease
+	root  *Budget // the budget holding the shared state below; itself for a root
+
+	// Shared by a root and its forks; read through root.
+	drawn    atomic.Int64 // steps leased out so far (only with maxSteps > 0)
 	maxSteps int64
 	deadline time.Time
 	done     <-chan struct{}
 	ctxErr   func() error
-	tripped  atomic.Bool
 }
 
-// deadlineCheckMask throttles time.Now and context polls: the deadline
-// and the context's done channel are checked once every 256 steps.
-const deadlineCheckMask = 0xff
+// leaseSteps is the most steps one draw leases: the deadline and the
+// context's done channel are polled at every draw, so at least once
+// every leaseSteps steps of an owner.
+const leaseSteps = 256
 
 // NewBudget builds a budget. maxSteps <= 0 means unlimited steps;
 // timeout <= 0 means no deadline. Returns nil when both are unlimited,
@@ -60,49 +68,61 @@ func NewBudgetContext(ctx context.Context, maxSteps int64, timeout time.Duration
 		return nil
 	}
 	b := &Budget{maxSteps: maxSteps, done: done, ctxErr: ctxErr}
+	b.root = b
 	if timeout > 0 {
 		b.deadline = time.Now().Add(timeout)
 	}
 	return b
 }
 
+// Fork returns a budget over the same limits for another goroutine: it
+// starts with no lease and draws from b's root, so the steps of b and
+// of all its forks together never pass the ceiling. A nil budget forks
+// to nil.
+func (b *Budget) Fork() *Budget {
+	if b == nil {
+		return nil
+	}
+	return &Budget{root: b.root}
+}
+
 // Step consumes one unit of budget and reports whether the budget is
 // exhausted or the run's context has been cancelled. A nil budget never
-// trips.
+// trips. Only the owner goroutine may call it.
 func (b *Budget) Step() error {
 	if b == nil {
 		return nil
 	}
-	n := b.steps.Add(1)
-	if b.maxSteps > 0 && n > b.maxSteps {
-		b.tripped.Store(true)
-		return fmt.Errorf("%w: %d steps (limit %d)", ErrBudgetExceeded, n, b.maxSteps)
-	}
-	if n&deadlineCheckMask != 0 {
+	if b.lease > 0 {
+		b.lease--
 		return nil
 	}
-	if b.done != nil {
+	return b.draw()
+}
+
+// draw polls the context and the deadline, then leases the next steps
+// from the root — this step and up to leaseSteps-1 more, never past
+// the ceiling, so a budget of N steps trips at exactly step N+1.
+func (b *Budget) draw() error {
+	r := b.root
+	if r.done != nil {
 		select {
-		case <-b.done:
-			b.tripped.Store(true)
-			return fmt.Errorf("xquery: run aborted after %d steps: %w", n, b.ctxErr())
+		case <-r.done:
+			return fmt.Errorf("xquery: run aborted: %w", r.ctxErr())
 		default:
 		}
 	}
-	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-		b.tripped.Store(true)
-		return fmt.Errorf("%w: deadline passed after %d steps", ErrBudgetExceeded, n)
+	if !r.deadline.IsZero() && time.Now().After(r.deadline) {
+		return fmt.Errorf("%w: deadline passed", ErrBudgetExceeded)
 	}
+	if r.maxSteps <= 0 {
+		b.lease = leaseSteps - 1
+		return nil
+	}
+	from := r.drawn.Add(leaseSteps) - leaseSteps
+	if from >= r.maxSteps {
+		return fmt.Errorf("%w: %d steps (limit %d)", ErrBudgetExceeded, r.maxSteps+1, r.maxSteps)
+	}
+	b.lease = min(leaseSteps, r.maxSteps-from) - 1
 	return nil
 }
-
-// Steps returns the number of steps consumed so far.
-func (b *Budget) Steps() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.steps.Load()
-}
-
-// Exceeded reports whether the budget has tripped.
-func (b *Budget) Exceeded() bool { return b != nil && b.tripped.Load() }

@@ -341,6 +341,7 @@ func (en *flworEntry) clause(c *Context, i int) error {
 	// that stops early (EBV, a positional filter on the FLWOR) stops
 	// the walk too.
 	domain := c.domain(cl.In)
+	var lf loopFrame
 	pos := 0
 	for {
 		item, ok, err := domain.Next()
@@ -357,14 +358,23 @@ func (en *flworEntry) clause(c *Context, i int) error {
 				return fmt.Errorf("xquery: for $%s: %w", cl.Var.Local, err)
 			}
 		}
-		c2 := c.withBinding(cl.Var, one)
-		if !cl.PosVar.IsZero() {
-			c2 = c2.withBinding(cl.PosVar, xdm.Singleton(xdm.Integer(pos)))
-		}
-		if err := en.clause(c2, i+1); err != nil {
+		if err := en.clause(en.bindFor(&lf, c, cl.Var, one, cl.PosVar, pos), i+1); err != nil {
 			return err
 		}
 	}
+}
+
+// bindFor binds a for clause's variables for one item: in place, unless
+// the tuples are sorted, which keeps each tuple's context until then.
+func (en *flworEntry) bindFor(lf *loopFrame, c *Context, name dom.QName, val xdm.Sequence, posName dom.QName, pos int) *Context {
+	if len(en.f.OrderBy) == 0 {
+		return lf.bindAt(c, name, val, posName, pos)
+	}
+	c = c.withBinding(name, val)
+	if !posName.IsZero() {
+		c = c.withBinding(posName, xdm.Singleton(xdm.Integer(pos)))
+	}
+	return c
 }
 
 // tuple runs one fully bound tuple: where, then order keys or return.
@@ -492,6 +502,7 @@ func (ctx *Context) evalQuantified(q ast.Quantified) (xdm.Sequence, error) {
 		}
 		cl := q.Vars[i]
 		domain := c.domain(cl.In)
+		var lf loopFrame
 		for {
 			item, more, err := domain.Next()
 			if err != nil {
@@ -500,7 +511,7 @@ func (ctx *Context) evalQuantified(q ast.Quantified) (xdm.Sequence, error) {
 			if !more {
 				return q.Every, nil
 			}
-			ok, err := rec(c.withBinding(cl.Var, xdm.Singleton(item)), i+1)
+			ok, err := rec(lf.bind(c, cl.Var, xdm.Singleton(item)), i+1)
 			if err != nil {
 				return false, err
 			}

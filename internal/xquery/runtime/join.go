@@ -3,6 +3,7 @@ package runtime
 import (
 	"sort"
 
+	"repro/internal/dom"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
 )
@@ -102,8 +103,9 @@ func (en *flworEntry) buildJoin(c *Context) error {
 			return err
 		}
 	}
+	var lf loopFrame
 	for idx, item := range domain {
-		atoms, err := c.withBinding(cl.Var, xdm.Singleton(item)).joinKey(jp.InnerKey, jp.ValueEq)
+		atoms, err := lf.bind(c, cl.Var, xdm.Singleton(item)).joinKey(jp.InnerKey, jp.ValueEq)
 		if err != nil {
 			return err
 		}
@@ -148,9 +150,10 @@ func (en *flworEntry) joinClause(c *Context, i int) error {
 		return nil
 	}
 	v := en.f.Clauses[i].Var
+	var lf loopFrame
 	walk := func() error {
 		for _, item := range j.domain {
-			if err := en.joinTuple(c.withBinding(v, xdm.Singleton(item)), i); err != nil {
+			if err := en.joinTuple(en.bindFor(&lf, c, v, xdm.Singleton(item), dom.QName{}, 0), i); err != nil {
 				return err
 			}
 		}
@@ -188,7 +191,7 @@ func (en *flworEntry) joinClause(c *Context, i int) error {
 		idxs = idxs[:n]
 	}
 	for _, idx := range idxs {
-		if err := en.clause(c.withBinding(v, xdm.Singleton(j.domain[idx])), i+1); err != nil {
+		if err := en.clause(en.bindFor(&lf, c, v, xdm.Singleton(j.domain[idx]), dom.QName{}, 0), i+1); err != nil {
 			return err
 		}
 	}

@@ -319,6 +319,20 @@ func (e *env) bind(name dom.QName, val xdm.Sequence) *env {
 	return &env{parent: e, name: name, box: Box{Val: val}}
 }
 
+// copyChain copies the frames of e, and returns the copy of the frame
+// mark within it (nil when e does not reach mark).
+func copyChain(e, mark *env) (cp, markCp *env) {
+	if e == nil {
+		return nil, nil
+	}
+	parent, markCp := copyChain(e.parent, mark)
+	cp = parent.bind(e.name, e.box.Val)
+	if e == mark {
+		markCp = cp
+	}
+	return cp, markCp
+}
+
 func (e *env) lookup(name dom.QName) *Box {
 	for f := e; f != nil; f = f.parent {
 		if f.name.Matches(name) {
@@ -372,8 +386,9 @@ type Context struct {
 	Profiler *Profiler
 
 	// Budget, when non-nil, bounds this query's evaluation (steps and
-	// wall clock). It is shared by design across context copies and
-	// behind-call goroutines: one budget per query invocation.
+	// wall clock). Context copies on the same goroutine share it; a
+	// behind call, which runs on a goroutine of its own, steps a fork of
+	// it (detach): one budget per query invocation.
 	Budget *Budget
 
 	// IO, when non-nil, is the run's cancellation context for outbound
@@ -399,8 +414,8 @@ type Context struct {
 
 	// depth counts user-function frames (bounded by maxCallDepth). It
 	// sits here, in the word the flags leave empty: a Context is copied
-	// on every focus change and binding, and 208 bytes is exactly an
-	// allocator size class.
+	// on every focus change, every let and on every loop entry, and 208
+	// bytes is exactly an allocator size class.
 	depth int32
 
 	// ft carries full-text scoring state (the scores ftcontains
@@ -532,10 +547,62 @@ func (ctx *Context) withFocus(item xdm.Item, pos, size int) *Context {
 	return &c
 }
 
-// withEnv returns a copy of the context with a new variable frame.
+// withBinding returns a copy of the context with a new variable frame.
 func (ctx *Context) withBinding(name dom.QName, val xdm.Sequence) *Context {
 	c := *ctx
 	c.env = ctx.env.bind(name, val)
+	return &c
+}
+
+// loopFrame binds a loop variable (and a for clause's positional
+// variable) for the items of one loop entry: the first item gets a
+// Context copy and a frame per variable, every later item overwrites
+// the frames' values in place. That is sound because everything the
+// body evaluates under one item is materialized before the next item
+// is bound — a FLWOR with order by, whose tuples keep their contexts
+// until the sort, binds with withBinding instead, and a behind call,
+// which outlives its item, runs on a copy of the chain (detach).
+type loopFrame struct {
+	c        *Context // the body's context; nil until the first item
+	val, pos *env     // the frames of the variable and of its positional variable
+}
+
+// bind binds name to val for the loop's next item and returns the
+// context the body runs in.
+func (lf *loopFrame) bind(outer *Context, name dom.QName, val xdm.Sequence) *Context {
+	return lf.bindAt(outer, name, val, dom.QName{}, 0)
+}
+
+// bindAt is bind that also binds posName, when it is not zero, to pos.
+func (lf *loopFrame) bindAt(outer *Context, name dom.QName, val xdm.Sequence, posName dom.QName, pos int) *Context {
+	if lf.c == nil {
+		c := *outer
+		lf.val = outer.env.bind(name, val)
+		c.env = lf.val
+		if !posName.IsZero() {
+			lf.pos = lf.val.bind(posName, xdm.Singleton(xdm.Integer(pos)))
+			c.env = lf.pos
+		}
+		lf.c = &c
+		return lf.c
+	}
+	lf.val.box.Val = val
+	if lf.pos != nil {
+		lf.pos.box.Val = xdm.Singleton(xdm.Integer(pos))
+	}
+	return lf.c
+}
+
+// detach returns a copy of the context for an evaluation on another
+// goroutine that may outlive the current one's frames: the variable
+// chain, locals and globals, is copied as it is now (the globals are
+// the chain's oldest frames: every binding goes on top of them), and
+// the budget is forked. Later assignments and loop rebinding are not
+// seen by, and do not race with, the copy.
+func (ctx *Context) detach() *Context {
+	c := *ctx
+	c.env, c.globals = copyChain(ctx.env, ctx.globals)
+	c.Budget = ctx.Budget.Fork()
 	return &c
 }
 

@@ -415,8 +415,8 @@ func TestCallFunctionByName(t *testing.T) {
 	}
 }
 
-// A Context is copied on every focus change and variable binding, so
-// its size is an allocation cost of every path step and FLWOR tuple:
+// A Context is copied on every focus change, let binding and loop
+// entry, so its size is an allocation cost of every path step:
 // 208 bytes is exactly an allocator size class, one more word costs
 // every copy sixteen.
 func TestContextFitsItsSizeClass(t *testing.T) {

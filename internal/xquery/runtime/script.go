@@ -329,8 +329,11 @@ func (ctx *Context) evalEventAttach(x ast.EventAttach) (xdm.Sequence, error) {
 	if x.Behind {
 		// The "behind" construct binds the listener to the asynchronous
 		// evaluation of the target expression (paper §4.4): hand the
-		// host a thunk, do not evaluate here.
-		call := func() (xdm.Sequence, error) { return ctx.Eval(x.Target) }
+		// host a thunk, do not evaluate here. The thunk runs on another
+		// goroutine, after this item of a loop and later statements have
+		// moved on: it evaluates over the variables as they are now.
+		snap := ctx.detach()
+		call := func() (xdm.Sequence, error) { return snap.Eval(x.Target) }
 		return nil, h.AttachBehind(ctx, event, call, x.Listener)
 	}
 	targets, err := ctx.Eval(x.Target)

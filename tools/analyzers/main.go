@@ -113,6 +113,17 @@
 //	            bounded backoff between retries is not a poll and is
 //	            allow-listed by name (sleepPollExempt).
 //
+//	frames      the evaluator's single-owner state in package runtime
+//	            (internal/xquery/runtime): an env frame's box — a
+//	            variable's value — is written only by bind, which makes
+//	            the frame, by the loop helper that rebinds a loop's frames
+//	            for its next item (bindAt), and by the scripting
+//	            assignment (evalAssign); a stray write would change a
+//	            value some tuple or behind call still reads. And Budget's
+//	            lease, the owner goroutine's unsynchronized step count,
+//	            is named only in budget.go, whose Step and draw keep it
+//	            to its owner.
+//
 //	recovercheck  panic recovery only happens at sanctioned boundaries:
 //	            naked recover() calls are forbidden everywhere except
 //	            package xqerr (which implements RecoverInto), package
@@ -153,10 +164,10 @@ type finding struct {
 }
 
 func main() {
-	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, ftversion, planpure, storesync, recovercheck, pulapply, hotconst or sleeppoll")
+	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, ftversion, planpure, storesync, recovercheck, pulapply, hotconst, sleeppoll or frames")
 	flag.Parse()
 	if *check == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|ftversion|planpure|storesync|recovercheck|pulapply|hotconst|sleeppoll} dir...")
+		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|ftversion|planpure|storesync|recovercheck|pulapply|hotconst|sleeppoll|frames} dir...")
 		os.Exit(2)
 	}
 
@@ -190,6 +201,8 @@ func main() {
 				findings = append(findings, hotConst(fset, f)...)
 			case "sleeppoll":
 				findings = append(findings, sleepPoll(fset, f)...)
+			case "frames":
+				findings = append(findings, frames(fset, f)...)
 			default:
 				fmt.Fprintf(os.Stderr, "analyzers: unknown check %q\n", *check)
 				os.Exit(2)
@@ -1225,4 +1238,92 @@ func sleepPoll(fset *token.FileSet, file *ast.File) []finding {
 		}
 	}
 	return out
+}
+
+// --- frames ---------------------------------------------------------------------
+
+// frameWriters are the functions of package runtime that may write a
+// variable frame's box: bind makes a frame, bindAt rebinds a loop's
+// frames for its next item, evalAssign is the scripting assignment.
+var frameWriters = map[string]bool{"bind": true, "bindAt": true, "evalAssign": true}
+
+// frames enforces, in package runtime, who writes a frame's box and who
+// names Budget's lease. A box write is an assignment through a selector
+// named box (f.box.Val = v, f.box = b), an assignment to a Val field (a
+// write through the *Box a lookup hands out), or a box: key in a frame
+// literal; outside frameWriters each is flagged. Any mention of lease
+// outside budget.go is flagged.
+func frames(fset *token.FileSet, file *ast.File) []finding {
+	if file.Name.Name != "runtime" {
+		return nil
+	}
+	var out []finding
+	if filepath.Base(fset.Position(file.Package).Filename) != "budget.go" {
+		out = fieldUse(fset, file, "lease",
+			"frames: Budget's lease named outside budget.go; only Step and draw, on the owner goroutine, touch it (another goroutine steps a Fork)")
+	}
+	for _, decl := range file.Decls {
+		fn := "(package var)"
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			if frameWriters[fd.Name.Name] {
+				continue
+			}
+			fn = fd.Name.Name
+		}
+		flag := func(at ast.Node) {
+			out = append(out, finding{
+				pos: fset.Position(at.Pos()),
+				msg: fmt.Sprintf("frames: a variable frame's box written in %s; only bind, the loop rebinding (bindAt) and evalAssign write one", fn),
+			})
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				if x.Tok == token.DEFINE {
+					return true
+				}
+				for _, lhs := range x.Lhs {
+					if writesBox(lhs) {
+						flag(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				if writesBox(x.X) {
+					flag(x.X)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok && id.Name == "box" {
+					flag(x)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// writesBox reports whether an assignment target is a box or a Box's
+// value: its outermost selector is Val, or a selector on its way to the
+// root is box.
+func writesBox(lhs ast.Expr) bool {
+	if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Val" {
+		return true
+	}
+	for {
+		switch x := lhs.(type) {
+		case *ast.SelectorExpr:
+			if x.Sel.Name == "box" {
+				return true
+			}
+			lhs = x.X
+		case *ast.IndexExpr:
+			lhs = x.X
+		case *ast.ParenExpr:
+			lhs = x.X
+		case *ast.StarExpr:
+			lhs = x.X
+		default:
+			return false
+		}
+	}
 }

@@ -684,3 +684,46 @@ func fake(c clock) {
 		t.Fatalf("findings = %v, want none", got)
 	}
 }
+
+func TestFramesFlagsBoxWritesOutsideTheWriters(t *testing.T) {
+	src := `package runtime
+func (e *env) bind(name string, v []int) *env { return &env{parent: e, name: name, box: Box{Val: v}} }
+func (lf *loopFrame) bindAt(v []int) { lf.val.box.Val = v }
+func (ctx *Context) evalAssign(v []int) { box := ctx.env.lookup("x"); box.Val = v }
+func (ctx *Context) Bind(v []int) *Box { return &ctx.env.box }
+func (ctx *Context) sneak(v []int) {
+	ctx.env.box.Val = v
+	ctx.env.box = Box{}
+	b := ctx.env.lookup("x")
+	b.Val = v
+	(*b).Val = v
+}
+func clone(e *env) *env { return &env{name: e.name, box: e.box} }
+`
+	if got := analyzeNamed(t, "eval.go", src, frames); len(got) != 5 {
+		t.Fatalf("findings = %v, want 5 (four writes in sneak, the box key in clone)", got)
+	}
+}
+
+func TestFramesKeepsTheLeaseInBudgetFile(t *testing.T) {
+	budget := `package runtime
+func (b *Budget) Step() error { if b.lease > 0 { b.lease--; return nil }; return b.draw() }
+func (b *Budget) Fork() *Budget { return &Budget{root: b.root, lease: 0} }
+`
+	if got := analyzeNamed(t, "budget.go", budget, frames); len(got) != 0 {
+		t.Fatalf("budget.go findings = %v, want none", got)
+	}
+	other := `package runtime
+func (ctx *Context) cheap() bool { return ctx.Budget.lease > 0 }
+func fresh() *Budget { return &Budget{lease: 256} }
+`
+	if got := analyzeNamed(t, "eval.go", other, frames); len(got) != 2 {
+		t.Fatalf("findings = %v, want 2 (the read in cheap, the key in fresh)", got)
+	}
+	otherPkg := `package core
+func (l *lease) renew() { l.lease = 1; l.box.Val = nil }
+`
+	if got := analyzeNamed(t, "lease.go", otherPkg, frames); len(got) != 0 {
+		t.Fatalf("other-package findings = %v, want none", got)
+	}
+}
