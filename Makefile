@@ -18,10 +18,13 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke staticche
 # compilation engines of one shape share and the function registry
 # layers are immutable after construction (a registry is written by
 # Register and Freeze only), serve/rest never store a
-# context.Context in a struct, only internal/dom/index reads the
-# per-document index maps / raw cache slots (always behind the version
-# stamp), the planner and the optimizer never mutate shared AST
-# nodes (rewrites must copy), the store's raw shard state is only
+# context.Context in a struct, the two per-document index packages
+# read their index fields behind the version stamp only, each names
+# only its own dom index slot, and dom's index slots are touched by
+# its lifecycle file and RestoreVersion only (one pass, keyed by
+# package path), the planner and the
+# optimizer never mutate shared AST nodes (rewrites must copy), the
+# store's raw shard state is only
 # touched by shard.go's lock-upholding methods, DOM mutation in the
 # query/serving layers only happens through the pending-update list,
 # no function of internal/ rebuilds a replacer or a regexp from
@@ -35,8 +38,7 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke staticche
 vet-invariants:
 	$(GO) run ./tools/analyzers -check progmutate internal/xquery internal/xquery/runtime
 	$(GO) run ./tools/analyzers -check ctxstruct internal/serve internal/rest internal/fed
-	$(GO) run ./tools/analyzers -check idxversion internal/dom/index internal/dom internal/xquery/runtime internal/xquery/funclib internal/serve
-	$(GO) run ./tools/analyzers -check ftversion internal/fulltext/index internal/dom internal/xquery/runtime internal/xquery/funclib internal/xmldb internal/serve
+	$(GO) run ./tools/analyzers -check idxversion internal/dom internal/dom/index internal/fulltext/index internal/xquery/runtime internal/xquery/funclib internal/xmldb internal/serve
 	$(GO) run ./tools/analyzers -check planpure internal/xquery/plan
 	$(GO) run ./tools/analyzers -check storesync internal/xmldb
 	$(GO) run ./tools/analyzers -check pulapply internal/serve internal/rest internal/fed \

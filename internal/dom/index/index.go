@@ -12,14 +12,13 @@
 // §5t), so slicing a name list to one subtree is two binary searches,
 // and a build allocates nothing per node of the tree.
 //
-// Invalidation is wholesale and free for mutators: every mutator in
-// dom/tree.go already bumps the tree root's version counter, and an
-// index is valid exactly while the version it was built at matches
-// Node.Version(). A stale index is simply ignored and rebuilt on next
-// use, so the Update Facility's apply phase needs zero index
-// bookkeeping. The index lives in a slot on the root node itself
-// (Node.LoadIndexCache/StoreIndexCache), so it is garbage-collected
-// with its document.
+// Where the index is kept, when it is current, when a stale one is
+// rebuilt and what a rollback does to it is package dom's lifecycle
+// (dom.Index, DESIGN.md §5v), shared with the full-text index: the
+// index lives in a slot on the tree's root, so it is garbage-collected
+// with its document, and holds for the version it was built at, so the
+// Update Facility's apply phase needs zero index bookkeeping. A Doc
+// held across a mutation refuses to answer (fresh).
 //
 // Concurrency: building is idempotent — two goroutines racing on a
 // cold tree both build and the slot keeps the last store; either value
@@ -37,46 +36,23 @@ import (
 	"repro/internal/faultpoint"
 )
 
-func init() {
-	// A rolled-back update rewinds its tree's version counter, which
-	// would let an index built during the rolled-back window read as
-	// fresh once the counter climbs back to the build version (ABA).
-	// Overwrite the slot with a permanently stale marker — atomic.Value
-	// cannot store nil, and neverFresh never matches a live counter, so
-	// every accessor sees "stale" and the next probe rebuilds.
-	dom.OnVersionRestore(func(root *dom.Node) {
-		if _, ok := root.LoadIndexCache().(*Doc); ok {
-			root.StoreIndexCache(&Doc{root: root, version: neverFresh})
-		}
-	})
-}
-
-// neverFresh is the build version of a Doc that holds no maps, only
-// Probe's counters: no tree's counter reaches it, so such a Doc is
-// stale for good, whichever way the counter moves.
-const neverFresh = ^uint64(0)
+// lifecycle keeps the path index in its root slot: dom decides when it
+// is current, rebuilt and dropped (DESIGN.md §5v).
+var lifecycle = dom.Index[Doc]{Slot: dom.PathIndexSlot, Fault: faultpoint.PointIndexBuild, Build: build}
 
 // nameKey is an expanded element name (prefixes are irrelevant).
 type nameKey struct {
 	space, local string
 }
 
-// Doc is one tree's index, immutable after build (the two probe
-// counters are advisory atomics for the rebuild heuristic, not index
-// content). All node slices are in document order.
+// Doc is one tree's index, immutable after build. All node slices are
+// in document order.
 type Doc struct {
 	root    *dom.Node
 	version uint64 // root.Version() at build time
 
 	names map[nameKey][]*dom.Node // element-name index
 	ids   map[string][]*dom.Node  // no-namespace "id" attribute index
-
-	// Probe's rebuild heuristic: how many probes arrived while this
-	// index was stale, and at which tree version they were counted.
-	// Racy by design — a lost increment only delays a rebuild by one
-	// probe.
-	probeV atomic.Uint64
-	probeN atomic.Int64
 }
 
 // Package-wide counters (process lifetime): how many indexes were
@@ -99,81 +75,20 @@ func Snapshot() Stats {
 	return Stats{Builds: builds.Load(), Hits: hits.Load()}
 }
 
-// For returns a fresh index for the tree containing n, building one if
-// the cached index is missing or stale. The returned Doc is valid
-// until the tree's next mutation.
-func For(n *dom.Node) *Doc {
-	root := n.Root()
-	if d, ok := root.LoadIndexCache().(*Doc); ok && d.version == root.Version() {
-		return d
-	}
-	d := build(root)
-	root.StoreIndexCache(d)
-	return d
-}
+// For returns a current index of the tree containing n, building one
+// if there is none. The returned Doc is valid until the tree's next
+// mutation.
+func For(n *dom.Node) *Doc { return lifecycle.For(n) }
 
-// rebuildProbes is Probe's amortisation threshold: a stale index is
-// rebuilt only once this many probes have arrived at one unchanged
-// tree version. Building costs a few tree walks' worth of map inserts,
-// so a mutation-heavy workload (an event listener that queries a page
-// it is about to mutate again) must not rebuild per version — its
-// probes scan instead — while any read phase that settles on a version
-// crosses the threshold almost immediately and gets the index back.
-const rebuildProbes = 4
+// Probe returns the index a planned path step or fn:id may read, or nil
+// when the caller should scan; built reports whether this call built
+// it. When a stale index is rebuilt and when a build degrades to a scan
+// is dom.Index.Probe's policy; For bypasses it.
+func Probe(n *dom.Node) (d *Doc, built bool) { return lifecycle.Probe(n) }
 
-// Probe returns a fresh index for the tree containing n if having one
-// is worth it, or nil when the caller should scan. A never-indexed
-// tree builds immediately (first probe wins for every read-only
-// workload); a tree whose index went stale rebuilds only after
-// rebuildProbes probes at the current version, so alternating
-// mutate/query traffic settles into scans instead of paying a full
-// rebuild per mutation. This is the entry point for the runtime's
-// planned path steps and fn:id; For bypasses the heuristic.
-func Probe(n *dom.Node) *Doc {
-	root := n.Root()
-	d, ok := root.LoadIndexCache().(*Doc)
-	if !ok {
-		if faultpoint.Hit(faultpoint.PointIndexBuild) != nil {
-			return nil // degrade: caller scans instead of building
-		}
-		return For(n)
-	}
-	v := root.Version()
-	if d.version == v {
-		return d
-	}
-	if d.version != neverFresh {
-		// The index is dead, and on a page that keeps mutating nothing
-		// would replace it: keep the probe counters, let the maps go.
-		// A Doc someone still holds stays what it was — stale — and
-		// neverFresh (not the old version) is what keeps a rewound
-		// counter from reviving the slot.
-		d = &Doc{root: root, version: neverFresh}
-		root.StoreIndexCache(d)
-	}
-	if d.probeV.Load() != v {
-		d.probeV.Store(v)
-		d.probeN.Store(0)
-	}
-	if d.probeN.Add(1) < rebuildProbes {
-		return nil
-	}
-	if faultpoint.Hit(faultpoint.PointIndexBuild) != nil {
-		return nil // degrade: keep scanning until builds succeed again
-	}
-	return For(n)
-}
-
-// Fresh returns the cached index for the tree containing n only if it
-// is already built and current; it never builds (the runtime's
-// NoIndexBuild mode reads indexes through it).
-func Fresh(n *dom.Node) *Doc {
-	root := n.Root()
-	if d, ok := root.LoadIndexCache().(*Doc); ok && d.version == root.Version() {
-		return d
-	}
-	return nil
-}
+// Fresh returns the index of the tree containing n only if it is
+// already built and current; it never builds.
+func Fresh(n *dom.Node) *Doc { return lifecycle.Fresh(n) }
 
 // build walks the tree once, filling the name and id maps in document
 // order.
@@ -217,8 +132,8 @@ func (d *Doc) DescendantsByName(n *dom.Node, space, local string, orSelf bool) (
 		return nil, false
 	}
 	list := d.names[nameKey{space: space, local: local}]
-	i := sort.Search(len(list), func(i int) bool { return pre(list[i]) >= lo })
-	j := sort.Search(len(list), func(j int) bool { return pre(list[j]) > hi })
+	i := sort.Search(len(list), func(i int) bool { p, _, _ := list[i].Label(); return p >= lo })
+	j := sort.Search(len(list), func(j int) bool { p, _, _ := list[j].Label(); return p > hi })
 	hits.Add(1)
 	return list[i:j], true
 }
@@ -237,7 +152,7 @@ func (d *Doc) DescendantsByID(n *dom.Node, id string, orSelf bool) (nodes []*dom
 	}
 	var out []*dom.Node
 	for _, e := range d.ids[id] {
-		if p := pre(e); p >= lo && p <= hi {
+		if p, _, _ := e.Label(); p >= lo && p <= hi {
 			out = append(out, e)
 		}
 	}
@@ -256,12 +171,6 @@ func (d *Doc) subtree(n *dom.Node, orSelf bool) (lo, hi uint32, ok bool) {
 		p++
 	}
 	return p, end, true
-}
-
-// pre is n's rank in document order.
-func pre(n *dom.Node) uint32 {
-	p, _, _ := n.Label()
-	return p
 }
 
 // ByID returns every element in the tree whose "id" attribute equals

@@ -249,14 +249,14 @@ func TestProbeAmortisesRebuilds(t *testing.T) {
 	doc := testDoc(t)
 	base := index.Snapshot().Builds
 
-	idx := index.Probe(doc)
-	if idx == nil {
+	idx, built := index.Probe(doc)
+	if idx == nil || !built {
 		t.Fatal("Probe declined to build on a cold tree")
 	}
 	if d := index.Snapshot().Builds - base; d != 1 {
 		t.Fatalf("cold Probe built %d indexes, want 1", d)
 	}
-	if index.Probe(doc) != idx {
+	if got, built := index.Probe(doc); got != idx || built {
 		t.Fatal("Probe on a fresh tree did not return the cached index")
 	}
 
@@ -266,7 +266,7 @@ func TestProbeAmortisesRebuilds(t *testing.T) {
 	a1 := elem(t, doc, "a1")
 	for i := 0; i < 10; i++ {
 		a1.SetAttr(dom.QName{Local: "n"}, "x")
-		if got := index.Probe(doc); got != nil {
+		if got, _ := index.Probe(doc); got != nil {
 			t.Fatalf("Probe rebuilt on mutation round %d, want decline", i)
 		}
 	}
@@ -278,7 +278,7 @@ func TestProbeAmortisesRebuilds(t *testing.T) {
 	// rebuild exactly once.
 	var rebuilt *index.Doc
 	for i := 0; i < 10 && rebuilt == nil; i++ {
-		rebuilt = index.Probe(doc)
+		rebuilt, _ = index.Probe(doc)
 	}
 	if rebuilt == nil {
 		t.Fatal("sustained probes on a settled tree never rebuilt")

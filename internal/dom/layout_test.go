@@ -30,12 +30,13 @@ func TestNodeFitsItsSizeClass(t *testing.T) {
 
 // The parts of a node are not allocations of their own: an element or a
 // document is one object, a document's base URI, first listener and
-// index slots are in it (storing an index allocates the box the value
-// goes in, no more), and the first listener of an element costs its side
-// struct and nothing else.
+// index slots are in it (storing an index allocates the slot's entry, no
+// more), and the first listener of an element costs its side struct and
+// nothing else.
 func TestNodePartsAreCoAllocated(t *testing.T) {
 	var sink *Node
 	noop := func(*Event) {}
+	ft := Index[int]{Slot: FTIndexSlot}
 	for _, c := range []struct {
 		what  string
 		want  float64
@@ -46,7 +47,7 @@ func TestNodePartsAreCoAllocated(t *testing.T) {
 		{"a document with base URI, listener and index slot", 2, func() {
 			sink = NewDocumentOf("http://example.com/")
 			sink.AddEventListener("load", false, nil, noop)
-			sink.StoreFTIndexCache(nil) // the stored value's box, as ever
+			ft.Publish(sink, nil) // the slot's entry
 		}},
 		{"an element with one listener", 2, func() {
 			sink = NewElement(Name("e"))
@@ -97,6 +98,8 @@ func TestSideStructIsPublishedOnce(t *testing.T) {
 	mustAppend(t, doc, NewElement(Name("root")))
 	constructed := NewElement(Name("table"))
 	constructed.AdoptChildren([]*Node{NewElement(Name("tr"))})
+	path := Index[int]{Slot: PathIndexSlot}
+	ft := Index[string]{Slot: FTIndexSlot}
 
 	for _, root := range []*Node{doc, constructed} {
 		leaf := root.FirstChild()
@@ -109,27 +112,29 @@ func TestSideStructIsPublishedOnce(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 200; i++ {
-					root.StoreIndexCache(g)
-					if got := root.LoadIndexCache(); got == nil {
+					v := g
+					path.Publish(root, &v)
+					if got := path.Fresh(root); got == nil {
 						t.Errorf("%s root: index slot empty after a store", root.Type)
 						return
 					}
-					_ = root.LoadFTIndexCache()
+					_ = ft.Fresh(root)
 					if leaf.Version() != root.Version() || root.Base() != "" {
 						t.Errorf("%s root: version or base moved under readers", root.Type)
 						return
 					}
 				}
-				root.StoreFTIndexCache("ft")
+				v := "ft"
+				ft.Publish(root, &v)
 			}(g)
 		}
 		close(start)
 		wg.Wait()
-		if got := root.LoadFTIndexCache(); got != "ft" {
+		if got := ft.Fresh(root); got == nil || *got != "ft" {
 			t.Errorf("%s root: full-text slot = %v, want the value every reader stored", root.Type, got)
 		}
-		if got, ok := root.LoadIndexCache().(int); !ok || got < 0 || got >= readers {
-			t.Errorf("%s root: index slot = %v, want one reader's value", root.Type, root.LoadIndexCache())
+		if got := path.Fresh(root); got == nil || *got < 0 || *got >= readers {
+			t.Errorf("%s root: index slot = %v, want one reader's value", root.Type, got)
 		}
 	}
 }

@@ -134,7 +134,7 @@ type elemPart struct {
 // is returned, any other node's is installed by compare-and-swap, so
 // concurrent readers of a shared immutable tree (which may build and
 // store its indexes, and label it) agree on one. The fields other than
-// the two cache slots and the labeling pair are written under the
+// the index slots and the labeling pair are written under the
 // exclusive access every mutation needs.
 type nodeSide struct {
 	// baseURI is set on document nodes (fn:doc identity, same-origin
@@ -148,16 +148,9 @@ type nodeSide struct {
 	more  []listener
 	seq   uint64 // the last registration number handed out
 
-	// indexCache holds the version-stamped index of the tree rooted at
-	// this node (see internal/dom/index); meaningful on roots only. One
-	// pointer word, not an interface's two.
-	indexCache atomic.Pointer[any]
-
-	// ftCache holds the version-stamped full-text index of the tree
-	// rooted at this node (see internal/fulltext/index); meaningful on
-	// roots only. A separate slot from indexCache so the two indexes
-	// build and invalidate independently.
-	ftCache atomic.Pointer[any]
+	// indexes holds the per-document indexes of the tree rooted at this
+	// node, one slot per kind (lifecycle.go); meaningful on roots only.
+	indexes [indexSlots]atomic.Pointer[indexEntry]
 
 	// labeled is 1 + the version the labels of the tree rooted here were
 	// written at (0: not current), stored after them under labelMu

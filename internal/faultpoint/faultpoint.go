@@ -27,9 +27,9 @@ const (
 	// PointResolverLoad fires inside each module-resolver load attempt
 	// (runtime.Compile's import loop), before the user resolver runs.
 	PointResolverLoad = "resolver.load"
-	// PointIndexBuild fires in index.Probe before a build is attempted;
-	// a fault makes the probe report "no index" so evaluation falls
-	// back to scanning.
+	// PointIndexBuild fires where a probe of the path index would
+	// build it (dom.Index.Probe); a fault makes the probe report "no
+	// index" so evaluation falls back to scanning.
 	PointIndexBuild = "index.build"
 	// PointUpdateApply fires before each pending-update primitive is
 	// applied, mid-PUL — the trigger for rollback testing.
@@ -45,9 +45,9 @@ const (
 	// during store recovery (xmldb.Open's snapshot load and log
 	// replay); a fault aborts the open.
 	PointStoreReplay = "store.replay"
-	// PointFTIndexBuild fires in ftindex.Probe before a full-text
-	// index build is attempted; a fault makes the probe report "no
-	// index" so ftcontains falls back to scanning.
+	// PointFTIndexBuild fires where a probe of the full-text index
+	// would build it (dom.Index.Probe); a fault makes the probe report
+	// "no index" so ftcontains falls back to scanning.
 	PointFTIndexBuild = "ftindex.build"
 	// PointFedCall fires before each federation sub-request attempt
 	// (one hit per HTTP attempt, hedges and retries included); a fault

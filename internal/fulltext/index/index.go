@@ -24,13 +24,13 @@
 // that node, which keeps index answers byte-identical with the
 // scan-only oracle.
 //
-// Invalidation mirrors internal/dom/index wholesale: every mutator
-// bumps the tree root's version counter, an index is valid exactly
-// while the version it was built at matches Node.Version(), and a
-// stale index is ignored and lazily rebuilt — mutators pay zero
-// full-text bookkeeping. The index lives in its own slot on the root
-// node (Node.LoadFTIndexCache/StoreFTIndexCache) so it dies with its
-// document, and Probe amortises rebuilds exactly like the path index.
+// Where the index is kept, when it is current, when a stale one is
+// rebuilt and what a rollback does to it is package dom's lifecycle
+// (dom.Index, DESIGN.md §5v), the path index's too: the index lives in
+// its own slot on the tree's root, so it dies with its document, and
+// holds for the version it was built at, so mutators pay zero
+// full-text bookkeeping. A Doc held across a mutation refuses to
+// answer (fresh).
 package index
 
 import (
@@ -43,28 +43,16 @@ import (
 	"repro/internal/fulltext"
 )
 
-func init() {
-	// A rolled-back update rewinds its tree's version counter, which
-	// would let an index built during the rolled-back window read as
-	// fresh once the counter climbs back to the build version (ABA).
-	// Overwrite the slot with a permanently stale marker — atomic.Value
-	// cannot store nil, and version ^0 never matches a live counter, so
-	// every accessor sees "stale" and the next probe rebuilds.
-	dom.OnVersionRestore(func(root *dom.Node) {
-		if _, ok := root.LoadFTIndexCache().(*Doc); ok {
-			root.StoreFTIndexCache(&Doc{root: root, version: ^uint64(0)})
-		}
-	})
-}
+// lifecycle keeps the full-text index in its root slot: dom decides
+// when it is current, rebuilt and dropped (DESIGN.md §5v).
+var lifecycle = dom.Index[Doc]{Slot: dom.FTIndexSlot, Fault: faultpoint.PointFTIndexBuild, Build: build}
 
 // byteRange is a node's slice of the document text stream.
 type byteRange struct {
 	start, end int32
 }
 
-// Doc is one tree's full-text index, immutable after build (the two
-// probe counters are advisory atomics for the rebuild heuristic, not
-// index content).
+// Doc is one tree's full-text index, immutable after build.
 type Doc struct {
 	root    *dom.Node
 	version uint64 // root.Version() at build time
@@ -115,13 +103,6 @@ type Doc struct {
 	textNodes  []*dom.Node
 	textStarts []int32
 	textEnds   []int32
-
-	// Probe's rebuild heuristic: how many probes arrived while this
-	// index was stale, and at which tree version they were counted.
-	// Racy by design — a lost increment only delays a rebuild by one
-	// probe.
-	probeV atomic.Uint64
-	probeN atomic.Int64
 }
 
 // Package-wide counters (process lifetime). Builds is the test hook
@@ -147,67 +128,21 @@ func Snapshot() Stats {
 	return Stats{Builds: builds.Load(), Hits: hits.Load(), Loads: loads.Load()}
 }
 
-// For returns a fresh index for the tree containing n, building one if
-// the cached index is missing or stale. The returned Doc is valid
-// until the tree's next mutation.
-func For(n *dom.Node) *Doc {
-	root := n.Root()
-	if d, ok := root.LoadFTIndexCache().(*Doc); ok && d.version == root.Version() {
-		return d
-	}
-	d := build(root)
-	root.StoreFTIndexCache(d)
-	return d
-}
+// For returns a current index of the tree containing n, building one
+// if there is none. The returned Doc is valid until the tree's next
+// mutation.
+func For(n *dom.Node) *Doc { return lifecycle.For(n) }
 
-// rebuildProbes is Probe's amortisation threshold: a stale index is
-// rebuilt only once this many probes have arrived at one unchanged
-// tree version, so alternating mutate/query traffic settles into scans
-// instead of paying a tokenize+stem pass per mutation.
-const rebuildProbes = 4
+// Probe returns the index an ftcontains evaluation may read, or nil
+// when the caller should scan; built reports whether this call built
+// it (the profiler's ft:builds attribution). When a stale index is
+// rebuilt and when a build degrades to a scan is dom.Index.Probe's
+// policy; For bypasses it.
+func Probe(n *dom.Node) (d *Doc, built bool) { return lifecycle.Probe(n) }
 
-// Probe returns a fresh index for the tree containing n if having one
-// is worth it, or nil when the caller should scan; built reports
-// whether this call constructed the index (the profiler's ft:builds
-// attribution). A never-indexed tree builds immediately; a tree whose
-// index went stale rebuilds only after rebuildProbes probes at the
-// current version. This is the entry point for ftcontains evaluation;
-// For bypasses the heuristic.
-func Probe(n *dom.Node) (d *Doc, built bool) {
-	root := n.Root()
-	cached, ok := root.LoadFTIndexCache().(*Doc)
-	if !ok {
-		if faultpoint.Hit(faultpoint.PointFTIndexBuild) != nil {
-			return nil, false // degrade: caller scans instead of building
-		}
-		return For(n), true
-	}
-	v := root.Version()
-	if cached.version == v {
-		return cached, false
-	}
-	if cached.probeV.Load() != v {
-		cached.probeV.Store(v)
-		cached.probeN.Store(0)
-	}
-	if cached.probeN.Add(1) < rebuildProbes {
-		return nil, false
-	}
-	if faultpoint.Hit(faultpoint.PointFTIndexBuild) != nil {
-		return nil, false // degrade: keep scanning until builds succeed again
-	}
-	return For(n), true
-}
-
-// Fresh returns the cached index for the tree containing n only if it
-// is already built and current; it never builds.
-func Fresh(n *dom.Node) *Doc {
-	root := n.Root()
-	if d, ok := root.LoadFTIndexCache().(*Doc); ok && d.version == root.Version() {
-		return d
-	}
-	return nil
-}
+// Fresh returns the index of the tree containing n only if it is
+// already built and current; it never builds.
+func Fresh(n *dom.Node) *Doc { return lifecycle.Fresh(n) }
 
 // build walks the tree once collecting the text stream and the node
 // ranges (buildTree, shared with Attach), then tokenizes the stream
@@ -314,7 +249,7 @@ func (d *Doc) buildFloor() {
 		s, e := d.tokStart[p], d.tokEnd[p]
 		for _, tn := range d.tokenTextNodes(p) {
 			for cur := tn; cur != nil; cur = cur.Parent() {
-				at := pre(cur)
+				at, _, _ := cur.Label()
 				if r := d.ranges[at]; r.start > s || r.end < e {
 					floor = append(floor, cand{pre: at, n: cur})
 				}

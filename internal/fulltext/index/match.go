@@ -158,12 +158,6 @@ func (d *Doc) rangeOf(n *dom.Node) (r byteRange, lo, hi uint32, ok bool) {
 	return d.ranges[lo], lo, hi, true
 }
 
-// pre is n's rank in document order.
-func pre(n *dom.Node) uint32 {
-	p, _, _ := n.Label()
-	return p
-}
-
 // window locates a node range's token window: [lo, hi) are the tokens
 // fully inside the range, dirty reports that a token is clipped by a
 // range edge (the node's own tokenization then differs from the
@@ -541,7 +535,7 @@ func ancestorsInto(out []cand, tn, scope *dom.Node, orSelf bool) []cand {
 		out = append(out, cand{n: scope})
 	}
 	for i := chain; i < len(out); i++ {
-		out[i].pre = pre(out[i].n)
+		out[i].pre, _, _ = out[i].n.Label()
 	}
 	return out
 }

@@ -43,7 +43,7 @@ func (d *Doc) Serialize() (*Serialized, bool) {
 
 // Attach rebuilds a full index for root from its persisted form,
 // skipping tokenization and stemming, and publishes it in the root's
-// cache slot. The tree walk recollects the text stream and node
+// index slot. The tree walk recollects the text stream and node
 // ranges; the stream must hash to the persisted value and the spans
 // must be well-formed, otherwise Attach reports an error and the tree
 // just builds lazily on first probe as if nothing were persisted.
@@ -65,7 +65,7 @@ func Attach(root *dom.Node, s *Serialized) error {
 	d.stem = s.Stem
 	d.buildTables()
 	loads.Add(1)
-	root.StoreFTIndexCache(d)
+	lifecycle.Publish(root, d)
 	return nil
 }
 
@@ -127,7 +127,8 @@ func buildTree(d *Doc, root *dom.Node) {
 		default:
 			return
 		}
-		d.ranges[pre(n)] = byteRange{start: start, end: int32(len(buf))}
+		p, _, _ := n.Label()
+		d.ranges[p] = byteRange{start: start, end: int32(len(buf))}
 	}
 	visit(root)
 	d.text = string(buf)

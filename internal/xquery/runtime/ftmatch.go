@@ -181,7 +181,7 @@ func (ctx *Context) resolveFTSelection(sel ast.FTSelection) (ftindex.Sel, error)
 func (ctx *Context) ftMatchItem(it xdm.Item, sel ftindex.Sel) bool {
 	n, isNode := xdm.IsNode(it)
 	if isNode && !ctx.NoIndex {
-		if idx, built := ctx.ftIndex(n); idx != nil {
+		if idx, built := readIndex(ctx, n, ftindex.Probe, ftindex.Fresh); idx != nil {
 			if built && ctx.Profiler != nil {
 				ctx.Profiler.AddFT("builds", 1)
 			}

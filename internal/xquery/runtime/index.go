@@ -18,29 +18,29 @@ import (
 // dom.SortDedup, on the labels package dom keeps (DESIGN.md §5t), with
 // indexes on or off.
 
-// PathIndex and ftIndex return the per-document index a probe of the
-// tree containing n may read, or nil when the caller should scan: the
-// packages' amortised Probe, or — under NoIndexBuild — only an index
-// that is already there. (PathIndex is exported for fn:id.)
+// PathIndex returns the path index a probe of the tree containing n
+// may read, or nil when the caller should scan (exported for fn:id).
 func (ctx *Context) PathIndex(n *dom.Node) *index.Doc {
-	if ctx.NoIndexBuild {
-		return index.Fresh(n)
-	}
-	return index.Probe(n)
+	d, _ := readIndex(ctx, n, index.Probe, index.Fresh)
+	return d
 }
 
-func (ctx *Context) ftIndex(n *dom.Node) (d *ftindex.Doc, built bool) {
+// readIndex is how the runtime reads either per-document index: the
+// package's Probe, or — under NoIndexBuild — only an index that is
+// already there. built reports whether the call built one.
+func readIndex[D any](ctx *Context, n *dom.Node,
+	probe func(*dom.Node) (*D, bool), fresh func(*dom.Node) *D) (d *D, built bool) {
 	if ctx.NoIndexBuild {
-		return ftindex.Fresh(n), false
+		return fresh(n), false
 	}
-	return ftindex.Probe(n)
+	return probe(n)
 }
 
 // probeIndex answers an indexed step's candidate list from the
 // per-document index: the name-list slice of the focus node's subtree
 // for AccessIndexName, the id-pinned elements inside the subtree for
 // AccessIndexID. ok is false when the step is unplanned, indexes are
-// disabled, index.Probe's amortised-rebuild heuristic declines to
+// disabled, the lifecycle's amortised-rebuild heuristic declines to
 // build, or the index cannot answer (the caller then scans). The
 // candidates are in document order — the same set and order the scan's
 // walk-plus-node-test would produce for a name probe, and a subset the
@@ -107,7 +107,7 @@ func (ctx *Context) probeFTIndex(n *dom.Node, step *ast.Step, orSelf bool) ([]*d
 		// "cannot answer" and let the scan surface it.
 		return nil, false
 	}
-	idx, built := ctx.ftIndex(n)
+	idx, built := readIndex(ctx, n, ftindex.Probe, ftindex.Fresh)
 	if built && ctx.Profiler != nil {
 		ctx.Profiler.AddFT("builds", 1)
 	}

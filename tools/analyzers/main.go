@@ -21,31 +21,26 @@
 //	            serve/rest layers; contexts flow through call parameters
 //	            so cancellation scopes stay explicit per request.
 //
-//	idxversion  the version-stamp discipline of the per-document index
-//	            layer (internal/dom/index): inside package index, any
-//	            function reading the index maps (names/ids) must
-//	            consult the version stamp (call fresh() or compare
-//	            version) unless it is the builder itself; outside the
-//	            package, nobody calls the raw cache accessors
-//	            Node.LoadIndexCache/StoreIndexCache or names the
-//	            indexCache field behind them — all access goes
-//	            through index.For/index.Fresh, which are the only
-//	            places allowed to compare the stamp. And in package
-//	            dom, the node's document-order label word is read by
-//	            its accessor (labels) and written by its labeler
-//	            (relabel) only: everyone else goes through
-//	            Node.Label, CompareOrder or SortDedup, which make the
-//	            labels current first.
-//
-//	ftversion   the same stamp discipline for the full-text index layer
-//	            (internal/fulltext/index): inside the package, functions
-//	            reading the posting/trigram maps and the label-indexed
-//	            tables (post, stemPost, gram, ranges, floor) must
-//	            consult fresh()/version unless they are
-//	            the builder; outside, nobody calls the raw slot
-//	            accessors Node.LoadFTIndexCache/StoreFTIndexCache or
-//	            names the ftCache field behind them — access goes
-//	            through index.For/Probe/Fresh/Attach.
+//	idxversion  the version-stamp discipline of the per-document
+//	            indexes, keyed by package path (both are named index):
+//	            in internal/dom/index a function reading the name/id
+//	            maps, and in internal/fulltext/index one reading the
+//	            posting/trigram maps or the label-indexed tables (post,
+//	            stemPost, gram, ranges, floor), must consult the version
+//	            stamp (call fresh() or compare version) unless it is the
+//	            builder. Elsewhere, dom's slot constants are named
+//	            only by the package that owns the slot
+//	            (dom.PathIndexSlot by internal/dom/index,
+//	            dom.FTIndexSlot by internal/fulltext/index). In package
+//	            dom, the root's index slots
+//	            (nodeSide.indexes) and their entries (indexEntry) are
+//	            named only in lifecycle.go, which keeps, judges and
+//	            rebuilds every index (dom.Index), and in RestoreVersion,
+//	            which drops them on rollback; and the node's
+//	            document-order label word is read by its accessor
+//	            (labels) and written by its labeler (relabel) only:
+//	            everyone else goes through Node.Label, CompareOrder or
+//	            SortDedup, which make the labels current first.
 //
 //	planpure    the planner and the optimizer never mutate the shared
 //	            AST: a parsed module is cached and compiled once but
@@ -164,10 +159,10 @@ type finding struct {
 }
 
 func main() {
-	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, ftversion, planpure, storesync, recovercheck, pulapply, hotconst, sleeppoll or frames")
+	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, planpure, storesync, recovercheck, pulapply, hotconst, sleeppoll or frames")
 	flag.Parse()
 	if *check == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|ftversion|planpure|storesync|recovercheck|pulapply|hotconst|sleeppoll|frames} dir...")
+		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|planpure|storesync|recovercheck|pulapply|hotconst|sleeppoll|frames} dir...")
 		os.Exit(2)
 	}
 
@@ -187,8 +182,6 @@ func main() {
 				findings = append(findings, ctxStruct(fset, f)...)
 			case "idxversion":
 				findings = append(findings, idxVersion(fset, f)...)
-			case "ftversion":
-				findings = append(findings, ftVersion(fset, f)...)
 			case "planpure":
 				findings = append(findings, planPure(fset, f)...)
 			case "storesync":
@@ -427,49 +420,64 @@ func ctxStruct(fset *token.FileSet, file *ast.File) []finding {
 
 // --- idxversion -----------------------------------------------------------------
 
-// indexMaps are the Doc fields whose contents are only meaningful for
-// the document version the index was built at.
-var indexMaps = map[string]bool{
-	"names": true,
-	"ids":   true,
+// guardedFields maps each per-document index package, by path (both are
+// named index), to the Doc fields whose contents hold only for the tree
+// version the index was built at: the path index's name and id maps;
+// the full-text index's posting maps (exact and stemmed), the trigram
+// map behind wildcard narrowing, and the two tables read by node label
+// (the byte ranges and the split-token floor).
+var guardedFields = map[string]map[string]bool{
+	"internal/dom/index":      {"names": true, "ids": true},
+	"internal/fulltext/index": {"post": true, "stemPost": true, "gram": true, "ranges": true, "floor": true},
 }
 
-// idxBuilderName matches the functions allowed to touch the maps
-// without a freshness check: the builder fills maps that are not yet
-// published, and constructors shape empty ones.
+// idxBuilderName matches the functions allowed to touch the guarded
+// fields without a freshness check: the builder fills fields that are
+// not yet published, and constructors shape empty ones.
 var idxBuilderName = regexp.MustCompile(`^(build|new|New|init$)`)
 
-// idxVersion enforces the index layer's version-stamp discipline. For
-// files in package index, every non-builder function whose body reads a
-// selector named names/ids must also mention the freshness guard (a
-// fresh() call or a version comparison) somewhere in that body. For
-// files in any other package, any call to LoadIndexCache or
-// StoreIndexCache is flagged, and so is any mention of the indexCache
-// field they wrap outside those two methods: the raw slot bypasses the
-// stamp check that index.For/index.Fresh perform, so only package index
-// may touch it. In package dom the label word is checked besides
-// (labelWordUse).
+// idxVersion enforces the version-stamp discipline of the per-document
+// indexes. In an index package, every non-builder function whose body
+// reads a guarded field must also mention the freshness guard (a
+// fresh() call or a version comparison) somewhere in that body; outside
+// package dom, a slot constant is named by its owner only
+// (slotOwnerUse). In package dom, the index slots and their entries are
+// touched by the lifecycle file and RestoreVersion only (slotUse), and
+// the label word by its accessor and labeler only.
 func idxVersion(fset *token.FileSet, file *ast.File) []finding {
-	if file.Name.Name == "index" {
-		return idxVersionInside(fset, file)
+	filename := fset.Position(file.Pos()).Filename
+	dir := filepath.ToSlash(filepath.Dir(filename))
+	if file.Name.Name != "dom" {
+		out := slotOwnerUse(fset, file, dir)
+		for pkg, fields := range guardedFields {
+			if inPackage(dir, pkg) {
+				out = append(out, guardedReads(fset, file, fields)...)
+			}
+		}
+		return out
 	}
-	return idxVersionOutside(fset, file)
+	out := slotUse(fset, file, filepath.Base(filename))
+	// A raw read of the label word skips the check that the tree's
+	// labels are current; a raw write, their race-free publication.
+	return append(out, fieldUse(fset, file, "label",
+		"idxversion: the node's label word touched outside its accessor (labels) and labeler (relabel); use Node.Label, CompareOrder or SortDedup",
+		"labels", "relabel")...)
 }
 
-func idxVersionInside(fset *token.FileSet, file *ast.File) []finding {
+func guardedReads(fset *token.FileSet, file *ast.File, fields map[string]bool) []finding {
 	var out []finding
 	for _, decl := range file.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil || idxBuilderName.MatchString(fd.Name.Name) {
 			continue
 		}
-		var readsMap, checksVersion bool
+		var readsField, checksVersion bool
 		var firstRead token.Pos
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:
-				if indexMaps[x.Sel.Name] && !readsMap {
-					readsMap = true
+				if fields[x.Sel.Name] && !readsField {
+					readsField = true
 					firstRead = x.Pos()
 				}
 				if x.Sel.Name == "fresh" || x.Sel.Name == "version" {
@@ -482,10 +490,10 @@ func idxVersionInside(fset *token.FileSet, file *ast.File) []finding {
 			}
 			return true
 		})
-		if readsMap && !checksVersion {
+		if readsField && !checksVersion {
 			out = append(out, finding{
 				pos: fset.Position(firstRead),
-				msg: fmt.Sprintf("idxversion: %s reads an index map without checking the version stamp (call fresh() first)",
+				msg: fmt.Sprintf("idxversion: %s reads an index field without checking the version stamp (call fresh() first)",
 					fd.Name.Name),
 			})
 		}
@@ -493,35 +501,80 @@ func idxVersionInside(fset *token.FileSet, file *ast.File) []finding {
 	return out
 }
 
-func idxVersionOutside(fset *token.FileSet, file *ast.File) []finding {
-	out := rawSlotUse(fset, file, "idxversion", "indexCache", "LoadIndexCache", "StoreIndexCache",
-		"outside internal/dom/index; use index.For/index.Fresh, which check the version stamp")
-	if file.Name.Name == "dom" {
-		// A raw read of the label word skips the check that the tree's
-		// labels are current; a raw write, their race-free publication.
-		out = append(out, fieldUse(fset, file, "label",
-			"idxversion: the node's label word touched outside its accessor (labels) and labeler (relabel); use Node.Label, CompareOrder or SortDedup",
-			"labels", "relabel")...)
-	}
-	return out
+// slotOwners maps each of dom's index slot constants to the one
+// package, by path, whose lifecycle keeps its index in that slot.
+var slotOwners = map[string]string{
+	"PathIndexSlot": "internal/dom/index",
+	"FTIndexSlot":   "internal/fulltext/index",
 }
 
-// rawSlotUse flags, in a file outside the package that owns one of the
-// per-document cache slots, every use of the slot's accessors load and
-// store, and every mention of the slot's field (dom's side struct holds
-// it) anywhere but in those two methods' own bodies.
-func rawSlotUse(fset *token.FileSet, file *ast.File, pass, field, load, store, advice string) []finding {
-	out := fieldUse(fset, file, field,
-		fmt.Sprintf("%s: raw slot %s touched outside its accessors %s/%s", pass, field, load, store), load, store)
+func inPackage(dir, pkg string) bool {
+	return dir == pkg || strings.HasSuffix(dir, "/"+pkg)
+}
+
+// slotOwnerUse flags, outside package dom, every mention of an index
+// slot constant outside the package that owns the slot: a second
+// dom.Index on that slot would read and publish the owner's index with
+// another builder, past the owner's For, Probe and Fresh.
+func slotOwnerUse(fset *token.FileSet, file *ast.File, dir string) []finding {
+	var out []finding
 	ast.Inspect(file, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == load || sel.Sel.Name == store) {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if owner, ok := slotOwners[sel.Sel.Name]; ok && !inPackage(dir, owner) {
 			out = append(out, finding{
-				pos: fset.Position(sel.Pos()),
-				msg: fmt.Sprintf("%s: %s called %s", pass, sel.Sel.Name, advice),
+				pos: fset.Position(sel.Sel.Pos()),
+				msg: fmt.Sprintf("idxversion: index slot %s named outside %s; use its For, Probe or Fresh", sel.Sel.Name, owner),
 			})
 		}
 		return true
 	})
+	return out
+}
+
+// slotUse flags, in a file of package dom other than lifecycle.go,
+// every mention of the root's index slots (nodeSide.indexes) or of
+// their entry type (indexEntry) inside a function other than
+// RestoreVersion: the lifecycle decides what a slot holds and when it
+// is current, and a rollback is the one other writer. The slots'
+// declaration in nodeSide is not a function and is not flagged.
+func slotUse(fset *token.FileSet, file *ast.File, base string) []finding {
+	if base == "lifecycle.go" {
+		return nil
+	}
+	var out []finding
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Name.Name == "RestoreVersion" {
+			continue
+		}
+		ast.Inspect(fd, func(n ast.Node) bool {
+			var id *ast.Ident
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if x.Sel.Name == "indexes" {
+					id = x.Sel
+				}
+			case *ast.KeyValueExpr:
+				if k, ok := x.Key.(*ast.Ident); ok && k.Name == "indexes" {
+					id = k
+				}
+			case *ast.Ident:
+				if x.Name == "indexEntry" {
+					id = x
+				}
+			}
+			if id != nil {
+				out = append(out, finding{
+					pos: fset.Position(id.Pos()),
+					msg: fmt.Sprintf("idxversion: index slot %s touched outside lifecycle.go and RestoreVersion; use dom.Index", id.Name),
+				})
+			}
+			return true
+		})
+	}
 	return out
 }
 
@@ -549,78 +602,6 @@ func fieldUse(fset *token.FileSet, file *ast.File, field, msg string, owners ...
 		})
 	}
 	return out
-}
-
-// --- ftversion ------------------------------------------------------------------
-
-// ftIndexMaps are the full-text Doc fields whose contents are only
-// meaningful for the document version the index was built at: the
-// posting maps (exact and stemmed), the trigram map backing wildcard
-// narrowing, and the two tables read by node label — the byte ranges
-// and the split-token floor.
-var ftIndexMaps = map[string]bool{
-	"post":     true,
-	"stemPost": true,
-	"gram":     true,
-	"ranges":   true,
-	"floor":    true,
-}
-
-// ftVersion is idxversion's twin for the full-text index layer
-// (internal/fulltext/index). Inside the package, every non-builder
-// function reading a posting map or a label-indexed table must mention
-// the freshness guard in its body; outside, calls to the raw dom cache
-// slot accessors
-// LoadFTIndexCache/StoreFTIndexCache and mentions of the ftCache field
-// they wrap are flagged — all access goes through index.For/index.Probe/index.Fresh/index.Attach, which own the
-// version-stamp comparison.
-func ftVersion(fset *token.FileSet, file *ast.File) []finding {
-	if file.Name.Name == "index" {
-		return ftVersionInside(fset, file)
-	}
-	return ftVersionOutside(fset, file)
-}
-
-func ftVersionInside(fset *token.FileSet, file *ast.File) []finding {
-	var out []finding
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || idxBuilderName.MatchString(fd.Name.Name) {
-			continue
-		}
-		var readsMap, checksVersion bool
-		var firstRead token.Pos
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if ftIndexMaps[x.Sel.Name] && !readsMap {
-					readsMap = true
-					firstRead = x.Pos()
-				}
-				if x.Sel.Name == "fresh" || x.Sel.Name == "version" {
-					checksVersion = true
-				}
-			case *ast.Ident:
-				if x.Name == "fresh" || x.Name == "version" {
-					checksVersion = true
-				}
-			}
-			return true
-		})
-		if readsMap && !checksVersion {
-			out = append(out, finding{
-				pos: fset.Position(firstRead),
-				msg: fmt.Sprintf("ftversion: %s reads a full-text index map without checking the version stamp (call fresh() first)",
-					fd.Name.Name),
-			})
-		}
-	}
-	return out
-}
-
-func ftVersionOutside(fset *token.FileSet, file *ast.File) []finding {
-	return rawSlotUse(fset, file, "ftversion", "ftCache", "LoadFTIndexCache", "StoreFTIndexCache",
-		"outside internal/fulltext/index; use index.For/index.Probe/index.Fresh, which check the version stamp")
 }
 
 func isContextContext(t ast.Expr) bool {

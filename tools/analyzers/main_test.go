@@ -9,8 +9,15 @@ import (
 
 func analyze(t *testing.T, src string, pass func(*token.FileSet, *ast.File) []finding) []finding {
 	t.Helper()
+	return analyzeAt(t, "x.go", src, pass)
+}
+
+// analyzeAt runs pass over src as the file filename, for the passes
+// that key their rules by package path or file name.
+func analyzeAt(t *testing.T, filename, src string, pass func(*token.FileSet, *ast.File) []finding) []finding {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go", src, 0)
+	f, err := parser.ParseFile(fset, filename, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +103,15 @@ func (e *Engine) Register(sh *sharedProgram) { sh.mod = nil }
 	}
 }
 
+// The path index's guarded fields are the name and id maps.
 func TestIdxVersionFlagsUncheckedMapRead(t *testing.T) {
 	src := `package index
-type Doc struct{ names map[string][]int }
+type Doc struct{ names map[string][]int; ids map[string][]int }
 func (d *Doc) ByName(k string) []int { return d.names[k] }
+func (d *Doc) ByID(k string) []int   { return d.ids[k] }
 `
-	got := analyze(t, src, idxVersion)
-	if len(got) != 1 {
-		t.Fatalf("findings = %v, want 1", got)
+	if got := analyzeAt(t, "internal/dom/index/index.go", src, idxVersion); len(got) != 2 {
+		t.Fatalf("findings = %v, want 2", got)
 	}
 }
 
@@ -119,40 +127,74 @@ func (d *Doc) ByName(k string) []int {
 }
 func build() *Doc { d := &Doc{names: map[string][]int{}}; d.names["x"] = nil; return d }
 `
-	if got := analyze(t, src, idxVersion); len(got) != 0 {
+	if got := analyzeAt(t, "internal/dom/index/index.go", src, idxVersion); len(got) != 0 {
 		t.Fatalf("findings = %v, want none", got)
 	}
 }
 
-func TestIdxVersionFlagsRawCacheAccessOutsidePackage(t *testing.T) {
-	src := `package runtime
-func peek(n *Node) any { return n.LoadIndexCache() }
-func poke(n *Node)     { n.StoreIndexCache(nil) }
-type Node struct{}
-func (n *Node) LoadIndexCache() any { return nil }
-func (n *Node) StoreIndexCache(v any) {}
+// Both index packages are named index: the guarded fields are chosen by
+// path, so each package's names are free in the other, and a package
+// named index anywhere else is not checked.
+func TestIdxVersionKeysFieldsByPackagePath(t *testing.T) {
+	src := `package index
+type Doc struct{ names, post map[string][]int }
+func (d *Doc) byName(k string) []int { return d.names[k] }
+func (d *Doc) posting(k string) []int { return d.post[k] }
 `
-	got := analyze(t, src, idxVersion)
-	if len(got) != 2 {
-		t.Fatalf("findings = %v, want 2", got)
+	for path, line := range map[string]int{
+		"internal/dom/index/index.go":             3,
+		"/src/repro/internal/fulltext/index/x.go": 4,
+	} {
+		if got := analyzeAt(t, path, src, idxVersion); len(got) != 1 || got[0].pos.Line != line {
+			t.Errorf("%s: findings = %v, want 1 on line %d", path, got, line)
+		}
+	}
+	if got := analyzeAt(t, "internal/xquery/index/x.go", src, idxVersion); len(got) != 0 {
+		t.Errorf("another package named index: findings = %v, want none", got)
 	}
 }
 
-// The slot's field is as raw as its accessors: package dom may name it
-// in the two accessors and nowhere else.
+// The path index's slot is its package's: a dom.Index on it anywhere
+// else would read and publish the path index past index.For and Probe,
+// as the raw cache accessors once did.
+func TestIdxVersionFlagsRawCacheAccessOutsidePackage(t *testing.T) {
+	src := `package p
+import "repro/internal/dom"
+var stray = dom.Index[int]{Slot: dom.PathIndexSlot}
+`
+	for _, path := range []string{"internal/xquery/runtime/x.go", "internal/fulltext/index/x.go"} {
+		if got := analyzeAt(t, path, src, idxVersion); len(got) != 1 || got[0].pos.Line != 3 {
+			t.Errorf("%s: findings = %v, want 1 on line 3", path, got)
+		}
+	}
+	if got := analyzeAt(t, "internal/dom/index/index.go", src, idxVersion); len(got) != 0 {
+		t.Errorf("in the owner: findings = %v, want none", got)
+	}
+}
+
+// The root's index slots and their entries belong to dom's lifecycle
+// file; RestoreVersion is the one other function that may name them,
+// and nodeSide's declaration of them is not a use.
 func TestIdxVersionFlagsRawSlotFieldOutsideAccessors(t *testing.T) {
 	src := `package dom
-type side struct{ indexCache, ftCache *any }
-type Node struct{ side *side }
-func (n *Node) LoadIndexCache() any { return *n.side.indexCache }
-func (n *Node) StoreIndexCache(v any) { n.side.indexCache = &v }
-func (n *Node) clone() *Node { c := &Node{side: &side{}}; c.side.ftCache = n.side.indexCache; return c }
+type nodeSide struct{ indexes [2]*indexEntry }
+type indexEntry struct{ version uint64 }
+type Node struct{ side *nodeSide }
+func (n *Node) RestoreVersion(v uint64) { n.side.indexes[0] = &indexEntry{version: ^uint64(0)} }
+func (n *Node) clone() *Node { return &Node{side: &nodeSide{indexes: n.side.indexes}} }
+func (n *Node) peek(slot int) *indexEntry { return n.side.indexes[slot] }
 `
-	if got := analyze(t, src, idxVersion); len(got) != 1 || got[0].pos.Line != 6 {
-		t.Fatalf("idxversion findings = %v, want 1 (clone's read of indexCache)", got)
+	got := analyzeAt(t, "internal/dom/tree.go", src, idxVersion)
+	if len(got) != 4 {
+		t.Fatalf("findings = %v, want 4 (clone's key and read, peek's result type and read)", got)
 	}
-	if got := analyze(t, src, ftVersion); len(got) != 1 || got[0].pos.Line != 6 {
-		t.Fatalf("ftversion findings = %v, want 1 (clone's write of ftCache)", got)
+	for _, f := range got {
+		if f.pos.Line != 6 && f.pos.Line != 7 {
+			t.Errorf("finding on line %d: %s", f.pos.Line, f.msg)
+		}
+	}
+	if got := analyzeAt(t, "internal/dom/lifecycle.go", src, idxVersion); len(got) != 0 {
+		t.Fatalf("in lifecycle.go: findings = %v, want none", got)
 	}
 }
 
@@ -187,16 +229,19 @@ func (t token) String() string { return t.label }
 	}
 }
 
+// The full-text index's guarded fields are the posting and trigram maps
+// and the label-indexed tables.
 func TestFTVersionFlagsUncheckedPostingRead(t *testing.T) {
 	src := `package index
-type Doc struct{ post map[string][]int32; ranges []int; floor []int }
+type Doc struct{ post, stemPost, gram map[string][]int32; ranges []int; floor []int }
 func (d *Doc) posting(w string) []int32 { return d.post[w] }
+func (d *Doc) stemmed(w string) []int32 { return d.stemPost[w] }
+func (d *Doc) grams(g string) []int32   { return d.gram[g] }
 func (d *Doc) rangeOf(pre int) int      { return d.ranges[pre] }
 func (d *Doc) floorAt(i int) int        { return d.floor[i] }
 `
-	got := analyze(t, src, ftVersion)
-	if len(got) != 3 {
-		t.Fatalf("findings = %v, want 3", got)
+	if got := analyzeAt(t, "internal/fulltext/index/match.go", src, idxVersion); len(got) != 5 {
+		t.Fatalf("findings = %v, want 5", got)
 	}
 }
 
@@ -212,22 +257,24 @@ func (d *Doc) posting(w string) []int32 {
 }
 func buildTables(d *Doc) { d.post["x"] = nil }
 `
-	if got := analyze(t, src, ftVersion); len(got) != 0 {
+	if got := analyzeAt(t, "internal/fulltext/index/match.go", src, idxVersion); len(got) != 0 {
 		t.Fatalf("findings = %v, want none", got)
 	}
 }
 
+// The full-text index's slot is its package's, as the path index's is.
 func TestFTVersionFlagsRawCacheAccessOutsidePackage(t *testing.T) {
-	src := `package runtime
-func peek(n *Node) any { return n.LoadFTIndexCache() }
-func poke(n *Node)     { n.StoreFTIndexCache(nil) }
-type Node struct{}
-func (n *Node) LoadFTIndexCache() any { return nil }
-func (n *Node) StoreFTIndexCache(v any) {}
+	src := `package p
+import "repro/internal/dom"
+var stray = dom.Index[int]{Slot: dom.FTIndexSlot}
 `
-	got := analyze(t, src, ftVersion)
-	if len(got) != 2 {
-		t.Fatalf("findings = %v, want 2", got)
+	for _, path := range []string{"internal/xquery/runtime/x.go", "internal/dom/index/x.go"} {
+		if got := analyzeAt(t, path, src, idxVersion); len(got) != 1 || got[0].pos.Line != 3 {
+			t.Errorf("%s: findings = %v, want 1 on line 3", path, got)
+		}
+	}
+	if got := analyzeAt(t, "internal/fulltext/index/index.go", src, idxVersion); len(got) != 0 {
+		t.Errorf("in the owner: findings = %v, want none", got)
 	}
 }
 
