@@ -66,7 +66,6 @@ func main() {
 	}
 	cfg := xquery.RunConfig{
 		ContextItem: ctxItem,
-		Sequential:  true,
 		Docs:        fileResolver,
 		Variables:   vars.bindings(),
 	}

@@ -81,7 +81,7 @@ func ExampleProgram_Run() {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := prog.Run(xqib.RunConfig{ContextItem: xqib.NewNode(doc), Sequential: true}); err != nil {
+	if _, err := prog.Run(xqib.RunConfig{ContextItem: xqib.NewNode(doc)}); err != nil {
 		panic(err)
 	}
 	fmt.Println(xqib.Serialize(doc))

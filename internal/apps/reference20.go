@@ -232,7 +232,7 @@ declare function local:render($kind as xs:string, $id as xs:string) {
 // Render serves one interaction: the server evaluates the XQuery and
 // returns the HTML fragment it would ship to the browser.
 func (a *ServerSideApp) Render(it Interaction) (string, error) {
-	ctx := a.prog.NewContext(xquery.RunConfig{Docs: a.r.Store.Resolver(), Sequential: true})
+	ctx := a.prog.NewContext(xquery.RunConfig{Docs: a.r.Store.Resolver()})
 	if err := ctx.InitGlobals(); err != nil {
 		return "", err
 	}

@@ -110,7 +110,7 @@ func RenderShoppingCartXQuery(store *xmldb.Store) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := prog.Run(xquery.RunConfig{Docs: store.Resolver(), Sequential: true})
+	res, err := prog.Run(xquery.RunConfig{Docs: store.Resolver()})
 	if err != nil {
 		return "", err
 	}

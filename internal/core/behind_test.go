@@ -68,3 +68,38 @@ func TestBehindInLoopSeesItsOwnBinding(t *testing.T) {
 		t.Errorf("behind calls read %q, want a, b and c once each", got)
 	}
 }
+
+// A behind call runs on a goroutine of its own while the listener that
+// attached it goes on filling and applying its pending update list, so
+// the call has none: an updating target fails like any updating
+// expression where updates are not allowed, and WaitIdle reports it.
+// The page is left as it was (go test -race).
+func TestBehindUpdatingCallFails(t *testing.T) {
+	const page = `<html><head><script type="text/xqueryp">
+	declare updating function local:mark() { insert node <m/> into //div[@id="log"] };
+	declare sequential function local:onResult($readyState, $result) { () };
+	declare sequential function local:go($evt, $obj) {
+		on event "stateChanged" behind local:mark() attach listener local:onResult;
+		insert node <n/> into //div[@id="log"];
+	};
+	on event "click" at //input[@id="b"] attach listener local:go
+</script></head><body><input id="b"/><div id="log"/></body></html>`
+	h, err := LoadPage(page, "http://example.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clicks = 20
+	for i := 0; i < clicks; i++ {
+		if err := h.Click("b"); err != nil {
+			t.Fatal(err)
+		}
+		errs := h.WaitIdle(time.Second)
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "updating expression not allowed") {
+			t.Fatalf("click %d: async errors %v, want one updating-expression error", i+1, errs)
+		}
+	}
+	got := h.SerializePage()
+	if n, m := strings.Count(got, "<n></n>"), strings.Count(got, "<m></m>"); n != clicks || m != 0 {
+		t.Errorf("%d n and %d m elements on the page, want %d and 0:\n%s", n, m, clicks, got)
+	}
+}

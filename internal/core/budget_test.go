@@ -106,3 +106,19 @@ func TestUnlimitedBudgetByDefault(t *testing.T) {
 		t.Errorf("insert missing:\n%s", got)
 	}
 }
+
+// A quantifier whose body cannot apply an update streams its domain in
+// the host, as anywhere: over 20,000 elements it stops at the first
+// witness, well inside a 2,000-step budget.
+func TestQuantifierStopsEarlyInTheHost(t *testing.T) {
+	page := `<html><head><script type="text/xqueryp">
+	browser:alert(string(some $d in //d satisfies true()))
+</script></head><body>` + strings.Repeat("<d></d>", 20_000) + `</body></html>`
+	h, err := LoadPage(page, "http://example.com/", WithQueryBudget(2000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := h.Alerts(); len(a) != 1 || a[0] != "true" {
+		t.Errorf("alerts %q, want one \"true\"", a)
+	}
+}

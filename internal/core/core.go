@@ -384,7 +384,6 @@ func (h *Host) runConfig() xquery.RunConfig {
 		ContextItem:  xdm.NewNode(h.Page),
 		AmbientFocus: true,
 		Hooks:        &hostHooks{h: h},
-		Sequential:   true,
 		OnUpdate:     h.onUpdate,
 		MaxSteps:     h.maxQuerySteps,
 		Timeout:      h.queryTimeout,
@@ -411,29 +410,13 @@ func (h *Host) runMain(pp *pageProgram) error {
 	return nil
 }
 
-// finish evaluates with scripting snapshots and applies any remaining
-// pending updates, routing window-tree write-backs to the browser. It
-// is the host's evaluation boundary: a panicking query or listener
-// recovers into an error matching xqerr.ErrInternal, and a mid-apply
-// update failure rolls the page back (the apply is atomic), so the
+// finish is the host's evaluation boundary (runtime.Context.Finish): a
+// panicking query or listener recovers into an error matching
+// xqerr.ErrInternal, and a failed apply rolls the page back, so the
 // host survives both with a consistent DOM.
-func (h *Host) finish(ctx *runtime.Context, eval func() (xdm.Sequence, error)) (val xdm.Sequence, err error) {
-	defer xqerr.RecoverInto(&err, "core.Host.finish")
-	applyBatch := func(pul *update.PUL) error {
-		_, err := pul.ApplyPruned(h.onUpdate)
-		return err
-	}
-	ctx.SnapshotApply = applyBatch
-	val, err = eval()
-	if err != nil {
-		return nil, err
-	}
-	if ctx.PUL != nil && !ctx.PUL.Empty() {
-		if err := applyBatch(ctx.PUL); err != nil {
-			return nil, err
-		}
-	}
-	return val, nil
+func (h *Host) finish(ctx *runtime.Context, eval func() (xdm.Sequence, error)) (xdm.Sequence, error) {
+	val, _, err := ctx.Finish("core.Host.finish", eval)
+	return val, err
 }
 
 // onUpdate observes every applied update primitive: window-tree writes

@@ -86,7 +86,7 @@ func E5Cases() ([]PerfCase, error) {
 				if err != nil {
 					return err
 				}
-				_, err = prog.Run(xquery.RunConfig{ContextItem: xdm.NewNode(page), Sequential: true})
+				_, err = prog.Run(xquery.RunConfig{ContextItem: xdm.NewNode(page)})
 				return err
 			},
 			Imperative: func() error {

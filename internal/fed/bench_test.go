@@ -87,7 +87,6 @@ func BenchmarkFedQuery(b *testing.B) {
 			b.Run(class.name+"/"+mode.name, func(b *testing.B) {
 				cfg := xquery.RunConfig{
 					Context:         ctx,
-					Sequential:      true,
 					Collections:     x.CollectionResolver(ctx),
 					CollectionsIter: x.CollectionIterResolver(ctx),
 					CollectionsShip: x.CollectionShipResolver(ctx),

@@ -68,7 +68,6 @@ var shippedProbe = chaosProbe{
 			Collections:     x.CollectionResolver(ctx),
 			CollectionsIter: x.CollectionIterResolver(ctx),
 			CollectionsShip: x.CollectionShipResolver(ctx),
-			Sequential:      true,
 		})
 		if err != nil {
 			return nil, err

@@ -154,7 +154,6 @@ func TestFederatedCollectionThroughEngine(t *testing.T) {
 	res, err := p.Run(xquery.RunConfig{
 		Collections:     x.CollectionResolver(ctx),
 		CollectionsIter: x.CollectionIterResolver(ctx),
-		Sequential:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +236,7 @@ sv:tag("hi")`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(xquery.RunConfig{Sequential: true})
+	res, err := p.Run(xquery.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

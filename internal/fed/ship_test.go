@@ -170,7 +170,6 @@ func evalLocal(t *testing.T, q string, nodes []*dom.Node) (xdm.Sequence, error) 
 	}
 	res, err := p.Run(xquery.RunConfig{
 		Collections: func(string) ([]*dom.Node, error) { return nodes, nil },
-		Sequential:  true,
 	})
 	if err != nil {
 		return nil, err
@@ -208,11 +207,11 @@ func shipOracle(t *testing.T, q string, agg bool, docs map[string]string, extra 
 }
 
 type fedMode struct {
-	unshipped, pure bool
+	unshipped bool
 }
 
 func (m fedMode) String() string {
-	return fmt.Sprintf("unshipped=%v pure=%v", m.unshipped, m.pure)
+	return fmt.Sprintf("unshipped=%v", m.unshipped)
 }
 
 // evalFed runs q over the federation.
@@ -227,7 +226,6 @@ func evalFed(t *testing.T, x *Executor, q string, m fedMode) (xdm.Sequence, erro
 		Collections:     x.CollectionResolver(ctx),
 		CollectionsIter: x.CollectionIterResolver(ctx),
 		CollectionsShip: x.CollectionShipResolver(ctx),
-		Sequential:      !m.pure,
 		DisableIndexes:  m.unshipped,
 	})
 	if err != nil {
@@ -244,9 +242,7 @@ func TestShippedMatchesUnshipped(t *testing.T) {
 			x, _ := shipFederation(t, ShardModule, docs, k, Config{})
 			for _, c := range shipQueries {
 				want := shipOracle(t, c.q, c.agg, docs)
-				for _, m := range []fedMode{
-					{}, {pure: true}, {unshipped: true},
-				} {
+				for _, m := range []fedMode{{}, {unshipped: true}} {
 					label := fmt.Sprintf("%d docs, %d shards, %s\n  %s", n, k, m, c.q)
 					shippedBefore := Snapshot().Shipped
 					seq, err := evalFed(t, x, c.q, m)
@@ -310,7 +306,7 @@ func TestShippedDegradesLikeUnshipped(t *testing.T) {
 	for _, c := range shipQueries {
 		want := shipOracle(t, c.q, c.agg, live, diagnostic)
 		sawDiagnostic = sawDiagnostic || strings.Join(want, "\n") != strings.Join(shipOracle(t, c.q, c.agg, live), "\n")
-		for _, m := range []fedMode{{}, {pure: true}, {unshipped: true}} {
+		for _, m := range []fedMode{{}, {unshipped: true}} {
 			ResetStats()
 			seq, err := evalFed(t, partial, c.q, m)
 			if err != nil {

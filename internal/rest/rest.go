@@ -255,7 +255,6 @@ func (s *ModuleServer) call(reqCtx context.Context, name, argsXML string) (out [
 		Docs:            s.docs,
 		Collections:     s.Collections,
 		CollectionsIter: s.CollectionsIter,
-		Sequential:      true,
 		MaxSteps:        s.MaxSteps,
 		Timeout:         s.Timeout,
 	})

@@ -124,7 +124,7 @@ func TestPaperReplaceWithServiceResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(xquery.RunConfig{ContextItem: xdm.NewNode(page), Sequential: true}); err != nil {
+	if _, err := prog.Run(xquery.RunConfig{ContextItem: xdm.NewNode(page)}); err != nil {
 		t.Fatal(err)
 	}
 	got := page.Elements("value")[0].StringValue()

@@ -357,11 +357,10 @@ func (p *Pool) Eval(ctx context.Context, src string, contextDoc *dom.Node) (seq 
 	default:
 	}
 	cfg := xquery.RunConfig{
-		Context:    ctx,
-		Sequential: true,
-		MaxSteps:   p.cfg.MaxSteps,
-		Timeout:    p.cfg.Timeout,
-		Strict:     p.cfg.Strict,
+		Context:  ctx,
+		MaxSteps: p.cfg.MaxSteps,
+		Timeout:  p.cfg.Timeout,
+		Strict:   p.cfg.Strict,
 	}
 	if st := p.cfg.Store; st != nil {
 		cfg.Docs = st.Resolver()

@@ -34,7 +34,6 @@ func (s *Store) run(prog *xquery.Program, doc *dom.Node) (string, error) {
 		ContextItem: xdm.NewNode(doc),
 		Docs:        s.Resolver(),
 		Collections: s.CollectionResolver(),
-		Sequential:  true,
 	})
 	if err != nil {
 		return "", err

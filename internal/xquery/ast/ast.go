@@ -169,16 +169,21 @@ type FLWOR struct {
 	// the clause at Join.Clause — always the last one — can be executed
 	// as the build side of a hash join instead of a nested loop. The
 	// annotated predicate is removed from Where and kept in Join.Pred:
-	// the evaluator either hashes or, where it may not (scripting
-	// snapshots, keys outside the string class), applies Join.Pred to
-	// every tuple in the place the conjunct had, first. Only the
-	// optimizer (internal/xquery/plan) writes this field, and only on
-	// its own copies of the tree — parsed modules never carry it.
+	// the evaluator either hashes or, where it may not (keys outside the
+	// string class), applies Join.Pred to every tuple in the place the
+	// conjunct had, first. Only the optimizer (internal/xquery/plan)
+	// writes this field, and only on its own copies of the tree —
+	// parsed modules never carry it.
 	Join *JoinPlan
 
 	// Ship, when non-nil, is the planner's per-document annotation on a
 	// FLWOR ranging over a collection path (see ShipPlan).
 	Ship *ShipPlan
+
+	// StreamDomain is the planner's: the FLWOR cannot apply an update
+	// before it ends, so its for domains stream. The zero value
+	// snapshots them, which is right whatever the loop does.
+	StreamDomain bool
 }
 
 // JoinPlan annotates a FLWOR with a detected equality join (see
@@ -197,11 +202,11 @@ type JoinPlan struct {
 
 // Hoisted marks a loop-invariant let value or where conjunct of a
 // FLWOR: the evaluator computes it at most once per entry of that FLWOR
-// (memoised at first use, so a zero-iteration loop never evaluates it)
-// unless scripting snapshots are on. Anywhere else it is a transparent
-// wrapper, like Ordered. Only the optimizer constructs it, and only in
-// those two places; Slot numbers the hoisted expressions of one FLWOR
-// from 0, which is how the entry finds each one's memo.
+// (memoised at first use, so a zero-iteration loop never evaluates it).
+// Anywhere else it is a transparent wrapper, like Ordered. Only the
+// optimizer constructs it, and only in those two places; Slot numbers
+// the hoisted expressions of one FLWOR from 0, which is how the entry
+// finds each one's memo.
 type Hoisted struct {
 	X    Expr
 	Slot int
@@ -230,6 +235,8 @@ type Quantified struct {
 	Every     bool
 	Vars      []Clause // For is true for all of them
 	Satisfies Expr
+	// StreamDomain is the planner's, as on FLWOR.
+	StreamDomain bool
 }
 
 // Typeswitch is the typeswitch expression.

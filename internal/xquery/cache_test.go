@@ -27,7 +27,7 @@ func TestCacheProgramHit(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 compile / 1 hit / 1 parse", st)
 	}
 
-	res, err := p2.Run(RunConfig{Sequential: true})
+	res, err := p2.Run(RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

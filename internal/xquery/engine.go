@@ -448,11 +448,9 @@ type RunConfig struct {
 	Hooks runtime.Hooks
 	// Variables are external variable bindings.
 	Variables map[dom.QName]xdm.Sequence
-	// Sequential enables scripting snapshot semantics: pending updates
-	// apply after every statement. When false, updates apply once at the
-	// end of the run (pure XQuery Update semantics).
-	Sequential bool
-	// OnUpdate is called for each applied update primitive.
+	// OnUpdate is called for each applied update primitive. A run
+	// applies its pending updates after every block statement and while
+	// iteration, and once at its end (DESIGN.md §5w).
 	OnUpdate func(update.Primitive)
 	// Now fixes the evaluation's current dateTime (defaults to
 	// time.Now).
@@ -483,16 +481,6 @@ type RunConfig struct {
 	// Cache.EvalQuery, Strict additionally keeps rejected programs out
 	// of the program cache.
 	Strict bool
-}
-
-// applyPUL applies a pending update list through the one apply path
-// (update.ApplyPruned).
-func (cfg *RunConfig) applyPUL(pul *update.PUL, onChange func(update.Primitive)) error {
-	eliminated, err := pul.ApplyPruned(onChange)
-	if cfg.Profiler != nil {
-		cfg.Profiler.AddUpdates("eliminated", int64(eliminated))
-	}
-	return err
 }
 
 // ErrBudgetExceeded matches (via errors.Is) the error returned when a
@@ -560,11 +548,7 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	for name, val := range cfg.Variables {
 		ctx.Bind(name, val)
 	}
-	if cfg.Sequential {
-		ctx.SnapshotApply = func(pul *update.PUL) error {
-			return cfg.applyPUL(pul, cfg.OnUpdate)
-		}
-	}
+	ctx.Observe(cfg.OnUpdate)
 	return ctx
 }
 
@@ -589,40 +573,14 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 		cfg.Profiler.AddRewrites("hoist", int64(st.Hoists))
 		cfg.Profiler.AddRewrites("join", int64(st.Joins))
 	}
-	res, err := finishRun(ctx, cfg, ctx.Run)
+	// The engine's panic-isolation boundary: a panic anywhere in
+	// evaluation or PUL application comes back as an error matching
+	// xqerr.ErrInternal instead of unwinding into the host.
+	val, applied, err := ctx.Finish("xquery.Run", ctx.Run)
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics = diags
-	return res, nil
-}
-
-// finishRun evaluates and applies pending updates behind the engine's
-// panic-isolation boundary: a panic anywhere in evaluation or PUL
-// application recovers into an error matching xqerr.ErrInternal
-// instead of unwinding into the host.
-func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, error)) (res *Result, err error) {
-	defer xqerr.RecoverInto(&err, "xquery.Run")
-	applied := 0
-	count := func(pr update.Primitive) {
-		applied++
-		if cfg.OnUpdate != nil {
-			cfg.OnUpdate(pr)
-		}
-	}
-	if cfg.Sequential {
-		ctx.SnapshotApply = func(pul *update.PUL) error { return cfg.applyPUL(pul, count) }
-	}
-	val, err := eval()
-	if err != nil {
-		return nil, err
-	}
-	if ctx.PUL != nil && !ctx.PUL.Empty() {
-		if err := cfg.applyPUL(ctx.PUL, count); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Value: val, Updates: applied}, nil
+	return &Result{Value: val, Updates: applied, Diagnostics: diags}, nil
 }
 
 // seqHasNodes reports whether any item of s is a node.
@@ -651,7 +609,7 @@ func (e *Engine) EvalQueryContext(ctx context.Context, src string, contextDoc *d
 	if err != nil {
 		return nil, err
 	}
-	cfg := RunConfig{Sequential: true, Context: ctx}
+	cfg := RunConfig{Context: ctx}
 	if contextDoc != nil {
 		cfg.ContextItem = xdm.NewNode(contextDoc)
 	}

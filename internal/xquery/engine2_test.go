@@ -330,7 +330,7 @@ func TestUpdateAttributeInsertConflict(t *testing.T) {
 	e := New()
 	// Inserting a duplicate attribute must fail at apply time.
 	p := e.MustCompile(`insert node attribute year {"1999"} into //book[1]`)
-	_, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Sequential: true})
+	_, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc)})
 	// SetAttr overwrites; per our documented semantics this succeeds and
 	// overwrites — verify deterministic behaviour either way.
 	if err == nil {

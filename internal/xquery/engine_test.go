@@ -350,7 +350,7 @@ func TestUpdateExpressions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %q: %v", q, err)
 		}
-		_, err = p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Sequential: true})
+		_, err = p.Run(RunConfig{ContextItem: xdm.NewNode(doc)})
 		if err != nil {
 			t.Fatalf("run %q: %v", q, err)
 		}
@@ -504,7 +504,7 @@ func TestScriptingVisibleSideEffects(t *testing.T) {
 		insert node <book title="starwars"/> into /books;
 		insert node <comment>6 movies</comment> into //book[@title="starwars"];
 	}`)
-	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Sequential: true}); err != nil {
+	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc)}); err != nil {
 		t.Fatal(err)
 	}
 	got := mustEval(t, `string(//book/comment)`, doc)
@@ -585,7 +585,7 @@ func TestPaperExamples(t *testing.T) {
 		if (exists(//div[contains(., 'love')]))
 		then insert node <img src="http://example.com/heart.gif"/> as first into /html/body
 		else ()`)
-	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(page), Sequential: true}); err != nil {
+	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(page)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustEval(t, `name(/html/body/*[1])`, page); got != "img" {

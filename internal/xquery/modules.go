@@ -86,16 +86,12 @@ func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleR
 				Updating:   decl.Updating,
 				Sequential: decl.Sequential,
 				Invoke: func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-					// Evaluate in the library's own context but share
-					// the caller's external interfaces and pending
-					// update list so library updates take effect in the
-					// caller's snapshot.
-					lctx := runtime.NewContext(libProg.Runtime())
-					lctx.Docs = ctx.Docs
-					lctx.Hooks = ctx.Hooks
-					lctx.Now = ctx.Now
-					lctx.PUL = ctx.PUL
-					lctx.Ambient = ctx.Ambient
+					// The library's own context, inside the caller's run,
+					// over the caller's external interfaces.
+					lctx := ctx.ContextFor(libProg.Runtime())
+					lctx.Docs, lctx.Hooks, lctx.Ambient = ctx.Docs, ctx.Hooks, ctx.Ambient
+					lctx.Collections, lctx.CollectionsIter, lctx.CollectionsShip =
+						ctx.Collections, ctx.CollectionsIter, ctx.CollectionsShip
 					if err := lctx.InitGlobals(); err != nil {
 						return nil, err
 					}

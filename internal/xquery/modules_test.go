@@ -1,8 +1,11 @@
 package xquery
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/markup"
 	"repro/internal/xdm"
@@ -68,11 +71,35 @@ declare updating function u:mark($target) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(doc), Sequential: true}); err != nil {
+	if _, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(doc)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := markup.Serialize(doc); got != `<root><marked/></root>` {
 		t.Errorf("library update lost: %s", got)
+	}
+}
+
+// An imported function runs inside the caller's run: it spends the
+// caller's step budget and stops when the caller's context is done, as
+// the same body declared in the main module does.
+func TestLibraryFunctionRunsInsideTheCallersRun(t *testing.T) {
+	resolver := NewLocalResolver(map[string]string{"urn:m": `module namespace m = "urn:m";
+		declare function m:spin() { count(1 to 3000000) };`})
+	e := New(WithModuleResolver(resolver))
+	for _, src := range []string{
+		`import module namespace m = "urn:m"; m:spin()`,
+		`declare function local:spin() { count(1 to 3000000) }; local:spin()`,
+	} {
+		p := e.MustCompile(src)
+		if res, err := p.Run(RunConfig{MaxSteps: 1000}); !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%s under MaxSteps 1000: %v, %v; want ErrBudgetExceeded", src, res, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		res, err := p.Run(RunConfig{Context: ctx})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s under a 1 ms context: %v, %v; want context.DeadlineExceeded", src, res, err)
+		}
 	}
 }
 

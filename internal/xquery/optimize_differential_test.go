@@ -212,20 +212,8 @@ func runOutcome(tb testing.TB, p *Program, docXML string, cfg RunConfig) string 
 	return FormatSequence(res.Value, markup.AppendXML) + " | " + pul.String() + "| " + markup.Serialize(doc)
 }
 
-// optimizerRunModes are the evaluator configurations every optimizer
-// differential crosses: scripting snapshots off and on (the optimized
-// tree runs as it is in both: the static midLoop rule, not the run
-// mode, keeps rewrites off a loop that can apply a snapshot).
-var optimizerRunModes = []struct {
-	name string
-	cfg  RunConfig
-}{
-	{"default", RunConfig{}},
-	{"Sequential", RunConfig{Sequential: true}},
-}
-
-// diffOptimized runs src optimized and as the oracle in every run mode
-// and reports where the outcomes differ. ok is false when src does not
+// diffOptimized runs src optimized and as the oracle and reports where
+// the outcomes differ. ok is false when src does not
 // compile or some run ran out of budget (the two trees legitimately
 // spend different step counts on one query).
 func diffOptimized(tb testing.TB, e *Engine, src, docXML string, maxSteps int64, timeout time.Duration) (diffs []string, ok bool) {
@@ -238,24 +226,20 @@ func diffOptimized(tb testing.TB, e *Engine, src, docXML string, maxSteps int64,
 	if err != nil {
 		tb.Fatalf("%q compiles, its oracle does not: %v", src, err)
 	}
-	for _, m := range optimizerRunModes {
-		cfg := m.cfg
-		cfg.MaxSteps, cfg.Timeout = maxSteps, timeout
-		cfg.Now = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-		got, want := runOutcome(tb, opt, docXML, cfg), runOutcome(tb, oracle, docXML, cfg)
-		if strings.Contains(got, ErrBudgetExceeded.Error()) || strings.Contains(want, ErrBudgetExceeded.Error()) {
-			return nil, false
-		}
-		if got != want {
-			diffs = append(diffs, fmt.Sprintf("%s\n%s, optimized: %s\n%s, oracle:    %s", src, m.name, got, m.name, want))
-		}
+	cfg := RunConfig{MaxSteps: maxSteps, Timeout: timeout, Now: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	got, want := runOutcome(tb, opt, docXML, cfg), runOutcome(tb, oracle, docXML, cfg)
+	if strings.Contains(got, ErrBudgetExceeded.Error()) || strings.Contains(want, ErrBudgetExceeded.Error()) {
+		return nil, false
+	}
+	if got != want {
+		diffs = append(diffs, fmt.Sprintf("%s\noptimized: %s\noracle:    %s", src, got, want))
 	}
 	return diffs, true
 }
 
 // TestCompileDifferential holds what Engine.Compile produces to the
 // annotate-only oracle: values, applied primitives, final documents and
-// error text byte-identical, in every run mode.
+// error text byte-identical.
 func TestCompileDifferential(t *testing.T) {
 	e := New()
 	for _, src := range compileDifferentialCorpus {
@@ -269,9 +253,10 @@ func TestCompileDifferential(t *testing.T) {
 	}
 }
 
-// TestCompileDifferentialStreamingMatrix crosses the two trees with
-// scripting snapshots off and on, which stream and snapshot the
-// domains of for clauses: four configurations, one answer.
+// TestCompileDifferentialStreamingMatrix holds three trees of each
+// query to one answer: the optimized and the annotate-only one, whose
+// pure loops the planner marked to stream their domains, and one nobody
+// planned, whose every domain is snapshotted (the zero value).
 func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 	e := New()
 	queries := []string{
@@ -279,6 +264,7 @@ func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 		`for $b in //book where $b/@id = "b2" return $b/title/string()`,
 		`for $b in //book let $n := count(//book) order by $b/@id descending return concat($b/@id, $n)`,
 		`sum(for $i in 1 to 100 return $i)`,
+		`some $b in //book satisfies $b/@year > 2000`,
 	}
 	for _, src := range queries {
 		opt := e.MustCompile(src)
@@ -286,23 +272,29 @@ func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m, err := parser.ParseModule(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnsurePlanned(func() {})
+		unplanned, err := e.CompileModule(m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := runOutcome(t, opt, libraryXML, RunConfig{MaxSteps: 500_000})
-		for i, p := range []*Program{opt, oracle} {
-			for _, sequential := range []bool{false, true} {
-				if got := runOutcome(t, p, libraryXML, RunConfig{MaxSteps: 500_000, Sequential: sequential}); got != want {
-					t.Errorf("%q, program %d, Sequential %v: %q != %q", src, i, sequential, got, want)
-				}
+		for i, p := range []*Program{oracle, unplanned} {
+			if got := runOutcome(t, p, libraryXML, RunConfig{MaxSteps: 500_000}); got != want {
+				t.Errorf("%q, program %d: %q != %q", src, i, got, want)
 			}
 		}
 	}
 }
 
 // TestSequentialPushdownRepro: the loop body marks the next item before
-// its turn comes, so under scripting snapshots the where clause must see
-// the mark — which it does not when the conjunct was pushed into the
-// domain, computed before the first tuple. The optimizer refuses the
-// rewrite (plan/optimize.go), so the program answers the same optimized
-// or not, streamed or not.
+// its turn comes, so the where clause must see the mark — which it does
+// not when the conjunct was pushed into the domain, computed before the
+// first tuple. The optimizer refuses the rewrite (plan/optimize.go), so
+// the program answers the same optimized or not.
 func TestSequentialPushdownRepro(t *testing.T) {
 	const (
 		doc = `<r><item id="1" s="new"/><item id="2" s="new"/><item id="3" s="new"/></r>`
@@ -321,17 +313,11 @@ func TestSequentialPushdownRepro(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []*Program{opt, oracle} {
-		for _, m := range optimizerRunModes {
-			got := runOutcome(t, p, doc, m.cfg)
-			// Pure update semantics: nothing applies before the end.
-			want := `1 2 3 | <r><item id="1" s="new"/><item id="2" s="done"/><item id="3" s="done"/></r>`
-			if m.cfg.Sequential {
-				want = `1 3 | <r><item id="1" s="new"/><item id="2" s="done"/><item id="3" s="new"/></r>`
-			}
-			value, rest, _ := strings.Cut(got, " | ")
-			if got := value + rest[strings.LastIndex(rest, " | "):]; got != want {
-				t.Errorf("%s: %s, want %s", m.name, got, want)
-			}
+		got := runOutcome(t, p, doc, RunConfig{})
+		want := `1 3 | <r><item id="1" s="new"/><item id="2" s="done"/><item id="3" s="new"/></r>`
+		value, rest, _ := strings.Cut(got, " | ")
+		if got := value + rest[strings.LastIndex(rest, " | "):]; got != want {
+			t.Errorf("%s, want %s", got, want)
 		}
 	}
 }

@@ -75,8 +75,7 @@ var joinXML = `<shop>
 // output tuple order (outer order major, document order of the build
 // side minor), empty and duplicate key groups, the fallback when keys
 // leave the string comparison class, and which error surfaces first —
-// in every run mode, and against the nested loop of the annotate-only
-// oracle.
+// against the nested loop of the annotate-only oracle.
 func TestHashJoinCorrectness(t *testing.T) {
 	e := New()
 	tests := []struct {
@@ -138,16 +137,14 @@ func TestHashJoinCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range optimizerRunModes {
-			got, want := runOutcome(t, p, joinXML, m.cfg), runOutcome(t, oracle, joinXML, m.cfg)
-			if got != want {
-				t.Errorf("%q, %s: got %q, the nested loop %q", tt.src, m.name, got, want)
-			}
-			value, _, _ := strings.Cut(got, " | ")
-			if failed := strings.HasPrefix(value, "error: "); failed != tt.fails ||
-				failed && !strings.Contains(value, tt.want) || !failed && value != tt.want {
-				t.Errorf("%q, %s: got %q, want %q (fails: %v)", tt.src, m.name, value, tt.want, tt.fails)
-			}
+		got, want := runOutcome(t, p, joinXML, RunConfig{}), runOutcome(t, oracle, joinXML, RunConfig{})
+		if got != want {
+			t.Errorf("%q: got %q, the nested loop %q", tt.src, got, want)
+		}
+		value, _, _ := strings.Cut(got, " | ")
+		if failed := strings.HasPrefix(value, "error: "); failed != tt.fails ||
+			failed && !strings.Contains(value, tt.want) || !failed && value != tt.want {
+			t.Errorf("%q: got %q, want %q (fails: %v)", tt.src, value, tt.want, tt.fails)
 		}
 	}
 }
@@ -191,10 +188,9 @@ func TestProfilerRewriteCounters(t *testing.T) {
 }
 
 // TestHoistedLetOncePerEntry: a hoisted let is evaluated once per entry
-// of its FLWOR, not once per tuple — in a Sequential run too, the mode
-// every production caller uses. Where the memo would be wrong (a loop
-// that can apply a snapshot mid-loop) the optimizer hoists nothing, so
-// no run-time switch is needed.
+// of its FLWOR, not once per tuple. Where the memo would be wrong (a
+// loop that can apply a snapshot mid-loop) the optimizer hoists
+// nothing, so no run-time switch is needed.
 func TestHoistedLetOncePerEntry(t *testing.T) {
 	e := New()
 	doc := libraryDoc(t)
@@ -207,9 +203,9 @@ func TestHoistedLetOncePerEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := func(p *Program, sequential bool) int64 {
+	calls := func(p *Program) int64 {
 		prof := runtime.NewProfiler()
-		if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: prof, Sequential: sequential}); err != nil {
+		if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: prof}); err != nil {
 			t.Fatal(err)
 		}
 		for _, en := range prof.Entries() {
@@ -219,13 +215,11 @@ func TestHoistedLetOncePerEntry(t *testing.T) {
 		}
 		return 0
 	}
-	for _, sequential := range []bool{false, true} {
-		if got := calls(p, sequential); got != 1 {
-			t.Errorf("Sequential %v: count(//book) evaluated %d times, want once per entry", sequential, got)
-		}
-		if got := calls(oracle, sequential); got != 20 {
-			t.Errorf("Sequential %v: the unoptimized loop evaluated count(//book) %d times, want 20", sequential, got)
-		}
+	if got := calls(p); got != 1 {
+		t.Errorf("count(//book) evaluated %d times, want once per entry", got)
+	}
+	if got := calls(oracle); got != 20 {
+		t.Errorf("the unoptimized loop evaluated count(//book) %d times, want 20", got)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestPaper32UpdateListings(t *testing.T) {
 		replace value of node
 		doc("bill.xml")/bill/items/item[@id="computer"]/price
 		with 1500`)
+	// §3.2: no scripting construct, so all modifications apply at the end.
 	_, err = prog.Run(RunConfig{
-		Sequential: false, // §3.2: all modifications at the end
 		Docs: func(uri string) (*dom.Node, error) {
 			switch uri {
 			case "library.xml":
@@ -80,7 +80,6 @@ func TestPaper33ScriptingListing(t *testing.T) {
 		  insert node <comment>6 movies</comment> into $b; }`)
 	_, err = prog.Run(RunConfig{
 		ContextItem: xdm.NewNode(src),
-		Sequential:  true,
 		Docs: func(uri string) (*dom.Node, error) {
 			if uri == "lib.xml" {
 				return lib, nil

@@ -53,9 +53,8 @@ func (c *Cache) EvalPerDocument(e *Engine, src string, parent *runtime.Context, 
 	if err != nil {
 		return err
 	}
-	ctx := runtime.NewContext(p.prog)
+	ctx := parent.ContextFor(p.prog)
 	ctx.PUL = nil // nothing admitted updates; the evaluator would refuse it as well
-	ctx.Budget, ctx.IO, ctx.Now = parent.Budget, parent.IO, parent.Now
 	ctx.NoIndexBuild = true
 	ctx.Pos, ctx.Size = 1, 1
 	for _, it := range docs {

@@ -49,9 +49,9 @@ import (
 //     of a name neither the module nor the library table declares (a
 //     host or imported function, whose effects only a binding knows).
 //     Pushdown moves a conjunct from "tested per tuple" to "tested when
-//     the domain is computed"; under scripting snapshots the domain is
-//     computed before the first tuple, so an update the body applied
-//     mid-loop would no longer be seen;
+//     the domain is computed"; such a loop snapshots its domain before
+//     the first tuple (the planner leaves its StreamDomain clear), so an
+//     update the body applied mid-loop would no longer be seen;
 //   - a conjunct that reads the surrounding focus (EffReadsFocus) is not
 //     pushed down: in a predicate the focus is each candidate.
 
@@ -241,7 +241,7 @@ func (o *optimizer) flatten(f ast.FLWOR) ast.FLWOR {
 		for i := range conj {
 			conj[i] = o.unhoist(conj[i])
 		}
-		f = ast.FLWOR{Clauses: clauses, Where: andChain(conj), Return: inner.Return}
+		f = ast.FLWOR{Clauses: clauses, Where: andChain(conj), Return: inner.Return, StreamDomain: f.StreamDomain}
 		o.flattens++
 	}
 	return f
@@ -788,7 +788,7 @@ func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 		for i := range orderBy {
 			orderBy[i].Key = f(orderBy[i].Key)
 		}
-		out := ast.FLWOR{Clauses: clauses, OrderBy: orderBy, Return: f(x.Return), Ship: x.Ship}
+		out := ast.FLWOR{Clauses: clauses, OrderBy: orderBy, Return: f(x.Return), Ship: x.Ship, StreamDomain: x.StreamDomain}
 		if x.Where != nil {
 			out.Where = f(x.Where)
 		}
@@ -802,7 +802,7 @@ func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 		for i := range vars {
 			vars[i].In = f(vars[i].In)
 		}
-		return ast.Quantified{Every: x.Every, Vars: vars, Satisfies: f(x.Satisfies)}
+		return ast.Quantified{Every: x.Every, Vars: vars, Satisfies: f(x.Satisfies), StreamDomain: x.StreamDomain}
 	case ast.Typeswitch:
 		cases := make([]ast.TypeswitchCase, len(x.Cases))
 		copy(cases, x.Cases)

@@ -25,16 +25,19 @@
 //   - every enclosed expression of a constructor and every insert or
 //     replace source that is fresh — its nodes were built for that very
 //     evaluation and nothing else can reach them — is marked for
-//     adoption, so the node is taken instead of copied (fresh.go).
+//     adoption, so the node is taken instead of copied (fresh.go);
+//   - a FLWOR or quantifier that cannot apply an update before it ends
+//     (props.go's midLoop column) streams its domains (StreamDomain).
 //
 // Access methods and the attribute-comparison kind are advisory: the
 // evaluator re-applies the node test and every predicate to probed
 // candidates, falls back to scanning whenever an index cannot answer,
 // and hands a predicate whose key is not strings to the generic
 // predicate stage, so a wrong plan can cost time but never correctness.
-// PredSized is not advisory — it is what gives last() its value — which
-// is why it is the zero value: a predicate nobody planned is evaluated
-// the always-correct way. The evaluator reads the annotations, and
+// PredSized and a clear StreamDomain are not advisory — one gives
+// last() its value, the other keeps a loop from seeing its own updates
+// — which is why each is the zero value: what nobody planned runs the
+// always-correct way. The evaluator reads the annotations, and
 // the static analyzer's cost model reads them to price indexed steps at
 // O(matches) instead of O(tree).
 //
@@ -117,6 +120,9 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 	case ast.FuncCall:
 		x.Ship = p.in.shipCount(x)
 		return x
+	case ast.Quantified:
+		x.StreamDomain = p.in.infer(x).eff&midLoop == 0
+		return x
 	case ast.DirElem:
 		var adopt []bool // a list of the planner's own: the copy shares its original's
 		for i, c := range x.Content {
@@ -156,6 +162,7 @@ func (p *planner) flwor(f ast.FLWOR) ast.Expr {
 		return c
 	}).(ast.FLWOR)
 	p.lets = p.lets[:mark]
+	x.StreamDomain = p.in.infer(x).eff&midLoop == 0
 	x.Ship = p.in.shipFLWOR(x)
 	return x
 }

@@ -263,3 +263,47 @@ for $b in //book[@year = $v] where $b/@id = "b2" return $b`)
 		t.Errorf("pushed variable key: plans %+v", step.PredPlans)
 	}
 }
+
+// TestStreamDomain: the planner lets a FLWOR or quantifier stream its
+// domains exactly when evaluating it cannot apply an update before it
+// ends (the midLoop column): updates that wait for the end do not stop
+// it, a sequential or scripted call, an event statement or a call
+// nobody can answer for does — in the domain as in the body.
+func TestStreamDomain(t *testing.T) {
+	const fns = `declare sequential function local:seq() { 1 };
+		declare function local:scripted() { exit returning 1 };
+		declare function local:pure($x) { $x };
+		declare sequential function local:l($evt, $obj) { () }; `
+	for _, c := range []struct {
+		src    string
+		stream bool
+	}{
+		{`for $x in //a return $x/@id`, true},
+		{`for $x in //a let $y := local:pure($x) where $y return $y`, true},
+		{`for $x in //a return insert node <b/> into $x`, true},
+		{`for $x in //a return local:seq()`, false},
+		{`for $x in local:seq() return $x`, false},
+		{`for $x in //a order by local:scripted() return $x`, false},
+		{`for $x in //a return on event "e" at $x attach listener local:l`, false},
+		{`for $x in //a return browser:alert("x")`, false},
+		{`some $x in //a satisfies exists($x)`, true},
+		{`some $x in //a, $y in $x/b satisfies local:seq()`, false},
+		{`every $x in //a satisfies $x/@id = "1"`, true},
+		{`every $x in local:scripted() satisfies $x`, false},
+		{`every $x in //a satisfies browser:alert("x")`, false},
+	} {
+		m, body := plannedBody(t, fns+c.src)
+		var got bool
+		switch x := body.(type) {
+		case ast.FLWOR:
+			got = x.StreamDomain
+		case ast.Quantified:
+			got = x.StreamDomain
+		default:
+			t.Fatalf("%s: planned to %T", c.src, body)
+		}
+		if clear := newInference(m).infer(body).eff&midLoop == 0; got != c.stream || got != clear {
+			t.Errorf("%s: StreamDomain %v, want %v (midLoop clear: %v)", c.src, got, c.stream, clear)
+		}
+	}
+}

@@ -108,7 +108,7 @@ func (in *inference) shipFLWOR(f ast.FLWOR) *ast.ShipPlan {
 	}
 	clauses := append([]ast.Clause(nil), f.Clauses...)
 	clauses[0].In = perDocument(steps)
-	perDoc := ast.FLWOR{Clauses: clauses, Where: f.Where, Return: f.Return}
+	perDoc := ast.FLWOR{Clauses: clauses, Where: f.Where, Return: f.Return, StreamDomain: f.StreamDomain}
 	if !closed(perDoc, nil) {
 		return nil
 	}

@@ -167,11 +167,10 @@ func (ctx *Context) evalEBV(e ast.Expr) (bool, error) {
 }
 
 // domain is the binding sequence of a for clause or a quantifier. It
-// streams, except in Sequential (scripting) mode, which snapshots it:
-// the body may apply updates between iterations, and the domain must
-// be fixed before the first one.
-func (ctx *Context) domain(e ast.Expr) xdm.Iter {
-	if ctx.SnapshotApply == nil {
+// streams where the planner marked the loop (StreamDomain); elsewhere
+// the loop may apply updates between items, so it is fixed first.
+func (ctx *Context) domain(e ast.Expr, stream bool) xdm.Iter {
+	if stream {
 		return ctx.EvalIter(e)
 	}
 	val, err := ctx.Eval(e)
@@ -340,7 +339,7 @@ func (en *flworEntry) clause(c *Context, i int) error {
 	// The return clause runs as domain items arrive, so a consumer
 	// that stops early (EBV, a positional filter on the FLWOR) stops
 	// the walk too.
-	domain := c.domain(cl.In)
+	domain := c.domain(cl.In, f.StreamDomain)
 	var lf loopFrame
 	pos := 0
 	for {
@@ -501,7 +500,7 @@ func (ctx *Context) evalQuantified(q ast.Quantified) (xdm.Sequence, error) {
 			return c.evalEBV(q.Satisfies)
 		}
 		cl := q.Vars[i]
-		domain := c.domain(cl.In)
+		domain := c.domain(cl.In, q.StreamDomain)
 		var lf loopFrame
 		for {
 			item, more, err := domain.Next()

@@ -374,12 +374,8 @@ type Context struct {
 	Now             time.Time
 
 	// PUL accumulates update primitives; nil forbids updating
-	// expressions. SnapshotApply, when non-nil, is called after every
-	// sequential statement to make side effects visible (scripting
-	// semantics); when nil the PUL just accumulates (pure XQuery +
-	// Update semantics: apply at end of query).
-	PUL           *update.PUL
-	SnapshotApply func(*update.PUL) error
+	// expressions. applyPending applies it.
+	PUL *update.PUL
 
 	// Profiler, when non-nil, collects per-expression statistics (§7
 	// future-work tooling); nil costs nothing.
@@ -424,16 +420,27 @@ type Context struct {
 	// invocation, like PUL and Budget.
 	ft *ftState
 
+	// apply is the run's apply state; nil where the list waits for
+	// someone else (the modify clause of a copy-modify expression).
+	apply *applier
+
 	env     *env
 	globals *env
 }
 
 // NewContext builds a root context for the program.
 func NewContext(p *Program) *Context {
-	ctx := &Context{Prog: p, Now: time.Now(), PUL: &update.PUL{}, ft: newFTState()}
-	ctx.env = nil
-	ctx.globals = nil
-	return ctx
+	return &Context{Prog: p, Now: time.Now(), PUL: &update.PUL{}, ft: newFTState(), apply: &applier{}}
+}
+
+// ContextFor builds a root context for p inside ctx's run (an imported
+// library's function, a per-document expression): it shares the run's
+// budget, cancellation, clock, profiler, index switches, call depth,
+// pending update list and apply state, and sets nothing else.
+func (ctx *Context) ContextFor(p *Program) *Context {
+	return &Context{Prog: p, Now: ctx.Now, PUL: ctx.PUL, apply: ctx.apply, ft: newFTState(),
+		Profiler: ctx.Profiler, Budget: ctx.Budget, IO: ctx.IO,
+		NoIndex: ctx.NoIndex, NoIndexBuild: ctx.NoIndexBuild, depth: ctx.depth}
 }
 
 // IOContext returns the run's context for outbound I/O (never nil):
@@ -498,9 +505,8 @@ func (ctx *Context) InitGlobals() error {
 	return nil
 }
 
-// Run initialises globals and evaluates the module body. Pending
-// updates are left in ctx.PUL for the host to apply (unless
-// SnapshotApply consumed them along the way).
+// Run initialises globals and evaluates the module body. What the
+// last statement left pending stays in ctx.PUL, for Finish to apply.
 func (ctx *Context) Run() (xdm.Sequence, error) {
 	if err := ctx.InitGlobals(); err != nil {
 		return nil, err
@@ -598,11 +604,14 @@ func (lf *loopFrame) bindAt(outer *Context, name dom.QName, val xdm.Sequence, po
 // chain, locals and globals, is copied as it is now (the globals are
 // the chain's oldest frames: every binding goes on top of them), and
 // the budget is forked. Later assignments and loop rebinding are not
-// seen by, and do not race with, the copy.
+// seen by, and do not race with, the copy. The copy has no pending
+// update list, so an updating expression in it fails: the caller's
+// list goes on filling and applying on the caller's goroutine.
 func (ctx *Context) detach() *Context {
 	c := *ctx
 	c.env, c.globals = copyChain(ctx.env, ctx.globals)
 	c.Budget = ctx.Budget.Fork()
+	c.PUL = nil
 	return &c
 }
 

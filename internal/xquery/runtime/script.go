@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/xdm"
+	"repro/internal/xqerr"
 	"repro/internal/xquery/ast"
 	"repro/internal/xquery/update"
 )
@@ -163,8 +164,7 @@ func (ctx *Context) evalTransform(x ast.Transform) (xdm.Sequence, error) {
 		c = c.withBinding(b.Var, xdm.Singleton(xdm.NewNode(cp)))
 	}
 	inner := *c
-	inner.PUL = &update.PUL{}
-	inner.SnapshotApply = nil
+	inner.PUL, inner.apply = &update.PUL{}, nil
 	if _, err := inner.Eval(x.Modify); err != nil {
 		return nil, err
 	}
@@ -214,8 +214,8 @@ func (ctx *Context) evalSingleNode(e ast.Expr, what string) (*dom.Node, error) {
 
 // evalBlock runs statements sequentially: declarations extend the local
 // scope, each statement's pending updates are applied before the next
-// statement runs (when the host enabled snapshots), and the block's
-// value is the value of its last statement.
+// statement runs, and the block's value is the value of its last
+// statement.
 func (ctx *Context) evalBlock(b ast.Block) (xdm.Sequence, error) {
 	cur := ctx
 	var last xdm.Sequence
@@ -245,18 +245,59 @@ func (ctx *Context) evalBlock(b ast.Block) (xdm.Sequence, error) {
 			}
 			last = res
 		}
-		if err := cur.applySnapshot(); err != nil {
+		if err := cur.applyPending(); err != nil {
 			return nil, err
 		}
 	}
 	return last, nil
 }
 
-func (ctx *Context) applySnapshot() error {
-	if ctx.SnapshotApply == nil || ctx.PUL == nil || ctx.PUL.Empty() {
+// applier is a run's apply state, shared by every context copy like
+// the pending update list: the host's observer and how many primitives
+// the run has applied. A run applies its list after each block
+// statement and while iteration and once at its end (Finish), always
+// through applyPending.
+type applier struct {
+	observe func(update.Primitive)
+	applied int
+}
+
+// Observe installs f as the observer of every primitive the run applies.
+func (ctx *Context) Observe(f func(update.Primitive)) { ctx.apply.observe = f }
+
+// applyPending applies the pending update list through
+// update.ApplyPruned. A context without apply state leaves it pending.
+func (ctx *Context) applyPending() error {
+	a := ctx.apply
+	if a == nil || ctx.PUL == nil || ctx.PUL.Empty() {
 		return nil
 	}
-	return ctx.SnapshotApply(ctx.PUL)
+	eliminated, err := ctx.PUL.ApplyPruned(func(pr update.Primitive) {
+		a.applied++
+		if a.observe != nil {
+			a.observe(pr)
+		}
+	})
+	if ctx.Profiler != nil {
+		ctx.Profiler.AddUpdates("eliminated", int64(eliminated))
+	}
+	return err
+}
+
+// Finish is the boundary of one evaluation in ctx's run: it calls eval,
+// applies what eval left pending, and returns eval's value and the
+// primitives applied meanwhile, snapshots included. A panic in either
+// recovers into an error matching xqerr.ErrInternal that names where.
+func (ctx *Context) Finish(where string, eval func() (xdm.Sequence, error)) (val xdm.Sequence, applied int, err error) {
+	defer xqerr.RecoverInto(&err, where)
+	start := ctx.apply.applied
+	if val, err = eval(); err == nil {
+		err = ctx.applyPending()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return val, ctx.apply.applied - start, nil
 }
 
 func (ctx *Context) evalAssign(x ast.Assign) (xdm.Sequence, error) {
@@ -286,7 +327,7 @@ func (ctx *Context) evalWhile(x ast.While) (xdm.Sequence, error) {
 			return nil, nil
 		}
 		_, err = ctx.Eval(x.Body)
-		if snapErr := ctx.applySnapshot(); snapErr != nil {
+		if snapErr := ctx.applyPending(); snapErr != nil {
 			return nil, snapErr
 		}
 		switch err {

@@ -62,7 +62,7 @@ func stepPredDoc(rng *rand.Rand, n int) string {
 // runStepPred runs p planned and unplanned, each run on a document of
 // its own parsed from src (updates mutate it), and fails where the two
 // differ. It returns the outcome of the planned run.
-func runStepPred(t *testing.T, label string, p *Program, src string, vars func(doc *dom.Node) map[dom.QName]xdm.Sequence, sequential bool) string {
+func runStepPred(t *testing.T, label string, p *Program, src string, vars func(doc *dom.Node) map[dom.QName]xdm.Sequence) string {
 	t.Helper()
 	run := func(noIndex bool) string {
 		doc, err := markup.Parse(src)
@@ -71,7 +71,6 @@ func runStepPred(t *testing.T, label string, p *Program, src string, vars func(d
 		}
 		cfg := RunConfig{
 			ContextItem:    xdm.NewNode(doc),
-			Sequential:     sequential,
 			DisableIndexes: noIndex,
 		}
 		if vars != nil {
@@ -196,7 +195,7 @@ func TestStepPredDifferential(t *testing.T) {
 			t.Fatalf("%q: compile: %v", q, err)
 		}
 		for di, src := range docs {
-			runStepPred(t, fmt.Sprintf("%q doc %d", q, di), p, src, nil, false)
+			runStepPred(t, fmt.Sprintf("%q doc %d", q, di), p, src, nil)
 		}
 	}
 	for _, q := range stepPredVarQueries {
@@ -210,7 +209,7 @@ func TestStepPredDifferential(t *testing.T) {
 				return map[dom.QName]xdm.Sequence{dom.Name("v"): k.val(doc)}
 			}
 			for di, src := range docs {
-				runStepPred(t, fmt.Sprintf("%q $v=%s doc %d", q, k.name, di), p, src, vars, false)
+				runStepPred(t, fmt.Sprintf("%q $v=%s doc %d", q, k.name, di), p, src, vars)
 			}
 		}
 	}
@@ -244,7 +243,7 @@ func TestStepPredErrorsSurvive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: compile: %v", c.q, err)
 		}
-		got := runStepPred(t, c.q, p, src, c.vars, false)
+		got := runStepPred(t, c.q, p, src, c.vars)
 		if isErr := strings.HasPrefix(got, "error: "); isErr != (c.wantErr != "") || !strings.Contains(got, c.wantErr) {
 			t.Errorf("%q = %q, want error containing %q", c.q, got, c.wantErr)
 		}
@@ -281,7 +280,7 @@ func TestStepPredSequential(t *testing.T) {
 			return map[dom.QName]xdm.Sequence{dom.Name("v"): {xdm.String("1")}}
 		}
 		for di, src := range docs {
-			if got := runStepPred(t, fmt.Sprintf("%q doc %d", q, di), p, src, vars, true); strings.HasPrefix(got, "error: ") {
+			if got := runStepPred(t, fmt.Sprintf("%q doc %d", q, di), p, src, vars); strings.HasPrefix(got, "error: ") {
 				t.Errorf("%q doc %d: %s", q, di, got)
 			}
 		}

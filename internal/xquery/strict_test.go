@@ -42,11 +42,11 @@ func TestAnalyzeFacade(t *testing.T) {
 func TestRunStrict(t *testing.T) {
 	e := New()
 	prog := e.MustCompile(`1 + (delete node /a)`)
-	if _, err := prog.Run(RunConfig{Sequential: true, Strict: true}); !errors.Is(err, ErrAnalysisFailed) {
+	if _, err := prog.Run(RunConfig{Strict: true}); !errors.Is(err, ErrAnalysisFailed) {
 		t.Fatalf("err = %v, want ErrAnalysisFailed", err)
 	}
 	var ae *AnalysisError
-	_, err := prog.Run(RunConfig{Sequential: true, Strict: true})
+	_, err := prog.Run(RunConfig{Strict: true})
 	if !errors.As(err, &ae) || len(ae.Diagnostics) == 0 || ae.Diagnostics[0].Code != analysis.CodeMisplacedUpdate {
 		t.Fatalf("err = %v, want AnalysisError with %s", err, analysis.CodeMisplacedUpdate)
 	}
@@ -79,7 +79,7 @@ func TestCacheStrictRejection(t *testing.T) {
 	bad := `fn:put(<a/>, "out.xml")`
 
 	for i := 0; i < 2; i++ {
-		_, err := c.EvalQuery(e, bad, RunConfig{Strict: true, Sequential: true})
+		_, err := c.EvalQuery(e, bad, RunConfig{Strict: true})
 		if !errors.Is(err, ErrAnalysisFailed) {
 			t.Fatalf("attempt %d: err = %v, want ErrAnalysisFailed", i, err)
 		}

@@ -59,9 +59,10 @@
 //	            write-once, and published through
 //	            Module.EnsurePlanned's sync.Once before any concurrent
 //	            read. The Ship annotation of a
-//	            FLWOR or call (ast.ShipPlan) and the Adopt marks of
+//	            FLWOR or call (ast.ShipPlan), the Adopt marks of
 //	            constructors, insert and replace (fresh content, taken
-//	            instead of copied) are the planner's too, on values
+//	            instead of copied) and the StreamDomain mark of a FLWOR
+//	            or quantifier are the planner's too, on values
 //	            rather than through pointers: only a method of the
 //	            planner may decide one; everyone else may carry an
 //	            existing one onto a copy (x.Ship = y.Ship,
@@ -84,10 +85,16 @@
 //	            atomic, and the version stamp every index probe and the
 //	            document-order labels rely on. DOM-owning hosts (core, browser,
 //	            jsruntime, markup) build trees before queries see them
-//	            and are not scanned. One call in a scanned package is
-//	            exempt by name: rest.decodeItem detaches a node payload
-//	            from the wire envelope it was just parsed in, a tree no
-//	            query has seen either.
+//	            and are not held to this rule. One call in a scanned
+//	            package is exempt by name: rest.decodeItem detaches a
+//	            node payload from the wire envelope it was just parsed
+//	            in, a tree no query has seen either. The same pass keeps
+//	            one apply path: outside the list's own package and the
+//	            evaluator (internal/xquery/update and
+//	            internal/xquery/runtime, by path), no code calls a
+//	            list's Apply or ApplyPruned — hosts go through
+//	            runtime.Context.Finish. This rule covers the DOM hosts
+//	            core and apps too.
 //
 //	hotconst    a strings.NewReplacer, regexp.MustCompile or
 //	            regexp.Compile whose arguments are all constants builds
@@ -632,10 +639,12 @@ var planAnnotationFields = map[string]bool{
 
 // plannerValueFields are the annotations the planner puts on node
 // values (not through pointers): an ast.ShipPlan on a FLWOR or call,
-// the adoption marks of a constructor, insert or replace.
+// the adoption marks of a constructor, insert or replace, the
+// streaming mark of a FLWOR's or quantifier's domains.
 var plannerValueFields = map[string]bool{
-	"Ship":  true,
-	"Adopt": true,
+	"Ship":         true,
+	"Adopt":        true,
+	"StreamDomain": true,
 }
 
 var planRootFields = map[string]bool{
@@ -658,10 +667,11 @@ var planPreparedFields = map[string]bool{
 // optimized roots and the effect summary are exempt (see
 // planAnnotationFields).
 //
-// It also reports writes of the Ship and Adopt annotations that are not
-// the planner's (plannerValueFields): such an annotation describes the
-// node as the planner saw it — and a wrong Adopt hands out a node two
-// places can reach — so outside the planner's methods the only legal
+// It also reports writes of the Ship, Adopt and StreamDomain
+// annotations that are not the planner's (plannerValueFields): such an
+// annotation describes the node as the planner saw it — a wrong Adopt
+// hands out a node two places can reach, a wrong StreamDomain lets a
+// loop see its own updates — so outside the planner's methods the only legal
 // value for the field is another node's same field (a copy keeping its
 // annotation).
 func planPure(fset *token.FileSet, file *ast.File) []finding {
@@ -934,15 +944,35 @@ var pulApplyExempt = map[string]string{
 	"rest.decodeItem": "Detach",
 }
 
+// pulApplyMethods are the pending-update-list methods that apply it.
+var pulApplyMethods = map[string]bool{"Apply": true, "ApplyPruned": true}
+
+// pulAppliers are the packages, by path, that may apply a pending
+// update list: the list's own and the evaluator, whose apply path
+// (runtime.Context.Finish) every run goes through.
+var pulAppliers = []string{"internal/xquery/update", "internal/xquery/runtime"}
+
+// domHosts are the packages, by path, that own DOM trees and build them
+// before queries see them: scanned for the apply rule only.
+var domHosts = []string{"internal/core", "internal/apps"}
+
 // pulApply reports calls to child/attr-mutating dom methods outside the
-// two packages allowed to make them: dom itself and the PUL applier
-// (package update). Selectors on imported package names are skipped so
-// os.Rename or a kind constant like update.Rename never trip the check;
-// beyond that the match is name-based, like the other passes — the
-// scanned packages hold no unrelated types sharing these method names.
+// two packages allowed to make them, dom itself and the PUL applier
+// (package update), and in the DOM hosts; and calls that apply a
+// pending update list outside pulAppliers. Selectors on imported
+// package names are skipped so os.Rename or a kind constant like
+// update.Rename never trip the check; beyond that the match is
+// name-based, like the other passes — the scanned packages hold no
+// unrelated types sharing these method names.
 func pulApply(fset *token.FileSet, file *ast.File) []finding {
 	pkg := file.Name.Name
-	if pkg == "dom" || pkg == "update" {
+	dir := filepath.ToSlash(filepath.Dir(fset.Position(file.Pos()).Filename))
+	in := func(pkgs []string) bool {
+		return slices.ContainsFunc(pkgs, func(p string) bool { return inPackage(dir, p) })
+	}
+	mutations := pkg != "dom" && pkg != "update" && !in(domHosts)
+	applies := !in(pulAppliers)
+	if !mutations && !applies {
 		return nil
 	}
 	imported := map[string]bool{}
@@ -966,17 +996,27 @@ func pulApply(fset *token.FileSet, file *ast.File) []finding {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !domMutators[sel.Sel.Name] || sel.Sel.Name == exempt {
+			if !ok {
 				return true
 			}
 			if id, ok := sel.X.(*ast.Ident); ok && imported[id.Name] {
-				return true // package-qualified function, not a node method
+				return true // package-qualified function, not a method
 			}
-			out = append(out, finding{
-				pos: fset.Position(call.Pos()),
-				msg: fmt.Sprintf("pulapply: direct DOM mutation %s in package %s; route the write through a pending-update list (internal/xquery/update) so it stays atomic, undoable and version-stamped",
-					sel.Sel.Name, pkg),
-			})
+			name := sel.Sel.Name
+			switch {
+			case applies && pulApplyMethods[name]:
+				out = append(out, finding{
+					pos: fset.Position(call.Pos()),
+					msg: fmt.Sprintf("pulapply: pending updates applied with %s in package %s; a run applies through its one apply path (runtime.Context.Finish), which counts, observes and profiles every apply",
+						name, pkg),
+				})
+			case mutations && domMutators[name] && name != exempt:
+				out = append(out, finding{
+					pos: fset.Position(call.Pos()),
+					msg: fmt.Sprintf("pulapply: direct DOM mutation %s in package %s; route the write through a pending-update list (internal/xquery/update) so it stays atomic, undoable and version-stamped",
+						name, pkg),
+				})
+			}
 			return true
 		})
 	}

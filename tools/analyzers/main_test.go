@@ -596,6 +596,40 @@ func other(c *dom.Node) { c.Detach() }
 	}
 }
 
+func TestPulApplyFlagsApplyOutsideTheApplyPath(t *testing.T) {
+	const body = `
+import "repro/internal/xquery/update"
+func finish(pul *update.PUL, n, c interface{ AppendChild(any) }) error {
+	n.AppendChild(c)
+	if _, err := pul.ApplyPruned(nil); err != nil {
+		return err
+	}
+	return pul.Apply(nil)
+}
+`
+	if got := analyzeAt(t, "internal/core/core.go", "package core"+body, pulApply); len(got) != 2 {
+		t.Fatalf("findings = %v, want 2 (ApplyPruned and Apply; a DOM host may mutate)", got)
+	}
+	if got := analyzeAt(t, "internal/serve/serve.go", "package serve"+body, pulApply); len(got) != 3 {
+		t.Fatalf("findings = %v, want 3 in a package held to both rules", got)
+	}
+}
+
+func TestPulApplyAllowsTheApplyPath(t *testing.T) {
+	for _, path := range []string{"internal/xquery/runtime/script.go", "internal/xquery/update/prune.go"} {
+		src := `package p
+import "repro/internal/xquery/update"
+func apply(pul *update.PUL) error {
+	_, err := pul.ApplyPruned(nil)
+	return err
+}
+`
+		if got := analyzeAt(t, path, src, pulApply); len(got) != 0 {
+			t.Fatalf("%s: findings = %v, want none", path, got)
+		}
+	}
+}
+
 func TestHotConstFlagsPerCallConstruction(t *testing.T) {
 	src := `package markup
 import (
