@@ -74,9 +74,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		bg := context.Background()
-		cfg.Collections, cfg.CollectionsIter, cfg.CollectionsShip =
-			x.CollectionResolver(bg), x.CollectionIterResolver(bg), x.CollectionShipResolver(bg)
+		cfg.Collections = x.CollectionSource(context.Background())
 	}
 	if *profile {
 		cfg.Profiler = runtime.NewProfiler()

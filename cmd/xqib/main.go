@@ -91,10 +91,9 @@ func main() {
 		opts = append(opts, core.WithQueryBudget(*budget, *timeout))
 	}
 	if st != nil {
-		opts = append(opts, core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver(), nil))
+		opts = append(opts, core.WithStoreResolvers(st.Resolver(), st.CollectionSource()))
 	} else if fx != nil {
-		ctx := context.Background()
-		opts = append(opts, core.WithStoreResolvers(nil, fx.CollectionResolver(ctx), fx.CollectionIterResolver(ctx), fx.CollectionShipResolver(ctx)))
+		opts = append(opts, core.WithStoreResolvers(nil, fx.CollectionSource(context.Background())))
 	}
 	h, err := core.LoadPage(string(data), *href, opts...)
 	if err != nil {

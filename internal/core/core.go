@@ -126,15 +126,11 @@ func WithQueryBudget(maxSteps int64, timeout time.Duration) Option {
 // the §4.2.1 browser profile (which blocks those functions against
 // arbitrary network fetch) is not applied — a host-provided store is
 // trusted storage, not the open network. fn:put stays blocked
-// unconditionally. colsShip is the shipping form of the collection
-// resolvers, which only a federation has (nil otherwise). The xqib
-// facade's WithStore and WithFederation wire a *xmldb.Store and a
-// *fed.Executor through this.
-func WithStoreResolvers(docs runtime.DocResolver, cols runtime.CollectionResolver,
-	colsIter runtime.CollectionIterResolver, colsShip runtime.CollectionShipResolver) Option {
-	return func(h *Host) {
-		h.storeDocs, h.storeCols, h.storeColsIter, h.storeColsShip = docs, cols, colsIter, colsShip
-	}
+// unconditionally. A cols that can also ship (a federation's source)
+// ships per-document expressions. The xqib facade's WithStore and
+// WithFederation wire a *xmldb.Store and a *fed.Executor through this.
+func WithStoreResolvers(docs runtime.DocResolver, cols runtime.CollectionSource) Option {
+	return func(h *Host) { h.storeDocs, h.storeCols = docs, cols }
 }
 
 // Host is a loaded page with its executing plug-in.
@@ -154,9 +150,7 @@ type Host struct {
 	extraFns      []func(*runtime.Registry)
 	browserSetups []func(*browser.Browser)
 	storeDocs     runtime.DocResolver
-	storeCols     runtime.CollectionResolver
-	storeColsIter runtime.CollectionIterResolver
-	storeColsShip runtime.CollectionShipResolver
+	storeCols     runtime.CollectionSource
 	cache         *xquery.Cache
 	ctx           context.Context
 	maxQuerySteps int64
@@ -344,20 +338,14 @@ func (h *Host) engineOptions(win *browser.Window) []xquery.Option {
 		// §4.3 grammar (ablation E8).
 		xquery.WithFunctions(h.registerHOFEventAPI),
 	}
-	if h.storeDocs == nil && h.storeCols == nil && h.storeColsIter == nil {
+	if h.storeDocs == nil && h.storeCols == nil {
 		opts = append(opts, xquery.WithBrowserProfile())
 	} else {
 		if h.storeDocs != nil {
 			opts = append(opts, xquery.WithDocResolver(h.storeDocs))
 		}
 		if h.storeCols != nil {
-			opts = append(opts, xquery.WithCollectionResolver(h.storeCols))
-		}
-		if h.storeColsIter != nil {
-			opts = append(opts, xquery.WithCollectionIterResolver(h.storeColsIter))
-		}
-		if h.storeColsShip != nil {
-			opts = append(opts, xquery.WithCollectionShipResolver(h.storeColsShip))
+			opts = append(opts, xquery.WithCollections(h.storeCols))
 		}
 	}
 	for _, reg := range h.extraFns {

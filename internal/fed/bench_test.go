@@ -55,7 +55,7 @@ func BenchmarkFedQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms.Collections, ms.CollectionsIter = st.CollectionResolver(), st.CollectionIterResolver()
+		ms.CollectionsIter = st.CollectionSource()
 		h := ms.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			wire.Add(r.ContentLength)
@@ -86,11 +86,9 @@ func BenchmarkFedQuery(b *testing.B) {
 		}{{"shipped", false}, {"unshipped", true}} {
 			b.Run(class.name+"/"+mode.name, func(b *testing.B) {
 				cfg := xquery.RunConfig{
-					Context:         ctx,
-					Collections:     x.CollectionResolver(ctx),
-					CollectionsIter: x.CollectionIterResolver(ctx),
-					CollectionsShip: x.CollectionShipResolver(ctx),
-					DisableIndexes:  mode.unshipped,
+					Context:        ctx,
+					Collections:    x.CollectionSource(ctx),
+					DisableIndexes: mode.unshipped,
 				}
 				run := func() {
 					res, err := cache.EvalQuery(engine, class.q, cfg)

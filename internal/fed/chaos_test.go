@@ -65,9 +65,7 @@ var shippedProbe = chaosProbe{
 		ctx := context.Background()
 		before := Snapshot().Shipped
 		res, err := p.Run(xquery.RunConfig{
-			Collections:     x.CollectionResolver(ctx),
-			CollectionsIter: x.CollectionIterResolver(ctx),
-			CollectionsShip: x.CollectionShipResolver(ctx),
+			Collections: x.CollectionSource(ctx),
 		})
 		if err != nil {
 			return nil, err

@@ -67,12 +67,12 @@ const EndpointsHint = "fed:endpoints"
 // ShardModule is the library module a federated backend serves: it
 // exposes the backend's share of the document space ("" selects the
 // default collection) through the web-service machinery of
-// internal/rest. Wire a store shard into the ModuleServer's
-// Collections/CollectionsIter and serve this source. Its two functions
-// are the federation protocol: shard:collection answers the share's
-// documents, shard:map answers what a shipped per-document expression
-// yields on them (rest:map) — a module that does not declare it is
-// still a backend, one that ships documents only.
+// internal/rest. Wire a store shard into the ModuleServer's collection
+// fields and serve this source. Its two functions are the federation
+// protocol: shard:collection answers the share's documents, shard:map
+// answers what a shipped per-document expression yields on them
+// (rest:map) — a module that does not declare it is still a backend,
+// one that ships documents only.
 const ShardModule = `module namespace shard = "` + ShardNamespace + `";
 declare namespace rest = "` + rest.Namespace + `";
 declare option fn:webservice "true";
@@ -338,31 +338,28 @@ func (x *Executor) Collection(ctx context.Context, uri string) (xdm.Sequence, er
 	return xdm.Materialize(it)
 }
 
-// CollectionResolver adapts the executor to the engine's
-// fn:collection hook. The resolver types carry no context, so the
-// caller binds one here (the session or request context in serve; the
-// per-call IOContext is not reachable from this seam).
-func (x *Executor) CollectionResolver(ctx context.Context) runtime.CollectionResolver {
-	return func(uri string) ([]*dom.Node, error) {
-		seq, err := x.Collection(ctx, uri)
-		if err != nil {
-			return nil, err
-		}
-		docs := make([]*dom.Node, 0, len(seq))
-		for _, it := range seq {
-			if n, ok := xdm.IsNode(it); ok {
-				docs = append(docs, n)
-			}
-		}
-		return docs, nil
-	}
+// CollectionSource returns the executor as the engine's fn:collection
+// source, under ctx: the engine's source interface carries no context,
+// so the caller binds one here (the session or request context in
+// serve; the per-call IOContext is not reachable from this seam). The
+// source streams collections (CollectionIter) and ships per-document
+// expressions (Ship).
+func (x *Executor) CollectionSource(ctx context.Context) runtime.CollectionSource {
+	return source(func() (*Executor, context.Context) { return x, ctx })
 }
 
-// CollectionIterResolver is the streaming form of CollectionResolver.
-func (x *Executor) CollectionIterResolver(ctx context.Context) runtime.CollectionIterResolver {
-	return func(uri string) (xdm.Iter, error) {
-		return x.CollectionIter(ctx, uri)
-	}
+// source is an executor bound to a context. The context travels in a
+// closure, as a call's argument would, not in a struct field.
+type source func() (*Executor, context.Context)
+
+func (s source) Documents(uri string) (xdm.Iter, error) {
+	x, ctx := s()
+	return x.CollectionIter(ctx, uri)
+}
+
+func (s source) Ship(uri, src string) (vals, unevaluated xdm.Sequence, ok bool, err error) {
+	x, ctx := s()
+	return x.Ship(ctx, uri, src)
 }
 
 // Ship evaluates a per-document expression where the documents are
@@ -391,14 +388,6 @@ func (x *Executor) Ship(ctx context.Context, uri, src string) (vals, unevaluated
 	}
 	vals, err = xdm.Materialize(newMerger(parts, nil))
 	return vals, diagnostic, true, err
-}
-
-// CollectionShipResolver adapts Ship to the engine's shipping
-// collection hook, under ctx like the other two resolvers.
-func (x *Executor) CollectionShipResolver(ctx context.Context) runtime.CollectionShipResolver {
-	return func(uri, src string) (vals, unevaluated xdm.Sequence, ok bool, err error) {
-		return x.Ship(ctx, uri, src)
-	}
 }
 
 // canShip reports whether the backends declare shard:map/2, asking the

@@ -152,8 +152,7 @@ func TestFederatedCollectionThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := p.Run(xquery.RunConfig{
-		Collections:     x.CollectionResolver(ctx),
-		CollectionsIter: x.CollectionIterResolver(ctx),
+		Collections: x.CollectionSource(ctx),
 	})
 	if err != nil {
 		t.Fatal(err)

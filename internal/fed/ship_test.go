@@ -169,7 +169,7 @@ func evalLocal(t *testing.T, q string, nodes []*dom.Node) (xdm.Sequence, error) 
 		t.Fatalf("%s: %v", q, err)
 	}
 	res, err := p.Run(xquery.RunConfig{
-		Collections: func(string) ([]*dom.Node, error) { return nodes, nil },
+		Collections: runtime.CollectionResolver(func(string) ([]*dom.Node, error) { return nodes, nil }),
 	})
 	if err != nil {
 		return nil, err
@@ -223,10 +223,8 @@ func evalFed(t *testing.T, x *Executor, q string, m fedMode) (xdm.Sequence, erro
 	}
 	ctx := context.Background()
 	res, err := p.Run(xquery.RunConfig{
-		Collections:     x.CollectionResolver(ctx),
-		CollectionsIter: x.CollectionIterResolver(ctx),
-		CollectionsShip: x.CollectionShipResolver(ctx),
-		DisableIndexes:  m.unshipped,
+		Collections:    x.CollectionSource(ctx),
+		DisableIndexes: m.unshipped,
 	})
 	if err != nil {
 		return nil, err
@@ -483,11 +481,9 @@ func TestProfilerCountsShipped(t *testing.T) {
 	for _, unshipped := range []bool{false, true} {
 		prof := runtime.NewProfiler()
 		if _, err := p.Run(xquery.RunConfig{
-			Collections:     x.CollectionResolver(ctx),
-			CollectionsIter: x.CollectionIterResolver(ctx),
-			CollectionsShip: x.CollectionShipResolver(ctx),
-			Profiler:        prof,
-			DisableIndexes:  unshipped,
+			Collections:    x.CollectionSource(ctx),
+			Profiler:       prof,
+			DisableIndexes: unshipped,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -500,6 +496,46 @@ func TestProfilerCountsShipped(t *testing.T) {
 		}
 		if has := strings.Contains(prof.Format(), "fed:shipped"); has != (want > 0) {
 			t.Errorf("unshipped=%v: profile shows fed:shipped: %v\n%s", unshipped, has, prof.Format())
+		}
+	}
+}
+
+// Shipping follows the run's collection source: on an engine whose
+// default source is a federation, a run that brings a source of its
+// own that cannot ship sends nothing to the shards, and a run given the
+// federation's source ships.
+func TestShipFollowsTheRunsSource(t *testing.T) {
+	docs := shipCorpus(rand.New(rand.NewSource(27)), 6)
+	x, _ := shipFederation(t, ShardModule, docs, 2, Config{})
+	ctx := context.Background()
+	const q = `for $a in collection("/c")/article return string($a/@id)`
+	p, err := xquery.New(xquery.WithCollections(x.CollectionSource(ctx))).Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local []*dom.Node
+	for _, u := range sortedURIs(docs) {
+		local = append(local, parseDoc(t, u, docs[u]))
+	}
+	want := strings.Join(shipOracle(t, q, false, docs), "\n")
+	for _, tc := range []struct {
+		name  string
+		src   runtime.CollectionSource
+		ships bool
+	}{
+		{"own source", runtime.CollectionResolver(func(string) ([]*dom.Node, error) { return local, nil }), false},
+		{"federation's source", x.CollectionSource(ctx), true},
+	} {
+		before := Snapshot().Shipped
+		res, err := p.Run(xquery.RunConfig{Collections: tc.src})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := strings.Join(typed(res.Value), "\n"); got != want {
+			t.Errorf("%s: %q, want %q", tc.name, got, want)
+		}
+		if shipped := Snapshot().Shipped - before; (shipped > 0) != tc.ships {
+			t.Errorf("%s: %d expressions shipped, want ships=%v", tc.name, shipped, tc.ships)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package rest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,11 +10,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dom"
 	"repro/internal/dom/index"
 	"repro/internal/faultpoint"
 	ftindex "repro/internal/fulltext/index"
+	"repro/internal/markup"
 	"repro/internal/xdm"
 	"repro/internal/xmldb"
+	"repro/internal/xqerr"
 	"repro/internal/xquery"
 )
 
@@ -53,8 +57,7 @@ func mapServer(t *testing.T, st *xmldb.Store) (*ModuleServer, *httptest.Server) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Collections = st.CollectionResolver()
-	srv.CollectionsIter = st.CollectionIterResolver()
+	srv.CollectionsIter = st.CollectionSource()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -346,5 +349,64 @@ func TestMapCacheIsSharedAndBounded(t *testing.T) {
 	stats := shipCache.Stats()
 	if stats.Compiles < 300 || stats.ProgramHits < 300 {
 		t.Errorf("compiles %d, hits %d: want each text compiled once and hit by the second server", stats.Compiles, stats.ProgramHits)
+	}
+}
+
+// TestModuleServerCollectionFields: the server's two collection fields
+// name one source. The iterator answers when both are set, neither set
+// is the ordinary missing-resolver error, not a call of a nil func, and
+// a field set replaces a streaming default of the server's engine.
+func TestModuleServerCollectionFields(t *testing.T) {
+	list := func(string) ([]*dom.Node, error) {
+		d, err := markup.Parse(`<list/>`)
+		return []*dom.Node{d}, err
+	}
+	store := func(doc string) *xmldb.Store {
+		st, err := xmldb.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		if err := st.PutXML("d.xml", doc); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := store(`<iter/>`)
+	args := EncodeArgs([]xdm.Sequence{{xdm.String("")}})
+	engineDefault := xquery.WithCollections(store(`<engine/>`).CollectionSource())
+	for _, tc := range []struct {
+		name       string
+		list, iter bool
+		opts       []xquery.Option
+		want       string // in the result envelope, or in the error
+	}{
+		{"neither", false, false, nil, "no collection resolver available"},
+		{"Collections", true, false, nil, "<list/>"},
+		{"CollectionsIter", false, true, nil, "<iter/>"},
+		{"both", true, true, nil, "<iter/>"},
+		{"Collections over an engine default", true, false, []xquery.Option{engineDefault}, "<list/>"},
+	} {
+		srv, err := NewModuleServer(`module namespace s = "urn:test:shard";
+declare option fn:webservice "true";
+declare function s:collection($uri) { fn:collection($uri) };`, nil, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.list {
+			srv.Collections = list
+		}
+		if tc.iter {
+			srv.CollectionsIter = st.CollectionSource()
+		}
+		out, err := srv.CallContext(context.Background(), "collection", args)
+		switch {
+		case tc.list || tc.iter:
+			if err != nil || !strings.Contains(out, tc.want) || strings.Count(out, "/>") != 1 {
+				t.Errorf("%s: %q, %v; want one document, %s", tc.name, out, err, tc.want)
+			}
+		case err == nil || errors.Is(err, xqerr.ErrInternal) || !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: err = %v; want the %q error", tc.name, err, tc.want)
+		}
 	}
 }

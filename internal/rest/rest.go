@@ -80,11 +80,17 @@ type ModuleServer struct {
 	docs  runtime.DocResolver
 	Stats ServerStats
 
-	// Collections / CollectionsIter, when set, resolve fn:collection
-	// inside service functions — how a backend exposes its shard of
-	// the document space to the federation layer.
+	// Collections / CollectionsIter, when set, are the fn:collection
+	// source of service functions — how a backend exposes its shard of
+	// the document space to the federation layer. They are one source
+	// under two names: CollectionsIter answers when both are set.
+	// Collections takes a fixed document list (a func literal);
+	// CollectionsIter a streaming source such as
+	// xmldb.Store.CollectionSource. CollectionsIter stays only because
+	// the benchmark harness assigns it; it merges into Collections with
+	// the harness's next change.
 	Collections     runtime.CollectionResolver
-	CollectionsIter runtime.CollectionIterResolver
+	CollectionsIter runtime.CollectionSource
 
 	// MaxSteps / Timeout bound every call's evaluation (<= 0:
 	// unlimited), on top of the request context's cancellation.
@@ -251,12 +257,11 @@ func (s *ModuleServer) call(reqCtx context.Context, name, argsXML string) (out [
 		return nil, err
 	}
 	ctx := s.prog.NewContext(xquery.RunConfig{
-		Context:         reqCtx,
-		Docs:            s.docs,
-		Collections:     s.Collections,
-		CollectionsIter: s.CollectionsIter,
-		MaxSteps:        s.MaxSteps,
-		Timeout:         s.Timeout,
+		Context:     reqCtx,
+		Docs:        s.docs,
+		Collections: s.collections(),
+		MaxSteps:    s.MaxSteps,
+		Timeout:     s.Timeout,
 	})
 	if err := ctx.InitGlobals(); err != nil {
 		return nil, err
@@ -266,6 +271,19 @@ func (s *ModuleServer) call(reqCtx context.Context, name, argsXML string) (out [
 		return nil, err
 	}
 	return appendSequence(nil, res), nil
+}
+
+// collections is the one source the two collection fields name: the
+// iterator first, and a nil Collections stays a nil interface (a nil
+// func in one would panic when fn:collection called it).
+func (s *ModuleServer) collections() runtime.CollectionSource {
+	if s.CollectionsIter != nil {
+		return s.CollectionsIter
+	}
+	if s.Collections != nil {
+		return s.Collections
+	}
+	return nil
 }
 
 // --- shipped expressions ---------------------------------------------------------------

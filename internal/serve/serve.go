@@ -201,14 +201,11 @@ func (p *Pool) Load(ctx context.Context, pageSrc, href string, opts ...core.Opti
 		core.WithQueryBudget(p.cfg.MaxSteps, p.cfg.Timeout),
 	}
 	if st := p.cfg.Store; st != nil {
-		hostOpts = append(hostOpts,
-			core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver(), nil))
+		hostOpts = append(hostOpts, core.WithStoreResolvers(st.Resolver(), st.CollectionSource()))
 	} else if fx := p.cfg.Fed; fx != nil {
 		// Collections resolve over the federation, bounded by the
 		// session's lifetime context.
-		hostOpts = append(hostOpts,
-			core.WithStoreResolvers(nil, fx.CollectionResolver(sctx), fx.CollectionIterResolver(sctx),
-				fx.CollectionShipResolver(sctx)))
+		hostOpts = append(hostOpts, core.WithStoreResolvers(nil, fx.CollectionSource(sctx)))
 	}
 	hostOpts = append(hostOpts, p.cfg.HostOptions...)
 	hostOpts = append(hostOpts, opts...)
@@ -364,12 +361,9 @@ func (p *Pool) Eval(ctx context.Context, src string, contextDoc *dom.Node) (seq 
 	}
 	if st := p.cfg.Store; st != nil {
 		cfg.Docs = st.Resolver()
-		cfg.Collections = st.CollectionResolver()
-		cfg.CollectionsIter = st.CollectionIterResolver()
+		cfg.Collections = st.CollectionSource()
 	} else if fx := p.cfg.Fed; fx != nil {
-		cfg.Collections = fx.CollectionResolver(ctx)
-		cfg.CollectionsIter = fx.CollectionIterResolver(ctx)
-		cfg.CollectionsShip = fx.CollectionShipResolver(ctx)
+		cfg.Collections = fx.CollectionSource(ctx)
 	}
 	if contextDoc != nil {
 		cfg.ContextItem = xdm.NewNode(contextDoc)

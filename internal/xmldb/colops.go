@@ -132,58 +132,56 @@ func (s *Store) ScanCollection(p string, fn func(uri string, doc *dom.Node) erro
 	return firstErr
 }
 
-// CollectionResolver exposes the store as an fn:collection resolver.
+// CollectionSource is the store as the engine's fn:collection source.
 // Three URI shapes dispatch three ways: the empty URI (the default
 // collection) yields every document; a "/"-prefixed URI names a
-// hierarchical collection (ErrNoCollection if absent); anything else is
-// the legacy prefix match over raw URIs (collection("articles/")),
-// which yields empty — not an error — for an unknown prefix, as the
-// pre-hierarchy store did.
-func (s *Store) CollectionResolver() runtime.CollectionResolver {
-	return func(uri string) ([]*dom.Node, error) {
-		switch {
-		case uri == "":
-			return s.Collection("/")
-		case strings.HasPrefix(uri, "/"):
-			return s.Collection(uri)
-		default:
-			s.Stats.scans.Add(1)
-			entries := mergeEntries(scanShards(s.shards, func(u string, _ *docRev) bool {
-				return strings.HasPrefix(u, uri)
-			}))
-			docs := make([]*dom.Node, len(entries))
-			for i, e := range entries {
-				docs[i] = e.rev.root
-			}
-			return docs, nil
-		}
+// hierarchical collection (ErrNoCollection if absent), streamed as the
+// incremental shard merge; anything else is the legacy prefix match
+// over raw URIs (collection("articles/")), which yields empty — not an
+// error — for an unknown prefix, as the pre-hierarchy store did.
+func (s *Store) CollectionSource() runtime.CollectionSource { return collectionSource{s} }
+
+// collectionSource is a Store as a runtime.CollectionSource.
+type collectionSource struct{ s *Store }
+
+func (c collectionSource) Documents(uri string) (xdm.Iter, error) {
+	switch {
+	case uri == "":
+		return c.s.CollectionIter("/")
+	case strings.HasPrefix(uri, "/"):
+		return c.s.CollectionIter(uri)
 	}
+	c.s.Stats.scans.Add(1)
+	entries := mergeEntries(scanShards(c.s.shards, func(u string, _ *docRev) bool {
+		return strings.HasPrefix(u, uri)
+	}))
+	seq := make(xdm.Sequence, len(entries))
+	for i, e := range entries {
+		seq[i] = xdm.NewNode(e.rev.root)
+	}
+	return xdm.FromSlice(seq), nil
 }
 
-// CollectionIterResolver is the streaming form of CollectionResolver,
-// for engines that pull collections through xdm.Iter (the funclib
-// streaming path): same URI dispatch, but hierarchical scans hand back
-// the incremental shard merge instead of a materialised slice.
-func (s *Store) CollectionIterResolver() runtime.CollectionIterResolver {
-	materialise := func(docs []*dom.Node, err error) (xdm.Iter, error) {
+// CollectionResolver is CollectionSource materialised, for the field
+// that takes a document list (rest.ModuleServer.Collections).
+func (s *Store) CollectionResolver() runtime.CollectionResolver {
+	return func(uri string) ([]*dom.Node, error) {
+		it, err := s.CollectionSource().Documents(uri)
 		if err != nil {
 			return nil, err
 		}
-		seq := make(xdm.Sequence, len(docs))
-		for i, d := range docs {
-			seq[i] = xdm.NewNode(d)
+		seq, err := xdm.Materialize(it)
+		if err != nil {
+			return nil, err
 		}
-		return xdm.FromSlice(seq), nil
-	}
-	resolve := s.CollectionResolver()
-	return func(uri string) (xdm.Iter, error) {
-		switch {
-		case uri == "":
-			return s.CollectionIter("/")
-		case strings.HasPrefix(uri, "/"):
-			return s.CollectionIter(uri)
-		default:
-			return materialise(resolve(uri))
+		docs := make([]*dom.Node, len(seq))
+		for i, item := range seq {
+			docs[i], _ = xdm.IsNode(item)
 		}
+		return docs, nil
 	}
 }
+
+// CollectionIterResolver is CollectionSource under the name the
+// benchmark harness calls; it goes with the harness's next change.
+func (s *Store) CollectionIterResolver() runtime.CollectionSource { return s.CollectionSource() }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/markup"
 	"repro/internal/xdm"
 	"repro/internal/xquery"
+	"repro/internal/xquery/runtime"
 )
 
 // Differential oracle: the sharded store versus a naive single-map
@@ -90,7 +91,7 @@ func (n *naiveStore) engine(t *testing.T) *xquery.Engine {
 		}
 		return docs, nil
 	}
-	return xquery.New(xquery.WithDocResolver(docRes), xquery.WithCollectionResolver(colRes))
+	return xquery.New(xquery.WithDocResolver(docRes), xquery.WithCollections(runtime.CollectionResolver(colRes)))
 }
 
 // lcg is the deterministic op-stream generator.
@@ -124,11 +125,7 @@ func TestDifferentialShardedVsNaive(t *testing.T) {
 				}
 			}
 		}
-		storeEng := xquery.New(
-			xquery.WithDocResolver(st.Resolver()),
-			xquery.WithCollectionResolver(st.CollectionResolver()),
-			xquery.WithCollectionIterResolver(st.CollectionIterResolver()),
-		)
+		storeEng := xquery.New(xquery.WithDocResolver(st.Resolver()), xquery.WithCollections(st.CollectionSource()))
 		naiveEng := naive.engine(t)
 		rng := &lcg{state: seed}
 

@@ -33,7 +33,7 @@ func (s *Store) run(prog *xquery.Program, doc *dom.Node) (string, error) {
 	res, err := prog.Run(xquery.RunConfig{
 		ContextItem: xdm.NewNode(doc),
 		Docs:        s.Resolver(),
-		Collections: s.CollectionResolver(),
+		Collections: s.CollectionSource(),
 	})
 	if err != nil {
 		return "", err

@@ -131,8 +131,8 @@ type FuncCall struct {
 // plan.Annotate): evaluating Src with each document as the context
 // item and concatenating the values in collection order — or, with Sum,
 // adding the per-document counts up — gives the expression's value. An
-// evaluator whose run has a shipping collection resolver hands URI and
-// Src to it, so the holder of the documents evaluates Src and only the
+// evaluator whose run's collection source can ship hands URI and Src to
+// it, so the holder of the documents evaluates Src and only the
 // values travel; an evaluator that ignores the annotation is still
 // right. Like Step.Access, only the planner writes it, under
 // Module.EnsurePlanned, and evaluation only reads it.

@@ -50,13 +50,11 @@ type Engine struct {
 	blockDoc        bool
 	resolverRetries int
 	resolverBackoff time.Duration
-	// Engine-level default doc/collection resolvers (a bound document
-	// store). A RunConfig that sets its own resolvers overrides them
-	// per run.
-	docs            runtime.DocResolver
-	collections     runtime.CollectionResolver
-	collectionsIter runtime.CollectionIterResolver
-	collectionsShip runtime.CollectionShipResolver
+	// Engine-level default doc resolver and collection source (a bound
+	// document store or federation). A RunConfig that sets its own
+	// overrides them per run.
+	docs        runtime.DocResolver
+	collections runtime.CollectionSource
 	// bound memoises the engine's bindings of cached programs.
 	bound bindings
 }
@@ -103,26 +101,15 @@ func WithDocResolver(r runtime.DocResolver) Option {
 	return func(e *Engine) { e.docs = r }
 }
 
-// WithCollectionResolver installs an engine-level default fn:collection
-// resolver, the slice-valued counterpart of WithCollectionIterResolver.
-func WithCollectionResolver(r runtime.CollectionResolver) Option {
-	return func(e *Engine) { e.collections = r }
-}
-
-// WithCollectionIterResolver installs an engine-level default streaming
-// fn:collection resolver (the sharded store's incremental shard-merge
-// scan). Runs may still override it via RunConfig.CollectionsIter.
-func WithCollectionIterResolver(r runtime.CollectionIterResolver) Option {
-	return func(e *Engine) { e.collectionsIter = r }
-}
-
-// WithCollectionShipResolver installs an engine-level default shipping
-// collection resolver (a federation's): expressions the planner
-// annotated as per-document maps over a collection are answered through
-// it instead of through the documents (runtime.Context.EvalShipped).
-// Runs may still override it via RunConfig.CollectionsShip.
-func WithCollectionShipResolver(r runtime.CollectionShipResolver) Option {
-	return func(e *Engine) { e.collectionsShip = r }
+// WithCollections installs an engine-level default fn:collection
+// source: every run without its own RunConfig.Collections reads
+// collections through it (a store's shard-merge scan, a federation's
+// scatter-gather). A source that can also ship (a federation's,
+// runtime.CollectionShipper) answers the expressions the planner
+// annotated as per-document maps over a collection
+// (runtime.Context.EvalShipped).
+func WithCollections(src runtime.CollectionSource) Option {
+	return func(e *Engine) { e.collections = src }
 }
 
 // WithFunctions registers extra built-in functions on the engine's host
@@ -422,28 +409,14 @@ type RunConfig struct {
 	// Docs resolves fn:doc calls. Nil falls back to the engine's
 	// WithDocResolver default (if any).
 	Docs runtime.DocResolver
-	// Collections resolves fn:collection calls. Nil falls back to the
-	// engine's WithCollectionResolver default. (Collections,
-	// CollectionsIter and CollectionsShip are one source with optional
-	// capabilities and are meant to collapse into one CollectionSource;
-	// that waits for the ROADMAP benchmark item, because
-	// cmd/bench/w_fed.go sets rest.ModuleServer.Collections and
-	// CollectionsIter directly and BENCHMARK.json freezes that
-	// directory.)
-	Collections runtime.CollectionResolver
-	// CollectionsIter is the streaming fn:collection source (preferred
-	// over Collections when set). Nil falls back to the
-	// engine's WithCollectionIterResolver default.
-	CollectionsIter runtime.CollectionIterResolver
-	// CollectionsShip is the shipping fn:collection source: a FLWOR or
-	// fn:count the planner annotated as a per-document map over a
-	// collection (ast.ShipPlan) is answered by handing it the
-	// per-document expression, so the holder of the documents evaluates
-	// it and only values come back. Only a federation provides one
-	// (fed.Executor.CollectionShipResolver); DisableIndexes switches its
-	// use off. Nil falls back to the engine's
-	// WithCollectionShipResolver default.
-	CollectionsShip runtime.CollectionShipResolver
+	// Collections is the source fn:collection reads. Nil falls back to
+	// the engine's WithCollections default. A source that can ship
+	// (runtime.CollectionShipper, a federation's) also answers a FLWOR
+	// or fn:count the planner annotated as a per-document map over a
+	// collection (ast.ShipPlan) by handing it the per-document
+	// expression, so the holder of the documents evaluates it and only
+	// values come back; DisableIndexes switches that off.
+	Collections runtime.CollectionSource
 	// Hooks provides the browser extension points.
 	Hooks runtime.Hooks
 	// Variables are external variable bindings.
@@ -466,7 +439,7 @@ type RunConfig struct {
 	Timeout time.Duration
 	// DisableIndexes turns off the per-document indexes for this run:
 	// planned path steps scan the axis and fn:id walks the tree — and
-	// nothing is shipped to a collection's source (CollectionsShip): the
+	// nothing is shipped to a collection's source (EvalShipped): the
 	// run ignores the planner's access and shipping annotations (not its
 	// adoption marks, which use no index: their oracle is the unplanned
 	// tree). It does not change how document-order sorts run: they read
@@ -522,24 +495,15 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	ctx.NoIndex = cfg.DisableIndexes
 	ctx.Docs = cfg.Docs
 	ctx.Collections = cfg.Collections
-	ctx.CollectionsIter = cfg.CollectionsIter
-	ctx.CollectionsShip = cfg.CollectionsShip
-	// The binding engine's defaults (a bound store) fill whatever the
-	// run left unset.
+	// The binding engine's defaults (a bound store or federation) fill
+	// whatever the run left unset. A run's own collection source
+	// replaces the engine's whole, so only a source that can ship
+	// itself ships.
 	if ctx.Docs == nil {
 		ctx.Docs = p.engine.docs
 	}
 	if ctx.Collections == nil {
 		ctx.Collections = p.engine.collections
-	}
-	if ctx.CollectionsIter == nil {
-		ctx.CollectionsIter = p.engine.collectionsIter
-	}
-	// The shipping default speaks for the engine's collections only: a
-	// run that brought collection resolvers of its own is not answered
-	// from somewhere else.
-	if ctx.CollectionsShip == nil && cfg.Collections == nil && cfg.CollectionsIter == nil {
-		ctx.CollectionsShip = p.engine.collectionsShip
 	}
 	ctx.Hooks = cfg.Hooks
 	if !cfg.Now.IsZero() {

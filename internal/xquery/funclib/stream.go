@@ -175,10 +175,10 @@ func registerStreaming(reg *runtime.Registry) {
 		}), nil
 	})
 	streamed(reg, "collection", 0, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
-		// With a CollectionIterResolver in the context (the sharded
-		// store's incremental shard merge), the documents flow one Next
-		// at a time, so collection($c)[1] pulls a single merge step
-		// instead of materialising the collection.
+		// The context's source streams the documents (the sharded
+		// store's incremental shard merge one Next at a time), so
+		// collection($c)[1] pulls a single merge step instead of
+		// materialising the collection.
 		if ctx.Prog != nil && ctx.Prog.BlockDoc {
 			return nil, fmt.Errorf("fn:collection is blocked in the browser profile")
 		}
@@ -192,24 +192,13 @@ func registerStreaming(reg *runtime.Registry) {
 				return nil, err
 			}
 		}
-		if ctx.CollectionsIter != nil {
-			it, err := ctx.CollectionsIter(uri)
-			if err != nil {
-				return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
-			}
-			return it, nil
-		}
 		if ctx.Collections == nil {
 			return nil, fmt.Errorf("fn:collection: no collection resolver available")
 		}
-		docs, err := ctx.Collections(uri)
+		it, err := ctx.Collections.Documents(uri)
 		if err != nil {
 			return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
 		}
-		out := make(xdm.Sequence, len(docs))
-		for i, d := range docs {
-			out[i] = xdm.NewNode(d)
-		}
-		return xdm.FromSlice(out), nil
+		return it, nil
 	})
 }

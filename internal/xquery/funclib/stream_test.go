@@ -92,7 +92,7 @@ var eagerReference = map[string]func(ctx *runtime.Context, args []xdm.Sequence) 
 		if ctx.Prog != nil && ctx.Prog.BlockDoc {
 			return nil, fmt.Errorf("fn:collection is blocked in the browser profile")
 		}
-		if ctx.Collections == nil && ctx.CollectionsIter == nil {
+		if ctx.Collections == nil {
 			return nil, fmt.Errorf("fn:collection: no collection resolver available")
 		}
 		uri := ""
@@ -102,24 +102,18 @@ var eagerReference = map[string]func(ctx *runtime.Context, args []xdm.Sequence) 
 				return nil, err
 			}
 		}
-		if ctx.Collections == nil {
-			it, err := ctx.CollectionsIter(uri)
-			if err != nil {
-				return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
-			}
-			return xdm.Materialize(it)
-		}
-		docs, err := ctx.Collections(uri)
+		it, err := ctx.Collections.Documents(uri)
 		if err != nil {
 			return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
 		}
-		out := make(xdm.Sequence, len(docs))
-		for i, d := range docs {
-			out[i] = xdm.NewNode(d)
-		}
-		return out, nil
+		return xdm.Materialize(it)
 	},
 }
+
+// iterSource is a streaming runtime.CollectionSource over a function.
+type iterSource func(uri string) (xdm.Iter, error)
+
+func (f iterSource) Documents(uri string) (xdm.Iter, error) { return f(uri) }
 
 var errInjected = errors.New("injected argument error")
 
@@ -267,13 +261,13 @@ func TestStreamedBuiltinsMatchReference(t *testing.T) {
 	docs := []*dom.Node{doc, doc.DocumentElement()}
 	// Two forms of one source: "missing" fails to resolve, "torn" fails
 	// at its second document.
-	slice := func(uri string) ([]*dom.Node, error) {
+	slice := runtime.CollectionResolver(func(uri string) ([]*dom.Node, error) {
 		if uri == "missing" || uri == "torn" {
 			return nil, errInjected
 		}
 		return docs, nil
-	}
-	iter := func(uri string) (xdm.Iter, error) {
+	})
+	iter := iterSource(func(uri string) (xdm.Iter, error) {
 		if uri == "missing" {
 			return nil, errInjected
 		}
@@ -282,12 +276,11 @@ func TestStreamedBuiltinsMatchReference(t *testing.T) {
 			return refArg{items: s, failAt: 2}.iter(), nil
 		}
 		return xdm.FromSlice(s), nil
-	}
+	})
 	for _, c := range []*runtime.Context{
 		{},
 		{Collections: slice},
-		{CollectionsIter: iter},
-		{Collections: slice, CollectionsIter: iter},
+		{Collections: iter},
 		{Collections: slice, Prog: &runtime.Program{BlockDoc: true}},
 	} {
 		checkAgainstReference(t, reg, c, "collection", nil)

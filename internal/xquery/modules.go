@@ -89,9 +89,7 @@ func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleR
 					// The library's own context, inside the caller's run,
 					// over the caller's external interfaces.
 					lctx := ctx.ContextFor(libProg.Runtime())
-					lctx.Docs, lctx.Hooks, lctx.Ambient = ctx.Docs, ctx.Hooks, ctx.Ambient
-					lctx.Collections, lctx.CollectionsIter, lctx.CollectionsShip =
-						ctx.Collections, ctx.CollectionsIter, ctx.CollectionsShip
+					lctx.Docs, lctx.Collections, lctx.Hooks, lctx.Ambient = ctx.Docs, ctx.Collections, ctx.Hooks, ctx.Ambient
 					if err := lctx.InitGlobals(); err != nil {
 						return nil, err
 					}

@@ -108,8 +108,8 @@ func (p *Profiler) FTFor(kind string) int64 { return p.get(&p.ft, kind) }
 
 // AddFed adds to a named federation counter. The evaluator credits
 // "shipped" for every annotated node (ast.ShipPlan) it answered through
-// the run's shipping collection resolver instead of fetching the
-// collection, so a profile shows whether a federated query moved its
+// the run's collection source (a CollectionShipper) instead of fetching
+// the collection, so a profile shows whether a federated query moved its
 // answer or its documents.
 func (p *Profiler) AddFed(kind string, n int64) { p.add(&p.fed, kind, n) }
 

@@ -40,16 +40,32 @@ const maxCallDepth = 4096
 // DocResolver resolves fn:doc URIs to document nodes.
 type DocResolver func(uri string) (*dom.Node, error)
 
-// CollectionResolver resolves fn:collection URIs to document lists
-// ("" is the default collection).
+// CollectionSource is where fn:collection reads its documents:
+// Documents answers fn:collection(uri) ("" is the default collection)
+// as a stream, so a store that scans its shards incrementally hands the
+// merge to the engine one document at a time. A source may also ship
+// per-document expressions to where the documents are; that capability
+// is CollectionShipper, which the evaluator asserts on the source.
+type CollectionSource interface {
+	Documents(uri string) (xdm.Iter, error)
+}
+
+// CollectionResolver is a CollectionSource that answers each URI with a
+// document list (a fixed collection, a test's documents).
 type CollectionResolver func(uri string) ([]*dom.Node, error)
 
-// CollectionIterResolver is the streaming form of CollectionResolver:
-// it resolves fn:collection URIs to lazy document iterators, so a
-// store that scans shards incrementally can hand the merge to the
-// engine one document at a time. When a Context carries both resolvers
-// the streaming fn:collection prefers this one.
-type CollectionIterResolver func(uri string) (xdm.Iter, error)
+// Documents streams the resolved list.
+func (r CollectionResolver) Documents(uri string) (xdm.Iter, error) {
+	docs, err := r(uri)
+	if err != nil {
+		return nil, err
+	}
+	out := make(xdm.Sequence, len(docs))
+	for i, d := range docs {
+		out[i] = xdm.NewNode(d)
+	}
+	return xdm.FromSlice(out), nil
+}
 
 // Hooks are the browser extension points (paper §4). A nil Hooks makes
 // the event/style expressions and browser: functions unavailable, which
@@ -361,17 +377,14 @@ type Context struct {
 	// the document is easy and straightforward".
 	Ambient xdm.Item
 
-	// External interfaces. CollectionsIter, when set, is the streaming
-	// source fn:collection pulls from; Collections, the slice-valued
-	// one, answers when it is not set. CollectionsShip, when set,
-	// answers the nodes the planner annotated as per-document maps over
-	// a collection (see EvalShipped).
-	Docs            DocResolver
-	Collections     CollectionResolver
-	CollectionsIter CollectionIterResolver
-	CollectionsShip CollectionShipResolver
-	Hooks           Hooks
-	Now             time.Time
+	// External interfaces. Collections is the source fn:collection
+	// reads; when it is also a CollectionShipper it answers the nodes
+	// the planner annotated as per-document maps over a collection (see
+	// EvalShipped).
+	Docs        DocResolver
+	Collections CollectionSource
+	Hooks       Hooks
+	Now         time.Time
 
 	// PUL accumulates update primitives; nil forbids updating
 	// expressions. applyPending applies it.

@@ -387,6 +387,38 @@ func TestResolverDefaultsComeFromTheBindingEngine(t *testing.T) {
 	}
 }
 
+// streamSource is a streaming collection source answering one parsed
+// document per URI.
+type streamSource string
+
+func (s streamSource) Documents(string) (xdm.Iter, error) {
+	d, err := markup.Parse(string(s))
+	if err != nil {
+		return nil, err
+	}
+	return xdm.FromSlice(xdm.Singleton(xdm.NewNode(d))), nil
+}
+
+// A run's own collection source replaces the engine's, whatever form
+// either has: an engine default that streams does not shadow a run
+// that brought a document list.
+func TestRunCollectionSourceReplacesTheEngines(t *testing.T) {
+	p, err := New(WithCollections(streamSource(`<engine/>`))).Compile(`name(collection("c")/*)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runOn(t, p, RunConfig{}); got != "engine" {
+		t.Errorf("no run source: read %q, want the engine's", got)
+	}
+	run := runtime.CollectionResolver(func(string) ([]*dom.Node, error) {
+		d, err := markup.Parse(`<run/>`)
+		return []*dom.Node{d}, err
+	})
+	if got := runOn(t, p, RunConfig{Collections: run}); got != "run" {
+		t.Errorf("run source: read %q, want the run's own", got)
+	}
+}
+
 func TestConcurrentEnginesOfOneShapeCompileOnce(t *testing.T) {
 	c := NewCache(8)
 	src := hostProlog + `for $i in 1 to 3 return h:join($i, h:tag())`

@@ -422,11 +422,10 @@ func WithStore(st *Store) Option {
 	return Option{
 		engine: []xquery.Option{
 			xquery.WithDocResolver(st.Resolver()),
-			xquery.WithCollectionResolver(st.CollectionResolver()),
-			xquery.WithCollectionIterResolver(st.CollectionIterResolver()),
+			xquery.WithCollections(st.CollectionSource()),
 		},
 		host: []core.Option{
-			core.WithStoreResolvers(st.Resolver(), st.CollectionResolver(), st.CollectionIterResolver(), nil),
+			core.WithStoreResolvers(st.Resolver(), st.CollectionSource()),
 		},
 	}
 }
@@ -474,13 +473,12 @@ func WithFederation(x *Federation) Option {
 	bg := context.Background()
 	return Option{
 		engine: []xquery.Option{
-			xquery.WithCollectionResolver(x.CollectionResolver(bg)),
-			xquery.WithCollectionIterResolver(x.CollectionIterResolver(bg)),
-			xquery.WithCollectionShipResolver(x.CollectionShipResolver(bg)),
+			xquery.WithCollections(x.CollectionSource(bg)),
 			xquery.WithModuleResolver(x.Resolver(bg)),
 		},
 		host: []core.Option{
-			core.WithStoreResolvers(nil, x.CollectionResolver(bg), x.CollectionIterResolver(bg), x.CollectionShipResolver(bg)),
+			core.WithStoreResolvers(nil, x.CollectionSource(bg)),
+			core.WithModuleResolver(x.Resolver(bg)),
 		},
 	}
 }

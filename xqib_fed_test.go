@@ -139,3 +139,25 @@ func TestWithFederationModuleImport(t *testing.T) {
 		t.Errorf("federated module call result = %q", got)
 	}
 }
+
+// A page loaded with the option resolves the import as well: its
+// script engines get the federation's module resolver beside its
+// collection source.
+func TestWithFederationPageModuleImport(t *testing.T) {
+	a := startShardBackend(t, map[string]string{"a": `<d/>`})
+	b := startShardBackend(t, map[string]string{"b": `<d/>`})
+	x, err := xqib.NewFederation(xqib.FederationConfig{Shards: [][]string{{a.URL}, {b.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := xqib.LoadPage(`<html><head><script type="text/xquery">
+		import module namespace shard = "urn:xqib:fed:shard" at "fed:endpoints";
+		browser:alert(fn:string-join(for $d in shard:collection("/") return fn:base-uri($d), ","))
+	</script></head><body/></html>`, "http://example.com/", xqib.WithFederation(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alerts := h.Alerts(); len(alerts) != 1 || alerts[0] != "a,b" {
+		t.Errorf("page alerts = %v, want [a,b]", alerts)
+	}
+}
