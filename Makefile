@@ -33,8 +33,10 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke staticche
 # constant arguments on every call, and no loop in internal/ or cmd/
 # (cmd/bench, a module of its own, is not listed) sleeps while it
 # waits for a state change, and in the evaluator a variable frame's
-# value is written by its binders and the assignment statement only and
-# the budget's owner-local lease is touched by budget.go only.
+# value is written by its binders and the assignment statement only,
+# the budget's owner-local lease is touched by budget.go only, and the
+# run's doc/collection resolvers are called by its memo (memo.go) only,
+# in the evaluator and in the library (funclib).
 # Stdlib-only stand-ins for the `go vet -vettool` analyzers, which
 # would need golang.org/x/tools.
 vet-invariants:
@@ -52,7 +54,7 @@ vet-invariants:
 	$(GO) run ./tools/analyzers -check recovercheck $(shell $(GO) list -f '{{.Dir}}' ./...)
 	$(GO) run ./tools/analyzers -check hotconst $(shell $(GO) list -f '{{.Dir}}' ./internal/...)
 	$(GO) run ./tools/analyzers -check sleeppoll $(shell $(GO) list -f '{{.Dir}}' ./internal/... ./cmd/...)
-	$(GO) run ./tools/analyzers -check frames internal/xquery/runtime
+	$(GO) run ./tools/analyzers -check frames internal/xquery/runtime internal/xquery/funclib
 
 # Static analysis of the shipped example programs: every embedded
 # XQuery script block must lint clean, warnings included.

@@ -52,12 +52,22 @@ func ErrIter(err error) Iter {
 	return IterFunc(func() (Item, bool, error) { return nil, false, err })
 }
 
+// Unpulled returns the sequence behind an iterator FromSlice made that
+// nobody has pulled from yet: the whole of what it will answer, with no
+// copy.
+func Unpulled(it Iter) (Sequence, bool) {
+	if s, ok := it.(*sliceIter); ok && s.i == 0 {
+		return s.s, true
+	}
+	return nil, false
+}
+
 // Materialize drains an iterator into a sequence. This is the single
 // place lazy evaluation gives way to eager: sorts, last(), order by and
 // snapshot (PUL) semantics call it.
 func Materialize(it Iter) (Sequence, error) {
-	if s, ok := it.(*sliceIter); ok && s.i == 0 {
-		return s.s, nil
+	if s, ok := Unpulled(it); ok {
+		return s, nil
 	}
 	var out Sequence
 	for {

@@ -812,10 +812,15 @@ const (
 	EffOpaqueCall
 	// EffModuleCall: a call of a function the module declares.
 	EffModuleCall
-	// EffImpure: a library call off the pure list (fn:doc, fn:trace,
-	// fn:error, fn:current-dateTime, ft:score, …) or a style read
-	// through the browser host.
+	// EffImpure: a library call off the pure list (fn:trace, fn:error,
+	// fn:current-dateTime, fn:doc-available, ft:score, …) or a style
+	// read through the browser host.
 	EffImpure
+	// EffResolves: fn:doc or fn:collection, which read the run's
+	// resolvers. The run resolves each URI once (runtime/memo.go), so
+	// the call is stable and may move; a source that evaluates it for a
+	// remote caller has other resolvers, so it never ships.
+	EffResolves
 	// EffScores: an ftcontains, which records the scores ft:score reads.
 	EffScores
 	// EffConstructs: builds nodes — a constructor, a copy … modify.

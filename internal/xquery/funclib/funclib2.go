@@ -600,7 +600,7 @@ func registerDocs(reg *runtime.Registry) {
 		if ctx.Docs == nil {
 			return nil, fmt.Errorf("fn:doc: no document resolver available")
 		}
-		doc, err := ctx.Docs(uri)
+		doc, err := ctx.Doc(uri)
 		if err != nil {
 			return nil, fmt.Errorf("fn:doc(%q): %w", uri, err)
 		}
@@ -617,7 +617,8 @@ func registerDocs(reg *runtime.Registry) {
 		if ctx.Docs == nil {
 			return boolean(false), nil
 		}
-		_, err = ctx.Docs(uri)
+		// The run's memo answers the fn:doc that follows, so the two agree.
+		_, err = ctx.Doc(uri)
 		return boolean(err == nil), nil
 	})
 	simple(reg, "put", 2, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {

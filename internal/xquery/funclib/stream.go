@@ -178,7 +178,8 @@ func registerStreaming(reg *runtime.Registry) {
 		// The context's source streams the documents (the sharded
 		// store's incremental shard merge one Next at a time), so
 		// collection($c)[1] pulls a single merge step instead of
-		// materialising the collection.
+		// materialising the collection; the run's memo replays what an
+		// earlier call of the same URI pulled.
 		if ctx.Prog != nil && ctx.Prog.BlockDoc {
 			return nil, fmt.Errorf("fn:collection is blocked in the browser profile")
 		}
@@ -195,7 +196,7 @@ func registerStreaming(reg *runtime.Registry) {
 		if ctx.Collections == nil {
 			return nil, fmt.Errorf("fn:collection: no collection resolver available")
 		}
-		it, err := ctx.Collections.Documents(uri)
+		it, err := ctx.Collection(uri)
 		if err != nil {
 			return nil, fmt.Errorf("fn:collection(%q): %w", uri, err)
 		}

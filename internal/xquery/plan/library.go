@@ -22,13 +22,17 @@ type libFn struct {
 	// argument to the context item qualifies: what the optimizer moves
 	// stays inside a FLWOR whose iterations share the focus, and pushdown,
 	// which re-focuses, refuses a conjunct that reads it (the focus
-	// column). Off the list, notably: fn:doc, fn:doc-available and
-	// fn:collection (resolver-backed, they observe external state),
-	// fn:put (writes), fn:trace (a side channel), fn:error (raising must
-	// stay where the author put it), fn:current-* (the clock), fn:position
-	// and fn:last (the focus beyond the item), ft:score (the scores
-	// ftcontains records as it runs).
+	// column). Off the list, notably: fn:doc-available (it answers
+	// whether a resolver would), fn:put (writes), fn:trace (a side
+	// channel), fn:error (raising must stay where the author put it),
+	// fn:current-* (the clock), fn:position and fn:last (the focus beyond
+	// the item), ft:score (the scores ftcontains records as it runs).
 	pure bool
+	// resolves: fn:doc and fn:collection. They read the run's resolvers,
+	// which the run memoises per URI (runtime/memo.go): stable, so the
+	// optimizer may move them like a pure call, but never shipped — a
+	// source evaluating for a remote caller resolves against its own.
+	resolves bool
 	// atomic: the result is atomic whatever the arguments. Off it are
 	// the pure functions that hand nodes through (root, id, reverse,
 	// subsequence, head, tail, remove, insert-before, zero-or-one,
@@ -84,7 +88,7 @@ var library = map[string]map[string]libFn{
 		"years-from-duration": pure, "months-from-duration": pure, "days-from-duration": pure,
 		"hours-from-duration": pure, "minutes-from-duration": pure, "seconds-from-duration": pure,
 		// documents
-		"put": {writes: true},
+		"doc": {resolves: true}, "collection": {resolves: true}, "put": {writes: true},
 	},
 	xsSpace:   {}, // the constructor functions: casts, none on the pure list yet
 	ftSpace:   {},

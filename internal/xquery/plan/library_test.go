@@ -15,8 +15,8 @@ import (
 // to every static pass. Registering a built-in means adding it here or
 // giving it a row — a decision, not a default.
 var notInTheTable = map[string][]string{
-	parser.FnNamespace: {"collection", "current-date", "current-dateTime", "current-time",
-		"doc", "doc-available", "error", "last", "position", "trace"},
+	parser.FnNamespace: {"current-date", "current-dateTime", "current-time",
+		"doc-available", "error", "last", "position", "trace"},
 	parser.XSNamespace: {"QName", "anyURI", "boolean", "date", "dateTime", "dayTimeDuration",
 		"decimal", "double", "duration", "float", "int", "integer", "long", "string", "time",
 		"untypedAtomic", "yearMonthDuration"},

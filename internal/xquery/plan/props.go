@@ -25,8 +25,9 @@ const (
 		ast.EffImpure | ast.EffScores | ast.EffConstructs
 	// unshippable keeps an expression from a source that evaluates it for
 	// a remote caller: the same, except recording scores nobody there
-	// reads.
-	unshippable = unmovable &^ ast.EffScores
+	// reads, and reading a resolver, which there is the source's, not
+	// the run's.
+	unshippable = unmovable&^ast.EffScores | ast.EffResolves
 	// midLoop: evaluating the expression can change the documents before
 	// a loop around it ends.
 	midLoop = ast.EffScripting | ast.EffScriptedCall | ast.EffSequentialCall |
@@ -236,7 +237,10 @@ func (in *inference) call(c ast.FuncCall) (ast.Effects, bool) {
 		return eff | ast.EffOpaqueCall, false
 	}
 	fn := fns[c.Name.Local]
-	if !fn.pure {
+	switch {
+	case fn.resolves:
+		eff |= ast.EffResolves
+	case !fn.pure:
 		eff |= ast.EffImpure
 	}
 	if fn.writes {

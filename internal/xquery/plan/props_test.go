@@ -30,6 +30,7 @@ const (
 	scripting  = ast.EffScripting
 	atOnce     = ast.EffActsAtOnce
 	module     = ast.EffModuleCall
+	resolves   = ast.EffResolves
 )
 
 // propsTable has a row for every expression kind of the ast
@@ -73,7 +74,10 @@ var propsTable = []propsRow{
 	{src: `string()`, eff: focus, kind: kindAtomic},
 	{src: `string(1)`, kind: kindAtomic},
 	{src: `head((1, 2))`},
-	{src: `doc("d")`, eff: impure},
+	{src: `doc("d")`, eff: resolves},
+	{src: `collection("c")`, eff: resolves},
+	{src: `collection()`, eff: resolves},
+	{src: `doc-available("d")`, eff: impure},
 	{src: `fn:put(<a/>, "u")`, eff: ast.EffWrites | impure | constructs},
 	{src: `position()`, eff: impure | ast.EffReadsPosition},
 	{src: `last()`, eff: impure | ast.EffReadsLast},
@@ -151,7 +155,7 @@ func TestProps(t *testing.T) {
 
 func propsString(p props) string {
 	names := []string{"updates", "writes", "scripting", "scripted-call", "sequential-call", "acts-at-once",
-		"opaque-call", "module-call", "impure", "scores", "constructs", "reads-focus", "reads-position", "reads-last"}
+		"opaque-call", "module-call", "impure", "resolves", "scores", "constructs", "reads-focus", "reads-position", "reads-last"}
 	s := ""
 	for i, n := range names {
 		if p.eff&(1<<i) != 0 {

@@ -437,21 +437,34 @@ type Context struct {
 	// someone else (the modify clause of a copy-modify expression).
 	apply *applier
 
+	// memo is the run's memo of fn:doc and fn:collection (memo.go),
+	// shared by every copy; a detached context has one of its own, and a
+	// context built without NewContext none, which resolves every call.
+	memo *runMemo
+
 	env     *env
 	globals *env
 }
 
+// runState is a run's shared state, allocated as one.
+type runState struct {
+	apply applier
+	memo  runMemo
+}
+
 // NewContext builds a root context for the program.
 func NewContext(p *Program) *Context {
-	return &Context{Prog: p, Now: time.Now(), PUL: &update.PUL{}, ft: newFTState(), apply: &applier{}}
+	rs := &runState{}
+	return &Context{Prog: p, Now: time.Now(), PUL: &update.PUL{}, ft: newFTState(), apply: &rs.apply, memo: &rs.memo}
 }
 
 // ContextFor builds a root context for p inside ctx's run (an imported
 // library's function, a per-document expression): it shares the run's
 // budget, cancellation, clock, profiler, index switches, call depth,
-// pending update list and apply state, and sets nothing else.
+// pending update list, apply state and document memo, and sets nothing
+// else.
 func (ctx *Context) ContextFor(p *Program) *Context {
-	return &Context{Prog: p, Now: ctx.Now, PUL: ctx.PUL, apply: ctx.apply, ft: newFTState(),
+	return &Context{Prog: p, Now: ctx.Now, PUL: ctx.PUL, apply: ctx.apply, memo: ctx.memo, ft: newFTState(),
 		Profiler: ctx.Profiler, Budget: ctx.Budget, IO: ctx.IO,
 		NoIndex: ctx.NoIndex, NoIndexBuild: ctx.NoIndexBuild, depth: ctx.depth}
 }
@@ -619,12 +632,14 @@ func (lf *loopFrame) bindAt(outer *Context, name dom.QName, val xdm.Sequence, po
 // the budget is forked. Later assignments and loop rebinding are not
 // seen by, and do not race with, the copy. The copy has no pending
 // update list, so an updating expression in it fails: the caller's
-// list goes on filling and applying on the caller's goroutine.
+// list goes on filling and applying on the caller's goroutine. Nor
+// does it share the run's document memo, which the caller's goroutine
+// goes on filling: it starts one of its own.
 func (ctx *Context) detach() *Context {
 	c := *ctx
 	c.env, c.globals = copyChain(ctx.env, ctx.globals)
 	c.Budget = ctx.Budget.Fork()
-	c.PUL = nil
+	c.PUL, c.memo = nil, &runMemo{}
 	return &c
 }
 

@@ -267,6 +267,9 @@ func (ctx *Context) Observe(f func(update.Primitive)) { ctx.apply.observe = f }
 
 // applyPending applies the pending update list through
 // update.ApplyPruned. A context without apply state leaves it pending.
+// The document memo stays: the list applies to the trees the memo
+// holds, so a later fn:doc in the run answers them as the apply left
+// them.
 func (ctx *Context) applyPending() error {
 	a := ctx.apply
 	if a == nil || ctx.PUL == nil || ctx.PUL.Empty() {
@@ -288,8 +291,13 @@ func (ctx *Context) applyPending() error {
 // applies what eval left pending, and returns eval's value and the
 // primitives applied meanwhile, snapshots included. A panic in either
 // recovers into an error matching xqerr.ErrInternal that names where.
+// The evaluation has a document memo of its own (own), which does not
+// outlive it: a host that reuses the context resolves afresh in the next
+// one, and an evaluation nested in a running one (a listener a `trigger
+// event` statement calls) neither reads nor ends the outer one's.
 func (ctx *Context) Finish(where string, eval func() (xdm.Sequence, error)) (val xdm.Sequence, applied int, err error) {
 	defer xqerr.RecoverInto(&err, where)
+	defer ctx.own()()
 	start := ctx.apply.applied
 	if val, err = eval(); err == nil {
 		err = ctx.applyPending()

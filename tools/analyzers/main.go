@@ -124,7 +124,14 @@
 //	            value some tuple or behind call still reads. And Budget's
 //	            lease, the owner goroutine's unsynchronized step count,
 //	            is named only in budget.go, whose Step and draw keep it
-//	            to its owner.
+//	            to its owner. The run's resolvers are read through its
+//	            document memo: outside runtime's memo.go no code of the
+//	            scanned packages (runtime, and funclib, whose fn:doc,
+//	            fn:doc-available and fn:collection go through
+//	            Context.Doc and Context.Collection) calls Docs(…) or
+//	            Collections.Documents(…); a direct call hands out a tree
+//	            the memo does not know, which breaks doc("u") is doc("u")
+//	            and every join and hoist the optimizer built over it.
 //
 //	recovercheck  panic recovery only happens at sanctioned boundaries:
 //	            naked recover() calls are forbidden everywhere except
@@ -1273,15 +1280,21 @@ var frameWriters = map[string]bool{"bind": true, "bindAt": true, "evalAssign": t
 // named box (f.box.Val = v, f.box = b), an assignment to a Val field (a
 // write through the *Box a lookup hands out), or a box: key in a frame
 // literal; outside frameWriters each is flagged. Any mention of lease
-// outside budget.go is flagged.
+// outside budget.go is flagged. In every package it is run on, a call
+// of the run's resolvers outside runtime's memo.go is flagged
+// (resolverCalls).
 func frames(fset *token.FileSet, file *ast.File) []finding {
-	if file.Name.Name != "runtime" {
-		return nil
-	}
+	name := filepath.Base(fset.Position(file.Package).Filename)
 	var out []finding
-	if filepath.Base(fset.Position(file.Package).Filename) != "budget.go" {
-		out = fieldUse(fset, file, "lease",
-			"frames: Budget's lease named outside budget.go; only Step and draw, on the owner goroutine, touch it (another goroutine steps a Fork)")
+	if file.Name.Name != "runtime" || name != "memo.go" {
+		out = resolverCalls(fset, file)
+	}
+	if file.Name.Name != "runtime" {
+		return out
+	}
+	if name != "budget.go" {
+		out = append(out, fieldUse(fset, file, "lease",
+			"frames: Budget's lease named outside budget.go; only Step and draw, on the owner goroutine, touch it (another goroutine steps a Fork)")...)
 	}
 	for _, decl := range file.Decls {
 		fn := "(package var)"
@@ -1320,6 +1333,32 @@ func frames(fset *token.FileSet, file *ast.File) []finding {
 			return true
 		})
 	}
+	return out
+}
+
+// resolverCalls flags the calls x.Docs(…) and x.Collections.Documents(…):
+// the run's resolvers, which only its document memo asks.
+func resolverCalls(fset *token.FileSet, file *ast.File) []finding {
+	var out []finding
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		via, isSel := sel.X.(*ast.SelectorExpr)
+		if sel.Sel.Name == "Docs" || sel.Sel.Name == "Documents" && isSel && via.Sel.Name == "Collections" {
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: fmt.Sprintf("frames: the run's resolver called directly (%s) in package %s; go through Context.Doc or Context.Collection, the run's document memo, so each URI answers one tree per run",
+					sel.Sel.Name, file.Name.Name),
+			})
+		}
+		return true
+	})
 	return out
 }
 

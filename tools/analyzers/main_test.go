@@ -808,3 +808,39 @@ func (l *lease) renew() { l.lease = 1; l.box.Val = nil }
 		t.Fatalf("other-package findings = %v, want none", got)
 	}
 }
+
+func TestFramesFlagsResolverCallsOutsideTheMemo(t *testing.T) {
+	src := `package funclib
+func doc(ctx *runtime.Context, uri string) (*dom.Node, error) { return ctx.Docs(uri) }
+func coll(ctx *runtime.Context, uri string) (xdm.Iter, error) { return ctx.Collections.Documents(uri) }
+func avail(ctx *runtime.Context) bool { _, err := ctx.Docs("u"); return err == nil }
+`
+	if got := analyzeNamed(t, "funclib2.go", src, frames); len(got) != 3 {
+		t.Fatalf("findings = %v, want 3 (the two Docs calls, the Documents call)", got)
+	}
+	inRuntime := `package runtime
+func (ctx *Context) sneak(uri string) { ctx.Docs(uri); ctx.Collections.Documents(uri) }
+`
+	if got := analyzeNamed(t, "eval.go", inRuntime, frames); len(got) != 2 {
+		t.Fatalf("runtime findings = %v, want 2", got)
+	}
+}
+
+func TestFramesAllowsTheMemoAndOtherDocuments(t *testing.T) {
+	memo := `package runtime
+func (ctx *Context) Doc(uri string) (*dom.Node, error) { return ctx.Docs(uri) }
+func (ctx *Context) Collection(uri string) (xdm.Iter, error) { return ctx.Collections.Documents(uri) }
+`
+	if got := analyzeNamed(t, "memo.go", memo, frames); len(got) != 0 {
+		t.Fatalf("memo.go findings = %v, want none", got)
+	}
+	other := `package funclib
+func doc(ctx *runtime.Context, uri string) (*dom.Node, error) { return ctx.Doc(uri) }
+func coll(ctx *runtime.Context, uri string) (xdm.Iter, error) { return ctx.Collection(uri) }
+func store(s *xmldb.Store, uri string) (xdm.Iter, error) { return s.CollectionSource().Documents(uri) }
+func install(ctx *runtime.Context, r runtime.DocResolver) { ctx.Docs = r }
+`
+	if got := analyzeNamed(t, "funclib2.go", other, frames); len(got) != 0 {
+		t.Fatalf("findings = %v, want none (the memo's entry points, a source that is not the run's, an assignment)", got)
+	}
+}
