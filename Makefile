@@ -10,9 +10,9 @@ STATICCHECK = honnef.co/go/tools/cmd/staticcheck@2024.1.1
 GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.3
 
 .PHONY: ci fmt-check vet vet-invariants lint staticcheck govulncheck \
-	build test race bench bench-e2e-smoke chaos experiments clean-tree
+	build test race bench bench-e2e-smoke fuzz-smoke chaos experiments clean-tree
 
-ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke staticcheck govulncheck clean-tree
+ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke fuzz-smoke staticcheck govulncheck clean-tree
 
 # Custom invariant passes (tools/analyzers): compiled programs, the
 # compilation engines of one shape share and the function registry
@@ -123,6 +123,14 @@ bench-e2e-smoke:
 	bash cmd/bench/run.sh -smoke
 	bash cmd/bench/run.sh --workload event_loop --seed 7004 --seconds 1
 	cd cmd/bench && $(GO) test ./...
+
+# Ten seconds of coverage-guided fuzzing on each parser fuzz target,
+# beyond the seed corpora `test` replays: the parser must return an
+# AST or an error for any input. A crasher is written under the
+# package's testdata/fuzz and fails the step.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePathPredicates$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 
 experiments:
 	$(GO) run ./cmd/experiments

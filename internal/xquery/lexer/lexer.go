@@ -90,8 +90,13 @@ func (e *Error) Error() string {
 type Lexer struct {
 	src string
 	pos int
-	buf []Token
-	err *Error
+	// buf[head:] is the scanned lookahead. Next advances head rather
+	// than reslicing buf, and PeekAt moves the lookahead to the front
+	// when buf is full, so the buffer keeps its capacity, sized to the
+	// deepest lookahead, and a parse does not reallocate it per token.
+	buf  []Token
+	head int
+	err  *Error
 }
 
 // New builds a lexer over src.
@@ -130,14 +135,14 @@ func (l *Lexer) Col(off int) int {
 // character-level constructor scanner and to resume after it.
 func (l *Lexer) Reset(off int) {
 	l.pos = off
-	l.buf = l.buf[:0]
+	l.buf, l.head = l.buf[:0], 0
 }
 
 // Pos returns the byte offset where the next token would start (after
 // skipping whitespace and comments).
 func (l *Lexer) Pos() int {
-	if len(l.buf) > 0 {
-		return l.buf[0].Start
+	if l.head < len(l.buf) {
+		return l.buf[l.head].Start
 	}
 	save := l.pos
 	l.skipSpace()
@@ -148,9 +153,9 @@ func (l *Lexer) Pos() int {
 
 // Next consumes and returns the next token.
 func (l *Lexer) Next() Token {
-	if len(l.buf) > 0 {
-		t := l.buf[0]
-		l.buf = l.buf[1:]
+	if l.head < len(l.buf) {
+		t := l.buf[l.head]
+		l.head++
 		return t
 	}
 	return l.scan()
@@ -161,10 +166,13 @@ func (l *Lexer) Peek() Token { return l.PeekAt(0) }
 
 // PeekAt returns the k-th upcoming token (0 = next).
 func (l *Lexer) PeekAt(k int) Token {
-	for len(l.buf) <= k {
+	for len(l.buf)-l.head <= k {
+		if len(l.buf) == cap(l.buf) && l.head > 0 {
+			l.buf, l.head = l.buf[:copy(l.buf, l.buf[l.head:])], 0
+		}
 		l.buf = append(l.buf, l.scan())
 	}
-	return l.buf[k]
+	return l.buf[l.head+k]
 }
 
 func (l *Lexer) fail(format string, args ...any) Token {

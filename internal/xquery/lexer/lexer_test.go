@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,23 @@ func TestPeekAndReset(t *testing.T) {
 	l.Reset(b.Start)
 	if !l.Next().IsName("b") {
 		t.Error("reset did not rewind")
+	}
+}
+
+// The lookahead buffer is sized to the deepest peek, not to the input:
+// a parser that always peeks one token past the one it consumes never
+// drains the buffer, and consumed tokens must still give their slots
+// back.
+func TestLookaheadBufferStaysSmall(t *testing.T) {
+	l := New(strings.Repeat("a + ", 5000))
+	for i := 0; l.Peek().Kind != EOF; i++ {
+		if got := l.PeekAt(1); i%2 == 0 && !got.IsSym("+") {
+			t.Fatalf("token %d: peek past a = %s", i, got)
+		}
+		l.Next()
+	}
+	if cap(l.buf) > 8 {
+		t.Errorf("lookahead buffer grew to %d tokens for a lookahead of 2", cap(l.buf))
 	}
 }
 

@@ -27,6 +27,12 @@ func FuzzParseModule(f *testing.F) {
 		`some $x in (1 to 10) satisfies $x div 0`,
 		`$x := 5`,
 		`xquery version "1.0"; declare boundary-space strip; ()`,
+		`-$a or - -$b and $c = $d to $e + $f * $g | $h intersect $i`,
+		`1 = 2 = 3`,
+		`$a cast as xs:integer? castable as xs:string treat as item()* instance of xs:boolean`,
+		`$a instance of xs:integer+ $b`,
+		`set style "color" of //div[position() = (1 to 2)] to "red"`,
+		`set style "color" of local:f(1 to 2) to "red"`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,0 +1,69 @@
+package parser_test
+
+import (
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/xquery/analysis"
+	"repro/internal/xquery/parser"
+)
+
+// adhocQuery has the shape of the store's ad hoc read queries: a
+// string built around a path with two attribute predicates.
+const adhocQuery = `concat("a17", ":", count(/article[@id = "a17"]/references/ref[@year = "1994"]))`
+
+// parseCorpus is the text a page load and an ad hoc store read parse:
+// the script blocks of the demo pages, the shopping-cart server module
+// and the ad hoc query.
+func parseCorpus(tb testing.TB) map[string][]string {
+	pages := map[string]string{
+		"multiplication": apps.MultiplicationPage(),
+		"suggest":        apps.SuggestPage("http://example.com/suggest.wsdl"),
+		"mashup":         apps.MashupPage("http://example.com/w", "http://example.com/wde", "http://example.com/cam"),
+	}
+	corpus := map[string][]string{
+		"cart":  {apps.ShoppingCartXQueryServer},
+		"adhoc": {adhocQuery},
+	}
+	for name, page := range pages {
+		for _, s := range analysis.ExtractScripts(page) {
+			corpus[name] = append(corpus[name], s.Source)
+		}
+		if len(corpus[name]) == 0 {
+			tb.Fatalf("%s page has no script blocks", name)
+		}
+	}
+	return corpus
+}
+
+// BenchmarkParse parses each corpus entry's texts once per iteration.
+func BenchmarkParse(b *testing.B) {
+	for name, srcs := range parseCorpus(b) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range srcs {
+					if _, err := parser.ParseModule(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestParseAllocs pins the allocations of one ad hoc query parse. The
+// lexer's lookahead buffer keeps its capacity as tokens are consumed,
+// so a parse allocates for the tree and the token texts, not once per
+// token for the buffer.
+func TestParseAllocs(t *testing.T) {
+	const max = 70
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := parser.ParseModule(adhocQuery); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > max {
+		t.Errorf("parsing the ad hoc query allocates %.0f times, want at most %d", allocs, max)
+	}
+}

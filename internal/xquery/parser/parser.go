@@ -1,9 +1,11 @@
 // Package parser implements a recursive-descent parser for the extended
 // XQuery dialect: XQuery 1.0 with the Update Facility, the Scripting
 // Extension subset, full-text ftcontains, and the paper's browser
-// grammar extensions (§4.3 events, §4.5 CSS). XQuery has no reserved
-// words, so keyword decisions are made by grammatical position with
-// bounded lookahead, exactly as the W3C grammar prescribes.
+// grammar extensions (§4.3 events, §4.5 CSS). Keyword forms descend;
+// the binary and postfix operators are one operator table read by one
+// precedence-climbing loop. XQuery has no reserved words, so keyword
+// decisions are made by grammatical position with bounded lookahead,
+// exactly as the W3C grammar prescribes.
 package parser
 
 import (
@@ -47,7 +49,9 @@ type Parser struct {
 	defaultFnNS   string
 	// noRange suppresses the "to" range operator while parsing the
 	// target of "set style ... of T to V", whose grammar reuses "to".
-	noRange int
+	// Brackets and argument lists inside the target turn it off again
+	// (parseExpr, parseBlock, a function call's arguments).
+	noRange bool
 	// depth guards against pathologically nested input blowing the
 	// stack: recursive descent fails cleanly past maxParseDepth.
 	depth int
@@ -209,17 +213,22 @@ func (p *Parser) varName() dom.QName {
 
 // --- expressions ----------------------------------------------------------
 
-// parseExpr parses the comma operator level.
+// parseExpr parses the comma operator level. Every ( ), [ ] and { }
+// but a block's parses its contents here, so "to" is the range
+// operator again inside them (see noRange).
 func (p *Parser) parseExpr() ast.Expr {
-	first := p.parseExprSingle()
-	if !p.peek().IsSym(",") {
-		return first
+	outer := p.noRange
+	p.noRange = false
+	e := p.parseExprSingle()
+	if p.peek().IsSym(",") {
+		items := []ast.Expr{e}
+		for p.eatSym(",") {
+			items = append(items, p.parseExprSingle())
+		}
+		e = ast.SeqExpr{Items: items}
 	}
-	items := []ast.Expr{first}
-	for p.eatSym(",") {
-		items = append(items, p.parseExprSingle())
-	}
-	return ast.SeqExpr{Items: items}
+	p.noRange = outer
+	return e
 }
 
 // parseExprSingle dispatches on the leading keywords of the composite
@@ -299,7 +308,10 @@ func (p *Parser) parseExprSingle() ast.Expr {
 				p.next()
 				prop := p.parseExprSingle()
 				p.expectName("of")
-				target := p.parseExprSingleNoRange()
+				outer := p.noRange
+				p.noRange = true
+				target := p.parseExprSingle()
+				p.noRange = outer
 				p.expectName("to")
 				return ast.SetStyle{Prop: prop, Target: target, Value: p.parseExprSingle(), At: tokPos(t)}
 			}
@@ -369,55 +381,14 @@ func (p *Parser) parseExprSingle() ast.Expr {
 		p.next()
 		return p.parseBlock()
 	}
-	return p.parseOr()
+	return p.parseOperators(levelOr)
 }
 
 func (p *Parser) parseFLWOR() ast.Expr {
 	var f ast.FLWOR
-	for {
-		t := p.peek()
-		if t.IsName("for") && p.peekAt(1).IsSym("$") {
-			p.next()
-			for {
-				cl := ast.Clause{For: true, At: tokPos(p.peek())}
-				cl.Var = p.varName()
-				if p.peek().IsName("as") {
-					p.next()
-					st := p.parseSequenceType()
-					cl.Type = &st
-				}
-				if p.eatName("at") {
-					cl.PosVar = p.varName()
-				}
-				p.expectName("in")
-				cl.In = p.parseExprSingle()
-				f.Clauses = append(f.Clauses, cl)
-				if !p.eatSym(",") {
-					break
-				}
-			}
-			continue
-		}
-		if t.IsName("let") && p.peekAt(1).IsSym("$") {
-			p.next()
-			for {
-				cl := ast.Clause{At: tokPos(p.peek())}
-				cl.Var = p.varName()
-				if p.peek().IsName("as") {
-					p.next()
-					st := p.parseSequenceType()
-					cl.Type = &st
-				}
-				p.expectSym(":=")
-				cl.In = p.parseExprSingle()
-				f.Clauses = append(f.Clauses, cl)
-				if !p.eatSym(",") {
-					break
-				}
-			}
-			continue
-		}
-		break
+	for t := p.peek(); (t.IsName("for") || t.IsName("let")) && p.peekAt(1).IsSym("$"); t = p.peek() {
+		p.next()
+		f.Clauses = append(f.Clauses, p.parseBindings(t.Local)...)
 	}
 	if len(f.Clauses) == 0 {
 		p.fail("FLWOR expression needs at least one for/let clause")
@@ -456,25 +427,41 @@ func (p *Parser) parseFLWOR() ast.Expr {
 }
 
 func (p *Parser) parseQuantified() ast.Expr {
-	q := ast.Quantified{Every: p.next().Local == "every"}
-	for {
-		cl := ast.Clause{For: true, At: tokPos(p.peek())}
-		cl.Var = p.varName()
-		if p.peek().IsName("as") {
-			p.next()
-			st := p.parseSequenceType()
-			cl.Type = &st
-		}
-		p.expectName("in")
-		cl.In = p.parseExprSingle()
-		q.Vars = append(q.Vars, cl)
-		if !p.eatSym(",") {
-			break
-		}
-	}
+	kw := p.next().Local
+	q := ast.Quantified{Every: kw == "every", Vars: p.parseBindings(kw)}
 	p.expectName("satisfies")
 	q.Satisfies = p.parseExprSingle()
 	return q
+}
+
+// parseBindings reads the comma-separated bindings after the keyword
+// of a for, let, some, every or copy clause:
+// "$v (as T)? (at $p)? in|:= ExprSingle". Only a FLWOR's for takes
+// "at", copy takes no type, and for, some and every bind with "in".
+func (p *Parser) parseBindings(keyword string) []ast.Clause {
+	iterates := keyword != "let" && keyword != "copy"
+	var cls []ast.Clause
+	for {
+		cl := ast.Clause{For: iterates, At: tokPos(p.peek())}
+		cl.Var = p.varName()
+		if keyword != "copy" && p.eatName("as") {
+			st := p.parseSequenceType()
+			cl.Type = &st
+		}
+		if keyword == "for" && p.eatName("at") {
+			cl.PosVar = p.varName()
+		}
+		if iterates {
+			p.expectName("in")
+		} else {
+			p.expectSym(":=")
+		}
+		cl.In = p.parseExprSingle()
+		cls = append(cls, cl)
+		if !p.eatSym(",") {
+			return cls
+		}
+	}
 }
 
 func (p *Parser) parseTypeswitch() ast.Expr {
@@ -574,17 +561,7 @@ func (p *Parser) parseReplace() ast.Expr {
 
 func (p *Parser) parseTransform() ast.Expr {
 	cpt := p.next() // copy
-	tr := ast.Transform{At: tokPos(cpt)}
-	for {
-		cl := ast.Clause{At: tokPos(p.peek())}
-		cl.Var = p.varName()
-		p.expectSym(":=")
-		cl.In = p.parseExprSingle()
-		tr.Bindings = append(tr.Bindings, cl)
-		if !p.eatSym(",") {
-			break
-		}
-	}
+	tr := ast.Transform{At: tokPos(cpt), Bindings: p.parseBindings("copy")}
 	p.expectName("modify")
 	tr.Modify = p.parseExprSingle()
 	p.expectName("return")
@@ -594,6 +571,8 @@ func (p *Parser) parseTransform() ast.Expr {
 
 // parseBlock parses the statements of a block after the opening "{".
 func (p *Parser) parseBlock() ast.Expr {
+	outer := p.noRange
+	p.noRange = false
 	var stmts []ast.Expr
 	for {
 		if p.peek().IsSym("}") {
@@ -609,6 +588,7 @@ func (p *Parser) parseBlock() ast.Expr {
 			break
 		}
 	}
+	p.noRange = outer
 	return ast.Block{Stmts: stmts}
 }
 
@@ -658,183 +638,131 @@ func (p *Parser) parseEventExpr() ast.Expr {
 	}
 }
 
-// --- operator precedence chain ---------------------------------------------
+// --- operators --------------------------------------------------------------
 
-func (p *Parser) parseOr() ast.Expr {
-	l := p.parseAnd()
-	for p.peek().IsName("or") {
-		p.next()
-		l = ast.Binary{Op: "or", L: l, R: p.parseAnd()}
-	}
-	return l
+// Operator levels, loosest first. An operator's right operand holds
+// only operators of tighter levels; the operands of the tightest level
+// are parseUnary's.
+const (
+	levelOr = iota + 1
+	levelAnd
+	levelCompare
+	levelFTContains
+	levelRange
+	levelAdditive
+	levelMultiplicative
+	levelUnion
+	levelIntersect
+	levelInstanceOf
+	levelTreat
+	levelCastable
+	levelCast
+)
+
+// operator is one row of the operator table: its level, how the tree
+// spells it, the comparison kind of a comparison, and the word that
+// must follow a two-word operator ("instance of", "cast as").
+type operator struct {
+	level int
+	op    string
+	kind  ast.CompareKind
+	then  string
 }
 
-func (p *Parser) parseAnd() ast.Expr {
-	l := p.parseComparison()
-	for p.peek().IsName("and") {
-		p.next()
-		l = ast.Binary{Op: "and", L: l, R: p.parseComparison()}
-	}
-	return l
+// operators maps a symbol, or an unprefixed name after a complete
+// operand, to its operator. XQuery has no reserved words: "div" or
+// "to" are operators here only because an operand precedes them.
+var operators = map[string]operator{
+	"or":         {level: levelOr, op: "or"},
+	"and":        {level: levelAnd, op: "and"},
+	"=":          {level: levelCompare, op: "=", kind: ast.GeneralComp},
+	"!=":         {level: levelCompare, op: "!=", kind: ast.GeneralComp},
+	"<":          {level: levelCompare, op: "<", kind: ast.GeneralComp},
+	"<=":         {level: levelCompare, op: "<=", kind: ast.GeneralComp},
+	">":          {level: levelCompare, op: ">", kind: ast.GeneralComp},
+	">=":         {level: levelCompare, op: ">=", kind: ast.GeneralComp},
+	"eq":         {level: levelCompare, op: "eq", kind: ast.ValueComp},
+	"ne":         {level: levelCompare, op: "ne", kind: ast.ValueComp},
+	"lt":         {level: levelCompare, op: "lt", kind: ast.ValueComp},
+	"le":         {level: levelCompare, op: "le", kind: ast.ValueComp},
+	"gt":         {level: levelCompare, op: "gt", kind: ast.ValueComp},
+	"ge":         {level: levelCompare, op: "ge", kind: ast.ValueComp},
+	"is":         {level: levelCompare, op: "is", kind: ast.NodeComp},
+	"<<":         {level: levelCompare, op: "<<", kind: ast.NodeComp},
+	">>":         {level: levelCompare, op: ">>", kind: ast.NodeComp},
+	"ftcontains": {level: levelFTContains},
+	"to":         {level: levelRange},
+	"+":          {level: levelAdditive, op: "+"},
+	"-":          {level: levelAdditive, op: "-"},
+	"*":          {level: levelMultiplicative, op: "*"},
+	"div":        {level: levelMultiplicative, op: "div"},
+	"idiv":       {level: levelMultiplicative, op: "idiv"},
+	"mod":        {level: levelMultiplicative, op: "mod"},
+	"|":          {level: levelUnion, op: "union"},
+	"union":      {level: levelUnion, op: "union"},
+	"intersect":  {level: levelIntersect, op: "intersect"},
+	"except":     {level: levelIntersect, op: "except"},
+	"instance":   {level: levelInstanceOf, then: "of"},
+	"treat":      {level: levelTreat, then: "as"},
+	"castable":   {level: levelCastable, then: "as"},
+	"cast":       {level: levelCast, then: "as"},
 }
 
-func (p *Parser) parseComparison() ast.Expr {
-	l := p.parseFTContains()
+// nextOperator looks the next token up in the operator table; level 0
+// means it is no operator. "to" is none inside a set-style target
+// (noRange).
+func (p *Parser) nextOperator() operator {
 	t := p.peek()
+	var o operator
 	switch {
 	case t.Kind == lexer.Sym:
-		switch t.Text {
-		case "=", "!=", "<", "<=", ">", ">=":
-			p.next()
-			return ast.Compare{Op: t.Text, Kind: ast.GeneralComp, L: l, R: p.parseFTContains()}
-		case "<<", ">>":
-			p.next()
-			return ast.Compare{Op: t.Text, Kind: ast.NodeComp, L: l, R: p.parseFTContains()}
-		}
+		o = operators[t.Text]
 	case t.Kind == lexer.Name && t.Prefix == "":
-		switch t.Local {
-		case "eq", "ne", "lt", "le", "gt", "ge":
-			// Only a comparison if an operand follows (not, e.g., a path
-			// step named "eq" — position disambiguates because we are
-			// after a complete operand).
-			p.next()
-			return ast.Compare{Op: t.Local, Kind: ast.ValueComp, L: l, R: p.parseFTContains()}
-		case "is":
-			p.next()
-			return ast.Compare{Op: "is", Kind: ast.NodeComp, L: l, R: p.parseFTContains()}
-		}
+		o = operators[t.Local]
 	}
-	return l
-}
-
-func (p *Parser) parseFTContains() ast.Expr {
-	l := p.parseRange()
-	if p.peek().IsName("ftcontains") {
-		p.next()
-		return ast.FTContains{X: l, Sel: p.parseFTOr()}
+	if (o.level == levelRange && p.noRange) || (o.then != "" && !p.peekAt(1).IsName(o.then)) {
+		return operator{}
 	}
-	return l
+	return o
 }
 
-func (p *Parser) parseRange() ast.Expr {
-	l := p.parseAdditive()
-	if p.noRange == 0 && p.peek().IsName("to") {
-		p.next()
-		return ast.Range{L: l, R: p.parseAdditive()}
-	}
-	return l
-}
-
-// parseExprSingleNoRange parses an ExprSingle with the "to" operator
-// disabled (the set-style target position).
-func (p *Parser) parseExprSingleNoRange() ast.Expr {
-	p.noRange++
-	defer func() { p.noRange-- }()
-	return p.parseExprSingle()
-}
-
-func (p *Parser) parseAdditive() ast.Expr {
-	l := p.parseMultiplicative()
+// parseOperators parses unary operands joined by operators of level
+// loosest or tighter, by precedence climbing. Each right operand is
+// parsed at the next tighter level. The left-associative levels (those
+// that build an ast.Binary) may repeat; after any other operator only
+// a looser one may follow, so "1 = 2 = 3" stops before the second "=".
+func (p *Parser) parseOperators(loosest int) ast.Expr {
+	l := p.parseUnary()
+	below := levelCast + 1 // the next operator's level must be under this
 	for {
-		t := p.peek()
-		if t.IsSym("+") || t.IsSym("-") {
-			p.next()
-			l = ast.Binary{Op: t.Text, L: l, R: p.parseMultiplicative()}
-			continue
-		}
-		return l
-	}
-}
-
-func (p *Parser) parseMultiplicative() ast.Expr {
-	l := p.parseUnion()
-	for {
-		t := p.peek()
-		op := ""
-		switch {
-		case t.IsSym("*"):
-			op = "*"
-		case t.IsName("div"):
-			op = "div"
-		case t.IsName("idiv"):
-			op = "idiv"
-		case t.IsName("mod"):
-			op = "mod"
-		}
-		if op == "" {
+		o := p.nextOperator()
+		if o.level < loosest || o.level >= below {
 			return l
 		}
 		p.next()
-		l = ast.Binary{Op: op, L: l, R: p.parseUnion()}
-	}
-}
-
-func (p *Parser) parseUnion() ast.Expr {
-	l := p.parseIntersectExcept()
-	for {
-		t := p.peek()
-		if t.IsSym("|") || t.IsName("union") {
+		if o.then != "" {
 			p.next()
-			l = ast.Binary{Op: "union", L: l, R: p.parseIntersectExcept()}
-			continue
 		}
-		return l
-	}
-}
-
-func (p *Parser) parseIntersectExcept() ast.Expr {
-	l := p.parseInstanceOf()
-	for {
-		t := p.peek()
-		if t.IsName("intersect") || t.IsName("except") {
-			p.next()
-			l = ast.Binary{Op: t.Local, L: l, R: p.parseInstanceOf()}
-			continue
+		below = o.level
+		switch o.level {
+		case levelCompare:
+			l = ast.Compare{Op: o.op, Kind: o.kind, L: l, R: p.parseOperators(o.level + 1)}
+		case levelFTContains:
+			l = ast.FTContains{X: l, Sel: p.parseFTOr()}
+		case levelRange:
+			l = ast.Range{L: l, R: p.parseOperators(o.level + 1)}
+		case levelInstanceOf:
+			l = ast.InstanceOf{X: l, Type: p.parseSequenceType()}
+		case levelTreat:
+			l = ast.TreatAs{X: l, Type: p.parseSequenceType()}
+		case levelCastable, levelCast:
+			typ, opt := p.parseSingleType()
+			l = ast.CastAs{X: l, Type: typ, Optional: opt, Castable: o.level == levelCastable}
+		default:
+			l = ast.Binary{Op: o.op, L: l, R: p.parseOperators(o.level + 1)}
+			below = o.level + 1
 		}
-		return l
 	}
-}
-
-func (p *Parser) parseInstanceOf() ast.Expr {
-	l := p.parseTreat()
-	if p.peek().IsName("instance") && p.peekAt(1).IsName("of") {
-		p.next()
-		p.next()
-		return ast.InstanceOf{X: l, Type: p.parseSequenceType()}
-	}
-	return l
-}
-
-func (p *Parser) parseTreat() ast.Expr {
-	l := p.parseCastable()
-	if p.peek().IsName("treat") && p.peekAt(1).IsName("as") {
-		p.next()
-		p.next()
-		return ast.TreatAs{X: l, Type: p.parseSequenceType()}
-	}
-	return l
-}
-
-func (p *Parser) parseCastable() ast.Expr {
-	l := p.parseCast()
-	if p.peek().IsName("castable") && p.peekAt(1).IsName("as") {
-		p.next()
-		p.next()
-		typ, opt := p.parseSingleType()
-		return ast.CastAs{X: l, Type: typ, Optional: opt, Castable: true}
-	}
-	return l
-}
-
-func (p *Parser) parseCast() ast.Expr {
-	l := p.parseUnary()
-	if p.peek().IsName("cast") && p.peekAt(1).IsName("as") {
-		p.next()
-		p.next()
-		typ, opt := p.parseSingleType()
-		return ast.CastAs{X: l, Type: typ, Optional: opt}
-	}
-	return l
 }
 
 func (p *Parser) parseUnary() ast.Expr {

@@ -313,6 +313,23 @@ func TestBrowserExtensionShapes(t *testing.T) {
 	if _, ok := parseOne(t, `set style "color" of //d to "red"`).(ast.SetStyle); !ok {
 		t.Error("set style shape")
 	}
+	// "to" ends the target only at the target's own level: inside
+	// brackets and argument lists it is the range operator again.
+	for _, src := range []string{
+		`set style "color" of //div[position() = (1 to 2)] to "red"`,
+		`set style "color" of local:f(1 to 2) to "red"`,
+		`set style "color" of (//div)[for $i in 1 to 2 return $i] to "red"`,
+		`set style "color" of { declare variable $n := 1 to 2; //div[$n] } to "red"`,
+	} {
+		s, ok := parseOne(t, src).(ast.SetStyle)
+		if !ok {
+			t.Errorf("%q: not a set style", src)
+			continue
+		}
+		if v, ok := s.Value.(ast.StringLit); !ok || v.Val != "red" {
+			t.Errorf("%q: value = %#v", src, s.Value)
+		}
+	}
 	if _, ok := parseOne(t, `get style "color" of //d`).(ast.GetStyle); !ok {
 		t.Error("get style shape")
 	}

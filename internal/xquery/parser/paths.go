@@ -367,12 +367,15 @@ func (p *Parser) parsePrimary() ast.Expr {
 			name := p.qname("function")
 			p.expectSym("(")
 			var args []ast.Expr
+			outer := p.noRange
+			p.noRange = false
 			if !p.peek().IsSym(")") {
 				args = append(args, p.parseExprSingle())
 				for p.eatSym(",") {
 					args = append(args, p.parseExprSingle())
 				}
 			}
+			p.noRange = outer
 			p.expectSym(")")
 			return ast.FuncCall{Name: name, Args: args, At: tokPos(t)}
 		}
