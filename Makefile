@@ -20,8 +20,9 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke fuzz-smok
 # Register and Freeze only), serve/rest never store a
 # context.Context in a struct, the two per-document index packages
 # read their index fields behind the version stamp only, each names
-# only its own dom index slot, and dom's index slots are touched by
-# its lifecycle file and RestoreVersion only (one pass, keyed by
+# only its own dom index slot, dom's index slots are touched by
+# its lifecycle file and RestoreVersion only, and dom's id map by its
+# builder, lookup and maintenance methods only (one pass, keyed by
 # package path), the planner and the
 # optimizer never mutate shared AST nodes (rewrites must copy), the
 # store's raw shard state is only

@@ -77,8 +77,11 @@ func BenchmarkLoadPage(b *testing.B) {
 // 300-product cart (emptied every 32 buys, as a checkout would), a
 // Reference 2.0 navigation over a 512-article catalog with the
 // documents in the client's cache, and regenerating the 12×12
-// multiplication table. Every turn mutates its page, so every turn's
-// //elem[@id = K] lookups scan.
+// multiplication table. Every turn mutates its page, and every turn's
+// //elem[@id = K] lookups (and the host's getElementById) still answer
+// from the page's id map, which the mutations keep current (DESIGN.md
+// §5aa); only nav's variable-keyed $cat//issue[@id = $issue] still
+// tests every issue of the catalog.
 func BenchmarkListenerTurn(b *testing.B) {
 	b.Run("cart", func(b *testing.B) {
 		h, err := core.LoadPage(cartPage(b, 300), "http://shop.example.com/cart")
@@ -152,10 +155,9 @@ func BenchmarkListenerTurn(b *testing.B) {
 
 // TestListenerLookupAllocsIndependentOfPageSize pins what the planned
 // [@id = K] predicate buys a listener: on a page the previous event
-// mutated, //div[@id="k"] scans, and the scan allocates the same
-// whether it rejects 100 candidates or 2,000 — no focus, iterator or
-// comparison result per candidate, no walker stack that grows with the
-// fan-out.
+// mutated, //div[@id="k"] is answered from the page's id map, so a turn
+// allocates the same whether the page holds 100 other divs or 2,000:
+// nothing is visited, let alone allocated, per other div.
 func TestListenerLookupAllocsIndependentOfPageSize(t *testing.T) {
 	turn := func(candidates int) float64 {
 		var b strings.Builder
@@ -178,7 +180,7 @@ on event "click" at //input[@id="go"] attach listener local:touch
 				t.Fatal(err)
 			}
 		}
-		click() // the load-time index dies here; from now on every turn scans
+		click() // the load-time path index dies here; the id map stays current
 		allocs := testing.AllocsPerRun(20, click)
 		if got := h.Page.ElementByID("k").AttrValue("n"); got != "go" {
 			t.Fatalf("listener wrote %q", got)

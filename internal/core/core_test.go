@@ -71,6 +71,36 @@ func TestEventAttachAndClick(t *testing.T) {
 	}
 }
 
+// Click and Keyup with the empty id find no element, as DOM's
+// getElementById("") does: a listener on the document element must not
+// fire because an element lacks an id.
+func TestEmptyIDDispatchesNothing(t *testing.T) {
+	page := `<html><head><script type="text/xquery">
+		declare sequential function local:hit($evt, $obj) {
+			browser:alert(concat("hit ", $evt/type));
+		};
+		on event "click" at /html attach listener local:hit;
+		on event "keyup" at /html attach listener local:hit
+	</script></head>
+	<body><div id="a"/><p id="">x</p></body></html>`
+	h, err := LoadPage(page, "http://example.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Click(""); err == nil {
+		t.Error(`Click("") found an element`)
+	}
+	if err := h.Keyup("", "k"); err == nil {
+		t.Error(`Keyup("") found an element`)
+	}
+	if a := h.Alerts(); len(a) != 0 {
+		t.Errorf("alerts = %v, want none", a)
+	}
+	if err := h.Click("a"); err != nil || len(h.Alerts()) != 1 {
+		t.Errorf(`Click("a"): %v, alerts %v`, err, h.Alerts())
+	}
+}
+
 func TestEventDetach(t *testing.T) {
 	page := `<html><head><script type="text/xqueryp">
 		declare updating function local:l($evt, $obj) {

@@ -18,12 +18,13 @@ type AttrSpec struct {
 // The kids must be parentless nodes of the tree being built (no cycle
 // check is made); handing it an attached node, an attribute or a
 // document is a bug in the caller and panics. The version of n's tree is
-// bumped once for the whole list.
+// bumped once for the whole list, and the kids' ids enter the tree's id
+// map if it has one.
 func (n *Node) AdoptChildren(kids []*Node) {
 	if len(kids) == 0 {
 		return
 	}
-	e := n.el
+	e := n.part()
 	if e.children == nil {
 		e.children = make([]*Node, 0, len(kids))
 	}
@@ -34,7 +35,13 @@ func (n *Node) AdoptChildren(kids []*Node) {
 		k.parent = n
 		e.children = append(e.children, k)
 	}
-	n.bumpVersion()
+	m := n.bumpVersion().ids()
+	for _, k := range kids {
+		k.dropIDMap()
+		if m != nil {
+			m.addTree(k)
+		}
+	}
 }
 
 // AdoptAttrs appends one attribute node per spec to element n, in order.
@@ -48,14 +55,20 @@ func (n *Node) AdoptAttrs(specs []AttrSpec) {
 	for i, s := range specs {
 		slab[i].Name, slab[i].Data = s.Name, s.Value
 	}
-	n.bumpVersion()
+	if m := n.bumpVersion().ids(); m != nil {
+		for _, s := range specs {
+			if isIDName(s.Name) {
+				m.addID(s.Value, n)
+			}
+		}
+	}
 }
 
 // attrSlab appends k attribute nodes to element n, carved from one
 // allocation, and returns them for the caller to name and fill.
 func (n *Node) attrSlab(k int) []Node {
 	slab := make([]Node, k)
-	e := n.el
+	e := n.part()
 	if e.attrs == nil {
 		e.attrs = make([]*Node, 0, k)
 	}

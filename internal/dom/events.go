@@ -71,7 +71,8 @@ type listener struct {
 	id  any // identity token for removal (e.g. an XQuery QName)
 	// seq numbers the registrations on one node, from 1: list order is
 	// seq order, and a dispatch names a registration by it (see invoke).
-	seq     uint64
+	// 32 bits, so that capture shares its word: a listener is 48 bytes.
+	seq     uint32
 	capture bool
 }
 
@@ -195,7 +196,7 @@ func (n *Node) invoke(ev *Event, capture bool) {
 	// fire for this event, removed ones are skipped. The list can shift
 	// under the loop, so it keeps a registration number, not a position,
 	// and looks up the next live registration after it each time.
-	limit, done := s.seq, uint64(0)
+	limit, done := s.seq, uint32(0)
 	for !ev.stopped {
 		l := s.nextListener(done, limit)
 		if l == nil {
@@ -210,7 +211,7 @@ func (n *Node) invoke(ev *Event, capture bool) {
 
 // nextListener returns the first registration numbered above done and
 // at most limit, or nil.
-func (s *nodeSide) nextListener(done, limit uint64) *listener {
+func (s *nodeSide) nextListener(done, limit uint32) *listener {
 	for i, k := 0, s.listenerCount(); i < k; i++ {
 		if l := s.listenerAt(i); l.seq > done {
 			if l.seq > limit {

@@ -1,0 +1,372 @@
+package dom_test
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/dom"
+	"repro/internal/faultpoint"
+	"repro/internal/markup"
+	"repro/internal/xdm"
+	"repro/internal/xquery"
+	"repro/internal/xquery/update"
+)
+
+// idKeys is the small pool of ids the differential draws from, so that
+// ids repeat and move between holders.
+var idKeys = []string{"k0", "k1", "k2", "k3", "k4"}
+
+// idOracle walks n's subtree (n too if orSelf) for the elements whose
+// id attribute is id.
+func idOracle(n *dom.Node, id string, orSelf bool) []*dom.Node {
+	var out []*dom.Node
+	n.Walk(func(e *dom.Node) bool {
+		if e.Type == dom.ElementNode && (e != n || orSelf) && e.AttrValue("id") == id {
+			out = append(out, e)
+		}
+		return true
+	})
+	return out
+}
+
+func seqNodes(s xdm.Sequence) []*dom.Node {
+	out := make([]*dom.Node, len(s))
+	for i, it := range s {
+		n, _ := xdm.IsNode(it)
+		out[i] = n
+	}
+	return out
+}
+
+func equalNodes(a, b []*dom.Node) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// idWorld is two random trees with ids and the queries the differential
+// asks of them after every step.
+type idWorld struct {
+	r     *rand.Rand
+	docs  [2]*dom.Node
+	fnID  map[string]*xquery.Program // fn:id("k")
+	probe map[string]*xquery.Program // //*[@id = "k"], planned as an id probe
+}
+
+func newIDWorld(seed int64, progs [2]map[string]*xquery.Program) *idWorld {
+	w := &idWorld{r: rand.New(rand.NewSource(seed)), fnID: progs[0], probe: progs[1]}
+	for i := range w.docs {
+		w.docs[i] = dom.RandomTree(w.r, 30)[0]
+		for _, e := range w.elements(i) {
+			if w.r.Intn(2) == 0 {
+				e.SetAttr(dom.Name("id"), w.key())
+			}
+		}
+		w.docs[i].ElementByID("k0") // from here on the map is maintained
+	}
+	return w
+}
+
+func (w *idWorld) key() string { return idKeys[w.r.Intn(len(idKeys))] }
+
+// elements lists tree i's elements below its document element: what
+// the mutations may move, detach or replace.
+func (w *idWorld) elements(i int) []*dom.Node {
+	var out []*dom.Node
+	top := w.docs[i].DocumentElement()
+	top.Walk(func(n *dom.Node) bool {
+		if n.Type == dom.ElementNode && n != top {
+			out = append(out, n)
+		}
+		return true
+	})
+	return out
+}
+
+// pick returns a random element of tree i: any element, the document
+// element included, when anyElem, else one below it; nil if none.
+func (w *idWorld) pick(i int, anyElem bool) *dom.Node {
+	els := w.elements(i)
+	if anyElem {
+		els = append(els, w.docs[i].DocumentElement())
+	}
+	if len(els) == 0 {
+		return nil
+	}
+	return els[w.r.Intn(len(els))]
+}
+
+// subtree builds a detached subtree of up to four elements, most with
+// ids from the pool.
+func (w *idWorld) subtree() *dom.Node {
+	root := dom.NewElement(dom.Name("s"))
+	parents := []*dom.Node{root}
+	for k := w.r.Intn(4); k > 0; k-- {
+		e := dom.NewElement(dom.Name("s"))
+		mustDo(parents[w.r.Intn(len(parents))].AppendChild(e))
+		parents = append(parents, e)
+	}
+	for _, e := range parents {
+		if w.r.Intn(4) > 0 {
+			e.SetAttr(dom.Name("id"), w.key())
+		}
+	}
+	return root
+}
+
+func mustDo(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// step applies one random mutation and names it.
+func (w *idWorld) step(t *testing.T) string {
+	i := w.r.Intn(2)
+	switch w.r.Intn(11) {
+	case 0:
+		e := w.pick(i, true)
+		e.SetAttr(dom.Name("id"), w.key())
+		return "set id"
+	case 1:
+		w.pick(i, true).RemoveAttr(dom.Name("id"))
+		return "remove id"
+	case 2:
+		e := w.pick(i, true)
+		if a := e.AttrNode(dom.Name("id")); a != nil {
+			a.Rename(dom.Name("was"))
+		} else if a := e.AttrNode(dom.Name("was")); a != nil {
+			a.Rename(dom.Name("id"))
+		}
+		return "rename id"
+	case 3:
+		if a := w.pick(i, true).AttrNode(dom.Name("id")); a != nil {
+			a.SetData(w.key())
+		}
+		return "set id value"
+	case 4:
+		target := w.pick(i, true)
+		s := w.subtree()
+		switch ref := w.pick(i, false); {
+		case ref == nil || w.r.Intn(3) == 0:
+			mustDo(target.PrependChild(s))
+		case w.r.Intn(2) == 0:
+			mustDo(ref.Parent().InsertBefore(s, ref))
+		default:
+			mustDo(ref.Parent().InsertAfter(s, ref))
+		}
+		return "insert subtree"
+	case 5:
+		if e := w.pick(i, false); e != nil {
+			e.Detach()
+		}
+		return "delete subtree"
+	case 6:
+		if e := w.pick(i, false); e != nil {
+			mustDo(e.Parent().ReplaceChild(w.subtree(), e))
+		}
+		return "replace subtree"
+	case 7:
+		// A move within the tree or into the other one.
+		e, to := w.pick(i, false), w.pick(w.r.Intn(2), true)
+		if e != nil && e != to && !e.IsAncestorOf(to) {
+			mustDo(to.AppendChild(e))
+		}
+		return "move subtree"
+	case 8:
+		if e := w.pick(i, true); w.r.Intn(2) == 0 {
+			e.RemoveChildren()
+		} else {
+			e.ReplaceElementContent("t")
+		}
+		return "empty element"
+	case 9:
+		return w.failedApply(t, i)
+	default:
+		v := w.docs[i].Version()
+		w.pick(i, true).SetAttr(dom.Name("id"), w.key())
+		w.docs[i].RestoreVersion(v)
+		return "RestoreVersion"
+	}
+}
+
+// failedApply builds a pending update list that moves ids around and
+// fails it part-way under the update.apply fault point: the rollback
+// must leave the tree as it was and its ids where they were.
+func (w *idWorld) failedApply(t *testing.T, i int) string {
+	var pul update.PUL
+	add := func(pr update.Primitive) {
+		if pr.Target != nil {
+			mustDo(pul.Add(pr))
+		}
+	}
+	add(update.Primitive{Kind: update.InsertInto, Target: w.pick(i, true), Content: []*dom.Node{w.subtree()}})
+	if a := w.pick(i, true).AttrNode(dom.Name("id")); a != nil {
+		add(update.Primitive{Kind: update.ReplaceValue, Target: a, Value: w.key()})
+	}
+	if e := w.pick(i, false); e != nil {
+		add(update.Primitive{Kind: update.Delete, Target: e})
+	}
+	before := markup.Serialize(w.docs[i])
+	defer faultpoint.Reset()
+	faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(int64(1+w.r.Intn(pul.Len()))))
+	if err := pul.Apply(nil); err == nil {
+		t.Fatal("the armed apply succeeded")
+	}
+	if got := markup.Serialize(w.docs[i]); got != before {
+		t.Fatalf("rollback left\n%s\nwant\n%s", got, before)
+	}
+	return "failed apply"
+}
+
+// check compares every id lookup of both trees with the walk.
+func (w *idWorld) check(t *testing.T, stage string) {
+	t.Helper()
+	for i, doc := range w.docs {
+		focus := w.pick(i, true)
+		for _, k := range idKeys {
+			want := idOracle(doc, k, true)
+			var first *dom.Node
+			if len(want) > 0 {
+				first = want[0]
+			}
+			if got := doc.ElementByID(k); got != first {
+				t.Fatalf("%s: tree %d: ElementByID(%q) = %v, walk %v", stage, i, k, got, first)
+			}
+			for _, orSelf := range []bool{false, true} {
+				if got, want := focus.AppendByID(nil, k, orSelf), idOracle(focus, k, orSelf); !equalNodes(got, want) {
+					t.Fatalf("%s: tree %d: %q under a focus (orSelf %v) = %v, walk %v", stage, i, k, orSelf, got, want)
+				}
+			}
+			for name, p := range map[string]*xquery.Program{"fn:id": w.fnID[k], "[@id]": w.probe[k]} {
+				for _, scan := range []bool{false, true} {
+					res, err := p.Run(xquery.RunConfig{ContextItem: xdm.NewNode(doc), DisableIndexes: scan})
+					if err != nil {
+						t.Fatalf("%s: %s %q: %v", stage, name, k, err)
+					}
+					if got := seqNodes(res.Value); !equalNodes(got, want) {
+						t.Fatalf("%s: tree %d: %s %q (scan %v) = %v, walk %v", stage, i, name, k, scan, got, want)
+					}
+				}
+			}
+		}
+		if !doc.HasIDMap() && stage != "RestoreVersion" {
+			t.Fatalf("%s: tree %d has no id map after its lookups", stage, i)
+		}
+	}
+}
+
+// TestIDMapDifferential interleaves random mutations of two random
+// trees — ids set, removed, renamed and rewritten; subtrees holding
+// ids, duplicates among them, inserted, deleted, replaced and moved
+// within a tree and between the two; a failed apply rolled back under
+// the update.apply fault point; RestoreVersion — and after every step
+// holds getElementById, fn:id and //*[@id = K], with indexes on and
+// off, to a walk of the tree.
+func TestIDMapDifferential(t *testing.T) {
+	e := xquery.New()
+	var progs [2]map[string]*xquery.Program
+	for j, form := range []string{`fn:id(%q)`, `//*[@id = %q]`} {
+		progs[j] = map[string]*xquery.Program{}
+		for _, k := range idKeys {
+			p, err := e.Compile(fmt.Sprintf(form, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs[j][k] = p
+		}
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		w := newIDWorld(seed, progs)
+		w.check(t, fmt.Sprintf("seed %d: initial", seed))
+		for s := 0; s < 40; s++ {
+			stage := w.step(t)
+			w.check(t, fmt.Sprintf("seed %d step %d: %s", seed, s, stage))
+		}
+	}
+}
+
+// idPage is a page of n divs with unique ids.
+func idPage(tb testing.TB, n int) *dom.Node {
+	tb.Helper()
+	var b strings.Builder
+	b.WriteString(`<html><body>`)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<div id="d%d">x</div>`, i)
+	}
+	b.WriteString(`</body></html>`)
+	doc, err := markup.Parse(b.String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return doc
+}
+
+// idMapBytes is what building doc's id map leaves on the heap, per id.
+func idMapBytes(doc *dom.Node, ids int) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	doc.ElementByID("d0")
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(doc)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(ids)
+}
+
+// The map is one entry per unique id: a few dozen bytes, not a list per
+// id (a []*Node per entry would add a slice header and an allocation).
+func TestIDMapBytesPerID(t *testing.T) {
+	const ids = 20000
+	if got := idMapBytes(idPage(t, ids), ids); got > 80 {
+		t.Errorf("the id map of %d unique ids retains %.1f bytes per id, want at most 80", ids, got)
+	}
+}
+
+// BenchmarkIDLookup is a page that changes between lookups, as every
+// event's does: getElementById, and the planned //div[@id = K] probe,
+// at 100, 2,000 and 20,000 elements. B/id is what the page's id map
+// retains per id.
+func BenchmarkIDLookup(b *testing.B) {
+	for _, n := range []int{100, 2000, 20000} {
+		doc := idPage(b, n)
+		body := doc.DocumentElement().FirstChild()
+		bytesPerID := idMapBytes(doc, n)
+		k := fmt.Sprintf("d%d", n/2)
+		b.Run(fmt.Sprintf("ElementByID/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body.SetAttr(dom.Name("n"), "x") // a new version
+				if doc.ElementByID(k) == nil {
+					b.Fatal("lookup missed")
+				}
+			}
+			b.ReportMetric(bytesPerID, "B/id")
+		})
+		p, err := xquery.New().Compile(fmt.Sprintf(`//div[@id = %q]`, k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := xdm.NewNode(doc)
+		b.Run(fmt.Sprintf("probe/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body.SetAttr(dom.Name("n"), "x")
+				res, err := p.Run(xquery.RunConfig{ContextItem: ctx})
+				if err != nil || len(res.Value) != 1 {
+					b.Fatalf("probe: %v, %d items", err, len(res.Value))
+				}
+			}
+			b.ReportMetric(bytesPerID, "B/id")
+		})
+	}
+}

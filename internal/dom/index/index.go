@@ -1,11 +1,10 @@
-// Package index maintains lazily built, version-stamped per-document
-// indexes over dom trees — the access-path layer the path planner
-// (internal/xquery/plan) routes descendant-heavy steps to:
-//
-//   - an element-name index (expanded QName → elements in document
-//     order), probed by //x-style steps;
-//   - an "id" attribute index (value → elements in document order),
-//     probed by descendant::x[@id="..."] steps and fn:id.
+// Package index maintains a lazily built, version-stamped element-name
+// index over dom trees (expanded QName → elements in document order) —
+// the access-path layer the path planner (internal/xquery/plan) routes
+// //x-style steps to. Ids are not its business: a tree's id map lives
+// in package dom, which keeps it current through every mutation
+// (dom.Node.AppendByID, DESIGN.md §5aa), so descendant::x[@id="..."]
+// steps and fn:id read it even on a page that just changed.
 //
 // The index numbers nothing itself: a subtree is a pre/end interval of
 // the labels package dom keeps on every node (dom.Node.Label, DESIGN.md
@@ -52,7 +51,6 @@ type Doc struct {
 	version uint64 // root.Version() at build time
 
 	names map[nameKey][]*dom.Node // element-name index
-	ids   map[string][]*dom.Node  // no-namespace "id" attribute index
 }
 
 // Package-wide counters (process lifetime): how many indexes were
@@ -80,7 +78,7 @@ func Snapshot() Stats {
 // mutation.
 func For(n *dom.Node) *Doc { return lifecycle.For(n) }
 
-// Probe returns the index a planned path step or fn:id may read, or nil
+// Probe returns the index a planned path step may read, or nil
 // when the caller should scan; built reports whether this call built
 // it. When a stale index is rebuilt and when a build degrades to a scan
 // is dom.Index.Probe's policy; For bypasses it.
@@ -90,23 +88,18 @@ func Probe(n *dom.Node) (d *Doc, built bool) { return lifecycle.Probe(n) }
 // already built and current; it never builds.
 func Fresh(n *dom.Node) *Doc { return lifecycle.Fresh(n) }
 
-// build walks the tree once, filling the name and id maps in document
-// order.
+// build walks the tree once, filling the name map in document order.
 func build(root *dom.Node) *Doc {
 	builds.Add(1)
 	d := &Doc{
 		root:    root,
 		version: root.Version(),
 		names:   map[nameKey][]*dom.Node{},
-		ids:     map[string][]*dom.Node{},
 	}
 	root.Walk(func(n *dom.Node) bool {
 		if n.Type == dom.ElementNode {
 			k := nameKey{space: n.Name.Space, local: n.Name.Local}
 			d.names[k] = append(d.names[k], n)
-			if id := n.AttrValue("id"); id != "" {
-				d.ids[id] = append(d.ids[id], n)
-			}
 		}
 		return true
 	})
@@ -114,7 +107,7 @@ func build(root *dom.Node) *Doc {
 }
 
 // fresh reports whether the index still matches its tree. Every
-// accessor checks it before touching the maps: a Doc held across a
+// accessor checks it before touching the map: a Doc held across a
 // mutation answers ok=false and the caller falls back to scanning.
 func (d *Doc) fresh() bool { return d.version == d.root.Version() }
 
@@ -138,28 +131,6 @@ func (d *Doc) DescendantsByName(n *dom.Node, space, local string, orSelf bool) (
 	return list[i:j], true
 }
 
-// DescendantsByID returns the elements inside n's subtree whose "id"
-// attribute equals id, in document order. orSelf includes n itself.
-// The id list for one value is almost always a singleton, so this
-// filters linearly instead of slicing.
-func (d *Doc) DescendantsByID(n *dom.Node, id string, orSelf bool) (nodes []*dom.Node, ok bool) {
-	if !d.fresh() {
-		return nil, false
-	}
-	lo, hi, ok := d.subtree(n, orSelf)
-	if !ok {
-		return nil, false
-	}
-	var out []*dom.Node
-	for _, e := range d.ids[id] {
-		if p, _, _ := e.Label(); p >= lo && p <= hi {
-			out = append(out, e)
-		}
-	}
-	hits.Add(1)
-	return out, true
-}
-
 // subtree returns the pre interval [lo, hi] of n's subtree, without n
 // itself unless orSelf. ok is false when n is not in this index's tree.
 func (d *Doc) subtree(n *dom.Node, orSelf bool) (lo, hi uint32, ok bool) {
@@ -171,14 +142,4 @@ func (d *Doc) subtree(n *dom.Node, orSelf bool) (lo, hi uint32, ok bool) {
 		p++
 	}
 	return p, end, true
-}
-
-// ByID returns every element in the tree whose "id" attribute equals
-// id, in document order (fn:id's per-value lookup).
-func (d *Doc) ByID(id string) (nodes []*dom.Node, ok bool) {
-	if !d.fresh() {
-		return nil, false
-	}
-	hits.Add(1)
-	return d.ids[id], true
 }

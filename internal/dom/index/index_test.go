@@ -73,37 +73,6 @@ func TestDescendantsByName(t *testing.T) {
 		if _, ok := idx.DescendantsByName(foreign, "", "b", true); ok {
 			t.Error("DescendantsByName answered for a node of another tree")
 		}
-		if _, ok := idx.DescendantsByID(foreign, "b2", true); ok {
-			t.Error("DescendantsByID answered for a node of another tree")
-		}
-	}
-}
-
-func TestDescendantsByIDAndByID(t *testing.T) {
-	doc := testDoc(t)
-	idx := index.For(doc)
-	root := elem(t, doc, "r")
-	a1 := elem(t, doc, "a1")
-
-	if got, ok := idx.DescendantsByID(root, "b2", false); !ok || len(got) != 1 || got[0].AttrValue("id") != "b2" {
-		t.Fatalf("b2 under root = %v (ok=%v)", got, ok)
-	}
-	// b2 lives under a2, not a1.
-	if got, ok := idx.DescendantsByID(a1, "b2", false); !ok || len(got) != 0 {
-		t.Fatalf("b2 under a1 = %v (ok=%v), want empty", got, ok)
-	}
-	// orSelf picks up the focus node's own id.
-	if got, ok := idx.DescendantsByID(a1, "a1", true); !ok || len(got) != 1 || got[0] != a1 {
-		t.Fatalf("a1-or-self = %v (ok=%v)", got, ok)
-	}
-	if got, ok := idx.DescendantsByID(a1, "a1", false); !ok || len(got) != 0 {
-		t.Fatalf("a1 proper-descendant = %v (ok=%v), want empty", got, ok)
-	}
-	if got, ok := idx.ByID("c1"); !ok || len(got) != 1 || got[0].AttrValue("id") != "c1" {
-		t.Fatalf("ByID(c1) = %v (ok=%v)", got, ok)
-	}
-	if got, ok := idx.ByID("nope"); !ok || len(got) != 0 {
-		t.Fatalf("ByID(nope) = %v (ok=%v), want empty", got, ok)
 	}
 }
 
@@ -204,14 +173,8 @@ func TestMutatorsInvalidate(t *testing.T) {
 			if got := index.Fresh(doc); got != nil {
 				t.Fatalf("Fresh = %p after %s, want nil (stale index consulted)", got, m.name)
 			}
-			if _, ok := idx.ByID("a1"); ok {
-				t.Fatalf("stale index answered ByID after %s", m.name)
-			}
 			if _, ok := idx.DescendantsByName(doc, "", "a", false); ok {
 				t.Fatalf("stale index answered DescendantsByName after %s", m.name)
-			}
-			if _, ok := idx.DescendantsByID(doc, "a1", false); ok {
-				t.Fatalf("stale index answered DescendantsByID after %s", m.name)
 			}
 			if d := index.Snapshot().Builds - base; d != 0 {
 				t.Fatalf("%s itself triggered %d rebuilds, want 0 (rebuild must be lazy)", m.name, d)

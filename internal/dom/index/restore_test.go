@@ -178,3 +178,36 @@ func TestProbeReleasesStaleIndex(t *testing.T) {
 		})
 	}
 }
+
+// A mutation releases the index it makes stale, with no probe after it:
+// a page whose listeners look up only ids (dom's id map answers those)
+// probes its path index never again, and must not keep the one it built
+// at load.
+func TestMutationReleasesStaleIndex(t *testing.T) {
+	for _, c := range lifecycles {
+		t.Run(c.name, func(t *testing.T) {
+			doc := testDoc(t)
+			freed := make(chan struct{})
+			func() {
+				idx, ok := c.probe(doc)
+				if !ok {
+					t.Fatal("cold probe did not build")
+				}
+				runtime.SetFinalizer(idx, func(any) { close(freed) })
+			}()
+			if doc.ElementByID("a1") == nil {
+				t.Fatal("no a1")
+			}
+			elem(t, doc, "a1").SetAttr(dom.Name("n"), "x")
+			for i := 0; i < 50; i++ {
+				runtime.GC()
+				select {
+				case <-freed:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("the stale index is still reachable after the mutation")
+		})
+	}
+}

@@ -10,9 +10,11 @@ import (
 // from a tree — the path index of internal/dom/index, the full-text
 // index of internal/fulltext/index — lives in a slot on the tree's
 // root, so it dies with its document; it holds for the tree version it
-// was built at, so mutators pay nothing for it; and this file alone
-// decides when a stale one is rebuilt and what a rollback does to it
-// (RestoreVersion). The index packages build and query, no more.
+// was built at, so mutators neither update nor rebuild it — a mutation
+// only releases the index it makes stale (releaseIndexes); and this
+// file alone decides when a stale one is rebuilt and what a rollback
+// does to it (RestoreVersion). The index packages build and query, no
+// more.
 
 // The root's index slots, one per kind of index.
 const (
@@ -69,7 +71,7 @@ func (ix *Index[T]) load(root *Node) *indexEntry {
 // one current at the tree's version; it never builds.
 func (ix *Index[T]) Fresh(n *Node) *T {
 	root := n.Root()
-	if e := ix.load(root); e != nil && e.version == root.version {
+	if e := ix.load(root); e != nil && e.version == root.rootVersion() {
 		return e.val.(*T)
 	}
 	return nil
@@ -92,16 +94,17 @@ func (ix *Index[T]) For(n *Node) *T {
 // is worth it, or nil when the caller should scan; built reports whether
 // this call built it. A tree that never had an index builds at once; a
 // tree whose index went stale rebuilds on the rebuildProbes-th probe at
-// one version. The first probe that finds the index stale drops it from
-// the slot and keeps only the counters, so a page that keeps mutating
-// does not retain the index it built at load; whoever still holds the
-// stale index has it, and it refuses to answer. An armed Fault makes
-// the probe scan instead of building.
+// one version. A stale index is not kept in the slot, only the
+// counters: the mutation that made it stale released it
+// (releaseIndexes), or the first probe that finds it stale drops it, so
+// a page that keeps mutating does not retain the index it built at
+// load; whoever still holds the stale index has it, and it refuses to
+// answer. An armed Fault makes the probe scan instead of building.
 func (ix *Index[T]) Probe(n *Node) (d *T, built bool) {
 	root := n.Root()
 	e := ix.load(root)
 	if e != nil {
-		v := root.version
+		v := root.rootVersion()
 		if e.version == v {
 			return e.val.(*T), false
 		}
@@ -127,5 +130,23 @@ func (ix *Index[T]) Probe(n *Node) (d *T, built bool) {
 // now, in the slot: how an index loaded rather than built is kept.
 func (ix *Index[T]) Publish(n *Node, d *T) {
 	root := n.Root()
-	root.ensureSide().indexes[ix.Slot].Store(&indexEntry{version: root.version, val: d})
+	root.ensureSide().indexes[ix.Slot].Store(&indexEntry{version: root.rootVersion(), val: d})
+}
+
+// releaseIndexes drops every index kept at root r, which a mutation of
+// r's tree has just made stale, leaving a never-fresh entry where one
+// was: the probe counters go on, and the index is garbage even if no
+// probe comes again — a page whose listeners look up only ids (the id
+// map, ids.go, answers those) would otherwise keep the path index it
+// built at load for as long as it lives.
+func (r *Node) releaseIndexes() {
+	s := r.side.Load()
+	if s == nil {
+		return
+	}
+	for i := range s.indexes {
+		if e := s.indexes[i].Load(); e != nil && e.version != neverFresh {
+			s.indexes[i].Store(&indexEntry{version: neverFresh})
+		}
+	}
 }

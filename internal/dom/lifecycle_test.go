@@ -29,7 +29,7 @@ func TestIndexLifecycle(t *testing.T) {
 			builds := 0
 			ix := Index[stubIndex]{Slot: c.slot, Fault: c.fault, Build: func(root *Node) *stubIndex {
 				builds++
-				return &stubIndex{version: root.version}
+				return &stubIndex{version: root.rootVersion()}
 			}}
 			doc := NewDocument()
 			root := NewElement(Name("root"))

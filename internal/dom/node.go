@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // NodeType enumerates the node kinds of the XDM/DOM intersection.
@@ -82,13 +83,15 @@ func (q QName) IsZero() bool { return q.Space == "" && q.Prefix == "" && q.Local
 // the document-order labels stay consistent.
 //
 // The struct holds what every node of a tree needs and nothing else: a
-// text, comment, PI or attribute node is exactly this (112 bytes, the
-// 112-byte allocator class). The child and attribute lists live in an
-// elemPart that elements and documents allocate together with the node,
-// and what only a root or a listened-to node has lives in a nodeSide
-// (DESIGN.md §5q). So elements and documents come from NewElement,
-// NewDocument and Clone only — a Node literal is a leaf — and the
-// mutators that take children or attributes are for those two kinds.
+// text, comment, PI or attribute node is exactly this (96 bytes, the
+// 96-byte allocator class). The child and attribute lists and the
+// tree's version counter live in an elemPart that elements and
+// documents allocate right behind the node (part), and what only a root
+// or a listened-to node has lives in a nodeSide (DESIGN.md §5q, §5aa).
+// So elements and documents come from NewElement, NewDocument and Clone
+// only — a Node literal is a leaf, and a node's Type never changes —
+// and the mutators that take children or attributes are for those two
+// kinds.
 type Node struct {
 	Type NodeType
 	Name QName  // element, attribute, PI (Local = target) names
@@ -96,36 +99,43 @@ type Node struct {
 
 	parent *Node
 
-	// el points at the lists of an element or a document — into the same
-	// allocation as the node (see elemNode) — and is nil on every other
-	// kind.
-	el *elemPart
-
 	// side is nil on ordinary nodes. A document is constructed with one;
 	// any other node gets one (ensureSide) when it is given a base URI or
-	// a listener, or when it is the root of a tree being indexed or
-	// labeled.
+	// a listener, or when it is the root of a tree being indexed,
+	// labeled or looked up by id.
 	side atomic.Pointer[nodeSide]
 
 	// label is the node's document-order pre/end pair (order.go), pre in
 	// the high half; current while its root's side struct says so.
 	label uint64
-	// version is the root node's mutation counter, bumped on every
-	// mutation of its tree. It is a plain word: whoever mutates a tree
-	// has it to itself — the child and attribute lists never allowed
-	// anything else — and the goroutines that share an immutable tree
-	// only read it. It stays in the node, not in the side struct: a
-	// detached constructed root is bumped on every AdoptChildren and
-	// must not allocate for it. A node that leaves its tree is bumped
-	// too (orphan).
-	version uint64
 }
 
 // elemPart is the state only a node with content has: the lists of an
-// element or a document.
+// element or a document, and the version counter of the tree it roots.
 type elemPart struct {
 	children []*Node
 	attrs    []*Node // attribute nodes; their parent is this element
+
+	// version is the mutation counter of the tree rooted here, bumped on
+	// every mutation of the tree (versionWord). It is a plain word:
+	// whoever mutates a tree has it to itself — the child and attribute
+	// lists never allowed anything else — and the goroutines that share
+	// an immutable tree only read it. It is here, not in the side
+	// struct: a detached constructed root is bumped on every
+	// AdoptChildren and must not allocate for it. A node that leaves its
+	// tree is bumped too (orphan). A leaf keeps its counter in its side
+	// struct, if it has one.
+	version uint64
+}
+
+// part returns the lists of an element or a document — the elemPart
+// allocated right behind the node, elemNode's and docNode's common
+// prefix — and nil for every other kind.
+func (n *Node) part() *elemPart {
+	if n.Type != ElementNode && n.Type != DocumentNode {
+		return nil
+	}
+	return &(*elemNode)(unsafe.Pointer(n)).part
 }
 
 // nodeSide is the state only a root or a listened-to node has. It is
@@ -134,8 +144,8 @@ type elemPart struct {
 // is returned, any other node's is installed by compare-and-swap, so
 // concurrent readers of a shared immutable tree (which may build and
 // store its indexes, and label it) agree on one. The fields other than
-// the index slots and the labeling pair are written under the
-// exclusive access every mutation needs.
+// the index slots, the labeling pair and the id map pointer are written
+// under the exclusive access every mutation needs.
 type nodeSide struct {
 	// baseURI is set on document nodes (fn:doc identity, same-origin
 	// checks) and inherited by descendants; see Base.
@@ -146,7 +156,7 @@ type nodeSide struct {
 	// struct and nothing else. first.seq == 0 means there are none.
 	first listener
 	more  []listener
-	seq   uint64 // the last registration number handed out
+	seq   uint32 // the last registration number handed out
 
 	// indexes holds the per-document indexes of the tree rooted at this
 	// node, one slot per kind (lifecycle.go); meaningful on roots only.
@@ -157,11 +167,20 @@ type nodeSide struct {
 	// (order.go). Meaningful on roots only.
 	labeled atomic.Uint64
 	labelMu sync.Mutex
+
+	// idmap is the id → element map of the tree rooted here (ids.go),
+	// nil until its first id lookup. Meaningful on roots only.
+	idmap atomic.Pointer[idMap]
+
+	// version is the mutation counter of a leaf that roots its tree
+	// (an element or a document keeps its own in its elemPart). A leaf
+	// with no side struct needs none: nothing is cached on it.
+	version uint64
 }
 
 // elemNode is how an element is allocated: the node and its lists in
-// one object, 160 bytes (the 160-byte class). The node's el points at
-// part, and that interior pointer keeps the whole object alive.
+// one object, 152 bytes (the 160-byte class). part reaches the lists
+// from the node's own address.
 type elemNode struct {
 	node Node
 	part elemPart
@@ -191,7 +210,7 @@ func (n *Node) ensureSide() *nodeSide {
 // NewDocument creates an empty document node.
 func NewDocument() *Node {
 	d := new(docNode)
-	d.node.Type, d.node.el = DocumentNode, &d.part
+	d.node.Type = DocumentNode
 	d.node.side.Store(&d.side)
 	return &d.node
 }
@@ -212,7 +231,7 @@ func NewDocumentOf(baseURI string, children ...*Node) *Node {
 // NewElement creates a detached element node.
 func NewElement(name QName) *Node {
 	e := new(elemNode)
-	e.node.Type, e.node.Name, e.node.el = ElementNode, name, &e.part
+	e.node.Type, e.node.Name = ElementNode, name
 	return &e.node
 }
 
@@ -238,19 +257,19 @@ func (n *Node) Parent() *Node { return n.parent }
 
 // Children returns the child list. Callers must not mutate the slice.
 func (n *Node) Children() []*Node {
-	if n.el == nil {
-		return nil
+	if p := n.part(); p != nil {
+		return p.children
 	}
-	return n.el.children
+	return nil
 }
 
 // Attrs returns the attribute nodes of an element in insertion order.
 // Callers must not mutate the slice.
 func (n *Node) Attrs() []*Node {
-	if n.el == nil {
-		return nil
+	if p := n.part(); p != nil {
+		return p.attrs
 	}
-	return n.el.attrs
+	return nil
 }
 
 // Root walks to the topmost ancestor (the document, for attached nodes).
@@ -383,7 +402,7 @@ func (n *Node) childIndex() int {
 	if n.parent == nil || n.Type == AttributeNode {
 		return -1
 	}
-	for i, c := range n.parent.el.children {
+	for i, c := range n.parent.part().children {
 		if c == n {
 			return i
 		}
@@ -394,10 +413,10 @@ func (n *Node) childIndex() int {
 // NextSibling returns the following sibling or nil.
 func (n *Node) NextSibling() *Node {
 	i := n.childIndex()
-	if i < 0 || i+1 >= len(n.parent.el.children) {
+	if i < 0 || i+1 >= len(n.parent.part().children) {
 		return nil
 	}
-	return n.parent.el.children[i+1]
+	return n.parent.part().children[i+1]
 }
 
 // PrevSibling returns the preceding sibling or nil.
@@ -406,7 +425,7 @@ func (n *Node) PrevSibling() *Node {
 	if i <= 0 {
 		return nil
 	}
-	return n.parent.el.children[i-1]
+	return n.parent.part().children[i-1]
 }
 
 // IsAncestorOf reports whether n is a proper ancestor of d.
@@ -444,20 +463,6 @@ func (n *Node) Elements(local string) []*Node {
 		return true
 	})
 	return out
-}
-
-// ElementByID returns the first descendant element whose "id" attribute
-// equals id, or nil. This backs getElementById-style lookups.
-func (n *Node) ElementByID(id string) *Node {
-	var found *Node
-	n.Walk(func(c *Node) bool {
-		if c.Type == ElementNode && c.AttrValue("id") == id {
-			found = c
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // Clone deep-copies the node and its subtree (and attributes). The copy
@@ -509,6 +514,6 @@ func (n *Node) clone(normalize bool) *Node {
 		kc.parent = c
 		out = append(out, kc)
 	}
-	c.el.children = out
+	c.part().children = out
 	return c
 }

@@ -40,7 +40,7 @@ func (n *Node) relabel(next uint32) uint32 {
 // reader that finds them stale relabels under the root's lock, checking
 // again once it holds it, and records the version after the labels.
 func (n *Node) ensureLabeled() {
-	want := n.version + 1
+	want := n.rootVersion() + 1
 	if s := n.side.Load(); s != nil && s.labeled.Load() == want {
 		return
 	}

@@ -3,14 +3,49 @@ package dom
 import "fmt"
 
 // Mutation primitives. These are the only sanctioned ways to restructure
-// a tree; they keep parent links coherent and bump the version counter
-// that the document-order labels and the indexes are checked against.
+// a tree; they keep parent links coherent, bump the version counter
+// that the document-order labels and the indexes are checked against,
+// and keep the tree's id map current once it has one (ids.go).
 // The XQuery Update Facility's apply phase (internal/xquery/update) and
 // the HTML parser are the main callers.
 
-func (n *Node) bumpVersion() {
-	if r := n.Root(); r != nil {
-		r.version++
+// bumpVersion bumps the version counter of n's tree, releases the
+// indexes the mutation makes stale and returns the tree's root, where
+// its id map hangs.
+func (n *Node) bumpVersion() *Node {
+	r := n.Root()
+	if v := r.versionWord(); v != nil {
+		*v++
+	}
+	r.releaseIndexes()
+	return r
+}
+
+// attached finishes attaching c, now in n's child or attribute list:
+// it bumps the version of n's tree and enters the ids c brings into the
+// tree's id map, walking c's subtree. c is no root any more, so an id
+// map it kept as one is dropped.
+func (n *Node) attached(c *Node) {
+	c.dropIDMap()
+	if m := n.bumpVersion().ids(); m != nil {
+		if c.Type != AttributeNode {
+			m.addTree(c)
+		} else if isIDName(c.Name) {
+			m.addID(c.Data, n)
+		}
+	}
+}
+
+// leaving starts detaching c, n's child or attribute: it bumps the
+// version of n's tree and forgets the ids c takes out of the tree's id
+// map, walking c's subtree.
+func (n *Node) leaving(c *Node) {
+	if m := n.bumpVersion().ids(); m != nil {
+		if c.Type != AttributeNode {
+			m.removeTree(c)
+		} else if isIDName(c.Name) {
+			m.removeID(c.Data, n)
+		}
 	}
 }
 
@@ -21,7 +56,9 @@ func (n *Node) bumpVersion() {
 // fresh.
 func (n *Node) orphan() {
 	n.parent = nil
-	n.version++
+	if v := n.versionWord(); v != nil {
+		*v++
+	}
 }
 
 func (n *Node) checkChild(c *Node) error {
@@ -47,8 +84,9 @@ func (n *Node) AppendChild(c *Node) error {
 	}
 	c.Detach()
 	c.parent = n
-	n.el.children = append(n.el.children, c)
-	n.bumpVersion()
+	e := n.part()
+	e.children = append(e.children, c)
+	n.attached(c)
 	return nil
 }
 
@@ -59,8 +97,9 @@ func (n *Node) PrependChild(c *Node) error {
 	}
 	c.Detach()
 	c.parent = n
-	n.el.children = append([]*Node{c}, n.el.children...)
-	n.bumpVersion()
+	e := n.part()
+	e.children = append([]*Node{c}, e.children...)
+	n.attached(c)
 	return nil
 }
 
@@ -79,8 +118,9 @@ func (n *Node) InsertBefore(c, ref *Node) error {
 		return fmt.Errorf("dom: reference node is not a child")
 	}
 	c.parent = n
-	n.el.children = insertAt(n.el.children, i, c)
-	n.bumpVersion()
+	e := n.part()
+	e.children = insertAt(e.children, i, c)
+	n.attached(c)
 	return nil
 }
 
@@ -99,8 +139,9 @@ func (n *Node) InsertAfter(c, ref *Node) error {
 		return fmt.Errorf("dom: reference node is not a child")
 	}
 	c.parent = n
-	n.el.children = insertAt(n.el.children, i+1, c)
-	n.bumpVersion()
+	e := n.part()
+	e.children = insertAt(e.children, i+1, c)
+	n.attached(c)
 	return nil
 }
 
@@ -119,18 +160,19 @@ func (n *Node) Detach() {
 	if p == nil {
 		return
 	}
-	n.bumpVersion()
+	p.leaving(n)
+	e := p.part()
 	if n.Type == AttributeNode {
-		for i, a := range p.el.attrs {
+		for i, a := range e.attrs {
 			if a == n {
-				p.el.attrs = append(p.el.attrs[:i], p.el.attrs[i+1:]...)
+				e.attrs = append(e.attrs[:i], e.attrs[i+1:]...)
 				break
 			}
 		}
 	} else {
-		for i, c := range p.el.children {
+		for i, c := range e.children {
 			if c == n {
-				p.el.children = append(p.el.children[:i], p.el.children[i+1:]...)
+				e.children = append(e.children[:i], e.children[i+1:]...)
 				break
 			}
 		}
@@ -148,10 +190,11 @@ func (n *Node) ReplaceChild(c, old *Node) error {
 		return fmt.Errorf("dom: replaced node is not a child")
 	}
 	c.Detach()
+	n.leaving(old)
 	old.orphan()
 	c.parent = n
-	n.el.children[i] = c
-	n.bumpVersion()
+	n.part().children[i] = c
+	n.attached(c)
 	return nil
 }
 
@@ -159,14 +202,14 @@ func (n *Node) ReplaceChild(c, old *Node) error {
 // attribute node.
 func (n *Node) SetAttr(name QName, value string) *Node {
 	if a := n.AttrNode(name); a != nil {
-		a.Data = value
-		n.bumpVersion()
+		a.SetData(value)
 		return a
 	}
 	a := NewAttr(name, value)
 	a.parent = n
-	n.el.attrs = append(n.el.attrs, a)
-	n.bumpVersion()
+	e := n.part()
+	e.attrs = append(e.attrs, a)
+	n.attached(a)
 	return a
 }
 
@@ -184,8 +227,9 @@ func (n *Node) AddAttrNode(a *Node) error {
 	}
 	a.Detach()
 	a.parent = n
-	n.el.attrs = append(n.el.attrs, a)
-	n.bumpVersion()
+	e := n.part()
+	e.attrs = append(e.attrs, a)
+	n.attached(a)
 	return nil
 }
 
@@ -202,12 +246,13 @@ func (n *Node) RestoreChildAt(c *Node, i int) error {
 	if c.parent != nil {
 		return fmt.Errorf("dom: restored node is still attached")
 	}
-	if i < 0 || i > len(n.el.children) {
+	e := n.part()
+	if i < 0 || i > len(e.children) {
 		return fmt.Errorf("dom: restore position %d out of range", i)
 	}
 	c.parent = n
-	n.el.children = insertAt(n.el.children, i, c)
-	n.bumpVersion()
+	e.children = insertAt(e.children, i, c)
+	n.attached(c)
 	return nil
 }
 
@@ -227,12 +272,13 @@ func (n *Node) RestoreAttrAt(a *Node, i int) error {
 	if n.AttrNode(a.Name) != nil {
 		return fmt.Errorf("dom: duplicate attribute %s", a.Name)
 	}
-	if i < 0 || i > len(n.el.attrs) {
+	e := n.part()
+	if i < 0 || i > len(e.attrs) {
 		return fmt.Errorf("dom: restore position %d out of range", i)
 	}
 	a.parent = n
-	n.el.attrs = insertAt(n.el.attrs, i, a)
-	n.bumpVersion()
+	e.attrs = insertAt(e.attrs, i, a)
+	n.attached(a)
 	return nil
 }
 
@@ -245,48 +291,57 @@ func (n *Node) RemoveAttr(name QName) {
 
 // Rename changes the node's name (element, attribute or PI target).
 func (n *Node) Rename(name QName) {
+	if m := n.bumpVersion().ids(); m != nil && n.Type == AttributeNode && n.parent != nil {
+		switch was, is := isIDName(n.Name), isIDName(name); {
+		case was && !is:
+			m.removeID(n.Data, n.parent)
+		case is && !was:
+			m.addID(n.Data, n.parent)
+		}
+	}
 	n.Name = name
-	n.bumpVersion()
 }
 
 // SetData replaces the character data of a text/comment/PI/attribute
 // node.
 func (n *Node) SetData(data string) {
+	if m := n.bumpVersion().ids(); m != nil && n.Type == AttributeNode && n.parent != nil && isIDName(n.Name) {
+		m.removeID(n.Data, n.parent)
+		m.addID(data, n.parent)
+	}
 	n.Data = data
-	n.bumpVersion()
 }
 
 // ReplaceElementContent removes all children of n and, if text is
 // non-empty, installs a single text child. This is the Update Facility's
 // "replace value of node" on elements.
 func (n *Node) ReplaceElementContent(text string) {
-	e := n.el
-	for _, c := range e.children {
-		c.orphan()
-	}
-	e.children = e.children[:0]
+	n.RemoveChildren()
 	if text != "" {
 		t := NewText(text)
 		t.parent = n
+		e := n.part()
 		e.children = append(e.children, t)
 	}
-	n.bumpVersion()
 }
 
 // RemoveChildren detaches every child of n.
 func (n *Node) RemoveChildren() {
-	e := n.el
+	e := n.part()
+	m := n.bumpVersion().ids()
 	for _, c := range e.children {
+		if m != nil {
+			m.removeTree(c)
+		}
 		c.orphan()
 	}
 	e.children = e.children[:0]
-	n.bumpVersion()
 }
 
 // NormalizeText merges adjacent text child nodes and drops empty ones,
 // recursively. Constructed XQuery content requires this normal form.
 func (n *Node) NormalizeText() {
-	e := n.el
+	e := n.part()
 	out := e.children[:0]
 	for _, c := range e.children {
 		if c.Type == TextNode {

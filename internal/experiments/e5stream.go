@@ -15,7 +15,7 @@ import (
 // decided by a prefix of //div beside one that has to consume the whole
 // of the same path. Both run with RunConfig.DisableIndexes, so that
 // //div is a walk of the tree in both: the name index would hand
-// fn:count(//div) a postings list, and the id index would answer
+// fn:count(//div) a postings list, and the id map would answer
 // [@id = "d3"] without a walk. BenchmarkE5_EarlyExit* at the repository
 // root runs the same pairs under testing.B.
 var EarlyExitPairs = []struct{ Exit, Consume string }{

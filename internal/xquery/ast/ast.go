@@ -384,7 +384,8 @@ const (
 	// candidates are the subtree slice of the name's document-order
 	// list instead of a full subtree walk.
 	AccessIndexName
-	// AccessIndexID probes the per-document "id" attribute index: the
+	// AccessIndexID probes the tree's id map (dom.Node.AppendByID),
+	// which package dom keeps current through every mutation: the
 	// step's first predicate is an attribute comparison (PredAttrCmp)
 	// on the no-namespace id attribute whose key is a non-empty string
 	// literal, over a descendant axis.

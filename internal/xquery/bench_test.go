@@ -32,7 +32,8 @@ type abScenario struct {
 	// nobody optimized: the optimizer rewrites have no run-time switch.
 	unoptimized bool
 	// did names the counter that must show the feature at work: "index"
-	// or "ft" (one build over the immutable tree, a hit per run),
+	// or "ft" (one build over the immutable tree, a hit per run), "ids"
+	// (the tree's id map answered, and no path index was built for it),
 	// "join", "hoist" or "pushdown" (the rewrite fired exactly once).
 	did string
 	// floor is the least fast-over-slow speedup tolerated (0: none);
@@ -44,7 +45,7 @@ var abScenarios = []abScenario{
 	{name: "descendant", query: `count(//item)`, doc: widePage,
 		slow: RunConfig{DisableIndexes: true}, did: "index", floor: 5}, // 14x
 	{name: "id_probe", query: `//div[@id = "d71"]`, doc: widePage,
-		slow: RunConfig{DisableIndexes: true}, did: "index", floor: 5}, // 1700x
+		slow: RunConfig{DisableIndexes: true}, did: "ids", floor: 5}, // 1700x
 	{name: "ft_word", query: `count(//article[. ftcontains "marlin"])`, doc: articlePage,
 		slow: RunConfig{DisableIndexes: true}, did: "ft", floor: 5}, // 29x
 	{name: "ft_phrase", query: `count(//article[. ftcontains "coral reef"])`, doc: articlePage,
@@ -123,7 +124,7 @@ func articlePage(tb testing.TB) xdm.Item {
 
 // shopPage holds 150 items, 150 orders referencing them (every third
 // one dangling: an empty probe group) and 1,500 divs of padding, so the
-// pushed-down predicate has an id index worth probing.
+// pushed-down predicate has an id map worth probing.
 func shopPage(tb testing.TB) xdm.Item {
 	const entries = 150
 	var sb strings.Builder
@@ -147,7 +148,7 @@ func shopPage(tb testing.TB) xdm.Item {
 
 // sides compiles the scenario and returns its two runs over one parse
 // of its document.
-func (sc abScenario) sides(tb testing.TB) (p *Program, fast, slow func() string) {
+func (sc abScenario) sides(tb testing.TB) (p *Program, doc xdm.Item, fast, slow func() string) {
 	tb.Helper()
 	p, err := New().Compile(sc.query)
 	if err != nil {
@@ -159,7 +160,7 @@ func (sc abScenario) sides(tb testing.TB) (p *Program, fast, slow func() string)
 			tb.Fatalf("%s: %v", sc.name, err)
 		}
 	}
-	doc := sc.doc(tb)
+	doc = sc.doc(tb)
 	run := func(p *Program, cfg RunConfig) func() string {
 		cfg.ContextItem = doc
 		return func() string {
@@ -170,13 +171,13 @@ func (sc abScenario) sides(tb testing.TB) (p *Program, fast, slow func() string)
 			return FormatSequence(res.Value, markup.AppendXML)
 		}
 	}
-	return p, run(p, RunConfig{}), run(oracle, sc.slow)
+	return p, doc, run(p, RunConfig{}), run(oracle, sc.slow)
 }
 
 func TestABScenarios(t *testing.T) {
 	for _, sc := range abScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			p, fast, slow := sc.sides(t)
+			p, doc, fast, slow := sc.sides(t)
 			const runs = 3
 			idx0, ft0 := index.Snapshot(), ftindex.Snapshot()
 			var got string
@@ -192,6 +193,10 @@ func TestABScenarios(t *testing.T) {
 			case "index":
 				if b, h := idx.Builds-idx0.Builds, idx.Hits-idx0.Hits; b != 1 || h < runs {
 					t.Errorf("%d index builds and %d hits over %d runs of an immutable tree, want 1 build and a hit per run", b, h, runs)
+				}
+			case "ids":
+				if n, _ := xdm.IsNode(doc); !n.HasIDMap() || idx.Builds != idx0.Builds {
+					t.Errorf("id map built: %v; %d path index builds, want the map and none", n.HasIDMap(), idx.Builds-idx0.Builds)
 				}
 			case "ft":
 				if b, h := ft.Builds-ft0.Builds, ft.Hits-ft0.Hits; b != 1 || h < runs {
@@ -225,7 +230,7 @@ func TestABScenarioFloors(t *testing.T) {
 			continue
 		}
 		t.Run(sc.name, func(t *testing.T) {
-			_, fast, slow := sc.sides(t)
+			_, _, fast, slow := sc.sides(t)
 			fast() // builds what the fast side probes
 			f := fastest(5, func() { fast() })
 			s := fastest(2, func() { slow() })
@@ -238,7 +243,7 @@ func TestABScenarioFloors(t *testing.T) {
 
 func BenchmarkABScenario(b *testing.B) {
 	for _, sc := range abScenarios {
-		_, fast, slow := sc.sides(b)
+		_, _, fast, slow := sc.sides(b)
 		for _, side := range []struct {
 			name string
 			run  func() string

@@ -329,30 +329,16 @@ func registerNodes(reg *runtime.Registry) {
 				want[id] = true
 			}
 		}
-		// The id index answers each value in O(matches); the per-value
-		// lists merge back to document order through the one
-		// document-order sort. NoIndex, a declined Probe (the amortised
-		// rebuild heuristic) and a stale index all fall back to the
-		// full walk.
-		if !ctx.NoIndex {
-			if idx := ctx.PathIndex(root); idx != nil {
-				var nodes []*dom.Node
-				usable := true
-				for id := range want {
-					if id == "" {
-						continue
-					}
-					list, ok := idx.ByID(id)
-					if !ok {
-						usable = false
-						break
-					}
-					nodes = append(nodes, list...)
-				}
-				if usable {
-					return runtime.SortedNodeSequence(nodes), nil
-				}
+		// The tree's id map answers each value in O(matches); the
+		// per-value lists merge back to document order through the one
+		// document-order sort. NoIndex, and NoIndexBuild on a tree with
+		// no map yet, fall back to the full walk.
+		if ctx.UsesIDMap(root) {
+			var nodes []*dom.Node
+			for id := range want {
+				nodes = root.AppendByID(nodes, id, true)
 			}
+			return runtime.SortedNodeSequence(nodes), nil
 		}
 		var out xdm.Sequence
 		root.Walk(func(n *dom.Node) bool {

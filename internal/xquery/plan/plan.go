@@ -15,7 +15,7 @@
 //     AccessIndexName (probe the per-document element-name index, see
 //     internal/dom/index); the same axes whose first predicate is an
 //     attribute comparison of @id with a non-empty string literal →
-//     AccessIndexID (probe the id index); a first predicate that is a
+//     AccessIndexID (probe the tree's id map); a first predicate that is a
 //     literal ". ftcontains" selection → AccessFT; everything else →
 //     AccessScan (walk the axis);
 //   - a FLWOR or fn:count over fn:collection(…) that is a map over the
@@ -242,7 +242,7 @@ func chooseAccess(s *ast.Step) ast.AccessMethod {
 
 // IDProbeKey returns the id an AccessIndexID step probes for: its
 // first predicate is an attribute comparison of the no-namespace id
-// attribute with a non-empty string literal (the id index does not
+// attribute with a non-empty string literal (the id map does not
 // record empty id attributes). ok is false for every other step.
 func IDProbeKey(s *ast.Step) (id string, ok bool) {
 	pp := s.PredPlan(0)

@@ -8,8 +8,8 @@ import "repro/internal/xquery/ast"
 // one global walk, which changes predicate positions, so it only
 // applies when X's predicates are statically position-free (//div[1]
 // keeps the two-step form; //div[@id] merges). descendant::X is exactly
-// the shape the name/id indexes serve, which is how //x becomes an
-// index probe. steps is the planner's own copy and is compacted in
+// the shape the name index and the id map serve, which is how //x
+// becomes an index probe. steps is the planner's own copy and is compacted in
 // place.
 func (in *inference) mergeDescendantSteps(steps []ast.Step) []ast.Step {
 	out := steps[:0]

@@ -181,10 +181,18 @@ func (ctx *Context) domain(e ast.Expr, stream bool) xdm.Iter {
 }
 
 // evalAtomizedOne atomizes the value of e to zero-or-one atomic item.
+// A singleton — every arithmetic and comparison operand, every order
+// key — is atomized as it is, without a copy of its sequence.
 func (ctx *Context) evalAtomizedOne(e ast.Expr) (xdm.Item, error) {
 	s, err := ctx.Eval(e)
 	if err != nil {
 		return nil, err
+	}
+	switch len(s) {
+	case 0:
+		return nil, nil
+	case 1:
+		return xdm.Atomize(s[0]), nil
 	}
 	return xdm.AtomizeSequence(s).AtMostOne()
 }
@@ -392,7 +400,7 @@ func (en *flworEntry) tuple(c *Context) error {
 			if err != nil {
 				return err
 			}
-			t.keys = append(t.keys, k)
+			t.keys = append(t.keys, orderKey(k))
 		}
 		en.tuples = append(en.tuples, t)
 		return nil
@@ -451,6 +459,17 @@ func (en *flworEntry) holds(c *Context, e ast.Expr) (bool, error) {
 	return c.evalEBV(e)
 }
 
+// orderKey is an atomized order key as the sort compares it: an untyped
+// key compares as a string, so it is converted once, here, and not on
+// every comparison the sort makes.
+func orderKey(k xdm.Item) xdm.Item {
+	if k != nil && k.Type() == xdm.TUntypedAtomic {
+		return xdm.String(k.String())
+	}
+	return k
+}
+
+// compareOrderKeys compares two order keys (orderKey) under spec.
 func compareOrderKeys(a, b xdm.Item, spec ast.OrderSpec) (int, error) {
 	emptyLeast := true
 	if spec.EmptySet {
@@ -475,13 +494,6 @@ func compareOrderKeys(a, b xdm.Item, spec ast.OrderSpec) (int, error) {
 			return flip(1), nil
 		}
 		return flip(-1), nil
-	}
-	// Untyped order keys compare as strings.
-	if a.Type() == xdm.TUntypedAtomic {
-		a = xdm.String(a.String())
-	}
-	if b.Type() == xdm.TUntypedAtomic {
-		b = xdm.String(b.String())
 	}
 	c, err := xdm.CompareForSort(a, b)
 	if err != nil {

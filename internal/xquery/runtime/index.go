@@ -12,17 +12,19 @@ import (
 // This file is the runtime's side of the index/plan split: it turns
 // the planner's Step.Access annotations into probes of the
 // version-stamped per-document indexes (internal/dom/index and
-// internal/fulltext/index). Context.NoIndex turns the probes off, which
-// is both the benchmark baseline and the differential-test oracle.
-// Document order is not an index's business: every sort goes through
-// dom.SortDedup, on the labels package dom keeps (DESIGN.md §5t), with
-// indexes on or off.
+// internal/fulltext/index) and of the id map package dom keeps current
+// on every tree (dom.Node.AppendByID). Context.NoIndex turns the probes
+// off, which is both the benchmark baseline and the differential-test
+// oracle. Document order is not an index's business: every sort goes
+// through dom.SortDedup, on the labels package dom keeps (DESIGN.md
+// §5t), with indexes on or off.
 
-// PathIndex returns the path index a probe of the tree containing n
-// may read, or nil when the caller should scan (exported for fn:id).
-func (ctx *Context) PathIndex(n *dom.Node) *index.Doc {
-	d, _ := readIndex(ctx, n, index.Probe, index.Fresh)
-	return d
+// UsesIDMap reports whether an id lookup in the tree containing n may
+// read the tree's id map (a planned [@id = "k"] step, fn:id): not under
+// NoIndex, and under NoIndexBuild only a map that is already built —
+// building one would make the tree's memory grow.
+func (ctx *Context) UsesIDMap(n *dom.Node) bool {
+	return !ctx.NoIndex && (!ctx.NoIndexBuild || n.HasIDMap())
 }
 
 // readIndex is how the runtime reads either per-document index: the
@@ -36,47 +38,44 @@ func readIndex[D any](ctx *Context, n *dom.Node,
 	return probe(n)
 }
 
-// probeIndex answers an indexed step's candidate list from the
-// per-document index: the name-list slice of the focus node's subtree
-// for AccessIndexName, the id-pinned elements inside the subtree for
-// AccessIndexID. ok is false when the step is unplanned, indexes are
-// disabled, the lifecycle's amortised-rebuild heuristic declines to
-// build, or the index cannot answer (the caller then scans). The
-// candidates are in document order — the same set and order the scan's
-// walk-plus-node-test would produce for a name probe, and a subset the
-// re-applied node test and predicates reduce to the same result for an
-// id probe.
+// probeIndex answers an indexed step's candidate list: for
+// AccessIndexName the name-list slice of the focus node's subtree from
+// the path index, for AccessIndexID the holders of the id inside the
+// subtree from the tree's id map. ok is false when the step is
+// unplanned, indexes are disabled, the lifecycle's amortised-rebuild
+// heuristic declines to build a path index, or the index cannot answer
+// (the caller then scans). The candidates are in document order — the
+// same set and order the scan's walk-plus-node-test would produce for a
+// name probe, and a subset the re-applied node test and predicates
+// reduce to the same result for an id probe.
 func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step) ([]*dom.Node, bool) {
 	if ctx.NoIndex || step.Primary != nil || step.Access == ast.AccessScan {
 		return nil, false
 	}
 	orSelf := step.Axis == ast.AxisDescendantOrSelf
-	if step.Access == ast.AccessFT {
-		return ctx.probeFTIndex(n, step, orSelf)
-	}
-	idx := ctx.PathIndex(n)
-	if idx == nil {
-		return nil, false
-	}
 	var cand []*dom.Node
-	var ok bool
 	switch step.Access {
-	case ast.AccessIndexName:
-		space, local, okName := plan.ProbeName(step.Test)
-		if !okName {
-			return nil, false
-		}
-		cand, ok = idx.DescendantsByName(n, space, local, orSelf)
+	case ast.AccessFT:
+		return ctx.probeFTIndex(n, step, orSelf)
 	case ast.AccessIndexID:
-		id, okID := plan.IDProbeKey(step)
-		if !okID {
+		id, ok := plan.IDProbeKey(step)
+		if !ok || !ctx.UsesIDMap(n) {
 			return nil, false
 		}
-		cand, ok = idx.DescendantsByID(n, id, orSelf)
+		cand = n.AppendByID(nil, id, orSelf)
+	case ast.AccessIndexName:
+		space, local, ok := plan.ProbeName(step.Test)
+		if !ok {
+			return nil, false
+		}
+		idx, _ := readIndex(ctx, n, index.Probe, index.Fresh)
+		if idx == nil {
+			return nil, false
+		}
+		if cand, ok = idx.DescendantsByName(n, space, local, orSelf); !ok {
+			return nil, false
+		}
 	default:
-		return nil, false
-	}
-	if !ok {
 		return nil, false
 	}
 	if ctx.Profiler != nil {

@@ -23,8 +23,8 @@
 //
 //	idxversion  the version-stamp discipline of the per-document
 //	            indexes, keyed by package path (both are named index):
-//	            in internal/dom/index a function reading the name/id
-//	            maps, and in internal/fulltext/index one reading the
+//	            in internal/dom/index a function reading the name
+//	            map, and in internal/fulltext/index one reading the
 //	            posting/trigram maps or the label-indexed tables (post,
 //	            stemPost, gram, ranges, floor), must consult the version
 //	            stamp (call fresh() or compare version) unless it is the
@@ -40,7 +40,13 @@
 //	            document-order label word is read by its accessor
 //	            (labels) and written by its labeler (relabel) only:
 //	            everyone else goes through Node.Label, CompareOrder or
-//	            SortDedup, which make the labels current first.
+//	            SortDedup, which make the labels current first. The
+//	            id map (the root's nodeSide.idmap and the map's holder
+//	            and nextHolder fields) is touched by its builder,
+//	            accessor, lookup and maintenance methods only (ids.go):
+//	            a mutator that wrote it directly would bypass the
+//	            maintenance that keeps it current; mutators go through
+//	            attached, leaving or the map's own methods.
 //
 //	planpure    the planner and the optimizer never mutate the shared
 //	            AST: a parsed module is cached and compiled once but
@@ -436,12 +442,12 @@ func ctxStruct(fset *token.FileSet, file *ast.File) []finding {
 
 // guardedFields maps each per-document index package, by path (both are
 // named index), to the Doc fields whose contents hold only for the tree
-// version the index was built at: the path index's name and id maps;
+// version the index was built at: the path index's name map;
 // the full-text index's posting maps (exact and stemmed), the trigram
 // map behind wildcard narrowing, and the two tables read by node label
 // (the byte ranges and the split-token floor).
 var guardedFields = map[string]map[string]bool{
-	"internal/dom/index":      {"names": true, "ids": true},
+	"internal/dom/index":      {"names": true},
 	"internal/fulltext/index": {"post": true, "stemPost": true, "gram": true, "ranges": true, "floor": true},
 }
 
@@ -456,8 +462,9 @@ var idxBuilderName = regexp.MustCompile(`^(build|new|New|init$)`)
 // fresh() call or a version comparison) somewhere in that body; outside
 // package dom, a slot constant is named by its owner only
 // (slotOwnerUse). In package dom, the index slots and their entries are
-// touched by the lifecycle file and RestoreVersion only (slotUse), and
-// the label word by its accessor and labeler only.
+// touched by the lifecycle file and RestoreVersion only (slotUse), the
+// label word by its accessor and labeler only, and the id map's fields
+// by its own methods only (idMapFields).
 func idxVersion(fset *token.FileSet, file *ast.File) []finding {
 	filename := fset.Position(file.Pos()).Filename
 	dir := filepath.ToSlash(filepath.Dir(filename))
@@ -473,10 +480,28 @@ func idxVersion(fset *token.FileSet, file *ast.File) []finding {
 	out := slotUse(fset, file, filepath.Base(filename))
 	// A raw read of the label word skips the check that the tree's
 	// labels are current; a raw write, their race-free publication.
-	return append(out, fieldUse(fset, file, "label",
+	out = append(out, fieldUse(fset, file, "label",
 		"idxversion: the node's label word touched outside its accessor (labels) and labeler (relabel); use Node.Label, CompareOrder or SortDedup",
 		"labels", "relabel")...)
+	// The id map stays current only because every change to it goes
+	// through its maintenance; a direct write skips that, and a direct
+	// read skips the build.
+	for _, field := range idMapFields {
+		out = append(out, fieldUse(fset, file, field,
+			"idxversion: the id map's "+field+" touched outside its builder, lookup and maintenance (ids.go); mutate through attached/leaving or the map's methods, read through AppendByID or ElementByID",
+			idMapOwners...)...)
+	}
+	return out
 }
+
+// idMapFields are the id map's fields in package dom: the root's pointer
+// to it and the map's two tables. idMapOwners are the methods that may
+// touch them: the accessor (ids), the builder, the drop, the lookup and
+// the maintenance.
+var (
+	idMapFields = []string{"idmap", "holder", "nextHolder"}
+	idMapOwners = []string{"ids", "buildIDMap", "dropIDMap", "lookup", "addID", "removeID", "addTree", "removeTree"}
+)
 
 func guardedReads(fset *token.FileSet, file *ast.File, fields map[string]bool) []finding {
 	var out []finding

@@ -103,15 +103,17 @@ func (e *Engine) Register(sh *sharedProgram) { sh.mod = nil }
 	}
 }
 
-// The path index's guarded fields are the name and id maps.
+// The path index's guarded field is the name map. Ids are not its
+// business any more: a field of that name is not guarded.
 func TestIdxVersionFlagsUncheckedMapRead(t *testing.T) {
 	src := `package index
 type Doc struct{ names map[string][]int; ids map[string][]int }
 func (d *Doc) ByName(k string) []int { return d.names[k] }
 func (d *Doc) ByID(k string) []int   { return d.ids[k] }
 `
-	if got := analyzeAt(t, "internal/dom/index/index.go", src, idxVersion); len(got) != 2 {
-		t.Fatalf("findings = %v, want 2", got)
+	got := analyzeAt(t, "internal/dom/index/index.go", src, idxVersion)
+	if len(got) != 1 || got[0].pos.Line != 3 {
+		t.Fatalf("findings = %v, want 1, ByName's read", got)
 	}
 }
 
@@ -226,6 +228,32 @@ func (t token) String() string { return t.label }
 `
 	if got := analyze(t, other, idxVersion); len(got) != 0 {
 		t.Fatalf("outside package dom: findings = %v, want none", got)
+	}
+}
+
+// The id map of package dom is touched by its own methods only: a
+// mutator that wrote the map, or a reader that skipped its builder,
+// would leave it stale or unbuilt.
+func TestIdxVersionFlagsIDMapOutsideItsMethods(t *testing.T) {
+	src := `package dom
+type Node struct{ side *nodeSide; Data string }
+type nodeSide struct{ idmap *idMap }
+type idMap struct{ holder map[string]*Node; nextHolder map[*Node]*Node }
+func (r *Node) ids() *idMap { return r.side.idmap }
+func (m *idMap) addID(id string, e *Node) { m.holder[id] = e }
+func (m *idMap) removeID(id string, e *Node) { delete(m.holder, id); delete(m.nextHolder, e) }
+func (n *Node) SetData(d string) { if m := n.ids(); m != nil { m.removeID(n.Data, n); m.addID(d, n) }; n.Data = d }
+func (n *Node) SetID(d string) { n.ids().holder[d] = n }
+func (n *Node) Forget() { n.side.idmap = nil; _ = idMap{nextHolder: nil} }
+`
+	got := analyze(t, src, idxVersion)
+	if len(got) != 3 {
+		t.Fatalf("findings = %v, want 3 (SetID's write, Forget's drop and key)", got)
+	}
+	for _, f := range got {
+		if f.pos.Line != 9 && f.pos.Line != 10 {
+			t.Errorf("finding on line %d: %s", f.pos.Line, f.msg)
+		}
 	}
 }
 
