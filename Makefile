@@ -125,13 +125,15 @@ bench-e2e-smoke:
 	bash cmd/bench/run.sh --workload event_loop --seed 7004 --seconds 1
 	cd cmd/bench && $(GO) test ./...
 
-# Ten seconds of coverage-guided fuzzing on each parser fuzz target,
+# Ten seconds of coverage-guided fuzzing on each fuzz target below,
 # beyond the seed corpora `test` replays: the parser must return an
-# AST or an error for any input. A crasher is written under the
-# package's testdata/fuzz and fails the step.
+# AST or an error for any input, and a random path streamed by the
+# evaluator must answer what the per-step reference answers. A crasher
+# is written under the package's testdata/fuzz and fails the step.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePathPredicates$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzPathStreamsLikePerStep$$' -fuzztime 10s -parallel 2 ./internal/xquery/runtime
 
 experiments:
 	$(GO) run ./cmd/experiments

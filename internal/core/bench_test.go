@@ -80,8 +80,7 @@ func BenchmarkLoadPage(b *testing.B) {
 // multiplication table. Every turn mutates its page, and every turn's
 // //elem[@id = K] lookups (and the host's getElementById) still answer
 // from the page's id map, which the mutations keep current (DESIGN.md
-// §5aa); only nav's variable-keyed $cat//issue[@id = $issue] still
-// tests every issue of the catalog.
+// §5aa) — nav's variable-keyed $cat//issue[@id = $issue] too (§5ab).
 func BenchmarkListenerTurn(b *testing.B) {
 	b.Run("cart", func(b *testing.B) {
 		h, err := core.LoadPage(cartPage(b, 300), "http://shop.example.com/cart")
@@ -151,6 +150,37 @@ func BenchmarkListenerTurn(b *testing.B) {
 			b.Fatalf("table has %d cells, want 144", n)
 		}
 	})
+}
+
+// TestNavTurnStreamsFromOneNode pins what streaming from a one-node
+// focus buys the Reference 2.0 navigation of BenchmarkListenerTurn/nav:
+// $doc/article/…, $cat//issue[@id = $issue]/article and $a/@id each
+// stream from their one node instead of being materialized and sorted
+// at a path barrier, and the issue listing probes the id map with its
+// variable key. That took a turn from 904 allocations to 584
+// (EXPERIMENTS.md E5y).
+func TestNavTurnStreamsFromOneNode(t *testing.T) {
+	r, err := apps.NewReference20(apps.CorpusConfig{Journals: 4, Volumes: 4, Issues: 4, Articles: 8, RefsPerArticle: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	app, err := apps.NewClientSideApp(r, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := r.Session(48, 1)
+	replay := func() {
+		for _, it := range session {
+			if err := app.Do(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replay() // the client's cache holds the session's documents from here on
+	if perTurn := testing.AllocsPerRun(3, replay) / float64(len(session)); perTurn > 700 {
+		t.Errorf("a navigation turn allocates %.0f times, want at most 700", perTurn)
+	}
 }
 
 // TestListenerLookupAllocsIndependentOfPageSize pins what the planned

@@ -53,6 +53,102 @@ func equalNodes(a, b []*dom.Node) bool {
 	return true
 }
 
+// idHolders walks doc for the elements whose id attribute is one of
+// ids, in document order.
+func idHolders(doc *dom.Node, ids ...string) []*dom.Node {
+	var out []*dom.Node
+	doc.Walk(func(e *dom.Node) bool {
+		if a := e.AttrNode(dom.Name("id")); e.Type == dom.ElementNode && a != nil {
+			for _, id := range ids {
+				if a.Data == id {
+					out = append(out, e)
+					break
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// anyID reports whether some element of doc has an id attribute.
+func anyID(doc *dom.Node) bool {
+	found := false
+	doc.Walk(func(e *dom.Node) bool {
+		found = found || (e.Type == dom.ElementNode && e.AttrNode(dom.Name("id")) != nil)
+		return !found
+	})
+	return found
+}
+
+// idVarForm is a lookup keyed by a variable: its program, what its
+// external variables are bound to for the keys k and k2, and what it
+// answers — the holders of some ids, an error exactly where raises says
+// so, or, with neither, whatever the same program answers with the
+// indexes off.
+type idVarForm struct {
+	name   string
+	src    string
+	bind   func(doc *dom.Node, k, k2 string) map[dom.QName]xdm.Sequence
+	ids    func(k, k2 string) []string
+	raises func(doc *dom.Node) bool
+	prog   *xquery.Program
+}
+
+func bindV(v ...xdm.Item) func(*dom.Node, string, string) map[dom.QName]xdm.Sequence {
+	return func(*dom.Node, string, string) map[dom.QName]xdm.Sequence {
+		return map[dom.QName]xdm.Sequence{dom.Name("v"): v}
+	}
+}
+
+const vExternal = `declare variable $v external; `
+
+// idVarForms are the variable-keyed forms of //*[@id = K]: a planned
+// id probe reads $v once per step evaluation and probes the id map for
+// one non-empty string, and answers every other key — (), two strings,
+// a number, eq over two items — from the candidates a scan would test.
+// The last form assigns $v while the step runs: the planner must not
+// probe it.
+var idVarForms = []*idVarForm{
+	{name: "one string", src: vExternal + `//*[@id = $v]`,
+		bind: func(_ *dom.Node, k, _ string) map[dom.QName]xdm.Sequence {
+			return map[dom.QName]xdm.Sequence{dom.Name("v"): {xdm.String(k)}}
+		},
+		ids: func(k, _ string) []string { return []string{k} }},
+	{name: "()", src: vExternal + `//*[@id = $v]`, bind: bindV(),
+		ids: func(string, string) []string { return nil }},
+	{name: "two strings", src: vExternal + `//*[@id = $v]`,
+		bind: func(_ *dom.Node, k, k2 string) map[dom.QName]xdm.Sequence {
+			return map[dom.QName]xdm.Sequence{dom.Name("v"): {xdm.String(k), xdm.String(k2)}}
+		},
+		ids: func(k, k2 string) []string { return []string{k, k2} }},
+	// FORG0001 at the first id attribute: "k0" is no number.
+	{name: "an integer", src: vExternal + `//*[@id = $v]`, bind: bindV(xdm.Integer(3)), raises: anyID},
+	{name: "an attribute", src: vExternal + `//*[@id = $v]`,
+		bind: func(doc *dom.Node, k, _ string) map[dom.QName]xdm.Sequence {
+			var v xdm.Sequence // an id attribute whose value is k, if there is one
+			if h := idHolders(doc, k); len(h) > 0 {
+				v = xdm.Sequence{xdm.NewNode(h[0].AttrNode(dom.Name("id")))}
+			}
+			return map[dom.QName]xdm.Sequence{dom.Name("v"): v}
+		},
+		ids: func(k, _ string) []string { return []string{k} }},
+	{name: "eq one string", src: vExternal + `//*[$v eq @id]`,
+		bind: func(_ *dom.Node, k, _ string) map[dom.QName]xdm.Sequence {
+			return map[dom.QName]xdm.Sequence{dom.Name("v"): {xdm.String(k)}}
+		},
+		ids: func(k, _ string) []string { return []string{k} }},
+	// A type error at the first candidate, and //* has one: the document
+	// element.
+	{name: "eq two strings", src: vExternal + `//*[@id eq $v]`, bind: bindV(xdm.String("k0"), xdm.String("k1")),
+		raises: func(*dom.Node) bool { return true }},
+	{name: "set $v", src: `declare variable $k external; declare variable $k2 external; declare variable $v := "";
+		{ set $v := $k; //*[@id = $v][{ set $v := $k2; true() }]; }`,
+		bind: func(_ *dom.Node, k, k2 string) map[dom.QName]xdm.Sequence {
+			return map[dom.QName]xdm.Sequence{dom.Name("k"): {xdm.String(k)}, dom.Name("k2"): {xdm.String(k2)}}
+		}},
+}
+
 // idWorld is two random trees with ids and the queries the differential
 // asks of them after every step.
 type idWorld struct {
@@ -259,8 +355,43 @@ func (w *idWorld) check(t *testing.T, stage string) {
 				}
 			}
 		}
+		for ki, k := range idKeys {
+			w.checkVarForms(t, stage, i, k, idKeys[(ki+1)%len(idKeys)])
+		}
 		if !doc.HasIDMap() && stage != "RestoreVersion" {
 			t.Fatalf("%s: tree %d has no id map after its lookups", stage, i)
+		}
+	}
+}
+
+// checkVarForms compares every variable-keyed form over tree i, with
+// indexes on and off, to what it must answer.
+func (w *idWorld) checkVarForms(t *testing.T, stage string, i int, k, k2 string) {
+	t.Helper()
+	doc := w.docs[i]
+	for _, f := range idVarForms {
+		vars := f.bind(doc, k, k2)
+		run := func(scan bool) ([]*dom.Node, error) {
+			res, err := f.prog.Run(xquery.RunConfig{ContextItem: xdm.NewNode(doc), Variables: vars, DisableIndexes: scan})
+			if err != nil {
+				return nil, err
+			}
+			return seqNodes(res.Value), nil
+		}
+		ref, rerr := run(true)
+		got, err := run(false)
+		if fmt.Sprint(err) != fmt.Sprint(rerr) || !equalNodes(got, ref) {
+			t.Fatalf("%s: tree %d: %s (k %q): %v %v, with indexes off %v %v", stage, i, f.name, k, got, err, ref, rerr)
+		}
+		switch {
+		case f.raises != nil:
+			if want := f.raises(doc); (err != nil) != want {
+				t.Fatalf("%s: tree %d: %s: error %v, want one: %v", stage, i, f.name, err, want)
+			}
+		case f.ids != nil:
+			if want := idHolders(doc, f.ids(k, k2)...); err != nil || !equalNodes(got, want) {
+				t.Fatalf("%s: tree %d: %s (k %q) = %v %v, walk %v", stage, i, f.name, k, got, err, want)
+			}
 		}
 	}
 }
@@ -271,9 +402,17 @@ func (w *idWorld) check(t *testing.T, stage string) {
 // within a tree and between the two; a failed apply rolled back under
 // the update.apply fault point; RestoreVersion — and after every step
 // holds getElementById, fn:id and //*[@id = K], with indexes on and
-// off, to a walk of the tree.
+// off, to a walk of the tree; and the variable-keyed forms of the probe
+// (idVarForms) to the walk, or to themselves with indexes off.
 func TestIDMapDifferential(t *testing.T) {
 	e := xquery.New()
+	for _, f := range idVarForms {
+		p, err := e.Compile(f.src)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		f.prog = p
+	}
 	var progs [2]map[string]*xquery.Program
 	for j, form := range []string{`fn:id(%q)`, `//*[@id = %q]`} {
 		progs[j] = map[string]*xquery.Program{}

@@ -388,7 +388,7 @@ const (
 	// which package dom keeps current through every mutation: the
 	// step's first predicate is an attribute comparison (PredAttrCmp)
 	// on the no-namespace id attribute whose key is a non-empty string
-	// literal, over a descendant axis.
+	// literal or a variable nothing assigns, over a descendant axis.
 	AccessIndexID
 	// AccessFT probes the per-document full-text index: the step's
 	// first predicate is an ftcontains over the context item with

@@ -14,10 +14,13 @@
 //     descendant-or-self::x with a concrete element name →
 //     AccessIndexName (probe the per-document element-name index, see
 //     internal/dom/index); the same axes whose first predicate is an
-//     attribute comparison of @id with a non-empty string literal →
-//     AccessIndexID (probe the tree's id map); a first predicate that is a
-//     literal ". ftcontains" selection → AccessFT; everything else →
-//     AccessScan (walk the axis);
+//     attribute comparison of @id with a non-empty string literal or
+//     with a variable nothing assigns → AccessIndexID (probe the tree's
+//     id map; the runtime reads a variable key once per step evaluation
+//     and probes the name index instead when its value is not one
+//     non-empty string); a first predicate that is a literal
+//     ". ftcontains" selection → AccessFT; everything else → AccessScan
+//     (walk the axis);
 //   - a FLWOR or fn:count over fn:collection(…) that is a map over the
 //     collection's documents with atomic results carries an
 //     ast.ShipPlan: the per-document expression as text, which a source
@@ -81,18 +84,22 @@ func annotate(m *ast.Module, in *inference) {
 	// A variable key is read once per step evaluation, so it is only
 	// as good as a per-candidate read while nothing can assign the
 	// variable in between; which variables are assigned is known only
-	// now, after the whole module has been seen.
-	for _, pp := range p.varKeyed {
-		if p.assigned[vkey(pp.Key.(ast.VarRef).Name)] {
-			*pp = ast.PredPlan{Kind: ast.PredStream}
+	// now, after the whole module has been seen. A step that loses its
+	// id key this way chooses its access again.
+	for _, s := range p.varKeyed {
+		for i := range s.PredPlans {
+			if v, ok := s.PredPlans[i].Key.(ast.VarRef); ok && p.assigned[vkey(v.Name)] {
+				s.PredPlans[i] = ast.PredPlan{Kind: ast.PredStream}
+			}
 		}
+		s.Access = chooseAccess(s)
 	}
 }
 
 // planner is one Annotate pass over a module.
 type planner struct {
 	assigned map[string]bool // vkey of every variable some Assign targets
-	varKeyed []*ast.PredPlan // attribute comparisons keyed by a variable
+	varKeyed []*ast.Step     // steps with an attribute comparison keyed by a variable
 	in       *inference      // the static properties of the module's expressions (props.go)
 	lets     []letVar        // the fresh-valued let variables in scope, innermost last
 	copied   []CopiedLet     // what CopiedLets reports
@@ -204,17 +211,20 @@ func (p *planner) ftSel(sel ast.FTSelection) ast.FTSelection {
 // annotations in place.
 func (p *planner) step(s *ast.Step) {
 	var plans []ast.PredPlan
+	varKeyed := false
 	if len(s.Preds) > 0 {
 		plans = make([]ast.PredPlan, len(s.Preds))
 		for i, pr := range s.Preds {
 			plans[i] = p.in.classifyPred(pr)
-			if _, isVar := plans[i].Key.(ast.VarRef); isVar {
-				p.varKeyed = append(p.varKeyed, &plans[i])
-			}
+			_, isVar := plans[i].Key.(ast.VarRef)
+			varKeyed = varKeyed || isVar
 		}
 	}
 	s.PredPlans = plans
 	s.Access = chooseAccess(s)
+	if varKeyed {
+		p.varKeyed = append(p.varKeyed, s)
+	}
 }
 
 // chooseAccess picks the access method of a step whose predicates are
@@ -227,7 +237,7 @@ func chooseAccess(s *ast.Step) ast.AccessMethod {
 		return ast.AccessScan
 	}
 	if len(s.Preds) > 0 {
-		if _, ok := IDProbeKey(s); ok {
+		if idProbe(s) {
 			return ast.AccessIndexID
 		}
 		if sel, ok := ftProbePred(s.Preds[0]); ok && ftSelAnswerable(sel) && ftProbeTestOK(s.Test) {
@@ -240,17 +250,38 @@ func chooseAccess(s *ast.Step) ast.AccessMethod {
 	return ast.AccessScan
 }
 
-// IDProbeKey returns the id an AccessIndexID step probes for: its
+// idProbe reports whether a descendant step can probe the id map: its
 // first predicate is an attribute comparison of the no-namespace id
+// attribute with a non-empty string literal (IDProbeKey), or with a
+// variable nothing assigns, whose value the runtime reads once per step
+// evaluation and probes for when it is one non-empty string.
+func idProbe(s *ast.Step) bool {
+	if _, ok := IDProbeKey(s); ok {
+		return true
+	}
+	pp := s.PredPlan(0)
+	_, isVar := pp.Key.(ast.VarRef)
+	return isVar && isIDCmp(pp)
+}
+
+// IDProbeKey returns the literal id an AccessIndexID step probes for:
+// its first predicate is an attribute comparison of the no-namespace id
 // attribute with a non-empty string literal (the id map does not
-// record empty id attributes). ok is false for every other step.
+// record empty id attributes). ok is false for every other step, a
+// variable-keyed id probe among them.
 func IDProbeKey(s *ast.Step) (id string, ok bool) {
 	pp := s.PredPlan(0)
-	if pp.Kind != ast.PredAttrCmp || pp.Attr.Space != "" || pp.Attr.Local != "id" {
+	if !isIDCmp(pp) {
 		return "", false
 	}
 	lit, ok := pp.Key.(ast.StringLit)
 	return lit.Val, ok && lit.Val != ""
+}
+
+// isIDCmp reports whether a predicate plan is an attribute comparison
+// of the no-namespace id attribute.
+func isIDCmp(pp ast.PredPlan) bool {
+	return pp.Kind == ast.PredAttrCmp && pp.Attr.Space == "" && pp.Attr.Local == "id"
 }
 
 // ProbeName extracts the concrete expanded element name an index probe

@@ -145,6 +145,34 @@ func stepShape(steps []ast.Step) []string {
 	return out
 }
 
+// TestVariableIDKeysProbeUnlessAssigned: an [@id = $v] step probes the
+// id map while nothing assigns $v; an assignment anywhere turns the
+// key generic again, and the step chooses its access again — the name
+// index, or a scan for a wildcard.
+func TestVariableIDKeysProbeUnlessAssigned(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want ast.AccessMethod
+	}{
+		{`declare variable $k := "1"; { //x[@id = $k]; }`, ast.AccessIndexID},
+		{`declare variable $k := "1"; { //x[$k eq @id]; }`, ast.AccessIndexID},
+		{`declare variable $k := "1"; { //*[@id = $k]; }`, ast.AccessIndexID},
+		{`declare variable $k := "1"; { set $k := "2"; //x[@id = $k]; }`, ast.AccessIndexName},
+		{`declare variable $k := "1"; { set $k := "2"; //*[@id = $k]; }`, ast.AccessScan},
+		{`declare variable $k := "1";
+		  declare sequential function local:f() { set $k := "2"; };
+		  { //x[@id = $k]; }`, ast.AccessIndexName},
+		{`declare variable $k := "1"; declare variable $j := "1"; { set $j := "2"; //x[@id = $k]; }`, ast.AccessIndexID},
+		{`declare variable $k := "1"; { //x[@a = $k]; }`, ast.AccessIndexName},
+		{`declare variable $k := "1"; { //x[@a = $k][@id = $k]; }`, ast.AccessIndexName},
+	} {
+		_, body := plannedBody(t, c.src)
+		if got := lastStepOf(t, body).Access; got != c.want {
+			t.Errorf("%s: access = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
 // TestMergeAtPlanTime: the planned module holds the steps the
 // evaluator runs — "//" is one descendant step where X's predicates
 // are position-free and the parser's two steps where they are not —
@@ -167,7 +195,7 @@ func TestMergeAtPlanTime(t *testing.T) {
 		{`//div[@id = "k"][1]`, []string{"descendant-or-self::node()", "child::div"}, ast.AccessScan},
 		{`//div[position() < 3]`, []string{"descendant-or-self::node()", "child::div"}, ast.AccessScan},
 		{`/html//div/p//a[@href]`, []string{"child::html", "descendant::div", "child::p", "descendant::a"}, ast.AccessIndexName},
-		{`$v//issue[@id = $v]`, []string{"primary", "descendant::issue"}, ast.AccessIndexName},
+		{`$v//issue[@id = $v]`, []string{"primary", "descendant::issue"}, ast.AccessIndexID},
 		{`//@id`, []string{"descendant-or-self::node()", "attribute::id"}, ast.AccessScan},
 		{`child::div[@id = "k"]`, []string{"child::div"}, ast.AccessScan},
 	} {

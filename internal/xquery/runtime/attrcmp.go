@@ -20,8 +20,9 @@ import (
 
 // stepKeys are the key slots of one evaluation of a step, index-aligned
 // with its predicates and shared by all its focus nodes: K is evaluated
-// at the first candidate that reaches the predicate's stage and not
-// again. nil means no predicate of the step runs natively.
+// at the first candidate that reaches the predicate's stage (or, for a
+// variable-keyed id probe, when the probe needs it) and not again. nil
+// means no predicate of the step runs natively.
 type stepKeys []attrKey
 
 // attrKey is one attribute-comparison predicate's key for one step
@@ -69,6 +70,25 @@ func (k *attrKey) load(ctx *Context, pp *ast.PredPlan) {
 		}
 	}
 	k.vals = vals
+}
+
+// varID returns the id a variable-keyed AccessIndexID step probes for:
+// the value of its first predicate's key, read through the predicate's
+// slot, when that is exactly one non-empty string (the id map does not
+// record empty ids). ok is false for any other value — (), two items,
+// a number — and when the step has no slots.
+func (keys stepKeys) varID(ctx *Context, step *ast.Step) (id string, ok bool) {
+	if len(keys) == 0 {
+		return "", false
+	}
+	k := &keys[0]
+	if !k.read {
+		k.load(ctx, &step.PredPlans[0])
+	}
+	if len(k.vals) != 1 || k.vals[0] == "" {
+		return "", false
+	}
+	return k.vals[0], true
 }
 
 // attrCmpIter is the stage of an attribute-comparison predicate: it

@@ -20,7 +20,7 @@ import (
 // §5t), with indexes on or off.
 
 // UsesIDMap reports whether an id lookup in the tree containing n may
-// read the tree's id map (a planned [@id = "k"] step, fn:id): not under
+// read the tree's id map (a planned [@id = K] step, fn:id): not under
 // NoIndex, and under NoIndexBuild only a map that is already built —
 // building one would make the tree's memory grow.
 func (ctx *Context) UsesIDMap(n *dom.Node) bool {
@@ -47,37 +47,58 @@ func readIndex[D any](ctx *Context, n *dom.Node,
 // (the caller then scans). The candidates are in document order — the
 // same set and order the scan's walk-plus-node-test would produce for a
 // name probe, and a subset the re-applied node test and predicates
-// reduce to the same result for an id probe.
-func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step) ([]*dom.Node, bool) {
+// reduce to the same result for an id probe. keys are the step
+// evaluation's key slots (newStepKeys), through which a variable id
+// key is read once.
+func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step, keys stepKeys) ([]*dom.Node, bool) {
 	if ctx.NoIndex || step.Primary != nil || step.Access == ast.AccessScan {
 		return nil, false
 	}
 	orSelf := step.Axis == ast.AxisDescendantOrSelf
-	var cand []*dom.Node
 	switch step.Access {
 	case ast.AccessFT:
 		return ctx.probeFTIndex(n, step, orSelf)
 	case ast.AccessIndexID:
 		id, ok := plan.IDProbeKey(step)
-		if !ok || !ctx.UsesIDMap(n) {
-			return nil, false
-		}
-		cand = n.AppendByID(nil, id, orSelf)
-	case ast.AccessIndexName:
-		space, local, ok := plan.ProbeName(step.Test)
 		if !ok {
+			id, ok = keys.varID(ctx, step)
+		}
+		if !ok {
+			// A variable key that is not one non-empty string: the
+			// candidates are the ones a scan would visit, so the
+			// predicate stage keeps its errors and its matches.
+			return ctx.probeNames(n, step, orSelf)
+		}
+		if !ctx.UsesIDMap(n) {
 			return nil, false
 		}
-		idx, _ := readIndex(ctx, n, index.Probe, index.Fresh)
-		if idx == nil {
-			return nil, false
-		}
-		if cand, ok = idx.DescendantsByName(n, space, local, orSelf); !ok {
-			return nil, false
-		}
-	default:
+		return ctx.indexHit(n.AppendByID(nil, id, orSelf))
+	case ast.AccessIndexName:
+		return ctx.probeNames(n, step, orSelf)
+	}
+	return nil, false
+}
+
+// probeNames answers a step's candidates from the path index: the
+// elements of the step's name in n's subtree.
+func (ctx *Context) probeNames(n *dom.Node, step *ast.Step, orSelf bool) ([]*dom.Node, bool) {
+	space, local, ok := plan.ProbeName(step.Test)
+	if !ok {
 		return nil, false
 	}
+	idx, _ := readIndex(ctx, n, index.Probe, index.Fresh)
+	if idx == nil {
+		return nil, false
+	}
+	cand, ok := idx.DescendantsByName(n, space, local, orSelf)
+	if !ok {
+		return nil, false
+	}
+	return ctx.indexHit(cand)
+}
+
+// indexHit counts an answered probe for the profiler.
+func (ctx *Context) indexHit(cand []*dom.Node) ([]*dom.Node, bool) {
 	if ctx.Profiler != nil {
 		ctx.Profiler.recordIndexHits("Path", 1)
 	}

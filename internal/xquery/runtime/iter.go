@@ -16,20 +16,16 @@ import (
 // streaming benefit fall back to a deferred Eval.
 
 // EvalIter evaluates an expression lazily. Errors are deferred to the
-// first Next call, so building an iterator never fails. The result is
-// wrapped in an ordered marker when it is statically known to be a
-// document-ordered, duplicate-free node stream.
+// first Next call, so building an iterator never fails.
 func (ctx *Context) EvalIter(e ast.Expr) xdm.Iter {
-	it, ord := ctx.evalIter(e)
-	if ctx.Profiler != nil {
-		it = countItems(ctx.Profiler, exprKind(e), it)
-	}
-	if ord {
-		return orderedIter{it}
-	}
-	return it
+	it, _ := ctx.evalIter(e)
+	return ctx.countItems(e, it)
 }
 
+// evalIter is EvalIter without the profiler's count. The second return
+// value reports whether the stream is statically known to be
+// document-ordered, duplicate-free nodes, which is what lets a path
+// stream its next step over a filter primary.
 func (ctx *Context) evalIter(e ast.Expr) (xdm.Iter, bool) {
 	switch x := e.(type) {
 	case ast.StringLit:
@@ -115,16 +111,15 @@ func deferredIter(open func() (xdm.Iter, error)) xdm.Iter {
 	})
 }
 
-// orderedIter marks a stream as document-ordered, duplicate-free nodes.
-// The path machinery streams a filter step's predicates only over
-// ordered primaries (anything else is sorted eagerly first).
-type orderedIter struct{ xdm.Iter }
-
-func isOrdered(it xdm.Iter) bool { _, ok := it.(orderedIter); return ok }
-
-// countItems feeds per-kind items-pulled counts to the profiler, which
-// is how a profile proves early exit (items ≪ count × sequence size).
-func countItems(p *Profiler, kind string, it xdm.Iter) xdm.Iter {
+// countItems feeds the profiler, when there is one, the items pulled
+// from e's iterator, per expression kind, which is how a profile proves
+// early exit (items ≪ count × sequence size).
+func (ctx *Context) countItems(e ast.Expr, it xdm.Iter) xdm.Iter {
+	p := ctx.Profiler
+	if p == nil {
+		return it
+	}
+	kind := exprKind(e)
 	return xdm.IterFunc(func() (xdm.Item, bool, error) {
 		item, ok, err := it.Next()
 		if ok {
@@ -251,69 +246,82 @@ func (r *rangeIter) materialize() (xdm.Sequence, error) {
 //   - child, descendant and descendant-or-self preserve order only from
 //     disjoint input (overlapping subtrees would interleave);
 //   - child and attribute outputs are disjoint again; descendant
-//     outputs are ordered but overlapping.
+//     outputs are ordered but overlapping;
+//   - a focus of at most one node is both, so a path-initial primary
+//     whose value is already one node ($doc, $obj) streams into its
+//     next step like the context item does.
 //
-// The first step that cannot stream becomes a barrier: everything
-// before it is materialized and the remaining steps run through the
-// eager per-step machinery (evalStep + finishStep), which sorts and
-// deduplicates. Correctness therefore never depends on streamability.
+// The first step that cannot stream becomes a barrier (streamSteps):
+// everything before it is materialized, and the remaining steps run
+// through the eager per-step machinery (evalStep + finishStep), which
+// sorts and deduplicates — unless the materialized focus is one node,
+// from which the remaining steps stream again. Correctness therefore
+// never depends on streamability.
 //
 // The second return value reports whether the result is statically
 // known to be an ordered node stream.
 func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 	steps := p.Steps
-	var cur xdm.Iter
-	ord, disjoint := true, true
-	start := 0
 	if p.Absolute {
 		n, ok := xdm.IsNode(ctx.Item)
 		if !ok {
 			return xdm.ErrIter(fmt.Errorf("xquery: absolute path requires a node context item")), false
 		}
-		cur = xdm.SingletonIter(xdm.NewNode(n.Root()))
-		if len(steps) == 0 {
-			return cur, true
-		}
-	} else {
-		if len(steps) == 0 {
-			return xdm.ErrIter(fmt.Errorf("xquery: empty path")), false
-		}
-		if first := &steps[0]; first.Primary != nil {
-			last := len(steps) == 1
-			cur, ord = ctx.filterStepIter(first, last)
-			disjoint = false
-			start = 1
-		} else {
-			if ctx.Item == nil {
-				return xdm.ErrIter(fmt.Errorf("xquery: context item is undefined in a path step")), false
-			}
-			cur = xdm.SingletonIter(ctx.Item)
-		}
+		return ctx.streamSteps(xdm.SingletonIter(xdm.NewNode(n.Root())), true, true, steps)
 	}
-	for si := start; si < len(steps); si++ {
+	if len(steps) == 0 {
+		return xdm.ErrIter(fmt.Errorf("xquery: empty path")), false
+	}
+	if first := &steps[0]; first.Primary != nil {
+		cur, ord, one := ctx.filterStepIter(first, len(steps) == 1)
+		return ctx.streamSteps(cur, ord || one, one, steps[1:])
+	}
+	if ctx.Item == nil {
+		return xdm.ErrIter(fmt.Errorf("xquery: context item is undefined in a path step")), false
+	}
+	return ctx.streamSteps(xdm.SingletonIter(ctx.Item), true, true, steps)
+}
+
+// streamSteps continues a path over the focus stream cur, whose order
+// and disjointness are ord and disjoint, with steps: a stepStream per
+// step as long as the step can stream, then a barrier for the rest.
+func (ctx *Context) streamSteps(cur xdm.Iter, ord, disjoint bool, steps []ast.Step) (xdm.Iter, bool) {
+	for si := range steps {
 		step := &steps[si]
 		if step.Primary != nil || !ord || !axisStreamable(step.Axis, disjoint) {
-			// Barrier: materialize the focus so far, then run the rest
-			// of the path eagerly (sorted and deduplicated per step).
-			rest := steps[si:]
-			prev := cur
-			lastIsAxis := steps[len(steps)-1].Primary == nil
-			return deferredIter(func() (xdm.Iter, error) {
-				in, err := xdm.Materialize(prev)
-				if err != nil {
-					return nil, err
-				}
-				out, err := ctx.continueSteps(in, rest)
-				if err != nil {
-					return nil, err
-				}
-				return xdm.FromSlice(out), nil
-			}), lastIsAxis
+			return ctx.barrier(cur, steps[si:]), steps[len(steps)-1].Primary == nil
 		}
 		cur = &stepStream{ctx: ctx, step: step, input: cur, keys: ctx.newStepKeys(step)}
 		ord, disjoint = true, axisOutDisjoint(step.Axis, disjoint)
 	}
 	return cur, ord
+}
+
+// barrier materializes the focus stream prev on the first pull and runs
+// rest over it. A focus of exactly one node streams rest again when
+// rest's first step can stream from disjoint input — (//a)[1]/b,
+// //x[@id = "k"]/y, doc(u)/a — and everything else (atomics, two or
+// more items) takes continueSteps, which sorts per step. The guard is
+// what makes the re-entry progress: a step that cannot stream even from
+// one node would come straight back here.
+func (ctx *Context) barrier(prev xdm.Iter, rest []ast.Step) xdm.Iter {
+	return deferredIter(func() (xdm.Iter, error) {
+		in, err := xdm.Materialize(prev)
+		if err != nil {
+			return nil, err
+		}
+		if len(in) == 1 && rest[0].Primary == nil && axisStreamable(rest[0].Axis, true) {
+			if _, ok := xdm.IsNode(in[0]); ok {
+				it, _ := ctx.streamSteps(xdm.FromSlice(in), true, true, rest)
+				return it, nil
+			}
+		}
+		out, err := ctx.continueSteps(in, rest)
+		if err != nil {
+			return nil, err
+		}
+		return xdm.FromSlice(out), nil
+	})
 }
 
 // axisStreamable reports whether an axis step preserves document order
@@ -347,19 +355,22 @@ func axisOutDisjoint(a ast.Axis, inDisjoint bool) bool {
 // primary's own order — the document-order sort happens after — so the
 // predicate stages always stream over the primary: (1, err())[1] and
 // (//div)[1] both pull exactly one item. An ordered primary needs no
-// sort at all; anything else materializes only the (post-predicate)
+// sort at all, and neither does one whose value is already there and
+// is at most one node (one reports it: the result is ordered and
+// disjoint); anything else materializes only the (post-predicate)
 // survivors for finishStep's sort/dedup/mixing rules. Predicates that
 // mention last() need the primary's size and take the eager route.
-func (ctx *Context) filterStepIter(step *ast.Step, last bool) (xdm.Iter, bool) {
-	prim := ctx.EvalIter(step.Primary)
+func (ctx *Context) filterStepIter(step *ast.Step, last bool) (it xdm.Iter, ord, one bool) {
 	if !anyPredSized(step) {
-		cur := xdm.Iter(prim)
+		raw, ord := ctx.evalIter(step.Primary)
+		one := atMostOneNode(raw)
+		cur := ctx.countItems(step.Primary, raw)
 		keys := ctx.newStepKeys(step)
 		for i := range step.Preds {
 			cur = ctx.predStage(cur, step, i, keys)
 		}
-		if isOrdered(prim) {
-			return cur, true
+		if ord || one {
+			return cur, ord, one
 		}
 		return deferredIter(func() (xdm.Iter, error) {
 			res, err := xdm.Materialize(cur)
@@ -371,7 +382,7 @@ func (ctx *Context) filterStepIter(step *ast.Step, last bool) (xdm.Iter, bool) {
 				return nil, err
 			}
 			return xdm.FromSlice(out), nil
-		}), false
+		}), false, false
 	}
 	return deferredIter(func() (xdm.Iter, error) {
 		res, err := ctx.evalStep(step, ctx.Item, ctx.Pos, ctx.Size, nil)
@@ -383,7 +394,20 @@ func (ctx *Context) filterStepIter(step *ast.Step, last bool) (xdm.Iter, bool) {
 			return nil, err
 		}
 		return xdm.FromSlice(out), nil
-	}), false
+	}), false, false
+}
+
+// atMostOneNode reports whether it is a materialized value nobody has
+// pulled from that holds no item or one node.
+func atMostOneNode(it xdm.Iter) bool {
+	s, ok := xdm.Unpulled(it)
+	switch {
+	case !ok || len(s) > 1:
+		return false
+	case len(s) == 1:
+		_, ok = xdm.IsNode(s[0])
+	}
+	return ok
 }
 
 // anyPredSized reports whether some predicate of the step needs its
@@ -448,7 +472,7 @@ func (s *stepStream) Next() (xdm.Item, bool, error) {
 // all its focus nodes.
 func (ctx *Context) stepCandidates(n *dom.Node, step *ast.Step, keys stepKeys) xdm.Iter {
 	var it xdm.Iter
-	if cand, ok := ctx.probeIndex(n, step); ok {
+	if cand, ok := ctx.probeIndex(n, step, keys); ok {
 		i := 0
 		it = xdm.IterFunc(func() (xdm.Item, bool, error) {
 			for i < len(cand) {

@@ -10,10 +10,11 @@ import (
 
 // This file holds the per-step half of path evaluation: the barrier
 // route of pathIter (iter.go), where a step that cannot stream sees
-// its whole materialized focus. Each step maps every item of the
-// previous step's result through an axis or filter expression; node
-// results are deduplicated and returned in document order, atomic
-// results are only allowed from the final step.
+// its whole materialized focus — unless that focus is one node, from
+// which the barrier streams the rest of the path again. Each step maps
+// every item of the previous step's result through an axis or filter
+// expression; node results are deduplicated and returned in document
+// order, atomic results are only allowed from the final step.
 
 // continueSteps runs steps over a materialized focus, one step at a
 // time.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dom"
 	"repro/internal/markup"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
@@ -38,6 +39,25 @@ var pathIterCorpus = []string{
 	`//c/../b`, `//a/b/..`, `//a/ancestor::*/b`,
 	// Atomic final steps, and the errors of atomics mid-path.
 	`//a/@k/string()`, `(//a)[1]/name()`, `//a/string()/b`, `(1, //a)/b`, `//a/(b, 1)`,
+	// One-node primaries and barriers, which stream the rest of the path.
+	`(//a)[1]/b`, `(/r)//a/b`, `(//z)[1]/a`, `(//a)[1]/preceding-sibling::*[1]`, `(//a)[1]//b/..`,
+	`//a[@id = "n3"]/b`, `exactly-one((/r/*)[1])/b`, `(1)/a`, `(//c)[1]/ancestor::*[1]`,
+	`(/r/a)[1]/b[last()]`, `zero-or-one((//b)[2])/descendant::*[@k = "1"]`,
+}
+
+// pathIterVarCorpus reads $v as a path's primary and as an attribute
+// comparison's key; pathIterVarBindings are what it is bound to.
+var pathIterVarCorpus = []string{
+	`$v/b`, `$v//c`, `$v/..`, `$v/@k`, `$v/b/@k`, `$v//a/b`, `$v[@k = "1"]/b`, `$v/self::a//b`,
+	`$v/following-sibling::*[1]`, `$v//*[@id = "n3"]/b`, `$v/b[last()]`, `$v/string()`,
+	`//a[@id = $v]`, `//*[@id = $v]/b`, `//*[@id eq $v]`, `//b[@k = $v]/..`, `$v//*[@id = $v]`,
+	`//c[$v = @id]//a`, `/descendant-or-self::*[@id = $v][1]`,
+}
+
+// pathIterVarBindings are evaluated over each document: no node, one
+// node, two nodes, strings and an integer.
+var pathIterVarBindings = []string{
+	`()`, `(//a)[1]`, `(//*)[position() = (2, 4)]`, `"n3"`, `(//@id)[3]`, `("n1", "n2")`, `3`,
 }
 
 // pathIterDoc generates a tree of a, b and c elements, some with a k
@@ -86,11 +106,9 @@ func render(s xdm.Sequence) string {
 	return b.String()
 }
 
-// TestPathIterMatchesPerStep holds the streaming path pipeline to the
-// per-step reference on generated trees, with the indexes on and off:
-// the same nodes in the same order, and an error exactly where the
-// reference has one.
-func TestPathIterMatchesPerStep(t *testing.T) {
+// pathIterDocs generates the trees the oracle tests run over, from the
+// empty <r/> up.
+func pathIterDocs(t *testing.T) []xdm.Item {
 	rng := rand.New(rand.NewSource(29))
 	var docs []xdm.Item
 	for _, n := range []int{0, 1, 5, 20, 60} {
@@ -100,31 +118,204 @@ func TestPathIterMatchesPerStep(t *testing.T) {
 		}
 		docs = append(docs, xdm.NewNode(d))
 	}
+	return docs
+}
+
+// compilePath compiles q behind the prolog and returns its program and
+// its planned body, which must be a path.
+func compilePath(tb testing.TB, prolog, q string) (*runtime.Program, ast.Path, bool) {
+	m, err := parser.ParseModule(prolog + q)
+	if err != nil {
+		return nil, ast.Path{}, false
+	}
+	prog, err := runtime.Compile(m, runtime.CompileConfig{Registry: funclib.Library()})
+	if err != nil {
+		tb.Fatalf("%q: %v", q, err)
+	}
+	path, ok := m.Body.(ast.Path)
+	return prog, path, ok
+}
+
+// matchPerStep evaluates path streamed and per step, with the indexes
+// on and off, in contexts that newCtx returns, and reports where one of
+// them differs from the per-step evaluation without indexes: other
+// nodes, another order, or another error.
+func matchPerStep(path ast.Path, newCtx func(noIndex bool) *runtime.Context) string {
+	streamed := func(ctx *runtime.Context, p ast.Path) (xdm.Sequence, error) { return ctx.Eval(p) }
+	want, werr := newCtx(true).EvalPathPerStep(path)
+	for _, c := range []struct {
+		name    string
+		noIndex bool
+		eval    func(*runtime.Context, ast.Path) (xdm.Sequence, error)
+	}{
+		{"streamed", true, streamed},
+		{"streamed with indexes", false, streamed},
+		{"per-step with indexes", false, (*runtime.Context).EvalPathPerStep},
+	} {
+		got, gerr := c.eval(newCtx(c.noIndex), path)
+		if g, w := errText(gerr), errText(werr); g != w {
+			return fmt.Sprintf("%s: error %s, per-step error %s", c.name, g, w)
+		}
+		if g, w := render(got), render(want); g != w {
+			return fmt.Sprintf("%s:\n%s\nper-step %s", c.name, g, w)
+		}
+	}
+	return ""
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// TestPathIterMatchesPerStep holds the streaming path pipeline to the
+// per-step reference on generated trees, with the indexes on and off:
+// the same nodes in the same order, and the same error exactly where
+// the reference has one.
+func TestPathIterMatchesPerStep(t *testing.T) {
+	docs := pathIterDocs(t)
 	for _, q := range pathIterCorpus {
-		m, err := parser.ParseModule(q)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		prog, err := runtime.Compile(m, runtime.CompileConfig{Registry: funclib.Library()})
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		path, ok := m.Body.(ast.Path)
+		prog, path, ok := compilePath(t, "", q)
 		if !ok {
-			t.Fatalf("%q: planned as %T, not a path", q, m.Body)
+			t.Fatalf("%q: not a path", q)
 		}
 		for di, doc := range docs {
-			for _, noIndex := range []bool{false, true} {
+			diff := matchPerStep(path, func(noIndex bool) *runtime.Context {
 				ctx := runtime.NewContext(prog)
 				ctx.Item, ctx.Pos, ctx.Size, ctx.NoIndex = doc, 1, 1, noIndex
-				got, gerr := ctx.Eval(path)
-				want, werr := ctx.EvalPathPerStep(path)
-				if (gerr != nil) != (werr != nil) {
-					t.Errorf("%q doc %d noIndex %v: streamed error %v, per-step error %v", q, di, noIndex, gerr, werr)
-				} else if g, w := render(got), render(want); g != w {
-					t.Errorf("%q doc %d noIndex %v:\nstreamed %s\nper-step %s", q, di, noIndex, g, w)
+				return ctx
+			})
+			if diff != "" {
+				t.Errorf("%q doc %d %s", q, di, diff)
+			}
+		}
+	}
+}
+
+// TestPathIterMatchesPerStepWithVariables is the same oracle over paths
+// that read $v, bound to no node, one node, two nodes and atomics: a
+// primary of at most one node streams, and a variable id key probes the
+// id map when it is one string.
+func TestPathIterMatchesPerStepWithVariables(t *testing.T) {
+	docs := pathIterDocs(t)
+	for _, q := range pathIterVarCorpus {
+		prog, path, ok := compilePath(t, "declare variable $v external; ", q)
+		if !ok {
+			t.Fatalf("%q: not a path", q)
+		}
+		for di, doc := range docs {
+			for _, b := range pathIterVarBindings {
+				v := evalOver(t, b, doc)
+				diff := matchPerStep(path, func(noIndex bool) *runtime.Context {
+					ctx := runtime.NewContext(prog)
+					ctx.Item, ctx.Pos, ctx.Size, ctx.NoIndex = doc, 1, 1, noIndex
+					ctx.Bind(dom.Name("v"), v)
+					return ctx
+				})
+				if diff != "" {
+					t.Errorf("%q doc %d $v := %s: %s", q, di, b, diff)
 				}
 			}
 		}
 	}
+}
+
+// evalOver evaluates q with doc as the context item.
+func evalOver(tb testing.TB, q string, doc xdm.Item) xdm.Sequence {
+	m, err := parser.ParseModule(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := runtime.Compile(m, runtime.CompileConfig{Registry: funclib.Library()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx := runtime.NewContext(prog)
+	ctx.Item, ctx.Pos, ctx.Size = doc, 1, 1
+	v, err := ctx.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
+// The grammar FuzzPathStreamsLikePerStep draws its paths from: a start,
+// then steps of an axis, a node test and predicates, with the shapes of
+// pathIterCorpus and pathIterVarCorpus among them.
+var (
+	fuzzStarts = []string{`/`, ``, `$v`, `(//a)[1]`, `(//b, //a)`, `(/r)`, `zero-or-one((//b)[2])`,
+		`(//a)[last()]`, `reverse(//c)`, `(1)`, `//a[@id = $v]`, `exactly-one((/r/*)[1])`}
+	fuzzAxes = []string{`child::`, `descendant::`, `descendant-or-self::`, `self::`, `attribute::`,
+		`parent::`, `ancestor::`, `ancestor-or-self::`, `following-sibling::`, `preceding-sibling::`,
+		`following::`, `preceding::`, ``, `/`}
+	fuzzTests = []string{`a`, `b`, `c`, `*`, `node()`, `text()`, `k`, `id`}
+	fuzzPreds = []string{`[1]`, `[2]`, `[last()]`, `[@k = "1"]`, `[@id = $v]`, `[@id = "n3"]`,
+		`[position() < 3]`, `[b]`, `[@k eq $v]`, `[$v = @id]`, `[. = "t"]`}
+	fuzzLast = []string{`string()`, `name()`, `(b, 1)`, `..`}
+)
+
+// fuzzPath spells a path from shape, one byte per choice.
+func fuzzPath(shape []byte) string {
+	next := func(n int) int {
+		if len(shape) == 0 {
+			return 0
+		}
+		c := int(shape[0])
+		shape = shape[1:]
+		return c % n
+	}
+	var b strings.Builder
+	start := fuzzStarts[next(len(fuzzStarts))]
+	b.WriteString(start)
+	for i, steps := 0, 1+next(4); i < steps; i++ {
+		if i > 0 || (start != `/` && start != ``) {
+			b.WriteString(`/`)
+		}
+		if i == steps-1 && next(5) == 0 {
+			b.WriteString(fuzzLast[next(len(fuzzLast))])
+			break
+		}
+		b.WriteString(fuzzAxes[next(len(fuzzAxes))])
+		b.WriteString(fuzzTests[next(len(fuzzTests))])
+		for p := next(3); p > 0; p-- {
+			b.WriteString(fuzzPreds[next(len(fuzzPreds))])
+		}
+	}
+	return b.String()
+}
+
+// FuzzPathStreamsLikePerStep holds a random path of the corpus grammar,
+// with $v bound to one of pathIterVarBindings, to the per-step
+// reference over a pathIterDoc tree (see matchPerStep).
+func FuzzPathStreamsLikePerStep(f *testing.F) {
+	f.Add(int64(1), []byte{3, 0, 1, 0, 1, 0})           // (//a)[1]/child::b
+	f.Add(int64(2), []byte{2, 0, 1, 1, 1, 1, 4})        // $v/descendant::b[@id = $v]
+	f.Add(int64(3), []byte{10, 1, 0, 0, 0, 1, 5, 3, 0}) // //a[@id = $v]/child::a/parent::*
+	f.Add(int64(4), []byte{5, 1, 13, 0, 0, 1, 0, 1, 0}) // (/r)//a/child::b
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
+		q := fuzzPath(shape)
+		prog, path, ok := compilePath(t, "declare variable $v external; ", q)
+		if !ok {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		d, err := markup.Parse(pathIterDoc(rng, rng.Intn(30)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := xdm.NewNode(d)
+		b := pathIterVarBindings[rng.Intn(len(pathIterVarBindings))]
+		v := evalOver(t, b, doc)
+		diff := matchPerStep(path, func(noIndex bool) *runtime.Context {
+			ctx := runtime.NewContext(prog)
+			ctx.Item, ctx.Pos, ctx.Size, ctx.NoIndex = doc, 1, 1, noIndex
+			ctx.Bind(dom.Name("v"), v)
+			return ctx
+		})
+		if diff != "" {
+			t.Errorf("%q $v := %s: %s", q, b, diff)
+		}
+	})
 }
