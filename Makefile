@@ -44,7 +44,7 @@ vet-invariants:
 	$(GO) run ./tools/analyzers -check progmutate internal/xquery internal/xquery/runtime
 	$(GO) run ./tools/analyzers -check ctxstruct internal/serve internal/rest internal/fed
 	$(GO) run ./tools/analyzers -check idxversion internal/dom internal/dom/index internal/fulltext/index internal/xquery/runtime internal/xquery/funclib internal/xmldb internal/serve
-	$(GO) run ./tools/analyzers -check planpure internal/xquery/plan
+	$(GO) run ./tools/analyzers -check planpure internal/xquery/plan internal/xquery/ast
 	$(GO) run ./tools/analyzers -check storesync internal/xmldb
 	$(GO) run ./tools/analyzers -check pulapply internal/serve internal/rest internal/fed \
 		internal/fulltext internal/xmldb internal/dom/index internal/xdm \
@@ -134,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePathPredicates$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzPathStreamsLikePerStep$$' -fuzztime 10s -parallel 2 ./internal/xquery/runtime
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime 10s -parallel 2 ./internal/xquery
 
 experiments:
 	$(GO) run ./cmd/experiments

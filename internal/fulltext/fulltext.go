@@ -150,44 +150,6 @@ func WildcardRegexp(w string) *regexp.Regexp {
 	return re
 }
 
-// WildcardLiterals returns the maximal literal runs of a wildcard
-// query word — the substrings between wildcard constructs, with each
-// "." and its optional quantifier suffix excluded. Every token the
-// pattern matches must contain each run (in order), which is what lets
-// a trigram index narrow wildcard words to vocabulary candidates.
-func WildcardLiterals(w string) []string {
-	var runs []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			runs = append(runs, b.String())
-			b.Reset()
-		}
-	}
-	for i := 0; i < len(w); {
-		r, sz := utf8.DecodeRuneInString(w[i:])
-		if r != '.' {
-			b.WriteString(w[i : i+sz])
-			i += sz
-			continue
-		}
-		flush()
-		i++
-		if i < len(w) {
-			switch w[i] {
-			case '?', '*', '+':
-				i++
-			case '{':
-				if j := strings.IndexByte(w[i:], '}'); j >= 0 && validRepeat(w[i:i+j+1]) {
-					i += j + 1
-				}
-			}
-		}
-	}
-	flush()
-	return runs
-}
-
 // QueryWords splits a query phrase into its match words. Without
 // wildcards this is the document tokenizer; with wildcards enabled,
 // the wildcard constructs — "." plus an optional "?", "*", "+" or

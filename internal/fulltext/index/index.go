@@ -7,8 +7,8 @@
 //     byte span, lower-cased form and Porter stem;
 //   - inverted posting lists (lower-cased token → positions, stem →
 //     positions) probed by word and phrase selections;
-//   - a character-trigram index over the distinct vocabulary for
-//     wildcard/substring query words;
+//   - the sorted distinct vocabulary, which wildcard query words are
+//     matched against;
 //   - per-node byte ranges in a slice indexed by the node's
 //     document-order label (dom.Node.Label, DESIGN.md §5t; the index
 //     numbers nothing and keeps no map keyed by node), so any
@@ -76,11 +76,9 @@ type Doc struct {
 	post     map[string][]int32
 	stemPost map[string][]int32
 
-	// vocab is the sorted distinct lower-cased vocabulary; gram maps
-	// each byte trigram to the sorted vocab indexes containing it
-	// (wildcard words resolve to vocabulary candidates through it).
+	// vocab is the sorted distinct lower-cased vocabulary (wildcard
+	// words resolve to the entries they match).
 	vocab []string
-	gram  map[string][]int32
 
 	// split lists the positions of tokens spanning more than one text
 	// node: the only tokens whose clipped pieces can match inside a
@@ -146,8 +144,8 @@ func Fresh(n *dom.Node) *Doc { return lifecycle.Fresh(n) }
 
 // build walks the tree once collecting the text stream and the node
 // ranges (buildTree, shared with Attach), then tokenizes the stream
-// and fills the token table, the postings, the vocabulary trigrams
-// and the split-token list.
+// and fills the token table, the postings, the vocabulary and the
+// split-token list.
 func build(root *dom.Node) *Doc {
 	builds.Add(1)
 	d := &Doc{root: root, version: root.Version()}
@@ -194,8 +192,8 @@ func (d *Doc) spansBoundary(i int) bool {
 	return false
 }
 
-// buildTables derives the per-token forms, the postings, and the
-// vocabulary trigram index from the token spans. A stem array already
+// buildTables derives the per-token forms, the postings and the
+// vocabulary from the token spans. A stem array already
 // sized to the token table (an Attach from persisted form) is kept —
 // stemming is the expensive part of a build.
 func (d *Doc) buildTables() {
@@ -221,16 +219,6 @@ func (d *Doc) buildTables() {
 		d.vocab = append(d.vocab, v)
 	}
 	sort.Strings(d.vocab)
-	d.gram = make(map[string][]int32)
-	for vi, v := range d.vocab {
-		for _, tri := range trigrams(v) {
-			g := d.gram[tri]
-			if len(g) > 0 && g[len(g)-1] == int32(vi) {
-				continue
-			}
-			d.gram[tri] = append(g, int32(vi))
-		}
-	}
 	d.buildFloor()
 }
 
@@ -269,19 +257,6 @@ func lowerToken(s string) string {
 		}
 	}
 	return s
-}
-
-// trigrams returns the byte trigrams of s (duplicates included; the
-// caller dedups adjacent repeats).
-func trigrams(s string) []string {
-	if len(s) < 3 {
-		return nil
-	}
-	out := make([]string, 0, len(s)-2)
-	for i := 0; i+3 <= len(s); i++ {
-		out = append(out, s[i:i+3])
-	}
-	return out
 }
 
 // fresh reports whether the index still matches its tree. Every

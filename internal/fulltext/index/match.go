@@ -338,63 +338,16 @@ func (d *Doc) eachWordPos(lo, hi int, w string, o fulltext.Options, fn func(p in
 }
 
 // vocabMatches resolves a lower-cased wildcard pattern to the vocab
-// indexes whose token matches it. Literal trigrams of the pattern
-// narrow the candidates through the trigram index; a pattern with no
-// trigram-length literal scans the whole (distinct) vocabulary.
+// indexes whose token matches it, scanning the distinct vocabulary.
 func (d *Doc) vocabMatches(pat string) []int32 {
 	if !d.fresh() {
 		return nil
 	}
 	re := fulltext.WildcardRegexp(pat)
-	var cand []int32
-	narrowed := false
-	for _, lit := range fulltext.WildcardLiterals(pat) {
-		for _, tri := range trigrams(lit) {
-			g := d.gram[tri]
-			if !narrowed {
-				cand = append(cand[:0], g...)
-				narrowed = true
-			} else {
-				cand = intersectSorted(cand, g)
-			}
-			if len(cand) == 0 && narrowed {
-				return nil
-			}
-		}
-	}
-	if !narrowed {
-		out := make([]int32, 0, 8)
-		for vi, v := range d.vocab {
-			if re.MatchString(v) {
-				out = append(out, int32(vi))
-			}
-		}
-		return out
-	}
-	out := cand[:0]
-	for _, vi := range cand {
-		if re.MatchString(d.vocab[vi]) {
-			out = append(out, vi)
-		}
-	}
-	return out
-}
-
-// intersectSorted intersects two sorted int32 lists into a (reused
-// where possible).
-func intersectSorted(a, b []int32) []int32 {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	var out []int32
+	for vi, v := range d.vocab {
+		if re.MatchString(v) {
+			out = append(out, int32(vi))
 		}
 	}
 	return out

@@ -9,7 +9,7 @@ import (
 
 // Serialized is the persistent form of a Doc: just the token spans and
 // the Porter stems, plus a hash of the text stream they were computed
-// over. Postings, vocabulary and trigram maps are cheap derivations
+// over. Postings and vocabulary are cheap derivations
 // (buildTables() rebuilds them in one pass) and gob-decoding a map performs
 // the same inserts anyway, so persisting them would save nothing;
 // stemming is the expensive part of a build and is what the sidecar

@@ -88,30 +88,19 @@ func (c *checker) cardOf(e ast.Expr) int64 {
 	}
 }
 
-// estimate computes the saturating step estimate for e.
+// estimate computes the saturating step estimate for e. The kinds
+// named here have a cardinality or a cost of their own; every other
+// kind costs one step plus its children (ast.EachChild).
 func (c *checker) estimate(e ast.Expr) int64 {
 	switch x := e.(type) {
 	case nil:
 		return 0
-	case ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit,
-		ast.VarRef, ast.ContextItem, ast.Break, ast.Continue:
-		return 1
-	case ast.SeqExpr:
-		t := int64(1)
-		for _, it := range x.Items {
-			t = satAdd(t, c.estimate(it))
-		}
-		return t
 	case ast.Ordered:
 		return c.estimate(x.X)
 	case ast.Hoisted:
 		return c.estimate(x.X)
 	case ast.FuncCall:
-		t := int64(1)
-		for _, a := range x.Args {
-			t = satAdd(t, c.estimate(a))
-		}
-		return satAdd(t, c.callEstimate(x))
+		return satAdd(c.stepAndChildren(x), c.callEstimate(x))
 	case ast.If:
 		t := satAdd(1, c.estimate(x.Cond))
 		thenE, elseE := c.estimate(x.Then), c.estimate(x.Else)
@@ -160,21 +149,9 @@ func (c *checker) estimate(e ast.Expr) int64 {
 			}
 		}
 		return satAdd(t, max)
-	case ast.Binary:
-		return satAdd(1, satAdd(c.estimate(x.L), c.estimate(x.R)))
-	case ast.Compare:
-		return satAdd(1, satAdd(c.estimate(x.L), c.estimate(x.R)))
-	case ast.Unary:
-		return satAdd(1, c.estimate(x.X))
 	case ast.Range:
 		// Materialising a range costs about its cardinality.
 		return satAdd(1, c.cardOf(x))
-	case ast.InstanceOf:
-		return satAdd(1, c.estimate(x.X))
-	case ast.TreatAs:
-		return satAdd(1, c.estimate(x.X))
-	case ast.CastAs:
-		return satAdd(1, c.estimate(x.X))
 	case ast.Path:
 		t := int64(1)
 		card := int64(1)
@@ -240,61 +217,12 @@ func (c *checker) estimate(e ast.Expr) int64 {
 			}
 		}
 		return t
-	case ast.DirElem:
-		t := int64(1)
-		for _, a := range x.Attrs {
-			for _, p := range a.Pieces {
-				t = satAdd(t, c.estimate(p))
-			}
-		}
-		for _, ch := range x.Content {
-			t = satAdd(t, c.estimate(ch))
-		}
-		return t
-	case ast.CompConstructor:
-		return satAdd(1, satAdd(c.estimate(x.NameExpr), c.estimate(x.Content)))
-	case ast.Insert:
-		return satAdd(1, satAdd(c.estimate(x.Source), c.estimate(x.Target)))
-	case ast.Delete:
-		return satAdd(1, c.estimate(x.Target))
-	case ast.Replace:
-		return satAdd(1, satAdd(c.estimate(x.Target), c.estimate(x.With)))
-	case ast.Rename:
-		return satAdd(1, satAdd(c.estimate(x.Target), c.estimate(x.NewName)))
-	case ast.Transform:
-		t := int64(1)
-		for _, b := range x.Bindings {
-			t = satAdd(t, c.estimate(b.In))
-		}
-		return satAdd(t, satAdd(c.estimate(x.Modify), c.estimate(x.Return)))
-	case ast.Block:
-		t := int64(1)
-		for _, st := range x.Stmts {
-			t = satAdd(t, c.estimate(st))
-		}
-		return t
-	case ast.BlockDecl:
-		return satAdd(1, c.estimate(x.Init))
-	case ast.Assign:
-		return satAdd(1, c.estimate(x.Val))
 	case ast.While:
 		if b, ok := c.constBool(x.Cond); ok && !b {
 			return satAdd(1, c.estimate(x.Cond))
 		}
 		body := satAdd(c.estimate(x.Cond), c.estimate(x.Body))
 		return satAdd(1, satMul(whileIters, body))
-	case ast.Exit:
-		return satAdd(1, c.estimate(x.With))
-	case ast.EventAttach:
-		return satAdd(1, satAdd(c.estimate(x.Event), c.estimate(x.Target)))
-	case ast.EventDetach:
-		return satAdd(1, satAdd(c.estimate(x.Event), c.estimate(x.Target)))
-	case ast.EventTrigger:
-		return satAdd(1, satAdd(c.estimate(x.Event), c.estimate(x.Target)))
-	case ast.SetStyle:
-		return satAdd(1, satAdd(c.estimate(x.Prop), satAdd(c.estimate(x.Target), c.estimate(x.Value))))
-	case ast.GetStyle:
-		return satAdd(1, satAdd(c.estimate(x.Prop), c.estimate(x.Target)))
 	case ast.FTContains:
 		// An unindexed ftcontains tokenizes every input item's whole
 		// string value — a full subtree scan per item, same unit as an
@@ -303,9 +231,15 @@ func (c *checker) estimate(e ast.Expr) int64 {
 		// above, which never reaches this case for the probed
 		// predicate.)
 		return satAdd(satMul(c.cardOf(x.X), descScanCard), c.estimate(x.X))
-	default:
-		return 1
 	}
+	return c.stepAndChildren(e)
+}
+
+// stepAndChildren is one step for e plus the estimate of each child.
+func (c *checker) stepAndChildren(e ast.Expr) int64 {
+	t := int64(1)
+	ast.EachChild(e, func(ch ast.Expr) { t = satAdd(t, c.estimate(ch)) })
+	return t
 }
 
 // callEstimate prices the callee: user functions are estimated from

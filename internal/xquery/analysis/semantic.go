@@ -29,16 +29,11 @@ const (
 // walk is the combined semantic / update-placement / browser-policy
 // traversal. sc is the lexical scope; upd the update-placement context
 // of this position. Child positions that keep statement semantics pass
-// upd through; value positions pass updExpr.
+// upd through; value positions pass updExpr. Only the kinds that bind,
+// update, keep statement semantics or are checked themselves are named;
+// every other kind's children are value positions (ast.EachChild).
 func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 	switch x := e.(type) {
-	case nil:
-		return
-
-	case ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit,
-		ast.ContextItem, ast.Break, ast.Continue:
-		return
-
 	case ast.VarRef:
 		b := sc.lookup(x.Name)
 		if b == nil {
@@ -48,17 +43,15 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 			return
 		}
 		b.used = true
+		return
 
-	case ast.SeqExpr:
-		for _, it := range x.Items {
-			c.walk(it, sc, upd)
-		}
-
-	case ast.Ordered:
-		c.walk(x.X, sc, upd)
+	case ast.SeqExpr, ast.Ordered:
+		ast.EachChild(e, func(ch ast.Expr) { c.walk(ch, sc, upd) })
+		return
 
 	case ast.FuncCall:
 		c.checkCall(x, sc, upd)
+		return
 
 	case ast.If:
 		c.walk(x.Cond, sc, updExpr)
@@ -74,6 +67,7 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		}
 		c.walk(x.Then, sc, upd)
 		c.walk(x.Else, sc, upd)
+		return
 
 	case ast.FLWOR:
 		c.noteShipped(x.Ship, ast.PosOf(x))
@@ -99,6 +93,7 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		}
 		c.walk(x.Return, fs, upd)
 		c.reportUnused(fs)
+		return
 
 	case ast.Quantified:
 		qs := &scope{parent: sc}
@@ -108,6 +103,7 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		}
 		c.walk(x.Satisfies, qs, updExpr)
 		c.reportUnused(qs)
+		return
 
 	case ast.Typeswitch:
 		c.walk(x.Operand, sc, updExpr)
@@ -125,66 +121,19 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		}
 		c.walk(x.Default, ds, upd)
 		c.reportUnused(ds)
-
-	case ast.Binary:
-		c.walk(x.L, sc, updExpr)
-		c.walk(x.R, sc, updExpr)
-	case ast.Compare:
-		c.walk(x.L, sc, updExpr)
-		c.walk(x.R, sc, updExpr)
-	case ast.Unary:
-		c.walk(x.X, sc, updExpr)
-	case ast.Range:
-		c.walk(x.L, sc, updExpr)
-		c.walk(x.R, sc, updExpr)
-	case ast.InstanceOf:
-		c.walk(x.X, sc, updExpr)
-	case ast.TreatAs:
-		c.walk(x.X, sc, updExpr)
-	case ast.CastAs:
-		c.walk(x.X, sc, updExpr)
-
-	case ast.Path:
-		for _, st := range x.Steps {
-			if st.Primary != nil {
-				c.walk(st.Primary, sc, updExpr)
-			}
-			for _, pr := range st.Preds {
-				c.walk(pr, sc, updExpr)
-			}
-		}
-
-	case ast.DirElem:
-		for _, a := range x.Attrs {
-			for _, p := range a.Pieces {
-				c.walk(p, sc, updExpr)
-			}
-		}
-		for _, ch := range x.Content {
-			c.walk(ch, sc, updExpr)
-		}
-	case ast.CompConstructor:
-		c.walk(x.NameExpr, sc, updExpr)
-		c.walk(x.Content, sc, updExpr)
+		return
 
 	case ast.Insert:
 		c.updatingExpr(x.At, "insert", upd)
-		c.walk(x.Source, sc, updExpr)
-		c.walk(x.Target, sc, updExpr)
 		c.checkWindowWrite(x.Target, false, x.At)
 	case ast.Delete:
 		c.updatingExpr(x.At, "delete", upd)
-		c.walk(x.Target, sc, updExpr)
 		c.checkWindowWrite(x.Target, false, x.At)
 	case ast.Replace:
 		c.updatingExpr(x.At, "replace", upd)
-		c.walk(x.Target, sc, updExpr)
-		c.walk(x.With, sc, updExpr)
 		c.checkWindowWrite(x.Target, x.ValueOf, x.At)
 	case ast.Rename:
 		c.updatingExpr(x.At, "rename", upd)
-		c.walk(x.Target, sc, updExpr)
-		c.walk(x.NewName, sc, updExpr)
 		c.checkWindowWrite(x.Target, false, x.At)
 
 	case ast.Transform:
@@ -198,6 +147,7 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		c.walk(x.Modify, ts, updAllowed)
 		c.walk(x.Return, ts, updExpr)
 		c.reportUnused(ts)
+		return
 
 	case ast.Block:
 		bs := &scope{parent: sc}
@@ -205,9 +155,11 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 			c.walk(st, bs, upd)
 		}
 		c.reportUnused(bs)
+		return
 	case ast.BlockDecl:
 		c.walk(x.Init, sc, updExpr)
 		sc.declare(x.Var, x.At, kindBlockDecl)
+		return
 	case ast.Assign:
 		b := sc.lookup(x.Var)
 		if b == nil {
@@ -216,52 +168,17 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		} else {
 			b.used = true
 		}
-		c.walk(x.Val, sc, updExpr)
 	case ast.While:
 		c.walk(x.Cond, sc, updExpr)
 		c.walk(x.Body, sc, upd)
-	case ast.Exit:
-		c.walk(x.With, sc, updExpr)
+		return
 
 	case ast.EventAttach:
-		c.walk(x.Event, sc, updExpr)
-		c.walk(x.Target, sc, updExpr)
 		c.checkListener(x.Listener, x.At)
 	case ast.EventDetach:
-		c.walk(x.Event, sc, updExpr)
-		c.walk(x.Target, sc, updExpr)
 		c.checkListener(x.Listener, x.At)
-	case ast.EventTrigger:
-		c.walk(x.Event, sc, updExpr)
-		c.walk(x.Target, sc, updExpr)
-
-	case ast.SetStyle:
-		c.walk(x.Prop, sc, updExpr)
-		c.walk(x.Target, sc, updExpr)
-		c.walk(x.Value, sc, updExpr)
-	case ast.GetStyle:
-		c.walk(x.Prop, sc, updExpr)
-		c.walk(x.Target, sc, updExpr)
-
-	case ast.FTContains:
-		c.walk(x.X, sc, updExpr)
-		c.walkFT(x.Sel, sc)
 	}
-}
-
-func (c *checker) walkFT(sel ast.FTSelection, sc *scope) {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		c.walk(s.Source, sc, updExpr)
-	case ast.FTAnd:
-		c.walkFT(s.L, sc)
-		c.walkFT(s.R, sc)
-	case ast.FTOr:
-		c.walkFT(s.L, sc)
-		c.walkFT(s.R, sc)
-	case ast.FTNot:
-		c.walkFT(s.X, sc)
-	}
+	ast.EachChild(e, func(ch ast.Expr) { c.walk(ch, sc, updExpr) })
 }
 
 func clauseKind(cl ast.Clause) bindKind {

@@ -151,6 +151,21 @@ var compileDifferentialCorpus = []string{
 	// for the first build item with a key.
 	`for $A in */book for $b in */book where $B = $b/A return 0`,
 	`for $a in */book for $b in */book where $a/@id = $b/preceding-sibling::book/@id return concat($a/@id, $b/@id)`,
+	// Unary + and - fold over numbers only: over a string they raise.
+	`+"a"`,
+	`(1 to 3)[+"1"]`,
+	// and/or run their left operand first, so only a constant left
+	// operand may decide them at compile time.
+	`if (fn:error() and fn:false()) then 1 else 2`,
+	`if (1 idiv 0 = 1 and fn:false()) then 1 else 2`,
+	`if (fn:error() or fn:true()) then 1 else 2`,
+	// A build key that raises must not raise before the nested loop's
+	// first comparison would: here that comparison fails first.
+	`for $A in */book for $b in */book where 0 eq $b/author return 0`,
+	// Pushdown: a conjunct that rebinds the loop variable stays in the
+	// where clause; a constructor in one moves like any other operand.
+	`for $b in //book where some $b in $b/author satisfies $b = "Knuth" return $b/@id/string()`,
+	`for $b in //book where <p>{$b/price}</p> = "54.90" return $b/@id/string()`,
 }
 
 // compileOracle compiles src from a module of its own whose one

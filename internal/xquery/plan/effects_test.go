@@ -10,9 +10,9 @@ import (
 )
 
 // TestHasScripting lists every scripting kind of the ast, alone and
-// under each place a walk over mapChildren alone would miss: the operand
-// of ast.Hoisted, the three expressions of a join annotation and the
-// word source of a full-text selection.
+// under each place a walk over ast.MapChildren alone would miss: the
+// operand of ast.Hoisted and the three expressions of a join annotation
+// (and the word source of a full-text selection, which both walks see).
 func TestHasScripting(t *testing.T) {
 	hasScripting := func(e ast.Expr) bool { return (&inference{}).infer(e).eff&ast.EffScripting != 0 }
 	one := ast.IntLit{Val: 1}
@@ -179,63 +179,5 @@ func TestFlattenTakesInnerHoistsBack(t *testing.T) {
 	where, isWhere := f.Where.(ast.Hoisted)
 	if !isLet || !isWhere || let.Slot != 0 || where.Slot != 1 || st.Hoists != 2 {
 		t.Errorf("let %+v, where %+v, stats %+v", f.Clauses[2].In, f.Where, st)
-	}
-}
-
-// TestEachChildSeesWhatMapChildrenMaps holds the visiting walk to the
-// copying one: over sources that use every expression kind with
-// children, each node's eachChild children are exactly its mapChildren
-// children, plus the full-text word sources mapChildren leaves to the
-// planner.
-func TestEachChildSeesWhatMapChildrenMaps(t *testing.T) {
-	sources := []string{
-		`for $a at $i in (1, 2), $b in //x[@k = "v"][2]/y let $n as xs:integer := -$i + 1
-		 where $a = $b and $n < 3 order by $b/@id descending return <e a="{$a}x{$n}">{$b, "t"}</e>`,
-		`some $x in //a, $y in //b satisfies $x is $y or not($x << $y)`,
-		`typeswitch (//a[1]) case $e as element() return ordered { $e } case xs:string return 1 to 3 default $d return $d`,
-		`if (//a instance of element()+) then //a treat as element()+ else ("1" cast as xs:integer, "x" castable as xs:integer)`,
-		`(//a union //b) except //c, element {"n"} {attribute a {1}, text {"t"}}, document {<d/>}`,
-		`copy $c := //a[1], $d := //b[1] modify (delete node $c/x, rename node $d as "e") return ($c, $d)`,
-		`insert node <n/> as first into //a, replace value of node //b/@k with "v", replace node //c with <c/>`,
-		`{ declare variable $i := 0; while ($i < 3) { $i := $i + 1; if ($i = 2) then break else continue; }; exit returning $i; }`,
-		`on event "click" at //a attach listener local:f, on event "click" at //a detach listener local:f,
-		 trigger event "click" at //a, set style "color" of //a to "red", get style "color" of //a`,
-		`for $w in ("x", "y") return //a[. ftcontains {//k, $w} any word ftand ftnot "y" ftor $w]`,
-	}
-	for _, src := range sources {
-		m, err := parser.ParseModule(src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		var walk func(e ast.Expr)
-		walk = func(e ast.Expr) {
-			var mapped, visited []ast.Expr
-			mapChildren(e, func(c ast.Expr) ast.Expr {
-				if c != nil {
-					mapped = append(mapped, c)
-				}
-				return c
-			})
-			if ft, ok := e.(ast.FTContains); ok {
-				eachFTSource(ft.Sel, func(c ast.Expr) { mapped = append(mapped, c) })
-			}
-			eachChild(e, func(c ast.Expr) { visited = append(visited, c) })
-			if len(mapped) != len(visited) {
-				t.Errorf("%T in %q: mapChildren maps %d children, eachChild visits %d", e, src, len(mapped), len(visited))
-			}
-			for _, c := range mapped {
-				found := false
-				for _, v := range visited {
-					found = found || reflect.DeepEqual(c, v)
-				}
-				if !found {
-					t.Errorf("%T in %q: eachChild misses %+v", e, src, c)
-				}
-			}
-			for _, c := range visited {
-				walk(c)
-			}
-		}
-		walk(m.Body)
 	}
 }

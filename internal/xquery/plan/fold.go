@@ -82,19 +82,18 @@ func Fold(e ast.Expr) (Const, bool) {
 			return Const{Kind: ConstEmpty}, true
 		}
 	case ast.Unary:
+		// Over anything but a number, + and - raise (or, over (), yield
+		// nothing): not a constant.
 		v, ok := Fold(x.X)
-		if !ok {
+		if !ok || v.Kind != ConstInt && v.Kind != ConstFloat {
 			return Const{}, false
 		}
-		if x.Neg {
-			switch v.Kind {
-			case ConstInt:
-				v.I = -v.I
-			case ConstFloat:
-				v.F = -v.F
-			default:
-				return Const{}, false
-			}
+		switch {
+		case !x.Neg:
+		case v.Kind == ConstInt:
+			v.I = -v.I
+		default:
+			v.F = -v.F
 		}
 		return v, true
 	case ast.FuncCall:
@@ -122,26 +121,21 @@ func Fold(e ast.Expr) (Const, bool) {
 func foldBinary(x ast.Binary) (Const, bool) {
 	switch x.Op {
 	case "and", "or":
-		lb, lok := FoldBool(x.L)
-		rb, rok := FoldBool(x.R)
-		// Short-circuit folds: a constant dominant operand decides the
-		// result regardless of the other side.
-		if x.Op == "and" {
-			if lok && !lb || rok && !rb {
-				return Const{Kind: ConstBool, B: false}, true
-			}
-			if lok && rok {
-				return Const{Kind: ConstBool, B: lb && rb}, true
-			}
-		} else {
-			if lok && lb || rok && rb {
-				return Const{Kind: ConstBool, B: true}, true
-			}
-			if lok && rok {
-				return Const{Kind: ConstBool, B: lb || rb}, true
-			}
+		// The left operand runs first, and only a constant one may
+		// decide: a constant right operand still follows a left one
+		// whose evaluation can raise.
+		lb, ok := FoldBool(x.L)
+		if !ok {
+			return Const{}, false
 		}
-		return Const{}, false
+		if lb == (x.Op == "or") {
+			return Const{Kind: ConstBool, B: lb}, true
+		}
+		rb, ok := FoldBool(x.R)
+		if !ok {
+			return Const{}, false
+		}
+		return Const{Kind: ConstBool, B: rb}, true
 	case "+", "-", "*", "idiv", "mod":
 		l, lok := Fold(x.L)
 		r, rok := Fold(x.R)

@@ -59,7 +59,7 @@ func (in *inference) exitsFresh(e ast.Expr) bool {
 		return false
 	}
 	fresh := true
-	eachChild(e, func(c ast.Expr) { fresh = fresh && in.exitsFresh(c) })
+	ast.EachChild(e, func(c ast.Expr) { fresh = fresh && in.exitsFresh(c) })
 	return fresh
 }
 
@@ -227,138 +227,9 @@ func (u *letUse) scan(e ast.Expr, once bool) {
 		ast.DirElem, ast.CompConstructor, ast.Insert, ast.Delete, ast.Replace,
 		ast.Rename, ast.Block, ast.Exit:
 		// Each operand is evaluated at most once, and none is bound.
-		eachChild(e, func(c ast.Expr) { u.scan(c, once) })
+		ast.EachChild(e, func(c ast.Expr) { u.scan(c, once) })
 	default:
-		eachChild(e, func(c ast.Expr) { u.scan(c, false) })
-	}
-}
-
-// eachChild calls f on every non-nil expression directly under e,
-// without building anything: what mapChildren maps
-// (TestEachChildSeesWhatMapChildrenMaps holds the two together), plus
-// what it leaves alone — the word sources of a full-text selection, the
-// operand of ast.Hoisted and a join annotation's copies of a where
-// conjunct. It is the one traversal of the static-properties pass, which
-// reads some children by position: an if's condition, then and else, a
-// FLWOR's return last, a path's leading primary first, a copy …
-// modify's modify clause right after its bindings.
-func eachChild(e ast.Expr, f func(ast.Expr)) {
-	each := func(es ...ast.Expr) {
-		for _, c := range es {
-			if c != nil {
-				f(c)
-			}
-		}
-	}
-	clauses := func(cls []ast.Clause) {
-		for _, cl := range cls {
-			each(cl.In)
-		}
-	}
-	switch x := e.(type) {
-	case ast.SeqExpr:
-		each(x.Items...)
-	case ast.Ordered:
-		each(x.X)
-	case ast.Hoisted:
-		each(x.X)
-	case ast.FuncCall:
-		each(x.Args...)
-	case ast.If:
-		each(x.Cond, x.Then, x.Else)
-	case ast.FLWOR:
-		clauses(x.Clauses)
-		if j := x.Join; j != nil {
-			each(j.OuterKey, j.InnerKey, j.Pred)
-		}
-		each(x.Where)
-		for _, o := range x.OrderBy {
-			each(o.Key)
-		}
-		each(x.Return)
-	case ast.Quantified:
-		clauses(x.Vars)
-		each(x.Satisfies)
-	case ast.Typeswitch:
-		for _, c := range x.Cases {
-			each(c.Body)
-		}
-		each(x.Operand, x.Default)
-	case ast.Binary:
-		each(x.L, x.R)
-	case ast.Compare:
-		each(x.L, x.R)
-	case ast.Range:
-		each(x.L, x.R)
-	case ast.Unary:
-		each(x.X)
-	case ast.InstanceOf:
-		each(x.X)
-	case ast.TreatAs:
-		each(x.X)
-	case ast.CastAs:
-		each(x.X)
-	case ast.Path:
-		for _, s := range x.Steps {
-			each(s.Primary)
-			each(s.Preds...)
-		}
-	case ast.DirElem:
-		for _, a := range x.Attrs {
-			each(a.Pieces...)
-		}
-		each(x.Content...)
-	case ast.CompConstructor:
-		each(x.NameExpr, x.Content)
-	case ast.Insert:
-		each(x.Source, x.Target)
-	case ast.Delete:
-		each(x.Target)
-	case ast.Replace:
-		each(x.Target, x.With)
-	case ast.Rename:
-		each(x.Target, x.NewName)
-	case ast.Transform:
-		clauses(x.Bindings)
-		each(x.Modify, x.Return)
-	case ast.Block:
-		each(x.Stmts...)
-	case ast.BlockDecl:
-		each(x.Init)
-	case ast.Assign:
-		each(x.Val)
-	case ast.While:
-		each(x.Cond, x.Body)
-	case ast.Exit:
-		each(x.With)
-	case ast.EventAttach:
-		each(x.Event, x.Target)
-	case ast.EventDetach:
-		each(x.Event, x.Target)
-	case ast.EventTrigger:
-		each(x.Event, x.Target)
-	case ast.SetStyle:
-		each(x.Prop, x.Target, x.Value)
-	case ast.GetStyle:
-		each(x.Prop, x.Target)
-	case ast.FTContains:
-		each(x.X)
-		eachFTSource(x.Sel, f)
-	}
-}
-
-func eachFTSource(sel ast.FTSelection, f func(ast.Expr)) {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		f(s.Source)
-	case ast.FTAnd:
-		eachFTSource(s.L, f)
-		eachFTSource(s.R, f)
-	case ast.FTOr:
-		eachFTSource(s.L, f)
-		eachFTSource(s.R, f)
-	case ast.FTNot:
-		eachFTSource(s.X, f)
+		ast.EachChild(e, func(c ast.Expr) { u.scan(c, false) })
 	}
 }
 

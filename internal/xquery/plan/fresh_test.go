@@ -41,7 +41,7 @@ func adoptMarks(e ast.Expr, out *[]string) {
 	case ast.Replace:
 		*out = append(*out, "replace("+sign(x.Adopt)+")")
 	}
-	eachChild(e, func(c ast.Expr) { adoptMarks(c, out) })
+	ast.EachChild(e, func(c ast.Expr) { adoptMarks(c, out) })
 }
 
 func TestFreshClassifier(t *testing.T) {

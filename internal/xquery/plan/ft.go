@@ -15,8 +15,8 @@ import (
 
 // ftProbePred recognises the probe-able first-predicate shape: an
 // ftcontains whose search context is the context item itself and whose
-// word sources are all string literals (anything dynamic must wait for
-// evaluation). Returns the selection for the runtime to compile.
+// word sources are all string literals or sequences of them
+// (FTStaticPhrases; anything dynamic must wait for evaluation). Returns the selection for the runtime to compile.
 func ftProbePred(p ast.Expr) (ast.FTSelection, bool) {
 	ftc, ok := p.(ast.FTContains)
 	if !ok {
@@ -25,7 +25,12 @@ func ftProbePred(p ast.Expr) (ast.FTSelection, bool) {
 	if _, ok := ftc.X.(ast.ContextItem); !ok {
 		return nil, false
 	}
-	if !ftSelStatic(ftc.Sel) {
+	static := true
+	ast.EachChild(ast.FTContains{Sel: ftc.Sel}, func(src ast.Expr) {
+		_, ok := FTStaticPhrases(src)
+		static = static && ok
+	})
+	if !static {
 		return nil, false
 	}
 	return ftc.Sel, true
@@ -37,24 +42,6 @@ func ftProbePred(p ast.Expr) (ast.FTSelection, bool) {
 // is not the planned shape (a stale annotation is treated as a scan).
 func FTProbeSelection(p ast.Expr) (ast.FTSelection, bool) {
 	return ftProbePred(p)
-}
-
-// ftSelStatic reports whether every word source in the selection is a
-// string literal (or a parenthesized sequence of string literals).
-func ftSelStatic(sel ast.FTSelection) bool {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		_, ok := FTStaticPhrases(s.Source)
-		return ok
-	case ast.FTAnd:
-		return ftSelStatic(s.L) && ftSelStatic(s.R)
-	case ast.FTOr:
-		return ftSelStatic(s.L) && ftSelStatic(s.R)
-	case ast.FTNot:
-		return ftSelStatic(s.X)
-	default:
-		return false
-	}
 }
 
 // FTStaticPhrases extracts the phrase list a literal word source

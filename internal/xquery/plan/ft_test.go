@@ -90,3 +90,17 @@ func TestFTProbeSelectionRoundTrip(t *testing.T) {
 		t.Errorf("right phrases = %v, want [a]", ph)
 	}
 }
+
+// TestOptimizerRewritesWordSources: the optimizer reaches the word
+// sources of a full-text selection through ast.MapChildren like every
+// other child, so a constant condition there is decided at compile
+// time.
+func TestOptimizerRewritesWordSources(t *testing.T) {
+	var st Stats
+	_, body := plannedBody(t, `//a[. ftcontains {if (1 = 1) then "marlin" else "reef"} any]`)
+	p := Optimize(body, &st).(ast.Path)
+	ft := p.Steps[len(p.Steps)-1].Preds[0].(ast.FTContains)
+	if src, ok := ft.Sel.(ast.FTWords).Source.(ast.StringLit); !ok || src.Val != "marlin" || st.Folds != 2 { // the comparison, then the branch
+		t.Errorf("word source %+v, %d folds; want \"marlin\", 2", ft.Sel, st.Folds)
+	}
+}

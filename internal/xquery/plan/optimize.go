@@ -116,7 +116,7 @@ func (o *optimizer) expr(e ast.Expr) ast.Expr {
 
 // rewrite rewrites children first, then tries node-local rewrites.
 func (o *optimizer) rewrite(e ast.Expr) ast.Expr {
-	e = mapChildren(e, o.expr)
+	e = ast.MapChildren(e, o.expr)
 	if lit, ok := o.foldToLiteral(e); ok {
 		o.st.Folds++
 		return lit
@@ -445,193 +445,88 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 
 // rewriteForPushdown rewrites a where conjunct over $v into a path
 // predicate over the candidate node: $v becomes `.` (a context-item
-// path root). The caller has refused a conjunct that reads the
-// surrounding focus; ok is false when the conjunct cannot move for
-// another reason — it calls position() or last(), contains a path not
-// rooted at a variable, binds variables of its own, or has a shape the
-// rewriter does not understand.
+// path root) and a path rooted at $v a relative one (pushdownPath);
+// every other kind is copied with its children rewritten. The caller
+// has refused a conjunct that reads the surrounding focus; ok is false
+// when the conjunct cannot move for another reason — it calls
+// position() or last(), which in a predicate read the candidate's
+// place; it contains a path not rooted at a variable; or it binds
+// variables of its own, one of which could shadow $v.
 func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
-	switch x := e.(type) {
-	case nil:
-		return nil, true
-	case ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit:
-		return e, true
-	case ast.VarRef:
-		if x.Name.Matches(v) {
-			return ast.ContextItem{}, true
-		}
-		return e, true
-	case ast.SeqExpr:
-		items := make([]ast.Expr, len(x.Items))
-		for i, it := range x.Items {
-			r, ok := rewriteForPushdown(it, v)
-			if !ok {
-				return nil, false
-			}
-			items[i] = r
-		}
-		return ast.SeqExpr{Items: items}, true
-	case ast.FuncCall:
-		if x.Name.Local == "position" || x.Name.Local == "last" {
-			return nil, false
-		}
-		args := make([]ast.Expr, len(x.Args))
-		for i, a := range x.Args {
-			r, ok := rewriteForPushdown(a, v)
-			if !ok {
-				return nil, false
-			}
-			args[i] = r
-		}
-		return ast.FuncCall{Name: x.Name, Args: args, At: x.At}, true
-	case ast.If:
-		c, ok1 := rewriteForPushdown(x.Cond, v)
-		t, ok2 := rewriteForPushdown(x.Then, v)
-		el, ok3 := rewriteForPushdown(x.Else, v)
-		if !ok1 || !ok2 || !ok3 {
-			return nil, false
-		}
-		return ast.If{Cond: c, Then: t, Else: el, At: x.At}, true
-	case ast.Binary:
-		l, ok1 := rewriteForPushdown(x.L, v)
-		r, ok2 := rewriteForPushdown(x.R, v)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return ast.Binary{Op: x.Op, L: l, R: r}, true
-	case ast.Compare:
-		l, ok1 := rewriteForPushdown(x.L, v)
-		r, ok2 := rewriteForPushdown(x.R, v)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return ast.Compare{Op: x.Op, Kind: x.Kind, L: l, R: r}, true
-	case ast.Unary:
-		r, ok := rewriteForPushdown(x.X, v)
-		if !ok {
-			return nil, false
-		}
-		return ast.Unary{Neg: x.Neg, X: r}, true
-	case ast.Range:
-		l, ok1 := rewriteForPushdown(x.L, v)
-		r, ok2 := rewriteForPushdown(x.R, v)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return ast.Range{L: l, R: r}, true
-	case ast.InstanceOf:
-		r, ok := rewriteForPushdown(x.X, v)
-		if !ok {
-			return nil, false
-		}
-		return ast.InstanceOf{X: r, Type: x.Type}, true
-	case ast.TreatAs:
-		r, ok := rewriteForPushdown(x.X, v)
-		if !ok {
-			return nil, false
-		}
-		return ast.TreatAs{X: r, Type: x.Type}, true
-	case ast.CastAs:
-		r, ok := rewriteForPushdown(x.X, v)
-		if !ok {
-			return nil, false
-		}
-		return ast.CastAs{X: r, Type: x.Type, Optional: x.Optional, Castable: x.Castable}, true
-	case ast.Path:
-		if x.Absolute || len(x.Steps) == 0 || x.Steps[0].Primary == nil {
-			return nil, false // rooted at the outer focus
-		}
-		first := x.Steps[0]
-		steps := make([]ast.Step, len(x.Steps))
-		copy(steps, x.Steps)
-		switch prim := first.Primary.(type) {
+	ok := true
+	var rewrite func(ast.Expr) ast.Expr
+	rewrite = func(e ast.Expr) ast.Expr {
+		switch x := e.(type) {
 		case ast.VarRef:
-			if prim.Name.Matches(v) {
-				if len(first.Preds) == 0 && len(steps) > 1 {
-					// `$v/rest` over the candidate node is just `rest`:
-					// dropping the root step (rather than rewriting it
-					// to `.`) keeps the predicate a plain axis path —
-					// the shape the id-index planner recognises, so
-					// [@id = "v"] pushdowns upgrade to id probes.
-					steps = steps[1:]
-				} else {
-					steps[0].Primary = ast.ContextItem{}
-				}
+			if x.Name.Matches(v) {
+				return ast.ContextItem{}
 			}
-		default:
-			return nil, false
+			return e
+		case ast.Path:
+			p, pok := pushdownPath(x, v)
+			ok = ok && pok
+			return p
+		case ast.FuncCall:
+			ok = ok && x.Name.Local != "position" && x.Name.Local != "last"
+		case ast.FLWOR, ast.Quantified, ast.Typeswitch, ast.Transform:
+			ok = false
 		}
-		// Step predicates have their own focus, so `.`, position() and
-		// last() inside them are local — but a mention of $v inside a
-		// predicate would need the outer binding we are eliminating.
-		vset := map[string]bool{vkey(v): true}
-		for _, s := range x.Steps {
-			for _, pr := range s.Preds {
-				if mentionsVars(pr, vset) {
-					return nil, false
-				}
-			}
-			if s.Primary != nil && s.Primary != first.Primary {
-				return nil, false
-			}
-		}
-		for i := 1; i < len(steps); i++ {
-			if steps[i].Primary != nil {
-				return nil, false
-			}
-		}
-		return ast.Path{Absolute: false, Steps: steps}, true
-	case ast.FTContains:
-		// `$v ftcontains S` becomes `. ftcontains S` over the candidate
-		// node. Rewriting matters beyond generality: the planned
-		// predicate is exactly the shape chooseAccess upgrades to an
-		// AccessFT posting-list probe when the sources are literals.
-		cx, ok := rewriteForPushdown(x.X, v)
 		if !ok {
-			return nil, false
+			return e
 		}
-		sel, ok := rewriteFTForPushdown(x.Sel, v)
-		if !ok {
-			return nil, false
-		}
-		return ast.FTContains{X: cx, Sel: sel}, true
+		return ast.MapChildren(e, rewrite)
 	}
-	return nil, false
+	out := rewrite(e)
+	return out, ok
 }
 
-// rewriteFTForPushdown rewrites the word sources of a full-text
-// selection for predicate pushdown (see rewriteForPushdown).
-func rewriteFTForPushdown(sel ast.FTSelection, v dom.QName) (ast.FTSelection, bool) {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		src, ok := rewriteForPushdown(s.Source, v)
-		if !ok {
-			return nil, false
+// pushdownPath is rewriteForPushdown of a path: one rooted at $v
+// continues from the candidate, one rooted at another variable stays as
+// it is, and any other path is refused.
+func pushdownPath(x ast.Path, v dom.QName) (ast.Expr, bool) {
+	if x.Absolute || len(x.Steps) == 0 || x.Steps[0].Primary == nil {
+		return nil, false // rooted at the outer focus
+	}
+	first := x.Steps[0]
+	steps := make([]ast.Step, len(x.Steps))
+	copy(steps, x.Steps)
+	switch prim := first.Primary.(type) {
+	case ast.VarRef:
+		if prim.Name.Matches(v) {
+			if len(first.Preds) == 0 && len(steps) > 1 {
+				// `$v/rest` over the candidate node is just `rest`:
+				// dropping the root step (rather than rewriting it
+				// to `.`) keeps the predicate a plain axis path —
+				// the shape the id-index planner recognises, so
+				// [@id = "v"] pushdowns upgrade to id probes.
+				steps = steps[1:]
+			} else {
+				steps[0].Primary = ast.ContextItem{}
+			}
 		}
-		return ast.FTWords{Source: src, AnyAll: s.AnyAll, Opts: s.Opts}, true
-	case ast.FTAnd:
-		l, ok1 := rewriteFTForPushdown(s.L, v)
-		r, ok2 := rewriteFTForPushdown(s.R, v)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return ast.FTAnd{L: l, R: r}, true
-	case ast.FTOr:
-		l, ok1 := rewriteFTForPushdown(s.L, v)
-		r, ok2 := rewriteFTForPushdown(s.R, v)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return ast.FTOr{L: l, R: r}, true
-	case ast.FTNot:
-		x, ok := rewriteFTForPushdown(s.X, v)
-		if !ok {
-			return nil, false
-		}
-		return ast.FTNot{X: x}, true
 	default:
 		return nil, false
 	}
+	// Step predicates have their own focus, so `.`, position() and
+	// last() inside them are local — but a mention of $v inside a
+	// predicate would need the outer binding we are eliminating.
+	vset := map[string]bool{vkey(v): true}
+	for _, s := range x.Steps {
+		for _, pr := range s.Preds {
+			if mentionsVars(pr, vset) {
+				return nil, false
+			}
+		}
+		if s.Primary != nil && s.Primary != first.Primary {
+			return nil, false
+		}
+	}
+	for i := 1; i < len(steps); i++ {
+		if steps[i].Primary != nil {
+			return nil, false
+		}
+	}
+	return ast.Path{Absolute: false, Steps: steps}, true
 }
 
 // hoistLets wraps loop-invariant let bindings (pure, independent of
@@ -729,7 +624,7 @@ func mentionsVars(e ast.Expr, vars map[string]bool) bool {
 
 // contains reports whether is holds for e or for anything under it,
 // word sources of full-text selections, hoisted operands and join
-// annotations included (eachChild).
+// annotations included (ast.EachChild).
 func contains(e ast.Expr, is func(ast.Expr) bool) bool {
 	if e == nil {
 		return false
@@ -738,173 +633,6 @@ func contains(e ast.Expr, is func(ast.Expr) bool) bool {
 		return true
 	}
 	found := false
-	eachChild(e, func(c ast.Expr) { found = found || contains(c, is) })
+	ast.EachChild(e, func(c ast.Expr) { found = found || contains(c, is) })
 	return found
-}
-
-// --- copy-based child rewriting ---------------------------------------------
-
-// mapChildren rebuilds e with f applied to every child expression: the
-// copying walk the planner and the optimizer share. Every node kind
-// with children is descended into — a path worth planning or a FLWOR
-// worth optimizing can hide anywhere — and each case constructs a fresh
-// node, steps and predicate lists included, so the caller may write to
-// what it gets back; a FLWOR's or call's shipping plan stays on the
-// copy (it is text, good for whatever f makes of the children), and so
-// do the adoption marks of constructors, insert and replace (no rewrite
-// of a fresh operand — a fold to a literal, a branch chosen at compile
-// time — makes it less fresh; a DirElem copy shares the Adopt list, so
-// write to a new one). Children are mapped in evaluation order, a
-// FLWOR's clauses first. Word sources of a full-text selection are not
-// children here (the planner maps them itself, see planner.ftSel).
-func mapChildren(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case ast.SeqExpr:
-		items := make([]ast.Expr, len(x.Items))
-		for i, it := range x.Items {
-			items[i] = f(it)
-		}
-		return ast.SeqExpr{Items: items}
-	case ast.Ordered:
-		return ast.Ordered{X: f(x.X)}
-	case ast.FuncCall:
-		args := make([]ast.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = f(a)
-		}
-		return ast.FuncCall{Name: x.Name, Args: args, At: x.At, Ship: x.Ship}
-	case ast.If:
-		return ast.If{Cond: f(x.Cond), Then: f(x.Then), Else: f(x.Else), At: x.At}
-	case ast.FLWOR:
-		clauses := make([]ast.Clause, len(x.Clauses))
-		copy(clauses, x.Clauses)
-		for i := range clauses {
-			clauses[i].In = f(clauses[i].In)
-		}
-		orderBy := make([]ast.OrderSpec, len(x.OrderBy))
-		copy(orderBy, x.OrderBy)
-		for i := range orderBy {
-			orderBy[i].Key = f(orderBy[i].Key)
-		}
-		out := ast.FLWOR{Clauses: clauses, OrderBy: orderBy, Return: f(x.Return), Ship: x.Ship, StreamDomain: x.StreamDomain}
-		if x.Where != nil {
-			out.Where = f(x.Where)
-		}
-		if len(out.OrderBy) == 0 {
-			out.OrderBy = nil
-		}
-		return out
-	case ast.Quantified:
-		vars := make([]ast.Clause, len(x.Vars))
-		copy(vars, x.Vars)
-		for i := range vars {
-			vars[i].In = f(vars[i].In)
-		}
-		return ast.Quantified{Every: x.Every, Vars: vars, Satisfies: f(x.Satisfies), StreamDomain: x.StreamDomain}
-	case ast.Typeswitch:
-		cases := make([]ast.TypeswitchCase, len(x.Cases))
-		copy(cases, x.Cases)
-		for i := range cases {
-			cases[i].Body = f(cases[i].Body)
-		}
-		return ast.Typeswitch{Operand: f(x.Operand), Cases: cases,
-			DefaultVar: x.DefaultVar, Default: f(x.Default), At: x.At}
-	case ast.Binary:
-		return ast.Binary{Op: x.Op, L: f(x.L), R: f(x.R)}
-	case ast.Compare:
-		return ast.Compare{Op: x.Op, Kind: x.Kind, L: f(x.L), R: f(x.R)}
-	case ast.Unary:
-		return ast.Unary{Neg: x.Neg, X: f(x.X)}
-	case ast.Range:
-		return ast.Range{L: f(x.L), R: f(x.R)}
-	case ast.InstanceOf:
-		return ast.InstanceOf{X: f(x.X), Type: x.Type}
-	case ast.TreatAs:
-		return ast.TreatAs{X: f(x.X), Type: x.Type}
-	case ast.CastAs:
-		return ast.CastAs{X: f(x.X), Type: x.Type, Optional: x.Optional, Castable: x.Castable}
-	case ast.Path:
-		steps := make([]ast.Step, len(x.Steps))
-		copy(steps, x.Steps)
-		for i := range steps {
-			if steps[i].Primary != nil {
-				steps[i].Primary = f(steps[i].Primary)
-			}
-			if len(steps[i].Preds) > 0 {
-				preds := make([]ast.Expr, len(steps[i].Preds))
-				for k, pr := range steps[i].Preds {
-					preds[k] = f(pr)
-				}
-				steps[i].Preds = preds
-			}
-		}
-		return ast.Path{Absolute: x.Absolute, Steps: steps}
-	case ast.DirElem:
-		attrs := make([]ast.DirAttr, len(x.Attrs))
-		copy(attrs, x.Attrs)
-		for i := range attrs {
-			pieces := make([]ast.Expr, len(attrs[i].Pieces))
-			for k, p := range attrs[i].Pieces {
-				pieces[k] = f(p)
-			}
-			attrs[i].Pieces = pieces
-		}
-		content := make([]ast.Expr, len(x.Content))
-		for i, c := range x.Content {
-			content[i] = f(c)
-		}
-		return ast.DirElem{Name: x.Name, Attrs: attrs, Content: content, Adopt: x.Adopt}
-	case ast.CompConstructor:
-		return ast.CompConstructor{Kind: x.Kind, Name: x.Name,
-			NameExpr: f(x.NameExpr), Content: f(x.Content), Adopt: x.Adopt}
-	case ast.Insert:
-		return ast.Insert{Source: f(x.Source), Target: f(x.Target), Pos: x.Pos, At: x.At, Adopt: x.Adopt}
-	case ast.Delete:
-		return ast.Delete{Target: f(x.Target), At: x.At}
-	case ast.Replace:
-		return ast.Replace{ValueOf: x.ValueOf, Target: f(x.Target), With: f(x.With), At: x.At, Adopt: x.Adopt}
-	case ast.Rename:
-		return ast.Rename{Target: f(x.Target), NewName: f(x.NewName), At: x.At}
-	case ast.Transform:
-		bindings := make([]ast.Clause, len(x.Bindings))
-		copy(bindings, x.Bindings)
-		for i := range bindings {
-			bindings[i].In = f(bindings[i].In)
-		}
-		return ast.Transform{Bindings: bindings, Modify: f(x.Modify), Return: f(x.Return), At: x.At}
-	case ast.Block:
-		stmts := make([]ast.Expr, len(x.Stmts))
-		for i, s := range x.Stmts {
-			stmts[i] = f(s)
-		}
-		return ast.Block{Stmts: stmts}
-	case ast.BlockDecl:
-		return ast.BlockDecl{Var: x.Var, Type: x.Type, Init: f(x.Init), At: x.At}
-	case ast.Assign:
-		return ast.Assign{Var: x.Var, Val: f(x.Val), At: x.At}
-	case ast.While:
-		return ast.While{Cond: f(x.Cond), Body: f(x.Body), At: x.At}
-	case ast.Exit:
-		return ast.Exit{With: f(x.With), At: x.At}
-	case ast.EventAttach:
-		return ast.EventAttach{Event: f(x.Event), Target: f(x.Target),
-			Behind: x.Behind, Listener: x.Listener, At: x.At}
-	case ast.EventDetach:
-		return ast.EventDetach{Event: f(x.Event), Target: f(x.Target),
-			Listener: x.Listener, At: x.At}
-	case ast.EventTrigger:
-		return ast.EventTrigger{Event: f(x.Event), Target: f(x.Target), At: x.At}
-	case ast.SetStyle:
-		return ast.SetStyle{Prop: f(x.Prop), Target: f(x.Target), Value: f(x.Value), At: x.At}
-	case ast.GetStyle:
-		return ast.GetStyle{Prop: f(x.Prop), Target: f(x.Target), At: x.At}
-	case ast.FTContains:
-		return ast.FTContains{X: f(x.X), Sel: x.Sel}
-	default:
-		// Literals, VarRef, ContextItem, Break, Continue, Hoisted (not
-		// produced by parsers) and anything future: leave untouched.
-		return e
-	}
 }

@@ -105,19 +105,17 @@ type planner struct {
 	copied   []CopiedLet     // what CopiedLets reports
 }
 
-// expr returns the planned form of e: children first (mapChildren
+// expr returns the planned form of e: children first (ast.MapChildren
 // copies, so the steps planned below are the planner's own), then the
 // node itself.
 func (p *planner) expr(e ast.Expr) ast.Expr {
 	switch x := e.(type) {
 	case ast.Assign:
 		p.assigned[vkey(x.Var)] = true
-	case ast.FTContains:
-		return ast.FTContains{X: p.expr(x.X), Sel: p.ftSel(x.Sel)}
 	case ast.FLWOR:
 		return p.flwor(x)
 	}
-	switch x := mapChildren(e, p.expr).(type) {
+	switch x := ast.MapChildren(e, p.expr).(type) {
 	case ast.Path:
 		x.Steps = p.in.mergeDescendantSteps(x.Steps)
 		for i := range x.Steps {
@@ -160,9 +158,9 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 // clause whose value is fresh is planned with the variable in scope.
 func (p *planner) flwor(f ast.FLWOR) ast.Expr {
 	mark, i := len(p.lets), 0
-	x := mapChildren(f, func(c ast.Expr) ast.Expr {
+	x := ast.MapChildren(f, func(c ast.Expr) ast.Expr {
 		c = p.expr(c)
-		if i < len(f.Clauses) { // mapChildren maps the clauses first, in order
+		if i < len(f.Clauses) { // ast.MapChildren maps the clauses first, in order
 			p.lets = p.in.bindLet(f, i, p.lets)
 		}
 		i++
@@ -188,22 +186,6 @@ func (p *planner) adopts(e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// ftSel plans the word sources of a full-text selection.
-func (p *planner) ftSel(sel ast.FTSelection) ast.FTSelection {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		s.Source = p.expr(s.Source)
-		return s
-	case ast.FTAnd:
-		return ast.FTAnd{L: p.ftSel(s.L), R: p.ftSel(s.R)}
-	case ast.FTOr:
-		return ast.FTOr{L: p.ftSel(s.L), R: p.ftSel(s.R)}
-	case ast.FTNot:
-		return ast.FTNot{X: p.ftSel(s.X)}
-	}
-	return sel
 }
 
 // step plans one step of the planner's own copy of a path: it

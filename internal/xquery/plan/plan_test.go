@@ -223,9 +223,6 @@ declare updating function local:f($x) { delete nodes //b[@id = $x] };
 	var ids []string
 	var visit func(e ast.Expr) ast.Expr
 	visit = func(e ast.Expr) ast.Expr {
-		if ft, ok := e.(ast.FTContains); ok {
-			visit(ft.Sel.(ast.FTWords).Source)
-		}
 		if p, ok := e.(ast.Path); ok {
 			for i := range p.Steps {
 				if pp := p.Steps[i].PredPlan(0); pp.Kind == ast.PredAttrCmp && p.Steps[i].Axis == ast.AxisDescendant {
@@ -233,7 +230,7 @@ declare updating function local:f($x) { delete nodes //b[@id = $x] };
 				}
 			}
 		}
-		return mapChildren(e, visit)
+		return ast.MapChildren(e, visit)
 	}
 	visit(m.Prolog.Vars[0].Init)
 	visit(m.Prolog.Functions[0].Body)

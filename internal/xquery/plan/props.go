@@ -7,7 +7,7 @@ import "repro/internal/xquery/ast"
 // shipped, have its nodes adopted; may a stored query read a revision in
 // place — reads one record, which infer computes bottom-up: effect bits
 // (ast.Effects), a result kind and whether the value can be a numeric
-// singleton. Children are reached through eachChild, calls are answered
+// singleton. Children are reached through ast.EachChild, calls are answered
 // from the library table (library.go) or from the record of the module's
 // own function, and those records are one least fixpoint over the call
 // graph (newInference). Each consumer reads a mask over the record —
@@ -258,7 +258,7 @@ func (in *inference) infer(e ast.Expr) props {
 		in.kids = in.buf[:0]
 	}
 	base := len(in.kids)
-	eachChild(e, func(c ast.Expr) {
+	ast.EachChild(e, func(c ast.Expr) {
 		k := in.infer(c) // may solve a function first, which uses the stack above base
 		in.kids = append(in.kids, k)
 	})

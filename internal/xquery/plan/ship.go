@@ -174,7 +174,7 @@ func closed(e ast.Expr, bound map[string]bool) bool {
 		return closedUnder(x.Vars, bound, []ast.Expr{x.Satisfies})
 	}
 	ok := true
-	eachChild(e, func(c ast.Expr) { ok = ok && closed(c, bound) })
+	ast.EachChild(e, func(c ast.Expr) { ok = ok && closed(c, bound) })
 	return ok
 }
 

@@ -21,14 +21,15 @@ import (
 // key outside it compares by value rules the table cannot answer, so
 // such a tuple — or, when it is a build key, every tuple — walks the
 // predicate over the materialized domain instead: the nested loop, with
-// the same answer. Matches come out in domain order, as the nested loop
+// the same answer. So does every tuple when a build key raises: the
+// nested loop may meet another error first. Matches come out in domain order, as the nested loop
 // would produce them.
 
 // hashJoin is the build side of one FLWOR entry's join.
 type hashJoin struct {
 	domain   xdm.Sequence
 	table    map[string][]int // key atom's string value → domain indexes, ascending
-	fallback bool             // a build key left the string class
+	fallback bool             // a build key left the string class or raised
 }
 
 // stringish reports whether an atom belongs to the string comparison
@@ -107,7 +108,11 @@ func (en *flworEntry) buildJoin(c *Context) error {
 	for idx, item := range domain {
 		atoms, err := lf.bind(c, cl.Var, xdm.Singleton(item)).joinKey(jp.InnerKey, jp.ValueEq)
 		if err != nil {
-			return err
+			// The nested loop may fail earlier, in a comparison of an
+			// item before this one, so it runs and raises what it meets
+			// first.
+			j.fallback, j.table = true, nil
+			return nil
 		}
 		for _, a := range atoms {
 			if !stringish(a) {

@@ -25,8 +25,8 @@
 //	            indexes, keyed by package path (both are named index):
 //	            in internal/dom/index a function reading the name
 //	            map, and in internal/fulltext/index one reading the
-//	            posting/trigram maps or the label-indexed tables (post,
-//	            stemPost, gram, ranges, floor), must consult the version
+//	            posting maps or the label-indexed tables (post,
+//	            stemPost, ranges, floor), must consult the version
 //	            stamp (call fresh() or compare version) unless it is the
 //	            builder. Elsewhere, dom's slot constants are named
 //	            only by the package that owns the slot
@@ -443,12 +443,11 @@ func ctxStruct(fset *token.FileSet, file *ast.File) []finding {
 // guardedFields maps each per-document index package, by path (both are
 // named index), to the Doc fields whose contents hold only for the tree
 // version the index was built at: the path index's name map;
-// the full-text index's posting maps (exact and stemmed), the trigram
-// map behind wildcard narrowing, and the two tables read by node label
-// (the byte ranges and the split-token floor).
+// the full-text index's posting maps (exact and stemmed) and the two
+// tables read by node label (the byte ranges and the split-token floor).
 var guardedFields = map[string]map[string]bool{
 	"internal/dom/index":      {"names": true},
-	"internal/fulltext/index": {"post": true, "stemPost": true, "gram": true, "ranges": true, "floor": true},
+	"internal/fulltext/index": {"post": true, "stemPost": true, "ranges": true, "floor": true},
 }
 
 // idxBuilderName matches the functions allowed to touch the guarded

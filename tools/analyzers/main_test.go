@@ -257,19 +257,18 @@ func (n *Node) Forget() { n.side.idmap = nil; _ = idMap{nextHolder: nil} }
 	}
 }
 
-// The full-text index's guarded fields are the posting and trigram maps
-// and the label-indexed tables.
+// The full-text index's guarded fields are the posting maps and the
+// label-indexed tables.
 func TestFTVersionFlagsUncheckedPostingRead(t *testing.T) {
 	src := `package index
-type Doc struct{ post, stemPost, gram map[string][]int32; ranges []int; floor []int }
+type Doc struct{ post, stemPost map[string][]int32; ranges []int; floor []int }
 func (d *Doc) posting(w string) []int32 { return d.post[w] }
 func (d *Doc) stemmed(w string) []int32 { return d.stemPost[w] }
-func (d *Doc) grams(g string) []int32   { return d.gram[g] }
 func (d *Doc) rangeOf(pre int) int      { return d.ranges[pre] }
 func (d *Doc) floorAt(i int) int        { return d.floor[i] }
 `
-	if got := analyzeAt(t, "internal/fulltext/index/match.go", src, idxVersion); len(got) != 5 {
-		t.Fatalf("findings = %v, want 5", got)
+	if got := analyzeAt(t, "internal/fulltext/index/match.go", src, idxVersion); len(got) != 4 {
+		t.Fatalf("findings = %v, want 4", got)
 	}
 }
 
