@@ -35,9 +35,11 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke fuzz-smok
 # (cmd/bench, a module of its own, is not listed) sleeps while it
 # waits for a state change, and in the evaluator a variable frame's
 # value is written by its binders and the assignment statement only,
-# the budget's owner-local lease is touched by budget.go only, and the
+# the budget's owner-local lease is touched by budget.go only, the
 # run's doc/collection resolvers are called by its memo (memo.go) only,
-# in the evaluator and in the library (funclib).
+# in the evaluator and in the library (funclib), and a run's fields are
+# written only where a run is made or derived (NewContext, Derive), in
+# those two and in the engine (xquery) and the browser host (core).
 # Stdlib-only stand-ins for the `go vet -vettool` analyzers, which
 # would need golang.org/x/tools.
 vet-invariants:
@@ -55,7 +57,7 @@ vet-invariants:
 	$(GO) run ./tools/analyzers -check recovercheck $(shell $(GO) list -f '{{.Dir}}' ./...)
 	$(GO) run ./tools/analyzers -check hotconst $(shell $(GO) list -f '{{.Dir}}' ./internal/...)
 	$(GO) run ./tools/analyzers -check sleeppoll $(shell $(GO) list -f '{{.Dir}}' ./internal/... ./cmd/...)
-	$(GO) run ./tools/analyzers -check frames internal/xquery/runtime internal/xquery/funclib
+	$(GO) run ./tools/analyzers -check frames internal/xquery/runtime internal/xquery/funclib internal/xquery internal/core
 
 # Static analysis of the shipped example programs: every embedded
 # XQuery script block must lint clean, warnings included.

@@ -144,19 +144,19 @@ func (hh *hostHooks) GetStyle(ctx *runtime.Context, prop string, targets xdm.Seq
 
 // invokeListener calls an XQuery function as an event listener: "Zorba
 // is called with the XQuery prolog followed by the listener call"
-// (Figure 1). Each invocation gets a fresh pending update list; updates
-// apply when the listener returns (or per statement for sequential
-// listeners).
+// (Figure 1). Each invocation is a run of its own: its clock, memo and
+// full-text state, a pending update list that applies when the listener
+// returns (or per statement for sequential listeners), and a fresh
+// budget: listeners must not inherit the partially consumed budget of
+// the page-load script (or of an earlier event), and a budget-tripped
+// listener must not poison the ones that follow. The host's context
+// rides along so session cancellation aborts listeners too.
 func (h *Host) invokeListener(ctx *runtime.Context, name dom.QName, args []xdm.Sequence) error {
-	c := *ctx
-	c.PUL = &update.PUL{}
-	// A fresh budget per invocation: listeners must not inherit the
-	// partially consumed budget of the page-load script (or of an
-	// earlier event), and a budget-tripped listener must not poison
-	// the ones that follow. The host's context rides along so session
-	// cancellation aborts listeners too.
-	c.Budget = runtime.NewBudgetContext(h.ctx, h.maxQuerySteps, h.queryTimeout)
-	_, err := h.finish(&c, func() (xdm.Sequence, error) {
+	c := ctx.Derive(func(r *runtime.Run) {
+		r.Now, r.PUL = time.Now(), &update.PUL{}
+		r.Budget = runtime.NewBudgetContext(h.ctx, h.maxQuerySteps, h.queryTimeout)
+	})
+	_, err := h.finish(c, func() (xdm.Sequence, error) {
 		return c.CallFunction(name, args)
 	})
 	return err

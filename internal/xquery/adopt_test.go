@@ -184,7 +184,7 @@ func pendingAdopted(t *testing.T, src string, doc *dom.Node) (*runtime.Context, 
 		t.Fatal(err)
 	}
 	ctx := p.NewContext(RunConfig{ContextItem: xdm.NewNode(doc)})
-	if _, err := ctx.Run(); err != nil {
+	if _, err := ctx.RunModule(); err != nil {
 		t.Fatal(err)
 	}
 	var content []*dom.Node

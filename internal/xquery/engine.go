@@ -489,12 +489,9 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	if cfg.AmbientFocus {
 		ctx.Ambient = cfg.ContextItem
 	}
-	ctx.Profiler = cfg.Profiler
+	ctx.Profiler, ctx.Hooks, ctx.IO, ctx.NoIndex = cfg.Profiler, cfg.Hooks, cfg.Context, cfg.DisableIndexes
 	ctx.Budget = runtime.NewBudgetContext(cfg.Context, cfg.MaxSteps, cfg.Timeout)
-	ctx.IO = cfg.Context
-	ctx.NoIndex = cfg.DisableIndexes
-	ctx.Docs = cfg.Docs
-	ctx.Collections = cfg.Collections
+	ctx.Docs, ctx.Collections = cfg.Docs, cfg.Collections
 	// The binding engine's defaults (a bound store or federation) fill
 	// whatever the run left unset. A run's own collection source
 	// replaces the engine's whole, so only a source that can ship
@@ -505,7 +502,6 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	if ctx.Collections == nil {
 		ctx.Collections = p.engine.collections
 	}
-	ctx.Hooks = cfg.Hooks
 	if !cfg.Now.IsZero() {
 		ctx.Now = cfg.Now
 	}
@@ -540,7 +536,7 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 	// The engine's panic-isolation boundary: a panic anywhere in
 	// evaluation or PUL application comes back as an error matching
 	// xqerr.ErrInternal instead of unwinding into the host.
-	val, applied, err := ctx.Finish("xquery.Run", ctx.Run)
+	val, applied, err := ctx.Finish("xquery.Run", ctx.RunModule)
 	if err != nil {
 		return nil, err
 	}

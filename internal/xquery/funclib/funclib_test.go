@@ -21,7 +21,7 @@ func call(t *testing.T, local string, args ...xdm.Sequence) (xdm.Sequence, error
 	if f == nil {
 		t.Fatalf("no function fn:%s/%d", local, len(args))
 	}
-	ctx := &runtime.Context{Now: time.Date(2009, 4, 20, 10, 30, 0, 0, time.UTC)}
+	ctx := &runtime.Context{Run: &runtime.Run{Now: time.Date(2009, 4, 20, 10, 30, 0, 0, time.UTC)}}
 	return f.Invoke(ctx, args)
 }
 

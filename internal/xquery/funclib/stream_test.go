@@ -278,10 +278,10 @@ func TestStreamedBuiltinsMatchReference(t *testing.T) {
 		return xdm.FromSlice(s), nil
 	})
 	for _, c := range []*runtime.Context{
-		{},
-		{Collections: slice},
-		{Collections: iter},
-		{Collections: slice, Prog: &runtime.Program{BlockDoc: true}},
+		{Run: &runtime.Run{}},
+		{Run: &runtime.Run{Collections: slice}},
+		{Run: &runtime.Run{Collections: iter}},
+		{Run: &runtime.Run{Collections: slice}, Prog: &runtime.Program{BlockDoc: true}},
 	} {
 		checkAgainstReference(t, reg, c, "collection", nil)
 		for _, uri := range []refArg{{}, one(xdm.String("c")), one(xdm.String("missing")), one(xdm.String("torn")),

@@ -97,7 +97,13 @@ type Lexer struct {
 	buf  []Token
 	head int
 	err  *Error
+	at   cursor
 }
+
+// cursor is the offset Line and Col were last asked about, its line
+// (0-based) and the offset its line starts at. They count newlines from
+// there, so a scan that asks in order counts each newline once.
+type cursor struct{ off, line, lineStart int }
 
 // New builds a lexer over src.
 func New(src string) *Lexer { return &Lexer{src: src} }
@@ -115,19 +121,28 @@ func (l *Lexer) Err() error {
 }
 
 // Line returns the 1-based line of a byte offset.
-func (l *Lexer) Line(off int) int {
-	if off > len(l.src) {
-		off = len(l.src)
-	}
-	return 1 + strings.Count(l.src[:off], "\n")
-}
+func (l *Lexer) Line(off int) int { return l.seek(off).line + 1 }
 
 // Col returns the 1-based column (in bytes) of a byte offset.
 func (l *Lexer) Col(off int) int {
-	if off > len(l.src) {
-		off = len(l.src)
+	at := l.seek(off)
+	return at.off - at.lineStart + 1
+}
+
+// seek moves the cursor to off (clamped to the source): on from where
+// it is, counting the newlines passed, or back, after a Reset.
+func (l *Lexer) seek(off int) *cursor {
+	off = min(off, len(l.src))
+	at := &l.at
+	if off < at.off {
+		at.line -= strings.Count(l.src[off:at.off], "\n")
+		at.lineStart = strings.LastIndexByte(l.src[:off], '\n') + 1
+	} else if seg := l.src[at.off:off]; strings.IndexByte(seg, '\n') >= 0 {
+		at.line += strings.Count(seg, "\n")
+		at.lineStart = at.off + strings.LastIndexByte(seg, '\n') + 1
 	}
-	return off - strings.LastIndexByte(l.src[:off], '\n')
+	at.off = off
+	return at
 }
 
 // Reset rewinds the lexer to an absolute byte offset, dropping buffered

@@ -86,10 +86,8 @@ func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleR
 				Updating:   decl.Updating,
 				Sequential: decl.Sequential,
 				Invoke: func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-					// The library's own context, inside the caller's run,
-					// over the caller's external interfaces.
+					// The library's own context, inside the caller's run.
 					lctx := ctx.ContextFor(libProg.Runtime())
-					lctx.Docs, lctx.Collections, lctx.Hooks, lctx.Ambient = ctx.Docs, ctx.Collections, ctx.Hooks, ctx.Ambient
 					if err := lctx.InitGlobals(); err != nil {
 						return nil, err
 					}

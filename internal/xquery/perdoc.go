@@ -53,9 +53,13 @@ func (c *Cache) EvalPerDocument(e *Engine, src string, parent *runtime.Context, 
 	if err != nil {
 		return err
 	}
-	ctx := parent.ContextFor(p.prog)
-	ctx.PUL = nil // nothing admitted updates; the evaluator would refuse it as well
-	ctx.NoIndexBuild = true
+	// Nothing admitted updates (the evaluator would refuse them as well),
+	// nothing builds an index, and the owner's resolvers, hooks and
+	// ambient focus stay the owner's.
+	ctx := parent.ContextFor(p.prog).Derive(func(r *runtime.Run) {
+		r.PUL, r.NoIndexBuild = nil, true
+		r.Docs, r.Collections, r.Hooks, r.Ambient = nil, nil, nil, nil
+	})
 	ctx.Pos, ctx.Size = 1, 1
 	for _, it := range docs {
 		doc, isNode := xdm.IsNode(it)

@@ -21,17 +21,16 @@ import (
 // computed from the same quantities on both paths, which keeps indexed
 // and scan-only runs byte-identical.
 
-// ftState is the per-query full-text state shared by every context
-// copy: the scores ftcontains recorded for matched nodes, and the scan
-// side's memoized per-document token statistics (the index answers the
-// same statistics from its postings).
+// ftState is a run's full-text state, kept in its memo: the scores
+// ftcontains recorded for matched nodes, and the scan side's memoized
+// per-document token statistics (the index answers the same statistics
+// from its postings). A behind call reads its caller's (detach), on
+// another goroutine, hence the lock.
 type ftState struct {
 	mu     sync.Mutex
 	scores map[*dom.Node]float64
 	stats  map[*dom.Node]*ftDocStats
 }
-
-func newFTState() *ftState { return &ftState{} }
 
 func (s *ftState) setScore(n *dom.Node, v float64) {
 	s.mu.Lock()
@@ -46,10 +45,10 @@ func (s *ftState) setScore(n *dom.Node, v float64) {
 // ftcontains evaluation recorded for n, or 0 — the value of
 // ft:score($n).
 func (ctx *Context) FTScoreFor(n *dom.Node) float64 {
-	s := ctx.ft
-	if s == nil {
+	if ctx.memo == nil || ctx.memo.ft == nil {
 		return 0
 	}
+	s := ctx.memo.ft
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.scores[n]
@@ -208,11 +207,12 @@ func (ctx *Context) ftMatchItem(it xdm.Item, sel ftindex.Sel) bool {
 // back to the scan computation if the index went stale between the
 // match and the score.
 func (ctx *Context) recordScoreIndexed(idx *ftindex.Doc, n *dom.Node, sel ftindex.Sel) {
-	if ctx.ft == nil {
+	ft := ctx.memo.fullText()
+	if ft == nil {
 		return
 	}
 	if sc, ok := idx.Score(n, ftindex.ScoreTerms(sel)); ok {
-		ctx.ft.setScore(n, sc)
+		ft.setScore(n, sc)
 		return
 	}
 	ctx.recordScoreScan(n, fulltext.Tokenize(n.StringValue()), sel)
@@ -222,10 +222,10 @@ func (ctx *Context) recordScoreIndexed(idx *ftindex.Doc, n *dom.Node, sel ftinde
 // the memoized document statistics — the identical formula, in the
 // identical term order, as the index's Score.
 func (ctx *Context) recordScoreScan(n *dom.Node, nodeTokens []string, sel ftindex.Sel) {
-	if ctx.ft == nil {
+	ft := ctx.memo.fullText()
+	if ft == nil {
 		return
 	}
-	st := ctx.ft.docStats(n.Root())
-	sc := ftindex.ScoreTokens(nodeTokens, len(st.tokens), ftindex.ScoreTerms(sel), st.count)
-	ctx.ft.setScore(n, sc)
+	st := ft.docStats(n.Root())
+	ft.setScore(n, ftindex.ScoreTokens(nodeTokens, len(st.tokens), ftindex.ScoreTerms(sel), st.count))
 }

@@ -16,31 +16,30 @@ import (
 // buffer, and a later call replays what was pulled and then streams the
 // rest, so collection(u)[1] still costs one step of the source.
 //
-// The memo lives as long as one evaluation: every copy of a run's
-// context shares it (ContextFor too), a detached context (a behind
-// call, on a goroutine of its own) starts one of its own, and Finish
-// drops it at the end, since a host may reuse a context for the next
-// evaluation; an evaluation Finish starts inside a running one (a
-// listener that a page script's `trigger event` calls) gets one of its
-// own too (own). Until then the memo keeps every document it answered
-// alive: a collection scanned once holds all its documents to the end of
-// the evaluation, not only while the scan runs. A scripting statement's apply keeps it: the updates
-// applied to the trees the memo holds, so the next statement's
-// fn:doc(u) answers the tree as the apply left it — which a resolver
-// that parses per call would not. What this buys is that the optimizer
-// may move, memoise and join-build doc and collection calls
-// (ast.EffResolves, DESIGN.md §5y).
+// The memo lives as long as one evaluation, which is one run: every
+// frame of the run shares it (ContextFor too), a run Derive makes has
+// one of its own (a listener turn, a behind call on a goroutine of its
+// own, a per-document expression; the modify clause of a copy-modify
+// takes its caller's), and Finish drops it at the end, since a host may
+// reuse a context for the next evaluation. Until then the memo keeps
+// every document it answered alive: a collection scanned once holds all
+// its documents to the end of the evaluation, not only while the scan
+// runs. A scripting statement's apply keeps it: the updates applied to
+// the trees the memo holds, so the next statement's fn:doc(u) answers
+// the tree as the apply left it — which a resolver that parses per call
+// would not. What this buys is that the optimizer may move, memoise and
+// join-build doc and collection calls (ast.EffResolves, DESIGN.md §5y).
 //
 // The memo is the only caller of Context.Docs and
 // Context.Collections.Documents (the frames pass of tools/analyzers
 // holds the rest of the runtime and funclib to that).
 
-// runMemo is a run's memo of the URIs it resolved. busy marks a memo
-// an evaluation (Finish) is using.
+// runMemo is a run's memo of the URIs it resolved, and its full-text
+// state (ftmatch.go), made on the first score.
 type runMemo struct {
 	docs  map[string]resolvedDoc
 	colls map[string]*replay
-	busy  bool
+	ft    *ftState
 }
 
 // resolvedDoc is what fn:doc(uri) answered.
@@ -49,32 +48,23 @@ type resolvedDoc struct {
 	err  error
 }
 
-// drop forgets everything resolved so far.
+// drop forgets everything resolved and scored so far.
 func (m *runMemo) drop() {
 	if m != nil {
 		*m = runMemo{}
 	}
 }
 
-// own gives the evaluation Finish is starting a memo of its own: ctx's,
-// unless an evaluation still running uses it (a listener called from
-// inside the page script shares the script's, through the context copy it
-// runs in), in which case a new one. The returned func drops the memo
-// and hands ctx back the one it had.
-func (ctx *Context) own() func() {
-	outer := ctx.memo
-	if outer == nil {
-		return func() {}
+// fullText returns the run's full-text state, made on the first call;
+// nil for a run without a memo.
+func (m *runMemo) fullText() *ftState {
+	if m == nil {
+		return nil
 	}
-	if outer.busy {
-		ctx.memo = &runMemo{}
+	if m.ft == nil {
+		m.ft = &ftState{}
 	}
-	m := ctx.memo
-	m.busy = true
-	return func() {
-		m.drop()
-		ctx.memo = outer
-	}
+	return m.ft
 }
 
 // Doc resolves fn:doc(uri) through ctx.Docs, which must be set, once

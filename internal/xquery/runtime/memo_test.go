@@ -149,8 +149,8 @@ func TestDocResolvesEachURIOnce(t *testing.T) {
 }
 
 // TestNestedFinishHasItsOwnMemo: an evaluation Finish starts while
-// another runs on a copy of its context (a listener a page script
-// triggers) resolves through a memo of its own and, ending, leaves the
+// another runs, in a run derived from it (a listener a page script
+// triggers), resolves through a memo of its own and, ending, leaves the
 // outer one's intact; the outer one's Finish ends its memo.
 func TestNestedFinishHasItsOwnMemo(t *testing.T) {
 	calls := 0
@@ -158,7 +158,7 @@ func TestNestedFinishHasItsOwnMemo(t *testing.T) {
 	ctx.Docs = func(string) (*dom.Node, error) { calls++; return dom.NewDocument(), nil }
 	_, _, err := ctx.Finish("outer", func() (xdm.Sequence, error) {
 		a, _ := ctx.Doc("u")
-		inner := *ctx
+		inner := ctx.Derive(func(*Run) {})
 		if _, _, err := inner.Finish("inner", func() (xdm.Sequence, error) {
 			if n, _ := inner.Doc("u"); n == a {
 				t.Error("the nested evaluation answered from the outer one's memo")

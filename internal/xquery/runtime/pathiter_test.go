@@ -234,7 +234,7 @@ func evalOver(tb testing.TB, q string, doc xdm.Item) xdm.Sequence {
 	}
 	ctx := runtime.NewContext(prog)
 	ctx.Item, ctx.Pos, ctx.Size = doc, 1, 1
-	v, err := ctx.Run()
+	v, err := ctx.RunModule()
 	if err != nil {
 		tb.Fatal(err)
 	}

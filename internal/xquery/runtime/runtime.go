@@ -275,11 +275,8 @@ func userFunction(decl *ast.FuncDecl) *Function {
 			}
 			// A fresh frame rooted at the globals: user functions do not
 			// see the caller's local variables or context item.
-			callee := *ctx
-			callee.depth = ctx.depth + 1
-			callee.env = ctx.globals
-			callee.Item = ctx.Ambient
-			callee.Pos, callee.Size = 0, 0
+			callee := Context{Prog: ctx.Prog, Item: ctx.Ambient, Run: ctx.Run,
+				env: ctx.globals, globals: ctx.globals, depth: ctx.depth + 1}
 			if callee.Item != nil {
 				callee.Pos, callee.Size = 1, 1
 			}
@@ -360,8 +357,9 @@ func (e *env) lookup(name dom.QName) *Box {
 
 // --- dynamic context ------------------------------------------------------------
 
-// Context is the dynamic evaluation context. Copies are cheap; pointer
-// fields (environment chain, PUL, hooks) are shared intentionally.
+// Context is one frame of an evaluation: the program, focus and
+// variables in scope over the run, which every copy of the frame shares
+// and whose fields read through it (ctx.PUL, ctx.Budget).
 type Context struct {
 	Prog *Program
 
@@ -370,6 +368,21 @@ type Context struct {
 	Pos  int
 	Size int
 
+	*Run
+
+	env     *env
+	globals *env
+
+	// depth counts user-function frames (bounded by maxCallDepth).
+	depth int32
+}
+
+// Run is what one evaluation owns: the interfaces it reads through, its
+// clock, pending updates, budget and switches, its apply state and its
+// memo. NewContext makes one and Derive derives one from another; no
+// other code writes its fields (the frames pass of tools/analyzers), so
+// a write never reaches a run another evaluation shares.
+type Run struct {
 	// Ambient, when set, is installed as the context item inside user
 	// function bodies (which per XQuery 1.0 have an undefined focus).
 	// The browser host sets it to the page document so listeners can
@@ -395,9 +408,9 @@ type Context struct {
 	Profiler *Profiler
 
 	// Budget, when non-nil, bounds this query's evaluation (steps and
-	// wall clock). Context copies on the same goroutine share it; a
-	// behind call, which runs on a goroutine of its own, steps a fork of
-	// it (detach): one budget per query invocation.
+	// wall clock). Frames on the same goroutine share it; a behind call,
+	// which runs on a goroutine of its own, steps a fork of it (detach):
+	// one budget per query invocation.
 	Budget *Budget
 
 	// IO, when non-nil, is the run's cancellation context for outbound
@@ -421,52 +434,51 @@ type Context struct {
 	// the owner's memory grow.
 	NoIndexBuild bool
 
-	// depth counts user-function frames (bounded by maxCallDepth). It
-	// sits here, in the word the flags leave empty: a Context is copied
-	// on every focus change, every let and on every loop entry, and 208
-	// bytes is exactly an allocator size class.
-	depth int32
-
-	// ft carries full-text scoring state (the scores ftcontains
-	// recorded, the scan side's per-document statistics cache). A
-	// pointer so every context copy shares one state per query
-	// invocation, like PUL and Budget.
-	ft *ftState
-
 	// apply is the run's apply state; nil where the list waits for
 	// someone else (the modify clause of a copy-modify expression).
 	apply *applier
 
-	// memo is the run's memo of fn:doc and fn:collection (memo.go),
-	// shared by every copy; a detached context has one of its own, and a
-	// context built without NewContext none, which resolves every call.
+	// memo is the run's memo of fn:doc and fn:collection and its
+	// full-text state (memo.go); nil resolves every call and scores
+	// nothing.
 	memo *runMemo
-
-	env     *env
-	globals *env
 }
 
-// runState is a run's shared state, allocated as one.
-type runState struct {
-	apply applier
-	memo  runMemo
+// runAlloc is a run's one allocation: its first frame, the run, its
+// memo and, made by NewContext, its apply state (Derive shares it).
+type runAlloc struct {
+	c Context
+	r Run
+	a applier
+	m runMemo
 }
 
-// NewContext builds a root context for the program.
+// NewContext builds a root context for the program in a new run.
 func NewContext(p *Program) *Context {
-	rs := &runState{}
-	return &Context{Prog: p, Now: time.Now(), PUL: &update.PUL{}, ft: newFTState(), apply: &rs.apply, memo: &rs.memo}
+	a := &runAlloc{}
+	a.r = Run{Now: time.Now(), PUL: &update.PUL{}, apply: &a.a, memo: &a.m}
+	a.c = Context{Prog: p, Run: &a.r}
+	return &a.c
+}
+
+// Derive starts an evaluation inside ctx's: a copy of ctx's frame in a
+// run of its own, which begins as a copy of ctx's run with a memo of its
+// own (documents and full-text state) and which edit then changes. Every
+// evaluation that is not the host's first starts here: a listener turn,
+// a behind call, the modify clause of a copy-modify expression and a
+// per-document expression.
+func (ctx *Context) Derive(edit func(r *Run)) *Context {
+	d := &runAlloc{c: *ctx, r: *ctx.Run}
+	d.c.Run, d.r.memo = &d.r, &d.m
+	edit(&d.r)
+	return &d.c
 }
 
 // ContextFor builds a root context for p inside ctx's run (an imported
-// library's function, a per-document expression): it shares the run's
-// budget, cancellation, clock, profiler, index switches, call depth,
-// pending update list, apply state and document memo, and sets nothing
-// else.
+// library's function, a per-document expression): the run and the call
+// depth are ctx's, the frame is empty.
 func (ctx *Context) ContextFor(p *Program) *Context {
-	return &Context{Prog: p, Now: ctx.Now, PUL: ctx.PUL, apply: ctx.apply, memo: ctx.memo, ft: newFTState(),
-		Profiler: ctx.Profiler, Budget: ctx.Budget, IO: ctx.IO,
-		NoIndex: ctx.NoIndex, NoIndexBuild: ctx.NoIndexBuild, depth: ctx.depth}
+	return &Context{Prog: p, Run: ctx.Run, depth: ctx.depth}
 }
 
 // IOContext returns the run's context for outbound I/O (never nil):
@@ -531,9 +543,9 @@ func (ctx *Context) InitGlobals() error {
 	return nil
 }
 
-// Run initialises globals and evaluates the module body. What the
+// RunModule initialises globals and evaluates the module body. What the
 // last statement left pending stays in ctx.PUL, for Finish to apply.
-func (ctx *Context) Run() (xdm.Sequence, error) {
+func (ctx *Context) RunModule() (xdm.Sequence, error) {
 	if err := ctx.InitGlobals(); err != nil {
 		return nil, err
 	}
@@ -541,8 +553,8 @@ func (ctx *Context) Run() (xdm.Sequence, error) {
 }
 
 // RunBody evaluates the module body (nothing, for a library module) in
-// a context whose globals are initialised: the second half of Run, for
-// a host that does the first on its own.
+// a context whose globals are initialised: the second half of
+// RunModule, for a host that does the first on its own.
 func (ctx *Context) RunBody() (xdm.Sequence, error) {
 	m := ctx.Prog.Module
 	if m.Body == nil {
@@ -629,18 +641,18 @@ func (lf *loopFrame) bindAt(outer *Context, name dom.QName, val xdm.Sequence, po
 // goroutine that may outlive the current one's frames: the variable
 // chain, locals and globals, is copied as it is now (the globals are
 // the chain's oldest frames: every binding goes on top of them), and
-// the budget is forked. Later assignments and loop rebinding are not
-// seen by, and do not race with, the copy. The copy has no pending
-// update list, so an updating expression in it fails: the caller's
-// list goes on filling and applying on the caller's goroutine. Nor
-// does it share the run's document memo, which the caller's goroutine
-// goes on filling: it starts one of its own.
+// the run is derived with a forked budget. Later assignments and loop
+// rebinding are not seen by, and do not race with, the copy. It has no
+// pending update list, so an updating expression in it fails: the
+// caller's list goes on filling and applying on the caller's goroutine.
+// Its memo is its own; its full-text scores, under a lock, the caller's.
 func (ctx *Context) detach() *Context {
-	c := *ctx
+	c := ctx.Derive(func(r *Run) {
+		r.Budget, r.PUL = ctx.Budget.Fork(), nil
+		r.memo.ft = ctx.memo.fullText()
+	})
 	c.env, c.globals = copyChain(ctx.env, ctx.globals)
-	c.Budget = ctx.Budget.Fork()
-	c.PUL, c.memo = nil, &runMemo{}
-	return &c
+	return c
 }
 
 // exitError implements the scripting "exit with" non-local return.

@@ -163,8 +163,7 @@ func (ctx *Context) evalTransform(x ast.Transform) (xdm.Sequence, error) {
 		roots = append(roots, cp)
 		c = c.withBinding(b.Var, xdm.Singleton(xdm.NewNode(cp)))
 	}
-	inner := *c
-	inner.PUL, inner.apply = &update.PUL{}, nil
+	inner := c.Derive(func(r *Run) { r.PUL, r.apply, r.memo = &update.PUL{}, nil, c.memo })
 	if _, err := inner.Eval(x.Modify); err != nil {
 		return nil, err
 	}
@@ -252,11 +251,11 @@ func (ctx *Context) evalBlock(b ast.Block) (xdm.Sequence, error) {
 	return last, nil
 }
 
-// applier is a run's apply state, shared by every context copy like
-// the pending update list: the host's observer and how many primitives
-// the run has applied. A run applies its list after each block
-// statement and while iteration and once at its end (Finish), always
-// through applyPending.
+// applier is the apply state of a run and of the runs derived from it
+// (a listener turn counts into its page's): the host's observer and how
+// many primitives they have applied. A run applies its list after each
+// block statement and while iteration and once at its end (Finish),
+// always through applyPending.
 type applier struct {
 	observe func(update.Primitive)
 	applied int
@@ -291,13 +290,13 @@ func (ctx *Context) applyPending() error {
 // applies what eval left pending, and returns eval's value and the
 // primitives applied meanwhile, snapshots included. A panic in either
 // recovers into an error matching xqerr.ErrInternal that names where.
-// The evaluation has a document memo of its own (own), which does not
-// outlive it: a host that reuses the context resolves afresh in the next
-// one, and an evaluation nested in a running one (a listener a `trigger
-// event` statement calls) neither reads nor ends the outer one's.
+// It drops the run's memo at the end, so a host that reuses the context
+// resolves afresh in the next evaluation; an evaluation nested in a
+// running one (a listener a `trigger event` statement calls) has a run,
+// and so a memo, of its own (Derive).
 func (ctx *Context) Finish(where string, eval func() (xdm.Sequence, error)) (val xdm.Sequence, applied int, err error) {
 	defer xqerr.RecoverInto(&err, where)
-	defer ctx.own()()
+	defer ctx.memo.drop()
 	start := ctx.apply.applied
 	if val, err = eval(); err == nil {
 		err = ctx.applyPending()

@@ -123,7 +123,7 @@ func TestDocMemoEndsWithTheEvaluation(t *testing.T) {
 	r := &freshResolvers{}
 	ctx := New().MustCompile(`count(doc("u")//x)`).NewContext(RunConfig{Docs: r.doc, Collections: r})
 	for i := 1; i <= 2; i++ {
-		if _, _, err := ctx.Finish("test", ctx.Run); err != nil {
+		if _, _, err := ctx.Finish("test", ctx.RunModule); err != nil {
 			t.Fatal(err)
 		}
 		if r.docCalls != i {

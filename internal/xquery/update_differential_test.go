@@ -59,7 +59,7 @@ func TestUpdateDifferentialPrunedVsApply(t *testing.T) {
 			var val xdm.Sequence
 			if reference {
 				ctx := p.NewContext(cfg)
-				if val, o.err = ctx.Run(); o.err == nil && ctx.PUL != nil {
+				if val, o.err = ctx.RunModule(); o.err == nil && ctx.PUL != nil {
 					o.err = ctx.PUL.Apply(cfg.OnUpdate)
 				}
 			} else {

@@ -138,6 +138,14 @@
 //	            Collections.Documents(…); a direct call hands out a tree
 //	            the memo does not know, which breaks doc("u") is doc("u")
 //	            and every join and hoist the optimizer built over it.
+//	            In every package it scans (runtime, funclib, xquery,
+//	            core), a run's fields — runtime.Run's, and a Context's
+//	            Run — are written only where a run is made or derived:
+//	            in NewContext, in Derive and in the edit a Derive call is
+//	            given. Every Context copy shares its run, so a write
+//	            anywhere else reaches the run of the evaluation the copy
+//	            came from (ctx.PUL = nil after ContextFor drops the
+//	            caller's pending list).
 //
 //	recovercheck  panic recovery only happens at sanctioned boundaries:
 //	            naked recover() calls are forbidden everywhere except
@@ -1313,6 +1321,7 @@ func frames(fset *token.FileSet, file *ast.File) []finding {
 	if file.Name.Name != "runtime" || name != "memo.go" {
 		out = resolverCalls(fset, file)
 	}
+	out = append(out, runWrites(fset, file)...)
 	if file.Name.Name != "runtime" {
 		return out
 	}
@@ -1383,6 +1392,70 @@ func resolverCalls(fset *token.FileSet, file *ast.File) []finding {
 		}
 		return true
 	})
+	return out
+}
+
+// runFields are the fields of runtime.Run, and Run itself, the field of
+// a Context that points at its run.
+var runFields = map[string]bool{
+	"Ambient": true, "Docs": true, "Collections": true, "Hooks": true, "Now": true,
+	"PUL": true, "Profiler": true, "Budget": true, "IO": true,
+	"NoIndex": true, "NoIndexBuild": true, "Run": true,
+}
+
+// runMakers are the functions that make or derive a run.
+var runMakers = map[string]bool{"NewContext": true, "Derive": true}
+
+// runWrites flags an assignment to a run's field outside the functions
+// that make or derive a run (runMakers, and a function literal handed
+// to a Derive call, which edits the run Derive made). Every Context
+// copy shares its run, so a write anywhere else reaches the run of the
+// evaluation the copy was taken from: ctx.PUL = nil on a context that
+// ContextFor made is the caller's list gone.
+func runWrites(fset *token.FileSet, file *ast.File) []finding {
+	edits := map[*ast.FuncLit]bool{} // a call is visited before its arguments
+	var out []finding
+	for _, decl := range file.Decls {
+		fn := "(package var)"
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			if runMakers[fd.Name.Name] {
+				continue
+			}
+			fn = fd.Name.Name
+		}
+		check := func(lhs ast.Expr) {
+			if sel, ok := lhs.(*ast.SelectorExpr); ok && runFields[sel.Sel.Name] {
+				out = append(out, finding{
+					pos: fset.Position(lhs.Pos()),
+					msg: fmt.Sprintf("frames: a run's %s written in %s; only NewContext, Derive and the edit given to Derive write a run (a write elsewhere reaches a run other frames share)",
+						sel.Sel.Name, fn),
+				})
+			}
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Derive" {
+					for _, arg := range x.Args {
+						if lit, ok := arg.(*ast.FuncLit); ok {
+							edits[lit] = true
+						}
+					}
+				}
+			case *ast.FuncLit:
+				return !edits[x]
+			case *ast.AssignStmt:
+				if x.Tok != token.DEFINE {
+					for _, lhs := range x.Lhs {
+						check(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				check(x.X)
+			}
+			return true
+		})
+	}
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -865,9 +866,35 @@ func (ctx *Context) Collection(uri string) (xdm.Iter, error) { return ctx.Collec
 func doc(ctx *runtime.Context, uri string) (*dom.Node, error) { return ctx.Doc(uri) }
 func coll(ctx *runtime.Context, uri string) (xdm.Iter, error) { return ctx.Collection(uri) }
 func store(s *xmldb.Store, uri string) (xdm.Iter, error) { return s.CollectionSource().Documents(uri) }
-func install(ctx *runtime.Context, r runtime.DocResolver) { ctx.Docs = r }
+func install(ctx *runtime.Context, r runtime.DocResolver) *runtime.Context {
+	return ctx.Derive(func(run *runtime.Run) { run.Docs = r })
+}
 `
 	if got := analyzeNamed(t, "funclib2.go", other, frames); len(got) != 0 {
 		t.Fatalf("findings = %v, want none (the memo's entry points, a source that is not the run's, an assignment)", got)
+	}
+}
+
+func TestFramesFlagsRunWritesOutsideTheRunMakers(t *testing.T) {
+	src := `package xquery
+func perDocument(parent *runtime.Context) *runtime.Context {
+	ctx := parent.ContextFor(nil)
+	ctx.PUL = nil
+	return ctx
+}
+func perDocumentDerived(parent *runtime.Context) *runtime.Context {
+	return parent.ContextFor(nil).Derive(func(r *runtime.Run) { r.PUL = nil })
+}
+`
+	got := analyzeNamed(t, "perdoc.go", src, frames)
+	if len(got) != 1 || !strings.Contains(got[0].msg, "PUL written in perDocument;") {
+		t.Fatalf("findings = %v, want 1 (the write through ContextFor's shared run, not the Derive edit)", got)
+	}
+	makers := `package runtime
+func NewContext(p *Program) *Context { c := &Context{Run: &Run{}}; c.PUL = &update.PUL{}; return c }
+func (ctx *Context) Derive(edit func(r *Run)) *Context { c := *ctx; c.Run = &Run{}; edit(c.Run); return &c }
+`
+	if got := analyzeNamed(t, "runtime.go", makers, frames); len(got) != 0 {
+		t.Fatalf("run makers' findings = %v, want none", got)
 	}
 }
