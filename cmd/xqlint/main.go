@@ -31,9 +31,7 @@ import (
 
 	"repro/internal/browser"
 	"repro/internal/xquery/analysis"
-	"repro/internal/xquery/funclib"
 	"repro/internal/xquery/parser"
-	"repro/internal/xquery/runtime"
 )
 
 // fileDiag pairs a diagnostic with the file it was found in.
@@ -58,7 +56,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	cfg := analysis.Config{
-		Registry:       lintRegistry(),
+		Registry:       browser.Functions(), // fn:/xs:/ft: and browser:
 		BrowserProfile: !*server,
 		MaxSteps:       *maxSteps,
 	}
@@ -116,16 +114,6 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// lintRegistry builds the signature table diagnostics resolve against:
-// the full fn:/xs: library plus the browser: extension functions. The
-// browser functions are registered against nil host state — xqlint only
-// reads signatures, never calls them.
-func lintRegistry() *runtime.Registry {
-	reg := funclib.Library().Layer()
-	browser.RegisterFunctions(reg, nil, nil)
-	return reg
 }
 
 // lintFile dispatches on file shape: .xq/.xquery files are whole

@@ -59,6 +59,20 @@ func TestCleanModule(t *testing.T) {
 	}
 }
 
+// TestEventFunctionsResolve lints the §5.1 high-order event route: the
+// browser: namespace the linter resolves against is the whole one a
+// page engine runs with.
+func TestEventFunctionsResolve(t *testing.T) {
+	f := writeFile(t, "hof.xq", `declare updating function local:l($evt, $obj) {
+	replace value of node $obj/@value with "clicked"
+};
+browser:addEventListener(//input, "click", "local:l"),
+browser:removeEventListener(//input, "click", "local:l")`)
+	if code, out := runLint(t, f); code != 0 || out != "" {
+		t.Errorf("exit = %d, output = %q; want clean", code, out)
+	}
+}
+
 func TestWarningExitAndWerror(t *testing.T) {
 	f := writeFile(t, "warn.xq", "let $unused := 1 return 2")
 	if code, out := runLint(t, f); code != 0 || !strings.Contains(out, "XQ0005") {

@@ -82,9 +82,10 @@ func WithNavigator(n browser.NavigatorInfo) Option {
 	return func(h *Host) { h.navigator = &n }
 }
 
-// WithExtraFunctions registers additional built-ins (e.g. rest:get).
-// It keeps the name the facade's deprecated alias had (the facade calls
-// this WithFunctions) because cmd/bench/w_pageload.go and w_eventloop.go
+// WithExtraFunctions registers additional built-ins (e.g. rest:get) on
+// the page engine's host layer, above the browser: layer. It keeps the
+// name the facade's deprecated alias had (the facade calls this
+// WithFunctions) because cmd/bench/w_pageload.go and w_eventloop.go
 // call it and BENCHMARK.json freezes that directory; the ROADMAP
 // benchmark item carries the rename.
 func WithExtraFunctions(register func(*runtime.Registry)) Option {
@@ -100,9 +101,9 @@ func WithBrowserSetup(setup func(*browser.Browser)) Option {
 
 // WithProgramCache compiles the page's scripts through a shared
 // program cache, so sessions loading the same page skip parse and
-// compile: their engines have one shape, and each binds its own
-// browser: functions to the program the first of them compiled. The
-// serving layer installs the pool-wide cache here.
+// compile: their engines have one shape, and each binds the program the
+// first of them compiled. The serving layer installs the pool-wide
+// cache here.
 func WithProgramCache(c *xquery.Cache) Option {
 	return func(h *Host) { h.cache = c }
 }
@@ -228,7 +229,7 @@ func loadPage(ctx context.Context, pageSrc, href string, opts ...Option) (*Host,
 		setup(b)
 	}
 
-	h.Engine = xquery.New(h.engineOptions(h.Window)...)
+	h.Engine = h.newEngine()
 	scripts := ExtractScripts(page)
 	h.Times.InitPlugin = time.Since(t0)
 
@@ -244,7 +245,7 @@ func loadPage(ctx context.Context, pageSrc, href string, opts ...Option) (*Host,
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling page script: %w", err)
 		}
-		ctx := prog.NewContext(h.runConfig())
+		ctx := prog.NewContext(h.runConfig(h.Window))
 		h.programs = append(h.programs, &pageProgram{prog: prog, ctx: ctx})
 	}
 	h.Times.CompileScripts = time.Since(t0)
@@ -282,16 +283,15 @@ func (h *Host) LoadFrame(name, pageSrc, href string) (*browser.Window, error) {
 	page.SetBaseURI(href)
 	h.Window.AddFrame(frame)
 
-	// The frame's scripts execute with the frame as self and the frame
-	// document as (ambient) context item: an engine of the page's shape
-	// whose browser: functions close over the frame's window.
-	frameEngine := xquery.New(h.engineOptions(frame)...)
+	// The frame's scripts execute on the page's engine with the frame as
+	// self (their runs carry the frame's window) and the frame document
+	// as (ambient) context item.
 	for _, src := range ExtractScripts(page) {
-		prog, err := h.compile(frameEngine, src)
+		prog, err := h.compile(h.Engine, src)
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling frame script: %w", err)
 		}
-		cfg := h.runConfig()
+		cfg := h.runConfig(frame)
 		cfg.ContextItem = xdm.NewNode(page)
 		ctx := prog.NewContext(cfg)
 		pp := &pageProgram{prog: prog, ctx: ctx}
@@ -318,26 +318,17 @@ func ExtractScripts(page *dom.Node) []string {
 	return out
 }
 
-// engineOptions builds the engine configuration for a page or frame
-// window: the host layer — browser: functions closed over this window,
-// the HOF event API, the caller's extras — and the resolvers. A page, its
-// frames and every other session configured the same way register the
-// same signatures, so they share compiled programs (xquery.Cache) and
-// differ only in what the closures act on. Without a bound store the
-// §4.2.1 browser profile applies
-// (fn:doc / fn:put blocked); with one, fn:doc and fn:collection route
-// to the store's resolvers instead — trusted storage replaces the
-// blocked open-network fetch, while fn:put stays blocked in funclib
-// unconditionally.
-func (h *Host) engineOptions(win *browser.Window) []xquery.Option {
-	opts := []xquery.Option{
-		xquery.WithFunctions(func(reg *runtime.Registry) {
-			browser.RegisterFunctions(reg, h.Browser, win)
-		}),
-		// The §5.1 high-order-function registration route, alongside the
-		// §4.3 grammar (ablation E8).
-		xquery.WithFunctions(h.registerHOFEventAPI),
-	}
+// newEngine builds the page's engine, which its frames share, on the
+// process's browser: layer (browser.Functions): a host layer of the
+// caller's extras, and the resolvers. Pages configured alike have one
+// engine shape and share compiled programs (xquery.Cache); what a
+// browser: function acts on comes with each run (runConfig). Without a
+// bound store the §4.2.1 browser profile applies (fn:doc / fn:put
+// blocked); with one, fn:doc and fn:collection route to the store's
+// resolvers instead — trusted storage replaces the blocked open-network
+// fetch, while fn:put stays blocked in funclib unconditionally.
+func (h *Host) newEngine() *xquery.Engine {
+	var opts []xquery.Option
 	if h.storeDocs == nil && h.storeCols == nil {
 		opts = append(opts, xquery.WithBrowserProfile())
 	} else {
@@ -354,7 +345,7 @@ func (h *Host) engineOptions(win *browser.Window) []xquery.Option {
 	if h.resolver != nil {
 		opts = append(opts, xquery.WithModuleResolver(h.resolver))
 	}
-	return opts
+	return xquery.NewAbove(browser.Functions(), opts...)
 }
 
 // compile routes a script through the shared program cache when one is
@@ -366,12 +357,13 @@ func (h *Host) compile(e *xquery.Engine, src string) (*xquery.Program, error) {
 	return e.Compile(src)
 }
 
-func (h *Host) runConfig() xquery.RunConfig {
+// runConfig configures a run of a script executing in window win.
+func (h *Host) runConfig(win *browser.Window) xquery.RunConfig {
 	return xquery.RunConfig{
 		Context:      h.ctx,
 		ContextItem:  xdm.NewNode(h.Page),
 		AmbientFocus: true,
-		Hooks:        &hostHooks{h: h},
+		Hooks:        &hostHooks{h: h, win: win},
 		OnUpdate:     h.onUpdate,
 		MaxSteps:     h.maxQuerySteps,
 		Timeout:      h.queryTimeout,

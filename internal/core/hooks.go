@@ -2,21 +2,27 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/browser"
 	"repro/internal/dom"
 	"repro/internal/xdm"
-	"repro/internal/xquery/parser"
 	"repro/internal/xquery/runtime"
 	"repro/internal/xquery/update"
 )
 
 // hostHooks implements the runtime's browser extension points: the
 // event grammar of §4.3, the behind construct of §4.4 and the CSS
-// grammar of §4.5.
-type hostHooks struct{ h *Host }
+// grammar of §4.5. It is also what the browser: functions read the
+// executing window from (browser.Hooks): each run of a page's script
+// carries the page's window, each run of a frame's the frame.
+type hostHooks struct {
+	h   *Host
+	win *browser.Window
+}
+
+// Window returns the browser and the window whose script runs.
+func (hh *hostHooks) Window() (*browser.Browser, *browser.Window) { return hh.h.Browser, hh.win }
 
 // listenerKey identifies an XQuery listener registration so attach is
 // idempotent and detach can find it (the DOM's duplicate-registration
@@ -160,66 +166,6 @@ func (h *Host) invokeListener(ctx *runtime.Context, name dom.QName, args []xdm.S
 		return c.CallFunction(name, args)
 	})
 	return err
-}
-
-// registerHOFEventAPI installs the high-order-function event
-// registration route the Zorba-based implementation used instead of the
-// grammar extension ("as Zorba does not allow to modify in a modular
-// way the XQuery grammar it uses, we use high-order-functions to bind
-// events", §5.1):
-//
-//	browser:addEventListener($targets, $event, "local:listener")
-//	browser:removeEventListener($targets, $event, "local:listener")
-//
-// Both routes register through the same machinery, so experiment E8 can
-// compare them directly.
-func (h *Host) registerHOFEventAPI(reg *runtime.Registry) {
-	bn := func(local string) dom.QName {
-		return dom.QName{Space: parser.BrowserNamespace, Prefix: "browser", Local: local}
-	}
-	parseListener := func(s string) dom.QName {
-		if prefix, local, ok := strings.Cut(s, ":"); ok && prefix == "local" {
-			return dom.QName{Space: parser.LocalNamespace, Local: local}
-		}
-		return dom.QName{Space: parser.LocalNamespace, Local: s}
-	}
-	strArg := func(s xdm.Sequence) (string, error) {
-		it, err := xdm.AtomizeSequence(s).One()
-		if err != nil {
-			return "", err
-		}
-		return it.String(), nil
-	}
-	reg.Register(&runtime.Function{
-		Name: bn("addEventListener"), MinArgs: 3, MaxArgs: 3,
-		Invoke: func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			event, err := strArg(args[1])
-			if err != nil {
-				return nil, err
-			}
-			lname, err := strArg(args[2])
-			if err != nil {
-				return nil, err
-			}
-			hh := &hostHooks{h: h}
-			return nil, hh.AttachListener(ctx, event, args[0], parseListener(lname))
-		},
-	})
-	reg.Register(&runtime.Function{
-		Name: bn("removeEventListener"), MinArgs: 3, MaxArgs: 3,
-		Invoke: func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-			event, err := strArg(args[1])
-			if err != nil {
-				return nil, err
-			}
-			lname, err := strArg(args[2])
-			if err != nil {
-				return nil, err
-			}
-			hh := &hostHooks{h: h}
-			return nil, hh.DetachListener(ctx, event, args[0], parseListener(lname))
-		},
-	})
 }
 
 // EventToXML materialises a DOM event as the XML element listeners

@@ -185,3 +185,25 @@ func TestConcurrentLoadsOfOnePageCompileOnce(t *testing.T) {
 		t.Errorf("hits(%d) + coalesced(%d) must cover the other %d loads", st.ProgramHits, st.Coalesced, loads-1)
 	}
 }
+
+// A visit builds its engine on the process's browser: layer: an
+// engine, its empty host layer and its option list (3 allocations),
+// whatever the size of the browser: namespace. Registering the 19
+// browser: functions per visit would take about 70.
+func TestPageEngineAllocations(t *testing.T) {
+	h := &Host{}
+	if n := testing.AllocsPerRun(100, func() { h.newEngine() }); n > 4 {
+		t.Errorf("building a page's engine allocates %.0f times, want at most 4", n)
+	}
+}
+
+// The browser: layer sits below a page engine's host layer, so only a
+// shape of the whole chain tells a page engine from a plain engine with
+// the browser profile: a program compiled for one must not bind on the
+// other.
+func TestPageEngineShapeIsNotAPlainEngines(t *testing.T) {
+	page, plain := (&Host{}).newEngine(), xquery.New(xquery.WithBrowserProfile())
+	if page.Fingerprint() == plain.Fingerprint() {
+		t.Error("a page engine and a plain browser-profile engine have one shape")
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/browser"
 	"repro/internal/xquery/analysis"
 	"repro/internal/xquery/ast"
-	"repro/internal/xquery/funclib"
 	"repro/internal/xquery/parser"
 	"repro/internal/xquery/runtime"
 )
@@ -21,10 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden .diag files")
 // registry (funclib + browser:), browser profile on, and a small step
 // budget so the cost fixture can trip XQ0301.
 func goldenConfig() analysis.Config {
-	reg := runtime.NewRegistry()
-	funclib.Register(reg)
-	browser.RegisterFunctions(reg, nil, nil)
-	return analysis.Config{Registry: reg, BrowserProfile: true, MaxSteps: 1000}
+	return analysis.Config{Registry: browser.Functions(), BrowserProfile: true, MaxSteps: 1000}
 }
 
 func renderDiags(res *analysis.Result) string {

@@ -25,10 +25,10 @@ import (
 )
 
 // Engine is one host's binding of the query language: its own
-// functions (the host layer: browser:, the HOF event API,
-// WithFunctions extras) stacked on the process-wide fn:/xs:/ft:
-// library, plus the module resolver and the default document
-// resolvers. What a compilation produces does not depend on any of
+// functions (the host layer: WithFunctions extras) stacked on a frozen
+// process-wide parent — the fn:/xs:/ft: library, or for a page engine
+// the browser: layer above it — plus the module resolver and the
+// default document resolvers. What a compilation produces does not depend on any of
 // the closures in there, only on the engine's shape (see Fingerprint),
 // so engines are cheap to build — one per page — and share compiled
 // programs through a Cache.
@@ -43,8 +43,8 @@ import (
 // itself. The concurrent serving layer (internal/serve) relies on this
 // to share one engine across all requests.
 type Engine struct {
-	// host is the engine's own registry layer; its parent is
-	// funclib.Library().
+	// host is the engine's own registry layer; its parent is the
+	// frozen layer New or NewAbove named.
 	host            *runtime.Registry
 	resolver        runtime.ModuleResolver
 	blockDoc        bool
@@ -113,16 +113,21 @@ func WithCollections(src runtime.CollectionSource) Option {
 }
 
 // WithFunctions registers extra built-in functions on the engine's host
-// layer (the browser: library uses this). A registration shadows a
-// library function of the same name and arity for this engine only.
+// layer. A registration shadows a function of the same name and arity
+// in the layers below for this engine only.
 func WithFunctions(register func(*runtime.Registry)) Option {
 	return func(e *Engine) { register(e.host) }
 }
 
 // New builds an engine: an empty host layer above the shared fn:
 // library, then the options.
-func New(opts ...Option) *Engine {
-	e := &Engine{host: funclib.Library().Layer()}
+func New(opts ...Option) *Engine { return NewAbove(funclib.Library(), opts...) }
+
+// NewAbove builds an engine whose host layer sits on parent, a frozen
+// layer shared by every engine that names it (the browser host names
+// browser.Functions(), which sits on the library), then the options.
+func NewAbove(parent *runtime.Registry, opts ...Option) *Engine {
+	e := &Engine{host: parent.Layer()}
 	for _, o := range opts {
 		o(e)
 	}
@@ -135,16 +140,17 @@ func (e *Engine) Registry() *runtime.Registry { return e.host }
 
 // Fingerprint identifies the shape of this engine's static context for
 // program-cache keying: the browser profile plus an order-independent
-// hash of the host layer's signatures (name, arity range, Updating,
-// Sequential, whether it streams). Everything a compilation reads of
-// an engine is in there, and nothing else is: not the closures behind
-// the signatures, not the module resolver, not the document resolvers
-// — those belong to a binding (see Program). So two engines built the
-// same way — every page engine of one application, each with browser:
-// functions closed over its own window — have one fingerprint and
-// share one compiled program, while an engine that adds, drops or
-// re-declares a host function, or differs in the browser profile, gets
-// a different one.
+// hash of the signatures (name, arity range, Updating, Sequential,
+// whether it streams) of the host layer and every layer below it, down
+// to the library. Everything a compilation reads of an engine is in
+// there, and nothing else is: not the closures behind the signatures,
+// not the module resolver, not the document resolvers — those belong
+// to a binding (see Program). So two engines built the same way —
+// every page engine of one application, each with its own extras
+// closures — have one fingerprint and share one compiled program,
+// while an engine that adds, drops or re-declares a host function,
+// stands on another parent (a page engine beside a plain one), or
+// differs in the browser profile, gets a different one.
 func (e *Engine) Fingerprint() uint64 {
 	fp := e.host.Shape()
 	if e.blockDoc {

@@ -19,7 +19,7 @@ import (
 // Each imported module compiles once; its functions are exposed to the
 // importer through proxies that evaluate in the library's own context
 // (so library-global variables work and cannot collide with the
-// importer's).
+// importer's), whose globals are initialised once per run.
 func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleResolver {
 	engine := New(opts...)
 	// One resolver serves every engine it is installed on, from whatever
@@ -86,9 +86,10 @@ func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleR
 				Updating:   decl.Updating,
 				Sequential: decl.Sequential,
 				Invoke: func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-					// The library's own context, inside the caller's run.
-					lctx := ctx.ContextFor(libProg.Runtime())
-					if err := lctx.InitGlobals(); err != nil {
+					// The library's own context, inside the caller's run,
+					// its globals initialised once per run.
+					lctx, err := ctx.LibraryContext(libProg.Runtime())
+					if err != nil {
 						return nil, err
 					}
 					return lctx.CallFunction(name, args)

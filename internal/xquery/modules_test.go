@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dom"
 	"repro/internal/markup"
 	"repro/internal/xdm"
 )
@@ -100,6 +101,47 @@ func TestLibraryFunctionRunsInsideTheCallersRun(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s under a 1 ms context: %v, %v; want context.DeadlineExceeded", src, res, err)
 		}
+	}
+}
+
+// globalsLibrary imports a library with a 5000-step global and a
+// constructed one.
+func globalsLibrary() *Engine {
+	return New(WithModuleResolver(NewLocalResolver(map[string]string{"urn:m": `module namespace m = "urn:m";
+		declare variable $m:n := count(1 to 5000);
+		declare variable $m:c := <x/>;
+		declare function m:f() { 1 };
+		declare function m:g() { $m:c };`})))
+}
+
+func TestLibraryGlobalsInitialiseOncePerRun(t *testing.T) {
+	// Ten calls pay for the 5000-step initialiser once, not ten times.
+	e := globalsLibrary()
+	calls := `import module namespace m = "urn:m"; sum((` +
+		strings.TrimSuffix(strings.Repeat("m:f(), ", 10), ", ") + `))`
+	res, err := e.MustCompile(calls).Run(RunConfig{MaxSteps: 20000})
+	if err != nil || len(res.Value) != 1 || res.Value[0].String() != "10" {
+		t.Fatalf("ten calls under MaxSteps 20000: %v, %v; want 10", res, err)
+	}
+}
+
+func TestLibraryGlobalsAreOnePerRun(t *testing.T) {
+	// One run sees one $m:c; the next run makes its own.
+	p := globalsLibrary().MustCompile(`import module namespace m = "urn:m"; (m:g() is m:g(), m:g())`)
+	var nodes []*dom.Node
+	for i := 0; i < 2; i++ {
+		res, err := p.Run(RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Value) != 2 || res.Value[0].String() != "true" {
+			t.Fatalf("run %d: m:g() is m:g() = %v, want true", i, res.Value)
+		}
+		n, _ := xdm.IsNode(res.Value[1])
+		nodes = append(nodes, n)
+	}
+	if nodes[0] == nodes[1] {
+		t.Error("a second run reused the first run's $m:c: library globals must initialise per run")
 	}
 }
 

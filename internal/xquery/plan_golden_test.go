@@ -16,9 +16,7 @@ import (
 	"repro/internal/xquery"
 	"repro/internal/xquery/analysis"
 	"repro/internal/xquery/ast"
-	"repro/internal/xquery/funclib"
 	"repro/internal/xquery/parser"
-	"repro/internal/xquery/runtime"
 )
 
 var updatePlanGolden = flag.Bool("update", false, "rewrite testdata/plan.golden")
@@ -84,10 +82,7 @@ func planCorpus(t *testing.T) [][2]string {
 // domains, hoists, joins) and the rewrite counts. A refactoring of the
 // passes must leave it byte for byte; -update rewrites it.
 func TestPlanGolden(t *testing.T) {
-	reg := runtime.NewRegistry()
-	funclib.Register(reg)
-	browser.RegisterFunctions(reg, nil, nil)
-	cfg := analysis.Config{Registry: reg, BrowserProfile: true, MaxSteps: 1000}
+	cfg := analysis.Config{Registry: browser.Functions(), BrowserProfile: true, MaxSteps: 1000}
 	var b strings.Builder
 	for _, entry := range planCorpus(t) {
 		fmt.Fprintf(&b, "=== %s\n", entry[0])

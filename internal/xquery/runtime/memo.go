@@ -34,12 +34,14 @@ import (
 // Context.Collections.Documents (the frames pass of tools/analyzers
 // holds the rest of the runtime and funclib to that).
 
-// runMemo is a run's memo of the URIs it resolved, and its full-text
-// state (ftmatch.go), made on the first score.
+// runMemo is a run's memo of the URIs it resolved, its full-text state
+// (ftmatch.go), made on the first score, and the globals of the library
+// modules it called into (LibraryContext).
 type runMemo struct {
 	docs  map[string]resolvedDoc
 	colls map[string]*replay
 	ft    *ftState
+	libs  map[*Program]*env
 }
 
 // resolvedDoc is what fn:doc(uri) answered.
@@ -161,4 +163,30 @@ func (c *cursor) Next() (xdm.Item, bool, error) {
 	r.items = append(r.items, it)
 	c.i++
 	return it, true, nil
+}
+
+// LibraryContext returns a root context for the library program p
+// inside ctx's run (an imported function's proxy calls through it) with
+// p's globals initialised once per run: the first call evaluates the
+// library's global initialisers, charged to the run's budget, and every
+// later call of the run shares those variables; a new run initialises
+// them again. A run without a memo initialises them per call.
+func (ctx *Context) LibraryContext(p *Program) (*Context, error) {
+	m := ctx.memo
+	if m != nil {
+		if g, ok := m.libs[p]; ok {
+			return &Context{Prog: p, Run: ctx.Run, env: g, globals: g, depth: ctx.depth}, nil
+		}
+	}
+	lctx := ctx.ContextFor(p)
+	if err := lctx.InitGlobals(); err != nil {
+		return nil, err
+	}
+	if m != nil {
+		if m.libs == nil {
+			m.libs = make(map[*Program]*env)
+		}
+		m.libs[p] = lctx.globals
+	}
+	return lctx, nil
 }

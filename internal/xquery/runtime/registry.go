@@ -15,25 +15,26 @@ type fnKey struct{ Space, Local string }
 // Registry maps function names to implementations. Registries stack:
 // a layer answers from its own entries first and then from its parent
 // chain, so an upper layer shadows the layers below it ("imports may
-// shadow"). A running program sees up to four layers, innermost first:
+// shadow"). A running program sees up to five layers, innermost first:
 //
 //	user functions   compiled from the module's prolog; frozen, shared
 //	                 by every binding of the module
 //	imports          what the binding engine's module resolver
 //	                 registered for this module; per binding
-//	host             the engine's own registrations (browser:, the HOF
-//	                 event API, WithFunctions extras); per engine
+//	host             the engine's own registrations (WithFunctions
+//	                 extras); per engine
+//	browser          the browser: namespace, under page engines only;
+//	                 frozen, one per process (browser.Functions)
 //	library          the fn:/xs:/ft: built-ins; frozen, one per process
 //	                 (funclib.Library)
 //
-// A frozen layer never changes again: its functions may be bound at
-// compile time and the layer may be shared across goroutines without
-// locks. The zero Registry is an empty root layer.
+// A frozen layer never changes again, so it may be shared across
+// goroutines without locks. The zero Registry is an empty root layer.
 type Registry struct {
 	parent *Registry
 	funcs  map[fnKey][]*Function
 	// shape is the order-independent hash of this layer's own
-	// signatures, kept current by Register.
+	// signatures, kept current by Register; Shape adds the parents'.
 	shape  uint64
 	frozen bool
 }
@@ -85,12 +86,18 @@ func (r *Registry) Register(f *Function) error {
 }
 
 // Shape is an order-independent hash of the signatures registered on
-// this layer (its parents are not included): name, arity range,
-// Updating, Sequential and whether the function streams. Two layers
-// holding the same signatures have the same shape whatever closures
-// implement them, which is what lets engines of one application share
-// compiled programs (see xquery.Engine.Fingerprint).
-func (r *Registry) Shape() uint64 { return r.shape }
+// this layer and every layer below it: name, arity range, Updating,
+// Sequential and whether the function streams. Two chains holding the
+// same signatures have the same shape whatever closures implement them,
+// which is what lets engines of one application share compiled
+// programs (see xquery.Engine.Fingerprint).
+func (r *Registry) Shape() uint64 {
+	var s uint64
+	for l := r; l != nil; l = l.parent {
+		s += l.shape
+	}
+	return s
+}
 
 // sigHash hashes one signature: FNV-1a over the fields, then a
 // finalising mix so that the per-layer sum behaves like a sum of
@@ -130,24 +137,15 @@ func sigHash(f *Function) uint64 {
 // Lookup finds the function accepting the given arity, or nil: the
 // innermost layer with a matching registration answers.
 func (r *Registry) Lookup(name dom.QName, arity int) *Function {
-	f, _ := r.Resolve(name, arity)
-	return f
-}
-
-// Resolve is Lookup that also reports whether the answering layer is
-// frozen — whether f may be bound at compile time (the library and the
-// module's own functions) or has to be looked up again in each
-// binding's registry (host and import layers).
-func (r *Registry) Resolve(name dom.QName, arity int) (f *Function, frozen bool) {
 	key := fnKey{name.Space, name.Local}
 	for l := r; l != nil; l = l.parent {
 		for _, f := range l.funcs[key] {
 			if arity >= f.MinArgs && (f.MaxArgs < 0 || arity <= f.MaxArgs) {
-				return f, l.frozen
+				return f
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // Overloads returns every function registered under name in any layer,

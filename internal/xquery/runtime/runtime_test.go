@@ -56,11 +56,8 @@ func TestRegistryLayers(t *testing.T) {
 	if top.Lookup(a, 0) != baseA {
 		t.Error("a layer must answer from its parent")
 	}
-	if f, frozen := top.Resolve(a, 0); f != baseA || !frozen {
-		t.Errorf("Resolve(a) = %v frozen=%v, want the frozen parent's entry", f, frozen)
-	}
-	if f, frozen := top.Resolve(b, 0); f != topB || frozen {
-		t.Errorf("Resolve(b) = %v frozen=%v, want the writable layer's entry", f, frozen)
+	if f := top.Lookup(b, 0); f != topB {
+		t.Errorf("Lookup(b) = %v, want the writable layer's entry", f)
 	}
 
 	// The overlay shadows where its arity range matches and falls
