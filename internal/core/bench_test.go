@@ -156,7 +156,7 @@ func BenchmarkListenerTurn(b *testing.B) {
 // focus buys the Reference 2.0 navigation of BenchmarkListenerTurn/nav:
 // $doc/article/…, $cat//issue[@id = $issue]/article and $a/@id each
 // stream from their one node instead of being materialized and sorted
-// at a path barrier, and the issue listing probes the id map with its
+// in a sorted stage, and the issue listing probes the id map with its
 // variable key. That took a turn from 904 allocations to 584
 // (EXPERIMENTS.md E5y).
 func TestNavTurnStreamsFromOneNode(t *testing.T) {

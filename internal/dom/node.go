@@ -8,7 +8,9 @@
 package dom
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -396,23 +398,31 @@ func (n *Node) LastChild() *Node {
 	return nil
 }
 
-// childIndex returns n's position in its parent's child list, -1 if
-// detached or an attribute.
-func (n *Node) childIndex() int {
+// ChildIndex returns n's position in its parent's child list, -1 if
+// it is detached or an attribute: by binary search on the pre labels
+// when the labels of n's tree are current, by one scan of the list
+// otherwise. The sibling axes and NextSibling/PrevSibling step through
+// the list from it.
+func (n *Node) ChildIndex() int {
 	if n.parent == nil || n.Type == AttributeNode {
 		return -1
 	}
-	for i, c := range n.parent.part().children {
-		if c == n {
+	kids := n.parent.part().children
+	if n.Root().labeledNow() {
+		pre, _ := n.labels()
+		if i, ok := slices.BinarySearchFunc(kids, pre, func(c *Node, pre uint32) int {
+			p, _ := c.labels()
+			return cmp.Compare(p, pre)
+		}); ok {
 			return i
 		}
 	}
-	return -1
+	return slices.Index(kids, n)
 }
 
 // NextSibling returns the following sibling or nil.
 func (n *Node) NextSibling() *Node {
-	i := n.childIndex()
+	i := n.ChildIndex()
 	if i < 0 || i+1 >= len(n.parent.part().children) {
 		return nil
 	}
@@ -421,7 +431,7 @@ func (n *Node) NextSibling() *Node {
 
 // PrevSibling returns the preceding sibling or nil.
 func (n *Node) PrevSibling() *Node {
-	i := n.childIndex()
+	i := n.ChildIndex()
 	if i <= 0 {
 		return nil
 	}

@@ -40,10 +40,10 @@ func (n *Node) relabel(next uint32) uint32 {
 // reader that finds them stale relabels under the root's lock, checking
 // again once it holds it, and records the version after the labels.
 func (n *Node) ensureLabeled() {
-	want := n.rootVersion() + 1
-	if s := n.side.Load(); s != nil && s.labeled.Load() == want {
+	if n.labeledNow() {
 		return
 	}
+	want := n.rootVersion() + 1
 	s := n.ensureSide()
 	s.labelMu.Lock()
 	if s.labeled.Load() != want {
@@ -51,6 +51,13 @@ func (n *Node) ensureLabeled() {
 		s.labeled.Store(want)
 	}
 	s.labelMu.Unlock()
+}
+
+// labeledNow reports whether the labels of the tree rooted at n are
+// current, without writing them.
+func (n *Node) labeledNow() bool {
+	s := n.side.Load()
+	return s != nil && s.labeled.Load() == n.rootVersion()+1
 }
 
 // Label returns n's label pair and the root of its tree, labeling the

@@ -113,7 +113,7 @@ func (n *Node) InsertBefore(c, ref *Node) error {
 		return fmt.Errorf("dom: cannot insert a node relative to itself")
 	}
 	c.Detach()
-	i := ref.childIndex()
+	i := ref.ChildIndex()
 	if ref.parent != n || i < 0 {
 		return fmt.Errorf("dom: reference node is not a child")
 	}
@@ -134,7 +134,7 @@ func (n *Node) InsertAfter(c, ref *Node) error {
 		return fmt.Errorf("dom: cannot insert a node relative to itself")
 	}
 	c.Detach()
-	i := ref.childIndex()
+	i := ref.ChildIndex()
 	if ref.parent != n || i < 0 {
 		return fmt.Errorf("dom: reference node is not a child")
 	}
@@ -185,7 +185,7 @@ func (n *Node) ReplaceChild(c, old *Node) error {
 	if err := n.checkChild(c); err != nil {
 		return err
 	}
-	i := old.childIndex()
+	i := old.ChildIndex()
 	if old.parent != n || i < 0 {
 		return fmt.Errorf("dom: replaced node is not a child")
 	}

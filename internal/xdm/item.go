@@ -132,9 +132,6 @@ func formatDouble(f float64) string {
 // Decimal is xs:decimal, backed by an exact rational.
 type Decimal struct{ r *big.Rat }
 
-// NewDecimal builds a Decimal from a rational (which is not copied).
-func NewDecimal(r *big.Rat) Decimal { return Decimal{r: r} }
-
 // DecimalFromInt builds a Decimal with integer value n.
 func DecimalFromInt(n int64) Decimal { return Decimal{r: new(big.Rat).SetInt64(n)} }
 

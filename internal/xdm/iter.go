@@ -118,17 +118,6 @@ func ConcatIters(its ...Iter) Iter {
 	})
 }
 
-// AtomizeIter lazily atomizes every item of a stream.
-func AtomizeIter(it Iter) Iter {
-	return IterFunc(func() (Item, bool, error) {
-		item, ok, err := it.Next()
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return Atomize(item), true, nil
-	})
-}
-
 // EffectiveBooleanValueIter computes fn:boolean over a stream pulling at
 // most two items: empty is false, a first-item node is true, a singleton
 // atomic follows its type's rules, two or more atomics are an error.

@@ -152,7 +152,7 @@ func TestStoredJoinScansOnce(t *testing.T) {
 // TestStoredJoinAllocations pins what a one-node focus streams in the
 // benchmark's catalog join over 64 stored articles: doc(u)//issue[@id =
 // "k"]/article, $a/@id and $c/@title each stream from their one node
-// instead of being materialized and sorted at a path barrier, which
+// instead of being materialized and sorted in a sorted stage, which
 // took this join from 2,130 allocations to 1,048 (EXPERIMENTS.md E5y).
 func TestStoredJoinAllocations(t *testing.T) {
 	s, err := Open("", WithShards(3))

@@ -23,9 +23,6 @@ type Expr interface{ exprNode() }
 // generically.
 type Pos struct{ Line, Col int }
 
-// Known reports whether the position was recorded.
-func (p Pos) Known() bool { return p.Line > 0 }
-
 // PosOf returns the source position of an expression, or the zero Pos
 // for node kinds that do not record one.
 func PosOf(e Expr) Pos {

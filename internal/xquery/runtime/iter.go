@@ -237,10 +237,11 @@ func (r *rangeIter) materialize() (xdm.Sequence, error) {
 
 // --- streaming paths ---------------------------------------------------------
 
-// pathIter evaluates a path lazily. Steps stream as long as two
-// invariants can be maintained without a sort: the focus stream is in
-// document order without duplicates ("ordered"), and — where the axis
-// needs it — no focus node is an ancestor of another ("disjoint"):
+// pathIter evaluates a path lazily, as one pipeline of stages. Steps
+// stream as long as two invariants can be maintained without a sort:
+// the focus stream is in document order without duplicates
+// ("ordered"), and — where the axis needs it — no focus node is an
+// ancestor of another ("disjoint"):
 //
 //   - self and attribute steps preserve order from any ordered input;
 //   - child, descendant and descendant-or-self preserve order only from
@@ -251,12 +252,11 @@ func (r *rangeIter) materialize() (xdm.Sequence, error) {
 //     whose value is already one node ($doc, $obj) streams into its
 //     next step like the context item does.
 //
-// The first step that cannot stream becomes a barrier (streamSteps):
-// everything before it is materialized, and the remaining steps run
-// through the eager per-step machinery (evalStep + finishStep), which
-// sorts and deduplicates — unless the materialized focus is one node,
-// from which the remaining steps stream again. Correctness therefore
-// never depends on streamability.
+// A step that cannot stream is a sorted stage (sortedStep, path.go):
+// it materializes its focus, maps each focus item through the step and
+// sorts the result, after which the rest of the path streams again
+// wherever the invariants allow. Correctness therefore never depends
+// on streamability.
 //
 // The second return value reports whether the result is statically
 // known to be an ordered node stream.
@@ -273,8 +273,29 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 		return xdm.ErrIter(fmt.Errorf("xquery: empty path")), false
 	}
 	if first := &steps[0]; first.Primary != nil {
-		cur, ord, one := ctx.filterStepIter(first, len(steps) == 1)
-		return ctx.streamSteps(cur, ord || one, one, steps[1:])
+		// Filter-step predicates apply in the primary's own order, so
+		// they always stream over it: (1, err())[1] and (//div)[1] both
+		// pull one item. A primary that is statically an ordered node
+		// stream, or whose value is already there and is at most one
+		// node, needs no sort; any other has its survivors sorted.
+		raw, ord := ctx.evalIter(first.Primary)
+		one := atMostOneNode(raw)
+		cur := ctx.predStages(ctx.countItems(first.Primary, raw), first, ctx.newStepKeys(first))
+		if ord || one {
+			return ctx.streamSteps(cur, true, one, steps[1:])
+		}
+		last := len(steps) == 1
+		return ctx.streamSteps(deferredIter(func() (xdm.Iter, error) {
+			res, err := xdm.Materialize(cur)
+			if err != nil {
+				return nil, err
+			}
+			out, err := ctx.finishStep(res, last)
+			if err != nil {
+				return nil, err
+			}
+			return xdm.FromSlice(out), nil
+		}), false, false, steps[1:])
 	}
 	if ctx.Item == nil {
 		return xdm.ErrIter(fmt.Errorf("xquery: context item is undefined in a path step")), false
@@ -284,12 +305,13 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 
 // streamSteps continues a path over the focus stream cur, whose order
 // and disjointness are ord and disjoint, with steps: a stepStream per
-// step as long as the step can stream, then a barrier for the rest.
+// step as long as the step can stream, then a sorted stage for the
+// rest.
 func (ctx *Context) streamSteps(cur xdm.Iter, ord, disjoint bool, steps []ast.Step) (xdm.Iter, bool) {
 	for si := range steps {
 		step := &steps[si]
-		if step.Primary != nil || !ord || !axisStreamable(step.Axis, disjoint) {
-			return ctx.barrier(cur, steps[si:]), steps[len(steps)-1].Primary == nil
+		if !streamable(step, ord, disjoint) {
+			return ctx.sortedStep(cur, steps[si:]), steps[len(steps)-1].Primary == nil
 		}
 		cur = &stepStream{ctx: ctx, step: step, input: cur, keys: ctx.newStepKeys(step)}
 		ord, disjoint = true, axisOutDisjoint(step.Axis, disjoint)
@@ -297,37 +319,14 @@ func (ctx *Context) streamSteps(cur xdm.Iter, ord, disjoint bool, steps []ast.St
 	return cur, ord
 }
 
-// barrier materializes the focus stream prev on the first pull and runs
-// rest over it. A focus of exactly one node streams rest again when
-// rest's first step can stream from disjoint input — (//a)[1]/b,
-// //x[@id = "k"]/y, doc(u)/a — and everything else (atomics, two or
-// more items) takes continueSteps, which sorts per step. The guard is
-// what makes the re-entry progress: a step that cannot stream even from
-// one node would come straight back here.
-func (ctx *Context) barrier(prev xdm.Iter, rest []ast.Step) xdm.Iter {
-	return deferredIter(func() (xdm.Iter, error) {
-		in, err := xdm.Materialize(prev)
-		if err != nil {
-			return nil, err
-		}
-		if len(in) == 1 && rest[0].Primary == nil && axisStreamable(rest[0].Axis, true) {
-			if _, ok := xdm.IsNode(in[0]); ok {
-				it, _ := ctx.streamSteps(xdm.FromSlice(in), true, true, rest)
-				return it, nil
-			}
-		}
-		out, err := ctx.continueSteps(in, rest)
-		if err != nil {
-			return nil, err
-		}
-		return xdm.FromSlice(out), nil
-	})
-}
-
-// axisStreamable reports whether an axis step preserves document order
-// over an ordered input stream with the given disjointness.
-func axisStreamable(a ast.Axis, disjoint bool) bool {
-	switch a {
+// streamable reports whether step can stream over a focus stream with
+// the given order and disjointness: an axis step that preserves
+// document order from it.
+func streamable(step *ast.Step, ord, disjoint bool) bool {
+	if step.Primary != nil || !ord {
+		return false
+	}
+	switch step.Axis {
 	case ast.AxisSelf, ast.AxisAttribute:
 		return true
 	case ast.AxisChild, ast.AxisDescendant, ast.AxisDescendantOrSelf:
@@ -350,53 +349,6 @@ func axisOutDisjoint(a ast.Axis, inDisjoint bool) bool {
 	}
 }
 
-// filterStepIter evaluates a path-initial filter step (a primary
-// expression plus predicates). Filter-step predicates apply in the
-// primary's own order — the document-order sort happens after — so the
-// predicate stages always stream over the primary: (1, err())[1] and
-// (//div)[1] both pull exactly one item. An ordered primary needs no
-// sort at all, and neither does one whose value is already there and
-// is at most one node (one reports it: the result is ordered and
-// disjoint); anything else materializes only the (post-predicate)
-// survivors for finishStep's sort/dedup/mixing rules. Predicates that
-// mention last() need the primary's size and take the eager route.
-func (ctx *Context) filterStepIter(step *ast.Step, last bool) (it xdm.Iter, ord, one bool) {
-	if !anyPredSized(step) {
-		raw, ord := ctx.evalIter(step.Primary)
-		one := atMostOneNode(raw)
-		cur := ctx.countItems(step.Primary, raw)
-		keys := ctx.newStepKeys(step)
-		for i := range step.Preds {
-			cur = ctx.predStage(cur, step, i, keys)
-		}
-		if ord || one {
-			return cur, ord, one
-		}
-		return deferredIter(func() (xdm.Iter, error) {
-			res, err := xdm.Materialize(cur)
-			if err != nil {
-				return nil, err
-			}
-			out, err := ctx.finishStep(res, last)
-			if err != nil {
-				return nil, err
-			}
-			return xdm.FromSlice(out), nil
-		}), false, false
-	}
-	return deferredIter(func() (xdm.Iter, error) {
-		res, err := ctx.evalStep(step, ctx.Item, ctx.Pos, ctx.Size, nil)
-		if err != nil {
-			return nil, err
-		}
-		out, err := ctx.finishStep(res, last)
-		if err != nil {
-			return nil, err
-		}
-		return xdm.FromSlice(out), nil
-	}), false, false
-}
-
 // atMostOneNode reports whether it is a materialized value nobody has
 // pulled from that holds no item or one node.
 func atMostOneNode(it xdm.Iter) bool {
@@ -408,17 +360,6 @@ func atMostOneNode(it xdm.Iter) bool {
 		_, ok = xdm.IsNode(s[0])
 	}
 	return ok
-}
-
-// anyPredSized reports whether some predicate of the step needs its
-// input's size (the planner found a last() in it, or never saw it).
-func anyPredSized(step *ast.Step) bool {
-	for i := range step.Preds {
-		if step.PredPlan(i).Kind == ast.PredSized {
-			return true
-		}
-	}
-	return false
 }
 
 // stepStream maps an ordered focus stream through one axis step,
@@ -461,15 +402,14 @@ func (s *stepStream) Next() (xdm.Item, bool, error) {
 // stepCandidates returns one focus node's lazily filtered candidates:
 // axis walk → node test → predicate stages. Every candidate pulled
 // consumes one budget step, which is what bounds pure tree walks that
-// never re-enter Eval. Every axis step, streamed or past a barrier
-// (evalStep), comes through here, which makes it the single place the
-// planner's annotations are
-// consulted: an indexed step replaces the axis walk with the (much
-// smaller) probed candidate list, and the node test plus all
-// predicates still re-apply, so a probe can never change a result —
-// only skip the nodes a scan would have visited and rejected. keys are
-// the key slots of this evaluation of the step (newStepKeys), shared by
-// all its focus nodes.
+// never re-enter Eval. Every axis step, streamed or in a sorted stage
+// (mapStep), comes through here, which makes it the single place the
+// planner's annotations are consulted: an indexed step replaces the
+// axis walk with the (much smaller) probed candidate list, and the
+// node test plus all predicates still re-apply, so a probe can never
+// change a result — only skip the nodes a scan would have visited and
+// rejected. keys are the key slots of this evaluation of the step
+// (newStepKeys), shared by all its focus nodes.
 func (ctx *Context) stepCandidates(n *dom.Node, step *ast.Step, keys stepKeys) xdm.Iter {
 	var it xdm.Iter
 	if cand, ok := ctx.probeIndex(n, step, keys); ok {
@@ -504,6 +444,11 @@ func (ctx *Context) stepCandidates(n *dom.Node, step *ast.Step, keys stepKeys) x
 			}
 		})
 	}
+	return ctx.predStages(it, step, keys)
+}
+
+// predStages filters a stream through every predicate of step.
+func (ctx *Context) predStages(it xdm.Iter, step *ast.Step, keys stepKeys) xdm.Iter {
 	for i := range step.Preds {
 		it = ctx.predStage(it, step, i, keys)
 	}
@@ -512,7 +457,7 @@ func (ctx *Context) stepCandidates(n *dom.Node, step *ast.Step, keys stepKeys) x
 
 // predStage filters a stream through predicate i of step, the way the
 // planner classified it: a predicate that may call last() needs the
-// input size, so its stage materializes its input; an attribute
+// input size, so its stage materializes its input first; an attribute
 // comparison runs natively while keys has a slot for it; everything
 // else streams through the generic predIter, and statically bounded
 // positional predicates ([1], [position() le 3]) stop pulling input at
@@ -526,11 +471,7 @@ func (ctx *Context) predStage(in xdm.Iter, step *ast.Step, i int, keys stepKeys)
 			if err != nil {
 				return nil, err
 			}
-			kept, err := ctx.applyPredicates(items, []ast.Expr{pred}, false)
-			if err != nil {
-				return nil, err
-			}
-			return xdm.FromSlice(kept), nil
+			return &predIter{ctx: ctx, in: xdm.FromSlice(items), pred: pred, size: len(items)}, nil
 		})
 	case pp.Kind == ast.PredAttrCmp && keys != nil:
 		return &attrCmpIter{ctx: ctx, in: in, pred: pred, plan: &step.PredPlans[i], key: &keys[i]}
@@ -538,11 +479,15 @@ func (ctx *Context) predStage(in xdm.Iter, step *ast.Step, i int, keys stepKeys)
 	return &predIter{ctx: ctx, in: in, pred: pred, bound: pp.Bound, bounded: pp.Kind == ast.PredBounded}
 }
 
+// predIter keeps the items of its input for which pred holds, each
+// evaluated at its position in the input. size is the input's length
+// where the predicate may call last(), 0 where it does not.
 type predIter struct {
 	ctx     *Context
 	in      xdm.Iter
 	pred    ast.Expr
 	pos     int
+	size    int
 	bound   int64
 	bounded bool
 	done    bool
@@ -566,8 +511,7 @@ func (p *predIter) Next() (xdm.Item, bool, error) {
 			return nil, false, nil
 		}
 		p.pos++
-		// Size 0: predicates that mention last() never reach this stage.
-		c := p.ctx.withFocus(item, p.pos, 0)
+		c := p.ctx.withFocus(item, p.pos, p.size)
 		res, err := c.Eval(p.pred)
 		if err != nil {
 			return nil, false, err
@@ -584,12 +528,11 @@ func (p *predIter) Next() (xdm.Item, bool, error) {
 
 // --- lazy axis walkers -------------------------------------------------------
 
+// An axisWalker yields the nodes of one axis from one node, lazily and
+// in axis order: document order for the forward axes, reverse document
+// order — proximity order — for the reverse ones.
 type axisWalker interface{ next() (*dom.Node, bool) }
 
-// newAxisWalker walks an axis lazily where the axis allows it (child,
-// attribute, self, descendant, descendant-or-self, following) and
-// falls back to the materialized axisNodes list — which is still in
-// axis order — everywhere else.
 func newAxisWalker(n *dom.Node, axis ast.Axis) axisWalker {
 	switch axis {
 	case ast.AxisChild:
@@ -597,7 +540,19 @@ func newAxisWalker(n *dom.Node, axis ast.Axis) axisWalker {
 	case ast.AxisAttribute:
 		return &sliceWalker{nodes: n.Attrs()}
 	case ast.AxisSelf:
-		return &sliceWalker{nodes: []*dom.Node{n}}
+		return &upWalker{n: n, one: true}
+	case ast.AxisParent:
+		return &upWalker{n: n.Parent(), one: true}
+	case ast.AxisAncestor:
+		return &upWalker{n: n.Parent()}
+	case ast.AxisAncestorOrSelf:
+		return &upWalker{n: n}
+	case ast.AxisFollowingSibling:
+		_, after := siblings(n)
+		return &sliceWalker{nodes: after}
+	case ast.AxisPrecedingSibling:
+		before, _ := siblings(n)
+		return &sliceWalker{nodes: before, back: true}
 	case ast.AxisDescendant:
 		w := &treeWalker{}
 		w.descend(n)
@@ -606,22 +561,61 @@ func newAxisWalker(n *dom.Node, axis ast.Axis) axisWalker {
 		return &treeWalker{root: n}
 	case ast.AxisFollowing:
 		return newFollowingWalker(n)
-	default:
-		return &sliceWalker{nodes: axisNodes(n, axis)}
+	case ast.AxisPreceding:
+		return &precedingWalker{anc: n}
 	}
+	return &sliceWalker{}
 }
 
+// siblings returns the children of n's parent before and after n, from
+// the one index package dom finds for n (none for an attribute or a
+// detached node).
+func siblings(n *dom.Node) (before, after []*dom.Node) {
+	i := n.ChildIndex()
+	if i < 0 {
+		return nil, nil
+	}
+	kids := n.Parent().Children()
+	return kids[:i], kids[i+1:]
+}
+
+// sliceWalker walks a node list front to back, or back to front.
 type sliceWalker struct {
 	nodes []*dom.Node
-	i     int
+	back  bool
 }
 
 func (w *sliceWalker) next() (*dom.Node, bool) {
-	if w.i >= len(w.nodes) {
+	k := len(w.nodes)
+	if k == 0 {
 		return nil, false
 	}
-	n := w.nodes[w.i]
-	w.i++
+	if w.back {
+		n := w.nodes[k-1]
+		w.nodes = w.nodes[:k-1]
+		return n, true
+	}
+	n := w.nodes[0]
+	w.nodes = w.nodes[1:]
+	return n, true
+}
+
+// upWalker walks from n up through its ancestors, n first; one stops it
+// after n.
+type upWalker struct {
+	n   *dom.Node
+	one bool
+}
+
+func (w *upWalker) next() (*dom.Node, bool) {
+	n := w.n
+	if n == nil {
+		return nil, false
+	}
+	w.n = n.Parent()
+	if w.one {
+		w.n = nil
+	}
 	return n, true
 }
 
@@ -667,21 +661,23 @@ func (w *treeWalker) next() (*dom.Node, bool) {
 	return nil, false
 }
 
-// followingWalker streams the following axis lazily: for every
+// followingWalker streams the following axis: for every
 // ancestor-or-self of the origin (inner to outer), the subtrees of its
 // following siblings, left to right — which is exactly document order
-// past the origin's subtree. Emitting through the walker replaced the
-// old collectDescendants materialization, which allocated the full
-// descendant list per sibling even when the step's node test was about
-// to reject almost all of it.
+// past the origin's subtree. An attribute's following axis begins with
+// its element's children.
 type followingWalker struct {
-	anc *dom.Node // ancestor-or-self chain cursor
-	sib *dom.Node // next following sibling of anc to expand
+	anc *dom.Node // the ancestor-or-self whose following siblings come next
 	tw  treeWalker
 }
 
 func newFollowingWalker(n *dom.Node) *followingWalker {
-	return &followingWalker{anc: n, sib: n.NextSibling()}
+	w := &followingWalker{anc: n}
+	if p := n.Parent(); n.Type == dom.AttributeNode && p != nil {
+		w.anc = p
+		w.tw.descend(p)
+	}
+	return w
 }
 
 func (w *followingWalker) next() (*dom.Node, bool) {
@@ -689,18 +685,64 @@ func (w *followingWalker) next() (*dom.Node, bool) {
 		if x, ok := w.tw.next(); ok {
 			return x, true
 		}
-		if w.sib == nil {
+		if w.anc == nil {
+			return nil, false
+		}
+		_, after := siblings(w.anc)
+		w.anc = w.anc.Parent()
+		if len(after) > 0 {
+			w.tw.stack = append(w.tw.stack, walkCursor{nodes: after})
+		}
+	}
+}
+
+// precedingWalker streams the preceding axis in reverse document
+// order: for every ancestor-or-self of the origin (inner to outer), the
+// subtrees of its preceding siblings, right to left, each subtree's
+// nodes after its descendants. Ancestors are never on the axis, and an
+// attribute's is its element's.
+type precedingWalker struct {
+	anc   *dom.Node // the ancestor-or-self whose preceding siblings come next
+	stack []backCursor
+}
+
+// backCursor is a node list still to walk, back to front, and the node
+// whose children it is, yielded once the list is done (nil for a list
+// of siblings).
+type backCursor struct {
+	nodes []*dom.Node
+	owner *dom.Node
+}
+
+func (w *precedingWalker) next() (*dom.Node, bool) {
+	for {
+		if len(w.stack) == 0 {
 			if w.anc == nil {
 				return nil, false
 			}
+			before, _ := siblings(w.anc)
 			w.anc = w.anc.Parent()
-			if w.anc == nil {
-				return nil, false
+			if len(before) > 0 {
+				w.stack = append(w.stack, backCursor{nodes: before})
 			}
-			w.sib = w.anc.NextSibling()
 			continue
 		}
-		w.tw.root = w.sib
-		w.sib = w.sib.NextSibling()
+		top := &w.stack[len(w.stack)-1]
+		k := len(top.nodes)
+		if k == 0 {
+			owner := top.owner
+			w.stack = w.stack[:len(w.stack)-1]
+			if owner != nil {
+				return owner, true
+			}
+			continue
+		}
+		x := top.nodes[k-1]
+		top.nodes = top.nodes[:k-1]
+		if kids := x.Children(); len(kids) > 0 {
+			w.stack = append(w.stack, backCursor{nodes: kids, owner: x})
+			continue
+		}
+		return x, true
 	}
 }

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 
 // pathIterCorpus covers every axis; ordered and unordered filter
 // primaries; bounded, sized and attribute-comparison predicates; `//`
-// merges; the shapes that end the stream at a barrier; atomic final
+// merges; the shapes that end the stream at a sorted stage; atomic final
 // steps and the path errors.
 var pathIterCorpus = []string{
 	// Axes.
@@ -34,15 +35,21 @@ var pathIterCorpus = []string{
 	`//a[1]`, `//a[position() <= 2]/b`, `/r/a[2]`, `//a[last()]`, `//b[last() - 1]`,
 	`//a/b[position() = last()]`, `//a[@k = "1"]`, `//*[@k eq "2"]/@id`, `//a[@k = "1"][2]`,
 	`//b[@k != "0"]`, `//a[@k = ("0", "2")]`, `//a[1][@k = "1"]`, `//a[b][1]`,
-	// `//` merges and barriers.
+	// `//` merges and sorted stages.
 	`//a//b`, `//a//c[1]`, `/r//a//@k`, `//a/descendant::b`, `//a/..`, `(//b, //a)/c`,
 	`//c/../b`, `//a/b/..`, `//a/ancestor::*/b`,
 	// Atomic final steps, and the errors of atomics mid-path.
 	`//a/@k/string()`, `(//a)[1]/name()`, `//a/string()/b`, `(1, //a)/b`, `//a/(b, 1)`,
-	// One-node primaries and barriers, which stream the rest of the path.
+	// One-node primaries and sorted stages, which stream the rest of the path.
 	`(//a)[1]/b`, `(/r)//a/b`, `(//z)[1]/a`, `(//a)[1]/preceding-sibling::*[1]`, `(//a)[1]//b/..`,
 	`//a[@id = "n3"]/b`, `exactly-one((/r/*)[1])/b`, `(1)/a`, `(//c)[1]/ancestor::*[1]`,
 	`(/r/a)[1]/b[last()]`, `zero-or-one((//b)[2])/descendant::*[@k = "1"]`,
+	// Focus positions and sizes in a sorted stage, and sized predicates
+	// on the reverse axes.
+	`//a/position()`, `(//b, //a)/last()`, `//c/../(position(), last())`,
+	`//b/preceding-sibling::*[last()]`, `//a/ancestor-or-self::*[last()]/@id`,
+	// Sorted results of nested nodes, which a child step must not stream.
+	`//*/../*`, `//b/ancestor::*/b`,
 }
 
 // pathIterVarCorpus reads $v as a path's primary and as an attribute
@@ -253,7 +260,7 @@ var (
 	fuzzTests = []string{`a`, `b`, `c`, `*`, `node()`, `text()`, `k`, `id`}
 	fuzzPreds = []string{`[1]`, `[2]`, `[last()]`, `[@k = "1"]`, `[@id = $v]`, `[@id = "n3"]`,
 		`[position() < 3]`, `[b]`, `[@k eq $v]`, `[$v = @id]`, `[. = "t"]`}
-	fuzzLast = []string{`string()`, `name()`, `(b, 1)`, `..`}
+	fuzzLast = []string{`string()`, `name()`, `(b, 1)`, `..`, `position()`, `last()`, `(position(), last())`}
 )
 
 // fuzzPath spells a path from shape, one byte per choice.
@@ -318,4 +325,64 @@ func FuzzPathStreamsLikePerStep(f *testing.F) {
 			t.Errorf("%q $v := %s: %s", q, b, diff)
 		}
 	})
+}
+
+// TestAxisWalkersMatchAxisNodes holds the pipeline's walker of every
+// axis to the reference's AxisNodes, from every node of pathIterDoc
+// trees — the document node, elements, attributes, text and comments —
+// and of a subtree detached from a copy, once with the trees' labels
+// current and once with them stale after two new first children moved
+// every sibling index.
+func TestAxisWalkersMatchAxisNodes(t *testing.T) {
+	for di, doc := range pathIterDocs(t) {
+		d, _ := xdm.IsNode(doc)
+		roots := []*dom.Node{d}
+		if kids := d.Clone().DocumentElement().Children(); len(kids) > 0 {
+			kids[0].Detach()
+			roots = append(roots, kids[0])
+		}
+		for ri, root := range roots {
+			for _, stale := range []bool{false, true} {
+				if stale {
+					// Two new first children: every index under host
+					// moves, and both carry the same never-written label.
+					host := root
+					if root.Type == dom.DocumentNode {
+						host = root.DocumentElement()
+					}
+					for range 2 {
+						if err := host.PrependChild(dom.NewElement(dom.Name("a"))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				} else {
+					root.Label()
+				}
+				var nodes []*dom.Node
+				root.Walk(func(x *dom.Node) bool {
+					nodes = append(nodes, x)
+					nodes = append(nodes, x.Attrs()...)
+					return true
+				})
+				// Walk first: the reference reads no labels either, but
+				// nothing may relabel the tree before the walkers ran.
+				var got [][]*dom.Node
+				for _, n := range nodes {
+					for axis := ast.AxisChild; axis <= ast.AxisAncestorOrSelf; axis++ {
+						got = append(got, runtime.WalkAxis(n, axis))
+					}
+				}
+				i := 0
+				for _, n := range nodes {
+					for axis := ast.AxisChild; axis <= ast.AxisAncestorOrSelf; axis++ {
+						if want := runtime.AxisNodes(n, axis); !slices.Equal(got[i], want) {
+							t.Errorf("doc %d root %d stale %v: %s::* from %s %q: walker %p, reference %p",
+								di, ri, stale, axis, n.Type, n.Name.Local, got[i], want)
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
 }

@@ -57,6 +57,15 @@ type Primitive struct {
 // PUL is a pending update list.
 type PUL struct {
 	prims []Primitive
+	// exclusive holds the (target, kind) of every pending rename,
+	// replaceNode and replaceValue — the kinds of which one target
+	// takes at most one — made on the first of them.
+	exclusive map[exclusiveKey]struct{}
+}
+
+type exclusiveKey struct {
+	target *dom.Node
+	kind   Kind
 }
 
 // Empty reports whether no updates are pending.
@@ -82,14 +91,15 @@ func (p *PUL) Add(pr Primitive) error {
 	if pr.Target == nil {
 		return fmt.Errorf("%w (%s)", ErrNilTarget, pr.Kind)
 	}
-	for _, q := range p.prims {
-		if q.Target != pr.Target {
-			continue
-		}
-		if pr.Kind == q.Kind &&
-			(pr.Kind == Rename || pr.Kind == ReplaceNode || pr.Kind == ReplaceValue) {
+	if pr.Kind == Rename || pr.Kind == ReplaceNode || pr.Kind == ReplaceValue {
+		k := exclusiveKey{pr.Target, pr.Kind}
+		if _, dup := p.exclusive[k]; dup {
 			return fmt.Errorf("update: incompatible updates: two %s operations target the same node", pr.Kind)
 		}
+		if p.exclusive == nil {
+			p.exclusive = make(map[exclusiveKey]struct{})
+		}
+		p.exclusive[k] = struct{}{}
 	}
 	p.prims = append(p.prims, pr)
 	return nil
@@ -106,7 +116,10 @@ func (p *PUL) Merge(q *PUL) error {
 }
 
 // Reset drops all pending updates.
-func (p *PUL) Reset() { p.prims = p.prims[:0] }
+func (p *PUL) Reset() {
+	p.prims = p.prims[:0]
+	clear(p.exclusive)
+}
 
 // TargetsWithin verifies every primitive targets a node whose root is
 // one of the given roots — the "transform" expression's requirement that

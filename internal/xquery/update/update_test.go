@@ -1,6 +1,7 @@
 package update
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -168,8 +169,17 @@ func TestCompatibilityConflicts(t *testing.T) {
 		if err := p.Add(Primitive{Kind: kind, Target: a, Name: dom.Name("x")}); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Add(Primitive{Kind: kind, Target: a, Name: dom.Name("y")}); err == nil {
-			t.Errorf("duplicate %s on one target must conflict", kind)
+		want := fmt.Sprintf("update: incompatible updates: two %s operations target the same node", kind)
+		if err := p.Add(Primitive{Kind: kind, Target: a, Name: dom.Name("y")}); err == nil || err.Error() != want {
+			t.Errorf("duplicate %s on one target: %v, want %q", kind, err, want)
+		}
+		if p.Len() != 1 {
+			t.Errorf("a rejected %s was kept: len %d", kind, p.Len())
+		}
+		// Reset forgets the pending exclusive updates with the list.
+		p.Reset()
+		if err := p.Add(Primitive{Kind: kind, Target: a, Name: dom.Name("y")}); err != nil {
+			t.Errorf("%s after Reset: %v", kind, err)
 		}
 	}
 	// Two deletes are compatible.
