@@ -103,12 +103,13 @@ func bindV(v ...xdm.Item) func(*dom.Node, string, string) map[dom.QName]xdm.Sequ
 
 const vExternal = `declare variable $v external; `
 
-// idVarForms are the variable-keyed forms of //*[@id = K]: a planned
-// id probe reads $v once per step evaluation and probes the id map for
-// one non-empty string, and answers every other key — (), two strings,
-// a number, eq over two items — from the candidates a scan would test.
-// The last form assigns $v while the step runs: the planner must not
-// probe it.
+// idVarForms are the variable-keyed and computed forms of
+// //*[@id = K]: a planned id probe reads K once per step evaluation and
+// probes the id map for one non-empty string, and answers every other
+// key — (), two strings, a number, eq over two items, an error — from
+// the candidates a scan would test. The two "set $v" forms assign $v
+// while the step runs, and string(.) and string(@id) read the
+// candidate: the planner must not probe them.
 var idVarForms = []*idVarForm{
 	{name: "one string", src: vExternal + `//*[@id = $v]`,
 		bind: func(_ *dom.Node, k, _ string) map[dom.QName]xdm.Sequence {
@@ -144,9 +145,48 @@ var idVarForms = []*idVarForm{
 		raises: func(*dom.Node) bool { return true }},
 	{name: "set $v", src: `declare variable $k external; declare variable $k2 external; declare variable $v := "";
 		{ set $v := $k; //*[@id = $v][{ set $v := $k2; true() }]; }`,
-		bind: func(_ *dom.Node, k, k2 string) map[dom.QName]xdm.Sequence {
-			return map[dom.QName]xdm.Sequence{dom.Name("k"): {xdm.String(k)}, dom.Name("k2"): {xdm.String(k2)}}
-		}},
+		bind: bindK},
+	// Computed keys: read once per step evaluation and probed where they
+	// read nothing of the candidate and name no assigned variable.
+	{name: "concat", src: vExternal + `//*[@id = concat("k", substring($v, 2))]`,
+		bind: func(_ *dom.Node, k, _ string) map[dom.QName]xdm.Sequence {
+			return map[dom.QName]xdm.Sequence{dom.Name("v"): {xdm.String(k)}}
+		},
+		ids: func(k, _ string) []string { return []string{k} }},
+	{name: "a holder's @id", src: vExternal + `//*[@id = $v/@id]`,
+		bind: func(doc *dom.Node, k, _ string) map[dom.QName]xdm.Sequence {
+			var v xdm.Sequence // an element whose id is k, if there is one
+			if h := idHolders(doc, k); len(h) > 0 {
+				v = xdm.Sequence{xdm.NewNode(h[0])}
+			}
+			return map[dom.QName]xdm.Sequence{dom.Name("v"): v}
+		},
+		ids: func(k, _ string) []string { return []string{k} }},
+	{name: "string($v)", src: vExternal + `//*[@id = string($v)]`,
+		bind: func(_ *dom.Node, k, _ string) map[dom.QName]xdm.Sequence {
+			return map[dom.QName]xdm.Sequence{dom.Name("v"): {xdm.UntypedAtomic(k)}}
+		},
+		ids: func(k, _ string) []string { return []string{k} }},
+	// Raised where a candidate is; //* always has the document element.
+	{name: "string of two strings", src: vExternal + `//*[@id = string($v)]`, bind: bindV(xdm.String("k0"), xdm.String("k1")),
+		raises: func(*dom.Node) bool { return true }},
+	{name: "1 + 1", src: `//*[@id = 1 + 1]`, bind: bindV(), raises: anyID},
+	{name: "() computed", src: `//*[@id = ()]`, bind: bindV(), ids: func(string, string) []string { return nil }},
+	{name: "eq two items", src: vExternal + `//*[@id eq ($v, "k1")]`, bind: bindV(xdm.String("k0")),
+		raises: func(*dom.Node) bool { return true }},
+	{name: "xs:integer", src: `//*[@id = xs:integer("x")]`, bind: bindV(),
+		raises: func(*dom.Node) bool { return true }},
+	{name: "a cast that raises", src: `//*[@id = ("x" cast as xs:integer)]`, bind: bindV(),
+		raises: func(*dom.Node) bool { return true }},
+	{name: "string(.)", src: `//*[@id = string(.)]`, bind: bindV()},
+	{name: "string(@id)", src: `//*[@id = string(@id)]`, bind: bindV()},
+	{name: "set $v, computed", src: `declare variable $k external; declare variable $k2 external; declare variable $v := "";
+		{ set $v := $k; //*[@id = concat($v, "")][{ set $v := $k2; true() }]; }`,
+		bind: bindK},
+}
+
+func bindK(_ *dom.Node, k, k2 string) map[dom.QName]xdm.Sequence {
+	return map[dom.QName]xdm.Sequence{dom.Name("k"): {xdm.String(k)}, dom.Name("k2"): {xdm.String(k2)}}
 }
 
 // idWorld is two random trees with ids and the queries the differential

@@ -21,6 +21,7 @@ func TestNodeFitsItsSizeClass(t *testing.T) {
 		{"a leaf dom.Node", unsafe.Sizeof(Node{}), 96},
 		{"an element with its lists", unsafe.Sizeof(elemNode{}), 160},
 		{"a document with its lists and side struct", unsafe.Sizeof(docNode{}), 320},
+		{"a side struct (an element's first listener)", unsafe.Sizeof(nodeSide{}), 144},
 	} {
 		if c.got > c.want {
 			t.Errorf("%s is %d bytes, over the %d-byte size class it fitted", c.what, c.got, c.want)

@@ -160,6 +160,11 @@ type nodeSide struct {
 	more  []listener
 	seq   uint32 // the last registration number handed out
 
+	// scans counts the sibling lookups that found the labels of the tree
+	// rooted here stale: 1 + their version << scanBits, plus their number
+	// (SiblingIndex, order.go). Meaningful on roots only.
+	scans atomic.Uint32
+
 	// indexes holds the per-document indexes of the tree rooted at this
 	// node, one slot per kind (lifecycle.go); meaningful on roots only.
 	indexes [indexSlots]atomic.Pointer[indexEntry]
@@ -401,8 +406,8 @@ func (n *Node) LastChild() *Node {
 // ChildIndex returns n's position in its parent's child list, -1 if
 // it is detached or an attribute: by binary search on the pre labels
 // when the labels of n's tree are current, by one scan of the list
-// otherwise. The sibling axes and NextSibling/PrevSibling step through
-// the list from it.
+// otherwise. NextSibling/PrevSibling and the mutators step through the
+// list from it; the sibling axes use SiblingIndex.
 func (n *Node) ChildIndex() int {
 	if n.parent == nil || n.Type == AttributeNode {
 		return -1

@@ -60,6 +60,35 @@ func (n *Node) labeledNow() bool {
 	return s != nil && s.labeled.Load() == n.rootVersion()+1
 }
 
+// relabelScans is how many sibling lookups stale labels wait for at
+// one tree version before SiblingIndex writes them — the index
+// lifecycle's rebuild rule (rebuildProbes): a page that mutates between
+// lookups scans a child list per lookup, never relabels per version,
+// and a read phase that looks up node after node labels once. The
+// count lives in the low scanBits of the root's nodeSide.scans.
+const relabelScans, scanBits = 4, 3
+
+// SiblingIndex is ChildIndex for the sibling, following and preceding
+// axes: it labels the tree at the relabelScans-th lookup of one stale
+// version. The count is racy by design, like the index probe counters:
+// a lost increment only delays the labeling by one lookup.
+func (n *Node) SiblingIndex() int {
+	if root := n.Root(); n.parent != nil && n.Type != AttributeNode && !root.labeledNow() {
+		s := root.ensureSide()
+		v := uint32(root.rootVersion()+1) << scanBits
+		seen := s.scans.Load()
+		if seen&^(1<<scanBits-1) != v {
+			seen = v
+		}
+		if seen-v+1 >= relabelScans {
+			root.ensureLabeled()
+		} else {
+			s.scans.Store(seen + 1)
+		}
+	}
+	return n.ChildIndex()
+}
+
 // Label returns n's label pair and the root of its tree, labeling the
 // tree first when its labels are stale. m is inside n's subtree exactly
 // when pre(n) <= pre(m) <= end(n); labels compare only within one root

@@ -161,3 +161,43 @@ func TestLabelsOfARootThatWasAChild(t *testing.T) {
 		t.Error("a detached subtree reads the labels of its earlier time as a root")
 	}
 }
+
+// SiblingIndex scans while a tree's labels are stale and labels the
+// tree at the relabelScans-th lookup of one version: a lookup after
+// each mutation never relabels, a run of lookups at one version does.
+func TestSiblingIndexLabelsOnceLookupsRepeat(t *testing.T) {
+	root := NewElement(Name("r"))
+	root.SetAttr(Name("a"), "v")
+	var kids []*Node
+	for i := 0; i < 10; i++ {
+		c := NewElement(Name("x"))
+		if err := root.AppendChild(c); err != nil {
+			t.Fatal(err)
+		}
+		kids = append(kids, c)
+	}
+	for m := 0; m < 3; m++ {
+		if err := root.AppendChild(NewElement(Name("y"))); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < relabelScans-1; i++ {
+			if got := kids[7].SiblingIndex(); got != 7 {
+				t.Fatalf("SiblingIndex = %d, want 7", got)
+			}
+		}
+		if root.labeledNow() {
+			t.Fatalf("mutation %d: %d lookups labeled the tree", m, relabelScans-1)
+		}
+	}
+	if got := kids[3].SiblingIndex(); got != 3 || !root.labeledNow() {
+		t.Fatalf("lookup %d: SiblingIndex = %d, labeled %v; want 3, labeled", relabelScans, got, root.labeledNow())
+	}
+	for i, c := range kids {
+		if got := c.SiblingIndex(); got != i {
+			t.Errorf("labeled: SiblingIndex = %d, want %d", got, i)
+		}
+	}
+	if got := root.AttrNode(Name("a")).SiblingIndex(); got != -1 {
+		t.Errorf("attribute SiblingIndex = %d, want -1", got)
+	}
+}

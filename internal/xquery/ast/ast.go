@@ -384,8 +384,9 @@ const (
 	// AccessIndexID probes the tree's id map (dom.Node.AppendByID),
 	// which package dom keeps current through every mutation: the
 	// step's first predicate is an attribute comparison (PredAttrCmp)
-	// on the no-namespace id attribute whose key is a non-empty string
-	// literal or a variable nothing assigns, over a descendant axis.
+	// on the no-namespace id attribute, over a descendant axis. The
+	// runtime reads the key once per step evaluation and probes for it
+	// when it is one non-empty string, the element-name index otherwise.
 	AccessIndexID
 	// AccessFT probes the per-document full-text index: the step's
 	// first predicate is an ftcontains over the context item with
@@ -429,9 +430,12 @@ const (
 	PredBounded
 	// PredAttrCmp: the predicate is @a = K or @a eq K (either operand
 	// order) with @a a predicate-free attribute step on a concrete name
-	// and K a string literal or a reference to a variable nothing in
-	// the module assigns. The runtime tests such a predicate natively
-	// when K turns out to be strings (see runtime.attrCmpIter).
+	// and K step-invariant: it reads nothing of the candidate (no
+	// focus, position or size), has no effect and resolves no document,
+	// and names no variable the module assigns (the planner's one key
+	// rule). The runtime reads K once per step evaluation and tests the
+	// predicate natively when K turns out to be strings (see
+	// runtime.attrCmpIter).
 	PredAttrCmp
 )
 
@@ -440,7 +444,7 @@ type PredPlan struct {
 	Kind  PredKind
 	Bound int64     // PredBounded: the last position that can match
 	Attr  dom.QName // PredAttrCmp: the attribute's expanded name
-	Key   Expr      // PredAttrCmp: K, a StringLit or a VarRef
+	Key   Expr      // PredAttrCmp: K, any step-invariant expression
 	Value bool      // PredAttrCmp: a value comparison (eq), so K must be exactly one item
 }
 

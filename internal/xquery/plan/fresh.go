@@ -247,7 +247,7 @@ type CopiedLet struct {
 // the module's expressions over again without installing anything, so
 // it works on a planned module as on a parsed one.
 func CopiedLets(m *ast.Module) []CopiedLet {
-	p := &planner{assigned: map[string]bool{}, in: newInference(m)}
+	p := &planner{in: newInference(m)}
 	for i := range m.Prolog.Vars {
 		p.expr(m.Prolog.Vars[i].Init)
 	}

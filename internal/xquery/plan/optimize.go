@@ -426,13 +426,7 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 	plans := make([]ast.PredPlan, len(lastStep.Preds), cap(preds))
 	copy(plans, lastStep.PredPlans)
 	for _, pr := range pushed {
-		pp := o.in.classifyPred(pr)
-		if _, isVar := pp.Key.(ast.VarRef); isVar {
-			// The optimizer sees one unit, not the module, so it cannot
-			// rule out that something assigns the variable.
-			pp = ast.PredPlan{Kind: ast.PredStream}
-		}
-		preds, plans = append(preds, pr), append(plans, pp)
+		preds, plans = append(preds, pr), append(plans, o.in.classifyPred(pr))
 	}
 	lastStep.Preds, lastStep.PredPlans = preds, plans
 	lastStep.Access = chooseAccess(&lastStep)

@@ -9,15 +9,16 @@
 //   - every step predicate carries an ast.PredPlan: it needs the input
 //     size (mentions last()), it streams, it streams and stops at a
 //     static positional bound, or it is the attribute comparison
-//     @a = K / @a eq K the runtime can test natively (classifyPred);
+//     @a = K / @a eq K the runtime can test natively, K being whatever
+//     the inference calls step-invariant (classifyPred, stepInvariant
+//     in props.go);
 //   - every axis step carries its access method: descendant::x /
 //     descendant-or-self::x with a concrete element name →
 //     AccessIndexName (probe the per-document element-name index, see
 //     internal/dom/index); the same axes whose first predicate is an
-//     attribute comparison of @id with a non-empty string literal or
-//     with a variable nothing assigns → AccessIndexID (probe the tree's
-//     id map; the runtime reads a variable key once per step evaluation
-//     and probes the name index instead when its value is not one
+//     attribute comparison of @id → AccessIndexID (probe the tree's id
+//     map; the runtime reads the key once per step evaluation and
+//     probes the name index instead when its value is not one
 //     non-empty string); a first predicate that is a literal
 //     ". ftcontains" selection → AccessFT; everything else → AccessScan
 //     (walk the axis);
@@ -50,14 +51,16 @@
 // exactly once, before any reader.
 //
 // Every decision above that depends on what an expression can do or
-// yield — may a "//" merge, is a predicate positional, is a shipped
-// expression closed and effect-free, is an operand fresh — reads one
+// yield — may a "//" merge, is a predicate positional, may a key be
+// read once per step, is a shipped expression closed and effect-free,
+// is an operand fresh — reads one
 // record of static properties (props.go), and so do the optimizer's
 // rewrites and the store's routing (ast.Module.Effects). The package
 // sits below runtime and analysis and imports only the AST.
 package plan
 
 import (
+	"repro/internal/dom"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
 )
@@ -73,7 +76,7 @@ const fnSpace = "http://www.w3.org/2005/xpath-functions"
 func Annotate(m *ast.Module) { annotate(m, newInference(m)) }
 
 func annotate(m *ast.Module, in *inference) {
-	p := &planner{assigned: map[string]bool{}, in: in}
+	p := &planner{in: in}
 	for i := range m.Prolog.Vars {
 		m.Prolog.Vars[i].Init = p.expr(m.Prolog.Vars[i].Init)
 	}
@@ -81,39 +84,21 @@ func annotate(m *ast.Module, in *inference) {
 		m.Prolog.Functions[i].Body = p.expr(m.Prolog.Functions[i].Body)
 	}
 	m.Body = p.expr(m.Body)
-	// A variable key is read once per step evaluation, so it is only
-	// as good as a per-candidate read while nothing can assign the
-	// variable in between; which variables are assigned is known only
-	// now, after the whole module has been seen. A step that loses its
-	// id key this way chooses its access again.
-	for _, s := range p.varKeyed {
-		for i := range s.PredPlans {
-			if v, ok := s.PredPlans[i].Key.(ast.VarRef); ok && p.assigned[vkey(v.Name)] {
-				s.PredPlans[i] = ast.PredPlan{Kind: ast.PredStream}
-			}
-		}
-		s.Access = chooseAccess(s)
-	}
 }
 
 // planner is one Annotate pass over a module.
 type planner struct {
-	assigned map[string]bool // vkey of every variable some Assign targets
-	varKeyed []*ast.Step     // steps with an attribute comparison keyed by a variable
-	in       *inference      // the static properties of the module's expressions (props.go)
-	lets     []letVar        // the fresh-valued let variables in scope, innermost last
-	copied   []CopiedLet     // what CopiedLets reports
+	in     *inference  // the static properties of the module's expressions (props.go)
+	lets   []letVar    // the fresh-valued let variables in scope, innermost last
+	copied []CopiedLet // what CopiedLets reports
 }
 
 // expr returns the planned form of e: children first (ast.MapChildren
 // copies, so the steps planned below are the planner's own), then the
 // node itself.
 func (p *planner) expr(e ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case ast.Assign:
-		p.assigned[vkey(x.Var)] = true
-	case ast.FLWOR:
-		return p.flwor(x)
+	if f, ok := e.(ast.FLWOR); ok {
+		return p.flwor(f)
 	}
 	switch x := ast.MapChildren(e, p.expr).(type) {
 	case ast.Path:
@@ -193,20 +178,14 @@ func (p *planner) adopts(e ast.Expr) bool {
 // annotations in place.
 func (p *planner) step(s *ast.Step) {
 	var plans []ast.PredPlan
-	varKeyed := false
 	if len(s.Preds) > 0 {
 		plans = make([]ast.PredPlan, len(s.Preds))
 		for i, pr := range s.Preds {
 			plans[i] = p.in.classifyPred(pr)
-			_, isVar := plans[i].Key.(ast.VarRef)
-			varKeyed = varKeyed || isVar
 		}
 	}
 	s.PredPlans = plans
 	s.Access = chooseAccess(s)
-	if varKeyed {
-		p.varKeyed = append(p.varKeyed, s)
-	}
 }
 
 // chooseAccess picks the access method of a step whose predicates are
@@ -219,7 +198,7 @@ func chooseAccess(s *ast.Step) ast.AccessMethod {
 		return ast.AccessScan
 	}
 	if len(s.Preds) > 0 {
-		if idProbe(s) {
+		if isIDCmp(s.PredPlan(0)) {
 			return ast.AccessIndexID
 		}
 		if sel, ok := ftProbePred(s.Preds[0]); ok && ftSelAnswerable(sel) && ftProbeTestOK(s.Test) {
@@ -230,34 +209,6 @@ func chooseAccess(s *ast.Step) ast.AccessMethod {
 		return ast.AccessIndexName
 	}
 	return ast.AccessScan
-}
-
-// idProbe reports whether a descendant step can probe the id map: its
-// first predicate is an attribute comparison of the no-namespace id
-// attribute with a non-empty string literal (IDProbeKey), or with a
-// variable nothing assigns, whose value the runtime reads once per step
-// evaluation and probes for when it is one non-empty string.
-func idProbe(s *ast.Step) bool {
-	if _, ok := IDProbeKey(s); ok {
-		return true
-	}
-	pp := s.PredPlan(0)
-	_, isVar := pp.Key.(ast.VarRef)
-	return isVar && isIDCmp(pp)
-}
-
-// IDProbeKey returns the literal id an AccessIndexID step probes for:
-// its first predicate is an attribute comparison of the no-namespace id
-// attribute with a non-empty string literal (the id map does not
-// record empty id attributes). ok is false for every other step, a
-// variable-keyed id probe among them.
-func IDProbeKey(s *ast.Step) (id string, ok bool) {
-	pp := s.PredPlan(0)
-	if !isIDCmp(pp) {
-		return "", false
-	}
-	lit, ok := pp.Key.(ast.StringLit)
-	return lit.Val, ok && lit.Val != ""
 }
 
 // isIDCmp reports whether a predicate plan is an attribute comparison
@@ -291,8 +242,7 @@ func ProbeName(t ast.NodeTest) (space, local string, ok bool) {
 }
 
 // classifyPred decides how a predicate's stage evaluates it (see
-// ast.PredKind). A variable key is accepted here; whether anything
-// assigns the variable is the caller's to check.
+// ast.PredKind).
 func (in *inference) classifyPred(pred ast.Expr) ast.PredPlan {
 	if in.infer(pred).eff&ast.EffReadsLast != 0 {
 		return ast.PredPlan{Kind: ast.PredSized}
@@ -300,18 +250,19 @@ func (in *inference) classifyPred(pred ast.Expr) ast.PredPlan {
 	if bound, ok := positionalBound(pred); ok {
 		return ast.PredPlan{Kind: ast.PredBounded, Bound: bound}
 	}
-	if pp, ok := attrComparison(pred); ok {
+	if pp, ok := in.attrComparison(pred); ok {
 		return pp
 	}
 	return ast.PredPlan{Kind: ast.PredStream}
 }
 
-// attrComparison recognises @a = K and @a eq K in either operand order.
-// Only these are safe to test natively and to turn into an id probe:
-// against a string or untypedAtomic key the comparison is string
-// equality in both comparison families, it never raises and it never
-// reads the focus position.
-func attrComparison(pred ast.Expr) (ast.PredPlan, bool) {
+// attrComparison recognises @a = K and @a eq K in either operand order,
+// with K step-invariant (stepInvariant). Only these are safe to test
+// natively and to turn into an id probe: against a string or
+// untypedAtomic key the comparison is string equality in both
+// comparison families, it never raises and it never reads the focus
+// position.
+func (in *inference) attrComparison(pred ast.Expr) (ast.PredPlan, bool) {
 	c, ok := pred.(ast.Compare)
 	if !ok {
 		return ast.PredPlan{}, false
@@ -322,32 +273,28 @@ func attrComparison(pred ast.Expr) (ast.PredPlan, bool) {
 	default:
 		return ast.PredPlan{}, false
 	}
-	attr, key := c.L, c.R
-	if !isAttrCmpKey(key) {
-		attr, key = c.R, c.L
+	for _, o := range [2][2]ast.Expr{{c.L, c.R}, {c.R, c.L}} {
+		if attr, ok := attrStep(o[0]); ok && in.stepInvariant(o[1]) {
+			return ast.PredPlan{Kind: ast.PredAttrCmp, Attr: attr, Key: o[1],
+				Value: c.Kind == ast.ValueComp}, true
+		}
 	}
-	p, ok := attr.(ast.Path)
-	if !ok || p.Absolute || len(p.Steps) != 1 || !isAttrCmpKey(key) {
-		return ast.PredPlan{}, false
+	return ast.PredPlan{}, false
+}
+
+// attrStep returns the name a one-step relative path @a selects: a
+// concrete attribute name without predicates.
+func attrStep(e ast.Expr) (dom.QName, bool) {
+	p, ok := e.(ast.Path)
+	if !ok || p.Absolute || len(p.Steps) != 1 {
+		return dom.QName{}, false
 	}
 	s := p.Steps[0]
 	if s.Primary != nil || s.Axis != ast.AxisAttribute || len(s.Preds) != 0 ||
 		!s.Test.IsName || s.Test.AnySpace || s.Test.Name.Local == "*" {
-		return ast.PredPlan{}, false
+		return dom.QName{}, false
 	}
-	return ast.PredPlan{Kind: ast.PredAttrCmp, Attr: s.Test.Name, Key: key,
-		Value: c.Kind == ast.ValueComp}, true
-}
-
-// isAttrCmpKey reports whether e can be the key of an attribute
-// comparison: its value cannot depend on the candidate, and reading it
-// cannot have an effect.
-func isAttrCmpKey(e ast.Expr) bool {
-	switch e.(type) {
-	case ast.StringLit, ast.VarRef:
-		return true
-	}
-	return false
+	return s.Test.Name, true
 }
 
 // positionalBound statically bounds the input positions a predicate can

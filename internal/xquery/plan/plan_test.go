@@ -40,31 +40,50 @@ func lastStepOf(t *testing.T, e ast.Expr) ast.Step {
 
 func TestClassifyPredicates(t *testing.T) {
 	a, pa := dom.Name("a"), dom.QName{Space: "urn:p", Prefix: "p", Local: "a"}
-	str := func(v string) ast.Expr { return ast.StringLit{Val: v} }
-	cmp := func(attr dom.QName, key ast.Expr, value bool) ast.PredPlan {
-		return ast.PredPlan{Kind: ast.PredAttrCmp, Attr: attr, Key: key, Value: value}
+	// A key compares as its source text (ast.Unparse), held in a
+	// StringLit: the text has no source positions.
+	cmp := func(attr dom.QName, key string, value bool) ast.PredPlan {
+		return ast.PredPlan{Kind: ast.PredAttrCmp, Attr: attr, Key: ast.StringLit{Val: key}, Value: value}
 	}
 	stream, sized := ast.PredPlan{Kind: ast.PredStream}, ast.PredPlan{Kind: ast.PredSized}
 	bounded := func(n int64) ast.PredPlan { return ast.PredPlan{Kind: ast.PredBounded, Bound: n} }
-	const prolog = `declare namespace p = "urn:p"; declare variable $v external; `
+	const prolog = `declare namespace p = "urn:p"; declare variable $v external;
+		declare function local:f() { "k" }; `
 	for _, c := range []struct {
 		src  string
 		want []ast.PredPlan
 	}{
-		// The attribute comparison, all four spellings, both key kinds.
-		{`x[@a = "k"]`, []ast.PredPlan{cmp(a, str("k"), false)}},
-		{`x["k" = @a]`, []ast.PredPlan{cmp(a, str("k"), false)}},
-		{`x[@a eq "k"]`, []ast.PredPlan{cmp(a, str("k"), true)}},
-		{`x["k" eq @a]`, []ast.PredPlan{cmp(a, str("k"), true)}},
-		{`x[@a = ""]`, []ast.PredPlan{cmp(a, str(""), false)}},
-		{`x[@p:a = $v]`, []ast.PredPlan{cmp(pa, ast.VarRef{Name: dom.Name("v")}, false)}},
-		{`x[$v eq @a]`, []ast.PredPlan{cmp(a, ast.VarRef{Name: dom.Name("v")}, true)}},
+		// The attribute comparison, all four spellings.
+		{`x[@a = "k"]`, []ast.PredPlan{cmp(a, `"k"`, false)}},
+		{`x["k" = @a]`, []ast.PredPlan{cmp(a, `"k"`, false)}},
+		{`x[@a eq "k"]`, []ast.PredPlan{cmp(a, `"k"`, true)}},
+		{`x["k" eq @a]`, []ast.PredPlan{cmp(a, `"k"`, true)}},
+		{`x[@a = ""]`, []ast.PredPlan{cmp(a, `""`, false)}},
+		{`x[@p:a = $v]`, []ast.PredPlan{cmp(pa, `$v`, false)}},
+		{`x[$v eq @a]`, []ast.PredPlan{cmp(a, `$v`, true)}},
+		// Any key that reads nothing of the candidate, does nothing and
+		// names no assigned variable: what it turns out to be at run
+		// time is the kernel's to check.
+		{`x[@a = 1]`, []ast.PredPlan{cmp(a, `1`, false)}},
+		{`x[@a = ("k", "l")]`, []ast.PredPlan{cmp(a, `("k", "l")`, false)}},
+		{`x[@a = concat("k", $v)]`, []ast.PredPlan{cmp(a, `fn:concat("k", $v)`, false)}},
+		{`x[@a = $v/@id]`, []ast.PredPlan{cmp(a, `$v/attribute::id`, false)}},
+		{`x[string($v) eq @a]`, []ast.PredPlan{cmp(a, `fn:string($v)`, true)}},
+		{`x[@a = ("k" cast as xs:integer)]`, []ast.PredPlan{cmp(a, `"k" cast as xs:integer`, false)}},
+		{`x[@a = ()]`, []ast.PredPlan{cmp(a, `()`, false)}},
+		// A key that reads the candidate, resolves a document, builds a
+		// node or calls what the library does not vouch for stays generic.
+		{`x[@a = string(.)]`, []ast.PredPlan{stream}},
+		{`x[@a = string()]`, []ast.PredPlan{stream}},
+		{`x[@a = position()]`, []ast.PredPlan{stream}},
+		{`x[@a = /r/@k]`, []ast.PredPlan{stream}},
+		{`x[@a = doc("u")/r/@k]`, []ast.PredPlan{stream}},
+		{`x[@a = <k/>]`, []ast.PredPlan{stream}},
+		{`x[@a = local:f()]`, []ast.PredPlan{stream}},
+		{`x[@a = xs:integer("k")]`, []ast.PredPlan{stream}},
 		// Everything else about the comparison's shape stays generic.
 		{`x[@a != "k"]`, []ast.PredPlan{stream}},
 		{`x[@a < "k"]`, []ast.PredPlan{stream}},
-		{`x[@a = 1]`, []ast.PredPlan{stream}},
-		{`x[@a = ("k", "l")]`, []ast.PredPlan{stream}},
-		{`x[@a = concat("k", "")]`, []ast.PredPlan{stream}},
 		{`x[@* = "k"]`, []ast.PredPlan{stream}},
 		{`x[@*:a = "k"]`, []ast.PredPlan{stream}},
 		{`x[@a[1] = "k"]`, []ast.PredPlan{stream}},
@@ -86,15 +105,16 @@ func TestClassifyPredicates(t *testing.T) {
 		{`x[$v]`, []ast.PredPlan{stream}},
 		{`x[last()]`, []ast.PredPlan{sized}},
 		{`x[position() = last() - 1]`, []ast.PredPlan{sized}},
-		{`x[@a = "k"][last()][2]`, []ast.PredPlan{cmp(a, str("k"), false), sized, bounded(2)}},
+		{`x[@a = "k"][last()][2]`, []ast.PredPlan{cmp(a, `"k"`, false), sized, bounded(2)}},
 		// Filter steps are classified like axis steps.
-		{`(x, y)[@a = "k"][1]`, []ast.PredPlan{cmp(a, str("k"), false), bounded(1)}},
+		{`(x, y)[@a = "k"][1]`, []ast.PredPlan{cmp(a, `"k"`, false), bounded(1)}},
 	} {
 		_, body := plannedBody(t, prolog+c.src)
 		got := lastStepOf(t, body).PredPlans
 		for i := range got {
-			if v, ok := got[i].Key.(ast.VarRef); ok {
-				got[i].Key = ast.VarRef{Name: v.Name} // without the source position
+			if got[i].Key != nil {
+				src, _ := ast.Unparse(got[i].Key)
+				got[i].Key = ast.StringLit{Val: src}
 			}
 		}
 		if !reflect.DeepEqual(got, c.want) {
@@ -121,6 +141,11 @@ func TestAssignedVariableKeysStayGeneric(t *testing.T) {
 		  { //x[@a = $k]; }`, ast.PredStream},
 		{`declare variable $k := "1"; declare variable $j := "1"; { set $j := "2"; //x[@a = $k]; }`, ast.PredAttrCmp},
 		{`declare variable $k := "1"; { set $k := "2"; //x[@a = "lit"]; }`, ast.PredAttrCmp},
+		// A computed key is held to the same rule through every variable
+		// it names.
+		{`declare variable $k := "1"; { //x[@a = concat("i", $k)]; }`, ast.PredAttrCmp},
+		{`declare variable $k := "1"; { set $k := "2"; //x[@a = concat("i", $k)]; }`, ast.PredStream},
+		{`declare variable $k := "1"; { set $k := "2"; //x[@a = (for $j in 1 to 2 return $k)]; }`, ast.PredStream},
 	} {
 		_, body := plannedBody(t, c.src)
 		step := lastStepOf(t, body)
@@ -187,7 +212,7 @@ func TestMergeAtPlanTime(t *testing.T) {
 		{`//div[@id]`, []string{"descendant::div"}, ast.AccessIndexName},
 		{`//div[@id = "k"]`, []string{"descendant::div"}, ast.AccessIndexID},
 		{`//div["k" eq @id]`, []string{"descendant::div"}, ast.AccessIndexID},
-		{`//div[@id = ""]`, []string{"descendant::div"}, ast.AccessIndexName},
+		{`//div[@id = ""]`, []string{"descendant::div"}, ast.AccessIndexID}, // "" finds no id: the run probes the names
 		{`//div[@class = "k"]`, []string{"descendant::div"}, ast.AccessIndexName},
 		{`//*[@id = "k"]`, []string{"descendant::*"}, ast.AccessIndexID},
 		{`//div[1]`, []string{"descendant-or-self::node()", "child::div"}, ast.AccessScan},
@@ -277,15 +302,44 @@ for $b in //book[@year = $v] where $b/@id = "b2" return $b`)
 	// Pushed first, an id comparison upgrades the step to an id probe.
 	_, body = plannedBody(t, `for $b in //book where $b/@id = "b2" return $b`)
 	step = lastStepOf(t, Optimize(body, nil).(ast.FLWOR).Clauses[0].In)
-	if id, ok := IDProbeKey(&step); step.Access != ast.AccessIndexID || !ok || id != "b2" {
-		t.Errorf("access = %v, id probe key = %q (%v)", step.Access, id, ok)
+	pp := step.PredPlan(0)
+	if key, ok := pp.Key.(ast.StringLit); step.Access != ast.AccessIndexID || pp.Kind != ast.PredAttrCmp ||
+		pp.Attr != dom.Name("id") || !ok || key.Val != "b2" {
+		t.Errorf("access = %v, first predicate plan %+v", step.Access, pp)
 	}
 
-	// A pushed variable key stays generic: the optimizer sees one unit.
-	_, body = plannedBody(t, `declare variable $v external; for $b in //book where $b/@id = $v return $b`)
+	// A pushed variable key stays generic where no module is in sight:
+	// every variable then counts as assigned.
+	const pushedVar = `declare variable $v external; for $b in //book where $b/@id = $v return $b`
+	_, body = plannedBody(t, pushedVar)
 	step = lastStepOf(t, Optimize(body, nil).(ast.FLWOR).Clauses[0].In)
 	if len(step.Preds) != 1 || step.PredPlan(0).Kind != ast.PredStream {
 		t.Errorf("pushed variable key: plans %+v", step.PredPlans)
+	}
+
+	// Prepared with its module, the same key is one the module never
+	// assigns, and a computed one reads nothing of the candidate: both
+	// probe the id map; an assigned one stays generic.
+	for _, c := range []struct {
+		src    string
+		kind   ast.PredKind
+		access ast.AccessMethod
+	}{
+		{pushedVar, ast.PredAttrCmp, ast.AccessIndexID},
+		{`declare variable $v external; for $b in //book where $b/@id = concat("b", $v) return $b`,
+			ast.PredAttrCmp, ast.AccessIndexID},
+		{`declare variable $v external; declare function local:f() { $v := "b1" };
+		  for $b in //book where $b/@id = $v return $b`, ast.PredStream, ast.AccessIndexName},
+	} {
+		m, err := parser.ParseModule(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Prepare(m)
+		step = lastStepOf(t, m.Optimized.(ast.FLWOR).Clauses[0].In)
+		if pp := step.PredPlan(0); len(step.Preds) != 1 || pp.Kind != c.kind || step.Access != c.access {
+			t.Errorf("%s: prepared: access %v, plans %+v", c.src, step.Access, step.PredPlans)
+		}
 	}
 }
 

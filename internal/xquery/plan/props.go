@@ -36,6 +36,11 @@ const (
 	// reads a focus of its own, and position and last are matched by
 	// mention; its scripting shows as EffScriptedCall.
 	calleeSees = ^(ast.EffScripting | ast.EffReadsFocus | ast.EffReadsPosition | ast.EffReadsLast)
+	// stepVariant keeps an expression from keying a step (stepInvariant):
+	// its value could differ between two candidates of one step
+	// evaluation, or reading it once could do what reading it per
+	// candidate would not.
+	stepVariant = unmovable | ast.EffResolves | ast.EffReadsFocus | ast.EffReadsPosition | ast.EffReadsLast
 )
 
 // props is the record of one expression.
@@ -83,8 +88,11 @@ type inference struct {
 	fns   []ast.FuncDecl
 	recs  []funcProps            // one per declaration
 	funcs map[funcKey]*funcProps // into recs; nil: no module in sight, every call off the library is opaque
-	kids  []props                // scratch: the children of the expressions being inferred
-	buf   [16]props              // kids' first backing: most modules need no more
+	// assigned holds the vkey of every variable an Assign of the module
+	// targets; nil: no module in sight, every variable counts as assigned.
+	assigned map[string]bool
+	kids     []props   // scratch: the children of the expressions being inferred
+	buf      [16]props // kids' first backing: most modules need no more
 	// The fixpoint's stacks: records whose component is not solved yet,
 	// and the records whose bodies are being inferred, innermost last.
 	stack, active []*funcProps
@@ -99,9 +107,10 @@ type inference struct {
 // being solved is inferred once, and a recursive component until its
 // records stop changing. A name and arity declared more than once is
 // judged on all its declarations and is never fresh (the registry
-// resolves it to the last one).
+// resolves it to the last one). The variables the module assigns are
+// collected in one walk, here.
 func newInference(m *ast.Module) *inference {
-	in := &inference{fns: m.Prolog.Functions}
+	in := &inference{fns: m.Prolog.Functions, assigned: assignedVars(m)}
 	if len(in.fns) == 0 {
 		return in // most ad-hoc queries: nothing to look up
 	}
@@ -119,6 +128,26 @@ func newInference(m *ast.Module) *inference {
 }
 
 func declKey(d *ast.FuncDecl) funcKey { return funcKey{d.Name.Space, d.Name.Local, len(d.Params)} }
+
+// assignedVars returns the vkey set of the variables m's Assigns target.
+func assignedVars(m *ast.Module) map[string]bool {
+	set := map[string]bool{}
+	var walk func(ast.Expr)
+	walk = func(e ast.Expr) {
+		if a, ok := e.(ast.Assign); ok {
+			set[vkey(a.Var)] = true
+		}
+		ast.EachChild(e, walk)
+	}
+	for _, v := range m.Prolog.Vars {
+		walk(v.Init)
+	}
+	for _, f := range m.Prolog.Functions {
+		walk(f.Body)
+	}
+	walk(m.Body)
+	return set
+}
 
 // solveAll solves every record, which fills in every body's effects.
 func (in *inference) solveAll() {
@@ -350,3 +379,15 @@ func (in *inference) infer(e ast.Expr) props {
 
 // pure reports whether the optimizer may move, memoise or join-build e.
 func (in *inference) pure(e ast.Expr) bool { return in.infer(e).eff&unmovable == 0 }
+
+// stepInvariant reports whether k may key a step's attribute comparison
+// (ast.PredAttrCmp): read once per step evaluation, it has the value it
+// would have for every candidate. Its record has no bit of the
+// stepVariant column, and it mentions no variable the module assigns,
+// whose value a statement between two candidates could change.
+func (in *inference) stepInvariant(k ast.Expr) bool {
+	return in.infer(k).eff&stepVariant == 0 && !contains(k, func(x ast.Expr) bool {
+		v, ok := x.(ast.VarRef)
+		return ok && (in.assigned == nil || in.assigned[vkey(v.Name)])
+	})
+}

@@ -7,22 +7,23 @@ import (
 )
 
 // This file is the native kernel for the predicate shape the planner
-// classifies as ast.PredAttrCmp — [@a = K] and [@a eq K] with K a
-// string literal or a never-assigned variable. It is sound because it
-// only ever runs when K is one or more xs:string/xs:untypedAtomic
-// atoms (exactly one for eq): against such a key both comparison
-// families are plain string equality with the attribute's value, which
-// never raises and never reads the focus position. For every other key
-// the stage hands its stream, untouched, to the generic predIter, which
-// stays the only definition of predicate semantics. Context.NoIndex —
-// "ignore the planner's access annotations", the differential tests'
-// oracle — switches the kernel off with the index probes.
+// classifies as ast.PredAttrCmp — [@a = K] and [@a eq K] with K
+// step-invariant, so one read per step evaluation is as good as one per
+// candidate. It is sound because it only ever runs when K is one or
+// more xs:string/xs:untypedAtomic atoms (exactly one for eq): against
+// such a key both comparison families are plain string equality with
+// the attribute's value, which never raises and never reads the focus
+// position. For every other key the stage hands its stream, untouched,
+// to the generic predIter, which stays the only definition of predicate
+// semantics. Context.NoIndex — "ignore the planner's access
+// annotations", the differential tests' oracle — switches the kernel
+// off with the index probes.
 
 // stepKeys are the key slots of one evaluation of a step, index-aligned
 // with its predicates and shared by all its focus nodes: K is evaluated
-// at the first candidate that reaches the predicate's stage (or, for a
-// variable-keyed id probe, when the probe needs it) and not again. nil
-// means no predicate of the step runs natively.
+// at the first candidate that reaches the predicate's stage (or, for an
+// id probe, when the probe needs it) and not again. nil means no
+// predicate of the step runs natively.
 type stepKeys []attrKey
 
 // attrKey is one attribute-comparison predicate's key for one step
@@ -48,8 +49,8 @@ func (ctx *Context) newStepKeys(step *ast.Step) stepKeys {
 	return nil
 }
 
-// load evaluates K — a literal or a variable, so the outer focus ctx
-// carries is as good as any candidate's — and decides who compares.
+// load evaluates K — step-invariant, so the outer focus ctx carries is
+// as good as any candidate's — and decides who compares.
 // An evaluation error leaves the decision to the generic stage, which
 // raises it the way it always did.
 func (k *attrKey) load(ctx *Context, pp *ast.PredPlan) {
@@ -72,12 +73,12 @@ func (k *attrKey) load(ctx *Context, pp *ast.PredPlan) {
 	k.vals = vals
 }
 
-// varID returns the id a variable-keyed AccessIndexID step probes for:
-// the value of its first predicate's key, read through the predicate's
-// slot, when that is exactly one non-empty string (the id map does not
-// record empty ids). ok is false for any other value — (), two items,
-// a number — and when the step has no slots.
-func (keys stepKeys) varID(ctx *Context, step *ast.Step) (id string, ok bool) {
+// id returns the id an AccessIndexID step probes for: the value of its
+// first predicate's key, read through the predicate's slot, when that
+// is exactly one non-empty string (the id map does not record empty
+// ids). ok is false for any other value — (), two items, a number, an
+// error — and when the step has no slots.
+func (keys stepKeys) id(ctx *Context, step *ast.Step) (id string, ok bool) {
 	if len(keys) == 0 {
 		return "", false
 	}

@@ -48,8 +48,8 @@ func readIndex[D any](ctx *Context, n *dom.Node,
 // same set and order the scan's walk-plus-node-test would produce for a
 // name probe, and a subset the re-applied node test and predicates
 // reduce to the same result for an id probe. keys are the step
-// evaluation's key slots (newStepKeys), through which a variable id
-// key is read once.
+// evaluation's key slots (newStepKeys), through which an id key is
+// read once.
 func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step, keys stepKeys) ([]*dom.Node, bool) {
 	if ctx.NoIndex || step.Primary != nil || step.Access == ast.AccessScan {
 		return nil, false
@@ -59,17 +59,14 @@ func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step, keys stepKeys) ([]*d
 	case ast.AccessFT:
 		return ctx.probeFTIndex(n, step, orSelf)
 	case ast.AccessIndexID:
-		id, ok := plan.IDProbeKey(step)
-		if !ok {
-			id, ok = keys.varID(ctx, step)
+		if !hasCandidate(n, step, orSelf) {
+			return ctx.indexHit(nil) // no candidate: the scan never reads the key, nor does the probe
 		}
-		if !ok {
-			// A variable key that is not one non-empty string: the
-			// candidates are the ones a scan would visit, so the
-			// predicate stage keeps its errors and its matches.
+		id, ok := keys.id(ctx, step)
+		switch {
+		case !ok: // not one non-empty string: the scan's candidates keep its errors and matches
 			return ctx.probeNames(n, step, orSelf)
-		}
-		if !ctx.UsesIDMap(n) {
+		case !ctx.UsesIDMap(n):
 			return nil, false
 		}
 		return ctx.indexHit(n.AppendByID(nil, id, orSelf))
@@ -77,6 +74,22 @@ func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step, keys stepKeys) ([]*d
 		return ctx.probeNames(n, step, orSelf)
 	}
 	return nil, false
+}
+
+// hasCandidate reports whether an AccessIndexID step has a node in n's
+// subtree that passes its node test — the node at which a scan first
+// reads the key — from a current path index, which it never builds, or
+// by a walk to the first such node.
+func hasCandidate(n *dom.Node, step *ast.Step, orSelf bool) bool {
+	space, local, named := plan.ProbeName(step.Test)
+	if idx := index.Fresh(n); named && idx != nil {
+		if cand, ok := idx.DescendantsByName(n, space, local, orSelf); ok {
+			return len(cand) > 0
+		}
+	}
+	return !n.Walk(func(c *dom.Node) bool {
+		return c == n && !orSelf || !matchNodeTest(c, step.Test, step.Axis)
+	})
 }
 
 // probeNames answers a step's candidates from the path index: the

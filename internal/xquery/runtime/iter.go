@@ -569,9 +569,10 @@ func newAxisWalker(n *dom.Node, axis ast.Axis) axisWalker {
 
 // siblings returns the children of n's parent before and after n, from
 // the one index package dom finds for n (none for an attribute or a
-// detached node).
+// detached node), which labels the tree once lookups repeat at one
+// version of it.
 func siblings(n *dom.Node) (before, after []*dom.Node) {
-	i := n.ChildIndex()
+	i := n.SiblingIndex()
 	if i < 0 {
 		return nil, nil
 	}

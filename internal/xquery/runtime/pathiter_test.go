@@ -53,12 +53,29 @@ var pathIterCorpus = []string{
 }
 
 // pathIterVarCorpus reads $v as a path's primary and as an attribute
-// comparison's key; pathIterVarBindings are what it is bound to.
+// comparison's key, bare and computed; pathIterVarBindings are what it
+// is bound to. $s is bound to "n3" and assigned by the prolog's
+// function (varPrologue), so a key naming it stays generic.
 var pathIterVarCorpus = []string{
 	`$v/b`, `$v//c`, `$v/..`, `$v/@k`, `$v/b/@k`, `$v//a/b`, `$v[@k = "1"]/b`, `$v/self::a//b`,
 	`$v/following-sibling::*[1]`, `$v//*[@id = "n3"]/b`, `$v/b[last()]`, `$v/string()`,
 	`//a[@id = $v]`, `//*[@id = $v]/b`, `//*[@id eq $v]`, `//b[@k = $v]/..`, `$v//*[@id = $v]`,
 	`//c[$v = @id]//a`, `/descendant-or-self::*[@id = $v][1]`,
+	// Computed keys: read once per step evaluation where they read
+	// nothing of the candidate, generic where they do.
+	`//a[@id = concat("n", $v)]`, `//*[@id = $v/@id]/b`, `//*[@id = string($v)]`, `//*[@k = 1 + 1]`,
+	`//a[@id = ()]`, `//*[@k eq ($v, "1")]`, `//a[@k = xs:integer("x")]`, `//b[@k = ("x" cast as xs:integer)]`,
+	`//a[@k = string(.)]`, `//*[@id = string(@id)]/b`, `//*[@id = $s]/b`, `//*[@id = concat($s, "")]`,
+}
+
+// varPrologue declares $v and $s, and a function that assigns $s.
+const varPrologue = `declare variable $v external; declare variable $s external;
+	declare sequential function local:set() { set $s := "n1"; }; `
+
+// bindVars binds $v to v and $s to "n3".
+func bindVars(ctx *runtime.Context, v xdm.Sequence) {
+	ctx.Bind(dom.Name("v"), v)
+	ctx.Bind(dom.Name("s"), xdm.Sequence{xdm.String("n3")})
 }
 
 // pathIterVarBindings are evaluated over each document: no node, one
@@ -208,7 +225,7 @@ func TestPathIterMatchesPerStep(t *testing.T) {
 func TestPathIterMatchesPerStepWithVariables(t *testing.T) {
 	docs := pathIterDocs(t)
 	for _, q := range pathIterVarCorpus {
-		prog, path, ok := compilePath(t, "declare variable $v external; ", q)
+		prog, path, ok := compilePath(t, varPrologue, q)
 		if !ok {
 			t.Fatalf("%q: not a path", q)
 		}
@@ -218,7 +235,7 @@ func TestPathIterMatchesPerStepWithVariables(t *testing.T) {
 				diff := matchPerStep(path, func(noIndex bool) *runtime.Context {
 					ctx := runtime.NewContext(prog)
 					ctx.Item, ctx.Pos, ctx.Size, ctx.NoIndex = doc, 1, 1, noIndex
-					ctx.Bind(dom.Name("v"), v)
+					bindVars(ctx, v)
 					return ctx
 				})
 				if diff != "" {
@@ -259,7 +276,9 @@ var (
 		`following::`, `preceding::`, ``, `/`}
 	fuzzTests = []string{`a`, `b`, `c`, `*`, `node()`, `text()`, `k`, `id`}
 	fuzzPreds = []string{`[1]`, `[2]`, `[last()]`, `[@k = "1"]`, `[@id = $v]`, `[@id = "n3"]`,
-		`[position() < 3]`, `[b]`, `[@k eq $v]`, `[$v = @id]`, `[. = "t"]`}
+		`[position() < 3]`, `[b]`, `[@k eq $v]`, `[$v = @id]`, `[. = "t"]`,
+		`[@id = concat("n", $v)]`, `[@id = $v/@id]`, `[@id = string($v)]`, `[@k = 1 + 1]`, `[@id = ()]`,
+		`[@k eq ($v, "1")]`, `[@k = xs:integer("x")]`, `[@k = string(.)]`, `[@id = $s]`, `[@id = string(@id)]`}
 	fuzzLast = []string{`string()`, `name()`, `(b, 1)`, `..`, `position()`, `last()`, `(position(), last())`}
 )
 
@@ -293,17 +312,53 @@ func fuzzPath(shape []byte) string {
 	return b.String()
 }
 
+// fuzzSeeds are FuzzPathStreamsLikePerStep's seed corpus: between them
+// they spell every predicate of fuzzPreds (TestFuzzSeedsSpellEveryPredicate).
+var fuzzSeeds = []struct {
+	seed  int64
+	shape []byte
+}{
+	{1, []byte{3, 0, 1, 0, 1, 0}},           // (//a)[1]/child::b
+	{2, []byte{2, 0, 1, 1, 1, 1, 4}},        // $v/descendant::b[@id = $v]
+	{3, []byte{10, 1, 0, 0, 0, 1, 5, 3, 0}}, // //a[@id = $v]/child::a/parent::*
+	{4, []byte{5, 1, 13, 0, 0, 1, 0, 1, 0}}, // (/r)//a/child::b
+	{5, []byte{1, 0, 1, 1, 0, 2, 0, 1}},     // descendant::a[1][2]
+	{6, []byte{1, 0, 1, 1, 3, 2, 2, 3}},     // descendant::*[last()][@k = "1"]
+	{7, []byte{1, 0, 1, 1, 3, 2, 6, 7}},     // descendant::*[position() < 3][b]
+	{8, []byte{1, 0, 1, 1, 3, 2, 8, 9}},     // descendant::*[@k eq $v][$v = @id]
+	{9, []byte{1, 0, 1, 1, 3, 2, 10, 11}},   // descendant::*[. = "t"][@id = concat("n", $v)]
+	{10, []byte{1, 0, 1, 1, 0, 2, 12, 13}},  // descendant::a[@id = $v/@id][@id = string($v)]
+	{11, []byte{1, 0, 1, 1, 3, 2, 14, 15}},  // descendant::*[@k = 1 + 1][@id = ()]
+	{12, []byte{1, 0, 1, 1, 3, 2, 16, 17}},  // descendant::*[@k eq ($v, "1")][@k = xs:integer("x")]
+	{13, []byte{1, 0, 1, 1, 0, 2, 18, 19}},  // descendant::a[@k = string(.)][@id = $s]
+	{14, []byte{1, 0, 1, 1, 3, 2, 5, 0}},    // descendant::*[@id = "n3"][1]
+	{15, []byte{1, 0, 1, 1, 3, 1, 20}},      // descendant::*[@id = string(@id)]
+}
+
+// TestFuzzSeedsSpellEveryPredicate: make fuzz-smoke starts from every
+// predicate shape the grammar has, computed keys included.
+func TestFuzzSeedsSpellEveryPredicate(t *testing.T) {
+	var paths []string
+	for _, s := range fuzzSeeds {
+		paths = append(paths, fuzzPath(s.shape))
+	}
+	for _, p := range fuzzPreds {
+		if !slices.ContainsFunc(paths, func(q string) bool { return strings.Contains(q, p) }) {
+			t.Errorf("no seed spells %s: %q", p, paths)
+		}
+	}
+}
+
 // FuzzPathStreamsLikePerStep holds a random path of the corpus grammar,
 // with $v bound to one of pathIterVarBindings, to the per-step
 // reference over a pathIterDoc tree (see matchPerStep).
 func FuzzPathStreamsLikePerStep(f *testing.F) {
-	f.Add(int64(1), []byte{3, 0, 1, 0, 1, 0})           // (//a)[1]/child::b
-	f.Add(int64(2), []byte{2, 0, 1, 1, 1, 1, 4})        // $v/descendant::b[@id = $v]
-	f.Add(int64(3), []byte{10, 1, 0, 0, 0, 1, 5, 3, 0}) // //a[@id = $v]/child::a/parent::*
-	f.Add(int64(4), []byte{5, 1, 13, 0, 0, 1, 0, 1, 0}) // (/r)//a/child::b
+	for _, s := range fuzzSeeds {
+		f.Add(s.seed, s.shape)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
 		q := fuzzPath(shape)
-		prog, path, ok := compilePath(t, "declare variable $v external; ", q)
+		prog, path, ok := compilePath(t, varPrologue, q)
 		if !ok {
 			t.Skip()
 		}
@@ -318,7 +373,7 @@ func FuzzPathStreamsLikePerStep(f *testing.F) {
 		diff := matchPerStep(path, func(noIndex bool) *runtime.Context {
 			ctx := runtime.NewContext(prog)
 			ctx.Item, ctx.Pos, ctx.Size, ctx.NoIndex = doc, 1, 1, noIndex
-			ctx.Bind(dom.Name("v"), v)
+			bindVars(ctx, v)
 			return ctx
 		})
 		if diff != "" {

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dom"
 	"repro/internal/markup"
 	"repro/internal/xdm"
 	"repro/internal/xquery/lexer"
+	xqruntime "repro/internal/xquery/runtime"
 )
 
 // raceEnabled is set under -race (race_test.go), where timings say
@@ -18,28 +20,39 @@ import (
 var raceEnabled bool
 
 // scalingRows are the shapes of the scaling gate. Each row's prepare
-// builds its input at size n and returns the work to time. None of the
-// rows has a deterministic count that grows with the cost it guards
-// (the sibling lookups, the pending-list checks and the newlines
-// counted all run inside calls no counter sees), so every row times
-// its work and skips under -race.
+// builds its input at size n and returns the work to time; a row whose
+// cost shows in a deterministic count returns that count instead
+// (count), which cannot flake and also runs under -race. The sibling
+// lookups, the pending-list checks and the newlines counted run inside
+// calls no counter sees, so those rows time their work.
 var scalingRows = []struct {
 	name    string
 	n       int
-	prepare func(tb testing.TB, n int) func() error
+	prepare func(tb testing.TB, n int) func() error // timed, best of three; skipped under -race
+	count   func(tb testing.TB, n int) int64
 }{
-	{"preceding-sibling::x[1]", 250, flatPageQuery(`count(//x[preceding-sibling::x[1]/@k = "3"])`)},
-	{"following-sibling::x[1]", 250, flatPageQuery(`count(//x[following-sibling::x[1]/@k = "3"])`)},
-	{"following::x[1] (control)", 250, flatPageQuery(`count(//x[following::x[1]/@k = "3"])`)},
-	{"copy-modify renaming n nodes", 2000, func(tb testing.TB, n int) func() error {
-		p := New().MustCompile(fmt.Sprintf(`copy $c := <r>{for $i in 1 to %d return <x/>}</r>
-			modify (for $x in $c/x return rename node $x as "y") return count($c/y)`, n))
+	{name: "preceding-sibling::x[1]", n: 250, prepare: flatPageQuery(`count(//x[preceding-sibling::x[1]/@k = "3"])`, false)},
+	{name: "following-sibling::x[1]", n: 250, prepare: flatPageQuery(`count(//x[following-sibling::x[1]/@k = "3"])`, false)},
+	{name: "following::x[1] (control)", n: 250, prepare: flatPageQuery(`count(//x[following::x[1]/@k = "3"])`, false)},
+	// Without indexes nothing else labels the page: the walkers must.
+	{name: "preceding-sibling::x[1], indexes off", n: 4000,
+		prepare: flatPageQuery(`count(//x[preceding-sibling::x[1]/@k = "3"])`, true)},
+	{name: "following-sibling::x[1], indexes off", n: 4000,
+		prepare: flatPageQuery(`count(//x[following-sibling::x[1]/@k = "3"])`, true)},
+	// One sibling step after each mutation: a scan of one short child
+	// list, not a relabel of the whole page per step.
+	{name: "mutate then one sibling step, n times", n: 1000, prepare: func(tb testing.TB, n int) func() error {
+		p := New().MustCompile(fmt.Sprintf(`{ declare variable $page := <r>{for $i in 1 to %d return <s><x/><x/></s>}</r>;
+			for $s in $page/s return { insert node <y/> into $s; count($s/x[1]/following-sibling::*[1]) } }`, n))
 		return func() error {
 			_, err := p.Run(RunConfig{})
 			return err
 		}
 	}},
-	{"lexer Line/Col over a long module", 2000, func(tb testing.TB, n int) func() error {
+	{name: "<w>{//x}</w>", n: 1000, prepare: flatPageQuery(`count(<w>{//x}</w>/x)`, false)},
+	{name: "copy-modify renaming n nodes", n: 2000, prepare: copyModify(`rename node $x as "y"`)},
+	{name: "copy-modify inserting into n nodes", n: 2000, prepare: copyModify(`insert node <y/> into $x`)},
+	{name: "lexer Line/Col over a long module", n: 2000, prepare: func(tb testing.TB, n int) func() error {
 		src := strings.Repeat("declare variable $v := (1, \"a\");\n", n) + "$v"
 		return func() error {
 			l := lexer.New(src)
@@ -48,43 +61,91 @@ var scalingRows = []struct {
 			return l.Err()
 		}
 	}},
-}
-
-// flatPageQuery runs q over a page of n sibling x elements.
-func flatPageQuery(q string) func(tb testing.TB, n int) func() error {
-	return func(tb testing.TB, n int) func() error {
-		var b strings.Builder
-		b.WriteString("<r>")
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(&b, `<x k="%d"/>`, i%10)
-		}
-		b.WriteString("</r>")
-		d, err := markup.Parse(b.String())
+	// A computed key reads nothing of the candidate, so it is read once
+	// per step evaluation and probes the id map: one concat per step,
+	// not one per element of the page.
+	{name: "n/5 computed id keys over n elements (FuncCall evaluations)", n: 1000, count: func(tb testing.TB, n int) int64 {
+		prof := xqruntime.NewProfiler()
+		q := fmt.Sprintf(`count(for $i in 1 to %d return //x[@id = concat("i", $i)])`, n/5)
+		res, err := New().MustCompile(q).Run(RunConfig{ContextItem: xdm.NewNode(flatPage(tb, n)), Profiler: prof})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		p := New().MustCompile(q)
+		if got := FormatSequence(res.Value, nil); got != fmt.Sprint(n/5) {
+			tb.Fatalf("%s = %s, want %d", q, got, n/5)
+		}
+		for _, e := range prof.Entries() {
+			if e.Kind == "FuncCall" {
+				return e.Count
+			}
+		}
+		return 0
+	}},
+}
+
+// flatPage parses a page of n sibling x elements with distinct ids.
+func flatPage(tb testing.TB, n int) *dom.Node {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<x id="i%d" k="%d"/>`, i, i%10)
+	}
+	b.WriteString("</r>")
+	d, err := markup.Parse(b.String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// flatPageQuery runs q over a flat page, with the indexes on or off.
+func flatPageQuery(q string, noIndex bool) func(tb testing.TB, n int) func() error {
+	return func(tb testing.TB, n int) func() error {
+		d, p := flatPage(tb, n), New().MustCompile(q)
 		return func() error {
-			_, err := p.Run(RunConfig{ContextItem: xdm.NewNode(d)})
+			_, err := p.Run(RunConfig{ContextItem: xdm.NewNode(d), DisableIndexes: noIndex})
 			return err
 		}
 	}
 }
 
-// TestScalingGate runs every row at n and 8n, the best of three
-// timings each, and fails a row whose time grows by more than 24×:
-// n log n reads about 11 at these sizes, quadratic 64.
-func TestScalingGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("timing rows skip under -race")
-	}
-	for _, r := range scalingRows {
-		small, large := bestOf3(t, r.prepare(t, r.n)), bestOf3(t, r.prepare(t, 8*r.n))
-		ratio := float64(large) / float64(small)
-		t.Logf("%s: %v at %d, %v at %d, ×%.1f", r.name, small, r.n, large, 8*r.n, ratio)
-		if ratio > 24 {
-			t.Errorf("%s grows ×%.1f from %d to %d (%v → %v); the gate allows ×24", r.name, ratio, r.n, 8*r.n, small, large)
+// copyModify applies update, over $x, to each of n children of a copy.
+func copyModify(update string) func(tb testing.TB, n int) func() error {
+	return func(tb testing.TB, n int) func() error {
+		p := New().MustCompile(fmt.Sprintf(`copy $c := <r>{for $i in 1 to %d return <x/>}</r>
+			modify (for $x in $c/x return %s) return count($c/*)`, n, update))
+		return func() error {
+			_, err := p.Run(RunConfig{})
+			return err
 		}
+	}
+}
+
+// TestScalingGate runs every row at n and 8n and fails a row whose
+// cost grows by more than 24×: n log n reads about 11 at these sizes,
+// quadratic 64. A timed row takes the best of three timings each.
+func TestScalingGate(t *testing.T) {
+	for _, r := range scalingRows {
+		t.Run(r.name, func(t *testing.T) {
+			var small, large float64
+			switch {
+			case r.count != nil:
+				small, large = float64(r.count(t, r.n)), float64(r.count(t, 8*r.n))
+			case raceEnabled:
+				t.Skip("timing rows skip under -race")
+			default:
+				small, large = float64(bestOf3(t, r.prepare(t, r.n))), float64(bestOf3(t, r.prepare(t, 8*r.n)))
+			}
+			show := func(v float64) any { return time.Duration(v) }
+			if r.count != nil {
+				show = func(v float64) any { return int64(v) }
+			}
+			ratio := large / small
+			t.Logf("%v at %d, %v at %d, ×%.1f", show(small), r.n, show(large), 8*r.n, ratio)
+			if ratio > 24 {
+				t.Errorf("grows ×%.1f from %d to %d (%v → %v); the gate allows ×24", ratio, r.n, 8*r.n, show(small), show(large))
+			}
+		})
 	}
 }
 

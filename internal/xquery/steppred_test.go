@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -140,6 +141,32 @@ var stepPredVarQueries = []string{
 	`count(//x/nosuch[@a = $v])`,
 }
 
+// stepPredComputedKeys are keys computed from $v and from $c, the
+// document element (a="1"): the planner takes every one that reads
+// nothing of the candidate, does nothing and names no assigned
+// variable, and the kernel hands what is not strings to the generic
+// stage — a number, (), two items under eq, an error. string(.) reads
+// the candidate and $s is assigned (stepPredComputedPrologue), so both
+// stay generic.
+var stepPredComputedKeys = []string{
+	`concat("", $v)`, `$c/@a`, `string($v)`, `1 + 1`, `()`, `("0", "2")`, `xs:integer("x")`,
+	`("x" cast as xs:integer)`, `string(.)`, `$s`, `concat($s, "")`,
+}
+
+// stepPredComputedQueries are the shapes each computed key K is tried
+// in: both operand orders and both comparison families, a child step,
+// a step with a second predicate and a pushed-down where conjunct.
+var stepPredComputedQueries = []string{
+	`//x[@a = K]/@n/string()`,
+	`//x[K eq @a]/@n/string()`,
+	`count(//x/x[@a = K])`,
+	`//x[@a = K][last()]/@n/string()`,
+	`for $e in //x where $e/@a = K return string($e/@n)`,
+}
+
+const stepPredComputedPrologue = `declare variable $v external; declare variable $c external;
+	declare variable $s := "1"; declare sequential function local:set() { set $s := "2"; }; `
+
 // stepPredLiteralQueries have their key in the text.
 var stepPredLiteralQueries = []string{
 	`//x[@a = "1"]/@n/string()`,
@@ -210,6 +237,24 @@ func TestStepPredDifferential(t *testing.T) {
 			}
 			for di, src := range docs {
 				runStepPred(t, fmt.Sprintf("%q $v=%s doc %d", q, k.name, di), p, src, vars)
+			}
+		}
+	}
+	for _, key := range stepPredComputedKeys {
+		for _, shape := range stepPredComputedQueries {
+			q := strings.ReplaceAll(shape, "K", key)
+			p, err := e.Compile(prolog + stepPredComputedPrologue + q)
+			if err != nil {
+				t.Fatalf("%q: compile: %v", q, err)
+			}
+			for _, k := range stepPredKeys {
+				vars := func(doc *dom.Node) map[dom.QName]xdm.Sequence {
+					return map[dom.QName]xdm.Sequence{dom.Name("v"): k.val(doc),
+						dom.Name("c"): {xdm.NewNode(doc.DocumentElement())}}
+				}
+				for di, src := range docs {
+					runStepPred(t, fmt.Sprintf("%q $v=%s doc %d", q, k.name, di), p, src, vars)
+				}
 			}
 		}
 	}
@@ -342,13 +387,58 @@ func TestStepPredKernelRuns(t *testing.T) {
 		{`count(//g/x[@a = $v])`, xdm.String("1"), false, 1, 0}, // ten focus nodes, one read
 		{`count(//g/x[@a eq $v])`, xdm.UntypedAtomic("1"), false, 1, 0},
 		{`count(//nosuch[@a = $v])`, xdm.String("1"), false, 0, 0},
+		{`count(//nosuch[@id = $v])`, xdm.String("1"), false, 0, 0}, // an id probe waits for a candidate too
+		{`count(//x//*[@id = $v])`, xdm.String("1"), false, 0, 0},
+		{`count(//x[@id = $v])`, xdm.String("1"), false, 1, 0},
 		{`count(//x[@a = $v])`, xdm.Integer(1), false, 51, 50}, // the kernel's read, then the generic stage's
 		{`count(//x[@a = $v])`, xdm.String("1"), true, 50, 50},
+		// A computed key is read like a bare one; one that reads the
+		// candidate is not a key.
+		{`count(//g/x[@a = concat("", $v)])`, xdm.String("1"), false, 1, 0},
+		{`count(//x[@a = concat("", $v)])`, xdm.String("1"), true, 50, 50},
+		{`count(//x[@a = concat(string(.), $v)])`, xdm.String("1"), false, 50, 50},
 	} {
 		varRefs, compares := counts(c.q, c.key, c.noIndex)
 		if varRefs != c.varRefs || compares != c.compares {
 			t.Errorf("%q $v=%v noIndex=%v: %d VarRef and %d Compare evaluations, want %d and %d",
 				c.q, c.key, c.noIndex, varRefs, compares, c.varRefs, c.compares)
+		}
+	}
+}
+
+// TestStepPredKeyWaitsForACandidate: a scan reads the key at the
+// step's first candidate, so a costly key over a step that selects
+// nothing costs nothing — with an id probe too — and under a budget
+// the planned run fails exactly where the scan does.
+func TestStepPredKeyWaitsForACandidate(t *testing.T) {
+	e := New()
+	const src = `<r><x id="a"/><x id="b"/><y/></r>`
+	for _, c := range []struct{ q, want string }{
+		{`(count(//nosuch[@id = string(count(1 to 5000))]), count(//x), count(//y))`, "0 2 1"},
+		{`count(//nosuch[@id = string(count(1 to 5000))])`, "0"},
+		{`count(//y//*[@id = string(count(1 to 5000))])`, "0"},
+		{`count(//nosuch[@a = string(count(1 to 5000))])`, "0"},
+		{`count(//x[@id = string(count(1 to 5000))])`, ""}, // a candidate: the key's cost is the scan's
+	} {
+		p, err := e.Compile(c.q)
+		if err != nil {
+			t.Fatalf("%q: compile: %v", c.q, err)
+		}
+		for _, noIndex := range []bool{false, true} {
+			doc, err := markup.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), MaxSteps: 1000, DisableIndexes: noIndex})
+			switch {
+			case c.want == "" && !errors.Is(err, ErrBudgetExceeded):
+				t.Errorf("%q noIndex=%v under MaxSteps 1000: error %v, want the budget's", c.q, noIndex, err)
+			case c.want == "":
+			case err != nil:
+				t.Errorf("%q noIndex=%v under MaxSteps 1000: %v, want %s", c.q, noIndex, err, c.want)
+			case FormatSequence(res.Value, nil) != c.want:
+				t.Errorf("%q noIndex=%v under MaxSteps 1000 = %s, want %s", c.q, noIndex, FormatSequence(res.Value, nil), c.want)
+			}
 		}
 	}
 }
