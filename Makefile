@@ -130,13 +130,16 @@ bench-e2e-smoke:
 # Ten seconds of coverage-guided fuzzing on each fuzz target below,
 # beyond the seed corpora `test` replays: the parser must return an
 # AST or an error for any input, and a random path streamed by the
-# evaluator must answer what the per-step reference answers. A crasher
+# evaluator must answer what the per-step reference answers, and the
+# wire envelope reader must accept nothing the DOM decoder it replaced
+# would refuse or read differently. A crasher
 # is written under the package's testdata/fuzz and fails the step.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePathPredicates$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzPathStreamsLikePerStep$$' -fuzztime 10s -parallel 2 ./internal/xquery/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime 10s -parallel 2 ./internal/xquery
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSequence$$' -fuzztime 10s -parallel 2 ./internal/rest
 
 experiments:
 	$(GO) run ./cmd/experiments

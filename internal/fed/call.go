@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -39,26 +39,18 @@ func (w *latWindow) record(d time.Duration) {
 	}
 }
 
+// p95 returns the window's 95th-percentile latency (0 while empty),
+// sorting a copy on the stack: it runs once per hedged sub-request.
 func (w *latWindow) p95() time.Duration {
+	var c [latWindowSize]time.Duration
 	w.mu.Lock()
-	n := w.n
-	var c []time.Duration
-	if n > 0 {
-		c = append(c, w.buf[:n]...)
-	}
+	n := copy(c[:], w.buf[:w.n])
 	w.mu.Unlock()
 	if n == 0 {
 		return 0
 	}
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	idx := (n*95+99)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return c[idx]
+	slices.Sort(c[:n])
+	return c[max((n*95+99)/100-1, 0)]
 }
 
 func (x *Executor) breakerFor(ep string) *breaker {

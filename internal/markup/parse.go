@@ -89,6 +89,29 @@ func parseFrag(src string, mode Mode) ([]*dom.Node, error) {
 	return kids, nil
 }
 
+// Content parses the XML content of elements in place: how a wire
+// envelope's node payloads are read where they stand
+// (rest.DecodeSequence), without building the envelope. One Content
+// reads every payload of an envelope, reusing its scratch.
+type Content struct{ p parser }
+
+// Parse parses src from offset from as the XML content of an element
+// whose end tag is </name>, through that end tag. It returns the
+// content's top-level nodes, which have no parent, in a slice the next
+// Parse reuses, and the offset just past the end tag. The content sees
+// no namespace declaration but the xml prefix's, as at the top of a
+// document.
+func (c *Content) Parse(src string, from int, name string) ([]*dom.Node, int, error) {
+	p := &c.p
+	p.src, p.pos, p.mode = src, from, XML
+	p.ns = append(p.ns[:0], nsBinding{"xml", XMLNamespace})
+	p.kids = p.kids[:0]
+	if err := p.parseContent(name); err != nil {
+		return nil, 0, err
+	}
+	return p.kids, p.pos, nil
+}
+
 // nsBinding is one in-scope namespace declaration.
 type nsBinding struct{ prefix, uri string }
 
@@ -601,50 +624,64 @@ func (p *parser) readAttrValue() (string, error) {
 // ';' within it is not a reference.
 const maxEntityLen = 32
 
-// readEntity decodes the entity reference at p.pos (an '&').
+// readEntity decodes the entity reference at p.pos (an '&'). HTML
+// mode takes an ampersand that starts no reference it knows as itself.
 func (p *parser) readEntity() (rune, error) {
-	rest := p.src[p.pos:]
-	semi := strings.IndexByte(rest[:min(len(rest), maxEntityLen+1)], ';')
-	if semi < 0 {
-		if p.mode == HTML {
-			p.pos++
-			return '&', nil // bare ampersand tolerated
-		}
-		return 0, p.errorf("unterminated entity reference")
-	}
-	ent := rest[1:semi]
-	var out rune
-	switch {
-	case ent == "lt":
-		out = '<'
-	case ent == "gt":
-		out = '>'
-	case ent == "amp":
-		out = '&'
-	case ent == "quot":
-		out = '"'
-	case ent == "apos":
-		out = '\''
-	case ent == "nbsp" && p.mode == HTML:
-		out = '\u00a0'
-	case strings.HasPrefix(ent, "#"):
-		r, ok := charRef(ent[1:])
-		if !ok {
-			if p.mode == XML {
-				return 0, p.errorf("bad character reference &%s;", ent)
-			}
-			r = utf8.RuneError
-		}
-		out = r
-	default:
+	r, n, msg := entity(p.src[p.pos:], p.mode)
+	if n == 0 {
 		if p.mode == HTML {
 			p.pos++
 			return '&', nil
 		}
-		return 0, p.errorf("unknown entity &%s;", ent)
+		return 0, p.errorf("%s", msg)
 	}
-	p.pos += semi + 1
-	return out, nil
+	p.pos += n
+	return r, nil
+}
+
+// Entity decodes the XML entity reference s starts with: one of the
+// five predefined entities or a character reference. It returns the
+// character and the reference's length in bytes, or a length of 0 when
+// s does not start with a reference the XML parser accepts.
+func Entity(s string) (rune, int) {
+	r, n, _ := entity(s, XML)
+	return r, n
+}
+
+// entity decodes the entity reference at the start of s (an '&') under
+// mode's rules: the character and the reference's length, or a length
+// of 0 and what is wrong. HTML mode also knows &nbsp; and reads a bad
+// character reference as U+FFFD.
+func entity(s string, mode Mode) (r rune, n int, msg string) {
+	semi := strings.IndexByte(s[:min(len(s), maxEntityLen+1)], ';')
+	if semi < 0 {
+		return 0, 0, "unterminated entity reference"
+	}
+	switch ent := s[1:semi]; {
+	case ent == "lt":
+		r = '<'
+	case ent == "gt":
+		r = '>'
+	case ent == "amp":
+		r = '&'
+	case ent == "quot":
+		r = '"'
+	case ent == "apos":
+		r = '\''
+	case ent == "nbsp" && mode == HTML:
+		r = '\u00a0'
+	case strings.HasPrefix(ent, "#"):
+		var ok bool
+		if r, ok = charRef(ent[1:]); !ok {
+			if mode == XML {
+				return 0, 0, fmt.Sprintf("bad character reference &%s;", ent)
+			}
+			r = utf8.RuneError
+		}
+	default:
+		return 0, 0, fmt.Sprintf("unknown entity &%s;", ent)
+	}
+	return r, semi + 1, ""
 }
 
 // charRef decodes the body of a numeric character reference (what stands

@@ -381,75 +381,6 @@ func appendItems(b []byte, s xdm.Sequence) []byte {
 	return b
 }
 
-// DecodeSequence parses the wire format back into a sequence.
-func DecodeSequence(src string) (xdm.Sequence, error) {
-	seq, _, err := DecodeSequenceKeyed(src)
-	return seq, err
-}
-
-// DecodeSequenceKeyed parses the wire format returning, alongside each
-// item, the document URI it was encoded with ("" for non-document
-// items) — the sort key the federation merge orders scattered partial
-// results by.
-func DecodeSequenceKeyed(src string) (xdm.Sequence, []string, error) {
-	doc, err := markup.Parse(src)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: malformed result: %w", ErrMalformedPayload, err)
-	}
-	root := doc.DocumentElement()
-	if root == nil || root.Name.Local != "result" {
-		return nil, nil, fmt.Errorf("%w: unexpected result payload", ErrMalformedPayload)
-	}
-	// The envelope's children are the items: room for all of them at
-	// once, instead of two slices doubled into place per payload.
-	children := root.Children()
-	out := make(xdm.Sequence, 0, len(children))
-	keys := make([]string, 0, len(children))
-	for _, item := range children {
-		if item.Type != dom.ElementNode || item.Name.Local != "item" {
-			continue
-		}
-		it, err := decodeItem(item)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, it)
-		keys = append(keys, item.AttrValue("uri"))
-	}
-	return out, keys, nil
-}
-
-// decodeItem turns one <item> of a freshly parsed envelope into an XDM
-// item. A node payload is cut out of the envelope, not copied: nothing
-// else holds the envelope, and the item must not see it as its parent.
-func decodeItem(item *dom.Node) (xdm.Item, error) {
-	if item.AttrValue("kind") == "node" {
-		uri := item.AttrValue("uri")
-		for _, c := range item.Children() {
-			if c.Type == dom.ElementNode {
-				c.Detach()
-				if uri != "" {
-					return xdm.NewNode(dom.NewDocumentOf(uri, c)), nil
-				}
-				return xdm.NewNode(c), nil
-			}
-		}
-		return xdm.NewNode(dom.NewText(item.StringValue())), nil
-	}
-	text := item.StringValue()
-	typeName := item.AttrValue("type")
-	local := strings.TrimPrefix(typeName, "xs:")
-	t, ok := xdm.AtomicTypeByName(local)
-	if !ok {
-		return xdm.UntypedAtomic(text), nil
-	}
-	v, err := xdm.Cast(xdm.String(text), t)
-	if err != nil {
-		return nil, fmt.Errorf("%w: cannot decode %s %q: %w", ErrMalformedPayload, typeName, text, err)
-	}
-	return v, nil
-}
-
 // EncodeArgs serializes a call's arguments.
 func EncodeArgs(args []xdm.Sequence) string {
 	b := []byte("<args>")
@@ -459,35 +390,4 @@ func EncodeArgs(args []xdm.Sequence) string {
 		b = append(b, "</arg>"...)
 	}
 	return string(append(b, "</args>"...))
-}
-
-// DecodeArgs parses an <args> payload.
-func DecodeArgs(src string) ([]xdm.Sequence, error) {
-	doc, err := markup.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: malformed args: %w", ErrMalformedPayload, err)
-	}
-	root := doc.DocumentElement()
-	if root == nil || root.Name.Local != "args" {
-		return nil, fmt.Errorf("%w: unexpected args payload", ErrMalformedPayload)
-	}
-	var out []xdm.Sequence
-	for _, arg := range root.Children() {
-		if arg.Type != dom.ElementNode || arg.Name.Local != "arg" {
-			continue
-		}
-		var seq xdm.Sequence
-		for _, item := range arg.Children() {
-			if item.Type != dom.ElementNode || item.Name.Local != "item" {
-				continue
-			}
-			it, err := decodeItem(item)
-			if err != nil {
-				return nil, err
-			}
-			seq = append(seq, it)
-		}
-		out = append(out, seq)
-	}
-	return out, nil
 }

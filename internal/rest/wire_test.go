@@ -77,6 +77,21 @@ func randomNode(t *testing.T, rng *rand.Rand) xdm.Item {
 	return xdm.NewNode(doc.DocumentElement())
 }
 
+// randomSequence builds up to seven items, a third of them nodes; the
+// empty sequence included.
+func randomSequence(t *testing.T, rng *rand.Rand) xdm.Sequence {
+	n := rng.Intn(8)
+	seq := make(xdm.Sequence, 0, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			seq = append(seq, randomNode(t, rng))
+		} else {
+			seq = append(seq, randomAtomic(t, rng))
+		}
+	}
+	return seq
+}
+
 // itemEq compares a decoded item against its original: nodes by
 // serialization (plus document identity), atomics by type and lexical
 // value.
@@ -106,15 +121,7 @@ func itemEq(t *testing.T, orig, got xdm.Item) bool {
 func TestWireRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(8) // includes the empty sequence
-		seq := make(xdm.Sequence, 0, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				seq = append(seq, randomNode(t, rng))
-			} else {
-				seq = append(seq, randomAtomic(t, rng))
-			}
-		}
+		seq := randomSequence(t, rng)
 		wire := EncodeSequence(seq)
 		back, err := DecodeSequence(wire)
 		if err != nil {
@@ -185,12 +192,7 @@ func TestDecodedNodeIsDetached(t *testing.T) {
 
 // TestArgsRoundTrip covers the <args> framing around the item format.
 func TestArgsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	args := []xdm.Sequence{
-		{},
-		{randomAtomic(t, rng)},
-		{randomAtomic(t, rng), randomNode(t, rng), randomAtomic(t, rng)},
-	}
+	args := argsShapes(t)
 	back, err := DecodeArgs(EncodeArgs(args))
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +212,101 @@ func TestArgsRoundTrip(t *testing.T) {
 	}
 }
 
+// argsShapes are TestArgsRoundTrip's argument lists.
+func argsShapes(t *testing.T) []xdm.Sequence {
+	rng := rand.New(rand.NewSource(11))
+	return []xdm.Sequence{
+		{},
+		{randomAtomic(t, rng)},
+		{randomAtomic(t, rng), randomNode(t, rng), randomAtomic(t, rng)},
+	}
+}
+
+// otherNodes are the node items randomNode never makes: a text node
+// (empty too), a comment, an attribute, a processing instruction, a
+// document without a URI and documents whose element has a comment
+// before it, or that have no element.
+func otherNodes(t *testing.T) xdm.Sequence {
+	doc, err := markup.Parse(`<!--c--><?pi x?><r a="1">t</r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withURI, err := markup.Parse(`<!--c--><r/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withURI.SetBaseURI("urn:d")
+	bare := dom.NewDocumentOf("urn:e", dom.NewComment("only"))
+	el := doc.DocumentElement()
+	return xdm.Sequence{
+		xdm.NewNode(dom.NewText("a < b & c")), xdm.NewNode(dom.NewText("")),
+		xdm.NewNode(dom.NewComment("note")), xdm.NewNode(el.Attrs()[0]),
+		xdm.NewNode(dom.NewPI("pi", "x")), xdm.NewNode(doc), xdm.NewNode(withURI), xdm.NewNode(bare),
+	}
+}
+
+// TestEnvelopeReaderMatchesDOMDecoder: the envelope reader and the DOM
+// decoder it replaced (oracle_test.go) agree on every payload
+// EncodeSequence and EncodeArgs write — TestWireRoundTripProperty's
+// sequences, TestArgsRoundTrip's arguments, the node kinds neither
+// makes — and on every strict prefix of each, which both refuse: a torn
+// reply fails its attempt. Payloads the writer never writes but the
+// reader reads (whitespace between items, attributes in another order
+// or quote) decode as the oracle decodes them.
+func TestEnvelopeReaderMatchesDOMDecoder(t *testing.T) {
+	check := func(wire string, args bool) {
+		t.Helper()
+		same := sameDecoding
+		if args {
+			same = sameArgsDecoding
+		}
+		if err := same(wire, false); err != nil {
+			t.Fatalf("%v\nwire: %s", err, wire)
+		}
+		if args {
+			if _, err := DecodeArgs(wire); err != nil {
+				t.Fatalf("refused: %v\nwire: %s", err, wire)
+			}
+		} else if _, err := DecodeSequence(wire); err != nil {
+			t.Fatalf("refused: %v\nwire: %s", err, wire)
+		}
+		for i := 0; i < len(wire); i++ {
+			if err := same(wire[:i], false); err != nil {
+				t.Fatalf("prefix of %d bytes: %v\nwire: %s", i, err, wire)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		check(EncodeSequence(randomSequence(t, rng)), false)
+	}
+	check(EncodeSequence(otherNodes(t)), false)
+	check(EncodeArgs(argsShapes(t)), true)
+	check(EncodeArgs([]xdm.Sequence{otherNodes(t), {}}), true)
+	check(EncodeArgs(nil), true)
+	for _, wire := range []string{
+		"\n<result>\n  <item type=\"xs:integer\">1</item>\n  <item kind=\"node\"><a/></item>\n</result>\n",
+		`<result><item uri='urn:u' kind='node'><d/></item><item  type = "xs:string" >a &amp; b</item ></result >`,
+		`<result><item type="xs:integer" uri="k">7</item><item kind="node" type="xs:string"><a/></item></result>`,
+		`<result><item type="xs:zork">?</item><item>&#x41;&#66;</item></result>`,
+		`<result><item kind="node" uri="a&lt;b">text<!--c--> more<b/></item></result>`,
+		` <args> <arg> <item type="xs:string">s</item> </arg> <arg></arg> </args> `,
+	} {
+		args := strings.Contains(wire, "<args>")
+		same := sameDecoding
+		if args {
+			same = sameArgsDecoding
+		}
+		if err := same(wire, false); err != nil {
+			t.Errorf("%v\nwire: %s", err, wire)
+		}
+	}
+}
+
 // FuzzDecodeSequence: arbitrary bytes must decode or error, never
-// panic, and anything that decodes must re-encode and decode again
-// stably.
+// panic; whatever the envelope reader accepts, the DOM decoder it
+// replaced accepts with equal items (and the same holds for DecodeArgs);
+// and anything that decodes must re-encode and decode again stably.
 func FuzzDecodeSequence(f *testing.F) {
 	f.Add("<result></result>")
 	f.Add(`<result><item type="xs:integer">42</item></result>`)
@@ -223,7 +317,16 @@ func FuzzDecodeSequence(f *testing.F) {
 	f.Add(`<nonsense/>`)
 	f.Add("")
 	f.Add(string([]byte{0xff, 0xfe, '<', 'r', '>'}))
+	f.Add(` <result> <item uri='u' kind="node"><a>x</a></item> <item type="xs:double">NaN</item> </result>`)
+	f.Add(`<result><item kind="node">a &lt; b<!--c--></item><item kind="node"><?p d?></item></result>`)
+	f.Add(`<args><arg><item type="xs:string">a&#10;b</item></arg><arg></arg></args>`)
 	f.Fuzz(func(t *testing.T, src string) {
+		if err := sameDecoding(src, true); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if err := sameArgsDecoding(src, true); err != nil {
+			t.Fatalf("args %q: %v", src, err)
+		}
 		seq, err := DecodeSequence(src)
 		if err != nil {
 			return

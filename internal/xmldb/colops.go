@@ -12,9 +12,10 @@ import (
 )
 
 // Collection operations: the hierarchy itself (create/remove/list) and
-// the scans over it. Scans snapshot every shard concurrently and merge
-// the per-shard sorted slices, so the result is URI-ordered and
-// consistent — a point-in-time view that later commits cannot disturb.
+// the scans over it. Scans read every shard's cached snapshot of the
+// collection (shard.colSnapshot) and merge the per-shard sorted slices,
+// so the result is URI-ordered and each shard's part is a point-in-time
+// view that later commits cannot disturb.
 
 // CreateCollection creates a hierarchical collection (and any missing
 // ancestors), durably. Creating an existing collection is a no-op.
@@ -53,15 +54,19 @@ func (s *Store) RemoveCollection(p string) error {
 // always present.
 func (s *Store) Collections() []string { return s.cols.list() }
 
-// colEntries snapshots the documents of a hierarchical collection as
-// per-shard sorted slices (the streaming form), or ErrNoCollection.
+// colEntries returns every shard's cached snapshot of a hierarchical
+// collection, sorted slices ready for merging, or ErrNoCollection.
 func (s *Store) colEntries(p string) ([][]docEntry, error) {
 	col := normCollection(p)
 	if !s.cols.exists(col) {
 		return nil, fmt.Errorf("%w: %s", ErrNoCollection, col)
 	}
 	s.Stats.scans.Add(1)
-	return scanShards(s.shards, inCollectionMatch(col)), nil
+	parts := make([][]docEntry, len(s.shards))
+	for i, sh := range s.shards {
+		parts[i] = sh.colSnapshot(col)
+	}
+	return parts, nil
 }
 
 // Collection returns the documents of a hierarchical collection (its
@@ -110,7 +115,6 @@ func (s *Store) ScanCollection(p string, fn func(uri string, doc *dom.Node) erro
 		return fmt.Errorf("%w: %s", ErrNoCollection, col)
 	}
 	s.Stats.scans.Add(1)
-	match := inCollectionMatch(col)
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -120,7 +124,7 @@ func (s *Store) ScanCollection(p string, fn func(uri string, doc *dom.Node) erro
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			for _, e := range sh.snapshotSorted(match) {
+			for _, e := range sh.colSnapshot(col) {
 				if err := fn(e.uri, e.rev.root); err != nil {
 					errOnce.Do(func() { firstErr = err })
 					return

@@ -81,7 +81,7 @@ func (s *Store) Remove(uri string) error {
 	return nil
 }
 
-// List returns every stored URI, sorted: the shards scan in parallel
+// List returns every stored URI, sorted: every shard is walked
 // and their sorted slices merge.
 func (s *Store) List() []string {
 	entries := mergeEntries(scanShards(s.shards, nil))

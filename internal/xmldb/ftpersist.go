@@ -33,7 +33,8 @@ func (s *Store) writeFTIndexesLocked() {
 	}
 	for i, sh := range s.shards {
 		m := map[string]*ftindex.Serialized{}
-		for _, e := range sh.snapshotSorted(nil) {
+		entries, _ := sh.snapshotSorted(nil)
+		for _, e := range entries {
 			d := ftindex.Fresh(e.rev.root)
 			if d == nil {
 				continue

@@ -11,16 +11,23 @@ import (
 
 // The store's document space is partitioned across N sub-stores by a
 // consistent hash of the document URI. Shards bound lock contention
-// (writers to different shards never queue on each other) and give
-// collection scans natural parallelism: each shard snapshots and sorts
-// its slice of a collection concurrently, and the results merge in URI
-// order. Shard assignment is recomputed from the URI alone, so a
-// directory written with one shard count reopens correctly under any
-// other — the partitioning is an in-memory layout, not an on-disk one.
+// (writers to different shards never queue on each other); a
+// collection scan reads each shard's URI-sorted slice of the
+// collection and merges them in URI order. Shard assignment is
+// recomputed from the URI alone, so a directory written with one shard
+// count reopens correctly under any other — the partitioning is an
+// in-memory layout, not an on-disk one.
 //
-// This file owns every raw access to the shard's document map; the
-// rest of the package (and the repo — the storesync vet pass enforces
-// it) goes through the methods here, which uphold the lock discipline.
+// Each shard keeps the sorted slice of every collection a scan asked it
+// for (colSnapshot), so a repeated scan costs what its collection
+// holds, not a walk of the shard: a commit drops, under the shard's
+// write lock, every cached slice whose collection contains the changed
+// URI, and a slice built while a commit went in is not kept.
+//
+// This file owns every raw access to the shard's document map and its
+// snapshot cache; the rest of the package (and the repo — the
+// storesync vet pass enforces it) goes through the methods here, which
+// uphold the lock discipline.
 
 // docRev is one committed, immutable document revision — the MVCC unit.
 // A reader that obtained a docRev iterates its tree without locks:
@@ -40,13 +47,23 @@ type docRev struct {
 // (legacy callers that update a resolver-returned node bypass MVCC).
 func (d *docRev) mutated() bool { return d.root.Version() != d.domV }
 
-// shard is one sub-store: a mutex-guarded URI → current-revision map.
+// shard is one sub-store: a mutex-guarded URI → current-revision map,
+// and the snapshots of the collections scans read from it.
 type shard struct {
 	mu   sync.RWMutex
 	docs map[string]*docRev
+	// colSnaps maps a normalized collection to the shard's documents in
+	// it and its sub-collections, sorted by URI: shared, read-only, and
+	// current — a commit deletes every entry its URI is in.
+	colSnaps map[string][]docEntry
+	// commits counts the changes to docs, so that a snapshot built
+	// outside the lock is cached only if no commit went in meanwhile.
+	commits uint64
 }
 
-func newShard() *shard { return &shard{docs: map[string]*docRev{}} }
+func newShard() *shard {
+	return &shard{docs: map[string]*docRev{}, colSnaps: map[string][]docEntry{}}
+}
 
 // get returns the current revision of a document.
 func (sh *shard) get(uri string) (*docRev, bool) {
@@ -65,6 +82,7 @@ func (sh *shard) publish(uri string, root *dom.Node) *docRev {
 		d.rev = cur.rev + 1
 	}
 	sh.docs[uri] = d
+	sh.changed(d.col)
 	return d
 }
 
@@ -72,13 +90,16 @@ func (sh *shard) publish(uri string, root *dom.Node) *docRev {
 func (sh *shard) remove(uri string) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.docs[uri]
-	delete(sh.docs, uri)
+	d, ok := sh.docs[uri]
+	if ok {
+		delete(sh.docs, uri)
+		sh.changed(d.col)
+	}
 	return ok
 }
 
 // removeWhere deletes every document whose URI matches, returning the
-// removed URIs.
+// removed URIs. It drops every cached snapshot.
 func (sh *shard) removeWhere(match func(uri string) bool) []string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -89,7 +110,21 @@ func (sh *shard) removeWhere(match func(uri string) bool) []string {
 			out = append(out, uri)
 		}
 	}
+	sh.commits++
+	clear(sh.colSnaps)
 	return out
+}
+
+// changed records a commit to a document of collection col: it drops
+// the snapshots of col and of every collection above it, which hold
+// the superseded revision. Caller holds the write lock.
+func (sh *shard) changed(col string) {
+	sh.commits++
+	for c := range sh.colSnaps {
+		if c == "/" || c == col || strings.HasPrefix(col, c) && col[len(c)] == '/' {
+			delete(sh.colSnaps, c)
+		}
+	}
 }
 
 // count returns the number of documents in the shard.
@@ -121,14 +156,37 @@ func inCollectionMatch(col string) docMatch {
 	return func(_ string, d *docRev) bool { return d.col == col || strings.HasPrefix(d.col, below) }
 }
 
+// colSnapshot returns the shard's documents in the normalized
+// collection col and its sub-collections, sorted by URI: the cached
+// snapshot, or one built by snapshotSorted and cached unless a commit
+// went in while it was built. The slice is shared: callers only read
+// it.
+func (sh *shard) colSnapshot(col string) []docEntry {
+	sh.mu.RLock()
+	snap, ok := sh.colSnaps[col]
+	sh.mu.RUnlock()
+	if ok {
+		return snap
+	}
+	snap, commits := sh.snapshotSorted(inCollectionMatch(col))
+	sh.mu.Lock()
+	if sh.commits == commits {
+		sh.colSnaps[col] = snap
+	}
+	sh.mu.Unlock()
+	return snap
+}
+
 // snapshotSorted collects the shard's documents matching the filter
 // (nil matches all), sorted by URI. The returned entries are a
 // point-in-time snapshot: later commits to the shard do not affect
 // them, and their trees are immutable revisions. The result is sized
 // for what matches, not for the shard, so a scan's cost in memory is
-// that of its collection.
-func (sh *shard) snapshotSorted(match docMatch) []docEntry {
+// that of its collection. commits is the shard's commit count at the
+// point in time the snapshot shows.
+func (sh *shard) snapshotSorted(match docMatch) (entries []docEntry, commits uint64) {
 	sh.mu.RLock()
+	commits = sh.commits
 	n := len(sh.docs)
 	if match != nil {
 		n = 0
@@ -138,15 +196,15 @@ func (sh *shard) snapshotSorted(match docMatch) []docEntry {
 			}
 		}
 	}
-	out := make([]docEntry, 0, n)
+	entries = make([]docEntry, 0, n)
 	for uri, d := range sh.docs {
 		if match == nil || match(uri, d) {
-			out = append(out, docEntry{uri: uri, rev: d})
+			entries = append(entries, docEntry{uri: uri, rev: d})
 		}
 	}
 	sh.mu.RUnlock()
-	slices.SortFunc(out, func(a, b docEntry) int { return strings.Compare(a.uri, b.uri) })
-	return out
+	slices.SortFunc(entries, func(a, b docEntry) int { return strings.Compare(a.uri, b.uri) })
+	return entries, commits
 }
 
 // --- consistent hashing ----------------------------------------------------------
@@ -171,26 +229,17 @@ func shardIndex(uri string, n int) int {
 	return int(b)
 }
 
-// --- parallel scan + merge --------------------------------------------------------
+// --- scan + merge ------------------------------------------------------------------
 
-// scanShards snapshots every shard concurrently (one goroutine per
-// shard — the parallel collection scan) and returns the per-shard
-// sorted entry lists, ready for merging.
+// scanShards snapshots every shard in turn and returns the per-shard
+// sorted entry lists, ready for merging: the uncached walk, for the
+// scans that are not of one collection (List, a checkpoint, the legacy
+// prefix match).
 func scanShards(shards []*shard, match docMatch) [][]docEntry {
 	parts := make([][]docEntry, len(shards))
-	if len(shards) == 1 {
-		parts[0] = shards[0].snapshotSorted(match)
-		return parts
-	}
-	var wg sync.WaitGroup
 	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			parts[i] = sh.snapshotSorted(match)
-		}(i, sh)
+		parts[i], _ = sh.snapshotSorted(match)
 	}
-	wg.Wait()
 	return parts
 }
 

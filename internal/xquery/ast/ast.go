@@ -778,8 +778,10 @@ type Module struct {
 
 	// Effects is what running the module can do — the union over its
 	// body and its global initialisers, calls answered from the declared
-	// functions' bodies (plan/props.go). Written once, by plan.Prepare
-	// under EnsurePlanned; a module nobody prepared records none.
+	// functions' bodies (plan/props.go), and EffReadsScores if any
+	// declared function can read scores (a host may call it by name).
+	// Written once, by plan.Prepare under EnsurePlanned; a module nobody
+	// prepared records none.
 	Effects Effects
 
 	planOnce sync.Once
@@ -835,6 +837,10 @@ const (
 	// anywhere under the expression, predicates of its own included.
 	EffReadsPosition
 	EffReadsLast
+	// EffReadsScores: ft:score, which reads the scores an ftcontains
+	// recorded. A run records them only where it can read them
+	// (plan.ReadsScores).
+	EffReadsScores
 )
 
 // RewriteStats counts what the optimizer did to a module.

@@ -45,6 +45,8 @@ type libFn struct {
 	focus int
 	// writes: fn:put.
 	writes bool
+	// readsScores: ft:score, which reads the scores ftcontains records.
+	readsScores bool
 }
 
 var (
@@ -91,6 +93,6 @@ var library = map[string]map[string]libFn{
 		"doc": {resolves: true}, "collection": {resolves: true}, "put": {writes: true},
 	},
 	xsSpace:   {}, // the constructor functions: casts, none on the pure list yet
-	ftSpace:   {},
+	ftSpace:   {"score": {readsScores: true}},
 	kwicSpace: {},
 }

@@ -20,7 +20,7 @@ var notInTheTable = map[string][]string{
 	parser.XSNamespace: {"QName", "anyURI", "boolean", "date", "dateTime", "dayTimeDuration",
 		"decimal", "double", "duration", "float", "int", "integer", "long", "string", "time",
 		"untypedAtomic", "yearMonthDuration"},
-	parser.FTNamespace:   {"score", "tokenize"},
+	parser.FTNamespace:   {"tokenize"},
 	parser.KWICNamespace: {"summarize"},
 }
 

@@ -75,6 +75,12 @@ func Optimize(e ast.Expr, st *Stats) ast.Expr {
 // every function body, installed as the module's second set of roots,
 // and the module's effect summary. A unit containing scripting
 // constructs keeps its planned tree only (Optimized stays nil).
+//
+// The summary is the body's and the global initialisers', and
+// EffReadsScores where any declared function can read scores: a host
+// calls a function by name without the body mentioning it (a listener,
+// local:main()), in a run that records scores only if the module can
+// read them (ReadsScores).
 func Prepare(m *ast.Module) {
 	in := newInference(m)
 	in.solveAll()
@@ -91,6 +97,11 @@ func Prepare(m *ast.Module) {
 	}
 	for _, v := range m.Prolog.Vars {
 		body |= in.infer(v.Init).eff
+	}
+	for i := range in.recs {
+		if in.recs[i].eff&scoreReaders != 0 {
+			body |= ast.EffReadsScores
+		}
 	}
 	m.Effects = body
 }

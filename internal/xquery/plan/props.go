@@ -36,6 +36,10 @@ const (
 	// reads a focus of its own, and position and last are matched by
 	// mention; its scripting shows as EffScriptedCall.
 	calleeSees = ^(ast.EffScripting | ast.EffReadsFocus | ast.EffReadsPosition | ast.EffReadsLast)
+	// scoreReaders: an expression can read the full-text scores a run
+	// records — ft:score, or a call whose callee only a binding knows
+	// (ReadsScores).
+	scoreReaders = ast.EffReadsScores | ast.EffOpaqueCall
 	// stepVariant keeps an expression from keying a step (stepInvariant):
 	// its value could differ between two candidates of one step
 	// evaluation, or reading it once could do what reading it per
@@ -275,6 +279,9 @@ func (in *inference) call(c ast.FuncCall) (ast.Effects, bool) {
 	if fn.writes {
 		eff |= ast.EffWrites
 	}
+	if fn.readsScores {
+		eff |= ast.EffReadsScores
+	}
 	if len(c.Args) < fn.focus {
 		eff |= ast.EffReadsFocus
 	}
@@ -376,6 +383,13 @@ func (in *inference) infer(e ast.Expr) props {
 	in.kids = in.kids[:base]
 	return r
 }
+
+// ReadsScores reports whether running the prepared module m can read
+// the full-text scores an ftcontains records: its effect summary
+// (ast.Module.Effects, which counts every declared function for this
+// bit) has a bit of the scoreReaders column. A run records scores only
+// where it can read them.
+func ReadsScores(m *ast.Module) bool { return m.Effects&scoreReaders != 0 }
 
 // pure reports whether the optimizer may move, memoise or join-build e.
 func (in *inference) pure(e ast.Expr) bool { return in.infer(e).eff&unmovable == 0 }

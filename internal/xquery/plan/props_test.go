@@ -82,10 +82,10 @@ var propsTable = []propsRow{
 	{src: `position()`, eff: impure | ast.EffReadsPosition},
 	{src: `last()`, eff: impure | ast.EffReadsLast},
 	{src: `xs:integer("1")`, eff: impure},
-	{src: `ft:score(.)`, eff: impure | focus},            // drift fix: ft: is the library's
-	{src: `kwic:summarize(., "a")`, eff: impure | focus}, // drift fix: so is kwic:
-	{src: `data()`, kind: kindAtomic},                    // no focus row: the library has no data#0
-	{src: `browser:alert(1)`, eff: ast.EffOpaqueCall},    // a host function
+	{src: `ft:score(.)`, eff: impure | focus | ast.EffReadsScores}, // drift fix: ft: is the library's
+	{src: `kwic:summarize(., "a")`, eff: impure | focus},           // drift fix: so is kwic:
+	{src: `data()`, kind: kindAtomic},                              // no focus row: the library has no data#0
+	{src: `browser:alert(1)`, eff: ast.EffOpaqueCall},              // a host function
 	{prolog: `import module namespace m = "urn:m"; `, src: `m:f()`, eff: ast.EffOpaqueCall},
 	{prolog: `declare function local:f() { 1 }; `, src: `local:f()`, eff: module},
 	{prolog: `declare function local:f() { 1 }; `, src: `local:f(1)`, eff: ast.EffOpaqueCall}, // not at that arity
@@ -155,7 +155,7 @@ func TestProps(t *testing.T) {
 
 func propsString(p props) string {
 	names := []string{"updates", "writes", "scripting", "scripted-call", "sequential-call", "acts-at-once",
-		"opaque-call", "module-call", "impure", "resolves", "scores", "constructs", "reads-focus", "reads-position", "reads-last"}
+		"opaque-call", "module-call", "impure", "resolves", "scores", "constructs", "reads-focus", "reads-position", "reads-last", "reads-scores"}
 	s := ""
 	for i, n := range names {
 		if p.eff&(1<<i) != 0 {
@@ -206,5 +206,39 @@ func TestUnknownKindFailsSafe(t *testing.T) {
 	type future struct{ ast.Hoisted }
 	if got := (&inference{}).infer(future{}).eff; got != ^ast.Effects(0) {
 		t.Errorf("an unknown kind infers %b, want every bit", got)
+	}
+}
+
+// TestModuleReadsScoresThroughItsFunctions: a module can read the
+// scores its run records when its body, a global or any declared
+// function can — a host calls a listener or local:main() by name, with
+// no call in the body — and the function's other effects stay out of
+// the module's summary, which routes the store's queries.
+func TestModuleReadsScoresThroughItsFunctions(t *testing.T) {
+	for _, c := range []struct {
+		src    string
+		reads  bool
+		opaque bool
+	}{
+		{`//p[. ftcontains "a"]`, false, false},
+		{`ft:score(//p[1])`, true, false},
+		{`declare variable $s := ft:score(//p[1]); 1`, true, false},
+		{`declare function local:f($p) { ft:score($p) }; //p[. ftcontains "a"]`, true, false},
+		{`declare function local:f() { local:g() }; declare function local:g() { ft:score(/) }; 1`, true, false},
+		{`declare function local:f() { h:ping() }; 1`, true, false},
+		{`declare function local:f() { h:ping() }; local:f()`, true, true},
+		{`declare function local:f($p) { $p }; //p[. ftcontains "a"]`, false, false},
+	} {
+		m, err := parser.ParseModule(`declare namespace h = "urn:h"; ` + c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Prepare(m)
+		if got := ReadsScores(m); got != c.reads {
+			t.Errorf("%s: ReadsScores = %v, want %v", c.src, got, c.reads)
+		}
+		if got := m.Effects&ast.EffOpaqueCall != 0; got != c.opaque {
+			t.Errorf("%s: the summary has an opaque call = %v, want %v", c.src, got, c.opaque)
+		}
 	}
 }

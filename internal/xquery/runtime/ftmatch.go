@@ -19,7 +19,9 @@ import (
 // scan, which is the differential oracle's baseline. Matches record a
 // TF-IDF score per node so ft:score can order results; the score is
 // computed from the same quantities on both paths, which keeps indexed
-// and scan-only runs byte-identical.
+// and scan-only runs byte-identical. A run records scores only where it
+// can read them (Run.scores): elsewhere — a shipped per-document
+// expression, say — a match costs its one tokenization and no score.
 
 // ftState is a run's full-text state, kept in its memo: the scores
 // ftcontains recorded for matched nodes, and the scan side's memoized
@@ -176,7 +178,7 @@ func (ctx *Context) resolveFTSelection(sel ast.FTSelection) (ftindex.Sel, error)
 // ftMatchItem matches one item against a resolved selection: through
 // the full-text index when the item is a node the index can answer
 // for, otherwise by tokenizing and scanning. Matching nodes get their
-// TF-IDF score recorded for ft:score.
+// TF-IDF score recorded for ft:score, in a run that can read it.
 func (ctx *Context) ftMatchItem(it xdm.Item, sel ftindex.Sel) bool {
 	n, isNode := xdm.IsNode(it)
 	if isNode && !ctx.NoIndex {
@@ -188,7 +190,7 @@ func (ctx *Context) ftMatchItem(it xdm.Item, sel ftindex.Sel) bool {
 				if ctx.Profiler != nil {
 					ctx.Profiler.AddFT("probes", 1)
 				}
-				if m {
+				if m && ctx.scores {
 					ctx.recordScoreIndexed(idx, n, sel)
 				}
 				return m
@@ -197,7 +199,7 @@ func (ctx *Context) ftMatchItem(it xdm.Item, sel ftindex.Sel) bool {
 	}
 	tokens := fulltext.Tokenize(xdm.Atomize(it).String())
 	m := ftindex.MatchTokens(tokens, sel)
-	if m && isNode {
+	if m && isNode && ctx.scores {
 		ctx.recordScoreScan(n, tokens, sel)
 	}
 	return m

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dom"
 	"repro/internal/xdm"
@@ -47,7 +48,11 @@ func (ctx *Context) sortedStep(prev xdm.Iter, steps []ast.Step) xdm.Iter {
 // mapStep evaluates step for every item of a materialized focus, at
 // its position in the focus — which gives position() and last() their
 // values — and orders the results with finishStep. last reports
-// whether the step ends the path.
+// whether the step ends the path. An axis step from one focus node
+// needs no sort: its one walker yields each node once, in document
+// order on a forward axis and in reverse on a reverse one, so the
+// output is reversed or passed on as it is, and the tree is never
+// labeled for it.
 func (ctx *Context) mapStep(focus xdm.Sequence, step *ast.Step, last bool) (xdm.Sequence, error) {
 	keys := ctx.newStepKeys(step)
 	var results xdm.Sequence
@@ -79,6 +84,12 @@ func (ctx *Context) mapStep(focus xdm.Sequence, step *ast.Step, last bool) (xdm.
 			}
 			results = append(results, r)
 		}
+	}
+	if len(focus) == 1 && step.Primary == nil {
+		if step.Axis.Reverse() {
+			slices.Reverse(results)
+		}
+		return results, nil
 	}
 	return ctx.finishStep(results, last)
 }

@@ -155,6 +155,14 @@ type Program struct {
 	// this binding may shadow one of them: it evaluates the planned roots,
 	// which assume nothing about any function.
 	StrayImports bool
+
+	// scores: an evaluation that starts in this binding can read the
+	// full-text scores it records, so its run records them (Run.scores).
+	// Its module's code can (plan.ReadsScores); or the module is a
+	// library, whose functions run in their callers' runs but may start
+	// one of their own (a listener they attach); or a resolver
+	// registered functions the plan knows nothing of.
+	scores bool
 }
 
 // root chooses which of a unit's two roots this binding evaluates: the
@@ -256,7 +264,8 @@ func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
 				decl.Name, len(decl.Params))
 		}
 	}
-	return &Program{Module: m, Reg: reg, BlockDoc: cfg.BlockDoc, StrayImports: stray}, nil
+	return &Program{Module: m, Reg: reg, BlockDoc: cfg.BlockDoc, StrayImports: stray,
+		scores: m.IsLibrary || stray || plan.ReadsScores(m)}, nil
 }
 
 // userFunction compiles one prolog function declaration: an evaluation
@@ -442,6 +451,12 @@ type Run struct {
 	// full-text state (memo.go); nil resolves every call and scores
 	// nothing.
 	memo *runMemo
+
+	// scores: the run records the full-text score of every node an
+	// ftcontains matches, because the program it started in can read
+	// them (Program.scores). A run that shares its caller's full-text
+	// state shares this too (Derive).
+	scores bool
 }
 
 // runAlloc is a run's one allocation: its first frame, the run, its
@@ -456,21 +471,27 @@ type runAlloc struct {
 // NewContext builds a root context for the program in a new run.
 func NewContext(p *Program) *Context {
 	a := &runAlloc{}
-	a.r = Run{Now: time.Now(), PUL: &update.PUL{}, apply: &a.a, memo: &a.m}
+	a.r = Run{Now: time.Now(), PUL: &update.PUL{}, apply: &a.a, memo: &a.m, scores: p.scores}
 	a.c = Context{Prog: p, Run: &a.r}
 	return &a.c
 }
 
 // Derive starts an evaluation inside ctx's: a copy of ctx's frame in a
 // run of its own, which begins as a copy of ctx's run with a memo of its
-// own (documents and full-text state) and which edit then changes. Every
-// evaluation that is not the host's first starts here: a listener turn,
-// a behind call, the modify clause of a copy-modify expression and a
-// per-document expression.
+// own (documents and full-text state), and which edit then changes.
+// A run that keeps a full-text state of its own records scores if the
+// frame's program can read them (Program.scores); one that edit gives
+// its caller's keeps its caller's rule. Every evaluation that is not
+// the host's first starts here: a listener turn, a behind call, the
+// modify clause of a copy-modify expression and a per-document
+// expression.
 func (ctx *Context) Derive(edit func(r *Run)) *Context {
 	d := &runAlloc{c: *ctx, r: *ctx.Run}
 	d.c.Run, d.r.memo = &d.r, &d.m
 	edit(&d.r)
+	if d.r.memo == &d.m && d.m.ft == nil {
+		d.r.scores = ctx.Prog.scores
+	}
 	return &d.c
 }
 

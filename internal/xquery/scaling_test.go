@@ -49,6 +49,17 @@ var scalingRows = []struct {
 			return err
 		}
 	}},
+	// The same loop with a sibling step that yields three nodes: one
+	// walker's output is already in document order, so the step sorts
+	// nothing and the page is not relabeled after each insert.
+	{name: "mutate then a three-node sibling step, n times", n: 1000, prepare: func(tb testing.TB, n int) func() error {
+		p := New().MustCompile(fmt.Sprintf(`{ declare variable $page := <r>{for $i in 1 to %d return <s><x/><x/><x/></s>}</r>;
+			for $s in $page/s return { insert node <y/> into $s; count($s/x[1]/following-sibling::*) } }`, n))
+		return func() error {
+			_, err := p.Run(RunConfig{})
+			return err
+		}
+	}},
 	{name: "<w>{//x}</w>", n: 1000, prepare: flatPageQuery(`count(<w>{//x}</w>/x)`, false)},
 	{name: "copy-modify renaming n nodes", n: 2000, prepare: copyModify(`rename node $x as "y"`)},
 	{name: "copy-modify inserting into n nodes", n: 2000, prepare: copyModify(`insert node <y/> into $x`)},

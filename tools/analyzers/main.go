@@ -76,11 +76,13 @@
 //
 //	storesync   the shard lock discipline of the document store
 //	            (internal/xmldb): the raw shard state — the docs
-//	            revision map — is only touched inside shard.go, whose
-//	            methods uphold the mutex and MVCC publish rules. Every
-//	            other file of package xmldb (scans, commits, HTTP
+//	            revision map and the colSnaps snapshot cache — is only
+//	            touched inside shard.go, whose methods uphold the mutex,
+//	            the MVCC publish rules and the cache's invalidation.
+//	            Every other file of package xmldb (scans, commits, HTTP
 //	            handlers) must go through those methods; a stray
-//	            sh.docs[...] elsewhere bypasses the lock.
+//	            sh.docs[...] or sh.colSnaps[...] elsewhere bypasses the
+//	            lock.
 //
 //	pulapply    DOM structural mutation stays behind the pending-update
 //	            list: outside internal/dom itself and the PUL applier
@@ -91,10 +93,7 @@
 //	            atomic, and the version stamp every index probe and the
 //	            document-order labels rely on. DOM-owning hosts (core, browser,
 //	            jsruntime, markup) build trees before queries see them
-//	            and are not held to this rule. One call in a scanned
-//	            package is exempt by name: rest.decodeItem detaches a
-//	            node payload from the wire envelope it was just parsed
-//	            in, a tree no query has seen either. The same pass keeps
+//	            and are not held to this rule. The same pass keeps
 //	            one apply path: outside the list's own package and the
 //	            evaluator (internal/xquery/update and
 //	            internal/xquery/runtime, by path), no code calls a
@@ -876,13 +875,15 @@ done:
 
 // storeSync enforces the store's shard lock discipline: in package
 // xmldb, the shard's raw docs map (the URI → revision state behind the
-// shard mutex) may only be touched by shard.go, whose methods take the
-// lock and publish immutable revisions. Any selector named docs in
-// another file of the package is flagged — scans, commits and handlers
-// must use the shard methods (get/publish/remove/snapshotSorted), which
-// cannot skip the mutex or mutate a published revision. Other packages
-// cannot reach the unexported field, so the compiler already covers
-// them.
+// shard mutex) and its colSnaps snapshot cache may only be touched by
+// shard.go, whose methods take the lock, publish immutable revisions
+// and drop the snapshots a commit supersedes. Any selector named docs
+// or colSnaps in another file of the package is flagged — scans,
+// commits and handlers must use the shard methods
+// (get/publish/remove/colSnapshot/snapshotSorted), which cannot skip
+// the mutex, mutate a published revision or keep a stale snapshot.
+// Other packages cannot reach the unexported fields, so the compiler
+// already covers them.
 func storeSync(fset *token.FileSet, file *ast.File) []finding {
 	if file.Name.Name != "xmldb" {
 		return nil
@@ -896,10 +897,16 @@ func storeSync(fset *token.FileSet, file *ast.File) []finding {
 		if !ok {
 			return true
 		}
-		if sel.Sel.Name == "docs" {
+		switch sel.Sel.Name {
+		case "docs":
 			out = append(out, finding{
 				pos: fset.Position(sel.Pos()),
 				msg: "storesync: raw shard docs-map access outside shard.go; use the shard methods, which uphold the lock and MVCC publish discipline",
+			})
+		case "colSnaps":
+			out = append(out, finding{
+				pos: fset.Position(sel.Pos()),
+				msg: "storesync: raw shard snapshot-cache access outside shard.go; use colSnapshot, which holds the lock and caches only what no commit superseded",
 			})
 		}
 		return true
@@ -976,13 +983,6 @@ var domMutators = map[string]bool{
 	"AdoptAttrs":            true,
 }
 
-// pulApplyExempt names, as package.function, the functions allowed one
-// mutator on a tree they have just parsed themselves and not yet handed
-// to anyone.
-var pulApplyExempt = map[string]string{
-	"rest.decodeItem": "Detach",
-}
-
 // pulApplyMethods are the pending-update-list methods that apply it.
 var pulApplyMethods = map[string]bool{"Apply": true, "ApplyPruned": true}
 
@@ -1024,41 +1024,35 @@ func pulApply(fset *token.FileSet, file *ast.File) []finding {
 		imported[name] = true
 	}
 	var out []finding
-	for _, decl := range file.Decls {
-		exempt := ""
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
-			exempt = pulApplyExempt[pkg+"."+fd.Name.Name]
-		}
-		ast.Inspect(decl, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && imported[id.Name] {
-				return true // package-qualified function, not a method
-			}
-			name := sel.Sel.Name
-			switch {
-			case applies && pulApplyMethods[name]:
-				out = append(out, finding{
-					pos: fset.Position(call.Pos()),
-					msg: fmt.Sprintf("pulapply: pending updates applied with %s in package %s; a run applies through its one apply path (runtime.Context.Finish), which counts, observes and profiles every apply",
-						name, pkg),
-				})
-			case mutations && domMutators[name] && name != exempt:
-				out = append(out, finding{
-					pos: fset.Position(call.Pos()),
-					msg: fmt.Sprintf("pulapply: direct DOM mutation %s in package %s; route the write through a pending-update list (internal/xquery/update) so it stays atomic, undoable and version-stamped",
-						name, pkg),
-				})
-			}
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
 			return true
-		})
-	}
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && imported[id.Name] {
+			return true // package-qualified function, not a method
+		}
+		name := sel.Sel.Name
+		switch {
+		case applies && pulApplyMethods[name]:
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: fmt.Sprintf("pulapply: pending updates applied with %s in package %s; a run applies through its one apply path (runtime.Context.Finish), which counts, observes and profiles every apply",
+					name, pkg),
+			})
+		case mutations && domMutators[name]:
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: fmt.Sprintf("pulapply: direct DOM mutation %s in package %s; route the write through a pending-update list (internal/xquery/update) so it stays atomic, undoable and version-stamped",
+					name, pkg),
+			})
+		}
+		return true
+	})
 	return out
 }
 

@@ -496,6 +496,23 @@ func (s *Store) sneak(uri string) bool {
 	}
 }
 
+func TestStoreSyncFlagsSnapshotCacheOutsideShardFile(t *testing.T) {
+	src := `package xmldb
+func (s *Store) peek(col string) int {
+	return len(s.shards[0].colSnaps[col])
+}
+`
+	if got := analyzeNamed(t, "colops.go", src, storeSync); len(got) != 1 {
+		t.Fatalf("findings = %v, want 1", got)
+	}
+	shardSrc := `package xmldb
+func (sh *shard) drop(col string) { delete(sh.colSnaps, col) }
+`
+	if got := analyzeNamed(t, "shard.go", shardSrc, storeSync); len(got) != 0 {
+		t.Fatalf("shard.go findings = %v, want none", got)
+	}
+}
+
 func TestStoreSyncAllowsShardFileAndOtherPackages(t *testing.T) {
 	shardSrc := `package xmldb
 func (sh *shard) get(uri string) bool { _, ok := sh.docs[uri]; return ok }
@@ -608,19 +625,21 @@ func ok() {
 	}
 }
 
-func TestPulApplyExemptsWireDecoderDetach(t *testing.T) {
+// TestPulApplyExemptsNoFunction: no function is exempt by name — the
+// wire decoder reads node payloads in place and detaches nothing — so a
+// Detach in a function named decodeItem is flagged like any other.
+func TestPulApplyExemptsNoFunction(t *testing.T) {
 	src := `package rest
 import "repro/internal/dom"
 func decodeItem(item *dom.Node) {
 	c := item.Children()[0]
 	c.Detach()
-	c.SetData("x")
 }
 func other(c *dom.Node) { c.Detach() }
 `
 	got := analyze(t, src, pulApply)
 	if len(got) != 2 {
-		t.Fatalf("findings = %v, want 2 (SetData in decodeItem, Detach elsewhere)", got)
+		t.Fatalf("findings = %v, want 2 (Detach in decodeItem and in other)", got)
 	}
 }
 
