@@ -39,7 +39,9 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-e2e-smoke fuzz-smok
 # run's doc/collection resolvers are called by its memo (memo.go) only,
 # in the evaluator and in the library (funclib), and a run's fields are
 # written only where a run is made or derived (NewContext, Derive), in
-# those two and in the engine (xquery) and the browser host (core).
+# those two and in the engine (xquery) and the browser host (core), and
+# neither the evaluator nor the library writes into a sequence it was
+# handed (an evaluation's value, a binding, a literal, an argument).
 # Stdlib-only stand-ins for the `go vet -vettool` analyzers, which
 # would need golang.org/x/tools.
 vet-invariants:
@@ -58,6 +60,7 @@ vet-invariants:
 	$(GO) run ./tools/analyzers -check hotconst $(shell $(GO) list -f '{{.Dir}}' ./internal/...)
 	$(GO) run ./tools/analyzers -check sleeppoll $(shell $(GO) list -f '{{.Dir}}' ./internal/... ./cmd/...)
 	$(GO) run ./tools/analyzers -check frames internal/xquery/runtime internal/xquery/funclib internal/xquery internal/core
+	$(GO) run ./tools/analyzers -check seqwrite internal/xquery/runtime internal/xquery/funclib
 
 # Static analysis of the shipped example programs: every embedded
 # XQuery script block must lint clean, warnings included.

@@ -299,7 +299,7 @@ func atomicItem(typeName, text string) (xdm.Item, error) {
 	if !ok {
 		return xdm.UntypedAtomic(text), nil
 	}
-	v, err := xdm.Cast(xdm.String(text), t)
+	v, err := xdm.CastString(text, t)
 	if err != nil {
 		return nil, fmt.Errorf("%w: cannot decode %s %q: %w", ErrMalformedPayload, typeName, text, err)
 	}

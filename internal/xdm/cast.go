@@ -23,21 +23,21 @@ func Cast(v Item, target Type) (Item, error) {
 	}
 	// Casting from string and untypedAtomic goes through the lexical
 	// form; so does casting *to* string.
+	switch v.Type() {
+	case TString, TUntypedAtomic:
+		return CastString(v.String(), target)
+	}
 	switch target {
 	case TString:
 		return String(v.String()), nil
 	case TUntypedAtomic:
 		return UntypedAtomic(v.String()), nil
 	case TAnyURI:
-		switch v.Type() {
-		case TString, TUntypedAtomic:
-			return AnyURI(strings.TrimSpace(v.String())), nil
-		}
 		return nil, castErr(v, target)
 	}
 
 	switch v.Type() {
-	case TString, TUntypedAtomic, TAnyURI:
+	case TAnyURI:
 		return castFromString(strings.TrimSpace(v.String()), target)
 	case TInteger:
 		return castFromInteger(v.(Integer), target)
@@ -85,6 +85,22 @@ func Cast(v Item, target Type) (Item, error) {
 		}
 	}
 	return nil, castErr(v, target)
+}
+
+// CastString casts the lexical form s to the target type, as Cast
+// casts an xs:string holding s, without boxing s first: xs:string and
+// xs:untypedAtomic take s as it is, every other type its form with the
+// surrounding whitespace trimmed.
+func CastString(s string, target Type) (Item, error) {
+	switch target {
+	case TString:
+		return String(s), nil
+	case TUntypedAtomic:
+		return UntypedAtomic(s), nil
+	case TAnyURI:
+		return AnyURI(strings.TrimSpace(s)), nil
+	}
+	return castFromString(strings.TrimSpace(s), target)
 }
 
 func castErr(v Item, target Type) error {

@@ -490,3 +490,32 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCastStringMatchesCast: a cast from a Go string is the cast of an
+// xs:string holding it — the same item or the same error, whitespace
+// kept for xs:string and xs:untypedAtomic and trimmed for every other
+// type — and it boxes nothing but its result.
+func TestCastStringMatchesCast(t *testing.T) {
+	targets := []Type{TString, TUntypedAtomic, TAnyURI, TBoolean, TInteger, TDecimal, TDouble,
+		TDate, TTime, TDateTime, TDuration, TYearMonthDuration, TDayTimeDuration, TQName}
+	for _, s := range []string{"", " ", "1", " 42 ", "-0", "1.50", " 2e3", "INF", "NaN", "true", " 0 ",
+		"x y", "2024-01-02", "12:30:00", "2024-01-02T03:04:05Z", "P1Y2M", "PT5S", "\t\n7\n"} {
+		for _, target := range targets {
+			want, wantErr := Cast(String(s), target)
+			got, err := CastString(s, target)
+			switch {
+			case (err == nil) != (wantErr == nil):
+				t.Errorf("CastString(%q, %s): error %v, Cast's %v", s, target, err, wantErr)
+			case err != nil:
+				if err.Error() != wantErr.Error() {
+					t.Errorf("CastString(%q, %s): error %q, Cast's %q", s, target, err, wantErr)
+				}
+			case got.Type() != want.Type() || got.String() != want.String():
+				t.Errorf("CastString(%q, %s) = %s %q, Cast's %s %q", s, target, got.Type(), got, want.Type(), want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = CastString(" 4200 ", TInteger) }); n > 1 {
+		t.Errorf("CastString to xs:integer allocates %.0f times, want the result only", n)
+	}
+}

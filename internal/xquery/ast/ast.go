@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/dom"
+	ftindex "repro/internal/fulltext/index"
 	"repro/internal/xdm"
 )
 
@@ -87,8 +88,28 @@ func PosOf(e Expr) Pos {
 
 // --- Literals and primaries ----------------------------------------------
 
-// StringLit is a string literal.
-type StringLit struct{ Val string }
+// StringLit is a string literal. Seq, where set, is its value as a
+// sequence, built once when the planner plans the literal (or the
+// optimizer folds one) and returned by every evaluation of it: no
+// caller writes into a sequence it was returned (DESIGN.md §5b).
+type StringLit struct {
+	Val string
+	Seq xdm.Sequence
+}
+
+// NewStringLit returns the literal v with its sequence built.
+func NewStringLit(v string) StringLit {
+	return StringLit{Val: v, Seq: xdm.Sequence{xdm.String(v)}}
+}
+
+// Value returns the literal's value: its Seq, or a new sequence where
+// the literal was not planned.
+func (l StringLit) Value() xdm.Sequence {
+	if l.Seq != nil {
+		return l.Seq
+	}
+	return xdm.Singleton(xdm.String(l.Val))
+}
 
 // IntLit is an integer literal.
 type IntLit struct{ Val int64 }
@@ -435,7 +456,7 @@ const (
 	// and names no variable the module assigns (the planner's one key
 	// rule). The runtime reads K once per step evaluation and tests the
 	// predicate natively when K turns out to be strings (see
-	// runtime.attrCmpIter).
+	// runtime.predIter).
 	PredAttrCmp
 )
 
@@ -667,6 +688,13 @@ type GetStyle struct {
 type FTContains struct {
 	X   Expr
 	Sel FTSelection
+
+	// LitSel, when non-nil, is Sel resolved — the form the full-text
+	// index and the scan matcher read — which the planner resolves once
+	// where every word source is a literal; an evaluation resolves any
+	// other selection itself. Like Step.Access, only the planner writes
+	// it.
+	LitSel ftindex.Sel
 }
 
 // FTSelection is a full-text selection tree.

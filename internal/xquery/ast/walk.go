@@ -270,7 +270,7 @@ func MapChildren(e Expr, f func(Expr) Expr) Expr {
 	case GetStyle:
 		return GetStyle{Prop: g(x.Prop), Target: g(x.Target), At: x.At}
 	case FTContains:
-		return FTContains{X: g(x.X), Sel: mapFTSources(x.Sel, g)}
+		return FTContains{X: g(x.X), Sel: mapFTSources(x.Sel, g), LitSel: x.LitSel}
 	default:
 		// Literals, VarRef, ContextItem, Break, Continue and Hoisted.
 		return e

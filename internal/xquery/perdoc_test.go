@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,5 +110,69 @@ func TestEvalPerDocumentIsolatesAndQuarantinesPanics(t *testing.T) {
 	// Another text is not affected.
 	if err := c.EvalPerDocument(e, `2`, parent, docs, func(*dom.Node, xdm.Sequence) error { return nil }); err != nil {
 		t.Errorf("a healthy text beside a quarantined one: %v", err)
+	}
+}
+
+// TestEvalPerDocumentAllocs pins what a shipped expression allocates
+// per document: the three per-document forms the planner ships for the
+// fed_collection query classes (a where filter, a counted keyed path,
+// a full-text filter), over 16 articles of that corpus's shape. A step
+// evaluation is one object however many focus nodes it walks, a path
+// starts from its document without an iterator around it, and a
+// literal — a string key, a full-text selection — is built at plan
+// time, so what is left per document is the evaluation's own frames,
+// the result and, for ftcontains, the scan's tokens: 3.6, 8.1 and 15.3
+// objects a document (11.8, 20.1 and 23.7 before that).
+func TestEvalPerDocumentAllocs(t *testing.T) {
+	e, c, host, _ := perDocFixture(t)
+	var docs xdm.Sequence
+	for n := 0; n < 16; n++ {
+		var src strings.Builder
+		fmt.Fprintf(&src, `<article id="a%03d" journal="j1" year="%d"><title>Article %d</title>`+
+			`<abstract>summary0 word%d note0 of1 common note1 of1 babeki note2 of1</abstract><references>`, n, 1985+n%8, n, n%5)
+		for r := 0; r < 40; r++ {
+			fmt.Fprintf(&src, `<ref year="%d" title="Ref %d of a%03d"/>`, 1985+(n+r)%8, r, n)
+		}
+		src.WriteString(`</references></article>`)
+		d, err := markup.Parse(src.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, xdm.NewNode(d))
+	}
+	parent := host.NewContext(RunConfig{})
+	for _, c2 := range []struct {
+		class, src, want string
+		perDoc           float64
+	}{
+		{"where", `for $a in child::article where $a/attribute::year = "1990" return fn:string($a/attribute::id)`,
+			"a005 a013", 4.5},
+		{"aggregate", `fn:count(child::article/child::references/child::ref[attribute::year = "1990"])`,
+			"5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5", 9},
+		{"ftfilter", `for $a in child::article[. ftcontains "word3"] return fn:string($a/attribute::id)`,
+			"a003 a008 a013", 16.5},
+	} {
+		var got []string
+		run := func() {
+			got = got[:0]
+			err := c.EvalPerDocument(e, c2.src, parent, docs, func(_ *dom.Node, vals xdm.Sequence) error {
+				if len(vals) > 0 {
+					got = append(got, FormatSequence(vals, nil))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if s := strings.Join(got, " "); s != c2.want {
+			t.Fatalf("%s: got %q, want %q", c2.class, s, c2.want)
+		}
+		if perDoc := testing.AllocsPerRun(20, run) / float64(len(docs)); perDoc > c2.perDoc {
+			t.Errorf("%s: %.1f allocations per document, want at most %.1f", c2.class, perDoc, c2.perDoc)
+		} else {
+			t.Logf("%s: %.1f allocations per document", c2.class, perDoc)
+		}
 	}
 }

@@ -1,6 +1,11 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
+
+	"repro/internal/fulltext"
+	ftindex "repro/internal/fulltext/index"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
 )
@@ -13,35 +18,20 @@ import (
 // every predicate (the ftcontains included) to each candidate, so the
 // probe only has to produce a superset of the true matches.
 
-// ftProbePred recognises the probe-able first-predicate shape: an
+// FTProbe recognises the probe-able first-predicate shape: an
 // ftcontains whose search context is the context item itself and whose
-// word sources are all string literals or sequences of them
-// (FTStaticPhrases; anything dynamic must wait for evaluation). Returns the selection for the runtime to compile.
-func ftProbePred(p ast.Expr) (ast.FTSelection, bool) {
+// selection the planner resolved because every word source is a string
+// literal or a sequence of them (LitSel; anything computed must wait
+// for evaluation). The planner upgrades a step to AccessFT on it, and
+// the runtime probes with its LitSel; ok is false for any other
+// predicate (a stale annotation is treated as a scan).
+func FTProbe(p ast.Expr) (ast.FTContains, bool) {
 	ftc, ok := p.(ast.FTContains)
-	if !ok {
-		return nil, false
+	if !ok || ftc.LitSel == nil {
+		return ftc, false
 	}
-	if _, ok := ftc.X.(ast.ContextItem); !ok {
-		return nil, false
-	}
-	static := true
-	ast.EachChild(ast.FTContains{Sel: ftc.Sel}, func(src ast.Expr) {
-		_, ok := FTStaticPhrases(src)
-		static = static && ok
-	})
-	if !static {
-		return nil, false
-	}
-	return ftc.Sel, true
-}
-
-// FTProbeSelection re-exposes the probe-pred recognition to the
-// runtime: given a step annotated AccessFT, it extracts the literal
-// selection from the first predicate. ok is false when the predicate
-// is not the planned shape (a stale annotation is treated as a scan).
-func FTProbeSelection(p ast.Expr) (ast.FTSelection, bool) {
-	return ftProbePred(p)
+	_, dot := ftc.X.(ast.ContextItem)
+	return ftc, dot
 }
 
 // FTStaticPhrases extracts the phrase list a literal word source
@@ -64,6 +54,77 @@ func FTStaticPhrases(e ast.Expr) ([]string, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// ResolveFTSelection converts a selection into the AST-free form the
+// full-text index and the scan matcher share, with words giving each
+// word source's phrases: the runtime's evaluate the sources, the
+// planner's (literalSelection) read literals.
+func ResolveFTSelection(sel ast.FTSelection, words func(ast.Expr) ([]string, error)) (ftindex.Sel, error) {
+	switch s := sel.(type) {
+	case ast.FTWords:
+		phrases, err := words(s.Source)
+		if err != nil {
+			return nil, err
+		}
+		return ftindex.Words{
+			Phrases: phrases,
+			All:     s.AnyAll == "all",
+			Opts: fulltext.Options{
+				Stemming:      s.Opts.Stemming,
+				CaseSensitive: s.Opts.CaseSensitive,
+				Wildcards:     s.Opts.Wildcards,
+			},
+		}, nil
+	case ast.FTAnd:
+		l, err := ResolveFTSelection(s.L, words)
+		if err != nil {
+			return nil, err
+		}
+		r, err := ResolveFTSelection(s.R, words)
+		if err != nil {
+			return nil, err
+		}
+		return ftindex.And{L: l, R: r}, nil
+	case ast.FTOr:
+		l, err := ResolveFTSelection(s.L, words)
+		if err != nil {
+			return nil, err
+		}
+		r, err := ResolveFTSelection(s.R, words)
+		if err != nil {
+			return nil, err
+		}
+		return ftindex.Or{L: l, R: r}, nil
+	case ast.FTNot:
+		x, err := ResolveFTSelection(s.X, words)
+		if err != nil {
+			return nil, err
+		}
+		return ftindex.Not{X: x}, nil
+	default:
+		return nil, fmt.Errorf("xquery: unknown full-text selection %T", sel)
+	}
+}
+
+// errNotLiteral stops literalSelection at a computed word source.
+var errNotLiteral = errors.New("plan: a word source is not a literal")
+
+// literalSelection resolves sel once, for every evaluation, when each
+// of its word sources is a literal (FTStaticPhrases): the value an
+// evaluation would compute, as a literal cannot fail or differ. nil
+// means a source is computed.
+func literalSelection(sel ast.FTSelection) ftindex.Sel {
+	lit, err := ResolveFTSelection(sel, func(src ast.Expr) ([]string, error) {
+		if phrases, ok := FTStaticPhrases(src); ok {
+			return phrases, nil
+		}
+		return nil, errNotLiteral
+	})
+	if err != nil {
+		return nil
+	}
+	return lit
 }
 
 // ftSelAnswerable mirrors the index's candidate-set logic: a selection

@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"reflect"
 	"testing"
 
+	ftindex "repro/internal/fulltext/index"
 	"repro/internal/xquery/ast"
 	"repro/internal/xquery/parser"
 )
@@ -75,19 +77,31 @@ func TestFTProbeSelectionRoundTrip(t *testing.T) {
 	if steps[0].Access != ast.AccessFT {
 		t.Fatalf("planned %v, want AccessFT", steps[0].Access)
 	}
-	sel, ok := FTProbeSelection(steps[0].Preds[0])
+	ftc, ok := FTProbe(steps[0].Preds[0])
 	if !ok {
-		t.Fatal("FTProbeSelection rejected the planned predicate")
+		t.Fatal("FTProbe rejected the planned predicate")
 	}
-	and, ok := sel.(ast.FTAnd)
+	and, ok := ftc.Sel.(ast.FTAnd)
 	if !ok {
-		t.Fatalf("selection is %T, want FTAnd", sel)
+		t.Fatalf("selection is %T, want FTAnd", ftc.Sel)
 	}
 	if ph, _ := FTStaticPhrases(and.L.(ast.FTWords).Source); len(ph) != 2 {
 		t.Errorf("left phrases = %v, want [b c]", ph)
 	}
 	if ph, _ := FTStaticPhrases(and.R.(ast.FTWords).Source); len(ph) != 1 || ph[0] != "a" {
 		t.Errorf("right phrases = %v, want [a]", ph)
+	}
+	// The planner resolved the literal selection once, for every
+	// evaluation and probe.
+	want := ftindex.And{L: ftindex.Words{Phrases: []string{"b", "c"}}, R: ftindex.Words{Phrases: []string{"a"}}}
+	if !reflect.DeepEqual(ftc.LitSel, want) {
+		t.Errorf("resolved selection = %#v, want %#v", ftc.LitSel, want)
+	}
+	// A computed word source leaves the selection to each evaluation,
+	// and the step to another access method.
+	steps = ftPlanned(t, `//article[. ftcontains { concat("b", "c") }]`)
+	if _, ok := FTProbe(steps[0].Preds[0]); ok || steps[0].Access == ast.AccessFT {
+		t.Errorf("computed source: probe-able %v, access %v; want neither", ok, steps[0].Access)
 	}
 }
 

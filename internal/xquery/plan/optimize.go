@@ -191,7 +191,7 @@ func (o *optimizer) foldToLiteral(e ast.Expr) (ast.Expr, bool) {
 	case ConstFloat:
 		return ast.DoubleLit{Val: v.F}, true
 	case ConstString:
-		return ast.StringLit{Val: v.S}, true
+		return ast.NewStringLit(v.S), true
 	case ConstBool:
 		name := "false"
 		if v.B {

@@ -100,7 +100,11 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 	if f, ok := e.(ast.FLWOR); ok {
 		return p.flwor(f)
 	}
-	switch x := ast.MapChildren(e, p.expr).(type) {
+	children := p.expr
+	if _, ok := e.(ast.DirElem); ok {
+		children = p.constructorPiece
+	}
+	switch x := ast.MapChildren(e, children).(type) {
 	case ast.Path:
 		x.Steps = p.in.mergeDescendantSteps(x.Steps)
 		for i := range x.Steps {
@@ -109,6 +113,11 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 		return x
 	case ast.FuncCall:
 		x.Ship = p.in.shipCount(x)
+		return x
+	case ast.StringLit:
+		return ast.NewStringLit(x.Val)
+	case ast.FTContains:
+		x.LitSel = literalSelection(x.Sel)
 		return x
 	case ast.Quantified:
 		x.StreamDomain = p.in.infer(x).eff&midLoop == 0
@@ -137,6 +146,16 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 	default:
 		return x
 	}
+}
+
+// constructorPiece plans a piece of a direct element constructor's
+// content or attribute value. A literal piece is text the constructor
+// copies and never evaluates, so it gets no sequence (NewStringLit).
+func (p *planner) constructorPiece(c ast.Expr) ast.Expr {
+	if _, text := c.(ast.StringLit); text {
+		return c
+	}
+	return p.expr(c)
 }
 
 // flwor plans a FLWOR clause by clause, so that what follows a let
@@ -201,7 +220,7 @@ func chooseAccess(s *ast.Step) ast.AccessMethod {
 		if isIDCmp(s.PredPlan(0)) {
 			return ast.AccessIndexID
 		}
-		if sel, ok := ftProbePred(s.Preds[0]); ok && ftSelAnswerable(sel) && ftProbeTestOK(s.Test) {
+		if ftc, ok := FTProbe(s.Preds[0]); ok && ftSelAnswerable(ftc.Sel) && ftProbeTestOK(s.Test) {
 			return ast.AccessFT
 		}
 	}

@@ -21,7 +21,7 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 	}
 	switch x := e.(type) {
 	case ast.StringLit:
-		return xdm.Singleton(xdm.String(x.Val)), nil
+		return x.Value(), nil
 	case ast.IntLit:
 		return xdm.Singleton(xdm.Integer(x.Val)), nil
 	case ast.DecimalLit:
@@ -788,10 +788,13 @@ func (ctx *Context) evalFTContains(x ast.FTContains) (xdm.Sequence, error) {
 	}
 	// Word sources resolve once, eagerly — before any item is matched
 	// and identically on the index and scan paths, so indexed and
-	// scan-only runs surface the same errors in the same order.
-	sel, err := ctx.resolveFTSelection(x.Sel)
-	if err != nil {
-		return nil, err
+	// scan-only runs surface the same errors in the same order. A
+	// literal selection the planner resolved is not resolved again.
+	sel := x.LitSel
+	if sel == nil {
+		if sel, err = ctx.resolveFTSelection(x.Sel); err != nil {
+			return nil, err
+		}
 	}
 	for _, it := range s {
 		if ctx.ftMatchItem(it, sel) {

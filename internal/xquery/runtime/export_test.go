@@ -180,11 +180,12 @@ func AxisNodes(n *dom.Node, axis ast.Axis) []*dom.Node {
 	return out
 }
 
-// WalkAxis drains the pipeline's walker of the axis from n.
+// WalkAxis drains the pipeline's cursor of the axis from n.
 func WalkAxis(n *dom.Node, axis ast.Axis) []*dom.Node {
 	var out []*dom.Node
-	w := newAxisWalker(n, axis)
-	for x, ok := w.next(); ok; x, ok = w.next() {
+	var c axisCursor
+	c.open(n, axis)
+	for x, ok := c.next(); ok; x, ok = c.next() {
 		out = append(out, x)
 	}
 	return out

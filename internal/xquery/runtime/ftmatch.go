@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/dom"
@@ -9,6 +8,7 @@ import (
 	ftindex "repro/internal/fulltext/index"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
+	"repro/internal/xquery/plan"
 )
 
 // This file is the runtime's full-text evaluation path: ftcontains
@@ -125,54 +125,20 @@ func termKey(t ftindex.Term) string {
 // evaluated eagerly — before any matching, on both paths — so indexed
 // and scan-only runs surface exactly the same errors.
 func (ctx *Context) resolveFTSelection(sel ast.FTSelection) (ftindex.Sel, error) {
-	switch s := sel.(type) {
-	case ast.FTWords:
-		seq, err := ctx.Eval(s.Source)
-		if err != nil {
-			return nil, err
-		}
-		phrases := make([]string, len(seq))
-		for i, it := range seq {
-			phrases[i] = xdm.Atomize(it).String()
-		}
-		return ftindex.Words{
-			Phrases: phrases,
-			All:     s.AnyAll == "all",
-			Opts: fulltext.Options{
-				Stemming:      s.Opts.Stemming,
-				CaseSensitive: s.Opts.CaseSensitive,
-				Wildcards:     s.Opts.Wildcards,
-			},
-		}, nil
-	case ast.FTAnd:
-		l, err := ctx.resolveFTSelection(s.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ctx.resolveFTSelection(s.R)
-		if err != nil {
-			return nil, err
-		}
-		return ftindex.And{L: l, R: r}, nil
-	case ast.FTOr:
-		l, err := ctx.resolveFTSelection(s.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ctx.resolveFTSelection(s.R)
-		if err != nil {
-			return nil, err
-		}
-		return ftindex.Or{L: l, R: r}, nil
-	case ast.FTNot:
-		x, err := ctx.resolveFTSelection(s.X)
-		if err != nil {
-			return nil, err
-		}
-		return ftindex.Not{X: x}, nil
-	default:
-		return nil, fmt.Errorf("xquery: unknown full-text selection %T", sel)
+	return plan.ResolveFTSelection(sel, ctx.ftPhrases)
+}
+
+// ftPhrases evaluates a word source into its phrases.
+func (ctx *Context) ftPhrases(src ast.Expr) ([]string, error) {
+	seq, err := ctx.Eval(src)
+	if err != nil {
+		return nil, err
 	}
+	phrases := make([]string, len(seq))
+	for i, it := range seq {
+		phrases[i] = xdm.Atomize(it).String()
+	}
+	return phrases, nil
 }
 
 // ftMatchItem matches one item against a resolved selection: through

@@ -47,10 +47,10 @@ func readIndex[D any](ctx *Context, n *dom.Node,
 // (the caller then scans). The candidates are in document order — the
 // same set and order the scan's walk-plus-node-test would produce for a
 // name probe, and a subset the re-applied node test and predicates
-// reduce to the same result for an id probe. keys are the step
-// evaluation's key slots (newStepKeys), through which an id key is
-// read once.
-func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step, keys stepKeys) ([]*dom.Node, bool) {
+// reduce to the same result for an id probe. preds are the step
+// evaluation's predicate stages (predStages): an id key is read once,
+// through the first one.
+func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step, preds *predIter) ([]*dom.Node, bool) {
 	if ctx.NoIndex || step.Primary != nil || step.Access == ast.AccessScan {
 		return nil, false
 	}
@@ -62,7 +62,7 @@ func (ctx *Context) probeIndex(n *dom.Node, step *ast.Step, keys stepKeys) ([]*d
 		if !hasCandidate(n, step, orSelf) {
 			return ctx.indexHit(nil) // no candidate: the scan never reads the key, nor does the probe
 		}
-		id, ok := keys.id(ctx, step)
+		id, ok := preds.first().id()
 		switch {
 		case !ok: // not one non-empty string: the scan's candidates keep its errors and matches
 			return ctx.probeNames(n, step, orSelf)
@@ -120,8 +120,9 @@ func (ctx *Context) indexHit(cand []*dom.Node) ([]*dom.Node, bool) {
 
 // probeFTIndex answers an AccessFT step's candidates from the
 // full-text index: the planner guaranteed the first predicate is
-// ". ftcontains <literal selection>", so the posting lists bound the
-// nodes that can match it — intersected for ftand, unioned for ftor —
+// ". ftcontains <literal selection>", which it resolved (LitSel), so
+// the posting lists bound the nodes that can match it — intersected
+// for ftand, unioned for ftor —
 // and the evaluator re-applies the node test and every predicate (the
 // ftcontains included) to each candidate, exactly as for the other
 // probes. ok is false whenever the index cannot answer; the caller
@@ -130,16 +131,11 @@ func (ctx *Context) probeFTIndex(n *dom.Node, step *ast.Step, orSelf bool) ([]*d
 	if len(step.Preds) == 0 {
 		return nil, false
 	}
-	selAST, okSel := plan.FTProbeSelection(step.Preds[0])
-	if !okSel {
+	ftc, ok := plan.FTProbe(step.Preds[0])
+	if !ok {
 		return nil, false
 	}
-	sel, err := ctx.resolveFTSelection(selAST)
-	if err != nil {
-		// Literal sources cannot fail to evaluate; treat a failure as
-		// "cannot answer" and let the scan surface it.
-		return nil, false
-	}
+	sel := ftc.LitSel
 	idx, built := readIndex(ctx, n, ftindex.Probe, ftindex.Fresh)
 	if built && ctx.Profiler != nil {
 		ctx.Profiler.AddFT("builds", 1)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dom"
@@ -29,7 +30,7 @@ func (ctx *Context) EvalIter(e ast.Expr) xdm.Iter {
 func (ctx *Context) evalIter(e ast.Expr) (xdm.Iter, bool) {
 	switch x := e.(type) {
 	case ast.StringLit:
-		return xdm.SingletonIter(xdm.String(x.Val)), false
+		return xdm.FromSlice(x.Value()), false
 	case ast.IntLit:
 		return xdm.SingletonIter(xdm.Integer(x.Val)), false
 	case ast.DoubleLit:
@@ -258,6 +259,10 @@ func (r *rangeIter) materialize() (xdm.Sequence, error) {
 // wherever the invariants allow. Correctness therefore never depends
 // on streamability.
 //
+// A path that starts from one node — the root of an absolute path, the
+// context item of a relative one — hands it to its first step's stream
+// as that stream's focus (seededSteps), with no iterator around it.
+//
 // The second return value reports whether the result is statically
 // known to be an ordered node stream.
 func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
@@ -267,7 +272,7 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 		if !ok {
 			return xdm.ErrIter(fmt.Errorf("xquery: absolute path requires a node context item")), false
 		}
-		return ctx.streamSteps(xdm.SingletonIter(xdm.NewNode(n.Root())), true, true, steps)
+		return ctx.seededSteps(n.Root(), steps)
 	}
 	if len(steps) == 0 {
 		return xdm.ErrIter(fmt.Errorf("xquery: empty path")), false
@@ -280,7 +285,10 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 		// node, needs no sort; any other has its survivors sorted.
 		raw, ord := ctx.evalIter(first.Primary)
 		one := atMostOneNode(raw)
-		cur := ctx.predStages(ctx.countItems(first.Primary, raw), first, ctx.newStepKeys(first))
+		cur := ctx.countItems(first.Primary, raw)
+		if preds := ctx.predStages(first, cur); preds != nil {
+			cur = preds
+		}
 		if ord || one {
 			return ctx.streamSteps(cur, true, one, steps[1:])
 		}
@@ -300,7 +308,27 @@ func (ctx *Context) pathIter(p ast.Path) (xdm.Iter, bool) {
 	if ctx.Item == nil {
 		return xdm.ErrIter(fmt.Errorf("xquery: context item is undefined in a path step")), false
 	}
-	return ctx.streamSteps(xdm.SingletonIter(ctx.Item), true, true, steps)
+	n, ok := xdm.IsNode(ctx.Item)
+	if !ok {
+		return xdm.ErrIter(errAtomicFocus), false
+	}
+	return ctx.seededSteps(n, steps)
+}
+
+// errAtomicFocus is the error of an axis step whose focus holds an
+// atomic value.
+var errAtomicFocus = errors.New("xquery: axis step applied to an atomic value")
+
+// seededSteps runs steps from the one node n: the first step's stream
+// takes n as its focus where the step can stream from one node, and
+// the rest continue as streamSteps does.
+func (ctx *Context) seededSteps(n *dom.Node, steps []ast.Step) (xdm.Iter, bool) {
+	if len(steps) == 0 || !streamable(&steps[0], true, true) {
+		return ctx.streamSteps(xdm.SingletonIter(xdm.NewNode(n)), true, true, steps)
+	}
+	s := ctx.newStepStream(&steps[0], nil)
+	s.seed = n
+	return ctx.streamSteps(s, true, axisOutDisjoint(steps[0].Axis, true), steps[1:])
 }
 
 // streamSteps continues a path over the focus stream cur, whose order
@@ -313,7 +341,7 @@ func (ctx *Context) streamSteps(cur xdm.Iter, ord, disjoint bool, steps []ast.St
 		if !streamable(step, ord, disjoint) {
 			return ctx.sortedStep(cur, steps[si:]), steps[len(steps)-1].Primary == nil
 		}
-		cur = &stepStream{ctx: ctx, step: step, input: cur, keys: ctx.newStepKeys(step)}
+		cur = ctx.newStepStream(step, cur)
 		ord, disjoint = true, axisOutDisjoint(step.Axis, disjoint)
 	}
 	return cur, ord
@@ -362,147 +390,202 @@ func atMostOneNode(it xdm.Iter) bool {
 	return ok
 }
 
-// stepStream maps an ordered focus stream through one axis step,
-// yielding each focus node's candidates lazily.
+// stepStream is one evaluation of an axis step: it maps a focus stream
+// through the step, yielding each focus node's candidates lazily — axis
+// walk, node test, predicate stages — in the order of the focus. It is
+// the evaluation's one object: the cursor over the candidates is a
+// value inside it, opened again for each focus node, and the predicate
+// stages (one object per predicate, predStages) are built with it and
+// restarted for each focus node, so a step costs the same allocations
+// over one focus node or a thousand. Every axis step, streamed or in a
+// sorted stage (mapStep), is a stepStream, which makes it the single
+// place the planner's annotations are consulted: an indexed step
+// replaces the axis walk with the (much smaller) probed candidate list,
+// and the node test plus all predicates still re-apply, so a probe can
+// never change a result — only skip the nodes a scan would have
+// visited and rejected.
 type stepStream struct {
-	ctx   *Context
-	step  *ast.Step
-	input xdm.Iter
-	cur   xdm.Iter
-	keys  stepKeys
+	candidates
+	input xdm.Iter  // the focus stream; nil for a stream seeded with one node
+	seed  *dom.Node // the seeded focus node, until it is opened
+	preds *predIter // the step's last predicate stage, over candidates; nil without predicates
+	open  bool      // the current focus node's candidates are being pulled
+}
+
+// newStepStream returns one evaluation of step over the focus stream
+// input (nil: the caller seeds it).
+func (ctx *Context) newStepStream(step *ast.Step, input xdm.Iter) *stepStream {
+	s := &stepStream{candidates: candidates{ctx: ctx, step: step}, input: input}
+	s.preds = ctx.predStages(step, &s.candidates)
+	return s
 }
 
 func (s *stepStream) Next() (xdm.Item, bool, error) {
 	for {
-		if s.cur != nil {
-			item, ok, err := s.cur.Next()
-			if err != nil {
-				return nil, false, err
+		if s.open {
+			var item xdm.Item
+			var ok bool
+			var err error
+			if s.preds != nil {
+				item, ok, err = s.preds.Next()
+			} else {
+				item, ok, err = s.candidates.Next()
 			}
-			if ok {
-				return item, true, nil
+			if err != nil || ok {
+				return item, ok, err
 			}
-			s.cur = nil
+			s.open = false
 		}
-		focus, ok, err := s.input.Next()
-		if err != nil {
+		n, ok, err := s.nextFocus()
+		if err != nil || !ok {
 			return nil, false, err
 		}
+		s.openFocus(n)
+	}
+}
+
+// nextFocus pulls the next focus node: the seed, or the next item of
+// the focus stream, which must be a node.
+func (s *stepStream) nextFocus() (*dom.Node, bool, error) {
+	if s.input == nil {
+		n := s.seed
+		s.seed = nil
+		return n, n != nil, nil
+	}
+	focus, ok, err := s.input.Next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	n, isNode := xdm.IsNode(focus)
+	if !isNode {
+		return nil, false, errAtomicFocus
+	}
+	return n, true, nil
+}
+
+// openFocus readies the candidates of focus node n — the probed list
+// where the step's index can answer, the axis walk otherwise — and
+// restarts the predicate stages over them.
+func (s *stepStream) openFocus(n *dom.Node) {
+	if cand, ok := s.ctx.probeIndex(n, s.step, s.preds); ok {
+		s.cur.list(cand)
+	} else {
+		s.cur.open(n, s.step.Axis)
+	}
+	if s.preds != nil {
+		s.preds.restart(&s.candidates)
+	}
+	s.open = true
+}
+
+// candidates is the candidate stream of a step's current focus node:
+// what its cursor yields that passes the node test. Every candidate
+// pulled consumes one budget step, which is what bounds pure tree walks
+// that never re-enter Eval.
+type candidates struct {
+	ctx  *Context
+	step *ast.Step
+	cur  axisCursor
+}
+
+func (c *candidates) Next() (xdm.Item, bool, error) {
+	for {
+		n, ok := c.cur.next()
 		if !ok {
 			return nil, false, nil
 		}
-		n, isNode := xdm.IsNode(focus)
-		if !isNode {
-			return nil, false, fmt.Errorf("xquery: axis step applied to an atomic value")
+		if err := c.ctx.Budget.Step(); err != nil {
+			return nil, false, err
 		}
-		s.cur = s.ctx.stepCandidates(n, s.step, s.keys)
+		if matchNodeTest(n, c.step.Test, c.step.Axis) {
+			return xdm.NewNode(n), true, nil
+		}
 	}
 }
 
-// stepCandidates returns one focus node's lazily filtered candidates:
-// axis walk → node test → predicate stages. Every candidate pulled
-// consumes one budget step, which is what bounds pure tree walks that
-// never re-enter Eval. Every axis step, streamed or in a sorted stage
-// (mapStep), comes through here, which makes it the single place the
-// planner's annotations are consulted: an indexed step replaces the
-// axis walk with the (much smaller) probed candidate list, and the
-// node test plus all predicates still re-apply, so a probe can never
-// change a result — only skip the nodes a scan would have visited and
-// rejected. keys are the key slots of this evaluation of the step
-// (newStepKeys), shared by all its focus nodes.
-func (ctx *Context) stepCandidates(n *dom.Node, step *ast.Step, keys stepKeys) xdm.Iter {
-	var it xdm.Iter
-	if cand, ok := ctx.probeIndex(n, step, keys); ok {
-		i := 0
-		it = xdm.IterFunc(func() (xdm.Item, bool, error) {
-			for i < len(cand) {
-				c := cand[i]
-				i++
-				if err := ctx.Budget.Step(); err != nil {
-					return nil, false, err
-				}
-				if matchNodeTest(c, step.Test, step.Axis) {
-					return xdm.NewNode(c), true, nil
-				}
-			}
-			return nil, false, nil
-		})
-	} else {
-		walk := newAxisWalker(n, step.Axis)
-		it = xdm.IterFunc(func() (xdm.Item, bool, error) {
-			for {
-				c, ok := walk.next()
-				if !ok {
-					return nil, false, nil
-				}
-				if err := ctx.Budget.Step(); err != nil {
-					return nil, false, err
-				}
-				if matchNodeTest(c, step.Test, step.Axis) {
-					return xdm.NewNode(c), true, nil
-				}
-			}
-		})
-	}
-	return ctx.predStages(it, step, keys)
-}
-
-// predStages filters a stream through every predicate of step.
-func (ctx *Context) predStages(it xdm.Iter, step *ast.Step, keys stepKeys) xdm.Iter {
+// predStages returns the predicate stages of one evaluation of step
+// over in, chained in predicate order — the last one, which yields what
+// passes them all — or nil when the step has no predicates. The stages
+// live as long as the evaluation: restart points them at the next
+// focus's input.
+func (ctx *Context) predStages(step *ast.Step, in xdm.Iter) *predIter {
+	var last *predIter
 	for i := range step.Preds {
-		it = ctx.predStage(it, step, i, keys)
+		p := &predIter{ctx: ctx, in: in, step: step, i: int32(i)}
+		if ctx.NoIndex || p.plan().Kind != ast.PredAttrCmp {
+			p.key.read = true // no key: the generic test decides
+		}
+		if last != nil {
+			p.in = last
+		}
+		last = p
 	}
-	return it
+	return last
 }
 
-// predStage filters a stream through predicate i of step, the way the
+// predIter keeps the items of its input for which predicate i of step
+// holds, each evaluated at its position in the input, the way the
 // planner classified it: a predicate that may call last() needs the
 // input size, so its stage materializes its input first; an attribute
-// comparison runs natively while keys has a slot for it; everything
-// else streams through the generic predIter, and statically bounded
+// comparison runs natively while its key is strings (attrcmp.go);
+// everything else evaluates the predicate, and statically bounded
 // positional predicates ([1], [position() le 3]) stop pulling input at
 // the bound.
-func (ctx *Context) predStage(in xdm.Iter, step *ast.Step, i int, keys stepKeys) xdm.Iter {
-	pred, pp := step.Preds[i], step.PredPlan(i)
-	switch {
-	case pp.Kind == ast.PredSized:
-		return deferredIter(func() (xdm.Iter, error) {
-			items, err := xdm.Materialize(in)
-			if err != nil {
-				return nil, err
-			}
-			return &predIter{ctx: ctx, in: xdm.FromSlice(items), pred: pred, size: len(items)}, nil
-		})
-	case pp.Kind == ast.PredAttrCmp && keys != nil:
-		return &attrCmpIter{ctx: ctx, in: in, pred: pred, plan: &step.PredPlans[i], key: &keys[i]}
-	}
-	return &predIter{ctx: ctx, in: in, pred: pred, bound: pp.Bound, bounded: pp.Kind == ast.PredBounded}
+type predIter struct {
+	ctx    *Context
+	in     xdm.Iter
+	step   *ast.Step
+	items  xdm.Sequence // a sized stage's input, materialized at its first pull
+	key    attrKey      // an attribute comparison's key, read once per step evaluation
+	pos    int          // the position of the last item taken from the input
+	i      int32
+	filled bool // items holds this focus's input
+	done   bool
 }
 
-// predIter keeps the items of its input for which pred holds, each
-// evaluated at its position in the input. size is the input's length
-// where the predicate may call last(), 0 where it does not.
-type predIter struct {
-	ctx     *Context
-	in      xdm.Iter
-	pred    ast.Expr
-	pos     int
-	size    int
-	bound   int64
-	bounded bool
-	done    bool
+// unplanned is the plan of a predicate the planner has not classified:
+// the zero plan, PredSized, which is right for any predicate.
+var unplanned ast.PredPlan
+
+// plan returns the planner's classification of the stage's predicate.
+func (p *predIter) plan() *ast.PredPlan {
+	if int(p.i) < len(p.step.PredPlans) {
+		return &p.step.PredPlans[p.i]
+	}
+	return &unplanned
+}
+
+// restart readies the stages for the next focus: every stage counts
+// positions from 1 again, and the first reads in. Keys stay read.
+func (p *predIter) restart(in xdm.Iter) {
+	p.pos, p.items, p.filled, p.done = 0, nil, false, false
+	if prev, ok := p.in.(*predIter); ok {
+		prev.restart(in)
+	} else {
+		p.in = in
+	}
+}
+
+// first returns the stage of the step's first predicate; nil for a
+// step without predicates.
+func (p *predIter) first() *predIter {
+	for p != nil {
+		prev, ok := p.in.(*predIter)
+		if !ok {
+			break
+		}
+		p = prev
+	}
+	return p
 }
 
 func (p *predIter) Next() (xdm.Item, bool, error) {
 	if p.done {
 		return nil, false, nil
 	}
+	pp := p.plan()
 	for {
-		if p.bounded && int64(p.pos) >= p.bound {
-			p.done = true
-			return nil, false, nil
-		}
-		item, ok, err := p.in.Next()
+		item, ok, err := p.pull(pp)
 		if err != nil {
 			return nil, false, err
 		}
@@ -511,12 +594,7 @@ func (p *predIter) Next() (xdm.Item, bool, error) {
 			return nil, false, nil
 		}
 		p.pos++
-		c := p.ctx.withFocus(item, p.pos, p.size)
-		res, err := c.Eval(p.pred)
-		if err != nil {
-			return nil, false, err
-		}
-		keep, err := predicateTruth(res, p.pos)
+		keep, err := p.holds(item, pp)
 		if err != nil {
 			return nil, false, err
 		}
@@ -526,45 +604,137 @@ func (p *predIter) Next() (xdm.Item, bool, error) {
 	}
 }
 
-// --- lazy axis walkers -------------------------------------------------------
+// pull takes the stage's next input item: from its materialized input
+// for a sized stage, from its input stream otherwise, up to the bound
+// of a bounded one.
+func (p *predIter) pull(pp *ast.PredPlan) (xdm.Item, bool, error) {
+	switch pp.Kind {
+	case ast.PredSized:
+		if !p.filled {
+			items, err := xdm.Materialize(p.in)
+			if err != nil {
+				return nil, false, err
+			}
+			p.items, p.filled = items, true
+		}
+		if p.pos >= len(p.items) {
+			return nil, false, nil
+		}
+		return p.items[p.pos], true, nil
+	case ast.PredBounded:
+		if int64(p.pos) >= pp.Bound {
+			return nil, false, nil
+		}
+	}
+	return p.in.Next()
+}
 
-// An axisWalker yields the nodes of one axis from one node, lazily and
-// in axis order: document order for the forward axes, reverse document
-// order — proximity order — for the reverse ones.
-type axisWalker interface{ next() (*dom.Node, bool) }
+// holds tests the item at position p.pos: natively where the kernel
+// can decide, by evaluating the predicate otherwise.
+func (p *predIter) holds(item xdm.Item, pp *ast.PredPlan) (bool, error) {
+	if !p.key.read {
+		p.key.load(p.ctx, pp)
+	}
+	if n, isNode := xdm.IsNode(item); isNode && p.key.vals != nil {
+		if keep, ok := p.key.matches(n, pp); ok {
+			return keep, nil
+		}
+	}
+	size := 0
+	if pp.Kind == ast.PredSized {
+		size = len(p.items)
+	}
+	res, err := p.ctx.withFocus(item, p.pos, size).Eval(p.step.Preds[p.i])
+	if err != nil {
+		return false, err
+	}
+	return predicateTruth(res, p.pos)
+}
 
-func newAxisWalker(n *dom.Node, axis ast.Axis) axisWalker {
+// --- axis cursors ------------------------------------------------------------
+
+// axisCursor yields the nodes of one axis from one node, lazily and in
+// axis order: document order for the forward axes, reverse document
+// order — proximity order — for the reverse ones; or a probed candidate
+// list, front to back. It is a value in the step's stream, opened again
+// for each focus node, so a tree walk's stack is allocated once per
+// step evaluation, not once per focus node.
+type axisCursor struct {
+	nodes []*dom.Node // walkList, walkListBack: what is left of the list
+	// n is walkOne's node and walkUp's next one, walkTree's subtree
+	// root still to visit, and the ancestor-or-self whose siblings come
+	// next on walkFollowing and walkPreceding.
+	n     *dom.Node
+	stack []treeLevel // the tree walks' open levels, innermost last
+	walk  walkKind
+}
+
+// walkKind is how an axisCursor moves.
+type walkKind uint8
+
+const (
+	walkList      walkKind = iota // nodes, front to back
+	walkListBack                  // nodes, back to front
+	walkOne                       // n, if any
+	walkUp                        // n and its ancestors
+	walkTree                      // a subtree in document order
+	walkFollowing                 // the following axis
+	walkPreceding                 // the preceding axis
+)
+
+// treeLevel is one open level of a tree walk: the nodes still to walk
+// — front to back, or back to front on the preceding axis — and, on the
+// preceding axis, the node whose children they are, yielded once they
+// are done (nil for a list of siblings). A stack of levels is as deep
+// as the tree, not as wide: walking past 2,000 siblings costs what
+// walking past two does.
+type treeLevel struct {
+	nodes []*dom.Node
+	owner *dom.Node
+}
+
+// list readies the cursor to walk a candidate list.
+func (c *axisCursor) list(nodes []*dom.Node) {
+	c.walk, c.nodes, c.n, c.stack = walkList, nodes, nil, c.stack[:0]
+}
+
+// open readies the cursor to walk axis from n. An attribute's
+// following axis begins with its element's children, and its
+// preceding axis is its element's.
+func (c *axisCursor) open(n *dom.Node, axis ast.Axis) {
+	c.list(nil)
 	switch axis {
 	case ast.AxisChild:
-		return &sliceWalker{nodes: n.Children()}
+		c.nodes = n.Children()
 	case ast.AxisAttribute:
-		return &sliceWalker{nodes: n.Attrs()}
+		c.nodes = n.Attrs()
 	case ast.AxisSelf:
-		return &upWalker{n: n, one: true}
+		c.walk, c.n = walkOne, n
 	case ast.AxisParent:
-		return &upWalker{n: n.Parent(), one: true}
+		c.walk, c.n = walkOne, n.Parent()
 	case ast.AxisAncestor:
-		return &upWalker{n: n.Parent()}
+		c.walk, c.n = walkUp, n.Parent()
 	case ast.AxisAncestorOrSelf:
-		return &upWalker{n: n}
+		c.walk, c.n = walkUp, n
 	case ast.AxisFollowingSibling:
-		_, after := siblings(n)
-		return &sliceWalker{nodes: after}
+		_, c.nodes = siblings(n)
 	case ast.AxisPrecedingSibling:
-		before, _ := siblings(n)
-		return &sliceWalker{nodes: before, back: true}
+		c.walk = walkListBack
+		c.nodes, _ = siblings(n)
 	case ast.AxisDescendant:
-		w := &treeWalker{}
-		w.descend(n)
-		return w
+		c.walk = walkTree
+		c.descend(n)
 	case ast.AxisDescendantOrSelf:
-		return &treeWalker{root: n}
+		c.walk, c.n = walkTree, n
 	case ast.AxisFollowing:
-		return newFollowingWalker(n)
+		c.walk, c.n = walkFollowing, n
+		if p := n.Parent(); n.Type == dom.AttributeNode && p != nil {
+			c.n = p
+			c.descend(p)
+		}
 	case ast.AxisPreceding:
-		return &precedingWalker{anc: n}
+		c.walk, c.n = walkPreceding, n
 	}
-	return &sliceWalker{}
 }
 
 // siblings returns the children of n's parent before and after n, from
@@ -580,159 +750,114 @@ func siblings(n *dom.Node) (before, after []*dom.Node) {
 	return kids[:i], kids[i+1:]
 }
 
-// sliceWalker walks a node list front to back, or back to front.
-type sliceWalker struct {
-	nodes []*dom.Node
-	back  bool
-}
-
-func (w *sliceWalker) next() (*dom.Node, bool) {
-	k := len(w.nodes)
-	if k == 0 {
-		return nil, false
-	}
-	if w.back {
-		n := w.nodes[k-1]
-		w.nodes = w.nodes[:k-1]
-		return n, true
-	}
-	n := w.nodes[0]
-	w.nodes = w.nodes[1:]
-	return n, true
-}
-
-// upWalker walks from n up through its ancestors, n first; one stops it
-// after n.
-type upWalker struct {
-	n   *dom.Node
-	one bool
-}
-
-func (w *upWalker) next() (*dom.Node, bool) {
-	n := w.n
-	if n == nil {
-		return nil, false
-	}
-	w.n = n.Parent()
-	if w.one {
-		w.n = nil
-	}
-	return n, true
-}
-
-// treeWalker streams a subtree in document order, visiting each node
-// exactly once without materializing the descendant list. Its stack
-// holds one cursor per open ancestor — a child list and a position in
-// it — so it is as deep as the tree, not as wide: walking past 2,000
-// siblings costs what walking past two does.
-type treeWalker struct {
-	root  *dom.Node // a subtree root still to visit, before the stack
-	stack []walkCursor
-}
-
-type walkCursor struct {
-	nodes []*dom.Node
-	i     int
+// push opens a tree level.
+func (c *axisCursor) push(nodes []*dom.Node, owner *dom.Node) {
+	c.stack = append(c.stack, treeLevel{nodes: nodes, owner: owner})
 }
 
 // descend queues n's children to be walked next.
-func (w *treeWalker) descend(n *dom.Node) {
+func (c *axisCursor) descend(n *dom.Node) {
 	if ch := n.Children(); len(ch) > 0 {
-		w.stack = append(w.stack, walkCursor{nodes: ch})
+		c.push(ch, nil)
 	}
 }
 
-func (w *treeWalker) next() (*dom.Node, bool) {
-	if n := w.root; n != nil {
-		w.root = nil
-		w.descend(n)
+func (c *axisCursor) next() (*dom.Node, bool) {
+	switch c.walk {
+	case walkList:
+		if len(c.nodes) == 0 {
+			return nil, false
+		}
+		n := c.nodes[0]
+		c.nodes = c.nodes[1:]
 		return n, true
+	case walkListBack:
+		k := len(c.nodes)
+		if k == 0 {
+			return nil, false
+		}
+		n := c.nodes[k-1]
+		c.nodes = c.nodes[:k-1]
+		return n, true
+	case walkOne, walkUp:
+		n := c.n
+		if n == nil {
+			return nil, false
+		}
+		c.n = nil
+		if c.walk == walkUp {
+			c.n = n.Parent()
+		}
+		return n, true
+	case walkTree:
+		if n := c.n; n != nil {
+			c.n = nil
+			c.descend(n)
+			return n, true
+		}
+		return c.treeNext()
+	case walkFollowing:
+		// For every ancestor-or-self of the origin, inner to outer, the
+		// subtrees of its following siblings, left to right: document
+		// order past the origin's subtree.
+		for {
+			if x, ok := c.treeNext(); ok {
+				return x, true
+			}
+			if c.n == nil {
+				return nil, false
+			}
+			_, after := siblings(c.n)
+			c.n = c.n.Parent()
+			if len(after) > 0 {
+				c.push(after, nil)
+			}
+		}
+	case walkPreceding:
+		return c.precedingNext()
 	}
-	for len(w.stack) > 0 {
-		top := &w.stack[len(w.stack)-1]
-		if top.i == len(top.nodes) {
-			w.stack = w.stack[:len(w.stack)-1]
+	return nil, false
+}
+
+// treeNext yields the next node of a forward tree walk, in document
+// order, each node once.
+func (c *axisCursor) treeNext() (*dom.Node, bool) {
+	for len(c.stack) > 0 {
+		top := &c.stack[len(c.stack)-1]
+		if len(top.nodes) == 0 {
+			c.stack = c.stack[:len(c.stack)-1]
 			continue
 		}
-		n := top.nodes[top.i]
-		top.i++
-		w.descend(n)
+		n := top.nodes[0]
+		top.nodes = top.nodes[1:]
+		c.descend(n)
 		return n, true
 	}
 	return nil, false
 }
 
-// followingWalker streams the following axis: for every
-// ancestor-or-self of the origin (inner to outer), the subtrees of its
-// following siblings, left to right — which is exactly document order
-// past the origin's subtree. An attribute's following axis begins with
-// its element's children.
-type followingWalker struct {
-	anc *dom.Node // the ancestor-or-self whose following siblings come next
-	tw  treeWalker
-}
-
-func newFollowingWalker(n *dom.Node) *followingWalker {
-	w := &followingWalker{anc: n}
-	if p := n.Parent(); n.Type == dom.AttributeNode && p != nil {
-		w.anc = p
-		w.tw.descend(p)
-	}
-	return w
-}
-
-func (w *followingWalker) next() (*dom.Node, bool) {
+// precedingNext walks the preceding axis in reverse document order: for
+// every ancestor-or-self of the origin, inner to outer, the subtrees of
+// its preceding siblings, right to left, each subtree's nodes after its
+// descendants. Ancestors are never on the axis.
+func (c *axisCursor) precedingNext() (*dom.Node, bool) {
 	for {
-		if x, ok := w.tw.next(); ok {
-			return x, true
-		}
-		if w.anc == nil {
-			return nil, false
-		}
-		_, after := siblings(w.anc)
-		w.anc = w.anc.Parent()
-		if len(after) > 0 {
-			w.tw.stack = append(w.tw.stack, walkCursor{nodes: after})
-		}
-	}
-}
-
-// precedingWalker streams the preceding axis in reverse document
-// order: for every ancestor-or-self of the origin (inner to outer), the
-// subtrees of its preceding siblings, right to left, each subtree's
-// nodes after its descendants. Ancestors are never on the axis, and an
-// attribute's is its element's.
-type precedingWalker struct {
-	anc   *dom.Node // the ancestor-or-self whose preceding siblings come next
-	stack []backCursor
-}
-
-// backCursor is a node list still to walk, back to front, and the node
-// whose children it is, yielded once the list is done (nil for a list
-// of siblings).
-type backCursor struct {
-	nodes []*dom.Node
-	owner *dom.Node
-}
-
-func (w *precedingWalker) next() (*dom.Node, bool) {
-	for {
-		if len(w.stack) == 0 {
-			if w.anc == nil {
+		if len(c.stack) == 0 {
+			if c.n == nil {
 				return nil, false
 			}
-			before, _ := siblings(w.anc)
-			w.anc = w.anc.Parent()
+			before, _ := siblings(c.n)
+			c.n = c.n.Parent()
 			if len(before) > 0 {
-				w.stack = append(w.stack, backCursor{nodes: before})
+				c.push(before, nil)
 			}
 			continue
 		}
-		top := &w.stack[len(w.stack)-1]
+		top := &c.stack[len(c.stack)-1]
 		k := len(top.nodes)
 		if k == 0 {
 			owner := top.owner
-			w.stack = w.stack[:len(w.stack)-1]
+			c.stack = c.stack[:len(c.stack)-1]
 			if owner != nil {
 				return owner, true
 			}
@@ -741,7 +866,7 @@ func (w *precedingWalker) next() (*dom.Node, bool) {
 		x := top.nodes[k-1]
 		top.nodes = top.nodes[:k-1]
 		if kids := x.Children(); len(kids) > 0 {
-			w.stack = append(w.stack, backCursor{nodes: kids, owner: x})
+			c.push(kids, x)
 			continue
 		}
 		return x, true

@@ -33,6 +33,10 @@ func (ctx *Context) sortedStep(prev xdm.Iter, steps []ast.Step) xdm.Iter {
 			return nil, err
 		}
 		if len(focus) <= 1 && streamable(&steps[0], true, true) {
+			if n, ok := oneNode(focus); ok {
+				it, _ := ctx.seededSteps(n, steps)
+				return it, nil
+			}
 			it, _ := ctx.streamSteps(xdm.FromSlice(focus), true, true, steps)
 			return it, nil
 		}
@@ -45,37 +49,35 @@ func (ctx *Context) sortedStep(prev xdm.Iter, steps []ast.Step) xdm.Iter {
 	})
 }
 
-// mapStep evaluates step for every item of a materialized focus, at
-// its position in the focus — which gives position() and last() their
-// values — and orders the results with finishStep. last reports
-// whether the step ends the path. An axis step from one focus node
-// needs no sort: its one walker yields each node once, in document
-// order on a forward axis and in reverse on a reverse one, so the
-// output is reversed or passed on as it is, and the tree is never
-// labeled for it.
+// oneNode returns the node of a one-node sequence.
+func oneNode(s xdm.Sequence) (*dom.Node, bool) {
+	if len(s) != 1 {
+		return nil, false
+	}
+	return xdm.IsNode(s[0])
+}
+
+// mapStep evaluates step for every item of a materialized focus and
+// orders the results with finishStep. last reports whether the step
+// ends the path. An axis step is one stepStream over the focus. An
+// axis step from one focus node needs no sort: its walk yields each
+// node once, in document order on a forward axis and in reverse on a
+// reverse one, so the output is reversed or passed on as it is, and the
+// tree is never labeled for it. A filter step evaluates its primary at
+// each item's position in the focus — which gives position() and
+// last() their values — and restarts its predicate stages over each
+// result.
 func (ctx *Context) mapStep(focus xdm.Sequence, step *ast.Step, last bool) (xdm.Sequence, error) {
-	keys := ctx.newStepKeys(step)
 	var results xdm.Sequence
-	for i, item := range focus {
-		var it xdm.Iter
-		if step.Primary != nil {
-			c := ctx.withFocus(item, i+1, len(focus))
-			res, err := c.Eval(step.Primary)
-			if err != nil {
-				return nil, err
-			}
-			if len(step.Preds) == 0 {
-				results = append(results, res...)
-				continue
-			}
-			it = c.predStages(xdm.FromSlice(res), step, keys)
-		} else if n, ok := xdm.IsNode(item); ok {
-			it = ctx.stepCandidates(n, step, keys)
+	if step.Primary == nil {
+		s := ctx.newStepStream(step, nil)
+		if n, ok := oneNode(focus); ok {
+			s.seed = n
 		} else {
-			return nil, fmt.Errorf("xquery: axis step applied to an atomic value")
+			s.input = xdm.FromSlice(focus)
 		}
 		for {
-			r, ok, err := it.Next()
+			r, ok, err := s.Next()
 			if err != nil {
 				return nil, err
 			}
@@ -84,12 +86,35 @@ func (ctx *Context) mapStep(focus xdm.Sequence, step *ast.Step, last bool) (xdm.
 			}
 			results = append(results, r)
 		}
-	}
-	if len(focus) == 1 && step.Primary == nil {
-		if step.Axis.Reverse() {
-			slices.Reverse(results)
+		if len(focus) == 1 {
+			if step.Axis.Reverse() {
+				slices.Reverse(results)
+			}
+			return results, nil
 		}
-		return results, nil
+		return ctx.finishStep(results, last)
+	}
+	preds := ctx.predStages(step, nil)
+	for i, item := range focus {
+		res, err := ctx.withFocus(item, i+1, len(focus)).Eval(step.Primary)
+		if err != nil {
+			return nil, err
+		}
+		if preds == nil {
+			results = append(results, res...)
+			continue
+		}
+		preds.restart(xdm.FromSlice(res))
+		for {
+			r, ok, err := preds.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			results = append(results, r)
+		}
 	}
 	return ctx.finishStep(results, last)
 }

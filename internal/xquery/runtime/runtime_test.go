@@ -420,3 +420,24 @@ func TestContextFitsItsSizeClass(t *testing.T) {
 		t.Errorf("runtime.Context is %d bytes, over the 80-byte size class it fitted", got)
 	}
 }
+
+// TestStepStreamFitsItsSizeClass pins the layout of a step's one
+// object: the stream, with its axis cursor, node test and budget
+// filter inline, is no larger than the candidate closure, axis walker
+// and stream it replaced for a single focus node (32 + 32 + 80 bytes),
+// and a predicate stage, with an attribute comparison's key slot
+// inline, no larger than the stage and key slots it replaced.
+func TestStepStreamFitsItsSizeClass(t *testing.T) {
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"a step's stream", unsafe.Sizeof(stepStream{}), 128},
+		{"its axis cursor", unsafe.Sizeof(axisCursor{}), 64},
+		{"a predicate stage", unsafe.Sizeof(predIter{}), 128},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d bytes, over the %d-byte size class it fitted", c.what, c.got, c.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -305,5 +306,62 @@ func TestBudgetCoversPureTreeWalks(t *testing.T) {
 	}
 	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(d), MaxSteps: 100}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// TestStepAllocsIndependentOfFocusCount: one evaluation of an axis
+// step allocates its stream — the cursor, node test and budget filter
+// it resets for each focus node — once, so count(//x/y) allocates as
+// much under 8,000 x as under 1,000, give or take the doublings of a
+// sorted stage's buffers, scanned or probed, and so does a
+// step with a natively tested key. (Before, every focus node cost a
+// candidate closure and an axis walker, and a keyed step its predicate
+// stage too.)
+func TestStepAllocsIndependentOfFocusCount(t *testing.T) {
+	e := New()
+	allocs := func(q string, n int, noIndex bool) float64 {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `<x><y a="%d"/><z/></x>`, i%3)
+		}
+		b.WriteString("</r>")
+		doc, err := markup.Parse(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := RunConfig{ContextItem: xdm.NewNode(doc), DisableIndexes: noIndex}
+		return testing.AllocsPerRun(5, func() {
+			res, err := p.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Value) != 1 {
+				t.Fatalf("%s: %d items", q, len(res.Value))
+			}
+		})
+	}
+	for _, c := range []struct {
+		q       string
+		noIndex bool
+	}{
+		{`count(//x/y)`, false},
+		{`count(//x/y)`, true},
+		{`count(/r/x/*/@a)`, false},
+		{`count(/r/x/*/@a)`, true},
+		// The kernel tests the key natively; under DisableIndexes the
+		// predicate is evaluated per candidate, which allocates per y.
+		{`count(//x/y[@a = "1"])`, false},
+	} {
+		// //x/y sorts its x in a sorted stage (descendant output
+		// overlaps), whose appended buffers double a few more times.
+		small, large := allocs(c.q, 1000, c.noIndex), allocs(c.q, 8000, c.noIndex)
+		if large > small+20 {
+			t.Errorf("%s noIndex=%v: %.0f allocations over 1,000 x, %.0f over 8,000", c.q, c.noIndex, small, large)
+		}
 	}
 }

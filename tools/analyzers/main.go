@@ -67,8 +67,9 @@
 //	            read. The Ship annotation of a
 //	            FLWOR or call (ast.ShipPlan), the Adopt marks of
 //	            constructors, insert and replace (fresh content, taken
-//	            instead of copied) and the StreamDomain mark of a FLWOR
-//	            or quantifier are the planner's too, on values
+//	            instead of copied), the StreamDomain mark of a FLWOR
+//	            or quantifier and the resolved literal selection of an
+//	            ftcontains (LitSel) are the planner's too, on values
 //	            rather than through pointers: only a method of the
 //	            planner may decide one; everyone else may carry an
 //	            existing one onto a copy (x.Ship = y.Ship,
@@ -146,6 +147,19 @@
 //	            came from (ctx.PUL = nil after ContextFor drops the
 //	            caller's pending list).
 //
+//	seqwrite    no code of the evaluator (internal/xquery/runtime) or the
+//	            library (internal/xquery/funclib) writes into a sequence
+//	            it was handed: what Eval or Materialize returned, a
+//	            variable's binding (a Box's Val), a literal's prebuilt
+//	            sequence (ast.StringLit's Seq or Value()), a function's
+//	            arguments. Those share their backing array with a
+//	            binding, a literal every run of a cached program reads,
+//	            or the caller's own value. The pass flags an index
+//	            assignment into such a sequence (s[i] = v, s[i]++), an
+//	            in-place sort, reverse or copy into it, and an append
+//	            onto it, which writes into its spare capacity; a copy
+//	            (slices.Clone, append(nil, s...)) is the caller's own.
+//
 //	recovercheck  panic recovery only happens at sanctioned boundaries:
 //	            naked recover() calls are forbidden everywhere except
 //	            package xqerr (which implements RecoverInto), package
@@ -186,10 +200,10 @@ type finding struct {
 }
 
 func main() {
-	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, planpure, storesync, recovercheck, pulapply, hotconst, sleeppoll or frames")
+	check := flag.String("check", "", "pass to run: progmutate, ctxstruct, idxversion, planpure, storesync, recovercheck, pulapply, hotconst, sleeppoll, frames or seqwrite")
 	flag.Parse()
 	if *check == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|planpure|storesync|recovercheck|pulapply|hotconst|sleeppoll|frames} dir...")
+		fmt.Fprintln(os.Stderr, "usage: analyzers -check {progmutate|ctxstruct|idxversion|planpure|storesync|recovercheck|pulapply|hotconst|sleeppoll|frames|seqwrite} dir...")
 		os.Exit(2)
 	}
 
@@ -223,6 +237,8 @@ func main() {
 				findings = append(findings, sleepPoll(fset, f)...)
 			case "frames":
 				findings = append(findings, frames(fset, f)...)
+			case "seqwrite":
+				findings = append(findings, seqWrite(fset, f)...)
 			default:
 				fmt.Fprintf(os.Stderr, "analyzers: unknown check %q\n", *check)
 				os.Exit(2)
@@ -678,11 +694,13 @@ var planAnnotationFields = map[string]bool{
 // plannerValueFields are the annotations the planner puts on node
 // values (not through pointers): an ast.ShipPlan on a FLWOR or call,
 // the adoption marks of a constructor, insert or replace, the
-// streaming mark of a FLWOR's or quantifier's domains.
+// streaming mark of a FLWOR's or quantifier's domains, the resolved
+// literal selection of an ftcontains.
 var plannerValueFields = map[string]bool{
 	"Ship":         true,
 	"Adopt":        true,
 	"StreamDomain": true,
+	"LitSel":       true,
 }
 
 var planRootFields = map[string]bool{
@@ -705,13 +723,13 @@ var planPreparedFields = map[string]bool{
 // optimized roots and the effect summary are exempt (see
 // planAnnotationFields).
 //
-// It also reports writes of the Ship, Adopt and StreamDomain
+// It also reports writes of the Ship, Adopt, StreamDomain and LitSel
 // annotations that are not the planner's (plannerValueFields): such an
 // annotation describes the node as the planner saw it — a wrong Adopt
 // hands out a node two places can reach, a wrong StreamDomain lets a
-// loop see its own updates — so outside the planner's methods the only legal
-// value for the field is another node's same field (a copy keeping its
-// annotation).
+// loop see its own updates, a wrong LitSel matches other words — so
+// outside the planner's methods the only legal value for the field is
+// another node's same field (a copy keeping its annotation).
 func planPure(fset *token.FileSet, file *ast.File) []finding {
 	var out []finding
 	for _, decl := range file.Decls {
@@ -1477,4 +1495,183 @@ func writesBox(lhs ast.Expr) bool {
 			return false
 		}
 	}
+}
+
+// --- seqwrite -------------------------------------------------------------------
+
+// handingOut are the calls whose result is a sequence the caller was
+// handed, not one it made: an evaluation's value, a drained iterator's
+// (which may be the slice behind it), what an iterator was made from,
+// and a literal's prebuilt sequence.
+var handingOut = map[string]bool{
+	"Eval": true, "Materialize": true, "MaterializeAtMost": true, "Unpulled": true, "Value": true,
+}
+
+// inPlace are the package functions that write into their first
+// argument.
+var inPlace = map[string]map[string]bool{
+	"slices": {"Reverse": true, "Sort": true, "SortFunc": true, "SortStableFunc": true},
+	"sort":   {"Slice": true, "SliceStable": true},
+}
+
+// seqWrite flags writes into a sequence a function was handed (see the
+// seqwrite entry above). Detection is syntactic and per function: a
+// name is handed a sequence when it is a parameter of type
+// xdm.Sequence, or is assigned one of handingOut's results, a Val or
+// Seq selector, an element of a []xdm.Sequence parameter, or a slice of
+// another such name; a write through such a name, or through any of
+// those expressions, is flagged.
+func seqWrite(fset *token.FileSet, file *ast.File) []finding {
+	var out []finding
+	for _, decl := range file.Decls {
+		fn, body := "(package var)", ast.Node(decl)
+		fd, isFunc := decl.(*ast.FuncDecl)
+		if isFunc {
+			if fd.Body == nil {
+				continue
+			}
+			fn, body = fd.Name.Name, fd.Body
+		}
+		handed := map[string]bool{} // names bound to a handed-out sequence
+		lists := map[string]bool{}  // names of []xdm.Sequence parameters
+		params := func(ft *ast.FuncType) {
+			for _, f := range ft.Params.List {
+				for _, n := range f.Names {
+					switch {
+					case isSeqType(f.Type):
+						handed[n.Name] = true
+					case isSeqListType(f.Type):
+						lists[n.Name] = true
+					}
+				}
+			}
+		}
+		var isHanded func(e ast.Expr) bool
+		isHanded = func(e ast.Expr) bool {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				return isHanded(x.X)
+			case *ast.SliceExpr:
+				return isHanded(x.X)
+			case *ast.Ident:
+				return handed[x.Name]
+			case *ast.IndexExpr:
+				id, ok := x.X.(*ast.Ident)
+				return ok && lists[id.Name]
+			case *ast.SelectorExpr:
+				return x.Sel.Name == "Val" || x.Sel.Name == "Seq"
+			case *ast.CallExpr:
+				switch callee := x.Fun.(type) {
+				case *ast.SelectorExpr:
+					return handingOut[callee.Sel.Name] && (callee.Sel.Name != "Value" || len(x.Args) == 0)
+				case *ast.Ident:
+					return handingOut[callee.Name] && callee.Name != "Value"
+				}
+			}
+			return false
+		}
+		if isFunc {
+			params(fd.Type)
+		}
+		// Bind first, to a fixed point: a name handed a sequence stays
+		// handed for the whole function, wherever it is assigned.
+		for changed := true; changed; {
+			changed = false
+			ast.Inspect(body, func(n ast.Node) bool {
+				bind := func(name *ast.Ident, rhs ast.Expr) {
+					if name.Name != "_" && !handed[name.Name] && isHanded(rhs) {
+						handed[name.Name], changed = true, true
+					}
+				}
+				switch x := n.(type) {
+				case *ast.FuncLit:
+					params(x.Type)
+				case *ast.AssignStmt:
+					for i, lhs := range x.Lhs {
+						id, ok := lhs.(*ast.Ident)
+						switch {
+						case !ok:
+						case len(x.Rhs) == len(x.Lhs):
+							bind(id, x.Rhs[i])
+						case len(x.Rhs) == 1 && i == 0:
+							bind(id, x.Rhs[0])
+						}
+					}
+				case *ast.ValueSpec:
+					for i, id := range x.Names {
+						if i < len(x.Values) {
+							bind(id, x.Values[i])
+						}
+					}
+				case *ast.RangeStmt:
+					// for _, s := range args: each element is an argument.
+					if v, ok := x.Value.(*ast.Ident); ok {
+						if l, ok := x.X.(*ast.Ident); ok && lists[l.Name] {
+							bind(v, &ast.IndexExpr{X: l})
+						}
+					}
+				}
+				return true
+			})
+		}
+		flag := func(at ast.Node, how string) {
+			out = append(out, finding{
+				pos: fset.Position(at.Pos()),
+				msg: fmt.Sprintf("seqwrite: %s in %s writes into a sequence it was handed (an evaluation's value, a binding, a literal or an argument), which others read too; copy it first", how, fn),
+			})
+		}
+		written := func(lhs ast.Expr) bool {
+			ix, ok := lhs.(*ast.IndexExpr)
+			return ok && isHanded(ix.X)
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				if x.Tok == token.DEFINE {
+					return true
+				}
+				for _, lhs := range x.Lhs {
+					if written(lhs) {
+						flag(lhs, "an index assignment")
+					}
+				}
+			case *ast.IncDecStmt:
+				if written(x.X) {
+					flag(x.X, "an index assignment")
+				}
+			case *ast.CallExpr:
+				if len(x.Args) == 0 || !isHanded(x.Args[0]) {
+					return true
+				}
+				switch callee := x.Fun.(type) {
+				case *ast.Ident:
+					if callee.Name == "append" || callee.Name == "copy" {
+						flag(x, callee.Name)
+					}
+				case *ast.SelectorExpr:
+					if pkg, ok := callee.X.(*ast.Ident); ok && inPlace[pkg.Name][callee.Sel.Name] {
+						flag(x, pkg.Name+"."+callee.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// isSeqType reports whether t is xdm.Sequence.
+func isSeqType(t ast.Expr) bool {
+	sel, ok := t.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "xdm" && sel.Sel.Name == "Sequence"
+}
+
+// isSeqListType reports whether t is []xdm.Sequence.
+func isSeqListType(t ast.Expr) bool {
+	at, ok := t.(*ast.ArrayType)
+	return ok && at.Len == nil && isSeqType(at.Elt)
 }

@@ -917,3 +917,81 @@ func (ctx *Context) Derive(edit func(r *Run)) *Context { c := *ctx; c.Run = &Run
 		t.Fatalf("run makers' findings = %v, want none", got)
 	}
 }
+
+func TestSeqWriteFlagsWritesIntoHandedSequences(t *testing.T) {
+	src := `package runtime
+func literal(x ast.StringLit) {
+	res := x.Value()
+	res[0] = xdm.String("mutant")
+}
+func literalSeq(x ast.StringLit) { x.Seq[0] = xdm.String("mutant") }
+func evaluated(ctx *Context, e ast.Expr) {
+	res, _ := ctx.Eval(e)
+	tail := res[1:]
+	tail[0] = nil
+	slices.Reverse(res)
+	_ = append(res, nil)
+}
+func materialized(it xdm.Iter) {
+	s, _ := xdm.Materialize(it)
+	s[0] = nil
+}
+func binding(b *Box) { b.Val[0] = nil }
+func param(s xdm.Sequence) { copy(s, nil) }
+var f = &Function{Invoke: func(ctx *Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	sort.Slice(args[0], func(i, j int) bool { return false })
+	for _, a := range args {
+		a[0] = nil
+	}
+	return nil, nil
+}}
+func lib() *Function {
+	return &Function{Invoke: func(ctx *Context, args []xdm.Sequence) (xdm.Sequence, error) {
+		s := args[1]
+		s[0]++
+		return s, nil
+	}}
+}
+`
+	got := analyze(t, src, seqWrite)
+	if len(got) != 11 {
+		t.Fatalf("findings = %v, want 11", got)
+	}
+	for _, f := range got {
+		if !strings.Contains(f.msg, "seqwrite:") {
+			t.Errorf("finding %v is not the pass's", f)
+		}
+	}
+}
+
+func TestSeqWriteAllowsWhatTheCallerMade(t *testing.T) {
+	src := `package runtime
+func eval(ctx *Context, e ast.Expr) (xdm.Sequence, error) {
+	res, err := ctx.Eval(e)
+	if err != nil {
+		return nil, err
+	}
+	out := slices.Clone(res)
+	out[0] = nil
+	own := append(xdm.Sequence(nil), res...)
+	slices.Reverse(own)
+	made := make(xdm.Sequence, len(res))
+	for i, it := range res {
+		made[i] = it
+	}
+	var acc xdm.Sequence
+	acc = append(acc, res...)
+	return append(made, acc...), nil
+}
+var f = &Function{Invoke: func(ctx *Context, args []xdm.Sequence) (xdm.Sequence, error) {
+	out := make(xdm.Sequence, len(args[0]))
+	for i, it := range args[0] {
+		out[len(args[0])-1-i] = it
+	}
+	return out, nil
+}}
+`
+	if got := analyze(t, src, seqWrite); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+}
