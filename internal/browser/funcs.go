@@ -119,7 +119,7 @@ func register(reg *runtime.Registry) {
 		return xdm.Singleton(xdm.String(b.Prompt(str0(args)))), nil
 	})
 	add("confirm", 1, 1, func(_ *runtime.Context, b *Browser, _ *Window, args []xdm.Sequence) (xdm.Sequence, error) {
-		return xdm.Singleton(xdm.Boolean(b.Confirm(str0(args)))), nil
+		return xdm.Bool(b.Confirm(str0(args))), nil
 	})
 	add("windowOpen", 1, 2, func(_ *runtime.Context, b *Browser, w *Window, args []xdm.Sequence) (xdm.Sequence, error) {
 		name := ""

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/browser"
 	"repro/internal/dom"
@@ -102,8 +103,9 @@ func TestEventToXML(t *testing.T) {
 	target.SetAttr(dom.Name("id"), "btn")
 	ev := &dom.Event{Type: "click", AltKey: true, Button: 2, Key: "x",
 		ClientX: 10, ClientY: 20, Target: target,
-		Detail: map[string]string{"custom": "v"}}
-	el := EventToXML(ev)
+		Detail: map[string]string{"custom": "v", "another": "w"}}
+	at := time.Date(2008, 6, 9, 14, 30, 5, 123456789, time.UTC)
+	el := EventToXML(ev, at)
 	get := func(name string) string {
 		for _, c := range el.Children() {
 			if c.Name.Local == name {
@@ -115,11 +117,22 @@ func TestEventToXML(t *testing.T) {
 	checks := map[string]string{
 		"type": "click", "altKey": "true", "ctrlKey": "false",
 		"button": "2", "key": "x", "clientX": "10", "clientY": "20",
-		"targetName": "input", "targetId": "btn", "custom": "v",
+		"targetName": "input", "targetId": "btn", "custom": "v", "another": "w",
+		"timeStamp": "2008-06-09T14:30:05.123",
 	}
 	for name, want := range checks {
 		if got := get(name); got != want {
 			t.Errorf("event/%s = %q, want %q", name, got, want)
+		}
+	}
+	// Map order varies from run to run; the element does not.
+	want := markup.Serialize(el)
+	if !strings.Contains(want, "<another>w</another><custom>v</custom></event>") {
+		t.Errorf("detail children are not last in key order: %s", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := markup.Serialize(EventToXML(ev, at)); got != want {
+			t.Fatalf("build %d = %s, want %s", i, got, want)
 		}
 	}
 }

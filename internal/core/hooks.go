@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/browser"
@@ -26,32 +28,58 @@ func (hh *hostHooks) Window() (*browser.Browser, *browser.Window) { return hh.h.
 
 // listenerKey identifies an XQuery listener registration so attach is
 // idempotent and detach can find it (the DOM's duplicate-registration
-// rule applied to the §4.3 grammar).
+// rule applied to the §4.3 grammar). Keys compare by value.
 type listenerKey struct {
 	event string
 	fn    string // expanded QName
 }
 
+// eventListener is what one "on event E at T attach listener F"
+// statement registers on every node of T: one key, one record and one
+// callback for all of them.
+type eventListener struct {
+	h    *Host
+	ctx  *runtime.Context
+	name dom.QName
+	// evt: the listener may read $evt, its first parameter, so each event
+	// is built as XML for it; a listener that never names an untyped
+	// $evt (runtime.Function.Reads) is passed () and no element is
+	// built. A listener that does not resolve when it is attached is
+	// called as always, and fails as always.
+	evt bool
+}
+
+// handle runs the listener for one event.
+func (l *eventListener) handle(ev *dom.Event) {
+	// $obj is "the DOM node where the event occured" (§4.3.2) — the
+	// target, so delegated listeners see the real source.
+	args := []xdm.Sequence{nil, xdm.Singleton(xdm.NewNode(ev.Target))}
+	var evt *dom.Event
+	if l.evt {
+		evt = ev
+	}
+	if err := l.h.invokeListener(l.ctx, l.name, args, evt); err != nil {
+		l.h.recordAsyncErr(fmt.Errorf("core: listener %s: %w", l.name, err))
+	}
+}
+
 // AttachListener implements "on event E at T attach listener F".
 func (hh *hostHooks) AttachListener(ctx *runtime.Context, event string, targets xdm.Sequence, listener dom.QName) error {
-	h := hh.h
+	if len(targets) == 0 {
+		return nil
+	}
+	l := &eventListener{h: hh.h, ctx: ctx, name: listener, evt: true}
+	if f := ctx.Prog.Reg.Lookup(listener, 2); f != nil {
+		l.evt = f.Reads(0)
+	}
+	var key any = listenerKey{event: event, fn: listener.Space + "#" + listener.Local}
+	fn := l.handle
 	for _, it := range targets {
 		n, ok := xdm.IsNode(it)
 		if !ok {
 			return fmt.Errorf("core: event target must be a node")
 		}
-		key := listenerKey{event: event, fn: listener.Space + "#" + listener.Local}
-		name := listener
-		n.AddEventListener(event, false, key, func(ev *dom.Event) {
-			// $obj is "the DOM node where the event occured" (§4.3.2) —
-			// the target, so delegated listeners see the real source.
-			if err := h.invokeListener(ctx, name, []xdm.Sequence{
-				xdm.Singleton(xdm.NewNode(EventToXML(ev))),
-				xdm.Singleton(xdm.NewNode(ev.Target)),
-			}); err != nil {
-				h.recordAsyncErr(fmt.Errorf("core: listener %s: %w", name, err))
-			}
-		})
+		n.AddEventListener(event, false, key, fn)
 	}
 	return nil
 }
@@ -94,7 +122,7 @@ func (hh *hostHooks) AttachBehind(ctx *runtime.Context, event string, call func(
 	// readyState 1: the call has been initiated.
 	if err := h.invokeListener(ctx, listener, []xdm.Sequence{
 		xdm.Singleton(xdm.Integer(1)), nil,
-	}); err != nil {
+	}, nil); err != nil {
 		h.complete(nil)
 		return err
 	}
@@ -107,7 +135,7 @@ func (hh *hostHooks) AttachBehind(ctx *runtime.Context, event string, call func(
 				// the error is also surfaced to the host.
 				ierr := h.invokeListener(ctx, listener, []xdm.Sequence{
 					xdm.Singleton(xdm.Integer(4)), nil,
-				})
+				}, nil)
 				if ierr != nil {
 					return fmt.Errorf("core: behind listener: %v (call error: %w)", ierr, err)
 				}
@@ -115,7 +143,7 @@ func (hh *hostHooks) AttachBehind(ctx *runtime.Context, event string, call func(
 			}
 			return h.invokeListener(ctx, listener, []xdm.Sequence{
 				xdm.Singleton(xdm.Integer(4)), res,
-			})
+			}, nil)
 		})
 	}()
 	return nil
@@ -156,10 +184,16 @@ func (hh *hostHooks) GetStyle(ctx *runtime.Context, prop string, targets xdm.Seq
 // budget: listeners must not inherit the partially consumed budget of
 // the page-load script (or of an earlier event), and a budget-tripped
 // listener must not poison the ones that follow. The host's context
-// rides along so session cancellation aborts listeners too.
-func (h *Host) invokeListener(ctx *runtime.Context, name dom.QName, args []xdm.Sequence) error {
+// rides along so session cancellation aborts listeners too. When ev is
+// not nil, args[0] becomes ev as XML ($evt), stamped with the run's
+// clock, so $evt/timeStamp and fn:current-dateTime() agree.
+func (h *Host) invokeListener(ctx *runtime.Context, name dom.QName, args []xdm.Sequence, ev *dom.Event) error {
+	now := time.Now()
+	if ev != nil {
+		args[0] = xdm.Singleton(xdm.NewNode(EventToXML(ev, now)))
+	}
 	c := ctx.Derive(func(r *runtime.Run) {
-		r.Now, r.PUL = time.Now(), &update.PUL{}
+		r.Now, r.PUL = now, &update.PUL{}
 		r.Budget = runtime.NewBudgetContext(h.ctx, h.maxQuerySteps, h.queryTimeout)
 	})
 	_, err := h.finish(c, func() (xdm.Sequence, error) {
@@ -170,40 +204,49 @@ func (h *Host) invokeListener(ctx *runtime.Context, name dom.QName, args []xdm.S
 
 // EventToXML materialises a DOM event as the XML element listeners
 // receive as $evt (§4.3.2): the same information available in a DOM
-// Event object.
-func EventToXML(ev *dom.Event) *dom.Node {
-	el := dom.NewElement(dom.Name("event"))
-	add := func(name, val string) {
-		c := dom.NewElement(dom.Name(name))
-		if val != "" {
-			_ = c.AppendChild(dom.NewText(val))
+// Event object, stamped at. The Detail entries come last, in key order,
+// so one event always gives the same element.
+func EventToXML(ev *dom.Event, at time.Time) *dom.Node {
+	var keys []string
+	if len(ev.Detail) > 0 {
+		keys = make([]string, 0, len(ev.Detail))
+		for k := range ev.Detail {
+			keys = append(keys, k)
 		}
-		_ = el.AppendChild(c)
+		sort.Strings(keys)
 	}
-	add("type", ev.Type)
-	add("altKey", boolStr(ev.AltKey))
-	add("ctrlKey", boolStr(ev.CtrlKey))
-	add("shiftKey", boolStr(ev.ShiftKey))
-	add("metaKey", boolStr(ev.MetaKey))
-	add("button", fmt.Sprintf("%d", ev.Button))
-	add("key", ev.Key)
-	add("clientX", fmt.Sprintf("%d", ev.ClientX))
-	add("clientY", fmt.Sprintf("%d", ev.ClientY))
-	add("phase", fmt.Sprintf("%d", int(ev.Phase)))
-	add("timeStamp", time.Now().Format("2006-01-02T15:04:05.000"))
+	var buf [16]*dom.Node // AdoptChildren copies the list into one exactly sized slice
+	kids := append(buf[:0],
+		eventField("type", ev.Type),
+		eventField("altKey", strconv.FormatBool(ev.AltKey)),
+		eventField("ctrlKey", strconv.FormatBool(ev.CtrlKey)),
+		eventField("shiftKey", strconv.FormatBool(ev.ShiftKey)),
+		eventField("metaKey", strconv.FormatBool(ev.MetaKey)),
+		eventField("button", strconv.Itoa(ev.Button)),
+		eventField("key", ev.Key),
+		eventField("clientX", strconv.Itoa(ev.ClientX)),
+		eventField("clientY", strconv.Itoa(ev.ClientY)),
+		eventField("phase", strconv.Itoa(int(ev.Phase))),
+		eventField("timeStamp", at.Format("2006-01-02T15:04:05.000")))
 	if ev.Target != nil && ev.Target.Type == dom.ElementNode {
-		add("targetName", ev.Target.Name.Local)
-		add("targetId", ev.Target.AttrValue("id"))
+		kids = append(kids,
+			eventField("targetName", ev.Target.Name.Local),
+			eventField("targetId", ev.Target.AttrValue("id")))
 	}
-	for k, v := range ev.Detail {
-		add(k, v)
+	for _, k := range keys {
+		kids = append(kids, eventField(k, ev.Detail[k]))
 	}
+	el := dom.NewElement(dom.Name("event"))
+	el.AdoptChildren(kids)
 	return el
 }
 
-func boolStr(b bool) string {
-	if b {
-		return "true"
+// eventField is one child of an event element: <name>val</name>, or
+// <name/> when val is empty.
+func eventField(name, val string) *dom.Node {
+	c := dom.NewElement(dom.Name(name))
+	if val != "" {
+		c.AdoptChildren([]*dom.Node{dom.NewText(val)})
 	}
-	return "false"
+	return c
 }

@@ -2,6 +2,7 @@ package dom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -276,6 +277,53 @@ func TestEventDispatchPhases(t *testing.T) {
 		if trace[i] != want[i] {
 			t.Fatalf("trace = %v, want %v", trace, want)
 		}
+	}
+}
+
+// A dispatch walks its ancestor chain from a stack buffer; a target
+// deeper than the buffer still sees every ancestor in both phases, in
+// order, and a shallow one allocates nothing for the chain.
+func TestEventDispatchDeepAndShallow(t *testing.T) {
+	for _, depth := range []int{1, 15, 16, 17, 40} {
+		nodes := []*Node{NewElement(Name("n0"))}
+		for i := 1; i <= depth; i++ {
+			c := NewElement(Name("n"))
+			if err := nodes[i-1].AppendChild(c); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, c)
+		}
+		var trace []int
+		for i, n := range nodes {
+			i := i
+			// Node i's capture listener logs -(i+1), its bubble one i+1.
+			n.AddEventListener("click", true, nil, func(*Event) { trace = append(trace, -i-1) })
+			n.AddEventListener("click", false, nil, func(*Event) { trace = append(trace, i+1) })
+		}
+		target := nodes[depth]
+		target.DispatchEvent(&Event{Type: "click", Bubbles: true})
+		var want []int
+		for i := 0; i <= depth; i++ {
+			want = append(want, -i-1)
+		}
+		for i := depth; i >= 0; i-- {
+			want = append(want, i+1)
+		}
+		if !slices.Equal(trace, want) {
+			t.Errorf("depth %d: listeners ran %v, want %v", depth, trace, want)
+		}
+	}
+	nodes := []*Node{NewElement(Name("n0"))}
+	for i := 1; i <= 12; i++ {
+		c := NewElement(Name("n"))
+		if err := nodes[i-1].AppendChild(c); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, c)
+	}
+	ev := &Event{Type: "click", Bubbles: true}
+	if a := testing.AllocsPerRun(10, func() { nodes[12].DispatchEvent(ev) }); a != 0 {
+		t.Errorf("a dispatch at depth 12 allocates %.0f times, want 0", a)
 	}
 }
 

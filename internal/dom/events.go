@@ -159,8 +159,10 @@ func (n *Node) ListenerCount(typ string) int {
 // action.
 func (n *Node) DispatchEvent(ev *Event) bool {
 	ev.Target = n
-	// Ancestor chain, target first.
-	var chain []*Node
+	// Ancestor chain, target first: on the stack, unless the target is
+	// deeper than a page's elements usually are.
+	var buf [16]*Node
+	chain := buf[:0]
 	for a := n.parent; a != nil; a = a.parent {
 		chain = append(chain, a)
 	}

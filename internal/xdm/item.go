@@ -56,6 +56,23 @@ func (s Sequence) AtMostOne() (Item, error) {
 // Singleton builds a one-item sequence.
 func Singleton(i Item) Sequence { return Sequence{i} }
 
+// True and False are the two boolean results, shared by every
+// expression that returns one: read-only, like every sequence a caller
+// is returned (nobody writes into one; the seqwrite pass of
+// tools/analyzers holds the evaluator and the library to it).
+var (
+	True  = Sequence{Boolean(true)}
+	False = Sequence{Boolean(false)}
+)
+
+// Bool returns True or False: a boolean result without an allocation.
+func Bool(b bool) Sequence {
+	if b {
+		return True
+	}
+	return False
+}
+
 // --- Atomic value types -------------------------------------------------
 
 // String is xs:string.

@@ -155,8 +155,6 @@ func intArg(s xdm.Sequence) (int64, error) {
 
 func str(s string) xdm.Sequence { return xdm.Singleton(xdm.String(s)) }
 
-func boolean(b bool) xdm.Sequence { return xdm.Singleton(xdm.Boolean(b)) }
-
 func integer(n int64) xdm.Sequence { return xdm.Singleton(xdm.Integer(n)) }
 
 // --- strings ----------------------------------------------------------------
@@ -327,7 +325,7 @@ func registerStrings(reg *runtime.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return boolean(f(a, b)), nil
+			return xdm.Bool(f(a, b)), nil
 		})
 	}
 	binStr("contains", strings.Contains)
@@ -514,9 +512,9 @@ func registerNumeric(reg *runtime.Registry) {
 
 func registerBooleans(reg *runtime.Registry) {
 	simple(reg, "true", 0, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolean(true), nil
+		return xdm.True, nil
 	})
 	simple(reg, "false", 0, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolean(false), nil
+		return xdm.False, nil
 	})
 }

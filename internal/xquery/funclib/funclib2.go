@@ -93,14 +93,14 @@ func registerSequences(reg *runtime.Registry) {
 	ranged(reg, "deep-equal", 2, 3, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		a, b := args[0], args[1]
 		if len(a) != len(b) {
-			return boolean(false), nil
+			return xdm.False, nil
 		}
 		for i := range a {
 			if !xdm.DeepEqual(a[i], b[i]) {
-				return boolean(false), nil
+				return xdm.False, nil
 			}
 		}
-		return boolean(true), nil
+		return xdm.True, nil
 	})
 	ranged(reg, "error", 0, 3, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		msg := "fn:error called"
@@ -512,7 +512,7 @@ func registerRegex(reg *runtime.Registry) {
 		if err != nil {
 			return nil, err
 		}
-		return boolean(re.MatchString(s)), nil
+		return xdm.Bool(re.MatchString(s)), nil
 	})
 	ranged(reg, "replace", 3, 4, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		s, err := stringArg(args[0])
@@ -594,18 +594,18 @@ func registerDocs(reg *runtime.Registry) {
 	})
 	simple(reg, "doc-available", 1, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		if ctx.Prog != nil && ctx.Prog.BlockDoc {
-			return boolean(false), nil
+			return xdm.False, nil
 		}
 		uri, err := stringArg(args[0])
 		if err != nil {
 			return nil, err
 		}
 		if ctx.Docs == nil {
-			return boolean(false), nil
+			return xdm.False, nil
 		}
 		// The run's memo answers the fn:doc that follows, so the two agree.
 		_, err = ctx.Doc(uri)
-		return boolean(err == nil), nil
+		return xdm.Bool(err == nil), nil
 	})
 	simple(reg, "put", 2, func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return nil, fmt.Errorf("fn:put is blocked (paper §4.2.1)")

@@ -39,14 +39,14 @@ func registerStreaming(reg *runtime.Registry) {
 		if err != nil {
 			return nil, err
 		}
-		return xdm.SingletonIter(xdm.Boolean(ok)), nil
+		return xdm.FromSlice(xdm.Bool(ok)), nil
 	})
 	streamed(reg, "empty", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		_, ok, err := args[0].Next()
 		if err != nil {
 			return nil, err
 		}
-		return xdm.SingletonIter(xdm.Boolean(!ok)), nil
+		return xdm.FromSlice(xdm.Bool(!ok)), nil
 	})
 	streamed(reg, "count", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		// Counting drains the stream but never stores it.
@@ -104,14 +104,14 @@ func registerStreaming(reg *runtime.Registry) {
 		if err != nil {
 			return nil, err
 		}
-		return xdm.SingletonIter(xdm.Boolean(b)), nil
+		return xdm.FromSlice(xdm.Bool(b)), nil
 	})
 	streamed(reg, "not", 1, 1, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		b, err := xdm.EffectiveBooleanValueIter(args[0])
 		if err != nil {
 			return nil, err
 		}
-		return xdm.SingletonIter(xdm.Boolean(!b)), nil
+		return xdm.FromSlice(xdm.Bool(!b)), nil
 	})
 	streamed(reg, "subsequence", 2, 3, func(ctx *runtime.Context, args []xdm.Iter) (xdm.Iter, error) {
 		// The window is the positions p with round(start) <= p <

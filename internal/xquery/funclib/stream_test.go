@@ -19,10 +19,10 @@ import (
 // are held to.
 var eagerReference = map[string]func(ctx *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error){
 	"empty": func(_ *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolean(len(args[0]) == 0), nil
+		return xdm.Bool(len(args[0]) == 0), nil
 	},
 	"exists": func(_ *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
-		return boolean(len(args[0]) > 0), nil
+		return xdm.Bool(len(args[0]) > 0), nil
 	},
 	"count": func(_ *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		return integer(int64(len(args[0]))), nil
@@ -56,14 +56,14 @@ var eagerReference = map[string]func(ctx *runtime.Context, args []xdm.Sequence) 
 		if err != nil {
 			return nil, err
 		}
-		return boolean(!b), nil
+		return xdm.Bool(!b), nil
 	},
 	"boolean": func(_ *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		b, err := xdm.EffectiveBooleanValue(args[0])
 		if err != nil {
 			return nil, err
 		}
-		return boolean(b), nil
+		return xdm.Bool(b), nil
 	},
 	"subsequence": func(_ *runtime.Context, args []xdm.Sequence) (xdm.Sequence, error) {
 		start, err := numArg(args[1])

@@ -49,6 +49,9 @@ type content struct {
 // a tree: at worst a node that is attached — to the page, or since a
 // moment ago to this parent — is copied as before.
 func (c *content) add(s xdm.Sequence, fresh bool) error {
+	if c.parent != nil && len(s) > 1 {
+		c.parent.GrowChildren(childrenOf(s))
+	}
 	for i := 0; i < len(s); i++ {
 		n, ok := xdm.IsNode(s[i])
 		if !ok {
@@ -86,6 +89,30 @@ func (c *content) add(s xdm.Sequence, fresh bool) error {
 		}
 	}
 	return nil
+}
+
+// childrenOf is the most children add makes of s: one per node, a
+// document's children for a document, none for an attribute and one
+// text node per run of atomics.
+func childrenOf(s xdm.Sequence) int {
+	k, atomics := 0, false
+	for _, it := range s {
+		n, ok := xdm.IsNode(it)
+		switch {
+		case !ok:
+			if !atomics {
+				k++
+			}
+			atomics = true
+			continue
+		case n.Type == dom.DocumentNode:
+			k += len(n.Children())
+		case n.Type != dom.AttributeNode:
+			k++
+		}
+		atomics = false
+	}
+	return k
 }
 
 func (c *content) addAttr(name dom.QName, value string) error {

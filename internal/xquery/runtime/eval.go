@@ -89,7 +89,7 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Boolean(x.Type.Matches(s))), nil
+		return xdm.Bool(x.Type.Matches(s)), nil
 	case ast.TreatAs:
 		s, err := ctx.Eval(x.X)
 		if err != nil {
@@ -347,25 +347,25 @@ func (en *flworEntry) clause(c *Context, i int) error {
 	// The return clause runs as domain items arrive, so a consumer
 	// that stops early (EBV, a positional filter on the FLWOR) stops
 	// the walk too.
-	domain := c.domain(cl.In, f.StreamDomain)
+	domain := newLoopDomain(c.domain(cl.In, f.StreamDomain))
 	var lf loopFrame
 	pos := 0
 	for {
-		item, ok, err := domain.Next()
-		if err != nil {
+		one, err := domain.nextCell()
+		if err != nil || one == nil {
 			return err
 		}
-		if !ok {
-			return nil
-		}
 		pos++
-		one := xdm.Singleton(item)
 		if cl.Type != nil {
 			if one, err = ConvertValue(one, *cl.Type); err != nil {
 				return fmt.Errorf("xquery: for $%s: %w", cl.Var.Local, err)
 			}
 		}
-		if err := en.clause(en.bindFor(&lf, c, cl.Var, one, cl.PosVar, pos), i+1); err != nil {
+		var at xdm.Sequence
+		if !cl.PosVar.IsZero() {
+			at = domain.holdCell(xdm.Integer(pos))
+		}
+		if err := en.clause(en.bindFor(&lf, c, cl.Var, one, cl.PosVar, at), i+1); err != nil {
 			return err
 		}
 	}
@@ -373,13 +373,13 @@ func (en *flworEntry) clause(c *Context, i int) error {
 
 // bindFor binds a for clause's variables for one item: in place, unless
 // the tuples are sorted, which keeps each tuple's context until then.
-func (en *flworEntry) bindFor(lf *loopFrame, c *Context, name dom.QName, val xdm.Sequence, posName dom.QName, pos int) *Context {
+func (en *flworEntry) bindFor(lf *loopFrame, c *Context, name dom.QName, val xdm.Sequence, posName dom.QName, pos xdm.Sequence) *Context {
 	if len(en.f.OrderBy) == 0 {
 		return lf.bindAt(c, name, val, posName, pos)
 	}
 	c = c.withBinding(name, val)
 	if !posName.IsZero() {
-		c = c.withBinding(posName, xdm.Singleton(xdm.Integer(pos)))
+		c = c.withBinding(posName, pos)
 	}
 	return c
 }
@@ -512,17 +512,17 @@ func (ctx *Context) evalQuantified(q ast.Quantified) (xdm.Sequence, error) {
 			return c.evalEBV(q.Satisfies)
 		}
 		cl := q.Vars[i]
-		domain := c.domain(cl.In, q.StreamDomain)
+		domain := newLoopDomain(c.domain(cl.In, q.StreamDomain))
 		var lf loopFrame
 		for {
-			item, more, err := domain.Next()
+			one, err := domain.nextCell()
 			if err != nil {
 				return false, err
 			}
-			if !more {
+			if one == nil {
 				return q.Every, nil
 			}
-			ok, err := rec(lf.bind(c, cl.Var, xdm.Singleton(item)), i+1)
+			ok, err := rec(lf.bind(c, cl.Var, one), i+1)
 			if err != nil {
 				return false, err
 			}
@@ -538,7 +538,7 @@ func (ctx *Context) evalQuantified(q ast.Quantified) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return xdm.Singleton(xdm.Boolean(ok)), nil
+	return xdm.Bool(ok), nil
 }
 
 func (ctx *Context) evalTypeswitch(ts ast.Typeswitch) (xdm.Sequence, error) {
@@ -570,16 +570,16 @@ func (ctx *Context) evalBinary(x ast.Binary) (xdm.Sequence, error) {
 			return nil, err
 		}
 		if x.Op == "or" && l {
-			return xdm.Singleton(xdm.Boolean(true)), nil
+			return xdm.True, nil
 		}
 		if x.Op == "and" && !l {
-			return xdm.Singleton(xdm.Boolean(false)), nil
+			return xdm.False, nil
 		}
 		r, err := ctx.evalEBV(x.R)
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Boolean(r)), nil
+		return xdm.Bool(r), nil
 	case "union", "intersect", "except":
 		return ctx.evalNodeSetOp(x)
 	default: // arithmetic
@@ -666,7 +666,7 @@ func (ctx *Context) evalCompare(x ast.Compare) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Boolean(ok)), nil
+		return xdm.Bool(ok), nil
 	case ast.ValueComp:
 		l, err := ctx.evalAtomizedOne(x.L)
 		if err != nil {
@@ -683,7 +683,7 @@ func (ctx *Context) evalCompare(x ast.Compare) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Boolean(ok)), nil
+		return xdm.Bool(ok), nil
 	default: // node comparison
 		l, err := ctx.evalSingleNodeOrEmpty(x.L)
 		if err != nil {
@@ -705,7 +705,7 @@ func (ctx *Context) evalCompare(x ast.Compare) (xdm.Sequence, error) {
 		case ">>":
 			ok = dom.CompareOrder(l, r) > 0
 		}
-		return xdm.Singleton(xdm.Boolean(ok)), nil
+		return xdm.Bool(ok), nil
 	}
 }
 
@@ -758,13 +758,13 @@ func (ctx *Context) evalCast(x ast.CastAs) (xdm.Sequence, error) {
 	v, err := ctx.evalAtomizedOne(x.X)
 	if err != nil {
 		if x.Castable {
-			return xdm.Singleton(xdm.Boolean(false)), nil
+			return xdm.False, nil
 		}
 		return nil, err
 	}
 	if v == nil {
 		if x.Castable {
-			return xdm.Singleton(xdm.Boolean(x.Optional)), nil
+			return xdm.Bool(x.Optional), nil
 		}
 		if x.Optional {
 			return nil, nil
@@ -772,7 +772,7 @@ func (ctx *Context) evalCast(x ast.CastAs) (xdm.Sequence, error) {
 		return nil, fmt.Errorf("xquery: cannot cast the empty sequence to %s", x.Type)
 	}
 	if x.Castable {
-		return xdm.Singleton(xdm.Boolean(xdm.Castable(v, x.Type))), nil
+		return xdm.Bool(xdm.Castable(v, x.Type)), nil
 	}
 	c, err := xdm.Cast(v, x.Type)
 	if err != nil {
@@ -798,8 +798,8 @@ func (ctx *Context) evalFTContains(x ast.FTContains) (xdm.Sequence, error) {
 	}
 	for _, it := range s {
 		if ctx.ftMatchItem(it, sel) {
-			return xdm.Singleton(xdm.Boolean(true)), nil
+			return xdm.True, nil
 		}
 	}
-	return xdm.Singleton(xdm.Boolean(false)), nil
+	return xdm.False, nil
 }

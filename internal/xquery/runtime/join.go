@@ -105,8 +105,8 @@ func (en *flworEntry) buildJoin(c *Context) error {
 		}
 	}
 	var lf loopFrame
-	for idx, item := range domain {
-		atoms, err := lf.bind(c, cl.Var, xdm.Singleton(item)).joinKey(jp.InnerKey, jp.ValueEq)
+	for idx := range domain {
+		atoms, err := lf.bind(c, cl.Var, domain[idx:idx+1:idx+1]).joinKey(jp.InnerKey, jp.ValueEq)
 		if err != nil {
 			// The nested loop may fail earlier, in a comparison of an
 			// item before this one, so it runs and raises what it meets
@@ -157,8 +157,8 @@ func (en *flworEntry) joinClause(c *Context, i int) error {
 	v := en.f.Clauses[i].Var
 	var lf loopFrame
 	walk := func() error {
-		for _, item := range j.domain {
-			if err := en.joinTuple(en.bindFor(&lf, c, v, xdm.Singleton(item), dom.QName{}, 0), i); err != nil {
+		for idx := range j.domain {
+			if err := en.joinTuple(en.bindFor(&lf, c, v, j.domain[idx:idx+1:idx+1], dom.QName{}, nil), i); err != nil {
 				return err
 			}
 		}
@@ -196,7 +196,7 @@ func (en *flworEntry) joinClause(c *Context, i int) error {
 		idxs = idxs[:n]
 	}
 	for _, idx := range idxs {
-		if err := en.clause(en.bindFor(&lf, c, v, xdm.Singleton(j.domain[idx]), dom.QName{}, 0), i+1); err != nil {
+		if err := en.clause(en.bindFor(&lf, c, v, j.domain[idx:idx+1:idx+1], dom.QName{}, nil), i+1); err != nil {
 			return err
 		}
 	}

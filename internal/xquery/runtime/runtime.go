@@ -103,7 +103,19 @@ type Function struct {
 	// materialized arguments (CallFunction); the library's streamed
 	// built-ins derive it from Stream.
 	Stream func(ctx *Context, args []xdm.Iter) (xdm.Iter, error)
+	// Unread has bit i set when the function never reads its parameter
+	// i (a user function's untyped parameter its body never names, see
+	// unreadParams): a caller may pass nil for it, and Invoke neither
+	// converts nor binds it.
+	Unread uint64
 }
+
+// Reads reports whether f may read its parameter i, so that a caller
+// must build the argument.
+func (f *Function) Reads(i int) bool { return reads(f.Unread, i) }
+
+// reads reports whether bit i of an Unread mask leaves parameter i read.
+func reads(unread uint64, i int) bool { return i >= 64 || unread&(1<<i) == 0 }
 
 // ModuleResolver materialises a module import by registering its
 // functions into reg, the importing program's import layer. The REST
@@ -271,13 +283,14 @@ func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
 // userFunction compiles one prolog function declaration: an evaluation
 // of the declared body in whatever context invokes it.
 func userFunction(decl *ast.FuncDecl) *Function {
-	d := decl
+	d, unread := decl, unreadParams(decl)
 	return &Function{
 		Name:       d.Name,
 		MinArgs:    len(d.Params),
 		MaxArgs:    len(d.Params),
 		Updating:   d.Updating,
 		Sequential: d.Sequential,
+		Unread:     unread,
 		Invoke: func(ctx *Context, args []xdm.Sequence) (xdm.Sequence, error) {
 			if ctx.depth >= maxCallDepth {
 				return nil, fmt.Errorf("xquery: call depth limit exceeded in %s", d.Name)
@@ -290,6 +303,9 @@ func userFunction(decl *ast.FuncDecl) *Function {
 				callee.Pos, callee.Size = 1, 1
 			}
 			for i, prm := range d.Params {
+				if !reads(unread, i) {
+					continue
+				}
 				v := args[i]
 				if prm.Type != nil {
 					cv, err := ConvertValue(v, *prm.Type)
@@ -320,6 +336,46 @@ func userFunction(decl *ast.FuncDecl) *Function {
 			return res, nil
 		},
 	}
+}
+
+// unreadParams returns the parameters of d that no call needs to bind,
+// one bit each (parameters 0 to 63): those with no declared type, so
+// that no conversion can fail, whose name no VarRef and no Assign of
+// the body names, planned or optimized. Shadowing is ignored — a local
+// binding of the same name counts as a read, which only binds the
+// parameter for nothing. It is worked out once, when the declaration
+// is compiled.
+func unreadParams(d *ast.FuncDecl) uint64 {
+	var unread uint64
+	for i, prm := range d.Params {
+		if i < 64 && prm.Type == nil {
+			unread |= 1 << i
+		}
+	}
+	var walk func(ast.Expr)
+	walk = func(e ast.Expr) {
+		var name dom.QName
+		switch x := e.(type) {
+		case ast.VarRef:
+			name = x.Name
+		case ast.Assign:
+			name = x.Var
+		}
+		if !name.IsZero() {
+			for i, prm := range d.Params {
+				if i < 64 && prm.Name.Matches(name) {
+					unread &^= 1 << i
+				}
+			}
+		}
+		ast.EachChild(e, walk)
+	}
+	for _, body := range []ast.Expr{d.Body, d.Optimized} {
+		if unread != 0 && body != nil {
+			walk(body)
+		}
+	}
+	return unread
 }
 
 // --- environments ------------------------------------------------------------
@@ -626,7 +682,9 @@ func (ctx *Context) withBinding(name dom.QName, val xdm.Sequence) *Context {
 // body evaluates under one item is materialized before the next item
 // is bound — a FLWOR with order by, whose tuples keep their contexts
 // until the sort, binds with withBinding instead, and a behind call,
-// which outlives its item, runs on a copy of the chain (detach).
+// which outlives its item, runs on a copy of the chain (detach). The
+// values themselves are never overwritten: each item's is a cell of
+// its own (loopDomain).
 type loopFrame struct {
 	c        *Context // the body's context; nil until the first item
 	val, pos *env     // the frames of the variable and of its positional variable
@@ -635,17 +693,17 @@ type loopFrame struct {
 // bind binds name to val for the loop's next item and returns the
 // context the body runs in.
 func (lf *loopFrame) bind(outer *Context, name dom.QName, val xdm.Sequence) *Context {
-	return lf.bindAt(outer, name, val, dom.QName{}, 0)
+	return lf.bindAt(outer, name, val, dom.QName{}, nil)
 }
 
 // bindAt is bind that also binds posName, when it is not zero, to pos.
-func (lf *loopFrame) bindAt(outer *Context, name dom.QName, val xdm.Sequence, posName dom.QName, pos int) *Context {
+func (lf *loopFrame) bindAt(outer *Context, name dom.QName, val xdm.Sequence, posName dom.QName, pos xdm.Sequence) *Context {
 	if lf.c == nil {
 		c := *outer
 		lf.val = outer.env.bind(name, val)
 		c.env = lf.val
 		if !posName.IsZero() {
-			lf.pos = lf.val.bind(posName, xdm.Singleton(xdm.Integer(pos)))
+			lf.pos = lf.val.bind(posName, pos)
 			c.env = lf.pos
 		}
 		lf.c = &c
@@ -653,9 +711,69 @@ func (lf *loopFrame) bindAt(outer *Context, name dom.QName, val xdm.Sequence, po
 	}
 	lf.val.box.Val = val
 	if lf.pos != nil {
-		lf.pos.box.Val = xdm.Singleton(xdm.Integer(pos))
+		lf.pos.box.Val = pos
 	}
 	return lf.c
+}
+
+// maxCellChunk is the most cells loopDomain allocates at once.
+const maxCellChunk = 64
+
+// loopDomain hands a loop its domain one item at a time, each as a
+// one-item sequence of its own, without allocating one per item. A
+// domain that is a slice already (a variable's value, a materialized
+// domain) lends its own slots: item k is s[k:k+1:k+1]. The items of a
+// stream go into cells, taken from chunks that double from one cell up
+// to maxCellChunk, so a one-item loop allocates what xdm.Singleton
+// would and a long loop one chunk per 64 items. No slot is handed out
+// twice or written after it is handed out: an order by tuple, a behind
+// call's copy of the chain or an assigned variable that keeps an item's
+// binding keeps that item, and the capacity of one makes an append onto
+// it copy. That rests on DESIGN.md §5b's rule that nobody writes into a
+// sequence it was returned (the seqwrite pass of tools/analyzers).
+type loopDomain struct {
+	it    xdm.Iter
+	s     xdm.Sequence // the domain's own slice, when it has one
+	k     int          // the slots of s handed out
+	cells xdm.Sequence // the current chunk's cells not yet handed out
+	chunk int          // the current chunk's size
+}
+
+// newLoopDomain starts a loop over it.
+func newLoopDomain(it xdm.Iter) loopDomain {
+	if s, ok := xdm.Unpulled(it); ok {
+		return loopDomain{s: s}
+	}
+	return loopDomain{it: it}
+}
+
+// nextCell returns the next item as a one-item sequence; nil when the
+// domain is done.
+func (d *loopDomain) nextCell() (xdm.Sequence, error) {
+	if d.it == nil {
+		if d.k == len(d.s) {
+			return nil, nil
+		}
+		d.k++
+		return d.s[d.k-1 : d.k : d.k], nil
+	}
+	item, ok, err := d.it.Next()
+	if err != nil || !ok {
+		return nil, err
+	}
+	return d.holdCell(item), nil
+}
+
+// holdCell returns a fresh cell holding it.
+func (d *loopDomain) holdCell(it xdm.Item) xdm.Sequence {
+	if len(d.cells) == 0 {
+		d.chunk = min(max(2*d.chunk, 1), maxCellChunk)
+		d.cells = make(xdm.Sequence, d.chunk)
+	}
+	one := d.cells[:1:1]
+	one[0] = it
+	d.cells = d.cells[1:]
+	return one
 }
 
 // detach returns a copy of the context for an evaluation on another

@@ -441,3 +441,43 @@ func TestStepStreamFitsItsSizeClass(t *testing.T) {
 		}
 	}
 }
+
+// TestUnreadParams: a user function leaves unbound, and lets its
+// callers pass () for, exactly the untyped parameters its body never
+// names — not in a VarRef, not as an assignment's target, wherever
+// either sits; a local binding of the same name counts as a read.
+func TestUnreadParams(t *testing.T) {
+	m, err := parser.ParseModule(`
+declare function local:none($a, $b) { 1 };
+declare function local:first($a, $b) { $a };
+declare function local:typed($a as element(), $b) { () };
+declare function local:nested($a, $b) { for $x in (1, 2) return <r>{ $b/@x }</r> };
+declare function local:shadowed($a, $b) { let $a := 1 return $a };
+declare sequential function local:assigned($a, $b) { set $b := 1; };
+declare function local:predicate($a, $b) { //x[@id = $b] };
+1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := CompileFunctions(m)
+	for _, tt := range []struct {
+		name  string
+		reads [2]bool
+	}{
+		{"none", [2]bool{false, false}},
+		{"first", [2]bool{true, false}},
+		{"typed", [2]bool{true, false}},
+		{"nested", [2]bool{false, true}},
+		{"shadowed", [2]bool{true, false}},
+		{"assigned", [2]bool{false, true}},
+		{"predicate", [2]bool{false, true}},
+	} {
+		f := reg.Lookup(dom.QName{Space: "http://www.w3.org/2005/xquery-local-functions", Local: tt.name}, 2)
+		if f == nil {
+			t.Fatalf("local:%s not compiled", tt.name)
+		}
+		if got := [2]bool{f.Reads(0), f.Reads(1)}; got != tt.reads {
+			t.Errorf("local:%s reads its parameters %v, want %v", tt.name, got, tt.reads)
+		}
+	}
+}

@@ -152,9 +152,12 @@
 //	            it was handed: what Eval or Materialize returned, a
 //	            variable's binding (a Box's Val), a literal's prebuilt
 //	            sequence (ast.StringLit's Seq or Value()), a function's
-//	            arguments. Those share their backing array with a
-//	            binding, a literal every run of a cached program reads,
-//	            or the caller's own value. The pass flags an index
+//	            arguments, the shared boolean results (xdm.True,
+//	            xdm.False, xdm.Bool) and a loop's cells (loopDomain's
+//	            nextCell and holdCell). Those share their backing array
+//	            with a binding, a literal every run of a cached program
+//	            reads, every other boolean result, an item bound in an
+//	            earlier loop turn, or the caller's own value. The pass flags an index
 //	            assignment into such a sequence (s[i] = v, s[i]++), an
 //	            in-place sort, reverse or copy into it, and an append
 //	            onto it, which writes into its spare capacity; a copy
@@ -1502,10 +1505,15 @@ func writesBox(lhs ast.Expr) bool {
 // handingOut are the calls whose result is a sequence the caller was
 // handed, not one it made: an evaluation's value, a drained iterator's
 // (which may be the slice behind it), what an iterator was made from,
-// and a literal's prebuilt sequence.
+// a literal's prebuilt sequence, a shared boolean result and a loop's
+// cell.
 var handingOut = map[string]bool{
 	"Eval": true, "Materialize": true, "MaterializeAtMost": true, "Unpulled": true, "Value": true,
+	"Bool": true, "nextCell": true, "holdCell": true,
 }
+
+// sharedSeqs are the package-level sequences of xdm every caller shares.
+var sharedSeqs = map[string]bool{"True": true, "False": true}
 
 // inPlace are the package functions that write into their first
 // argument.
@@ -1518,7 +1526,8 @@ var inPlace = map[string]map[string]bool{
 // seqwrite entry above). Detection is syntactic and per function: a
 // name is handed a sequence when it is a parameter of type
 // xdm.Sequence, or is assigned one of handingOut's results, a Val or
-// Seq selector, an element of a []xdm.Sequence parameter, or a slice of
+// Seq selector, xdm.True or xdm.False, an element of a []xdm.Sequence
+// parameter, or a slice of
 // another such name; a write through such a name, or through any of
 // those expressions, is flagged.
 func seqWrite(fset *token.FileSet, file *ast.File) []finding {
@@ -1559,6 +1568,9 @@ func seqWrite(fset *token.FileSet, file *ast.File) []finding {
 				id, ok := x.X.(*ast.Ident)
 				return ok && lists[id.Name]
 			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "xdm" && sharedSeqs[x.Sel.Name] {
+					return true
+				}
 				return x.Sel.Name == "Val" || x.Sel.Name == "Seq"
 			case *ast.CallExpr:
 				switch callee := x.Fun.(type) {

@@ -964,6 +964,30 @@ func lib() *Function {
 	}
 }
 
+func TestSeqWriteFlagsWritesIntoSharedBooleansAndCells(t *testing.T) {
+	src := `package runtime
+func mutant() { xdm.True[0] = xdm.Boolean(false) }
+func result(ok bool) xdm.Sequence {
+	res := xdm.Bool(ok)
+	res[0] = nil
+	return append(xdm.False, nil)
+}
+func loop(d *loopDomain) {
+	one, _ := d.nextCell()
+	one[0] = nil
+	at := d.holdCell(xdm.Integer(1))
+	slices.Reverse(at)
+}
+`
+	got := analyze(t, src, seqWrite)
+	if len(got) != 5 {
+		t.Fatalf("findings = %v, want 5", got)
+	}
+	if !strings.Contains(got[0].msg, "an index assignment in mutant") {
+		t.Errorf("first finding %v is not the xdm.True mutant's", got[0])
+	}
+}
+
 func TestSeqWriteAllowsWhatTheCallerMade(t *testing.T) {
 	src := `package runtime
 func eval(ctx *Context, e ast.Expr) (xdm.Sequence, error) {
