@@ -135,7 +135,9 @@ bench-e2e-smoke:
 # AST or an error for any input, and a random path streamed by the
 # evaluator must answer what the per-step reference answers, and the
 # wire envelope reader must accept nothing the DOM decoder it replaced
-# would refuse or read differently. A crasher
+# would refuse or read differently, and a tree the markup parser or
+# Clone carved from a dom.Builder's blocks must take any sequence of
+# mutations as a tree built node by node does. A crasher
 # is written under the package's testdata/fuzz and fails the step.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
@@ -143,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPathStreamsLikePerStep$$' -fuzztime 10s -parallel 2 ./internal/xquery/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime 10s -parallel 2 ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSequence$$' -fuzztime 10s -parallel 2 ./internal/rest
+	$(GO) test -run '^$$' -fuzz '^FuzzParseThenMutate$$' -fuzztime 10s -parallel 2 ./internal/markup
 
 experiments:
 	$(GO) run ./cmd/experiments

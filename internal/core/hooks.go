@@ -205,7 +205,8 @@ func (h *Host) invokeListener(ctx *runtime.Context, name dom.QName, args []xdm.S
 // EventToXML materialises a DOM event as the XML element listeners
 // receive as $evt (§4.3.2): the same information available in a DOM
 // Event object, stamped at. The Detail entries come last, in key order,
-// so one event always gives the same element.
+// so one event always gives the same element. Its shape is known before
+// it is built, so it is built through one sized dom.Builder.
 func EventToXML(ev *dom.Event, at time.Time) *dom.Node {
 	var keys []string
 	if len(ev.Detail) > 0 {
@@ -215,38 +216,46 @@ func EventToXML(ev *dom.Event, at time.Time) *dom.Node {
 		}
 		sort.Strings(keys)
 	}
-	var buf [16]*dom.Node // AdoptChildren copies the list into one exactly sized slice
-	kids := append(buf[:0],
-		eventField("type", ev.Type),
-		eventField("altKey", strconv.FormatBool(ev.AltKey)),
-		eventField("ctrlKey", strconv.FormatBool(ev.CtrlKey)),
-		eventField("shiftKey", strconv.FormatBool(ev.ShiftKey)),
-		eventField("metaKey", strconv.FormatBool(ev.MetaKey)),
-		eventField("button", strconv.Itoa(ev.Button)),
-		eventField("key", ev.Key),
-		eventField("clientX", strconv.Itoa(ev.ClientX)),
-		eventField("clientY", strconv.Itoa(ev.ClientY)),
-		eventField("phase", strconv.Itoa(int(ev.Phase))),
-		eventField("timeStamp", at.Format("2006-01-02T15:04:05.000")))
+	var buf [16]eventField
+	fields := append(buf[:0],
+		eventField{"type", ev.Type},
+		eventField{"altKey", strconv.FormatBool(ev.AltKey)},
+		eventField{"ctrlKey", strconv.FormatBool(ev.CtrlKey)},
+		eventField{"shiftKey", strconv.FormatBool(ev.ShiftKey)},
+		eventField{"metaKey", strconv.FormatBool(ev.MetaKey)},
+		eventField{"button", strconv.Itoa(ev.Button)},
+		eventField{"key", ev.Key},
+		eventField{"clientX", strconv.Itoa(ev.ClientX)},
+		eventField{"clientY", strconv.Itoa(ev.ClientY)},
+		eventField{"phase", strconv.Itoa(int(ev.Phase))},
+		eventField{"timeStamp", at.Format("2006-01-02T15:04:05.000")})
 	if ev.Target != nil && ev.Target.Type == dom.ElementNode {
-		kids = append(kids,
-			eventField("targetName", ev.Target.Name.Local),
-			eventField("targetId", ev.Target.AttrValue("id")))
+		fields = append(fields,
+			eventField{"targetName", ev.Target.Name.Local},
+			eventField{"targetId", ev.Target.AttrValue("id")})
 	}
 	for _, k := range keys {
-		kids = append(kids, eventField(k, ev.Detail[k]))
+		fields = append(fields, eventField{k, ev.Detail[k]})
 	}
-	el := dom.NewElement(dom.Name("event"))
-	el.AdoptChildren(kids)
+	texts := 0
+	for _, f := range fields {
+		if f.val != "" {
+			texts++
+		}
+	}
+	b := dom.NewBuilder(1+len(fields), texts, len(fields)+texts)
+	el := b.Element(dom.Name("event"), 0, len(fields))
+	for _, f := range fields {
+		if f.val == "" {
+			b.Element(dom.Name(f.name), 0, 0)
+			continue
+		}
+		b.Element(dom.Name(f.name), 0, 1)
+		b.Leaf(dom.TextNode, dom.QName{}, f.val)
+	}
 	return el
 }
 
 // eventField is one child of an event element: <name>val</name>, or
 // <name/> when val is empty.
-func eventField(name, val string) *dom.Node {
-	c := dom.NewElement(dom.Name(name))
-	if val != "" {
-		c.AdoptChildren([]*dom.Node{dom.NewText(val)})
-	}
-	return c
-}
+type eventField struct{ name, val string }

@@ -1,6 +1,9 @@
 package dom
 
 import (
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -62,30 +65,76 @@ func TestNodePartsAreCoAllocated(t *testing.T) {
 	_ = sink
 }
 
-// A clone sizes each list once and carves an element's attribute copies
-// from one block, as AdoptAttrs does: the copy of a stored document that
-// xmldb publishes per write keeps no append slack.
+// A clone counts its source and builds through one dom.Builder: its
+// nodes and lists come from three exactly sized blocks, so it allocates
+// a constant number of objects whatever the size of the tree — the
+// element, leaf and slot blocks, a block of nodes above 1 KB in two
+// (block). It made one object per node and per list: 9 for the small
+// element below. Every list keeps no append slack: the copy of a stored
+// document that xmldb publishes per write is as small as it can be.
 func TestCloneSizesItsListsOnce(t *testing.T) {
-	e := NewElement(Name("e"))
-	for _, k := range []string{"a", "b", "c"} {
-		e.SetAttr(Name(k), k)
+	const maxAllocs = 5
+	for _, texts := range []int{5, 2000} {
+		e := NewElement(Name("e"))
+		for _, k := range []string{"a", "b", "c"} {
+			e.SetAttr(Name(k), k)
+		}
+		for i := 0; i < texts; i++ {
+			mustAppend(t, e, NewText("t"))
+		}
+		c := e.Clone()
+		if kids, attrs := c.Children(), c.Attrs(); len(kids) != texts || cap(kids) != texts || len(attrs) != 3 || cap(attrs) != 3 {
+			t.Errorf("clone lists: children %d/%d, attrs %d/%d; want %d/%d and 3/3",
+				len(kids), cap(kids), len(attrs), cap(attrs), texts, texts)
+		}
+		if got := testing.AllocsPerRun(20, func() { c = e.Clone() }); got > maxAllocs {
+			t.Errorf("Clone of %d texts makes %.0f allocations, want at most %d at any size", texts, got, maxAllocs)
+		}
+		if got := c.CloneNormalized().Children(); len(got) != 1 || got[0].Data != strings.Repeat("t", texts) {
+			t.Errorf("CloneNormalized children = %v", got)
+		}
 	}
-	for i := 0; i < 5; i++ {
-		mustAppend(t, e, NewText("t"))
+}
+
+// block sizes a builder's blocks from Go's size classes, so they must
+// be the allocator's: a block of n leaves or elements takes what
+// allocated says, as a small object, with a header and above 32 KB.
+// And the one or two allocations it picks never take more than one
+// block would, and waste less than a tenth of the nodes' bytes.
+func TestBlocksFitTheAllocator(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var leaves []Node
+	var elems []elemNode
+	for _, n := range []int{1, 3, 5, 6, 11, 44, 72, 83, 207, 341, 405, 1000} {
+		// What another goroutine of the process allocates in between
+		// counts too: the sizes must match in one of a few tries.
+		want, got := uint64(allocated(n*96)+allocated(n*160)), uint64(0)
+		for try := 0; try < 5 && got != want; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			leaves = make([]Node, n)
+			elems = make([]elemNode, n)
+			runtime.ReadMemStats(&after)
+			got = after.TotalAlloc - before.TotalAlloc
+		}
+		if got != want {
+			t.Errorf("%d leaves and %d elements take %d bytes, allocated says %d", n, n, got, want)
+		}
+		head, tail := block[Node](n)
+		eh, et := block[elemNode](n)
+		if len(head)+len(tail) != n || len(eh)+len(et) != n {
+			t.Fatalf("block of %d: %d+%d leaves, %d+%d elements", n, len(head), len(tail), len(eh), len(et))
+		}
+		for _, c := range []struct{ one, two, exact int }{
+			{allocated(n * 96), allocated(len(head)*96) + allocated(len(tail)*96), n * 96},
+			{allocated(n * 160), allocated(len(eh)*160) + allocated(len(et)*160), n * 160},
+		} {
+			if c.two > c.one || c.exact >= 1024 && c.two-c.exact > c.exact/10 {
+				t.Errorf("a block of %d nodes of %d bytes takes %d bytes, one allocation %d", n, c.exact/n, c.two, c.one)
+			}
+		}
 	}
-	c := e.Clone()
-	if kids, attrs := c.Children(), c.Attrs(); len(kids) != 5 || cap(kids) != 5 || len(attrs) != 3 || cap(attrs) != 3 {
-		t.Errorf("clone lists: children %d/%d, attrs %d/%d; want 5/5 and 3/3",
-			len(kids), cap(kids), len(attrs), cap(attrs))
-	}
-	// The element, its child list, five texts, the attribute list and
-	// one block for the three attribute nodes.
-	if got := testing.AllocsPerRun(50, func() { c = e.Clone() }); got != 9 {
-		t.Errorf("Clone makes %.0f allocations, want 9", got)
-	}
-	if got := c.CloneNormalized().Children(); len(got) != 1 || got[0].Data != "ttttt" {
-		t.Errorf("CloneNormalized children = %v", got)
-	}
+	_, _ = leaves, elems
 }
 
 // The side struct is published race-free (run under -race): readers of

@@ -117,6 +117,10 @@ type Node struct {
 type elemPart struct {
 	children []*Node
 	attrs    []*Node // attribute nodes; their parent is this element
+	// one is the attribute list of an element with a single attribute
+	// (attrs is one[:1:1]): a constructed <td id="…"> allocates its
+	// attribute node and no list.
+	one [1]*Node
 
 	// version is the mutation counter of the tree rooted here, bumped on
 	// every mutation of the tree (versionWord). It is a plain word:
@@ -186,8 +190,8 @@ type nodeSide struct {
 }
 
 // elemNode is how an element is allocated: the node and its lists in
-// one object, 152 bytes (the 160-byte class). part reaches the lists
-// from the node's own address.
+// one object, 160 bytes (the 160-byte class), alone or carved from a
+// Builder's block. part reaches the lists from the node's own address.
 type elemNode struct {
 	node Node
 	part elemPart
@@ -235,27 +239,24 @@ func NewDocumentOf(baseURI string, children ...*Node) *Node {
 	return d
 }
 
-// NewElement creates a detached element node.
-func NewElement(name QName) *Node {
-	e := new(elemNode)
-	e.node.Type, e.node.Name = ElementNode, name
-	return &e.node
-}
+// NewElement creates a detached element node. A node made alone is
+// allocated alone and set up as a Builder sets up one it carves: through
+// the builder, one node cost 30 to 55 ns more, an eighth of a turn that
+// constructs a 12×12 table.
+func NewElement(name QName) *Node { return new(elemNode).init(name) }
 
 // NewText creates a detached text node.
-func NewText(data string) *Node { return &Node{Type: TextNode, Data: data} }
+func NewText(data string) *Node { return new(Node).init(TextNode, QName{}, data) }
 
 // NewComment creates a detached comment node.
-func NewComment(data string) *Node { return &Node{Type: CommentNode, Data: data} }
+func NewComment(data string) *Node { return new(Node).init(CommentNode, QName{}, data) }
 
 // NewAttr creates a detached attribute node.
-func NewAttr(name QName, value string) *Node {
-	return &Node{Type: AttributeNode, Name: name, Data: value}
-}
+func NewAttr(name QName, value string) *Node { return new(Node).init(AttributeNode, name, value) }
 
 // NewPI creates a detached processing-instruction node.
 func NewPI(target, data string) *Node {
-	return &Node{Type: ProcessingInstructionNode, Name: Name(target), Data: data}
+	return new(Node).init(ProcessingInstructionNode, Name(target), data)
 }
 
 // Parent returns the parent node (the owning element for attributes),
@@ -491,44 +492,87 @@ func (n *Node) Clone() *Node { return n.clone(false) }
 func (n *Node) CloneNormalized() *Node { return n.clone(true) }
 
 func (n *Node) clone(normalize bool) *Node {
+	var c treeCount
+	c.add(n, normalize)
+	b := NewBuilder(c.elems, c.leaves, c.slots)
+	return b.copy(n, normalize)
+}
+
+// treeCount is what a Builder needs to know of a tree before building
+// it: its elements, its leaves and its list slots.
+type treeCount struct{ elems, leaves, slots int }
+
+// add counts n's subtree as its copy will be.
+func (c *treeCount) add(n *Node, normalize bool) {
+	k := 0
+	eachCopied(n.Children(), normalize, func(kid *Node, text []*Node) {
+		k++
+		if text != nil {
+			c.leaves++
+		} else {
+			c.add(kid, normalize)
+		}
+	})
+	switch n.Type {
+	case DocumentNode:
+		c.slots += k
+	case ElementNode:
+		c.elems++
+		c.leaves += len(n.Attrs())
+		c.slots += ListSlots(len(n.Attrs()), k)
+	default:
+		c.leaves++
+	}
+}
+
+// eachCopied calls f with each child the copy of a node with the given
+// children gets: a child, or, when normalize is set, a run of adjacent
+// text children with text in it, which the copy holds as one node.
+func eachCopied(kids []*Node, normalize bool, f func(kid *Node, text []*Node)) {
+	for i := 0; i < len(kids); i++ {
+		if !normalize || kids[i].Type != TextNode {
+			f(kids[i], nil)
+			continue
+		}
+		j, size := i, 0
+		for ; j < len(kids) && kids[j].Type == TextNode; j++ {
+			size += len(kids[j].Data)
+		}
+		if size > 0 {
+			f(nil, kids[i:j])
+		}
+		i = j - 1
+	}
+}
+
+// copy adds a copy of n's subtree, as treeCount.add counted it.
+func (b *Builder) copy(n *Node, normalize bool) *Node {
+	kids := n.Children()
+	k := 0
+	eachCopied(kids, normalize, func(*Node, []*Node) { k++ })
 	var c *Node
 	switch n.Type {
 	case DocumentNode:
-		c = NewDocument()
+		c = b.Document(k)
 	case ElementNode:
-		c = NewElement(n.Name)
+		c = b.Element(n.Name, len(n.Attrs()), k)
+		for _, a := range n.Attrs() {
+			b.Attr(a.Name, a.Data)
+		}
 	default:
-		c = &Node{Type: n.Type}
+		c = b.Leaf(n.Type, n.Name, n.Data)
 	}
-	c.Name, c.Data = n.Name, n.Data
 	c.SetBaseURI(n.BaseURI())
-	// Each list is sized once, to its source's length: a clone that is
-	// published (xmldb.update's new revision) keeps no append slack.
-	if attrs := n.Attrs(); len(attrs) > 0 {
-		slab := c.attrSlab(len(attrs))
-		for i, a := range attrs {
-			slab[i].Name, slab[i].Data = a.Name, a.Data
+	eachCopied(kids, normalize, func(kid *Node, text []*Node) {
+		if text == nil {
+			b.copy(kid, normalize)
+			return
 		}
-	}
-	kids := n.Children()
-	if len(kids) == 0 {
-		return c
-	}
-	out := make([]*Node, 0, len(kids))
-	for _, k := range kids {
-		if normalize && k.Type == TextNode {
-			if k.Data == "" {
-				continue
-			}
-			if len(out) > 0 && out[len(out)-1].Type == TextNode {
-				out[len(out)-1].Data += k.Data
-				continue
-			}
+		data := text[0].Data
+		for _, t := range text[1:] {
+			data += t.Data
 		}
-		kc := k.clone(normalize)
-		kc.parent = c
-		out = append(out, kc)
-	}
-	c.part().children = out
+		b.Leaf(TextNode, QName{}, data)
+	})
 	return c
 }

@@ -157,6 +157,15 @@ func (n *Node) InsertAfter(c, ref *Node) error {
 	return nil
 }
 
+// attrRoom returns e's attribute list to append to: the element's own
+// one-attribute slot while the list has no room at all.
+func (e *elemPart) attrRoom() []*Node {
+	if cap(e.attrs) == 0 {
+		return e.one[:0:1]
+	}
+	return e.attrs
+}
+
 // insertAt returns list with c inserted at position i.
 func insertAt(list []*Node, i int, c *Node) []*Node {
 	list = append(list, nil)
@@ -197,11 +206,14 @@ func (n *Node) ReplaceChild(c, old *Node) error {
 	if err := n.checkChild(c); err != nil {
 		return err
 	}
-	i := old.ChildIndex()
-	if old.parent != n || i < 0 {
+	if c == old {
+		return fmt.Errorf("dom: cannot replace a node with itself")
+	}
+	if old.parent != n || old.Type == AttributeNode {
 		return fmt.Errorf("dom: replaced node is not a child")
 	}
-	c.Detach()
+	c.Detach() // may be a sibling of old, before it
+	i := old.ChildIndex()
 	n.leaving(old)
 	old.orphan()
 	c.parent = n
@@ -220,7 +232,7 @@ func (n *Node) SetAttr(name QName, value string) *Node {
 	a := NewAttr(name, value)
 	a.parent = n
 	e := n.part()
-	e.attrs = append(e.attrs, a)
+	e.attrs = append(e.attrRoom(), a)
 	n.attached(a)
 	return a
 }
@@ -240,7 +252,7 @@ func (n *Node) AddAttrNode(a *Node) error {
 	a.Detach()
 	a.parent = n
 	e := n.part()
-	e.attrs = append(e.attrs, a)
+	e.attrs = append(e.attrRoom(), a)
 	n.attached(a)
 	return nil
 }
@@ -289,7 +301,7 @@ func (n *Node) RestoreAttrAt(a *Node, i int) error {
 		return fmt.Errorf("dom: restore position %d out of range", i)
 	}
 	a.parent = n
-	e.attrs = insertAt(e.attrs, i, a)
+	e.attrs = insertAt(e.attrRoom(), i, a)
 	n.attached(a)
 	return nil
 }

@@ -1,8 +1,16 @@
 package markup
 
+import "repro/internal/dom"
+
 // Hooks for the external test package, which can import internal/apps
 // (apps imports markup, so the in-package tests cannot).
 var (
 	DiffParse     = diffParse
 	DiffSerialize = diffSerialize
+	// ParserOfOwn returns an XML Parse with scratch of its own, not the
+	// pool's.
+	ParserOfOwn = func() func(string) (*dom.Node, error) {
+		p := new(parser)
+		return func(src string) (*dom.Node, error) { return p.parse(src, XML) }
+	}
 )

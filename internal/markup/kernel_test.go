@@ -3,6 +3,7 @@ package markup
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -52,48 +53,59 @@ func TestSerializeAllocs(t *testing.T) {
 	}
 }
 
-// Parse allocates per node, not per byte and not per level: one
-// dom.Node per element, text, comment and PI, one child list per
-// element that has children, and per element with attributes one block
-// holding all its attribute nodes plus one attribute list; a text or
-// attribute value costs one more only when an entity is spliced into
-// it. The listing's row is 12 nodes (4 of them attributes) built in 19
-// allocations, 1.58 per node; the pin is k = 1.75 per node, attributes
-// counted as nodes, plus a constant for the parser and the growth of
-// its scratch stacks. The seed's parser made 3.7 per node.
+// Parse allocates per tree, not per node: it records the tree in pooled
+// scratch and builds it through one exactly sized dom.Builder — the
+// document, the element, leaf and list blocks (a block above 32 KB in
+// two), and one string for all the text an entity was spliced into. The
+// count is pinned as a constant that holds at 10 and at 1,000 rows; it
+// was 1.75 per node (the listing's row, 12 nodes with 4 attributes, took
+// 19 allocations) and 3.7 in the seed's parser.
 //
-// The bytes are pinned beside the count: the row's 5 elements, 3 texts
-// and 4 attributes cost 176, 128 and 120 bytes each (dom.Node's size
-// classes, DESIGN.md §5q) plus their lists, 157 bytes per node where the
-// 208-byte node made it 218; the pin is 170 per node plus 4 KB for the
-// parser.
+// The bytes are pinned beside the count: the row's 5 elements, 4 texts
+// and 3 attributes cost 160, 96 and 96 bytes each (dom.Node's size
+// classes, DESIGN.md §5q), 8 per list slot, the blocks' size class and
+// a copy of their names and values, which the tree keeps in a string of
+// its own instead of its source: 135 to 138 bytes per node, where one
+// allocation per node and per list, with the values in the source, made
+// it 133 to 142 and the 208-byte node 218. The pin is 135 per node plus
+// 1 KB for the document and the blocks' rounding.
+//
+// It measures with scratch of its own, not the pool's, which the race
+// detector empties at random, and with the collector off, which
+// allocates on its own account.
 func TestParseAllocs(t *testing.T) {
-	const maxAllocsPerNode, parserAllocs = 1.75, 40
-	const maxBytesPerNode, parserBytes = 170, 4 << 10
+	const maxAllocs = 7
+	const maxBytesPerNode, treeBytes = 135, 1 << 10
+	counts := map[string]float64{}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, rows := range []int{10, 1000} {
 		src := listing(rows)
 		nodes := countNodes(mustParse(t, src))
-		for name, parse := range map[string]func(string) (*dom.Node, error){"Parse": Parse, "ParseHTML": ParseHTML} {
+		for name, mode := range map[string]Mode{"Parse": XML, "ParseHTML": HTML} {
 			const runs = 10
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			avg := testing.AllocsPerRun(runs, func() {
-				if _, err := parse(src); err != nil {
+			var p parser
+			run := func() {
+				if _, err := p.parse(src, mode); err != nil {
 					t.Fatal(err)
 				}
-			})
-			runtime.ReadMemStats(&after)
-			// AllocsPerRun makes one warm-up run of its own.
-			bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-			if limit := maxAllocsPerNode*float64(nodes) + parserAllocs; avg > limit {
-				t.Errorf("%s of %d nodes allocates %.0f times, want <= %.0f (%.2f per node + %d)",
-					name, nodes, avg, limit, maxAllocsPerNode, parserAllocs)
-			} else {
-				t.Logf("%s of %d nodes: %.0f allocations (%.2f per node)", name, nodes, avg, avg/float64(nodes))
 			}
-			if limit := maxBytesPerNode*float64(nodes) + parserBytes; bytes > limit {
+			avg := testing.AllocsPerRun(runs, run)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			if small, ok := counts[name]; avg > maxAllocs || ok && avg != small {
+				t.Errorf("%s of %d nodes allocates %.0f times, want <= %d and the same at any size (%v)", name, nodes, avg, maxAllocs, counts)
+			} else {
+				counts[name] = avg
+				t.Logf("%s of %d nodes: %.0f allocations", name, nodes, avg)
+			}
+			if limit := maxBytesPerNode*float64(nodes) + treeBytes; bytes > limit {
 				t.Errorf("%s of %d nodes allocates %.0f bytes, want <= %.0f (%d per node + %d)",
-					name, nodes, bytes, limit, maxBytesPerNode, parserBytes)
+					name, nodes, bytes, limit, maxBytesPerNode, treeBytes)
 			} else {
 				t.Logf("%s of %d nodes: %.0f bytes (%.1f per node)", name, nodes, bytes, bytes/float64(nodes))
 			}

@@ -2,7 +2,9 @@ package markup_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -81,30 +83,46 @@ func TestDifferentialAppPages(t *testing.T) {
 }
 
 // TestParseBytesOfAppPages pins what a parse of the benchmark's two
-// document shapes allocates (BenchmarkParseXML reports the same numbers):
-// the cart page took 137.8 KB and the article 29.1 KB when every node
-// was 208 bytes; the allocation counts did not move with the node's
-// size (DESIGN.md §5q).
+// document shapes allocates (BenchmarkParseXML reports the same numbers,
+// in 7 objects each), the copy of their names and values the trees keep
+// included: the cart page took 137.8 KB and the article 29.1 KB when
+// every node was 208 bytes (DESIGN.md §5q), and 80.8 KB and 17.8 KB when
+// every node and every list was an allocation of its own and the values
+// were the source's (§5l). It measures as TestParseAllocs does, with scratch of its own
+// and the collector off.
 func TestParseBytesOfAppPages(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range []struct {
 		name  string
 		src   string
 		maxKB float64
 	}{
-		{"cart", cartPage(t), 100},
-		{"article", article(t), 21.5},
+		{"cart", cartPage(t), 80.6},
+		{"article", article(t), 17.6},
 	} {
 		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			if _, err := markup.Parse(c.src); err != nil {
-				t.Fatal(err)
-			}
+		parse := markup.ParserOfOwn()
+		if _, err := parse(c.src); err != nil { // the parser's scratch
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		if kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024; kb > c.maxKB {
-			t.Errorf("parsing the %s allocates %.1f KB, want at most %.1f", c.name, kb, c.maxKB)
+		// The least of three rounds: what another goroutine allocates
+		// meanwhile counts too.
+		kb := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := parse(c.src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			kb = min(kb, float64(after.TotalAlloc-before.TotalAlloc)/runs/1024)
+		}
+		if kb > c.maxKB {
+			t.Errorf("parsing the %s allocates %.2f KB, want at most %.1f", c.name, kb, c.maxKB)
+		} else {
+			t.Logf("parsing the %s allocates %.2f KB", c.name, kb)
 		}
 	}
 }

@@ -12,9 +12,11 @@
 package markup
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/dom"
@@ -62,9 +64,8 @@ func (e *ParseError) Error() string {
 
 // Parse parses src as strict XML and returns its document node.
 //
-// Names, text and attribute values of the result are substrings of src
-// wherever no entity reference or CDATA section had to be spliced in, so
-// the tree keeps src reachable for as long as any of its nodes lives.
+// The names, text and attribute values of the result are slices of one
+// string of their own, so the tree keeps nothing of src reachable.
 func Parse(src string) (*dom.Node, error) { return parse(src, XML) }
 
 // ParseHTML parses src as lenient HTML/XHTML.
@@ -93,39 +94,84 @@ func parseFrag(src string, mode Mode) ([]*dom.Node, error) {
 // envelope's node payloads are read where they stand
 // (rest.DecodeSequence), without building the envelope. One Content
 // reads every payload of an envelope, reusing its scratch.
-type Content struct{ p parser }
+type Content struct {
+	p     parser
+	nodes []*dom.Node
+}
 
 // Parse parses src from offset from as the XML content of an element
 // whose end tag is </name>, through that end tag. It returns the
 // content's top-level nodes, which have no parent, in a slice the next
 // Parse reuses, and the offset just past the end tag. The content sees
 // no namespace declaration but the xml prefix's, as at the top of a
-// document.
+// document. The nodes of one call are carved from the same blocks.
 func (c *Content) Parse(src string, from int, name string) ([]*dom.Node, int, error) {
 	p := &c.p
-	p.src, p.pos, p.mode = src, from, XML
-	p.ns = append(p.ns[:0], nsBinding{"xml", XMLNamespace})
-	p.kids = p.kids[:0]
+	p.reset(src, from, XML)
+	defer p.release()
 	if err := p.parseContent(name); err != nil {
 		return nil, 0, err
 	}
-	return p.kids, p.pos, nil
+	b := dom.NewBuilder(p.elems, p.leaves, p.slots)
+	c.nodes = p.build(&b, c.nodes[:0])
+	return c.nodes, p.pos, nil
 }
 
 // nsBinding is one in-scope namespace declaration.
-type nsBinding struct{ prefix, uri string }
+type nsBinding struct {
+	prefix string
+	uri    span
+}
 
 // rawAttr is an attribute as written in a start tag, before its name is
 // resolved against the namespace declarations of the same tag.
 type rawAttr struct {
-	name, value string
-	pos         int // offset of the name, for error positions
+	name string
+	val  span
+	pos  int // offset of the name, for error positions
 }
 
-// parser is the one parser. It builds the tree bottom-up: the finished
-// children of every open element wait on the kids stack and an element
-// takes its own off the top when it closes (dom.AdoptChildren), so no
-// node is attached through the checked, root-walking dom mutators.
+// span is a string of the tree being read: text[lo:hi] of the parse's
+// text, or, for lo < 0, one of the constants.
+type span struct{ lo, hi int }
+
+// constants are the strings a tree has that are not in its source.
+var constants = [...]string{XMLNamespace, XMLNSNamespace, "xmlns"}
+
+// The spans of the constants.
+var xmlNS, xmlnsNS, xmlnsName = span{-1, -1}, span{-2, -2}, span{-3, -3}
+
+// in returns s as a string of the tree, whose text is text.
+func (s span) in(text string) string {
+	if s.lo < 0 {
+		return constants[-1-s.lo]
+	}
+	return text[s.lo:s.hi]
+}
+
+// name is an expanded name as read.
+type name struct{ space, prefix, local span }
+
+// rec is one node of the tree being read, as the tree will keep it. An
+// element's record is followed by those of its attributes, then by
+// those of its content.
+type rec struct {
+	kind        dom.NodeType // dropped: not part of the tree
+	name        name
+	val         span
+	attrs, kids int32 // an element's, once it has closed
+}
+
+// dropped marks the record of document-level whitespace.
+const dropped dom.NodeType = 0
+
+// parser is the one parser. It records the tree first and builds it
+// once it is read: the counts of what the tree keeps size one
+// dom.Builder, so the nodes and lists of a tree come from three blocks,
+// and every name and value it keeps is copied as it is read into one
+// text, one string of the tree's own, so that the tree keeps nothing of
+// its source reachable. Its scratch is reused from parse to parse
+// (parsers) and holds nothing of a source between them (release).
 type parser struct {
 	src  string
 	pos  int
@@ -138,22 +184,40 @@ type parser struct {
 	// open is the local names of the open elements, innermost last
 	// (HTML end-tag recovery looks for a match among them).
 	open []string
-	kids []*dom.Node
+
+	// recs is the tree read so far, in document order. kids holds the
+	// indexes in recs of the finished children of every open element,
+	// innermost last, and an element counts its own off the top when it
+	// closes; what is left at the end is the top level.
+	recs []rec
+	kids []int32
+	// elems, leaves and slots are what the tree keeps, for its builder
+	// (the top level's slots are the caller's).
+	elems, leaves, slots int
 
 	// Scratch for the start tag being read.
 	attrs []rawAttr
-	specs []dom.AttrSpec
 
-	// Pending character data of one text node or attribute value: a
-	// single run of the source stays a substring of it (run); only when
-	// an entity or a second run is spliced in is it copied (buf). At
-	// most one of the two is non-empty.
-	run string
-	buf []byte
+	// text is every name and value of the tree, in the order read;
+	// text[from:] is the character data of a text node or attribute
+	// value still being read.
+	text []byte
+	from int
 }
 
+// parsers keeps the scratch of finished parses for the next.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
 func parse(src string, mode Mode) (*dom.Node, error) {
-	p := &parser{src: src, mode: mode, ns: []nsBinding{{"xml", XMLNamespace}}}
+	p := parsers.Get().(*parser)
+	defer parsers.Put(p)
+	return p.parse(src, mode)
+}
+
+// parse parses src as a document with p's scratch.
+func (p *parser) parse(src string, mode Mode) (*dom.Node, error) {
+	p.reset(src, 0, mode)
+	defer p.release()
 	if err := p.parseContent(""); err != nil {
 		return nil, err
 	}
@@ -161,16 +225,16 @@ func parse(src string, mode Mode) (*dom.Node, error) {
 		// Strict XML: exactly one root element, no text outside it
 		// (whitespace ok).
 		elements := 0
-		for _, c := range p.kids {
-			if c.Type == dom.ElementNode {
+		for _, i := range p.kids {
+			if p.recs[i].kind == dom.ElementNode {
 				elements++
 			}
 		}
 		if elements == 0 {
 			return nil, p.errorf("no root element")
 		}
-		for _, c := range p.kids {
-			if c.Type == dom.TextNode && strings.TrimSpace(c.Data) != "" {
+		for _, i := range p.kids {
+			if r := &p.recs[i]; r.kind == dom.TextNode && !blank(p.text[r.val.lo:r.val.hi]) {
 				return nil, p.errorf("text outside root element")
 			}
 		}
@@ -179,15 +243,89 @@ func parse(src string, mode Mode) (*dom.Node, error) {
 		}
 	}
 	// Drop pure-whitespace text at the document level.
-	top := p.kids[:0]
-	for _, c := range p.kids {
-		if c.Type != dom.TextNode || strings.TrimSpace(c.Data) != "" {
-			top = append(top, c)
+	top := 0
+	for _, i := range p.kids {
+		if r := &p.recs[i]; r.kind == dom.TextNode && blank(p.text[r.val.lo:r.val.hi]) {
+			r.kind = dropped
+			p.leaves--
+			continue
+		}
+		top++
+	}
+	b := dom.NewBuilder(p.elems, p.leaves, p.slots+top)
+	doc := b.Document(top)
+	p.build(&b, nil)
+	return doc, nil
+}
+
+// reset readies p to read src from offset from.
+func (p *parser) reset(src string, from int, mode Mode) {
+	p.src, p.pos, p.mode = src, from, mode
+	p.ns = append(p.ns[:0], nsBinding{"xml", xmlNS})
+	p.open, p.recs, p.kids, p.text = p.open[:0], p.recs[:0], p.kids[:0], p.text[:0]
+	p.elems, p.leaves, p.slots, p.from = 0, 0, 0, 0
+}
+
+// release drops every string of the source p holds, so that its scratch
+// pins nothing of a parse that is over. The records hold spans of p's
+// own text; the stacks, which shrink, are cleared to their capacity.
+func (p *parser) release() {
+	clear(p.ns[:cap(p.ns)])
+	clear(p.open[:cap(p.open)])
+	clear(p.attrs[:cap(p.attrs)])
+	p.src = ""
+}
+
+// build adds the recorded tree to b, record by record in document
+// order, and returns roots with the nodes that have no parent appended:
+// the top level, unless b has a document for it.
+func (p *parser) build(b *dom.Builder, roots []*dom.Node) []*dom.Node {
+	text := string(p.text) // the tree's one string
+	for i := range p.recs {
+		r := &p.recs[i]
+		if r.kind == dropped {
+			continue
+		}
+		name := dom.QName{Space: r.name.space.in(text), Prefix: r.name.prefix.in(text), Local: r.name.local.in(text)}
+		var n *dom.Node
+		switch r.kind {
+		case dom.ElementNode:
+			n = b.Element(name, int(r.attrs), int(r.kids))
+		case dom.AttributeNode:
+			b.Attr(name, r.val.in(text))
+			continue
+		default:
+			n = b.Leaf(r.kind, name, r.val.in(text))
+		}
+		if n.Parent() == nil {
+			roots = append(roots, n)
 		}
 	}
-	doc := dom.NewDocument()
-	doc.AdoptChildren(top)
-	return doc, nil
+	return roots
+}
+
+// blank reports whether text is empty or white space.
+func blank(text []byte) bool { return len(bytes.TrimSpace(text)) == 0 }
+
+// same reports whether two spans hold the same string.
+func (p *parser) same(a, b span) bool {
+	switch {
+	case a.lo < 0 && b.lo < 0:
+		return a == b
+	case a.lo < 0:
+		return constants[-1-a.lo] == string(p.text[b.lo:b.hi])
+	case b.lo < 0:
+		return constants[-1-b.lo] == string(p.text[a.lo:a.hi])
+	}
+	return string(p.text[a.lo:a.hi]) == string(p.text[b.lo:b.hi])
+}
+
+// leaf records a leaf node as the next child of the innermost open
+// element.
+func (p *parser) leaf(kind dom.NodeType, local, val span) {
+	p.kids = append(p.kids, int32(len(p.recs)))
+	p.recs = append(p.recs, rec{kind: kind, name: name{local: local}, val: val})
+	p.leaves++
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -234,37 +372,28 @@ func (p *parser) readName() (string, error) {
 }
 
 // addRun appends a stretch of the source to the pending character data.
-func (p *parser) addRun(s string) {
-	switch {
-	case s == "":
-	case p.run == "" && len(p.buf) == 0:
-		p.run = s
-	default:
-		p.buf = append(append(p.buf, p.run...), s...)
-		p.run = ""
-	}
-}
+func (p *parser) addRun(s string) { p.text = append(p.text, s...) }
 
 // addRune appends a decoded entity to the pending character data.
-func (p *parser) addRune(r rune) {
-	p.buf = utf8.AppendRune(append(p.buf, p.run...), r)
-	p.run = ""
-}
+func (p *parser) addRune(r rune) { p.text = utf8.AppendRune(p.text, r) }
 
 // take returns the pending character data and clears it.
-func (p *parser) take() string {
-	s := p.run
-	if len(p.buf) > 0 {
-		s = string(p.buf)
-	}
-	p.run, p.buf = "", p.buf[:0]
+func (p *parser) take() span {
+	s := span{p.from, len(p.text)}
+	p.from = s.hi
 	return s
+}
+
+// keep adds s to the tree's text; nothing may be pending.
+func (p *parser) keep(s string) span {
+	p.addRun(s)
+	return p.take()
 }
 
 // flushText turns pending character data into a text node.
 func (p *parser) flushText() {
-	if s := p.take(); s != "" {
-		p.kids = append(p.kids, dom.NewText(s))
+	if v := p.take(); v.hi > v.lo {
+		p.leaf(dom.TextNode, span{}, v)
 	}
 }
 
@@ -375,7 +504,7 @@ func (p *parser) parseComment() error {
 	if end < 0 {
 		return p.errorf("unterminated comment")
 	}
-	p.kids = append(p.kids, dom.NewComment(p.src[p.pos:p.pos+end]))
+	p.leaf(dom.CommentNode, span{}, p.keep(p.src[p.pos:p.pos+end]))
 	p.pos += end + 3
 	return nil
 }
@@ -395,7 +524,7 @@ func (p *parser) parsePI() error {
 	if strings.EqualFold(target, "xml") {
 		return nil // XML declaration: ignore
 	}
-	p.kids = append(p.kids, dom.NewPI(target, data))
+	p.leaf(dom.ProcessingInstructionNode, p.keep(target), p.keep(data))
 	return nil
 }
 
@@ -434,7 +563,7 @@ func (p *parser) parseElement() error {
 			aname = strings.ToLower(aname)
 		}
 		p.skipSpace()
-		aval := ""
+		var aval span
 		if p.peek() == '=' {
 			p.pos++
 			p.skipSpace()
@@ -452,61 +581,71 @@ func (p *parser) parseElement() error {
 	nsMark := len(p.ns)
 	for _, a := range p.attrs {
 		if a.name == "xmlns" {
-			p.ns = append(p.ns, nsBinding{"", a.value})
+			p.ns = append(p.ns, nsBinding{"", a.val})
 		} else if strings.HasPrefix(a.name, "xmlns:") {
-			p.ns = append(p.ns, nsBinding{a.name[6:], a.value})
+			p.ns = append(p.ns, nsBinding{a.name[6:], a.val})
 		}
 	}
 
-	el := dom.NewElement(p.resolveName(rawName, true))
-	p.specs = p.specs[:0]
+	el := len(p.recs)
+	p.recs = append(p.recs, rec{kind: dom.ElementNode, name: p.resolveName(rawName, true)})
+	local := rawName // as resolveName splits it
+	if i := strings.IndexByte(rawName, ':'); i > 0 {
+		local = rawName[i+1:]
+	}
 	for _, a := range p.attrs {
-		var name dom.QName
+		var name name
 		switch {
 		case a.name == "xmlns":
 			// Keep declarations as attributes for faithful reserialization.
-			name = dom.QName{Space: XMLNSNamespace, Local: "xmlns"}
+			name.space, name.local = xmlnsNS, xmlnsName
 		case strings.HasPrefix(a.name, "xmlns:"):
-			name = dom.QName{Space: XMLNSNamespace, Prefix: "xmlns", Local: a.name[6:]}
+			name.space, name.prefix, name.local = xmlnsNS, xmlnsName, p.keep(a.name[6:])
 		default:
 			name = p.resolveName(a.name, false)
 		}
-		if dup := p.specNamed(name); dup != nil {
+		if dup := p.attrNamed(el, name); dup != nil {
 			if p.mode == XML {
 				p.pos = a.pos
 				return p.errorf("duplicate attribute %s", a.name)
 			}
-			dup.Value = a.value // HTML: the last value wins, in the first's place
+			dup.val = a.val // HTML: the last value wins, in the first's place
 			continue
 		}
-		p.specs = append(p.specs, dom.AttrSpec{Name: name, Value: a.value})
+		p.recs = append(p.recs, rec{kind: dom.AttributeNode, name: name, val: a.val})
 	}
-	el.AdoptAttrs(p.specs)
-	p.kids = append(p.kids, el)
+	attrs := len(p.recs) - el - 1
+	p.kids = append(p.kids, int32(el))
 
-	if !selfClose && !(p.mode == HTML && isVoidElement(el.Name.Local)) {
+	kids := 0
+	if !selfClose && !(p.mode == HTML && isVoidElement(local)) {
 		mark := len(p.kids)
-		if p.mode == HTML && isRawTextElement(el.Name.Local) {
-			p.parseRawText(el.Name.Local)
+		if p.mode == HTML && isRawTextElement(local) {
+			p.parseRawText(local)
 		} else {
-			p.open = append(p.open, el.Name.Local)
+			p.open = append(p.open, local)
 			// End tags match on the lexical (possibly prefixed) name.
 			err = p.parseContent(rawName)
 			p.open = p.open[:len(p.open)-1]
 		}
-		el.AdoptChildren(p.kids[mark:])
+		kids = len(p.kids) - mark
 		p.kids = p.kids[:mark]
 	}
+	p.recs[el].attrs, p.recs[el].kids = int32(attrs), int32(kids)
+	p.elems++
+	p.leaves += attrs
+	p.slots += dom.ListSlots(attrs, kids)
 	p.ns = p.ns[:nsMark]
 	return err
 }
 
-// specNamed returns the attribute already collected for the start tag
-// under the same expanded name, if any.
-func (p *parser) specNamed(name dom.QName) *dom.AttrSpec {
-	for i := range p.specs {
-		if p.specs[i].Name.Matches(name) {
-			return &p.specs[i]
+// attrNamed returns the record of the attribute already read for the
+// start tag of the element recorded at el under the same expanded name,
+// if any.
+func (p *parser) attrNamed(el int, n name) *rec {
+	for i := el + 1; i < len(p.recs); i++ {
+		if a := &p.recs[i]; p.same(a.name.space, n.space) && p.same(a.name.local, n.local) {
+			return a
 		}
 	}
 	return nil
@@ -547,37 +686,38 @@ func (p *parser) parseRawText(local string) {
 		text = strings.TrimSuffix(strings.TrimPrefix(trimmed, "<![CDATA["), "]]>")
 	}
 	if text != "" {
-		p.kids = append(p.kids, dom.NewText(text))
+		p.leaf(dom.TextNode, span{}, p.keep(text))
 	}
 }
 
 // lookupNS returns the URI bound to prefix ("" for the default
-// namespace), or "" if it is not declared.
-func (p *parser) lookupNS(prefix string) string {
+// namespace), or the empty span if it is not declared.
+func (p *parser) lookupNS(prefix string) span {
 	for i := len(p.ns) - 1; i >= 0; i-- {
 		if p.ns[i].prefix == prefix {
 			return p.ns[i].uri
 		}
 	}
-	return ""
+	return span{}
 }
 
-// resolveName maps a lexical name to an expanded QName using the current
-// namespace scope. Elements use the default namespace; attributes do not.
-func (p *parser) resolveName(lexical string, element bool) dom.QName {
+// resolveName maps a lexical name to an expanded name using the current
+// namespace scope, and adds its prefix and local part to the tree's
+// text. Elements use the default namespace; attributes do not.
+func (p *parser) resolveName(lexical string, element bool) name {
 	if i := strings.IndexByte(lexical, ':'); i > 0 {
 		prefix, local := lexical[:i], lexical[i+1:]
-		return dom.QName{Space: p.lookupNS(prefix), Prefix: prefix, Local: local}
+		return name{p.lookupNS(prefix), p.keep(prefix), p.keep(local)}
 	}
 	if element {
-		return dom.QName{Space: p.lookupNS(""), Local: lexical}
+		return name{space: p.lookupNS(""), local: p.keep(lexical)}
 	}
-	return dom.QName{Local: lexical}
+	return name{local: p.keep(lexical)}
 }
 
-func (p *parser) readAttrValue() (string, error) {
+func (p *parser) readAttrValue() (span, error) {
 	if p.eof() {
-		return "", p.errorf("expected attribute value")
+		return span{}, p.errorf("expected attribute value")
 	}
 	q := p.peek()
 	if q == '"' || q == '\'' {
@@ -589,7 +729,7 @@ func (p *parser) readAttrValue() (string, error) {
 			}
 			p.addRun(p.src[start:p.pos])
 			if p.eof() {
-				return "", p.errorf("unterminated attribute value")
+				return span{}, p.errorf("unterminated attribute value")
 			}
 			if p.src[p.pos] == q {
 				p.pos++
@@ -597,7 +737,7 @@ func (p *parser) readAttrValue() (string, error) {
 			}
 			r, err := p.readEntity()
 			if err != nil {
-				return "", err
+				return span{}, err
 			}
 			p.addRune(r)
 		}
@@ -615,9 +755,9 @@ func (p *parser) readAttrValue() (string, error) {
 			}
 			p.pos++
 		}
-		return p.src[start:p.pos], nil
+		return p.keep(p.src[start:p.pos]), nil
 	}
-	return "", p.errorf("attribute value must be quoted")
+	return span{}, p.errorf("attribute value must be quoted")
 }
 
 // maxEntityLen bounds the name of an entity reference: an '&' with no
