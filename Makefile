@@ -132,7 +132,8 @@ bench-e2e-smoke:
 
 # Ten seconds of coverage-guided fuzzing on each fuzz target below,
 # beyond the seed corpora `test` replays: the parser must return an
-# AST or an error for any input, and a random path streamed by the
+# AST or an error for any input and resolve every variable name to the
+# binding a lexical scope walk finds for it, and a random path streamed by the
 # evaluator must answer what the per-step reference answers, and the
 # wire envelope reader must accept nothing the DOM decoder it replaced
 # would refuse or read differently, and a tree the markup parser or
@@ -142,6 +143,7 @@ bench-e2e-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePathPredicates$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzBindingsMatchScopes$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzPathStreamsLikePerStep$$' -fuzztime 10s -parallel 2 ./internal/xquery/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime 10s -parallel 2 ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSequence$$' -fuzztime 10s -parallel 2 ./internal/rest

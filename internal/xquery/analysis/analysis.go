@@ -112,6 +112,7 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 		reg = funclib.Library() // signatures only: the process-wide library layer
 	}
 	c := &checker{
+		vars:    m.Bindings,
 		reg:     reg,
 		browser: cfg.BrowserProfile,
 		funcs:   map[string][]*ast.FuncDecl{},
@@ -127,21 +128,15 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 		c.funcs[fnKey(f.Name)] = append(c.funcs[fnKey(f.Name)], f)
 	}
 
-	// Globals: initialisers see earlier globals only (the runtime
-	// initialises them in order); function bodies see all of them.
-	globals := &scope{}
+	if c.vars == nil {
+		c.vars = plan.Bind(m) // planned by Annotate alone, or no variables
+	}
+
 	var est int64
 	for i := range m.Prolog.Vars {
-		v := &m.Prolog.Vars[i]
-		if v.Init != nil {
-			c.walk(v.Init, globals, updExpr)
+		if v := &m.Prolog.Vars[i]; v.Init != nil {
+			c.walk(v.Init, updExpr)
 			est = satAdd(est, c.estimate(v.Init))
-		}
-		b := globals.declare(v.Name, v.At, kindGlobal)
-		if v.External || m.IsLibrary {
-			// External globals are bound by the host; library globals
-			// may be read by importers. Neither should warn as unused.
-			b.used = true
 		}
 	}
 
@@ -150,19 +145,11 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 			if f.Body == nil {
 				continue
 			}
-			fs := &scope{parent: globals}
-			for _, p := range f.Params {
-				// Parameters are part of the declared interface
-				// (listeners receive the event even when they ignore
-				// it), so they never warn as unused.
-				fs.declare(p.Name, f.At, kindParam).used = true
-			}
 			upd := updFunc
 			if f.Updating || f.Sequential {
 				upd = updAllowed
 			}
-			c.walk(f.Body, fs, upd)
-			c.reportUnused(fs)
+			c.walk(f.Body, upd)
 			if f.Updating || f.Sequential {
 				c.checkUpdateSnapshots(f.Body)
 			}
@@ -170,13 +157,20 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 	}
 
 	if m.Body != nil {
-		body := &scope{parent: globals}
-		c.walk(m.Body, body, updAllowed)
-		c.reportUnused(body)
+		c.walk(m.Body, updAllowed)
 		est = satAdd(est, c.estimate(m.Body))
 		c.checkUpdateSnapshots(m.Body)
 	}
-	c.reportUnused(globals)
+	for _, b := range c.vars {
+		// Parameters are part of the declared interface (listeners receive
+		// the event even when they ignore it), external globals are bound
+		// by the host and a library's globals may be read by importers.
+		unused := b.Refs == 0 && !b.Assigned && b.Kind != ast.VarFree && b.Kind != ast.VarParam &&
+			b.Kind != ast.VarExternal && !(b.Kind == ast.VarGlobal && m.IsLibrary)
+		if unused {
+			c.report(CodeUnusedVar, SevWarning, b.At, "unused variable $%s", varDisplay(b.Name))
+		}
+	}
 	c.noteCopiedLets(m)
 
 	if d, ok := BudgetDiagnostic(est, cfg.MaxSteps); ok {
@@ -188,6 +182,7 @@ func Analyze(m *ast.Module, cfg Config) *Result {
 
 // checker carries the state shared by the passes.
 type checker struct {
+	vars    ast.Bindings // the module's binding table (plan.Bind)
 	reg     *runtime.Registry
 	browser bool
 	diags   []Diagnostic
@@ -206,63 +201,6 @@ func (c *checker) report(code string, sev Severity, at ast.Pos, format string, a
 		Col:      at.Col,
 		Msg:      fmt.Sprintf(format, args...),
 	})
-}
-
-// --- scopes ---------------------------------------------------------------
-
-type bindKind int
-
-const (
-	kindGlobal bindKind = iota
-	kindParam
-	kindFor
-	kindLet
-	kindPosVar
-	kindCase
-	kindCopy
-	kindBlockDecl
-)
-
-type binding struct {
-	name dom.QName
-	at   ast.Pos
-	kind bindKind
-	used bool
-}
-
-// scope is one lexical binding frame. Bindings are ordered so shadowing
-// works (lookup scans back-to-front) and unused-variable reports come
-// out in declaration order.
-type scope struct {
-	parent *scope
-	vars   []*binding
-}
-
-func (s *scope) declare(name dom.QName, at ast.Pos, kind bindKind) *binding {
-	b := &binding{name: name, at: at, kind: kind}
-	s.vars = append(s.vars, b)
-	return b
-}
-
-func (s *scope) lookup(name dom.QName) *binding {
-	for sc := s; sc != nil; sc = sc.parent {
-		for i := len(sc.vars) - 1; i >= 0; i-- {
-			if sc.vars[i].name == name {
-				return sc.vars[i]
-			}
-		}
-	}
-	return nil
-}
-
-// reportUnused warns for bindings of s that were never referenced.
-// Parameters and external globals are pre-marked used at declaration.
-func (c *checker) reportUnused(s *scope) {
-	for _, b := range s.vars {
-		if !b.used {
-			c.report(CodeUnusedVar, SevWarning, b.at, "unused variable $%s", varDisplay(b.name))
-		}
-	}
 }
 
 // --- name display ---------------------------------------------------------

@@ -27,34 +27,31 @@ const (
 )
 
 // walk is the combined semantic / update-placement / browser-policy
-// traversal. sc is the lexical scope; upd the update-placement context
-// of this position. Child positions that keep statement semantics pass
-// upd through; value positions pass updExpr. Only the kinds that bind,
-// update, keep statement semantics or are checked themselves are named;
-// every other kind's children are value positions (ast.EachChild).
-func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
+// traversal. upd is the update-placement context of this position.
+// Child positions that keep statement semantics pass upd through; value
+// positions pass updExpr. Only the kinds that update, keep statement
+// semantics or are checked themselves are named; every other kind's
+// children are value positions (ast.EachChild). Which binding a
+// variable name means is the parser's decision, and what is known of
+// the binding is a row of the binding table (c.vars).
+func (c *checker) walk(e ast.Expr, upd updCtx) {
 	switch x := e.(type) {
 	case ast.VarRef:
-		b := sc.lookup(x.Name)
-		if b == nil {
-			if !c.imports[x.Name.Space] {
-				c.report(CodeUnboundVar, SevError, x.At, "unbound variable $%s", varDisplay(x.Name))
-			}
-			return
+		if c.free(x.ID) && !c.imports[x.Name.Space] {
+			c.report(CodeUnboundVar, SevError, x.At, "unbound variable $%s", varDisplay(x.Name))
 		}
-		b.used = true
 		return
 
 	case ast.SeqExpr, ast.Ordered:
-		ast.EachChild(e, func(ch ast.Expr) { c.walk(ch, sc, upd) })
+		ast.EachChild(e, func(ch ast.Expr) { c.walk(ch, upd) })
 		return
 
 	case ast.FuncCall:
-		c.checkCall(x, sc, upd)
+		c.checkCall(x, upd)
 		return
 
 	case ast.If:
-		c.walk(x.Cond, sc, updExpr)
+		c.walk(x.Cond, updExpr)
 		if b, ok := c.constBool(x.Cond); ok {
 			branch := "\"else\""
 			val := "true"
@@ -65,62 +62,38 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 			c.report(CodeConstCond, SevWarning, x.At,
 				"condition is constantly %s; the %s branch is dead", val, branch)
 		}
-		c.walk(x.Then, sc, upd)
-		c.walk(x.Else, sc, upd)
+		c.walk(x.Then, upd)
+		c.walk(x.Else, upd)
 		return
 
 	case ast.FLWOR:
 		c.noteShipped(x.Ship, ast.PosOf(x))
-		fs := &scope{parent: sc}
 		seen := map[dom.QName]bool{}
 		for _, cl := range x.Clauses {
-			c.walk(cl.In, fs, updExpr)
+			c.walk(cl.In, updExpr)
 			if !cl.For && seen[cl.Var] {
 				c.report(CodeDuplicateLet, SevWarning, cl.At,
 					"duplicate binding of $%s in the same FLWOR shadows the earlier one",
 					varDisplay(cl.Var))
 			}
 			seen[cl.Var] = true
-			fs.declare(cl.Var, cl.At, clauseKind(cl))
 			if cl.PosVar.Local != "" {
 				seen[cl.PosVar] = true
-				fs.declare(cl.PosVar, cl.At, kindPosVar)
 			}
 		}
-		c.walk(x.Where, fs, updExpr)
+		c.walk(x.Where, updExpr)
 		for _, os := range x.OrderBy {
-			c.walk(os.Key, fs, updExpr)
+			c.walk(os.Key, updExpr)
 		}
-		c.walk(x.Return, fs, upd)
-		c.reportUnused(fs)
-		return
-
-	case ast.Quantified:
-		qs := &scope{parent: sc}
-		for _, cl := range x.Vars {
-			c.walk(cl.In, qs, updExpr)
-			qs.declare(cl.Var, cl.At, kindFor)
-		}
-		c.walk(x.Satisfies, qs, updExpr)
-		c.reportUnused(qs)
+		c.walk(x.Return, upd)
 		return
 
 	case ast.Typeswitch:
-		c.walk(x.Operand, sc, updExpr)
+		c.walk(x.Operand, updExpr)
 		for _, cs := range x.Cases {
-			ts := &scope{parent: sc}
-			if cs.Var.Local != "" {
-				ts.declare(cs.Var, cs.At, kindCase)
-			}
-			c.walk(cs.Body, ts, upd)
-			c.reportUnused(ts)
+			c.walk(cs.Body, upd)
 		}
-		ds := &scope{parent: sc}
-		if x.DefaultVar.Local != "" {
-			ds.declare(x.DefaultVar, x.At, kindCase)
-		}
-		c.walk(x.Default, ds, upd)
-		c.reportUnused(ds)
+		c.walk(x.Default, upd)
 		return
 
 	case ast.Insert:
@@ -137,40 +110,28 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 		c.checkWindowWrite(x.Target, false, x.At)
 
 	case ast.Transform:
-		ts := &scope{parent: sc}
 		for _, b := range x.Bindings {
-			c.walk(b.In, ts, updExpr)
-			ts.declare(b.Var, b.At, kindCopy)
+			c.walk(b.In, updExpr)
 		}
 		// The modify clause is its own updating context: transform is a
 		// plain (non-updating) expression that updates only its copies.
-		c.walk(x.Modify, ts, updAllowed)
-		c.walk(x.Return, ts, updExpr)
-		c.reportUnused(ts)
+		c.walk(x.Modify, updAllowed)
+		c.walk(x.Return, updExpr)
 		return
 
 	case ast.Block:
-		bs := &scope{parent: sc}
 		for _, st := range x.Stmts {
-			c.walk(st, bs, upd)
+			c.walk(st, upd)
 		}
-		c.reportUnused(bs)
-		return
-	case ast.BlockDecl:
-		c.walk(x.Init, sc, updExpr)
-		sc.declare(x.Var, x.At, kindBlockDecl)
 		return
 	case ast.Assign:
-		b := sc.lookup(x.Var)
-		if b == nil {
+		if c.free(x.ID) {
 			c.report(CodeAssignUndeclared, SevError, x.At,
 				"assignment to undeclared variable $%s", varDisplay(x.Var))
-		} else {
-			b.used = true
 		}
 	case ast.While:
-		c.walk(x.Cond, sc, updExpr)
-		c.walk(x.Body, sc, upd)
+		c.walk(x.Cond, updExpr)
+		c.walk(x.Body, upd)
 		return
 
 	case ast.EventAttach:
@@ -178,14 +139,13 @@ func (c *checker) walk(e ast.Expr, sc *scope, upd updCtx) {
 	case ast.EventDetach:
 		c.checkListener(x.Listener, x.At)
 	}
-	ast.EachChild(e, func(ch ast.Expr) { c.walk(ch, sc, updExpr) })
+	ast.EachChild(e, func(ch ast.Expr) { c.walk(ch, updExpr) })
 }
 
-func clauseKind(cl ast.Clause) bindKind {
-	if cl.For {
-		return kindFor
-	}
-	return kindLet
+// free reports whether no declaration binds id.
+func (c *checker) free(id ast.VarID) bool {
+	b := c.vars.Of(id)
+	return b != nil && b.Kind == ast.VarFree
 }
 
 // updatingExpr reports a misplaced updating expression. what names the
@@ -206,12 +166,12 @@ func (c *checker) updatingExpr(at ast.Pos, what string, upd updCtx) {
 // then the registry signature table, then imported namespaces (opaque
 // at analysis time). Calls to updating functions are themselves
 // updating expressions and go through the placement check.
-func (c *checker) checkCall(fc ast.FuncCall, sc *scope, upd updCtx) {
+func (c *checker) checkCall(fc ast.FuncCall, upd updCtx) {
 	c.noteShipped(fc.Ship, fc.At)
 	arity := len(fc.Args)
 	defer func() {
 		for _, a := range fc.Args {
-			c.walk(a, sc, updExpr)
+			c.walk(a, updExpr)
 		}
 	}()
 

@@ -120,11 +120,20 @@ type DecimalLit struct{ Val string }
 // DoubleLit is a double literal.
 type DoubleLit struct{ Val float64 }
 
-// VarRef is a variable reference $name.
+// VarRef is a variable reference $name. ID is the binding the name
+// means where the reference stands (see VarID).
 type VarRef struct {
 	Name dom.QName
 	At   Pos
+	ID   VarID
 }
+
+// VarID identifies one variable binding of a module: a declaration, or
+// a name no declaration binds (a free name). The parser decides which
+// binding each reference and assignment target means (parser/scope.go),
+// and every later pass compares VarIDs; Module.Bindings has the facts of
+// each. The zero VarID, on a node built by hand, may be any binding.
+type VarID int32
 
 // ContextItem is the "." expression.
 type ContextItem struct{}
@@ -230,9 +239,12 @@ type Hoisted struct {
 	Slot int
 }
 
-// Clause is a for or let clause of a FLWOR.
+// Clause is a for or let clause of a FLWOR (and a binding of a
+// quantifier or a copy … modify).
 type Clause struct {
 	For    bool
+	ID     VarID // Var's binding
+	PosID  VarID // PosVar's binding, 0 if absent
 	Var    dom.QName
 	PosVar dom.QName // "at $i", zero if absent (for only)
 	Type   *xdm.SeqType
@@ -262,6 +274,7 @@ type Typeswitch struct {
 	Operand    Expr
 	Cases      []TypeswitchCase
 	DefaultVar dom.QName // zero if unnamed
+	DefaultID  VarID     // DefaultVar's binding, 0 if unnamed
 	Default    Expr
 	At         Pos
 }
@@ -269,6 +282,7 @@ type Typeswitch struct {
 // TypeswitchCase is one case of a typeswitch.
 type TypeswitchCase struct {
 	Var  dom.QName // zero if unnamed
+	ID   VarID     // Var's binding, 0 if unnamed
 	Type xdm.SeqType
 	Body Expr
 	At   Pos
@@ -613,6 +627,7 @@ type Block struct {
 // BlockDecl is "declare variable $x := e;" inside a block.
 type BlockDecl struct {
 	Var  dom.QName
+	ID   VarID
 	Type *xdm.SeqType
 	Init Expr // nil means empty sequence
 	At   Pos
@@ -621,6 +636,7 @@ type BlockDecl struct {
 // Assign is "set $x := e" or "$x := e".
 type Assign struct {
 	Var dom.QName
+	ID  VarID // the binding Var means
 	Val Expr
 	At  Pos
 }
@@ -737,6 +753,7 @@ func (FTNot) ftNode()   {}
 // Param is a function parameter.
 type Param struct {
 	Name dom.QName
+	ID   VarID
 	Type *xdm.SeqType
 }
 
@@ -758,6 +775,7 @@ type FuncDecl struct {
 // VarDecl is a global variable declaration from the prolog.
 type VarDecl struct {
 	Name     dom.QName
+	ID       VarID // every declaration of one name shares it
 	Type     *xdm.SeqType
 	Init     Expr // nil for external
 	External bool
@@ -793,6 +811,13 @@ type Module struct {
 	Prolog Prolog
 	Body   Expr // nil for library modules
 
+	// NumVars is the highest VarID the parser handed out, and Bindings
+	// the facts of bindings 1 to NumVars (plan.Bind), written once, by
+	// plan.Prepare under EnsurePlanned: nil on a module nobody prepared
+	// and on one without variables.
+	NumVars  VarID
+	Bindings Bindings
+
 	// Optimized is Body after the algebraic optimizer (plan.Optimize),
 	// FuncDecl.Optimized the same for a function body, and Rewrites what
 	// the optimizer did to get there. They are a second set of roots, not
@@ -813,6 +838,51 @@ type Module struct {
 	Effects Effects
 
 	planOnce sync.Once
+}
+
+// Binding is what the static passes know of one variable binding of a
+// module: a row of Module.Bindings, which they read instead of walking
+// scopes.
+type Binding struct {
+	Name dom.QName
+	At   Pos // the declaration's; of a free name, both are zero
+	Kind VarKind
+	Refs int32 // the references that read it
+	// Repeats: a reference can run more than once per evaluation of the
+	// declaration (plan.Bind).
+	Repeats  bool
+	Assigned bool // an assignment targets it; of a free name, any free name or global
+	Shadowed bool // a parameter whose name its function's body binds again
+}
+
+// VarKind is what declares a binding.
+type VarKind uint8
+
+// The kinds of binding. VarFree has no declaration, VarExternal is a
+// global the host binds, VarFor is a for, some or every variable, VarAt
+// a positional one, VarCase a typeswitch one.
+const (
+	VarFree VarKind = iota
+	VarGlobal
+	VarExternal
+	VarParam
+	VarFor
+	VarLet
+	VarAt
+	VarCase
+	VarCopy
+	VarBlockDecl
+)
+
+// Bindings is a module's binding table, indexed by VarID.
+type Bindings []Binding
+
+// Of returns the row of binding id; nil for the zero VarID or no table.
+func (t Bindings) Of(id VarID) *Binding {
+	if id <= 0 || int(id) >= len(t) {
+		return nil
+	}
+	return &t[id]
 }
 
 // Effects is the effect half of the static properties the planner

@@ -207,7 +207,7 @@ func MapChildren(e Expr, f func(Expr) Expr) Expr {
 		for i := range cases {
 			cases[i].Body = g(cases[i].Body)
 		}
-		return Typeswitch{Operand: operand, Cases: cases, DefaultVar: x.DefaultVar, Default: g(x.Default), At: x.At}
+		return Typeswitch{Operand: operand, Cases: cases, DefaultVar: x.DefaultVar, DefaultID: x.DefaultID, Default: g(x.Default), At: x.At}
 	case Binary:
 		return Binary{Op: x.Op, L: g(x.L), R: g(x.R)}
 	case Compare:
@@ -252,9 +252,9 @@ func MapChildren(e Expr, f func(Expr) Expr) Expr {
 	case Block:
 		return Block{Stmts: list(x.Stmts)}
 	case BlockDecl:
-		return BlockDecl{Var: x.Var, Type: x.Type, Init: g(x.Init), At: x.At}
+		return BlockDecl{Var: x.Var, ID: x.ID, Type: x.Type, Init: g(x.Init), At: x.At}
 	case Assign:
-		return Assign{Var: x.Var, Val: g(x.Val), At: x.At}
+		return Assign{Var: x.Var, ID: x.ID, Val: g(x.Val), At: x.At}
 	case While:
 		return While{Cond: g(x.Cond), Body: g(x.Body), At: x.At}
 	case Exit:

@@ -338,10 +338,14 @@ func TestSequentialPushdownRepro(t *testing.T) {
 }
 
 // FuzzCompileDifferential is TestCompileDifferential over whatever the
-// fuzzer writes. Runs that exceed the budget are skipped.
+// fuzzer writes, seeded with its corpus and the shadowing cases. Runs
+// that exceed the budget are skipped.
 func FuzzCompileDifferential(f *testing.F) {
 	for _, s := range compileDifferentialCorpus {
 		f.Add(s)
+	}
+	for _, c := range shadowingCases {
+		f.Add(c.src)
 	}
 	e := New()
 	f.Fuzz(func(t *testing.T, src string) {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/xquery/analysis"
 	"repro/internal/xquery/parser"
+	"repro/internal/xquery/runtime"
 )
 
 // adhocQuery has the shape of the store's ad hoc read queries: a
@@ -65,5 +66,30 @@ func TestParseAllocs(t *testing.T) {
 	})
 	if allocs > max {
 		t.Errorf("parsing the ad hoc query allocates %.0f times, want at most %d", allocs, max)
+	}
+}
+
+// TestCompileAllocs pins the allocations of compiling each corpus entry
+// once: parse, the planning pass (plan.Prepare: the binding table, the
+// static properties, the planner and the optimizer) and the compiled
+// function layer. Name resolution rides on the parse, and the binding
+// table is one allocation per module, so no pass allocates per
+// variable reference.
+func TestCompileAllocs(t *testing.T) {
+	max := map[string]float64{"cart": 257, "adhoc": 108, "multiplication": 418, "suggest": 303, "mashup": 630}
+	for name, srcs := range parseCorpus(t) {
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, src := range srcs {
+				m, err := parser.ParseModule(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.CompileFunctions(m) // plans the module (plan.Prepare) first
+			}
+		})
+		t.Logf("%s: %.0f allocations", name, allocs)
+		if allocs > max[name] {
+			t.Errorf("compiling %s allocates %.0f times, want at most %.0f", name, allocs, max[name])
+		}
 	}
 }

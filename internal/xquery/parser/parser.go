@@ -55,6 +55,8 @@ type Parser struct {
 	// depth guards against pathologically nested input blowing the
 	// stack: recursive descent fails cleanly past maxParseDepth.
 	depth int
+	// sc resolves variable names (scope.go).
+	sc scopes
 }
 
 // maxParseDepth bounds expression nesting.
@@ -65,6 +67,7 @@ func ParseModule(src string) (m *ast.Module, err error) {
 	p := newParser(src)
 	defer p.recoverTo(&err)
 	m = p.parseModule()
+	m.NumVars = p.sc.last
 	return m, nil
 }
 
@@ -211,6 +214,21 @@ func (p *Parser) varName() dom.QName {
 	return p.qname("variable")
 }
 
+// varRef parses "$" QName as a reference to the binding it means.
+func (p *Parser) varRef() ast.VarRef {
+	at := tokPos(p.peek())
+	name := p.varName()
+	return ast.VarRef{Name: name, At: at, ID: p.sc.resolve(name)}
+}
+
+// assign parses the ":= ExprSingle" of an assignment to v, which stood
+// at t.
+func (p *Parser) assign(v dom.QName, t lexer.Token) ast.Expr {
+	id := p.sc.resolve(v)
+	p.expectSym(":=")
+	return ast.Assign{Var: v, ID: id, Val: p.parseExprSingle(), At: tokPos(t)}
+}
+
 // --- expressions ----------------------------------------------------------
 
 // parseExpr parses the comma operator level. Every ( ), [ ] and { }
@@ -317,9 +335,7 @@ func (p *Parser) parseExprSingle() ast.Expr {
 			}
 			if n1.IsSym("$") {
 				p.next()
-				v := p.varName()
-				p.expectSym(":=")
-				return ast.Assign{Var: v, Val: p.parseExprSingle(), At: tokPos(t)}
+				return p.assign(p.varName(), t)
 			}
 		case "get":
 			if n1.IsName("style") {
@@ -372,9 +388,7 @@ func (p *Parser) parseExprSingle() ast.Expr {
 	}
 	// Scripting assignment "$x := e".
 	if t.IsSym("$") && p.peekAt(1).Kind == lexer.Name && p.peekAt(2).IsSym(":=") {
-		v := p.varName()
-		p.next() // :=
-		return ast.Assign{Var: v, Val: p.parseExprSingle(), At: tokPos(t)}
+		return p.assign(p.varName(), t)
 	}
 	// Bare block "{ ... }" (paper §3.3 writes blocks without a keyword).
 	if t.IsSym("{") {
@@ -386,6 +400,7 @@ func (p *Parser) parseExprSingle() ast.Expr {
 
 func (p *Parser) parseFLWOR() ast.Expr {
 	var f ast.FLWOR
+	defer p.sc.pop(p.sc.mark())
 	for t := p.peek(); (t.IsName("for") || t.IsName("let")) && p.peekAt(1).IsSym("$"); t = p.peek() {
 		p.next()
 		f.Clauses = append(f.Clauses, p.parseBindings(t.Local)...)
@@ -428,6 +443,7 @@ func (p *Parser) parseFLWOR() ast.Expr {
 
 func (p *Parser) parseQuantified() ast.Expr {
 	kw := p.next().Local
+	defer p.sc.pop(p.sc.mark())
 	q := ast.Quantified{Every: kw == "every", Vars: p.parseBindings(kw)}
 	p.expectName("satisfies")
 	q.Satisfies = p.parseExprSingle()
@@ -438,6 +454,7 @@ func (p *Parser) parseQuantified() ast.Expr {
 // of a for, let, some, every or copy clause:
 // "$v (as T)? (at $p)? in|:= ExprSingle". Only a FLWOR's for takes
 // "at", copy takes no type, and for, some and every bind with "in".
+// Each binding's variables come into scope after its expression.
 func (p *Parser) parseBindings(keyword string) []ast.Clause {
 	iterates := keyword != "let" && keyword != "copy"
 	var cls []ast.Clause
@@ -457,6 +474,10 @@ func (p *Parser) parseBindings(keyword string) []ast.Clause {
 			p.expectSym(":=")
 		}
 		cl.In = p.parseExprSingle()
+		cl.ID = p.sc.declare(cl.Var)
+		if !cl.PosVar.IsZero() {
+			cl.PosID = p.sc.declare(cl.PosVar)
+		}
 		cls = append(cls, cl)
 		if !p.eatSym(",") {
 			return cls
@@ -479,7 +500,7 @@ func (p *Parser) parseTypeswitch() ast.Expr {
 		}
 		c.Type = p.parseSequenceType()
 		p.expectName("return")
-		c.Body = p.parseExprSingle()
+		c.ID, c.Body = p.branch(c.Var)
 		ts.Cases = append(ts.Cases, c)
 	}
 	if len(ts.Cases) == 0 {
@@ -490,8 +511,18 @@ func (p *Parser) parseTypeswitch() ast.Expr {
 		ts.DefaultVar = p.varName()
 	}
 	p.expectName("return")
-	ts.Default = p.parseExprSingle()
+	ts.DefaultID, ts.Default = p.branch(ts.DefaultVar)
 	return ts
+}
+
+// branch parses the return expression of a typeswitch branch with its
+// variable v, unless it is zero, in scope.
+func (p *Parser) branch(v dom.QName) (id ast.VarID, body ast.Expr) {
+	defer p.sc.pop(p.sc.mark())
+	if !v.IsZero() {
+		id = p.sc.declare(v)
+	}
+	return id, p.parseExprSingle()
 }
 
 func (p *Parser) parseIf() ast.Expr {
@@ -561,6 +592,7 @@ func (p *Parser) parseReplace() ast.Expr {
 
 func (p *Parser) parseTransform() ast.Expr {
 	cpt := p.next() // copy
+	defer p.sc.pop(p.sc.mark())
 	tr := ast.Transform{At: tokPos(cpt), Bindings: p.parseBindings("copy")}
 	p.expectName("modify")
 	tr.Modify = p.parseExprSingle()
@@ -573,6 +605,7 @@ func (p *Parser) parseTransform() ast.Expr {
 func (p *Parser) parseBlock() ast.Expr {
 	outer := p.noRange
 	p.noRange = false
+	defer p.sc.pop(p.sc.mark())
 	var stmts []ast.Expr
 	for {
 		if p.peek().IsSym("}") {
@@ -605,6 +638,7 @@ func (p *Parser) parseBlockDecl() ast.Expr {
 	if p.eatSym(":=") || p.eatSym("=") {
 		d.Init = p.parseExprSingle()
 	}
+	d.ID = p.sc.declare(d.Var)
 	return d
 }
 

@@ -323,7 +323,7 @@ func (p *Parser) parsePrimary() ast.Expr {
 	}
 	switch {
 	case t.IsSym("$"):
-		return ast.VarRef{Name: p.varName(), At: tokPos(t)}
+		return p.varRef()
 	case t.IsSym("("):
 		p.next()
 		if p.eatSym(")") {
@@ -585,7 +585,7 @@ func (p *Parser) parseFTPrimary() ast.FTSelection {
 		src = p.parseExpr()
 		p.expectSym("}")
 	case t.IsSym("$"):
-		src = ast.VarRef{Name: p.varName(), At: tokPos(t)}
+		src = p.varRef()
 	default:
 		p.failTok(t, "expected a full-text word selection, found %s", t)
 	}

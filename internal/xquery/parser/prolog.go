@@ -59,6 +59,7 @@ func (p *Parser) parseModule() *ast.Module {
 	}
 
 	p.parseProlog(&m.Prolog)
+	p.sc.endProlog()
 
 	if m.IsLibrary {
 		p.expectEOF()
@@ -148,10 +149,13 @@ func (p *Parser) parseProlog(pr *ast.Prolog) {
 				}
 				switch {
 				case p.eatSym(":=") || p.eatSym("="):
+					mark := p.sc.mark() // a declare in the initialiser stays in it
 					v.Init = p.parseExprSingle()
+					p.sc.pop(mark)
 				case p.eatName("external"):
 					v.External = true
 				}
+				v.ID = p.sc.declareGlobal(v.Name)
 				pr.Vars = append(pr.Vars, v)
 				p.expectSym(";")
 			case n1.IsName("function") || n1.IsName("updating") || n1.IsName("sequential"):
@@ -269,10 +273,12 @@ done:
 		nameTok.Prefix = "local"
 	}
 	f.Name = p.resolve(nameTok, "function")
+	defer p.sc.pop(p.sc.mark())
 	p.expectSym("(")
 	if !p.peek().IsSym(")") {
 		for {
 			prm := ast.Param{Name: p.varName()}
+			prm.ID = p.sc.declare(prm.Name)
 			if p.peek().IsName("as") {
 				p.next()
 				st := p.parseSequenceType()
@@ -296,7 +302,9 @@ done:
 		p.expectSym(";")
 	case p.peek().IsSym("{"):
 		p.next()
+		p.sc.inFunction = true
 		f.Body = p.parseBlock()
+		p.sc.inFunction = false
 		// A body of a single non-scripting expression evaluates
 		// identically whether treated as a block or not.
 		if b, ok := f.Body.(ast.Block); ok && len(b.Stmts) == 1 {

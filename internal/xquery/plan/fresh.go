@@ -31,7 +31,11 @@ import (
 //     in it: the fresh column of the function's record, which the
 //     module's fixpoint computes with the others (props.go);
 //   - a reference to a let variable is fresh when the variable's value
-//     is and this reference is all that ever reads it (bindLet);
+//     is, and the binder's table (bind.go) says it is the variable's
+//     only reference, it runs at most once per evaluation of the clause
+//     (not under a for, a quantifier, a predicate or a loop opened after
+//     the binding, which would read one node many times) and nothing
+//     assigns the variable;
 //   - everything else is not: a path, the context item, a for,
 //     quantifier, typeswitch, copy or block variable, a parameter, a
 //     global, a built-in, host or imported function (which may hand an
@@ -41,21 +45,12 @@ import (
 // The answer is only ever used to skip a copy, and "not fresh" is right
 // for every expression, so unknown shapes answer false.
 
-// letVar is a let variable in scope whose value is fresh.
-type letVar struct {
-	name dom.QName
-	// refs is how many references read the variable. With exactly one
-	// the reference is fresh itself; with more every reader copies, which
-	// xqlint tells the author (CopiedLets).
-	refs int
-}
-
 // exitsFresh reports whether every exit returning under e — wherever it
 // stands, it unwinds to the function e is the body of and becomes its
-// result — has a fresh operand. The operand is judged without the let
-// variables around it, which errs towards copying.
+// result — has a fresh operand. A let variable the operand reads counts
+// as fresh only where fresh has judged the variable's clause.
 func (in *inference) exitsFresh(e ast.Expr) bool {
-	if x, ok := e.(ast.Exit); ok && !in.fresh(x.With, nil) {
+	if x, ok := e.(ast.Exit); ok && !in.fresh(x.With) {
 		return false
 	}
 	fresh := true
@@ -63,174 +58,79 @@ func (in *inference) exitsFresh(e ast.Expr) bool {
 	return fresh
 }
 
-// fresh reports whether e is fresh, lets being the let variables with a
-// fresh value in whose scope e stands.
-func (in *inference) fresh(e ast.Expr, lets []letVar) bool {
+// fresh reports whether e is fresh.
+func (in *inference) fresh(e ast.Expr) bool {
 	switch x := e.(type) {
 	case ast.DirElem, ast.CompConstructor,
 		ast.StringLit, ast.IntLit, ast.DecimalLit, ast.DoubleLit:
 		return true
 	case ast.SeqExpr:
 		for _, it := range x.Items {
-			if !in.fresh(it, lets) {
+			if !in.fresh(it) {
 				return false
 			}
 		}
 		return true
 	case ast.Ordered:
-		return in.fresh(x.X, lets)
+		return in.fresh(x.X)
 	case ast.If:
-		return in.fresh(x.Then, lets) && in.fresh(x.Else, lets)
+		return in.fresh(x.Then) && in.fresh(x.Else)
 	case ast.Typeswitch:
 		for _, c := range x.Cases {
-			if !in.fresh(c.Body, lets) {
+			if !in.fresh(c.Body) {
 				return false
 			}
 		}
-		return in.fresh(x.Default, lets)
+		return in.fresh(x.Default)
 	case ast.FLWOR:
-		for i := range x.Clauses {
-			lets = in.bindLet(x, i, lets)
+		for _, cl := range x.Clauses {
+			in.noteLet(cl)
 		}
-		return in.fresh(x.Return, lets)
+		return in.fresh(x.Return)
 	case ast.Block:
-		return len(x.Stmts) > 0 && in.fresh(x.Stmts[len(x.Stmts)-1], lets)
+		return len(x.Stmts) > 0 && in.fresh(x.Stmts[len(x.Stmts)-1])
 	case ast.FuncCall:
 		f := in.function(x)
 		return f != nil && f.fresh
 	case ast.VarRef:
-		l := lookupLet(lets, x.Name)
-		return l != nil && l.refs == 1
+		b := in.freshLet(x.ID)
+		return b != nil && b.Refs == 1
 	default:
 		return false
 	}
 }
 
-// lookupLet finds the innermost let variable of that name. No other
-// binding of the name can sit between it and the reference: bindLet
-// refuses a variable whose scope rebinds its name.
-func lookupLet(lets []letVar, name dom.QName) *letVar {
-	for i := len(lets) - 1; i >= 0; i-- {
-		if lets[i].name.Matches(name) {
-			return &lets[i]
+// noteLet judges the value of clause cl, if it binds a let variable
+// whose references read it the way a reader can take the value over
+// (freshLet), for those references.
+func (in *inference) noteLet(cl ast.Clause) {
+	b := in.vars.Of(cl.ID)
+	if b == nil || b.Kind != ast.VarLet || b.Refs == 0 || b.Repeats || b.Assigned {
+		return
+	}
+	if in.letFresh == nil {
+		if in.letFresh = in.small[:]; len(in.vars) > 64*len(in.small) {
+			in.letFresh = make([]uint64, (len(in.vars)+63)/64)
 		}
 	}
-	return nil
-}
-
-// bindLet returns lets extended by clause i of f, if that is a let
-// clause whose value is fresh and whose variable is only ever read the
-// way a reader can take the value over: by references that each run at
-// most once per evaluation of the clause (not under a for, a
-// quantifier, a predicate or a loop opened after the binding, which
-// would read one node many times), with nothing assigning the variable
-// and nothing rebinding its name. How many such references there are
-// is recorded; only a sole reference is fresh.
-func (in *inference) bindLet(f ast.FLWOR, i int, lets []letVar) []letVar {
-	cl := f.Clauses[i]
-	if cl.For || !in.fresh(cl.In, lets) {
-		return lets
-	}
-	u := letUse{name: cl.Var}
-	u.flwor(f, i+1, true)
-	if u.refs == 0 || u.unsafe {
-		return lets
-	}
-	return append(lets, letVar{name: cl.Var, refs: u.refs})
-}
-
-// letUse is one scan of the scope of a let variable.
-type letUse struct {
-	name   dom.QName
-	refs   int
-	unsafe bool // a read that can repeat, an assignment, or a rebinding of the name
-}
-
-func (u *letUse) binds(v dom.QName) {
-	if v.Matches(u.name) {
-		u.unsafe = true
+	word, bit := cl.ID/64, uint64(1)<<(cl.ID%64)
+	if in.fresh(cl.In) {
+		in.letFresh[word] |= bit
+	} else {
+		in.letFresh[word] &^= bit
 	}
 }
 
-// flwor scans f from clause from on; once is as for scan.
-func (u *letUse) flwor(f ast.FLWOR, from int, once bool) {
-	for _, cl := range f.Clauses[from:] {
-		u.scan(cl.In, once)
-		u.binds(cl.Var)
-		u.binds(cl.PosVar)
-		once = once && !cl.For
+// freshLet returns the binding of the let variable id when its value is
+// fresh and every reference to it runs at most once per evaluation of
+// its clause, with nothing assigning it; nil otherwise. With one
+// reference, the reference is fresh itself; with more every reader
+// copies, which xqlint tells the author (CopiedLets).
+func (in *inference) freshLet(id ast.VarID) *ast.Binding {
+	if id < 0 || int(id/64) >= len(in.letFresh) || in.letFresh[id/64]&(1<<(id%64)) == 0 {
+		return nil
 	}
-	if j := f.Join; j != nil {
-		u.scan(j.OuterKey, false)
-		u.scan(j.InnerKey, false)
-		u.scan(j.Pred, false)
-	}
-	u.scan(f.Where, once)
-	for _, o := range f.OrderBy {
-		u.scan(o.Key, once)
-	}
-	u.scan(f.Return, once)
-}
-
-// scan walks e; once says e is evaluated at most once per evaluation of
-// the let clause. Kinds not named here are walked as if they repeated
-// their operands, which only costs a copy.
-func (u *letUse) scan(e ast.Expr, once bool) {
-	switch x := e.(type) {
-	case nil:
-	case ast.VarRef:
-		if x.Name.Matches(u.name) {
-			u.refs++
-			u.unsafe = u.unsafe || !once
-		}
-	case ast.Assign:
-		u.binds(x.Var)
-		u.scan(x.Val, once)
-	case ast.BlockDecl:
-		u.scan(x.Init, once)
-		u.binds(x.Var)
-	case ast.FLWOR:
-		u.flwor(x, 0, once)
-	case ast.Quantified:
-		for _, cl := range x.Vars {
-			u.scan(cl.In, once)
-			u.binds(cl.Var)
-			once = false
-		}
-		u.scan(x.Satisfies, false)
-	case ast.Typeswitch:
-		u.scan(x.Operand, once)
-		for _, c := range x.Cases {
-			u.binds(c.Var)
-			u.scan(c.Body, once)
-		}
-		u.binds(x.DefaultVar)
-		u.scan(x.Default, once)
-	case ast.Transform:
-		for _, b := range x.Bindings {
-			u.scan(b.In, once)
-			u.binds(b.Var)
-		}
-		u.scan(x.Modify, once)
-		u.scan(x.Return, once)
-	case ast.Path:
-		// Only a leading primary runs once; every later step and every
-		// predicate runs per context item.
-		for i, s := range x.Steps {
-			u.scan(s.Primary, once && i == 0)
-			for _, pr := range s.Preds {
-				u.scan(pr, false)
-			}
-		}
-	case ast.SeqExpr, ast.Ordered, ast.If, ast.FuncCall, ast.Binary, ast.Compare,
-		ast.Unary, ast.Range, ast.InstanceOf, ast.TreatAs, ast.CastAs,
-		ast.DirElem, ast.CompConstructor, ast.Insert, ast.Delete, ast.Replace,
-		ast.Rename, ast.Block, ast.Exit:
-		// Each operand is evaluated at most once, and none is bound.
-		ast.EachChild(e, func(c ast.Expr) { u.scan(c, once) })
-	default:
-		ast.EachChild(e, func(c ast.Expr) { u.scan(c, false) })
-	}
+	return in.vars.Of(id)
 }
 
 // CopiedLet is a place where a constructed node is still copied only

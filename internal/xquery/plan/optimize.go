@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"repro/internal/dom"
 	"repro/internal/xquery/ast"
 )
@@ -19,6 +21,11 @@ import (
 //     ast.Hoisted, which the evaluator memoises per FLWOR entry;
 //   - equality predicates between the last for clause and an earlier
 //     one annotated as ast.JoinPlan for hash-join execution.
+//
+// Which variable a reference reads is the parser's decision (ast.VarID):
+// a rewrite asks whether an expression reads a clause's variable by
+// comparing VarIDs, so a same-named variable bound elsewhere never
+// blocks one.
 //
 // Every rewrite copies: the optimizer never mutates its input, because
 // the input is the planned tree the static analyzer and a stray-import
@@ -70,7 +77,8 @@ func Optimize(e ast.Expr, st *Stats) ast.Expr {
 }
 
 // Prepare is the module's one planning pass, run through
-// Module.EnsurePlanned: the static properties of the module's functions
+// Module.EnsurePlanned: the binding table (bind.go), installed as
+// Module.Bindings, the static properties of the module's functions
 // (props.go), Annotate, then the optimizer over the module body and
 // every function body, installed as the module's second set of roots,
 // and the module's effect summary. A unit containing scripting
@@ -82,6 +90,7 @@ func Optimize(e ast.Expr, st *Stats) ast.Expr {
 // local:main()), in a run that records scores only if the module can
 // read them (ReadsScores).
 func Prepare(m *ast.Module) {
+	m.Bindings = Bind(m)
 	in := newInference(m)
 	in.solveAll()
 	annotate(m, in)
@@ -305,7 +314,7 @@ func (o *optimizer) detectJoin(f ast.FLWOR, conj []ast.Expr) ([]ast.Expr, *ast.J
 		return conj, nil
 	}
 	cl := f.Clauses[j]
-	if !cl.For || !cl.PosVar.IsZero() || cl.Type != nil {
+	if !cl.For || !cl.PosVar.IsZero() || cl.Type != nil || cl.ID == 0 {
 		return conj, nil
 	}
 	hasForBefore := false
@@ -318,25 +327,25 @@ func (o *optimizer) detectJoin(f ast.FLWOR, conj []ast.Expr) ([]ast.Expr, *ast.J
 	if !hasForBefore {
 		return conj, nil
 	}
-	earlier := boundVarSet(f.Clauses[:j])
-	if !o.in.pure(cl.In) || mentionsVars(cl.In, earlier) {
+	var buf [8]ast.VarID
+	if !o.in.pure(cl.In) || reads(cl.In, clauseVars(buf[:0], f.Clauses[:j])) {
 		return conj, nil
 	}
 	cmp, ok := conj[0].(ast.Compare)
 	if !ok {
 		return conj, nil
 	}
-	inner := map[string]bool{vkey(cl.Var): true}
+	inner := []ast.VarID{cl.ID}
 	var plan *ast.JoinPlan
 	switch {
 	case cmp.Kind == ast.ValueComp && cmp.Op == "eq":
 		// eq: the inner side must be a bare key path over the clause
 		// variable; the outer side may be any pure expression over
 		// earlier scope.
-		outerOK := func(e ast.Expr) bool { return o.in.pure(e) && !mentionsVars(e, inner) }
-		if isVarKey(cmp.L, cl.Var) && outerOK(cmp.R) {
+		outerOK := func(e ast.Expr) bool { return o.in.pure(e) && !reads(e, inner) }
+		if isVarKey(cmp.L, cl.ID) && outerOK(cmp.R) {
 			plan = &ast.JoinPlan{Clause: j, OuterKey: cmp.R, InnerKey: cmp.L, ValueEq: true, Pred: cmp}
-		} else if isVarKey(cmp.R, cl.Var) && outerOK(cmp.L) {
+		} else if isVarKey(cmp.R, cl.ID) && outerOK(cmp.L) {
 			plan = &ast.JoinPlan{Clause: j, OuterKey: cmp.L, InnerKey: cmp.R, ValueEq: true, OuterLeft: true, Pred: cmp}
 		}
 	case cmp.Kind == ast.GeneralComp && cmp.Op == "=":
@@ -344,10 +353,10 @@ func (o *optimizer) detectJoin(f ast.FLWOR, conj []ast.Expr) ([]ast.Expr, *ast.J
 		// key atoms are nodes' untyped values (string-comparable).
 		lroot, lok := varKeyRoot(cmp.L)
 		rroot, rok := varKeyRoot(cmp.R)
-		if lok && rok {
-			if lroot.Matches(cl.Var) && !rroot.Matches(cl.Var) {
+		if lok && rok && lroot != 0 && rroot != 0 {
+			if lroot == cl.ID && rroot != cl.ID {
 				plan = &ast.JoinPlan{Clause: j, OuterKey: cmp.R, InnerKey: cmp.L, Pred: cmp}
-			} else if rroot.Matches(cl.Var) && !lroot.Matches(cl.Var) {
+			} else if rroot == cl.ID && lroot != cl.ID {
 				plan = &ast.JoinPlan{Clause: j, OuterKey: cmp.L, InnerKey: cmp.R, OuterLeft: true, Pred: cmp}
 			}
 		}
@@ -360,32 +369,32 @@ func (o *optimizer) detectJoin(f ast.FLWOR, conj []ast.Expr) ([]ast.Expr, *ast.J
 
 // isVarKey reports whether e is $v or a predicate-free axis path
 // rooted at $v — the shapes whose evaluation depends on nothing but
-// the one variable.
-func isVarKey(e ast.Expr, v dom.QName) bool {
+// the one variable — v being a resolved binding.
+func isVarKey(e ast.Expr, v ast.VarID) bool {
 	root, ok := varKeyRoot(e)
-	return ok && root.Matches(v)
+	return ok && root == v
 }
 
 // varKeyRoot matches $x or $x/axis-step/... (predicate-free, no mid-
-// path primaries) and returns the root variable.
-func varKeyRoot(e ast.Expr) (dom.QName, bool) {
+// path primaries) and returns the root variable's binding.
+func varKeyRoot(e ast.Expr) (ast.VarID, bool) {
 	if vr, ok := e.(ast.VarRef); ok {
-		return vr.Name, true
+		return vr.ID, true
 	}
 	p, ok := e.(ast.Path)
 	if !ok || p.Absolute || len(p.Steps) == 0 {
-		return dom.QName{}, false
+		return 0, false
 	}
 	vr, ok := p.Steps[0].Primary.(ast.VarRef)
 	if !ok || len(p.Steps[0].Preds) != 0 {
-		return dom.QName{}, false
+		return 0, false
 	}
 	for _, s := range p.Steps[1:] {
 		if s.Primary != nil || len(s.Preds) != 0 {
-			return dom.QName{}, false
+			return 0, false
 		}
 	}
-	return vr.Name, true
+	return vr.ID, true
 }
 
 // pushdown moves leading where conjuncts into the last clause's path
@@ -401,7 +410,7 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 	}
 	last := len(clauses) - 1
 	cl := clauses[last]
-	if !cl.For || !cl.PosVar.IsZero() || cl.Type != nil {
+	if !cl.For || !cl.PosVar.IsZero() || cl.Type != nil || cl.ID == 0 {
 		return conj, clauses
 	}
 	p, ok := cl.In.(ast.Path)
@@ -413,7 +422,7 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 		if o.in.infer(conj[0]).eff&ast.EffReadsFocus != 0 {
 			break // in a predicate the focus is each candidate
 		}
-		pred, ok := rewriteForPushdown(conj[0], cl.Var)
+		pred, ok := rewriteForPushdown(conj[0], cl.ID)
 		if !ok || !o.in.infer(pred).boolean {
 			break
 		}
@@ -455,15 +464,18 @@ func (o *optimizer) pushdown(clauses []ast.Clause, conj []ast.Expr) ([]ast.Expr,
 // has refused a conjunct that reads the surrounding focus; ok is false
 // when the conjunct cannot move for another reason — it calls
 // position() or last(), which in a predicate read the candidate's
-// place; it contains a path not rooted at a variable; or it binds
-// variables of its own, one of which could shadow $v.
-func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
+// place; it contains a path not rooted at a variable; it reads a
+// variable nobody resolved, which could be $v; or it holds a FLWOR,
+// whose optimized form keeps operands (ast.Hoisted) this rewrite does
+// not enter, or a copy … modify.
+func rewriteForPushdown(e ast.Expr, v ast.VarID) (ast.Expr, bool) {
 	ok := true
 	var rewrite func(ast.Expr) ast.Expr
 	rewrite = func(e ast.Expr) ast.Expr {
 		switch x := e.(type) {
 		case ast.VarRef:
-			if x.Name.Matches(v) {
+			ok = ok && x.ID != 0
+			if x.ID == v {
 				return ast.ContextItem{}
 			}
 			return e
@@ -473,7 +485,7 @@ func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
 			return p
 		case ast.FuncCall:
 			ok = ok && x.Name.Local != "position" && x.Name.Local != "last"
-		case ast.FLWOR, ast.Quantified, ast.Typeswitch, ast.Transform:
+		case ast.FLWOR, ast.Transform:
 			ok = false
 		}
 		if !ok {
@@ -488,7 +500,7 @@ func rewriteForPushdown(e ast.Expr, v dom.QName) (ast.Expr, bool) {
 // pushdownPath is rewriteForPushdown of a path: one rooted at $v
 // continues from the candidate, one rooted at another variable stays as
 // it is, and any other path is refused.
-func pushdownPath(x ast.Path, v dom.QName) (ast.Expr, bool) {
+func pushdownPath(x ast.Path, v ast.VarID) (ast.Expr, bool) {
 	if x.Absolute || len(x.Steps) == 0 || x.Steps[0].Primary == nil {
 		return nil, false // rooted at the outer focus
 	}
@@ -497,7 +509,7 @@ func pushdownPath(x ast.Path, v dom.QName) (ast.Expr, bool) {
 	copy(steps, x.Steps)
 	switch prim := first.Primary.(type) {
 	case ast.VarRef:
-		if prim.Name.Matches(v) {
+		if prim.ID == v {
 			if len(first.Preds) == 0 && len(steps) > 1 {
 				// `$v/rest` over the candidate node is just `rest`:
 				// dropping the root step (rather than rewriting it
@@ -515,10 +527,10 @@ func pushdownPath(x ast.Path, v dom.QName) (ast.Expr, bool) {
 	// Step predicates have their own focus, so `.`, position() and
 	// last() inside them are local — but a mention of $v inside a
 	// predicate would need the outer binding we are eliminating.
-	vset := map[string]bool{vkey(v): true}
+	vset := []ast.VarID{v}
 	for _, s := range x.Steps {
 		for _, pr := range s.Preds {
-			if mentionsVars(pr, vset) {
+			if reads(pr, vset) {
 				return nil, false
 			}
 		}
@@ -538,20 +550,18 @@ func pushdownPath(x ast.Path, v dom.QName) (ast.Expr, bool) {
 // every iteration-variant variable bound earlier, with at least one
 // for clause in front) in ast.Hoisted.
 func (o *optimizer) hoistLets(clauses []ast.Clause, slots *int) []ast.Clause {
-	variant := map[string]bool{}
+	var buf [8]ast.VarID
+	variant := buf[:0]
 	sawFor := false
 	var out []ast.Clause
 	for i, cl := range clauses {
 		if cl.For {
 			sawFor = true
-			variant[vkey(cl.Var)] = true
-			if !cl.PosVar.IsZero() {
-				variant[vkey(cl.PosVar)] = true
-			}
+			variant = clauseVars(variant, clauses[i:i+1])
 			continue
 		}
 		pure := o.in.pure(cl.In)
-		if sawFor && pure && !mentionsVars(cl.In, variant) {
+		if sawFor && pure && !reads(cl.In, variant) {
 			if out == nil {
 				out = make([]ast.Clause, len(clauses))
 				copy(out, clauses)
@@ -561,8 +571,8 @@ func (o *optimizer) hoistLets(clauses []ast.Clause, slots *int) []ast.Clause {
 			o.st.Hoists++
 			continue
 		}
-		if !pure || mentionsVars(cl.In, variant) {
-			variant[vkey(cl.Var)] = true
+		if !pure || reads(cl.In, variant) {
+			variant = clauseVars(variant, clauses[i:i+1])
 		}
 	}
 	if out == nil {
@@ -585,10 +595,11 @@ func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr, slots 
 	if !hasFor || len(conj) == 0 {
 		return conj
 	}
-	bound := boundVarSet(clauses)
+	var buf [8]ast.VarID
+	bound := clauseVars(buf[:0], clauses)
 	var out []ast.Expr
 	for i, c := range conj {
-		if o.in.pure(c) && !mentionsVars(c, bound) {
+		if o.in.pure(c) && !reads(c, bound) {
 			if out == nil {
 				out = make([]ast.Expr, len(conj))
 				copy(out, conj)
@@ -604,26 +615,24 @@ func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr, slots 
 	return out
 }
 
-func boundVarSet(clauses []ast.Clause) map[string]bool {
-	s := map[string]bool{}
+// clauseVars appends the bindings the clauses declare to ids.
+func clauseVars(ids []ast.VarID, clauses []ast.Clause) []ast.VarID {
 	for _, cl := range clauses {
-		s[vkey(cl.Var)] = true
-		if !cl.PosVar.IsZero() {
-			s[vkey(cl.PosVar)] = true
+		for _, id := range [2]ast.VarID{cl.ID, cl.PosID} {
+			if id != 0 {
+				ids = append(ids, id)
+			}
 		}
 	}
-	return s
+	return ids
 }
 
-func vkey(n dom.QName) string { return n.Space + "#" + n.Local }
-
-// mentionsVars reports whether e references any variable in vars.
-// Shadowing is ignored (a shadowed mention still answers true), which
-// errs on the safe side: the optimizer merely skips a rewrite.
-func mentionsVars(e ast.Expr, vars map[string]bool) bool {
-	return len(vars) > 0 && contains(e, func(x ast.Expr) bool {
+// reads reports whether e reads a variable of ids, or one nobody
+// resolved (VarID 0), which could be any of them.
+func reads(e ast.Expr, ids []ast.VarID) bool {
+	return len(ids) > 0 && contains(e, func(x ast.Expr) bool {
 		v, ok := x.(ast.VarRef)
-		return ok && vars[vkey(v.Name)]
+		return ok && (v.ID == 0 || slices.Contains(ids, v.ID))
 	})
 }
 

@@ -89,16 +89,18 @@ func annotate(m *ast.Module, in *inference) {
 // planner is one Annotate pass over a module.
 type planner struct {
 	in     *inference  // the static properties of the module's expressions (props.go)
-	lets   []letVar    // the fresh-valued let variables in scope, innermost last
 	copied []CopiedLet // what CopiedLets reports
 }
 
 // expr returns the planned form of e: children first (ast.MapChildren
 // copies, so the steps planned below are the planner's own), then the
-// node itself.
+// node itself. A FLWOR's let clauses are judged first, for the
+// references to their variables below (noteLet).
 func (p *planner) expr(e ast.Expr) ast.Expr {
 	if f, ok := e.(ast.FLWOR); ok {
-		return p.flwor(f)
+		for _, cl := range f.Clauses {
+			p.in.noteLet(cl)
+		}
 	}
 	children := p.expr
 	if _, ok := e.(ast.DirElem); ok {
@@ -121,6 +123,10 @@ func (p *planner) expr(e ast.Expr) ast.Expr {
 		return x
 	case ast.Quantified:
 		x.StreamDomain = p.in.infer(x).eff&midLoop == 0
+		return x
+	case ast.FLWOR:
+		x.StreamDomain = p.in.infer(x).eff&midLoop == 0
+		x.Ship = p.in.shipFLWOR(x)
 		return x
 	case ast.DirElem:
 		var adopt []bool // a list of the planner's own: the copy shares its original's
@@ -158,35 +164,17 @@ func (p *planner) constructorPiece(c ast.Expr) ast.Expr {
 	return p.expr(c)
 }
 
-// flwor plans a FLWOR clause by clause, so that what follows a let
-// clause whose value is fresh is planned with the variable in scope.
-func (p *planner) flwor(f ast.FLWOR) ast.Expr {
-	mark, i := len(p.lets), 0
-	x := ast.MapChildren(f, func(c ast.Expr) ast.Expr {
-		c = p.expr(c)
-		if i < len(f.Clauses) { // ast.MapChildren maps the clauses first, in order
-			p.lets = p.in.bindLet(f, i, p.lets)
-		}
-		i++
-		return c
-	}).(ast.FLWOR)
-	p.lets = p.lets[:mark]
-	x.StreamDomain = p.in.infer(x).eff&midLoop == 0
-	x.Ship = p.in.shipFLWOR(x)
-	return x
-}
-
 // adopts reports whether a constructor, insert or replace may take the
 // nodes of its operand e as they are (see fresh.go). A reference to a
 // let variable that would be fresh were it the only one is noted for
 // xqlint.
 func (p *planner) adopts(e ast.Expr) bool {
-	if p.in.fresh(e, p.lets) {
+	if p.in.fresh(e) {
 		return true
 	}
 	if v, ok := e.(ast.VarRef); ok {
-		if l := lookupLet(p.lets, v.Name); l != nil {
-			p.copied = append(p.copied, CopiedLet{Var: v.Name, At: v.At, Refs: l.refs})
+		if b := p.in.freshLet(v.ID); b != nil {
+			p.copied = append(p.copied, CopiedLet{Var: v.Name, At: v.At, Refs: int(b.Refs)})
 		}
 	}
 	return false

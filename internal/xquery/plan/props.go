@@ -92,9 +92,14 @@ type inference struct {
 	fns   []ast.FuncDecl
 	recs  []funcProps            // one per declaration
 	funcs map[funcKey]*funcProps // into recs; nil: no module in sight, every call off the library is opaque
-	// assigned holds the vkey of every variable an Assign of the module
-	// targets; nil: no module in sight, every variable counts as assigned.
-	assigned map[string]bool
+	// vars is the module's binding table (bind.go); nil: no module in
+	// sight, and every variable counts as assigned.
+	vars ast.Bindings
+	// letFresh has bit id set for the let variables with a fresh value,
+	// as far as fresh and the planner have judged their clauses; its
+	// first backing is small, which most modules need no more than.
+	letFresh []uint64
+	small    [2]uint64
 	kids     []props   // scratch: the children of the expressions being inferred
 	buf      [16]props // kids' first backing: most modules need no more
 	// The fixpoint's stacks: records whose component is not solved yet,
@@ -111,10 +116,13 @@ type inference struct {
 // being solved is inferred once, and a recursive component until its
 // records stop changing. A name and arity declared more than once is
 // judged on all its declarations and is never fresh (the registry
-// resolves it to the last one). The variables the module assigns are
-// collected in one walk, here.
+// resolves it to the last one). The binding table is the module's, or
+// one worked out here for a module nobody prepared.
 func newInference(m *ast.Module) *inference {
-	in := &inference{fns: m.Prolog.Functions, assigned: assignedVars(m)}
+	in := &inference{fns: m.Prolog.Functions, vars: m.Bindings}
+	if in.vars == nil {
+		in.vars = Bind(m)
+	}
 	if len(in.fns) == 0 {
 		return in // most ad-hoc queries: nothing to look up
 	}
@@ -132,26 +140,6 @@ func newInference(m *ast.Module) *inference {
 }
 
 func declKey(d *ast.FuncDecl) funcKey { return funcKey{d.Name.Space, d.Name.Local, len(d.Params)} }
-
-// assignedVars returns the vkey set of the variables m's Assigns target.
-func assignedVars(m *ast.Module) map[string]bool {
-	set := map[string]bool{}
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		if a, ok := e.(ast.Assign); ok {
-			set[vkey(a.Var)] = true
-		}
-		ast.EachChild(e, walk)
-	}
-	for _, v := range m.Prolog.Vars {
-		walk(v.Init)
-	}
-	for _, f := range m.Prolog.Functions {
-		walk(f.Body)
-	}
-	walk(m.Body)
-	return set
-}
 
 // solveAll solves every record, which fills in every body's effects.
 func (in *inference) solveAll() {
@@ -222,7 +210,7 @@ func (in *inference) evaluate(f *funcProps) {
 	d := &in.fns[f.first]
 	f.eff |= in.declared(d, f.first)
 	if f.decls == 1 {
-		f.fresh = d.Body != nil && in.fresh(d.Body, nil) && in.exitsFresh(d.Body)
+		f.fresh = d.Body != nil && in.fresh(d.Body) && in.exitsFresh(d.Body)
 		return
 	}
 	for i := f.first + 1; i < len(in.fns); i++ {
@@ -397,11 +385,15 @@ func (in *inference) pure(e ast.Expr) bool { return in.infer(e).eff&unmovable ==
 // stepInvariant reports whether k may key a step's attribute comparison
 // (ast.PredAttrCmp): read once per step evaluation, it has the value it
 // would have for every candidate. Its record has no bit of the
-// stepVariant column, and it mentions no variable the module assigns,
+// stepVariant column, and it reads no variable an assignment targets,
 // whose value a statement between two candidates could change.
 func (in *inference) stepInvariant(k ast.Expr) bool {
 	return in.infer(k).eff&stepVariant == 0 && !contains(k, func(x ast.Expr) bool {
 		v, ok := x.(ast.VarRef)
-		return ok && (in.assigned == nil || in.assigned[vkey(v.Name)])
+		if !ok {
+			return false
+		}
+		b := in.vars.Of(v.ID)
+		return b == nil || b.Assigned
 	})
 }

@@ -1,6 +1,10 @@
 package plan
 
-import "repro/internal/xquery/ast"
+import (
+	"slices"
+
+	"repro/internal/xquery/ast"
+)
 
 // Shipping per-document expressions. An expression over
 // fn:collection(…) is usually a map over the collection's documents:
@@ -109,7 +113,7 @@ func (in *inference) shipFLWOR(f ast.FLWOR) *ast.ShipPlan {
 	clauses := append([]ast.Clause(nil), f.Clauses...)
 	clauses[0].In = perDocument(steps)
 	perDoc := ast.FLWOR{Clauses: clauses, Where: f.Where, Return: f.Return, StreamDomain: f.StreamDomain}
-	if !closed(perDoc, nil) {
+	if !closed(perDoc) {
 		return nil
 	}
 	return shipPlan(uri, perDoc, false)
@@ -125,7 +129,7 @@ func (in *inference) shipCount(c ast.FuncCall) *ast.ShipPlan {
 		return nil
 	}
 	perDoc := ast.FuncCall{Name: c.Name, Args: []ast.Expr{perDocument(steps)}, At: c.At}
-	if !closed(perDoc, nil) {
+	if !closed(perDoc) {
 		return nil
 	}
 	return shipPlan(uri, perDoc, true)
@@ -137,7 +141,7 @@ func (in *inference) shipCount(c ast.FuncCall) *ast.ShipPlan {
 // checks this before evaluating runs nothing a planner could not have
 // sent — no update, no constructor, no call off the library's pure list.
 func Shippable(e ast.Expr) bool {
-	if !(&inference{}).ships(e, true) || !closed(e, nil) {
+	if !(&inference{}).ships(e, true) || !closed(e) {
 		return false
 	}
 	_, ok := ast.Unparse(e)
@@ -156,49 +160,27 @@ func (in *inference) ships(e ast.Expr, focus bool) bool {
 	return in.infer(e).eff&mask == 0
 }
 
-// closed reports whether every variable e reads is in bound or bound by
-// e itself before the read. A binder the unparser does not write
-// (typeswitch, copy … modify) is not looked into: its variables count as
-// free.
-func closed(e ast.Expr, bound map[string]bool) bool {
-	switch x := e.(type) {
-	case ast.VarRef:
-		return bound[vkey(x.Name)]
-	case ast.FLWOR:
-		rest := []ast.Expr{x.Where, x.Return}
-		for _, o := range x.OrderBy {
-			rest = append(rest, o.Key)
+// closed reports whether every variable e reads is bound in e itself,
+// by a for, let or quantifier clause: the parser resolved each
+// reference to its binding (ast.VarID), so a reference whose binding
+// one of e's clauses declares reads that clause's variable. A binder
+// the unparser does not write (typeswitch, copy … modify) declares
+// nothing here: its variables count as free.
+func closed(e ast.Expr) bool {
+	var buf [8]ast.VarID
+	bound := buf[:0]
+	joined := contains(e, func(x ast.Expr) bool {
+		switch x := x.(type) {
+		case ast.FLWOR:
+			bound = clauseVars(bound, x.Clauses)
+			return x.Join != nil // the unparser writes no join
+		case ast.Quantified:
+			bound = clauseVars(bound, x.Vars)
 		}
-		return x.Join == nil && closedUnder(x.Clauses, bound, rest)
-	case ast.Quantified:
-		return closedUnder(x.Vars, bound, []ast.Expr{x.Satisfies})
-	}
-	ok := true
-	ast.EachChild(e, func(c ast.Expr) { ok = ok && closed(c, bound) })
-	return ok
-}
-
-// closedUnder checks for/let (or quantifier) clauses in order, each
-// under the variables of the ones before, and then rest under all of
-// them.
-func closedUnder(clauses []ast.Clause, bound map[string]bool, rest []ast.Expr) bool {
-	inner := make(map[string]bool, len(bound)+len(clauses))
-	for k := range bound {
-		inner[k] = true
-	}
-	for _, cl := range clauses {
-		if !closed(cl.In, inner) {
-			return false
-		}
-		inner[vkey(cl.Var)] = true
-		if !cl.PosVar.IsZero() {
-			inner[vkey(cl.PosVar)] = true
-		}
-	}
-	for _, e := range rest {
-		if e != nil && !closed(e, inner) {
-			return false
-		}
-	}
-	return true
+		return false
+	})
+	return !joined && !contains(e, func(x ast.Expr) bool {
+		v, ok := x.(ast.VarRef)
+		return ok && !slices.Contains(bound, v.ID)
+	})
 }

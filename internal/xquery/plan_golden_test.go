@@ -149,6 +149,7 @@ func dumpRoot(b *strings.Builder, name string, planned, optimized ast.Expr) {
 var (
 	posType   = reflect.TypeOf(ast.Pos{})
 	qnameType = reflect.TypeOf(dom.QName{})
+	varIDType = reflect.TypeOf(ast.VarID(0))
 )
 
 // scalar reports whether dumpValue writes v on one line.
@@ -163,8 +164,9 @@ func scalar(v reflect.Value) bool {
 }
 
 // dumpValue writes v, one struct field a line (all on one line when
-// every field is a scalar), leaving out zero fields and empty lists (a
-// nil and an empty list read the same).
+// every field is a scalar), leaving out zero fields, empty lists (a nil
+// and an empty list read the same) and the parser's binding numbers
+// (ast.VarID: what the passes decide about a binding is in the tree).
 func dumpValue(b *strings.Builder, v reflect.Value, depth int) {
 	pad := strings.Repeat("  ", depth)
 	switch v.Kind() {
@@ -190,7 +192,7 @@ func dumpValue(b *strings.Builder, v reflect.Value, depth int) {
 		var fields []int
 		flat := true
 		for i := 0; i < v.NumField(); i++ {
-			if f := v.Field(i); !f.IsZero() && !(f.Kind() == reflect.Slice && f.Len() == 0) {
+			if f := v.Field(i); !f.IsZero() && !(f.Kind() == reflect.Slice && f.Len() == 0) && f.Type() != varIDType {
 				fields = append(fields, i)
 				flat = flat && scalar(f)
 			}

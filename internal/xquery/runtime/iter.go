@@ -533,6 +533,7 @@ func (ctx *Context) predStages(step *ast.Step, in xdm.Iter) *predIter {
 // the bound.
 type predIter struct {
 	ctx    *Context
+	focus  *Context // the frame the predicate is evaluated in; nil until the first
 	in     xdm.Iter
 	step   *ast.Step
 	items  xdm.Sequence // a sized stage's input, materialized at its first pull
@@ -644,7 +645,16 @@ func (p *predIter) holds(item xdm.Item, pp *ast.PredPlan) (bool, error) {
 	if pp.Kind == ast.PredSized {
 		size = len(p.items)
 	}
-	res, err := p.ctx.withFocus(item, p.pos, size).Eval(p.step.Preds[p.i])
+	// One focus frame per stage, set again for each candidate: the
+	// predicate's value is materialized before the next candidate is set,
+	// and nothing it evaluates keeps the frame (a loop, a call or a behind
+	// call binds in a copy of its own).
+	if p.focus == nil {
+		p.focus = p.ctx.withFocus(item, p.pos, size)
+	} else {
+		p.focus.Item, p.focus.Pos, p.focus.Size = item, p.pos, size
+	}
+	res, err := p.focus.Eval(p.step.Preds[p.i])
 	if err != nil {
 		return false, err
 	}

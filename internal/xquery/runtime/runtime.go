@@ -236,7 +236,7 @@ func CompileFunctions(m *ast.Module) *Registry {
 	for i := range m.Prolog.Functions {
 		if decl := &m.Prolog.Functions[i]; !decl.External {
 			// A fresh unfrozen layer accepts every registration.
-			_ = user.Register(userFunction(decl))
+			_ = user.Register(userFunction(decl, m.Bindings))
 		}
 	}
 	user.Freeze()
@@ -280,10 +280,11 @@ func Bind(m *ast.Module, user *Registry, cfg CompileConfig) (*Program, error) {
 		scores: m.IsLibrary || stray || plan.ReadsScores(m)}, nil
 }
 
-// userFunction compiles one prolog function declaration: an evaluation
-// of the declared body in whatever context invokes it.
-func userFunction(decl *ast.FuncDecl) *Function {
-	d, unread := decl, unreadParams(decl)
+// userFunction compiles one prolog function declaration of a module
+// whose binding table is vars: an evaluation of the declared body in
+// whatever context invokes it.
+func userFunction(decl *ast.FuncDecl, vars ast.Bindings) *Function {
+	d, unread := decl, unreadParams(decl, vars)
 	return &Function{
 		Name:       d.Name,
 		MinArgs:    len(d.Params),
@@ -339,40 +340,16 @@ func userFunction(decl *ast.FuncDecl) *Function {
 }
 
 // unreadParams returns the parameters of d that no call needs to bind,
-// one bit each (parameters 0 to 63): those with no declared type, so
-// that no conversion can fail, whose name no VarRef and no Assign of
-// the body names, planned or optimized. Shadowing is ignored — a local
-// binding of the same name counts as a read, which only binds the
-// parameter for nothing. It is worked out once, when the declaration
-// is compiled.
-func unreadParams(d *ast.FuncDecl) uint64 {
+// one bit each (parameters 0 to 63): by the module's binding table
+// vars, those with no declared type, so that no conversion can fail,
+// that nothing reads or assigns and whose name the body does not bind
+// again (Shadowed). Without a table every parameter is bound.
+func unreadParams(d *ast.FuncDecl, vars ast.Bindings) uint64 {
 	var unread uint64
 	for i, prm := range d.Params {
-		if i < 64 && prm.Type == nil {
+		b := vars.Of(prm.ID)
+		if i < 64 && prm.Type == nil && b != nil && b.Refs == 0 && !b.Assigned && !b.Shadowed {
 			unread |= 1 << i
-		}
-	}
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		var name dom.QName
-		switch x := e.(type) {
-		case ast.VarRef:
-			name = x.Name
-		case ast.Assign:
-			name = x.Var
-		}
-		if !name.IsZero() {
-			for i, prm := range d.Params {
-				if i < 64 && prm.Name.Matches(name) {
-					unread &^= 1 << i
-				}
-			}
-		}
-		ast.EachChild(e, walk)
-	}
-	for _, body := range []ast.Expr{d.Body, d.Optimized} {
-		if unread != 0 && body != nil {
-			walk(body)
 		}
 	}
 	return unread

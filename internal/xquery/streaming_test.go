@@ -348,19 +348,30 @@ func TestStepAllocsIndependentOfFocusCount(t *testing.T) {
 	for _, c := range []struct {
 		q       string
 		noIndex bool
-	}{
-		{`count(//x/y)`, false},
-		{`count(//x/y)`, true},
-		{`count(/r/x/*/@a)`, false},
-		{`count(/r/x/*/@a)`, true},
-		// The kernel tests the key natively; under DisableIndexes the
+		// perCandidate, where set, bounds the allocations per y: the
 		// predicate is evaluated per candidate, which allocates per y.
-		{`count(//x/y[@a = "1"])`, false},
+		perCandidate float64
+	}{
+		{`count(//x/y)`, false, 0},
+		{`count(//x/y)`, true, 0},
+		{`count(/r/x/*/@a)`, false, 0},
+		{`count(/r/x/*/@a)`, true, 0},
+		// The kernel tests the key natively; under DisableIndexes the
+		// predicate stage evaluates it in one focus frame it sets per
+		// candidate.
+		{`count(//x/y[@a = "1"])`, false, 0},
+		{`count(//x/y[@a = "1"])`, true, 4.5},
 	} {
 		// //x/y sorts its x in a sorted stage (descendant output
 		// overlaps), whose appended buffers double a few more times.
 		small, large := allocs(c.q, 1000, c.noIndex), allocs(c.q, 8000, c.noIndex)
-		if large > small+20 {
+		switch {
+		case c.perCandidate > 0:
+			if small/1000 > c.perCandidate || large/8000 > c.perCandidate {
+				t.Errorf("%s noIndex=%v: %.2f allocations a candidate over 1,000 x, %.2f over 8,000, want at most %.1f",
+					c.q, c.noIndex, small/1000, large/8000, c.perCandidate)
+			}
+		case large > small+20:
 			t.Errorf("%s noIndex=%v: %.0f allocations over 1,000 x, %.0f over 8,000", c.q, c.noIndex, small, large)
 		}
 	}

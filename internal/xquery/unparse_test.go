@@ -12,12 +12,13 @@ import (
 // The unparser (ast.Unparse) is what turns a planned expression into
 // the text a federation ships, so text → tree → text → tree has to come
 // back to the same tree. "The same" leaves out what the text does not
-// carry: source positions, and the lexical prefixes of names (the
+// carry: source positions, the lexical prefixes of names (the
 // unparser writes names by their expanded form under prefixes of its
-// own).
+// own), and the parser's binding numbers (ast.VarID), which count the
+// declarations of the whole module, prolog included.
 
-// stripLexical zeroes every ast.Pos and every QName prefix reachable
-// from v, in place.
+// stripLexical zeroes every ast.Pos, every QName prefix and every
+// ast.VarID reachable from v, in place.
 func stripLexical(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Interface, reflect.Pointer:
@@ -47,6 +48,10 @@ func stripLexical(v reflect.Value) {
 			if f := v.Field(i); f.CanSet() {
 				stripLexical(f)
 			}
+		}
+	case reflect.Int32:
+		if v.Type() == reflect.TypeOf(ast.VarID(0)) {
+			v.SetInt(0)
 		}
 	case reflect.Slice:
 		if v.Len() == 0 && !v.IsNil() {

@@ -59,8 +59,9 @@
 //	            plan.Prepare) replacing a module's expression roots
 //	            (the body, function bodies, global initialisers) with
 //	            their planned forms, and plan.Prepare — the one
-//	            installer — putting the optimized roots and the effect
-//	            summary beside them (Module.Optimized,
+//	            installer — putting the binding table, the optimized
+//	            roots and the effect summary beside them
+//	            (Module.Bindings, Module.Optimized,
 //	            FuncDecl.Optimized, Module.Effects): idempotent or
 //	            write-once, and published through
 //	            Module.EnsurePlanned's sync.Once before any concurrent
@@ -683,9 +684,9 @@ func isContextContext(t ast.Expr) bool {
 // on steps it has just built. planRootFields are the module's
 // expression roots, which plan.Annotate — and nothing else but annotate,
 // the pass Annotate and Prepare share — replaces with their planned
-// forms; planPreparedFields are the second set of roots and the
-// module's effect summary, which plan.Prepare — and nothing else —
-// installs. All are
+// forms; planPreparedFields are the binding table, the second set of
+// roots and the module's effect summary, which plan.Prepare — and
+// nothing else — installs. All are
 // idempotent or write-once and published through
 // Module.EnsurePlanned's sync.Once, so they are the legal pointer
 // writes into the shared tree.
@@ -712,6 +713,7 @@ var planRootFields = map[string]bool{
 }
 
 var planPreparedFields = map[string]bool{
+	"Bindings":  true, // Module.Bindings
 	"Optimized": true, // Module.Optimized, FuncDecl.Optimized
 	"Effects":   true, // Module.Effects
 }
@@ -723,7 +725,7 @@ var planPreparedFields = map[string]bool{
 // rewrites must copy the node by value and modify the copy. Writes to
 // the planner's annotation fields on *ast.Step, Annotate's (and
 // annotate's) to the roots of its *ast.Module and Prepare's to the
-// optimized roots and the effect summary are exempt (see
+// binding table, the optimized roots and the effect summary are exempt (see
 // planAnnotationFields).
 //
 // It also reports writes of the Ship, Adopt, StreamDomain and LitSel

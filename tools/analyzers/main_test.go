@@ -386,6 +386,25 @@ func annotate(m *ast.Module, in *inference) { m.Effects = in.infer(m.Body).eff }
 	}
 }
 
+// The binding table has one writer as well: Prepare.
+func TestPlanPureBindingsHaveOneInstaller(t *testing.T) {
+	ok := `package plan
+import "repro/internal/xquery/ast"
+func Prepare(m *ast.Module) { m.Bindings = Bind(m) }
+`
+	if got := analyze(t, ok, planPure); len(got) != 0 {
+		t.Fatalf("findings = %v, want none", got)
+	}
+	bad := `package plan
+import "repro/internal/xquery/ast"
+func Annotate(m *ast.Module) { m.Bindings = Bind(m) }
+func newInference(m *ast.Module) { m.Bindings = nil }
+`
+	if got := analyze(t, bad, planPure); len(got) != 2 {
+		t.Fatalf("findings = %v, want 2", got)
+	}
+}
+
 func TestPlanPureShipIsThePlanners(t *testing.T) {
 	ok := `package plan
 import "repro/internal/xquery/ast"
