@@ -105,11 +105,7 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 		it, _ := ctx.pathIter(x)
 		return xdm.Materialize(it)
 	case ast.DirElem:
-		n, err := ctx.constructElement(x)
-		if err != nil {
-			return nil, err
-		}
-		return xdm.Singleton(xdm.NewNode(n)), nil
+		return ctx.construct(x)
 	case ast.CompConstructor:
 		return ctx.evalCompConstructor(x)
 	case ast.Insert:
@@ -248,11 +244,18 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 		}
 	}
 	en := flworEntry{f: f}
-	if err := en.clause(ctx, 0); err != nil {
+	if err := en.run(ctx); err != nil {
 		return nil, err
 	}
-	if len(f.OrderBy) == 0 {
-		return en.out, nil
+	return en.out, nil
+}
+
+// run evaluates the FLWOR in ctx: its clauses, then, for order by, the
+// return clause of each tuple in key order.
+func (en *flworEntry) run(ctx *Context) error {
+	f := &en.f
+	if err := en.clause(ctx, 0); err != nil || len(f.OrderBy) == 0 {
+		return err
 	}
 
 	// Stable sort on the collected keys. Default empty order: least.
@@ -276,16 +279,28 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 		return false
 	})
 	if sortErr != nil {
-		return nil, sortErr
+		return sortErr
 	}
 	for _, t := range tuples {
-		res, err := t.c.Eval(f.Return)
-		if err != nil {
-			return nil, err
+		if err := en.ret(t.c); err != nil {
+			return err
 		}
-		en.out = append(en.out, res...)
 	}
-	return en.out, nil
+	return nil
+}
+
+// ret runs the return clause of one tuple: its value goes to en.out,
+// or, in a constructor's content, into the constructor's recorder.
+func (en *flworEntry) ret(c *Context) error {
+	if en.rec != nil {
+		return c.record(en.rec, en.f.Return)
+	}
+	res, err := c.Eval(en.f.Return)
+	if err != nil {
+		return err
+	}
+	en.out = append(en.out, res...)
+	return nil
 }
 
 // flworEntry is one evaluation of a FLWOR: the tuples and results so
@@ -299,6 +314,7 @@ type flworEntry struct {
 	memo   []hoistCell
 	join   *hashJoin
 	out    xdm.Sequence
+	rec    *recorder    // where the return values go instead of out, if set
 	tuples []flworTuple // collected for order by
 }
 
@@ -405,12 +421,7 @@ func (en *flworEntry) tuple(c *Context) error {
 		en.tuples = append(en.tuples, t)
 		return nil
 	}
-	res, err := c.Eval(f.Return)
-	if err != nil {
-		return err
-	}
-	en.out = append(en.out, res...)
-	return nil
+	return en.ret(c)
 }
 
 // letValue evaluates a let clause's value, a hoisted one at most once

@@ -176,23 +176,6 @@ func (ctx *Context) evalTransform(x ast.Transform) (xdm.Sequence, error) {
 	return c.Eval(x.Return)
 }
 
-// evalContentNodes evaluates an insert/replace source into a content
-// node list, attributes first, every node detached: a fresh source's
-// trees go to the pending update list as they are, the others are
-// copied, atomics become text (see content).
-func (ctx *Context) evalContentNodes(e ast.Expr, fresh bool, kind string) ([]*dom.Node, error) {
-	s, err := ctx.Eval(e)
-	if err != nil {
-		return nil, err
-	}
-	var c content
-	if err := c.add(s, fresh); err != nil {
-		return nil, err
-	}
-	c.count(ctx.Profiler, kind)
-	return c.list, nil
-}
-
 func (ctx *Context) evalSingleNode(e ast.Expr, what string) (*dom.Node, error) {
 	s, err := ctx.Eval(e)
 	if err != nil {
