@@ -493,6 +493,45 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestDuplicatePrologDeclarations: a prolog declares a global name once
+// (XQST0049) and a function name and arity once (XQST0034). The error
+// stands at the second declaration; a same-named function of another
+// arity is a declaration of its own.
+func TestDuplicatePrologDeclarations(t *testing.T) {
+	for _, tc := range []struct {
+		src       string
+		line, col int
+		msg       string
+	}{
+		{"declare variable $g := 1;\ndeclare variable $g := 2;\n$g", 2, 1,
+			"duplicate declaration of variable $g"},
+		{"declare variable $g external;\n  declare variable $g as xs:integer := 2; 1", 2, 3,
+			"duplicate declaration of variable $g"},
+		{"declare function local:f() { 1 };\ndeclare function f() { 2 };\nlocal:f()", 2, 1,
+			"duplicate declaration of function local:f#0"},
+		{"declare function local:f($a, $b) { 1 };\ndeclare updating function local:f($c, $d) { () };\n1", 2, 1,
+			"duplicate declaration of function local:f#2"},
+	} {
+		_, err := ParseModule(tc.src)
+		pe, ok := err.(*Error)
+		if !ok {
+			t.Errorf("%q: error %v, want a *Error", tc.src, err)
+			continue
+		}
+		if pe.Line != tc.line || pe.Col != tc.col || pe.Msg != tc.msg {
+			t.Errorf("%q: error %d:%d %q, want %d:%d %q", tc.src, pe.Line, pe.Col, pe.Msg, tc.line, tc.col, tc.msg)
+		}
+	}
+	for _, src := range []string{
+		"declare function local:f() { 1 }; declare function local:f($a) { $a }; local:f(local:f())",
+		"declare namespace a = \"urn:a\"; declare variable $g := 1; declare variable $a:g := 2; $g + $a:g",
+	} {
+		if _, err := ParseModule(src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+}
+
 // Property: the parser never panics on arbitrary input (errors are
 // returned, not thrown).
 func TestParserTotalityProperty(t *testing.T) {

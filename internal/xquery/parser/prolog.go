@@ -142,6 +142,11 @@ func (p *Parser) parseProlog(pr *ast.Prolog) {
 				p.next()
 				v := ast.VarDecl{At: tokPos(t)}
 				v.Name = p.varName()
+				for _, d := range pr.Vars {
+					if d.Name.Matches(v.Name) {
+						p.failTok(t, "duplicate declaration of variable $%s", v.Name)
+					}
+				}
 				if p.peek().IsName("as") {
 					p.next()
 					st := p.parseSequenceType()
@@ -159,7 +164,13 @@ func (p *Parser) parseProlog(pr *ast.Prolog) {
 				pr.Vars = append(pr.Vars, v)
 				p.expectSym(";")
 			case n1.IsName("function") || n1.IsName("updating") || n1.IsName("sequential"):
-				pr.Functions = append(pr.Functions, p.parseFunctionDecl())
+				f := p.parseFunctionDecl()
+				for _, d := range pr.Functions {
+					if d.Name.Matches(f.Name) && len(d.Params) == len(f.Params) {
+						p.failAt(f.At.Line, f.At.Col, "duplicate declaration of function %s#%d", f.Name, len(f.Params))
+					}
+				}
+				pr.Functions = append(pr.Functions, f)
 			case n1.IsName("option"):
 				p.next()
 				p.next()

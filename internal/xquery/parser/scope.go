@@ -16,8 +16,7 @@ import (
 // its branch; a parameter in its function's body; a block's declare to
 // the end of the construct that holds it; a prolog global in the
 // initialisers of the globals after it, in every function body — one
-// declared before it too — and in the module body. Every declaration of
-// one global name is one binding. A name no declaration binds is free
+// declared before it too — and in the module body. A name no declaration binds is free
 // (an imported module's variable, one the host binds, or an unbound
 // one), one VarID per name. plan.Bind turns the VarIDs into the
 // module's table of facts per binding.
@@ -72,12 +71,9 @@ func (s *scopes) bring(name dom.QName, id ast.VarID) ast.VarID {
 }
 
 // declareGlobal brings a prolog global into scope, with the binding of
-// an earlier declaration of its name or of the references function
-// bodies made to it.
+// the references function bodies made to it. A prolog declares a name
+// once.
 func (s *scopes) declareGlobal(name dom.QName) ast.VarID {
-	if i := find(s.stack, name); i >= 0 { // only globals are in scope here
-		return s.bring(name, s.stack[i].id)
-	}
 	if i := find(s.ahead, name); i >= 0 {
 		id := s.ahead[i].id
 		s.ahead = slices.Delete(s.ahead, i, i+1)

@@ -54,7 +54,6 @@ func TestFreshClassifier(t *testing.T) {
 		exitG = `declare variable $g := <g/>; declare sequential function local:ex($c) { if ($c) then exit returning $g else (); <m/>; }; `
 		exitM = `declare sequential function local:ex($c) { if ($c) then exit returning <e/> else (); <m/>; }; `
 		exitN = `declare variable $g := <g/>; declare function local:ex() { <m>{exit returning $g}</m> }; `
-		twice = `declare function local:f() { <m/> }; declare function local:f() { /x }; `
 		letFn = `declare function local:lf() { let $x := <m/> return $x }; `
 		dupFn = `declare function local:df() { let $x := <m/> return ($x, $x) }; `
 	)
@@ -99,7 +98,6 @@ func TestFreshClassifier(t *testing.T) {
 		{exitM + `<a>{local:ex(1)}</a>`, "a(+)"},
 		{exitG + `<a>{local:ex(1)}</a>`, "a(-)"},
 		{exitN + `<a>{local:ex()}</a>`, "m(-) a(-)"},
-		{twice + `<a>{local:f()}</a>`, "a(-)"},
 		{letFn + `<a>{local:lf()}</a>`, "a(+)"},
 		{dupFn + `<a>{local:df()}</a>`, "a(-)"},
 		{`declare function local:ext() external; <a>{local:ext()}</a>`, "a(-)"},

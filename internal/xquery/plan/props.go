@@ -70,15 +70,13 @@ type funcKey struct {
 	arity        int
 }
 
-// funcProps is the record of the module's declarations of one name and
-// arity, as a call sees it. It lives in the slot of the first of them;
-// every declaration's slot holds its own body's effects.
+// funcProps is the record of the module's declaration of one name and
+// arity (the parser lets a prolog declare it once), as a call sees it.
 type funcProps struct {
 	eff   ast.Effects
 	body  ast.Effects // this declaration's body
 	fresh bool        // every node a call returns was built for it (fresh.go)
-	first int         // the first declaration of the name and arity
-	decls int         // how many there are
+	decl  int         // the declaration's index in the prolog
 	// The fixpoint's bookkeeping (Tarjan's): index is 0 until a call
 	// first needs the record; low is the lowest index reachable; a
 	// recursive record was reached while it was being solved (which only
@@ -114,9 +112,7 @@ type inference struct {
 // and proves nothing fresh, computed one strongly connected component
 // of the call graph at a time — a function that calls no function still
 // being solved is inferred once, and a recursive component until its
-// records stop changing. A name and arity declared more than once is
-// judged on all its declarations and is never fresh (the registry
-// resolves it to the last one). The binding table is the module's, or
+// records stop changing. The binding table is the module's, or
 // one worked out here for a module nobody prepared.
 func newInference(m *ast.Module) *inference {
 	in := &inference{fns: m.Prolog.Functions, vars: m.Bindings}
@@ -129,12 +125,8 @@ func newInference(m *ast.Module) *inference {
 	in.recs = make([]funcProps, len(in.fns))
 	in.funcs = make(map[funcKey]*funcProps, len(in.fns))
 	for i := range in.fns {
-		k := declKey(&in.fns[i])
-		if in.funcs[k] == nil {
-			in.recs[i].first = i
-			in.funcs[k] = &in.recs[i]
-		}
-		in.funcs[k].decls++
+		in.recs[i].decl = i
+		in.funcs[declKey(&in.fns[i])] = &in.recs[i]
 	}
 	return in
 }
@@ -204,20 +196,12 @@ func (in *inference) solve(f *funcProps) {
 	}
 }
 
-// evaluate computes f from its declarations' bodies and the records of
-// the functions they call.
+// evaluate computes f from its declaration's body and the records of
+// the functions it calls.
 func (in *inference) evaluate(f *funcProps) {
-	d := &in.fns[f.first]
-	f.eff |= in.declared(d, f.first)
-	if f.decls == 1 {
-		f.fresh = d.Body != nil && in.fresh(d.Body) && in.exitsFresh(d.Body)
-		return
-	}
-	for i := f.first + 1; i < len(in.fns); i++ {
-		if declKey(&in.fns[i]) == declKey(d) {
-			f.eff |= in.declared(&in.fns[i], i)
-		}
-	}
+	d := &in.fns[f.decl]
+	f.eff |= in.declared(d, f.decl)
+	f.fresh = d.Body != nil && in.fresh(d.Body) && in.exitsFresh(d.Body)
 }
 
 // declared is what a call to declaration i does.

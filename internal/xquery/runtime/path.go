@@ -95,8 +95,17 @@ func (ctx *Context) mapStep(focus xdm.Sequence, step *ast.Step, last bool) (xdm.
 		return ctx.finishStep(results, last)
 	}
 	preds := ctx.predStages(step, nil)
+	// One focus frame, set again for each item as a predicate stage sets
+	// its own: the primary's value is materialized before the next item
+	// is set, and nothing it evaluates keeps the frame.
+	var fc *Context
 	for i, item := range focus {
-		res, err := ctx.withFocus(item, i+1, len(focus)).Eval(step.Primary)
+		if fc == nil {
+			fc = ctx.withFocus(item, i+1, len(focus))
+		} else {
+			fc.Item, fc.Pos = item, i+1
+		}
+		res, err := fc.Eval(step.Primary)
 		if err != nil {
 			return nil, err
 		}

@@ -572,7 +572,7 @@ func (ctx *Context) InitGlobals() error {
 	for i := range ctx.Prog.Module.Prolog.Vars {
 		v := &ctx.Prog.Module.Prolog.Vars[i]
 		if ctx.env.lookup(v.Name) != nil {
-			continue // externally bound (or duplicate) — keep existing
+			continue // externally bound — keep it
 		}
 		var val xdm.Sequence
 		if v.Init != nil {

@@ -44,8 +44,14 @@ func (ctx *Context) EvalShipped(p *ast.ShipPlan) (val xdm.Sequence, ok bool, err
 	if ctx.Profiler != nil {
 		ctx.Profiler.AddFed("shipped", 1)
 	}
+	var fc *Context // one focus frame, set per document
 	for _, it := range unevaluated {
-		more, err := ctx.withFocus(it, 1, 1).Eval(p.Expr)
+		if fc == nil {
+			fc = ctx.withFocus(it, 1, 1)
+		} else {
+			fc.Item = it
+		}
+		more, err := fc.Eval(p.Expr)
 		if err != nil {
 			return nil, true, err
 		}

@@ -348,8 +348,10 @@ func TestStepAllocsIndependentOfFocusCount(t *testing.T) {
 	for _, c := range []struct {
 		q       string
 		noIndex bool
-		// perCandidate, where set, bounds the allocations per y: the
-		// predicate is evaluated per candidate, which allocates per y.
+		// perCandidate, where set, bounds the allocations per candidate
+		// (a y, or the x a filter step maps): the predicate or the
+		// primary is evaluated per candidate, which allocates per
+		// candidate.
 		perCandidate float64
 	}{
 		{`count(//x/y)`, false, 0},
@@ -361,6 +363,11 @@ func TestStepAllocsIndependentOfFocusCount(t *testing.T) {
 		// candidate.
 		{`count(//x/y[@a = "1"])`, false, 0},
 		{`count(//x/y[@a = "1"])`, true, 4.5},
+		// A filter step evaluates its primary per x in one focus frame it
+		// sets per x: 2.0 and 3.0 allocations an x, where a Context copy
+		// per x made them 3.0 and 4.0.
+		{`count(/r/x/(y))`, false, 2.05},
+		{`count(/r/x/string(@a))`, false, 3.05},
 	} {
 		// //x/y sorts its x in a sorted stage (descendant output
 		// overlaps), whose appended buffers double a few more times.
