@@ -138,7 +138,9 @@ bench-e2e-smoke:
 # wire envelope reader must accept nothing the DOM decoder it replaced
 # would refuse or read differently, and a tree the markup parser or
 # Clone carved from a dom.Builder's blocks must take any sequence of
-# mutations as a tree built node by node does. A crasher
+# mutations as a tree built node by node does, and so must a tree an
+# XQuery constructor recorded and built, which must also serialize as
+# the same constructor's tree with every node copied. A crasher
 # is written under the package's testdata/fuzz and fails the step.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
@@ -148,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime 10s -parallel 2 ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSequence$$' -fuzztime 10s -parallel 2 ./internal/rest
 	$(GO) test -run '^$$' -fuzz '^FuzzParseThenMutate$$' -fuzztime 10s -parallel 2 ./internal/markup
+	$(GO) test -run '^$$' -fuzz '^FuzzConstructThenMutate$$' -fuzztime 10s -parallel 2 ./internal/markup
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -14,3 +14,12 @@ var (
 		return func(src string) (*dom.Node, error) { return p.parse(src, XML) }
 	}
 )
+
+// Hooks for the constructed-tree fuzz target of the external test
+// package, which can import internal/xquery (xquery imports markup).
+var (
+	OracleParse = oracleParse
+	SameTree    = sameTree
+	ExactLists  = exactLists
+	MutateBoth  = mutateBoth
+)
