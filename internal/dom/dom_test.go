@@ -605,46 +605,40 @@ func TestNodeTypeString(t *testing.T) {
 	}
 }
 
-// The bulk-construction path installs whole lists: parents, order and
-// lookups as if built one AppendChild/SetAttr at a time, one version
-// bump per list, and a refusal to take a node that is already in a tree.
-func TestAdoptChildrenAndAttrs(t *testing.T) {
-	doc := NewDocument()
-	root := NewElement(Name("root"))
-	a, b, text := NewElement(Name("a")), NewElement(Name("b")), NewText("t")
-	root.AdoptAttrs([]AttrSpec{{Name("id"), "r"}, {NameNS("urn:x", "k"), "v"}})
-	root.AdoptChildren([]*Node{a, text, b})
-	doc.AdoptChildren([]*Node{root})
-
-	if kids := root.Children(); len(kids) != 3 || kids[0] != a || kids[1] != text || kids[2] != b {
+// Builder.Place puts a parentless tree built elsewhere into the tree
+// being built as it is: parents, order and id lookups as if the tree had
+// been carved there, an id map the placed root kept as a root dropped,
+// and a refusal to take a node that is already in a tree.
+func TestBuilderPlace(t *testing.T) {
+	placed := NewElement(Name("p"))
+	inner := NewElement(Name("q"))
+	inner.SetAttr(Name("id"), "q1")
+	mustAppend(t, placed, inner)
+	if placed.ElementByID("q1") != inner {
+		t.Fatal("precondition: the placed root's own id map")
+	}
+	b := NewBuilder(1, 1, 2)
+	root := b.Element(Name("r"), 0, 2)
+	b.Place(placed)
+	text := b.Leaf(TextNode, QName{}, "t")
+	if kids := root.Children(); len(kids) != 2 || kids[0] != placed || kids[1] != text || placed.Parent() != root {
 		t.Fatalf("children = %v", kids)
 	}
-	for _, k := range root.Children() {
-		if k.Parent() != root || k.Document() != doc {
-			t.Errorf("%s: parent %v, document %v", k.Type, k.Parent(), k.Document())
-		}
+	if CompareOrder(inner, text) >= 0 {
+		t.Error("the placed subtree is not before the node built after it")
 	}
-	if root.AttrValue("id") != "r" || len(root.Attrs()) != 2 || root.Attrs()[1].Parent() != root {
-		t.Errorf("attrs = %v", root.Attrs())
+	if root.ElementByID("q1") != inner {
+		t.Error("the built tree does not find the placed subtree's id")
 	}
-	if v, ok := root.Attr(NameNS("urn:x", "k")); !ok || v != "v" {
-		t.Errorf("namespaced attribute = %q, %v", v, ok)
+	if s := placed.side.Load(); s != nil && s.idmap.Load() != nil {
+		t.Error("the placed root kept its id map")
 	}
-	if CompareOrder(a, b) >= 0 || CompareOrder(root.Attrs()[0], a) >= 0 {
-		t.Error("document order of adopted nodes is wrong")
-	}
-
-	v := doc.Version()
-	extra := NewElement(Name("c"))
-	root.AdoptChildren([]*Node{extra, NewComment("x")})
-	if doc.Version() != v+1 || root.LastChild().Type != CommentNode || CompareOrder(b, extra) >= 0 {
-		t.Errorf("second list: version %d -> %d, last child %s", v, doc.Version(), root.LastChild().Type)
-	}
-
 	defer func() {
 		if recover() == nil {
-			t.Error("adopting an attached node must panic")
+			t.Error("placing an attached node must panic")
 		}
 	}()
-	NewElement(Name("thief")).AdoptChildren([]*Node{a})
+	b2 := NewBuilder(1, 0, 1)
+	b2.Element(Name("thief"), 0, 1)
+	b2.Place(inner)
 }

@@ -213,15 +213,6 @@ var idMutations = []struct {
 			t.Fatal(err)
 		}
 	}},
-	{"AdoptChildren", func(t *testing.T, doc *Node, ids map[string]*Node) {
-		x, y := NewElement(Name("x")), NewElement(Name("y"))
-		y.AdoptAttrs([]AttrSpec{{Name("id"), "a2"}})
-		x.AdoptChildren([]*Node{y})
-		ids["c1"].AdoptChildren([]*Node{x})
-	}},
-	{"AdoptAttrs", func(t *testing.T, doc *Node, ids map[string]*Node) {
-		ids["a1"].Children()[1].AdoptAttrs([]AttrSpec{{Name("k"), "v"}, {Name("id"), "r"}})
-	}},
 	{"NormalizeText", func(t *testing.T, doc *Node, ids map[string]*Node) {
 		c := ids["a1"].Children()[1]
 		mustAppend(t, c, NewText("t2"))

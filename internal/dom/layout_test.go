@@ -3,7 +3,6 @@ package dom
 import (
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -90,9 +89,6 @@ func TestCloneSizesItsListsOnce(t *testing.T) {
 		if got := testing.AllocsPerRun(20, func() { c = e.Clone() }); got > maxAllocs {
 			t.Errorf("Clone of %d texts makes %.0f allocations, want at most %d at any size", texts, got, maxAllocs)
 		}
-		if got := c.CloneNormalized().Children(); len(got) != 1 || got[0].Data != strings.Repeat("t", texts) {
-			t.Errorf("CloneNormalized children = %v", got)
-		}
 	}
 }
 
@@ -147,7 +143,7 @@ func TestSideStructIsPublishedOnce(t *testing.T) {
 	doc := NewDocument()
 	mustAppend(t, doc, NewElement(Name("root")))
 	constructed := NewElement(Name("table"))
-	constructed.AdoptChildren([]*Node{NewElement(Name("tr"))})
+	mustAppend(t, constructed, NewElement(Name("tr")))
 	path := Index[int]{Slot: PathIndexSlot}
 	ft := Index[string]{Slot: FTIndexSlot}
 

@@ -118,8 +118,7 @@ type elemPart struct {
 	children []*Node
 	attrs    []*Node // attribute nodes; their parent is this element
 	// one is the attribute list of an element with a single attribute
-	// (attrs is one[:1:1]): a constructed <td id="…"> allocates its
-	// attribute node and no list.
+	// (attrs is one[:1:1]): a <td id="…"> takes no list slot.
 	one [1]*Node
 
 	// version is the mutation counter of the tree rooted here, bumped on
@@ -127,10 +126,9 @@ type elemPart struct {
 	// whoever mutates a tree has it to itself — the child and attribute
 	// lists never allowed anything else — and the goroutines that share
 	// an immutable tree only read it. It is here, not in the side
-	// struct: a detached constructed root is bumped on every
-	// AdoptChildren and must not allocate for it. A node that leaves its
-	// tree is bumped too (orphan). A leaf keeps its counter in its side
-	// struct, if it has one.
+	// struct: a mutation of a detached element root must not allocate
+	// for it. A node that leaves its tree is bumped too (orphan). A leaf
+	// keeps its counter in its side struct, if it has one.
 	version uint64
 }
 
@@ -483,79 +481,46 @@ func (n *Node) Elements(local string) []*Node {
 
 // Clone deep-copies the node and its subtree (and attributes). The copy
 // is detached and carries no event listeners, matching XQuery copy
-// semantics for constructed/inserted content.
-func (n *Node) Clone() *Node { return n.clone(false) }
-
-// CloneNormalized is Clone followed by NormalizeText on the copy, in one
-// walk: at every level of the copy adjacent text children are one node
-// and empty ones are gone — the form constructed XQuery content has.
-func (n *Node) CloneNormalized() *Node { return n.clone(true) }
-
-func (n *Node) clone(normalize bool) *Node {
+// semantics for constructed/inserted content. It counts its source
+// first and builds once (treeCount, Builder).
+func (n *Node) Clone() *Node {
 	var c treeCount
-	c.add(n, normalize)
+	c.add(n)
 	b := NewBuilder(c.elems, c.leaves, c.slots)
-	return b.copy(n, normalize)
+	return b.copy(n)
 }
 
 // treeCount is what a Builder needs to know of a tree before building
 // it: its elements, its leaves and its list slots.
 type treeCount struct{ elems, leaves, slots int }
 
-// add counts n's subtree as its copy will be.
-func (c *treeCount) add(n *Node, normalize bool) {
-	k := 0
-	eachCopied(n.Children(), normalize, func(kid *Node, text []*Node) {
-		k++
-		if text != nil {
-			c.leaves++
-		} else {
-			c.add(kid, normalize)
-		}
-	})
+// add counts n's subtree.
+func (c *treeCount) add(n *Node) {
+	kids := n.Children()
+	for _, kid := range kids {
+		c.add(kid)
+	}
 	switch n.Type {
 	case DocumentNode:
-		c.slots += k
+		c.slots += len(kids)
 	case ElementNode:
 		c.elems++
 		c.leaves += len(n.Attrs())
-		c.slots += ListSlots(len(n.Attrs()), k)
+		c.slots += ListSlots(len(n.Attrs()), len(kids))
 	default:
 		c.leaves++
 	}
 }
 
-// eachCopied calls f with each child the copy of a node with the given
-// children gets: a child, or, when normalize is set, a run of adjacent
-// text children with text in it, which the copy holds as one node.
-func eachCopied(kids []*Node, normalize bool, f func(kid *Node, text []*Node)) {
-	for i := 0; i < len(kids); i++ {
-		if !normalize || kids[i].Type != TextNode {
-			f(kids[i], nil)
-			continue
-		}
-		j, size := i, 0
-		for ; j < len(kids) && kids[j].Type == TextNode; j++ {
-			size += len(kids[j].Data)
-		}
-		if size > 0 {
-			f(nil, kids[i:j])
-		}
-		i = j - 1
-	}
-}
-
 // copy adds a copy of n's subtree, as treeCount.add counted it.
-func (b *Builder) copy(n *Node, normalize bool) *Node {
+func (b *Builder) copy(n *Node) *Node {
 	kids := n.Children()
-	k := 0
-	eachCopied(kids, normalize, func(*Node, []*Node) { k++ })
 	var c *Node
 	switch n.Type {
 	case DocumentNode:
-		c = b.Document(k)
+		c = b.Document(len(kids))
 	case ElementNode:
-		c = b.Element(n.Name, len(n.Attrs()), k)
+		c = b.Element(n.Name, len(n.Attrs()), len(kids))
 		for _, a := range n.Attrs() {
 			b.Attr(a.Name, a.Data)
 		}
@@ -563,16 +528,8 @@ func (b *Builder) copy(n *Node, normalize bool) *Node {
 		c = b.Leaf(n.Type, n.Name, n.Data)
 	}
 	c.SetBaseURI(n.BaseURI())
-	eachCopied(kids, normalize, func(kid *Node, text []*Node) {
-		if text == nil {
-			b.copy(kid, normalize)
-			return
-		}
-		data := text[0].Data
-		for _, t := range text[1:] {
-			data += t.Data
-		}
-		b.Leaf(TextNode, QName{}, data)
-	})
+	for _, kid := range kids {
+		b.copy(kid)
+	}
 	return c
 }

@@ -145,7 +145,8 @@ func TestLabelsAfterRestoreVersion(t *testing.T) {
 func TestLabelsOfARootThatWasAChild(t *testing.T) {
 	tr := NewElement(Name("tr"))
 	one, two := NewElement(Name("td")), NewElement(Name("td"))
-	tr.AdoptChildren([]*Node{one, two})
+	mustAppend(t, tr, one)
+	mustAppend(t, tr, two)
 	if CompareOrder(one, two) != -1 {
 		t.Fatal("precondition")
 	}

@@ -1,9 +1,6 @@
 package dom
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Mutation primitives. These are the only sanctioned ways to restructure
 // a tree; they keep parent links coherent, bump the version counter
@@ -91,15 +88,6 @@ func (n *Node) AppendChild(c *Node) error {
 	e.children = append(e.children, c)
 	n.attached(c)
 	return nil
-}
-
-// GrowChildren makes room in the child list of element or document n
-// for k more children, so that the AppendChild calls that follow grow
-// it at most once. Nothing a reader can see changes.
-func (n *Node) GrowChildren(k int) {
-	if e := n.part(); e != nil && k > 0 {
-		e.children = slices.Grow(e.children, k)
-	}
 }
 
 // PrependChild inserts c as n's first child.

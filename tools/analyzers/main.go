@@ -1002,8 +1002,7 @@ var domMutators = map[string]bool{
 	"SetData":               true,
 	"ReplaceElementContent": true,
 	"RemoveChildren":        true,
-	"AdoptChildren":         true,
-	"AdoptAttrs":            true,
+	"Place":                 true,
 }
 
 // pulApplyMethods are the pending-update-list methods that apply it.
