@@ -136,12 +136,14 @@ bench-e2e-smoke:
 # binding a lexical scope walk finds for it, and a random path streamed by the
 # evaluator must answer what the per-step reference answers, and the
 # wire envelope reader must accept nothing the DOM decoder it replaced
-# would refuse or read differently, and a tree the markup parser or
-# Clone carved from a dom.Builder's blocks must take any sequence of
-# mutations as a tree built node by node does, and so must a tree an
-# XQuery constructor recorded and built, which must also serialize as
-# the same constructor's tree with every node copied. A crasher
-# is written under the package's testdata/fuzz and fails the step.
+# would refuse or read differently, the markup parser and writer must
+# read and write whatever either accepts as their node-by-node oracles
+# do, and a tree the markup parser recorded or Clone copied must take
+# any sequence of mutations as a tree built node by node does, and so
+# must a tree an XQuery constructor recorded and built, which must also
+# serialize as the same constructor's tree with every node copied. A
+# crasher is written under the package's testdata/fuzz and fails the
+# step.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePathPredicates$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
@@ -149,6 +151,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPathStreamsLikePerStep$$' -fuzztime 10s -parallel 2 ./internal/xquery/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime 10s -parallel 2 ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSequence$$' -fuzztime 10s -parallel 2 ./internal/rest
+	$(GO) test -run '^$$' -fuzz '^FuzzSerializeDifferential$$' -fuzztime 10s -parallel 2 ./internal/markup
 	$(GO) test -run '^$$' -fuzz '^FuzzParseThenMutate$$' -fuzztime 10s -parallel 2 ./internal/markup
 	$(GO) test -run '^$$' -fuzz '^FuzzConstructThenMutate$$' -fuzztime 10s -parallel 2 ./internal/markup
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/browser"
@@ -205,57 +206,52 @@ func (h *Host) invokeListener(ctx *runtime.Context, name dom.QName, args []xdm.S
 // EventToXML materialises a DOM event as the XML element listeners
 // receive as $evt (§4.3.2): the same information available in a DOM
 // Event object, stamped at. The Detail entries come last, in key order,
-// so one event always gives the same element. Its shape is known before
-// it is built, so it is built through one sized dom.Builder.
+// so one event always gives the same element. It is recorded and built
+// through one sized builder (dom.Recorder); its values are one string
+// of its own.
 func EventToXML(ev *dom.Event, at time.Time) *dom.Node {
-	var keys []string
-	if len(ev.Detail) > 0 {
-		keys = make([]string, 0, len(ev.Detail))
-		for k := range ev.Detail {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+	r := &eventRecorder
+	r.Lock()
+	defer r.Unlock()
+	var num [32]byte
+	field := func(name, val string) {
+		r.Open(dom.ElementNode)
+		r.Append(val)
+		r.Leaf(dom.TextNode, dom.Str{}, dom.Str{}, dom.Str{}, r.Take())
+		r.Close(dom.Str{}, dom.Str{}, r.Str(name))
 	}
-	var buf [16]eventField
-	fields := append(buf[:0],
-		eventField{"type", ev.Type},
-		eventField{"altKey", strconv.FormatBool(ev.AltKey)},
-		eventField{"ctrlKey", strconv.FormatBool(ev.CtrlKey)},
-		eventField{"shiftKey", strconv.FormatBool(ev.ShiftKey)},
-		eventField{"metaKey", strconv.FormatBool(ev.MetaKey)},
-		eventField{"button", strconv.Itoa(ev.Button)},
-		eventField{"key", ev.Key},
-		eventField{"clientX", strconv.Itoa(ev.ClientX)},
-		eventField{"clientY", strconv.Itoa(ev.ClientY)},
-		eventField{"phase", strconv.Itoa(int(ev.Phase))},
-		eventField{"timeStamp", at.Format("2006-01-02T15:04:05.000")})
+	r.Open(dom.ElementNode)
+	field("type", ev.Type)
+	field("altKey", strconv.FormatBool(ev.AltKey))
+	field("ctrlKey", strconv.FormatBool(ev.CtrlKey))
+	field("shiftKey", strconv.FormatBool(ev.ShiftKey))
+	field("metaKey", strconv.FormatBool(ev.MetaKey))
+	field("button", string(strconv.AppendInt(num[:0], int64(ev.Button), 10)))
+	field("key", ev.Key)
+	field("clientX", string(strconv.AppendInt(num[:0], int64(ev.ClientX), 10)))
+	field("clientY", string(strconv.AppendInt(num[:0], int64(ev.ClientY), 10)))
+	field("phase", string(strconv.AppendInt(num[:0], int64(ev.Phase), 10)))
+	field("timeStamp", string(at.AppendFormat(num[:0], "2006-01-02T15:04:05.000")))
 	if ev.Target != nil && ev.Target.Type == dom.ElementNode {
-		fields = append(fields,
-			eventField{"targetName", ev.Target.Name.Local},
-			eventField{"targetId", ev.Target.AttrValue("id")})
+		field("targetName", ev.Target.Name.Local)
+		field("targetId", ev.Target.AttrValue("id"))
 	}
+	keys := make([]string, 0, len(ev.Detail))
+	for k := range ev.Detail {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	for _, k := range keys {
-		fields = append(fields, eventField{k, ev.Detail[k]})
+		field(k, ev.Detail[k])
 	}
-	texts := 0
-	for _, f := range fields {
-		if f.val != "" {
-			texts++
-		}
-	}
-	b := dom.NewBuilder(1+len(fields), texts, len(fields)+texts)
-	el := b.Element(dom.Name("event"), 0, len(fields))
-	for _, f := range fields {
-		if f.val == "" {
-			b.Element(dom.Name(f.name), 0, 0)
-			continue
-		}
-		b.Element(dom.Name(f.name), 0, 1)
-		b.Leaf(dom.TextNode, dom.QName{}, f.val)
-	}
-	return el
+	r.Close(dom.Str{}, dom.Str{}, r.Str("event"))
+	var root [1]*dom.Node
+	return r.Build(root[:0])[0]
 }
 
-// eventField is one child of an event element: <name>val</name>, or
-// <name/> when val is empty.
-type eventField struct{ name, val string }
+// eventRecorder is the event elements' scratch, one at a time (a pool,
+// which -race empties a quarter of the time, costs more than one).
+var eventRecorder struct {
+	sync.Mutex
+	dom.Recorder
+}

@@ -6,59 +6,49 @@ import (
 )
 
 // Bulk construction. The mutators in tree.go guard a tree other code can
-// already see: each one checks for cycles and bumps the root's version,
-// which walks to the root twice per call. Whoever assembles a tree that
-// nobody else holds a pointer to — a parser, Clone, an XQuery
-// constructor, the host building an event element — needs neither. It builds through a Builder, which carves
-// every node and every list of the tree from three exactly sized blocks
-// (DESIGN.md §5l, §5q): allocations per tree and kind, not per node and
-// per list. A node made alone (NewElement, NewText, …) is set up by the
+// already see: each checks for cycles and bumps the root's version.
+// A tree nobody else holds a pointer to needs neither: it is recorded
+// (Recorder) or, by Clone, counted, then built through a builder, which
+// carves every node and list of the tree from three exactly sized
+// blocks (DESIGN.md §5l, §5q): allocations per tree and kind, not per
+// node and per list. A node made alone (NewElement, …) is set up by the
 // same init.
 
-// Builder carves the nodes of one tree and their child and attribute
-// lists from three blocks, each sized up front by NewBuilder: the
-// elements, the leaves (text, comment, PI and attribute nodes) and the
-// list slots. Every carved list has the capacity of its length, so a
-// later AppendChild or SetAttr on the finished tree
-// reallocates that list and never writes into a neighbour's range.
-// A block of nodes is one allocation or two (block).
+// builder carves the nodes of one tree and their child and attribute
+// lists from three blocks sized by newBuilder: the elements, the leaves
+// (text, comment, PI and attribute nodes) and the list slots. Every
+// carved list has the capacity of its length, so a later AppendChild or
+// SetAttr reallocates it and never writes into a neighbour's range.
 //
-// Nodes are added in document order: an element is followed by its
-// attributes (Attr), then by its content. Each node becomes the next
-// child of the innermost element (or document) whose child list is not
-// yet full; a node added when there is none is a root and has no
-// parent. The counts are the caller's contract: a node of a kind or a
-// list slot beyond what NewBuilder was told of panics.
+// Nodes are added in document order, an element's attributes (attr)
+// before its content. Each node becomes the next child of the innermost
+// element or document whose child list is not yet full, or a root. A
+// node or slot beyond the counts panics.
 //
 // A carved node keeps its whole block reachable, so a subtree detached
 // from a built tree keeps the blocks of that tree alive for as long as
 // it lives (an attached node keeps its tree alive through its parent
 // anyway).
-type Builder struct {
+type builder struct {
 	elems, elemsTail   []elemNode
 	leaves, leavesTail []Node
 	slots              []*Node
 	// cur is the innermost element or document whose child list is not
-	// full; last is the element the next Attr belongs to.
+	// full; last is the element the next attr belongs to.
 	cur, last *Node
 }
 
-// NewBuilder returns a builder for elems elements, leaves leaf nodes
-// and slots list slots: what ListSlots gives for every element and
+// newBuilder returns a builder for elems elements, leaves leaf nodes
+// and slots list slots: what listSlots gives for every element and
 // document of the tree, summed. Zero counts allocate nothing.
-func NewBuilder(elems, leaves, slots int) Builder {
-	var b Builder
-	b.reserve(elems, leaves, slots) // NewBuilder inlines: no copy of b
-	return b
-}
-
-// reserve allocates b's blocks.
-func (b *Builder) reserve(elems, leaves, slots int) {
+func newBuilder(elems, leaves, slots int) builder {
+	var b builder
 	if slots > 0 {
 		b.slots = make([]*Node, slots)
 	}
 	b.elems, b.elemsTail = block[elemNode](elems)
 	b.leaves, b.leavesTail = block[Node](leaves)
+	return b
 }
 
 // sizeClasses are the object sizes of Go's allocator up to 32 KB
@@ -132,20 +122,20 @@ func carve[T any](head, tail *[]T) *T {
 	return n
 }
 
-// ListSlots is the number of list slots an element with attrs
-// attributes and kids children takes from a Builder's block: one per
+// listSlots is the number of list slots an element with attrs
+// attributes and kids children takes from a builder's block: one per
 // child and per attribute, except that an element's single attribute
 // sits in the element itself.
-func ListSlots(attrs, kids int) int {
+func listSlots(attrs, kids int) int {
 	if attrs == 1 {
 		attrs = 0
 	}
 	return attrs + kids
 }
 
-// Element adds an element named name whose lists hold attrs attributes
-// and kids children. Its attributes are the next attrs Attr calls.
-func (b *Builder) Element(name QName, attrs, kids int) *Node {
+// element adds an element named name whose lists hold attrs attributes
+// and kids children. Its attributes are the next attrs attr calls.
+func (b *builder) element(name QName, attrs, kids int) *Node {
 	e := carve(&b.elems, &b.elemsTail)
 	n := e.init(name)
 	e.part.attrs = b.attrList(&e.part, attrs)
@@ -161,47 +151,29 @@ func (e *elemNode) init(name QName) *Node {
 	return &e.node
 }
 
-// Document adds a document node whose child list holds kids children.
+// document adds a document node whose child list holds kids children.
 // The document itself is not carved: a tree has at most one.
-func (b *Builder) Document(kids int) *Node {
+func (b *builder) document(kids int) *Node {
 	d := NewDocument()
 	d.part().children = b.list(kids)
 	b.place(d, kids)
 	return d
 }
 
-// Attr adds an attribute to the element added last.
-func (b *Builder) Attr(name QName, value string) *Node {
-	a := b.leaf(AttributeNode, name, value)
+// attr adds an attribute to the element added last.
+func (b *builder) attr(name QName, value string) {
+	a := carve(&b.leaves, &b.leavesTail).init(AttributeNode, name, value)
 	a.parent = b.last
 	e := b.last.part()
 	e.attrs = append(e.attrs, a)
-	return a
 }
 
-// Leaf adds a text, comment or processing-instruction node, or a root
-// of any leaf kind (an attribute only as a root: see Attr).
-func (b *Builder) Leaf(t NodeType, name QName, data string) *Node {
-	n := b.leaf(t, name, data)
+// leaf adds a text, comment or processing-instruction node, or a root
+// of any leaf kind (an attribute only as a root: see attr).
+func (b *builder) leaf(t NodeType, name QName, data string) *Node {
+	n := carve(&b.leaves, &b.leavesTail).init(t, name, data)
 	b.place(n, 0)
 	return n
-}
-
-// Place adds n, a parentless tree built elsewhere, as it is: it becomes
-// the next child of the innermost open list, or a root, and nothing of
-// it is carved or copied. Its list slot is the caller's to count. An id
-// map n kept as a root is dropped. Handing it an attached node, an
-// attribute or a document is a bug in the caller and panics.
-func (b *Builder) Place(n *Node) {
-	if n.parent != nil || n.Type == AttributeNode || n.Type == DocumentNode {
-		panic("dom: Place: node is attached or cannot be a child")
-	}
-	n.dropIDMap()
-	b.place(n, 0)
-}
-
-func (b *Builder) leaf(t NodeType, name QName, data string) *Node {
-	return carve(&b.leaves, &b.leavesTail).init(t, name, data)
 }
 
 // init sets up a zeroed leaf, carved or allocated alone.
@@ -211,7 +183,7 @@ func (n *Node) init(t NodeType, name QName, data string) *Node {
 }
 
 // list carves an empty list with room for exactly k nodes.
-func (b *Builder) list(k int) []*Node {
+func (b *builder) list(k int) []*Node {
 	if k == 0 {
 		return nil
 	}
@@ -222,7 +194,7 @@ func (b *Builder) list(k int) []*Node {
 
 // attrList is the empty attribute list of e with room for exactly k
 // attributes: e's own slot when k is one, else carved.
-func (b *Builder) attrList(e *elemPart, k int) []*Node {
+func (b *builder) attrList(e *elemPart, k int) []*Node {
 	if k == 1 {
 		return e.one[:0:1]
 	}
@@ -232,7 +204,7 @@ func (b *Builder) attrList(e *elemPart, k int) []*Node {
 // place makes n the next child of the innermost open list, if there is
 // one, and moves on: into n when n has children to come, else up past
 // every list n filled.
-func (b *Builder) place(n *Node, kids int) {
+func (b *builder) place(n *Node, kids int) {
 	if p := b.cur; p != nil {
 		n.parent = p
 		e := p.part()

@@ -605,11 +605,11 @@ func TestNodeTypeString(t *testing.T) {
 	}
 }
 
-// Builder.Place puts a parentless tree built elsewhere into the tree
+// Recorder.Adopt puts a parentless tree built elsewhere into the tree
 // being built as it is: parents, order and id lookups as if the tree had
 // been carved there, an id map the placed root kept as a root dropped,
 // and a refusal to take a node that is already in a tree.
-func TestBuilderPlace(t *testing.T) {
+func TestRecorderAdopt(t *testing.T) {
 	placed := NewElement(Name("p"))
 	inner := NewElement(Name("q"))
 	inner.SetAttr(Name("id"), "q1")
@@ -617,14 +617,18 @@ func TestBuilderPlace(t *testing.T) {
 	if placed.ElementByID("q1") != inner {
 		t.Fatal("precondition: the placed root's own id map")
 	}
-	b := NewBuilder(1, 1, 2)
-	root := b.Element(Name("r"), 0, 2)
-	b.Place(placed)
-	text := b.Leaf(TextNode, QName{}, "t")
-	if kids := root.Children(); len(kids) != 2 || kids[0] != placed || kids[1] != text || placed.Parent() != root {
+	var r Recorder
+	r.Open(ElementNode)
+	r.Adopt(placed)
+	r.Append("t")
+	r.Leaf(TextNode, Str{}, Str{}, Str{}, r.Take())
+	r.Close(Str{}, Str{}, r.Str("r"))
+	root := r.Build(nil)[0]
+	kids := root.Children()
+	if len(kids) != 2 || kids[0] != placed || kids[1].Data != "t" || placed.Parent() != root {
 		t.Fatalf("children = %v", kids)
 	}
-	if CompareOrder(inner, text) >= 0 {
+	if CompareOrder(inner, kids[1]) >= 0 {
 		t.Error("the placed subtree is not before the node built after it")
 	}
 	if root.ElementByID("q1") != inner {
@@ -635,10 +639,10 @@ func TestBuilderPlace(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("placing an attached node must panic")
+			t.Error("adopting an attached node must panic")
 		}
 	}()
-	b2 := NewBuilder(1, 0, 1)
-	b2.Element(Name("thief"), 0, 1)
-	b2.Place(inner)
+	var r2 Recorder
+	r2.Open(ElementNode)
+	r2.Adopt(inner)
 }

@@ -189,7 +189,7 @@ type nodeSide struct {
 
 // elemNode is how an element is allocated: the node and its lists in
 // one object, 160 bytes (the 160-byte class), alone or carved from a
-// Builder's block. part reaches the lists from the node's own address.
+// builder's block. part reaches the lists from the node's own address.
 type elemNode struct {
 	node Node
 	part elemPart
@@ -238,7 +238,7 @@ func NewDocumentOf(baseURI string, children ...*Node) *Node {
 }
 
 // NewElement creates a detached element node. A node made alone is
-// allocated alone and set up as a Builder sets up one it carves: through
+// allocated alone and set up as a builder sets up one it carves: through
 // the builder, one node cost 30 to 55 ns more, an eighth of a turn that
 // constructs a 12×12 table.
 func NewElement(name QName) *Node { return new(elemNode).init(name) }
@@ -482,15 +482,16 @@ func (n *Node) Elements(local string) []*Node {
 // Clone deep-copies the node and its subtree (and attributes). The copy
 // is detached and carries no event listeners, matching XQuery copy
 // semantics for constructed/inserted content. It counts its source
-// first and builds once (treeCount, Builder).
+// first and builds once (treeCount, builder). It shares its source's
+// strings, so it builds from the tree itself, not from a recording.
 func (n *Node) Clone() *Node {
 	var c treeCount
 	c.add(n)
-	b := NewBuilder(c.elems, c.leaves, c.slots)
+	b := newBuilder(c.elems, c.leaves, c.slots)
 	return b.copy(n)
 }
 
-// treeCount is what a Builder needs to know of a tree before building
+// treeCount is what a builder needs to know of a tree before building
 // it: its elements, its leaves and its list slots.
 type treeCount struct{ elems, leaves, slots int }
 
@@ -506,26 +507,26 @@ func (c *treeCount) add(n *Node) {
 	case ElementNode:
 		c.elems++
 		c.leaves += len(n.Attrs())
-		c.slots += ListSlots(len(n.Attrs()), len(kids))
+		c.slots += listSlots(len(n.Attrs()), len(kids))
 	default:
 		c.leaves++
 	}
 }
 
 // copy adds a copy of n's subtree, as treeCount.add counted it.
-func (b *Builder) copy(n *Node) *Node {
+func (b *builder) copy(n *Node) *Node {
 	kids := n.Children()
 	var c *Node
 	switch n.Type {
 	case DocumentNode:
-		c = b.Document(len(kids))
+		c = b.document(len(kids))
 	case ElementNode:
-		c = b.Element(n.Name, len(n.Attrs()), len(kids))
+		c = b.element(n.Name, len(n.Attrs()), len(kids))
 		for _, a := range n.Attrs() {
-			b.Attr(a.Name, a.Data)
+			b.attr(a.Name, a.Data)
 		}
 	default:
-		c = b.Leaf(n.Type, n.Name, n.Data)
+		c = b.leaf(n.Type, n.Name, n.Data)
 	}
 	c.SetBaseURI(n.BaseURI())
 	for _, kid := range kids {

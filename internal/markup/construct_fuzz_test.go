@@ -2,6 +2,7 @@ package markup_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,8 +51,11 @@ func (g *constructGen) number() string {
 
 func (g *constructGen) elem(depth int) string {
 	var b strings.Builder
-	name := []string{"a", "b", "td"}[g.pick(3)]
+	name := []string{"a", "b", "td", "p:e"}[g.pick(4)]
 	b.WriteString("<" + name)
+	if name == "p:e" {
+		b.WriteString(` xmlns:p="urn:p"`)
+	}
 	for i, attr := range []string{"id", "k"} {
 		if g.pick(2+i) != 0 {
 			continue
@@ -180,10 +184,25 @@ func FuzzConstructThenMutate(f *testing.F) {
 		}
 		oracle := doc.DocumentElement()
 		oracle.Detach()
+		dropDeclarations(oracle)
 		if err := markup.SameTree(got, oracle); err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
 		markup.MutateBoth(t, got, oracle, prog)
+	})
+}
+
+// dropDeclarations removes the namespace declaration attributes of n's
+// subtree, which the writer adds to a constructed tree's serialization:
+// a constructor's namespace declarations are in scope, not attributes.
+func dropDeclarations(n *dom.Node) {
+	n.Walk(func(e *dom.Node) bool {
+		for _, a := range slices.Clone(e.Attrs()) {
+			if a.Name.Space == markup.XMLNSNamespace {
+				e.RemoveAttr(a.Name)
+			}
+		}
+		return true
 	})
 }
 
@@ -203,4 +222,41 @@ func constructRun(t *testing.T, p *xquery.Program) (*dom.Node, error) {
 		t.Fatalf("the constructor returned %v", res.Value)
 	}
 	return n, nil
+}
+
+// A parsed fragment and the same markup written as a direct constructor
+// are recorded and built alike: the same tree, every list as long as its
+// capacity (a constructor's namespace declarations are in scope, not
+// attributes).
+func TestFragmentBuildsAsItsConstructor(t *testing.T) {
+	e := xquery.New()
+	for _, src := range []string{
+		`<a x="1" y="&amp;&lt;">t<b/>u<!--c--><?p d?></a>`,
+		`<table><tr><td id="c1">1</td><td id="c2">2</td></tr></table>`,
+		`<p:e xmlns:p="urn:p" p:k="v"><p:f/>x</p:e>`,
+		`<a xmlns="urn:d"><b xmlns="">y</b></a>`,
+	} {
+		nodes, err := markup.ParseFragment(src)
+		if err != nil || len(nodes) != 1 {
+			t.Fatalf("%s: %v %v", src, nodes, err)
+		}
+		p, err := e.Compile(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		built, err := constructRun(t, p)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		parsed := nodes[0]
+		for _, n := range []*dom.Node{built, parsed} {
+			if err := markup.ExactLists(n); err != nil {
+				t.Errorf("%s: %v", src, err)
+			}
+		}
+		dropDeclarations(parsed)
+		if err := markup.SameTree(built, parsed); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
 }

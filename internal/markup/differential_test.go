@@ -152,6 +152,7 @@ func TestDifferentialHandWritten(t *testing.T) {
 		`<table><tr><td>1<td>2<tr><td>3</table>`, `<ul><li>a<li>b</ul><select><option>x<option selected>y</select>`,
 		`<!DOCTYPE html><html><head><title>t</head><body onload=go()>`, `<input type=button value=Buy>`,
 		"<a>\n<b>\n</a>", "<a\n x='1'\n y=2/>", "\ufeff<a/>", "<a>\x00\xff</a>", "<\xc3\xa9l\xc3\xa9ment/>",
+		`<b>x</frag><i>y</i>`, `a</frag>b`, `x<a`, `<a/></frag>`,
 	} {
 		diffParse(t, src, XML)
 		diffParse(t, src, HTML)

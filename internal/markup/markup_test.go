@@ -271,6 +271,96 @@ func TestParseFragment(t *testing.T) {
 	}
 }
 
+// A fragment is read as top-level content, with nothing around it that
+// an end tag in it could close or a start tag left open could run into.
+func TestParseFragmentTopLevel(t *testing.T) {
+	for _, tc := range []struct {
+		src       string
+		mode      Mode
+		want, err string
+	}{
+		{src: `<b>x</frag><i>y</i>`, mode: HTML, want: `<b>x<i>y</i></b>`},
+		{src: `a</frag>b`, mode: HTML, want: `a|b`},
+		{src: `</x>a<b/>`, mode: HTML, want: `a|<b/>`},
+		{src: ` <p>1</p> `, mode: HTML, want: ` |<p>1</p>| `},
+		{src: `x<a`, mode: XML, err: "markup: line 1: unterminated start tag <a"},
+		{src: `a</frag>b`, mode: XML, err: "markup: line 1: unexpected end tag </frag>"},
+		{src: `<a/>b</a>`, mode: XML, err: "markup: line 1: unexpected end tag </a>"},
+		{src: `<a>`, mode: XML, err: "markup: line 1: unexpected EOF: unclosed <a>"},
+		{src: ``, mode: XML, want: ``},
+	} {
+		parse := ParseFragment
+		if tc.mode == HTML {
+			parse = ParseFragmentHTML
+		}
+		nodes, err := parse(tc.src)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%q: error %v, want %q", tc.src, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.src, err)
+			continue
+		}
+		var got []string
+		for _, n := range nodes {
+			if n.Parent() != nil {
+				t.Errorf("%q: %v has a parent", tc.src, n)
+			}
+			if err := exactLists(n); err != nil {
+				t.Errorf("%q: %v", tc.src, err)
+			}
+			got = append(got, Serialize(n))
+		}
+		if g := strings.Join(got, "|"); g != tc.want {
+			t.Errorf("%q: %s, want %s", tc.src, g, tc.want)
+		}
+	}
+}
+
+// The XML writer declares the namespaces an element's name and prefixed
+// attributes need that no written ancestor's declaration gives; HTML
+// output declares nothing it does not have.
+func TestWriterDeclaresNamespaces(t *testing.T) {
+	doc := mustParse(t, `<p:e xmlns:p="urn:p" k="1"><p:f/></p:e>`)
+	if got, want := Serialize(doc), `<p:e xmlns:p="urn:p" k="1"><p:f/></p:e>`; got != want {
+		t.Errorf("document: %s, want %s", got, want)
+	}
+	if got, want := Serialize(doc.DocumentElement().Children()[0]), `<p:f xmlns:p="urn:p"/>`; got != want {
+		t.Errorf("copied out of its parent: %s, want %s", got, want)
+	}
+	z := dom.NewElement(dom.QName{Space: "urn:z", Prefix: "z", Local: "a"})
+	z.SetAttr(dom.QName{Space: "urn:z", Prefix: "z", Local: "b"}, "1")
+	z.SetAttr(dom.QName{Space: "urn:y", Prefix: "z", Local: "c"}, "2") // z is taken in this tag
+	z.SetAttr(dom.QName{Space: XMLNamespace, Prefix: "xml", Local: "lang"}, "en")
+	z.SetAttr(dom.QName{Prefix: "q", Local: "d"}, "3") // a lexical prefix in no namespace
+	if got, want := Serialize(z), `<z:a xmlns:z="urn:z" z:b="1" z:c="2" xml:lang="en" q:d="3"/>`; got != want {
+		t.Errorf("constructed: %s, want %s", got, want)
+	}
+	if got, want := SerializeHTML(z), `<z:a z:b="1" z:c="2" xml:lang="en" q:d="3"></z:a>`; got != want {
+		t.Errorf("HTML: %s, want %s", got, want)
+	}
+	a := dom.NewElement(dom.NameNS("urn:d", "a"))
+	b := dom.NewElement(dom.Name("b"))
+	c := dom.NewElement(dom.Name("c"))
+	if a.AppendChild(b) != nil || b.AppendChild(c) != nil {
+		t.Fatal("append")
+	}
+	if got, want := Serialize(a), `<a xmlns="urn:d"><b xmlns=""><c/></b></a>`; got != want {
+		t.Errorf("default namespace: %s, want %s", got, want)
+	}
+	if got, want := SerializeIndent(a), "<a xmlns=\"urn:d\">\n  <b xmlns=\"\">\n    <c/>\n  </b>\n</a>\n"; got != want {
+		t.Errorf("indented: %q, want %q", got, want)
+	}
+	for _, n := range []*dom.Node{doc.DocumentElement().Children()[0], z, a} {
+		if got, want := Serialize(n), oracleSerialize(n); got != want {
+			t.Errorf("%s, oracle %s", got, want)
+		}
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	cases := []string{
 		`<a x="1"><b>hi</b><c/></a>`,
@@ -331,7 +421,8 @@ func TestSerializeIndent(t *testing.T) {
 // randomXMLTree builds a random tree for the round-trip and differential
 // properties: plain, prefixed and default-namespaced elements, HTML void
 // and raw-text element names, attributes that need escaping, namespace
-// declarations, text, comments and processing instructions.
+// declarations (left out half of the time), text, comments and
+// processing instructions.
 func randomXMLTree(r *rand.Rand, depth int) *dom.Node {
 	names := []dom.QName{
 		dom.Name("a"), dom.Name("b"), dom.Name("item"), dom.Name("p"), dom.Name("div"),
@@ -341,9 +432,12 @@ func randomXMLTree(r *rand.Rand, depth int) *dom.Node {
 		{Space: "urn:d", Local: "d"},
 	}
 	e := dom.NewElement(names[r.Intn(len(names))])
-	if e.Name.Prefix != "" {
+	switch {
+	case r.Intn(2) == 0:
+		// No declaration: the writer declares what the name needs.
+	case e.Name.Prefix != "":
 		e.SetAttr(dom.QName{Space: XMLNSNamespace, Prefix: "xmlns", Local: e.Name.Prefix}, e.Name.Space)
-	} else if e.Name.Space != "" {
+	case e.Name.Space != "":
 		e.SetAttr(dom.QName{Space: XMLNSNamespace, Local: "xmlns"}, e.Name.Space)
 	}
 	if r.Intn(2) == 0 {

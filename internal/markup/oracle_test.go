@@ -9,6 +9,7 @@ package markup
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"unicode/utf8"
 
@@ -216,6 +217,9 @@ func (p *oracleParser) parseContent(parent *dom.Node, closeName string) error {
 				}
 				// Otherwise ignore the stray end tag.
 				continue
+			}
+			if closeName == "" {
+				return p.errorf("unexpected end tag </%s>", name)
 			}
 			return p.errorf("mismatched end tag </%s>, expected </%s>", name, closeName)
 		default:
@@ -521,7 +525,7 @@ func (p *oracleParser) readEntity() (string, error) {
 // oracleSerialize renders a node (and its subtree) as XML.
 func oracleSerialize(n *dom.Node) string {
 	var b strings.Builder
-	oracleWriteNode(&b, n, XML)
+	oracleWriteNode(&b, n, XML, nil)
 	return b.String()
 }
 
@@ -530,7 +534,7 @@ func oracleSerialize(n *dom.Node) string {
 // elements without escaping.
 func oracleSerializeHTML(n *dom.Node) string {
 	var b strings.Builder
-	oracleWriteNode(&b, n, HTML)
+	oracleWriteNode(&b, n, HTML, nil)
 	return b.String()
 }
 
@@ -539,18 +543,20 @@ func oracleSerializeHTML(n *dom.Node) string {
 // non-whitespace suppress indentation inside their parent.
 func oracleSerializeIndent(n *dom.Node) string {
 	var b strings.Builder
-	oracleWriteIndent(&b, n, 0)
+	oracleWriteIndent(&b, n, 0, nil)
 	return b.String()
 }
 
-func oracleWriteNode(b *strings.Builder, n *dom.Node, mode Mode) {
+// oracleWriteNode writes n; scope is the namespace bindings n's written
+// ancestors declared, by prefix.
+func oracleWriteNode(b *strings.Builder, n *dom.Node, mode Mode, scope map[string]string) {
 	switch n.Type {
 	case dom.DocumentNode:
 		for _, c := range n.Children() {
-			oracleWriteNode(b, c, mode)
+			oracleWriteNode(b, c, mode, scope)
 		}
 	case dom.ElementNode:
-		oracleWriteElement(b, n, mode)
+		oracleWriteElement(b, n, mode, scope)
 	case dom.TextNode:
 		b.WriteString(oracleEscapeText(n.Data))
 	case dom.CommentNode:
@@ -587,9 +593,57 @@ func oracleWriteAttr(b *strings.Builder, a *dom.Node) {
 	b.WriteString(`"`)
 }
 
-func oracleWriteElement(b *strings.Builder, n *dom.Node, mode Mode) {
+// oracleDecls returns the namespace declarations n's start tag writes
+// besides its own declaration attributes, and the bindings its content
+// sees, given those of its written ancestors (scope): a binding its
+// name or a prefixed attribute needs that is not in scope, unless the
+// tag already binds the prefix, and never for xml or a prefix in no
+// namespace.
+func oracleDecls(scope map[string]string, n *dom.Node) (string, map[string]string) {
+	inner := map[string]string{}
+	maps.Copy(inner, scope)
+	tag := map[string]bool{}
+	for _, a := range n.Attrs() {
+		if a.Name.Space == XMLNSNamespace {
+			prefix := ""
+			if a.Name.Prefix != "" {
+				prefix = a.Name.Local
+			}
+			inner[prefix], tag[prefix] = a.Data, true
+		}
+	}
+	var out strings.Builder
+	want := func(prefix, space string) {
+		uri, bound := inner[prefix]
+		switch {
+		case prefix == "xml", prefix != "" && space == "", uri == space && (bound || space == ""), tag[prefix]:
+			return
+		}
+		inner[prefix], tag[prefix] = space, true
+		if prefix == "" {
+			out.WriteString(` xmlns="`)
+		} else {
+			out.WriteString(" xmlns:" + prefix + `="`)
+		}
+		out.WriteString(oracleEscapeAttr(space) + `"`)
+	}
+	want(n.Name.Prefix, n.Name.Space)
+	for _, a := range n.Attrs() {
+		if a.Name.Prefix != "" && a.Name.Space != XMLNSNamespace {
+			want(a.Name.Prefix, a.Name.Space)
+		}
+	}
+	return out.String(), inner
+}
+
+func oracleWriteElement(b *strings.Builder, n *dom.Node, mode Mode, scope map[string]string) {
 	b.WriteByte('<')
 	b.WriteString(n.Name.String())
+	if mode == XML {
+		var decls string
+		decls, scope = oracleDecls(scope, n)
+		b.WriteString(decls)
+	}
 	for _, a := range n.Attrs() {
 		b.WriteByte(' ')
 		oracleWriteAttr(b, a)
@@ -621,22 +675,24 @@ func oracleWriteElement(b *strings.Builder, n *dom.Node, mode Mode) {
 	}
 	b.WriteByte('>')
 	for _, c := range kids {
-		oracleWriteNode(b, c, mode)
+		oracleWriteNode(b, c, mode, scope)
 	}
 	b.WriteString("</" + n.Name.String() + ">")
 }
 
-func oracleWriteIndent(b *strings.Builder, n *dom.Node, depth int) {
+func oracleWriteIndent(b *strings.Builder, n *dom.Node, depth int, scope map[string]string) {
 	ind := strings.Repeat("  ", depth)
 	switch n.Type {
 	case dom.DocumentNode:
 		for _, c := range n.Children() {
-			oracleWriteIndent(b, c, depth)
+			oracleWriteIndent(b, c, depth, scope)
 		}
 	case dom.ElementNode:
 		b.WriteString(ind)
 		b.WriteByte('<')
 		b.WriteString(n.Name.String())
+		decls, inner := oracleDecls(scope, n)
+		b.WriteString(decls)
 		for _, a := range n.Attrs() {
 			b.WriteByte(' ')
 			oracleWriteAttr(b, a)
@@ -649,14 +705,14 @@ func oracleWriteIndent(b *strings.Builder, n *dom.Node, depth int) {
 		if oracleMixed(n) {
 			b.WriteByte('>')
 			for _, c := range kids {
-				oracleWriteNode(b, c, XML)
+				oracleWriteNode(b, c, XML, inner)
 			}
 			b.WriteString("</" + n.Name.String() + ">\n")
 			return
 		}
 		b.WriteString(">\n")
 		for _, c := range kids {
-			oracleWriteIndent(b, c, depth+1)
+			oracleWriteIndent(b, c, depth+1, inner)
 		}
 		b.WriteString(ind + "</" + n.Name.String() + ">\n")
 	case dom.TextNode:
@@ -665,7 +721,7 @@ func oracleWriteIndent(b *strings.Builder, n *dom.Node, depth int) {
 		}
 	default:
 		b.WriteString(ind)
-		oracleWriteNode(b, n, XML)
+		oracleWriteNode(b, n, XML, scope)
 		b.WriteByte('\n')
 	}
 }

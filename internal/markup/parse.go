@@ -12,8 +12,8 @@
 package markup
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,14 +80,9 @@ func ParseFragment(src string) ([]*dom.Node, error) { return parseFrag(src, XML)
 func ParseFragmentHTML(src string) ([]*dom.Node, error) { return parseFrag(src, HTML) }
 
 func parseFrag(src string, mode Mode) ([]*dom.Node, error) {
-	doc, err := parse("<frag>"+src+"</frag>", mode)
-	if err != nil {
-		return nil, err
-	}
-	wrapper := doc.DocumentElement()
-	kids := append([]*dom.Node(nil), wrapper.Children()...)
-	wrapper.RemoveChildren()
-	return kids, nil
+	p := parsers.Get().(*parser)
+	defer parsers.Put(p)
+	return p.content(src, 0, mode, "", nil)
 }
 
 // Content parses the XML content of elements in place: how a wire
@@ -106,76 +101,49 @@ type Content struct {
 // no namespace declaration but the xml prefix's, as at the top of a
 // document. The nodes of one call are carved from the same blocks.
 func (c *Content) Parse(src string, from int, name string) ([]*dom.Node, int, error) {
-	p := &c.p
-	p.reset(src, from, XML)
-	defer p.release()
-	if err := p.parseContent(name); err != nil {
+	nodes, err := c.p.content(src, from, XML, name, c.nodes[:0])
+	if err != nil {
 		return nil, 0, err
 	}
-	b := dom.NewBuilder(p.elems, p.leaves, p.slots)
-	c.nodes = p.build(&b, c.nodes[:0])
-	return c.nodes, p.pos, nil
+	c.nodes = nodes
+	return nodes, c.p.pos, nil
 }
 
-// nsBinding is one in-scope namespace declaration.
+// nsBinding is one in-scope namespace declaration, its URI both a
+// string to compare names by and a string of the tree.
 type nsBinding struct {
-	prefix string
-	uri    span
+	prefix, uri string
+	str         dom.Str
 }
 
-// rawAttr is an attribute as written in a start tag, before its name is
-// resolved against the namespace declarations of the same tag.
+// rawAttr is an attribute as written in a start tag (its value as
+// written is raw, decoded if quoted), then resolved against the
+// namespace declarations of the tag: n, with its URI and local part to
+// compare by.
 type rawAttr struct {
-	name string
-	val  span
-	pos  int // offset of the name, for error positions
-}
-
-// span is a string of the tree being read: text[lo:hi] of the parse's
-// text, or, for lo < 0, one of the constants.
-type span struct{ lo, hi int }
-
-// constants are the strings a tree has that are not in its source.
-var constants = [...]string{XMLNamespace, XMLNSNamespace, "xmlns"}
-
-// The spans of the constants.
-var xmlNS, xmlnsNS, xmlnsName = span{-1, -1}, span{-2, -2}, span{-3, -3}
-
-// in returns s as a string of the tree, whose text is text.
-func (s span) in(text string) string {
-	if s.lo < 0 {
-		return constants[-1-s.lo]
-	}
-	return text[s.lo:s.hi]
+	name, raw    string
+	val          dom.Str
+	quoted       bool
+	pos          int // offset of the name, for error positions
+	n            name
+	space, local string
 }
 
 // name is an expanded name as read.
-type name struct{ space, prefix, local span }
+type name struct{ space, prefix, local dom.Str }
 
-// rec is one node of the tree being read, as the tree will keep it. An
-// element's record is followed by those of its attributes, then by
-// those of its content.
-type rec struct {
-	kind        dom.NodeType // dropped: not part of the tree
-	name        name
-	val         span
-	attrs, kids int32 // an element's, once it has closed
-}
-
-// dropped marks the record of document-level whitespace.
-const dropped dom.NodeType = 0
-
-// parser is the one parser. It records the tree first and builds it
-// once it is read: the counts of what the tree keeps size one
-// dom.Builder, so the nodes and lists of a tree come from three blocks,
-// and every name and value it keeps is copied as it is read into one
-// text, one string of the tree's own, so that the tree keeps nothing of
-// its source reachable. Its scratch is reused from parse to parse
-// (parsers) and holds nothing of a source between them (release).
+// parser is the one parser. It records the tree as it reads it
+// (dom.Recorder), copying every name and value it keeps into the
+// recording's text, so that the built tree keeps nothing of its source
+// reachable. Its scratch is reused from parse to parse (parsers) and
+// holds nothing of a source between them (release).
 type parser struct {
 	src  string
 	pos  int
 	mode Mode
+	// document is set while reading a document, whose top level keeps no
+	// white space and, in XML, one element and no other text.
+	document bool
 
 	// ns is the namespace bindings in scope, innermost last; an element
 	// appends only what its own start tag declares and truncates back
@@ -185,24 +153,18 @@ type parser struct {
 	// (HTML end-tag recovery looks for a match among them).
 	open []string
 
-	// recs is the tree read so far, in document order. kids holds the
-	// indexes in recs of the finished children of every open element,
-	// innermost last, and an element counts its own off the top when it
-	// closes; what is left at the end is the top level.
-	recs []rec
-	kids []int32
-	// elems, leaves and slots are what the tree keeps, for its builder
-	// (the top level's slots are the caller's).
-	elems, leaves, slots int
+	r     dom.Recorder
+	built bool // unset: the recording was abandoned part way
+	// Strings a tree has that are not in its source.
+	xmlnsNS, xmlnsName dom.Str
+
+	// A document's top level: its elements, whether the text being read
+	// there is more than white space, and whether it kept text.
+	elems         int
+	solid, strays bool
 
 	// Scratch for the start tag being read.
 	attrs []rawAttr
-
-	// text is every name and value of the tree, in the order read;
-	// text[from:] is the character data of a text node or attribute
-	// value still being read.
-	text []byte
-	from int
 }
 
 // parsers keeps the scratch of finished parses for the next.
@@ -216,116 +178,65 @@ func parse(src string, mode Mode) (*dom.Node, error) {
 
 // parse parses src as a document with p's scratch.
 func (p *parser) parse(src string, mode Mode) (*dom.Node, error) {
-	p.reset(src, 0, mode)
+	p.reset(src, 0, mode, true)
 	defer p.release()
-	if err := p.parseContent(""); err != nil {
+	p.r.Open(dom.DocumentNode)
+	err := p.parseContent("")
+	switch { // strict XML: exactly one root element, no text outside it
+	case err != nil || mode != XML:
+	case p.elems == 0:
+		err = p.errorf("no root element")
+	case p.strays:
+		err = p.errorf("text outside root element")
+	case p.elems > 1:
+		err = p.errorf("multiple root elements")
+	}
+	if err != nil {
 		return nil, err
 	}
-	if mode == XML {
-		// Strict XML: exactly one root element, no text outside it
-		// (whitespace ok).
-		elements := 0
-		for _, i := range p.kids {
-			if p.recs[i].kind == dom.ElementNode {
-				elements++
-			}
-		}
-		if elements == 0 {
-			return nil, p.errorf("no root element")
-		}
-		for _, i := range p.kids {
-			if r := &p.recs[i]; r.kind == dom.TextNode && !blank(p.text[r.val.lo:r.val.hi]) {
-				return nil, p.errorf("text outside root element")
-			}
-		}
-		if elements > 1 {
-			return nil, p.errorf("multiple root elements")
-		}
-	}
-	// Drop pure-whitespace text at the document level.
-	top := 0
-	for _, i := range p.kids {
-		if r := &p.recs[i]; r.kind == dom.TextNode && blank(p.text[r.val.lo:r.val.hi]) {
-			r.kind = dropped
-			p.leaves--
-			continue
-		}
-		top++
-	}
-	b := dom.NewBuilder(p.elems, p.leaves, p.slots+top)
-	doc := b.Document(top)
-	p.build(&b, nil)
-	return doc, nil
+	p.r.Close(dom.Str{}, dom.Str{}, dom.Str{})
+	var doc [1]*dom.Node
+	roots := p.r.Build(doc[:0])
+	p.built = true
+	return roots[0], nil
 }
 
-// reset readies p to read src from offset from.
-func (p *parser) reset(src string, from int, mode Mode) {
-	p.src, p.pos, p.mode = src, from, mode
-	p.ns = append(p.ns[:0], nsBinding{"xml", xmlNS})
-	p.open, p.recs, p.kids, p.text = p.open[:0], p.recs[:0], p.kids[:0], p.text[:0]
-	p.elems, p.leaves, p.slots, p.from = 0, 0, 0, 0
+// content parses src from offset from as top-level content, through
+// the end tag </closeName> if closeName is not "", and returns roots
+// with the content's nodes appended.
+func (p *parser) content(src string, from int, mode Mode, closeName string, roots []*dom.Node) ([]*dom.Node, error) {
+	p.reset(src, from, mode, false)
+	defer p.release()
+	if err := p.parseContent(closeName); err != nil {
+		return nil, err
+	}
+	roots = p.r.Build(roots)
+	p.built = true
+	return roots, nil
+}
+
+// reset readies p to read src from offset from, as a document or as
+// content.
+func (p *parser) reset(src string, from int, mode Mode, document bool) {
+	p.src, p.pos, p.mode, p.document, p.built = src, from, mode, document, false
+	p.xmlnsNS, p.xmlnsName = p.r.Str(XMLNSNamespace), p.r.Str("xmlns")
+	p.ns = append(p.ns[:0], nsBinding{"xml", XMLNamespace, p.r.Str(XMLNamespace)})
+	p.open = p.open[:0]
+	p.elems, p.solid, p.strays = 0, false, false
 }
 
 // release drops every string of the source p holds, so that its scratch
-// pins nothing of a parse that is over. The records hold spans of p's
-// own text; the stacks, which shrink, are cleared to their capacity.
+// pins nothing of a parse that is over, and a recording abandoned part
+// way. A built recording holds nothing; the stacks, which shrink, are
+// cleared to their capacity.
 func (p *parser) release() {
+	if !p.built {
+		p.r = dom.Recorder{}
+	}
 	clear(p.ns[:cap(p.ns)])
 	clear(p.open[:cap(p.open)])
 	clear(p.attrs[:cap(p.attrs)])
 	p.src = ""
-}
-
-// build adds the recorded tree to b, record by record in document
-// order, and returns roots with the nodes that have no parent appended:
-// the top level, unless b has a document for it.
-func (p *parser) build(b *dom.Builder, roots []*dom.Node) []*dom.Node {
-	text := string(p.text) // the tree's one string
-	for i := range p.recs {
-		r := &p.recs[i]
-		if r.kind == dropped {
-			continue
-		}
-		name := dom.QName{Space: r.name.space.in(text), Prefix: r.name.prefix.in(text), Local: r.name.local.in(text)}
-		var n *dom.Node
-		switch r.kind {
-		case dom.ElementNode:
-			n = b.Element(name, int(r.attrs), int(r.kids))
-		case dom.AttributeNode:
-			b.Attr(name, r.val.in(text))
-			continue
-		default:
-			n = b.Leaf(r.kind, name, r.val.in(text))
-		}
-		if n.Parent() == nil {
-			roots = append(roots, n)
-		}
-	}
-	return roots
-}
-
-// blank reports whether text is empty or white space.
-func blank(text []byte) bool { return len(bytes.TrimSpace(text)) == 0 }
-
-// same reports whether two spans hold the same string.
-func (p *parser) same(a, b span) bool {
-	switch {
-	case a.lo < 0 && b.lo < 0:
-		return a == b
-	case a.lo < 0:
-		return constants[-1-a.lo] == string(p.text[b.lo:b.hi])
-	case b.lo < 0:
-		return constants[-1-b.lo] == string(p.text[a.lo:a.hi])
-	}
-	return string(p.text[a.lo:a.hi]) == string(p.text[b.lo:b.hi])
-}
-
-// leaf records a leaf node as the next child of the innermost open
-// element.
-func (p *parser) leaf(kind dom.NodeType, local, val span) {
-	p.kids = append(p.kids, int32(len(p.recs)))
-	p.recs = append(p.recs, rec{kind: kind, name: name{local: local}, val: val})
-	p.leaves++
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -371,38 +282,39 @@ func (p *parser) readName() (string, error) {
 	return p.src[start:p.pos], nil
 }
 
-// addRun appends a stretch of the source to the pending character data.
-func (p *parser) addRun(s string) { p.text = append(p.text, s...) }
-
-// addRune appends a decoded entity to the pending character data.
-func (p *parser) addRune(r rune) { p.text = utf8.AppendRune(p.text, r) }
-
-// take returns the pending character data and clears it.
-func (p *parser) take() span {
-	s := span{p.from, len(p.text)}
-	p.from = s.hi
-	return s
-}
-
 // keep adds s to the tree's text; nothing may be pending.
-func (p *parser) keep(s string) span {
-	p.addRun(s)
-	return p.take()
+func (p *parser) keep(s string) dom.Str {
+	p.r.Append(s)
+	return p.r.Take()
 }
 
-// flushText turns pending character data into a text node.
-func (p *parser) flushText() {
-	if v := p.take(); v.hi > v.lo {
-		p.leaf(dom.TextNode, span{}, v)
+// addRun appends character data; top says it is at a document's top
+// level.
+func (p *parser) addRun(s string, top bool) {
+	p.r.Append(s)
+	p.solid = p.solid || top && strings.TrimSpace(s) != ""
+}
+
+// flushText turns pending character data into a text node, except at a
+// document's top level (top), where white space is dropped.
+func (p *parser) flushText(top bool) {
+	v := p.r.Take()
+	if top {
+		if !p.solid {
+			return
+		}
+		p.solid, p.strays = false, true
 	}
+	p.r.Leaf(dom.TextNode, dom.Str{}, dom.Str{}, dom.Str{}, v)
 }
 
-// parseContent parses children onto the kids stack until the matching
-// end tag of closeName (or EOF for the document level, closeName == "").
+// parseContent parses children into the recording until the matching
+// end tag of closeName, or EOF for the top level (closeName == "").
 func (p *parser) parseContent(closeName string) error {
+	top := closeName == "" && p.document
 	for {
 		if p.eof() {
-			p.flushText()
+			p.flushText(top)
 			if closeName == "" {
 				return nil
 			}
@@ -417,14 +329,14 @@ func (p *parser) parseContent(closeName string) error {
 			if err != nil {
 				return err
 			}
-			p.addRune(r)
+			p.addRun(string(r), top)
 		case c != '<':
 			start := p.pos
 			for p.pos++; !p.eof() && p.src[p.pos] != '<' && p.src[p.pos] != '&'; p.pos++ {
 			}
-			p.addRun(p.src[start:p.pos])
+			p.addRun(p.src[start:p.pos], top)
 		case p.hasPrefix("<!--"):
-			p.flushText()
+			p.flushText(top)
 			if err := p.parseComment(); err != nil {
 				return err
 			}
@@ -434,7 +346,7 @@ func (p *parser) parseContent(closeName string) error {
 			if end < 0 {
 				return p.errorf("unterminated CDATA section")
 			}
-			p.addRun(p.src[p.pos : p.pos+end])
+			p.addRun(p.src[p.pos:p.pos+end], top)
 			p.pos += end + 3
 		case p.hasPrefix("<!"):
 			// DOCTYPE or other declaration: skip to '>'.
@@ -444,12 +356,12 @@ func (p *parser) parseContent(closeName string) error {
 			}
 			p.pos += end + 1
 		case p.hasPrefix("<?"):
-			p.flushText()
+			p.flushText(top)
 			if err := p.parsePI(); err != nil {
 				return err
 			}
 		case p.hasPrefix("</"):
-			p.flushText()
+			p.flushText(top)
 			save := p.pos
 			p.pos += 2
 			name, err := p.readName()
@@ -468,34 +380,26 @@ func (p *parser) parseContent(closeName string) error {
 				return nil
 			}
 			if p.mode != HTML {
+				if closeName == "" {
+					return p.errorf("unexpected end tag </%s>", name)
+				}
 				return p.errorf("mismatched end tag </%s>, expected </%s>", name, closeName)
 			}
 			// Mismatched end tag: if an open element matches, imply the
 			// close of the current element by rewinding so the parent's
 			// parseContent re-reads this end tag. Otherwise ignore the
 			// stray end tag.
-			if closeName != "" && p.isOpen(name) {
+			if closeName != "" && slices.Contains(p.open, name) {
 				p.pos = save
 				return nil
 			}
 		default:
-			p.flushText()
+			p.flushText(top)
 			if err := p.parseElement(); err != nil {
 				return err
 			}
 		}
 	}
-}
-
-// isOpen reports whether an open element has the given (lower-cased)
-// local name.
-func (p *parser) isOpen(name string) bool {
-	for _, o := range p.open {
-		if o == name {
-			return true
-		}
-	}
-	return false
 }
 
 func (p *parser) parseComment() error {
@@ -504,7 +408,7 @@ func (p *parser) parseComment() error {
 	if end < 0 {
 		return p.errorf("unterminated comment")
 	}
-	p.leaf(dom.CommentNode, span{}, p.keep(p.src[p.pos:p.pos+end]))
+	p.r.Leaf(dom.CommentNode, dom.Str{}, dom.Str{}, dom.Str{}, p.keep(p.src[p.pos:p.pos+end]))
 	p.pos += end + 3
 	return nil
 }
@@ -524,7 +428,7 @@ func (p *parser) parsePI() error {
 	if strings.EqualFold(target, "xml") {
 		return nil // XML declaration: ignore
 	}
-	p.leaf(dom.ProcessingInstructionNode, p.keep(target), p.keep(data))
+	p.r.Leaf(dom.ProcessingInstructionNode, dom.Str{}, dom.Str{}, p.keep(target), p.keep(data))
 	return nil
 }
 
@@ -563,63 +467,63 @@ func (p *parser) parseElement() error {
 			aname = strings.ToLower(aname)
 		}
 		p.skipSpace()
-		var aval span
+		a := rawAttr{name: aname, pos: apos}
 		if p.peek() == '=' {
 			p.pos++
 			p.skipSpace()
-			aval, err = p.readAttrValue()
-			if err != nil {
+			if err := p.readAttrValue(&a); err != nil {
 				return err
 			}
 		} else if p.mode == XML {
 			return p.errorf("attribute %s missing value", aname)
 		}
-		p.attrs = append(p.attrs, rawAttr{aname, aval, apos})
+		p.attrs = append(p.attrs, a)
 	}
 
 	// The tag's own declarations are in scope for its own names.
 	nsMark := len(p.ns)
-	for _, a := range p.attrs {
-		if a.name == "xmlns" {
-			p.ns = append(p.ns, nsBinding{"", a.val})
+	for i := range p.attrs {
+		if a := &p.attrs[i]; a.name == "xmlns" {
+			p.ns = append(p.ns, nsBinding{"", a.value(p.mode), a.val})
 		} else if strings.HasPrefix(a.name, "xmlns:") {
-			p.ns = append(p.ns, nsBinding{a.name[6:], a.val})
+			p.ns = append(p.ns, nsBinding{a.name[6:], a.value(p.mode), a.val})
 		}
 	}
 
-	el := len(p.recs)
-	p.recs = append(p.recs, rec{kind: dom.ElementNode, name: p.resolveName(rawName, true)})
-	local := rawName // as resolveName splits it
-	if i := strings.IndexByte(rawName, ':'); i > 0 {
-		local = rawName[i+1:]
+	if p.document && len(p.open) == 0 {
+		p.elems++
 	}
-	for _, a := range p.attrs {
-		var name name
+	p.r.Open(dom.ElementNode)
+	el, _, local := p.resolveName(rawName, true)
+	kept := p.attrs[:0]
+	for i := range p.attrs {
+		a := &p.attrs[i]
 		switch {
 		case a.name == "xmlns":
 			// Keep declarations as attributes for faithful reserialization.
-			name.space, name.local = xmlnsNS, xmlnsName
+			a.n, a.space, a.local = name{space: p.xmlnsNS, local: p.xmlnsName}, XMLNSNamespace, "xmlns"
 		case strings.HasPrefix(a.name, "xmlns:"):
-			name.space, name.prefix, name.local = xmlnsNS, xmlnsName, p.keep(a.name[6:])
+			a.n, a.space, a.local = name{p.xmlnsNS, p.xmlnsName, p.keep(a.name[6:])}, XMLNSNamespace, a.name[6:]
 		default:
-			name = p.resolveName(a.name, false)
+			a.n, a.space, a.local = p.resolveName(a.name, false)
 		}
-		if dup := p.attrNamed(el, name); dup != nil {
+		if j := slices.IndexFunc(kept, func(k rawAttr) bool { return k.space == a.space && k.local == a.local }); j >= 0 {
 			if p.mode == XML {
 				p.pos = a.pos
 				return p.errorf("duplicate attribute %s", a.name)
 			}
-			dup.val = a.val // HTML: the last value wins, in the first's place
+			kept[j].val = a.val // HTML: the last value wins, in the first's place
 			continue
 		}
-		p.recs = append(p.recs, rec{kind: dom.AttributeNode, name: name, val: a.val})
+		if kept = kept[:len(kept)+1]; len(kept) <= i {
+			kept[len(kept)-1] = *a
+		}
 	}
-	attrs := len(p.recs) - el - 1
-	p.kids = append(p.kids, int32(el))
+	for i := range kept {
+		p.r.Leaf(dom.AttributeNode, kept[i].n.space, kept[i].n.prefix, kept[i].n.local, kept[i].val)
+	}
 
-	kids := 0
 	if !selfClose && !(p.mode == HTML && isVoidElement(local)) {
-		mark := len(p.kids)
 		if p.mode == HTML && isRawTextElement(local) {
 			p.parseRawText(local)
 		} else {
@@ -628,27 +532,10 @@ func (p *parser) parseElement() error {
 			err = p.parseContent(rawName)
 			p.open = p.open[:len(p.open)-1]
 		}
-		kids = len(p.kids) - mark
-		p.kids = p.kids[:mark]
 	}
-	p.recs[el].attrs, p.recs[el].kids = int32(attrs), int32(kids)
-	p.elems++
-	p.leaves += attrs
-	p.slots += dom.ListSlots(attrs, kids)
+	p.r.Close(el.space, el.prefix, el.local)
 	p.ns = p.ns[:nsMark]
 	return err
-}
-
-// attrNamed returns the record of the attribute already read for the
-// start tag of the element recorded at el under the same expanded name,
-// if any.
-func (p *parser) attrNamed(el int, n name) *rec {
-	for i := el + 1; i < len(p.recs); i++ {
-		if a := &p.recs[i]; p.same(a.name.space, n.space) && p.same(a.name.local, n.local) {
-			return a
-		}
-	}
-	return nil
 }
 
 // parseRawText consumes character data until the matching end tag,
@@ -686,60 +573,66 @@ func (p *parser) parseRawText(local string) {
 		text = strings.TrimSuffix(strings.TrimPrefix(trimmed, "<![CDATA["), "]]>")
 	}
 	if text != "" {
-		p.leaf(dom.TextNode, span{}, p.keep(text))
+		p.r.Leaf(dom.TextNode, dom.Str{}, dom.Str{}, dom.Str{}, p.keep(text))
 	}
 }
 
-// lookupNS returns the URI bound to prefix ("" for the default
-// namespace), or the empty span if it is not declared.
-func (p *parser) lookupNS(prefix string) span {
+// lookupNS returns the binding of prefix ("" for the default
+// namespace), or the empty one if it is not declared.
+func (p *parser) lookupNS(prefix string) nsBinding {
 	for i := len(p.ns) - 1; i >= 0; i-- {
 		if p.ns[i].prefix == prefix {
-			return p.ns[i].uri
+			return p.ns[i]
 		}
 	}
-	return span{}
+	return nsBinding{}
 }
 
 // resolveName maps a lexical name to an expanded name using the current
 // namespace scope, and adds its prefix and local part to the tree's
-// text. Elements use the default namespace; attributes do not.
-func (p *parser) resolveName(lexical string, element bool) name {
+// text. It also returns the namespace URI and the local part as
+// strings. Elements use the default namespace; attributes do not.
+func (p *parser) resolveName(lexical string, element bool) (n name, space, local string) {
 	if i := strings.IndexByte(lexical, ':'); i > 0 {
 		prefix, local := lexical[:i], lexical[i+1:]
-		return name{p.lookupNS(prefix), p.keep(prefix), p.keep(local)}
+		b := p.lookupNS(prefix)
+		return name{b.str, p.keep(prefix), p.keep(local)}, b.uri, local
 	}
 	if element {
-		return name{space: p.lookupNS(""), local: p.keep(lexical)}
+		b := p.lookupNS("")
+		return name{space: b.str, local: p.keep(lexical)}, b.uri, lexical
 	}
-	return name{local: p.keep(lexical)}
+	return name{local: p.keep(lexical)}, "", lexical
 }
 
-func (p *parser) readAttrValue() (span, error) {
+// readAttrValue reads a's value into the tree's text.
+func (p *parser) readAttrValue(a *rawAttr) error {
 	if p.eof() {
-		return span{}, p.errorf("expected attribute value")
+		return p.errorf("expected attribute value")
 	}
 	q := p.peek()
 	if q == '"' || q == '\'' {
 		p.pos++
+		from := p.pos
 		for {
 			start := p.pos
 			for !p.eof() && p.src[p.pos] != q && p.src[p.pos] != '&' {
 				p.pos++
 			}
-			p.addRun(p.src[start:p.pos])
+			p.r.Append(p.src[start:p.pos])
 			if p.eof() {
-				return span{}, p.errorf("unterminated attribute value")
+				return p.errorf("unterminated attribute value")
 			}
 			if p.src[p.pos] == q {
+				a.raw, a.quoted, a.val = p.src[from:p.pos], true, p.r.Take()
 				p.pos++
-				return p.take(), nil
+				return nil
 			}
 			r, err := p.readEntity()
 			if err != nil {
-				return span{}, err
+				return err
 			}
-			p.addRune(r)
+			p.r.Append(string(r))
 		}
 	}
 	if p.mode == HTML {
@@ -755,9 +648,31 @@ func (p *parser) readAttrValue() (span, error) {
 			}
 			p.pos++
 		}
-		return p.keep(p.src[start:p.pos]), nil
+		a.raw, a.val = p.src[start:p.pos], p.keep(p.src[start:p.pos])
+		return nil
 	}
-	return span{}, p.errorf("attribute value must be quoted")
+	return p.errorf("attribute value must be quoted")
+}
+
+// value is a's value decoded again from the source (a declaration's
+// URI).
+func (a *rawAttr) value(mode Mode) string {
+	if !a.quoted || strings.IndexByte(a.raw, '&') < 0 {
+		return a.raw
+	}
+	var b []byte
+	for s := a.raw; s != ""; {
+		if s[0] != '&' {
+			b, s = append(b, s[0]), s[1:]
+			continue
+		}
+		r, n, _ := entity(s, mode)
+		if n == 0 { // HTML: an ampersand that starts no reference
+			r, n = '&', 1
+		}
+		b, s = utf8.AppendRune(b, r), s[n:]
+	}
+	return string(b)
 }
 
 // maxEntityLen bounds the name of an entity reference: an '&' with no

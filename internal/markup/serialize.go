@@ -119,18 +119,29 @@ type frame struct {
 	next       int // index of the next child to write
 	depth      int // indentation depth of node itself, or inline
 	childDepth int
+	ns         int // the namespace bindings in scope before node
 }
+
+// binding is a namespace declaration in scope in the output.
+type binding struct{ prefix, uri string }
 
 // walk writes root at the given indentation depth (inline for none).
 func (w *writer) walk(root *dom.Node, depth int) {
 	var fixed [32]frame // deeper trees spill to the heap
-	stack := fixed[:0]
+	var fixedNS [8]binding
+	stack, ns := fixed[:0], fixedNS[:0]
 	n := root
 	for {
-		b, childDepth, descend := appendOpen(w.buf, n, w.mode, depth)
+		mark, decls := len(ns), 0
+		if w.mode == XML && n.Type == dom.ElementNode {
+			ns, decls = scope(ns, n)
+		}
+		b, childDepth, descend := appendOpen(w.buf, n, w.mode, depth, ns[len(ns)-decls:])
 		w.buf = b
 		if descend {
-			stack = append(stack, frame{node: n, depth: depth, childDepth: childDepth})
+			stack = append(stack, frame{node: n, depth: depth, childDepth: childDepth, ns: mark})
+		} else {
+			ns = ns[:mark]
 		}
 		if w.out != nil && len(w.buf) >= writeChunk {
 			if w.flush(); w.err != nil {
@@ -148,6 +159,7 @@ func (w *writer) walk(root *dom.Node, depth int) {
 				break
 			}
 			w.buf = appendClose(w.buf, f)
+			ns = ns[:f.ns]
 			stack = stack[:len(stack)-1]
 		}
 	}
@@ -163,9 +175,47 @@ func (w *writer) flush() {
 	w.buf = w.buf[:0]
 }
 
-// appendOpen appends everything of n that precedes its children and
-// reports whether the walk must descend into them, and at which depth.
-func appendOpen(b []byte, n *dom.Node, mode Mode, depth int) (_ []byte, childDepth int, descend bool) {
+// scope extends ns, the namespace bindings the output has in scope, by
+// the declaration attributes of the element n, then by the bindings its
+// name and prefixed attributes need that none in scope gives, and
+// returns how many of those n's start tag is to write. It declares
+// neither xml nor a prefix in no namespace, and no prefix the tag
+// already binds.
+func scope(ns []binding, n *dom.Node) ([]binding, int) {
+	mark := len(ns)
+	for _, a := range n.Attrs() {
+		if a.Name.Space == XMLNSNamespace && a.Name.Prefix == "" {
+			ns = append(ns, binding{"", a.Data})
+		} else if a.Name.Space == XMLNSNamespace {
+			ns = append(ns, binding{a.Name.Local, a.Data})
+		}
+	}
+	own := len(ns)
+	need := func(prefix, space string) {
+		if prefix == "xml" || prefix != "" && space == "" {
+			return
+		}
+		i := len(ns) - 1
+		for i >= 0 && ns[i].prefix != prefix {
+			i--
+		}
+		if i < 0 && space != "" || i >= 0 && i < mark && ns[i].uri != space {
+			ns = append(ns, binding{prefix, space})
+		}
+	}
+	need(n.Name.Prefix, n.Name.Space)
+	for _, a := range n.Attrs() {
+		if a.Name.Prefix != "" && a.Name.Space != XMLNSNamespace {
+			need(a.Name.Prefix, a.Name.Space)
+		}
+	}
+	return ns, len(ns) - own
+}
+
+// appendOpen appends everything of n that precedes its children, with
+// the namespace declarations decls after an element's name, and reports
+// whether the walk must descend into them, and at which depth.
+func appendOpen(b []byte, n *dom.Node, mode Mode, depth int, decls []binding) (_ []byte, childDepth int, descend bool) {
 	switch n.Type {
 	case dom.DocumentNode:
 		return b, depth, true
@@ -173,6 +223,12 @@ func appendOpen(b []byte, n *dom.Node, mode Mode, depth int) (_ []byte, childDep
 		b = appendIndent(b, depth)
 		b = append(b, '<')
 		b = appendName(b, n.Name)
+		for _, d := range decls {
+			if b = append(b, " xmlns"...); d.prefix != "" {
+				b = append(append(b, ':'), d.prefix...)
+			}
+			b = append(appendEscaped(append(b, `="`...), d.uri, true), '"')
+		}
 		for _, a := range n.Attrs() {
 			b = append(b, ' ')
 			b = appendAttr(b, a)

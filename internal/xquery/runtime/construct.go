@@ -22,144 +22,95 @@ import (
 // the two apart.
 //
 // The outermost constructor of an expression, and the content list of
-// an insert or replace, record their whole content first and build it
-// once, the way the markup parser builds a parsed tree (DESIGN.md §5l):
-// nested constructors and, in fresh content, the return clause of an
-// enclosed FLWOR, the items of a sequence and the branch of an if record
-// what they would build instead of building it, a copied node is
-// recorded node by node once the expression that yields it has been
-// evaluated whole, and the counts of the records size one dom.Builder.
-// A constructed tree is then a few allocations at any size, and its
-// attribute values and text are one string of its own.
+// an insert or replace, record their whole content through one
+// dom.Recorder and build it once, as the markup parser does (DESIGN.md
+// §5l, §5p): nested constructors and, in fresh content, the return
+// clause of an enclosed FLWOR, the items of a sequence and the branch
+// of an if record what they would build, and a copied node is recorded
+// once the expression that yields it has been evaluated whole.
 
-// recKind is the kind of one record.
-type recKind uint8
-
-const (
-	recElem     recKind = iota + 1
-	recDoc              // the root of a document constructor
-	recAttr             // an attribute of the element recorded last
-	recRootAttr         // a parentless attribute: an insert's or a replace's
-	recNoAttr           // given to a document: checked, then dropped
-	recText
-	recComment
-	recPI
-	recPlace // a fresh parentless node, placed as it is
-)
-
-// crec is one node of the content being recorded. An element's record
-// is followed by those of its attributes, then by those of its content.
-type crec struct {
-	kind        recKind
-	attrs, kids int32 // an element's or document's, once it has closed
-	lo, hi      int32 // the value: text[lo:hi] of the recorder's text
-	name        dom.QName
-	node        *dom.Node // recPlace's
-}
-
-// level is the element, document or top-level list being recorded.
+// level is the element, document or top-level list (kind 0) being
+// recorded; attrs is len(recorder.attrs) when it opened.
 type level struct {
-	el    int // its record; -1 for the top level
-	attrs int // attribute records, right after el
-	mark  int // len(recorder.kids) when it opened
-	text  int // the record of the text child being extended, -1 if none
-	// began is set by the first child item, even one that leaves no node
-	// behind (empty text): from then on an attribute is an error. run is
-	// set while the items of one content expression are atomics: the
-	// next one is joined by a space.
-	began, run bool
-	// fresh is the planner's mark of the content expression being
-	// recorded (see ast.DirElem.Adopt).
-	fresh bool
-	// Tree nodes (not text, not attributes: those go in by value) taken
-	// as they are — recorded constructors included — and copied, for the
-	// profiler.
+	kind  dom.NodeType
+	attrs int
+	// began is set by the first child item, even empty text: from then
+	// on an attribute is an error. run is set while the items of one
+	// content expression are atomics, joined by spaces. fresh is the
+	// planner's mark of that expression (ast.DirElem.Adopt).
+	began, run, fresh bool
+	// Tree nodes (not text or attributes, which go in by value) adopted
+	// — recorded constructors included — and copied, for the profiler.
 	adopted, copied int64
 }
 
 // recorder is the scratch of one construction, reused from one to the
-// next (recorders). It holds nothing of a construction that is over
-// (release).
+// next (recorders): the content rules on top of the dom.Recorder that
+// records the content. Character data appended since the current
+// level's last child is its next text node. It holds nothing of a
+// construction that is over (release).
 type recorder struct {
-	recs []crec
-	// kids holds the indexes in recs of the finished children of every
-	// open level, innermost last; a level counts its own off the top
-	// when it closes.
-	kids []int32
-	// text is every attribute value and text node of the content, in
-	// the order recorded; a text record being extended ends at its end.
-	text []byte
-	// elems, leaves and slots are what the built tree takes of a
-	// dom.Builder's blocks.
-	elems, leaves, slots int
-	lv                   level
-	// placed is the nodes recorded to be placed, so that a node met
-	// twice is copied the second time.
+	dom.Recorder
+	lv    level
+	attrs []dom.QName // of every open level, innermost last
+	// placed is the nodes recorded to be placed: one met twice is
+	// copied the second time.
 	placed map[*dom.Node]struct{}
 	// pending is the first content error (a duplicate attribute, an
-	// attribute after content) of the content expression being
-	// recorded: it is raised when the expression has been evaluated
-	// whole, as an evaluation error of the expression would have been
-	// raised first.
+	// attribute after content) of the content expression being recorded,
+	// raised once the expression has been evaluated whole.
 	pending error
+	built   bool // unset: the recording was abandoned part way
 }
 
 // recorders keeps the scratch of finished constructions for the next.
 var recorders = sync.Pool{New: func() any { return new(recorder) }}
 
-// newRecorder returns an empty recorder at its top level.
-func newRecorder() *recorder {
-	r := recorders.Get().(*recorder)
-	r.recs, r.kids, r.text = r.recs[:0], r.kids[:0], r.text[:0]
-	r.elems, r.leaves, r.slots = 0, 0, 0
-	r.lv = level{el: -1, text: -1}
-	return r
-}
-
-// release drops what r holds of the construction and pools it.
+// release drops what r holds of the construction and pools it, empty
+// and at its top level.
 func (r *recorder) release() {
-	clear(r.recs)
+	if !r.built {
+		r.Recorder = dom.Recorder{}
+	}
+	clear(r.attrs[:cap(r.attrs)])
 	clear(r.placed)
-	r.pending = nil
+	r.attrs, r.lv, r.built, r.pending = r.attrs[:0], level{}, false, nil
 	recorders.Put(r)
 }
 
 // open records an element or a document as the next child of the
 // current level and makes it the current level. It returns the level
 // it left, for close.
-func (r *recorder) open(kind recKind, name dom.QName) level {
-	i := len(r.recs)
-	r.recs = append(r.recs, crec{kind: kind, name: name})
-	r.child(i)
+func (r *recorder) open(kind dom.NodeType) level {
+	r.child()
+	r.Open(kind)
 	outer := r.lv
-	r.lv = level{el: i, mark: len(r.kids), text: -1}
+	r.lv = level{kind: kind, attrs: len(r.attrs)}
 	return outer
 }
 
-// close finishes the current level and goes back to outer. It returns
-// what the level adopted and copied.
-func (r *recorder) close(outer level) (adopted, copied int64) {
-	lv := &r.lv
-	kids := len(r.kids) - lv.mark
-	r.kids = r.kids[:lv.mark]
-	rec := &r.recs[lv.el]
-	rec.attrs, rec.kids = int32(lv.attrs), int32(kids)
-	if rec.kind == recElem {
-		r.elems++
-		r.slots += dom.ListSlots(lv.attrs, kids)
-	} else {
-		r.slots += kids
-	}
-	adopted, copied = lv.adopted, lv.copied
+// close finishes the current level, names it, and goes back to outer.
+// It returns what the level adopted and copied.
+func (r *recorder) close(outer level, name dom.QName) (adopted, copied int64) {
+	r.flush()
+	r.Close(r.Str(name.Space), r.Str(name.Prefix), r.Str(name.Local))
+	r.attrs = r.attrs[:r.lv.attrs]
+	adopted, copied = r.lv.adopted, r.lv.copied
 	r.lv = outer
 	return adopted, copied
 }
 
-// child makes record i the next child of the current level.
-func (r *recorder) child(i int) {
-	r.kids = append(r.kids, int32(i))
-	lv := &r.lv
-	lv.began, lv.run, lv.text = true, false, -1
+// child ends the current level's text: what is recorded next is its
+// next child.
+func (r *recorder) child() {
+	r.flush()
+	r.lv.began, r.lv.run = true, false
+}
+
+// flush records the character data appended since the current level's
+// last child as its one text node, if any.
+func (r *recorder) flush() {
+	r.Leaf(dom.TextNode, dom.Str{}, dom.Str{}, dom.Str{}, r.Take())
 }
 
 // count credits one tree node to the current level.
@@ -172,76 +123,44 @@ func (r *recorder) count(adopted bool) {
 }
 
 // leaf records a comment or processing instruction.
-func (r *recorder) leaf(kind recKind, name dom.QName, data string) {
-	lo := len(r.text)
-	r.text = append(r.text, data...)
-	i := len(r.recs)
-	r.recs = append(r.recs, crec{kind: kind, name: name, lo: int32(lo), hi: int32(len(r.text))})
-	r.child(i)
-	r.leaves++
+func (r *recorder) leaf(kind dom.NodeType, name dom.QName, data string) {
+	r.child()
+	r.Append(data)
+	r.Leaf(kind, r.Str(name.Space), r.Str(name.Prefix), r.Str(name.Local), r.Take())
 }
 
-// addText appends character data to the current level, extending its
-// last child if that is text the level made: adjacent text is one
-// node, empty text is none.
+// addText appends character data to the current level.
 func (r *recorder) addText(data string) {
-	from := len(r.text)
-	r.text = append(r.text, data...)
-	r.took(from)
-}
-
-// took makes text[from:], just appended, character data of the current
-// level.
-func (r *recorder) took(from int) {
-	lv := &r.lv
-	lv.began = true
-	if len(r.text) == from {
-		return
-	}
-	if lv.text < 0 {
-		lv.text = len(r.recs)
-		r.recs = append(r.recs, crec{kind: recText, lo: int32(from)})
-		r.kids = append(r.kids, int32(lv.text))
-		r.leaves++
-	}
-	r.recs[lv.text].hi = int32(len(r.text))
+	r.Append(data)
+	r.lv.began = true
 }
 
 // atomic appends an atomic item: a run of atomics is one space-separated
 // text.
 func (r *recorder) atomic(it xdm.Item) {
-	from := len(r.text)
 	if r.lv.run {
-		r.text = append(r.text, ' ')
+		r.Append(" ")
 	}
-	r.text = appendAtomized(r.text, it)
-	r.took(from)
-	r.lv.run = true
+	appendAtomized(&r.Recorder, it)
+	r.lv.began, r.lv.run = true, true
 }
 
-// attr records an attribute of the current level whose value is
-// text[from:].
-func (r *recorder) attr(name dom.QName, from int) {
-	kind := recAttr
-	switch {
-	case r.lv.el < 0:
-		kind = recRootAttr
-	case r.recs[r.lv.el].kind == recDoc:
-		kind = recNoAttr // a document has no attributes
-	}
-	r.recs = append(r.recs, crec{kind: kind, name: name, lo: int32(from), hi: int32(len(r.text))})
-	r.lv.attrs++
-	if kind != recNoAttr {
-		r.leaves++
+// attr records an attribute of the current level whose value is what
+// was appended since the last child. A document's is checked, then
+// dropped: a document has no attributes.
+func (r *recorder) attr(name dom.QName) {
+	v := r.Take()
+	r.attrs = append(r.attrs, name)
+	if r.lv.kind != dom.DocumentNode {
+		r.Leaf(dom.AttributeNode, r.Str(name.Space), r.Str(name.Prefix), r.Str(name.Local), v)
 	}
 }
 
 // hasAttr reports whether the current level has an attribute named
 // name.
 func (r *recorder) hasAttr(name dom.QName) bool {
-	first := r.lv.el + 1
-	for _, a := range r.recs[first : first+r.lv.attrs] {
-		if a.name.Matches(name) {
+	for _, a := range r.attrs[r.lv.attrs:] {
+		if a.Matches(name) {
 			return true
 		}
 	}
@@ -278,9 +197,8 @@ func (r *recorder) items(s xdm.Sequence) {
 				r.fail(fmt.Errorf("xquery: duplicate attribute %s", n.Name))
 				continue
 			}
-			from := len(r.text)
-			r.text = append(r.text, n.Data...)
-			r.attr(n.Name, from)
+			r.Append(n.Data)
+			r.attr(n.Name)
 		case dom.DocumentNode:
 			for _, k := range n.Children() {
 				r.node(k)
@@ -302,9 +220,8 @@ func (r *recorder) node(n *dom.Node) {
 	}
 	if r.lv.fresh && n.Parent() == nil && r.claim(n) {
 		r.count(true)
-		i := len(r.recs)
-		r.recs = append(r.recs, crec{kind: recPlace, node: n})
-		r.child(i)
+		r.child()
+		r.Adopt(n)
 		return
 	}
 	r.count(false)
@@ -331,11 +248,10 @@ func (r *recorder) claim(n *dom.Node) bool {
 func (r *recorder) copy(n *dom.Node) {
 	switch n.Type {
 	case dom.ElementNode:
-		outer := r.open(recElem, n.Name)
+		outer := r.open(dom.ElementNode)
 		for _, a := range n.Attrs() {
-			from := len(r.text)
-			r.text = append(r.text, a.Data...)
-			r.attr(a.Name, from)
+			r.Append(a.Data)
+			r.attr(a.Name)
 		}
 		for _, k := range n.Children() {
 			if k.Type == dom.TextNode {
@@ -344,61 +260,25 @@ func (r *recorder) copy(n *dom.Node) {
 				r.copy(k)
 			}
 		}
-		r.close(outer)
+		r.close(outer, n.Name)
 	case dom.CommentNode:
-		r.leaf(recComment, n.Name, n.Data)
+		r.leaf(dom.CommentNode, dom.QName{}, n.Data)
 	case dom.ProcessingInstructionNode:
-		r.leaf(recPI, n.Name, n.Data)
+		r.leaf(dom.ProcessingInstructionNode, n.Name, n.Data)
 	}
 }
 
-// build builds the recorded content through one dom.Builder and returns
-// its first root; roots, if not nil, gets every root appended.
-func (r *recorder) build(roots *[]*dom.Node) *dom.Node {
-	text := string(r.text) // the tree's one string
-	b := dom.NewBuilder(r.elems, r.leaves, r.slots)
-	var first *dom.Node
-	for i := range r.recs {
-		x := &r.recs[i]
-		var n *dom.Node
-		switch x.kind {
-		case recElem:
-			n = b.Element(x.name, int(x.attrs), int(x.kids))
-		case recDoc:
-			n = b.Document(int(x.kids))
-		case recAttr:
-			b.Attr(x.name, text[x.lo:x.hi])
-			continue
-		case recNoAttr:
-			continue
-		case recRootAttr:
-			n = b.Leaf(dom.AttributeNode, x.name, text[x.lo:x.hi])
-		case recText:
-			n = b.Leaf(dom.TextNode, dom.QName{}, text[x.lo:x.hi])
-		case recComment:
-			n = b.Leaf(dom.CommentNode, dom.QName{}, text[x.lo:x.hi])
-		case recPI:
-			n = b.Leaf(dom.ProcessingInstructionNode, x.name, text[x.lo:x.hi])
-		case recPlace:
-			n = x.node
-			b.Place(n)
-		}
-		if n.Parent() == nil {
-			if first == nil {
-				first = n
-			}
-			if roots != nil {
-				*roots = append(*roots, n)
-			}
-		}
-	}
-	return first
+// build builds the recording into roots.
+func (r *recorder) build(roots []*dom.Node) []*dom.Node {
+	r.flush()
+	r.built = true
+	return r.Build(roots)
 }
 
 // construct evaluates an outermost element or document constructor: it
 // records the constructor's whole content and builds its tree once.
 func (ctx *Context) construct(e ast.Expr) (xdm.Sequence, error) {
-	r := newRecorder()
+	r := recorders.Get().(*recorder)
 	defer r.release()
 	var err error
 	switch x := e.(type) {
@@ -410,7 +290,8 @@ func (ctx *Context) construct(e ast.Expr) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return xdm.Singleton(xdm.NewNode(r.build(nil))), nil
+	var root [1]*dom.Node
+	return xdm.Singleton(xdm.NewNode(r.build(root[:0])[0])), nil
 }
 
 // evalContentNodes evaluates an insert/replace source into a content
@@ -419,18 +300,13 @@ func (ctx *Context) construct(e ast.Expr) (xdm.Sequence, error) {
 // copied, atomics become text. The list's nodes are the roots of one
 // built tree.
 func (ctx *Context) evalContentNodes(e ast.Expr, fresh bool, kind string) ([]*dom.Node, error) {
-	r := newRecorder()
+	r := recorders.Get().(*recorder)
 	defer r.release()
 	if err := ctx.recordContent(r, e, fresh); err != nil {
 		return nil, err
 	}
 	ctx.credit(kind, r.lv.adopted, r.lv.copied)
-	var list []*dom.Node
-	if n := len(r.kids) + r.lv.attrs; n > 0 {
-		list = make([]*dom.Node, 0, n)
-	}
-	r.build(&list)
-	return list, nil
+	return r.build(nil), nil
 }
 
 // recordable reports whether record takes e apart rather than
@@ -525,16 +401,15 @@ func (ctx *Context) recordContent(r *recorder, e ast.Expr, fresh bool) error {
 // r's current level.
 func (ctx *Context) recordElem(r *recorder, e ast.DirElem) error {
 	r.count(r.lv.fresh)
-	outer := r.open(recElem, e.Name)
+	outer := r.open(dom.ElementNode)
 	for _, a := range e.Attrs {
-		from := len(r.text)
 		if err := ctx.attrValue(r, a.Pieces); err != nil {
 			return err
 		}
 		if r.hasAttr(a.Name) {
 			return fmt.Errorf("xquery: duplicate attribute %s", a.Name)
 		}
-		r.attr(a.Name, from)
+		r.attr(a.Name)
 	}
 	for i, ce := range e.Content {
 		if lit, ok := ce.(ast.StringLit); ok {
@@ -545,7 +420,7 @@ func (ctx *Context) recordElem(r *recorder, e ast.DirElem) error {
 			return err
 		}
 	}
-	adopted, copied := r.close(outer)
+	adopted, copied := r.close(outer, e.Name)
 	ctx.credit("DirElem", adopted, copied)
 	return nil
 }
@@ -554,20 +429,21 @@ func (ctx *Context) recordElem(r *recorder, e ast.DirElem) error {
 // next child of r's current level. Its content is evaluated before its
 // name, and its content errors are raised after both.
 func (ctx *Context) recordComp(r *recorder, x ast.CompConstructor) error {
-	kind := recElem
+	kind := dom.ElementNode
 	if x.Kind == xdm.TDocumentNode {
-		kind = recDoc
+		kind = dom.DocumentNode
 	}
 	r.count(r.lv.fresh)
-	outer := r.open(kind, x.Name)
+	outer := r.open(kind)
 	pending := r.pending
 	r.pending, r.lv.fresh = nil, x.Adopt
 	var err error
 	if x.Content != nil {
 		err = ctx.record(r, x.Content)
 	}
-	if err == nil && kind == recElem {
-		r.recs[r.lv.el].name, err = ctx.constructorName(x)
+	var name dom.QName
+	if err == nil && kind == dom.ElementNode {
+		name, err = ctx.constructorName(x)
 	}
 	if err == nil {
 		err = r.pending
@@ -576,7 +452,7 @@ func (ctx *Context) recordComp(r *recorder, x ast.CompConstructor) error {
 	if err != nil {
 		return err
 	}
-	adopted, copied := r.close(outer)
+	adopted, copied := r.close(outer, name)
 	ctx.credit("CompConstructor", adopted, copied)
 	return nil
 }
@@ -591,12 +467,12 @@ func (ctx *Context) credit(kind string, adopted, copied int64) {
 }
 
 // attrValue appends the value of an attribute value template to r's
-// text: literal runs verbatim, enclosed expressions atomized and
+// recording: literal runs verbatim, enclosed expressions atomized and
 // space-joined.
 func (ctx *Context) attrValue(r *recorder, pieces []ast.Expr) error {
 	for _, piece := range pieces {
 		if lit, ok := piece.(ast.StringLit); ok {
-			r.text = append(r.text, lit.Val...)
+			r.Append(lit.Val)
 			continue
 		}
 		s, err := ctx.Eval(piece)
@@ -605,21 +481,23 @@ func (ctx *Context) attrValue(r *recorder, pieces []ast.Expr) error {
 		}
 		for i, it := range s {
 			if i > 0 {
-				r.text = append(r.text, ' ')
+				r.Append(" ")
 			}
-			r.text = appendAtomized(r.text, it)
+			appendAtomized(&r.Recorder, it)
 		}
 	}
 	return nil
 }
 
-// appendAtomized appends the string value of it atomized: an integer
-// without a string of its own.
-func appendAtomized(b []byte, it xdm.Item) []byte {
+// appendAtomized appends the string value of it atomized to r: an
+// integer without a string of its own.
+func appendAtomized(r *dom.Recorder, it xdm.Item) {
 	if v, ok := it.(xdm.Integer); ok {
-		return strconv.AppendInt(b, int64(v), 10)
+		var b [20]byte
+		r.Append(string(strconv.AppendInt(b[:0], int64(v), 10)))
+		return
 	}
-	return append(b, it.String()...)
+	r.Append(it.String())
 }
 
 func (ctx *Context) evalCompConstructor(x ast.CompConstructor) (xdm.Sequence, error) {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"repro/internal/dom"
@@ -192,16 +193,26 @@ func WalkAxis(n *dom.Node, axis ast.Axis) []*dom.Node {
 }
 
 // PooledRecorderHolds takes a recorder from the pool, puts it back and
-// returns how many records and placed nodes of an earlier construction
-// it still holds anywhere in its scratch.
+// returns how many records, strings and placed nodes of an earlier
+// construction it still holds anywhere in its scratch.
 func PooledRecorderHolds() int {
 	r := recorders.Get().(*recorder)
 	defer recorders.Put(r)
-	held := 0
-	for _, x := range r.recs[:cap(r.recs)] {
-		if x != (crec{}) {
+	held := len(r.placed)
+	rec := reflect.ValueOf(&r.Recorder).Elem()
+	for _, f := range []string{"recs", "table"} {
+		s := rec.FieldByName(f)
+		s = s.Slice(0, s.Cap())
+		for i := range s.Len() {
+			if !s.Index(i).IsZero() {
+				held++
+			}
+		}
+	}
+	for _, a := range r.attrs[:cap(r.attrs)] {
+		if a != (dom.QName{}) {
 			held++
 		}
 	}
-	return held + len(r.placed)
+	return held
 }

@@ -984,8 +984,10 @@ func recoverCheck(fset *token.FileSet, file *ast.File) []finding {
 
 // domMutators are the dom.Node methods that change tree structure,
 // attributes or character data — the operations the pending-update list
-// mediates. The read-side surface (Parent, Children, Walk, ...) and the
-// event-listener registry are deliberately absent.
+// mediates — and dom.Recorder.Adopt, which gives a parentless tree a
+// parent when its recording is built. The read-side surface (Parent,
+// Children, Walk, ...) and the event-listener registry are deliberately
+// absent.
 var domMutators = map[string]bool{
 	"AppendChild":           true,
 	"PrependChild":          true,
@@ -1002,7 +1004,7 @@ var domMutators = map[string]bool{
 	"SetData":               true,
 	"ReplaceElementContent": true,
 	"RemoveChildren":        true,
-	"Place":                 true,
+	"Adopt":                 true,
 }
 
 // pulApplyMethods are the pending-update-list methods that apply it.

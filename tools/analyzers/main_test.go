@@ -599,15 +599,16 @@ func sneaky() { _ = recover() }
 func TestPulApplyFlagsDirectMutation(t *testing.T) {
 	src := `package serve
 import "repro/internal/dom"
-func hack(n *dom.Node, c *dom.Node) {
+func hack(n *dom.Node, c *dom.Node, r *dom.Recorder) {
 	n.AppendChild(c)
 	n.SetAttr(dom.QName{Local: "x"}, "1")
 	c.Detach()
+	r.Adopt(c)
 }
 `
 	got := analyze(t, src, pulApply)
-	if len(got) != 3 {
-		t.Fatalf("findings = %v, want 3", got)
+	if len(got) != 4 {
+		t.Fatalf("findings = %v, want 4", got)
 	}
 }
 
