@@ -141,8 +141,10 @@ bench-e2e-smoke:
 # do, and a tree the markup parser recorded or Clone copied must take
 # any sequence of mutations as a tree built node by node does, and so
 # must a tree an XQuery constructor recorded and built, which must also
-# serialize as the same constructor's tree with every node copied. A
-# crasher is written under the package's testdata/fuzz and fails the
+# serialize as the same constructor's tree with every node copied, and
+# a pending update list applied after a faulted, rolled-back attempt
+# must leave the documents and report the primitives as a fault-free
+# apply of the same list does. A crasher is written under the package's testdata/fuzz and fails the
 # step.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s -parallel 2 ./internal/xquery/parser
@@ -154,6 +156,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeDifferential$$' -fuzztime 10s -parallel 2 ./internal/markup
 	$(GO) test -run '^$$' -fuzz '^FuzzParseThenMutate$$' -fuzztime 10s -parallel 2 ./internal/markup
 	$(GO) test -run '^$$' -fuzz '^FuzzConstructThenMutate$$' -fuzztime 10s -parallel 2 ./internal/markup
+	$(GO) test -run '^$$' -fuzz '^FuzzPULPartition$$' -fuzztime 10s -parallel 2 ./internal/xquery/update
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -30,30 +30,40 @@ import (
 )
 
 func main() {
-	query := flag.String("q", "", "query text")
-	file := flag.String("f", "", "read the query from a file")
-	ctxFile := flag.String("ctx", "", "XML file bound as the context item")
-	indent := flag.Bool("indent", false, "pretty-print node results")
-	profile := flag.Bool("profile", false, "print per-expression profiling statistics")
-	fedSpec := flag.String("fed", "", `federated shard backends for fn:collection: comma-separated shard groups, "|"-separated replicas within a group (e.g. "http://a|http://a2,http://b")`)
-	var vars varFlags
-	flag.Var(&vars, "var", "bind an external variable, name=value (repeatable)")
-	flag.Parse()
-
-	src, err := querySource(*query, *file)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fatal(err)
+	}
+}
+
+// run is the command: it parses args, runs the query and writes its
+// result to stdout and a profile to stderr.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("xq", flag.ExitOnError)
+	flags.SetOutput(stderr)
+	query := flags.String("q", "", "query text")
+	file := flags.String("f", "", "read the query from a file")
+	ctxFile := flags.String("ctx", "", "XML file bound as the context item")
+	indent := flags.Bool("indent", false, "pretty-print node results")
+	profile := flags.Bool("profile", false, "print per-expression profiling statistics")
+	fedSpec := flags.String("fed", "", `federated shard backends for fn:collection: comma-separated shard groups, "|"-separated replicas within a group (e.g. "http://a|http://a2,http://b")`)
+	var vars varFlags
+	flags.Var(&vars, "var", "bind an external variable, name=value (repeatable)")
+	_ = flags.Parse(args)
+
+	src, err := querySource(*query, *file, stdin)
+	if err != nil {
+		return err
 	}
 
 	var ctxItem xdm.Item
 	if *ctxFile != "" {
 		data, err := os.ReadFile(*ctxFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		doc, err := markup.Parse(string(data))
 		if err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *ctxFile, err))
+			return fmt.Errorf("parsing %s: %w", *ctxFile, err)
 		}
 		doc.SetBaseURI(*ctxFile)
 		ctxItem = xdm.NewNode(doc)
@@ -62,7 +72,7 @@ func main() {
 	engine := xquery.New()
 	prog, err := engine.Compile(src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := xquery.RunConfig{
 		ContextItem: ctxItem,
@@ -72,7 +82,7 @@ func main() {
 	if *fedSpec != "" {
 		x, err := fed.New(fed.Config{Shards: fed.ParseShards(*fedSpec)})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.Collections = x.CollectionSource(context.Background())
 	}
@@ -81,10 +91,10 @@ func main() {
 	}
 	res, err := prog.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if cfg.Profiler != nil {
-		fmt.Fprint(os.Stderr, cfg.Profiler.Format())
+		fmt.Fprint(stderr, cfg.Profiler.Format())
 	}
 	serialize := markup.Serialize
 	if *indent {
@@ -94,17 +104,18 @@ func main() {
 		return append(dst, serialize(n)...)
 	})
 	if out != "" {
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 	}
 	if res.Updates > 0 && ctxItem != nil {
 		// An updating query against a context document prints the
 		// updated document.
 		n, _ := xdm.IsNode(ctxItem)
-		fmt.Println(serialize(n))
+		fmt.Fprintln(stdout, serialize(n))
 	}
+	return nil
 }
 
-func querySource(q, f string) (string, error) {
+func querySource(q, f string, stdin io.Reader) (string, error) {
 	switch {
 	case q != "":
 		return q, nil
@@ -112,7 +123,7 @@ func querySource(q, f string) (string, error) {
 		data, err := os.ReadFile(f)
 		return string(data), err
 	default:
-		data, err := io.ReadAll(os.Stdin)
+		data, err := io.ReadAll(stdin)
 		return string(data), err
 	}
 }

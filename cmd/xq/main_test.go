@@ -1,13 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestQuerySource(t *testing.T) {
-	if src, err := querySource("1+1", ""); err != nil || src != "1+1" {
+	if src, err := querySource("1+1", "", nil); err != nil || src != "1+1" {
 		t.Errorf("inline source: %q %v", src, err)
 	}
 	dir := t.TempDir()
@@ -15,10 +17,10 @@ func TestQuerySource(t *testing.T) {
 	if err := os.WriteFile(path, []byte("2+2"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if src, err := querySource("", path); err != nil || src != "2+2" {
+	if src, err := querySource("", path, nil); err != nil || src != "2+2" {
 		t.Errorf("file source: %q %v", src, err)
 	}
-	if _, err := querySource("", filepath.Join(dir, "missing.xq")); err == nil {
+	if _, err := querySource("", filepath.Join(dir, "missing.xq"), nil); err == nil {
 		t.Error("missing file must fail")
 	}
 }
@@ -64,5 +66,30 @@ func TestVarFlags(t *testing.T) {
 	var empty varFlags
 	if empty.bindings() != nil {
 		t.Error("no flags should bind nothing")
+	}
+}
+
+// TestAttributeAxisSkipsNamespaceDeclarations runs the command over a
+// document whose root declares a prefix beside one attribute: the
+// attribute axis holds the attribute only, and the written document
+// keeps the declaration.
+func TestAttributeAxisSkipsNamespaceDeclarations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ns.xml")
+	if err := os.WriteFile(path, []byte(`<p:e xmlns:p="urn:p" k="1"><p:f/></p:e>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ q, want string }{
+		{`count(/*/@*)`, "1"},
+		{`for $a in /*/@* return name($a)`, "k"},
+		{`count(/*/@node()), count(/*/attribute()), count(//@*)`, "1 1 1"},
+		{`/*`, `<p:e xmlns:p="urn:p" k="1"><p:f/></p:e>`},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-ctx", path, "-q", tc.q}, nil, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v (%s)", tc.q, err, errOut.String())
+		}
+		if got := strings.TrimSpace(out.String()); got != tc.want {
+			t.Errorf("%s = %q, want %q", tc.q, got, tc.want)
+		}
 	}
 }

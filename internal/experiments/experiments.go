@@ -60,19 +60,26 @@ func (t Table) Format() string {
 	return b.String()
 }
 
+// Experiment is one experiment: the ID of the table it produces and the
+// function that produces it.
+type Experiment struct {
+	ID  string
+	Run func() (Table, error)
+}
+
 // All returns every experiment in order.
-func All() []func() (Table, error) {
-	return []func() (Table, error){
-		E1Pipeline,
-		E2Offloading,
-		E3Mashup,
-		E4LinesOfCode,
-		E5Performance,
-		E5EarlyExit,
-		E6Async,
-		E7Security,
-		E8EventRegistration,
-		E9EndpointGranularity,
+func All() []Experiment {
+	return []Experiment{
+		{"E1", E1Pipeline},
+		{"E2", E2Offloading},
+		{"E3", E3Mashup},
+		{"E4", E4LinesOfCode},
+		{"E5", E5Performance},
+		{"E5b", E5EarlyExit},
+		{"E6", E6Async},
+		{"E7", E7Security},
+		{"E8", E8EventRegistration},
+		{"E9", E9EndpointGranularity},
 	}
 }
 

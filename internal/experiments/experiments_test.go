@@ -8,17 +8,22 @@ import (
 
 // TestAllExperimentsRun is the integration test of the whole
 // reproduction: every experiment must execute end to end and produce a
-// non-empty, well-formed table.
+// non-empty, well-formed table, under the ID All pairs it with, and no
+// two experiments share an ID.
 func TestAllExperimentsRun(t *testing.T) {
 	ids := map[string]bool{}
-	for _, run := range All() {
-		table, err := run()
+	for _, e := range All() {
+		if ids[e.ID] {
+			t.Errorf("experiment ID %s listed twice", e.ID)
+		}
+		ids[e.ID] = true
+		table, err := e.Run()
 		if err != nil {
-			t.Errorf("%s (%s): %v", table.ID, table.Title, err)
+			t.Errorf("%s: %v", e.ID, err)
 			continue
 		}
-		if table.ID == "" || table.Title == "" {
-			t.Errorf("experiment missing identity: %+v", table)
+		if table.ID != e.ID || table.Title == "" {
+			t.Errorf("experiment listed as %s produced table %q titled %q", e.ID, table.ID, table.Title)
 		}
 		if len(table.Rows) == 0 {
 			t.Errorf("%s produced no rows", table.ID)
@@ -28,7 +33,6 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("%s: row width %d != header width %d", table.ID, len(row), len(table.Header))
 			}
 		}
-		ids[table.ID] = true
 	}
 	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"} {
 		if !ids[want] {

@@ -491,7 +491,7 @@ func TestProfilerCountsShipped(t *testing.T) {
 		if unshipped {
 			want = 0
 		}
-		if got := prof.FedFor("shipped"); got != want {
+		if got := prof.Count("fed:shipped"); got != want {
 			t.Errorf("unshipped=%v: fed:shipped = %d, want %d", unshipped, got, want)
 		}
 		if has := strings.Contains(prof.Format(), "fed:shipped"); has != (want > 0) {

@@ -280,7 +280,7 @@ func TestParseFragmentTopLevel(t *testing.T) {
 		want, err string
 	}{
 		{src: `<b>x</frag><i>y</i>`, mode: HTML, want: `<b>x<i>y</i></b>`},
-		{src: `a</frag>b`, mode: HTML, want: `a|b`},
+		{src: `a</frag>b`, mode: HTML, want: `ab`},
 		{src: `</x>a<b/>`, mode: HTML, want: `a|<b/>`},
 		{src: ` <p>1</p> `, mode: HTML, want: ` |<p>1</p>| `},
 		{src: `x<a`, mode: XML, err: "markup: line 1: unterminated start tag <a"},

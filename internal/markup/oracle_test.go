@@ -189,7 +189,6 @@ func (p *oracleParser) parseContent(parent *dom.Node, closeName string) error {
 				return err
 			}
 		case p.hasPrefix("</"):
-			flush()
 			save := p.pos
 			p.pos += 2
 			name, err := p.readName()
@@ -205,6 +204,7 @@ func (p *oracleParser) parseContent(parent *dom.Node, closeName string) error {
 				name = strings.ToLower(name)
 			}
 			if name == closeName {
+				flush()
 				return nil
 			}
 			if p.mode == HTML {
@@ -212,10 +212,12 @@ func (p *oracleParser) parseContent(parent *dom.Node, closeName string) error {
 				// close of the current element by rewinding so the
 				// ancestor's parseContent re-reads this end tag.
 				if closeName != "" && p.openAncestorMatches(parent, name) {
+					flush()
 					p.pos = save
 					return nil
 				}
-				// Otherwise ignore the stray end tag.
+				// Otherwise ignore the stray end tag; the text around
+				// it stays one node.
 				continue
 			}
 			if closeName == "" {

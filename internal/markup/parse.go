@@ -361,7 +361,6 @@ func (p *parser) parseContent(closeName string) error {
 				return err
 			}
 		case p.hasPrefix("</"):
-			p.flushText(top)
 			save := p.pos
 			p.pos += 2
 			name, err := p.readName()
@@ -377,6 +376,7 @@ func (p *parser) parseContent(closeName string) error {
 				name = strings.ToLower(name)
 			}
 			if name == closeName {
+				p.flushText(top)
 				return nil
 			}
 			if p.mode != HTML {
@@ -388,8 +388,10 @@ func (p *parser) parseContent(closeName string) error {
 			// Mismatched end tag: if an open element matches, imply the
 			// close of the current element by rewinding so the parent's
 			// parseContent re-reads this end tag. Otherwise ignore the
-			// stray end tag.
+			// stray end tag, and the character data around it stays one
+			// run.
 			if closeName != "" && slices.Contains(p.open, name) {
+				p.flushText(top)
 				p.pos = save
 				return nil
 			}

@@ -100,10 +100,6 @@ type Metrics struct {
 	// FullText is the per-document full-text-index layer's counters
 	// (process-wide, like Index).
 	FullText FullTextStats `json:"fulltext"`
-	// Updates is the pending-update pruning counter (process-wide,
-	// like Index): how many no-op and dead primitives were dropped
-	// before apply.
-	Updates UpdateStats `json:"updates"`
 	// Failures is the resilience layer's snapshot: every degraded-mode
 	// mechanism reports here, so "is the pool absorbing faults" is one
 	// poll away.
@@ -149,13 +145,6 @@ type FailureStats struct {
 	FedBreakerSkips int64 `json:"fed_breaker_skips"`
 	FedPartials     int64 `json:"fed_partials"`
 	FedShipped      int64 `json:"fed_shipped"`
-}
-
-// UpdateStats is the update layer's counter with a JSON tag:
-// Eliminated counts update primitives dropped before apply: deletes of a
-// target the same list replaces or deletes already.
-type UpdateStats struct {
-	Eliminated int64 `json:"eliminated"`
 }
 
 // IndexStats mirrors index.Stats with JSON tags: Builds counts index

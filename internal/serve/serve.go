@@ -438,7 +438,6 @@ func (p *Pool) Metrics() Metrics {
 		Cache:            cache,
 		Index:            indexStats(),
 		FullText:         fullTextStats(),
-		Updates:          updateStats(),
 		Failures:         failureStats(p, cache),
 	}
 }
@@ -472,9 +471,4 @@ func indexStats() IndexStats {
 func fullTextStats() FullTextStats {
 	s := ftindex.Snapshot()
 	return FullTextStats{Builds: s.Builds, Hits: s.Hits, Loads: s.Loads}
-}
-
-// updateStats snapshots the process-wide update-pruning counter.
-func updateStats() UpdateStats {
-	return UpdateStats{Eliminated: update.Snapshot().Eliminated}
 }

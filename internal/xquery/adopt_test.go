@@ -163,8 +163,8 @@ func TestAdoptionIsUnobservable(t *testing.T) {
 			}
 			var adopted, copied int64
 			for _, kind := range []string{"DirElem", "CompConstructor", "Insert", "Replace"} {
-				adopted += prof.ContentFor(kind + ".adopted")
-				copied += prof.ContentFor(kind + ".copied")
+				adopted += prof.Count("content:" + kind + ".adopted")
+				copied += prof.Count("content:" + kind + ".copied")
 			}
 			if adopted != tc.adopted || copied != tc.copied {
 				t.Errorf("%s\nadopted %d and copied %d tree nodes, want %d and %d",
@@ -262,8 +262,8 @@ func TestAdoptedContentPassesTheAliasingGuard(t *testing.T) {
 	planned, unplanned := compileAdopt(t, src)
 	_, pp := runAdoptOnce(t, planned)
 	_, up := runAdoptOnce(t, unplanned)
-	if pp.ContentFor("Insert.adopted") != 4 || up.ContentFor("Insert.copied") != 4 {
+	if pp.Count("content:Insert.adopted") != 4 || up.Count("content:Insert.copied") != 4 {
 		t.Errorf("planned run adopted %d, unplanned run copied %d, want 4 and 4",
-			pp.ContentFor("Insert.adopted"), up.ContentFor("Insert.copied"))
+			pp.Count("content:Insert.adopted"), up.Count("content:Insert.copied"))
 	}
 }

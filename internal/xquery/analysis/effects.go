@@ -63,8 +63,8 @@ func (c *checker) checkUpdateSequence(e ast.Expr) {
 		return
 	}
 
-	// XQ0402 — no-op deletes, the pre-pass's rules (update.ApplyPruned
-	// drops them): a delete of a replace-node target finds it already
+	// XQ0402 — no-op deletes, which the apply runs and which change
+	// nothing: a delete of a replace-node target finds it already
 	// detached in phase 4; a duplicate delete finds it detached by the
 	// first.
 	replacedAt := map[string]bool{}

@@ -534,10 +534,10 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 	// the planned roots, so no rewrite shaped what it runs.
 	if cfg.Profiler != nil && !p.prog.StrayImports {
 		st := p.RewriteStats()
-		cfg.Profiler.AddRewrites("fold", int64(st.Folds))
-		cfg.Profiler.AddRewrites("pushdown", int64(st.Pushdowns))
-		cfg.Profiler.AddRewrites("hoist", int64(st.Hoists))
-		cfg.Profiler.AddRewrites("join", int64(st.Joins))
+		cfg.Profiler.Add("rewrite:fold", int64(st.Folds))
+		cfg.Profiler.Add("rewrite:pushdown", int64(st.Pushdowns))
+		cfg.Profiler.Add("rewrite:hoist", int64(st.Hoists))
+		cfg.Profiler.Add("rewrite:join", int64(st.Joins))
 	}
 	// The engine's panic-isolation boundary: a panic anywhere in
 	// evaluation or PUL application comes back as an error matching

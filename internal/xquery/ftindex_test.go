@@ -201,10 +201,10 @@ func TestFTProfilerAndMetrics(t *testing.T) {
 	if _, err := p.Run(RunConfig{ContextItem: doc, Profiler: prof}); err != nil {
 		t.Fatal(err)
 	}
-	if probes := prof.FTFor("probes"); probes < 1 {
+	if probes := prof.Count("ft:probes"); probes < 1 {
 		t.Errorf("profiler ft:probes = %d, want >= 1", probes)
 	}
-	if builds := prof.FTFor("builds"); builds != 1 {
+	if builds := prof.Count("ft:builds"); builds != 1 {
 		t.Errorf("profiler ft:builds = %d, want 1 (cold tree)", builds)
 	}
 	if !strings.Contains(prof.Format(), "ft:probes") {
@@ -222,10 +222,10 @@ func TestFTProfilerAndMetrics(t *testing.T) {
 	if _, err := p.Run(RunConfig{ContextItem: ftArticlesDoc(t), Profiler: prof, DisableIndexes: true}); err != nil {
 		t.Fatal(err)
 	}
-	if probes := prof.FTFor("probes"); probes != 0 {
+	if probes := prof.Count("ft:probes"); probes != 0 {
 		t.Errorf("DisableIndexes run recorded %d ft probes, want 0", probes)
 	}
-	if builds := prof.FTFor("builds"); builds != 0 {
+	if builds := prof.Count("ft:builds"); builds != 0 {
 		t.Errorf("DisableIndexes run recorded %d ft builds, want 0", builds)
 	}
 }

@@ -164,10 +164,10 @@ func TestProfilerRewriteCounters(t *testing.T) {
 	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: prof}); err != nil {
 		t.Fatal(err)
 	}
-	if n := prof.RewritesFor("join"); n != 1 {
+	if n := prof.Count("rewrite:join"); n != 1 {
 		t.Errorf("join rewrites = %d, want 1", n)
 	}
-	if n := prof.RewritesFor("hoist"); n == 0 {
+	if n := prof.Count("rewrite:hoist"); n == 0 {
 		t.Error("no hoist rewrites recorded")
 	}
 	if out := prof.Format(); !strings.Contains(out, "rewrite:join") {
@@ -182,7 +182,7 @@ func TestProfilerRewriteCounters(t *testing.T) {
 	if _, err := oracle.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: plain}); err != nil {
 		t.Fatal(err)
 	}
-	if n := plain.RewritesFor("join"); n != 0 {
+	if n := plain.Count("rewrite:join"); n != 0 {
 		t.Errorf("unoptimized run recorded %d join rewrites", n)
 	}
 }

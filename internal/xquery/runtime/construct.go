@@ -461,8 +461,8 @@ func (ctx *Context) recordComp(r *recorder, x ast.CompConstructor) error {
 // the kind of expression that built it.
 func (ctx *Context) credit(kind string, adopted, copied int64) {
 	if p := ctx.Profiler; p != nil {
-		p.AddContent(kind+".adopted", adopted)
-		p.AddContent(kind+".copied", copied)
+		p.Add("content:"+kind+".adopted", adopted)
+		p.Add("content:"+kind+".copied", copied)
 	}
 }
 

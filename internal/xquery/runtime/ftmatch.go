@@ -150,11 +150,11 @@ func (ctx *Context) ftMatchItem(it xdm.Item, sel ftindex.Sel) bool {
 	if isNode && !ctx.NoIndex {
 		if idx, built := readIndex(ctx, n, ftindex.Probe, ftindex.Fresh); idx != nil {
 			if built && ctx.Profiler != nil {
-				ctx.Profiler.AddFT("builds", 1)
+				ctx.Profiler.Add("ft:builds", 1)
 			}
 			if m, ok := idx.Match(n, sel); ok {
 				if ctx.Profiler != nil {
-					ctx.Profiler.AddFT("probes", 1)
+					ctx.Profiler.Add("ft:probes", 1)
 				}
 				if m && ctx.scores {
 					ctx.recordScoreIndexed(idx, n, sel)

@@ -138,7 +138,7 @@ func (ctx *Context) probeFTIndex(n *dom.Node, step *ast.Step, orSelf bool) ([]*d
 	sel := ftc.LitSel
 	idx, built := readIndex(ctx, n, ftindex.Probe, ftindex.Fresh)
 	if built && ctx.Profiler != nil {
-		ctx.Profiler.AddFT("builds", 1)
+		ctx.Profiler.Add("ft:builds", 1)
 	}
 	if idx == nil {
 		return nil, false
@@ -148,7 +148,7 @@ func (ctx *Context) probeFTIndex(n *dom.Node, step *ast.Step, orSelf bool) ([]*d
 		return nil, false
 	}
 	if ctx.Profiler != nil {
-		ctx.Profiler.AddFT("probes", 1)
+		ctx.Profiler.Add("ft:probes", 1)
 		ctx.Profiler.recordIndexHits("Path", 1)
 	}
 	return cand, true

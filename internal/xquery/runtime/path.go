@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/dom"
+	"repro/internal/markup"
 	"repro/internal/xdm"
 	"repro/internal/xquery/ast"
 )
@@ -166,8 +167,14 @@ func predicateTruth(res xdm.Sequence, pos int) (bool, error) {
 }
 
 // matchNodeTest applies a node test. The principal node kind is
-// attribute for the attribute axis and element otherwise.
+// attribute for the attribute axis and element otherwise. The
+// attribute axis holds no namespace declarations: the parser keeps
+// xmlns and xmlns:p as attributes in markup.XMLNSNamespace only so
+// that they are written again, and no test of the axis matches them.
 func matchNodeTest(n *dom.Node, t ast.NodeTest, axis ast.Axis) bool {
+	if axis == ast.AxisAttribute && n.Name.Space == markup.XMLNSNamespace {
+		return false
+	}
 	if t.AnyNode {
 		return true
 	}

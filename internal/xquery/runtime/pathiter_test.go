@@ -50,6 +50,9 @@ var pathIterCorpus = []string{
 	`//b/preceding-sibling::*[last()]`, `//a/ancestor-or-self::*[last()]/@id`,
 	// Sorted results of nested nodes, which a child step must not stream.
 	`//*/../*`, `//b/ancestor::*/b`,
+	// Every test of the attribute axis, which holds no namespace
+	// declaration of nsPathIterDoc.
+	`//@*`, `//*/@node()`, `//*/attribute()`, `//*/attribute(k)`, `//*[@*]`, `/r/attribute::node()`,
 }
 
 // pathIterVarCorpus reads $v as a path's primary and as an attribute
@@ -130,8 +133,14 @@ func render(s xdm.Sequence) string {
 	return b.String()
 }
 
+// nsPathIterDoc declares namespaces, which the parser keeps as
+// attributes in markup.XMLNSNamespace: prefixed and default, beside
+// attributes and alone.
+const nsPathIterDoc = `<r xmlns:p="urn:p"><a id="n0" k="1" xmlns:q="urn:q"><b k="2" xmlns="urn:d"/>t</a>` +
+	`<a xmlns:p="urn:p2" id="n2"><c k="0"/><p:c xmlns:p="urn:p3"/></a></r>`
+
 // pathIterDocs generates the trees the oracle tests run over, from the
-// empty <r/> up.
+// empty <r/> up, and adds nsPathIterDoc.
 func pathIterDocs(t *testing.T) []xdm.Item {
 	rng := rand.New(rand.NewSource(29))
 	var docs []xdm.Item
@@ -142,7 +151,11 @@ func pathIterDocs(t *testing.T) []xdm.Item {
 		}
 		docs = append(docs, xdm.NewNode(d))
 	}
-	return docs
+	d, err := markup.Parse(nsPathIterDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(docs, xdm.NewNode(d))
 }
 
 // compilePath compiles q behind the prolog and returns its program and

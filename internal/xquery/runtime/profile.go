@@ -17,11 +17,7 @@ import (
 type Profiler struct {
 	mu       sync.Mutex
 	entries  map[string]*ProfileEntry
-	rewrites map[string]int64
-	updates  map[string]int64
-	ft       map[string]int64
-	fed      map[string]int64
-	content  map[string]int64
+	counters map[string]int64
 }
 
 // ProfileEntry accumulates one expression kind's statistics. Items
@@ -57,77 +53,44 @@ func (p *Profiler) record(kind string, d time.Duration) {
 	p.mu.Unlock()
 }
 
-// add adds to a counter of one of the named families below.
-func (p *Profiler) add(family *map[string]int64, kind string, n int64) {
+// Add adds n to the named counter. A name is a family prefix and a
+// kind, as Format prints it:
+//
+//   - "rewrite:fold", "rewrite:pushdown", "rewrite:hoist",
+//     "rewrite:join": the optimizer rewrites that shaped the run's plan,
+//     credited by the engine once per run;
+//   - "ft:probes", "ft:builds": ftcontains selections answered from a
+//     full-text index and the index constructions its probes
+//     triggered, so a profile shows whether a full-text workload ran
+//     indexed or kept falling back to scans;
+//   - "fed:shipped": annotated nodes (ast.ShipPlan) answered through
+//     the run's collection source (a CollectionShipper) instead of
+//     fetching the collection, so a profile shows whether a federated
+//     query moved its answer or its documents;
+//   - "content:<Kind>.adopted", "content:<Kind>.copied": tree nodes a
+//     constructor, insert or replace (Kind DirElem, CompConstructor,
+//     Insert or Replace) took as content as they were (the planner
+//     proved the content expression fresh, see ast.DirElem.Adopt) or
+//     deep-copied; text and attributes go in by value and are not
+//     counted.
+func (p *Profiler) Add(name string, n int64) {
 	if n == 0 {
 		return
 	}
 	p.mu.Lock()
-	if *family == nil {
-		*family = map[string]int64{}
+	if p.counters == nil {
+		p.counters = map[string]int64{}
 	}
-	(*family)[kind] += n
+	p.counters[name] += n
 	p.mu.Unlock()
 }
 
-// get reads a counter of one of the named families below.
-func (p *Profiler) get(family *map[string]int64, kind string) int64 {
+// Count returns the named counter (see Add).
+func (p *Profiler) Count(name string) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return (*family)[kind]
+	return p.counters[name]
 }
-
-// AddRewrites adds to a named optimizer-rewrite counter. The engine
-// credits the per-program rewrite statistics ("pushdown", "hoist",
-// "join", "fold") here once per run, so a profile reports which
-// algebraic rewrites shaped the plan it measured.
-func (p *Profiler) AddRewrites(kind string, n int64) { p.add(&p.rewrites, kind, n) }
-
-// RewritesFor returns a named optimizer-rewrite counter (see
-// AddRewrites).
-func (p *Profiler) RewritesFor(kind string) int64 { return p.get(&p.rewrites, kind) }
-
-// AddUpdates adds to a named update counter. The engine credits the
-// primitives each apply's pre-pass dropped ("eliminated") here, so a
-// profile reports how many of the run's pending updates never had to
-// apply.
-func (p *Profiler) AddUpdates(kind string, n int64) { p.add(&p.updates, kind, n) }
-
-// UpdatesFor returns a named update counter (see AddUpdates).
-func (p *Profiler) UpdatesFor(kind string) int64 { return p.get(&p.updates, kind) }
-
-// AddFT adds to a named full-text counter. The evaluator credits
-// "probes" for ftcontains selections answered from a full-text index
-// and "builds" for index constructions its probes triggered, so a
-// profile shows whether a full-text workload ran indexed or kept
-// falling back to scans.
-func (p *Profiler) AddFT(kind string, n int64) { p.add(&p.ft, kind, n) }
-
-// FTFor returns a named full-text counter (see AddFT).
-func (p *Profiler) FTFor(kind string) int64 { return p.get(&p.ft, kind) }
-
-// AddFed adds to a named federation counter. The evaluator credits
-// "shipped" for every annotated node (ast.ShipPlan) it answered through
-// the run's collection source (a CollectionShipper) instead of fetching
-// the collection, so a profile shows whether a federated query moved its
-// answer or its documents.
-func (p *Profiler) AddFed(kind string, n int64) { p.add(&p.fed, kind, n) }
-
-// FedFor returns a named federation counter (see AddFed).
-func (p *Profiler) FedFor(kind string) int64 { return p.get(&p.fed, kind) }
-
-// AddContent adds to a named content counter. The constructors and the
-// insert and replace expressions credit "<Kind>.adopted" for every tree
-// node they took as content as it was (the planner proved the content
-// expression fresh, see ast.DirElem.Adopt) and "<Kind>.copied" for every
-// one they deep-copied, Kind being DirElem, CompConstructor, Insert or
-// Replace; text and attributes go in by value and are not counted. A
-// profile so shows whether constructed content was built once or copied
-// at every level it passed through.
-func (p *Profiler) AddContent(kind string, n int64) { p.add(&p.content, kind, n) }
-
-// ContentFor returns a named content counter (see AddContent).
-func (p *Profiler) ContentFor(kind string) int64 { return p.get(&p.content, kind) }
 
 // recordItems adds to the items-pulled counter of an expression kind.
 func (p *Profiler) recordItems(kind string, n int64) {
@@ -201,7 +164,7 @@ func (p *Profiler) Total() int64 {
 // Format renders a report (cmd/xq -profile). Column legend: count is
 // evaluations, items is items pulled through streaming iterators,
 // idxhits is path steps answered from a per-document index instead of
-// an axis walk. Optimizer rewrite counters follow when any is nonzero.
+// an axis walk. The named counters (Add) follow, sorted by name.
 func (p *Profiler) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %10s %10s %10s %14s\n",
@@ -210,24 +173,16 @@ func (p *Profiler) Format() string {
 		fmt.Fprintf(&b, "%-20s %10d %10d %10d %14s\n",
 			e.Kind, e.Count, e.Items, e.IndexHits, e.Time)
 	}
-	// The named counters, each family under its prefix.
-	counters := func(prefix string, m map[string]int64) {
-		p.mu.Lock()
-		kinds := make([]string, 0, len(m))
-		for k := range m {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			fmt.Fprintf(&b, "%-20s %10d\n", prefix+k, m[k])
-		}
-		p.mu.Unlock()
+	p.mu.Lock()
+	names := make([]string, 0, len(p.counters))
+	for name := range p.counters {
+		names = append(names, name)
 	}
-	counters("rewrite:", p.rewrites)
-	counters("update:", p.updates)
-	counters("ft:", p.ft)
-	counters("fed:", p.fed)
-	counters("content:", p.content)
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "%-20s %10d\n", name, p.counters[name])
+	}
+	p.mu.Unlock()
 	return b.String()
 }
 

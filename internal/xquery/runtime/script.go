@@ -248,7 +248,7 @@ type applier struct {
 func (ctx *Context) Observe(f func(update.Primitive)) { ctx.apply.observe = f }
 
 // applyPending applies the pending update list through
-// update.ApplyPruned. A context without apply state leaves it pending.
+// update.PUL.Apply. A context without apply state leaves it pending.
 // The document memo stays: the list applies to the trees the memo
 // holds, so a later fn:doc in the run answers them as the apply left
 // them.
@@ -257,16 +257,12 @@ func (ctx *Context) applyPending() error {
 	if a == nil || ctx.PUL == nil || ctx.PUL.Empty() {
 		return nil
 	}
-	eliminated, err := ctx.PUL.ApplyPruned(func(pr update.Primitive) {
+	return ctx.PUL.Apply(func(pr update.Primitive) {
 		a.applied++
 		if a.observe != nil {
 			a.observe(pr)
 		}
 	})
-	if ctx.Profiler != nil {
-		ctx.Profiler.AddUpdates("eliminated", int64(eliminated))
-	}
-	return err
 }
 
 // Finish is the boundary of one evaluation in ctx's run: it calls eval,

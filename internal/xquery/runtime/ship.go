@@ -42,7 +42,7 @@ func (ctx *Context) EvalShipped(p *ast.ShipPlan) (val xdm.Sequence, ok bool, err
 		return nil, false, nil
 	}
 	if ctx.Profiler != nil {
-		ctx.Profiler.AddFed("shipped", 1)
+		ctx.Profiler.Add("fed:shipped", 1)
 	}
 	var fc *Context // one focus frame, set per document
 	for _, it := range unevaluated {

@@ -3,6 +3,7 @@ package update
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dom"
@@ -41,81 +42,77 @@ func reporter(doc *dom.Node) (onChange func(Primitive), seq *[]string) {
 	}, seq
 }
 
-// isSubsequence reports whether sub is ref with some elements left out.
-func isSubsequence(sub, ref []string) bool {
-	i := 0
-	for _, r := range ref {
-		if i < len(sub) && sub[i] == r {
-			i++
-		}
-	}
-	return i == len(sub)
-}
-
-// checkPrunedAgainstApply applies ref with the reference Apply and
-// pruned with ApplyPruned — the same list built against two parses of
-// one source — and asserts what the pre-pass promises: identical
-// serialisations, identical error presence, and an onChange sequence
-// that is the reference's minus exactly the eliminated primitives.
-func checkPrunedAgainstApply(t *testing.T, docR, docP *dom.Node, ref, pruned *PUL) (eliminated int, err error) {
+// checkAgainstApply applies ref and got with Apply — the same list
+// built against two parses of one source, got possibly after a faulted
+// attempt — and asserts that they agree: identical serialisations,
+// identical error presence, and identical onChange sequences.
+func checkAgainstApply(t *testing.T, docR, docG *dom.Node, ref, got *PUL) error {
 	t.Helper()
 	onR, seqR := reporter(docR)
-	onP, seqP := reporter(docP)
-	errR := ref.Apply(onR)
-	eliminated, errP := pruned.ApplyPruned(onP)
-	if (errR == nil) != (errP == nil) {
-		t.Fatalf("error mismatch: Apply %v, ApplyPruned %v", errR, errP)
+	onG, seqG := reporter(docG)
+	errR, errG := ref.Apply(onR), got.Apply(onG)
+	if (errR == nil) != (errG == nil) {
+		t.Fatalf("error mismatch: reference %v, retried %v", errR, errG)
 	}
-	if r, p := markup.Serialize(docR), markup.Serialize(docP); r != p {
-		t.Fatalf("trees diverged (err=%v):\n Apply       %s\n ApplyPruned %s", errR, r, p)
+	if r, g := markup.Serialize(docR), markup.Serialize(docG); r != g {
+		t.Fatalf("trees diverged (err=%v):\n reference %s\n retried   %s", errR, r, g)
 	}
 	if errR != nil {
-		if len(*seqR)+len(*seqP) != 0 {
-			t.Fatalf("onChange saw a rolled-back apply: %v / %v", *seqR, *seqP)
+		if len(*seqR)+len(*seqG) != 0 {
+			t.Fatalf("onChange saw a rolled-back apply: %v / %v", *seqR, *seqG)
 		}
-		return 0, errP
+		return errG
 	}
-	if len(*seqR)-len(*seqP) != eliminated || !isSubsequence(*seqP, *seqR) {
-		t.Fatalf("onChange of the survivors is not Apply's minus %d eliminated:\n Apply       %v\n ApplyPruned %v",
-			eliminated, *seqR, *seqP)
+	if !slices.Equal(*seqR, *seqG) {
+		t.Fatalf("onChange sequences differ:\n reference %v\n retried   %v", *seqR, *seqG)
 	}
-	return eliminated, nil
+	return nil
 }
 
-// runBothApplies builds the same primitive list against two parses of
-// src and checks the pruned apply of one against Apply on the other.
-func runBothApplies(t *testing.T, src string, build func(t *testing.T, doc *dom.Node, p *PUL)) (eliminated int) {
-	t.Helper()
-	docR, docP := tree(t, src), tree(t, src)
-	ref, pruned := &PUL{}, &PUL{}
-	build(t, docR, ref)
-	build(t, docP, pruned)
-	eliminated, _ = checkPrunedAgainstApply(t, docR, docP, ref, pruned)
-	return eliminated
-}
-
-// TestUnconditionalElimination drops the exact no-ops: a delete of a
-// replaced target and a duplicate delete.
+// TestUnconditionalElimination applies the two exact no-ops a list can
+// hold, the delete of a node the list replaces and a second delete of
+// one node: Apply eliminates them unconditionally, as each finds its
+// target already detached, so the tree comes out as it does from the
+// list without them. onChange still reports them, in application order.
 func TestUnconditionalElimination(t *testing.T) {
 	const src = `<r><a/><b/></r>`
-	eliminated := runBothApplies(t, src, func(t *testing.T, doc *dom.Node, p *PUL) {
+	build := func(noOps bool) (*dom.Node, *PUL) {
+		doc := tree(t, src)
 		a, b := el(t, doc, "a"), el(t, doc, "b")
+		p := &PUL{}
 		_ = p.Add(Primitive{Kind: ReplaceNode, Target: a,
 			Content: []*dom.Node{dom.NewElement(dom.Name("a2"))}})
-		_ = p.Add(Primitive{Kind: Delete, Target: a}) // replace-then-delete: dead
+		if noOps {
+			_ = p.Add(Primitive{Kind: Delete, Target: a}) // replace-then-delete
+		}
 		_ = p.Add(Primitive{Kind: Delete, Target: b})
-		_ = p.Add(Primitive{Kind: Delete, Target: b}) // duplicate: dead
-	})
-	if eliminated != 2 {
-		t.Errorf("eliminated = %d, want 2", eliminated)
+		if noOps {
+			_ = p.Add(Primitive{Kind: Delete, Target: b}) // duplicate
+		}
+		return doc, p
+	}
+	docN, with := build(true)
+	docW, without := build(false)
+	on, seq := reporter(docN)
+	if err := with.Apply(on); err != nil {
+		t.Fatal(err)
+	}
+	if err := without.Apply(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := markup.Serialize(docN), markup.Serialize(docW); got != want || got != `<r><a2/></r>` {
+		t.Errorf("with the no-ops %s, without %s, want <r><a2/></r>", got, want)
+	}
+	if want := []string{"replaceNode@2", "delete@2", "delete@3", "delete@3"}; !slices.Equal(*seq, want) {
+		t.Errorf("onChange reported %v, want %v", *seq, want)
 	}
 }
 
-// TestPrunedApplyRollback fails a pruned list mid-apply and asserts the
+// TestApplyRollback fails a list mid-apply and asserts the
 // all-or-nothing contract: byte-identical document, restored version
-// counter, intact pending list (the eliminated primitive included),
-// silent onChange — then a clean retry.
-func TestPrunedApplyRollback(t *testing.T) {
+// counter, intact pending list, silent onChange — then a clean retry
+// that reports every primitive, the duplicate delete included.
+func TestApplyRollback(t *testing.T) {
 	defer faultpoint.Reset()
 	const src = `<r><a>one</a><b/><c/><d/></r>`
 	doc := tree(t, src)
@@ -133,7 +130,7 @@ func TestPrunedApplyRollback(t *testing.T) {
 
 	faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(3))
 	calls := 0
-	_, err := p.ApplyPruned(func(Primitive) { calls++ })
+	err := p.Apply(func(Primitive) { calls++ })
 	if !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -154,23 +151,22 @@ func TestPrunedApplyRollback(t *testing.T) {
 	}
 
 	faultpoint.Reset()
-	eliminated, err := p.ApplyPruned(func(Primitive) { calls++ })
-	if err != nil {
+	if err := p.Apply(func(Primitive) { calls++ }); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
-	if calls != 4 || eliminated != 1 {
-		t.Errorf("onChange calls = %d, eliminated = %d, want 4 and 1", calls, eliminated)
+	if calls != 5 {
+		t.Errorf("onChange calls = %d, want 5", calls)
 	}
 	if !p.Empty() {
 		t.Error("successful apply must clear the list")
 	}
 }
 
-// TestPrunedApplyRollbackSeededFault drives the seeded chaos trigger
-// through pruned applies and asserts every failed apply restores the
+// TestApplyRollbackSeededFault drives the seeded chaos trigger
+// through applies and asserts every failed apply restores the
 // pre-apply serialisation exactly (the mid-apply entry of the chaos
 // matrix, deterministic for a fixed seed).
-func TestPrunedApplyRollbackSeededFault(t *testing.T) {
+func TestApplyRollbackSeededFault(t *testing.T) {
 	defer faultpoint.Reset()
 	const src = `<r><a>one</a><b k="v"/><c><c1/></c><d/></r>`
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -184,8 +180,7 @@ func TestPrunedApplyRollbackSeededFault(t *testing.T) {
 		_ = p.Add(Primitive{Kind: Delete, Target: el(t, doc, "c1")})
 		_ = p.Add(Primitive{Kind: InsertInto, Target: el(t, doc, "d"),
 			Content: []*dom.Node{dom.NewElement(dom.Name("x"))}})
-		_, err := p.ApplyPruned(nil)
-		if err != nil {
+		if err := p.Apply(nil); err != nil {
 			if got := markup.Serialize(doc); got != before {
 				t.Fatalf("seed %d: not restored:\n before %s\n  after %s", seed, before, got)
 			}
@@ -196,10 +191,10 @@ func TestPrunedApplyRollbackSeededFault(t *testing.T) {
 	}
 }
 
-// TestPrunedApplyRollbackAcrossDocuments runs one list over two trees:
+// TestApplyRollbackAcrossDocuments runs one list over two trees:
 // a failed apply restores the bytes and rewinds the version counter of
 // both, and the retry applies to both.
-func TestPrunedApplyRollbackAcrossDocuments(t *testing.T) {
+func TestApplyRollbackAcrossDocuments(t *testing.T) {
 	defer faultpoint.Reset()
 	doc1 := tree(t, `<r><a><a1>x</a1></a><b/><c/></r>`)
 	doc2 := tree(t, `<q><b>y</b></q>`)
@@ -214,7 +209,7 @@ func TestPrunedApplyRollbackAcrossDocuments(t *testing.T) {
 	before1, before2 := markup.Serialize(doc1), markup.Serialize(doc2)
 	v1, v2 := doc1.Version(), doc2.Version()
 	faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(4))
-	if _, err := p.ApplyPruned(nil); !errors.Is(err, faultpoint.ErrInjected) {
+	if err := p.Apply(nil); !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
 	if markup.Serialize(doc1) != before1 || markup.Serialize(doc2) != before2 {
@@ -225,7 +220,7 @@ func TestPrunedApplyRollbackAcrossDocuments(t *testing.T) {
 	}
 
 	faultpoint.Reset()
-	if _, err := p.ApplyPruned(nil); err != nil {
+	if err := p.Apply(nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := markup.Serialize(doc1); got != `<r><bb/><c><x/></c></r>` {
@@ -238,35 +233,28 @@ func TestPrunedApplyRollbackAcrossDocuments(t *testing.T) {
 
 // TestRenameDuplicateAttributeRollback pins the XUDY0021-style check:
 // a rename that would duplicate an attribute name fails the apply
-// (reference and pruned alike) instead of poisoning the tree with a
-// state the rollback machinery cannot restore.
+// instead of poisoning the tree with a state the rollback machinery
+// cannot restore.
 func TestRenameDuplicateAttributeRollback(t *testing.T) {
-	for _, pruned := range []bool{false, true} {
-		doc := tree(t, `<r><b k="v" p="w"/></r>`)
-		before := markup.Serialize(doc)
-		p := &PUL{}
-		_ = p.Add(Primitive{Kind: InsertAttributes, Target: el(t, doc, "b"),
-			Content: []*dom.Node{dom.NewAttr(dom.Name("q"), "x")}})
-		_ = p.Add(Primitive{Kind: Rename, Target: el(t, doc, "b").AttrNode(dom.Name("k")),
-			Name: dom.Name("p")})
-		var err error
-		if pruned {
-			_, err = p.ApplyPruned(nil)
-		} else {
-			err = p.Apply(nil)
-		}
-		if err == nil {
-			t.Fatalf("pruned=%v: duplicate-attribute rename must fail", pruned)
-		}
-		if got := markup.Serialize(doc); got != before {
-			t.Fatalf("pruned=%v: not restored:\n before %s\n  after %s", pruned, before, got)
-		}
+	doc := tree(t, `<r><b k="v" p="w"/></r>`)
+	before := markup.Serialize(doc)
+	p := &PUL{}
+	_ = p.Add(Primitive{Kind: InsertAttributes, Target: el(t, doc, "b"),
+		Content: []*dom.Node{dom.NewAttr(dom.Name("q"), "x")}})
+	_ = p.Add(Primitive{Kind: Rename, Target: el(t, doc, "b").AttrNode(dom.Name("k")),
+		Name: dom.Name("p")})
+	if err := p.Apply(nil); err == nil {
+		t.Fatal("duplicate-attribute rename must fail")
+	}
+	if got := markup.Serialize(doc); got != before {
+		t.Fatalf("not restored:\n before %s\n  after %s", before, got)
 	}
 }
 
-// TestSnapshotCounters asserts the process-wide counters advance: one
-// per applied list, one per dropped primitive, and nothing for the
-// parallel applies that no longer exist.
+// TestSnapshotCounters asserts the process-wide counters: Groups
+// advances by one per applied non-empty list, and Eliminated and
+// ParallelApplies, left over from the pre-pass and the parallel apply,
+// stay where they are.
 func TestSnapshotCounters(t *testing.T) {
 	before := Snapshot()
 	doc := tree(t, `<r><a>x</a><b><b1/></b></r>`)
@@ -276,15 +264,15 @@ func TestSnapshotCounters(t *testing.T) {
 	b1 := el(t, doc, "b1")
 	_ = p.Add(Primitive{Kind: Delete, Target: b1})
 	_ = p.Add(Primitive{Kind: Delete, Target: b1})
-	if _, err := p.ApplyPruned(nil); err != nil {
+	if err := p.Apply(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ApplyPruned(nil); err != nil { // empty: counts nothing
+	if err := p.Apply(nil); err != nil { // empty: counts nothing
 		t.Fatal(err)
 	}
 	after := Snapshot()
-	if after.Eliminated != before.Eliminated+1 {
-		t.Errorf("Eliminated delta = %d, want 1", after.Eliminated-before.Eliminated)
+	if after.Eliminated != before.Eliminated {
+		t.Errorf("Eliminated delta = %d, want 0", after.Eliminated-before.Eliminated)
 	}
 	if after.Groups != before.Groups+1 {
 		t.Errorf("Groups delta = %d, want 1 (one applied list)", after.Groups-before.Groups)
@@ -298,7 +286,7 @@ func TestSnapshotCounters(t *testing.T) {
 // list every listener turn of the table page produces — a delete and an
 // insert on one tree: the ordered copy, the undo log and one inverse
 // closure per primitive. No version map (one tree), no
-// second ordering pass, nothing for a pre-pass that has nothing to drop.
+// second ordering pass.
 func TestListenerTurnApplyAllocs(t *testing.T) {
 	doc := tree(t, `<r><table id="t"><tr/></table><p/></r>`)
 	r := el(t, doc, "r")
@@ -312,7 +300,7 @@ func TestListenerTurnApplyAllocs(t *testing.T) {
 		p.prims = append(p.prims[:0],
 			Primitive{Kind: Delete, Target: in},
 			Primitive{Kind: InsertInto, Target: r, Content: outList})
-		if _, err := p.ApplyPruned(nil); err != nil {
+		if err := p.Apply(nil); err != nil {
 			t.Fatal(err)
 		}
 		in, out, inList, outList = out, in, outList, inList

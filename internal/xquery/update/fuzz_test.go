@@ -9,19 +9,19 @@ import (
 	"repro/internal/markup"
 )
 
-// FuzzPULPartition drives the pruning pre-pass against the reference:
-// an arbitrary byte string is decoded into a pending update list, the
-// same list is built against two parses of one document, and Apply and
-// ApplyPruned must agree — same error presence, byte-identical live
-// documents (after rollback too), and an onChange sequence that is the
-// reference's minus the eliminated primitives. The input's first byte
-// arms an update.apply fault in front of the pruned apply (bits 1-3:
-// the Nth primitive, 0 for none), which has to leave bytes, version and
-// pending list untouched before the retry is compared; bit 0 is
-// ignored (it once switched a pruning rule that no longer exists, and
-// the committed corpus still sets it). (Nothing is partitioned any more;
-// the name stays because the committed corpus under testdata/fuzz and
-// the tier-1 floor list are keyed by it.)
+// FuzzPULPartition compares a faulted-then-retried Apply with a
+// fault-free one: an arbitrary byte string is decoded into a pending
+// update list, the same list is built against two parses of one
+// document, and the two applies must agree — same error presence,
+// byte-identical live documents (after rollback too), and the same
+// onChange sequence. The input's first byte arms an update.apply fault
+// in front of the second apply (bits 1-3: the Nth primitive, 0 for
+// none), which has to leave bytes, version and pending list untouched
+// before the retry is compared; bit 0 is ignored (it once switched a
+// rule of a pre-pass that no longer exists, and the committed corpus
+// still sets it). (Nothing is partitioned any more; the name stays
+// because the committed corpus under testdata/fuzz and the tier-1
+// floor list are keyed by it.)
 func FuzzPULPartition(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})
 	f.Add([]byte{1, 7, 0, 7, 2, 7, 9, 3})
@@ -54,9 +54,9 @@ func FuzzPULPartition(f *testing.F) {
 			return doc, p
 		}
 		docR, ref := build()
-		docP, pruned := build()
-		if ref.Len() != pruned.Len() {
-			t.Fatalf("Add diverged: %d vs %d primitives", ref.Len(), pruned.Len())
+		docG, got := build()
+		if ref.Len() != got.Len() {
+			t.Fatalf("Add diverged: %d vs %d primitives", ref.Len(), got.Len())
 		}
 
 		if faultAt > 0 {
@@ -64,7 +64,7 @@ func FuzzPULPartition(f *testing.F) {
 			pending, v0 := faulted.Len(), docF.Version()
 			faultpoint.Enable(faultpoint.PointUpdateApply, faultpoint.Nth(faultAt))
 			reported := 0
-			_, err := faulted.ApplyPruned(func(Primitive) { reported++ })
+			err := faulted.Apply(func(Primitive) { reported++ })
 			faultpoint.Reset()
 			// A list that is shorter than faultAt, or fails on its own
 			// first, injects nothing; the untouched pair is compared.
@@ -76,12 +76,12 @@ func FuzzPULPartition(f *testing.F) {
 					t.Fatalf("faulted apply left version %d (was %d), %d pending (was %d), and reported %d primitives",
 						docF.Version(), v0, faulted.Len(), pending, reported)
 				}
-				docP, pruned = docF, faulted // the retry is what gets compared
+				docG, got = docF, faulted // the retry is what gets compared
 			}
 		}
-		if _, err := checkPrunedAgainstApply(t, docR, docP, ref, pruned); err != nil {
-			if got := markup.Serialize(docP); got != src {
-				t.Fatalf("failed apply left %s", got)
+		if err := checkAgainstApply(t, docR, docG, ref, got); err != nil {
+			if left := markup.Serialize(docG); left != src {
+				t.Fatalf("failed apply left %s", left)
 			}
 		}
 	})

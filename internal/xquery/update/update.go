@@ -163,12 +163,35 @@ func phase(k Kind) uint8 {
 	return noPhase
 }
 
-// rollbacks counts PUL applications that failed mid-way and were
-// rolled back, process-wide (surfaced in serve.Metrics.Failures).
-var rollbacks atomic.Int64
+// Process-wide counters of the apply path: applied non-empty lists,
+// and applications that failed mid-way and were rolled back (surfaced
+// in serve.Metrics.Failures).
+var (
+	applies   atomic.Int64
+	rollbacks atomic.Int64
+)
 
 // Rollbacks returns the process-wide rollback count.
 func Rollbacks() int64 { return rollbacks.Load() }
+
+// Stats is a snapshot of the process-wide apply counters.
+type Stats struct {
+	// Groups counts applied non-empty lists. Eliminated and
+	// ParallelApplies stay zero: they are what is left of the no-op
+	// pre-pass and of the partitioned parallel apply (DESIGN.md §5i,
+	// "measured and removed"). All three names survive only because
+	// cmd/bench/layers.go reads them and BENCHMARK.json freezes that
+	// directory; the ROADMAP benchmark item renames the first and drops
+	// the other two.
+	Groups          int64
+	Eliminated      int64
+	ParallelApplies int64
+}
+
+// Snapshot returns the current counters.
+func Snapshot() Stats {
+	return Stats{Groups: applies.Load()}
+}
 
 // Apply performs all pending updates against the live trees in the
 // prescribed order and clears the list — atomically: every primitive
@@ -181,26 +204,21 @@ func Rollbacks() int64 { return rollbacks.Load() }
 // That makes the Update Facility's all-or-nothing contract hold against
 // the live DOM, not just the evaluation snapshot.
 //
-// If onChange is non-nil it is called once per applied primitive (the
-// plug-in host uses this to count DOM mutations and schedule
-// re-rendering) — but only after the whole list has applied, so
-// observers never see a primitive that is later rolled back.
+// If onChange is non-nil it is called once per applied primitive, in
+// application order (the plug-in host uses this to count DOM mutations
+// and schedule re-rendering) — but only after the whole list has
+// applied, so observers never see a primitive that is later rolled
+// back. A primitive that turns out a no-op, such as the delete of a
+// node the list replaces or deletes already, is reported too.
 //
-// Apply is the reference: ApplyPruned (prune.go) is what the hosts
-// call, and the fuzz target compares the two.
+// Apply is the one applier: the evaluator's apply path
+// (runtime.Context.Finish) and copy-modify call it.
 func (p *PUL) Apply(onChange func(Primitive)) error {
-	if err := applyAtomic(p.prims, onChange); err != nil {
-		return err
+	if len(p.prims) == 0 {
+		return nil
 	}
-	p.Reset()
-	return nil
-}
-
-// applyAtomic applies prims all-or-nothing and then reports them, in
-// application order, to onChange.
-func applyAtomic(prims []Primitive, onChange func(Primitive)) error {
-	versions := snapshotVersions(prims)
-	ordered := orderedPrims(prims)
+	versions := snapshotVersions(p.prims)
+	ordered := orderedPrims(p.prims)
 	u := undoLog{steps: make([]func() error, 0, len(ordered))}
 	for i := range ordered {
 		err := faultpoint.Hit(faultpoint.PointUpdateApply)
@@ -217,6 +235,8 @@ func applyAtomic(prims []Primitive, onChange func(Primitive)) error {
 			onChange(pr)
 		}
 	}
+	applies.Add(1)
+	p.Reset()
 	return nil
 }
 
@@ -367,6 +387,9 @@ func applyOne(pr Primitive, u *undoLog) error {
 			ref = c
 		}
 	case InsertAttributes:
+		if t.Type != dom.ElementNode {
+			return fmt.Errorf("update: attributes can only be inserted into elements")
+		}
 		for _, a := range pr.Content {
 			if a.Type != dom.AttributeNode {
 				return fmt.Errorf("update: insertAttributes content must be attributes")

@@ -99,7 +99,7 @@
 //	            one apply path: outside the list's own package and the
 //	            evaluator (internal/xquery/update and
 //	            internal/xquery/runtime, by path), no code calls a
-//	            list's Apply or ApplyPruned — hosts go through
+//	            list's Apply — hosts go through
 //	            runtime.Context.Finish. This rule covers the DOM hosts
 //	            core and apps too.
 //
@@ -1007,8 +1007,8 @@ var domMutators = map[string]bool{
 	"Adopt":                 true,
 }
 
-// pulApplyMethods are the pending-update-list methods that apply it.
-var pulApplyMethods = map[string]bool{"Apply": true, "ApplyPruned": true}
+// pulApplyMethod is the pending-update-list method that applies it.
+const pulApplyMethod = "Apply"
 
 // pulAppliers are the packages, by path, that may apply a pending
 // update list: the list's own and the evaluator, whose apply path
@@ -1062,10 +1062,10 @@ func pulApply(fset *token.FileSet, file *ast.File) []finding {
 		}
 		name := sel.Sel.Name
 		switch {
-		case applies && pulApplyMethods[name]:
+		case applies && name == pulApplyMethod:
 			out = append(out, finding{
 				pos: fset.Position(call.Pos()),
-				msg: fmt.Sprintf("pulapply: pending updates applied with %s in package %s; a run applies through its one apply path (runtime.Context.Finish), which counts, observes and profiles every apply",
+				msg: fmt.Sprintf("pulapply: pending updates applied with %s in package %s; a run applies through its one apply path (runtime.Context.Finish), which counts and observes every apply",
 					name, pkg),
 			})
 		case mutations && domMutators[name]:
